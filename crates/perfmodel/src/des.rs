@@ -2,8 +2,7 @@
 //! the scale-out model behind the reproduced Figures 2 and 3 (see
 //! REPRODUCTION.md).
 //!
-//! Where [`crate::scaling`] evaluates a closed-form step-cost formula,
-//! this module *runs* the machine: every simulated locality is a trio of
+//! This module *runs* the machine: every simulated locality is a trio of
 //! [`Component`] objects (a worker-pool core, a NIC, a CUDA-stream set)
 //! cycling over a shared [`SimContext`] event queue. The workload is the
 //! real octree decomposition — [`CommPattern::from_tree`] partitions the
@@ -751,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn more_localities_cut_step_time_at_small_scale() {
+    fn throughput_grows_then_efficiency_collapses() {
         let tree = v1309_structure_tree(10);
         let calib = Calibration::synthetic(200_000, 3.0, 12);
         let opts = DesOpts::default();
@@ -765,6 +764,13 @@ mod tests {
         let t1 = t(1);
         let t4 = t(4);
         assert!(t4 < t1, "4 localities ({t4}s) must beat 1 ({t1}s)");
+        // Strong scaling tails off ("too little work per node", §6.2):
+        // 256 localities still beat one in absolute throughput, but the
+        // per-locality efficiency has collapsed.
+        let t256 = t(256);
+        assert!(t256 < t1, "256 localities ({t256}s) must still beat 1 ({t1}s)");
+        let eff = t1 / (256.0 * t256);
+        assert!(eff < 0.6, "efficiency at 256 localities should collapse, got {eff}");
     }
 
     #[test]
@@ -775,21 +781,29 @@ mod tests {
         // top of leaf halos) — the measured value in the real bench.
         calib.parcel_amplification = 10.0;
         let opts = DesOpts::default();
-        let ratio = |n: usize| {
+        let ratio = |calib: &Calibration, n: usize| {
             let p = CommPattern::from_tree(&tree, n).unwrap();
-            let m = simulate_scaleout(&p, TransportKind::Mpi, &calib, &opts).unwrap();
-            let l = simulate_scaleout(&p, TransportKind::Libfabric, &calib, &opts).unwrap();
+            let m = simulate_scaleout(&p, TransportKind::Mpi, calib, &opts).unwrap();
+            let l = simulate_scaleout(&p, TransportKind::Libfabric, calib, &opts).unwrap();
             l.point.subgrids_per_second / m.point.subgrids_per_second
         };
         // One locality: no remote channels; libfabric pays the polling
         // tax and dips below parity (the Fig. 3 left edge).
-        let r1 = ratio(1);
+        let r1 = ratio(&calib, 1);
         assert!(r1 <= 1.0, "1-locality ratio {r1} must not exceed 1");
         assert!(r1 > 0.9, "the dip is slight: {r1}");
         // Communication-bound: libfabric's cheaper per-message CPU wins.
-        let r32 = ratio(32);
+        let r32 = ratio(&calib, 32);
         assert!(r32 > r1, "ratio must grow with scale: {r1} -> {r32}");
         assert!(r32 > 1.0, "libfabric must win once comm-bound: {r32}");
+        // The §6.3 startup/regrid regime — a storm of small control
+        // messages with next to no compute behind it: libfabric is an
+        // order of magnitude faster.
+        calib.kernels[0].hist = DurationHistogram::from_values([1_000u64].into_iter());
+        calib.parcel_bytes = DurationHistogram::from_values([256u64].into_iter());
+        calib.parcel_amplification = 40.0;
+        let storm = ratio(&calib, 32);
+        assert!(storm >= 8.0, "regrid-storm speedup must be order-of-magnitude, got {storm:.1}");
     }
 
     #[test]

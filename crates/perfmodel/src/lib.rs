@@ -20,11 +20,9 @@
 //!   queue, running the real octree decomposition at up to 5400
 //!   simulated localities on the two [`parcelport::NetParams`] transport
 //!   models, plus the checkpoint-cadence sweep.
-//! * [`scaling`] — the original closed-form Figure 2/3 model, kept as an
-//!   analytic cross-check (its [`scaling::HandCalibration`] constants
-//!   are hand-entered; the DES path takes none).
-//! * [`regrid`] — the startup/regridding model behind §6.3's
-//!   order-of-magnitude claim (latency/contention-bound small messages).
+//! * [`scaling`] — the Figure 2/3 output type ([`ScalingPoint`],
+//!   [`efficiency`]) and the V1309 structure-tree builder the scaling
+//!   experiments decompose.
 
 #![warn(missing_docs)]
 
@@ -32,11 +30,10 @@ pub mod calibrate;
 pub mod des;
 pub mod machine;
 pub mod node_level;
-pub mod regrid;
 pub mod scaling;
 
 pub use calibrate::{Calibration, CheckpointCost, Measurements};
 pub use des::{simulate_scaleout, sweep_cadence, CommPattern, DesOpts, ScaleoutResult};
 pub use machine::NodeConfig;
 pub use node_level::{simulate_node, NodeLevelResult};
-pub use scaling::{efficiency, simulate_scaling, ScalingPoint};
+pub use scaling::{efficiency, ScalingPoint};

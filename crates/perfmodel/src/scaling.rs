@@ -1,78 +1,18 @@
-//! The *closed-form* distributed scaling model — the original Figure
-//! 2/3 regeneration, kept as a cross-check.
+//! The shared Figure 2/3 output type and the V1309 structure-tree
+//! builder.
 //!
-//! This model's [`HandCalibration`] constants are hand-entered
-//! engineering estimates. It is superseded by the trace-calibrated
-//! discrete-event co-simulation in [`crate::des`], whose
-//! [`crate::calibrate::Calibration`] is extracted from measured traces
-//! and counters; the `fig23_scaleout` bench (and REPRODUCTION.md) use
-//! that path. This module remains useful as an analytic sanity check —
-//! both models must agree on the qualitative shapes — and as the home
-//! of the shared [`ScalingPoint`] output type and the
-//! [`v1309_structure_tree`] builder.
-//!
-//! The model runs the *real* octree decomposition: the V1309 refinement
-//! rule builds the structure tree for each level, the SFC partitioner
-//! assigns leaves to N localities, and the halo census counts the
-//! actual remote messages/bytes each locality exchanges per step. On
-//! top of that sit per-step cost terms:
-//!
-//! * **compute**: `subgrids × t_subgrid`, with a grain-size penalty
-//!   when a locality holds too few sub-grids to keep its cores and GPU
-//!   busy ("too little work per node", §6.2);
-//! * **communication CPU**: per-message processing costs from the
-//!   transport model ([`parcelport::NetParams`]), times an
-//!   *amplification factor* standing in for the tree-hierarchy traffic
-//!   (the FMM exchanges at every level, not just leaf halos) and
-//!   scheduling imbalance — the effective constants are calibrated in
-//!   EXPERIMENTS.md;
-//! * **wire**: bytes / bandwidth + latency round-trips, overlapped with
-//!   compute (HPX hides what it can: only the excess is exposed);
-//! * **polling tax**: the libfabric scheduler-loop polling cost that
-//!   makes Fig. 3 dip slightly below 1.0 at small node counts.
+//! The scale-out numbers themselves come from the trace-calibrated
+//! discrete-event co-simulation in [`crate::des`]; this module only
+//! holds what its results are expressed in ([`ScalingPoint`],
+//! [`efficiency`]) and the tree every scaling experiment decomposes
+//! ([`v1309_structure_tree`]).
 
 use octree::refine::BinaryRefine;
-use octree::sfc::{halo_census, partition};
 use octree::tree::Octree;
-use parcelport::netmodel::{NetParams, TransportKind};
+use parcelport::netmodel::TransportKind;
 
-/// Hand-entered calibration constants of the closed-form step-cost
-/// model. **Legacy**: the scale-out co-simulation ([`crate::des`])
-/// takes no hand-entered kernel constants — its
-/// [`crate::calibrate::Calibration`] is extracted from measured data.
-#[derive(Debug, Clone, Copy)]
-pub struct HandCalibration {
-    /// Wall-clock per sub-grid per step on one full node, µs.
-    pub t_subgrid_us: f64,
-    /// Grain-size penalty scale (sub-grids needed for full overlap).
-    pub grain_subgrids: f64,
-    /// Dependent halo-exchange rounds per step (RK stages × solvers).
-    pub rounds: f64,
-    /// Amplification of the leaf-halo message census standing in for
-    /// per-level FMM traffic and imbalance.
-    pub msg_amplification: f64,
-    /// Worker threads per node (Piz Daint: 12).
-    pub threads: usize,
-    /// Base per-message cost independent of transport, µs (serialization
-    /// and scheduling work both transports share).
-    pub msg_base_us: f64,
-}
-
-impl Default for HandCalibration {
-    fn default() -> HandCalibration {
-        HandCalibration {
-            t_subgrid_us: 4600.0,
-            grain_subgrids: 3.0,
-            rounds: 4.0,
-            msg_amplification: 350.0,
-            threads: 12,
-            msg_base_us: 860.0,
-        }
-    }
-}
-
-/// One point of the Figure 2/3 data (produced by both the closed-form
-/// model and the [`crate::des`] co-simulation).
+/// One point of the Figure 2/3 data (produced by the [`crate::des`]
+/// co-simulation).
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingPoint {
     /// Refinement level of the simulated tree.
@@ -95,53 +35,6 @@ pub fn v1309_structure_tree(level: u8) -> Octree {
     let mut tree = Octree::structure_only(octree::geometry::Domain::v1309());
     tree.refine_where(level, |d, k| rule.should_refine(d, k));
     tree
-}
-
-/// Model one (tree, nodes, transport) point.
-pub fn simulate_scaling(
-    tree: &Octree,
-    nodes: usize,
-    kind: TransportKind,
-    calib: &HandCalibration,
-) -> ScalingPoint {
-    assert!(nodes >= 1);
-    let params = NetParams::for_kind(kind);
-    let leaves = tree.leaves();
-    let total_subgrids = leaves.len();
-    let assignment = partition(&leaves, nodes);
-    let census = halo_census(tree, &assignment, nodes);
-
-    let mut worst = 0.0f64;
-    for loc in &census.per_locality {
-        let s = loc.subgrids as f64;
-        if s == 0.0 {
-            continue;
-        }
-        // Compute with grain penalty and the polling tax.
-        let compute =
-            s * calib.t_subgrid_us * (1.0 + calib.grain_subgrids / s) * (1.0 + params.polling_tax);
-        // Per-message CPU costs (spread over the node's workers is
-        // already folded into the transport's contention model).
-        let per_msg = calib.msg_base_us
-            + (params.recv_cpu_us(calib.threads) + params.send_cpu_us(calib.threads))
-                * calib.msg_amplification;
-        let msgs = (loc.recv_msgs + loc.send_msgs) as f64 * calib.rounds;
-        let comm_cpu = msgs * per_msg / calib.threads as f64;
-        // Wire time: bandwidth + latency chains, overlapped with compute.
-        let bytes = (loc.recv_bytes as f64) * calib.rounds;
-        let wire = calib.rounds * params.latency_us * 8.0 + bytes / (params.bandwidth_gb_s * 1e3);
-        let t = (compute + comm_cpu).max(wire);
-        worst = worst.max(t);
-    }
-    let step_time_s = worst / 1e6;
-    ScalingPoint {
-        level: tree.max_level(),
-        nodes,
-        kind,
-        subgrids: total_subgrids,
-        step_time_s,
-        subgrids_per_second: total_subgrids as f64 / step_time_s,
-    }
 }
 
 /// Parallel efficiency of `point` against a reference throughput-per-
@@ -170,96 +63,6 @@ pub fn efficiency(point: &ScalingPoint, reference_throughput_1node: f64) -> f64 
 mod tests {
     use super::*;
 
-    fn small_tree() -> Octree {
-        v1309_structure_tree(12)
-    }
-
-    #[test]
-    fn throughput_grows_then_saturates() {
-        let tree = small_tree();
-        let calib = HandCalibration::default();
-        let p1 = simulate_scaling(&tree, 1, TransportKind::Libfabric, &calib);
-        // 2 nodes must clearly beat 1 node (the SFC cut at N = 2 slices
-        // straight through the dense binary core, so the surcharge is
-        // at its relative worst here).
-        let p2 = simulate_scaling(&tree, 2, TransportKind::Libfabric, &calib);
-        assert!(
-            p2.subgrids_per_second > 1.3 * p1.subgrids_per_second,
-            "2-node speedup {}",
-            p2.subgrids_per_second / p1.subgrids_per_second
-        );
-        // Strong scaling tails off: per-node efficiency at 256 nodes is
-        // far below the 1-node value.
-        let p256 = simulate_scaling(&tree, 256, TransportKind::Libfabric, &calib);
-        let eff = p256.subgrids_per_second / (256.0 * p1.subgrids_per_second);
-        assert!(eff < 0.6, "efficiency at 256 nodes should collapse, got {eff}");
-        assert!(
-            p256.subgrids_per_second > p1.subgrids_per_second,
-            "but absolute throughput still exceeds one node"
-        );
-    }
-
-    #[test]
-    fn libfabric_beats_mpi_at_scale_but_not_at_one_node() {
-        let tree = small_tree();
-        let calib = HandCalibration::default();
-        // One node: no remote messages; polling tax makes libfabric a
-        // hair *slower* (the Fig. 3 dip below 1.0).
-        let m1 = simulate_scaling(&tree, 1, TransportKind::Mpi, &calib);
-        let l1 = simulate_scaling(&tree, 1, TransportKind::Libfabric, &calib);
-        let ratio1 = l1.subgrids_per_second / m1.subgrids_per_second;
-        assert!(ratio1 < 1.0, "1-node ratio {ratio1} should dip below 1");
-        assert!(ratio1 > 0.95, "the dip is slight: {ratio1}");
-        // Many nodes: communication dominates and libfabric wins big.
-        let mn = simulate_scaling(&tree, 256, TransportKind::Mpi, &calib);
-        let ln = simulate_scaling(&tree, 256, TransportKind::Libfabric, &calib);
-        let ratio_n = ln.subgrids_per_second / mn.subgrids_per_second;
-        assert!(
-            ratio_n > 1.5,
-            "at scale libfabric must clearly win: ratio {ratio_n}"
-        );
-    }
-
-    #[test]
-    fn ratio_grows_with_node_count() {
-        // The Fig. 3 shape: the libfabric/MPI ratio increases with
-        // node count (communication share grows).
-        let tree = small_tree();
-        let calib = HandCalibration::default();
-        let ratio_at = |nodes: usize| {
-            let m = simulate_scaling(&tree, nodes, TransportKind::Mpi, &calib);
-            let l = simulate_scaling(&tree, nodes, TransportKind::Libfabric, &calib);
-            l.subgrids_per_second / m.subgrids_per_second
-        };
-        let r4 = ratio_at(4);
-        let r64 = ratio_at(64);
-        let r256 = ratio_at(256);
-        assert!(r64 > r4, "ratio must grow into the comm-bound regime: {r4} -> {r64}");
-        // Near full saturation the grain penalty (transport-neutral)
-        // flattens the curve; it must stay clearly above 2.
-        assert!(r256 > 2.0, "ratio at scale {r256}");
-    }
-
-    #[test]
-    fn weak_scaling_across_levels() {
-        // A deeper tree on proportionally more nodes should hold its
-        // efficiency reasonably (the paper's "weak scaling is clearly
-        // very good").
-        let calib = HandCalibration::default();
-        let t9 = v1309_structure_tree(10);
-        let t10 = v1309_structure_tree(10);
-        let p9 = simulate_scaling(&t9, 8, TransportKind::Libfabric, &calib);
-        let growth = t10.leaf_count() as f64 / t9.leaf_count() as f64;
-        let nodes10 = (8.0 * growth).round() as usize;
-        let p10 = simulate_scaling(&t10, nodes10, TransportKind::Libfabric, &calib);
-        let eff9 = p9.subgrids_per_second / 8.0;
-        let eff10 = p10.subgrids_per_second / nodes10 as f64;
-        assert!(
-            eff10 > 0.4 * eff9,
-            "weak scaling collapsed: {eff10} vs {eff9}"
-        );
-    }
-
     #[test]
     fn efficiency_helper() {
         let p = ScalingPoint {
@@ -272,23 +75,5 @@ mod tests {
         };
         assert!((efficiency(&p, 25.0) - 1.0).abs() < 1e-12);
         assert!((efficiency(&p, 50.0) - 0.5).abs() < 1e-12);
-    }
-}
-
-#[cfg(test)]
-mod debug_scaling {
-    use super::*;
-    #[test]
-    fn print_points() {
-        let tree = v1309_structure_tree(12);
-        println!("leaves = {}", tree.leaf_count());
-        let calib = HandCalibration::default();
-        for nodes in [1usize, 2, 4, 16, 64, 256] {
-            let l = simulate_scaling(&tree, nodes, TransportKind::Libfabric, &calib);
-            let m = simulate_scaling(&tree, nodes, TransportKind::Mpi, &calib);
-            println!("N={nodes}: lf {:.1} sg/s (t={:.3}s)  mpi {:.1}  ratio {:.2}",
-                l.subgrids_per_second, l.step_time_s, m.subgrids_per_second,
-                l.subgrids_per_second / m.subgrids_per_second);
-        }
     }
 }
