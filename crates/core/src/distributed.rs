@@ -19,15 +19,19 @@
 //! * the per-step dt min-reduce and the end-of-step quiescence barrier
 //!   ride the [`parcelport::collectives`] machinery.
 //!
-//! **Bit-identity.** The distributed solve is bit-identical to
-//! [`crate::driver::Simulation`] at any locality count over either
-//! transport, by construction:
+//! **One pipeline.** This is the only implementation of the step:
+//! [`crate::driver::Simulation`] is this driver on a private
+//! one-locality loopback cluster, where every peer loop below is empty
+//! and nothing crosses the fabric.
 //!
-//! 1. every mirror starts as an exact clone of the scenario tree;
-//! 2. both drivers run the *same* per-leaf kernels
+//! **Bit-identity.** The solve is independent of the partition — any
+//! locality count, either transport, any shard map — by construction:
+//!
+//! 1. every mirror starts as an exact copy of the scenario tree;
+//! 2. every leaf is advanced by the same per-leaf kernels
 //!    (`driver::leaf_signal_dt` / `driver::leaf_rhs` /
 //!    `driver::apply_stage1` / `driver::apply_stage2`) on identical
-//!    inputs;
+//!    inputs, whoever owns it;
 //! 3. the wire codec round-trips `f64` bit patterns exactly, received
 //!    messages are merged by key (never by arrival order), and every
 //!    fold is ordered along the SFC — the min-reduce is exact because
@@ -36,6 +40,10 @@
 //! 4. the restricted FMM walk visits a target's whole ancestor chain,
 //!    so per-shard fields equal the full solve's per leaf (test-proven
 //!    in `gravity::solver`).
+//!
+//! The pinned golden digests of [`crate::scenarios`] and the serial
+//! references (`FmmSolver::solve`, `fill_all_halos`, `regrid::regrid`)
+//! are the independent anchors the tests compare against.
 //!
 //! **Fault tolerance.** Every phase is crash-aware: quiescence waits
 //! and collectives surface [`util::Error::LocalityCrashed`] when the
@@ -56,7 +64,7 @@ use crate::scenario::Scenario;
 use amt::trace::{self, TraceCategory};
 use amt::{when_all, Counter, GlobalId};
 use gravity::multipole::Multipole;
-use gravity::solver::{leaf_moments, moments_from_leaf_moments, FmmSolver, GravityField};
+use gravity::solver::{m2m_parallel, p2m_parallel, FmmSolver, GravityField};
 use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::HydroStepper;
@@ -69,10 +77,12 @@ use octree::tree::Octree;
 use parcelport::cluster::Cluster;
 use parcelport::collectives::{self, Collectives};
 use parcelport::parcel::{ActionHandle, ActionId, Parcel};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use util::morton::MortonKey;
+use util::vec3::Vec3;
 use util::{Error, Result};
 
 /// Action carrying one leaf's interior cells to a neighbor shard.
@@ -134,7 +144,28 @@ struct MigrateMsg {
 
 serde::impl_codec_struct!(MigrateMsg { from, epoch, blob });
 
-type Inbox<T> = Arc<Vec<Mutex<Vec<T>>>>;
+/// One typed exchange channel: the action peers send through, the
+/// per-locality inboxes its handler stashes accepted messages in, and
+/// the traffic it has put on the fabric.
+///
+/// Inbox pattern: handlers only stash decoded messages; the host applies
+/// them post-quiescence, so no handler ever touches a mirror and
+/// `Arc::get_mut` never races a task.
+struct Channel<T> {
+    action: ActionHandle<T>,
+    inbox: Arc<Vec<Mutex<Vec<T>>>>,
+    parcels_tx: Counter,
+    bytes_tx: Counter,
+}
+
+/// Where one message of an exchange round goes.
+#[derive(Clone, Copy)]
+enum Dest {
+    /// Every locality but the sender.
+    Peers,
+    /// One locality.
+    One(u32),
+}
 
 /// The distributed TVD-RK2 driver: one octree shard per locality,
 /// exchanged over the cluster's transport.
@@ -146,23 +177,20 @@ pub struct DistributedDriver {
     push_plan: Vec<BTreeMap<u32, Vec<MortonKey>>>,
     /// Per-locality full-tree mirrors; only a mirror's *owned* leaves
     /// are authoritative, the rest hold the interiors last pushed to it.
+    /// Refined-node grids are derived data no step phase reads or
+    /// maintains; whoever needs them (`assemble`, the regrid phase)
+    /// restricts first.
     mirrors: Vec<Arc<Octree>>,
-    halo_inbox: Inbox<GridMsg>,
-    moment_inbox: Inbox<MomentMsg>,
-    regrid_inbox: Inbox<RegridMsg>,
-    migrate_inbox: Inbox<MigrateMsg>,
-    halo_action: ActionHandle<GridMsg>,
-    moment_action: ActionHandle<MomentMsg>,
-    regrid_action: ActionHandle<RegridMsg>,
-    migrate_action: ActionHandle<MigrateMsg>,
+    halo: Channel<GridMsg>,
+    moment: Channel<MomentMsg>,
+    regrid: Channel<RegridMsg>,
+    migrate: Channel<MigrateMsg>,
     /// Current partition epoch, shared with the action handlers so a
     /// stale-epoch parcel is dropped at the door.
     epoch: Arc<AtomicU64>,
     /// AGAS ids of the per-shard owner components (resident on their
     /// locality, recorded as remote everywhere else).
     shard_ids: Vec<GlobalId>,
-    expected_halo_inbound: Vec<usize>,
-    expected_moment_inbound: Vec<usize>,
     pub config: Config,
     stepper: HydroStepper,
     solver: Option<Arc<FmmSolver>>,
@@ -177,17 +205,12 @@ pub struct DistributedDriver {
     /// dt of every completed step, in order (checkpointed, so a
     /// restored run's per-step dts line up with the uninterrupted one).
     pub dt_history: Vec<f64>,
-    /// Fresh ids for collectives (reductions and barriers).
-    seq: u64,
-    halo_bytes: Counter,
-    halo_parcels: Counter,
-    moment_bytes: Counter,
-    moment_parcels: Counter,
+    /// Last id handed to a collective (reductions and barriers).
+    seq: AtomicU64,
     stale_epoch_drops: Counter,
     regrids: Counter,
     rebalances: Counter,
     migrated_leaves: Counter,
-    migrated_bytes: Counter,
 }
 
 /// Fluent construction of a [`DistributedDriver`], mirroring
@@ -284,33 +307,38 @@ impl DistributedDriver {
         }
     }
 
-    /// Partition `scenario`'s tree over `cluster` and wire the exchange
-    /// actions with every knob at its `Config`/env default — a thin
-    /// delegate to [`DistributedDriver::builder`]. Registers
-    /// [`HALO_ACTION`], [`MOMENT_ACTION`], [`REGRID_ACTION`],
-    /// [`MIGRATE_ACTION`], and the collectives on every locality — one
-    /// driver per cluster.
-    pub fn new(scenario: Scenario, cluster: Arc<Cluster>) -> Result<DistributedDriver> {
-        DistributedDriver::builder(scenario, cluster).build()
-    }
-
-    /// Static halo plan + expected inbound counts for a partition.
-    fn plans_for(
-        shard: &ShardMap,
-        tree: &Octree,
-    ) -> (Vec<BTreeMap<u32, Vec<MortonKey>>>, Vec<usize>, Vec<usize>) {
-        let n = shard.n_shards();
-        let push_plan = shard.halo_push_plan(tree);
-        let total = shard.n_leaves();
-        let mut expected_halo = vec![0usize; n];
-        for by_dst in &push_plan {
-            for (&dst, keys) in by_dst {
-                expected_halo[dst as usize] += keys.len();
-            }
-        }
-        let expected_moment: Vec<usize> =
-            (0..n).map(|loc| total - shard.owned(loc as u32).len()).collect();
-        (push_plan, expected_halo, expected_moment)
+    /// Register `id` on every locality of `cluster` as an exchange
+    /// channel whose traffic is counted under `parcels_tx`/`bytes_tx`.
+    /// The handler first checks the sender's partition epoch
+    /// (`epoch_of`) against the current one and drops stale traffic
+    /// deterministically, counting it in `stale`.
+    fn open_channel<T>(
+        cluster: &Cluster,
+        id: ActionId,
+        epoch_of: fn(&T) -> u64,
+        epoch: &Arc<AtomicU64>,
+        stale: &Counter,
+        parcels_tx: &str,
+        bytes_tx: &str,
+    ) -> Channel<T>
+    where
+        T: for<'de> Deserialize<'de> + Send + 'static,
+    {
+        let inbox: Arc<Vec<Mutex<Vec<T>>>> =
+            Arc::new((0..cluster.len()).map(|_| Mutex::new(Vec::new())).collect());
+        let action = {
+            let (inbox, epoch, stale) = (Arc::clone(&inbox), Arc::clone(epoch), stale.clone());
+            cluster.register_action(id, move |rt, component, msg: T| {
+                debug_assert!(rt.agas().is_local(component), "{id:?} parcel landed off-shard");
+                if epoch_of(&msg) != epoch.load(Ordering::SeqCst) {
+                    stale.increment();
+                    return;
+                }
+                inbox[rt.locality() as usize].lock().expect("inbox poisoned").push(msg);
+            })
+        };
+        let m = cluster.metrics();
+        Channel { action, inbox, parcels_tx: m.counter(parcels_tx), bytes_tx: m.counter(bytes_tx) }
     }
 
     /// Register each shard's owner component on its locality and record
@@ -382,110 +410,70 @@ impl DistributedDriver {
             Some(permille) => ShardMap::partition_skewed(&tree, n, permille)?,
             None => ShardMap::partition(&tree, n)?,
         };
-        let (push_plan, expected_halo_inbound, expected_moment_inbound) =
-            Self::plans_for(&shard, &tree);
-
-        let mirrors: Vec<Arc<Octree>> = (0..n).map(|_| Arc::new(tree.clone())).collect();
+        let push_plan = shard.halo_push_plan(&tree);
+        // The scenario tree itself becomes the last mirror: n − 1
+        // copies, none on one locality.
+        let mut mirrors: Vec<Arc<Octree>> = (1..n).map(|_| Arc::new(tree.clone())).collect();
+        mirrors.push(Arc::new(tree));
         let shard_ids = Self::register_shards(&cluster, &shard);
 
         let m = cluster.metrics();
         let epoch = Arc::new(AtomicU64::new(shard.epoch()));
         let stale_epoch_drops = m.counter("driver/stale_epoch_drops");
-
-        // Inbox pattern: handlers only stash decoded messages; the host
-        // applies them post-quiescence, so no handler ever touches a
-        // mirror and `Arc::get_mut` never races a task. Each handler
-        // first checks the sender's partition epoch against the current
-        // one and drops stale traffic deterministically.
-        let halo_inbox: Inbox<GridMsg> =
-            Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
-        let moment_inbox: Inbox<MomentMsg> =
-            Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
-        let regrid_inbox: Inbox<RegridMsg> =
-            Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
-        let migrate_inbox: Inbox<MigrateMsg> =
-            Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
-        let halo_action = {
-            let inbox = Arc::clone(&halo_inbox);
-            let epoch = Arc::clone(&epoch);
-            let stale = stale_epoch_drops.clone();
-            cluster.register_action(HALO_ACTION, move |rt, id, msg: GridMsg| {
-                debug_assert!(rt.agas().is_local(id), "halo parcel landed off-shard");
-                if msg.epoch != epoch.load(Ordering::SeqCst) {
-                    stale.increment();
-                    return;
-                }
-                inbox[rt.locality() as usize].lock().expect("halo inbox").push(msg);
-            })
-        };
-        let moment_action = {
-            let inbox = Arc::clone(&moment_inbox);
-            let epoch = Arc::clone(&epoch);
-            let stale = stale_epoch_drops.clone();
-            cluster.register_action(MOMENT_ACTION, move |rt, id, msg: MomentMsg| {
-                debug_assert!(rt.agas().is_local(id), "moment parcel landed off-shard");
-                if msg.epoch != epoch.load(Ordering::SeqCst) {
-                    stale.increment();
-                    return;
-                }
-                inbox[rt.locality() as usize].lock().expect("moment inbox").push(msg);
-            })
-        };
-        let regrid_action = {
-            let inbox = Arc::clone(&regrid_inbox);
-            let epoch = Arc::clone(&epoch);
-            let stale = stale_epoch_drops.clone();
-            cluster.register_action(REGRID_ACTION, move |rt, id, msg: RegridMsg| {
-                debug_assert!(rt.agas().is_local(id), "regrid parcel landed off-shard");
-                if msg.epoch != epoch.load(Ordering::SeqCst) {
-                    stale.increment();
-                    return;
-                }
-                inbox[rt.locality() as usize].lock().expect("regrid inbox").push(msg);
-            })
-        };
-        let migrate_action = {
-            let inbox = Arc::clone(&migrate_inbox);
-            let epoch = Arc::clone(&epoch);
-            let stale = stale_epoch_drops.clone();
-            cluster.register_action(MIGRATE_ACTION, move |rt, id, msg: MigrateMsg| {
-                debug_assert!(rt.agas().is_local(id), "migrate parcel landed off-shard");
-                if msg.epoch != epoch.load(Ordering::SeqCst) {
-                    stale.increment();
-                    return;
-                }
-                inbox[rt.locality() as usize].lock().expect("migrate inbox").push(msg);
-            })
-        };
+        let halo = Self::open_channel(
+            &cluster,
+            HALO_ACTION,
+            |m: &GridMsg| m.epoch,
+            &epoch,
+            &stale_epoch_drops,
+            "driver/halo/parcels_tx",
+            "driver/halo/bytes_tx",
+        );
+        let moment = Self::open_channel(
+            &cluster,
+            MOMENT_ACTION,
+            |m: &MomentMsg| m.epoch,
+            &epoch,
+            &stale_epoch_drops,
+            "driver/moments/parcels_tx",
+            "driver/moments/bytes_tx",
+        );
+        let regrid = Self::open_channel(
+            &cluster,
+            REGRID_ACTION,
+            |m: &RegridMsg| m.epoch,
+            &epoch,
+            &stale_epoch_drops,
+            "driver/regrid/parcels_tx",
+            "driver/regrid/bytes_tx",
+        );
+        let migrate = Self::open_channel(
+            &cluster,
+            MIGRATE_ACTION,
+            |m: &MigrateMsg| m.epoch,
+            &epoch,
+            &stale_epoch_drops,
+            "driver/migrated_parcels",
+            "driver/migrated_bytes",
+        );
         let coll = Collectives::register(&cluster);
 
         Ok(DistributedDriver {
-            halo_bytes: m.counter("driver/halo/bytes_tx"),
-            halo_parcels: m.counter("driver/halo/parcels_tx"),
-            moment_bytes: m.counter("driver/moments/bytes_tx"),
-            moment_parcels: m.counter("driver/moments/parcels_tx"),
             stale_epoch_drops,
             regrids: m.counter("driver/regrids"),
             rebalances: m.counter("driver/rebalances"),
             migrated_leaves: m.counter("driver/migrated_leaves"),
-            migrated_bytes: m.counter("driver/migrated_bytes"),
             cluster,
             coll,
             shard,
             push_plan,
             mirrors,
-            halo_inbox,
-            moment_inbox,
-            regrid_inbox,
-            migrate_inbox,
-            halo_action,
-            moment_action,
-            regrid_action,
-            migrate_action,
+            halo,
+            moment,
+            regrid,
+            migrate,
             epoch,
             shard_ids,
-            expected_halo_inbound,
-            expected_moment_inbound,
             config,
             stepper: HydroStepper::new(config.eos),
             solver: config.gravity.then(|| {
@@ -500,7 +488,7 @@ impl DistributedDriver {
             steps: 0,
             subgrids_processed: 0,
             dt_history: Vec::new(),
-            seq: 0,
+            seq: AtomicU64::new(0),
         })
     }
 
@@ -546,16 +534,104 @@ impl DistributedDriver {
         self.stale_epoch_drops.get()
     }
 
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
+    fn next_seq(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Swap in a successor partition: rebuild the halo plan and the
-    /// expected inbound counts, re-register the per-shard AGAS owner
-    /// components (unregister the stale ids everywhere, register the
-    /// new owned lists, record them remote), and publish the new epoch
-    /// so in-flight traffic stamped with the old one is dropped.
+    /// Locality `loc`'s full-tree mirror (see the `mirrors` field).
+    pub(crate) fn mirror(&self, loc: usize) -> &Octree {
+        &self.mirrors[loc]
+    }
+
+    /// [`DistributedDriver::mirror`], mutably.
+    pub(crate) fn mirror_mut(&mut self, loc: usize) -> &mut Octree {
+        exclusive(&mut self.mirrors[loc])
+    }
+
+    /// One exchange round on `ch`: every `(src, dest, msg)` of `sends`
+    /// is encoded once and sent from `src` to `dest`; the cluster
+    /// quiesces; then each locality's inbox is drained, checked against
+    /// the number of parcels addressed to it — a parcel lost, dropped
+    /// as stale or delivered twice is an error here, not a silent hole —
+    /// and returned sorted by `key`, so the caller applies the messages
+    /// in an order that never depends on arrival. `sends` is only
+    /// pulled when there is a peer to send to, so a one-locality run
+    /// builds and encodes nothing.
+    fn exchange<T: Serialize, K: Ord>(
+        &self,
+        ch: &Channel<T>,
+        what: &str,
+        sends: impl Iterator<Item = (usize, Dest, T)>,
+        key: impl Fn(&T) -> K,
+    ) -> Result<Vec<Vec<T>>> {
+        let n = self.cluster.len();
+        let mut expected = vec![0usize; n];
+        if n > 1 {
+            for (src, dest, msg) in sends {
+                // Serialize once; every destination shares the same
+                // (cheaply cloned) buffer.
+                let payload = ch.action.encode(&msg)?;
+                let dests = match dest {
+                    Dest::Peers => 0..n as u32,
+                    Dest::One(dst) => dst..dst + 1,
+                };
+                for dst in dests.filter(|&dst| dst as usize != src) {
+                    ch.parcels_tx.increment();
+                    ch.bytes_tx.add((Parcel::HEADER_BYTES + payload.len()) as u64);
+                    expected[dst as usize] += 1;
+                    self.cluster.locality(src).send_encoded(
+                        ch.action,
+                        dst,
+                        self.shard_ids[dst as usize],
+                        payload.clone(),
+                    )?;
+                }
+            }
+        }
+        self.cluster.try_wait_quiescent()?;
+        let mut inbound = Vec::with_capacity(n);
+        for (loc, &expected) in expected.iter().enumerate() {
+            let mut msgs = std::mem::take(&mut *ch.inbox[loc].lock().expect("inbox poisoned"));
+            if msgs.len() != expected {
+                return Err(Error::Driver(format!(
+                    "locality {loc} received {} {what}, expected {expected}",
+                    msgs.len()
+                )));
+            }
+            msgs.sort_by_key(&key);
+            inbound.push(msgs);
+        }
+        Ok(inbound)
+    }
+
+    /// Ship the interior of every `(src, dest, leaf)` of `plan` as a
+    /// [`HALO_ACTION`] parcel and write what arrives into the receiving
+    /// mirrors.
+    fn push_interiors(&mut self, what: &str, plan: Vec<(usize, Dest, MortonKey)>) -> Result<()> {
+        let epoch = self.epoch();
+        let sends = plan.into_iter().map(|(src, dest, key)| {
+            let grid = self.mirrors[src].node(key).expect("planned leaf").grid.as_ref();
+            let values = grid.expect("grid").extract_interior();
+            (src, dest, GridMsg { from: src as u32, epoch, key, values })
+        });
+        let inbound = self.exchange(&self.halo, what, sends, |m| m.key)?;
+        for (loc, msgs) in inbound.into_iter().enumerate() {
+            let tree = self.mirror_mut(loc);
+            for msg in msgs {
+                let node = tree
+                    .node_mut(msg.key)
+                    .ok_or_else(|| Error::Driver(format!("{:?} not in mirror {loc}", msg.key)))?;
+                node.grid.as_mut().expect("grid").apply_interior(&msg.values);
+            }
+        }
+        Ok(())
+    }
+
+    /// Swap in a successor partition: rebuild the halo plan,
+    /// re-register the per-shard AGAS owner components (unregister the
+    /// stale ids everywhere, register the new owned lists, record them
+    /// remote), and publish the new epoch so in-flight traffic stamped
+    /// with the old one is dropped.
     fn install_shard(&mut self, next: ShardMap) {
         let n = self.cluster.len();
         for &id in &self.shard_ids {
@@ -564,11 +640,7 @@ impl DistributedDriver {
             }
         }
         self.shard_ids = Self::register_shards(&self.cluster, &next);
-        let (push_plan, expected_halo, expected_moment) =
-            Self::plans_for(&next, &self.mirrors[0]);
-        self.push_plan = push_plan;
-        self.expected_halo_inbound = expected_halo;
-        self.expected_moment_inbound = expected_moment;
+        self.push_plan = next.halo_push_plan(&self.mirrors[0]);
         self.epoch.store(next.epoch(), Ordering::SeqCst);
         self.shard = next;
     }
@@ -588,16 +660,15 @@ impl DistributedDriver {
     ///    every other mirror ([`HALO_ACTION`]), each mirror restricts
     ///    upward (refine prolongs from *parent* grids, which are
     ///    derived data the per-step phases never maintain) and runs the
-    ///    very same single-locality [`regrid::regrid`] — identical
-    ///    inputs, identical trees, which is what keeps the distributed
-    ///    run bit-identical to [`crate::driver::Simulation`];
+    ///    very same serial [`regrid::regrid`] — identical inputs,
+    ///    identical trees, whatever the partition;
     /// 5. the new tree is repartitioned ([`ShardMap::repartition`],
     ///    successor epoch) and installed — no migration parcels needed,
     ///    the broadcast already put every leaf everywhere.
     fn regrid_phase(&mut self, policy: &RegridPolicy) -> Result<()> {
         let _span = trace::span_labeled(TraceCategory::Custom, || "regrid".to_string());
         let n = self.cluster.len();
-        let epoch_now = self.epoch.load(Ordering::SeqCst);
+        let epoch = self.epoch();
 
         // 1. Local proposals over owned leaves.
         let proposals: Vec<RegridProposal> = (0..n)
@@ -606,47 +677,22 @@ impl DistributedDriver {
 
         // 2. Proposal collective: all-to-all broadcast, merge by
         //    contents (never arrival order).
-        for src in 0..n {
-            let msg = RegridMsg {
-                from: src as u32,
-                epoch: epoch_now,
-                refine: proposals[src].refine.clone(),
-                cold: proposals[src].cold.clone(),
-            };
-            let payload = self.regrid_action.encode(&msg)?;
-            for dst in 0..n {
-                if dst == src {
-                    continue;
-                }
-                self.cluster.locality(src).send_encoded(
-                    self.regrid_action,
-                    dst as u32,
-                    self.shard_ids[dst],
-                    payload.clone(),
-                )?;
-            }
-        }
-        self.cluster.try_wait_quiescent()?;
-        let mut merged_per_loc = Vec::with_capacity(n);
-        for loc in 0..n {
-            let msgs: Vec<RegridMsg> = {
-                let mut inbox = self.regrid_inbox[loc].lock().expect("regrid inbox");
-                std::mem::take(&mut *inbox)
-            };
-            if msgs.len() != n - 1 {
-                return Err(Error::Driver(format!(
-                    "locality {loc} received {} regrid proposals, expected {}",
-                    msgs.len(),
-                    n - 1
-                )));
-            }
-            let mut parts: Vec<RegridProposal> = msgs
-                .into_iter()
-                .map(|m| RegridProposal { refine: m.refine, cold: m.cold })
-                .collect();
-            parts.push(proposals[loc].clone());
-            merged_per_loc.push(RegridProposal::merge(parts.iter()));
-        }
+        let sends = proposals.iter().enumerate().map(|(src, p)| {
+            let (refine, cold) = (p.refine.clone(), p.cold.clone());
+            (src, Dest::Peers, RegridMsg { from: src as u32, epoch, refine, cold })
+        });
+        let inbound = self.exchange(&self.regrid, "regrid proposals", sends, |m| m.from)?;
+        let mut merged_per_loc: Vec<RegridProposal> = inbound
+            .into_iter()
+            .zip(&proposals)
+            .map(|(msgs, own)| {
+                let parts: Vec<RegridProposal> = msgs
+                    .into_iter()
+                    .map(|m| RegridProposal { refine: m.refine, cold: m.cold })
+                    .collect();
+                RegridProposal::merge(parts.iter().chain([own]))
+            })
+            .collect();
         let merged = merged_per_loc.pop().expect("at least one locality");
         debug_assert!(
             merged_per_loc.iter().all(|m| *m == merged),
@@ -664,63 +710,17 @@ impl DistributedDriver {
         // 4. Full interior broadcast: after this every mirror holds the
         //    complete authoritative state, so the mirrored regrid (and
         //    the repartition that follows, whatever it is) are safe.
-        let total = self.shard.n_leaves();
-        for src in 0..n {
-            for &key in self.shard.owned(src as u32) {
-                let grid = self.mirrors[src]
-                    .node(key)
-                    .expect("owned leaf")
-                    .grid
-                    .as_ref()
-                    .expect("grid");
-                let msg = GridMsg {
-                    from: src as u32,
-                    epoch: epoch_now,
-                    key,
-                    values: grid.extract_interior(),
-                };
-                let payload = self.halo_action.encode(&msg)?;
-                for dst in 0..n {
-                    if dst == src {
-                        continue;
-                    }
-                    self.halo_parcels.increment();
-                    self.halo_bytes.add((Parcel::HEADER_BYTES + payload.len()) as u64);
-                    self.cluster.locality(src).send_encoded(
-                        self.halo_action,
-                        dst as u32,
-                        self.shard_ids[dst],
-                        payload.clone(),
-                    )?;
-                }
-            }
-        }
-        self.cluster.try_wait_quiescent()?;
+        let owned = (0..n)
+            .flat_map(|src| {
+                self.shard.owned(src as u32).iter().map(move |&key| (src, Dest::Peers, key))
+            })
+            .collect();
+        self.push_interiors("regrid interiors", owned)?;
         for loc in 0..n {
-            let mut msgs: Vec<GridMsg> = {
-                let mut inbox = self.halo_inbox[loc].lock().expect("halo inbox");
-                std::mem::take(&mut *inbox)
-            };
-            let expected = total - self.shard.owned(loc as u32).len();
-            if msgs.len() != expected {
-                return Err(Error::Driver(format!(
-                    "locality {loc} received {} regrid interiors, expected {expected}",
-                    msgs.len()
-                )));
-            }
-            msgs.sort_by_key(|m| m.key);
-            let tree = Arc::get_mut(&mut self.mirrors[loc])
-                .expect("no outstanding mirror references between stages");
-            for msg in msgs {
-                let node = tree
-                    .node_mut(msg.key)
-                    .ok_or_else(|| Error::Driver(format!("{:?} not in mirror {loc}", msg.key)))?;
-                node.grid.as_mut().expect("grid").apply_interior(&msg.values);
-            }
             // Refinement prolongs from parent grids — derived data the
-            // step phases never touch. Rebuild them exactly as the
-            // reference Simulation's end-of-step restrict_all left
-            // them, then run the identical single-locality sweep.
+            // step phases never touch. Rebuild them, then run the
+            // serial reference sweep.
+            let tree = self.mirror_mut(loc);
             tree.restrict_all();
             regrid::regrid(tree, policy);
         }
@@ -740,8 +740,8 @@ impl DistributedDriver {
     /// owned leaves and its inbound halo-plan sources; everything it
     /// already holds fresh (previous owned set + what the last interior
     /// exchange pushed) is not re-sent. Pure ownership movement — no
-    /// leaf value changes — so bit-identity with the reference
-    /// [`crate::driver::Simulation`] is untouched by construction.
+    /// leaf value changes — so the numerics are untouched by
+    /// construction.
     ///
     /// Returns the number of leaves whose owner changed.
     pub fn rebalance(&mut self) -> Result<usize> {
@@ -778,40 +778,20 @@ impl DistributedDriver {
         // new epoch (published first, so the handlers accept them and
         // reject any stale-epoch stragglers).
         self.epoch.store(next.epoch(), Ordering::SeqCst);
-        let mut expected = vec![0usize; n];
+        let mut sends = Vec::new();
         for dst in 0..n {
             for &key in need[dst].difference(&have[dst]) {
                 let src = self.shard.owner(key)? as usize;
                 debug_assert_ne!(src, dst, "old owner already holds its own leaf");
                 let blob = checkpoint::extract_leaf(&self.mirrors[src], key);
                 let msg = MigrateMsg { from: src as u32, epoch: next.epoch(), blob };
-                let payload = self.migrate_action.encode(&msg)?;
-                self.migrated_bytes.add((Parcel::HEADER_BYTES + payload.len()) as u64);
-                expected[dst] += 1;
-                self.cluster.locality(src).send_encoded(
-                    self.migrate_action,
-                    dst as u32,
-                    self.shard_ids[dst],
-                    payload,
-                )?;
+                sends.push((src, Dest::One(dst as u32), msg));
             }
         }
-        self.cluster.try_wait_quiescent()?;
-        for loc in 0..n {
-            let mut msgs: Vec<MigrateMsg> = {
-                let mut inbox = self.migrate_inbox[loc].lock().expect("migrate inbox");
-                std::mem::take(&mut *inbox)
-            };
-            if msgs.len() != expected[loc] {
-                return Err(Error::Driver(format!(
-                    "locality {loc} received {} migrated leaves, expected {}",
-                    msgs.len(),
-                    expected[loc]
-                )));
-            }
-            msgs.sort_by_key(|m| m.blob.key);
-            let tree = Arc::get_mut(&mut self.mirrors[loc])
-                .expect("no outstanding mirror references between stages");
+        let inbound =
+            self.exchange(&self.migrate, "migrated leaves", sends.into_iter(), |m| m.blob.key)?;
+        for (loc, msgs) in inbound.into_iter().enumerate() {
+            let tree = self.mirror_mut(loc);
             for msg in msgs {
                 checkpoint::apply_leaf(tree, &msg.blob);
             }
@@ -842,7 +822,7 @@ impl DistributedDriver {
 
     /// Ghost fill of every shard's owned leaves on its own mirror (the
     /// cross-shard interiors those fills sample were pushed by the last
-    /// interior exchange; at t = 0 the mirrors are exact clones).
+    /// interior exchange; at t = 0 the mirrors are exact copies).
     fn fill_owned_halos(&mut self, bc: BoundaryCondition) {
         let _span = trace::span(TraceCategory::HaloFill);
         for loc in 0..self.cluster.len() {
@@ -872,74 +852,50 @@ impl DistributedDriver {
         dts.into_iter().fold(f64::INFINITY, f64::min)
     }
 
-    /// FMM boundary exchange + restricted solve. Every locality P2Ms
-    /// its owned leaves, broadcasts them as [`MomentMsg`] parcels,
-    /// rebuilds the complete moment tree (merge by key), and runs the
+    /// The global CFL time step of the current state: per-shard ordered
+    /// minima (contiguous SFC chunks) min-reduced over the wire —
+    /// bit-equal to the global ordered fold because `f64::min` is
+    /// associative on the positive finite dts.
+    pub fn compute_dt(&self) -> Result<f64> {
+        let _span = trace::span(TraceCategory::DtReduce);
+        let local_dts: Vec<f64> =
+            (0..self.cluster.len()).map(|loc| self.local_min_dt(loc)).collect();
+        let seq = self.next_seq();
+        collectives::allreduce_wire(&self.cluster, &self.coll, seq, &local_dts, f64::min)
+    }
+
+    /// The gravitational field of the current state, one per locality
+    /// over the leaves it owns (`None` when gravity is off; halos need
+    /// not be filled). Every locality P2Ms its owned leaves, broadcasts
+    /// them as [`MOMENT_ACTION`] parcels, completes the moment tree from
+    /// what it receives (merge by key, then M2M), and runs the
     /// restricted FMM walk over its own targets only.
-    fn exchange_and_solve_gravity(&mut self) -> Result<Vec<Option<Arc<GravityField>>>> {
+    pub fn solve_gravity(&self) -> Result<Vec<Option<Arc<GravityField>>>> {
         let n = self.cluster.len();
-        let Some(solver) = self.solver.clone() else {
+        let Some(solver) = &self.solver else {
             return Ok(vec![None; n]);
         };
         let exchange_span = trace::span(TraceCategory::MomentExchange);
-        // P2M on owned leaves.
-        let mut own: Vec<HashMap<MortonKey, Arc<Vec<Multipole>>>> = Vec::with_capacity(n);
-        for loc in 0..n {
-            let tree = &self.mirrors[loc];
-            let mut m = HashMap::new();
-            for &key in self.shard.owned(loc as u32) {
-                m.insert(key, Arc::new(leaf_moments(tree, key)));
-            }
-            own.push(m);
-        }
-        // Broadcast each shard's leaf moments to every other locality.
-        for src in 0..n {
-            for &key in self.shard.owned(src as u32) {
-                let msg = MomentMsg {
-                    from: src as u32,
-                    epoch: self.epoch.load(Ordering::SeqCst),
-                    key,
-                    cells: own[src][&key].as_ref().clone(),
-                };
-                // Serialize once per key; every destination shares the
-                // same (cheaply cloned) buffer.
-                let payload = self.moment_action.encode(&msg)?;
-                for dst in 0..n {
-                    if dst == src {
-                        continue;
-                    }
-                    self.moment_parcels.increment();
-                    self.moment_bytes
-                        .add((Parcel::HEADER_BYTES + payload.len()) as u64);
-                    self.cluster.locality(src).send_encoded(
-                        self.moment_action,
-                        dst as u32,
-                        self.shard_ids[dst],
-                        payload.clone(),
-                    )?;
-                }
-            }
-        }
-        self.cluster.try_wait_quiescent()?;
+        let own: Vec<_> = (0..n)
+            .map(|loc| {
+                let rt = self.cluster.locality(loc).runtime();
+                p2m_parallel(&self.mirrors[loc], self.shard.owned(loc as u32), rt)
+            })
+            .collect();
+        let epoch = self.epoch();
+        let sends = (0..n).flat_map(|src| {
+            let own = &own[src];
+            self.shard.owned(src as u32).iter().map(move |&key| {
+                let cells = own[&key].as_ref().clone();
+                (src, Dest::Peers, MomentMsg { from: src as u32, epoch, key, cells })
+            })
+        });
+        let inbound = self.exchange(&self.moment, "moment messages", sends, |m| m.key)?;
         drop(exchange_span);
         let _solve_span = trace::span(TraceCategory::GravitySolve);
-        // Rebuild the full moment tree per locality and solve the shard.
         let mut fields = Vec::with_capacity(n);
-        for (loc, mut leaf_map) in own.into_iter().enumerate() {
-            let msgs: Vec<MomentMsg> = {
-                let mut inbox = self.moment_inbox[loc].lock().expect("moment inbox");
-                std::mem::take(&mut *inbox)
-            };
-            if msgs.len() != self.expected_moment_inbound[loc] {
-                return Err(Error::Driver(format!(
-                    "locality {loc} received {} moment messages, expected {}",
-                    msgs.len(),
-                    self.expected_moment_inbound[loc]
-                )));
-            }
-            for msg in msgs {
-                leaf_map.insert(msg.key, Arc::new(msg.cells));
-            }
+        for (loc, (mut leaf_map, msgs)) in own.into_iter().zip(inbound).enumerate() {
+            leaf_map.extend(msgs.into_iter().map(|msg| (msg.key, Arc::new(msg.cells))));
             if leaf_map.len() != self.shard.n_leaves() {
                 return Err(Error::Driver(format!(
                     "locality {loc} assembled {} leaf moments, expected {}",
@@ -947,24 +903,25 @@ impl DistributedDriver {
                     self.shard.n_leaves()
                 )));
             }
-            let moments = Arc::new(moments_from_leaf_moments(&self.mirrors[loc], leaf_map));
+            let rt = self.cluster.locality(loc).runtime();
+            let moments = Arc::new(m2m_parallel(&self.mirrors[loc], leaf_map, rt));
             let field = solver.solve_restricted_parallel(
                 &self.mirrors[loc],
                 &moments,
                 self.shard.owned(loc as u32),
-                self.cluster.locality(loc).runtime(),
+                rt,
             );
             fields.push(Some(Arc::new(field)));
         }
         Ok(fields)
     }
 
-    /// Futurized RHS of every shard's owned leaves: tasks are launched
-    /// on *all* localities first, then collected, so shards overlap.
-    fn compute_rhs(
-        &self,
-        grav: &[Option<Arc<GravityField>>],
-    ) -> Vec<HashMap<MortonKey, Vec<StateVec>>> {
+    /// The full RHS of every shard's owned leaves for the current state
+    /// (ghosts filled): gravity solve, then one futurized RHS task per
+    /// leaf — launched on *all* localities first, then collected, so
+    /// shards overlap.
+    fn stage_rhs(&self) -> Result<Vec<HashMap<MortonKey, Vec<StateVec>>>> {
+        let grav = self.solve_gravity()?;
         let n = self.cluster.len();
         let mut pending = Vec::with_capacity(n);
         for loc in 0..n {
@@ -994,126 +951,40 @@ impl DistributedDriver {
             rt.wait_quiescent();
             out.push(map);
         }
-        out
+        Ok(out)
     }
 
     /// Push every cross-shard halo source's interior per the static
     /// plan, then apply inbound interiors sorted by key.
     fn exchange_interiors(&mut self) -> Result<()> {
         let _span = trace::span(TraceCategory::HaloExchange);
-        let n = self.cluster.len();
-        for src in 0..n {
-            for dst in 0..n as u32 {
-                let Some(keys) = self.push_plan[src].get(&dst) else { continue };
-                for &key in keys {
-                    let grid = self.mirrors[src]
-                        .node(key)
-                        .expect("planned leaf")
-                        .grid
-                        .as_ref()
-                        .expect("grid");
-                    let msg = GridMsg {
-                        from: src as u32,
-                        epoch: self.epoch.load(Ordering::SeqCst),
-                        key,
-                        values: grid.extract_interior(),
-                    };
-                    let payload = self.halo_action.encode(&msg)?;
-                    self.halo_parcels.increment();
-                    self.halo_bytes
-                        .add((Parcel::HEADER_BYTES + payload.len()) as u64);
-                    self.cluster.locality(src).send_encoded(
-                        self.halo_action,
-                        dst,
-                        self.shard_ids[dst as usize],
-                        payload,
-                    )?;
-                }
-            }
-        }
-        self.cluster.try_wait_quiescent()?;
-        for loc in 0..n {
-            let mut msgs: Vec<GridMsg> = {
-                let mut inbox = self.halo_inbox[loc].lock().expect("halo inbox");
-                std::mem::take(&mut *inbox)
-            };
-            if msgs.len() != self.expected_halo_inbound[loc] {
-                return Err(Error::Driver(format!(
-                    "locality {loc} received {} halo messages, expected {}",
-                    msgs.len(),
-                    self.expected_halo_inbound[loc]
-                )));
-            }
-            // Keys are globally unique; sorting makes the write order
-            // deterministic regardless of arrival order.
-            msgs.sort_by_key(|m| m.key);
-            let tree = Arc::get_mut(&mut self.mirrors[loc])
-                .expect("no outstanding mirror references between stages");
-            for msg in msgs {
-                let node = tree
-                    .node_mut(msg.key)
-                    .ok_or_else(|| Error::Driver(format!("{:?} not in mirror {loc}", msg.key)))?;
-                node.grid.as_mut().expect("grid").apply_interior(&msg.values);
-            }
-        }
-        Ok(())
+        let plan = self
+            .push_plan
+            .iter()
+            .enumerate()
+            .flat_map(|(src, by_dst)| {
+                by_dst.iter().flat_map(move |(&dst, keys)| {
+                    keys.iter().map(move |&key| (src, Dest::One(dst), key))
+                })
+            })
+            .collect();
+        self.push_interiors("halo messages", plan)
     }
 
-    fn apply_stage1_all(
+    /// One stage update: run `update(loc, key, grid, origin, dx)` on
+    /// every owned leaf of every mirror (`origin`/`dx` locate the leaf
+    /// for the floors' spin-ledger deposit).
+    fn update_owned_grids(
         &mut self,
-        rhs: &[HashMap<MortonKey, Vec<StateVec>>],
-        dt: f64,
-        floors: bool,
-    ) -> Vec<HashMap<MortonKey, SubGrid>> {
-        let stepper = self.stepper;
-        let mut olds = Vec::with_capacity(self.cluster.len());
-        for loc in 0..self.cluster.len() {
-            let mut old = HashMap::new();
-            let tree = Arc::get_mut(&mut self.mirrors[loc])
-                .expect("no outstanding mirror references between stages");
-            let domain = tree.domain();
-            for &key in self.shard.owned(loc as u32) {
-                let origin = domain.node_origin(key);
-                let dx = domain.cell_dx(key.level);
-                let node = tree.node_mut(key).expect("leaf");
-                let grid = node.grid.as_mut().expect("grid");
-                old.insert(
-                    key,
-                    apply_stage1(stepper, grid, &rhs[loc][&key], dt, floors, origin, dx),
-                );
-            }
-            olds.push(old);
-        }
-        olds
-    }
-
-    fn apply_stage2_all(
-        &mut self,
-        old: &[HashMap<MortonKey, SubGrid>],
-        rhs: &[HashMap<MortonKey, Vec<StateVec>>],
-        dt: f64,
-        floors: bool,
+        mut update: impl FnMut(usize, MortonKey, &mut SubGrid, Vec3, f64),
     ) {
-        let stepper = self.stepper;
+        let _span = trace::span(TraceCategory::HydroApply);
         for loc in 0..self.cluster.len() {
-            let tree = Arc::get_mut(&mut self.mirrors[loc])
-                .expect("no outstanding mirror references between stages");
+            let tree = exclusive(&mut self.mirrors[loc]);
             let domain = tree.domain();
             for &key in self.shard.owned(loc as u32) {
-                let origin = domain.node_origin(key);
-                let dx = domain.cell_dx(key.level);
-                let node = tree.node_mut(key).expect("leaf");
-                let grid = node.grid.as_mut().expect("grid");
-                apply_stage2(
-                    stepper,
-                    grid,
-                    &old[loc][&key],
-                    &rhs[loc][&key],
-                    dt,
-                    floors,
-                    origin,
-                    dx,
-                );
+                let grid = tree.node_mut(key).expect("leaf").grid.as_mut().expect("grid");
+                update(loc, key, grid, domain.node_origin(key), domain.cell_dx(key.level));
             }
         }
     }
@@ -1129,9 +1000,7 @@ impl DistributedDriver {
     pub fn step(&mut self) -> Result<f64> {
         let _step_span =
             trace::span_labeled(TraceCategory::Step, || format!("step {}", self.steps));
-        // Regrid exactly where the reference Simulation does — before
-        // the halo fill, on the same cadence — so the two stay
-        // bit-identical step for step.
+        // Regrid *before* the halo fill, on the configured cadence.
         if let Some(policy) = self.config.regrid {
             let cadence = self.config.regrid_cadence as u64;
             if cadence > 0 && self.steps > 0 && self.steps % cadence == 0 {
@@ -1149,45 +1018,38 @@ impl DistributedDriver {
         }
         let bc = self.config.bc;
         let floors = self.config.floors;
-        let n = self.cluster.len();
+        let stepper = self.stepper;
 
         self.fill_owned_halos(bc);
-
-        // Distributed CFL: per-shard ordered minima (contiguous SFC
-        // chunks) min-reduced over the wire — bit-equal to the global
-        // ordered fold because f64::min is associative on the positive
-        // finite dts.
-        let dt = {
-            let _span = trace::span(TraceCategory::DtReduce);
-            let local_dts: Vec<f64> = (0..n).map(|loc| self.local_min_dt(loc)).collect();
-            let seq = self.next_seq();
-            collectives::allreduce_wire(&self.cluster, &self.coll, seq, &local_dts, f64::min)?
-        };
+        let dt = self.compute_dt()?;
         if !(dt.is_finite() && dt > 0.0) {
             return Err(Error::Driver(format!("CFL produced dt = {dt}")));
         }
 
-        // Stage 1.
-        let grav = self.exchange_and_solve_gravity()?;
-        let rhs1 = self.compute_rhs(&grav);
-        let old = self.apply_stage1_all(&rhs1, dt, floors);
+        // Stage 1 (forward Euler); keeps the pre-update grids the RK2
+        // final stage needs.
+        let rhs = self.stage_rhs()?;
+        let mut old: Vec<HashMap<MortonKey, SubGrid>> = vec![HashMap::new(); rhs.len()];
+        self.update_owned_grids(|loc, key, grid, origin, dx| {
+            let prev = apply_stage1(stepper, grid, &rhs[loc][&key], dt, floors, origin, dx);
+            old[loc].insert(key, prev);
+        });
+        drop(rhs);
         self.exchange_interiors()?;
 
-        // Stage 2.
+        // Stage 2 (TVD-RK2 average).
         self.fill_owned_halos(bc);
-        let grav2 = self.exchange_and_solve_gravity()?;
-        let rhs2 = self.compute_rhs(&grav2);
-        self.apply_stage2_all(&old, &rhs2, dt, floors);
+        let rhs = self.stage_rhs()?;
+        self.update_owned_grids(|loc, key, grid, origin, dx| {
+            apply_stage2(stepper, grid, &old[loc][&key], &rhs[loc][&key], dt, floors, origin, dx);
+        });
         self.exchange_interiors()?;
 
         // Per-step quiescence barrier: every locality checks in and the
-        // fabric drains before the step is declared done. (Mirrors skip
-        // the per-step restrict_all — refined-node grids are derived
-        // data no step phase reads; `assemble` restricts once.)
+        // fabric drains before the step is declared done.
         {
             let _span = trace::span(TraceCategory::Barrier);
-            let seq = self.next_seq();
-            collectives::barrier(&self.cluster, &self.coll, seq)?;
+            collectives::barrier(&self.cluster, &self.coll, self.next_seq())?;
         }
 
         self.time += dt;
@@ -1257,7 +1119,7 @@ impl DistributedDriver {
             version: CHECKPOINT_VERSION,
             steps: self.steps,
             time: self.time,
-            seq: self.seq,
+            seq: self.seq.load(Ordering::SeqCst),
             subgrids_processed: self.subgrids_processed,
             dt_history: self.dt_history.clone(),
             keys,
@@ -1297,7 +1159,7 @@ impl DistributedDriver {
                 scenario.tree = rebuild_topology(scenario.tree.domain(), &stored)?;
             }
         }
-        let mut driver = DistributedDriver::new(scenario, cluster)?;
+        let mut driver = DistributedDriver::builder(scenario, cluster).build()?;
         let have: BTreeSet<MortonKey> = driver.mirrors[0].leaves().into_iter().collect();
         let stored: BTreeSet<MortonKey> = body.keys.iter().copied().collect();
         if have != stored {
@@ -1311,9 +1173,8 @@ impl DistributedDriver {
         // authoritative, the rest hold exactly what the interior
         // exchange would have pushed (ghosts are refilled from these
         // interiors at the top of the next step).
-        for loc in 0..driver.mirrors.len() {
-            let tree = Arc::get_mut(&mut driver.mirrors[loc])
-                .expect("fresh mirrors are unshared");
+        for (loc, mirror) in driver.mirrors.iter_mut().enumerate() {
+            let tree = exclusive(mirror);
             for (key, values) in body.keys.iter().zip(&body.interiors) {
                 let node = tree.node_mut(*key).ok_or_else(|| {
                     Error::Checkpoint(format!("{key:?} missing from mirror {loc}"))
@@ -1326,11 +1187,18 @@ impl DistributedDriver {
         }
         driver.steps = body.steps;
         driver.time = body.time;
-        driver.seq = body.seq;
+        driver.seq = AtomicU64::new(body.seq);
         driver.subgrids_processed = body.subgrids_processed;
         driver.dt_history = body.dt_history;
         Ok(driver)
     }
+}
+
+/// Exclusive access to a mirror. Between phases no task holds a
+/// reference to one: every futurized phase ends with its runtime
+/// quiescent.
+fn exclusive(mirror: &mut Arc<Octree>) -> &mut Octree {
+    Arc::get_mut(mirror).expect("no outstanding mirror references between phases")
 }
 
 /// Rebuild a tree whose leaf set is exactly `keys`, refine-only from
@@ -1400,7 +1268,7 @@ mod tests {
                 .transport(TransportKind::Mpi)
                 .build(),
         );
-        let mut dist = DistributedDriver::new(Scenario::sod(1), cluster).unwrap();
+        let mut dist = DistributedDriver::builder(Scenario::sod(1), cluster).build().unwrap();
         for _ in 0..2 {
             let dt_ref = reference.step();
             let dt = dist.step().unwrap();
@@ -1419,7 +1287,7 @@ mod tests {
     #[test]
     fn single_locality_loopback_sends_nothing() {
         let cluster = Arc::new(Cluster::builder().threads_per(2).build());
-        let mut dist = DistributedDriver::new(Scenario::sod(1), cluster).unwrap();
+        let mut dist = DistributedDriver::builder(Scenario::sod(1), cluster).build().unwrap();
         dist.step().unwrap();
         // One shard owns everything: the push plan is empty and no
         // parcels cross the fabric beyond the collectives' loopbacks.
@@ -1431,31 +1299,31 @@ mod tests {
     #[test]
     fn stale_epoch_parcel_is_dropped_not_applied() {
         let cluster = Arc::new(Cluster::builder().localities(2).build());
-        let mut dist = DistributedDriver::new(Scenario::sod(1), cluster).unwrap();
+        let dist = DistributedDriver::builder(Scenario::sod(1), cluster).build().unwrap();
         let key = dist.shard.owned(1)[0];
         // A halo parcel stamped with an epoch the receiver has never
         // seen must be counted and dropped, never applied.
         let stale = GridMsg { from: 0, epoch: 99, key, values: vec![1.0, 2.0] };
-        let payload = dist.halo_action.encode(&stale).unwrap();
+        let payload = dist.halo.action.encode(&stale).unwrap();
         dist.cluster
             .locality(0)
-            .send_encoded(dist.halo_action, 1, dist.shard_ids[1], payload)
+            .send_encoded(dist.halo.action, 1, dist.shard_ids[1], payload)
             .unwrap();
         dist.cluster.try_wait_quiescent().unwrap();
         assert_eq!(dist.stale_epoch_drops(), 1);
-        assert!(dist.halo_inbox[1].lock().unwrap().is_empty());
+        assert!(dist.halo.inbox[1].lock().unwrap().is_empty());
         // The same parcel at the current epoch is accepted.
         let grid = dist.mirrors[1].node(key).unwrap().grid.as_ref().unwrap();
         let fresh =
             GridMsg { from: 0, epoch: dist.epoch(), key, values: grid.extract_interior() };
-        let payload = dist.halo_action.encode(&fresh).unwrap();
+        let payload = dist.halo.action.encode(&fresh).unwrap();
         dist.cluster
             .locality(0)
-            .send_encoded(dist.halo_action, 1, dist.shard_ids[1], payload)
+            .send_encoded(dist.halo.action, 1, dist.shard_ids[1], payload)
             .unwrap();
         dist.cluster.try_wait_quiescent().unwrap();
         assert_eq!(dist.stale_epoch_drops(), 1, "current-epoch parcel must pass");
-        assert_eq!(dist.halo_inbox[1].lock().unwrap().drain(..).count(), 1);
+        assert_eq!(dist.halo.inbox[1].lock().unwrap().drain(..).count(), 1);
     }
 
     #[test]
@@ -1502,7 +1370,7 @@ mod tests {
             }
         }
         let cluster = Arc::new(Cluster::builder().localities(2).build());
-        let mut dist = DistributedDriver::new(scenario, cluster).unwrap();
+        let mut dist = DistributedDriver::builder(scenario, cluster).build().unwrap();
         // With zero pressure and velocity the signal speed is 0 — the
         // driver must surface the non-finite dt as an error, not panic.
         match dist.step() {

@@ -1,33 +1,34 @@
-//! The timestep loop.
+//! The per-leaf kernels of a timestep, and the single-process entry
+//! point.
 //!
 //! One step mirrors Octo-Tiger's structure (§4.2/§4.3): fill halos →
 //! solve gravity with the FMM → hydro RHS with gravity and
 //! rotating-frame sources → TVD-RK2 update, with the per-sub-grid work
-//! futurized: every leaf's RHS is an `amt` task and the stage barrier
-//! is a `when_all` over their futures — the same dataflow shape HPX
-//! gives Octo-Tiger, at laptop scale.
+//! futurized. That sequence is spelled out once, in
+//! [`crate::distributed`]; this module holds the per-leaf kernels it
+//! runs and [`Simulation`], the same driver on a private one-locality
+//! loopback cluster — HPX's uniform local/remote semantics, where the
+//! laptop run is the 1-node case of the cluster run, not a second code
+//! path.
 
-use crate::config::Config;
+use crate::distributed::DistributedDriver;
 use crate::scenario::Scenario;
-use amt::trace::{self, TraceCategory};
-use amt::{when_all, Future, Runtime};
-use gravity::solver::{FmmSolver, GravityField};
+use amt::Runtime;
+use gravity::solver::GravityField;
 use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::{cfl_dt, HydroStepper};
-use octree::halo::fill_all_halos_parallel;
 use octree::subgrid::{Field, SubGrid, N_SUB};
 use octree::tree::Octree;
-use std::collections::HashMap;
+use parcelport::cluster::Cluster;
 use std::sync::Arc;
 use util::morton::MortonKey;
 use util::vec3::Vec3;
 
 // ---------------------------------------------------------------------
-// Per-leaf kernels, shared verbatim by the single-locality `Simulation`
-// and the multi-locality `crate::distributed::DistributedDriver`. The
-// distributed solve is bit-identical to this driver *by construction*
-// because both run exactly these functions on identical inputs.
+// Per-leaf kernels. Every leaf is advanced by exactly these functions
+// whichever locality owns it, which is what makes the solve independent
+// of the partition.
 
 /// CFL-limited signal dt of one leaf.
 pub(crate) fn leaf_signal_dt(
@@ -141,211 +142,84 @@ pub(crate) fn apply_stage2(
     stepper.resync_tau(grid);
 }
 
-/// A running simulation.
+/// A running single-process simulation: a [`DistributedDriver`] over a
+/// private one-locality loopback cluster, with the infallible surface a
+/// run without peers can offer.
+///
+/// Dereferences to the driver for everything read-only — `config`,
+/// `time`, `steps`, `subgrids_processed`, `fmm_chunk_cells()`, … .
 pub struct Simulation {
-    tree: Arc<Octree>,
-    pub config: Config,
-    stepper: HydroStepper,
-    solver: Option<Arc<FmmSolver>>,
-    frame: RotatingFrame,
-    rt: Arc<Runtime>,
-    /// Simulated time (code units).
-    pub time: f64,
-    /// Steps taken.
-    pub steps: u64,
-    /// Sub-grids processed (leaves × steps) — the paper's throughput
-    /// metric ("processed sub-grids per second").
-    pub subgrids_processed: u64,
+    driver: DistributedDriver,
+}
+
+impl std::ops::Deref for Simulation {
+    type Target = DistributedDriver;
+
+    fn deref(&self) -> &DistributedDriver {
+        &self.driver
+    }
+}
+
+/// A loopback cluster has no peer to lose, so what is left in a driver
+/// error is a broken invariant or an unusable state (a non-finite CFL
+/// dt) — the panics the single-process API has always had.
+fn infallible<T>(result: util::Result<T>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Simulation {
-    /// Build a simulation from a scenario.
+    /// Build a simulation from a scenario, with `scenario.config.threads`
+    /// workers.
     pub fn new(scenario: Scenario) -> Simulation {
+        // Before `threads` reaches the cluster builder.
         scenario.config.validate();
-        let config = scenario.config;
-        Simulation {
-            tree: Arc::new(scenario.tree),
-            config,
-            stepper: HydroStepper::new(config.eos),
-            solver: config.gravity.then(|| {
-                Arc::new(
-                    FmmSolver::new(config.theta)
-                        .with_chunk_cells(config.fmm_chunk_cells)
-                        .with_aggregation(config.fmm_agg_slots, config.fmm_agg_window),
-                )
-            }),
-            frame: RotatingFrame::new(config.omega),
-            rt: Runtime::new(config.threads),
-            time: 0.0,
-            steps: 0,
-            subgrids_processed: 0,
-        }
+        let cluster = Cluster::builder().threads_per(scenario.config.threads).build();
+        let driver = DistributedDriver::builder(scenario, Arc::new(cluster)).build();
+        Simulation { driver: infallible(driver) }
     }
 
-    /// The effective FMM same-level chunk size of this simulation's
-    /// solver (`None` when gravity is off).
-    pub fn fmm_chunk_cells(&self) -> Option<usize> {
-        self.solver.as_ref().map(|s| s.chunk_cells())
-    }
-
-    /// The effective work-aggregation thresholds of this simulation's
-    /// solver (`None` when gravity is off).
-    pub fn fmm_aggregation(&self) -> Option<gravity::gpu::AggregationConfig> {
-        self.solver.as_ref().map(|s| s.agg_config())
-    }
-
-    /// The current tree.
+    /// The current tree. Every refined node's grid is the restriction
+    /// of its children as of the last completed [`Simulation::step`] /
+    /// [`Simulation::run`].
     pub fn tree(&self) -> &Octree {
-        &self.tree
+        self.driver.mirror(0)
     }
 
     /// The runtime (for counter inspection).
     pub fn runtime(&self) -> &Arc<Runtime> {
-        &self.rt
+        self.driver.cluster().locality(0).runtime()
     }
 
-    /// Solve gravity for the current state (halos need not be filled).
-    /// Runs the futurized FMM walk — bit-identical to the serial solve
-    /// at any thread count.
+    /// Solve gravity for the current state (halos need not be filled);
+    /// `None` when gravity is off.
     pub fn solve_gravity(&self) -> Option<Arc<GravityField>> {
-        self.solver.as_ref().map(|s| {
-            let _span = trace::span(TraceCategory::GravitySolve);
-            Arc::new(s.solve_parallel(&self.tree, &self.rt))
-        })
+        infallible(self.driver.solve_gravity()).pop().flatten()
     }
 
-    fn tree_mut(&mut self) -> &mut Octree {
-        Arc::get_mut(&mut self.tree).expect("no outstanding tree references between stages")
-    }
-
-    /// Global CFL time step over all leaves: a parallel min-reduce, one
-    /// task per leaf. `when_all` returns results in leaf order and the
-    /// fold is ordered, so the reduction is deterministic.
+    /// Global CFL time step of the current state.
     pub fn compute_dt(&self) -> f64 {
-        let _span = trace::span(TraceCategory::DtReduce);
-        let leaves = self.tree.leaves();
-        let mut futs = Vec::with_capacity(leaves.len());
-        for key in leaves {
-            let tree = Arc::clone(&self.tree);
-            let stepper = self.stepper;
-            let cfl = self.config.cfl;
-            futs.push(self.rt.async_call(move || leaf_signal_dt(&tree, key, stepper, cfl)));
-        }
-        let sched = Arc::clone(self.rt.scheduler());
-        let dts = when_all(&sched, futs).get_help(&sched);
-        self.rt.wait_quiescent();
-        dts.into_iter().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Compute the full RHS (hydro + gravity + frame) for every leaf,
-    /// one task per leaf over the AMT scheduler.
-    fn parallel_rhs(
-        &self,
-        grav: Option<Arc<GravityField>>,
-    ) -> HashMap<MortonKey, Vec<StateVec>> {
-        let leaves = self.tree.leaves();
-        let mut futures: Vec<Future<(MortonKey, Vec<StateVec>)>> =
-            Vec::with_capacity(leaves.len());
-        for key in leaves {
-            let tree = Arc::clone(&self.tree);
-            let grav = grav.clone();
-            let stepper = self.stepper;
-            let frame = self.frame;
-            futures.push(self.rt.async_call(move || {
-                let _span = trace::span_labeled(TraceCategory::HydroRhs, || format!("{key:?}"));
-                (key, leaf_rhs(&tree, key, grav.as_deref(), stepper, frame))
-            }));
-        }
-        let sched = Arc::clone(self.rt.scheduler());
-        let out = when_all(&sched, futures)
-            .get_help(&sched)
-            .into_iter()
-            .collect();
-        // The last task fulfils its promise *before* its closure (and
-        // its Arc<Octree> clone) is dropped; wait for full quiescence so
-        // Arc::get_mut in the apply phase never races that drop.
-        self.rt.wait_quiescent();
-        out
+        infallible(self.driver.compute_dt())
     }
 
     /// Advance one TVD-RK2 step; returns the dt taken.
     pub fn step(&mut self) -> f64 {
-        let _step_span =
-            trace::span_labeled(TraceCategory::Step, || format!("step {}", self.steps));
-        // Cadence-driven regrid, *before* the halo fill so refinement
-        // decisions see the restricted parents from the previous step.
-        if let Some(policy) = self.config.regrid {
-            let cadence = self.config.regrid_cadence as u64;
-            if cadence > 0 && self.steps > 0 && self.steps % cadence == 0 {
-                crate::regrid::regrid(self.tree_mut(), &policy);
-            }
-        }
-        let bc = self.config.bc;
-        let floors = self.config.floors;
-        {
-            let _span = trace::span(TraceCategory::HaloFill);
-            fill_all_halos_parallel(&mut self.tree, bc, &self.rt);
-        }
-        let dt = self.compute_dt();
-        assert!(dt.is_finite() && dt > 0.0, "CFL produced dt = {dt}");
-
-        // Stage 1.
-        let grav = self.solve_gravity();
-        let rhs1 = self.parallel_rhs(grav);
-        let mut old: HashMap<MortonKey, SubGrid> = HashMap::new();
-        {
-            let _span = trace::span(TraceCategory::HydroApply);
-            let stepper = self.stepper;
-            let tree = self.tree_mut();
-            let domain = tree.domain();
-            for (key, rhs) in &rhs1 {
-                let origin = domain.node_origin(*key);
-                let dx = domain.cell_dx(key.level);
-                let node = tree.node_mut(*key).expect("leaf");
-                let grid = node.grid.as_mut().expect("grid");
-                old.insert(*key, apply_stage1(stepper, grid, rhs, dt, floors, origin, dx));
-            }
-        }
-
-        // Stage 2.
-        {
-            let _span = trace::span(TraceCategory::HaloFill);
-            fill_all_halos_parallel(&mut self.tree, bc, &self.rt);
-        }
-        let grav2 = self.solve_gravity();
-        let rhs2 = self.parallel_rhs(grav2);
-        {
-            let _span = trace::span(TraceCategory::HydroApply);
-            let stepper = self.stepper;
-            let tree = self.tree_mut();
-            let domain = tree.domain();
-            for (key, rhs) in &rhs2 {
-                let origin = domain.node_origin(*key);
-                let dx = domain.cell_dx(key.level);
-                let node = tree.node_mut(*key).expect("leaf");
-                let grid = node.grid.as_mut().expect("grid");
-                apply_stage2(stepper, grid, &old[key], rhs, dt, floors, origin, dx);
-            }
-            tree.restrict_all();
-        }
-
-        self.time += dt;
-        self.steps += 1;
-        self.subgrids_processed += self.tree.leaf_count() as u64;
+        let dt = infallible(self.driver.step());
+        self.restrict();
         dt
     }
 
     /// Run `n` steps (or until `t_end`, whichever comes first); returns
     /// the simulated time advanced.
     pub fn run(&mut self, n: usize, t_end: f64) -> f64 {
-        let t0 = self.time;
-        for _ in 0..n {
-            if self.time >= t_end {
-                break;
-            }
-            self.step();
-        }
-        self.time - t0
+        let advanced = infallible(self.driver.run(n, t_end));
+        self.restrict();
+        advanced
+    }
+
+    /// The pipeline leaves refined-node grids alone; `tree()` promises
+    /// them current.
+    fn restrict(&mut self) {
+        self.driver.mirror_mut(0).restrict_all();
     }
 }
 

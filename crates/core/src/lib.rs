@@ -14,14 +14,16 @@
 //! * [`scenario`] — the verification scenarios of §4.2 (Sod,
 //!   Sedov–Taylor, single star at rest / in motion) and the V1309
 //!   production scenario of §3/§6.
-//! * [`driver`] — the timestep loop: halo exchange → FMM gravity →
-//!   TVD-RK2 hydro update with gravity/rotating-frame sources, with the
-//!   per-leaf work futurized over the `amt` scheduler (the "billions of
-//!   HPX tasks" structure at laptop scale).
-//! * [`distributed`] — the same step distributed over a simulated
-//!   multi-locality cluster: sub-grids sharded along the space filling
-//!   curve, halo/multipole exchange and the dt reduction as parcels
-//!   over either parcelport, bit-identical to [`driver`].
+//! * [`distributed`] — the timestep loop, written once: halo exchange →
+//!   FMM gravity → TVD-RK2 hydro update with gravity/rotating-frame
+//!   sources, the per-leaf work futurized over the `amt` scheduler (the
+//!   "billions of HPX tasks" structure at laptop scale), sub-grids
+//!   sharded along the space filling curve over a simulated cluster,
+//!   halo/multipole exchange and the dt reduction as parcels over
+//!   either parcelport — the result independent of the partition.
+//! * [`driver`] — the per-leaf kernels that loop runs, and
+//!   [`Simulation`]: the single-process entry point, the same driver on
+//!   a one-locality loopback cluster.
 //! * [`checkpoint`] — versioned, digest-protected snapshots of the
 //!   distributed state; a run killed by a locality crash restores from
 //!   its latest checkpoint bit-identically (HPX's `hpx::checkpoint`
@@ -34,8 +36,8 @@
 //! * [`scenarios`] — the golden-gated scenario verification registry:
 //!   every end-to-end scenario (Sod, Sedov, rotating star, mini binary,
 //!   V1309) pinned to conserved-quantity gates, analytic tolerances and
-//!   an FNV-1a state digest, runnable on the single-locality and
-//!   distributed drivers with bit-identity enforced between them.
+//!   an FNV-1a state digest, runnable at one locality and at many
+//!   with bit-identity enforced between them.
 
 pub mod checkpoint;
 pub mod config;

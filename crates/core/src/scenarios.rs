@@ -40,6 +40,7 @@ use octree::tree::Octree;
 use parcelport::cluster::Cluster;
 use parcelport::netmodel::TransportKind;
 use scf::binary::eggleton_roche_fraction;
+use std::borrow::Cow;
 use std::sync::Arc;
 use util::digest::Fnv1a;
 use util::Result;
@@ -204,9 +205,8 @@ impl GateRun {
     }
 }
 
-/// Shared drift bookkeeping for the single-locality and distributed
-/// runners: compare `now` against the captured scales, update maxima,
-/// and append gate failures.
+/// Drift bookkeeping of a gated run: compare `now` against the captured
+/// scales, update maxima, and append gate failures.
 struct DriftMonitor {
     scales: Scales,
     t0: Totals,
@@ -263,56 +263,61 @@ impl DriftMonitor {
     }
 }
 
-/// Run one registry entry on the single-locality driver, asserting its
-/// conservation gates per step and the golden digest / analytic gates
-/// at the end. Never panics on a violation — failures are returned so
-/// callers (tests, the bench bin) decide how loudly to fail.
-pub fn run_gate(spec: &ScenarioSpec) -> GateRun {
-    let scenario = (spec.build)();
-    let omega = scenario.config.omega;
-    let mut sim = Simulation::new(scenario);
-    let grav0 = sim.solve_gravity();
-    let t0 = totals(sim.tree(), grav0.as_deref());
-    let donor0 = binary_masses(sim.tree()).donor;
-    let izz0 = moment_of_inertia_z(sim.tree());
+/// The monitored loop behind both entry points: `spec.steps` steps of
+/// `driver` (advanced by `step`, observed through `tree`), conservation
+/// gates applied per step against the totals before the first one, and
+/// the golden digest checked at the end. `what` prefixes the digest
+/// failure so a distributed run names its cluster shape. Returns the
+/// run and the per-step dts.
+///
+/// The monitored energy is the gas energy (kinetic + internal): every
+/// registry entry with self-gravity leaves energy ungated, so the loop
+/// does not pay a gravity solve per step for the potential term.
+fn monitored_run<D>(
+    spec: &ScenarioSpec,
+    what: &str,
+    omega: f64,
+    driver: &mut D,
+    step: fn(&mut D) -> Result<f64>,
+    tree: for<'a> fn(&'a D) -> Cow<'a, Octree>,
+) -> Result<(GateRun, Vec<f64>)> {
+    let (t0, donor0, izz0) = {
+        let tree = tree(driver);
+        (totals(&tree, None), binary_masses(&tree).donor, moment_of_inertia_z(&tree))
+    };
     let mut monitor = DriftMonitor::new(t0, izz0, omega, spec.gates);
 
     let gate_steps = spec.gate_steps.unwrap_or(spec.steps);
+    let mut dts = Vec::with_capacity(spec.steps as usize);
     let wall = std::time::Instant::now();
-    for step in 1..=spec.steps {
-        sim.step();
-        let grav = sim.solve_gravity();
-        let now = totals(sim.tree(), grav.as_deref());
-        monitor.observe(step, &now, step <= gate_steps);
+    for n in 1..=spec.steps {
+        dts.push(step(driver)?);
+        monitor.observe(n, &totals(&tree(driver), None), n <= gate_steps);
     }
     let elapsed = wall.elapsed().as_secs_f64();
 
-    let digest = state_digest(sim.tree());
-    let mut failures = std::mem::take(&mut monitor.failures);
+    let tree = tree(driver);
+    let digest = state_digest(&tree);
+    let mut failures = monitor.failures;
     if let Some(golden) = spec.golden_digest {
         if digest != golden {
             failures.push(format!(
-                "state digest {digest:#018x} != golden {golden:#018x} at step {}",
+                "{what}state digest {digest:#018x} != golden {golden:#018x} at step {}",
                 spec.steps
             ));
         }
     }
-    if let Some(analytic) = spec.analytic {
-        failures.extend(analytic(&sim));
-    }
-    let donor1 = binary_masses(sim.tree()).donor;
-    let mass_transfer_rate = if donor0 > 0.0 && sim.time > 0.0 {
-        (donor0 - donor1) / (donor0 * sim.time)
-    } else {
-        0.0
-    };
+    let time: f64 = dts.iter().sum();
+    let donor1 = binary_masses(&tree).donor;
+    let mass_transfer_rate =
+        if donor0 > 0.0 && time > 0.0 { (donor0 - donor1) / (donor0 * time) } else { 0.0 };
 
-    GateRun {
+    let run = GateRun {
         name: spec.name,
-        steps: sim.steps,
-        time: sim.time,
+        steps: spec.steps,
+        time,
         digest,
-        leaves: sim.tree().leaf_count(),
+        leaves: tree.leaf_count(),
         max_mass_drift: monitor.max_mass,
         max_momentum_drift: monitor.max_momentum,
         max_angular_z_drift: monitor.max_angular_z,
@@ -321,7 +326,32 @@ pub fn run_gate(spec: &ScenarioSpec) -> GateRun {
         mass_transfer_rate,
         steps_per_sec: if elapsed > 0.0 { spec.steps as f64 / elapsed } else { 0.0 },
         failures,
+    };
+    Ok((run, dts))
+}
+
+/// Run one registry entry on the single-process [`Simulation`],
+/// asserting its conservation gates per step and the golden digest /
+/// analytic gates at the end. Never panics on a violation — failures
+/// are returned so callers (tests, the bench bin) decide how loudly to
+/// fail.
+pub fn run_gate(spec: &ScenarioSpec) -> GateRun {
+    let scenario = (spec.build)();
+    let omega = scenario.config.omega;
+    let mut sim = Simulation::new(scenario);
+    let (mut run, _) = monitored_run(
+        spec,
+        "",
+        omega,
+        &mut sim,
+        |sim| Ok(sim.step()),
+        |sim| Cow::Borrowed(sim.tree()),
+    )
+    .expect("Simulation::step is infallible");
+    if let Some(analytic) = spec.analytic {
+        run.failures.extend(analytic(&sim));
     }
+    run
 }
 
 /// Run one registry entry on the distributed driver over `localities`
@@ -340,54 +370,14 @@ pub fn run_gate_distributed(
         Cluster::builder().localities(localities).threads_per(2).transport(transport).build(),
     );
     let mut driver = crate::DistributedDriver::builder(scenario, cluster).build()?;
-    let t0 = totals(&driver.assemble(), None);
-    let donor0 = binary_masses(&driver.assemble()).donor;
-    let izz0 = moment_of_inertia_z(&driver.assemble());
-    let mut monitor = DriftMonitor::new(t0, izz0, omega, spec.gates);
-
-    let gate_steps = spec.gate_steps.unwrap_or(spec.steps);
-    let wall = std::time::Instant::now();
-    for step in 1..=spec.steps {
-        driver.step()?;
-        let now = totals(&driver.assemble(), None);
-        monitor.observe(step, &now, step <= gate_steps);
-    }
-    let elapsed = wall.elapsed().as_secs_f64();
-
-    let assembled = driver.assemble();
-    let digest = state_digest(&assembled);
-    let mut failures = std::mem::take(&mut monitor.failures);
-    if let Some(golden) = spec.golden_digest {
-        if digest != golden {
-            failures.push(format!(
-                "distributed x{localities} {transport:?}: digest {digest:#018x} != golden \
-                 {golden:#018x}"
-            ));
-        }
-    }
-    let donor1 = binary_masses(&assembled).donor;
-    let mass_transfer_rate = if donor0 > 0.0 && driver.time > 0.0 {
-        (donor0 - donor1) / (donor0 * driver.time)
-    } else {
-        0.0
-    };
-
-    let run = GateRun {
-        name: spec.name,
-        steps: driver.steps,
-        time: driver.time,
-        digest,
-        leaves: assembled.leaf_count(),
-        max_mass_drift: monitor.max_mass,
-        max_momentum_drift: monitor.max_momentum,
-        max_angular_z_drift: monitor.max_angular_z,
-        max_energy_drift: monitor.max_energy,
-        angmom_series: monitor.series,
-        mass_transfer_rate,
-        steps_per_sec: if elapsed > 0.0 { spec.steps as f64 / elapsed } else { 0.0 },
-        failures,
-    };
-    Ok((run, driver.dt_history.clone()))
+    monitored_run(
+        spec,
+        &format!("distributed x{localities} {transport:?}: "),
+        omega,
+        &mut driver,
+        crate::DistributedDriver::step,
+        |driver| Cow::Owned(driver.assemble()),
+    )
 }
 
 // ---------------------------------------------------------------------

@@ -21,8 +21,11 @@
 //!
 //! **Futurization** (§4.1): [`FmmSolver::solve_parallel`] runs the same
 //! walk as a task graph on the [`amt`] runtime — one task per node for
-//! the moment (per level, bottom-up), downward (per level, top-down)
-//! and leaf-assembly passes, joined by `when_all` barriers.
+//! the moment (P2M over the leaves, then M2M per level, bottom-up),
+//! downward (per level, top-down) and leaf-assembly passes, joined by
+//! `when_all` barriers. There is one futurized walk: it takes the leaves
+//! to solve for ([`FmmSolver::solve_restricted_parallel`]), and the
+//! whole-tree entry points pass all of them.
 //! Every per-node computation is the *same function* the serial path
 //! calls, and per-node results are merged into maps by key (never by
 //! arrival order), so the parallel field is bit-identical to the serial
@@ -266,38 +269,56 @@ fn assemble_leaf(
     out
 }
 
-/// P2M moments of a single *leaf* — the per-leaf unit of work the
-/// distributed driver computes locally and broadcasts as parcels. Runs
-/// the exact same code path as the full moment pass, so replicated M2M
-/// from these values is bit-identical to a local
-/// [`FmmSolver::compute_moments`].
-pub fn leaf_moments(tree: &Octree, key: MortonKey) -> Vec<Multipole> {
-    assert!(
-        !tree.node(key).expect("key exists in tree").refined,
-        "leaf_moments called on a refined node"
-    );
+/// P2M, futurized: the per-cell moments of every leaf in `leaves`, one
+/// task per leaf on `rt`. This is the per-leaf unit of work a locality
+/// computes for the leaves it owns (and ships to its peers); each task
+/// runs the same `compute_node_moments` the serial
+/// [`FmmSolver::compute_moments`] does, so the values are bit-identical
+/// to that pass's leaf entries.
+pub fn p2m_parallel(tree: &Arc<Octree>, leaves: &[MortonKey], rt: &Arc<Runtime>) -> MomentMap {
+    assert!(tree.has_grids(), "FMM needs grid data");
+    let sched = Arc::clone(rt.scheduler());
     // The leaf branch of compute_node_moments never reads the map.
-    compute_node_moments(tree, &MomentMap::new(), key)
+    let none = Arc::new(MomentMap::new());
+    let futs = leaves
+        .iter()
+        .map(|&key| {
+            assert!(tree.is_leaf(key), "P2M of the refined node {key:?}");
+            let (tree, none) = (Arc::clone(tree), Arc::clone(&none));
+            rt.async_call(move || {
+                let _span = trace::span_labeled(TraceCategory::FmmP2M, || format!("{key:?}"));
+                (key, Arc::new(compute_node_moments(&tree, &none, key)))
+            })
+        })
+        .collect();
+    when_all(&sched, futs).get_help(&sched).into_iter().collect()
 }
 
-/// Bottom-up M2M from a *complete* per-leaf moment map (own leaves plus
-/// every remote leaf's broadcast moments): fills in all refined
-/// ancestors. Refined nodes read only their children's moments — never
-/// grids — so the result is bit-identical to
-/// [`FmmSolver::compute_moments`] on the reference tree whenever the
-/// leaf moments are.
-pub fn moments_from_leaf_moments(
-    tree: &Octree,
-    leaf_moments: HashMap<MortonKey, Arc<Vec<Multipole>>>,
-) -> MomentMap {
-    let mut moments = leaf_moments;
-    for level in (0..=tree.max_level()).rev() {
-        for key in tree.level_keys(level) {
-            if tree.node(key).expect("node exists").refined {
-                let cells = compute_node_moments(tree, &moments, key);
-                moments.insert(key, Arc::new(cells));
-            }
-        }
+/// M2M, futurized: complete `moments` — every leaf's P2M moments, own
+/// and received — with all refined ancestors, one task per refined node,
+/// level by level bottom-up (a level's tasks only read the finished
+/// levels below, snapshotted behind an `Arc`). Refined nodes read only
+/// their children's moments — never grids — so the result is
+/// bit-identical to [`FmmSolver::compute_moments`] on the reference tree
+/// whenever the leaf moments are.
+pub fn m2m_parallel(tree: &Arc<Octree>, mut moments: MomentMap, rt: &Arc<Runtime>) -> MomentMap {
+    let sched = Arc::clone(rt.scheduler());
+    for level in (0..tree.max_level()).rev() {
+        // Cheap snapshot: clones Arcs, not moment vectors.
+        let snapshot = Arc::new(moments.clone());
+        let futs = tree
+            .level_keys(level)
+            .into_iter()
+            .filter(|&key| !tree.is_leaf(key))
+            .map(|key| {
+                let (tree, snap) = (Arc::clone(tree), Arc::clone(&snapshot));
+                rt.async_call(move || {
+                    let _span = trace::span_labeled(TraceCategory::FmmM2M, || format!("{key:?}"));
+                    (key, Arc::new(compute_node_moments(&tree, &snap, key)))
+                })
+            })
+            .collect();
+        moments.extend(when_all(&sched, futs).get_help(&sched));
     }
     moments
 }
@@ -658,34 +679,11 @@ impl FmmSolver {
         moments
     }
 
-    /// Step 1, futurized: one task per node, level by level bottom-up
-    /// (a level's tasks only read the finished levels below, snapshotted
-    /// behind an `Arc`).
+    /// Step 1, futurized: [`p2m_parallel`] over every leaf, then
+    /// [`m2m_parallel`] — the moment pass of a locality that owns the
+    /// whole tree.
     pub fn compute_moments_parallel(&self, tree: &Arc<Octree>, rt: &Arc<Runtime>) -> MomentMap {
-        assert!(tree.has_grids(), "FMM needs grid data");
-        let sched = Arc::clone(rt.scheduler());
-        let mut moments: MomentMap = HashMap::new();
-        for level in (0..=tree.max_level()).rev() {
-            // Cheap snapshot: clones Arcs, not moment vectors.
-            let snapshot = Arc::new(moments.clone());
-            let mut futs = Vec::new();
-            for key in tree.level_keys(level) {
-                let tree = Arc::clone(tree);
-                let snap = Arc::clone(&snapshot);
-                futs.push(rt.async_call(move || {
-                    // Leaves run P2M (point masses from grid cells),
-                    // refined nodes reduce child moments (M2M).
-                    let refined = tree.node(key).map(|n| n.refined).unwrap_or(false);
-                    let cat = if refined { TraceCategory::FmmM2M } else { TraceCategory::FmmP2M };
-                    let _span = trace::span_labeled(cat, || format!("{key:?}"));
-                    (key, Arc::new(compute_node_moments(&tree, &snap, key)))
-                }));
-            }
-            for (key, cells) in when_all(&sched, futs).get_help(&sched) {
-                moments.insert(key, cells);
-            }
-        }
-        moments
+        m2m_parallel(tree, p2m_parallel(tree, &tree.leaves(), rt), rt)
     }
 
     /// Gather the extended moment grid of node `key` into `grid`.
@@ -1003,93 +1001,15 @@ impl FmmSolver {
         }
     }
 
-    /// Futurized steps 2–3 + assembly: one task per node per pass with
-    /// `when_all` barriers between levels of the downward pass. Results
-    /// are merged by key, so scheduling order never affects the output.
+    /// Futurized steps 2–3 + assembly over the whole tree:
+    /// [`FmmSolver::solve_restricted_parallel`] with every leaf a target.
     pub fn solve_with_moments_parallel(
         self: &Arc<Self>,
         tree: &Arc<Octree>,
         moments: &Arc<MomentMap>,
         rt: &Arc<Runtime>,
     ) -> GravityField {
-        let sched = Arc::clone(rt.scheduler());
-        let domain = tree.domain();
-        let n_nodes = moments.len();
-
-        // Same-level pass: chunked node pipelines (gather → per-slab
-        // kernels → index-ordered merge) over every node.
-        let keys: Vec<MortonKey> = moments.keys().copied().collect();
-        let (same, totals) = self.same_level_pass_chunked(tree, moments, rt, keys);
-
-        // Downward pass, level by level: one task per refined node.
-        // Each child has exactly one parent, so tasks of one level
-        // write disjoint children — merged by key at the barrier.
-        let same = Arc::new(same);
-        let mut inherited: HashMap<MortonKey, Vec<Inherited>> = HashMap::new();
-        for level in 0..=tree.max_level() {
-            let mut futs = Vec::new();
-            for key in tree.level_keys(level) {
-                if !tree.node(key).expect("node exists").refined {
-                    continue;
-                }
-                let own_inh = inherited.remove(&key);
-                let moments = Arc::clone(moments);
-                let same = Arc::clone(&same);
-                futs.push(rt.async_call(move || {
-                    let _span =
-                        trace::span_labeled(TraceCategory::FmmL2L, || format!("{key:?}"));
-                    downward_node(&moments, &same, key, own_inh.as_ref())
-                }));
-            }
-            for children in when_all(&sched, futs).get_help(&sched) {
-                for (child_key, v) in children {
-                    inherited.insert(child_key, v);
-                }
-            }
-        }
-
-        // Leaf assembly: one task per leaf.
-        let leaves = tree.leaves();
-        let mut futs = Vec::with_capacity(leaves.len());
-        for key in leaves {
-            let own_inh = inherited.remove(&key);
-            let moments = Arc::clone(moments);
-            let same = Arc::clone(&same);
-            futs.push(rt.async_call(move || {
-                let _span =
-                    trace::span_labeled(TraceCategory::FmmLeafAssembly, || format!("{key:?}"));
-                let vol = domain.cell_volume(key.level);
-                (
-                    key,
-                    assemble_leaf(vol, &same[&key], own_inh.as_ref(), &moments[&key]),
-                )
-            }));
-        }
-        let mut cells = HashMap::with_capacity(n_nodes);
-        for (key, out) in when_all(&sched, futs).get_help(&sched) {
-            cells.insert(key, out);
-        }
-
-        // Let every task finish dropping its Arc clones, then recycle
-        // the long-lived expansion buffers.
-        rt.wait_quiescent();
-        if let Ok(map) = Arc::try_unwrap(same) {
-            for (_, buf) in map {
-                self.scratch.put_expansions(buf);
-            }
-        }
-
-        self.publish_counters(rt, &totals);
-
-        GravityField {
-            cells,
-            interactions: totals.interactions_same + totals.interactions_near,
-            interactions_same_level: totals.interactions_same,
-            interactions_near_field: totals.interactions_near,
-            kernel_launches: totals.gpu_launches + totals.cpu_launches,
-            kernel_launches_cpu: totals.cpu_launches,
-            kernel_launches_gpu: totals.gpu_launches,
-        }
+        self.solve_restricted_parallel(tree, moments, &tree.leaves(), rt)
     }
 
     /// Publish solver counters through the runtime's [`amt::Metrics`]
@@ -1139,13 +1059,16 @@ impl FmmSolver {
     }
 
     /// Futurized steps 2–3 + assembly *restricted to a shard*: run the
-    /// same-level pass only for `targets` (leaves owned by one locality)
-    /// and their refined ancestors, the downward pass only through those
-    /// ancestors, and assembly only for `targets`. `moments` must be the
-    /// complete (globally replicated) moment map, so gathered neighbor
-    /// halos are identical to the full solve's — which makes every
-    /// per-target output bit-identical to the corresponding entry of
-    /// [`FmmSolver::solve_with_moments_parallel`].
+    /// chunked same-level pass only for `targets` (leaves owned by one
+    /// locality) and their refined ancestors, the downward pass — one
+    /// task per refined node, `when_all` barriers between levels — only
+    /// through those ancestors, and assembly only for `targets`. Results
+    /// are merged by key, so scheduling order never affects the output.
+    /// `moments` must be the complete (globally replicated) moment map,
+    /// so gathered neighbor halos do not depend on `targets` — which
+    /// makes every per-target output bit-identical to the corresponding
+    /// entry of the serial [`FmmSolver::solve_with_moments`], however the
+    /// leaves are split into shards.
     pub fn solve_restricted_parallel(
         self: &Arc<Self>,
         tree: &Arc<Octree>,
@@ -1526,16 +1449,18 @@ mod tests {
 
     #[test]
     fn replicated_m2m_from_leaf_moments_is_bit_identical() {
-        let tree = uniform_tree(2, blob_density);
+        let tree = Arc::new(uniform_tree(2, blob_density));
         let solver = FmmSolver::new(0.5);
         let reference = solver.compute_moments(&tree);
-        // Simulate the distributed exchange: per-leaf P2M, then M2M.
-        let leaf_map: HashMap<MortonKey, Arc<Vec<Multipole>>> = tree
-            .leaves()
-            .into_iter()
-            .map(|k| (k, Arc::new(leaf_moments(&tree, k))))
-            .collect();
-        let rebuilt = moments_from_leaf_moments(&tree, leaf_map);
+        // Simulate the distributed exchange: two "shards" P2M their own
+        // leaves, the maps are merged, then M2M fills in the ancestors.
+        let rt = Runtime::new(2);
+        let leaves = tree.leaves();
+        let (lo, hi) = leaves.split_at(leaves.len() / 2);
+        let mut leaf_map = p2m_parallel(&tree, lo, &rt);
+        leaf_map.extend(p2m_parallel(&tree, hi, &rt));
+        assert_eq!(leaf_map.len(), leaves.len());
+        let rebuilt = m2m_parallel(&tree, leaf_map, &rt);
         assert_eq!(rebuilt.len(), reference.len());
         for (key, cells) in &reference {
             let got = &rebuilt[key];
@@ -1555,7 +1480,7 @@ mod tests {
         let solver = Arc::new(FmmSolver::new(0.5));
         let rt = Runtime::new(2);
         let moments = Arc::new(solver.compute_moments_parallel(&tree, &rt));
-        let full = solver.solve_with_moments_parallel(&tree, &moments, &rt);
+        let full = solver.solve_with_moments(&tree, &moments);
         // Split the leaves into two "shards" and solve each restricted.
         let leaves = tree.leaves();
         let mid = leaves.len() / 2;

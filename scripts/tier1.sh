@@ -10,6 +10,8 @@
 #   6. the FMM_CHUNK_CELLS and FMM_AGG_* knobs round-trip builder →
 #      driver config
 #   7. rustdoc with warnings denied (broken links, missing docs on amt)
+#   8. the repo benchmark (its own workspace, so nothing above compiles
+#      it) still builds, passes its tests and runs against these crates
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -73,6 +75,16 @@ cargo test -q -p integration-tests --test distributed_driver \
 echo
 echo "== tier-1: cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo
+echo "== tier-1: benchmark/ compiles and runs against these crates =="
+# benchmark/ is a workspace of its own with path dependencies on
+# crates/*: an API rename here passes every step above and breaks the
+# benchmark. Read-only use — benchmark/ and BENCHMARK.json are not
+# edited by this script.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --quick --only hydro_blast
 
 echo
 echo "tier-1 green"

@@ -141,6 +141,21 @@ fn assert_totals_bit_identical(a: &Octree, b: &Octree, tag: &str) {
     assert_eq!(ta.scalars.to_bits(), tb.scalars.to_bits(), "{tag}: scalars");
 }
 
+/// A facade-built `Simulation` owns every leaf: whatever it has run —
+/// halo fills, moment passes, regrid collectives — no parcel may have
+/// been built for a peer that does not exist.
+fn assert_sent_nothing(sim: &Simulation, tag: &str) {
+    let m = sim.cluster().metrics();
+    for counter in [
+        "driver/halo/parcels_tx",
+        "driver/moments/parcels_tx",
+        "driver/regrid/parcels_tx",
+        "parcelport/mpi/parcels_tx",
+    ] {
+        assert_eq!(m.get(counter), 0, "{tag}: {counter}");
+    }
+}
+
 /// Run the reference and the distributed driver `steps` steps from the
 /// same scenario and demand bitwise agreement of every per-step dt, the
 /// final state, and the conserved totals.
@@ -150,6 +165,19 @@ fn check_matrix(make: fn() -> Scenario, steps: usize, localities: &[usize]) {
     for _ in 0..steps {
         ref_dts.push(reference.step());
     }
+    assert_sent_nothing(&reference, make().name);
+
+    // The facade's worker count comes from `config.threads`; a 2-worker
+    // loopback must land on the same bits as the default one.
+    let mut two_workers = make();
+    two_workers.config.threads = 2;
+    let mut sim = Simulation::new(two_workers);
+    assert_eq!(sim.runtime().scheduler().n_threads(), 2);
+    for (s, &dt_ref) in ref_dts.iter().enumerate() {
+        assert_eq!(sim.step().to_bits(), dt_ref.to_bits(), "2 workers: dt of step {s}");
+    }
+    assert_trees_bit_identical(sim.tree(), reference.tree(), "2 workers");
+
     for &n in localities {
         for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
             let tag = format!("{} x{} {kind}", make().name, n);
@@ -328,6 +356,33 @@ fn distributed_regrid_bit_identical_at_1_2_4_localities_both_transports() {
     assert!(probe.tree().leaf_count() > before, "policy must trigger refinement");
 
     check_matrix(|| sod_amr_regrid(2), 5, &[1, 2, 4]);
+}
+
+/// The facade's regrid is the serial reference: a facade-built
+/// `Simulation` crosses a cadence-triggered, non-trivial regrid without
+/// putting a parcel on the fabric and lands on the state of serial
+/// `regrid::regrid` applied to the same tree, stepped on from there as
+/// a static tree.
+#[test]
+fn facade_regrid_lands_on_the_serial_regrid_and_sends_nothing() {
+    let mut sim = Simulation::new(sod_amr_regrid(2));
+    sim.step();
+    sim.step();
+    let mut tree = sim.tree().clone();
+    let stats = octotiger::regrid::regrid(&mut tree, &test_policy());
+    assert!(stats.refined > 0, "the regrid ahead must be non-trivial");
+    let config = sod_amr().config;
+    let mut reference = Simulation::new(Scenario { name: "regridded", tree, config, binary: None });
+
+    let dt = sim.step(); // steps = 2: the cadence fires first
+    assert_eq!(dt.to_bits(), reference.step().to_bits());
+    assert_eq!(sim.cluster().metrics().get("driver/regrids"), 1);
+    assert_trees_bit_identical(sim.tree(), reference.tree(), "facade vs serial regrid");
+    assert_eq!(
+        octotiger::scenarios::state_digest(sim.tree()),
+        octotiger::scenarios::state_digest(reference.tree())
+    );
+    assert_sent_nothing(&sim, "facade regrid");
 }
 
 /// Dynamic regrid bumps the epoch and reports it through the metrics.

@@ -208,7 +208,9 @@ fn tracing_does_not_perturb_distributed_results() {
     let (dts_on, state_on, trace) = run(true);
     assert_eq!(dts_off, dts_on, "per-step dt must be bit-identical");
     assert_eq!(state_off, state_on, "assembled state must be bit-identical");
-    // The traced run actually observed the distributed machinery.
+    // The traced run actually observed the distributed machinery, and
+    // the phases every entry point into the one pipeline emits: the
+    // futurized moment pass and both stage updates.
     let trace = trace.unwrap();
     for cat in [
         TraceCategory::Step,
@@ -216,6 +218,9 @@ fn tracing_does_not_perturb_distributed_results() {
         TraceCategory::Barrier,
         TraceCategory::ParcelSend,
         TraceCategory::ParcelRecv,
+        TraceCategory::FmmP2M,
+        TraceCategory::FmmM2M,
+        TraceCategory::HydroApply,
     ] {
         assert!(
             trace.events.iter().any(|e| e.cat == cat),
