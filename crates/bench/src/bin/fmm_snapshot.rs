@@ -62,8 +62,11 @@ fn main() {
     println!("host CPUs: {host_cpus}, {iters} timed iterations per row");
     println!("{}", "-".repeat(64));
 
-    // Serial reference.
-    let solver = Arc::new(FmmSolver::new(0.5));
+    // Serial reference. The chunk size comes from `Config` (hence from
+    // `FMM_CHUNK_CELLS`), as in the drivers — the §E13 sweep sets it.
+    let solver = Arc::new(
+        FmmSolver::new(0.5).with_chunk_cells(octotiger::Config::default().fmm_chunk_cells),
+    );
     let chunk_cells = solver.chunk_cells();
     let serial_s = time_per_run(iters, || {
         let f = solver.solve(&tree);
@@ -124,10 +127,10 @@ fn main() {
     // Launch split through the simulated GPU (P100, 4 streams over 4
     // workers, CPU fallback when the worker's streams are busy).
     let dev = Device::new(DeviceSpec::p100(), 4);
-    let gpu_solver = Arc::new(FmmSolver::with_gpu(
-        0.5,
-        GpuContext::new(&dev, 4, QueuePolicy::CpuFallback),
-    ));
+    let gpu_solver = Arc::new(
+        FmmSolver::with_gpu(0.5, GpuContext::new(&dev, 4, QueuePolicy::CpuFallback))
+            .with_chunk_cells(chunk_cells),
+    );
     let rt = Runtime::new(4);
     let routed = gpu_solver.solve_parallel(&tree, &rt);
     assert_eq!(routed.interactions, reference.interactions);

@@ -14,7 +14,8 @@ use octree::halo::BoundaryCondition;
 /// 2. the environment variable (read once, when the [`Config`] is
 ///    built — [`Knob::from_env`](crate::config::knobs::Knob::from_env)),
 /// 3. the scenario's explicit [`Config`] field,
-/// 4. a `ClusterBuilder` override (deployment beats scenario).
+/// 4. a `DistributedDriver::builder()` override (deployment beats
+///    scenario; the regrid and rebalance knobs have one).
 ///
 /// Every channel funnels through the same `normalize` function, so an
 /// out-of-range value is clamped identically no matter where it came
@@ -105,16 +106,13 @@ pub mod knobs {
         }
     }
 
-    /// A floating-point tunable with the same override chain as
-    /// [`Knob`] — used for the [`RegridPolicy`](crate::regrid::RegridPolicy)
-    /// thresholds, which are ratios rather than counts.
+    /// A floating-point tunable — the
+    /// [`RegridPolicy`](crate::regrid::RegridPolicy) thresholds, which
+    /// are ratios rather than counts. Its chain is [`Knob`]'s without
+    /// the environment link: scenario policy, then builder override.
     pub struct KnobF64 {
         /// The policy field name (documentation only).
         pub name: &'static str,
-        /// The environment variable that seeds the default.
-        pub env: &'static str,
-        /// Built-in default (pre-normalization input).
-        pub default: f64,
         /// Clamp an arbitrary user value into the valid range.
         pub normalize: fn(f64) -> f64,
     }
@@ -146,16 +144,12 @@ pub mod knobs {
     /// Refinement density floor at the policy's base level.
     pub const REGRID_RHO_REF: KnobF64 = KnobF64 {
         name: "rho_ref",
-        env: "REGRID_RHO_REF",
-        default: 1.0,
         normalize: positive_or_unit,
     };
 
     /// Per-level refinement-threshold growth (≥ 1).
     pub const REGRID_RATIO: KnobF64 = KnobF64 {
         name: "ratio",
-        env: "REGRID_RATIO",
-        default: 4.0,
         normalize: ratio_at_least_one,
     };
 
@@ -163,21 +157,10 @@ pub mod knobs {
     /// clamped into (0, 1).
     pub const REGRID_COARSEN_FRACTION: KnobF64 = KnobF64 {
         name: "coarsen_fraction",
-        env: "REGRID_COARSEN_FRACTION",
-        default: 0.5,
         normalize: open_unit_interval,
     };
 
     impl KnobF64 {
-        /// The environment channel: parse `self.env`, normalize, fall
-        /// back to the (normalized) default when unset or unparsable.
-        pub fn from_env(&self) -> f64 {
-            let parsed = std::env::var(self.env)
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok());
-            (self.normalize)(parsed.unwrap_or(self.default))
-        }
-
         /// Builder override beats the `Config`/policy value; either way
         /// the result is normalized.
         pub fn resolve(&self, builder_override: Option<f64>, config_value: f64) -> f64 {

@@ -377,16 +377,9 @@ impl DistributedDriver {
         } = b;
         scenario.config.validate();
         let mut config = scenario.config;
-        // Builder/cluster-level knob overrides win over the scenario's.
-        // The chain (and the shared normalization) lives in
-        // `config::knobs`.
+        // Builder-level knob overrides win over the scenario's. The
+        // chain (and the shared normalization) lives in `config::knobs`.
         use crate::config::knobs;
-        config.fmm_chunk_cells =
-            knobs::FMM_CHUNK_CELLS.resolve(cluster.fmm_chunk_cells(), config.fmm_chunk_cells);
-        config.fmm_agg_slots =
-            knobs::FMM_AGG_SLOTS.resolve(cluster.fmm_agg_slots(), config.fmm_agg_slots);
-        config.fmm_agg_window =
-            knobs::FMM_AGG_WINDOW.resolve(cluster.fmm_agg_window(), config.fmm_agg_window);
         config.regrid_cadence =
             knobs::REGRID_CADENCE.resolve(regrid_cadence, config.regrid_cadence);
         config.imbalance_threshold_permille = knobs::IMBALANCE_THRESHOLD_PERMILLE
@@ -498,15 +491,14 @@ impl DistributedDriver {
     }
 
     /// The effective FMM same-level chunk size of every locality's
-    /// solver (`None` when gravity is off). Reflects the cluster-level
-    /// override when one was set.
+    /// solver (`None` when gravity is off): `Config::fmm_chunk_cells`
+    /// as the solver normalized it.
     pub fn fmm_chunk_cells(&self) -> Option<usize> {
         self.solver.as_ref().map(|s| s.chunk_cells())
     }
 
     /// The effective work-aggregation thresholds of every locality's
-    /// solver (`None` when gravity is off). Reflects cluster-level
-    /// overrides when set.
+    /// solver (`None` when gravity is off).
     pub fn fmm_aggregation(&self) -> Option<gravity::gpu::AggregationConfig> {
         self.solver.as_ref().map(|s| s.agg_config())
     }

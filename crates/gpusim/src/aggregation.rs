@@ -70,20 +70,6 @@ impl AggregationConfig {
     pub fn per_item() -> AggregationConfig {
         AggregationConfig::new(1, 1)
     }
-
-    /// The config selected by the `FMM_AGG_SLOTS` / `FMM_AGG_WINDOW`
-    /// environment variables (normalized), with the built-in defaults
-    /// for unset or unparsable values.
-    pub fn from_env() -> AggregationConfig {
-        let read = |var: &str, default: usize| match std::env::var(var) {
-            Ok(v) => v.trim().parse::<usize>().unwrap_or(default),
-            Err(_) => default,
-        };
-        AggregationConfig::new(
-            read("FMM_AGG_SLOTS", DEFAULT_AGG_SLOTS),
-            read("FMM_AGG_WINDOW", DEFAULT_AGG_WINDOW),
-        )
-    }
 }
 
 impl Default for AggregationConfig {
@@ -480,14 +466,6 @@ mod tests {
         let c = AggregationConfig::new(16, 4);
         assert_eq!(c.window, 16, "window clamps up to slots");
         assert_eq!(AggregationConfig::per_item(), AggregationConfig::new(1, 1));
-        std::env::set_var("FMM_AGG_SLOTS", "6");
-        std::env::set_var("FMM_AGG_WINDOW", "24");
-        assert_eq!(AggregationConfig::from_env(), AggregationConfig::new(6, 24));
-        std::env::set_var("FMM_AGG_SLOTS", "junk");
-        assert_eq!(AggregationConfig::from_env().slots, DEFAULT_AGG_SLOTS);
-        std::env::remove_var("FMM_AGG_SLOTS");
-        std::env::remove_var("FMM_AGG_WINDOW");
-        assert_eq!(AggregationConfig::from_env(), AggregationConfig::default());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::multipole::Multipole;
 use crate::tensors::{KernelTensors, SYM2};
+use util::simd::Lanes;
 use util::vec3::Vec3;
 
 /// Taylor expansion of the gravitational potential about a point, plus
@@ -35,6 +36,73 @@ pub struct LocalExpansion {
     /// Torque residual (half of each pair's), to be deposited into the
     /// evolved spin fields for exact angular momentum conservation.
     pub torque: Vec3,
+}
+
+/// What one multipole pair interaction adds to its target's
+/// [`LocalExpansion`], for `W` (target, source) pairs at once — one per
+/// lane. The `f_mono`/`f_qs`/`f_qt`/torque arithmetic lives in
+/// [`PairTerms::of`] and nowhere else: the SoA kernels evaluate it at
+/// `W = 4`, [`LocalExpansion::accumulate_softened`] at `W = 1`, and
+/// every operation is lane-wise, so a pair gets the same bits at either
+/// width.
+pub(crate) struct PairTerms<const W: usize> {
+    phi: Lanes<W>,
+    dphi: [Lanes<W>; 3],
+    d2phi: [Lanes<W>; 6],
+    f_mono: [Lanes<W>; 3],
+    f_qs: [Lanes<W>; 3],
+    f_qt: [Lanes<W>; 3],
+    torque: [Lanes<W>; 3],
+}
+
+impl<const W: usize> PairTerms<W> {
+    /// The interaction of source moments (`ms`, `qs`) on targets with
+    /// moments (`mt`, `qt`), separated by `d = tgt.com − src.com`, with
+    /// `soft` added to `r²` in the kernel tensors. The canonical term
+    /// forms are documented on [`LocalExpansion::accumulate`].
+    #[inline(always)]
+    pub(crate) fn of(
+        mt: Lanes<W>,
+        ms: Lanes<W>,
+        qt: &[Lanes<W>; 6],
+        qs: &[Lanes<W>; 6],
+        d: [Lanes<W>; 3],
+        soft: Lanes<W>,
+    ) -> PairTerms<W> {
+        let t = KernelTensors::at_softened(d, soft);
+        let cq3_s = t.contract_q_b3(qs);
+        // Pair force in canonical, mirror-exact term forms.
+        let neg_mm = -(mt * ms);
+        let s_qs = mt * -0.5;
+        let s_qt = ms * -0.5;
+        let cq3_t = t.contract_q_b3(qt);
+        let f_qs: [Lanes<W>; 3] = std::array::from_fn(|a| cq3_s[a] * s_qs);
+        let f_qt: [Lanes<W>; 3] = std::array::from_fn(|a| cq3_t[a] * s_qt);
+        // Torque residual −d × F, in exact halves: only the quadrupole
+        // force parts contribute (d × B1 ∥ d vanishes identically in
+        // floating point). Component-wise as `Vec3::cross` computes it.
+        let f_quad: [Lanes<W>; 3] = std::array::from_fn(|a| f_qs[a] + f_qt[a]);
+        PairTerms {
+            // Potential and derivatives from the source moments.
+            phi: ms * t.b0 + t.contract_q_b2(qs) * 0.5,
+            dphi: std::array::from_fn(|a| t.b1[a] * ms + cq3_s[a] * 0.5),
+            d2phi: std::array::from_fn(|n| ms * t.b2[n]),
+            f_mono: std::array::from_fn(|a| t.b1[a] * neg_mm),
+            f_qs,
+            f_qt,
+            torque: [
+                -(d[1] * f_quad[2] - d[2] * f_quad[1]) * 0.5,
+                -(d[2] * f_quad[0] - d[0] * f_quad[2]) * 0.5,
+                -(d[0] * f_quad[1] - d[1] * f_quad[0]) * 0.5,
+            ],
+        }
+    }
+}
+
+/// Lane `l` of a lane-wise vector.
+#[inline(always)]
+pub(crate) fn vec3_lane<const W: usize>(v: &[Lanes<W>; 3], l: usize) -> Vec3 {
+    Vec3::new(v[0].lane(l), v[1].lane(l), v[2].lane(l))
 }
 
 impl LocalExpansion {
@@ -64,28 +132,34 @@ impl LocalExpansion {
     /// term is linear in the source moments, which those kernels scale
     /// by the weight).
     pub fn accumulate_softened(&mut self, tgt: &Multipole, src: &Multipole, d: Vec3, soft: f64) {
-        let t = KernelTensors::at_softened(d, soft);
-        // Potential and derivatives from the source moments.
-        self.phi += src.m * t.b0 + 0.5 * t.contract_q_b2(&src.q);
-        let grad_quad_s = t.contract_q_b3(&src.q) * 0.5;
-        self.dphi += t.b1 * src.m + grad_quad_s;
+        let one = |x: f64| Lanes([x]);
+        let terms = PairTerms::of(
+            one(tgt.m),
+            one(src.m),
+            &tgt.q.map(one),
+            &src.q.map(one),
+            d.to_array().map(one),
+            one(soft),
+        );
+        self.add_pair(&terms, 0);
+    }
+
+    /// Add lane `l` of `terms` to this expansion.
+    #[inline(always)]
+    pub(crate) fn add_pair<const W: usize>(&mut self, terms: &PairTerms<W>, l: usize) {
+        self.phi += terms.phi.lane(l);
+        self.dphi += vec3_lane(&terms.dphi, l);
         for n in 0..6 {
-            self.d2phi[n] += src.m * t.b2[n];
+            self.d2phi[n] += terms.d2phi[n].lane(l);
         }
-        // Pair force in canonical, mirror-exact term forms.
-        let f_mono = t.b1 * (-(tgt.m * src.m));
-        let f_qs = t.contract_q_b3(&src.q) * (-0.5 * tgt.m);
-        let f_qt = t.contract_q_b3(&tgt.q) * (-0.5 * src.m);
-        self.force += f_mono;
-        self.force += f_qs;
+        let f_qt = vec3_lane(&terms.f_qt, l);
+        self.force += vec3_lane(&terms.f_mono, l);
+        self.force += vec3_lane(&terms.f_qs, l);
         self.force += f_qt;
         // The f_qt part is not captured by −∇φ·m; expose it separately
         // so drivers using the φ-gradient path can add it.
         self.f_corr += f_qt;
-        // Torque residual: only the quadrupole force parts contribute
-        // (d × B1 ∥ d vanishes identically in floating point).
-        let f_quad = f_qs + f_qt;
-        self.torque += -d.cross(f_quad) * 0.5;
+        self.torque += vec3_lane(&terms.torque, l);
     }
 
     /// L2L: translate this expansion by `delta` (from the parent cell's

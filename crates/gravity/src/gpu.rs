@@ -108,10 +108,11 @@ pub struct GpuContext {
 impl GpuContext {
     /// Partition `device`'s streams across `n_workers` CPU workers (the
     /// paper's static stream-to-thread assignment) plus one overflow
-    /// pool for non-worker threads. Aggregation thresholds come from
-    /// the environment ([`AggregationConfig::from_env`]).
+    /// pool for non-worker threads. Aggregation thresholds start at
+    /// [`AggregationConfig::default`]; `FmmSolver::with_aggregation`
+    /// applies the configured ones.
     pub fn new(device: &Arc<Device>, n_workers: usize, policy: QueuePolicy) -> GpuContext {
-        Self::with_aggregation(device, n_workers, policy, AggregationConfig::from_env())
+        Self::with_aggregation(device, n_workers, policy, AggregationConfig::default())
     }
 
     /// [`GpuContext::new`] with explicit aggregation thresholds.

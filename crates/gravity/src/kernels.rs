@@ -15,40 +15,44 @@
 //!   multipole–monopole kernel (455 flops/interaction): full M2L with
 //!   quadrupoles and the conservation corrections.
 //!
-//! The innermost loops are **branchless**: instead of testing the
-//! per-cell `present` flag (which defeats vectorization, exactly the
+//! The innermost loops are **branchless**: instead of testing whether
+//! a slot holds data (which defeats vectorization, exactly the
 //! branch-divergence problem GPU kernels predicate away), each slot
 //! carries a `mask` weight of 1.0/0.0 and every contribution is
 //! multiplied by `mask[t] · mask[s]`. Absent slots hold `m = 0` and a
 //! softened separation (`r² += 1 − w`) keeps the 1/r tensors finite, so
 //! masked-out pairs contribute exact (signed) zeros. Multiplication by
 //! 1.0 is exact in IEEE arithmetic, so present pairs are bit-identical
-//! to the branchy formulation. `present` is retained only for
-//! [`MomentGrid::get`] semantics and the interaction counters.
+//! to the branchy formulation. The same pair weights, summed, are the
+//! interaction counters.
 //!
-//! **Explicit SIMD.** On top of the branchless form, the kernels are
-//! explicitly vectorized with the hand-rolled [`util::simd::F64x4`]
-//! lane type (the "Merging Frameworks" follow-up's SIMD types). Lanes
-//! map to *target cells* — four k-adjacent cells for the offset
-//! kernels, the four same-parity stride-2 cells of a row for the
-//! parity-stencil kernels — so each cell's accumulation order over its
-//! offset list is exactly the scalar kernel's and the results are
-//! bit-identical by construction (see DESIGN.md "Chunking & SIMD").
-//! A scalar tail handles ranges that don't fill a lane group.
+//! **One body, two widths.** The pair arithmetic is written once over
+//! the lane type [`util::simd::Lanes`] (the "Merging Frameworks"
+//! follow-up's SIMD types, arXiv:2210.06439): these kernels instantiate
+//! it at `W = 4`, the pairwise API
+//! ([`LocalExpansion::accumulate_softened`], hence the AoS
+//! `interaction_list` ablation) at `W = 1`. Lanes map to *target cells*
+//! — four k-adjacent cells for the offset kernels, the four same-parity
+//! stride-2 cells of a row for the parity-stencil kernels — so each
+//! cell's accumulation order over its offset list is the one-pair-at-a-
+//! time order and the results are bit-identical by construction (see
+//! DESIGN.md "Chunking & SIMD").
 //!
-//! **Cache-blocked ranges.** Every kernel also comes in a
-//! `*_range_into` form restricted to a slab `[start, end)` of the
-//! interior linear index (`(i·8 + j)·8 + k`, k fastest). The chunked
+//! **Cache-blocked ranges.** Every kernel has a `*_range_into` form
+//! restricted to a slab `[start, end)` of the interior linear index
+//! (`(i·8 + j)·8 + k`, k fastest). Slabs are whole 8-cell rows — a
+//! checked precondition, so every cell of a slab sits in a full lane
+//! group and there is no scalar path to fall back to. The chunked
 //! solver (`FmmSolver`) launches one task per slab and concatenates
 //! the slabs in index order, which reproduces the monolithic kernel's
 //! output exactly — each cell is owned by exactly one slab and its
 //! per-offset accumulation never crosses slab boundaries.
 
-use crate::expansion::LocalExpansion;
+use crate::expansion::{vec3_lane, LocalExpansion, PairTerms};
 use crate::multipole::Multipole;
 use crate::stencil::Stencil;
 use octree::subgrid::N_SUB;
-use util::simd::F64x4;
+use util::simd::Lanes;
 use util::vec3::Vec3;
 
 /// Number of interior cells in a sub-grid (`N_SUB³`).
@@ -65,12 +69,10 @@ pub struct MomentGrid {
     pub comz: Vec<f64>,
     pub q: [Vec<f64>; 6],
     /// Branchless predication weight: 1.0 where source data exists,
-    /// 0.0 elsewhere. Kernels multiply contributions by this instead of
-    /// branching on `present`.
+    /// 0.0 elsewhere (outside the domain or where no neighbor provides
+    /// data). Kernels multiply contributions by this instead of
+    /// branching.
     pub mask: Vec<f64>,
-    /// Whether source data exists at this slot (false outside the
-    /// domain or where no neighbor provides data).
-    pub present: Vec<bool>,
 }
 
 impl MomentGrid {
@@ -87,7 +89,6 @@ impl MomentGrid {
             comz: vec![0.0; n],
             q: std::array::from_fn(|_| vec![0.0; n]),
             mask: vec![0.0; n],
-            present: vec![false; n],
         }
     }
 
@@ -107,7 +108,6 @@ impl MomentGrid {
             c.fill(0.0);
         }
         self.mask.fill(0.0);
-        self.present.fill(false);
     }
 
     /// Flattened index of extended coordinates in
@@ -130,13 +130,12 @@ impl MomentGrid {
             self.q[c][n] = mp.q[c];
         }
         self.mask[n] = 1.0;
-        self.present[n] = true;
     }
 
     /// Read a cell's moments back.
     pub fn get(&self, i: isize, j: isize, k: isize) -> Option<Multipole> {
         let n = self.idx(i, j, k);
-        if !self.present[n] {
+        if self.mask[n] == 0.0 {
             return None;
         }
         Some(Multipole {
@@ -161,12 +160,22 @@ pub fn interior_index(i: isize, j: isize, k: isize) -> usize {
     ((i * N_SUB as isize + j) * N_SUB as isize + k) as usize
 }
 
-/// Reset `out` to `n` default expansions without shrinking its
-/// capacity (zero-allocation on reuse).
-#[inline]
-fn reset_expansions_n(out: &mut Vec<LocalExpansion>, n: usize) {
+/// Lane width of the SoA kernels: half a row, so a row is two lane
+/// groups both as k-adjacent halves and as same-parity stride-2 cells.
+const LANES: usize = 4;
+const _: () = assert!(N_SUB == 2 * LANES);
+
+/// Check the slab `[start, end)` (whole rows inside the sub-grid) and
+/// reset `out` to one default expansion per slab cell without shrinking
+/// its capacity (zero-allocation on reuse).
+fn reset_slab(out: &mut Vec<LocalExpansion>, start: usize, end: usize) {
+    assert!(start <= end && end <= N_CELLS);
+    assert!(
+        start.is_multiple_of(N_SUB) && end.is_multiple_of(N_SUB),
+        "slab [{start}, {end}) is not whole {N_SUB}-cell rows"
+    );
     out.clear();
-    out.resize(n, LocalExpansion::default());
+    out.resize(end - start, LocalExpansion::default());
 }
 
 /// Decompose an interior linear index `(i·8 + j)·8 + k` into `(i, j, k)`.
@@ -176,291 +185,243 @@ fn interior_coords(c: usize) -> (isize, isize, isize) {
     ((c / (n * n)) as isize, ((c / n) % n) as isize, (c % n) as isize)
 }
 
-/// Branchless monopole accumulation: all contributions are weighted by
-/// `w = mask[t]·mask[s]` and the separation is softened by `1 − w` so
-/// masked slots produce exact zeros instead of NaNs.
-#[inline]
-fn accum_monopole(grid: &MomentGrid, t_idx: usize, s_idx: usize, e: &mut LocalExpansion) {
-    let w = grid.mask[t_idx] * grid.mask[s_idx];
-    let d = Vec3::new(
-        grid.comx[t_idx] - grid.comx[s_idx],
-        grid.comy[t_idx] - grid.comy[s_idx],
-        grid.comz[t_idx] - grid.comz[s_idx],
-    );
-    let r2 = d.norm2() + (1.0 - w);
-    let u = w / r2.sqrt();
-    let u3 = u / r2;
-    let ms = grid.m[s_idx];
-    e.phi += ms * (-u);
-    e.dphi += d * (ms * u3);
-    // Canonical mirror-exact force term.
-    e.force += d * (u3 * (-(grid.m[t_idx] * ms)));
-}
-
-/// Branchless multipole accumulation: the source moments are scaled by
-/// the pair weight (every accumulated term is linear in them), and the
-/// softened tensors stay finite on masked slots.
-#[inline]
-fn accum_multipole(grid: &MomentGrid, t_idx: usize, s_idx: usize, e: &mut LocalExpansion) {
-    let w = grid.mask[t_idx] * grid.mask[s_idx];
-    let tgt = Multipole {
-        m: grid.m[t_idx],
-        com: Vec3::new(grid.comx[t_idx], grid.comy[t_idx], grid.comz[t_idx]),
-        q: std::array::from_fn(|c| grid.q[c][t_idx]),
-    };
-    let src = Multipole {
-        m: grid.m[s_idx] * w,
-        com: Vec3::new(grid.comx[s_idx], grid.comy[s_idx], grid.comz[s_idx]),
-        q: std::array::from_fn(|c| grid.q[c][s_idx] * w),
-    };
-    e.accumulate_softened(&tgt, &src, tgt.com - src.com, 1.0 - w);
-}
-
-/// Lane-wise kernel tensors: [`crate::tensors::KernelTensors`] with
-/// every scalar replaced by an [`F64x4`] lane group. Each lane performs
-/// *exactly* the scalar evaluation's operation sequence, so lane `l`
-/// holds the bit pattern `KernelTensors::at_softened` would produce for
-/// that lane's separation.
-struct KernelTensorsX4 {
-    b0: F64x4,
-    b1: [F64x4; 3],
-    b2: [F64x4; 6],
-    b3: [F64x4; 10],
-}
-
-impl KernelTensorsX4 {
-    #[inline(always)]
-    fn at_softened(d: [F64x4; 3], soft: F64x4) -> KernelTensorsX4 {
-        use crate::tensors::{SYM2, SYM3};
-        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + soft;
-        for l in 0..4 {
-            assert!(r2.lane(l) > 0.0, "kernel tensors undefined at zero separation");
-        }
-        let u2 = F64x4::splat(1.0) / r2;
-        let u = u2.sqrt();
-        let u3 = u * u2;
-        let u5 = u3 * u2;
-        let u7 = u5 * u2;
-        let mut b2 = [F64x4::zero(); 6];
-        for (n, (a, b)) in SYM2.iter().enumerate() {
-            let delta = if a == b { 1.0 } else { 0.0 };
-            b2[n] = F64x4::splat(delta) * u3 - d[*a] * 3.0 * d[*b] * u5;
-        }
-        let mut b3 = [F64x4::zero(); 10];
-        for (n, (a, b, c)) in SYM3.iter().enumerate() {
-            let dab = if a == b { 1.0 } else { 0.0 };
-            let dac = if a == c { 1.0 } else { 0.0 };
-            let dbc = if b == c { 1.0 } else { 0.0 };
-            b3[n] = (d[*c] * dab + d[*b] * dac + d[*a] * dbc) * -3.0 * u5
-                + d[*a] * 15.0 * d[*b] * d[*c] * u7;
-        }
-        KernelTensorsX4 {
-            b0: -u,
-            b1: [d[0] * u3, d[1] * u3, d[2] * u3],
-            b2,
-            b3,
-        }
-    }
-
-    #[inline(always)]
-    fn contract_q_b2(&self, q: &[F64x4; 6]) -> F64x4 {
-        use crate::tensors::SYM2_MULT;
-        let mut s = F64x4::zero();
-        for n in 0..6 {
-            s += q[n] * SYM2_MULT[n] * self.b2[n];
-        }
-        s
-    }
-
-    #[inline(always)]
-    fn contract_q_b3(&self, q: &[F64x4; 6]) -> [F64x4; 3] {
-        use crate::tensors::{SYM2, SYM2_MULT, SYM3_INDEX};
-        let mut v = [F64x4::zero(); 3];
-        for (n2, (b, c)) in SYM2.iter().enumerate() {
-            let w = q[n2] * SYM2_MULT[n2];
-            for (a, va) in v.iter_mut().enumerate() {
-                *va += w * self.b3[SYM3_INDEX[a][*b][*c]];
-            }
-        }
-        v
-    }
-}
-
-/// Four-cell monopole accumulation: lane `l` is target slot
-/// `t0 + l·stride` / source slot `s0 + l·stride`, scattered into
-/// `out[o0 + l·o_stride]`. Mirrors [`accum_monopole`]'s operation
-/// sequence per lane, so each cell's result is bit-identical to four
-/// scalar calls.
+/// The weights `w = mask[t]·mask[s]` and separations `com[t] − com[s]`
+/// of `W` pairs: lane `l` is target slot `t0 + l·stride` / source slot
+/// `s0 + l·stride`.
 #[inline(always)]
-fn accum_monopole_x4(
+fn pair_geometry<const W: usize>(
     grid: &MomentGrid,
     t0: usize,
     s0: usize,
     stride: usize,
-    out: &mut [LocalExpansion],
-    o0: usize,
-    o_stride: usize,
-) {
-    let w = F64x4::gather(&grid.mask, t0, stride) * F64x4::gather(&grid.mask, s0, stride);
-    let dx = F64x4::gather(&grid.comx, t0, stride) - F64x4::gather(&grid.comx, s0, stride);
-    let dy = F64x4::gather(&grid.comy, t0, stride) - F64x4::gather(&grid.comy, s0, stride);
-    let dz = F64x4::gather(&grid.comz, t0, stride) - F64x4::gather(&grid.comz, s0, stride);
-    let r2 = dx * dx + dy * dy + dz * dz + (F64x4::splat(1.0) - w);
-    let u = w / r2.sqrt();
-    let u3 = u / r2;
-    let ms = F64x4::gather(&grid.m, s0, stride);
-    let mt = F64x4::gather(&grid.m, t0, stride);
-    for l in 0..4 {
-        let e = &mut out[o0 + l * o_stride];
-        let d = Vec3::new(dx.lane(l), dy.lane(l), dz.lane(l));
-        e.phi += ms.lane(l) * (-u.lane(l));
-        e.dphi += d * (ms.lane(l) * u3.lane(l));
-        e.force += d * (u3.lane(l) * (-(mt.lane(l) * ms.lane(l))));
+) -> (Lanes<W>, [Lanes<W>; 3]) {
+    let diff = |f: &[f64]| Lanes::gather(f, t0, stride) - Lanes::gather(f, s0, stride);
+    let w = Lanes::gather(&grid.mask, t0, stride) * Lanes::gather(&grid.mask, s0, stride);
+    (w, [diff(&grid.comx), diff(&grid.comy), diff(&grid.comz)])
+}
+
+/// A pair body the slab loops are instantiated with. A trait rather
+/// than a function value: `B::accum` is a direct call that inlines the
+/// body into the loops, where a passed-in function is reached through
+/// an outlined call per lane group.
+trait PairBody {
+    /// Accumulate `W` pairs (lanes as in [`pair_geometry`]) into
+    /// `out[l·stride]` and return their weights.
+    fn accum<const W: usize>(
+        grid: &MomentGrid,
+        t0: usize,
+        s0: usize,
+        stride: usize,
+        out: &mut [LocalExpansion],
+    ) -> Lanes<W>;
+}
+
+/// The 12-flop monopole–monopole interaction, branchless: all
+/// contributions are weighted by `w` and the separation is softened by
+/// `1 − w` so masked slots produce exact zeros instead of NaNs.
+struct MonopolePairs;
+
+impl PairBody for MonopolePairs {
+    #[inline(always)]
+    fn accum<const W: usize>(
+        grid: &MomentGrid,
+        t0: usize,
+        s0: usize,
+        stride: usize,
+        out: &mut [LocalExpansion],
+    ) -> Lanes<W> {
+        let (w, d) = pair_geometry::<W>(grid, t0, s0, stride);
+        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + (Lanes::splat(1.0) - w);
+        let u = w / r2.sqrt();
+        let u3 = u / r2;
+        let ms = Lanes::gather(&grid.m, s0, stride);
+        let d_phi = ms * -u;
+        let s_dphi = ms * u3;
+        // Canonical mirror-exact force term.
+        let s_force = u3 * -(Lanes::gather(&grid.m, t0, stride) * ms);
+        for l in 0..W {
+            let e = &mut out[l * stride];
+            let dl = vec3_lane(&d, l);
+            e.phi += d_phi.lane(l);
+            e.dphi += dl * s_dphi.lane(l);
+            e.force += dl * s_force.lane(l);
+        }
+        w
     }
 }
 
-/// Four-cell multipole accumulation (see [`accum_monopole_x4`] for the
-/// lane layout). Mirrors [`accum_multipole`] +
-/// [`LocalExpansion::accumulate_softened`] per lane: same operand
-/// order, same association, with the source-quadrupole B3 contraction
-/// computed once and reused (the scalar path evaluates it twice with
-/// identical bits).
-#[inline(always)]
-fn accum_multipole_x4(
+/// The 455-flop multipole interaction ([`PairTerms`]), branchless: the
+/// source moments are scaled by the pair weight (every accumulated term
+/// is linear in them), and the softened tensors stay finite on masked
+/// slots.
+struct MultipolePairs;
+
+impl PairBody for MultipolePairs {
+    #[inline(always)]
+    fn accum<const W: usize>(
+        grid: &MomentGrid,
+        t0: usize,
+        s0: usize,
+        stride: usize,
+        out: &mut [LocalExpansion],
+    ) -> Lanes<W> {
+        let (w, d) = pair_geometry::<W>(grid, t0, s0, stride);
+        let terms = PairTerms::of(
+            Lanes::gather(&grid.m, t0, stride),
+            Lanes::gather(&grid.m, s0, stride) * w,
+            &std::array::from_fn(|c| Lanes::gather(&grid.q[c], t0, stride)),
+            &std::array::from_fn(|c| Lanes::gather(&grid.q[c], s0, stride) * w),
+            d,
+            Lanes::splat(1.0) - w,
+        );
+        for l in 0..W {
+            out[l * stride].add_pair(&terms, l);
+        }
+        w
+    }
+}
+
+/// Apply `offsets` to every cell of the row-aligned slab `[start, end)`
+/// with the pair body `B`, offset-major: lane groups are four
+/// k-adjacent targets, contiguous in both the extended grid (k fastest)
+/// and the output slab. Returns the interaction count.
+fn offset_range_into<B: PairBody>(
     grid: &MomentGrid,
-    t0: usize,
-    s0: usize,
-    stride: usize,
-    out: &mut [LocalExpansion],
-    o0: usize,
-    o_stride: usize,
-) {
-    let w = F64x4::gather(&grid.mask, t0, stride) * F64x4::gather(&grid.mask, s0, stride);
-    let mt = F64x4::gather(&grid.m, t0, stride);
-    let ms = F64x4::gather(&grid.m, s0, stride) * w;
-    let qt: [F64x4; 6] = std::array::from_fn(|c| F64x4::gather(&grid.q[c], t0, stride));
-    let qs: [F64x4; 6] = std::array::from_fn(|c| F64x4::gather(&grid.q[c], s0, stride) * w);
-    let d = [
-        F64x4::gather(&grid.comx, t0, stride) - F64x4::gather(&grid.comx, s0, stride),
-        F64x4::gather(&grid.comy, t0, stride) - F64x4::gather(&grid.comy, s0, stride),
-        F64x4::gather(&grid.comz, t0, stride) - F64x4::gather(&grid.comz, s0, stride),
-    ];
-    let t = KernelTensorsX4::at_softened(d, F64x4::splat(1.0) - w);
-    // φ and its derivatives from the source moments.
-    let d_phi = ms * t.b0 + t.contract_q_b2(&qs) * 0.5;
-    let cq3_s = t.contract_q_b3(&qs);
-    let grad_quad_s = [cq3_s[0] * 0.5, cq3_s[1] * 0.5, cq3_s[2] * 0.5];
-    let d_dphi: [F64x4; 3] = std::array::from_fn(|a| t.b1[a] * ms + grad_quad_s[a]);
-    let d_d2phi: [F64x4; 6] = std::array::from_fn(|n| ms * t.b2[n]);
-    // Pair force in canonical, mirror-exact term forms.
-    let neg_mm = -(mt * ms);
-    let f_mono: [F64x4; 3] = std::array::from_fn(|a| t.b1[a] * neg_mm);
-    let s_qs = mt * -0.5;
-    let f_qs: [F64x4; 3] = std::array::from_fn(|a| cq3_s[a] * s_qs);
-    let cq3_t = t.contract_q_b3(&qt);
-    let s_qt = ms * -0.5;
-    let f_qt: [F64x4; 3] = std::array::from_fn(|a| cq3_t[a] * s_qt);
-    let f_quad: [F64x4; 3] = std::array::from_fn(|a| f_qs[a] + f_qt[a]);
-    // torque += −d × f_quad · ½, component-wise as Vec3::cross computes it.
-    let d_torque = [
-        -(d[1] * f_quad[2] - d[2] * f_quad[1]) * 0.5,
-        -(d[2] * f_quad[0] - d[0] * f_quad[2]) * 0.5,
-        -(d[0] * f_quad[1] - d[1] * f_quad[0]) * 0.5,
-    ];
-    for l in 0..4 {
-        let e = &mut out[o0 + l * o_stride];
-        e.phi += d_phi.lane(l);
-        e.dphi += Vec3::new(d_dphi[0].lane(l), d_dphi[1].lane(l), d_dphi[2].lane(l));
-        for n in 0..6 {
-            e.d2phi[n] += d_d2phi[n].lane(l);
+    offsets: &[(i32, i32, i32)],
+    start: usize,
+    end: usize,
+    out: &mut Vec<LocalExpansion>,
+) -> u64 {
+    reset_slab(out, start, end);
+    let mut pairs = Lanes::<LANES>::splat(0.0);
+    for &(dx, dy, dz) in offsets {
+        for c in (start..end).step_by(LANES) {
+            let (i, j, k) = interior_coords(c);
+            let t0 = grid.idx(i, j, k);
+            let s0 = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
+            pairs += B::accum::<LANES>(grid, t0, s0, 1, &mut out[c - start..]);
         }
-        e.force += Vec3::new(f_mono[0].lane(l), f_mono[1].lane(l), f_mono[2].lane(l));
-        e.force += Vec3::new(f_qs[0].lane(l), f_qs[1].lane(l), f_qs[2].lane(l));
-        e.force += Vec3::new(f_qt[0].lane(l), f_qt[1].lane(l), f_qt[2].lane(l));
-        e.f_corr += Vec3::new(f_qt[0].lane(l), f_qt[1].lane(l), f_qt[2].lane(l));
-        e.torque += Vec3::new(d_torque[0].lane(l), d_torque[1].lane(l), d_torque[2].lane(l));
     }
+    // Every weight is 1.0 or 0.0, so the sum is the exact count.
+    pairs.0.iter().sum::<f64>() as u64
 }
 
-macro_rules! offset_kernel {
-    ($name:ident, $name_into:ident, $name_range_into:ident, $accum:ident, $accum_x4:ident, $doc:literal) => {
-        #[doc = $doc]
-        /// Restricted to the target-cell slab `[start, end)` of the
-        /// interior linear index; `out` gets `end − start` expansions,
-        /// slab cell `c` at `out[c − start]`. Lane groups of four
-        /// k-adjacent cells run through the [`F64x4`] path; a scalar
-        /// tail covers the rest. Returns the interaction count.
-        pub fn $name_range_into(
-            grid: &MomentGrid,
-            offsets: &[(i32, i32, i32)],
-            start: usize,
-            end: usize,
-            out: &mut Vec<LocalExpansion>,
-        ) -> u64 {
-            assert!(start <= end && end <= N_CELLS);
-            reset_expansions_n(out, end - start);
-            let mut interactions = 0u64;
-            for &(dx, dy, dz) in offsets {
-                let mut c = start;
-                while c < end {
-                    let (i, j, k) = interior_coords(c);
-                    let t_idx = grid.idx(i, j, k);
-                    let s_idx = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
-                    if k + 4 <= N_SUB as isize && c + 4 <= end {
-                        // Four k-adjacent targets: contiguous in both the
-                        // extended grid (k fastest) and the output slab.
-                        $accum_x4(grid, t_idx, s_idx, 1, out, c - start, 1);
-                        for l in 0..4 {
-                            interactions +=
-                                (grid.present[t_idx + l] & grid.present[s_idx + l]) as u64;
-                        }
-                        c += 4;
-                    } else {
-                        $accum(grid, t_idx, s_idx, &mut out[c - start]);
-                        interactions += (grid.present[t_idx] & grid.present[s_idx]) as u64;
-                        c += 1;
-                    }
-                }
+/// Parity-exact same-level pass over the row-aligned slab
+/// `[start, end)` with the pair body `B`: each cell uses the offset
+/// list of its parity, so every pair is owned by exactly one level of
+/// the tree walk. k parity alternates along a row, so a row is two lane
+/// groups of four same-parity stride-2 cells sharing an offset list —
+/// the even-k cells, then the odd-k cells. Returns the interaction
+/// count.
+fn parity_range_into<B: PairBody>(
+    grid: &MomentGrid,
+    stencil: &Stencil,
+    start: usize,
+    end: usize,
+    out: &mut Vec<LocalExpansion>,
+) -> u64 {
+    reset_slab(out, start, end);
+    let mut pairs = Lanes::<LANES>::splat(0.0);
+    for row in (start..end).step_by(N_SUB) {
+        let (i, j, _) = interior_coords(row);
+        for k0 in 0..2isize {
+            let t0 = grid.idx(i, j, k0);
+            for &(dx, dy, dz) in stencil.for_parity(parity_of(i, j, k0)) {
+                let s0 = grid.idx(i + dx as isize, j + dy as isize, k0 + dz as isize);
+                pairs += B::accum::<LANES>(grid, t0, s0, 2, &mut out[row - start + k0 as usize..]);
             }
-            interactions
         }
-
-        #[doc = $doc]
-        /// Writes into a caller-provided buffer (reset first); returns
-        /// the interaction count.
-        pub fn $name_into(
-            grid: &MomentGrid,
-            offsets: &[(i32, i32, i32)],
-            out: &mut Vec<LocalExpansion>,
-        ) -> u64 {
-            $name_range_into(grid, offsets, 0, N_CELLS, out)
-        }
-
-        #[doc = $doc]
-        pub fn $name(grid: &MomentGrid, offsets: &[(i32, i32, i32)]) -> KernelResult {
-            let mut out = Vec::new();
-            let interactions = $name_into(grid, offsets, &mut out);
-            KernelResult { expansions: out, interactions }
-        }
-    };
+    }
+    // Every weight is 1.0 or 0.0, so the sum is the exact count.
+    pairs.0.iter().sum::<f64>() as u64
 }
 
-offset_kernel!(
-    monopole_kernel,
-    monopole_kernel_into,
-    monopole_kernel_range_into,
-    accum_monopole,
-    accum_monopole_x4,
-    "Monopole–monopole kernel: point masses only (leaf/leaf node pairs). Applies `offsets` to every interior cell."
-);
-offset_kernel!(
-    multipole_kernel,
-    multipole_kernel_into,
-    multipole_kernel_range_into,
-    accum_multipole,
-    accum_multipole_x4,
-    "The combined multipole kernel: full M2L with quadrupoles and conservation corrections, for every interior cell over `offsets`."
-);
+/// Parity of a cell: `(i&1) | ((j&1)<<1) | ((k&1)<<2)`.
+#[inline]
+fn parity_of(i: isize, j: isize, k: isize) -> u8 {
+    ((i & 1) | ((j & 1) << 1) | ((k & 1) << 2)) as u8
+}
+
+/// Monopole–monopole kernel — point masses only (leaf/leaf node pairs)
+/// — applying `offsets` to the target-cell slab `[start, end)` of the
+/// interior linear index, which must be whole 8-cell rows. `out` gets
+/// `end − start` expansions, slab cell `c` at `out[c − start]`. Returns
+/// the interaction count.
+pub fn monopole_kernel_range_into(
+    grid: &MomentGrid,
+    offsets: &[(i32, i32, i32)],
+    start: usize,
+    end: usize,
+    out: &mut Vec<LocalExpansion>,
+) -> u64 {
+    offset_range_into::<MonopolePairs>(grid, offsets, start, end, out)
+}
+
+/// The combined multipole kernel — full M2L with quadrupoles and
+/// conservation corrections — over the slab `[start, end)`; layout as
+/// [`monopole_kernel_range_into`].
+pub fn multipole_kernel_range_into(
+    grid: &MomentGrid,
+    offsets: &[(i32, i32, i32)],
+    start: usize,
+    end: usize,
+    out: &mut Vec<LocalExpansion>,
+) -> u64 {
+    offset_range_into::<MultipolePairs>(grid, offsets, start, end, out)
+}
+
+/// Parity-exact same-level monopole kernel over the slab
+/// `[start, end)` (whole rows): each cell uses the offset list of its
+/// parity. Output layout as [`monopole_kernel_range_into`].
+pub fn monopole_kernel_stencil_range_into(
+    grid: &MomentGrid,
+    stencil: &Stencil,
+    start: usize,
+    end: usize,
+    out: &mut Vec<LocalExpansion>,
+) -> u64 {
+    parity_range_into::<MonopolePairs>(grid, stencil, start, end, out)
+}
+
+/// Parity-exact same-level multipole kernel over the slab
+/// `[start, end)` (whole rows); see
+/// [`monopole_kernel_stencil_range_into`].
+pub fn multipole_kernel_stencil_range_into(
+    grid: &MomentGrid,
+    stencil: &Stencil,
+    start: usize,
+    end: usize,
+    out: &mut Vec<LocalExpansion>,
+) -> u64 {
+    parity_range_into::<MultipolePairs>(grid, stencil, start, end, out)
+}
+
+/// A whole-sub-grid launch into a fresh buffer.
+fn full_launch(range_into: impl FnOnce(&mut Vec<LocalExpansion>) -> u64) -> KernelResult {
+    let mut expansions = Vec::new();
+    let interactions = range_into(&mut expansions);
+    KernelResult { expansions, interactions }
+}
+
+/// [`monopole_kernel_range_into`] over every interior cell.
+pub fn monopole_kernel(grid: &MomentGrid, offsets: &[(i32, i32, i32)]) -> KernelResult {
+    full_launch(|out| monopole_kernel_range_into(grid, offsets, 0, N_CELLS, out))
+}
+
+/// [`multipole_kernel_range_into`] over every interior cell.
+pub fn multipole_kernel(grid: &MomentGrid, offsets: &[(i32, i32, i32)]) -> KernelResult {
+    full_launch(|out| multipole_kernel_range_into(grid, offsets, 0, N_CELLS, out))
+}
+
+/// [`monopole_kernel_stencil_range_into`] over every interior cell.
+pub fn monopole_kernel_stencil(grid: &MomentGrid, stencil: &Stencil) -> KernelResult {
+    full_launch(|out| monopole_kernel_stencil_range_into(grid, stencil, 0, N_CELLS, out))
+}
+
+/// [`multipole_kernel_stencil_range_into`] over every interior cell.
+pub fn multipole_kernel_stencil(grid: &MomentGrid, stencil: &Stencil) -> KernelResult {
+    full_launch(|out| multipole_kernel_stencil_range_into(grid, stencil, 0, N_CELLS, out))
+}
 
 /// Build the extended moment grid for one node from its own cell
 /// moments and a halo lookup: `lookup(i, j, k)` returns the moment of
@@ -495,106 +456,6 @@ pub fn gather_moments_into(
         }
     }
 }
-
-/// Parity of a cell: `(i&1) | ((j&1)<<1) | ((k&1)<<2)`.
-#[inline]
-fn parity_of(i: isize, j: isize, k: isize) -> u8 {
-    ((i & 1) | ((j & 1) << 1) | ((k & 1) << 2)) as u8
-}
-
-macro_rules! parity_kernel {
-    ($name:ident, $name_into:ident, $name_range_into:ident, $accum:ident, $accum_x4:ident) => {
-        /// Parity-exact same-level kernel restricted to the target-cell
-        /// slab `[start, end)` of the interior linear index: each cell
-        /// uses the offset list of its parity, so every pair is owned
-        /// by exactly one level of the tree walk. `out` gets
-        /// `end − start` expansions, slab cell `c` at `out[c − start]`.
-        /// A fully contained row vectorizes as two [`F64x4`] groups of
-        /// four same-parity stride-2 cells (k parity alternates along a
-        /// row, so same-parity cells share the offset list); partial
-        /// rows take the scalar path. Returns the interaction count.
-        pub fn $name_range_into(
-            grid: &MomentGrid,
-            stencil: &Stencil,
-            start: usize,
-            end: usize,
-            out: &mut Vec<LocalExpansion>,
-        ) -> u64 {
-            assert!(start <= end && end <= N_CELLS);
-            reset_expansions_n(out, end - start);
-            let mut interactions = 0u64;
-            let mut c = start;
-            while c < end {
-                let (i, j, k) = interior_coords(c);
-                if k == 0 && c + N_SUB <= end {
-                    // Whole row: the four even-k cells, then the four
-                    // odd-k cells, each group one lane pass.
-                    for k0 in 0..2isize {
-                        let t0 = grid.idx(i, j, k0);
-                        let offsets = stencil.for_parity(parity_of(i, j, k0));
-                        for &(dx, dy, dz) in offsets {
-                            let s0 =
-                                grid.idx(i + dx as isize, j + dy as isize, k0 + dz as isize);
-                            $accum_x4(grid, t0, s0, 2, out, c - start + k0 as usize, 2);
-                            for l in 0..4 {
-                                interactions += (grid.present[t0 + 2 * l]
-                                    & grid.present[s0 + 2 * l])
-                                    as u64;
-                            }
-                        }
-                    }
-                    c += N_SUB;
-                } else {
-                    let t_idx = grid.idx(i, j, k);
-                    let e = &mut out[c - start];
-                    let offsets = stencil.for_parity(parity_of(i, j, k));
-                    for &(dx, dy, dz) in offsets {
-                        let s_idx = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
-                        $accum(grid, t_idx, s_idx, e);
-                        interactions += (grid.present[t_idx] & grid.present[s_idx]) as u64;
-                    }
-                    c += 1;
-                }
-            }
-            interactions
-        }
-
-        /// Parity-exact same-level kernel (buffer-reusing variant):
-        /// each cell uses the offset list of its parity, so every pair
-        /// is owned by exactly one level of the tree walk.
-        pub fn $name_into(
-            grid: &MomentGrid,
-            stencil: &Stencil,
-            out: &mut Vec<LocalExpansion>,
-        ) -> u64 {
-            $name_range_into(grid, stencil, 0, N_CELLS, out)
-        }
-
-        /// Parity-exact same-level kernel: each cell uses the offset
-        /// list of its parity, so every pair is owned by exactly one
-        /// level of the tree walk.
-        pub fn $name(grid: &MomentGrid, stencil: &Stencil) -> KernelResult {
-            let mut out = Vec::new();
-            let interactions = $name_into(grid, stencil, &mut out);
-            KernelResult { expansions: out, interactions }
-        }
-    };
-}
-
-parity_kernel!(
-    monopole_kernel_stencil,
-    monopole_kernel_stencil_into,
-    monopole_kernel_stencil_range_into,
-    accum_monopole,
-    accum_monopole_x4
-);
-parity_kernel!(
-    multipole_kernel_stencil,
-    multipole_kernel_stencil_into,
-    multipole_kernel_stencil_range_into,
-    accum_multipole,
-    accum_multipole_x4
-);
 
 #[cfg(test)]
 mod tests {
@@ -826,85 +687,89 @@ mod tests {
         }
     }
 
-    /// The `F64x4` kernels must match the scalar accumulation loops
-    /// bit-for-bit on random moment grids — the vectorization contract.
+    /// The per-width contract: every kernel family at `W = 4` must
+    /// match the same pair body at `W = 1`, driven one (cell, offset)
+    /// pair at a time in scalar loop order, bit-for-bit on random masked
+    /// grids.
     #[test]
-    fn simd_kernels_match_scalar_bit_for_bit() {
+    fn four_lane_kernels_match_one_lane_bit_for_bit() {
         let s = Stencil::octotiger();
         for seed in [0x5eed_0001u64, 0x5eed_0002] {
             let grid = random_grid(s.width(), seed);
 
-            // Scalar references: the pre-SIMD loops, one accum per
-            // (offset, cell) pair in the original order.
-            let scalar_offset = |accum: fn(&MomentGrid, usize, usize, &mut LocalExpansion)| {
+            // W = 1 references. Monopole: the monopole body itself.
+            // Multipole: the public pairwise API, fed what the SoA body
+            // feeds the lanes (weighted source moments, softened r²).
+            type Pair<'a> = &'a dyn Fn(usize, usize, &mut LocalExpansion);
+            let mono: Pair = &|t, s_idx, e| {
+                MonopolePairs::accum::<1>(&grid, t, s_idx, 1, std::slice::from_mut(e));
+            };
+            let multi: Pair = &|t, s_idx, e| {
+                let w = grid.mask[t] * grid.mask[s_idx];
+                let at = |n: usize, scale: f64| Multipole {
+                    m: grid.m[n] * scale,
+                    com: Vec3::new(grid.comx[n], grid.comy[n], grid.comz[n]),
+                    q: std::array::from_fn(|c| grid.q[c][n] * scale),
+                };
+                let (tgt, src) = (at(t, 1.0), at(s_idx, w));
+                e.accumulate_softened(&tgt, &src, tgt.com - src.com, 1.0 - w);
+            };
+            let one_lane_offset = |pair: Pair| {
                 let mut out = vec![LocalExpansion::default(); N_CELLS];
-                let n = N_SUB as isize;
                 for &(dx, dy, dz) in s.offsets() {
-                    for i in 0..n {
-                        for j in 0..n {
-                            for k in 0..n {
-                                let t_idx = grid.idx(i, j, k);
-                                let s_idx =
-                                    grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
-                                accum(&grid, t_idx, s_idx, &mut out[interior_index(i, j, k)]);
-                            }
-                        }
+                    for c in 0..N_CELLS {
+                        let (i, j, k) = interior_coords(c);
+                        let s_idx = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
+                        pair(grid.idx(i, j, k), s_idx, &mut out[c]);
                     }
                 }
                 out
             };
-            let scalar_stencil = |accum: fn(&MomentGrid, usize, usize, &mut LocalExpansion)| {
+            let one_lane_stencil = |pair: Pair| {
                 let mut out = vec![LocalExpansion::default(); N_CELLS];
-                let n = N_SUB as isize;
-                for i in 0..n {
-                    for j in 0..n {
-                        for k in 0..n {
-                            let t_idx = grid.idx(i, j, k);
-                            let e = &mut out[interior_index(i, j, k)];
-                            for &(dx, dy, dz) in s.for_parity(parity_of(i, j, k)) {
-                                let s_idx =
-                                    grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
-                                accum(&grid, t_idx, s_idx, e);
-                            }
-                        }
+                for c in 0..N_CELLS {
+                    let (i, j, k) = interior_coords(c);
+                    for &(dx, dy, dz) in s.for_parity(parity_of(i, j, k)) {
+                        let s_idx = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
+                        pair(grid.idx(i, j, k), s_idx, &mut out[c]);
                     }
                 }
                 out
             };
 
-            for (what, simd, scalar) in [
+            for (what, four, one) in [
                 (
                     "monopole offsets",
                     monopole_kernel(&grid, s.offsets()).expansions,
-                    scalar_offset(accum_monopole),
+                    one_lane_offset(mono),
                 ),
                 (
                     "multipole offsets",
                     multipole_kernel(&grid, s.offsets()).expansions,
-                    scalar_offset(accum_multipole),
+                    one_lane_offset(multi),
                 ),
                 (
                     "monopole stencil",
                     monopole_kernel_stencil(&grid, &s).expansions,
-                    scalar_stencil(accum_monopole),
+                    one_lane_stencil(mono),
                 ),
                 (
                     "multipole stencil",
                     multipole_kernel_stencil(&grid, &s).expansions,
-                    scalar_stencil(accum_multipole),
+                    one_lane_stencil(multi),
                 ),
             ] {
-                assert_eq!(simd.len(), scalar.len());
-                for (a, b) in simd.iter().zip(scalar.iter()) {
+                assert_eq!(four.len(), one.len());
+                for (a, b) in four.iter().zip(one.iter()) {
                     assert_expansion_bits(a, b, &format!("{what} (seed {seed:#x})"));
                 }
             }
         }
     }
 
-    /// Concatenating slab ranges (including lane-breaking odd sizes
-    /// that force the scalar tail) reproduces the full kernel exactly,
-    /// and the per-slab interaction counts sum to the full count.
+    /// Concatenating row-aligned slab ranges reproduces the full kernel
+    /// exactly, and the per-slab interaction counts sum to the full
+    /// count.
     #[test]
     fn range_kernels_concatenate_to_full() {
         let s = Stencil::octotiger();
@@ -912,7 +777,7 @@ mod tests {
         let full_off = multipole_kernel(&grid, s.offsets());
         let full_sten = multipole_kernel_stencil(&grid, &s);
         let full_mono = monopole_kernel(&grid, s.offsets());
-        for chunk in [1usize, 5, 8, 64, N_CELLS] {
+        for chunk in [8usize, 24, 64, N_CELLS] {
             let mut cat_off = Vec::new();
             let mut cat_sten = Vec::new();
             let mut cat_mono = Vec::new();
@@ -945,8 +810,18 @@ mod tests {
         }
     }
 
+    /// There is no scalar tail: a slab that is not whole rows is a
+    /// caller bug, not a slow path.
     #[test]
-    fn into_variants_reuse_buffers_and_match() {
+    #[should_panic(expected = "not whole 8-cell rows")]
+    fn unaligned_slab_is_rejected() {
+        let s = Stencil::octotiger();
+        let grid = lattice(s.width());
+        monopole_kernel_stencil_range_into(&grid, &s, 8, 21, &mut Vec::new());
+    }
+
+    #[test]
+    fn range_kernels_reuse_buffers_and_match() {
         let s = Stencil::octotiger();
         let grid = lattice(s.width());
         let fresh = monopole_kernel_stencil(&grid, &s);
@@ -962,7 +837,7 @@ mod tests {
             buf.reserve(600);
             buf.capacity()
         };
-        let interactions = monopole_kernel_stencil_into(&grid, &s, &mut buf);
+        let interactions = monopole_kernel_stencil_range_into(&grid, &s, 0, N_CELLS, &mut buf);
         assert_eq!(interactions, fresh.interactions);
         assert_eq!(buf.capacity(), cap_marker, "no reallocation on reuse");
         for (a, b) in buf.iter().zip(fresh.expansions.iter()) {

@@ -45,16 +45,15 @@
 //! size and worker count. A bounded window of nodes is in flight at a
 //! time (grids are ~0.8 MB each), refilled from each merge, and all
 //! buffers lease from the [`ScratchPool`] so steady-state solves
-//! allocate nothing. The chunk size comes from the `FMM_CHUNK_CELLS`
-//! environment variable or [`FmmSolver::with_chunk_cells`].
+//! allocate nothing. The chunk size is [`DEFAULT_CHUNK_CELLS`] unless
+//! [`FmmSolver::with_chunk_cells`] sets it (the drivers pass
+//! `Config::fmm_chunk_cells`).
 
 use crate::expansion::LocalExpansion;
 use crate::gpu::{AggregationConfig, GpuContext, KernelKind, LaunchSite, SlabDesc, HIST_LABELS};
 use crate::kernels::{
-    gather_moments_into, monopole_kernel_into, monopole_kernel_range_into,
-    monopole_kernel_stencil_into, monopole_kernel_stencil_range_into, multipole_kernel_into,
-    multipole_kernel_range_into, multipole_kernel_stencil_into,
-    multipole_kernel_stencil_range_into, MomentGrid, N_CELLS,
+    gather_moments_into, monopole_kernel_range_into, monopole_kernel_stencil_range_into,
+    multipole_kernel_range_into, multipole_kernel_stencil_range_into, MomentGrid, N_CELLS,
 };
 use crate::multipole::Multipole;
 use crate::scratch::ScratchPool;
@@ -327,24 +326,11 @@ pub fn m2m_parallel(tree: &Arc<Octree>, mut moments: MomentMap, rt: &Arc<Runtime
 /// sweep over {8..512} picked this; see EXPERIMENTS.md §E13).
 pub const DEFAULT_CHUNK_CELLS: usize = 32;
 
-/// Normalize a chunk size: round up to whole 8-cell rows (the SIMD
-/// lane groups of the parity kernels need complete rows) and clamp to
-/// `[8, 512]`. `1` therefore means "one row slab".
+/// Normalize a chunk size: round up to whole 8-cell rows (the range
+/// kernels take nothing else — their lane groups are half rows) and
+/// clamp to `[8, 512]`. `1` therefore means "one row slab".
 pub fn normalize_chunk_cells(n: usize) -> usize {
     ((n.max(1) + N_SUB - 1) / N_SUB * N_SUB).min(N_CELLS)
-}
-
-/// The chunk size the `FMM_CHUNK_CELLS` environment variable selects
-/// (normalized), or [`DEFAULT_CHUNK_CELLS`] when unset or unparsable.
-pub fn default_chunk_cells() -> usize {
-    match std::env::var("FMM_CHUNK_CELLS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .map(normalize_chunk_cells)
-            .unwrap_or(DEFAULT_CHUNK_CELLS),
-        Err(_) => DEFAULT_CHUNK_CELLS,
-    }
 }
 
 /// What one typed kernel work item computes: `(kernel kind, slab
@@ -571,8 +557,8 @@ impl FmmSolver {
     }
 
     /// Override the same-level chunk size (builder style). The value is
-    /// normalized through [`normalize_chunk_cells`]; the default comes
-    /// from `FMM_CHUNK_CELLS` via [`default_chunk_cells`].
+    /// normalized through [`normalize_chunk_cells`]; the default is
+    /// [`DEFAULT_CHUNK_CELLS`].
     pub fn with_chunk_cells(mut self, n: usize) -> FmmSolver {
         self.chunk_cells = normalize_chunk_cells(n);
         self
@@ -618,17 +604,14 @@ impl FmmSolver {
                 }
             }
         }
-        let agg = gpu
-            .as_ref()
-            .map(|c| c.agg_config())
-            .unwrap_or_else(AggregationConfig::from_env);
+        let agg = gpu.as_ref().map(|c| c.agg_config()).unwrap_or_default();
         FmmSolver {
             stencil: Stencil::generate(theta),
             near_field: Stencil::near_field(theta),
             root_offsets,
             scratch: ScratchPool::new(),
             gpu,
-            chunk_cells: default_chunk_cells(),
+            chunk_cells: DEFAULT_CHUNK_CELLS,
             agg,
         }
     }
@@ -764,46 +747,10 @@ impl FmmSolver {
         any_quad.get()
     }
 
-    /// Same-level kernel of one node. The root has no parent level: run
-    /// all separated pairs there; other levels use the parity-exact
-    /// stencils.
-    fn same_level_kernel_into(
-        &self,
-        grid: &MomentGrid,
-        level: u8,
-        any_quad: bool,
-        out: &mut Vec<LocalExpansion>,
-    ) -> u64 {
-        if level == 0 {
-            if any_quad {
-                multipole_kernel_into(grid, &self.root_offsets, out)
-            } else {
-                monopole_kernel_into(grid, &self.root_offsets, out)
-            }
-        } else if any_quad {
-            multipole_kernel_stencil_into(grid, &self.stencil, out)
-        } else {
-            monopole_kernel_stencil_into(grid, &self.stencil, out)
-        }
-    }
-
-    /// Near-field kernel of one leaf (pairs inside the opening
-    /// criterion).
-    fn near_field_kernel_into(
-        &self,
-        grid: &MomentGrid,
-        any_quad: bool,
-        out: &mut Vec<LocalExpansion>,
-    ) -> u64 {
-        if any_quad {
-            multipole_kernel_into(grid, &self.near_field, out)
-        } else {
-            monopole_kernel_into(grid, &self.near_field, out)
-        }
-    }
-
-    /// [`FmmSolver::same_level_kernel_into`] restricted to the
-    /// target-cell slab `[start, end)` — the per-chunk kernel launch.
+    /// Same-level kernel of one node over the target-cell slab
+    /// `[start, end)` — the per-chunk kernel launch. The root has no
+    /// parent level: run all separated pairs there; other levels use the
+    /// parity-exact stencils.
     fn same_level_kernel_range_into(
         &self,
         grid: &MomentGrid,
@@ -826,8 +773,8 @@ impl FmmSolver {
         }
     }
 
-    /// [`FmmSolver::near_field_kernel_into`] restricted to the
-    /// target-cell slab `[start, end)`.
+    /// Near-field kernel of one leaf (pairs inside the opening
+    /// criterion) over the target-cell slab `[start, end)`.
     fn near_field_kernel_range_into(
         &self,
         grid: &MomentGrid,
@@ -950,11 +897,13 @@ impl FmmSolver {
             let mut grid = self.scratch.take_grid(self.gather_width());
             let any_quad = self.gather_into(tree, moments, key, &mut grid);
             let mut out = self.scratch.take_expansions();
-            interactions_same += self.same_level_kernel_into(&grid, key.level, any_quad, &mut out);
+            interactions_same +=
+                self.same_level_kernel_range_into(&grid, key.level, any_quad, 0, N_CELLS, &mut out);
             kernel_launches += 1;
             if tree.is_leaf(key) {
                 let mut near = self.scratch.take_expansions();
-                interactions_near += self.near_field_kernel_into(&grid, any_quad, &mut near);
+                interactions_near +=
+                    self.near_field_kernel_range_into(&grid, any_quad, 0, N_CELLS, &mut near);
                 kernel_launches += 1;
                 for (e, ne) in out.iter_mut().zip(near.iter()) {
                     e.add(ne);
@@ -1431,20 +1380,14 @@ mod tests {
     }
 
     #[test]
-    fn chunk_cells_normalizes_and_reads_env() {
+    fn chunk_cells_normalizes() {
         assert_eq!(normalize_chunk_cells(1), 8);
         assert_eq!(normalize_chunk_cells(8), 8);
         assert_eq!(normalize_chunk_cells(9), 16);
         assert_eq!(normalize_chunk_cells(64), 64);
         assert_eq!(normalize_chunk_cells(100_000), N_CELLS);
         assert_eq!(FmmSolver::new(0.5).with_chunk_cells(3).chunk_cells(), 8);
-        std::env::set_var("FMM_CHUNK_CELLS", "24");
-        assert_eq!(default_chunk_cells(), 24);
-        assert_eq!(FmmSolver::new(0.5).chunk_cells(), 24);
-        std::env::set_var("FMM_CHUNK_CELLS", "not-a-number");
-        assert_eq!(default_chunk_cells(), DEFAULT_CHUNK_CELLS);
-        std::env::remove_var("FMM_CHUNK_CELLS");
-        assert_eq!(default_chunk_cells(), DEFAULT_CHUNK_CELLS);
+        assert_eq!(FmmSolver::new(0.5).chunk_cells(), DEFAULT_CHUNK_CELLS);
     }
 
     #[test]

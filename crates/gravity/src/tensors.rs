@@ -15,6 +15,7 @@
 //! symmetric rank-3 tensors as the 10 independent components
 //! `[xxx, yyy, zzz, xxy, xxz, xyy, yyz, xzz, yzz, xyz]`.
 
+use util::simd::Lanes;
 use util::vec3::Vec3;
 
 /// Index pairs of the 6 rank-2 components.
@@ -106,78 +107,90 @@ const fn build_sym3_index() -> [[[usize; 3]; 3]; 3] {
     table
 }
 
-/// All derivative tensors of −1/r at separation `d`.
+/// All derivative tensors of −1/r at `W` separations, one per lane.
+///
+/// This is the one `u7`/`B3` evaluation in the workspace: the SoA
+/// kernels instantiate it at `W = 4`, the pairwise API
+/// ([`KernelTensors::at`], `LocalExpansion::accumulate`) at `W = 1`.
+/// Every operation is lane-wise, so a lane holds the same bits at
+/// either width.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelTensors {
-    pub b0: f64,
-    pub b1: Vec3,
-    pub b2: [f64; 6],
-    pub b3: [f64; 10],
+pub struct KernelTensors<const W: usize> {
+    pub b0: Lanes<W>,
+    pub b1: [Lanes<W>; 3],
+    pub b2: [Lanes<W>; 6],
+    pub b3: [Lanes<W>; 10],
 }
 
-impl KernelTensors {
-    /// Evaluate at separation `d` (must be nonzero).
-    pub fn at(d: Vec3) -> KernelTensors {
-        Self::at_softened(d, 0.0)
+impl KernelTensors<1> {
+    /// Evaluate at the single separation `d` (must be nonzero).
+    pub fn at(d: Vec3) -> KernelTensors<1> {
+        Self::at_softened(d.to_array().map(|x| Lanes([x])), Lanes([0.0]))
     }
+}
 
-    /// Evaluate at separation `d` with `soft` added to `r²`. With
+impl<const W: usize> KernelTensors<W> {
+    /// Evaluate at separations `d` with `soft` added to `r²`. With
     /// `soft = 0` this is the exact kernel (`x + 0.0` is bit-exact for
     /// the non-negative `r²`); the branchless SoA kernels pass
     /// `soft = 1 − w` so masked-out slots (weight `w = 0`, possibly
     /// coincident centres) still produce finite tensors that are then
     /// multiplied away by the zero weight.
-    pub fn at_softened(d: Vec3, soft: f64) -> KernelTensors {
-        let r2 = d.norm2() + soft;
-        assert!(r2 > 0.0, "kernel tensors undefined at zero separation");
-        let u2 = 1.0 / r2;
+    #[inline(always)]
+    pub fn at_softened(d: [Lanes<W>; 3], soft: Lanes<W>) -> KernelTensors<W> {
+        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + soft;
+        for l in 0..W {
+            assert!(r2.lane(l) > 0.0, "kernel tensors undefined at zero separation");
+        }
+        let u2 = Lanes::splat(1.0) / r2;
         let u = u2.sqrt();
         let u3 = u * u2;
         let u5 = u3 * u2;
         let u7 = u5 * u2;
-        let da = d.to_array();
-        let mut b2 = [0.0; 6];
+        let mut b2 = [Lanes::splat(0.0); 6];
         for (n, (a, b)) in SYM2.iter().enumerate() {
             let delta = if a == b { 1.0 } else { 0.0 };
-            b2[n] = delta * u3 - 3.0 * da[*a] * da[*b] * u5;
+            b2[n] = u3 * delta - d[*a] * 3.0 * d[*b] * u5;
         }
-        let mut b3 = [0.0; 10];
+        let mut b3 = [Lanes::splat(0.0); 10];
         for (n, (a, b, c)) in SYM3.iter().enumerate() {
             let dab = if a == b { 1.0 } else { 0.0 };
             let dac = if a == c { 1.0 } else { 0.0 };
             let dbc = if b == c { 1.0 } else { 0.0 };
-            b3[n] = -3.0 * (dab * da[*c] + dac * da[*b] + dbc * da[*a]) * u5
-                + 15.0 * da[*a] * da[*b] * da[*c] * u7;
+            b3[n] = (d[*c] * dab + d[*b] * dac + d[*a] * dbc) * -3.0 * u5
+                + d[*a] * 15.0 * d[*b] * d[*c] * u7;
         }
-        KernelTensors { b0: -u, b1: d * u3, b2, b3 }
+        KernelTensors { b0: -u, b1: [d[0] * u3, d[1] * u3, d[2] * u3], b2, b3 }
     }
 
     /// Contract a symmetric rank-2 tensor `q` with `B2`: `q_ab B2_ab`.
-    pub fn contract_q_b2(&self, q: &[f64; 6]) -> f64 {
-        let mut s = 0.0;
+    #[inline(always)]
+    pub fn contract_q_b2(&self, q: &[Lanes<W>; 6]) -> Lanes<W> {
+        let mut s = Lanes::splat(0.0);
         for n in 0..6 {
-            s += SYM2_MULT[n] * q[n] * self.b2[n];
+            s += q[n] * SYM2_MULT[n] * self.b2[n];
         }
         s
     }
 
     /// Contract a symmetric rank-2 tensor with `B3` over two indices:
     /// the vector `v_a = q_bc B3_abc`.
-    pub fn contract_q_b3(&self, q: &[f64; 6]) -> Vec3 {
-        let mut v = Vec3::ZERO;
+    #[inline(always)]
+    pub fn contract_q_b3(&self, q: &[Lanes<W>; 6]) -> [Lanes<W>; 3] {
+        let mut v = [Lanes::splat(0.0); 3];
         // For each free index a, sum q_bc B3_abc with multiplicity of (b,c).
         for (n2, (b, c)) in SYM2.iter().enumerate() {
-            let w = SYM2_MULT[n2] * q[n2];
-            for a in 0..3 {
-                v[a] += w * self.b3_at(a, *b, *c);
+            let w = q[n2] * SYM2_MULT[n2];
+            for (a, va) in v.iter_mut().enumerate() {
+                *va += w * self.b3_at(a, *b, *c);
             }
         }
         v
     }
 
     /// Full-index access to B3 (symmetrized storage lookup).
-    #[inline]
-    pub fn b3_at(&self, a: usize, b: usize, c: usize) -> f64 {
+    #[inline(always)]
+    pub fn b3_at(&self, a: usize, b: usize, c: usize) -> Lanes<W> {
         self.b3[SYM3_INDEX[a][b][c]]
     }
 }
@@ -195,7 +208,7 @@ mod tests {
     fn b0_is_potential() {
         let d = Vec3::new(1.0, 2.0, -2.0); // r = 3
         let t = KernelTensors::at(d);
-        assert!((t.b0 - (-1.0 / 3.0)).abs() < 1e-15);
+        assert!((t.b0.lane(0) - (-1.0 / 3.0)).abs() < 1e-15);
     }
 
     #[test]
@@ -209,7 +222,7 @@ mod tests {
             let mut dm = d;
             dm[a] -= h;
             let fd = (phi(dp) - phi(dm)) / (2.0 * h);
-            assert!((t.b1[a] - fd).abs() < 1e-8, "axis {a}: {} vs {fd}", t.b1[a]);
+            assert!((t.b1[a].lane(0) - fd).abs() < 1e-8, "axis {a}: {} vs {fd}", t.b1[a].lane(0));
         }
     }
 
@@ -233,9 +246,9 @@ mod tests {
             dmm[*b] -= h;
             let fd = (phi(dpp) - phi(dpm) - phi(dmp) + phi(dmm)) / (4.0 * h * h);
             assert!(
-                (t.b2[n] - fd).abs() < 1e-5,
+                (t.b2[n].lane(0) - fd).abs() < 1e-5,
                 "component {n}: {} vs {fd}",
-                t.b2[n]
+                t.b2[n].lane(0)
             );
         }
     }
@@ -257,11 +270,11 @@ mod tests {
                 .iter()
                 .position(|&(x, y)| (x, y) == (*a, *b) || (y, x) == (*a, *b))
                 .unwrap();
-            let fd = (tp.b2[n2] - tm.b2[n2]) / (2.0 * h);
+            let fd = (tp.b2[n2].lane(0) - tm.b2[n2].lane(0)) / (2.0 * h);
             assert!(
-                (t.b3[n] - fd).abs() < 1e-4 * (1.0 + fd.abs()),
+                (t.b3[n].lane(0) - fd).abs() < 1e-4 * (1.0 + fd.abs()),
                 "component {n} ({a}{b}{c}): {} vs {fd}",
-                t.b3[n]
+                t.b3[n].lane(0)
             );
         }
     }
@@ -273,15 +286,15 @@ mod tests {
         let d = Vec3::new(0.123456789, -4.56789, 2.71828);
         let t = KernelTensors::at(d);
         let tn = KernelTensors::at(-d);
-        assert_eq!(t.b0.to_bits(), tn.b0.to_bits());
+        assert_eq!(t.b0.lane(0).to_bits(), tn.b0.lane(0).to_bits());
         for a in 0..3 {
-            assert_eq!(t.b1[a].to_bits(), (-tn.b1[a]).to_bits());
+            assert_eq!(t.b1[a].lane(0).to_bits(), (-tn.b1[a].lane(0)).to_bits());
         }
         for n in 0..6 {
-            assert_eq!(t.b2[n].to_bits(), tn.b2[n].to_bits());
+            assert_eq!(t.b2[n].lane(0).to_bits(), tn.b2[n].lane(0).to_bits());
         }
         for n in 0..10 {
-            assert_eq!(t.b3[n].to_bits(), (-tn.b3[n]).to_bits());
+            assert_eq!(t.b3[n].lane(0).to_bits(), (-tn.b3[n].lane(0)).to_bits());
         }
     }
 
@@ -289,7 +302,7 @@ mod tests {
     fn b2_is_trace_free() {
         let d = Vec3::new(2.0, -1.0, 0.5);
         let t = KernelTensors::at(d);
-        let trace = t.b2[0] + t.b2[1] + t.b2[2];
+        let trace = t.b2[0].lane(0) + t.b2[1].lane(0) + t.b2[2].lane(0);
         assert!(trace.abs() < 1e-14, "Laplacian of 1/r must vanish, got {trace}");
     }
 
@@ -341,17 +354,18 @@ mod tests {
             for a in 0..3 {
                 for b in 0..3 {
                     let n2 = SYM2.iter().position(|&(x, y)| (x, y) == (a.min(b), a.max(b))).unwrap();
-                    s += full[a][b] * t.b2[n2];
+                    s += full[a][b] * t.b2[n2].lane(0);
                 }
             }
-            prop_assert!((t.contract_q_b2(&q) - s).abs() < 1e-10 * (1.0 + s.abs()));
+            let ql = q.map(|x| Lanes([x]));
+            prop_assert!((t.contract_q_b2(&ql).lane(0) - s).abs() < 1e-10 * (1.0 + s.abs()));
 
-            let v = t.contract_q_b3(&q);
+            let v = t.contract_q_b3(&ql).map(|x| x.lane(0));
             for a in 0..3 {
                 let mut expect = 0.0;
                 for b in 0..3 {
                     for c in 0..3 {
-                        expect += full[b][c] * t.b3_at(a, b, c);
+                        expect += full[b][c] * t.b3_at(a, b, c).lane(0);
                     }
                 }
                 prop_assert!((v[a] - expect).abs() < 1e-9 * (1.0 + expect.abs()));

@@ -276,9 +276,6 @@ pub struct Cluster {
     metrics: Arc<Metrics>,
     fault: Option<Arc<FaultyTransport>>,
     reliable: Option<Arc<ReliableTransport>>,
-    fmm_chunk_cells: Option<usize>,
-    fmm_agg_slots: Option<usize>,
-    fmm_agg_window: Option<usize>,
 }
 
 /// Fluent construction of a [`Cluster`]:
@@ -305,9 +302,6 @@ pub struct ClusterBuilder {
     net: Option<NetParams>,
     fault_plan: Option<FaultPlan>,
     reliable: Option<ReliablePolicy>,
-    fmm_chunk_cells: Option<usize>,
-    fmm_agg_slots: Option<usize>,
-    fmm_agg_window: Option<usize>,
 }
 
 impl Default for ClusterBuilder {
@@ -320,9 +314,6 @@ impl Default for ClusterBuilder {
             net: None,
             fault_plan: None,
             reliable: None,
-            fmm_chunk_cells: None,
-            fmm_agg_slots: None,
-            fmm_agg_window: None,
         }
     }
 }
@@ -375,32 +366,6 @@ impl ClusterBuilder {
     /// this to measure the fault-free overhead of the protocol.
     pub fn reliable(mut self, policy: ReliablePolicy) -> Self {
         self.reliable = Some(policy);
-        self
-    }
-
-    /// Target cells per FMM same-level chunk task on every locality's
-    /// solver. Unset = each driver's own default (the `FMM_CHUNK_CELLS`
-    /// environment variable, then the built-in default).
-    pub fn fmm_chunk_cells(mut self, n: usize) -> Self {
-        self.fmm_chunk_cells = Some(n);
-        self
-    }
-
-    /// Same-kind FMM work items per fused GPU batch on every
-    /// locality's solver. Unset = each driver's own default (the
-    /// `FMM_AGG_SLOTS` environment variable, then the built-in
-    /// default).
-    pub fn fmm_agg_slots(mut self, n: usize) -> Self {
-        self.fmm_agg_slots = Some(n);
-        self
-    }
-
-    /// Total buffered FMM work items before a forced flush on every
-    /// locality's solver. Unset = each driver's own default (the
-    /// `FMM_AGG_WINDOW` environment variable, then the built-in
-    /// default).
-    pub fn fmm_agg_window(mut self, n: usize) -> Self {
-        self.fmm_agg_window = Some(n);
         self
     }
 
@@ -522,9 +487,6 @@ impl ClusterBuilder {
             metrics,
             fault,
             reliable,
-            fmm_chunk_cells: self.fmm_chunk_cells,
-            fmm_agg_slots: self.fmm_agg_slots,
-            fmm_agg_window: self.fmm_agg_window,
         })
     }
 
@@ -544,23 +506,6 @@ impl Cluster {
     /// The cluster-wide namespaced metrics view.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
-    }
-
-    /// The FMM chunk-size override this cluster was built with, if any.
-    pub fn fmm_chunk_cells(&self) -> Option<usize> {
-        self.fmm_chunk_cells
-    }
-
-    /// The FMM aggregation-slots override this cluster was built with,
-    /// if any.
-    pub fn fmm_agg_slots(&self) -> Option<usize> {
-        self.fmm_agg_slots
-    }
-
-    /// The FMM aggregation-window override this cluster was built
-    /// with, if any.
-    pub fn fmm_agg_window(&self) -> Option<usize> {
-        self.fmm_agg_window
     }
 
     /// The network cost model this cluster was built with.

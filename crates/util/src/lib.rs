@@ -20,7 +20,6 @@ pub use digest::{fnv1a64, Fnv1a};
 pub use error::{Error, Result};
 pub use indexing::{CellIter, GridIndexer};
 pub use morton::{morton_decode, morton_encode, MortonKey};
-pub use simd::F64x4;
 pub use stats::{OnlineStats, RelErr};
 pub use vec3::Vec3;
 

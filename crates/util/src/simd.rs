@@ -1,4 +1,4 @@
-//! A hand-rolled 4-wide `f64` SIMD lane type.
+//! A hand-rolled `W`-wide `f64` SIMD lane type.
 //!
 //! `std::simd` is unstable, so the explicit-vectorization work in the
 //! gravity kernels (the "Merging Frameworks" follow-up paper's SIMD
@@ -7,70 +7,51 @@
 //! instructions on targets that have them; on targets that don't, each
 //! lane op is exactly the scalar op.
 //!
-//! **Bit-identity contract.** Every operation on [`F64x4`] applies the
+//! The width is a compile-time constant so one kernel body serves every
+//! instantiation: the gravity SoA kernels run `Lanes<4>`, the pairwise
+//! (AoS) API runs the same source as `Lanes<1>`.
+//!
+//! **Bit-identity contract.** Every operation on [`Lanes`] applies the
 //! corresponding scalar `f64` operation independently per lane — there
 //! are no horizontal reductions, no FMA contractions, no re-associations.
 //! A kernel that maps lane `l` to target cell `t0 + l·stride` therefore
-//! produces, in each lane, the *identical bit pattern* the scalar kernel
-//! produces for that cell, because IEEE 754 arithmetic is deterministic
-//! per operation and the per-cell operation sequence is unchanged.
+//! produces, in each lane, the *identical bit pattern* at every width,
+//! because IEEE 754 arithmetic is deterministic per operation and the
+//! per-cell operation sequence is unchanged.
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
-/// Number of lanes in [`F64x4`].
-pub const LANES: usize = 4;
-
-/// Four `f64` lanes operated on element-wise.
+/// `W` `f64` lanes operated on element-wise.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct F64x4(pub [f64; 4]);
+pub struct Lanes<const W: usize>(pub [f64; W]);
 
-impl F64x4 {
-    /// All four lanes set to `v`.
+impl<const W: usize> Lanes<W> {
+    /// All lanes set to `v`.
     #[inline(always)]
     pub fn splat(v: f64) -> Self {
-        F64x4([v; 4])
+        Lanes([v; W])
     }
 
-    /// All four lanes zero.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        F64x4([0.0; 4])
-    }
-
-    /// Load four contiguous values starting at `slice[base]`.
-    #[inline(always)]
-    pub fn load(slice: &[f64], base: usize) -> Self {
-        F64x4([
-            slice[base],
-            slice[base + 1],
-            slice[base + 2],
-            slice[base + 3],
-        ])
-    }
-
-    /// Load four values at `slice[base + l·stride]` for lane `l`.
+    /// Load the values at `slice[base + l·stride]` for lane `l`.
     ///
     /// `stride == 1` is the contiguous case; the parity-stencil kernels
-    /// use `stride == 2` to pick the four same-parity cells of a row.
+    /// use `stride == 2` to pick the same-parity cells of a row.
     #[inline(always)]
     pub fn gather(slice: &[f64], base: usize, stride: usize) -> Self {
-        F64x4([
-            slice[base],
-            slice[base + stride],
-            slice[base + 2 * stride],
-            slice[base + 3 * stride],
-        ])
+        let mut out = [0.0; W];
+        for l in 0..W {
+            out[l] = slice[base + l * stride];
+        }
+        Lanes(out)
     }
 
     /// Per-lane square root.
     #[inline(always)]
-    pub fn sqrt(self) -> Self {
-        F64x4([
-            self.0[0].sqrt(),
-            self.0[1].sqrt(),
-            self.0[2].sqrt(),
-            self.0[3].sqrt(),
-        ])
+    pub fn sqrt(mut self) -> Self {
+        for x in &mut self.0 {
+            *x = x.sqrt();
+        }
+        self
     }
 
     /// Lane `l` as a scalar.
@@ -78,62 +59,53 @@ impl F64x4 {
     pub fn lane(self, l: usize) -> f64 {
         self.0[l]
     }
-
-    /// The underlying lane array.
-    #[inline(always)]
-    pub fn to_array(self) -> [f64; 4] {
-        self.0
-    }
 }
 
 macro_rules! lanewise_binop {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl $trait for F64x4 {
-            type Output = F64x4;
+    ($trait:ident, $method:ident, $op_assign:tt) => {
+        impl<const W: usize> $trait for Lanes<W> {
+            type Output = Lanes<W>;
             #[inline(always)]
-            fn $method(self, rhs: F64x4) -> F64x4 {
-                F64x4([
-                    self.0[0] $op rhs.0[0],
-                    self.0[1] $op rhs.0[1],
-                    self.0[2] $op rhs.0[2],
-                    self.0[3] $op rhs.0[3],
-                ])
+            fn $method(mut self, rhs: Lanes<W>) -> Lanes<W> {
+                for l in 0..W {
+                    self.0[l] $op_assign rhs.0[l];
+                }
+                self
             }
         }
-        impl $trait<f64> for F64x4 {
-            type Output = F64x4;
+        impl<const W: usize> $trait<f64> for Lanes<W> {
+            type Output = Lanes<W>;
             #[inline(always)]
-            fn $method(self, rhs: f64) -> F64x4 {
-                F64x4([
-                    self.0[0] $op rhs,
-                    self.0[1] $op rhs,
-                    self.0[2] $op rhs,
-                    self.0[3] $op rhs,
-                ])
+            fn $method(mut self, rhs: f64) -> Lanes<W> {
+                for x in &mut self.0 {
+                    *x $op_assign rhs;
+                }
+                self
             }
         }
     };
 }
 
-lanewise_binop!(Add, add, +);
-lanewise_binop!(Sub, sub, -);
-lanewise_binop!(Mul, mul, *);
-lanewise_binop!(Div, div, /);
+lanewise_binop!(Add, add, +=);
+lanewise_binop!(Sub, sub, -=);
+lanewise_binop!(Mul, mul, *=);
+lanewise_binop!(Div, div, /=);
 
-impl AddAssign for F64x4 {
+impl<const W: usize> AddAssign for Lanes<W> {
     #[inline(always)]
-    fn add_assign(&mut self, rhs: F64x4) {
-        for l in 0..4 {
-            self.0[l] += rhs.0[l];
-        }
+    fn add_assign(&mut self, rhs: Lanes<W>) {
+        *self = *self + rhs;
     }
 }
 
-impl Neg for F64x4 {
-    type Output = F64x4;
+impl<const W: usize> Neg for Lanes<W> {
+    type Output = Lanes<W>;
     #[inline(always)]
-    fn neg(self) -> F64x4 {
-        F64x4([-self.0[0], -self.0[1], -self.0[2], -self.0[3]])
+    fn neg(mut self) -> Lanes<W> {
+        for x in &mut self.0 {
+            *x = -*x;
+        }
+        self
     }
 }
 
@@ -141,10 +113,12 @@ impl Neg for F64x4 {
 mod tests {
     use super::*;
 
+    const A: [f64; 4] = [1.0, 2.5, -3.0, 1e-300];
+    const B: [f64; 4] = [0.1, 4.0, 7.5, 3e10];
+
     #[test]
     fn lanes_are_independent_scalar_ops() {
-        let a = F64x4([1.0, 2.5, -3.0, 1e-300]);
-        let b = F64x4([0.1, 4.0, 7.5, 3e10]);
+        let (a, b) = (Lanes(A), Lanes(B));
         let sum = a + b;
         let prod = a * b;
         let quot = a / b;
@@ -159,26 +133,47 @@ mod tests {
         }
     }
 
+    /// The `W = 1` instantiation (the pairwise API's width) is plain
+    /// `f64` arithmetic, bit for bit, on the same edge operands.
     #[test]
-    fn load_and_gather() {
+    fn one_lane_ops_are_plain_f64_ops() {
+        for (&x, &y) in A.iter().zip(B.iter()) {
+            let (a, b) = (Lanes([x]), Lanes([y]));
+            for (got, want) in [
+                (a + b, x + y),
+                (a - b, x - y),
+                (a * b, x * y),
+                (a / b, x / y),
+                (a + y, x + y),
+                (a - y, x - y),
+                (a * y, x * y),
+                (a / y, x / y),
+                (-a, -x),
+                (b.sqrt(), y.sqrt()),
+                (Lanes::gather(&[x, y], 1, 2), y),
+            ] {
+                assert_eq!(got.lane(0).to_bits(), want.to_bits());
+            }
+            let mut acc = a;
+            acc += b;
+            assert_eq!(acc.lane(0).to_bits(), (x + y).to_bits());
+        }
+    }
+
+    #[test]
+    fn gather_strides() {
         let data: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        assert_eq!(F64x4::load(&data, 3).to_array(), [3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(
-            F64x4::gather(&data, 1, 2).to_array(),
-            [1.0, 3.0, 5.0, 7.0]
-        );
-        assert_eq!(
-            F64x4::gather(&data, 0, 1).to_array(),
-            F64x4::load(&data, 0).to_array()
-        );
+        assert_eq!(Lanes::<4>::gather(&data, 3, 1).0, [3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(Lanes::<4>::gather(&data, 1, 2).0, [1.0, 3.0, 5.0, 7.0]);
+        assert_eq!(Lanes::<1>::gather(&data, 11, 2).0, [11.0]);
     }
 
     #[test]
     fn accumulate_and_negate() {
-        let mut acc = F64x4::zero();
-        acc += F64x4::splat(1.5);
-        acc += F64x4([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(acc.to_array(), [2.5, 3.5, 4.5, 5.5]);
-        assert_eq!((-acc).to_array(), [-2.5, -3.5, -4.5, -5.5]);
+        let mut acc = Lanes::<4>::splat(0.0);
+        acc += Lanes::splat(1.5);
+        acc += Lanes([1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(acc.0, [2.5, 3.5, 4.5, 5.5]);
+        assert_eq!((-acc).0, [-2.5, -3.5, -4.5, -5.5]);
     }
 }

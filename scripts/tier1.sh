@@ -7,11 +7,12 @@
 #   4. the full test suite in quiet mode
 #   5. the scenario verification registry under release (golden digests,
 #      conservation gates, distributed bit-identity, checkpoint/restore)
-#   6. the FMM_CHUNK_CELLS and FMM_AGG_* knobs round-trip builder →
-#      driver config
+#   6. the FMM_CHUNK_CELLS and FMM_AGG_* knobs round-trip env → Config →
+#      solver, the regrid knobs builder → driver config
 #   7. rustdoc with warnings denied (broken links, missing docs on amt)
 #   8. the repo benchmark (its own workspace, so nothing above compiles
-#      it) still builds, passes its tests and runs against these crates
+#      it) still builds, passes its tests and runs against these crates:
+#      one smoke that bypasses the FMM and one that lives in it
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -64,11 +65,11 @@ echo "== tier-1: scenario verification registry (release gates) =="
 cargo test -q --release -p integration-tests --test scenario_gate
 
 echo
-echo "== tier-1: knob round-trips (builder -> driver config) =="
+echo "== tier-1: knob round-trips (env -> Config -> solver, builder -> policy) =="
 cargo test -q -p integration-tests --test distributed_driver \
-    fmm_chunk_cells_round_trips_through_config_and_cluster
+    fmm_chunk_cells_round_trips_through_config
 cargo test -q -p integration-tests --test distributed_driver \
-    fmm_agg_knobs_round_trip_through_config_and_cluster
+    fmm_agg_knobs_round_trip_through_config
 cargo test -q -p integration-tests --test distributed_driver \
     regrid_knobs_round_trip_through_config_and_builder
 
@@ -85,6 +86,8 @@ echo "== tier-1: benchmark/ compiles and runs against these crates =="
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     run --quick --only hydro_blast
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --quick --only binary_uniform
 
 echo
 echo "tier-1 green"

@@ -235,13 +235,12 @@ fn moment_traffic_flows_when_gravity_is_on() {
     assert!(m.get("parcelport/libfabric/bytes_tx") >= m.get("driver/moments/bytes_tx"));
 }
 
-/// ISSUE 6 satellite: the FMM chunk-size knob round-trips end to end —
-/// `FMM_CHUNK_CELLS` → `Config` default, scenario `Config` → the
-/// single-node driver's solver, and a `ClusterBuilder` override → the
-/// distributed driver's solvers (winning over the scenario's value).
-/// Values are normalized to whole 8-cell rows on the way in.
+/// The FMM chunk-size knob round-trips end to end: `FMM_CHUNK_CELLS` →
+/// `Config` default, scenario `Config` → the solver of the single-node
+/// and of the distributed driver. `Config` is the only channel; values
+/// are normalized to whole 8-cell rows on the way in.
 #[test]
-fn fmm_chunk_cells_round_trips_through_config_and_cluster() {
+fn fmm_chunk_cells_round_trips_through_config() {
     std::env::set_var("FMM_CHUNK_CELLS", "40");
     assert_eq!(Config::self_gravitating().fmm_chunk_cells, 40);
     std::env::remove_var("FMM_CHUNK_CELLS");
@@ -252,19 +251,12 @@ fn fmm_chunk_cells_round_trips_through_config_and_cluster() {
     let sim = Simulation::new(scenario);
     assert_eq!(sim.fmm_chunk_cells(), Some(24));
 
-    // Cluster-level override wins over the scenario's.
-    let cluster = Arc::new(
-        Cluster::builder()
-            .localities(2)
-            .threads_per(1)
-            .fmm_chunk_cells(80)
-            .build(),
-    );
-    assert_eq!(cluster.fmm_chunk_cells(), Some(80));
+    // Scenario config → every locality's solver.
+    let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
     let mut scenario = star_amr();
     scenario.config.fmm_chunk_cells = 20;
     let driver = DistributedDriver::builder(scenario, cluster).build().expect("driver");
-    assert_eq!(driver.fmm_chunk_cells(), Some(80));
+    assert_eq!(driver.fmm_chunk_cells(), Some(24));
 
     // No gravity → no solver → no chunk size to report.
     let mut scenario = star_amr();
@@ -272,13 +264,12 @@ fn fmm_chunk_cells_round_trips_through_config_and_cluster() {
     assert_eq!(Simulation::new(scenario).fmm_chunk_cells(), None);
 }
 
-/// ISSUE 7 satellite: the work-aggregation knobs ride the same
-/// consolidated override chain (`core::config::knobs`) — environment →
-/// `Config` default, scenario `Config` → the single-node driver's
-/// solver, and a `ClusterBuilder` override → the distributed driver's
-/// solvers. The pairwise `window ≥ slots` clamp applies on the way in.
+/// The work-aggregation knobs ride the same chain
+/// (`core::config::knobs`): environment → `Config` default, scenario
+/// `Config` → the solver of the single-node and of the distributed
+/// driver. The pairwise `window ≥ slots` clamp applies on the way in.
 #[test]
-fn fmm_agg_knobs_round_trip_through_config_and_cluster() {
+fn fmm_agg_knobs_round_trip_through_config() {
     std::env::set_var("FMM_AGG_SLOTS", "6");
     std::env::set_var("FMM_AGG_WINDOW", "24");
     let c = Config::self_gravitating();
@@ -297,20 +288,11 @@ fn fmm_agg_knobs_round_trip_through_config_and_cluster() {
     assert_eq!(agg.slots, 5);
     assert_eq!(agg.window, 5, "window clamps up to slots");
 
-    // Cluster-level overrides win over the scenario's.
-    let cluster = Arc::new(
-        Cluster::builder()
-            .localities(2)
-            .threads_per(1)
-            .fmm_agg_slots(12)
-            .fmm_agg_window(48)
-            .build(),
-    );
-    assert_eq!(cluster.fmm_agg_slots(), Some(12));
-    assert_eq!(cluster.fmm_agg_window(), Some(48));
+    // Scenario config → every locality's solver.
+    let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
     let mut scenario = star_amr();
-    scenario.config.fmm_agg_slots = 5;
-    scenario.config.fmm_agg_window = 20;
+    scenario.config.fmm_agg_slots = 12;
+    scenario.config.fmm_agg_window = 48;
     let driver = DistributedDriver::builder(scenario, cluster).build().expect("driver");
     let agg = driver.fmm_aggregation().expect("gravity on");
     assert_eq!(agg.slots, 12);
