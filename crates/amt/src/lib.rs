@@ -11,7 +11,10 @@
 //! * channels layered over the send/receive abstraction, and
 //! * APEX-style performance counters.
 //!
-//! This crate implements each of those from scratch:
+//! This crate implements each of those from scratch, except channels:
+//! the typed per-message-kind channels the driver exchanges through are
+//! built on `parcelport` actions next to their one user
+//! (`octotiger::distributed`).
 //!
 //! * [`future`] — explicit-continuation futures ([`Future`], [`Promise`],
 //!   [`when_all`]) whose continuations are scheduled as tasks when their
@@ -20,9 +23,6 @@
 //!   suspension.
 //! * [`scheduler`] — a work-stealing pool over `crossbeam_deque` with
 //!   per-worker LIFO deques, a global injector, and parking.
-//! * [`channel`] — HPX-style channels: the receiving side fetches futures
-//!   for values (any number of steps ahead), the sending side pushes data
-//!   as it is generated (§5.2).
 //! * [`agas`] — a global id → component registry with migration support.
 //! * [`counters`] — named atomic counters, queried like HPX performance
 //!   counters.
@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod agas;
-pub mod channel;
 pub mod counters;
 pub mod future;
 pub mod metrics;
@@ -44,7 +43,6 @@ pub mod scheduler;
 pub mod trace;
 
 pub use agas::{Agas, GlobalId};
-pub use channel::Channel;
 pub use counters::CounterRegistry;
 pub use future::{make_ready_future, when_all, Future, Promise};
 pub use metrics::{Counter, Metrics};

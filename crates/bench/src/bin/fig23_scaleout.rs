@@ -1,5 +1,5 @@
-//! Trace-calibrated scale-out co-simulation → the `"scaleout"` section
-//! of `BENCH_fmm.json` and the data behind REPRODUCTION.md.
+//! Trace-calibrated scale-out co-simulation — the data behind
+//! REPRODUCTION.md's Figures 2 and 3.
 //!
 //! The paper's Figures 2 and 3 are measured on up to 5400 Piz Daint
 //! nodes. This host has one CPU, so this bin reproduces the *shapes* of
@@ -22,13 +22,16 @@
 //!    *measured* checkpoint costs, and locate the Young–Daly optimum.
 //!
 //! The paper-shape properties are machine-checked (panic on violation):
-//! the libfabric:MPI ratio dips below 1 at one locality and grows past
-//! it at scale (Fig. 3), parallel efficiency rolls off toward 5400
-//! localities (Fig. 2, "too little work per node"), and every cadence
-//! sweep has an interior optimum.
+//! the libfabric:MPI ratio dips below 1 at one locality and reaches at
+//! least 1.05 at 5400 (Fig. 3), parallel efficiency rolls off toward
+//! 5400 localities and lands inside (0.05, 0.85) there (Fig. 2, "too
+//! little work per node"), and every cadence sweep has an interior
+//! optimum. The human-readable tables go to
+//! stderr; stdout carries one JSON object (calibration, both transport
+//! curves, the crossover and the cadence sweep).
 //!
 //! ```sh
-//! cargo run --release -p bench --bin fig23_scaleout [steps]
+//! cargo run --release -p bench --bin fig23_scaleout [steps] > scaleout.json
 //! ```
 
 use amt::trace::TraceSession;
@@ -65,7 +68,8 @@ const LEVEL: u8 = 14;
 const SIM_THREADS: usize = 12;
 
 /// The determinism suite's level-2 self-gravitating AMR scenario, the
-/// measured workload (same as fig3_real_solver / fault_overhead).
+/// measured workload (a copy of `integration_tests::star_amr`: `bench`
+/// does not depend on the test-support crate).
 fn star_amr() -> Scenario {
     let eos = IdealGas::monatomic();
     let star = Polytrope::new(1.0, 1.0, 1.5);
@@ -310,18 +314,18 @@ fn main() {
         .max(1);
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    println!("trace-calibrated scale-out co-simulation (level {LEVEL}, {host_cpus} host CPUs)");
-    println!("{}", "-".repeat(78));
+    eprintln!("trace-calibrated scale-out co-simulation (level {LEVEL}, {host_cpus} host CPUs)");
+    eprintln!("{}", "-".repeat(78));
 
     // ---- 1. Measure. ----
     let m = measure(steps);
     let calib = &m.calib;
-    println!(
+    eprintln!(
         "calibration: {} kernel categories, {:.1} µs mean compute / sub-grid / step",
         calib.kernels.iter().filter(|k| k.hist.count() > 0).count(),
         calib.mean_compute_ns_per_subgrid() / 1e3
     );
-    println!(
+    eprintln!(
         "  utilization {:.2}  parcel mean {:.0} B  amplification {:.1}x  \
          launch collapse {:.1}x",
         calib.utilization,
@@ -329,7 +333,7 @@ fn main() {
         calib.parcel_amplification,
         calib.agg_collapse
     );
-    println!(
+    eprintln!(
         "  checkpoint {:.3} ms encode / {:.3} ms restore per sub-grid (measured over {})",
         calib.checkpoint_encode_s_per_subgrid * 1e3,
         calib.checkpoint_restore_s_per_subgrid * 1e3,
@@ -343,7 +347,7 @@ fn main() {
         .iter()
         .map(|&n| CommPattern::from_tree(&tree, n).expect("pattern"))
         .collect();
-    println!(
+    eprintln!(
         "decomposed level-{LEVEL} tree ({} sub-grids) for {} locality counts in {:.1} s",
         patterns[0].subgrids,
         patterns.len(),
@@ -352,9 +356,9 @@ fn main() {
     let t0 = Instant::now();
     let mpi = sweep_transport(&patterns, TransportKind::Mpi, calib);
     let lf = sweep_transport(&patterns, TransportKind::Libfabric, calib);
-    println!("co-simulated {} points in {:.1} s", 2 * patterns.len(), t0.elapsed().as_secs_f64());
-    println!("{}", "-".repeat(78));
-    println!(
+    eprintln!("co-simulated {} points in {:.1} s", 2 * patterns.len(), t0.elapsed().as_secs_f64());
+    eprintln!("{}", "-".repeat(78));
+    eprintln!(
         "{:>10} {:>14} {:>9} {:>14} {:>9} {:>8}",
         "localities", "MPI sg/s", "eff", "libfabric sg/s", "eff", "lf:MPI"
     );
@@ -364,7 +368,7 @@ fn main() {
         let lp = &lf.results[i].point;
         let ratio = lp.subgrids_per_second / mp.subgrids_per_second;
         ratios.push(ratio);
-        println!(
+        eprintln!(
             "{:>10} {:>14.0} {:>9.3} {:>14.0} {:>9.3} {:>8.3}",
             mp.nodes, mp.subgrids_per_second, mpi.efficiencies[i],
             lp.subgrids_per_second, lf.efficiencies[i], ratio
@@ -380,8 +384,8 @@ fn main() {
     );
     let last = ratios.len() - 1;
     assert!(
-        ratios[last] > 1.0,
-        "Fig 3: libfabric must win at 5400 localities, ratio {}",
+        ratios[last] >= 1.05,
+        "Fig 3: libfabric must be clearly ahead of MPI at 5400 localities, ratio {}",
         ratios[last]
     );
     let i64n = LOCALITIES.iter().position(|&n| n == 64).expect("64 in sweep");
@@ -396,10 +400,15 @@ fn main() {
         .zip(&ratios)
         .find(|(_, &r)| r > 1.0)
         .map(|(&n, _)| n);
-    println!(
+    eprintln!(
         "transport crossover at {} localities; ratio at 5400 = {:.2}",
         crossover.map_or("none".to_string(), |n| n.to_string()),
         ratios[last]
+    );
+    assert!(
+        lf.efficiencies[last] > 0.05 && lf.efficiencies[last] < 0.85,
+        "Fig 2: efficiency {} at 5400 localities outside (0.05, 0.85) — comm-bound, not collapsed",
+        lf.efficiencies[last]
     );
     assert!(
         lf.efficiencies[last] < 0.9 * lf.efficiencies[i64n],
@@ -407,78 +416,72 @@ fn main() {
         lf.efficiencies[last],
         lf.efficiencies[i64n]
     );
-    assert!(
-        lf.efficiencies[last] > 0.005,
-        "Fig 2: 5400-locality efficiency collapsed entirely: {}",
-        lf.efficiencies[last]
-    );
 
     // ---- 3. Checkpoint cadence vs MTBF. ----
     let step_5400 = lf.results[last].point.step_time_s;
     let cadences = sweep_cadences(step_5400, LOCALITIES[last], patterns[last].subgrids, calib);
-    println!("{}", "-".repeat(78));
-    println!("checkpoint cadence at 5400 localities (step {:.3} s, measured ckpt costs):", step_5400);
+    eprintln!("{}", "-".repeat(78));
+    eprintln!("checkpoint cadence at 5400 localities (step {:.3} s, measured ckpt costs):", step_5400);
     for c in &cadences {
-        println!(
+        eprintln!(
             "  node MTBF {:>4}y: best every {:>6} steps (Young-Daly {:>8.0}), overhead {:.4}",
             c.mtbf_node_years, c.best_cadence, c.young_daly_steps, c.best_overhead
         );
     }
 
-    // ---- Merge the "scaleout" section into BENCH_fmm.json. ----
-    let mut s = String::new();
-    s.push_str("  \"scaleout\": {\n");
-    let _ = writeln!(s, "    \"level\": {LEVEL},");
-    let _ = writeln!(s, "    \"subgrids\": {},", patterns[0].subgrids);
-    let _ = writeln!(s, "    \"sim_threads\": {SIM_THREADS},");
-    let _ = writeln!(s, "    \"host_cpus\": {host_cpus},");
-    let _ = writeln!(s, "    \"calibration\": {{");
-    let _ = writeln!(s, "      \"measured_scenario\": \"star_amr\",");
-    let _ = writeln!(s, "      \"measured_localities\": 2,");
-    let _ = writeln!(s, "      \"measured_subgrids\": {},", m.measured_subgrids);
-    let _ = writeln!(s, "      \"measured_steps\": {},", m.measured_steps);
+    // ---- The JSON object on stdout. ----
+    let mut s = String::from("{\n");
+    let _ = writeln!(s, "  \"level\": {LEVEL},");
+    let _ = writeln!(s, "  \"subgrids\": {},", patterns[0].subgrids);
+    let _ = writeln!(s, "  \"sim_threads\": {SIM_THREADS},");
+    let _ = writeln!(s, "  \"host_cpus\": {host_cpus},");
+    let _ = writeln!(s, "  \"calibration\": {{");
+    let _ = writeln!(s, "    \"measured_scenario\": \"star_amr\",");
+    let _ = writeln!(s, "    \"measured_localities\": 2,");
+    let _ = writeln!(s, "    \"measured_subgrids\": {},", m.measured_subgrids);
+    let _ = writeln!(s, "    \"measured_steps\": {},", m.measured_steps);
     let _ = writeln!(
         s,
-        "      \"kernel_categories\": {},",
+        "    \"kernel_categories\": {},",
         calib.kernels.iter().filter(|k| k.hist.count() > 0).count()
     );
     let _ = writeln!(
         s,
-        "      \"mean_compute_us_per_subgrid\": {:.2},",
+        "    \"mean_compute_us_per_subgrid\": {:.2},",
         calib.mean_compute_ns_per_subgrid() / 1e3
     );
-    let _ = writeln!(s, "      \"utilization\": {:.4},", calib.utilization);
-    let _ = writeln!(s, "      \"parcel_mean_bytes\": {:.0},", calib.mean_parcel_bytes());
-    let _ = writeln!(s, "      \"plan_parcels_per_step\": {},", m.plan_parcels_per_step);
-    let _ = writeln!(s, "      \"parcel_amplification\": {:.2},", calib.parcel_amplification);
-    let _ = writeln!(s, "      \"agg_collapse\": {:.2},", calib.agg_collapse);
-    let _ = writeln!(s, "      \"launch_overhead_us\": {:.1},", calib.launch_overhead_us);
-    let _ = writeln!(s, "      \"checkpoint_encode_ms\": {:.3},", m.checkpoint.encode_s * 1e3);
-    let _ = writeln!(s, "      \"checkpoint_restore_ms\": {:.3}", m.checkpoint.restore_s * 1e3);
-    let _ = writeln!(s, "    }},");
+    let _ = writeln!(s, "    \"utilization\": {:.4},", calib.utilization);
+    let _ = writeln!(s, "    \"parcel_mean_bytes\": {:.0},", calib.mean_parcel_bytes());
+    let _ = writeln!(s, "    \"plan_parcels_per_step\": {},", m.plan_parcels_per_step);
+    let _ = writeln!(s, "    \"parcel_amplification\": {:.2},", calib.parcel_amplification);
+    let _ = writeln!(s, "    \"agg_collapse\": {:.2},", calib.agg_collapse);
+    let _ = writeln!(s, "    \"launch_overhead_us\": {:.1},", calib.launch_overhead_us);
+    let _ = writeln!(s, "    \"checkpoint_encode_ms\": {:.3},", m.checkpoint.encode_s * 1e3);
+    let _ = writeln!(s, "    \"checkpoint_restore_ms\": {:.3}", m.checkpoint.restore_s * 1e3);
+    let _ = writeln!(s, "  }},");
     for t in [&mpi, &lf] {
-        let _ = writeln!(s, "    \"{}\": [", t.kind.as_str());
+        let _ = writeln!(s, "  \"{}\": [", t.kind.as_str());
         for (i, r) in t.results.iter().enumerate() {
             let comma = if i + 1 == t.results.len() { "" } else { "," };
             let _ = writeln!(
                 s,
-                "      {{ \"localities\": {}, \"step_s\": {:.6}, \
+                "    {{ \"localities\": {}, \"step_s\": {:.6}, \
                  \"subgrids_per_sec\": {:.1}, \"efficiency\": {:.4} }}{comma}",
                 r.point.nodes, r.point.step_time_s, r.point.subgrids_per_second,
                 t.efficiencies[i]
             );
         }
-        let _ = writeln!(s, "    ],");
+        let _ = writeln!(s, "  ],");
     }
     let _ = writeln!(
         s,
-        "    \"crossover_localities\": {},",
+        "  \"crossover_localities\": {},",
         crossover.map_or("null".to_string(), |n| n.to_string())
     );
-    let _ = writeln!(s, "    \"ratio_at_1\": {:.4},", ratios[0]);
-    let _ = writeln!(s, "    \"ratio_at_5400\": {:.4},", ratios[last]);
-    let _ = writeln!(s, "    \"efficiency_at_5400\": {:.4},", lf.efficiencies[last]);
-    let _ = writeln!(s, "    \"cadence\": [");
+    let _ = writeln!(s, "  \"ratio_at_1\": {:.4},", ratios[0]);
+    let _ = writeln!(s, "  \"ratio_at_5400\": {:.4},", ratios[last]);
+    let _ = writeln!(s, "  \"efficiency_at_5400\": {:.4},", lf.efficiencies[last]);
+    let _ = writeln!(s, "  \"cadence\": [");
     for (i, c) in cadences.iter().enumerate() {
         let comma = if i + 1 == cadences.len() { "" } else { "," };
         let mut pts = String::new();
@@ -488,13 +491,12 @@ fn main() {
         }
         let _ = writeln!(
             s,
-            "      {{ \"mtbf_node_years\": {}, \"best_cadence\": {}, \
+            "    {{ \"mtbf_node_years\": {}, \"best_cadence\": {}, \
              \"best_overhead\": {:.4}, \"young_daly_steps\": {:.0}, \
              \"points\": [{pts}] }}{comma}",
             c.mtbf_node_years, c.best_cadence, c.best_overhead, c.young_daly_steps
         );
     }
-    s.push_str("    ]\n  }");
-    bench::merge_json_section("BENCH_fmm.json", "scaleout", &s);
-    println!("merged \"scaleout\" into BENCH_fmm.json");
+    s.push_str("  ]\n}");
+    println!("{s}");
 }

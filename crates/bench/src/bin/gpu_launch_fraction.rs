@@ -5,8 +5,13 @@
 //! kernel launches routed through the simulated device (§5.1: idle
 //! stream → GPU, busy → CPU fallback).
 //!
+//! The human-readable tables go to stderr; stdout carries one JSON
+//! object (`model`, `measured`, `aggregation`). Exits non-zero if the
+//! default 8-slot aggregation window stops fusing the solve's launches
+//! at least twofold.
+//!
 //! ```sh
-//! cargo run --release -p bench --bin gpu_launch_fraction
+//! cargo run --release -p bench --bin gpu_launch_fraction > launch_fraction.json
 //! ```
 
 use amt::Runtime;
@@ -43,20 +48,20 @@ fn measured_tree() -> Arc<Octree> {
     Arc::new(t)
 }
 
-fn measured_split(n_streams: usize, policy: QueuePolicy, label: &str) {
+/// One real solve under `policy`; prints the row and returns it as JSON.
+fn measured_split(n_streams: usize, policy: QueuePolicy, label: &str) -> String {
     let tree = measured_tree();
     let dev = Device::new(DeviceSpec::p100(), n_streams);
     let solver = Arc::new(FmmSolver::with_gpu(0.5, GpuContext::new(&dev, 4, policy)));
     let rt = Runtime::new(4);
     let field = solver.solve_parallel(&tree, &rt);
-    let stats = solver.gpu().unwrap().stats();
-    println!(
-        "{:<40} {:>6} GPU {:>6} CPU {:>10.2}%",
-        label,
-        field.kernel_launches_gpu,
-        field.kernel_launches_cpu,
-        100.0 * stats.gpu_fraction()
-    );
+    let fraction = solver.gpu().unwrap().stats().gpu_fraction();
+    let (gpu, cpu) = (field.kernel_launches_gpu, field.kernel_launches_cpu);
+    eprintln!("{label:<40} {gpu:>6} GPU {cpu:>6} CPU {:>10.2}%", 100.0 * fraction);
+    format!(
+        "    {{ \"configuration\": \"{label}\", \"gpu_launches\": {gpu}, \
+         \"cpu_launches\": {cpu}, \"gpu_fraction\": {fraction:.6} }}"
+    )
 }
 
 /// One batched solve over the measured tree with the given aggregation
@@ -75,36 +80,32 @@ fn aggregated_run(slots: usize, window: usize) -> (u64, u64) {
     (agg.items_gpu(), agg.batches_gpu())
 }
 
-/// The work-aggregation launch collapse (ISSUE 7): the same solve, per
-/// item vs batched, and what the per-launch overhead model says that
-/// saves. Appends an `"aggregation"` section to `BENCH_fmm.json`.
-fn aggregation_collapse() {
-    println!();
-    println!("Work aggregation (arXiv:2210.06438): fused launches for the");
-    println!("same solve, slot sweep (window = 4 x slots, QueueOnBusy):");
-    println!("{}", "-".repeat(72));
+/// The work-aggregation launch collapse (arXiv:2210.06438): the same
+/// solve, per item vs batched, and what the per-launch overhead model
+/// says that saves. Returns the `"aggregation"` JSON member.
+fn aggregation_collapse() -> String {
+    eprintln!();
+    eprintln!("Work aggregation (arXiv:2210.06438): fused launches for the");
+    eprintln!("same solve, slot sweep (window = 4 x slots, QueueOnBusy):");
+    eprintln!("{}", "-".repeat(72));
     let overhead_us = DeviceSpec::p100().launch_overhead_us;
-    println!(
+    eprintln!(
         "{:<10} {:>8} {:>10} {:>10} {:>14}",
         "slots", "items", "launches", "collapse", "overhead (µs)"
     );
-    let mut sweep = String::new();
+    let mut sweep = Vec::new();
     let mut batched = (0u64, 0u64);
     for slots in [1usize, 2, 4, 8, 16, 32] {
         let (items, launches) = aggregated_run(slots, 4 * slots);
-        let collapse = items as f64 / launches as f64;
-        println!(
+        eprintln!(
             "{:<10} {:>8} {:>10} {:>9.2}x {:>14.1}",
             slots,
             items,
             launches,
-            collapse,
+            items as f64 / launches as f64,
             launches as f64 * overhead_us
         );
-        if !sweep.is_empty() {
-            sweep.push_str(", ");
-        }
-        sweep.push_str(&format!("\"{slots}\": {launches}"));
+        sweep.push(format!("\"{slots}\": {launches}"));
         if slots == 8 {
             batched = (items, launches);
         }
@@ -113,67 +114,78 @@ fn aggregation_collapse() {
     let baseline = items; // per-item: one launch per kernel
     let collapse = baseline as f64 / launches as f64;
     let saved_us = (baseline - launches) as f64 * overhead_us;
-    println!("{}", "-".repeat(72));
-    println!(
+    eprintln!("{}", "-".repeat(72));
+    eprintln!(
         "default (8 slots): {baseline} -> {launches} launches ({collapse:.2}x), \
          modeled launch-overhead saving {saved_us:.0} µs/solve"
     );
-    let section = format!(
+    assert!(
+        launches * 2 <= baseline,
+        "batched solve issued {launches} launches (> half of {baseline}): aggregation stopped fusing"
+    );
+    format!(
         "  \"aggregation\": {{\n    \
-         \"kernel_items\": {items},\n    \
          \"baseline_launches\": {baseline},\n    \
          \"batched_launches\": {launches},\n    \
          \"collapse_factor\": {collapse:.3},\n    \
          \"agg_slots\": 8,\n    \
          \"agg_window\": 32,\n    \
          \"launch_overhead_us\": {overhead_us:.1},\n    \
-         \"baseline_overhead_us\": {:.1},\n    \
-         \"batched_overhead_us\": {:.1},\n    \
          \"modeled_overhead_saving_us\": {saved_us:.1},\n    \
-         \"launches_by_slots\": {{ {sweep} }}\n  }}",
-        baseline as f64 * overhead_us,
-        launches as f64 * overhead_us,
-    );
-    bench::merge_json_section("BENCH_fmm.json", "aggregation", &section);
-    println!("merged \"aggregation\" into BENCH_fmm.json");
+         \"launches_by_slots\": {{ {} }}\n  }}",
+        sweep.join(", ")
+    )
 }
 
 fn main() {
-    println!("§6.1.2 — fraction of FMM kernels launched on the GPU");
-    println!("{}", "=".repeat(72));
+    eprintln!("§6.1.2 — fraction of FMM kernels launched on the GPU");
+    eprintln!("{}", "=".repeat(72));
     let rows: &[(&str, f64, f64)] = &[
         ("20 cores + 1x V100", 987.0, 97.4995),
         ("10 cores + 1x V100", 1722.0, 99.9997),
         ("Piz Daint node + 1x P100", 1435.0, 99.5207),
     ];
-    println!(
+    eprintln!(
         "{:<32} {:>12} {:>12} {:>12}",
         "configuration", "model %", "paper %", "CPU kernels"
     );
-    println!("{}", "-".repeat(72));
+    eprintln!("{}", "-".repeat(72));
     let platforms = table2_platforms();
+    let mut model = Vec::new();
     for (pat, other_wall, paper_pct) in rows {
         let cfg = platforms.iter().find(|c| c.name.contains(pat)).unwrap();
         let w = Workload::v1309_level14(*other_wall);
         let r = simulate_node(cfg, &w);
-        println!(
+        eprintln!(
             "{:<32} {:>11.4}% {:>11.4}% {:>12}",
             cfg.name,
             100.0 * r.gpu_fraction,
             paper_pct,
             r.cpu_kernels
         );
+        model.push(format!(
+            "    {{ \"configuration\": \"{}\", \"model_pct\": {:.4}, \"paper_pct\": {paper_pct} }}",
+            cfg.name,
+            100.0 * r.gpu_fraction
+        ));
     }
-    println!("{}", "-".repeat(72));
-    println!("Also the §6.1.2 fix (QueueOnBusy): with kernels queued on busy");
-    println!("streams instead of falling back, 100% launch on the GPU — see");
-    println!("gpusim::launch_policy::QueuePolicy::QueueOnBusy and its tests.");
-    println!();
-    println!("Measured: real futurized FMM solve (level-2 tree, 4 workers),");
-    println!("launches routed per §5.1 through the simulated P100:");
-    println!("{}", "-".repeat(72));
-    measured_split(4, QueuePolicy::CpuFallback, "4 streams, CPU fallback");
-    measured_split(1, QueuePolicy::CpuFallback, "1 stream, CPU fallback (starved)");
-    measured_split(4, QueuePolicy::QueueOnBusy, "4 streams, queue on busy (the fix)");
-    aggregation_collapse();
+    eprintln!("{}", "-".repeat(72));
+    eprintln!("Also the §6.1.2 fix (QueueOnBusy): with kernels queued on busy");
+    eprintln!("streams instead of falling back, 100% launch on the GPU — see");
+    eprintln!("gpusim::launch_policy::QueuePolicy::QueueOnBusy and its tests.");
+    eprintln!();
+    eprintln!("Measured: real futurized FMM solve (level-2 tree, 4 workers),");
+    eprintln!("launches routed per §5.1 through the simulated P100:");
+    eprintln!("{}", "-".repeat(72));
+    let measured = [
+        measured_split(4, QueuePolicy::CpuFallback, "4 streams, CPU fallback"),
+        measured_split(1, QueuePolicy::CpuFallback, "1 stream, CPU fallback (starved)"),
+        measured_split(4, QueuePolicy::QueueOnBusy, "4 streams, queue on busy (the fix)"),
+    ];
+    let aggregation = aggregation_collapse();
+    println!(
+        "{{\n  \"model\": [\n{}\n  ],\n  \"measured\": [\n{}\n  ],\n{aggregation}\n}}",
+        model.join(",\n"),
+        measured.join(",\n")
+    );
 }

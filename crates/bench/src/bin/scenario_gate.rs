@@ -1,5 +1,4 @@
-//! Release-mode scenario gate run → `"scenarios"` section of
-//! `BENCH_fmm.json`.
+//! Release-mode run of the scenario verification registry.
 //!
 //! Runs every entry of the `octotiger::scenarios` registry through its
 //! gated run (conservation drifts per step, analytic tolerances, golden
@@ -11,15 +10,20 @@
 //! window (`--long`) to chart angular-momentum drift and the
 //! mass-transfer rate over O(100) steps.
 //!
+//! Progress and gate failures go to stderr; stdout carries one JSON
+//! object keyed by scenario name (plus `long_merger` under `--long`).
+//! Exits non-zero if any registry gate fails.
+//!
 //! ```sh
-//! cargo run --release -p bench --bin scenario_gate            # snapshot
+//! cargo run --release -p bench --bin scenario_gate > scenarios.json
 //! cargo run --release -p bench --bin scenario_gate -- --long  # extended merger run
 //! cargo run --release -p bench --bin scenario_gate -- --print-digests
 //! ```
 //!
-//! `--print-digests` prints the `state_digest` of each scenario at its
-//! pinned step — the values pinned as `golden_digest` in the registry.
-//! Regenerate them only after an *intentional* numerics change.
+//! `--print-digests` also prints (on stderr) the `state_digest` of each
+//! scenario at its pinned step in the form the registry pins as
+//! `golden_digest`. Regenerate them only after an *intentional*
+//! numerics change.
 
 use amt::Metrics;
 use octotiger::diagnostics::{binary_masses, totals};
@@ -59,9 +63,9 @@ fn main() {
     }
 
     if print_digests {
-        println!("// pinned golden digests (registry order)");
+        eprintln!("// pinned golden digests (registry order)");
         for run in &runs {
-            println!("    {:>14}: golden_digest: Some({:#018x}),", run.name, run.digest);
+            eprintln!("    {:>14}: golden_digest: Some({:#018x}),", run.name, run.digest);
         }
     }
 
@@ -99,19 +103,18 @@ fn main() {
         );
         write!(
             long_section,
-            ",\n    \"long_merger\": {{ \"steps\": {steps}, \"max_angmom_drift\": {max_lz:e}, \
+            ",\n  \"long_merger\": {{ \"steps\": {steps}, \"max_angmom_drift\": {max_lz:e}, \
              \"mass_transfer_rate\": {rate:e}, \"steps_per_sec\": {:.3} }}",
             steps as f64 / elapsed
         )
         .unwrap();
     }
 
-    let mut section = String::new();
-    section.push_str("  \"scenarios\": {\n");
+    let mut section = String::from("{\n");
     for (i, run) in runs.iter().enumerate() {
         write!(
             section,
-            "    \"{}\": {{ \"steps\": {}, \"leaves\": {}, \"steps_per_sec\": {:.3}, \
+            "  \"{}\": {{ \"steps\": {}, \"leaves\": {}, \"steps_per_sec\": {:.3}, \
              \"max_mass_drift\": {:e}, \"max_angmom_drift\": {:e}, \
              \"mass_transfer_rate\": {:e}, \"digest\": \"{:#018x}\", \
              \"passed\": {} }}",
@@ -131,9 +134,7 @@ fn main() {
         }
     }
     section.push_str(&long_section);
-    section.push_str("\n  }");
-    bench::merge_json_section("BENCH_fmm.json", "scenarios", &section);
-    eprintln!("merged \"scenarios\" into BENCH_fmm.json");
+    println!("{section}\n}}");
 
     if failed {
         eprintln!("scenario gates FAILED");

@@ -1,8 +1,12 @@
 //! Regenerate **Table 2**: FMM kernel node-level performance on the
 //! paper's platforms, from the event-driven node model.
 //!
+//! The human-readable table goes to stderr; stdout carries one JSON
+//! object with the same rows. Exits non-zero if any modelled row's FMM
+//! GFLOP/s leaves a factor-2 band around the paper's.
+//!
 //! ```sh
-//! cargo run --release -p bench --bin table2_node_level
+//! cargo run --release -p bench --bin table2_node_level > table2.json
 //! ```
 
 use perfmodel::machine::table2_platforms;
@@ -23,14 +27,15 @@ const PAPER_ROWS: &[(&str, f64, f64, f64, f64, f64)] = &[
 ];
 
 fn main() {
-    println!("Table 2 — FMM kernel node-level performance (model vs paper)");
-    println!("{}", "=".repeat(100));
-    println!(
+    eprintln!("Table 2 — FMM kernel node-level performance (model vs paper)");
+    eprintln!("{}", "=".repeat(100));
+    eprintln!(
         "{:<38} {:>9} {:>9} {:>10} {:>7}   {:>9} {:>10} {:>7}",
         "platform", "total[s]", "FMM[s]", "GFLOP/s", "%peak", "paper FMM", "paper GF/s", "paper%"
     );
-    println!("{}", "-".repeat(100));
+    eprintln!("{}", "-".repeat(100));
     let platforms = table2_platforms();
+    let mut rows = Vec::new();
     for (pat, _p_total, p_fmm, p_gflops, p_peak, other_wall) in PAPER_ROWS {
         let cfg = platforms
             .iter()
@@ -38,7 +43,7 @@ fn main() {
             .unwrap_or_else(|| panic!("platform {pat} missing"));
         let w = Workload::v1309_level14(*other_wall);
         let r = simulate_node(cfg, &w);
-        println!(
+        eprintln!(
             "{:<38} {:>9.0} {:>9.0} {:>10.0} {:>6.1}%   {:>9.0} {:>10.0} {:>6.1}%",
             cfg.name,
             r.total_wall_s,
@@ -50,7 +55,7 @@ fn main() {
             p_peak
         );
         if r.gpu_fraction > 0.0 {
-            println!(
+            eprintln!(
                 "{:<38} GPU launch fraction: {:.4}% ({} GPU / {} CPU kernels)",
                 "",
                 100.0 * r.gpu_fraction,
@@ -58,10 +63,23 @@ fn main() {
                 r.cpu_kernels
             );
         }
+        assert!(
+            r.gflops > 0.5 * p_gflops && r.gflops < 2.0 * p_gflops,
+            "{}: modelled {:.0} GFLOP/s is not within 2x of the paper's {p_gflops:.0}",
+            cfg.name,
+            r.gflops
+        );
+        rows.push(format!(
+            "    {{ \"platform\": \"{}\", \"total_s\": {:.1}, \"fmm_s\": {:.1}, \
+             \"gflops\": {:.1}, \"fraction_of_peak\": {:.4}, \"gpu_launch_fraction\": {:.6}, \
+             \"paper_fmm_s\": {p_fmm}, \"paper_gflops\": {p_gflops} }}",
+            cfg.name, r.total_wall_s, r.fmm_wall_s, r.gflops, r.fraction_of_peak, r.gpu_fraction
+        ));
     }
-    println!("{}", "-".repeat(100));
-    println!("Model anchored to the Xeon-10 CPU-only row (workload definition);");
-    println!("GPU rows emerge from the §5.1 stream/fallback dynamics. Shapes to");
-    println!("compare: GPUs cut FMM time by >10x; 10c+1 V100 launch-limited at");
-    println!("~68 s; 2 GPUs scale; KNL reaches ~17% of its large peak.");
+    eprintln!("{}", "-".repeat(100));
+    eprintln!("Model anchored to the Xeon-10 CPU-only row (workload definition);");
+    eprintln!("GPU rows emerge from the §5.1 stream/fallback dynamics. Shapes to");
+    eprintln!("compare: GPUs cut FMM time by >10x; 10c+1 V100 launch-limited at");
+    eprintln!("~68 s; 2 GPUs scale; KNL reaches ~17% of its large peak.");
+    println!("{{\n  \"table2\": [\n{}\n  ]\n}}", rows.join(",\n"));
 }

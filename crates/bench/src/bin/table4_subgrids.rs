@@ -3,8 +3,12 @@
 //! refinement rule (§6: stars → L−2, accretor core → L−1, donor core →
 //! L) on the real octree.
 //!
+//! The human-readable table goes to stderr; stdout carries one JSON
+//! object with the same rows. Exits non-zero if a level's node count
+//! leaves a factor-2 band around the paper's.
+//!
 //! ```sh
-//! cargo run --release -p bench --bin table4_subgrids [max_level]
+//! cargo run --release -p bench --bin table4_subgrids [max_level] > table4.json
 //! ```
 //!
 //! Levels 13–15 run in seconds; 16 takes a minute-ish; 17 allocates a
@@ -36,16 +40,17 @@ fn main() {
     let gravity_bytes = 20 * N_SUB * N_SUB * N_SUB * 8;
     let per_subgrid = (hydro_bytes + gravity_bytes) as f64;
 
-    println!("Table 4 — sub-grids and memory per level of refinement");
-    println!("{}", "=".repeat(86));
-    println!(
+    eprintln!("Table 4 — sub-grids and memory per level of refinement");
+    eprintln!("{}", "=".repeat(86));
+    eprintln!(
         "{:>5} {:>12} {:>12} {:>12}   {:>12} {:>10} {:>10}",
         "level", "nodes", "leaves", "mem[GB]", "paper nodes", "paper[GB]", "build[s]"
     );
-    println!("{}", "-".repeat(86));
+    eprintln!("{}", "-".repeat(86));
+    let mut rows = Vec::new();
     for &(level, paper_n, paper_gb) in PAPER {
         if level > max_level {
-            println!("{level:>5}   (skipped: pass {level} as max_level to include)");
+            eprintln!("{level:>5}   (skipped: pass {level} as max_level to include)");
             continue;
         }
         let t0 = std::time::Instant::now();
@@ -53,19 +58,31 @@ fn main() {
         let nodes = tree.len();
         let leaves = tree.leaf_count();
         let mem_gb = nodes as f64 * per_subgrid / 1e9;
-        println!(
+        eprintln!(
             "{level:>5} {nodes:>12} {leaves:>12} {:>12.2}   {:>12.0} {:>10.2} {:>10.1}",
             mem_gb,
             paper_n,
             paper_gb,
             t0.elapsed().as_secs_f64()
         );
+        assert!(
+            nodes as f64 > 0.5 * paper_n && (nodes as f64) < 2.0 * paper_n,
+            "level {level}: {nodes} nodes is not within 2x of the paper's {paper_n:.0}"
+        );
+        rows.push(format!(
+            "    {{ \"level\": {level}, \"nodes\": {nodes}, \"leaves\": {leaves}, \
+             \"mem_gb\": {mem_gb:.2}, \"paper_nodes\": {paper_n}, \"paper_gb\": {paper_gb} }}"
+        ));
     }
-    println!("{}", "-".repeat(86));
-    println!("Counts come from the geometric refinement rule of §6 applied to");
-    println!("our Roche-lobe binary model; the growth pattern (x2 -> x4 -> x5+ -> x7,");
-    println!("approaching the volume-dominated factor 8) is the Table 4 shape.");
-    println!("Memory uses this implementation's measured per-sub-grid footprint");
-    println!("({:.2} MB: {} hydro fields on {}^3 ghosted grids + FMM workspace);", per_subgrid / 1e6, FIELD_COUNT, dim);
-    println!("Octo-Tiger stores more per cell, hence its larger absolute GB.");
+    eprintln!("{}", "-".repeat(86));
+    eprintln!("Counts come from the geometric refinement rule of §6 applied to");
+    eprintln!("our Roche-lobe binary model; the growth pattern (x2 -> x4 -> x5+ -> x7,");
+    eprintln!("approaching the volume-dominated factor 8) is the Table 4 shape.");
+    eprintln!("Memory uses this implementation's measured per-sub-grid footprint");
+    eprintln!("({:.2} MB: {} hydro fields on {}^3 ghosted grids + FMM workspace);", per_subgrid / 1e6, FIELD_COUNT, dim);
+    eprintln!("Octo-Tiger stores more per cell, hence its larger absolute GB.");
+    println!(
+        "{{\n  \"per_subgrid_bytes\": {per_subgrid},\n  \"table4\": [\n{}\n  ]\n}}",
+        rows.join(",\n")
+    );
 }

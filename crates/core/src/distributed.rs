@@ -277,7 +277,7 @@ impl DistributedDriverBuilder {
     /// Start from a deliberately skewed SFC partition (the first shard
     /// takes `permille`/1000 of the leaves) instead of the balanced
     /// one — the load-imbalance injection hook for rebalancing tests
-    /// and the `rebalance_bench` bin.
+    /// and the benchmark's `core.rebalance_ms` rung.
     pub fn skewed_partition(mut self, permille: u32) -> Self {
         self.skew_first_shard_permille = Some(permille);
         self

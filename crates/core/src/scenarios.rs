@@ -31,7 +31,7 @@
 //! --print-digests` after an *intentional* numerics change, and say so
 //! in the commit message.
 
-use crate::diagnostics::{binary_masses, moment_of_inertia_z, totals, BinaryMasses, Totals};
+use crate::diagnostics::{binary_masses, moment_of_inertia_z, totals, Totals};
 use crate::driver::Simulation;
 use crate::scenario::Scenario;
 use crate::verification;
@@ -570,12 +570,6 @@ fn v1309_analytic(sim: &Simulation) -> Vec<String> {
         ));
     }
     fails
-}
-
-/// Accessor for the masses the gates reason about (re-exported for the
-/// bench bin's JSON section).
-pub fn component_masses(tree: &Octree) -> BinaryMasses {
-    binary_masses(tree)
 }
 
 // ---------------------------------------------------------------------

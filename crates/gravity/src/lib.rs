@@ -54,8 +54,6 @@ pub use scratch::ScratchPool;
 pub use solver::{FmmSolver, GravityField};
 pub use stencil::Stencil;
 
-/// Floating point ops per monopole–monopole interaction (paper §4.3).
-pub const MONO_MONO_FLOPS: u64 = 12;
 /// Floating point ops per multipole interaction (paper §4.3).
 pub const MULTI_FLOPS: u64 = 455;
 /// Interactions per kernel launch: 512 cells × 1074 stencil elements

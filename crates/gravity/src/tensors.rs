@@ -38,9 +38,6 @@ pub const SYM3: [(usize, usize, usize); 10] = [
     (0, 1, 2),
 ];
 
-/// Multiplicity of each rank-3 component in a full contraction.
-pub const SYM3_MULT: [f64; 10] = [1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 6.0];
-
 /// Compile-time full-index → symmetric-storage lookup for rank-3
 /// tensors: `SYM3_INDEX[a][b][c]` is the position in [`SYM3`] of the
 /// sorted triple `(a, b, c)`. (The naive per-access linear search was

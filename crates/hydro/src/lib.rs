@@ -27,9 +27,6 @@
 //!   period of 1.42 days").
 //! * [`analytic`] — exact Sod shock-tube and Sedov–Taylor solutions for
 //!   the verification suite of §4.2.
-//! * [`radiation`] — the §7 extension: the gray two-moment (M1)
-//!   radiation transport module the paper reports developing for the
-//!   high-accuracy V1309 runs.
 
 pub mod analytic;
 pub mod angmom;
@@ -37,7 +34,6 @@ pub mod eos;
 pub mod flux;
 pub mod ppm;
 pub mod prim;
-pub mod radiation;
 pub mod rotating;
 pub mod step;
 

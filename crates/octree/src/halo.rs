@@ -12,11 +12,15 @@
 //!   cells tiling the ghost cell,
 //! * the **physical boundary** — outflow (nearest interior cell).
 //!
-//! In the distributed runtime the same slabs travel as parcels (see
-//! `SubGrid::extract_halo`); this module is the shared-memory reference
-//! implementation the distributed path is tested against.
+//! Every driver fills ghosts through this module, cell by cell. The
+//! distributed driver does not ship slabs: it pushes whole interiors
+//! (`SubGrid::extract_interior`) into each peer's mirror tree and then
+//! calls [`fill_halos_for_leaves`] on its shard. The slab primitives
+//! `SubGrid::{extract_halo, apply_halo, halo_len}` are reached only from
+//! `tests/distributed_halo.rs`; making them the in-memory and wire
+//! format is ROADMAP's "Halo by slab" item.
 
-use crate::subgrid::{ALL_FIELDS, N_SUB};
+use crate::subgrid::{SubGrid, ALL_FIELDS, N_SUB};
 use crate::tree::Octree;
 use util::morton::MortonKey;
 
@@ -152,6 +156,23 @@ fn ghost_values(tree: &Octree, key: MortonKey, bc: BoundaryCondition) -> Vec<f64
     out
 }
 
+/// Write `values` — one leaf's [`ghost_values`] — into the ghost cells
+/// of `grid`, in the order they were computed: field-major, then
+/// `indexer.all()` skipping the interior.
+fn write_ghosts(grid: &mut SubGrid, values: Vec<f64>) {
+    let indexer = grid.indexer();
+    let mut src = values.into_iter();
+    for f in ALL_FIELDS {
+        let field = grid.field_mut(f);
+        for (i, j, k) in indexer.all() {
+            if indexer.is_interior(i, j, k) {
+                continue;
+            }
+            field[indexer.idx(i, j, k)] = src.next().expect("ghost count mismatch");
+        }
+    }
+}
+
 /// Fill the ghost layers of every leaf in the tree.
 pub fn fill_all_halos(tree: &mut Octree, bc: BoundaryCondition) {
     assert!(tree.has_grids(), "halo filling needs grid data");
@@ -162,19 +183,8 @@ pub fn fill_all_halos(tree: &mut Octree, bc: BoundaryCondition) {
         .map(|&k| (k, ghost_values(tree, k, bc)))
         .collect();
     for (key, values) in ghosts {
-        let node = tree.node_mut(key).expect("leaf exists");
-        let grid = node.grid.as_mut().expect("grid");
-        let indexer = grid.indexer();
-        let mut src = values.into_iter();
-        for f in ALL_FIELDS {
-            let field = grid.field_mut(f);
-            for (i, j, k) in indexer.all() {
-                if indexer.is_interior(i, j, k) {
-                    continue;
-                }
-                field[indexer.idx(i, j, k)] = src.next().expect("ghost count mismatch");
-            }
-        }
+        let grid = tree.node_mut(key).expect("leaf exists").grid.as_mut().expect("grid");
+        write_ghosts(grid, values);
     }
 }
 
@@ -222,19 +232,8 @@ pub fn fill_halos_for_leaves(
     rt.wait_quiescent();
     let tree = Arc::get_mut(tree).expect("no outstanding tree references after quiescence");
     for (key, values) in leaves.into_iter().zip(ghosts) {
-        let node = tree.node_mut(key).expect("leaf exists");
-        let grid = node.grid.as_mut().expect("grid");
-        let indexer = grid.indexer();
-        let mut src = values.into_iter();
-        for f in ALL_FIELDS {
-            let field = grid.field_mut(f);
-            for (i, j, k) in indexer.all() {
-                if indexer.is_interior(i, j, k) {
-                    continue;
-                }
-                field[indexer.idx(i, j, k)] = src.next().expect("ghost count mismatch");
-            }
-        }
+        let grid = tree.node_mut(key).expect("leaf exists").grid.as_mut().expect("grid");
+        write_ghosts(grid, values);
     }
 }
 

@@ -19,8 +19,8 @@
 //!   variables", §6.2).
 //! * [`halo`] — ghost-layer filling from same-level, finer, and coarser
 //!   neighbors, plus physical boundary conditions.
-//! * [`sfc`] — space-filling-curve partitioning of leaves over localities
-//!   and the halo-message census consumed by the scaling model.
+//! * [`sfc`] — space-filling-curve ordering and partitioning of leaves
+//!   over localities.
 //! * [`refine`] — the refinement criteria, including the V1309 rule of
 //!   §6 (stars to L−2, accretor core to L−1, donor core to L), used to
 //!   regenerate Table 4.

@@ -1,16 +1,15 @@
-//! Space-filling-curve distribution and the halo-communication census.
+//! Space-filling-curve ordering and partitioning.
 //!
 //! "These octree nodes are distributed onto the compute nodes using a
-//! space filling curve" (§4.2). Leaves sorted along the Morton curve are
-//! split into contiguous, load-balanced chunks, one per locality.
-//! [`halo_census`] then counts, for a given assignment, the halo
-//! messages and bytes each locality exchanges per timestep — the
-//! workload description that drives the Figure 2/3 scaling model
-//! (communication grows with the partition surface, computation with
-//! its volume).
+//! space filling curve" (§4.2). Leaves sorted along the Morton curve
+//! ([`curve_cmp`]) are split into contiguous, count-balanced chunks, one
+//! per locality ([`partition`]). [`crate::shard::ShardMap`] wraps the
+//! assignment and derives from it the halo push plan — which (leaf,
+//! peer) pairs exchange data each step. That plan is what both the
+//! distributed driver and the scaling model (`perfmodel::des`) consume;
+//! message sizes come from the driver's own traffic (whole interiors
+//! today, see [`crate::halo`]), not from a per-direction slab census.
 
-use crate::subgrid::{SubGrid, FIELD_COUNT};
-use crate::tree::{Neighbor, Octree, DIRECTIONS};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use util::morton::MortonKey;
@@ -39,92 +38,11 @@ pub fn partition(leaves: &[MortonKey], n_parts: usize) -> HashMap<MortonKey, usi
     out
 }
 
-/// Communication census for one timestep's halo exchange.
-#[derive(Debug, Clone, Default)]
-pub struct CommCensus {
-    /// Messages whose sender and receiver are the same locality.
-    pub local_msgs: u64,
-    /// Messages crossing locality boundaries.
-    pub remote_msgs: u64,
-    /// Total bytes crossing locality boundaries.
-    pub remote_bytes: u64,
-    /// Per-locality (received remote messages, received remote bytes,
-    /// resident sub-grids).
-    pub per_locality: Vec<LocalityLoad>,
-}
-
-/// Load description of one locality.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LocalityLoad {
-    pub subgrids: u64,
-    pub recv_msgs: u64,
-    pub recv_bytes: u64,
-    pub send_msgs: u64,
-    pub send_bytes: u64,
-}
-
-impl CommCensus {
-    /// The busiest locality by received messages.
-    pub fn max_recv_msgs(&self) -> u64 {
-        self.per_locality.iter().map(|l| l.recv_msgs).max().unwrap_or(0)
-    }
-
-    /// The largest number of sub-grids on any locality.
-    pub fn max_subgrids(&self) -> u64 {
-        self.per_locality.iter().map(|l| l.subgrids).max().unwrap_or(0)
-    }
-}
-
-/// Count the halo messages a timestep requires under `assignment`.
-/// Every (leaf, direction) pair with an in-domain neighbor produces one
-/// message per sending sub-grid (finer neighbors send one message per
-/// adjacent child, as in Octo-Tiger's per-node channels).
-pub fn halo_census(
-    tree: &Octree,
-    assignment: &HashMap<MortonKey, usize>,
-    n_parts: usize,
-) -> CommCensus {
-    let mut census = CommCensus {
-        per_locality: vec![LocalityLoad::default(); n_parts],
-        ..Default::default()
-    };
-    for &part in assignment.values() {
-        census.per_locality[part].subgrids += 1;
-    }
-    let halo_bytes = |dir: (i32, i32, i32)| -> u64 {
-        (SubGrid::halo_len(dir) * FIELD_COUNT * std::mem::size_of::<f64>()) as u64
-    };
-    for leaf in tree.leaves() {
-        let dst = *assignment.get(&leaf).expect("every leaf must be assigned");
-        for dir in DIRECTIONS {
-            let senders: Vec<MortonKey> = match tree.neighbor(leaf, dir) {
-                Neighbor::Boundary => continue,
-                Neighbor::SameLevel(k) | Neighbor::Coarser(k) => vec![k],
-                Neighbor::Finer(children) => children,
-            };
-            for sender in senders {
-                let src = *assignment.get(&sender).expect("sender must be assigned");
-                let bytes = halo_bytes(dir);
-                if src == dst {
-                    census.local_msgs += 1;
-                } else {
-                    census.remote_msgs += 1;
-                    census.remote_bytes += bytes;
-                    census.per_locality[dst].recv_msgs += 1;
-                    census.per_locality[dst].recv_bytes += bytes;
-                    census.per_locality[src].send_msgs += 1;
-                    census.per_locality[src].send_bytes += bytes;
-                }
-            }
-        }
-    }
-    census
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::Domain;
+    use crate::tree::Octree;
 
     fn refined_tree(levels: u8) -> Octree {
         let mut t = Octree::structure_only(Domain::new(16.0));
@@ -180,58 +98,5 @@ mod tests {
         }
         let (mn, mx) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!(mx - mn <= 1, "counts {counts:?} not balanced");
-    }
-
-    #[test]
-    fn single_partition_has_no_remote_traffic() {
-        let t = refined_tree(2);
-        let leaves = t.leaves();
-        let asg = partition(&leaves, 1);
-        let census = halo_census(&t, &asg, 1);
-        assert_eq!(census.remote_msgs, 0);
-        assert_eq!(census.remote_bytes, 0);
-        assert!(census.local_msgs > 0);
-        assert_eq!(census.per_locality[0].subgrids, leaves.len() as u64);
-    }
-
-    #[test]
-    fn more_partitions_mean_more_remote_messages() {
-        let t = refined_tree(3);
-        let leaves = t.leaves();
-        let total_msgs: u64;
-        {
-            let asg = partition(&leaves, 1);
-            let c = halo_census(&t, &asg, 1);
-            total_msgs = c.local_msgs;
-        }
-        let mut last_remote = 0;
-        for n_parts in [2, 4, 8, 16] {
-            let asg = partition(&leaves, n_parts);
-            let c = halo_census(&t, &asg, n_parts);
-            // Total message count is partition-invariant.
-            assert_eq!(c.local_msgs + c.remote_msgs, total_msgs);
-            assert!(
-                c.remote_msgs >= last_remote,
-                "remote messages should grow with partitions"
-            );
-            last_remote = c.remote_msgs;
-        }
-    }
-
-    #[test]
-    fn send_and_recv_totals_agree() {
-        let t = refined_tree(3);
-        let leaves = t.leaves();
-        let n_parts = 5;
-        let asg = partition(&leaves, n_parts);
-        let c = halo_census(&t, &asg, n_parts);
-        let sent: u64 = c.per_locality.iter().map(|l| l.send_msgs).sum();
-        let recvd: u64 = c.per_locality.iter().map(|l| l.recv_msgs).sum();
-        assert_eq!(sent, c.remote_msgs);
-        assert_eq!(recvd, c.remote_msgs);
-        let sent_b: u64 = c.per_locality.iter().map(|l| l.send_bytes).sum();
-        assert_eq!(sent_b, c.remote_bytes);
-        assert!(c.max_recv_msgs() > 0);
-        assert!(c.max_subgrids() > 0);
     }
 }

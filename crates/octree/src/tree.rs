@@ -82,16 +82,6 @@ const fn build_directions() -> [(i32, i32, i32); 26] {
     out
 }
 
-/// The 6 face directions only.
-pub const FACES: [(i32, i32, i32); 6] = [
-    (1, 0, 0),
-    (-1, 0, 0),
-    (0, 1, 0),
-    (0, -1, 0),
-    (0, 0, 1),
-    (0, 0, -1),
-];
-
 impl Octree {
     /// A tree holding data: a single root leaf with a zeroed sub-grid.
     pub fn new(domain: Domain) -> Octree {

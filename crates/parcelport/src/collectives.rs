@@ -13,11 +13,10 @@
 
 use crate::cluster::Cluster;
 use crate::parcel::{ActionHandle, ActionId, CallHandle};
-use crate::serialize::from_bytes;
 use amt::Future;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::{de::DeserializeOwned, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 use util::{Error, Result};
@@ -166,13 +165,6 @@ pub fn broadcast<T: Serialize>(
             .send_encoded(action, i as u32, amt::GlobalId(0), payload.clone())?;
     }
     cluster.try_wait_quiescent()
-}
-
-/// Decode a broadcast payload (receiver-side convenience for raw
-/// byte-level handlers; typed handlers registered through
-/// `Cluster::register_action` never need this).
-pub fn decode_broadcast<T: DeserializeOwned>(payload: &Bytes) -> Result<T> {
-    Ok(from_bytes(payload)?)
 }
 
 #[cfg(test)]

@@ -169,11 +169,6 @@ impl CommPattern {
             outbound,
         })
     }
-
-    /// Total leaf-halo messages per step across all channels.
-    pub fn total_msgs_per_step(&self) -> u64 {
-        self.channels.iter().map(|c| c.msgs).sum()
-    }
 }
 
 // ---------------------------------------------------------------------

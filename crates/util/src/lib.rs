@@ -3,16 +3,14 @@
 //! This crate collects the small, dependency-free building blocks used by
 //! every other crate in the reproduction of *"From Piz Daint to the Stars"*
 //! (Daiß et al., SC '19): a 3-vector type, Morton (Z-order) space filling
-//! curve codes used to distribute octree nodes over localities, index
-//! helpers for `N^3` sub-grids with ghost layers, and streaming statistics
-//! used by the benchmark harnesses.
+//! curve codes used to distribute octree nodes over localities, and index
+//! helpers for `N^3` sub-grids with ghost layers.
 
 pub mod digest;
 pub mod error;
 pub mod indexing;
 pub mod morton;
 pub mod simd;
-pub mod stats;
 pub mod units;
 pub mod vec3;
 
@@ -20,7 +18,6 @@ pub use digest::{fnv1a64, Fnv1a};
 pub use error::{Error, Result};
 pub use indexing::{CellIter, GridIndexer};
 pub use morton::{morton_decode, morton_encode, MortonKey};
-pub use stats::{OnlineStats, RelErr};
 pub use vec3::Vec3;
 
 /// Machine epsilon scale used in conservation assertions.

@@ -91,11 +91,6 @@ impl MortonKey {
             Some(MortonKey::new(self.level, nx as u32, ny as u32, nz as u32))
         }
     }
-
-    /// Linear position along the curve at this key's own level.
-    pub fn curve_index(self) -> u64 {
-        self.code
-    }
 }
 
 /// Spread the low 21 bits of `v` so there are two zero bits between each.

@@ -57,12 +57,6 @@ impl Vec3 {
         Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
     }
 
-    /// Largest component.
-    #[inline]
-    pub fn max_component(self) -> f64 {
-        self.x.max(self.y).max(self.z)
-    }
-
     /// Unit vector in the direction of `self`; `None` for (near) zero vectors.
     pub fn normalized(self) -> Option<Vec3> {
         let n = self.norm();

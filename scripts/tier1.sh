@@ -13,6 +13,9 @@
 #   8. the repo benchmark (its own workspace, so nothing above compiles
 #      it) still builds, passes its tests and runs against these crates:
 #      one smoke that bypasses the FMM and one that lives in it
+#   9. the three cheap paper-artifact bins run and pass their own gates
+#      (fig23_scaleout and the scenario_gate bin are the expensive two;
+#      step 5 runs the registry the latter prints)
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -22,7 +25,7 @@ echo "== tier-1: deprecation budget =="
 # The deprecation budget is zero: the one-release Locality::send /
 # Locality::call shims were retired with the typed work-item redesign.
 # Nothing may be parked behind #[deprecated]; migrate or delete it.
-stray=$(grep -rln --include='*.rs' '#\[deprecated' crates tests || true)
+stray=$(grep -rln --include='*.rs' '#\[deprecated' crates tests examples || true)
 if [ -n "$stray" ]; then
     echo "!! deprecated items found (the budget is zero):" >&2
     echo "$stray" >&2
@@ -35,7 +38,7 @@ echo "== tier-1: ignore budget =="
 # The ignore budget is also zero: every test either runs in some tier-1
 # pass (debug or the release scenario gates below) or is deleted with a
 # written justification. A skipped test documents nothing.
-stray=$(grep -rln --include='*.rs' '#\[ignore' crates tests || true)
+stray=$(grep -rln --include='*.rs' '#\[ignore' crates tests examples || true)
 if [ -n "$stray" ]; then
     echo "!! #[ignore]d tests found (the budget is zero):" >&2
     echo "$stray" >&2
@@ -88,6 +91,15 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     run --quick --only hydro_blast
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     run --quick --only binary_uniform
+
+echo
+echo "== tier-1: paper-artifact bins (each enforces its own gate) =="
+# Nothing else executes these: a bin that panics or fails its gate exits
+# non-zero and stops the script. Their JSON goes to stdout, which is
+# not needed here.
+for bin in table4_subgrids table2_node_level gpu_launch_fraction; do
+    cargo run --release --quiet -p bench --bin "$bin" > /dev/null
+done
 
 echo
 echo "tier-1 green"

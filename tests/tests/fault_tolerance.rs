@@ -15,103 +15,16 @@
 //!    *different* locality count (crashed shards re-adopted by the
 //!    survivors).
 
-use hydro::eos::IdealGas;
-use octotiger::{Config, DistributedDriver, Scenario, Simulation};
-use octree::geometry::Domain;
-use octree::subgrid::{Field, ALL_FIELDS};
+use integration_tests::{assert_trees_bit_identical, sod_amr, star_amr};
+use octotiger::{DistributedDriver, Scenario, Simulation};
 use octree::tree::Octree;
 use parcelport::cluster::Cluster;
 use parcelport::fault::FaultPlan;
 use parcelport::netmodel::TransportKind;
 use parcelport::reliable::ReliablePolicy;
 use proptest::prelude::*;
-use scf::lane_emden::Polytrope;
 use std::sync::Arc;
-use util::vec3::Vec3;
 use util::Error;
-
-/// A level-2 AMR tree (corner octant one level deeper), as in the
-/// distributed determinism suite.
-fn amr_tree(edge: f64) -> Octree {
-    let mut tree = Octree::new(Domain::new(edge));
-    tree.refine_where(2, |d, k| {
-        let o = d.node_origin(k);
-        k.level == 0 || (o.x < 0.0 && o.y < 0.0 && o.z < 0.0)
-    });
-    tree
-}
-
-fn paint(tree: &mut Octree, eos: &IdealGas, f: impl Fn(Vec3) -> (f64, Vec3, f64)) {
-    let domain = tree.domain();
-    for key in tree.leaves() {
-        let node = tree.node_mut(key).expect("leaf");
-        let grid = node.grid.as_mut().expect("grid");
-        for (i, j, k) in grid.indexer().interior() {
-            let c = domain.cell_center(key, i, j, k);
-            let (rho, v, e_int) = f(c);
-            grid.set(Field::Rho, i, j, k, rho);
-            grid.set(Field::Sx, i, j, k, rho * v.x);
-            grid.set(Field::Sy, i, j, k, rho * v.y);
-            grid.set(Field::Sz, i, j, k, rho * v.z);
-            grid.set(Field::Egas, i, j, k, e_int + 0.5 * rho * v.norm2());
-            grid.set(Field::Tau, i, j, k, eos.tau_from_e(e_int));
-        }
-    }
-    tree.restrict_all();
-}
-
-/// Hydro-only Sod split on the AMR tree — cheap enough to run several
-/// steps per cluster in a debug build.
-fn sod_amr() -> Scenario {
-    let eos = IdealGas::new(1.4);
-    let mut tree = amr_tree(1.0);
-    paint(&mut tree, &eos, |c| {
-        if c.x < 0.0 {
-            (1.0, Vec3::ZERO, eos.e_from_pressure(1.0))
-        } else {
-            (0.125, Vec3::ZERO, eos.e_from_pressure(0.1))
-        }
-    });
-    Scenario { name: "sod_amr", tree, config: Config { eos, ..Config::hydro_only() }, binary: None }
-}
-
-/// The level-2 self-gravitating scenario (off-centre polytrope): halo
-/// *and* multipole traffic cross shard boundaries every step.
-fn star_amr() -> Scenario {
-    let eos = IdealGas::monatomic();
-    let star = Polytrope::new(1.0, 1.0, 1.5);
-    let mut tree = amr_tree(8.0);
-    let center = Vec3::new(-1.0, -1.0, -1.0);
-    paint(&mut tree, &eos, |c| {
-        let r = (c - center).norm();
-        let rho = star.rho(r).max(1e-10);
-        let e = star.e_int(r).max(rho * 1e-4);
-        (rho, Vec3::ZERO, e)
-    });
-    Scenario {
-        name: "star_amr",
-        tree,
-        config: Config { eos, ..Config::self_gravitating() },
-        binary: None,
-    }
-}
-
-fn assert_trees_bit_identical(a: &Octree, b: &Octree, tag: &str) {
-    assert_eq!(a.leaves(), b.leaves(), "{tag}: leaf sets differ");
-    for key in a.leaves() {
-        let ga = a.node(key).unwrap().grid.as_ref().unwrap();
-        let gb = b.node(key).unwrap().grid.as_ref().unwrap();
-        for field in ALL_FIELDS {
-            for (i, j, k) in ga.indexer().interior() {
-                assert_eq!(
-                    ga.at(field, i, j, k).to_bits(),
-                    gb.at(field, i, j, k).to_bits(),
-                    "{tag}: {key:?} {field:?} ({i},{j},{k})"
-                );
-            }
-        }
-    }
-}
 
 /// A retransmit ladder short enough for debug-build tests while still
 /// surviving repeated drops of the same frame.
