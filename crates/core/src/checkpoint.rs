@@ -62,32 +62,6 @@ serde::impl_codec_struct!(CheckpointBody {
     interiors
 });
 
-/// One leaf's payload — the unit the checkpoint stores per key, split
-/// out so live shard migration can ship individual leaves as parcels
-/// with the exact same encoding the checkpoint seals to disk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeafBlob {
-    /// The leaf's key.
-    pub key: MortonKey,
-    /// Interior cells in `SubGrid::extract_interior` layout.
-    pub values: Vec<f64>,
-}
-
-serde::impl_codec_struct!(LeafBlob { key, values });
-
-/// Extract one leaf of `tree` as a migration payload.
-pub fn extract_leaf(tree: &octree::tree::Octree, key: MortonKey) -> LeafBlob {
-    let grid = tree.node(key).expect("leaf").grid.as_ref().expect("grid");
-    LeafBlob { key, values: grid.extract_interior() }
-}
-
-/// Apply a migrated leaf onto `tree` (bit-exact; ghosts untouched —
-/// the next halo fill rebuilds them, exactly as after a restore).
-pub fn apply_leaf(tree: &mut octree::tree::Octree, blob: &LeafBlob) {
-    let node = tree.node_mut(blob.key).expect("migrated leaf must exist");
-    node.grid.as_mut().expect("grid").apply_interior(&blob.values);
-}
-
 /// Encode `body` and seal it with its digest.
 pub fn encode(body: &CheckpointBody) -> Result<Bytes> {
     let encoded = to_bytes(body)?;
@@ -193,20 +167,6 @@ mod tests {
         for cut in [0usize, 4, blob.len() - 1] {
             let err = decode(&blob.slice(0..cut.min(blob.len()))).unwrap_err();
             assert!(matches!(err, Error::Checkpoint(_)), "cut at {cut}: {err}");
-        }
-    }
-
-    #[test]
-    fn leaf_blob_roundtrips_bit_exact() {
-        let blob = LeafBlob {
-            key: MortonKey::root().child(5),
-            values: vec![1.0, -0.0, f64::MIN_POSITIVE, 3.5e9],
-        };
-        let bytes = to_bytes(&blob).unwrap();
-        let back: LeafBlob = from_bytes(&bytes).unwrap();
-        assert_eq!(back.key, blob.key);
-        for (a, b) in back.values.iter().zip(&blob.values) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -11,7 +11,8 @@
 //!
 //! * [`HALO_ACTION`] — a `GridMsg` carrying one leaf's interior cells
 //!   (the halo *push*: sources ship interiors, receivers re-run the
-//!   ghost fill locally),
+//!   ghost fill locally); [`MIGRATE_ACTION`] carries the same message
+//!   when a rebalance re-homes a leaf,
 //! * [`MOMENT_ACTION`] — a `MomentMsg` carrying one leaf's P2M
 //!   multipole moments (the FMM boundary exchange: every locality
 //!   rebuilds the full moment tree from the broadcast leaf moments and
@@ -92,12 +93,13 @@ pub const MOMENT_ACTION: ActionId = ActionId(0xD06);
 /// Action broadcasting one locality's regrid proposal (refine/coarsen
 /// votes over its owned leaves) to every other locality.
 pub const REGRID_ACTION: ActionId = ActionId(0xD08);
-/// Action shipping one leaf's checkpoint blob to its new owner during a
-/// shard rebalance.
+/// Action shipping one leaf's interior cells to a locality newly
+/// responsible for it during a shard rebalance.
 pub const MIGRATE_ACTION: ActionId = ActionId(0xD09);
 
-/// One leaf's interior cells on the wire (the halo push). `values` is
-/// the `SubGrid::extract_interior` layout: all 14 fields, interior
+/// One leaf's interior cells on the wire (the halo push and the
+/// rebalance migration). `values` is the `SubGrid::extract_interior`
+/// layout — the checkpoint's per-leaf payload: all 14 fields, interior
 /// iteration order, `f64` bit patterns preserved by the codec.
 /// `epoch` stamps the sender's partition epoch: a receiver whose
 /// partition has since moved on drops the parcel deterministically
@@ -132,17 +134,6 @@ struct RegridMsg {
 }
 
 serde::impl_codec_struct!(RegridMsg { from, epoch, refine, cold });
-
-/// One migrating leaf on the wire: exactly the checkpoint's per-leaf
-/// payload ([`crate::checkpoint::LeafBlob`]), stamped with the *new*
-/// epoch the migration installs.
-struct MigrateMsg {
-    from: u32,
-    epoch: u64,
-    blob: checkpoint::LeafBlob,
-}
-
-serde::impl_codec_struct!(MigrateMsg { from, epoch, blob });
 
 /// One typed exchange channel: the action peers send through, the
 /// per-locality inboxes its handler stashes accepted messages in, and
@@ -184,7 +175,7 @@ pub struct DistributedDriver {
     halo: Channel<GridMsg>,
     moment: Channel<MomentMsg>,
     regrid: Channel<RegridMsg>,
-    migrate: Channel<MigrateMsg>,
+    migrate: Channel<GridMsg>,
     /// Current partition epoch, shared with the action handlers so a
     /// stale-epoch parcel is dropped at the door.
     epoch: Arc<AtomicU64>,
@@ -213,67 +204,17 @@ pub struct DistributedDriver {
     migrated_leaves: Counter,
 }
 
-/// Fluent construction of a [`DistributedDriver`], mirroring
-/// `ClusterBuilder`: the scenario and cluster are mandatory, everything
-/// else is an override on the scenario's [`Config`] resolved through
-/// [`crate::config::knobs`] (default < env < `Config` < builder).
+/// Construction of a [`DistributedDriver`] from what a [`Config`]
+/// cannot say: the scenario (which carries the `Config`, the run's only
+/// configuration), the cluster to run on, and the skewed-start test
+/// hook.
 pub struct DistributedDriverBuilder {
     scenario: Scenario,
     cluster: Arc<Cluster>,
-    regrid_cadence: Option<usize>,
-    imbalance_threshold_permille: Option<usize>,
-    rebalance: Option<bool>,
-    regrid_policy: Option<RegridPolicy>,
-    regrid_rho_ref: Option<f64>,
-    regrid_ratio: Option<f64>,
-    regrid_coarsen_fraction: Option<f64>,
     skew_first_shard_permille: Option<u32>,
 }
 
 impl DistributedDriverBuilder {
-    /// Steps between distributed regrid collectives (0 = off).
-    pub fn regrid_cadence(mut self, steps: usize) -> Self {
-        self.regrid_cadence = Some(steps);
-        self
-    }
-
-    /// Owned-leaf imbalance (permille over balanced) that triggers a
-    /// between-regrid repartition (0 = never).
-    pub fn imbalance_threshold_permille(mut self, permille: usize) -> Self {
-        self.imbalance_threshold_permille = Some(permille);
-        self
-    }
-
-    /// Allow the driver to rebalance/migrate shards mid-run.
-    pub fn rebalance(mut self, on: bool) -> Self {
-        self.rebalance = Some(on);
-        self
-    }
-
-    /// The regrid policy (overrides the scenario's, if any).
-    pub fn regrid_policy(mut self, policy: RegridPolicy) -> Self {
-        self.regrid_policy = Some(policy);
-        self
-    }
-
-    /// Override the policy's base-level refinement density.
-    pub fn regrid_rho_ref(mut self, rho: f64) -> Self {
-        self.regrid_rho_ref = Some(rho);
-        self
-    }
-
-    /// Override the policy's per-level threshold growth.
-    pub fn regrid_ratio(mut self, ratio: f64) -> Self {
-        self.regrid_ratio = Some(ratio);
-        self
-    }
-
-    /// Override the policy's coarsening hysteresis fraction.
-    pub fn regrid_coarsen_fraction(mut self, fraction: f64) -> Self {
-        self.regrid_coarsen_fraction = Some(fraction);
-        self
-    }
-
     /// Start from a deliberately skewed SFC partition (the first shard
     /// takes `permille`/1000 of the leaves) instead of the balanced
     /// one — the load-imbalance injection hook for rebalancing tests
@@ -283,28 +224,16 @@ impl DistributedDriverBuilder {
         self
     }
 
-    /// Resolve every knob and construct the driver.
+    /// Validate the scenario's [`Config`] and construct the driver.
     pub fn build(self) -> Result<DistributedDriver> {
         DistributedDriver::from_builder(self)
     }
 }
 
 impl DistributedDriver {
-    /// Start a fluent build: `scenario` and `cluster` are mandatory,
-    /// regrid/rebalance knobs ride on the returned builder.
+    /// Start a build of the driver that runs `scenario` on `cluster`.
     pub fn builder(scenario: Scenario, cluster: Arc<Cluster>) -> DistributedDriverBuilder {
-        DistributedDriverBuilder {
-            scenario,
-            cluster,
-            regrid_cadence: None,
-            imbalance_threshold_permille: None,
-            rebalance: None,
-            regrid_policy: None,
-            regrid_rho_ref: None,
-            regrid_ratio: None,
-            regrid_coarsen_fraction: None,
-            skew_first_shard_permille: None,
-        }
+        DistributedDriverBuilder { scenario, cluster, skew_first_shard_permille: None }
     }
 
     /// Register `id` on every locality of `cluster` as an exchange
@@ -363,40 +292,9 @@ impl DistributedDriver {
     }
 
     fn from_builder(b: DistributedDriverBuilder) -> Result<DistributedDriver> {
-        let DistributedDriverBuilder {
-            scenario,
-            cluster,
-            regrid_cadence,
-            imbalance_threshold_permille,
-            rebalance,
-            regrid_policy,
-            regrid_rho_ref,
-            regrid_ratio,
-            regrid_coarsen_fraction,
-            skew_first_shard_permille,
-        } = b;
-        scenario.config.validate();
-        let mut config = scenario.config;
-        // Builder-level knob overrides win over the scenario's. The
-        // chain (and the shared normalization) lives in `config::knobs`.
-        use crate::config::knobs;
-        config.regrid_cadence =
-            knobs::REGRID_CADENCE.resolve(regrid_cadence, config.regrid_cadence);
-        config.imbalance_threshold_permille = knobs::IMBALANCE_THRESHOLD_PERMILLE
-            .resolve(imbalance_threshold_permille, config.imbalance_threshold_permille);
-        if let Some(on) = rebalance {
-            config.rebalance = on;
-        }
-        if regrid_policy.is_some() {
-            config.regrid = regrid_policy;
-        }
-        if let Some(p) = config.regrid.as_mut() {
-            p.rho_ref = knobs::REGRID_RHO_REF.resolve(regrid_rho_ref, p.rho_ref);
-            p.ratio = knobs::REGRID_RATIO.resolve(regrid_ratio, p.ratio);
-            p.coarsen_fraction =
-                knobs::REGRID_COARSEN_FRACTION.resolve(regrid_coarsen_fraction, p.coarsen_fraction);
-        }
-        config.validate();
+        let DistributedDriverBuilder { scenario, cluster, skew_first_shard_permille } = b;
+        let config = scenario.config;
+        config.validate()?;
         let tree = scenario.tree;
         let n = cluster.len();
         let shard = match skew_first_shard_permille {
@@ -443,7 +341,7 @@ impl DistributedDriver {
         let migrate = Self::open_channel(
             &cluster,
             MIGRATE_ACTION,
-            |m: &MigrateMsg| m.epoch,
+            |m: &GridMsg| m.epoch,
             &epoch,
             &stale_epoch_drops,
             "driver/migrated_parcels",
@@ -495,12 +393,6 @@ impl DistributedDriver {
     /// as the solver normalized it.
     pub fn fmm_chunk_cells(&self) -> Option<usize> {
         self.solver.as_ref().map(|s| s.chunk_cells())
-    }
-
-    /// The effective work-aggregation thresholds of every locality's
-    /// solver (`None` when gravity is off).
-    pub fn fmm_aggregation(&self) -> Option<gravity::gpu::AggregationConfig> {
-        self.solver.as_ref().map(|s| s.agg_config())
     }
 
     /// The leaf → locality assignment.
@@ -596,17 +488,23 @@ impl DistributedDriver {
         Ok(inbound)
     }
 
-    /// Ship the interior of every `(src, dest, leaf)` of `plan` as a
-    /// [`HALO_ACTION`] parcel and write what arrives into the receiving
-    /// mirrors.
-    fn push_interiors(&mut self, what: &str, plan: Vec<(usize, Dest, MortonKey)>) -> Result<()> {
+    /// Ship the interior of every `(src, dest, leaf)` of `plan` over
+    /// `channel` (the halo or the migrate one) and write what arrives
+    /// into the receiving mirrors — ghosts untouched; the next halo fill
+    /// rebuilds them, exactly as after a restore.
+    fn push_interiors(
+        &mut self,
+        channel: fn(&Self) -> &Channel<GridMsg>,
+        what: &str,
+        plan: Vec<(usize, Dest, MortonKey)>,
+    ) -> Result<()> {
         let epoch = self.epoch();
         let sends = plan.into_iter().map(|(src, dest, key)| {
             let grid = self.mirrors[src].node(key).expect("planned leaf").grid.as_ref();
             let values = grid.expect("grid").extract_interior();
             (src, dest, GridMsg { from: src as u32, epoch, key, values })
         });
-        let inbound = self.exchange(&self.halo, what, sends, |m| m.key)?;
+        let inbound = self.exchange(channel(self), what, sends, |m| m.key)?;
         for (loc, msgs) in inbound.into_iter().enumerate() {
             let tree = self.mirror_mut(loc);
             for msg in msgs {
@@ -707,7 +605,7 @@ impl DistributedDriver {
                 self.shard.owned(src as u32).iter().map(move |&key| (src, Dest::Peers, key))
             })
             .collect();
-        self.push_interiors("regrid interiors", owned)?;
+        self.push_interiors(|d| &d.halo, "regrid interiors", owned)?;
         for loc in 0..n {
             // Refinement prolongs from parent grids — derived data the
             // step phases never touch. Rebuild them, then run the
@@ -728,7 +626,7 @@ impl DistributedDriver {
     /// the current leaves into balanced SFC chunks (successor epoch)
     /// and migrate exactly the data each locality is newly responsible
     /// for, as [`MIGRATE_ACTION`] parcels carrying the checkpoint's
-    /// per-leaf blob encoding. A locality needs fresh interiors for its
+    /// per-leaf payload. A locality needs fresh interiors for its
     /// owned leaves and its inbound halo-plan sources; everything it
     /// already holds fresh (previous owned set + what the last interior
     /// exchange pushed) is not re-sent. Pure ownership movement — no
@@ -770,24 +668,15 @@ impl DistributedDriver {
         // new epoch (published first, so the handlers accept them and
         // reject any stale-epoch stragglers).
         self.epoch.store(next.epoch(), Ordering::SeqCst);
-        let mut sends = Vec::new();
+        let mut plan = Vec::new();
         for dst in 0..n {
             for &key in need[dst].difference(&have[dst]) {
                 let src = self.shard.owner(key)? as usize;
                 debug_assert_ne!(src, dst, "old owner already holds its own leaf");
-                let blob = checkpoint::extract_leaf(&self.mirrors[src], key);
-                let msg = MigrateMsg { from: src as u32, epoch: next.epoch(), blob };
-                sends.push((src, Dest::One(dst as u32), msg));
+                plan.push((src, Dest::One(dst as u32), key));
             }
         }
-        let inbound =
-            self.exchange(&self.migrate, "migrated leaves", sends.into_iter(), |m| m.blob.key)?;
-        for (loc, msgs) in inbound.into_iter().enumerate() {
-            let tree = self.mirror_mut(loc);
-            for msg in msgs {
-                checkpoint::apply_leaf(tree, &msg.blob);
-            }
-        }
+        self.push_interiors(|d| &d.migrate, "migrated leaves", plan)?;
         self.migrated_leaves.add(moves.len() as u64);
         self.install_shard(next);
         self.rebalances.increment();
@@ -960,7 +849,7 @@ impl DistributedDriver {
                 })
             })
             .collect();
-        self.push_interiors("halo messages", plan)
+        self.push_interiors(|d| &d.halo, "halo messages", plan)
     }
 
     /// One stage update: run `update(loc, key, grid, origin, dx)` on
@@ -983,12 +872,13 @@ impl DistributedDriver {
 
     /// Advance one TVD-RK2 step; returns the dt taken.
     ///
-    /// Phases: cadence-driven regrid collective (and/or imbalance-
-    /// triggered rebalance) → owned ghost fill → distributed CFL
-    /// min-reduce → moment exchange + restricted FMM → stage-1
-    /// RHS/apply → interior exchange → owned ghost fill → moment
-    /// exchange + FMM → stage-2 RHS/apply → interior exchange →
-    /// quiescence barrier.
+    /// Phases: cadence-driven regrid collective → owned ghost fill →
+    /// distributed CFL min-reduce → moment exchange + restricted FMM →
+    /// stage-1 RHS/apply → interior exchange → owned ghost fill →
+    /// moment exchange + FMM → stage-2 RHS/apply → interior exchange →
+    /// quiescence barrier. [`DistributedDriver::rebalance`] is never
+    /// called from here: every partition a run installs itself is the
+    /// balanced one.
     pub fn step(&mut self) -> Result<f64> {
         let _step_span =
             trace::span_labeled(TraceCategory::Step, || format!("step {}", self.steps));
@@ -998,15 +888,6 @@ impl DistributedDriver {
             if cadence > 0 && self.steps > 0 && self.steps % cadence == 0 {
                 self.regrid_phase(&policy)?;
             }
-        }
-        // Load-triggered rebalance between regrids: ownership movement
-        // only, no numerics.
-        if self.config.rebalance
-            && self.config.imbalance_threshold_permille > 0
-            && self.shard.imbalance_permille()
-                > self.config.imbalance_threshold_permille as u64
-        {
-            self.rebalance()?;
         }
         let bc = self.config.bc;
         let floors = self.config.floors;
@@ -1137,6 +1018,7 @@ impl DistributedDriver {
         blob: &Bytes,
     ) -> Result<DistributedDriver> {
         let body = checkpoint::decode(blob)?;
+        let stored: BTreeSet<MortonKey> = body.keys.iter().copied().collect();
         let mut scenario = scenario;
         // A regrid-enabled run's tree topology drifts from the
         // scenario's initial one; the checkpoint's key set *is* the
@@ -1145,7 +1027,6 @@ impl DistributedDriver {
         // Static-tree scenarios skip this, so a genuinely mismatched
         // scenario is still rejected below.
         if scenario.config.regrid.is_some() {
-            let stored: BTreeSet<MortonKey> = body.keys.iter().copied().collect();
             let have: BTreeSet<MortonKey> = scenario.tree.leaves().into_iter().collect();
             if have != stored {
                 scenario.tree = rebuild_topology(scenario.tree.domain(), &stored)?;
@@ -1153,7 +1034,6 @@ impl DistributedDriver {
         }
         let mut driver = DistributedDriver::builder(scenario, cluster).build()?;
         let have: BTreeSet<MortonKey> = driver.mirrors[0].leaves().into_iter().collect();
-        let stored: BTreeSet<MortonKey> = body.keys.iter().copied().collect();
         if have != stored {
             return Err(Error::Checkpoint(format!(
                 "leaf set mismatch: scenario has {} leaves, checkpoint stores {}",

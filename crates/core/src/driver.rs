@@ -161,20 +161,20 @@ impl std::ops::Deref for Simulation {
 }
 
 /// A loopback cluster has no peer to lose, so what is left in a driver
-/// error is a broken invariant or an unusable state (a non-finite CFL
-/// dt) — the panics the single-process API has always had.
+/// error is a broken invariant, an invalid [`crate::Config`] or an
+/// unusable state (a non-finite CFL dt) — the panics the single-process
+/// API has always had.
 fn infallible<T>(result: util::Result<T>) -> T {
     result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Simulation {
     /// Build a simulation from a scenario, with `scenario.config.threads`
-    /// workers.
+    /// workers. Panics when `scenario.config` fails
+    /// [`Config::validate`](crate::Config::validate).
     pub fn new(scenario: Scenario) -> Simulation {
-        // Before `threads` reaches the cluster builder.
-        scenario.config.validate();
-        let cluster = Cluster::builder().threads_per(scenario.config.threads).build();
-        let driver = DistributedDriver::builder(scenario, Arc::new(cluster)).build();
+        let cluster = Cluster::builder().threads_per(scenario.config.threads).try_build();
+        let driver = DistributedDriver::builder(scenario, Arc::new(infallible(cluster))).build();
         Simulation { driver: infallible(driver) }
     }
 
@@ -236,8 +236,6 @@ mod tests {
         let mut scenario = Scenario::sod(1);
         // Overwrite with a constant state.
         {
-            let domain = scenario.tree.domain();
-            let _ = domain;
             for key in scenario.tree.leaves() {
                 let node = scenario.tree.node_mut(key).unwrap();
                 let grid = node.grid.as_mut().unwrap();

@@ -538,10 +538,6 @@ pub struct FmmSolver {
     /// Target cells per same-level chunk task (normalized to whole
     /// rows). 512 restores the one-task-per-node behaviour.
     chunk_cells: usize,
-    /// Work-aggregation thresholds (slots per kind, total window).
-    /// Mirrors the attached context's configuration; kept here too so
-    /// CPU-only solvers still report the knobs they were built with.
-    agg: AggregationConfig,
 }
 
 impl FmmSolver {
@@ -574,18 +570,13 @@ impl FmmSolver {
     /// the total buffered items before everything flushes. `(1, 1)`
     /// disables batching (every item is its own launch). Normalized
     /// through [`AggregationConfig::new`] and applied to the attached
-    /// GPU context when one is present.
-    pub fn with_aggregation(mut self, slots: usize, window: usize) -> FmmSolver {
-        self.agg = AggregationConfig::new(slots, window);
+    /// GPU context; a CPU-only solver has nothing to batch and ignores
+    /// them.
+    pub fn with_aggregation(self, slots: usize, window: usize) -> FmmSolver {
         if let Some(ctx) = &self.gpu {
-            ctx.set_aggregation(self.agg);
+            ctx.set_aggregation(AggregationConfig::new(slots, window));
         }
         self
-    }
-
-    /// The effective work-aggregation thresholds.
-    pub fn agg_config(&self) -> AggregationConfig {
-        self.agg
     }
 
     fn build(theta: f64, gpu: Option<GpuContext>) -> FmmSolver {
@@ -604,7 +595,6 @@ impl FmmSolver {
                 }
             }
         }
-        let agg = gpu.as_ref().map(|c| c.agg_config()).unwrap_or_default();
         FmmSolver {
             stencil: Stencil::generate(theta),
             near_field: Stencil::near_field(theta),
@@ -612,7 +602,6 @@ impl FmmSolver {
             scratch: ScratchPool::new(),
             gpu,
             chunk_cells: DEFAULT_CHUNK_CELLS,
-            agg,
         }
     }
 

@@ -446,14 +446,35 @@ mod tests {
 
     #[test]
     fn serde_roundtrip_preserves_values() {
-        // Uses serde's derived impls via a JSON-free binary-ish check:
-        // clone through serde_test style is unavailable, so just check
-        // the skip-default indexer path by cloning.
+        use serde::{Deserialize, Reader, Serialize, Writer};
         let mut g = SubGrid::new();
-        g.set(Field::Tau, 0, 0, 0, 9.25);
-        let g2 = g.clone();
-        assert_eq!(g2.at(Field::Tau, 0, 0, 0), 9.25);
-        assert_eq!(g2.indexer().n, N_SUB);
+        for (n, f) in ALL_FIELDS.into_iter().enumerate() {
+            g.set(f, n as isize % 8, 0, 7, 9.25 + n as f64);
+        }
+        g.set(Field::Rho, -1, 0, 0, -0.0);
+        g.set(Field::Tau, 0, 0, 0, f64::MIN_POSITIVE);
+        let mut w = Writer::new();
+        g.serialize(&mut w);
+        let bytes = w.into_vec();
+        let back = SubGrid::deserialize(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back.indexer(), g.indexer());
+        for f in ALL_FIELDS {
+            for (a, b) in back.field(f).iter().zip(g.field(f)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{f:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn serde_rejects_a_payload_of_the_wrong_length() {
+        use serde::{Deserialize, Reader, Serialize, Writer};
+        // One field's worth of cells where FIELD_COUNT are due: input
+        // from the wire, so an error, not a mis-sized grid.
+        let mut w = Writer::new();
+        vec![1.0f64; default_indexer().len()].serialize(&mut w);
+        let bytes = w.into_vec();
+        let err = SubGrid::deserialize(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, serde::CodecError::Invalid(_)), "{err}");
     }
 
     #[test]

@@ -272,7 +272,6 @@ impl Locality {
 pub struct Cluster {
     localities: Vec<Arc<Locality>>,
     transport: Arc<dyn Transport>,
-    net: NetParams,
     metrics: Arc<Metrics>,
     fault: Option<Arc<FaultyTransport>>,
     reliable: Option<Arc<ReliableTransport>>,
@@ -298,8 +297,6 @@ pub struct ClusterBuilder {
     localities: usize,
     threads_per: usize,
     kind: TransportKind,
-    transport: Option<Arc<dyn Transport>>,
-    net: Option<NetParams>,
     fault_plan: Option<FaultPlan>,
     reliable: Option<ReliablePolicy>,
 }
@@ -310,8 +307,6 @@ impl Default for ClusterBuilder {
             localities: 1,
             threads_per: 1,
             kind: TransportKind::Mpi,
-            transport: None,
-            net: None,
             fault_plan: None,
             reliable: None,
         }
@@ -334,20 +329,6 @@ impl ClusterBuilder {
     /// Which transport backend to instantiate.
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.kind = kind;
-        self
-    }
-
-    /// Use an explicit transport instance instead of instantiating one
-    /// from the kind (e.g. a test double).
-    pub fn transport_instance(mut self, transport: Arc<dyn Transport>) -> Self {
-        self.transport = Some(transport);
-        self
-    }
-
-    /// Override the network cost model attached to the cluster (used by
-    /// benches to convert measured byte counters into modeled time).
-    pub fn latency_model(mut self, net: NetParams) -> Self {
-        self.net = Some(net);
         self
     }
 
@@ -377,16 +358,11 @@ impl ClusterBuilder {
         if self.threads_per == 0 {
             return Err(Error::Driver("each locality needs at least one scheduler thread".into()));
         }
-        let raw: Arc<dyn Transport> = match self.transport {
-            Some(t) => t,
-            None => match self.kind {
-                TransportKind::Mpi => {
-                    Arc::new(crate::mpi_sim::MpiTransport::new(self.localities))
-                }
-                TransportKind::Libfabric => {
-                    Arc::new(crate::libfabric_sim::LibfabricTransport::new(self.localities))
-                }
-            },
+        let raw: Arc<dyn Transport> = match self.kind {
+            TransportKind::Mpi => Arc::new(crate::mpi_sim::MpiTransport::new(self.localities)),
+            TransportKind::Libfabric => {
+                Arc::new(crate::libfabric_sim::LibfabricTransport::new(self.localities))
+            }
         };
         // Decorator stack (bottom up): raw fabric, then fault
         // injection, then reliable delivery. The default build keeps
@@ -407,7 +383,6 @@ impl ClusterBuilder {
             transport = r.clone() as Arc<dyn Transport>;
             r
         });
-        let net = self.net.unwrap_or_else(|| NetParams::for_kind(transport.kind()));
         let mut localities = Vec::with_capacity(self.localities);
         for i in 0..self.localities {
             let rt = Runtime::with_locality(self.threads_per, i as u32);
@@ -483,7 +458,6 @@ impl ClusterBuilder {
         Ok(Cluster {
             localities,
             transport,
-            net,
             metrics,
             fault,
             reliable,
@@ -508,9 +482,10 @@ impl Cluster {
         &self.metrics
     }
 
-    /// The network cost model this cluster was built with.
+    /// The Piz-Daint-calibrated network cost model of this cluster's
+    /// transport.
     pub fn net_params(&self) -> NetParams {
-        self.net
+        NetParams::for_kind(self.transport.kind())
     }
 
     /// Number of localities.
@@ -894,12 +869,9 @@ mod tests {
         assert_eq!(cluster.len(), 1);
         assert_eq!(cluster.transport().kind(), TransportKind::Mpi);
         assert_eq!(cluster.net_params(), NetParams::mpi_aries());
-        let custom = NetParams::libfabric_aries();
-        let cluster = Cluster::builder()
-            .transport(TransportKind::Libfabric)
-            .latency_model(custom)
-            .build();
-        assert_eq!(cluster.net_params(), custom);
+        // The latency model follows the transport.
+        let cluster = Cluster::builder().transport(TransportKind::Libfabric).build();
+        assert_eq!(cluster.net_params(), NetParams::libfabric_aries());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use integration_tests::{assert_trees_bit_identical, sod_amr, star_amr};
 use octotiger::diagnostics::totals;
 use octotiger::regrid::RegridPolicy;
-use octotiger::{Config, DistributedDriver, Scenario, Simulation};
+use octotiger::{DistributedDriver, Scenario, Simulation};
 use proptest::prelude::*;
 use octree::tree::Octree;
 use parcelport::cluster::Cluster;
@@ -133,16 +133,11 @@ fn moment_traffic_flows_when_gravity_is_on() {
     assert!(m.get("parcelport/libfabric/bytes_tx") >= m.get("driver/moments/bytes_tx"));
 }
 
-/// The FMM chunk-size knob round-trips end to end: `FMM_CHUNK_CELLS` →
-/// `Config` default, scenario `Config` → the solver of the single-node
-/// and of the distributed driver. `Config` is the only channel; values
-/// are normalized to whole 8-cell rows on the way in.
+/// `Scenario.config` is the one channel that configures a run: its
+/// `fmm_chunk_cells` reaches the solver of the single-node and of the
+/// distributed driver, normalized to whole 8-cell rows by the solver.
 #[test]
-fn fmm_chunk_cells_round_trips_through_config() {
-    std::env::set_var("FMM_CHUNK_CELLS", "40");
-    assert_eq!(Config::self_gravitating().fmm_chunk_cells, 40);
-    std::env::remove_var("FMM_CHUNK_CELLS");
-
+fn config_reaches_every_solver() {
     // Scenario config → single-node driver (20 normalizes up to 24).
     let mut scenario = star_amr();
     scenario.config.fmm_chunk_cells = 20;
@@ -162,44 +157,16 @@ fn fmm_chunk_cells_round_trips_through_config() {
     assert_eq!(Simulation::new(scenario).fmm_chunk_cells(), None);
 }
 
-/// The work-aggregation knobs ride the same chain
-/// (`core::config::knobs`): environment → `Config` default, scenario
-/// `Config` → the solver of the single-node and of the distributed
-/// driver. The pairwise `window ≥ slots` clamp applies on the way in.
+/// A `Config` out of range is an `Err` from `build()`, not an unwind
+/// out of a function that returns `Result`.
 #[test]
-fn fmm_agg_knobs_round_trip_through_config() {
-    std::env::set_var("FMM_AGG_SLOTS", "6");
-    std::env::set_var("FMM_AGG_WINDOW", "24");
-    let c = Config::self_gravitating();
-    assert_eq!(c.fmm_agg_slots, 6);
-    assert_eq!(c.fmm_agg_window, 24);
-    std::env::remove_var("FMM_AGG_SLOTS");
-    std::env::remove_var("FMM_AGG_WINDOW");
-
-    // Scenario config → single-node driver; a window smaller than one
-    // batch clamps up to the slot count.
-    let mut scenario = star_amr();
-    scenario.config.fmm_agg_slots = 5;
-    scenario.config.fmm_agg_window = 2;
-    let sim = Simulation::new(scenario);
-    let agg = sim.fmm_aggregation().expect("gravity on");
-    assert_eq!(agg.slots, 5);
-    assert_eq!(agg.window, 5, "window clamps up to slots");
-
-    // Scenario config → every locality's solver.
-    let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
-    let mut scenario = star_amr();
-    scenario.config.fmm_agg_slots = 12;
-    scenario.config.fmm_agg_window = 48;
-    let driver = DistributedDriver::builder(scenario, cluster).build().expect("driver");
-    let agg = driver.fmm_aggregation().expect("gravity on");
-    assert_eq!(agg.slots, 12);
-    assert_eq!(agg.window, 48);
-
-    // No gravity → no solver → nothing to report.
-    let mut scenario = star_amr();
-    scenario.config.gravity = false;
-    assert_eq!(Simulation::new(scenario).fmm_aggregation(), None);
+fn invalid_config_is_an_error_from_build() {
+    let cluster = Arc::new(Cluster::builder().localities(2).build());
+    let mut scenario = sod_amr();
+    scenario.config.cfl = 1.5;
+    let built = DistributedDriver::builder(scenario, cluster).build();
+    let err = built.err().expect("cfl = 1.5 must not build");
+    assert!(matches!(&err, util::Error::Driver(why) if why.contains("CFL")), "{err}");
 }
 
 /// The regrid policy the dynamic-AMR tests run: hot (ρ = 1) level-1
@@ -357,55 +324,6 @@ fn forced_migration_keeps_conservation_and_bit_identity() {
     let assembled = dist.assemble();
     assert_trees_bit_identical(&assembled, reference.tree(), "post-migration");
     assert_totals_bit_identical(&assembled, reference.tree(), "post-migration");
-}
-
-/// ISSUE 10 satellite: the regrid/rebalance knobs ride the same
-/// consolidated override chain as the FMM knobs — environment →
-/// `Config` default, scenario `Config` → driver, and a
-/// `DistributedDriverBuilder` override winning over both, with the
-/// policy thresholds normalized on the way in.
-#[test]
-fn regrid_knobs_round_trip_through_config_and_builder() {
-    std::env::set_var("REGRID_CADENCE", "7");
-    std::env::set_var("IMBALANCE_THRESHOLD_PERMILLE", "150");
-    let c = Config::default();
-    assert_eq!(c.regrid_cadence, 7);
-    assert_eq!(c.imbalance_threshold_permille, 150);
-    std::env::remove_var("REGRID_CADENCE");
-    std::env::remove_var("IMBALANCE_THRESHOLD_PERMILLE");
-
-    // Scenario config → driver, untouched when the builder is silent.
-    let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
-    let mut scenario = sod_amr();
-    scenario.config.regrid = Some(test_policy());
-    scenario.config.regrid_cadence = 5;
-    let driver = DistributedDriver::builder(scenario, cluster).build().expect("driver");
-    assert_eq!(driver.config.regrid_cadence, 5);
-    assert!(!driver.config.rebalance);
-
-    // Builder overrides win over the scenario's and normalize: a
-    // coarsen fraction of 7 clamps into (0, 1), a ratio below 1 clamps
-    // up to 1.
-    let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
-    let mut scenario = sod_amr();
-    scenario.config.regrid_cadence = 5;
-    let driver = DistributedDriver::builder(scenario, cluster)
-        .regrid_policy(test_policy())
-        .regrid_cadence(3)
-        .imbalance_threshold_permille(250)
-        .rebalance(true)
-        .regrid_rho_ref(0.75)
-        .regrid_ratio(0.1)
-        .regrid_coarsen_fraction(7.0)
-        .build()
-        .expect("driver");
-    assert_eq!(driver.config.regrid_cadence, 3);
-    assert_eq!(driver.config.imbalance_threshold_permille, 250);
-    assert!(driver.config.rebalance);
-    let p = driver.config.regrid.expect("policy installed by builder");
-    assert_eq!(p.rho_ref, 0.75);
-    assert_eq!(p.ratio, 1.0, "ratio clamps up to 1");
-    assert_eq!(p.coarsen_fraction, 0.99, "fraction clamps into (0, 1)");
 }
 
 /// The PR-1 regression shape, under the distributed driver's real
