@@ -43,7 +43,7 @@
 //!    in `gravity::solver`).
 //!
 //! The pinned golden digests of [`crate::scenarios`] and the serial
-//! references (`FmmSolver::solve`, `fill_all_halos`, `regrid::regrid`)
+//! references (`FmmSolver::solve`, the per-cell halo oracle, `regrid::regrid`)
 //! are the independent anchors the tests compare against.
 //!
 //! **Fault tolerance.** Every phase is crash-aware: quiescence waits

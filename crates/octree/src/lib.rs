@@ -8,7 +8,8 @@
 //! onto the compute nodes using a space filling curve."
 //!
 //! * [`subgrid`] — the 8³ sub-grid of evolved variables (struct-of-arrays
-//!   storage, ghost layers, face extraction for halo exchange).
+//!   storage, ghost layers, the all-fields box copy the halo fill moves
+//!   ghost boxes with).
 //! * [`geometry`] — the cubic domain, per-level cell sizes, cell centres.
 //! * [`tree`] — the octree itself: proper nesting, 2:1 balance,
 //!   refinement/coarsening with conservative prolongation/restriction,

@@ -17,14 +17,16 @@
 //! Why the 26-direction closure suffices: every ghost cell of a leaf
 //! lies, per axis, either in the leaf's own span or in the adjacent
 //! span one cell-block over (after the boundary clamp/reflect it can
-//! only move back *towards* the leaf), so the cell sampled by
-//! `halo::sample_cell` — directly, via coarse injection, or via the
-//! one-level fine average that 2:1 balance permits — always belongs to
-//! the leaf itself or one of its same-level/coarser/finer neighbors in
-//! the 26 directions.
+//! only move back *towards* the leaf), so the cell it reads — directly,
+//! via coarse injection, or via the one-level fine average that 2:1
+//! balance permits — always belongs to the leaf itself or one of its
+//! same-level/coarser/finer neighbors in the 26 directions. The list
+//! is not re-derived here: [`ShardMap::halo_sources`] collects the
+//! sources of `halo::resolve`, the resolution the fill itself runs.
 
+use crate::halo::{self, BoundaryCondition};
 use crate::sfc;
-use crate::tree::{Neighbor, Octree, DIRECTIONS};
+use crate::tree::{Octree, DIRECTIONS};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use util::error::{Error, Result};
 use util::morton::MortonKey;
@@ -186,20 +188,17 @@ impl ShardMap {
         &self.owned[shard as usize]
     }
 
-    /// The leaves whose interiors the ghost fill of `key` may sample
-    /// (excluding `key` itself), sorted by key for determinism.
+    /// The leaves whose interiors the ghost fill of `key` reads
+    /// (excluding `key` itself), sorted by key for determinism: the
+    /// sources of the fill's own slab resolution. Folding at a wall
+    /// moves a ghost cell within the leaf's span, never to another
+    /// source, so the set is the same under either boundary condition.
     pub fn halo_sources(tree: &Octree, key: MortonKey) -> Vec<MortonKey> {
         let mut set = BTreeSet::new();
         for dir in DIRECTIONS {
-            match tree.neighbor(key, dir) {
-                Neighbor::SameLevel(k) | Neighbor::Coarser(k) => {
-                    set.insert(k);
-                }
-                Neighbor::Finer(children) => {
-                    set.extend(children);
-                }
-                Neighbor::Boundary => {}
-            }
+            halo::resolve(tree, key, dir, BoundaryCondition::default(), |slab| {
+                set.insert(slab.source);
+            });
         }
         set.remove(&key);
         set.into_iter().collect()

@@ -229,57 +229,50 @@ impl SubGrid {
             .sum()
     }
 
-    /// Extract the boundary slab of interior cells that a neighbor in
-    /// direction `dir` (each component in {-1, 0, 1}, not all zero)
-    /// needs for its ghost layer: `N_GHOST` cells deep on each axis
-    /// where `dir` is nonzero, the full interior extent where zero.
-    /// Values are returned in row-major order of the slab box.
-    pub fn extract_halo(&self, f: Field, dir: (i32, i32, i32)) -> Vec<f64> {
-        let (rx, ry, rz) = (
-            axis_range_src(dir.0),
-            axis_range_src(dir.1),
-            axis_range_src(dir.2),
-        );
-        let mut out =
-            Vec::with_capacity(((rx.1 - rx.0) * (ry.1 - ry.0) * (rz.1 - rz.0)) as usize);
-        let data = self.field(f);
-        for i in rx.0..rx.1 {
-            for j in ry.0..ry.1 {
-                for k in rz.0..rz.1 {
-                    out.push(data[self.indexer.idx(i, j, k)]);
+    /// Overwrite the cells of `map`'s box — all fields — with the cells
+    /// of `src` it maps them to.
+    pub fn copy_box(&mut self, map: &BoxMap, src: &SubGrid) {
+        self.move_box(map, src, |plane, at, _| plane[at]);
+    }
+
+    /// As [`SubGrid::copy_box`], but each cell receives the mean of the
+    /// 2×2×2 block of `src` whose low corner it is mapped to — the
+    /// conservative restriction a ghost cell over a finer neighbor
+    /// needs. The summation order (from `0.0`, x-major) is part of the
+    /// bit-identity contract.
+    pub fn average_box(&mut self, map: &BoxMap, src: &SubGrid) {
+        self.move_box(map, src, |plane, at, d| {
+            let mut sum = 0.0;
+            for corner in [0, d, d * d, d * d + d] {
+                sum += plane[at + corner];
+                sum += plane[at + corner + 1];
+            }
+            sum / 8.0
+        });
+    }
+
+    /// The row loop behind both: `cell(plane, at, dim)` turns the mapped
+    /// source cell, at flat index `at` of its field plane, into a value.
+    fn move_box(
+        &mut self,
+        map: &BoxMap,
+        src: &SubGrid,
+        cell: impl Fn(&[f64], usize, usize) -> f64,
+    ) {
+        let d = self.indexer.dim();
+        let [is, js, ks] = [0, 1, 2].map(|a| &map.src[a][..map.len[a]]);
+        let planes = self.data.chunks_exact_mut(self.indexer.len());
+        for (dst, src) in planes.zip(src.data.chunks_exact(src.indexer.len())) {
+            for (a, &i) in is.iter().enumerate() {
+                for (b, &j) in js.iter().enumerate() {
+                    let to = ((map.dst[0] + a) * d + map.dst[1] + b) * d + map.dst[2];
+                    let from = (i * d + j) * d;
+                    for (out, &k) in dst[to..to + ks.len()].iter_mut().zip(ks) {
+                        *out = cell(src, from + k, d);
+                    }
                 }
             }
         }
-        out
-    }
-
-    /// Install a halo slab previously produced by [`SubGrid::extract_halo`]
-    /// on the neighbor in direction `dir` (as seen from *this* grid: the
-    /// data fills this grid's ghost cells on the `dir` side).
-    pub fn apply_halo(&mut self, f: Field, dir: (i32, i32, i32), data: &[f64]) {
-        let (rx, ry, rz) = (
-            axis_range_dst(dir.0),
-            axis_range_dst(dir.1),
-            axis_range_dst(dir.2),
-        );
-        let expect = ((rx.1 - rx.0) * (ry.1 - ry.0) * (rz.1 - rz.0)) as usize;
-        assert_eq!(data.len(), expect, "halo slab size mismatch for dir {dir:?}");
-        let indexer = self.indexer;
-        let field = self.field_mut(f);
-        let mut src = data.iter();
-        for i in rx.0..rx.1 {
-            for j in ry.0..ry.1 {
-                for k in rz.0..rz.1 {
-                    field[indexer.idx(i, j, k)] = *src.next().expect("checked length");
-                }
-            }
-        }
-    }
-
-    /// Number of f64 values a halo slab in direction `dir` carries.
-    pub fn halo_len(dir: (i32, i32, i32)) -> usize {
-        let ext = |d: i32| if d == 0 { N_SUB } else { N_GHOST };
-        ext(dir.0) * ext(dir.1) * ext(dir.2)
     }
 
     /// All interior cells of every field, field-major then row-major —
@@ -316,32 +309,67 @@ impl SubGrid {
     }
 }
 
-/// Source range (in the *sender's* interior) for a halo in direction `d`.
-fn axis_range_src(d: i32) -> (isize, isize) {
-    let n = N_SUB as isize;
-    let g = N_GHOST as isize;
-    match d {
-        // Neighbor is on our -d side: it needs our low cells... direction
-        // semantics: `dir` is the direction *from the receiver towards
-        // the sender*. The sender provides the cells adjacent to the
-        // shared face.
-        -1 => (n - g, n),
-        0 => (0, n),
-        1 => (0, g),
-        _ => panic!("direction component must be -1, 0, or 1"),
+/// First cell and cell count, along one axis, of the ghost box on the
+/// `d` side (`d < 0` low, `d > 0` high, `0` the interior extent).
+pub(crate) const fn ghost_span(d: i32) -> (isize, usize) {
+    if d < 0 {
+        (-(N_GHOST as isize), N_GHOST)
+    } else if d == 0 {
+        (0, N_SUB)
+    } else {
+        (N_SUB as isize, N_GHOST)
     }
 }
 
-/// Destination range (in the *receiver's* ghost region) for direction `d`
-/// (the direction from the receiver towards the sender).
-fn axis_range_dst(d: i32) -> (isize, isize) {
-    let n = N_SUB as isize;
-    let g = N_GHOST as isize;
-    match d {
-        -1 => (-g, 0),
-        0 => (0, n),
-        1 => (n, n + g),
-        _ => panic!("direction component must be -1, 0, or 1"),
+/// Where one box of cells reads from: per axis, a run of cells of this
+/// grid and, for each, the interior cell of a source grid. Repeated
+/// source cells inject a coarser neighbor or clamp at an outflow wall,
+/// descending ones mirror at a reflecting wall, stride-2 ones address a
+/// finer neighbor for [`SubGrid::average_box`]; the same-level copy is
+/// the plain shift of [`BoxMap::same_level`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoxMap {
+    /// Per axis: storage index (ghost offset included) of the first
+    /// cell of the run, and its length.
+    dst: [usize; 3],
+    len: [usize; 3],
+    /// Per axis: storage index of the source cell of each cell of the
+    /// run.
+    src: [[usize; N_SUB]; 3],
+}
+
+impl BoxMap {
+    /// Map the cells `span[a] = (first, count)` (interior-relative, per
+    /// axis; at most `N_SUB` a run) to the interior source cells
+    /// `src(axis, cell)`.
+    pub(crate) fn new(span: [(isize, usize); 3], src: impl Fn(usize, isize) -> isize) -> BoxMap {
+        let storage = |cell: isize| (cell + N_GHOST as isize) as usize;
+        let mut map = BoxMap {
+            dst: span.map(|(first, _)| storage(first)),
+            len: span.map(|(_, count)| count),
+            src: [[0; N_SUB]; 3],
+        };
+        for (a, &(first, count)) in span.iter().enumerate() {
+            debug_assert!(
+                first >= -(N_GHOST as isize) && storage(first) + count <= N_SUB + 2 * N_GHOST,
+                "axis {a} run {:?} leaves the grid",
+                (first, count)
+            );
+            for (n, cell) in (first..first + count as isize).enumerate() {
+                let from = src(a, cell);
+                debug_assert!((0..N_SUB as isize).contains(&from), "source cell {from} is a ghost");
+                map.src[a][n] = storage(from);
+            }
+        }
+        map
+    }
+
+    /// The whole ghost box on the `dir` side, read from the facing
+    /// interior cells of a same-level neighbor in that direction;
+    /// `(0, 0, 0)` maps the interior onto itself.
+    pub fn same_level(dir: (i32, i32, i32)) -> BoxMap {
+        let step = [dir.0, dir.1, dir.2].map(|d| d.signum() as isize * N_SUB as isize);
+        BoxMap::new([dir.0, dir.1, dir.2].map(ghost_span), |a, cell| cell - step[a])
     }
 }
 
@@ -399,49 +427,93 @@ mod tests {
         assert_eq!(g.interior_sum(Field::Rho), 512.0);
     }
 
-    #[test]
-    fn halo_roundtrip_face() {
-        // Two grids side by side along +x: B is at +x of A.
-        let mut a = SubGrid::new();
-        let mut b = SubGrid::new();
-        for (i, j, k) in a.indexer().interior() {
-            a.set(Field::Rho, i, j, k, (100 * i + 10 * j + k) as f64);
-        }
-        // B's ghost layer on its -x side comes from A's high-x cells.
-        // dir from receiver (B) towards sender (A) is (-1, 0, 0).
-        let slab = a.extract_halo(Field::Rho, (-1, 0, 0));
-        assert_eq!(slab.len(), SubGrid::halo_len((-1, 0, 0)));
-        assert_eq!(slab.len(), N_GHOST * N_SUB * N_SUB);
-        b.apply_halo(Field::Rho, (-1, 0, 0), &slab);
-        // B's ghost (-1, j, k) must equal A's interior (7, j, k), and
-        // (-2, j, k) must equal A's (6, j, k).
-        for j in 0..N_SUB as isize {
-            for k in 0..N_SUB as isize {
-                assert_eq!(b.at(Field::Rho, -1, j, k), a.at(Field::Rho, 7, j, k));
-                assert_eq!(b.at(Field::Rho, -2, j, k), a.at(Field::Rho, 6, j, k));
+    /// A grid whose interior cell `(i, j, k)` of field `n` holds
+    /// `1000 n + 100 i + 10 j + k`.
+    fn numbered() -> SubGrid {
+        let mut g = SubGrid::new();
+        for (n, f) in ALL_FIELDS.into_iter().enumerate() {
+            for (i, j, k) in g.indexer().interior() {
+                g.set(f, i, j, k, (1000 * n as isize + 100 * i + 10 * j + k) as f64);
             }
         }
+        g
+    }
+
+    /// A fresh grid whose `dir` ghost box was copied from `a`, a
+    /// same-level neighbor in that direction.
+    fn exchanged(a: &SubGrid, dir: (i32, i32, i32)) -> SubGrid {
+        let mut b = SubGrid::new();
+        b.copy_box(&BoxMap::same_level(dir), a);
+        b
+    }
+
+    #[test]
+    fn halo_roundtrip_face() {
+        // Two grids side by side along +x: B is at +x of A, so B's ghost
+        // layer on its -x side comes from A's high-x cells; the
+        // direction from receiver (B) towards sender (A) is (-1, 0, 0).
+        let a = numbered();
+        let b = exchanged(&a, (-1, 0, 0));
+        // B's ghost (-1, j, k) must equal A's interior (7, j, k), and
+        // (-2, j, k) must equal A's (6, j, k) — in every field.
+        for f in ALL_FIELDS {
+            for j in 0..N_SUB as isize {
+                for k in 0..N_SUB as isize {
+                    assert_eq!(b.at(f, -1, j, k), a.at(f, 7, j, k));
+                    assert_eq!(b.at(f, -2, j, k), a.at(f, 6, j, k));
+                }
+            }
+        }
+        // Nothing but that ghost box was written (its source cells, at
+        // i >= 5, are all non-zero).
+        let written = b.data.iter().filter(|&&v| v != 0.0).count();
+        assert_eq!(written, FIELD_COUNT * N_GHOST * N_SUB * N_SUB);
     }
 
     #[test]
     fn halo_roundtrip_edge_and_corner() {
-        let mut a = SubGrid::new();
-        let mut b = SubGrid::new();
-        for (i, j, k) in a.indexer().interior() {
-            a.set(Field::Egas, i, j, k, (i * j * k + 1) as f64);
-        }
+        let a = numbered();
         // Edge: sender towards +y,+z of receiver.
-        let slab = a.extract_halo(Field::Egas, (0, 1, 1));
-        assert_eq!(slab.len(), N_SUB * N_GHOST * N_GHOST);
-        b.apply_halo(Field::Egas, (0, 1, 1), &slab);
+        let b = exchanged(&a, (0, 1, 1));
         assert_eq!(b.at(Field::Egas, 3, 8, 8), a.at(Field::Egas, 3, 0, 0));
         assert_eq!(b.at(Field::Egas, 3, 9, 9), a.at(Field::Egas, 3, 1, 1));
         // Corner.
-        let slab = a.extract_halo(Field::Egas, (-1, -1, -1));
-        assert_eq!(slab.len(), N_GHOST * N_GHOST * N_GHOST);
-        b.apply_halo(Field::Egas, (-1, -1, -1), &slab);
+        let b = exchanged(&a, (-1, -1, -1));
         assert_eq!(b.at(Field::Egas, -1, -1, -1), a.at(Field::Egas, 7, 7, 7));
-        assert_eq!(b.at(Field::Egas, -2, -2, -2), a.at(Field::Egas, 6, 6, 6));
+        assert_eq!(b.at(Field::Tau, -2, -2, -2), a.at(Field::Tau, 6, 6, 6));
+        // The null direction is the interior onto itself.
+        let b = exchanged(&a, (0, 0, 0));
+        assert_eq!(b.extract_interior(), a.extract_interior());
+    }
+
+    #[test]
+    fn box_maps_repeat_reverse_and_average() {
+        let a = numbered();
+        let whole = [-1, 0, 0].map(ghost_span);
+        // Clamp x to cell 0, mirror y, halve z (a coarse injection).
+        let map = BoxMap::new(whole, |axis, cell| match axis {
+            0 => 0,
+            1 => 7 - cell,
+            _ => cell / 2,
+        });
+        let mut b = SubGrid::new();
+        b.copy_box(&map, &a);
+        assert_eq!(b.at(Field::Sx, -3, 2, 5), a.at(Field::Sx, 0, 5, 2));
+        assert_eq!(b.at(Field::Lz, -1, 7, 7), a.at(Field::Lz, 0, 0, 3));
+        // A sub-box writes only its own cells: the x = -1 layer, upper
+        // y half, averaged from 2×2×2 blocks.
+        let mut b = SubGrid::new();
+        let map = BoxMap::new([(-1, 1), (4, 4), (0, 8)], |axis, cell| match axis {
+            0 => 6,
+            1 => 2 * (cell - 4),
+            _ => 2 * (cell / 2),
+        });
+        b.average_box(&map, &a);
+        // Block at (6, 2, 4): mean of 100 i + 10 j + k over {6,7}×{2,3}×{4,5}.
+        assert_eq!(b.at(Field::Rho, -1, 5, 4), 650.0 + 25.0 + 4.5);
+        assert_eq!(b.at(Field::Sx, -1, 5, 5), 1000.0 + 650.0 + 25.0 + 4.5);
+        assert_eq!(b.at(Field::Rho, -1, 3, 4), 0.0);
+        assert_eq!(b.at(Field::Rho, -2, 5, 4), 0.0);
     }
 
     #[test]

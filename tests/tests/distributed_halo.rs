@@ -1,9 +1,16 @@
-//! Distributed halo exchange across the simulated cluster: sub-grid
-//! halo slabs travel as parcels over both parcelports and must
-//! reproduce exactly what the shared-memory halo fill computes.
+//! Distributed halo exchange across the simulated cluster, as the
+//! driver does it: a leaf's interior travels as a parcel over either
+//! parcelport, the receiver rebuilds the neighbor grid and moves the
+//! ghost box with the fill's own all-fields box copy — bit-exact in all
+//! 26 directions. And the leaves a fill reads are exactly the shard
+//! map's halo sources.
 
 use amt::GlobalId;
-use octree::subgrid::{Field, SubGrid};
+use integration_tests::star_amr;
+use octree::geometry::Domain;
+use octree::halo::{fill_halos_for_leaves, BoundaryCondition};
+use octree::subgrid::{BoxMap, SubGrid, ALL_FIELDS};
+use octree::{MortonKey, Octree, ShardMap};
 use parcelport::cluster::Cluster;
 use parcelport::netmodel::TransportKind;
 use parcelport::parcel::ActionId;
@@ -25,20 +32,44 @@ mod parking_lot_stub {
     }
 }
 
+/// What the driver's halo push carries: where the sender lies, seen
+/// from the receiver, and the sender's whole interior
+/// (`SubGrid::extract_interior`).
 struct HaloMsg {
-    field: usize,
     dir: (i32, i32, i32),
     values: Vec<f64>,
 }
 
-serde::impl_codec_struct!(HaloMsg { field, dir, values });
+serde::impl_codec_struct!(HaloMsg { dir, values });
+
+impl HaloMsg {
+    fn from_neighbor(dir: (i32, i32, i32), sender: &SubGrid) -> HaloMsg {
+        HaloMsg { dir, values: sender.extract_interior() }
+    }
+
+    /// The receiving side: rebuild the sender's grid and fill the ghost
+    /// box facing it.
+    fn apply(&self, receiver: &mut SubGrid) {
+        let mut sender = SubGrid::new();
+        sender.apply_interior(&self.values);
+        receiver.copy_box(&BoxMap::same_level(self.dir), &sender);
+    }
+}
+
+/// A grid with every field's interior painted from `f(field, i, j, k)`.
+fn painted(f: impl Fn(usize, isize, isize, isize) -> f64) -> SubGrid {
+    let mut g = SubGrid::new();
+    for (n, field) in ALL_FIELDS.into_iter().enumerate() {
+        for (i, j, k) in g.indexer().interior() {
+            g.set(field, i, j, k, f(n, i, j, k));
+        }
+    }
+    g
+}
 
 fn exchange_over(kind: TransportKind) {
     // Locality 0 owns grid A, locality 1 owns grid B (B at +x of A).
-    let mut a = SubGrid::new();
-    for (i, j, k) in a.indexer().interior() {
-        a.set(Field::Rho, i, j, k, (100 * i + 10 * j + k) as f64 + 0.5);
-    }
+    let a = painted(|n, i, j, k| (1000 * n as isize + 100 * i + 10 * j + k) as f64 + 0.5);
 
     let cluster = Cluster::builder().localities(2).threads_per(2).transport(kind).build();
     let received: Arc<Mutex<Option<HaloMsg>>> = Arc::new(Mutex::new(None));
@@ -47,26 +78,26 @@ fn exchange_over(kind: TransportKind) {
         *sink.lock() = Some(msg);
     });
 
-    // A sends its +x face slab to B (direction from B towards A is -x).
-    let dir = (-1, 0, 0);
-    let slab = a.extract_halo(Field::Rho, dir);
-    let msg = HaloMsg { field: Field::Rho.idx(), dir, values: slab };
+    // A sends its interior to B (direction from B towards A is -x).
+    let msg = HaloMsg::from_neighbor((-1, 0, 0), &a);
     cluster.locality(0).send_action(halo, 1, GlobalId(1), &msg).expect("halo send");
     cluster.wait_quiescent();
 
-    // B applies the received slab; its ghosts must equal A's interior.
+    // B fills its -x ghost box from what arrived; it must equal A's
+    // facing interior cells, in every field.
     let msg = received.lock().take().expect("halo must arrive");
-    assert_eq!(msg.field, Field::Rho.idx());
     let mut b = SubGrid::new();
-    b.apply_halo(Field::Rho, msg.dir, &msg.values);
-    for j in 0..8 {
-        for k in 0..8 {
-            assert_eq!(
-                b.at(Field::Rho, -1, j, k),
-                a.at(Field::Rho, 7, j, k),
-                "ghost mismatch over {kind} at ({j},{k})"
-            );
-            assert_eq!(b.at(Field::Rho, -3, j, k), a.at(Field::Rho, 5, j, k));
+    msg.apply(&mut b);
+    for f in ALL_FIELDS {
+        for j in 0..8 {
+            for k in 0..8 {
+                assert_eq!(
+                    b.at(f, -1, j, k),
+                    a.at(f, 7, j, k),
+                    "{f:?} ghost mismatch over {kind} at ({j},{k})"
+                );
+                assert_eq!(b.at(f, -3, j, k), a.at(f, 5, j, k));
+            }
         }
     }
 }
@@ -83,11 +114,9 @@ fn halo_exchange_over_libfabric() {
 
 #[test]
 fn all_26_directions_roundtrip_over_the_wire() {
-    // Every direction's slab must survive codec + transport bit-exactly.
-    let mut a = SubGrid::new();
-    for (i, j, k) in a.indexer().interior() {
-        a.set(Field::Egas, i, j, k, ((i * 31 + j * 7 + k) as f64).sin());
-    }
+    // Every direction's ghost box must survive codec + transport + box
+    // copy bit-exactly.
+    let a = painted(|n, i, j, k| ((1 + n as isize * 131 + i * 31 + j * 7 + k) as f64).sin());
     let cluster = Cluster::builder().localities(2).transport(TransportKind::Libfabric).build();
     let got: Arc<Mutex<Vec<HaloMsg>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&got);
@@ -101,8 +130,7 @@ fn all_26_directions_roundtrip_over_the_wire() {
                 if (dx, dy, dz) == (0, 0, 0) {
                     continue;
                 }
-                let slab = a.extract_halo(Field::Egas, (dx, dy, dz));
-                let msg = HaloMsg { field: Field::Egas.idx(), dir: (dx, dy, dz), values: slab };
+                let msg = HaloMsg::from_neighbor((dx, dy, dz), &a);
                 cluster.locality(0).send_action(halo, 1, GlobalId(0), &msg).expect("halo send");
                 sent += 1;
             }
@@ -112,10 +140,81 @@ fn all_26_directions_roundtrip_over_the_wire() {
     let got = got.lock();
     assert_eq!(got.len(), sent);
     for msg in got.iter() {
-        assert_eq!(msg.values.len(), SubGrid::halo_len(msg.dir));
-        let reference = a.extract_halo(Field::Egas, msg.dir);
-        for (a_val, b_val) in reference.iter().zip(&msg.values) {
-            assert_eq!(a_val.to_bits(), b_val.to_bits(), "wire corrupted a value");
+        let mut b = SubGrid::new();
+        msg.apply(&mut b);
+        // Per axis: the ghost cells on the `d` side and the sender's
+        // cells they face.
+        let facing = |d: i32| match d {
+            -1 => (-3..0, 8),
+            0 => (0..8, 0),
+            _ => (8..11, -8),
+        };
+        let (dx, dy, dz) = msg.dir;
+        let ((is, di), (js, dj), (ks, dk)) = (facing(dx), facing(dy), facing(dz));
+        let mut cells = 0;
+        for f in ALL_FIELDS {
+            for i in is.clone() {
+                for j in js.clone() {
+                    for k in ks.clone() {
+                        let (got, sent) = (b.at(f, i, j, k), a.at(f, i + di, j + dj, k + dk));
+                        assert_eq!(got.to_bits(), sent.to_bits(), "{f:?} ({i},{j},{k})");
+                        cells += 1;
+                    }
+                }
+            }
+        }
+        // ... and nothing else was written (the sine of a non-zero
+        // integer is never zero).
+        let written: usize =
+            ALL_FIELDS.iter().map(|&f| b.field(f).iter().filter(|&&v| v != 0.0).count()).sum();
+        assert_eq!(written, cells, "{:?}", msg.dir);
+    }
+}
+
+/// The leaves whose interiors a fill of `leaf` reads, observed from
+/// outside: every leaf's interior is painted with its own index in all
+/// fields (copies, injections and 8-cell averages of one leaf's cells
+/// all reproduce a small integer exactly), then the distinct values in
+/// `leaf`'s ghosts name the leaves that were read.
+fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, bc: BoundaryCondition) -> Vec<MortonKey> {
+    let leaves = tree.leaves();
+    let mut tagged = tree.clone();
+    for (n, &key) in leaves.iter().enumerate() {
+        let grid = tagged.node_mut(key).unwrap().grid.as_mut().unwrap();
+        for f in ALL_FIELDS {
+            grid.field_mut(f).fill(n as f64);
+        }
+    }
+    let mut tagged = Arc::new(tagged);
+    fill_halos_for_leaves(&mut tagged, &[leaf], bc, &amt::Runtime::new(1));
+    let grid = tagged.node(leaf).unwrap().grid.as_ref().unwrap();
+    let indexer = grid.indexer();
+    let mut read = std::collections::BTreeSet::new();
+    for f in ALL_FIELDS {
+        for (i, j, k) in indexer.all().filter(|&(i, j, k)| !indexer.is_interior(i, j, k)) {
+            let tag = grid.at(f, i, j, k);
+            assert_eq!(tag.fract(), 0.0, "{leaf:?} {f:?} ({i},{j},{k}) mixes leaves: {tag}");
+            read.insert(leaves[tag as usize]);
+        }
+    }
+    read.remove(&leaf);
+    read.into_iter().collect()
+}
+
+#[test]
+fn a_fill_reads_exactly_its_halo_sources() {
+    // The shard map's plan and the fill cannot drift: on the corner-
+    // refined `star_amr` tree and on a half-refined one (coarse faces
+    // tiled by four fine children), under both boundary conditions.
+    let mut half = Octree::new(Domain::new(16.0));
+    half.refine_where(2, |d, k| d.node_origin(k).x < 0.0);
+    for tree in [star_amr().tree, half] {
+        tree.check_invariants();
+        for leaf in tree.leaves() {
+            let planned = ShardMap::halo_sources(&tree, leaf);
+            for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
+                assert_eq!(leaves_read_by_fill(&tree, leaf, bc), planned, "{leaf:?} {bc:?}");
+            }
         }
     }
 }

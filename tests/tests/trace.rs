@@ -28,6 +28,11 @@ fn events_of<'a>(events: &'a [TraceEvent], tids: &[u32]) -> Vec<&'a TraceEvent> 
 #[test]
 fn spans_nest_per_worker() {
     let rt = Runtime::new(2);
+    // Workers register their trace ids as they start; on a loaded host
+    // the 16 short tasks below can finish before the second one has.
+    while rt.scheduler().worker_trace_ids().len() < 2 {
+        std::thread::yield_now();
+    }
     let session = TraceSession::begin();
     for _ in 0..16 {
         rt.scheduler().spawn(|| {
