@@ -37,6 +37,15 @@ fn bench_hydro(c: &mut Criterion) {
     group.bench_function("subgrid_rhs_ppm_kt", |b| {
         b.iter(|| black_box(stepper.dudt(&grid, 0.1)))
     });
+    // The same sweep into a standing buffer, as the driver runs it: the
+    // gap to the case above is what allocating the result costs.
+    group.bench_function("subgrid_rhs_ppm_kt_into", |b| {
+        let mut rhs = stepper.dudt(&grid, 0.1);
+        b.iter(|| {
+            stepper.dudt_into(black_box(&grid), 0.1, &mut rhs);
+            black_box(&mut rhs);
+        })
+    });
     group.bench_function("max_signal_speed", |b| {
         b.iter(|| black_box(stepper.max_signal_speed(&grid)))
     });

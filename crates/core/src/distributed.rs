@@ -71,7 +71,7 @@ use hydro::rotating::RotatingFrame;
 use hydro::step::HydroStepper;
 use octree::halo::{fill_halos_for_leaves, BoundaryCondition};
 use octree::shard::ShardMap;
-use octree::subgrid::SubGrid;
+use octree::subgrid::{SubGrid, FIELD_COUNT, N_SUB};
 use crate::checkpoint::{self, CheckpointBody, CHECKPOINT_VERSION};
 use bytes::Bytes;
 use octree::tree::Octree;
@@ -79,7 +79,7 @@ use parcelport::cluster::Cluster;
 use parcelport::collectives::{self, Collectives};
 use parcelport::parcel::{ActionHandle, ActionId, Parcel};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use util::morton::MortonKey;
@@ -149,6 +149,26 @@ struct Channel<T> {
     bytes_tx: Counter,
 }
 
+/// The standing step memory of one owned leaf: the RHS its stage task
+/// writes and the pre-step interior the RK2 final stage averages with.
+/// Each is overwritten whole before it is read within a step, so a
+/// buffer belongs to no leaf in particular: slot `i` of a locality
+/// serves `shard.owned(loc)[i]` for the step at hand, and a new owned
+/// set changes only how many slots a locality holds (`stage_rhs`
+/// re-counts them). They are made on a run's first step, not at
+/// construction: a freshly built driver has touched none of that memory.
+struct StageBuffers {
+    rhs: Vec<StateVec>,
+    /// `SubGrid::extract_interior` layout; filled by the first stage 1.
+    prev: Vec<f64>,
+}
+
+impl StageBuffers {
+    fn new() -> StageBuffers {
+        StageBuffers { rhs: vec![[0.0; FIELD_COUNT]; N_SUB.pow(3)], prev: Vec::new() }
+    }
+}
+
 /// Where one message of an exchange round goes.
 #[derive(Clone, Copy)]
 enum Dest {
@@ -172,6 +192,9 @@ pub struct DistributedDriver {
     /// maintains; whoever needs them (`assemble`, the regrid phase)
     /// restricts first.
     mirrors: Vec<Arc<Octree>>,
+    /// `stage[loc][i]` is the step memory of `shard.owned(loc)[i]`: a
+    /// steady-state step allocates no RHS and no stage grid.
+    stage: Vec<Vec<StageBuffers>>,
     halo: Channel<GridMsg>,
     moment: Channel<MomentMsg>,
     regrid: Channel<RegridMsg>,
@@ -350,6 +373,7 @@ impl DistributedDriver {
         let coll = Collectives::register(&cluster);
 
         Ok(DistributedDriver {
+            stage: Vec::new(),
             stale_epoch_drops,
             regrids: m.counter("driver/regrids"),
             rebalances: m.counter("driver/rebalances"),
@@ -798,17 +822,24 @@ impl DistributedDriver {
     }
 
     /// The full RHS of every shard's owned leaves for the current state
-    /// (ghosts filled): gravity solve, then one futurized RHS task per
-    /// leaf — launched on *all* localities first, then collected, so
-    /// shards overlap.
-    fn stage_rhs(&self) -> Result<Vec<HashMap<MortonKey, Vec<StateVec>>>> {
+    /// (ghosts filled), into their standing buffers: gravity solve, then
+    /// one futurized RHS task per leaf — launched on *all* localities
+    /// first, then collected, so shards overlap. A task takes its
+    /// leaf's buffer by move and hands it back through its future.
+    fn stage_rhs(&mut self) -> Result<()> {
         let grav = self.solve_gravity()?;
         let n = self.cluster.len();
+        // One slot per owned leaf: a no-op except on a run's first step
+        // and after a regrid or rebalance changed the owned sets.
+        self.stage.resize_with(n, Vec::new);
         let mut pending = Vec::with_capacity(n);
         for loc in 0..n {
             let rt = self.cluster.locality(loc).runtime();
-            let mut futs = Vec::new();
-            for &key in self.shard.owned(loc as u32) {
+            let owned = self.shard.owned(loc as u32);
+            self.stage[loc].resize_with(owned.len(), StageBuffers::new);
+            let mut futs = Vec::with_capacity(owned.len());
+            for (&key, slot) in owned.iter().zip(&mut self.stage[loc]) {
+                let mut rhs = std::mem::take(&mut slot.rhs);
                 let tree = Arc::clone(&self.mirrors[loc]);
                 let g = grav[loc].clone();
                 let stepper = self.stepper;
@@ -816,23 +847,25 @@ impl DistributedDriver {
                 futs.push(rt.async_call(move || {
                     let _span =
                         trace::span_labeled(TraceCategory::HydroRhs, || format!("{key:?}"));
-                    (key, leaf_rhs(&tree, key, g.as_deref(), stepper, frame))
+                    leaf_rhs(&tree, key, g.as_deref(), stepper, frame, &mut rhs);
+                    rhs
                 }));
             }
             pending.push(futs);
         }
-        let mut out = Vec::with_capacity(n);
         for (loc, futs) in pending.into_iter().enumerate() {
             let rt = self.cluster.locality(loc).runtime();
             let sched = Arc::clone(rt.scheduler());
-            let map: HashMap<MortonKey, Vec<StateVec>> =
-                when_all(&sched, futs).get_help(&sched).into_iter().collect();
+            // `when_all` yields results in input order = slot order.
+            let filled = when_all(&sched, futs).get_help(&sched);
+            for (slot, rhs) in self.stage[loc].iter_mut().zip(filled) {
+                slot.rhs = rhs;
+            }
             // Tasks still hold mirror Arcs until fully retired; drain
             // them so the apply phase's Arc::get_mut cannot race.
             rt.wait_quiescent();
-            out.push(map);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Push every cross-shard halo source's interior per the static
@@ -852,20 +885,20 @@ impl DistributedDriver {
         self.push_interiors(|d| &d.halo, "halo messages", plan)
     }
 
-    /// One stage update: run `update(loc, key, grid, origin, dx)` on
-    /// every owned leaf of every mirror (`origin`/`dx` locate the leaf
-    /// for the floors' spin-ledger deposit).
+    /// One stage update: run `update(grid, stage, origin, dx)` on every
+    /// owned leaf of every mirror with its stage slot (`origin`/`dx`
+    /// locate the leaf for the floors' spin-ledger deposit).
     fn update_owned_grids(
         &mut self,
-        mut update: impl FnMut(usize, MortonKey, &mut SubGrid, Vec3, f64),
+        mut update: impl FnMut(&mut SubGrid, &mut StageBuffers, Vec3, f64),
     ) {
         let _span = trace::span(TraceCategory::HydroApply);
         for loc in 0..self.cluster.len() {
             let tree = exclusive(&mut self.mirrors[loc]);
             let domain = tree.domain();
-            for &key in self.shard.owned(loc as u32) {
+            for (&key, stage) in self.shard.owned(loc as u32).iter().zip(&mut self.stage[loc]) {
                 let grid = tree.node_mut(key).expect("leaf").grid.as_mut().expect("grid");
-                update(loc, key, grid, domain.node_origin(key), domain.cell_dx(key.level));
+                update(grid, stage, domain.node_origin(key), domain.cell_dx(key.level));
             }
         }
     }
@@ -899,22 +932,19 @@ impl DistributedDriver {
             return Err(Error::Driver(format!("CFL produced dt = {dt}")));
         }
 
-        // Stage 1 (forward Euler); keeps the pre-update grids the RK2
-        // final stage needs.
-        let rhs = self.stage_rhs()?;
-        let mut old: Vec<HashMap<MortonKey, SubGrid>> = vec![HashMap::new(); rhs.len()];
-        self.update_owned_grids(|loc, key, grid, origin, dx| {
-            let prev = apply_stage1(stepper, grid, &rhs[loc][&key], dt, floors, origin, dx);
-            old[loc].insert(key, prev);
+        // Stage 1 (forward Euler); keeps the pre-update interiors the
+        // RK2 final stage needs.
+        self.stage_rhs()?;
+        self.update_owned_grids(|grid, stage, origin, dx| {
+            apply_stage1(stepper, grid, &mut stage.prev, &stage.rhs, dt, floors, origin, dx);
         });
-        drop(rhs);
         self.exchange_interiors()?;
 
         // Stage 2 (TVD-RK2 average).
         self.fill_owned_halos(bc);
-        let rhs = self.stage_rhs()?;
-        self.update_owned_grids(|loc, key, grid, origin, dx| {
-            apply_stage2(stepper, grid, &old[loc][&key], &rhs[loc][&key], dt, floors, origin, dx);
+        self.stage_rhs()?;
+        self.update_owned_grids(|grid, stage, origin, dx| {
+            apply_stage2(stepper, grid, &stage.prev, &stage.rhs, dt, floors, origin, dx);
         });
         self.exchange_interiors()?;
 
@@ -1226,6 +1256,129 @@ mod tests {
         }
         assert_trees_bit_identical(&dist.assemble(), reference.tree());
         assert_eq!(dist.stale_epoch_drops(), 0);
+    }
+
+    /// Where every stage slot's two buffers live.
+    fn stage_pointers(d: &DistributedDriver) -> Vec<(*const StateVec, *const f64)> {
+        d.stage
+            .iter()
+            .flatten()
+            .map(|slot| (slot.rhs.as_ptr(), slot.prev.as_ptr()))
+            .collect()
+    }
+
+    fn assert_one_slot_per_owned_leaf(d: &DistributedDriver) {
+        for (loc, slots) in d.stage.iter().enumerate() {
+            assert_eq!(slots.len(), d.shard.owned(loc as u32).len(), "locality {loc}");
+        }
+    }
+
+    /// A steady-state step allocates no RHS and no stage grid: the
+    /// buffers the tasks took by move come back to the same slots, on
+    /// the loopback driver and across two localities with gravity on.
+    #[test]
+    fn stage_buffers_stand_across_steps() {
+        for (scenario, localities) in [(Scenario::sod(1), 1), (Scenario::mini_binary(2), 2)] {
+            let name = scenario.name;
+            let cluster =
+                Arc::new(Cluster::builder().localities(localities).threads_per(2).build());
+            let mut dist = DistributedDriver::builder(scenario, cluster).build().unwrap();
+            assert!(dist.stage.is_empty(), "{name}: construction must not touch stage memory");
+            dist.step().unwrap();
+            assert_one_slot_per_owned_leaf(&dist);
+            let standing = stage_pointers(&dist);
+            assert_eq!(standing.len(), dist.shard.n_leaves());
+            for step in 2..=4 {
+                dist.step().unwrap();
+                assert_eq!(stage_pointers(&dist), standing, "{name}: step {step} moved a buffer");
+            }
+        }
+    }
+
+    /// The step straight after the owned set changed — a rebalance, a
+    /// regrid that grows the tree, a restore onto another cluster shape
+    /// — re-counts the slots and lands on the single-locality reference
+    /// bit for bit.
+    #[test]
+    fn stage_slots_follow_the_owned_set() {
+        let make = || {
+            let mut s = Scenario::sod(1);
+            s.config.regrid = Some(RegridPolicy {
+                rho_ref: 0.5,
+                ratio: 4.0,
+                base_level: 1,
+                max_level: 2,
+                coarsen_fraction: 0.5,
+            });
+            s.config.regrid_cadence = 2;
+            s
+        };
+        let mut reference = Simulation::new(make());
+        let cluster = Arc::new(Cluster::builder().localities(2).threads_per(2).build());
+        let mut dist =
+            DistributedDriver::builder(make(), cluster).skewed_partition(800).build().unwrap();
+        let slots = |d: &DistributedDriver| -> Vec<usize> {
+            assert_one_slot_per_owned_leaf(d);
+            d.stage.iter().map(Vec::len).collect()
+        };
+        let mut step_both = |dist: &mut DistributedDriver, what: &str| {
+            let dt_ref = reference.step();
+            assert_eq!(dist.step().unwrap().to_bits(), dt_ref.to_bits(), "{what}: dt");
+            assert_trees_bit_identical(&dist.assemble(), reference.tree());
+        };
+
+        step_both(&mut dist, "skewed start");
+        let skewed = slots(&dist);
+        assert!(dist.rebalance().unwrap() >= 1, "the skew must move leaves");
+        step_both(&mut dist, "after rebalance");
+        let coarse = slots(&dist);
+        assert_ne!(coarse, skewed, "the slots must follow the rebalanced partition");
+
+        step_both(&mut dist, "across the regrid"); // steps = 2: the cadence fires first
+        assert_eq!(dist.regrids.get(), 1, "the hot half must refine");
+        let fine = slots(&dist);
+        assert!(fine.iter().sum::<usize>() > coarse.iter().sum::<usize>());
+
+        let blob = dist.checkpoint().unwrap();
+        let alone = Arc::new(Cluster::builder().threads_per(2).build());
+        let mut restored = DistributedDriver::restore(make(), alone, &blob).unwrap();
+        step_both(&mut restored, "after restore");
+        assert_eq!(slots(&restored), [fine.iter().sum::<usize>()]);
+    }
+
+    /// A NaN in the state used to trip `f64::clamp`'s `min <= max`
+    /// assertion inside a worker as soon as a reconstruction window held
+    /// two of them. The select form hands it on instead: the stencil
+    /// spreads it stage by stage, and once no cell has a signal speed
+    /// left the CFL check reports it.
+    #[test]
+    fn poisoned_state_surfaces_as_a_dt_error_not_a_worker_panic() {
+        let poisoned = |everywhere: bool| {
+            let mut scenario = Scenario::sod(1);
+            for key in scenario.tree.leaves() {
+                let grid = scenario.tree.node_mut(key).unwrap().grid.as_mut().unwrap();
+                for (i, j, k) in grid.indexer().interior() {
+                    if everywhere || (i, j, k) == (4, 4, 4) {
+                        for f in ALL_FIELDS {
+                            grid.set(f, i, j, k, f64::NAN);
+                        }
+                    }
+                }
+            }
+            let cluster = Arc::new(Cluster::builder().threads_per(2).build());
+            DistributedDriver::builder(scenario, cluster).build().unwrap()
+        };
+        // One cell per leaf: after a step every window near it is NaN.
+        let mut dist = poisoned(false);
+        for _ in 0..3 {
+            dist.step().expect("NaN cells have no signal speed; the rest set dt");
+        }
+        let grid = dist.mirrors[0].node(dist.shard.owned(0)[0]).unwrap().grid.as_ref().unwrap();
+        assert!(grid.at(Field::Egas, 0, 0, 0).is_nan(), "the stencil must have spread the NaN");
+        match poisoned(true).step() {
+            Err(Error::Driver(msg)) => assert!(msg.contains("CFL produced dt"), "{msg}"),
+            other => panic!("expected the CFL check to fail, got {other:?}"),
+        }
     }
 
     #[test]

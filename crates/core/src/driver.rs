@@ -42,19 +42,21 @@ pub(crate) fn leaf_signal_dt(
     cfl_dt(tree.domain().cell_dx(key.level), a, cfl)
 }
 
-/// Full RHS (hydro + gravity + rotating-frame sources) of one leaf.
-/// Ghosts must be filled; `grav`, when present, must cover `key`.
+/// Full RHS (hydro + gravity + rotating-frame sources) of one leaf,
+/// written over `rhs` (one entry per interior cell). Ghosts must be
+/// filled; `grav`, when present, must cover `key`.
 pub(crate) fn leaf_rhs(
     tree: &Octree,
     key: MortonKey,
     grav: Option<&GravityField>,
     stepper: HydroStepper,
     frame: RotatingFrame,
-) -> Vec<StateVec> {
+    rhs: &mut [StateVec],
+) {
     let domain = tree.domain();
     let grid = tree.node(key).expect("leaf").grid.as_ref().expect("grid");
     let dx = domain.cell_dx(key.level);
-    let mut rhs = stepper.dudt(grid, dx);
+    stepper.dudt_into(grid, dx, rhs);
     // Gravity sources: conservation-grade force density, energy power,
     // and the spin torque ledger. The ledger deposit is the *exact*
     // per-cell counter-torque `−r × f` of the force actually applied
@@ -100,42 +102,43 @@ pub(crate) fn leaf_rhs(
         }
     }
     // Rotating-frame sources.
-    frame.add_sources(grid, domain.node_origin(key), dx, &mut rhs);
-    rhs
+    frame.add_sources(grid, domain.node_origin(key), dx, rhs);
 }
 
-/// Stage-1 (forward Euler) update of one leaf; returns the pre-update
-/// grid the RK2 final stage needs. `origin`/`dx` locate the leaf so the
-/// floors can deposit removed `r × s` into the spin ledger.
+/// Stage-1 (forward Euler) update of one leaf; first copies the
+/// pre-update interior the RK2 final stage needs over `prev`.
+/// `origin`/`dx` locate the leaf so the floors can deposit removed
+/// `r × s` into the spin ledger.
 pub(crate) fn apply_stage1(
     stepper: HydroStepper,
     grid: &mut SubGrid,
-    rhs: &[StateVec],
-    dt: f64,
-    floors: bool,
-    origin: Vec3,
-    dx: f64,
-) -> SubGrid {
-    let old = grid.clone();
-    stepper.apply(grid, rhs, dt);
-    if floors {
-        stepper.enforce_floors(grid, origin, dx);
-    }
-    old
-}
-
-/// Stage-2 (TVD-RK2 average) update of one leaf.
-pub(crate) fn apply_stage2(
-    stepper: HydroStepper,
-    grid: &mut SubGrid,
-    prev: &SubGrid,
+    prev: &mut Vec<f64>,
     rhs: &[StateVec],
     dt: f64,
     floors: bool,
     origin: Vec3,
     dx: f64,
 ) {
-    stepper.apply_rk2_final(grid, prev, rhs, dt);
+    grid.extract_interior_into(prev);
+    stepper.apply(grid, rhs, dt);
+    if floors {
+        stepper.enforce_floors(grid, origin, dx);
+    }
+}
+
+/// Stage-2 (TVD-RK2 average) update of one leaf with the interior
+/// [`apply_stage1`] kept.
+pub(crate) fn apply_stage2(
+    stepper: HydroStepper,
+    grid: &mut SubGrid,
+    prev: &[f64],
+    rhs: &[StateVec],
+    dt: f64,
+    floors: bool,
+    origin: Vec3,
+    dx: f64,
+) {
+    stepper.apply_rk2_final_from_interior(grid, prev, rhs, dt);
     if floors {
         stepper.enforce_floors(grid, origin, dx);
     }
@@ -324,6 +327,39 @@ mod tests {
         assert!(d.momentum < 1e-11, "momentum drift {}", d.momentum);
         assert!(d.angular < 1e-11, "angular momentum drift {}", d.angular);
         assert!(d.energy < 1e-11, "energy drift {}", d.energy);
+    }
+
+    /// `max_signal_speed` recovers each cell's primitive once, a row at
+    /// a time; the CFL step it feeds must equal, bit for bit, the fold
+    /// it replaced — three `physical_flux` evaluations per cell, cells
+    /// in interior order, axes 0, 1, 2 — on a blast and on a binary,
+    /// before and after a step.
+    #[test]
+    fn compute_dt_equals_the_three_flux_fold() {
+        for scenario in [Scenario::sedov(2, 1.0), Scenario::mini_binary(2)] {
+            let name = scenario.name;
+            let (eos, cfl) = (scenario.config.eos, scenario.config.cfl);
+            let mut sim = Simulation::new(scenario);
+            for step in 0..2 {
+                let tree = sim.tree();
+                let mut want = f64::INFINITY;
+                for key in tree.leaves() {
+                    let grid = tree.node(key).unwrap().grid.as_ref().unwrap();
+                    let mut max = 0.0f64;
+                    for (i, j, k) in grid.indexer().interior() {
+                        let u: StateVec =
+                            octree::subgrid::ALL_FIELDS.map(|f| grid.at(f, i, j, k));
+                        for axis in 0..3 {
+                            max = max.max(hydro::flux::physical_flux(&eos, &u, axis).1);
+                        }
+                    }
+                    want = want.min(cfl_dt(tree.domain().cell_dx(key.level), max, cfl));
+                }
+                assert_eq!(sim.compute_dt().to_bits(), want.to_bits(), "{name} at step {step}");
+                assert_eq!(sim.step().to_bits(), want.to_bits(), "{name}: step {step}'s dt");
+            }
+            assert_eq!(sim.dt_history.len(), 2);
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! that axis. The l fields additionally advect with the flow through the
 //! ordinary flux sweep (their own flux form conserves Σl).
 
+use util::simd::Lanes;
 use util::vec3::Vec3;
 
 /// The spin source for one cell and one axis: `−ê_axis × (F⁻ + F⁺)/2`,
@@ -33,8 +34,28 @@ use util::vec3::Vec3;
 /// low/high face along `axis`.
 #[inline]
 pub fn spin_source(axis: usize, f_minus: Vec3, f_plus: Vec3) -> Vec3 {
-    let e = axis_unit(axis);
-    -e.cross(f_minus + f_plus) * 0.5
+    let one = |v: Vec3| v.to_array().map(|x| Lanes([x]));
+    Vec3::from_array(spin_source_lanes(axis, one(f_minus), one(f_plus)).map(|c| c.lane(0)))
+}
+
+/// [`spin_source`] of `W` cells at once. The cross product is spelled
+/// out with the unit vector's zeros multiplied through, as `Vec3::cross`
+/// does: `0·F` is −0, +0 or NaN depending on `F`, and the ledger is
+/// bit-exact only if every width adds the same one.
+#[inline(always)]
+pub(crate) fn spin_source_lanes<const W: usize>(
+    axis: usize,
+    f_minus: [Lanes<W>; 3],
+    f_plus: [Lanes<W>; 3],
+) -> [Lanes<W>; 3] {
+    let e = axis_unit(axis).to_array();
+    let f: [Lanes<W>; 3] = std::array::from_fn(|a| f_minus[a] + f_plus[a]);
+    let cross = [
+        f[2] * e[1] - f[1] * e[2],
+        f[0] * e[2] - f[2] * e[0],
+        f[1] * e[0] - f[0] * e[1],
+    ];
+    cross.map(|c| -c * 0.5)
 }
 
 /// The spin counter-source for a *body* force density `f` acting at the

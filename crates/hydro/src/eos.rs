@@ -7,6 +7,8 @@
 //! kinetic energy and E − ρu²/2 is catastrophically cancelled, the
 //! internal energy is recovered from τ instead.
 
+use util::simd::Lanes;
+
 /// γ-law equation of state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdealGas {
@@ -30,7 +32,13 @@ impl IdealGas {
     /// Pressure from internal energy density ρε: `p = (γ−1) ρε`.
     #[inline]
     pub fn pressure(&self, e_int: f64) -> f64 {
-        (self.gamma - 1.0) * e_int.max(0.0)
+        self.pressure_lanes(Lanes([e_int])).lane(0)
+    }
+
+    /// [`IdealGas::pressure`], per lane.
+    #[inline(always)]
+    pub(crate) fn pressure_lanes<const W: usize>(&self, e_int: Lanes<W>) -> Lanes<W> {
+        e_int.max(Lanes::splat(0.0)) * (self.gamma - 1.0)
     }
 
     /// Internal energy density from pressure.
@@ -42,10 +50,18 @@ impl IdealGas {
     /// Adiabatic sound speed `c = sqrt(γ p / ρ)`.
     #[inline]
     pub fn sound_speed(&self, rho: f64, p: f64) -> f64 {
-        if rho <= 0.0 {
-            return 0.0;
-        }
-        (self.gamma * p.max(0.0) / rho).sqrt()
+        self.sound_speed_lanes(Lanes([rho]), Lanes([p])).lane(0)
+    }
+
+    /// [`IdealGas::sound_speed`], per lane (0 where `rho <= 0`).
+    #[inline(always)]
+    pub(crate) fn sound_speed_lanes<const W: usize>(
+        &self,
+        rho: Lanes<W>,
+        p: Lanes<W>,
+    ) -> Lanes<W> {
+        let zero = Lanes::splat(0.0);
+        Lanes::select(rho.le(zero), zero, (p.max(zero) * self.gamma / rho).sqrt())
     }
 
     /// The entropy tracer from internal energy density: τ = (ρε)^(1/γ).

@@ -1,6 +1,7 @@
 //! Conserved ↔ primitive conversion with the dual-energy switch.
 
 use crate::eos::{IdealGas, DUAL_ENERGY_SWITCH};
+use util::simd::Lanes;
 use util::vec3::Vec3;
 
 /// Density floor: cells never drain below this (the V1309 domain is
@@ -19,23 +20,72 @@ pub struct Primitive {
     pub e_int: f64,
 }
 
-impl Primitive {
+/// `W` primitive states side by side — the one body of the recovery;
+/// [`Primitive::from_conserved`] is its `W = 1` instantiation.
+pub(crate) struct PrimitiveLanes<const W: usize> {
+    pub rho: Lanes<W>,
+    pub vel: [Lanes<W>; 3],
+    pub p: Lanes<W>,
+    pub e_int: Lanes<W>,
+}
+
+impl<const W: usize> PrimitiveLanes<W> {
     /// Recover primitives from conserved (ρ, s, E, τ) using the
     /// dual-energy formalism: if the thermally resolved fraction of E is
     /// too small (high Mach), internal energy comes from the entropy
-    /// tracer τ instead of E − ½ρu².
-    pub fn from_conserved(eos: &IdealGas, rho: f64, s: Vec3, egas: f64, tau: f64) -> Primitive {
-        let rho = rho.max(RHO_FLOOR);
-        let vel = s / rho;
-        let e_kin = 0.5 * rho * vel.norm2();
+    /// tracer τ instead of E − ½ρu². The `powf` behind τ^γ is the scalar
+    /// libm call, made on exactly the lanes that take that branch.
+    #[inline(always)]
+    pub fn from_conserved(
+        eos: &IdealGas,
+        rho: Lanes<W>,
+        s: [Lanes<W>; 3],
+        egas: Lanes<W>,
+        tau: Lanes<W>,
+    ) -> Self {
+        let zero = Lanes::splat(0.0);
+        let rho = rho.max(Lanes::splat(RHO_FLOOR));
+        let vel = s.map(|c| c / rho);
+        let e_kin = rho * 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
         let e_thermal = egas - e_kin;
-        let e_int = if egas > 0.0 && e_thermal > DUAL_ENERGY_SWITCH * egas {
-            e_thermal
-        } else {
-            eos.e_from_tau(tau)
-        };
-        let e_int = e_int.max(0.0);
-        Primitive { rho, vel, p: eos.pressure(e_int), e_int }
+        let positive = egas.gt(zero);
+        let resolved = e_thermal.gt(egas * DUAL_ENERGY_SWITCH);
+        let mut e_int = e_thermal;
+        for l in 0..W {
+            if !(positive[l] && resolved[l]) {
+                e_int.0[l] = eos.e_from_tau(tau.0[l]);
+            }
+        }
+        let e_int = e_int.max(zero);
+        PrimitiveLanes { rho, vel, p: eos.pressure_lanes(e_int), e_int }
+    }
+
+    /// Signal speed along axis `axis`: |u| + c.
+    #[inline(always)]
+    pub fn signal_speed(&self, eos: &IdealGas, axis: usize) -> Lanes<W> {
+        self.vel[axis].abs() + eos.sound_speed_lanes(self.rho, self.p)
+    }
+}
+
+impl Primitive {
+    /// Recover primitives from conserved (ρ, s, E, τ) with the
+    /// dual-energy switch: the `W = 1` instantiation of the lane-generic
+    /// recovery the flux kernel runs.
+    pub fn from_conserved(eos: &IdealGas, rho: f64, s: Vec3, egas: f64, tau: f64) -> Primitive {
+        let one = |x: f64| Lanes([x]);
+        let w = PrimitiveLanes::from_conserved(
+            eos,
+            one(rho),
+            s.to_array().map(one),
+            one(egas),
+            one(tau),
+        );
+        Primitive {
+            rho: w.rho.lane(0),
+            vel: Vec3::from_array(w.vel.map(|c| c.lane(0))),
+            p: w.p.lane(0),
+            e_int: w.e_int.lane(0),
+        }
     }
 
     /// Conserved variables (ρ, s, E, τ) of this state.

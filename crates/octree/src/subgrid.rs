@@ -280,14 +280,25 @@ impl SubGrid {
     /// iteration order makes the round trip through
     /// [`SubGrid::apply_interior`] bit-exact and deterministic.
     pub fn extract_interior(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(FIELD_COUNT * self.indexer.interior_len());
-        for f in ALL_FIELDS {
-            let data = self.field(f);
-            for (i, j, k) in self.indexer.interior() {
-                out.push(data[self.indexer.idx(i, j, k)]);
+        let mut out = Vec::new();
+        self.extract_interior_into(&mut out);
+        out
+    }
+
+    /// [`SubGrid::extract_interior`] over `out`'s previous contents,
+    /// reusing its allocation.
+    pub fn extract_interior_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(FIELD_COUNT * self.indexer.interior_len());
+        let n = N_SUB as isize;
+        for plane in self.data.chunks_exact(self.indexer.len()) {
+            for i in 0..n {
+                for j in 0..n {
+                    let at = self.indexer.idx(i, j, 0);
+                    out.extend_from_slice(&plane[at..at + N_SUB]);
+                }
             }
         }
-        out
     }
 
     /// Overwrite every interior cell from a payload produced by
