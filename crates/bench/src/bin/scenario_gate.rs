@@ -10,6 +10,11 @@
 //! window (`--long`) to chart angular-momentum drift and the
 //! mass-transfer rate over O(100) steps.
 //!
+//! For every scenario with self-gravity it also prints, on stderr, what
+//! the first FMM solve did with its pairs — counted : evaluated : full
+//! body (`gravity::kernels::PairCounts`) — the numbers the
+//! `scenario_gate` test pins for `mini_binary` and `v1309`.
+//!
 //! Progress and gate failures go to stderr; stdout carries one JSON
 //! object keyed by scenario name (plus `long_merger` under `--long`).
 //! Exits non-zero if any registry gate fails.
@@ -56,6 +61,12 @@ fn main() {
         );
         for f in &run.failures {
             eprintln!("    gate: {f}");
+        }
+        if let Some(field) = Simulation::new((spec.build)()).solve_gravity() {
+            eprintln!(
+                "{:>14}  first solve, pairs counted : evaluated : full body = {} : {} : {}",
+                "", field.interactions, field.pairs_evaluated, field.pairs_full_body
+            );
         }
         failed |= !run.passed();
         run.publish(&metrics);

@@ -50,6 +50,12 @@ pub(crate) struct PairTerms<const W: usize> {
     dphi: [Lanes<W>; 3],
     d2phi: [Lanes<W>; 6],
     f_mono: [Lanes<W>; 3],
+    /// The terms a quadrupole makes; `None` in the `QUAD = false` form.
+    quad: Option<QuadTerms<W>>,
+}
+
+/// The quadrupole parts of a pair's force, and the torque they leave.
+struct QuadTerms<const W: usize> {
     f_qs: [Lanes<W>; 3],
     f_qt: [Lanes<W>; 3],
     torque: [Lanes<W>; 3],
@@ -60,8 +66,20 @@ impl<const W: usize> PairTerms<W> {
     /// moments (`mt`, `qt`), separated by `d = tgt.com − src.com`, with
     /// `soft` added to `r²` in the kernel tensors. The canonical term
     /// forms are documented on [`LocalExpansion::accumulate`].
+    ///
+    /// `QUAD = false` is the same source with everything a quadrupole
+    /// touches compiled out — `B3`, both `q:B3` contractions, `q_s:B2`,
+    /// `f_qs`, `f_qt` and the torque; `qt` and `qs` are not read. For a
+    /// pair whose `qt` and `qs` are all (signed) zeros it adds the same
+    /// bits to a [`LocalExpansion`] as `QUAD = true`: each dropped term
+    /// is then a sum of zero moments times finite tensors started from
+    /// `+0.0`, i.e. `±0.0`; an accumulator that starts at `+0.0` never
+    /// holds `−0.0` (round-to-nearest gives `−0.0` only for
+    /// `−0.0 + −0.0`), and adding `±0.0` to anything else is the
+    /// identity. The one visible difference, `x` against `x + 0.0` in
+    /// `phi` and `dphi`, is the sign of a zero and vanishes the same way.
     #[inline(always)]
-    pub(crate) fn of(
+    pub(crate) fn of<const QUAD: bool>(
         mt: Lanes<W>,
         ms: Lanes<W>,
         qt: &[Lanes<W>; 6],
@@ -69,32 +87,46 @@ impl<const W: usize> PairTerms<W> {
         d: [Lanes<W>; 3],
         soft: Lanes<W>,
     ) -> PairTerms<W> {
-        let t = KernelTensors::at_softened(d, soft);
-        let cq3_s = t.contract_q_b3(qs);
+        let t = KernelTensors::at_softened::<QUAD>(d, soft);
+        // Potential and derivatives from the source moments.
+        let mut phi = ms * t.b0;
+        let mut dphi: [Lanes<W>; 3] = std::array::from_fn(|a| t.b1[a] * ms);
         // Pair force in canonical, mirror-exact term forms.
         let neg_mm = -(mt * ms);
-        let s_qs = mt * -0.5;
-        let s_qt = ms * -0.5;
-        let cq3_t = t.contract_q_b3(qt);
-        let f_qs: [Lanes<W>; 3] = std::array::from_fn(|a| cq3_s[a] * s_qs);
-        let f_qt: [Lanes<W>; 3] = std::array::from_fn(|a| cq3_t[a] * s_qt);
-        // Torque residual −d × F, in exact halves: only the quadrupole
-        // force parts contribute (d × B1 ∥ d vanishes identically in
-        // floating point). Component-wise as `Vec3::cross` computes it.
-        let f_quad: [Lanes<W>; 3] = std::array::from_fn(|a| f_qs[a] + f_qt[a]);
+        let quad = if QUAD {
+            let cq3_s = t.contract_q_b3(qs);
+            phi += t.contract_q_b2(qs) * 0.5;
+            for a in 0..3 {
+                dphi[a] += cq3_s[a] * 0.5;
+            }
+            let s_qs = mt * -0.5;
+            let s_qt = ms * -0.5;
+            let cq3_t = t.contract_q_b3(qt);
+            let f_qs: [Lanes<W>; 3] = std::array::from_fn(|a| cq3_s[a] * s_qs);
+            let f_qt: [Lanes<W>; 3] = std::array::from_fn(|a| cq3_t[a] * s_qt);
+            // Torque residual −d × F, in exact halves: only the
+            // quadrupole force parts contribute (d × B1 ∥ d vanishes
+            // identically in floating point). Component-wise as
+            // `Vec3::cross` computes it.
+            let f_quad: [Lanes<W>; 3] = std::array::from_fn(|a| f_qs[a] + f_qt[a]);
+            Some(QuadTerms {
+                f_qs,
+                f_qt,
+                torque: [
+                    -(d[1] * f_quad[2] - d[2] * f_quad[1]) * 0.5,
+                    -(d[2] * f_quad[0] - d[0] * f_quad[2]) * 0.5,
+                    -(d[0] * f_quad[1] - d[1] * f_quad[0]) * 0.5,
+                ],
+            })
+        } else {
+            None
+        };
         PairTerms {
-            // Potential and derivatives from the source moments.
-            phi: ms * t.b0 + t.contract_q_b2(qs) * 0.5,
-            dphi: std::array::from_fn(|a| t.b1[a] * ms + cq3_s[a] * 0.5),
+            phi,
+            dphi,
             d2phi: std::array::from_fn(|n| ms * t.b2[n]),
             f_mono: std::array::from_fn(|a| t.b1[a] * neg_mm),
-            f_qs,
-            f_qt,
-            torque: [
-                -(d[1] * f_quad[2] - d[2] * f_quad[1]) * 0.5,
-                -(d[2] * f_quad[0] - d[0] * f_quad[2]) * 0.5,
-                -(d[0] * f_quad[1] - d[1] * f_quad[0]) * 0.5,
-            ],
+            quad,
         }
     }
 }
@@ -133,7 +165,7 @@ impl LocalExpansion {
     /// by the weight).
     pub fn accumulate_softened(&mut self, tgt: &Multipole, src: &Multipole, d: Vec3, soft: f64) {
         let one = |x: f64| Lanes([x]);
-        let terms = PairTerms::of(
+        let terms = PairTerms::of::<true>(
             one(tgt.m),
             one(src.m),
             &tgt.q.map(one),
@@ -152,14 +184,16 @@ impl LocalExpansion {
         for n in 0..6 {
             self.d2phi[n] += terms.d2phi[n].lane(l);
         }
-        let f_qt = vec3_lane(&terms.f_qt, l);
         self.force += vec3_lane(&terms.f_mono, l);
-        self.force += vec3_lane(&terms.f_qs, l);
-        self.force += f_qt;
-        // The f_qt part is not captured by −∇φ·m; expose it separately
-        // so drivers using the φ-gradient path can add it.
-        self.f_corr += f_qt;
-        self.torque += vec3_lane(&terms.torque, l);
+        if let Some(quad) = &terms.quad {
+            let f_qt = vec3_lane(&quad.f_qt, l);
+            self.force += vec3_lane(&quad.f_qs, l);
+            self.force += f_qt;
+            // The f_qt part is not captured by −∇φ·m; expose it
+            // separately so drivers using the φ-gradient path can add it.
+            self.f_corr += f_qt;
+            self.torque += vec3_lane(&quad.torque, l);
+        }
     }
 
     /// L2L: translate this expansion by `delta` (from the parent cell's
@@ -205,6 +239,23 @@ impl LocalExpansion {
     /// The acceleration this expansion exerts on the cell: −∇φ.
     pub fn acceleration(&self) -> Vec3 {
         -self.dphi
+    }
+}
+
+#[cfg(test)]
+impl LocalExpansion {
+    /// Require every field to hold the same bit pattern as `other`'s.
+    pub(crate) fn assert_same_bits(&self, other: &LocalExpansion, what: &str) {
+        assert_eq!(self.phi.to_bits(), other.phi.to_bits(), "{what}: phi");
+        for ax in 0..3 {
+            assert_eq!(self.dphi[ax].to_bits(), other.dphi[ax].to_bits(), "{what}: dphi");
+            assert_eq!(self.force[ax].to_bits(), other.force[ax].to_bits(), "{what}: force");
+            assert_eq!(self.f_corr[ax].to_bits(), other.f_corr[ax].to_bits(), "{what}: f_corr");
+            assert_eq!(self.torque[ax].to_bits(), other.torque[ax].to_bits(), "{what}: torque");
+        }
+        for n in 0..6 {
+            assert_eq!(self.d2phi[n].to_bits(), other.d2phi[n].to_bits(), "{what}: d2phi");
+        }
     }
 }
 
@@ -270,6 +321,32 @@ mod tests {
         lb.accumulate(&b, &a, -d);
         for axis in 0..3 {
             assert_eq!(la.force[axis].to_bits(), (-lb.force[axis]).to_bits());
+        }
+    }
+
+    /// The `QUAD = false` form against the full one on pairs without
+    /// second moments — zero masses and `−0.0` components included —
+    /// accumulated into one expansion each from a fresh start: every
+    /// field ends on the same bits (the signed-zero argument on
+    /// [`PairTerms::of`]).
+    #[test]
+    fn reduced_form_adds_the_same_bits_where_no_quadrupole_is() {
+        let one = |x: f64| Lanes([x]);
+        let pairs = [
+            (2.5, 1.5, 0.0, Vec3::new(-3.0, -1.4, 1.0)),
+            (2.5, 0.0, 0.0, Vec3::new(1.0, 2.0, -0.5)),
+            (0.0, 1.5, -0.0, Vec3::new(0.3, -0.7, 4.0)),
+            (1.25, 3.0, -0.0, Vec3::new(-2.0, 0.1, 0.2)),
+        ];
+        for first in 0..pairs.len() {
+            let (mut full, mut reduced) = (LocalExpansion::default(), LocalExpansion::default());
+            for n in 0..pairs.len() {
+                let (mt, ms, q, d) = pairs[(first + n) % pairs.len()];
+                let (mt, ms, q, d) = (one(mt), one(ms), [one(q); 6], d.to_array().map(one));
+                full.add_pair(&PairTerms::of::<true>(mt, ms, &q, &q, d, one(0.0)), 0);
+                reduced.add_pair(&PairTerms::of::<false>(mt, ms, &q, &q, d, one(0.0)), 0);
+            }
+            reduced.assert_same_bits(&full, &format!("starting at pair {first}"));
         }
     }
 

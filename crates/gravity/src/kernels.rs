@@ -15,24 +15,50 @@
 //!   multipole–monopole kernel (455 flops/interaction): full M2L with
 //!   quadrupoles and the conservation corrections.
 //!
-//! The innermost loops are **branchless**: instead of testing whether
-//! a slot holds data (which defeats vectorization, exactly the
+//! The pair bodies are **branchless**: instead of testing whether a
+//! slot holds data (which defeats vectorization, exactly the
 //! branch-divergence problem GPU kernels predicate away), each slot
 //! carries a `mask` weight of 1.0/0.0 and every contribution is
 //! multiplied by `mask[t] · mask[s]`. Absent slots hold `m = 0` and a
 //! softened separation (`r² += 1 − w`) keeps the 1/r tensors finite, so
-//! masked-out pairs contribute exact (signed) zeros. Multiplication by
-//! 1.0 is exact in IEEE arithmetic, so present pairs are bit-identical
-//! to the branchy formulation. The same pair weights, summed, are the
+//! a masked-out pair inside an evaluated lane group is weighted out by
+//! its lane: it contributes exact (signed) zeros. Multiplication by 1.0
+//! is exact in IEEE arithmetic, so present pairs are bit-identical to
+//! the branchy formulation. The same pair weights, summed, are the
 //! interaction counters.
 //!
-//! **One body, two widths.** The pair arithmetic is written once over
-//! the lane type [`util::simd::Lanes`] (the "Merging Frameworks"
-//! follow-up's SIMD types, arXiv:2210.06439): these kernels instantiate
-//! it at `W = 4`, the pairwise API
+//! **What picks a pair's arithmetic** is decided per *lane group* (four
+//! targets against four sources), in `accum_group`, from the slots'
+//! own flags — never per node:
+//! * a group whose four source slots are all absent is **skipped**: all
+//!   its weights are zero, so it would add `±0.0` to every accumulator
+//!   and nothing to the interaction count;
+//! * in the multipole kernels, a group with no quadrupole on any of its
+//!   eight slots ([`MomentGrid::set`] records `!is_monopole()` per slot)
+//!   takes the pair body at `QUAD = false` — the same source as the
+//!   455-flop body with `B3`, both `q:B3` contractions, `f_qs`, `f_qt`,
+//!   the torque and the twelve `q` gathers compiled out.
+//!
+//! Both are **bit-identical by construction** to evaluating the full
+//! body on every group. Every dropped term is an exact signed zero
+//! (zero moments times finite tensors, summed from `+0.0`); an
+//! accumulator that starts at `+0.0` can never hold `−0.0`
+//! (round-to-nearest yields `−0.0` only from `−0.0 + −0.0`), and adding
+//! `±0.0` to anything but `−0.0` is the identity. The unselective loop
+//! survives as the `W = 1` oracle of this module's tests. The monopole
+//! kernels (`monopole_pairs`) round differently from the multipole
+//! body on the same monopole pair (DESIGN.md "Conservation"), so which
+//! *kernel* a node runs stays the solver's `any_quad` decision.
+//!
+//! **One body, two widths, two orders.** The pair arithmetic is written
+//! once over the lane type [`util::simd::Lanes`] (the "Merging
+//! Frameworks" follow-up's SIMD types, arXiv:2210.06439, which get their
+//! kernel variants by compile-time specialisation of one body): these
+//! kernels instantiate it at `W = 4`, the pairwise API
 //! ([`LocalExpansion::accumulate_softened`], hence the AoS
-//! `interaction_list` ablation) at `W = 1`. Lanes map to *target cells*
-//! — four k-adjacent cells for the offset kernels, the four same-parity
+//! `interaction_list` ablation) at `W = 1`, and at multipole order
+//! `QUAD = true` or `false`. Lanes map to *target cells* — four
+//! k-adjacent cells for the offset kernels, the four same-parity
 //! stride-2 cells of a row for the parity-stencil kernels — so each
 //! cell's accumulation order over its offset list is the one-pair-at-a-
 //! time order and the results are bit-identical by construction (see
@@ -60,19 +86,27 @@ pub const N_CELLS: usize = N_SUB * N_SUB * N_SUB;
 
 /// Struct-of-arrays moment storage over an extended grid of
 /// `(N_SUB + 2·width)³` cells (interior + stencil halo).
+///
+/// The columns are private because they must agree slot by slot — `quad`
+/// with `q`, `mask` with the rest — and the kernels pick a lane group's
+/// arithmetic from the flags alone: [`MomentGrid::set`] and
+/// [`MomentGrid::reset`] are the only writers.
 pub struct MomentGrid {
     width: i32,
     dim: usize,
-    pub m: Vec<f64>,
-    pub comx: Vec<f64>,
-    pub comy: Vec<f64>,
-    pub comz: Vec<f64>,
-    pub q: [Vec<f64>; 6],
+    m: Vec<f64>,
+    comx: Vec<f64>,
+    comy: Vec<f64>,
+    comz: Vec<f64>,
+    q: [Vec<f64>; 6],
     /// Branchless predication weight: 1.0 where source data exists,
     /// 0.0 elsewhere (outside the domain or where no neighbor provides
     /// data). Kernels multiply contributions by this instead of
     /// branching.
-    pub mask: Vec<f64>,
+    mask: Vec<f64>,
+    /// Whether the slot carries second moments: `!is_monopole()` of what
+    /// was [`set`](MomentGrid::set) there, false on absent slots.
+    quad: Vec<bool>,
 }
 
 impl MomentGrid {
@@ -89,6 +123,7 @@ impl MomentGrid {
             comz: vec![0.0; n],
             q: std::array::from_fn(|_| vec![0.0; n]),
             mask: vec![0.0; n],
+            quad: vec![false; n],
         }
     }
 
@@ -108,6 +143,7 @@ impl MomentGrid {
             c.fill(0.0);
         }
         self.mask.fill(0.0);
+        self.quad.fill(false);
     }
 
     /// Flattened index of extended coordinates in
@@ -130,6 +166,7 @@ impl MomentGrid {
             self.q[c][n] = mp.q[c];
         }
         self.mask[n] = 1.0;
+        self.quad[n] = !mp.is_monopole();
     }
 
     /// Read a cell's moments back.
@@ -144,6 +181,26 @@ impl MomentGrid {
             q: std::array::from_fn(|c| self.q[c][n]),
         })
     }
+
+    /// Whether none of the `W` slots `n0 + l·stride` holds data.
+    #[inline(always)]
+    fn group_absent<const W: usize>(&self, n0: usize, stride: usize) -> bool {
+        let mut absent = true;
+        for l in 0..W {
+            absent &= self.mask[n0 + l * stride] == 0.0;
+        }
+        absent
+    }
+
+    /// Whether any of the `W` slots `n0 + l·stride` carries a quadrupole.
+    #[inline(always)]
+    fn group_has_quad<const W: usize>(&self, n0: usize, stride: usize) -> bool {
+        let mut quad = false;
+        for l in 0..W {
+            quad |= self.quad[n0 + l * stride];
+        }
+        quad
+    }
 }
 
 /// Result of one kernel launch: per-interior-cell expansions plus the
@@ -151,6 +208,31 @@ impl MomentGrid {
 pub struct KernelResult {
     pub expansions: Vec<LocalExpansion>,
     pub interactions: u64,
+}
+
+/// What a range kernel did with the (target, source) pairs of its slab.
+/// `counted ≤ evaluated`, the gap being pairs weighted out by their lane
+/// inside a group that had to run; whole groups of absent sources are in
+/// neither. A timing divided by `counted` hides both that gap and which
+/// body ran — these are the counters that show them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PairCounts {
+    /// Pairs with both slots present: the interaction count.
+    pub counted: u64,
+    /// Pairs whose arithmetic ran (four per lane group not skipped).
+    pub evaluated: u64,
+    /// Of `evaluated`, pairs through the 455-flop body (`QUAD = true`).
+    /// The rest took the `QUAD = false` form in the multipole kernels,
+    /// the 12-flop body in the monopole kernels.
+    pub full_body: u64,
+}
+
+impl std::ops::AddAssign for PairCounts {
+    fn add_assign(&mut self, rhs: PairCounts) {
+        self.counted += rhs.counted;
+        self.evaluated += rhs.evaluated;
+        self.full_body += rhs.full_body;
+    }
 }
 
 /// Flattened interior-cell linear index `(i·8 + j)·8 + k` (k fastest) —
@@ -200,140 +282,189 @@ fn pair_geometry<const W: usize>(
     (w, [diff(&grid.comx), diff(&grid.comy), diff(&grid.comz)])
 }
 
-/// A pair body the slab loops are instantiated with. A trait rather
-/// than a function value: `B::accum` is a direct call that inlines the
-/// body into the loops, where a passed-in function is reached through
-/// an outlined call per lane group.
-trait PairBody {
-    /// Accumulate `W` pairs (lanes as in [`pair_geometry`]) into
-    /// `out[l·stride]` and return their weights.
-    fn accum<const W: usize>(
-        grid: &MomentGrid,
-        t0: usize,
-        s0: usize,
-        stride: usize,
-        out: &mut [LocalExpansion],
-    ) -> Lanes<W>;
+/// The 12-flop monopole–monopole interaction of `W` pairs (lanes as in
+/// [`pair_geometry`]), branchless: all contributions are weighted by `w`
+/// and the separation is softened by `1 − w` so masked slots produce
+/// exact zeros instead of NaNs. Accumulates into `out[l·stride]` and
+/// returns the weights.
+#[inline(always)]
+fn monopole_pairs<const W: usize>(
+    grid: &MomentGrid,
+    t0: usize,
+    s0: usize,
+    stride: usize,
+    out: &mut [LocalExpansion],
+) -> Lanes<W> {
+    let (w, d) = pair_geometry::<W>(grid, t0, s0, stride);
+    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + (Lanes::splat(1.0) - w);
+    let u = w / r2.sqrt();
+    let u3 = u / r2;
+    let ms = Lanes::gather(&grid.m, s0, stride);
+    let d_phi = ms * -u;
+    let s_dphi = ms * u3;
+    // Canonical mirror-exact force term.
+    let s_force = u3 * -(Lanes::gather(&grid.m, t0, stride) * ms);
+    for l in 0..W {
+        let e = &mut out[l * stride];
+        let dl = vec3_lane(&d, l);
+        e.phi += d_phi.lane(l);
+        e.dphi += dl * s_dphi.lane(l);
+        e.force += dl * s_force.lane(l);
+    }
+    w
 }
 
-/// The 12-flop monopole–monopole interaction, branchless: all
-/// contributions are weighted by `w` and the separation is softened by
-/// `1 − w` so masked slots produce exact zeros instead of NaNs.
-struct MonopolePairs;
-
-impl PairBody for MonopolePairs {
-    #[inline(always)]
-    fn accum<const W: usize>(
-        grid: &MomentGrid,
-        t0: usize,
-        s0: usize,
-        stride: usize,
-        out: &mut [LocalExpansion],
-    ) -> Lanes<W> {
-        let (w, d) = pair_geometry::<W>(grid, t0, s0, stride);
-        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + (Lanes::splat(1.0) - w);
-        let u = w / r2.sqrt();
-        let u3 = u / r2;
-        let ms = Lanes::gather(&grid.m, s0, stride);
-        let d_phi = ms * -u;
-        let s_dphi = ms * u3;
-        // Canonical mirror-exact force term.
-        let s_force = u3 * -(Lanes::gather(&grid.m, t0, stride) * ms);
-        for l in 0..W {
-            let e = &mut out[l * stride];
-            let dl = vec3_lane(&d, l);
-            e.phi += d_phi.lane(l);
-            e.dphi += dl * s_dphi.lane(l);
-            e.force += dl * s_force.lane(l);
+/// The multipole interaction ([`PairTerms`]) of `W` pairs, branchless:
+/// the source moments are scaled by the pair weight (every accumulated
+/// term is linear in them), and the softened tensors stay finite on
+/// masked slots. `QUAD = true` is the 455-flop body; `QUAD = false`
+/// never reads a `q` column and is only for groups whose eight slots
+/// have none set. Accumulates into `out[l·stride]` and returns the
+/// weights.
+#[inline(always)]
+fn multipole_pairs<const W: usize, const QUAD: bool>(
+    grid: &MomentGrid,
+    t0: usize,
+    s0: usize,
+    stride: usize,
+    out: &mut [LocalExpansion],
+) -> Lanes<W> {
+    let (w, d) = pair_geometry::<W>(grid, t0, s0, stride);
+    let mut qt = [Lanes::splat(0.0); 6];
+    let mut qs = [Lanes::splat(0.0); 6];
+    if QUAD {
+        for c in 0..6 {
+            qt[c] = Lanes::gather(&grid.q[c], t0, stride);
+            qs[c] = Lanes::gather(&grid.q[c], s0, stride) * w;
         }
-        w
+    }
+    let terms = PairTerms::of::<QUAD>(
+        Lanes::gather(&grid.m, t0, stride),
+        Lanes::gather(&grid.m, s0, stride) * w,
+        &qt,
+        &qs,
+        d,
+        Lanes::splat(1.0) - w,
+    );
+    for l in 0..W {
+        out[l * stride].add_pair(&terms, l);
+    }
+    w
+}
+
+/// Running totals of one slab loop; see [`PairCounts`].
+struct Tally {
+    /// Summed pair weights, lane by lane.
+    weights: Lanes<LANES>,
+    evaluated: u64,
+    full_body: u64,
+}
+
+impl Tally {
+    fn new() -> Tally {
+        Tally { weights: Lanes::splat(0.0), evaluated: 0, full_body: 0 }
+    }
+
+    fn counts(&self) -> PairCounts {
+        PairCounts {
+            // Every weight is 1.0 or 0.0, so the sum is the exact count.
+            counted: self.weights.0.iter().sum::<f64>() as u64,
+            evaluated: self.evaluated,
+            full_body: self.full_body,
+        }
     }
 }
 
-/// The 455-flop multipole interaction ([`PairTerms`]), branchless: the
-/// source moments are scaled by the pair weight (every accumulated term
-/// is linear in them), and the softened tensors stay finite on masked
-/// slots.
-struct MultipolePairs;
-
-impl PairBody for MultipolePairs {
-    #[inline(always)]
-    fn accum<const W: usize>(
-        grid: &MomentGrid,
-        t0: usize,
-        s0: usize,
-        stride: usize,
-        out: &mut [LocalExpansion],
-    ) -> Lanes<W> {
-        let (w, d) = pair_geometry::<W>(grid, t0, s0, stride);
-        let terms = PairTerms::of(
-            Lanes::gather(&grid.m, t0, stride),
-            Lanes::gather(&grid.m, s0, stride) * w,
-            &std::array::from_fn(|c| Lanes::gather(&grid.q[c], t0, stride)),
-            &std::array::from_fn(|c| Lanes::gather(&grid.q[c], s0, stride) * w),
-            d,
-            Lanes::splat(1.0) - w,
-        );
-        for l in 0..W {
-            out[l * stride].add_pair(&terms, l);
-        }
-        w
+/// One lane group of a slab loop — the one place a pair's arithmetic is
+/// picked (module docs). `MULTI` is the kernel family; `target_quad` is
+/// whether the four targets carry a quadrupole, which the slab loops
+/// work out once per target group rather than once per offset: on a
+/// refined node it is always true and the source flags are never read.
+#[inline(always)]
+fn accum_group<const MULTI: bool>(
+    grid: &MomentGrid,
+    t0: usize,
+    s0: usize,
+    stride: usize,
+    target_quad: bool,
+    out: &mut [LocalExpansion],
+    tally: &mut Tally,
+) {
+    if grid.group_absent::<LANES>(s0, stride) {
+        return;
     }
+    tally.evaluated += LANES as u64;
+    tally.weights += if !MULTI {
+        monopole_pairs::<LANES>(grid, t0, s0, stride, out)
+    } else if target_quad || grid.group_has_quad::<LANES>(s0, stride) {
+        tally.full_body += LANES as u64;
+        multipole_pairs::<LANES, true>(grid, t0, s0, stride, out)
+    } else {
+        multipole_pairs::<LANES, false>(grid, t0, s0, stride, out)
+    };
 }
 
 /// Apply `offsets` to every cell of the row-aligned slab `[start, end)`
-/// with the pair body `B`, offset-major: lane groups are four
-/// k-adjacent targets, contiguous in both the extended grid (k fastest)
-/// and the output slab. Returns the interaction count.
-fn offset_range_into<B: PairBody>(
+/// with the monopole (`MULTI = false`) or multipole pair bodies,
+/// offset-major: lane groups are four k-adjacent targets, contiguous in
+/// both the extended grid (k fastest) and the output slab.
+fn offset_range_into<const MULTI: bool>(
     grid: &MomentGrid,
     offsets: &[(i32, i32, i32)],
     start: usize,
     end: usize,
     out: &mut Vec<LocalExpansion>,
-) -> u64 {
+) -> PairCounts {
     reset_slab(out, start, end);
-    let mut pairs = Lanes::<LANES>::splat(0.0);
+    let mut target_quad = [false; N_CELLS / LANES];
+    if MULTI {
+        for (g, c) in (start..end).step_by(LANES).enumerate() {
+            let (i, j, k) = interior_coords(c);
+            target_quad[g] = grid.group_has_quad::<LANES>(grid.idx(i, j, k), 1);
+        }
+    }
+    let mut tally = Tally::new();
     for &(dx, dy, dz) in offsets {
-        for c in (start..end).step_by(LANES) {
+        for (g, c) in (start..end).step_by(LANES).enumerate() {
             let (i, j, k) = interior_coords(c);
             let t0 = grid.idx(i, j, k);
             let s0 = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
-            pairs += B::accum::<LANES>(grid, t0, s0, 1, &mut out[c - start..]);
+            let out = &mut out[c - start..];
+            accum_group::<MULTI>(grid, t0, s0, 1, target_quad[g], out, &mut tally);
         }
     }
-    // Every weight is 1.0 or 0.0, so the sum is the exact count.
-    pairs.0.iter().sum::<f64>() as u64
+    tally.counts()
 }
 
 /// Parity-exact same-level pass over the row-aligned slab
-/// `[start, end)` with the pair body `B`: each cell uses the offset
-/// list of its parity, so every pair is owned by exactly one level of
-/// the tree walk. k parity alternates along a row, so a row is two lane
-/// groups of four same-parity stride-2 cells sharing an offset list —
-/// the even-k cells, then the odd-k cells. Returns the interaction
-/// count.
-fn parity_range_into<B: PairBody>(
+/// `[start, end)` with the monopole (`MULTI = false`) or multipole pair
+/// bodies: each cell uses the offset list of its parity, so every pair
+/// is owned by exactly one level of the tree walk. k parity alternates
+/// along a row, so a row is two lane groups of four same-parity stride-2
+/// cells sharing an offset list — the even-k cells, then the odd-k
+/// cells.
+fn parity_range_into<const MULTI: bool>(
     grid: &MomentGrid,
     stencil: &Stencil,
     start: usize,
     end: usize,
     out: &mut Vec<LocalExpansion>,
-) -> u64 {
+) -> PairCounts {
     reset_slab(out, start, end);
-    let mut pairs = Lanes::<LANES>::splat(0.0);
+    let mut tally = Tally::new();
     for row in (start..end).step_by(N_SUB) {
         let (i, j, _) = interior_coords(row);
         for k0 in 0..2isize {
             let t0 = grid.idx(i, j, k0);
+            let target_quad = MULTI && grid.group_has_quad::<LANES>(t0, 2);
+            let out = &mut out[row - start + k0 as usize..];
             for &(dx, dy, dz) in stencil.for_parity(parity_of(i, j, k0)) {
                 let s0 = grid.idx(i + dx as isize, j + dy as isize, k0 + dz as isize);
-                pairs += B::accum::<LANES>(grid, t0, s0, 2, &mut out[row - start + k0 as usize..]);
+                accum_group::<MULTI>(grid, t0, s0, 2, target_quad, out, &mut tally);
             }
         }
     }
-    // Every weight is 1.0 or 0.0, so the sum is the exact count.
-    pairs.0.iter().sum::<f64>() as u64
+    tally.counts()
 }
 
 /// Parity of a cell: `(i&1) | ((j&1)<<1) | ((k&1)<<2)`.
@@ -346,15 +477,15 @@ fn parity_of(i: isize, j: isize, k: isize) -> u8 {
 /// — applying `offsets` to the target-cell slab `[start, end)` of the
 /// interior linear index, which must be whole 8-cell rows. `out` gets
 /// `end − start` expansions, slab cell `c` at `out[c − start]`. Returns
-/// the interaction count.
+/// the slab's [`PairCounts`].
 pub fn monopole_kernel_range_into(
     grid: &MomentGrid,
     offsets: &[(i32, i32, i32)],
     start: usize,
     end: usize,
     out: &mut Vec<LocalExpansion>,
-) -> u64 {
-    offset_range_into::<MonopolePairs>(grid, offsets, start, end, out)
+) -> PairCounts {
+    offset_range_into::<false>(grid, offsets, start, end, out)
 }
 
 /// The combined multipole kernel — full M2L with quadrupoles and
@@ -366,8 +497,8 @@ pub fn multipole_kernel_range_into(
     start: usize,
     end: usize,
     out: &mut Vec<LocalExpansion>,
-) -> u64 {
-    offset_range_into::<MultipolePairs>(grid, offsets, start, end, out)
+) -> PairCounts {
+    offset_range_into::<true>(grid, offsets, start, end, out)
 }
 
 /// Parity-exact same-level monopole kernel over the slab
@@ -379,8 +510,8 @@ pub fn monopole_kernel_stencil_range_into(
     start: usize,
     end: usize,
     out: &mut Vec<LocalExpansion>,
-) -> u64 {
-    parity_range_into::<MonopolePairs>(grid, stencil, start, end, out)
+) -> PairCounts {
+    parity_range_into::<false>(grid, stencil, start, end, out)
 }
 
 /// Parity-exact same-level multipole kernel over the slab
@@ -392,14 +523,14 @@ pub fn multipole_kernel_stencil_range_into(
     start: usize,
     end: usize,
     out: &mut Vec<LocalExpansion>,
-) -> u64 {
-    parity_range_into::<MultipolePairs>(grid, stencil, start, end, out)
+) -> PairCounts {
+    parity_range_into::<true>(grid, stencil, start, end, out)
 }
 
 /// A whole-sub-grid launch into a fresh buffer.
-fn full_launch(range_into: impl FnOnce(&mut Vec<LocalExpansion>) -> u64) -> KernelResult {
+fn full_launch(range_into: impl FnOnce(&mut Vec<LocalExpansion>) -> PairCounts) -> KernelResult {
     let mut expansions = Vec::new();
-    let interactions = range_into(&mut expansions);
+    let interactions = range_into(&mut expansions).counted;
     KernelResult { expansions, interactions }
 }
 
@@ -521,15 +652,9 @@ mod tests {
         // momentum change (sum of force ledgers) must vanish to
         // round-off because every pair is inside.
         let s = Stencil::octotiger();
-        let grid = gather_moments(s.width(), |i, j, k| {
-            let n = N_SUB as isize;
-            if (0..n).contains(&i) && (0..n).contains(&j) && (0..n).contains(&k) {
-                // Irregular masses for a nontrivial test.
-                let m = 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 0.25;
-                Some(Multipole::monopole(m, Vec3::new(i as f64, j as f64, k as f64)))
-            } else {
-                None
-            }
+        // Irregular masses for a nontrivial test.
+        let grid = closed_lattice(|i, j, k, c| {
+            Multipole::monopole(1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 0.25, c)
         });
         let res = monopole_kernel(&grid, s.offsets());
         let total: Vec3 = res.expansions.iter().map(|e| e.force).sum();
@@ -644,12 +769,25 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
         z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0
+        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
     }
 
-    /// A random moment grid: jittered centres, irregular masses and
-    /// quadrupoles, ~1/8 of slots absent (mask = 0).
-    fn random_grid(width: i32, seed: u64) -> MomentGrid {
+    /// How [`random_grid`] lays the slot classes out.
+    #[derive(Debug, Clone, Copy)]
+    enum Layout {
+        /// Every slot draws its own class: lane groups are mixed, a
+        /// uniform group of four is rare.
+        Scattered,
+        /// Every aligned cube of this edge draws one class — the shape a
+        /// domain wall (absent), a leaf neighbour (monopole) or a refined
+        /// neighbour (quadrupole) makes. Edge 8 is whole nodes.
+        Boxes(isize),
+    }
+
+    /// A random moment grid: jittered centres, irregular masses, and
+    /// three slot classes — absent (mask = 0), monopole, quadrupole —
+    /// in the given layout.
+    fn random_grid(width: i32, seed: u64, layout: Layout) -> MomentGrid {
         let mut state = seed;
         let mut grid = MomentGrid::new(width);
         let w = width as isize;
@@ -664,147 +802,338 @@ mod tests {
                         k as f64 + 0.2 * splitmix(&mut state),
                     );
                     let q = std::array::from_fn(|_| 0.05 * splitmix(&mut state));
-                    let absent = splitmix(&mut state) < -0.75;
-                    if !absent {
-                        grid.set(i, j, k, &Multipole { m, com, q });
+                    let own = splitmix(&mut state);
+                    let class = match layout {
+                        Layout::Scattered => own,
+                        Layout::Boxes(edge) => {
+                            let b = |x: isize| x.div_euclid(edge).rem_euclid(8) as u64;
+                            let mut cube = seed ^ ((b(i) << 6 | b(j) << 3 | b(k)) + 1) << 32;
+                            splitmix(&mut cube)
+                        }
+                    };
+                    // A quarter absent, three eighths each of the rest.
+                    if class < -0.5 {
+                        continue;
                     }
+                    let q = if class < 0.25 { [0.0; 6] } else { q };
+                    grid.set(i, j, k, &Multipole { m, com, q });
                 }
             }
         }
         grid
     }
 
-    fn assert_expansion_bits(a: &LocalExpansion, b: &LocalExpansion, what: &str) {
-        assert_eq!(a.phi.to_bits(), b.phi.to_bits(), "{what}: phi");
-        for ax in 0..3 {
-            assert_eq!(a.dphi[ax].to_bits(), b.dphi[ax].to_bits(), "{what}: dphi");
-            assert_eq!(a.force[ax].to_bits(), b.force[ax].to_bits(), "{what}: force");
-            assert_eq!(a.f_corr[ax].to_bits(), b.f_corr[ax].to_bits(), "{what}: f_corr");
-            assert_eq!(a.torque[ax].to_bits(), b.torque[ax].to_bits(), "{what}: torque");
+    /// The unselective oracle of one kernel family: every (cell, offset)
+    /// pair of the sub-grid, one at a time at `W = 1` in the cell's
+    /// offset-list order, **nothing skipped and always the full body** —
+    /// the monopole body itself for the monopole kernels, the public
+    /// pairwise API for the multipole ones, fed what the SoA body feeds
+    /// its lanes (weighted source moments, softened r²). Beside the
+    /// expansions it returns the [`PairCounts`] the selective kernels
+    /// must report, worked out per lane group from the columns (not from
+    /// the `quad` flags), and the number of pairs it evaluated itself:
+    /// `by_parity` is the parity-stencil form (groups of stride 2),
+    /// otherwise the offset form (stride 1).
+    fn oracle(
+        grid: &MomentGrid,
+        s: &Stencil,
+        multi: bool,
+        by_parity: bool,
+    ) -> (Vec<LocalExpansion>, PairCounts, u64) {
+        let pair = |t: usize, s_idx: usize, e: &mut LocalExpansion| {
+            if !multi {
+                monopole_pairs::<1>(grid, t, s_idx, 1, std::slice::from_mut(e));
+                return;
+            }
+            let w = grid.mask[t] * grid.mask[s_idx];
+            let at = |n: usize, scale: f64| Multipole {
+                m: grid.m[n] * scale,
+                com: Vec3::new(grid.comx[n], grid.comy[n], grid.comz[n]),
+                q: std::array::from_fn(|c| grid.q[c][n] * scale),
+            };
+            let (tgt, src) = (at(t, 1.0), at(s_idx, w));
+            e.accumulate_softened(&tgt, &src, tgt.com - src.com, 1.0 - w);
+        };
+        let has_quad = |n: usize| (0..6).any(|c| grid.q[c][n] != 0.0);
+        let mut out = vec![LocalExpansion::default(); N_CELLS];
+        let mut counts = PairCounts::default();
+        let mut all_pairs = 0;
+        let (stride, group_step) = if by_parity { (2, 1) } else { (1, LANES as isize) };
+        for row in (0..N_CELLS).step_by(N_SUB) {
+            let (i, j, _) = interior_coords(row);
+            for g in 0..2isize {
+                let k0 = g * group_step;
+                let offsets =
+                    if by_parity { s.for_parity(parity_of(i, j, k0)) } else { s.offsets() };
+                for &(dx, dy, dz) in offsets {
+                    let lanes: [(usize, usize, usize); LANES] = std::array::from_fn(|l| {
+                        let k = k0 + l as isize * stride;
+                        (
+                            interior_index(i, j, k),
+                            grid.idx(i, j, k),
+                            grid.idx(i + dx as isize, j + dy as isize, k + dz as isize),
+                        )
+                    });
+                    all_pairs += LANES as u64;
+                    for &(c, t, s_idx) in &lanes {
+                        pair(t, s_idx, &mut out[c]);
+                        counts.counted += (grid.mask[t] * grid.mask[s_idx]) as u64;
+                    }
+                    if lanes.iter().any(|&(_, _, s_idx)| grid.mask[s_idx] != 0.0) {
+                        counts.evaluated += LANES as u64;
+                        if multi && lanes.iter().any(|&(_, t, s)| has_quad(t) || has_quad(s)) {
+                            counts.full_body += LANES as u64;
+                        }
+                    }
+                }
+            }
         }
-        for nn in 0..6 {
-            assert_eq!(a.d2phi[nn].to_bits(), b.d2phi[nn].to_bits(), "{what}: d2phi");
+        (out, counts, all_pairs)
+    }
+
+    /// The share of an oracle's pairs that the selective kernel skipped
+    /// (absent lane groups), ran through the reduced form, and ran
+    /// through the full body.
+    struct Coverage {
+        skipped: u64,
+        reduced: u64,
+        full: u64,
+    }
+
+    impl Coverage {
+        /// All three lane-group classes occurred — or the test calling
+        /// this does not reach the paths it is named for.
+        fn assert_all_three(&self, what: &str) {
+            assert!(self.skipped > 0, "{what}: no lane group was skipped");
+            assert!(self.reduced > 0, "{what}: no lane group took the reduced form");
+            assert!(self.full > 0, "{what}: no lane group took the full body");
         }
     }
 
-    /// The per-width contract: every kernel family at `W = 4` must
-    /// match the same pair body at `W = 1`, driven one (cell, offset)
-    /// pair at a time in scalar loop order, bit-for-bit on random masked
-    /// grids.
+    /// Run the four `W = 4` kernel families over `grid` and require each
+    /// to match its [`oracle`] bit for bit, expansions and counters.
+    /// Returns the [`Coverage`] of the two multipole families.
+    fn assert_kernels_match_oracle(grid: &MomentGrid, what: &str) -> [Coverage; 2] {
+        let s = Stencil::octotiger();
+        let mut buf = Vec::new();
+        let mut coverage = Vec::new();
+        for (multi, by_parity) in [(false, false), (false, true), (true, false), (true, true)] {
+            let counts = match (multi, by_parity) {
+                (false, false) => monopole_kernel_range_into(grid, s.offsets(), 0, N_CELLS, &mut buf),
+                (false, true) => monopole_kernel_stencil_range_into(grid, &s, 0, N_CELLS, &mut buf),
+                (true, false) => multipole_kernel_range_into(grid, s.offsets(), 0, N_CELLS, &mut buf),
+                (true, true) => multipole_kernel_stencil_range_into(grid, &s, 0, N_CELLS, &mut buf),
+            };
+            let what = format!(
+                "{what}: {} {}",
+                if multi { "multipole" } else { "monopole" },
+                if by_parity { "stencil" } else { "offsets" }
+            );
+            let (one, expect, all_pairs) = oracle(grid, &s, multi, by_parity);
+            assert_eq!(counts, expect, "{what}: pair counts");
+            assert_eq!(buf.len(), one.len());
+            for (a, b) in buf.iter().zip(one.iter()) {
+                a.assert_same_bits(b, &what);
+            }
+            if multi {
+                coverage.push(Coverage {
+                    skipped: all_pairs - counts.evaluated,
+                    reduced: counts.evaluated - counts.full_body,
+                    full: counts.full_body,
+                });
+            }
+        }
+        coverage.try_into().unwrap_or_else(|_| unreachable!("two multipole families"))
+    }
+
+    /// The per-width, per-order contract: every kernel family at `W = 4`
+    /// — skipping absent lane groups, taking the `QUAD = false` form
+    /// where a group has no quadrupole — must match the full body at
+    /// `W = 1` driven one (cell, offset) pair at a time with nothing
+    /// skipped, bit-for-bit, on grids of absent / monopole / quadrupole
+    /// slots laid out scattered and in boxes, at stride 1 (offset
+    /// kernels) and stride 2 (parity stencils).
     #[test]
     fn four_lane_kernels_match_one_lane_bit_for_bit() {
-        let s = Stencil::octotiger();
-        for seed in [0x5eed_0001u64, 0x5eed_0002] {
-            let grid = random_grid(s.width(), seed);
-
-            // W = 1 references. Monopole: the monopole body itself.
-            // Multipole: the public pairwise API, fed what the SoA body
-            // feeds the lanes (weighted source moments, softened r²).
-            type Pair<'a> = &'a dyn Fn(usize, usize, &mut LocalExpansion);
-            let mono: Pair = &|t, s_idx, e| {
-                MonopolePairs::accum::<1>(&grid, t, s_idx, 1, std::slice::from_mut(e));
-            };
-            let multi: Pair = &|t, s_idx, e| {
-                let w = grid.mask[t] * grid.mask[s_idx];
-                let at = |n: usize, scale: f64| Multipole {
-                    m: grid.m[n] * scale,
-                    com: Vec3::new(grid.comx[n], grid.comy[n], grid.comz[n]),
-                    q: std::array::from_fn(|c| grid.q[c][n] * scale),
-                };
-                let (tgt, src) = (at(t, 1.0), at(s_idx, w));
-                e.accumulate_softened(&tgt, &src, tgt.com - src.com, 1.0 - w);
-            };
-            let one_lane_offset = |pair: Pair| {
-                let mut out = vec![LocalExpansion::default(); N_CELLS];
-                for &(dx, dy, dz) in s.offsets() {
-                    for c in 0..N_CELLS {
-                        let (i, j, k) = interior_coords(c);
-                        let s_idx = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
-                        pair(grid.idx(i, j, k), s_idx, &mut out[c]);
-                    }
-                }
-                out
-            };
-            let one_lane_stencil = |pair: Pair| {
-                let mut out = vec![LocalExpansion::default(); N_CELLS];
-                for c in 0..N_CELLS {
-                    let (i, j, k) = interior_coords(c);
-                    for &(dx, dy, dz) in s.for_parity(parity_of(i, j, k)) {
-                        let s_idx = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
-                        pair(grid.idx(i, j, k), s_idx, &mut out[c]);
-                    }
-                }
-                out
-            };
-
-            for (what, four, one) in [
-                (
-                    "monopole offsets",
-                    monopole_kernel(&grid, s.offsets()).expansions,
-                    one_lane_offset(mono),
-                ),
-                (
-                    "multipole offsets",
-                    multipole_kernel(&grid, s.offsets()).expansions,
-                    one_lane_offset(multi),
-                ),
-                (
-                    "monopole stencil",
-                    monopole_kernel_stencil(&grid, &s).expansions,
-                    one_lane_stencil(mono),
-                ),
-                (
-                    "multipole stencil",
-                    multipole_kernel_stencil(&grid, &s).expansions,
-                    one_lane_stencil(multi),
-                ),
-            ] {
-                assert_eq!(four.len(), one.len());
-                for (a, b) in four.iter().zip(one.iter()) {
-                    assert_expansion_bits(a, b, &format!("{what} (seed {seed:#x})"));
+        let width = Stencil::octotiger().width();
+        // Whole-node boxes come in the two shapes a solve has: the
+        // targets are a leaf's (all three lane-group classes occur) or a
+        // refined node's (every target group carries a quadrupole, so
+        // none takes the reduced form).
+        for (seed, layout, refined_targets) in [
+            (0x5eed_0001u64, Layout::Scattered, false),
+            (0x5eed_0002, Layout::Scattered, false),
+            (0x5eed_0003, Layout::Boxes(4), false),
+            (0x5eed_0004, Layout::Boxes(4), false),
+            (0x5eed_0008, Layout::Boxes(8), false),
+            (0x5eed_0005, Layout::Boxes(8), true),
+        ] {
+            let grid = random_grid(width, seed, layout);
+            let what = format!("seed {seed:#x} {layout:?}");
+            for c in assert_kernels_match_oracle(&grid, &what) {
+                if refined_targets {
+                    assert!(c.skipped > 0 && c.full > 0 && c.reduced == 0, "{what}");
+                } else {
+                    c.assert_all_three(&what);
                 }
             }
         }
     }
 
+    /// A lattice of unit-spaced point masses with a closed halo, where
+    /// `moments(i, j, k)` makes each interior cell's multipole from its
+    /// centre.
+    fn closed_lattice(moments: impl Fn(isize, isize, isize, Vec3) -> Multipole) -> MomentGrid {
+        let n = N_SUB as isize;
+        gather_moments(Stencil::octotiger().width(), |i, j, k| {
+            let inside = (0..n).contains(&i) && (0..n).contains(&j) && (0..n).contains(&k);
+            inside.then(|| moments(i, j, k, Vec3::new(i as f64, j as f64, k as f64)))
+        })
+    }
+
+    /// `0 · −u = −0.0`: a present source of zero mass contributes
+    /// negative zeros to φ, which must leave every accumulator as the
+    /// full body leaves it.
+    #[test]
+    fn zero_mass_sources_add_signed_zeros_and_change_nothing() {
+        let grid = closed_lattice(|i, j, k, c| {
+            let m = if (i + j + k) % 3 == 0 { 0.0 } else { 1.0 + 0.25 * ((i * 5 + k) % 4) as f64 };
+            let q = if i < 3 { [0.02, 0.01, 0.03, 0.0, -0.01, 0.004] } else { [0.0; 6] };
+            Multipole { m, com: c, q }
+        });
+        let mut e = LocalExpansion::default();
+        let (t, s_idx) = (grid.idx(7, 7, 7), grid.idx(6, 6, 0));
+        assert_eq!(grid.m[s_idx], 0.0);
+        monopole_pairs::<1>(&grid, t, s_idx, 1, std::slice::from_mut(&mut e));
+        assert_eq!(e.phi.to_bits(), 0.0f64.to_bits(), "+0.0 + −0.0 is +0.0");
+        for c in assert_kernels_match_oracle(&grid, "zero-mass sources") {
+            c.assert_all_three("zero-mass sources");
+        }
+    }
+
+    /// A fresh accumulator whose every contribution is a signed zero —
+    /// the first one `−0.0` — ends as `+0.0`, whichever form ran and
+    /// whether or not the group was skipped.
+    #[test]
+    fn a_first_contribution_of_negative_zero_stays_positive_zero() {
+        let grid = closed_lattice(|_, _, _, c| Multipole::monopole(0.0, c));
+        assert_kernels_match_oracle(&grid, "all-zero masses");
+        let s = Stencil::octotiger();
+        for res in [monopole_kernel_stencil(&grid, &s), multipole_kernel_stencil(&grid, &s)] {
+            assert!(res.interactions > 0);
+            for e in &res.expansions {
+                e.assert_same_bits(&LocalExpansion::default(), "all-zero masses");
+            }
+        }
+    }
+
+    /// `is_monopole` is true for `−0.0` second moments, so such slots
+    /// take the reduced form, while the oracle multiplies the `−0.0`s
+    /// through `B2` and `B3`: same bits.
+    #[test]
+    fn negative_zero_quadrupoles_take_the_reduced_form() {
+        let grid = closed_lattice(|i, j, k, c| Multipole {
+            m: 1.0 + 0.125 * ((i + 3 * j + 5 * k) % 7) as f64,
+            com: c + Vec3::new(0.1, -0.05, 0.02) * ((i + k) % 3) as f64,
+            q: if j >= 6 { [0.03, 0.02, 0.01, -0.004, 0.0, 0.002] } else { [-0.0; 6] },
+        });
+        let (n_zero, n_quad) = (grid.idx(0, 0, 0), grid.idx(0, 6, 0));
+        assert!(grid.q[0][n_zero].is_sign_negative() && !grid.quad[n_zero] && grid.quad[n_quad]);
+        for c in assert_kernels_match_oracle(&grid, "−0.0 quadrupoles") {
+            c.assert_all_three("−0.0 quadrupoles");
+        }
+    }
+
+    /// An absent slot sits at the origin, where cell (0, 0, 0) of the
+    /// lattice has its centre too: the pair has `d = 0` and is finite
+    /// only by the softening. In a lane group that runs it is weighted
+    /// out; in a group of absent sources it is never evaluated; the
+    /// oracle evaluates it every time.
+    #[test]
+    fn a_masked_slot_coincident_with_its_target_changes_nothing() {
+        let grid = closed_lattice(|i, _, _, c| Multipole {
+            m: 2.0,
+            com: c,
+            q: if i == 0 { [0.01; 6] } else { [0.0; 6] },
+        });
+        assert_eq!(grid.get(0, 0, 0).unwrap().com, Vec3::ZERO);
+        for c in assert_kernels_match_oracle(&grid, "coincident masked slot") {
+            c.assert_all_three("coincident masked slot");
+        }
+    }
+
+    /// The wart the per-group selection uncovers (DESIGN.md
+    /// "Conservation", ROADMAP's 12-flop item): a monopole–monopole pair
+    /// across a flagged / unflagged leaf boundary is evaluated by the
+    /// monopole body on one side (`w/√r²` then `/r²`,
+    /// `d·(u³·(−m_t m_s))`) and by [`PairTerms`] on the other
+    /// (`√(1/r²)·(1/r²)`, `(d·u³)·(−m_t m_s)`), so its two forces cancel
+    /// to a few ulp, not bit for bit as they do within either body
+    /// (`monopole_pair_forces_cancel_bit_exactly`). This pins the size
+    /// of the residual and that it exists: when one pair has one
+    /// arithmetic whichever node evaluates it, the second assertion
+    /// fails — make the first one bit-equality then, and delete
+    /// `any_quad`.
+    #[test]
+    fn cross_body_monopole_pair_cancels_to_ulps_not_bits() {
+        let grid = random_grid(1, 0xb0d1e5, Layout::Scattered);
+        let (mut worst, mut nonzero, mut pairs) = (0.0f64, 0u32, 0u32);
+        for t in 0..grid.m.len() - 1 {
+            let s_idx = t + 1;
+            if grid.mask[t] * grid.mask[s_idx] == 0.0 {
+                continue;
+            }
+            let mut by_monopole = LocalExpansion::default();
+            monopole_pairs::<1>(&grid, t, s_idx, 1, std::slice::from_mut(&mut by_monopole));
+            let mut by_terms = LocalExpansion::default();
+            multipole_pairs::<1, false>(&grid, s_idx, t, 1, std::slice::from_mut(&mut by_terms));
+            pairs += 1;
+            for ax in 0..3 {
+                let (a, b) = (by_monopole.force[ax], by_terms.force[ax]);
+                let ulp = a.abs().max(b.abs()) * f64::EPSILON;
+                worst = worst.max((a + b).abs() / ulp);
+                nonzero += (a + b != 0.0) as u32;
+            }
+        }
+        assert!(pairs > 50, "only {pairs} pairs");
+        assert!(worst <= 4.0, "cross-body residual {worst} ulp");
+        assert!(nonzero > 0, "the two bodies now agree bit for bit: see this test's docs");
+    }
+
     /// Concatenating row-aligned slab ranges reproduces the full kernel
-    /// exactly, and the per-slab interaction counts sum to the full
-    /// count.
+    /// exactly, and the per-slab pair counts sum to the full counts.
     #[test]
     fn range_kernels_concatenate_to_full() {
         let s = Stencil::octotiger();
-        let grid = random_grid(s.width(), 0xc0ffee);
-        let full_off = multipole_kernel(&grid, s.offsets());
-        let full_sten = multipole_kernel_stencil(&grid, &s);
-        let full_mono = monopole_kernel(&grid, s.offsets());
+        let grid = random_grid(s.width(), 0xc0ffee, Layout::Boxes(4));
+        let mut full = [Vec::new(), Vec::new(), Vec::new()];
+        let [f_off, f_sten, f_mono] = &mut full;
+        let n_off = multipole_kernel_range_into(&grid, s.offsets(), 0, N_CELLS, f_off);
+        let n_sten = multipole_kernel_stencil_range_into(&grid, &s, 0, N_CELLS, f_sten);
+        let n_mono = monopole_kernel_range_into(&grid, s.offsets(), 0, N_CELLS, f_mono);
+        assert!(n_off.full_body > 0 && n_off.full_body < n_off.evaluated);
         for chunk in [8usize, 24, 64, N_CELLS] {
-            let mut cat_off = Vec::new();
-            let mut cat_sten = Vec::new();
-            let mut cat_mono = Vec::new();
-            let (mut i_off, mut i_sten, mut i_mono) = (0u64, 0u64, 0u64);
+            let mut cat = [Vec::new(), Vec::new(), Vec::new()];
+            let mut counts = [PairCounts::default(); 3];
             let mut start = 0;
             while start < N_CELLS {
                 let end = (start + chunk).min(N_CELLS);
                 let mut buf = Vec::new();
-                i_off += multipole_kernel_range_into(&grid, s.offsets(), start, end, &mut buf);
-                cat_off.extend_from_slice(&buf);
-                i_sten += multipole_kernel_stencil_range_into(&grid, &s, start, end, &mut buf);
-                cat_sten.extend_from_slice(&buf);
-                i_mono += monopole_kernel_range_into(&grid, s.offsets(), start, end, &mut buf);
-                cat_mono.extend_from_slice(&buf);
+                counts[0] += multipole_kernel_range_into(&grid, s.offsets(), start, end, &mut buf);
+                cat[0].extend_from_slice(&buf);
+                counts[1] += multipole_kernel_stencil_range_into(&grid, &s, start, end, &mut buf);
+                cat[1].extend_from_slice(&buf);
+                counts[2] += monopole_kernel_range_into(&grid, s.offsets(), start, end, &mut buf);
+                cat[2].extend_from_slice(&buf);
                 start = end;
             }
-            assert_eq!(i_off, full_off.interactions, "chunk {chunk}");
-            assert_eq!(i_sten, full_sten.interactions, "chunk {chunk}");
-            assert_eq!(i_mono, full_mono.interactions, "chunk {chunk}");
-            for (cat, full, what) in [
-                (&cat_off, &full_off.expansions, "offsets"),
-                (&cat_sten, &full_sten.expansions, "stencil"),
-                (&cat_mono, &full_mono.expansions, "monopole"),
-            ] {
+            assert_eq!(counts, [n_off, n_sten, n_mono], "chunk {chunk}");
+            for (cat, full, what) in
+                [(&cat[0], &full[0], "offsets"), (&cat[1], &full[1], "stencil"), (&cat[2], &full[2], "monopole")]
+            {
                 assert_eq!(cat.len(), full.len());
                 for (a, b) in cat.iter().zip(full.iter()) {
-                    assert_expansion_bits(a, b, &format!("{what} chunk {chunk}"));
+                    a.assert_same_bits(b, &format!("{what} chunk {chunk}"));
                 }
             }
         }
@@ -837,8 +1166,8 @@ mod tests {
             buf.reserve(600);
             buf.capacity()
         };
-        let interactions = monopole_kernel_stencil_range_into(&grid, &s, 0, N_CELLS, &mut buf);
-        assert_eq!(interactions, fresh.interactions);
+        let counts = monopole_kernel_stencil_range_into(&grid, &s, 0, N_CELLS, &mut buf);
+        assert_eq!(counts.counted, fresh.interactions);
         assert_eq!(buf.capacity(), cap_marker, "no reallocation on reuse");
         for (a, b) in buf.iter().zip(fresh.expansions.iter()) {
             assert_eq!(a.phi.to_bits(), b.phi.to_bits());

@@ -19,6 +19,23 @@
 //! is approximate (round-off level on uniform grids, truncation level
 //! at refinement jumps — measured in EXPERIMENTS.md).
 //!
+//! **Which arithmetic a pair gets.** The solver decides one thing per
+//! node: `FmmSolver::gather_into` reports `any_quad`, whether any
+//! gathered slot carries second moments, and a node without any runs
+//! the monopole kernels (the 12-flop body, whose rounding of a monopole
+//! pair differs from the multipole body's — the golden digests pin
+//! which nodes those are). Everything finer is the kernels' business
+//! and is decided per lane group from the grid's own flags
+//! (`kernels` module docs): groups of absent sources are skipped, and
+//! in the multipole kernels only groups that hold a quadrupole take the
+//! 455-flop body — on a leaf next to a refined node that is the lane
+//! groups that reach into it, not all 512 × (651 + 92) pairs. What that
+//! came to is on the field: [`GravityField::interactions`] (pairs
+//! counted), [`GravityField::pairs_evaluated`] and
+//! [`GravityField::pairs_full_body`], published as `fmm/pairs/*` beside
+//! `fmm/interactions/*`, identical between the serial and the chunked
+//! walk.
+//!
 //! **Futurization** (§4.1): [`FmmSolver::solve_parallel`] runs the same
 //! walk as a task graph on the [`amt`] runtime — one task per node for
 //! the moment (P2M over the leaves, then M2M per level, bottom-up),
@@ -53,7 +70,8 @@ use crate::expansion::LocalExpansion;
 use crate::gpu::{AggregationConfig, GpuContext, KernelKind, LaunchSite, SlabDesc, HIST_LABELS};
 use crate::kernels::{
     gather_moments_into, monopole_kernel_range_into, monopole_kernel_stencil_range_into,
-    multipole_kernel_range_into, multipole_kernel_stencil_range_into, MomentGrid, N_CELLS,
+    multipole_kernel_range_into, multipole_kernel_stencil_range_into, MomentGrid, PairCounts,
+    N_CELLS,
 };
 use crate::multipole::Multipole;
 use crate::scratch::ScratchPool;
@@ -103,6 +121,12 @@ pub struct GravityField {
     pub interactions_same_level: u64,
     /// Near-field (P2P, leaves only) interactions only.
     pub interactions_near_field: u64,
+    /// Pairs whose arithmetic ran, both passes: `interactions` plus the
+    /// pairs weighted out by their lane inside an evaluated lane group
+    /// (see [`PairCounts`]).
+    pub pairs_evaluated: u64,
+    /// Of `pairs_evaluated`, pairs through the 455-flop multipole body.
+    pub pairs_full_body: u64,
     /// Number of kernel launches (one per chunk per pass on the chunked
     /// path, one per node per pass on the serial walk).
     pub kernel_launches: u64,
@@ -334,8 +358,8 @@ pub fn normalize_chunk_cells(n: usize) -> usize {
 }
 
 /// What one typed kernel work item computes: `(kernel kind, slab
-/// start, slab expansions, interactions)`.
-type ItemResult = (KernelKind, usize, Vec<LocalExpansion>, u64);
+/// start, slab expansions, pair counts)`.
+type ItemResult = (KernelKind, usize, Vec<LocalExpansion>, PairCounts);
 
 /// What the fan's per-item futures resolve to: the item result plus
 /// where the launch landed (§5.1 decision, per item even inside a
@@ -347,21 +371,38 @@ type ChunkItem = (ItemResult, LaunchSite);
 struct NodeOutcome {
     key: MortonKey,
     out: Vec<LocalExpansion>,
-    interactions_same: u64,
-    interactions_near: u64,
+    same: PairCounts,
+    near: PairCounts,
     gpu_launches: u64,
     cpu_launches: u64,
     chunks: u64,
 }
 
-/// Summed counters of one chunked same-level pass.
+/// Summed counters of one same-level pass (serial or chunked).
 #[derive(Default, Clone, Copy)]
 struct PassTotals {
-    interactions_same: u64,
-    interactions_near: u64,
+    same: PairCounts,
+    near: PairCounts,
     gpu_launches: u64,
     cpu_launches: u64,
     chunks: u64,
+}
+
+impl PassTotals {
+    /// The solved field over `cells`, carrying these counters.
+    fn field(&self, cells: HashMap<MortonKey, Vec<CellGravity>>) -> GravityField {
+        GravityField {
+            cells,
+            interactions: self.same.counted + self.near.counted,
+            interactions_same_level: self.same.counted,
+            interactions_near_field: self.near.counted,
+            pairs_evaluated: self.same.evaluated + self.near.evaluated,
+            pairs_full_body: self.same.full_body + self.near.full_body,
+            kernel_launches: self.gpu_launches + self.cpu_launches,
+            kernel_launches_cpu: self.cpu_launches,
+            kernel_launches_gpu: self.gpu_launches,
+        }
+    }
 }
 
 /// Shared state of one chunked same-level pass: the node queue plus
@@ -447,8 +488,8 @@ impl ChunkedPass {
                 let mut o = NodeOutcome {
                     key,
                     out,
-                    interactions_same: 0,
-                    interactions_near: 0,
+                    same: PairCounts::default(),
+                    near: PairCounts::default(),
                     gpu_launches: 0,
                     cpu_launches: 0,
                     chunks,
@@ -465,11 +506,11 @@ impl ChunkedPass {
                     match kind {
                         KernelKind::SameLevel => {
                             o.out[start..start + buf.len()].copy_from_slice(&buf);
-                            o.interactions_same += n;
+                            o.same += n;
                             p2.solver.scratch.put_expansions(buf);
                         }
                         KernelKind::NearField => {
-                            o.interactions_near += n;
+                            o.near += n;
                             near_slabs.push((start, buf));
                         }
                     }
@@ -748,7 +789,7 @@ impl FmmSolver {
         start: usize,
         end: usize,
         out: &mut Vec<LocalExpansion>,
-    ) -> u64 {
+    ) -> PairCounts {
         if level == 0 {
             if any_quad {
                 multipole_kernel_range_into(grid, &self.root_offsets, start, end, out)
@@ -771,7 +812,7 @@ impl FmmSolver {
         start: usize,
         end: usize,
         out: &mut Vec<LocalExpansion>,
-    ) -> u64 {
+    ) -> PairCounts {
         if any_quad {
             multipole_kernel_range_into(grid, &self.near_field, start, end, out)
         } else {
@@ -864,8 +905,8 @@ impl FmmSolver {
         let mut totals = PassTotals::default();
         for o in when_all(&sched, node_futs).get_help(&sched) {
             same.insert(o.key, o.out);
-            totals.interactions_same += o.interactions_same;
-            totals.interactions_near += o.interactions_near;
+            totals.same += o.same;
+            totals.near += o.near;
             totals.gpu_launches += o.gpu_launches;
             totals.cpu_launches += o.cpu_launches;
             totals.chunks += o.chunks;
@@ -877,23 +918,21 @@ impl FmmSolver {
     /// path — same per-node functions as the parallel path).
     pub fn solve_with_moments(&self, tree: &Octree, moments: &MomentMap) -> GravityField {
         let domain = tree.domain();
-        let mut interactions_same = 0u64;
-        let mut interactions_near = 0u64;
-        let mut kernel_launches = 0u64;
+        let mut totals = PassTotals::default();
         // Same-level pass for every node, keyed per node.
         let mut same: HashMap<MortonKey, Vec<LocalExpansion>> = HashMap::new();
         for (&key, _) in moments {
             let mut grid = self.scratch.take_grid(self.gather_width());
             let any_quad = self.gather_into(tree, moments, key, &mut grid);
             let mut out = self.scratch.take_expansions();
-            interactions_same +=
+            totals.same +=
                 self.same_level_kernel_range_into(&grid, key.level, any_quad, 0, N_CELLS, &mut out);
-            kernel_launches += 1;
+            totals.cpu_launches += 1;
             if tree.is_leaf(key) {
                 let mut near = self.scratch.take_expansions();
-                interactions_near +=
+                totals.near +=
                     self.near_field_kernel_range_into(&grid, any_quad, 0, N_CELLS, &mut near);
-                kernel_launches += 1;
+                totals.cpu_launches += 1;
                 for (e, ne) in out.iter_mut().zip(near.iter()) {
                     e.add(ne);
                 }
@@ -928,15 +967,7 @@ impl FmmSolver {
         for (_, buf) in same {
             self.scratch.put_expansions(buf);
         }
-        GravityField {
-            cells,
-            interactions: interactions_same + interactions_near,
-            interactions_same_level: interactions_same,
-            interactions_near_field: interactions_near,
-            kernel_launches,
-            kernel_launches_cpu: kernel_launches,
-            kernel_launches_gpu: 0,
-        }
+        totals.field(cells)
     }
 
     /// Futurized steps 2–3 + assembly over the whole tree:
@@ -962,10 +993,16 @@ impl FmmSolver {
         metrics.counter("fmm/chunks").add(totals.chunks);
         metrics
             .counter("fmm/interactions/same_level")
-            .add(totals.interactions_same);
+            .add(totals.same.counted);
         metrics
             .counter("fmm/interactions/near_field")
-            .add(totals.interactions_near);
+            .add(totals.near.counted);
+        metrics
+            .counter("fmm/pairs/evaluated")
+            .add(totals.same.evaluated + totals.near.evaluated);
+        metrics
+            .counter("fmm/pairs/full_body")
+            .add(totals.same.full_body + totals.near.full_body);
         // Aggregation observability (cumulative over the context's
         // lifetime, hence `store` not `add`): how many kernels went up
         // fused, the batch-size histogram per kind, the flush-trigger
@@ -1093,15 +1130,7 @@ impl FmmSolver {
 
         self.publish_counters(rt, &totals);
 
-        GravityField {
-            cells,
-            interactions: totals.interactions_same + totals.interactions_near,
-            interactions_same_level: totals.interactions_same,
-            interactions_near_field: totals.interactions_near,
-            kernel_launches: totals.gpu_launches + totals.cpu_launches,
-            kernel_launches_cpu: totals.cpu_launches,
-            kernel_launches_gpu: totals.gpu_launches,
-        }
+        totals.field(cells)
     }
 }
 
@@ -1330,6 +1359,10 @@ mod tests {
                 assert_eq!(par.interactions, serial.interactions);
                 assert_eq!(par.interactions_same_level, serial.interactions_same_level);
                 assert_eq!(par.interactions_near_field, serial.interactions_near_field);
+                // Lane groups never straddle a slab, so which groups
+                // ran, and through which body, is chunking-independent.
+                assert_eq!(par.pairs_evaluated, serial.pairs_evaluated, "chunk {chunk}");
+                assert_eq!(par.pairs_full_body, serial.pairs_full_body, "chunk {chunk}");
                 for key in tree.leaves() {
                     let a = serial.leaf(key).unwrap();
                     let b = par.leaf(key).unwrap();
@@ -1366,6 +1399,22 @@ mod tests {
             field.interactions_near_field
         );
         assert!(field.interactions_near_field > 0);
+        // The pair counters: published, equal to the serial walk's, and
+        // ordered full ≤ evaluated, counted ≤ evaluated < all pairs (the
+        // domain wall's absent lane groups are skipped). Only the root
+        // carries quadrupoles here, so only its groups take the full body.
+        let metric = |name: &str| rt.metrics().counter(name).get();
+        assert_eq!(metric("fmm/pairs/evaluated"), field.pairs_evaluated);
+        assert_eq!(metric("fmm/pairs/full_body"), field.pairs_full_body);
+        let serial = solver.solve(&tree);
+        assert_eq!(field.pairs_evaluated, serial.pairs_evaluated);
+        assert_eq!(field.pairs_full_body, serial.pairs_full_body);
+        assert!(field.interactions <= field.pairs_evaluated);
+        let root_pairs = (N_CELLS * solver.root_offsets.len()) as u64;
+        assert!(field.pairs_full_body > 0 && field.pairs_full_body < root_pairs);
+        let parity_pairs: usize = (0..8).map(|p| solver.stencil.for_parity(p).len()).sum();
+        let leaf_pairs = (N_CELLS / 8 * parity_pairs + N_CELLS * solver.near_field.len()) as u64;
+        assert!(field.pairs_evaluated < root_pairs + 8 * leaf_pairs);
     }
 
     #[test]

@@ -110,7 +110,8 @@ const fn build_sym3_index() -> [[[usize; 3]; 3]; 3] {
 /// kernels instantiate it at `W = 4`, the pairwise API
 /// ([`KernelTensors::at`], `LocalExpansion::accumulate`) at `W = 1`.
 /// Every operation is lane-wise, so a lane holds the same bits at
-/// either width.
+/// either width. `b3` is evaluated only at `QUAD = true` (see
+/// [`KernelTensors::at_softened`]) and is all zeros otherwise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelTensors<const W: usize> {
     pub b0: Lanes<W>,
@@ -122,7 +123,7 @@ pub struct KernelTensors<const W: usize> {
 impl KernelTensors<1> {
     /// Evaluate at the single separation `d` (must be nonzero).
     pub fn at(d: Vec3) -> KernelTensors<1> {
-        Self::at_softened(d.to_array().map(|x| Lanes([x])), Lanes([0.0]))
+        Self::at_softened::<true>(d.to_array().map(|x| Lanes([x])), Lanes([0.0]))
     }
 }
 
@@ -133,8 +134,13 @@ impl<const W: usize> KernelTensors<W> {
     /// `soft = 1 − w` so masked-out slots (weight `w = 0`, possibly
     /// coincident centres) still produce finite tensors that are then
     /// multiplied away by the zero weight.
+    ///
+    /// `QUAD` is whether either side of the pair carries second
+    /// moments. `B3` only ever meets a quadrupole (`q:B3`), so at
+    /// `QUAD = false` it — and `u⁷`, which nothing else reads — is not
+    /// evaluated; `B0`, `B1` and `B2` are the same operations either way.
     #[inline(always)]
-    pub fn at_softened(d: [Lanes<W>; 3], soft: Lanes<W>) -> KernelTensors<W> {
+    pub fn at_softened<const QUAD: bool>(d: [Lanes<W>; 3], soft: Lanes<W>) -> KernelTensors<W> {
         let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + soft;
         for l in 0..W {
             assert!(r2.lane(l) > 0.0, "kernel tensors undefined at zero separation");
@@ -143,19 +149,21 @@ impl<const W: usize> KernelTensors<W> {
         let u = u2.sqrt();
         let u3 = u * u2;
         let u5 = u3 * u2;
-        let u7 = u5 * u2;
         let mut b2 = [Lanes::splat(0.0); 6];
         for (n, (a, b)) in SYM2.iter().enumerate() {
             let delta = if a == b { 1.0 } else { 0.0 };
             b2[n] = u3 * delta - d[*a] * 3.0 * d[*b] * u5;
         }
         let mut b3 = [Lanes::splat(0.0); 10];
-        for (n, (a, b, c)) in SYM3.iter().enumerate() {
-            let dab = if a == b { 1.0 } else { 0.0 };
-            let dac = if a == c { 1.0 } else { 0.0 };
-            let dbc = if b == c { 1.0 } else { 0.0 };
-            b3[n] = (d[*c] * dab + d[*b] * dac + d[*a] * dbc) * -3.0 * u5
-                + d[*a] * 15.0 * d[*b] * d[*c] * u7;
+        if QUAD {
+            let u7 = u5 * u2;
+            for (n, (a, b, c)) in SYM3.iter().enumerate() {
+                let dab = if a == b { 1.0 } else { 0.0 };
+                let dac = if a == c { 1.0 } else { 0.0 };
+                let dbc = if b == c { 1.0 } else { 0.0 };
+                b3[n] = (d[*c] * dab + d[*b] * dac + d[*a] * dbc) * -3.0 * u5
+                    + d[*a] * 15.0 * d[*b] * d[*c] * u7;
+            }
         }
         KernelTensors { b0: -u, b1: [d[0] * u3, d[1] * u3, d[2] * u3], b2, b3 }
     }
@@ -328,6 +336,23 @@ mod tests {
         assert_eq!(t.b3_at(0, 1, 2), t.b3_at(2, 1, 0));
         assert_eq!(t.b3_at(0, 0, 1), t.b3_at(1, 0, 0));
         assert_eq!(t.b3_at(0, 1, 0), t.b3_at(0, 0, 1));
+    }
+
+    #[test]
+    fn reduced_order_leaves_b3_out_and_the_rest_bit_identical() {
+        let d = [0.123456789, -4.56789, 2.5].map(|x| Lanes([x]));
+        let soft = Lanes([0.25]);
+        let full = KernelTensors::at_softened::<true>(d, soft);
+        let reduced = KernelTensors::at_softened::<false>(d, soft);
+        assert_eq!(full.b0.lane(0).to_bits(), reduced.b0.lane(0).to_bits());
+        for a in 0..3 {
+            assert_eq!(full.b1[a].lane(0).to_bits(), reduced.b1[a].lane(0).to_bits());
+        }
+        for n in 0..6 {
+            assert_eq!(full.b2[n].lane(0).to_bits(), reduced.b2[n].lane(0).to_bits());
+        }
+        assert!(full.b3.iter().all(|c| c.lane(0) != 0.0));
+        assert!(reduced.b3.iter().all(|c| c.lane(0).to_bits() == 0));
     }
 
     #[test]

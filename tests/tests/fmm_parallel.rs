@@ -52,6 +52,8 @@ fn assert_bit_identical(
     what: &str,
 ) {
     assert_eq!(a.interactions, b.interactions, "{what}: interaction count");
+    assert_eq!(a.pairs_evaluated, b.pairs_evaluated, "{what}: pairs evaluated");
+    assert_eq!(a.pairs_full_body, b.pairs_full_body, "{what}: pairs through the full body");
     for key in tree.leaves() {
         let ca = a.leaf(key).expect("leaf in serial field");
         let cb = b.leaf(key).expect("leaf in parallel field");

@@ -76,6 +76,36 @@ fn all_scenario_gates_pass() {
     }
 }
 
+/// What the first FMM solve of the two binary scenarios does with its
+/// pairs, pinned exactly: (counted, evaluated, through the 455-flop
+/// body) — `gravity::kernels::PairCounts` summed over the solve. These
+/// are counts, so they do not drift with the host as a timing does: a
+/// change that sends leaf lane groups back to the full body (`v1309`
+/// evaluated 94 327 808 of 112 587 776 pairs that way before the
+/// per-lane-group selection), or stops skipping the absent groups
+/// behind the domain wall (5 030 624 pairs on either tree), fails here.
+/// The rest of `evaluated` is 71 132 160 pairs through the `QUAD = false`
+/// form plus 18 259 968 through the monopole kernels on `v1309`, and
+/// 21 352 448 through the monopole kernels on `mini_binary`.
+#[cfg(not(debug_assertions))]
+#[test]
+fn first_solve_pair_counts_are_pinned() {
+    for (name, pinned) in [
+        ("mini_binary", (21_916_496, 23_662_880, 2_310_432)),
+        ("v1309", (105_810_768, 107_557_152, 18_165_024)),
+    ] {
+        let s = spec(name).expect("registered");
+        let field = octotiger::Simulation::new((s.build)())
+            .solve_gravity()
+            .expect("self-gravity is on");
+        assert_eq!(
+            (field.interactions, field.pairs_evaluated, field.pairs_full_body),
+            pinned,
+            "{name}: (counted, evaluated, full body) of the first solve"
+        );
+    }
+}
+
 /// Distributed bit-identity: every registered locality count × both
 /// transports reproduces the single-locality golden digest, and the
 /// per-step dt sequence is bitwise identical across every cluster
