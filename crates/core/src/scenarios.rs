@@ -658,7 +658,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             build: build_rotating_star,
             steps: 10,
             gate_steps: None,
-            golden_digest: Some(0xc4b2844b61c021f0),
+            golden_digest: Some(0x57663238a4b16d5a),
             gates: Gates {
                 // Calibration: mass 1.9e-14, momentum ~1e-16 (mirror
                 // symmetry), L_z 3.3e-20 over the window.
@@ -679,7 +679,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             build: build_mini_binary,
             steps: 10,
             gate_steps: None,
-            golden_digest: Some(0x3e9180ba75d2c450),
+            golden_digest: Some(0x683e62c44295eb42),
             gates: Gates {
                 // Floors inject mass at the stellar edges (calibration:
                 // 3.9e-4 over 10 steps, a one-time adjustment as the
@@ -710,7 +710,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             // the entire multi-level construction bit-for-bit.
             steps: 1,
             gate_steps: None,
-            golden_digest: Some(0x960680b81b12d55a),
+            golden_digest: Some(0x3fdd7429f47a5b42),
             gates: Gates {
                 mass: Some(0.15),
                 momentum: None,

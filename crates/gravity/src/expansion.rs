@@ -9,6 +9,12 @@
 //! bookkeeping: the correction force density and torque density that
 //! make linear and angular momentum conservation exact (see crate
 //! docs).
+//!
+//! What one pair adds to an expansion is `PairTerms::of`, the one pair
+//! body of the crate. §4.3's kernel variants — from the 12-flop
+//! monopole–monopole kernel to the 455-flop multipole one — are its
+//! four `const` instantiations: with or without the quadrupole terms,
+//! with or without the Hessian.
 
 use crate::multipole::Multipole;
 use crate::tensors::{KernelTensors, SYM2};
@@ -23,7 +29,8 @@ pub struct LocalExpansion {
     pub phi: f64,
     /// Gradient ∇φ (acceleration is −∇φ).
     pub dphi: Vec3,
-    /// Hessian of φ (symmetric storage), used to translate ∇φ in L2L.
+    /// Hessian of φ (symmetric storage), used to translate ∇φ in L2L —
+    /// so the same-level pass accumulates it on refined nodes only.
     pub d2phi: [f64; 6],
     /// Total pair force on the cell from same-level interactions,
     /// accumulated in mirror-exact canonical terms (see
@@ -38,19 +45,20 @@ pub struct LocalExpansion {
     pub torque: Vec3,
 }
 
-/// What one multipole pair interaction adds to its target's
-/// [`LocalExpansion`], for `W` (target, source) pairs at once — one per
-/// lane. The `f_mono`/`f_qs`/`f_qt`/torque arithmetic lives in
-/// [`PairTerms::of`] and nowhere else: the SoA kernels evaluate it at
-/// `W = 4`, [`LocalExpansion::accumulate_softened`] at `W = 1`, and
-/// every operation is lane-wise, so a pair gets the same bits at either
-/// width.
+/// What one pair interaction adds to its target's [`LocalExpansion`],
+/// for `W` (target, source) pairs at once — one per lane. The pair
+/// arithmetic lives in [`PairTerms::of`] (over
+/// [`KernelTensors::at_softened`]) and nowhere else: the SoA kernels
+/// evaluate it at `W = 4`, [`LocalExpansion::accumulate_softened`] at
+/// `W = 1`, and every operation is lane-wise, so a pair gets the same
+/// bits at either width.
 pub(crate) struct PairTerms<const W: usize> {
     phi: Lanes<W>,
     dphi: [Lanes<W>; 3],
-    d2phi: [Lanes<W>; 6],
+    /// `None` in the `HESS = false` forms.
+    d2phi: Option<[Lanes<W>; 6]>,
     f_mono: [Lanes<W>; 3],
-    /// The terms a quadrupole makes; `None` in the `QUAD = false` form.
+    /// The terms a quadrupole makes; `None` in the `QUAD = false` forms.
     quad: Option<QuadTerms<W>>,
 }
 
@@ -67,19 +75,35 @@ impl<const W: usize> PairTerms<W> {
     /// `soft` added to `r²` in the kernel tensors. The canonical term
     /// forms are documented on [`LocalExpansion::accumulate`].
     ///
-    /// `QUAD = false` is the same source with everything a quadrupole
-    /// touches compiled out — `B3`, both `q:B3` contractions, `q_s:B2`,
-    /// `f_qs`, `f_qt` and the torque; `qt` and `qs` are not read. For a
-    /// pair whose `qt` and `qs` are all (signed) zeros it adds the same
-    /// bits to a [`LocalExpansion`] as `QUAD = true`: each dropped term
-    /// is then a sum of zero moments times finite tensors started from
-    /// `+0.0`, i.e. `±0.0`; an accumulator that starts at `+0.0` never
-    /// holds `−0.0` (round-to-nearest gives `−0.0` only for
-    /// `−0.0 + −0.0`), and adding `±0.0` to anything else is the
-    /// identity. The one visible difference, `x` against `x + 0.0` in
-    /// `phi` and `dphi`, is the sign of a zero and vanishes the same way.
+    /// The four kernel variants of §4.3 are the four instantiations of
+    /// this one source: `QUAD` — does either side carry second moments —
+    /// by `HESS` — is the target's Hessian read. `<true, true>` is the
+    /// 455-flop body; `<false, false>`, which is left with `1/r²`, one
+    /// square root and the `B0` / `B1` products, is the 12-flop
+    /// monopole kernel. A const only ever removes work whose result is
+    /// an exact zero or is never read, so **one pair has one rounding
+    /// whichever instantiation evaluates it**:
+    ///
+    /// * `QUAD = false` compiles out everything a quadrupole touches —
+    ///   `B3`, both `q:B3` contractions, `q_s:B2`, `f_qs`, `f_qt` and
+    ///   the torque; `qt` and `qs` are not read. For a pair whose `qt`
+    ///   and `qs` are all (signed) zeros it adds the same bits to a
+    ///   [`LocalExpansion`] as `QUAD = true`: each dropped term is then
+    ///   a sum of zero moments times finite tensors started from `+0.0`,
+    ///   i.e. `±0.0`; an accumulator that starts at `+0.0` never holds
+    ///   `−0.0` (round-to-nearest gives `−0.0` only for `−0.0 + −0.0`),
+    ///   and adding `±0.0` to anything else is the identity. The one
+    ///   visible difference, `x` against `x + 0.0` in `phi` and `dphi`,
+    ///   is the sign of a zero and vanishes the same way.
+    /// * `HESS = false` leaves `d2phi` out (and `B2` with it, unless
+    ///   `q_s:B2` needs it): the target's `d2phi` is then not touched at
+    ///   all. It feeds no other term, so every other field gets the
+    ///   bits it gets at `HESS = true` — an unread field cannot move a
+    ///   bit. Only a target whose `d2phi` nobody reads may take it: a
+    ///   leaf's (`d2phi` is read by [`LocalExpansion::translated`], the
+    ///   L2L of a refined node, alone).
     #[inline(always)]
-    pub(crate) fn of<const QUAD: bool>(
+    pub(crate) fn of<const QUAD: bool, const HESS: bool>(
         mt: Lanes<W>,
         ms: Lanes<W>,
         qt: &[Lanes<W>; 6],
@@ -87,7 +111,7 @@ impl<const W: usize> PairTerms<W> {
         d: [Lanes<W>; 3],
         soft: Lanes<W>,
     ) -> PairTerms<W> {
-        let t = KernelTensors::at_softened::<QUAD>(d, soft);
+        let t = KernelTensors::at_softened::<QUAD, HESS>(d, soft);
         // Potential and derivatives from the source moments.
         let mut phi = ms * t.b0;
         let mut dphi: [Lanes<W>; 3] = std::array::from_fn(|a| t.b1[a] * ms);
@@ -124,7 +148,7 @@ impl<const W: usize> PairTerms<W> {
         PairTerms {
             phi,
             dphi,
-            d2phi: std::array::from_fn(|n| ms * t.b2[n]),
+            d2phi: HESS.then(|| std::array::from_fn(|n| ms * t.b2[n])),
             f_mono: std::array::from_fn(|a| t.b1[a] * neg_mm),
             quad,
         }
@@ -133,7 +157,7 @@ impl<const W: usize> PairTerms<W> {
 
 /// Lane `l` of a lane-wise vector.
 #[inline(always)]
-pub(crate) fn vec3_lane<const W: usize>(v: &[Lanes<W>; 3], l: usize) -> Vec3 {
+fn vec3_lane<const W: usize>(v: &[Lanes<W>; 3], l: usize) -> Vec3 {
     Vec3::new(v[0].lane(l), v[1].lane(l), v[2].lane(l))
 }
 
@@ -165,7 +189,7 @@ impl LocalExpansion {
     /// by the weight).
     pub fn accumulate_softened(&mut self, tgt: &Multipole, src: &Multipole, d: Vec3, soft: f64) {
         let one = |x: f64| Lanes([x]);
-        let terms = PairTerms::of::<true>(
+        let terms = PairTerms::of::<true, true>(
             one(tgt.m),
             one(src.m),
             &tgt.q.map(one),
@@ -181,8 +205,10 @@ impl LocalExpansion {
     pub(crate) fn add_pair<const W: usize>(&mut self, terms: &PairTerms<W>, l: usize) {
         self.phi += terms.phi.lane(l);
         self.dphi += vec3_lane(&terms.dphi, l);
-        for n in 0..6 {
-            self.d2phi[n] += terms.d2phi[n].lane(l);
+        if let Some(d2phi) = &terms.d2phi {
+            for (sum, term) in self.d2phi.iter_mut().zip(d2phi) {
+                *sum += term.lane(l);
+            }
         }
         self.force += vec3_lane(&terms.f_mono, l);
         if let Some(quad) = &terms.quad {
@@ -257,6 +283,14 @@ impl LocalExpansion {
             assert_eq!(self.d2phi[n].to_bits(), other.d2phi[n].to_bits(), "{what}: d2phi");
         }
     }
+
+    /// What a `HESS = false` form must make of the pairs the full body
+    /// makes `full` of: the same bits in every field it writes, and a
+    /// `d2phi` it never touched.
+    pub(crate) fn assert_same_bits_without_hessian(&self, full: &LocalExpansion, what: &str) {
+        assert_eq!(self.d2phi.map(f64::to_bits), [0; 6], "{what}: d2phi was written");
+        LocalExpansion { d2phi: full.d2phi, ..*self }.assert_same_bits(full, what);
+    }
 }
 
 #[cfg(test)]
@@ -324,11 +358,11 @@ mod tests {
         }
     }
 
-    /// The `QUAD = false` form against the full one on pairs without
-    /// second moments — zero masses and `−0.0` components included —
-    /// accumulated into one expansion each from a fresh start: every
-    /// field ends on the same bits (the signed-zero argument on
-    /// [`PairTerms::of`]).
+    /// The three reduced instantiations against the full one on pairs
+    /// without second moments — zero masses and `−0.0` components
+    /// included — accumulated into one expansion each from a fresh
+    /// start: every field a form writes ends on the same bits (the
+    /// signed-zero and unread-field arguments on [`PairTerms::of`]).
     #[test]
     fn reduced_form_adds_the_same_bits_where_no_quadrupole_is() {
         let one = |x: f64| Lanes([x]);
@@ -339,14 +373,19 @@ mod tests {
             (1.25, 3.0, -0.0, Vec3::new(-2.0, 0.1, 0.2)),
         ];
         for first in 0..pairs.len() {
-            let (mut full, mut reduced) = (LocalExpansion::default(), LocalExpansion::default());
+            let [mut full, mut reduced, mut leaf_quad, mut leaf] = [LocalExpansion::default(); 4];
             for n in 0..pairs.len() {
                 let (mt, ms, q, d) = pairs[(first + n) % pairs.len()];
                 let (mt, ms, q, d) = (one(mt), one(ms), [one(q); 6], d.to_array().map(one));
-                full.add_pair(&PairTerms::of::<true>(mt, ms, &q, &q, d, one(0.0)), 0);
-                reduced.add_pair(&PairTerms::of::<false>(mt, ms, &q, &q, d, one(0.0)), 0);
+                full.add_pair(&PairTerms::of::<true, true>(mt, ms, &q, &q, d, one(0.0)), 0);
+                reduced.add_pair(&PairTerms::of::<false, true>(mt, ms, &q, &q, d, one(0.0)), 0);
+                leaf_quad.add_pair(&PairTerms::of::<true, false>(mt, ms, &q, &q, d, one(0.0)), 0);
+                leaf.add_pair(&PairTerms::of::<false, false>(mt, ms, &q, &q, d, one(0.0)), 0);
             }
-            reduced.assert_same_bits(&full, &format!("starting at pair {first}"));
+            let what = format!("starting at pair {first}");
+            reduced.assert_same_bits(&full, &what);
+            leaf_quad.assert_same_bits_without_hessian(&full, &what);
+            leaf.assert_same_bits_without_hessian(&full, &what);
         }
     }
 

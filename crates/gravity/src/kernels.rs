@@ -8,14 +8,22 @@
 //! from an extended SoA buffer holding the node's own cells plus the
 //! neighbor halo.
 //!
-//! Two kernels, as in the paper:
-//! * [`monopole_kernel`] — monopole–monopole (12 flops/interaction):
-//!   both nodes are leaves, cells are point masses.
-//! * [`multipole_kernel`] — the combined multipole–multipole /
-//!   multipole–monopole kernel (455 flops/interaction): full M2L with
-//!   quadrupoles and the conservation corrections.
+//! Two kernels, as in the paper, and one pair body: `PairTerms::of`
+//! is the only pair arithmetic here, and the paper's kernel variants are
+//! its four `const` instantiations `{QUAD} × {HESS}` (does the pair
+//! carry a quadrupole × is the target's Hessian read):
+//! * [`monopole_kernel`] — **leaf targets**, `HESS = false`: a leaf's
+//!   expansion is never translated, so its Hessian is never read and
+//!   never computed. On leaf–leaf pairs (`QUAD = false`) this is the
+//!   monopole–monopole kernel, cells as point masses, 12
+//!   flops/interaction; where a source carries a quadrupole — a refined
+//!   neighbour's cells — the same launch takes `QUAD = true`.
+//! * [`multipole_kernel`] — **refined targets**, `HESS = true`: the
+//!   combined multipole–multipole / multipole–monopole kernel (455
+//!   flops/interaction at `QUAD = true`), full M2L with quadrupoles and
+//!   the conservation corrections.
 //!
-//! The pair bodies are **branchless**: instead of testing whether a
+//! The pair body is **branchless**: instead of testing whether a
 //! slot holds data (which defeats vectorization, exactly the
 //! branch-divergence problem GPU kernels predicate away), each slot
 //! carries a `mask` weight of 1.0/0.0 and every contribution is
@@ -27,42 +35,43 @@
 //! the branchy formulation. The same pair weights, summed, are the
 //! interaction counters.
 //!
-//! **What picks a pair's arithmetic** is decided per *lane group* (four
-//! targets against four sources), in `accum_group`, from the slots'
-//! own flags — never per node:
+//! **Which instantiation a pair gets.** `HESS` is the caller's, per
+//! node: which of the two kernels it launches. `QUAD` is decided per
+//! *lane group* (four targets against four sources), in `accum_group`,
+//! from the slots' own flags:
 //! * a group whose four source slots are all absent is **skipped**: all
 //!   its weights are zero, so it would add `±0.0` to every accumulator
 //!   and nothing to the interaction count;
-//! * in the multipole kernels, a group with no quadrupole on any of its
-//!   eight slots ([`MomentGrid::set`] records `!is_monopole()` per slot)
-//!   takes the pair body at `QUAD = false` — the same source as the
-//!   455-flop body with `B3`, both `q:B3` contractions, `f_qs`, `f_qt`,
-//!   the torque and the twelve `q` gathers compiled out.
+//! * a group with no quadrupole on any of its eight slots
+//!   ([`MomentGrid::set`] records `!is_monopole()` per slot) takes
+//!   `QUAD = false` — the same source with `B3`, both `q:B3`
+//!   contractions, `f_qs`, `f_qt`, the torque and the twelve `q` gathers
+//!   compiled out.
 //!
-//! Both are **bit-identical by construction** to evaluating the full
-//! body on every group. Every dropped term is an exact signed zero
-//! (zero moments times finite tensors, summed from `+0.0`); an
-//! accumulator that starts at `+0.0` can never hold `−0.0`
-//! (round-to-nearest yields `−0.0` only from `−0.0 + −0.0`), and adding
-//! `±0.0` to anything but `−0.0` is the identity. The unselective loop
-//! survives as the `W = 1` oracle of this module's tests. The monopole
-//! kernels (`monopole_pairs`) round differently from the multipole
-//! body on the same monopole pair (DESIGN.md "Conservation"), so which
-//! *kernel* a node runs stays the solver's `any_quad` decision.
+//! Every one of these choices is **bit-neutral by construction**, so a
+//! pair has one rounding whichever node, kernel or lane group evaluates
+//! it, and a monopole pair's two forces are bit-for-bit opposite across
+//! any leaf / refined or flagged / unflagged boundary. For `QUAD` and
+//! the skip: every dropped term is an exact signed zero (zero moments
+//! times finite tensors, summed from `+0.0`); an accumulator that starts
+//! at `+0.0` can never hold `−0.0` (round-to-nearest yields `−0.0` only
+//! from `−0.0 + −0.0`), and adding `±0.0` to anything but `−0.0` is the
+//! identity. For `HESS`: `d2phi` feeds no other field, and an unread
+//! field cannot move a bit. The unselective loop — always
+//! `<true, true>`, nothing skipped — survives as the `W = 1` oracle of
+//! this module's tests.
 //!
-//! **One body, two widths, two orders.** The pair arithmetic is written
-//! once over the lane type [`util::simd::Lanes`] (the "Merging
-//! Frameworks" follow-up's SIMD types, arXiv:2210.06439, which get their
-//! kernel variants by compile-time specialisation of one body): these
-//! kernels instantiate it at `W = 4`, the pairwise API
-//! ([`LocalExpansion::accumulate_softened`], hence the AoS
-//! `interaction_list` ablation) at `W = 1`, and at multipole order
-//! `QUAD = true` or `false`. Lanes map to *target cells* — four
-//! k-adjacent cells for the offset kernels, the four same-parity
-//! stride-2 cells of a row for the parity-stencil kernels — so each
-//! cell's accumulation order over its offset list is the one-pair-at-a-
-//! time order and the results are bit-identical by construction (see
-//! DESIGN.md "Chunking & SIMD").
+//! **One body, two widths.** The pair arithmetic is written once over
+//! the lane type [`util::simd::Lanes`] (the "Merging Frameworks"
+//! follow-up's SIMD types, arXiv:2210.06439, which get their kernel
+//! variants by compile-time specialisation of one body): these kernels
+//! instantiate it at `W = 4`, the pairwise API
+//! ([`LocalExpansion::accumulate_softened`]) at `W = 1`. Lanes map to
+//! *target cells* — four k-adjacent cells for the offset kernels, the
+//! four same-parity stride-2 cells of a row for the parity-stencil
+//! kernels — so each cell's accumulation order over its offset list is
+//! the one-pair-at-a-time order and the results are bit-identical by
+//! construction (see DESIGN.md "Chunking & SIMD").
 //!
 //! **Cache-blocked ranges.** Every kernel has a `*_range_into` form
 //! restricted to a slab `[start, end)` of the interior linear index
@@ -74,7 +83,7 @@
 //! output exactly — each cell is owned by exactly one slab and its
 //! per-offset accumulation never crosses slab boundaries.
 
-use crate::expansion::{vec3_lane, LocalExpansion, PairTerms};
+use crate::expansion::{LocalExpansion, PairTerms};
 use crate::multipole::Multipole;
 use crate::stencil::Stencil;
 use octree::subgrid::N_SUB;
@@ -221,9 +230,9 @@ pub struct PairCounts {
     pub counted: u64,
     /// Pairs whose arithmetic ran (four per lane group not skipped).
     pub evaluated: u64,
-    /// Of `evaluated`, pairs through the 455-flop body (`QUAD = true`).
-    /// The rest took the `QUAD = false` form in the multipole kernels,
-    /// the 12-flop body in the monopole kernels.
+    /// Of `evaluated`, pairs at `QUAD = true` (the 455-flop body on a
+    /// refined target). The rest took `QUAD = false`, which on a leaf
+    /// target is the 12-flop monopole kernel.
     pub full_body: u64,
 }
 
@@ -267,69 +276,25 @@ fn interior_coords(c: usize) -> (isize, isize, isize) {
     ((c / (n * n)) as isize, ((c / n) % n) as isize, (c % n) as isize)
 }
 
-/// The weights `w = mask[t]·mask[s]` and separations `com[t] − com[s]`
-/// of `W` pairs: lane `l` is target slot `t0 + l·stride` / source slot
-/// `s0 + l·stride`.
+/// The interaction ([`PairTerms::of`]) of `W` pairs — lane `l` is target
+/// slot `t0 + l·stride` against source slot `s0 + l·stride` —
+/// branchless: the pair weight `w = mask[t]·mask[s]` scales the source
+/// moments (every accumulated term is linear in them) and `1 − w`
+/// softens `r²`, so the tensors stay finite on masked slots. `QUAD` and
+/// `HESS` are the body's; `QUAD = false` never reads a `q` column and is
+/// only for groups whose eight slots have none set. Accumulates into
+/// `out[l·stride]` and returns the weights.
 #[inline(always)]
-fn pair_geometry<const W: usize>(
+fn pairs<const W: usize, const QUAD: bool, const HESS: bool>(
     grid: &MomentGrid,
     t0: usize,
     s0: usize,
     stride: usize,
-) -> (Lanes<W>, [Lanes<W>; 3]) {
+    out: &mut [LocalExpansion],
+) -> Lanes<W> {
     let diff = |f: &[f64]| Lanes::gather(f, t0, stride) - Lanes::gather(f, s0, stride);
     let w = Lanes::gather(&grid.mask, t0, stride) * Lanes::gather(&grid.mask, s0, stride);
-    (w, [diff(&grid.comx), diff(&grid.comy), diff(&grid.comz)])
-}
-
-/// The 12-flop monopole–monopole interaction of `W` pairs (lanes as in
-/// [`pair_geometry`]), branchless: all contributions are weighted by `w`
-/// and the separation is softened by `1 − w` so masked slots produce
-/// exact zeros instead of NaNs. Accumulates into `out[l·stride]` and
-/// returns the weights.
-#[inline(always)]
-fn monopole_pairs<const W: usize>(
-    grid: &MomentGrid,
-    t0: usize,
-    s0: usize,
-    stride: usize,
-    out: &mut [LocalExpansion],
-) -> Lanes<W> {
-    let (w, d) = pair_geometry::<W>(grid, t0, s0, stride);
-    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + (Lanes::splat(1.0) - w);
-    let u = w / r2.sqrt();
-    let u3 = u / r2;
-    let ms = Lanes::gather(&grid.m, s0, stride);
-    let d_phi = ms * -u;
-    let s_dphi = ms * u3;
-    // Canonical mirror-exact force term.
-    let s_force = u3 * -(Lanes::gather(&grid.m, t0, stride) * ms);
-    for l in 0..W {
-        let e = &mut out[l * stride];
-        let dl = vec3_lane(&d, l);
-        e.phi += d_phi.lane(l);
-        e.dphi += dl * s_dphi.lane(l);
-        e.force += dl * s_force.lane(l);
-    }
-    w
-}
-
-/// The multipole interaction ([`PairTerms`]) of `W` pairs, branchless:
-/// the source moments are scaled by the pair weight (every accumulated
-/// term is linear in them), and the softened tensors stay finite on
-/// masked slots. `QUAD = true` is the 455-flop body; `QUAD = false`
-/// never reads a `q` column and is only for groups whose eight slots
-/// have none set. Accumulates into `out[l·stride]` and returns the
-/// weights.
-#[inline(always)]
-fn multipole_pairs<const W: usize, const QUAD: bool>(
-    grid: &MomentGrid,
-    t0: usize,
-    s0: usize,
-    stride: usize,
-    out: &mut [LocalExpansion],
-) -> Lanes<W> {
-    let (w, d) = pair_geometry::<W>(grid, t0, s0, stride);
+    let d = [diff(&grid.comx), diff(&grid.comy), diff(&grid.comz)];
     let mut qt = [Lanes::splat(0.0); 6];
     let mut qs = [Lanes::splat(0.0); 6];
     if QUAD {
@@ -338,7 +303,7 @@ fn multipole_pairs<const W: usize, const QUAD: bool>(
             qs[c] = Lanes::gather(&grid.q[c], s0, stride) * w;
         }
     }
-    let terms = PairTerms::of::<QUAD>(
+    let terms = PairTerms::of::<QUAD, HESS>(
         Lanes::gather(&grid.m, t0, stride),
         Lanes::gather(&grid.m, s0, stride) * w,
         &qt,
@@ -375,13 +340,13 @@ impl Tally {
     }
 }
 
-/// One lane group of a slab loop — the one place a pair's arithmetic is
-/// picked (module docs). `MULTI` is the kernel family; `target_quad` is
-/// whether the four targets carry a quadrupole, which the slab loops
-/// work out once per target group rather than once per offset: on a
-/// refined node it is always true and the source flags are never read.
+/// One lane group of a slab loop — the one place a group's `QUAD` is
+/// picked (module docs). `target_quad` is whether the four targets carry
+/// a quadrupole, which the slab loops work out once per target group
+/// rather than once per offset: on a refined node it is always true and
+/// the source flags are never read.
 #[inline(always)]
-fn accum_group<const MULTI: bool>(
+fn accum_group<const HESS: bool>(
     grid: &MomentGrid,
     t0: usize,
     s0: usize,
@@ -394,21 +359,18 @@ fn accum_group<const MULTI: bool>(
         return;
     }
     tally.evaluated += LANES as u64;
-    tally.weights += if !MULTI {
-        monopole_pairs::<LANES>(grid, t0, s0, stride, out)
-    } else if target_quad || grid.group_has_quad::<LANES>(s0, stride) {
+    tally.weights += if target_quad || grid.group_has_quad::<LANES>(s0, stride) {
         tally.full_body += LANES as u64;
-        multipole_pairs::<LANES, true>(grid, t0, s0, stride, out)
+        pairs::<LANES, true, HESS>(grid, t0, s0, stride, out)
     } else {
-        multipole_pairs::<LANES, false>(grid, t0, s0, stride, out)
+        pairs::<LANES, false, HESS>(grid, t0, s0, stride, out)
     };
 }
 
-/// Apply `offsets` to every cell of the row-aligned slab `[start, end)`
-/// with the monopole (`MULTI = false`) or multipole pair bodies,
+/// Apply `offsets` to every cell of the row-aligned slab `[start, end)`,
 /// offset-major: lane groups are four k-adjacent targets, contiguous in
 /// both the extended grid (k fastest) and the output slab.
-fn offset_range_into<const MULTI: bool>(
+fn offset_range_into<const HESS: bool>(
     grid: &MomentGrid,
     offsets: &[(i32, i32, i32)],
     start: usize,
@@ -417,11 +379,9 @@ fn offset_range_into<const MULTI: bool>(
 ) -> PairCounts {
     reset_slab(out, start, end);
     let mut target_quad = [false; N_CELLS / LANES];
-    if MULTI {
-        for (g, c) in (start..end).step_by(LANES).enumerate() {
-            let (i, j, k) = interior_coords(c);
-            target_quad[g] = grid.group_has_quad::<LANES>(grid.idx(i, j, k), 1);
-        }
+    for (g, c) in (start..end).step_by(LANES).enumerate() {
+        let (i, j, k) = interior_coords(c);
+        target_quad[g] = grid.group_has_quad::<LANES>(grid.idx(i, j, k), 1);
     }
     let mut tally = Tally::new();
     for &(dx, dy, dz) in offsets {
@@ -430,20 +390,19 @@ fn offset_range_into<const MULTI: bool>(
             let t0 = grid.idx(i, j, k);
             let s0 = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
             let out = &mut out[c - start..];
-            accum_group::<MULTI>(grid, t0, s0, 1, target_quad[g], out, &mut tally);
+            accum_group::<HESS>(grid, t0, s0, 1, target_quad[g], out, &mut tally);
         }
     }
     tally.counts()
 }
 
 /// Parity-exact same-level pass over the row-aligned slab
-/// `[start, end)` with the monopole (`MULTI = false`) or multipole pair
-/// bodies: each cell uses the offset list of its parity, so every pair
-/// is owned by exactly one level of the tree walk. k parity alternates
-/// along a row, so a row is two lane groups of four same-parity stride-2
-/// cells sharing an offset list — the even-k cells, then the odd-k
-/// cells.
-fn parity_range_into<const MULTI: bool>(
+/// `[start, end)`: each cell uses the offset list of its parity, so
+/// every pair is owned by exactly one level of the tree walk. k parity
+/// alternates along a row, so a row is two lane groups of four
+/// same-parity stride-2 cells sharing an offset list — the even-k cells,
+/// then the odd-k cells.
+fn parity_range_into<const HESS: bool>(
     grid: &MomentGrid,
     stencil: &Stencil,
     start: usize,
@@ -456,11 +415,11 @@ fn parity_range_into<const MULTI: bool>(
         let (i, j, _) = interior_coords(row);
         for k0 in 0..2isize {
             let t0 = grid.idx(i, j, k0);
-            let target_quad = MULTI && grid.group_has_quad::<LANES>(t0, 2);
+            let target_quad = grid.group_has_quad::<LANES>(t0, 2);
             let out = &mut out[row - start + k0 as usize..];
             for &(dx, dy, dz) in stencil.for_parity(parity_of(i, j, k0)) {
                 let s0 = grid.idx(i + dx as isize, j + dy as isize, k0 + dz as isize);
-                accum_group::<MULTI>(grid, t0, s0, 2, target_quad, out, &mut tally);
+                accum_group::<HESS>(grid, t0, s0, 2, target_quad, out, &mut tally);
             }
         }
     }
@@ -473,11 +432,12 @@ fn parity_of(i: isize, j: isize, k: isize) -> u8 {
     ((i & 1) | ((j & 1) << 1) | ((k & 1) << 2)) as u8
 }
 
-/// Monopole–monopole kernel — point masses only (leaf/leaf node pairs)
-/// — applying `offsets` to the target-cell slab `[start, end)` of the
-/// interior linear index, which must be whole 8-cell rows. `out` gets
-/// `end − start` expansions, slab cell `c` at `out[c − start]`. Returns
-/// the slab's [`PairCounts`].
+/// The kernel for a leaf's cells (`HESS = false`; on leaf/leaf node
+/// pairs the monopole–monopole kernel) applying `offsets` to the
+/// target-cell slab `[start, end)` of the interior linear index, which
+/// must be whole 8-cell rows. `out` gets `end − start` expansions, slab
+/// cell `c` at `out[c − start]`, their `d2phi` untouched. Returns the
+/// slab's [`PairCounts`].
 pub fn monopole_kernel_range_into(
     grid: &MomentGrid,
     offsets: &[(i32, i32, i32)],
@@ -488,8 +448,9 @@ pub fn monopole_kernel_range_into(
     offset_range_into::<false>(grid, offsets, start, end, out)
 }
 
-/// The combined multipole kernel — full M2L with quadrupoles and
-/// conservation corrections — over the slab `[start, end)`; layout as
+/// The kernel for a refined node's cells (`HESS = true`) — the combined
+/// multipole kernel, full M2L with quadrupoles and conservation
+/// corrections — over the slab `[start, end)`; layout as
 /// [`monopole_kernel_range_into`].
 pub fn multipole_kernel_range_into(
     grid: &MomentGrid,
@@ -501,7 +462,7 @@ pub fn multipole_kernel_range_into(
     offset_range_into::<true>(grid, offsets, start, end, out)
 }
 
-/// Parity-exact same-level monopole kernel over the slab
+/// Parity-exact same-level kernel for a leaf's cells over the slab
 /// `[start, end)` (whole rows): each cell uses the offset list of its
 /// parity. Output layout as [`monopole_kernel_range_into`].
 pub fn monopole_kernel_stencil_range_into(
@@ -514,8 +475,8 @@ pub fn monopole_kernel_stencil_range_into(
     parity_range_into::<false>(grid, stencil, start, end, out)
 }
 
-/// Parity-exact same-level multipole kernel over the slab
-/// `[start, end)` (whole rows); see
+/// Parity-exact same-level kernel for a refined node's cells over the
+/// slab `[start, end)` (whole rows); see
 /// [`monopole_kernel_stencil_range_into`].
 pub fn multipole_kernel_stencil_range_into(
     grid: &MomentGrid,
@@ -823,28 +784,23 @@ mod tests {
         grid
     }
 
-    /// The unselective oracle of one kernel family: every (cell, offset)
-    /// pair of the sub-grid, one at a time at `W = 1` in the cell's
-    /// offset-list order, **nothing skipped and always the full body** —
-    /// the monopole body itself for the monopole kernels, the public
-    /// pairwise API for the multipole ones, fed what the SoA body feeds
-    /// its lanes (weighted source moments, softened r²). Beside the
-    /// expansions it returns the [`PairCounts`] the selective kernels
-    /// must report, worked out per lane group from the columns (not from
-    /// the `quad` flags), and the number of pairs it evaluated itself:
-    /// `by_parity` is the parity-stencil form (groups of stride 2),
-    /// otherwise the offset form (stride 1).
+    /// The unselective oracle of all four kernel families: every (cell,
+    /// offset) pair of the sub-grid, one at a time at `W = 1` in the
+    /// cell's offset-list order, **nothing skipped and always the full
+    /// body** — `PairTerms::of::<true, true>` through the public pairwise
+    /// API, fed what the SoA body feeds its lanes (weighted source
+    /// moments, softened r²). Beside the expansions it returns the
+    /// [`PairCounts`] the selective kernels must report, worked out per
+    /// lane group from the columns (not from the `quad` flags), and the
+    /// number of pairs it evaluated itself: `by_parity` is the
+    /// parity-stencil form (groups of stride 2), otherwise the offset
+    /// form (stride 1).
     fn oracle(
         grid: &MomentGrid,
         s: &Stencil,
-        multi: bool,
         by_parity: bool,
     ) -> (Vec<LocalExpansion>, PairCounts, u64) {
         let pair = |t: usize, s_idx: usize, e: &mut LocalExpansion| {
-            if !multi {
-                monopole_pairs::<1>(grid, t, s_idx, 1, std::slice::from_mut(e));
-                return;
-            }
             let w = grid.mask[t] * grid.mask[s_idx];
             let at = |n: usize, scale: f64| Multipole {
                 m: grid.m[n] * scale,
@@ -881,7 +837,7 @@ mod tests {
                     }
                     if lanes.iter().any(|&(_, _, s_idx)| grid.mask[s_idx] != 0.0) {
                         counts.evaluated += LANES as u64;
-                        if multi && lanes.iter().any(|&(_, t, s)| has_quad(t) || has_quad(s)) {
+                        if lanes.iter().any(|&(_, t, s)| has_quad(t) || has_quad(s)) {
                             counts.full_body += LANES as u64;
                         }
                     }
@@ -892,8 +848,8 @@ mod tests {
     }
 
     /// The share of an oracle's pairs that the selective kernel skipped
-    /// (absent lane groups), ran through the reduced form, and ran
-    /// through the full body.
+    /// (absent lane groups), ran at `QUAD = false`, and ran at
+    /// `QUAD = true`.
     struct Coverage {
         skipped: u64,
         reduced: u64,
@@ -911,31 +867,38 @@ mod tests {
     }
 
     /// Run the four `W = 4` kernel families over `grid` and require each
-    /// to match its [`oracle`] bit for bit, expansions and counters.
-    /// Returns the [`Coverage`] of the two multipole families.
-    fn assert_kernels_match_oracle(grid: &MomentGrid, what: &str) -> [Coverage; 2] {
+    /// to match the [`oracle`] bit for bit — counters, and every field
+    /// the family writes: all of them for the refined-target kernels,
+    /// all but a `d2phi` left at exactly `[0.0; 6]` for the leaf-target
+    /// ones. Returns each family's [`Coverage`].
+    fn assert_kernels_match_oracle(grid: &MomentGrid, what: &str) -> Vec<Coverage> {
         let s = Stencil::octotiger();
         let mut buf = Vec::new();
         let mut coverage = Vec::new();
-        for (multi, by_parity) in [(false, false), (false, true), (true, false), (true, true)] {
-            let counts = match (multi, by_parity) {
-                (false, false) => monopole_kernel_range_into(grid, s.offsets(), 0, N_CELLS, &mut buf),
-                (false, true) => monopole_kernel_stencil_range_into(grid, &s, 0, N_CELLS, &mut buf),
-                (true, false) => multipole_kernel_range_into(grid, s.offsets(), 0, N_CELLS, &mut buf),
-                (true, true) => multipole_kernel_stencil_range_into(grid, &s, 0, N_CELLS, &mut buf),
-            };
-            let what = format!(
-                "{what}: {} {}",
-                if multi { "multipole" } else { "monopole" },
-                if by_parity { "stencil" } else { "offsets" }
-            );
-            let (one, expect, all_pairs) = oracle(grid, &s, multi, by_parity);
-            assert_eq!(counts, expect, "{what}: pair counts");
-            assert_eq!(buf.len(), one.len());
-            for (a, b) in buf.iter().zip(one.iter()) {
-                a.assert_same_bits(b, &what);
-            }
-            if multi {
+        for by_parity in [false, true] {
+            let (one, expect, all_pairs) = oracle(grid, &s, by_parity);
+            for leaf in [true, false] {
+                let (all, buf) = (N_CELLS, &mut buf);
+                let counts = match (leaf, by_parity) {
+                    (true, false) => monopole_kernel_range_into(grid, s.offsets(), 0, all, buf),
+                    (true, true) => monopole_kernel_stencil_range_into(grid, &s, 0, all, buf),
+                    (false, false) => multipole_kernel_range_into(grid, s.offsets(), 0, all, buf),
+                    (false, true) => multipole_kernel_stencil_range_into(grid, &s, 0, all, buf),
+                };
+                let what = format!(
+                    "{what}: {} {}",
+                    if leaf { "monopole" } else { "multipole" },
+                    if by_parity { "stencil" } else { "offsets" }
+                );
+                assert_eq!(counts, expect, "{what}: pair counts");
+                assert_eq!(buf.len(), one.len());
+                for (a, b) in buf.iter().zip(one.iter()) {
+                    if leaf {
+                        a.assert_same_bits_without_hessian(b, &what);
+                    } else {
+                        a.assert_same_bits(b, &what);
+                    }
+                }
                 coverage.push(Coverage {
                     skipped: all_pairs - counts.evaluated,
                     reduced: counts.evaluated - counts.full_body,
@@ -943,16 +906,16 @@ mod tests {
                 });
             }
         }
-        coverage.try_into().unwrap_or_else(|_| unreachable!("two multipole families"))
+        coverage
     }
 
-    /// The per-width, per-order contract: every kernel family at `W = 4`
-    /// — skipping absent lane groups, taking the `QUAD = false` form
-    /// where a group has no quadrupole — must match the full body at
-    /// `W = 1` driven one (cell, offset) pair at a time with nothing
-    /// skipped, bit-for-bit, on grids of absent / monopole / quadrupole
-    /// slots laid out scattered and in boxes, at stride 1 (offset
-    /// kernels) and stride 2 (parity stencils).
+    /// The per-width, per-instantiation contract: every kernel family at
+    /// `W = 4` — skipping absent lane groups, taking `QUAD = false`
+    /// where a group has no quadrupole, `HESS = false` on leaf targets —
+    /// must match the full body at `W = 1` driven one (cell, offset) pair
+    /// at a time with nothing skipped, bit-for-bit, on grids of absent /
+    /// monopole / quadrupole slots laid out scattered and in boxes, at
+    /// stride 1 (offset kernels) and stride 2 (parity stencils).
     #[test]
     fn four_lane_kernels_match_one_lane_bit_for_bit() {
         let width = Stencil::octotiger().width();
@@ -1004,7 +967,7 @@ mod tests {
         let mut e = LocalExpansion::default();
         let (t, s_idx) = (grid.idx(7, 7, 7), grid.idx(6, 6, 0));
         assert_eq!(grid.m[s_idx], 0.0);
-        monopole_pairs::<1>(&grid, t, s_idx, 1, std::slice::from_mut(&mut e));
+        pairs::<1, false, false>(&grid, t, s_idx, 1, std::slice::from_mut(&mut e));
         assert_eq!(e.phi.to_bits(), 0.0f64.to_bits(), "+0.0 + −0.0 is +0.0");
         for c in assert_kernels_match_oracle(&grid, "zero-mass sources") {
             c.assert_all_three("zero-mass sources");
@@ -1062,42 +1025,78 @@ mod tests {
         }
     }
 
-    /// The wart the per-group selection uncovers (DESIGN.md
-    /// "Conservation", ROADMAP's 12-flop item): a monopole–monopole pair
-    /// across a flagged / unflagged leaf boundary is evaluated by the
-    /// monopole body on one side (`w/√r²` then `/r²`,
-    /// `d·(u³·(−m_t m_s))`) and by [`PairTerms`] on the other
-    /// (`√(1/r²)·(1/r²)`, `(d·u³)·(−m_t m_s)`), so its two forces cancel
-    /// to a few ulp, not bit for bit as they do within either body
-    /// (`monopole_pair_forces_cancel_bit_exactly`). This pins the size
-    /// of the residual and that it exists: when one pair has one
-    /// arithmetic whichever node evaluates it, the second assertion
-    /// fails — make the first one bit-equality then, and delete
-    /// `any_quad`.
+    /// One pair, one rounding: a monopole–monopole pair's two forces are
+    /// bit-for-bit opposite whichever instantiations evaluate its two
+    /// sides — `<false, false>` on an unflagged leaf against what a
+    /// flagged neighbour (`<true, false>`), a refined node's reduced
+    /// group (`<false, true>`) or its full body with zero quadrupoles
+    /// (`<true, true>`) runs. Until PR 23 the monopole kernel was a
+    /// second hand-written arithmetic and this test pinned a ≤ 4 ulp
+    /// residual, hence its name, which the test-floor list keeps.
     #[test]
     fn cross_body_monopole_pair_cancels_to_ulps_not_bits() {
+        fn force<const QUAD: bool, const HESS: bool>(g: &MomentGrid, t: usize, s: usize) -> Vec3 {
+            let mut e = LocalExpansion::default();
+            pairs::<1, QUAD, HESS>(g, t, s, 1, std::slice::from_mut(&mut e));
+            e.force
+        }
         let grid = random_grid(1, 0xb0d1e5, Layout::Scattered);
-        let (mut worst, mut nonzero, mut pairs) = (0.0f64, 0u32, 0u32);
+        let mut checked = 0;
         for t in 0..grid.m.len() - 1 {
             let s_idx = t + 1;
-            if grid.mask[t] * grid.mask[s_idx] == 0.0 {
+            if grid.mask[t] * grid.mask[s_idx] == 0.0 || grid.quad[t] || grid.quad[s_idx] {
                 continue;
             }
-            let mut by_monopole = LocalExpansion::default();
-            monopole_pairs::<1>(&grid, t, s_idx, 1, std::slice::from_mut(&mut by_monopole));
-            let mut by_terms = LocalExpansion::default();
-            multipole_pairs::<1, false>(&grid, s_idx, t, 1, std::slice::from_mut(&mut by_terms));
-            pairs += 1;
-            for ax in 0..3 {
-                let (a, b) = (by_monopole.force[ax], by_terms.force[ax]);
-                let ulp = a.abs().max(b.abs()) * f64::EPSILON;
-                worst = worst.max((a + b).abs() / ulp);
-                nonzero += (a + b != 0.0) as u32;
+            let leaf = force::<false, false>(&grid, t, s_idx);
+            for (back, what) in [
+                (force::<false, false>(&grid, s_idx, t), "<false, false>"),
+                (force::<true, false>(&grid, s_idx, t), "<true, false>"),
+                (force::<false, true>(&grid, s_idx, t), "<false, true>"),
+                (force::<true, true>(&grid, s_idx, t), "<true, true>"),
+            ] {
+                for ax in 0..3 {
+                    assert_ne!(leaf[ax], 0.0);
+                    assert_eq!(leaf[ax].to_bits(), (-back[ax]).to_bits(), "{what}, slot {t}");
+                    assert_eq!(leaf[ax] + back[ax], 0.0, "{what}, slot {t}");
+                }
             }
+            checked += 1;
         }
-        assert!(pairs > 50, "only {pairs} pairs");
-        assert!(worst <= 4.0, "cross-body residual {worst} ulp");
-        assert!(nonzero > 0, "the two bodies now agree bit for bit: see this test's docs");
+        assert!(checked > 50, "only {checked} pairs");
+
+        // The lane-group form, through the kernels: offset (0, 0, 2) on
+        // leaf targets one way, (0, 0, −2) on refined targets back, so a
+        // cell holds exactly one pair. Rows with a quadrupole at k = 5
+        // flag the group (0..4 → 2..6) one way while its mirror
+        // (0..4 → −2..2) stays unflagged; the other rows are unflagged
+        // both ways.
+        let grid = closed_lattice(|i, j, k, c| Multipole {
+            m: 1.0 + 0.125 * ((i + 3 * j + 5 * k) % 7) as f64,
+            com: c + Vec3::new(0.1, -0.05, 0.02) * ((i + k) % 3) as f64,
+            q: if k == 5 && j % 2 == 0 { [0.03, 0.02, 0.01, -0.004, 0.0, 0.002] } else { [0.0; 6] },
+        });
+        let (mut there, mut back) = (Vec::new(), Vec::new());
+        let n_there = monopole_kernel_range_into(&grid, &[(0, 0, 2)], 0, N_CELLS, &mut there);
+        let n_back = multipole_kernel_range_into(&grid, &[(0, 0, -2)], 0, N_CELLS, &mut back);
+        assert_eq!(n_there.counted, n_back.counted);
+        // Even-j rows: both groups flagged one way, one of two back.
+        assert_eq!(n_there.full_body * 2, n_there.evaluated);
+        assert_eq!(n_back.full_body * 4, n_back.evaluated);
+        let n = N_SUB as isize;
+        let mut across = 0;
+        for c in 0..N_CELLS {
+            let (i, j, k) = interior_coords(c);
+            if k + 2 >= n || grid.quad[grid.idx(i, j, k)] || grid.quad[grid.idx(i, j, k + 2)] {
+                continue;
+            }
+            let (a, b) = (there[c].force, back[c + 2].force);
+            for ax in 0..3 {
+                assert_eq!(a[ax].to_bits(), (-b[ax]).to_bits(), "cell ({i}, {j}, {k})");
+            }
+            // Pairs 0 → 2 and 1 → 3 of an even-j row cross the flag.
+            across += (j % 2 == 0 && k < 2) as u32;
+        }
+        assert_eq!(across, 2 * 4 * 8);
     }
 
     /// Concatenating row-aligned slab ranges reproduces the full kernel

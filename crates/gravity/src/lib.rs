@@ -14,8 +14,11 @@
 //!    point masses; coarser cells aggregate 2×2×2 finer cells by M2M).
 //! 2. **Same-level** ([`kernels`], [`stencil`]): each cell interacts
 //!    with its stencil of close neighbors. Two compute kernels, exactly
-//!    as in the paper: monopole–monopole (12 flops/interaction) and the
-//!    combined multipole kernel (455 flops/interaction). The stencil is
+//!    as in the paper — monopole–monopole (12 flops/interaction) and the
+//!    combined multipole kernel (455 flops/interaction) — and one pair
+//!    arithmetic: both are `const` instantiations of the one body in
+//!    [`expansion`], so a pair is rounded the same whichever kernel
+//!    evaluates it. The stencil is
 //!    generated from the two-level opening criterion; with θ = 0.5 it
 //!    has 982 elements (the paper's geometric details give 1074 — same
 //!    structure, slightly different counts; see DESIGN.md).
@@ -31,15 +34,10 @@
 //! accumulated, split exactly in half, into the two cells' evolved spin
 //! fields — the same spin fields the hydro solver uses (§4.2). Property
 //! tests assert both.
-//!
-//! [`interaction_list`] is the array-of-structs interaction-list
-//! baseline that §4.3 reports the stencil/SoA rewrite is 1.9–2.2×
-//! faster than; `benches` regenerates that ablation.
 
 pub mod direct;
 pub mod expansion;
 pub mod gpu;
-pub mod interaction_list;
 pub mod kernels;
 pub mod multipole;
 pub mod scratch;

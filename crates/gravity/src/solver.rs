@@ -19,19 +19,20 @@
 //! is approximate (round-off level on uniform grids, truncation level
 //! at refinement jumps — measured in EXPERIMENTS.md).
 //!
-//! **Which arithmetic a pair gets.** The solver decides one thing per
-//! node: `FmmSolver::gather_into` reports `any_quad`, whether any
-//! gathered slot carries second moments, and a node without any runs
-//! the monopole kernels (the 12-flop body, whose rounding of a monopole
-//! pair differs from the multipole body's — the golden digests pin
-//! which nodes those are). Everything finer is the kernels' business
-//! and is decided per lane group from the grid's own flags
-//! (`kernels` module docs): groups of absent sources are skipped, and
-//! in the multipole kernels only groups that hold a quadrupole take the
-//! 455-flop body — on a leaf next to a refined node that is the lane
-//! groups that reach into it, not all 512 × (651 + 92) pairs. What that
-//! came to is on the field: [`GravityField::interactions`] (pairs
-//! counted), [`GravityField::pairs_evaluated`] and
+//! **Which instantiation a pair gets.** There is one pair arithmetic
+//! (`PairTerms::of`) and the solver decides one thing about it per
+//! node: a leaf launches the `HESS = false` kernels — `assemble_leaf`
+//! never reads a Hessian, so none is computed — and a refined node,
+//! whose `downward_node` translates its expansions, the `HESS = true`
+//! ones. Everything finer is the kernels' business and is decided per
+//! lane group from the grid's own flags (`kernels` module docs): groups
+//! of absent sources are skipped, and only groups that hold a
+//! quadrupole take `QUAD = true` — on a leaf next to a refined node
+//! that is the lane groups that reach into it, not all
+//! 512 × (651 + 92) pairs. None of these choices moves a bit, so a pair
+//! is rounded the same whichever node evaluates it. What they came to
+//! is on the field: [`GravityField::interactions`] (pairs counted),
+//! [`GravityField::pairs_evaluated`] and
 //! [`GravityField::pairs_full_body`], published as `fmm/pairs/*` beside
 //! `fmm/interactions/*`, identical between the serial and the chunked
 //! walk.
@@ -69,9 +70,9 @@
 use crate::expansion::LocalExpansion;
 use crate::gpu::{AggregationConfig, GpuContext, KernelKind, LaunchSite, SlabDesc, HIST_LABELS};
 use crate::kernels::{
-    gather_moments_into, monopole_kernel_range_into, monopole_kernel_stencil_range_into,
-    multipole_kernel_range_into, multipole_kernel_stencil_range_into, MomentGrid, PairCounts,
-    N_CELLS,
+    gather_moments_into, interior_index, monopole_kernel_range_into,
+    monopole_kernel_stencil_range_into, multipole_kernel_range_into,
+    multipole_kernel_stencil_range_into, MomentGrid, PairCounts, N_CELLS,
 };
 use crate::multipole::Multipole;
 use crate::scratch::ScratchPool;
@@ -81,7 +82,6 @@ use amt::{when_all, Future, Promise, Runtime, Scheduler};
 use octree::subgrid::{Field, N_SUB};
 use octree::tree::Octree;
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use util::morton::MortonKey;
@@ -125,7 +125,9 @@ pub struct GravityField {
     /// pairs weighted out by their lane inside an evaluated lane group
     /// (see [`PairCounts`]).
     pub pairs_evaluated: u64,
-    /// Of `pairs_evaluated`, pairs through the 455-flop multipole body.
+    /// Of `pairs_evaluated`, pairs evaluated with their quadrupole terms
+    /// (`QUAD = true`): the 455-flop body on refined nodes, the same
+    /// less the Hessian on leaves.
     pub pairs_full_body: u64,
     /// Number of kernel launches (one per chunk per pass on the chunked
     /// path, one per node per pass on the serial walk).
@@ -144,20 +146,13 @@ impl GravityField {
 
     /// Single-cell accessor.
     pub fn at(&self, key: MortonKey, i: isize, j: isize, k: isize) -> CellGravity {
-        let n = N_SUB as isize;
-        self.cells[&key][((i * n + j) * n + k) as usize]
+        self.cells[&key][interior_index(i, j, k)]
     }
 
     /// Leaf keys present.
     pub fn leaves(&self) -> impl Iterator<Item = MortonKey> + '_ {
         self.cells.keys().copied()
     }
-}
-
-#[inline]
-fn cell_index(i: isize, j: isize, k: isize) -> usize {
-    let n = N_SUB as isize;
-    ((i * n + j) * n + k) as usize
 }
 
 /// Step-1 work of a single node: per-cell multipole moments. Leaf cells
@@ -174,7 +169,7 @@ fn compute_node_moments(tree: &Octree, moments: &MomentMap, key: MortonKey) -> V
         for (i, j, k) in grid.indexer().interior() {
             let m = grid.at(Field::Rho, i, j, k).max(0.0) * vol;
             let c = domain.cell_center(key, i, j, k);
-            cells[cell_index(i, j, k)] = Multipole::monopole(m, c);
+            cells[interior_index(i, j, k)] = Multipole::monopole(m, c);
         }
     } else {
         // M2M from the 8 children, cell by cell.
@@ -190,9 +185,9 @@ fn compute_node_moments(tree: &Octree, moments: &MomentMap, key: MortonKey) -> V
                     for d in 0..8u8 {
                         let (di, dj, dk) =
                             ((d & 1) as isize, ((d >> 1) & 1) as isize, ((d >> 2) & 1) as isize);
-                        parts[d as usize] = child_cells[cell_index(bi + di, bj + dj, bk + dk)];
+                        parts[d as usize] = child_cells[interior_index(bi + di, bj + dj, bk + dk)];
                     }
-                    cells[cell_index(i, j, k)] = Multipole::combine(&parts);
+                    cells[interior_index(i, j, k)] = Multipole::combine(&parts);
                 }
             }
         }
@@ -225,7 +220,7 @@ fn downward_node(
     for i in 0..N_SUB as isize {
         for j in 0..N_SUB as isize {
             for k in 0..N_SUB as isize {
-                let ci = cell_index(i, j, k);
+                let ci = interior_index(i, j, k);
                 let mut total = own_same[ci];
                 let (inh_fc, inh_tq) = match own_inh {
                     Some(v) => {
@@ -244,7 +239,7 @@ fn downward_node(
                 for d in 0..8u8 {
                     let (di, dj, dk) =
                         ((d & 1) as isize, ((d >> 1) & 1) as isize, ((d >> 2) & 1) as isize);
-                    let cci = cell_index(2 * (i % h) + di, 2 * (j % h) + dj, 2 * (k % h) + dk);
+                    let cci = interior_index(2 * (i % h) + di, 2 * (j % h) + dj, 2 * (k % h) + dk);
                     let cmp = child_moments[cci];
                     let delta = cmp.com - parent_mp.com;
                     let translated = total.translated(delta);
@@ -432,46 +427,32 @@ impl ChunkedPass {
         let gather = pass.rt.async_call(move || {
             let _span = trace::span_labeled(TraceCategory::FmmGather, || format!("{key:?}"));
             let mut grid = p.solver.scratch.take_grid(p.solver.gather_width());
-            let any_quad = p.solver.gather_into(&p.tree, &p.moments, key, &mut grid);
-            (Arc::new(grid), any_quad)
+            p.solver.gather_into(&p.tree, &p.moments, key, &mut grid);
+            Arc::new(grid)
         });
         let p = Arc::clone(pass);
         // Dropping the continuation futures is fine: completion is
         // observed through the node promise, not through them.
-        let _fan = gather.then(&pass.sched, move |(grid, any_quad)| {
+        let _fan = gather.then(&pass.sched, move |grid| {
             let is_leaf = p.tree.is_leaf(key);
             let chunk_cells = p.solver.chunk_cells;
             let worker = p.sched.current_worker();
+            // Every node runs the same-level kernel; a leaf also the
+            // near-field one.
+            let kinds: &[KernelKind] =
+                if is_leaf { &KernelKind::ALL } else { &[KernelKind::SameLevel] };
             let n_slabs = (N_CELLS + chunk_cells - 1) / chunk_cells;
-            let mut item_futs: Vec<Future<ChunkItem>> =
-                Vec::with_capacity(if is_leaf { 2 * n_slabs } else { n_slabs });
+            let mut item_futs: Vec<Future<ChunkItem>> = Vec::with_capacity(kinds.len() * n_slabs);
             let mut chunks = 0u64;
             let mut start = 0;
             while start < N_CELLS {
                 let end = (start + chunk_cells).min(N_CELLS);
-                item_futs.push(ChunkedPass::submit_item(
-                    &p,
-                    worker,
-                    &grid,
-                    key,
-                    any_quad,
-                    KernelKind::SameLevel,
-                    start,
-                    end,
-                ));
-                chunks += 1;
-                if is_leaf {
+                for &kind in kinds {
                     item_futs.push(ChunkedPass::submit_item(
-                        &p,
-                        worker,
-                        &grid,
-                        key,
-                        any_quad,
-                        KernelKind::NearField,
-                        start,
-                        end,
+                        &p, worker, &grid, key, is_leaf, kind, start, end,
                     ));
                 }
+                chunks += 1;
                 start = end;
             }
             // This producer is now idle: whatever the slot/window
@@ -547,7 +528,7 @@ impl ChunkedPass {
         worker: Option<usize>,
         grid: &Arc<MomentGrid>,
         key: MortonKey,
-        any_quad: bool,
+        is_leaf: bool,
         kind: KernelKind,
         start: usize,
         end: usize,
@@ -555,7 +536,7 @@ impl ChunkedPass {
         let solver = Arc::clone(&pass.solver);
         let grid = Arc::clone(grid);
         let buf = pass.solver.scratch.take_expansions();
-        let compute = move || solver.chunk_kernel(&grid, key, any_quad, kind, start, end, buf);
+        let compute = move || solver.chunk_kernel(&grid, key, is_leaf, kind, start, end, buf);
         match pass.solver.gpu.as_ref() {
             Some(ctx) => ctx.submit(worker, kind, SlabDesc { node: key, start, end }, compute),
             None => pass.rt.async_call(move || (compute(), LaunchSite::Cpu)),
@@ -700,14 +681,13 @@ impl FmmSolver {
     }
 
     /// Gather the extended moment grid of node `key` into `grid`.
-    /// Returns whether any gathered cell carries quadrupole moments.
     fn gather_into(
         &self,
         tree: &Octree,
         moments: &MomentMap,
         key: MortonKey,
         grid: &mut MomentGrid,
-    ) -> bool {
+    ) {
         debug_assert_eq!(grid.width(), self.gather_width());
         let level = key.level;
         let domain = tree.domain();
@@ -715,7 +695,6 @@ impl FmmSolver {
         let max_global = n << level;
         let (kx, ky, kz) = key.coords();
         let base = (kx as i64 * n, ky as i64 * n, kz as i64 * n);
-        let any_quad = Cell::new(false);
         gather_moments_into(grid, |i, j, k| {
             let g = (base.0 + i as i64, base.1 + j as i64, base.2 + k as i64);
             if g.0 < 0 || g.1 < 0 || g.2 < 0 || g.0 >= max_global || g.1 >= max_global || g.2 >= max_global {
@@ -734,11 +713,7 @@ impl FmmSolver {
                     (g.1 - ny as i64 * n) as isize,
                     (g.2 - nz as i64 * n) as isize,
                 );
-                let mp = cells[cell_index(local.0, local.1, local.2)];
-                if !mp.is_monopole() {
-                    any_quad.set(true);
-                }
-                return Some(mp);
+                return Some(cells[interior_index(local.0, local.1, local.2)]);
             }
             // Region coarser than `level`: synthesize from the first
             // existing ancestor (2:1 balance ⇒ usually one level up).
@@ -757,7 +732,7 @@ impl FmmSolver {
                 (cg.1 - ny as i64 * n) as isize,
                 (cg.2 - nz as i64 * n) as isize,
             );
-            let coarse = cells[cell_index(local.0, local.1, local.2)];
+            let coarse = cells[interior_index(local.0, local.1, local.2)];
             // Split the coarse cell's mass evenly onto the fine sub-cell
             // centre we need: 8^(level difference) sub-cells.
             let depth = (level - lvl) as u32;
@@ -774,49 +749,30 @@ impl FmmSolver {
             };
             Some(Multipole::monopole(coarse.m * frac, center))
         });
-        any_quad.get()
     }
 
     /// Same-level kernel of one node over the target-cell slab
     /// `[start, end)` — the per-chunk kernel launch. The root has no
     /// parent level: run all separated pairs there; other levels use the
-    /// parity-exact stencils.
+    /// parity-exact stencils. Only a refined node's Hessian is read.
     fn same_level_kernel_range_into(
         &self,
         grid: &MomentGrid,
         level: u8,
-        any_quad: bool,
+        is_leaf: bool,
         start: usize,
         end: usize,
         out: &mut Vec<LocalExpansion>,
     ) -> PairCounts {
-        if level == 0 {
-            if any_quad {
-                multipole_kernel_range_into(grid, &self.root_offsets, start, end, out)
-            } else {
-                monopole_kernel_range_into(grid, &self.root_offsets, start, end, out)
+        match (level == 0, is_leaf) {
+            (true, true) => monopole_kernel_range_into(grid, &self.root_offsets, start, end, out),
+            (true, false) => multipole_kernel_range_into(grid, &self.root_offsets, start, end, out),
+            (false, true) => {
+                monopole_kernel_stencil_range_into(grid, &self.stencil, start, end, out)
             }
-        } else if any_quad {
-            multipole_kernel_stencil_range_into(grid, &self.stencil, start, end, out)
-        } else {
-            monopole_kernel_stencil_range_into(grid, &self.stencil, start, end, out)
-        }
-    }
-
-    /// Near-field kernel of one leaf (pairs inside the opening
-    /// criterion) over the target-cell slab `[start, end)`.
-    fn near_field_kernel_range_into(
-        &self,
-        grid: &MomentGrid,
-        any_quad: bool,
-        start: usize,
-        end: usize,
-        out: &mut Vec<LocalExpansion>,
-    ) -> PairCounts {
-        if any_quad {
-            multipole_kernel_range_into(grid, &self.near_field, start, end, out)
-        } else {
-            monopole_kernel_range_into(grid, &self.near_field, start, end, out)
+            (false, false) => {
+                multipole_kernel_stencil_range_into(grid, &self.stencil, start, end, out)
+            }
         }
     }
 
@@ -830,7 +786,7 @@ impl FmmSolver {
         &self,
         grid: &MomentGrid,
         key: MortonKey,
-        any_quad: bool,
+        is_leaf: bool,
         kind: KernelKind,
         start: usize,
         end: usize,
@@ -841,13 +797,14 @@ impl FmmSolver {
                 let _span = trace::span_labeled(TraceCategory::FmmSameLevel, || {
                     format!("{key:?} [{start}..{end})")
                 });
-                self.same_level_kernel_range_into(grid, key.level, any_quad, start, end, &mut buf)
+                self.same_level_kernel_range_into(grid, key.level, is_leaf, start, end, &mut buf)
             }
+            // Leaves only: pairs inside the opening criterion.
             KernelKind::NearField => {
                 let _span = trace::span_labeled(TraceCategory::FmmNearField, || {
                     format!("{key:?} [{start}..{end})")
                 });
-                self.near_field_kernel_range_into(grid, any_quad, start, end, &mut buf)
+                monopole_kernel_range_into(grid, &self.near_field, start, end, &mut buf)
             }
         };
         (kind, start, buf, n)
@@ -923,15 +880,16 @@ impl FmmSolver {
         let mut same: HashMap<MortonKey, Vec<LocalExpansion>> = HashMap::new();
         for (&key, _) in moments {
             let mut grid = self.scratch.take_grid(self.gather_width());
-            let any_quad = self.gather_into(tree, moments, key, &mut grid);
+            self.gather_into(tree, moments, key, &mut grid);
+            let is_leaf = tree.is_leaf(key);
             let mut out = self.scratch.take_expansions();
             totals.same +=
-                self.same_level_kernel_range_into(&grid, key.level, any_quad, 0, N_CELLS, &mut out);
+                self.same_level_kernel_range_into(&grid, key.level, is_leaf, 0, N_CELLS, &mut out);
             totals.cpu_launches += 1;
-            if tree.is_leaf(key) {
+            if is_leaf {
                 let mut near = self.scratch.take_expansions();
                 totals.near +=
-                    self.near_field_kernel_range_into(&grid, any_quad, 0, N_CELLS, &mut near);
+                    monopole_kernel_range_into(&grid, &self.near_field, 0, N_CELLS, &mut near);
                 totals.cpu_launches += 1;
                 for (e, ne) in out.iter_mut().zip(near.iter()) {
                     e.add(ne);
@@ -981,9 +939,9 @@ impl FmmSolver {
         self.solve_restricted_parallel(tree, moments, &tree.leaves(), rt)
     }
 
-    /// Publish solver counters through the runtime's [`amt::Metrics`]
-    /// facade (same registry the legacy `counters()` API reads, so the
-    /// `fmm/*` names are stable).
+    /// Publish the solve's counters as `fmm/*` through the runtime's
+    /// [`amt::Metrics`] facade — the registry `Runtime::counters()`
+    /// reads too.
     fn publish_counters(&self, rt: &Arc<Runtime>, totals: &PassTotals) {
         let metrics = rt.metrics();
         metrics.counter("fmm/scratch_hits").store(self.scratch.hits());
@@ -1198,7 +1156,7 @@ mod tests {
             let cg = field.leaf(key).unwrap();
             let grid = tree.node(key).unwrap().grid.as_ref().unwrap();
             for (i, j, k) in grid.indexer().interior() {
-                let got = cg[cell_index(i, j, k)];
+                let got = cg[interior_index(i, j, k)];
                 let (phi_ref, g_ref) = reference[idx];
                 let _ = pts[idx];
                 if g_ref.norm() > 1e-8 {
@@ -1279,7 +1237,7 @@ mod tests {
             let cg = field.leaf(key).unwrap();
             let grid = tree.node(key).unwrap().grid.as_ref().unwrap();
             for (i, j, k) in grid.indexer().interior() {
-                let got = cg[cell_index(i, j, k)];
+                let got = cg[interior_index(i, j, k)];
                 let (phi_ref, _) = reference[idx];
                 max_rel_phi = max_rel_phi.max((got.phi - phi_ref).abs() / phi_ref.abs());
                 idx += 1;

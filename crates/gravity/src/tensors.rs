@@ -14,6 +14,13 @@
 //! Symmetric rank-2 tensors are stored as `[xx, yy, zz, xy, xz, yz]`;
 //! symmetric rank-3 tensors as the 10 independent components
 //! `[xxx, yyy, zzz, xxy, xxz, xyy, yyz, xzz, yzz, xyz]`.
+//!
+//! [`KernelTensors::at_softened`] is the only place the crate's pair
+//! arithmetic takes `1/r²` and its square root: every FMM kernel
+//! variant is an instantiation of it (and of `PairTerms::of` on top)
+//! that leaves out the tensors it has no use for, never a second
+//! formula — so `u` and `u³` are the same bits for a pair whoever
+//! evaluates it.
 
 use util::simd::Lanes;
 use util::vec3::Vec3;
@@ -106,12 +113,13 @@ const fn build_sym3_index() -> [[[usize; 3]; 3]; 3] {
 
 /// All derivative tensors of −1/r at `W` separations, one per lane.
 ///
-/// This is the one `u7`/`B3` evaluation in the workspace: the SoA
-/// kernels instantiate it at `W = 4`, the pairwise API
-/// ([`KernelTensors::at`], `LocalExpansion::accumulate`) at `W = 1`.
-/// Every operation is lane-wise, so a lane holds the same bits at
-/// either width. `b3` is evaluated only at `QUAD = true` (see
-/// [`KernelTensors::at_softened`]) and is all zeros otherwise.
+/// This is the one evaluation of `u = 1/|d|` and its powers in the
+/// crate's pair arithmetic: the SoA kernels instantiate it at `W = 4`,
+/// the pairwise API ([`KernelTensors::at`],
+/// `LocalExpansion::accumulate`) at `W = 1`. Every operation is
+/// lane-wise, so a lane holds the same bits at either width. `b3` is
+/// evaluated only at `QUAD = true`, `b2` only at `QUAD || HESS` (see
+/// [`KernelTensors::at_softened`]); each is all zeros otherwise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelTensors<const W: usize> {
     pub b0: Lanes<W>,
@@ -123,7 +131,7 @@ pub struct KernelTensors<const W: usize> {
 impl KernelTensors<1> {
     /// Evaluate at the single separation `d` (must be nonzero).
     pub fn at(d: Vec3) -> KernelTensors<1> {
-        Self::at_softened::<true>(d.to_array().map(|x| Lanes([x])), Lanes([0.0]))
+        Self::at_softened::<true, true>(d.to_array().map(|x| Lanes([x])), Lanes([0.0]))
     }
 }
 
@@ -136,11 +144,19 @@ impl<const W: usize> KernelTensors<W> {
     /// multiplied away by the zero weight.
     ///
     /// `QUAD` is whether either side of the pair carries second
-    /// moments. `B3` only ever meets a quadrupole (`q:B3`), so at
-    /// `QUAD = false` it — and `u⁷`, which nothing else reads — is not
-    /// evaluated; `B0`, `B1` and `B2` are the same operations either way.
+    /// moments, `HESS` whether the target's Hessian is read (it is on a
+    /// refined node, whose expansion translates to its children; never
+    /// on a leaf). `B3` only ever meets a quadrupole (`q:B3`), `B2` a
+    /// quadrupole (`q:B2`) or the Hessian, so `B3` with `u⁷` is not
+    /// evaluated at `QUAD = false`, nor `B2` with `u⁵` at
+    /// `QUAD = HESS = false` — which leaves the paper's monopole kernel:
+    /// `B0` and `B1`. Whatever is evaluated is the same operations in
+    /// every instantiation.
     #[inline(always)]
-    pub fn at_softened<const QUAD: bool>(d: [Lanes<W>; 3], soft: Lanes<W>) -> KernelTensors<W> {
+    pub fn at_softened<const QUAD: bool, const HESS: bool>(
+        d: [Lanes<W>; 3],
+        soft: Lanes<W>,
+    ) -> KernelTensors<W> {
         let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + soft;
         for l in 0..W {
             assert!(r2.lane(l) > 0.0, "kernel tensors undefined at zero separation");
@@ -150,9 +166,11 @@ impl<const W: usize> KernelTensors<W> {
         let u3 = u * u2;
         let u5 = u3 * u2;
         let mut b2 = [Lanes::splat(0.0); 6];
-        for (n, (a, b)) in SYM2.iter().enumerate() {
-            let delta = if a == b { 1.0 } else { 0.0 };
-            b2[n] = u3 * delta - d[*a] * 3.0 * d[*b] * u5;
+        if QUAD || HESS {
+            for (n, (a, b)) in SYM2.iter().enumerate() {
+                let delta = if a == b { 1.0 } else { 0.0 };
+                b2[n] = u3 * delta - d[*a] * 3.0 * d[*b] * u5;
+            }
         }
         let mut b3 = [Lanes::splat(0.0); 10];
         if QUAD {
@@ -342,8 +360,8 @@ mod tests {
     fn reduced_order_leaves_b3_out_and_the_rest_bit_identical() {
         let d = [0.123456789, -4.56789, 2.5].map(|x| Lanes([x]));
         let soft = Lanes([0.25]);
-        let full = KernelTensors::at_softened::<true>(d, soft);
-        let reduced = KernelTensors::at_softened::<false>(d, soft);
+        let full = KernelTensors::at_softened::<true, true>(d, soft);
+        let reduced = KernelTensors::at_softened::<false, true>(d, soft);
         assert_eq!(full.b0.lane(0).to_bits(), reduced.b0.lane(0).to_bits());
         for a in 0..3 {
             assert_eq!(full.b1[a].lane(0).to_bits(), reduced.b1[a].lane(0).to_bits());
@@ -353,6 +371,16 @@ mod tests {
         }
         assert!(full.b3.iter().all(|c| c.lane(0) != 0.0));
         assert!(reduced.b3.iter().all(|c| c.lane(0).to_bits() == 0));
+        // Without the Hessian: `B2` stays for `q:B2` at `QUAD = true`
+        // and goes with `B3` otherwise; `B0` and `B1` never move.
+        let no_hess = KernelTensors::at_softened::<true, false>(d, soft);
+        assert_eq!(no_hess, full);
+        let monopole = KernelTensors::at_softened::<false, false>(d, soft);
+        assert_eq!(monopole.b0.lane(0).to_bits(), full.b0.lane(0).to_bits());
+        for a in 0..3 {
+            assert_eq!(monopole.b1[a].lane(0).to_bits(), full.b1[a].lane(0).to_bits());
+        }
+        assert!(monopole.b2.iter().chain(&monopole.b3).all(|c| c.lane(0).to_bits() == 0));
     }
 
     #[test]

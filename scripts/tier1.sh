@@ -1,20 +1,19 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   1. zero #[deprecated], zero #[ignore] and zero environment-read
-#      budgets
-#   2. release build of the whole workspace (bins + benches included)
-#   3. benches compile (cargo bench --no-run — `cargo build` skips them)
-#   4. the full test suite in quiet mode
-#   5. the scenario verification registry under release (golden digests,
+#   1. zero #[deprecated], zero #[ignore], zero environment-read and
+#      zero second-pair-arithmetic budgets
+#   2. release build of the whole workspace (bins included)
+#   3. the full test suite in quiet mode
+#   4. the scenario verification registry under release (golden digests,
 #      conservation gates, distributed bit-identity, checkpoint/restore)
-#   6. rustdoc with warnings denied (broken links, missing docs on amt)
-#   7. the repo benchmark (its own workspace, so nothing above compiles
+#   5. rustdoc with warnings denied (broken links, missing docs on amt)
+#   6. the repo benchmark (its own workspace, so nothing above compiles
 #      it) still builds, passes its tests and runs against these crates:
 #      one smoke that bypasses the FMM and one that lives in it
-#   8. the three cheap paper-artifact bins run and pass their own gates
+#   7. the three cheap paper-artifact bins run and pass their own gates
 #      (fig23_scaleout and the scenario_gate bin are the expensive two;
-#      step 5 runs the registry the latter prints)
+#      step 4 runs the registry the latter prints)
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -61,12 +60,25 @@ fi
 echo "environment budget OK (0 variables read or set)"
 
 echo
-echo "== tier-1: cargo build --workspace --release =="
-cargo build --workspace --release
+echo "== tier-1: arithmetic budget =="
+# One FMM pair arithmetic: `PairTerms::of` over
+# `KernelTensors::at_softened`, whose `u2.sqrt()` in tensors.rs is the
+# only square root a pair takes (direct.rs is the O(N^2) reference,
+# stencil.rs geometry). A `sqrt` in the kernels, the expansion or the
+# solver is a second hand-written pair body coming back — it would round
+# the same pair differently depending on who evaluates it.
+stray=$(grep -n 'sqrt' crates/gravity/src/kernels.rs crates/gravity/src/expansion.rs \
+    crates/gravity/src/solver.rs || true)
+if [ -n "$stray" ]; then
+    echo "!! pair arithmetic outside tensors.rs (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "arithmetic budget OK (0 square roots outside tensors.rs)"
 
 echo
-echo "== tier-1: cargo bench --no-run (benches must keep compiling) =="
-cargo bench --workspace --no-run
+echo "== tier-1: cargo build --workspace --release =="
+cargo build --workspace --release
 
 echo
 echo "== tier-1: cargo test -q =="
