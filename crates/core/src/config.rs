@@ -101,6 +101,8 @@ impl Config {
         ensure(self.fmm_agg_slots >= 1, "need at least one batch slot")?;
         ensure(self.fmm_agg_window >= 1, "need a positive flush window")?;
         ensure(self.threads >= 1, "need at least one thread")?;
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+        require_avx2(host_has_avx2())?;
         if let Some(p) = &self.regrid {
             ensure(p.rho_ref > 0.0, "regrid rho_ref must be positive")?;
             ensure(p.ratio >= 1.0, "regrid ratio must be >= 1")?;
@@ -112,6 +114,32 @@ impl Config {
         }
         Ok(())
     }
+}
+
+/// Whether the host runs what `.cargo/config.toml` compiled this binary
+/// for: leaf 7 of `cpuid` exists and has AVX2, and leaf 1 has AVX with
+/// the OS saving the wide registers (OSXSAVE). Not
+/// `is_x86_feature_detected!("avx2")`, which is the constant `true` in a
+/// build with the feature on.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+fn host_has_avx2() -> bool {
+    use std::arch::x86_64::{__cpuid, __cpuid_count};
+    const OSXSAVE_AVX: u32 = 0b11 << 27;
+    __cpuid(0).eax >= 7
+        && __cpuid_count(7, 0).ebx & (1 << 5) != 0
+        && __cpuid(1).ecx & OSXSAVE_AVX == OSXSAVE_AVX
+}
+
+/// A host without the compiled-in ISA gets an error from the first
+/// [`Config::validate`] rather than a `SIGILL` from a kernel.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+fn require_avx2(host_has_it: bool) -> Result<()> {
+    if host_has_it {
+        return Ok(());
+    }
+    Err(Error::Driver(
+        "built for AVX2, host has none: rebuild for a baseline host (README \"Build\")".into(),
+    ))
 }
 
 #[cfg(test)]
@@ -126,6 +154,15 @@ mod tests {
         assert!(Config::binary(0.5).gravity);
         assert_eq!(Config::binary(0.5).omega, 0.5);
         assert!(!Config::hydro_only().gravity);
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    #[test]
+    fn a_host_without_the_compiled_in_isa_is_an_error() {
+        assert!(host_has_avx2(), "this test binary is running AVX2 code");
+        require_avx2(true).unwrap();
+        let err = require_avx2(false).unwrap_err();
+        assert!(matches!(&err, Error::Driver(why) if why.contains("built for AVX2")), "{err}");
     }
 
     #[test]

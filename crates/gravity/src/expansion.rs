@@ -155,10 +155,78 @@ impl<const W: usize> PairTerms<W> {
     }
 }
 
-/// Lane `l` of a lane-wise vector.
-#[inline(always)]
-fn vec3_lane<const W: usize>(v: &[Lanes<W>; 3], l: usize) -> Vec3 {
-    Vec3::new(v[0].lane(l), v[1].lane(l), v[2].lane(l))
+/// The running [`LocalExpansion`]s of `W` targets, one per lane: what the
+/// SoA kernels keep in registers across a lane group's whole offset list
+/// and store once per cell. [`GroupSums::add`] is the crate's one
+/// accumulation sequence (the pairwise API runs it at `W = 1`) and is
+/// lane-wise, so a cell ends on the bits of adding its pairs one at a
+/// time in the same order.
+pub(crate) struct GroupSums<const W: usize> {
+    phi: Lanes<W>,
+    dphi: [Lanes<W>; 3],
+    d2phi: [Lanes<W>; 6],
+    force: [Lanes<W>; 3],
+    f_corr: [Lanes<W>; 3],
+    torque: [Lanes<W>; 3],
+}
+
+impl<const W: usize> GroupSums<W> {
+    /// Lane `l` continues from `cells[l]`; a default
+    /// [`LocalExpansion`] is all `+0.0`.
+    #[inline(always)]
+    pub(crate) fn load(cells: [LocalExpansion; W]) -> GroupSums<W> {
+        GroupSums {
+            phi: Lanes(cells.map(|e| e.phi)),
+            dphi: std::array::from_fn(|a| Lanes(cells.map(|e| e.dphi[a]))),
+            d2phi: std::array::from_fn(|n| Lanes(cells.map(|e| e.d2phi[n]))),
+            force: std::array::from_fn(|a| Lanes(cells.map(|e| e.force[a]))),
+            f_corr: std::array::from_fn(|a| Lanes(cells.map(|e| e.f_corr[a]))),
+            torque: std::array::from_fn(|a| Lanes(cells.map(|e| e.torque[a]))),
+        }
+    }
+
+    /// Add one pair per lane, field by field in the order φ, ∇φ,
+    /// Hessian, `f_mono`, `f_qs`, `f_qt`, `f_corr`, torque.
+    #[inline(always)]
+    pub(crate) fn add(&mut self, terms: &PairTerms<W>) {
+        self.phi += terms.phi;
+        for a in 0..3 {
+            self.dphi[a] += terms.dphi[a];
+        }
+        if let Some(d2phi) = &terms.d2phi {
+            for (sum, term) in self.d2phi.iter_mut().zip(d2phi) {
+                *sum += *term;
+            }
+        }
+        for a in 0..3 {
+            self.force[a] += terms.f_mono[a];
+        }
+        if let Some(quad) = &terms.quad {
+            for a in 0..3 {
+                self.force[a] += quad.f_qs[a];
+                self.force[a] += quad.f_qt[a];
+                // The f_qt part is not captured by −∇φ·m; expose it
+                // separately so drivers using the φ-gradient path can
+                // add it.
+                self.f_corr[a] += quad.f_qt[a];
+                self.torque[a] += quad.torque[a];
+            }
+        }
+    }
+
+    /// Lane `l`'s sums, every field.
+    #[inline(always)]
+    pub(crate) fn lane(&self, l: usize) -> LocalExpansion {
+        let vec3 = |v: &[Lanes<W>; 3]| Vec3::new(v[0].lane(l), v[1].lane(l), v[2].lane(l));
+        LocalExpansion {
+            phi: self.phi.lane(l),
+            dphi: vec3(&self.dphi),
+            d2phi: self.d2phi.map(|x| x.lane(l)),
+            force: vec3(&self.force),
+            f_corr: vec3(&self.f_corr),
+            torque: vec3(&self.torque),
+        }
+    }
 }
 
 impl LocalExpansion {
@@ -197,29 +265,9 @@ impl LocalExpansion {
             d.to_array().map(one),
             one(soft),
         );
-        self.add_pair(&terms, 0);
-    }
-
-    /// Add lane `l` of `terms` to this expansion.
-    #[inline(always)]
-    pub(crate) fn add_pair<const W: usize>(&mut self, terms: &PairTerms<W>, l: usize) {
-        self.phi += terms.phi.lane(l);
-        self.dphi += vec3_lane(&terms.dphi, l);
-        if let Some(d2phi) = &terms.d2phi {
-            for (sum, term) in self.d2phi.iter_mut().zip(d2phi) {
-                *sum += term.lane(l);
-            }
-        }
-        self.force += vec3_lane(&terms.f_mono, l);
-        if let Some(quad) = &terms.quad {
-            let f_qt = vec3_lane(&quad.f_qt, l);
-            self.force += vec3_lane(&quad.f_qs, l);
-            self.force += f_qt;
-            // The f_qt part is not captured by −∇φ·m; expose it
-            // separately so drivers using the φ-gradient path can add it.
-            self.f_corr += f_qt;
-            self.torque += vec3_lane(&quad.torque, l);
-        }
+        let mut sums = GroupSums::load([*self]);
+        sums.add(&terms);
+        *self = sums.lane(0);
     }
 
     /// L2L: translate this expansion by `delta` (from the parent cell's
@@ -373,19 +421,21 @@ mod tests {
             (1.25, 3.0, -0.0, Vec3::new(-2.0, 0.1, 0.2)),
         ];
         for first in 0..pairs.len() {
-            let [mut full, mut reduced, mut leaf_quad, mut leaf] = [LocalExpansion::default(); 4];
+            let [mut full, mut reduced, mut leaf_quad, mut leaf] =
+                [(); 4].map(|()| GroupSums::load([LocalExpansion::default()]));
             for n in 0..pairs.len() {
                 let (mt, ms, q, d) = pairs[(first + n) % pairs.len()];
                 let (mt, ms, q, d) = (one(mt), one(ms), [one(q); 6], d.to_array().map(one));
-                full.add_pair(&PairTerms::of::<true, true>(mt, ms, &q, &q, d, one(0.0)), 0);
-                reduced.add_pair(&PairTerms::of::<false, true>(mt, ms, &q, &q, d, one(0.0)), 0);
-                leaf_quad.add_pair(&PairTerms::of::<true, false>(mt, ms, &q, &q, d, one(0.0)), 0);
-                leaf.add_pair(&PairTerms::of::<false, false>(mt, ms, &q, &q, d, one(0.0)), 0);
+                full.add(&PairTerms::of::<true, true>(mt, ms, &q, &q, d, one(0.0)));
+                reduced.add(&PairTerms::of::<false, true>(mt, ms, &q, &q, d, one(0.0)));
+                leaf_quad.add(&PairTerms::of::<true, false>(mt, ms, &q, &q, d, one(0.0)));
+                leaf.add(&PairTerms::of::<false, false>(mt, ms, &q, &q, d, one(0.0)));
             }
             let what = format!("starting at pair {first}");
-            reduced.assert_same_bits(&full, &what);
-            leaf_quad.assert_same_bits_without_hessian(&full, &what);
-            leaf.assert_same_bits_without_hessian(&full, &what);
+            let full = full.lane(0);
+            reduced.lane(0).assert_same_bits(&full, &what);
+            leaf_quad.lane(0).assert_same_bits_without_hessian(&full, &what);
+            leaf.lane(0).assert_same_bits_without_hessian(&full, &what);
         }
     }
 

@@ -64,14 +64,25 @@
 //! **One body, two widths.** The pair arithmetic is written once over
 //! the lane type [`util::simd::Lanes`] (the "Merging Frameworks"
 //! follow-up's SIMD types, arXiv:2210.06439, which get their kernel
-//! variants by compile-time specialisation of one body): these kernels
-//! instantiate it at `W = 4`, the pairwise API
+//! variants by compile-time specialisation of one body and their ISA at
+//! compile time — here `.cargo/config.toml`): these kernels instantiate
+//! it at `W = 4`, the pairwise API
 //! ([`LocalExpansion::accumulate_softened`]) at `W = 1`. Lanes map to
 //! *target cells* — four k-adjacent cells for the offset kernels, the
 //! four same-parity stride-2 cells of a row for the parity-stencil
-//! kernels — so each cell's accumulation order over its offset list is
-//! the one-pair-at-a-time order and the results are bit-identical by
-//! construction (see DESIGN.md "Chunking & SIMD").
+//! kernels.
+//!
+//! **Target-major sums.** Both slab loops walk target lane groups
+//! outermost (`target_group`): the group's side of every pair — mask,
+//! mass, centre, second moments, quadrupole flag — is gathered once, its
+//! φ, ∇φ, Hessian, force, `f_corr` and torque run as lane-wide sums
+//! (`GroupSums`) across the group's whole offset list, and each cell is
+//! stored once. This is §4.3's reason for the stencil/SoA form — the
+//! target's Taylor coefficients stay in vector registers while the
+//! stencil streams past. A cell's sums start at `+0.0` and take its
+//! pairs in offset-list order through the one accumulation sequence
+//! (`GroupSums::add`), lane-wise, so they are the bits of the
+//! one-pair-at-a-time order (see DESIGN.md "Chunking & SIMD").
 //!
 //! **Cache-blocked ranges.** Every kernel has a `*_range_into` form
 //! restricted to a slab `[start, end)` of the interior linear index
@@ -83,7 +94,7 @@
 //! output exactly — each cell is owned by exactly one slab and its
 //! per-offset accumulation never crosses slab boundaries.
 
-use crate::expansion::{LocalExpansion, PairTerms};
+use crate::expansion::{GroupSums, LocalExpansion, PairTerms};
 use crate::multipole::Multipole;
 use crate::stencil::Stencil;
 use octree::subgrid::N_SUB;
@@ -164,6 +175,14 @@ impl MomentGrid {
         (((i + w) as usize * self.dim) + (j + w) as usize) * self.dim + (k + w) as usize
     }
 
+    /// The slot `offset` cells away from slot `n`.
+    #[inline(always)]
+    fn shifted(&self, n: usize, (dx, dy, dz): (i32, i32, i32)) -> usize {
+        debug_assert!(dx.abs().max(dy.abs()).max(dz.abs()) <= self.width);
+        let dim = self.dim as isize;
+        (n as isize + (dx as isize * dim + dy as isize) * dim + dz as isize) as usize
+    }
+
     /// Install a cell's moments.
     pub fn set(&mut self, i: isize, j: isize, k: isize, mp: &Multipole) {
         let n = self.idx(i, j, k);
@@ -212,6 +231,34 @@ impl MomentGrid {
     }
 }
 
+/// The target side of a lane group — slots `t0 + l·stride` — gathered
+/// once for the group's whole offset list.
+struct Targets<const W: usize> {
+    stride: usize,
+    mask: Lanes<W>,
+    m: Lanes<W>,
+    com: [Lanes<W>; 3],
+    q: [Lanes<W>; 6],
+    /// Whether any of the targets carries a quadrupole: on a refined
+    /// node always, and then the source flags are never read.
+    quad: bool,
+}
+
+impl<const W: usize> Targets<W> {
+    #[inline(always)]
+    fn gather(grid: &MomentGrid, t0: usize, stride: usize) -> Targets<W> {
+        let at = |f: &[f64]| Lanes::gather(f, t0, stride);
+        Targets {
+            stride,
+            mask: at(&grid.mask),
+            m: at(&grid.m),
+            com: [at(&grid.comx), at(&grid.comy), at(&grid.comz)],
+            q: std::array::from_fn(|c| at(&grid.q[c])),
+            quad: grid.group_has_quad::<W>(t0, stride),
+        }
+    }
+}
+
 /// Result of one kernel launch: per-interior-cell expansions plus the
 /// interaction count (for the performance counters of §6.1).
 pub struct KernelResult {
@@ -257,15 +304,15 @@ const LANES: usize = 4;
 const _: () = assert!(N_SUB == 2 * LANES);
 
 /// Check the slab `[start, end)` (whole rows inside the sub-grid) and
-/// reset `out` to one default expansion per slab cell without shrinking
-/// its capacity (zero-allocation on reuse).
+/// size `out` to one expansion per slab cell without shrinking its
+/// capacity (zero-allocation on reuse). What a reused buffer held stays:
+/// the slab loops overwrite every cell whole.
 fn reset_slab(out: &mut Vec<LocalExpansion>, start: usize, end: usize) {
     assert!(start <= end && end <= N_CELLS);
     assert!(
         start.is_multiple_of(N_SUB) && end.is_multiple_of(N_SUB),
         "slab [{start}, {end}) is not whole {N_SUB}-cell rows"
     );
-    out.clear();
     out.resize(end - start, LocalExpansion::default());
 }
 
@@ -277,43 +324,41 @@ fn interior_coords(c: usize) -> (isize, isize, isize) {
 }
 
 /// The interaction ([`PairTerms::of`]) of `W` pairs — lane `l` is target
-/// slot `t0 + l·stride` against source slot `s0 + l·stride` —
-/// branchless: the pair weight `w = mask[t]·mask[s]` scales the source
-/// moments (every accumulated term is linear in them) and `1 − w`
-/// softens `r²`, so the tensors stay finite on masked slots. `QUAD` and
-/// `HESS` are the body's; `QUAD = false` never reads a `q` column and is
-/// only for groups whose eight slots have none set. Accumulates into
-/// `out[l·stride]` and returns the weights.
+/// `l` of `tgt` against source slot `s0 + l·stride` — branchless: the
+/// pair weight `w = mask[t]·mask[s]` scales the source moments (every
+/// accumulated term is linear in them) and `1 − w` softens `r²`, so the
+/// tensors stay finite on masked slots. `QUAD` and `HESS` are the
+/// body's; `QUAD = false` never reads a `q` column and is only for
+/// groups whose eight slots have none set. Adds the pairs to `sums` and
+/// returns the weights.
 #[inline(always)]
 fn pairs<const W: usize, const QUAD: bool, const HESS: bool>(
     grid: &MomentGrid,
-    t0: usize,
+    tgt: &Targets<W>,
     s0: usize,
-    stride: usize,
-    out: &mut [LocalExpansion],
+    sums: &mut GroupSums<W>,
 ) -> Lanes<W> {
-    let diff = |f: &[f64]| Lanes::gather(f, t0, stride) - Lanes::gather(f, s0, stride);
-    let w = Lanes::gather(&grid.mask, t0, stride) * Lanes::gather(&grid.mask, s0, stride);
-    let d = [diff(&grid.comx), diff(&grid.comy), diff(&grid.comz)];
-    let mut qt = [Lanes::splat(0.0); 6];
+    let src = |f: &[f64]| Lanes::gather(f, s0, tgt.stride);
+    let w = tgt.mask * src(&grid.mask);
+    let d = [
+        tgt.com[0] - src(&grid.comx),
+        tgt.com[1] - src(&grid.comy),
+        tgt.com[2] - src(&grid.comz),
+    ];
     let mut qs = [Lanes::splat(0.0); 6];
     if QUAD {
         for c in 0..6 {
-            qt[c] = Lanes::gather(&grid.q[c], t0, stride);
-            qs[c] = Lanes::gather(&grid.q[c], s0, stride) * w;
+            qs[c] = src(&grid.q[c]) * w;
         }
     }
-    let terms = PairTerms::of::<QUAD, HESS>(
-        Lanes::gather(&grid.m, t0, stride),
-        Lanes::gather(&grid.m, s0, stride) * w,
-        &qt,
+    sums.add(&PairTerms::of::<QUAD, HESS>(
+        tgt.m,
+        src(&grid.m) * w,
+        &tgt.q,
         &qs,
         d,
         Lanes::splat(1.0) - w,
-    );
-    for l in 0..W {
-        out[l * stride].add_pair(&terms, l);
-    }
+    ));
     w
 }
 
@@ -340,36 +385,54 @@ impl Tally {
     }
 }
 
-/// One lane group of a slab loop — the one place a group's `QUAD` is
-/// picked (module docs). `target_quad` is whether the four targets carry
-/// a quadrupole, which the slab loops work out once per target group
-/// rather than once per offset: on a refined node it is always true and
-/// the source flags are never read.
+/// One lane group against one offset — the one place a group's `QUAD`
+/// is picked (module docs).
 #[inline(always)]
 fn accum_group<const HESS: bool>(
     grid: &MomentGrid,
-    t0: usize,
+    tgt: &Targets<LANES>,
     s0: usize,
-    stride: usize,
-    target_quad: bool,
-    out: &mut [LocalExpansion],
+    sums: &mut GroupSums<LANES>,
     tally: &mut Tally,
 ) {
-    if grid.group_absent::<LANES>(s0, stride) {
+    if grid.group_absent::<LANES>(s0, tgt.stride) {
         return;
     }
     tally.evaluated += LANES as u64;
-    tally.weights += if target_quad || grid.group_has_quad::<LANES>(s0, stride) {
+    tally.weights += if tgt.quad || grid.group_has_quad::<LANES>(s0, tgt.stride) {
         tally.full_body += LANES as u64;
-        pairs::<LANES, true, HESS>(grid, t0, s0, stride, out)
+        pairs::<LANES, true, HESS>(grid, tgt, s0, sums)
     } else {
-        pairs::<LANES, false, HESS>(grid, t0, s0, stride, out)
+        pairs::<LANES, false, HESS>(grid, tgt, s0, sums)
     };
 }
 
-/// Apply `offsets` to every cell of the row-aligned slab `[start, end)`,
-/// offset-major: lane groups are four k-adjacent targets, contiguous in
-/// both the extended grid (k fastest) and the output slab.
+/// One target lane group — slots `t0 + l·stride`, cells `out[l·stride]`
+/// — against its whole offset list, target-major: the target side is
+/// gathered once, the sums run in [`GroupSums`] from `+0.0` in list
+/// order, and each cell is stored once.
+#[inline(always)]
+fn target_group<const HESS: bool>(
+    grid: &MomentGrid,
+    t0: usize,
+    stride: usize,
+    offsets: &[(i32, i32, i32)],
+    out: &mut [LocalExpansion],
+    tally: &mut Tally,
+) {
+    let tgt = Targets::gather(grid, t0, stride);
+    let mut sums = GroupSums::load([LocalExpansion::default(); LANES]);
+    for &offset in offsets {
+        accum_group::<HESS>(grid, &tgt, grid.shifted(t0, offset), &mut sums, tally);
+    }
+    for l in 0..LANES {
+        out[l * stride] = sums.lane(l);
+    }
+}
+
+/// Apply `offsets` to every cell of the row-aligned slab `[start, end)`:
+/// lane groups are four k-adjacent targets, contiguous in both the
+/// extended grid (k fastest) and the output slab.
 fn offset_range_into<const HESS: bool>(
     grid: &MomentGrid,
     offsets: &[(i32, i32, i32)],
@@ -378,20 +441,10 @@ fn offset_range_into<const HESS: bool>(
     out: &mut Vec<LocalExpansion>,
 ) -> PairCounts {
     reset_slab(out, start, end);
-    let mut target_quad = [false; N_CELLS / LANES];
-    for (g, c) in (start..end).step_by(LANES).enumerate() {
-        let (i, j, k) = interior_coords(c);
-        target_quad[g] = grid.group_has_quad::<LANES>(grid.idx(i, j, k), 1);
-    }
     let mut tally = Tally::new();
-    for &(dx, dy, dz) in offsets {
-        for (g, c) in (start..end).step_by(LANES).enumerate() {
-            let (i, j, k) = interior_coords(c);
-            let t0 = grid.idx(i, j, k);
-            let s0 = grid.idx(i + dx as isize, j + dy as isize, k + dz as isize);
-            let out = &mut out[c - start..];
-            accum_group::<HESS>(grid, t0, s0, 1, target_quad[g], out, &mut tally);
-        }
+    for c in (start..end).step_by(LANES) {
+        let (i, j, k) = interior_coords(c);
+        target_group::<HESS>(grid, grid.idx(i, j, k), 1, offsets, &mut out[c - start..], &mut tally);
     }
     tally.counts()
 }
@@ -414,13 +467,9 @@ fn parity_range_into<const HESS: bool>(
     for row in (start..end).step_by(N_SUB) {
         let (i, j, _) = interior_coords(row);
         for k0 in 0..2isize {
-            let t0 = grid.idx(i, j, k0);
-            let target_quad = grid.group_has_quad::<LANES>(t0, 2);
+            let offsets = stencil.for_parity(parity_of(i, j, k0));
             let out = &mut out[row - start + k0 as usize..];
-            for &(dx, dy, dz) in stencil.for_parity(parity_of(i, j, k0)) {
-                let s0 = grid.idx(i + dx as isize, j + dy as isize, k0 + dz as isize);
-                accum_group::<HESS>(grid, t0, s0, 2, target_quad, out, &mut tally);
-            }
+            target_group::<HESS>(grid, grid.idx(i, j, k0), 2, offsets, out, &mut tally);
         }
     }
     tally.counts()
@@ -436,7 +485,7 @@ fn parity_of(i: isize, j: isize, k: isize) -> u8 {
 /// pairs the monopole–monopole kernel) applying `offsets` to the
 /// target-cell slab `[start, end)` of the interior linear index, which
 /// must be whole 8-cell rows. `out` gets `end − start` expansions, slab
-/// cell `c` at `out[c − start]`, their `d2phi` untouched. Returns the
+/// cell `c` at `out[c − start]`, their `d2phi` all `+0.0`. Returns the
 /// slab's [`PairCounts`].
 pub fn monopole_kernel_range_into(
     grid: &MomentGrid,
@@ -524,19 +573,22 @@ pub fn gather_moments(
     lookup: impl Fn(isize, isize, isize) -> Option<Multipole>,
 ) -> MomentGrid {
     let mut grid = MomentGrid::new(width);
-    gather_moments_into(&mut grid, lookup);
+    gather_moments_into(&mut grid, width, lookup);
     grid
 }
 
-/// [`gather_moments`] into an existing (e.g. pooled) grid of the right
-/// width; the grid is reset first, so the result is identical to a
-/// freshly built one.
+/// [`gather_moments`] into an existing (e.g. pooled) grid, out to
+/// `reach` cells around the node — as far as the offsets the caller will
+/// apply go. The grid is reset first, so the result is identical to a
+/// freshly built one whose slots beyond `reach` are absent.
 pub fn gather_moments_into(
     grid: &mut MomentGrid,
+    reach: i32,
     lookup: impl Fn(isize, isize, isize) -> Option<Multipole>,
 ) {
+    assert!((0..=grid.width()).contains(&reach), "reach {reach} outside the grid");
     grid.reset();
-    let w = grid.width() as isize;
+    let w = reach as isize;
     let n = N_SUB as isize;
     for i in -w..n + w {
         for j in -w..n + w {
@@ -784,6 +836,16 @@ mod tests {
         grid
     }
 
+    /// Which offsets a kernel family applies: one list to every cell at
+    /// stride 1 (the solver's root and near-field lists, and the
+    /// stencil's union for the kernel rungs), or the stencil's list of
+    /// each cell's parity at stride 2.
+    #[derive(Clone, Copy)]
+    enum Offsets<'a> {
+        List(&'static str, &'a [(i32, i32, i32)]),
+        Parity(&'a Stencil),
+    }
+
     /// The unselective oracle of all four kernel families: every (cell,
     /// offset) pair of the sub-grid, one at a time at `W = 1` in the
     /// cell's offset-list order, **nothing skipped and always the full
@@ -792,14 +854,8 @@ mod tests {
     /// moments, softened r²). Beside the expansions it returns the
     /// [`PairCounts`] the selective kernels must report, worked out per
     /// lane group from the columns (not from the `quad` flags), and the
-    /// number of pairs it evaluated itself: `by_parity` is the
-    /// parity-stencil form (groups of stride 2), otherwise the offset
-    /// form (stride 1).
-    fn oracle(
-        grid: &MomentGrid,
-        s: &Stencil,
-        by_parity: bool,
-    ) -> (Vec<LocalExpansion>, PairCounts, u64) {
+    /// number of pairs it evaluated itself.
+    fn oracle(grid: &MomentGrid, which: Offsets) -> (Vec<LocalExpansion>, PairCounts, u64) {
         let pair = |t: usize, s_idx: usize, e: &mut LocalExpansion| {
             let w = grid.mask[t] * grid.mask[s_idx];
             let at = |n: usize, scale: f64| Multipole {
@@ -814,13 +870,16 @@ mod tests {
         let mut out = vec![LocalExpansion::default(); N_CELLS];
         let mut counts = PairCounts::default();
         let mut all_pairs = 0;
+        let by_parity = matches!(which, Offsets::Parity(_));
         let (stride, group_step) = if by_parity { (2, 1) } else { (1, LANES as isize) };
         for row in (0..N_CELLS).step_by(N_SUB) {
             let (i, j, _) = interior_coords(row);
             for g in 0..2isize {
                 let k0 = g * group_step;
-                let offsets =
-                    if by_parity { s.for_parity(parity_of(i, j, k0)) } else { s.offsets() };
+                let offsets = match which {
+                    Offsets::List(_, list) => list,
+                    Offsets::Parity(s) => s.for_parity(parity_of(i, j, k0)),
+                };
                 for &(dx, dy, dz) in offsets {
                     let lanes: [(usize, usize, usize); LANES] = std::array::from_fn(|l| {
                         let k = k0 + l as isize * stride;
@@ -866,30 +925,47 @@ mod tests {
         }
     }
 
-    /// Run the four `W = 4` kernel families over `grid` and require each
-    /// to match the [`oracle`] bit for bit — counters, and every field
-    /// the family writes: all of them for the refined-target kernels,
-    /// all but a `d2phi` left at exactly `[0.0; 6]` for the leaf-target
-    /// ones. Returns each family's [`Coverage`].
+    /// Run the `W = 4` kernel families over `grid` — both `HESS` forms of
+    /// the parity stencil and of the offset kernel on the stencil's union,
+    /// on the near-field list and, where the grid is wide enough for it,
+    /// on the root list — and require each to match the [`oracle`] bit
+    /// for bit: counters, and every field the family writes (all of them
+    /// for the refined-target kernels, all but a `d2phi` left at exactly
+    /// `[0.0; 6]` for the leaf-target ones). Returns each family's
+    /// [`Coverage`].
     fn assert_kernels_match_oracle(grid: &MomentGrid, what: &str) -> Vec<Coverage> {
         let s = Stencil::octotiger();
+        let (near, root) = (Stencil::near_field(0.5), Stencil::root_offsets(0.5));
+        let mut families = vec![
+            Offsets::List("offsets", s.offsets()),
+            Offsets::Parity(&s),
+            Offsets::List("near field", &near),
+        ];
+        if grid.width() >= N_SUB as i32 - 1 {
+            families.push(Offsets::List("root", &root));
+        }
         let mut buf = Vec::new();
         let mut coverage = Vec::new();
-        for by_parity in [false, true] {
-            let (one, expect, all_pairs) = oracle(grid, &s, by_parity);
+        for which in families {
+            let (one, expect, all_pairs) = oracle(grid, which);
             for leaf in [true, false] {
                 let (all, buf) = (N_CELLS, &mut buf);
-                let counts = match (leaf, by_parity) {
-                    (true, false) => monopole_kernel_range_into(grid, s.offsets(), 0, all, buf),
-                    (true, true) => monopole_kernel_stencil_range_into(grid, &s, 0, all, buf),
-                    (false, false) => multipole_kernel_range_into(grid, s.offsets(), 0, all, buf),
-                    (false, true) => multipole_kernel_stencil_range_into(grid, &s, 0, all, buf),
+                let (counts, list) = match (leaf, which) {
+                    (true, Offsets::List(name, list)) => {
+                        (monopole_kernel_range_into(grid, list, 0, all, buf), name)
+                    }
+                    (false, Offsets::List(name, list)) => {
+                        (multipole_kernel_range_into(grid, list, 0, all, buf), name)
+                    }
+                    (true, Offsets::Parity(s)) => {
+                        (monopole_kernel_stencil_range_into(grid, s, 0, all, buf), "stencil")
+                    }
+                    (false, Offsets::Parity(s)) => {
+                        (multipole_kernel_stencil_range_into(grid, s, 0, all, buf), "stencil")
+                    }
                 };
-                let what = format!(
-                    "{what}: {} {}",
-                    if leaf { "monopole" } else { "multipole" },
-                    if by_parity { "stencil" } else { "offsets" }
-                );
+                let what =
+                    format!("{what}: {} {list}", if leaf { "monopole" } else { "multipole" });
                 assert_eq!(counts, expect, "{what}: pair counts");
                 assert_eq!(buf.len(), one.len());
                 for (a, b) in buf.iter().zip(one.iter()) {
@@ -915,21 +991,23 @@ mod tests {
     /// must match the full body at `W = 1` driven one (cell, offset) pair
     /// at a time with nothing skipped, bit-for-bit, on grids of absent /
     /// monopole / quadrupole slots laid out scattered and in boxes, at
-    /// stride 1 (offset kernels) and stride 2 (parity stencils).
+    /// stride 1 (offset kernels) and stride 2 (parity stencils). The
+    /// grids of the root's width (`N_SUB − 1`) add its 3 282-entry list.
     #[test]
     fn four_lane_kernels_match_one_lane_bit_for_bit() {
         let width = Stencil::octotiger().width();
+        let root_width = N_SUB as i32 - 1;
         // Whole-node boxes come in the two shapes a solve has: the
         // targets are a leaf's (all three lane-group classes occur) or a
         // refined node's (every target group carries a quadrupole, so
         // none takes the reduced form).
-        for (seed, layout, refined_targets) in [
-            (0x5eed_0001u64, Layout::Scattered, false),
-            (0x5eed_0002, Layout::Scattered, false),
-            (0x5eed_0003, Layout::Boxes(4), false),
-            (0x5eed_0004, Layout::Boxes(4), false),
-            (0x5eed_0008, Layout::Boxes(8), false),
-            (0x5eed_0005, Layout::Boxes(8), true),
+        for (width, seed, layout, refined_targets) in [
+            (width, 0x5eed_0001u64, Layout::Scattered, false),
+            (root_width, 0x5eed_0002, Layout::Scattered, false),
+            (width, 0x5eed_0003, Layout::Boxes(4), false),
+            (root_width, 0x5eed_0004, Layout::Boxes(4), false),
+            (width, 0x5eed_0008, Layout::Boxes(8), false),
+            (width, 0x5eed_0005, Layout::Boxes(8), true),
         ] {
             let grid = random_grid(width, seed, layout);
             let what = format!("seed {seed:#x} {layout:?}");
@@ -941,6 +1019,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One pair through the SoA body at `W = 1`, from a fresh expansion.
+    fn one_pair<const QUAD: bool, const HESS: bool>(
+        g: &MomentGrid,
+        t: usize,
+        s: usize,
+    ) -> LocalExpansion {
+        let mut sums = GroupSums::load([LocalExpansion::default()]);
+        pairs::<1, QUAD, HESS>(g, &Targets::gather(g, t, 1), s, &mut sums);
+        sums.lane(0)
     }
 
     /// A lattice of unit-spaced point masses with a closed halo, where
@@ -964,10 +1053,9 @@ mod tests {
             let q = if i < 3 { [0.02, 0.01, 0.03, 0.0, -0.01, 0.004] } else { [0.0; 6] };
             Multipole { m, com: c, q }
         });
-        let mut e = LocalExpansion::default();
         let (t, s_idx) = (grid.idx(7, 7, 7), grid.idx(6, 6, 0));
         assert_eq!(grid.m[s_idx], 0.0);
-        pairs::<1, false, false>(&grid, t, s_idx, 1, std::slice::from_mut(&mut e));
+        let e = one_pair::<false, false>(&grid, t, s_idx);
         assert_eq!(e.phi.to_bits(), 0.0f64.to_bits(), "+0.0 + −0.0 is +0.0");
         for c in assert_kernels_match_oracle(&grid, "zero-mass sources") {
             c.assert_all_three("zero-mass sources");
@@ -1036,9 +1124,7 @@ mod tests {
     #[test]
     fn cross_body_monopole_pair_cancels_to_ulps_not_bits() {
         fn force<const QUAD: bool, const HESS: bool>(g: &MomentGrid, t: usize, s: usize) -> Vec3 {
-            let mut e = LocalExpansion::default();
-            pairs::<1, QUAD, HESS>(g, t, s, 1, std::slice::from_mut(&mut e));
-            e.force
+            one_pair::<QUAD, HESS>(g, t, s).force
         }
         let grid = random_grid(1, 0xb0d1e5, Layout::Scattered);
         let mut checked = 0;
@@ -1111,12 +1197,14 @@ mod tests {
         let n_sten = multipole_kernel_stencil_range_into(&grid, &s, 0, N_CELLS, f_sten);
         let n_mono = monopole_kernel_range_into(&grid, s.offsets(), 0, N_CELLS, f_mono);
         assert!(n_off.full_body > 0 && n_off.full_body < n_off.evaluated);
-        for chunk in [8usize, 24, 64, N_CELLS] {
+        // Uniform chunks, and the uneven split `[0, 64) ∪ [64, 512)`.
+        let uniform = |chunk: usize| (0..N_CELLS).step_by(chunk).chain([N_CELLS]).collect();
+        let splits: [Vec<usize>; 5] =
+            [uniform(8), uniform(24), uniform(64), uniform(N_CELLS), vec![0, 64, N_CELLS]];
+        for cuts in &splits {
             let mut cat = [Vec::new(), Vec::new(), Vec::new()];
             let mut counts = [PairCounts::default(); 3];
-            let mut start = 0;
-            while start < N_CELLS {
-                let end = (start + chunk).min(N_CELLS);
+            for (&start, &end) in cuts.iter().zip(&cuts[1..]) {
                 let mut buf = Vec::new();
                 counts[0] += multipole_kernel_range_into(&grid, s.offsets(), start, end, &mut buf);
                 cat[0].extend_from_slice(&buf);
@@ -1124,15 +1212,14 @@ mod tests {
                 cat[1].extend_from_slice(&buf);
                 counts[2] += monopole_kernel_range_into(&grid, s.offsets(), start, end, &mut buf);
                 cat[2].extend_from_slice(&buf);
-                start = end;
             }
-            assert_eq!(counts, [n_off, n_sten, n_mono], "chunk {chunk}");
+            assert_eq!(counts, [n_off, n_sten, n_mono], "cuts {cuts:?}");
             for (cat, full, what) in
                 [(&cat[0], &full[0], "offsets"), (&cat[1], &full[1], "stencil"), (&cat[2], &full[2], "monopole")]
             {
                 assert_eq!(cat.len(), full.len());
                 for (a, b) in cat.iter().zip(full.iter()) {
-                    a.assert_same_bits(b, &format!("{what} chunk {chunk}"));
+                    a.assert_same_bits(b, &format!("{what} cuts {cuts:?}"));
                 }
             }
         }

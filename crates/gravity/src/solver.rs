@@ -548,9 +548,8 @@ impl ChunkedPass {
 pub struct FmmSolver {
     stencil: Stencil,
     near_field: Vec<(i32, i32, i32)>,
-    /// Root-level offsets: at the coarsest level there is no parent to
-    /// defer to, so *every* separated pair inside the root node (offsets
-    /// up to ±(N_SUB − 1)) interacts here.
+    /// [`Stencil::root_offsets`]: what the root node applies instead of
+    /// the parity stencils.
     root_offsets: Vec<(i32, i32, i32)>,
     /// Recycled kernel staging buffers (see [`ScratchPool`]).
     scratch: ScratchPool,
@@ -602,25 +601,17 @@ impl FmmSolver {
     }
 
     fn build(theta: f64, gpu: Option<GpuContext>) -> FmmSolver {
-        let sep2 = crate::stencil::separation2(theta);
-        let reach = N_SUB as i32 - 1;
-        let mut root_offsets = Vec::new();
-        for dx in -reach..=reach {
-            for dy in -reach..=reach {
-                for dz in -reach..=reach {
-                    if dx == 0 && dy == 0 && dz == 0 {
-                        continue;
-                    }
-                    if ((dx * dx + dy * dy + dz * dz) as f64) > sep2 {
-                        root_offsets.push((dx, dy, dz));
-                    }
-                }
-            }
-        }
+        let stencil = Stencil::generate(theta);
+        let near_field = Stencil::near_field(theta);
+        // A non-root node is gathered out to the stencil's width only.
+        assert!(
+            crate::stencil::reach_of(&near_field) <= stencil.width(),
+            "near field reaches past the stencil"
+        );
         FmmSolver {
-            stencil: Stencil::generate(theta),
-            near_field: Stencil::near_field(theta),
-            root_offsets,
+            stencil,
+            near_field,
+            root_offsets: Stencil::root_offsets(theta),
             scratch: ScratchPool::new(),
             gpu,
             chunk_cells: DEFAULT_CHUNK_CELLS,
@@ -642,7 +633,9 @@ impl FmmSolver {
         self.gpu.as_ref()
     }
 
-    /// Halo width of the gathered moment grid.
+    /// Halo width of the gathered moment grid: one width for every
+    /// node (and one scratch pool), of which only the root's offsets use
+    /// more than the stencil's.
     fn gather_width(&self) -> i32 {
         self.stencil.width().max(N_SUB as i32 - 1)
     }
@@ -680,7 +673,8 @@ impl FmmSolver {
         m2m_parallel(tree, p2m_parallel(tree, &tree.leaves(), rt), rt)
     }
 
-    /// Gather the extended moment grid of node `key` into `grid`.
+    /// Gather the extended moment grid of node `key` into `grid`, out to
+    /// what the node's offsets reach; slots beyond stay absent.
     fn gather_into(
         &self,
         tree: &Octree,
@@ -695,7 +689,10 @@ impl FmmSolver {
         let max_global = n << level;
         let (kx, ky, kz) = key.coords();
         let base = (kx as i64 * n, ky as i64 * n, kz as i64 * n);
-        gather_moments_into(grid, |i, j, k| {
+        // The root list reaches ±(N_SUB − 1); parity stencils and the
+        // near field stay inside the stencil's width.
+        let reach = if level == 0 { self.gather_width() } else { self.stencil.width() };
+        gather_moments_into(grid, reach, |i, j, k| {
             let g = (base.0 + i as i64, base.1 + j as i64, base.2 + k as i64);
             if g.0 < 0 || g.1 < 0 || g.2 < 0 || g.0 >= max_global || g.1 >= max_global || g.2 >= max_global {
                 return None;

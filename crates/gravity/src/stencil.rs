@@ -23,6 +23,11 @@ pub fn separation2(theta: f64) -> f64 {
     2.0 / (theta * theta)
 }
 
+/// Largest |component| over `offsets`: the halo width they need.
+pub fn reach_of(offsets: &[(i32, i32, i32)]) -> i32 {
+    offsets.iter().map(|&(x, y, z)| x.abs().max(y.abs()).max(z.abs())).max().unwrap_or(0)
+}
+
 /// The fixed same-level stencil.
 ///
 /// Whether a given pair is handled at this level depends on its *actual*
@@ -80,11 +85,7 @@ impl Stencil {
             }
         }
         let offsets: Vec<(i32, i32, i32)> = union.into_iter().collect();
-        let width = offsets
-            .iter()
-            .map(|&(x, y, z)| x.abs().max(y.abs()).max(z.abs()))
-            .max()
-            .unwrap_or(0);
+        let width = reach_of(&offsets);
         Stencil { offsets, by_parity, width }
     }
 
@@ -108,6 +109,25 @@ impl Stencil {
                         continue;
                     }
                     if ((dx * dx + dy * dy + dz * dz) as f64) <= inv2 {
+                        out.push((dx, dy, dz));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The root node's offsets: at the coarsest level there is no parent
+    /// to defer to, so *every* separated pair inside the node (offsets up
+    /// to ±(`N_SUB` − 1)) interacts there.
+    pub fn root_offsets(theta: f64) -> Vec<(i32, i32, i32)> {
+        let sep2 = separation2(theta);
+        let reach = octree::subgrid::N_SUB as i32 - 1;
+        let mut out = Vec::new();
+        for dx in -reach..=reach {
+            for dy in -reach..=reach {
+                for dz in -reach..=reach {
+                    if ((dx * dx + dy * dy + dz * dz) as f64) > sep2 {
                         out.push((dx, dy, dz));
                     }
                 }

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   1. zero #[deprecated], zero #[ignore], zero environment-read and
-#      zero second-pair-arithmetic budgets
+#   1. zero #[deprecated], zero #[ignore], zero environment-read,
+#      zero second-pair-arithmetic and zero fused/fast-math budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
-#      conservation gates, distributed bit-identity, checkpoint/restore)
+#      conservation gates, distributed bit-identity, checkpoint/restore),
+#      as .cargo/config.toml builds it (AVX2 on x86-64) and again for
+#      the baseline target: the digests are ISA-independent
 #   5. rustdoc with warnings denied (broken links, missing docs on amt)
 #   6. the repo benchmark (its own workspace, so nothing above compiles
 #      it) still builds, passes its tests and runs against these crates:
@@ -74,7 +76,17 @@ if [ -n "$stray" ]; then
     echo "$stray" >&2
     exit 1
 fi
-echo "arithmetic budget OK (0 square roots outside tensors.rs)"
+# Digests are ISA-independent because every `Lanes` op is one IEEE op
+# per lane: a fused multiply-add or a fast-math intrinsic rounds
+# differently on a host that has the instruction (DESIGN.md "Chunking &
+# SIMD"). None exists; none may come.
+stray=$(grep -rn --include='*.rs' 'mul_add\|fadd_fast\|fmul_fast' crates || true)
+if [ -n "$stray" ]; then
+    echo "!! fused or fast-math arithmetic under crates/ (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "arithmetic budget OK (0 square roots outside tensors.rs, 0 mul_add / fast-math)"
 
 echo
 echo "== tier-1: cargo build --workspace --release =="
@@ -92,6 +104,17 @@ echo "== tier-1: scenario verification registry (release gates) =="
 # scenarios cost minutes per step in debug. The debug pass above still
 # runs the sod gate as the debug==release arithmetic witness.
 cargo test -q --release -p integration-tests --test scenario_gate
+
+echo
+echo "== tier-1: the same registry built for baseline x86-64 (no AVX2) =="
+# .cargo/config.toml compiles for AVX2; the golden digests must not
+# depend on it. `--config` appends to the checked-in rustflags (no
+# environment variable), `-sse3` takes everything above SSE2 back off,
+# and the second feature set gets a target directory of its own so it
+# does not evict the first. ~1 min cold, the run itself ~45 s.
+cargo test -q --release -p integration-tests --test scenario_gate \
+    --config "target.'cfg(target_arch = \"x86_64\")'.rustflags=['-Ctarget-feature=-sse3']" \
+    --target-dir target/baseline
 
 echo
 echo "== tier-1: cargo doc --no-deps (warnings are errors) =="
