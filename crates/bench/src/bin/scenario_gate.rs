@@ -12,8 +12,8 @@
 //!
 //! For every scenario with self-gravity it also prints, on stderr, what
 //! the first FMM solve did with its pairs — counted : evaluated : full
-//! body (`gravity::kernels::PairCounts`) — the numbers the
-//! `scenario_gate` test pins for `mini_binary` and `v1309`.
+//! body : lattice (`gravity::kernels::PairCounts`) — the numbers the
+//! `scenario_gate` tests pin for `mini_binary` and `v1309`.
 //!
 //! Progress and gate failures go to stderr; stdout carries one JSON
 //! object keyed by scenario name (plus `long_merger` under `--long`).
@@ -64,8 +64,13 @@ fn main() {
         }
         if let Some(field) = Simulation::new((spec.build)()).solve_gravity() {
             eprintln!(
-                "{:>14}  first solve, pairs counted : evaluated : full body = {} : {} : {}",
-                "", field.interactions, field.pairs_evaluated, field.pairs_full_body
+                "{:>14}  first solve, pairs counted : evaluated : full body : lattice = \
+                 {} : {} : {} : {}",
+                "",
+                field.interactions,
+                field.pairs_evaluated,
+                field.pairs_full_body,
+                field.pairs_lattice
             );
         }
         failed |= !run.passed();

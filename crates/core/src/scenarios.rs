@@ -710,7 +710,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             // the entire multi-level construction bit-for-bit.
             steps: 1,
             gate_steps: None,
-            golden_digest: Some(0x3fdd7429f47a5b42),
+            golden_digest: Some(0x0b1d5783f16318b4),
             gates: Gates {
                 mass: Some(0.15),
                 momentum: None,

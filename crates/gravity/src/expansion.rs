@@ -71,15 +71,18 @@ struct QuadTerms<const W: usize> {
 
 impl<const W: usize> PairTerms<W> {
     /// The interaction of source moments (`ms`, `qs`) on targets with
-    /// moments (`mt`, `qt`), separated by `d = tgt.com − src.com`, with
-    /// `soft` added to `r²` in the kernel tensors. The canonical term
-    /// forms are documented on [`LocalExpansion::accumulate`].
+    /// moments (`mt`, `qt`), separated by `d = tgt.com − src.com`, whose
+    /// kernel tensors are `t`: [`KernelTensors::at_softened`] at the same
+    /// `QUAD` and `HESS`, with `B0` / `B1` from the lattice table in the
+    /// lanes that pair two lattice point masses (`tensors` module docs).
+    /// The canonical term forms are documented on
+    /// [`LocalExpansion::accumulate`].
     ///
     /// The four kernel variants of §4.3 are the four instantiations of
     /// this one source: `QUAD` — does either side carry second moments —
     /// by `HESS` — is the target's Hessian read. `<true, true>` is the
-    /// 455-flop body; `<false, false>`, which is left with `1/r²`, one
-    /// square root and the `B0` / `B1` products, is the 12-flop
+    /// 455-flop body; `<false, false>` on a lattice pair, which is left
+    /// with the table's `B0` / `B1` and their products, is the 12-flop
     /// monopole kernel. A const only ever removes work whose result is
     /// an exact zero or is never read, so **one pair has one rounding
     /// whichever instantiation evaluates it**:
@@ -109,9 +112,8 @@ impl<const W: usize> PairTerms<W> {
         qt: &[Lanes<W>; 6],
         qs: &[Lanes<W>; 6],
         d: [Lanes<W>; 3],
-        soft: Lanes<W>,
+        t: &KernelTensors<W>,
     ) -> PairTerms<W> {
-        let t = KernelTensors::at_softened::<QUAD, HESS>(d, soft);
         // Potential and derivatives from the source moments.
         let mut phi = ms * t.b0;
         let mut dphi: [Lanes<W>; 3] = std::array::from_fn(|a| t.b1[a] * ms);
@@ -257,13 +259,14 @@ impl LocalExpansion {
     /// by the weight).
     pub fn accumulate_softened(&mut self, tgt: &Multipole, src: &Multipole, d: Vec3, soft: f64) {
         let one = |x: f64| Lanes([x]);
+        let d = d.to_array().map(one);
         let terms = PairTerms::of::<true, true>(
             one(tgt.m),
             one(src.m),
             &tgt.q.map(one),
             &src.q.map(one),
-            d.to_array().map(one),
-            one(soft),
+            d,
+            &KernelTensors::at_softened::<true, true>(d, one(soft)),
         );
         let mut sums = GroupSums::load([*self]);
         sums.add(&terms);
@@ -414,6 +417,9 @@ mod tests {
     #[test]
     fn reduced_form_adds_the_same_bits_where_no_quadrupole_is() {
         let one = |x: f64| Lanes([x]);
+        fn at<const Q: bool, const H: bool>(d: [Lanes<1>; 3]) -> KernelTensors<1> {
+            KernelTensors::at_softened::<Q, H>(d, Lanes([0.0]))
+        }
         let pairs = [
             (2.5, 1.5, 0.0, Vec3::new(-3.0, -1.4, 1.0)),
             (2.5, 0.0, 0.0, Vec3::new(1.0, 2.0, -0.5)),
@@ -426,10 +432,10 @@ mod tests {
             for n in 0..pairs.len() {
                 let (mt, ms, q, d) = pairs[(first + n) % pairs.len()];
                 let (mt, ms, q, d) = (one(mt), one(ms), [one(q); 6], d.to_array().map(one));
-                full.add(&PairTerms::of::<true, true>(mt, ms, &q, &q, d, one(0.0)));
-                reduced.add(&PairTerms::of::<false, true>(mt, ms, &q, &q, d, one(0.0)));
-                leaf_quad.add(&PairTerms::of::<true, false>(mt, ms, &q, &q, d, one(0.0)));
-                leaf.add(&PairTerms::of::<false, false>(mt, ms, &q, &q, d, one(0.0)));
+                full.add(&PairTerms::of::<true, true>(mt, ms, &q, &q, d, &at::<true, true>(d)));
+                reduced.add(&PairTerms::of::<false, true>(mt, ms, &q, &q, d, &at::<false, true>(d)));
+                leaf_quad.add(&PairTerms::of::<true, false>(mt, ms, &q, &q, d, &at::<true, false>(d)));
+                leaf.add(&PairTerms::of::<false, false>(mt, ms, &q, &q, d, &at::<false, false>(d)));
             }
             let what = format!("starting at pair {first}");
             let full = full.lane(0);

@@ -36,30 +36,44 @@
 //! interaction counters.
 //!
 //! **Which instantiation a pair gets.** `HESS` is the caller's, per
-//! node: which of the two kernels it launches. `QUAD` is decided per
-//! *lane group* (four targets against four sources), in `accum_group`,
-//! from the slots' own flags:
+//! node: which of the two kernels it launches. Everything else is
+//! decided per *lane group* (four targets against four sources) from the
+//! slots' own flags — `PRESENT`, `QUAD` (`!is_monopole()`) and `LATTICE`
+//! (a lattice point mass: a leaf's P2M cell or a coarse cell's split
+//! share, which only the solver's gather knows and records):
 //! * a group whose four source slots are all absent is **skipped**: all
 //!   its weights are zero, so it would add `±0.0` to every accumulator
 //!   and nothing to the interaction count;
-//! * a group with no quadrupole on any of its eight slots
-//!   ([`MomentGrid::set`] records `!is_monopole()` per slot) takes
-//!   `QUAD = false` — the same source with `B3`, both `q:B3`
-//!   contractions, `f_qs`, `f_qt`, the torque and the twelve `q` gathers
-//!   compiled out.
+//! * on a leaf launch with its level's lattice table (the solver's;
+//!   `tensors` module docs), a group whose eight slots are all lattice
+//!   point masses or absent is a **lattice group**: `B0` and `B1` come
+//!   from the table row of the offset — no divide, no square root, no
+//!   centre read — and the body is `PairTerms::of::<false, false>` on
+//!   them, §4.3's 12 flops;
+//! * otherwise, in `accum_group`: a group with no quadrupole on any of
+//!   its eight slots takes `QUAD = false` — the same source with `B3`,
+//!   both `q:B3` contractions, `f_qs`, `f_qt`, the torque and the twelve
+//!   `q` gathers compiled out — and one with a quadrupole `QUAD = true`;
+//!   with a table, the group's lattice–lattice lanes take `B0` / `B1`
+//!   from it by `select`, so a lattice pair has the table's rounding
+//!   whichever group it falls in.
 //!
-//! Every one of these choices is **bit-neutral by construction**, so a
-//! pair has one rounding whichever node, kernel or lane group evaluates
-//! it, and a monopole pair's two forces are bit-for-bit opposite across
-//! any leaf / refined or flagged / unflagged boundary. For `QUAD` and
-//! the skip: every dropped term is an exact signed zero (zero moments
-//! times finite tensors, summed from `+0.0`); an accumulator that starts
-//! at `+0.0` can never hold `−0.0` (round-to-nearest yields `−0.0` only
-//! from `−0.0 + −0.0`), and adding `±0.0` to anything but `−0.0` is the
-//! identity. For `HESS`: `d2phi` feeds no other field, and an unread
-//! field cannot move a bit. The unselective loop — always
-//! `<true, true>`, nothing skipped — survives as the `W = 1` oracle of
-//! this module's tests.
+//! Every one of these choices but the table is **bit-neutral by
+//! construction**, and the table is applied to every lattice–lattice
+//! pair a leaf evaluates, so a pair has one rounding whichever node,
+//! kernel or lane group evaluates it, and a monopole pair's two forces
+//! are bit-for-bit opposite across any leaf / refined or flagged /
+//! unflagged boundary (the table's rows are: `B1(−o) = −B1(o)`). For
+//! `QUAD` and the skip: every dropped term is an exact signed zero (zero
+//! moments times finite tensors, summed from `+0.0`); an accumulator that
+//! starts at `+0.0` can never hold `−0.0` (round-to-nearest yields `−0.0`
+//! only from `−0.0 + −0.0`), and adding `±0.0` to anything but `−0.0` is
+//! the identity — which is also why a lane with an absent side may take
+//! the table's tensors or the softened ones alike. For `HESS`: `d2phi`
+//! feeds no other field, and an unread field cannot move a bit. The
+//! unselective loop — always `<true, true>`, nothing skipped, the table
+//! applied pair by pair — survives as the `W = 1` oracle of this
+//! module's tests.
 //!
 //! **One body, two widths.** The pair arithmetic is written once over
 //! the lane type [`util::simd::Lanes`] (the "Merging Frameworks"
@@ -80,9 +94,16 @@
 //! stored once. This is §4.3's reason for the stencil/SoA form — the
 //! target's Taylor coefficients stay in vector registers while the
 //! stencil streams past. A cell's sums start at `+0.0` and take its
-//! pairs in offset-list order through the one accumulation sequence
-//! (`GroupSums::add`), lane-wise, so they are the bits of the
-//! one-pair-at-a-time order (see DESIGN.md "Chunking & SIMD").
+//! pairs through the one accumulation sequence (`GroupSums::add`),
+//! lane-wise, so they are the bits of the one-pair-at-a-time order (see
+//! DESIGN.md "Chunking & SIMD"). The order is the offset list's, except
+//! on a leaf launch with a lattice table whose target group is lattice
+//! point masses (every leaf's): there the list is walked twice — the
+//! lattice groups first, in list order, in a loop of its own that keeps
+//! only the seven sums they touch (`lattice_walk`), then the offsets it
+//! deferred, in list order, through `accum_group`. A cell's order is its
+//! lattice pairs, then the rest; the `W = 1` oracle adds them in that
+//! order too.
 //!
 //! **Cache-blocked ranges.** Every kernel has a `*_range_into` form
 //! restricted to a slab `[start, end)` of the interior linear index
@@ -97,7 +118,9 @@
 use crate::expansion::{GroupSums, LocalExpansion, PairTerms};
 use crate::multipole::Multipole;
 use crate::stencil::Stencil;
+use crate::tensors::{KernelTensors, LatticeRow};
 use octree::subgrid::N_SUB;
+use std::cell::RefCell;
 use util::simd::Lanes;
 use util::vec3::Vec3;
 
@@ -107,10 +130,11 @@ pub const N_CELLS: usize = N_SUB * N_SUB * N_SUB;
 /// Struct-of-arrays moment storage over an extended grid of
 /// `(N_SUB + 2·width)³` cells (interior + stencil halo).
 ///
-/// The columns are private because they must agree slot by slot — `quad`
-/// with `q`, `mask` with the rest — and the kernels pick a lane group's
-/// arithmetic from the flags alone: [`MomentGrid::set`] and
-/// [`MomentGrid::reset`] are the only writers.
+/// The columns are private because they must agree slot by slot — the
+/// flags with `q` and with where the slot came from, `mask` with the
+/// rest — and the kernels pick a lane group's arithmetic from the flags
+/// alone: [`MomentGrid::set`], [`MomentGrid::reset`] and the solver's box
+/// gather (through `put`) are the only writers.
 pub struct MomentGrid {
     width: i32,
     dim: usize,
@@ -124,9 +148,30 @@ pub struct MomentGrid {
     /// data). Kernels multiply contributions by this instead of
     /// branching.
     mask: Vec<f64>,
-    /// Whether the slot carries second moments: `!is_monopole()` of what
-    /// was [`set`](MomentGrid::set) there, false on absent slots.
-    quad: Vec<bool>,
+    /// Per slot, its [`PRESENT`], [`LATTICE`] and [`QUAD`] bits; zero on
+    /// absent slots. Eight bytes longer than the grid, so the flags of a
+    /// lane group are one word load ([`MomentGrid::group_flags`]).
+    flags: Vec<u8>,
+    /// Every slot outside `±filled` cells around the interior is absent
+    /// (`-1`: every slot is), so [`MomentGrid::reset`] clears that box
+    /// only.
+    filled: i32,
+}
+
+/// Slot flag: the slot holds data (its `mask` is 1.0).
+const PRESENT: u8 = 1;
+/// Slot flag: the slot is a lattice point mass — a leaf's P2M cell or a
+/// coarse cell's split share, at its cell centre — as the solver's gather
+/// knows from the block it came from. Never set by [`MomentGrid::set`].
+const LATTICE: u8 = 2;
+/// Slot flag: the slot carries second moments (`!is_monopole()`).
+const QUAD: u8 = 4;
+
+/// `bits` in the byte of each of `W` lanes `stride` bytes apart — the
+/// layout of [`MomentGrid::group_flags`].
+#[inline(always)]
+fn lane_bits<const W: usize>(bits: u8, stride: usize) -> u64 {
+    (0..W).fold(0, |word, l| word | (bits as u64) << (8 * l * stride))
 }
 
 impl MomentGrid {
@@ -143,7 +188,8 @@ impl MomentGrid {
             comz: vec![0.0; n],
             q: std::array::from_fn(|_| vec![0.0; n]),
             mask: vec![0.0; n],
-            quad: vec![false; n],
+            flags: vec![0; n + 8],
+            filled: -1,
         }
     }
 
@@ -153,17 +199,33 @@ impl MomentGrid {
     }
 
     /// Zero every slot, restoring the state of a freshly built grid
-    /// without reallocating — the scratch-pool reuse path.
+    /// without reallocating — the scratch-pool reuse path. Only the box
+    /// the last user filled is cleared: the rest is absent already.
     pub fn reset(&mut self) {
-        self.m.fill(0.0);
-        self.comx.fill(0.0);
-        self.comy.fill(0.0);
-        self.comz.fill(0.0);
-        for c in &mut self.q {
-            c.fill(0.0);
+        if self.filled < 0 {
+            return;
         }
-        self.mask.fill(0.0);
-        self.quad.fill(false);
+        let (lo, hi) = (-(self.filled as isize), (N_SUB as i32 + self.filled) as isize);
+        for i in lo..hi {
+            for j in lo..hi {
+                let row = self.idx(i, j, lo)..self.idx(i, j, hi - 1) + 1;
+                let columns = [&mut self.m, &mut self.comx, &mut self.comy, &mut self.comz];
+                for c in columns.into_iter().chain([&mut self.mask]).chain(&mut self.q) {
+                    c[row.clone()].fill(0.0);
+                }
+                self.flags[row].fill(0);
+            }
+        }
+        self.filled = -1;
+    }
+
+    /// [`MomentGrid::reset`], then admit writes out to `reach` cells
+    /// around the interior — the solver's gather, which `put`s nothing
+    /// farther out.
+    pub(crate) fn reset_to(&mut self, reach: i32) {
+        assert!((0..=self.width).contains(&reach), "reach {reach} outside the grid");
+        self.reset();
+        self.filled = reach;
     }
 
     /// Flattened index of extended coordinates in
@@ -183,9 +245,27 @@ impl MomentGrid {
         (n as isize + (dx as isize * dim + dy as isize) * dim + dz as isize) as usize
     }
 
-    /// Install a cell's moments.
+    /// Install a cell's moments (not a lattice point mass: only the
+    /// solver's gather knows that of a slot).
     pub fn set(&mut self, i: isize, j: isize, k: isize, mp: &Multipole) {
-        let n = self.idx(i, j, k);
+        self.filled = self.width;
+        self.put(self.idx(i, j, k), mp, false);
+    }
+
+    /// Install `mp` at slot `n`, a lattice point mass (a monopole) or
+    /// not; the slot must lie inside the box [`MomentGrid::reset_to`]
+    /// admitted, which is all [`MomentGrid::reset`] clears.
+    #[inline(always)]
+    pub(crate) fn put(&mut self, n: usize, mp: &Multipole, lattice: bool) {
+        let quad = !mp.is_monopole();
+        debug_assert!(!(lattice && quad), "a lattice point mass has no second moments");
+        debug_assert!(
+            self.filled >= 0 && {
+                let (d, lo) = (self.dim, (self.width - self.filled) as usize);
+                [n / (d * d), n / d % d, n % d].iter().all(|&x| (lo..d - lo).contains(&x))
+            },
+            "slot {n} outside the box reset_to admitted"
+        );
         self.m[n] = mp.m;
         self.comx[n] = mp.com.x;
         self.comy[n] = mp.com.y;
@@ -194,7 +274,7 @@ impl MomentGrid {
             self.q[c][n] = mp.q[c];
         }
         self.mask[n] = 1.0;
-        self.quad[n] = !mp.is_monopole();
+        self.flags[n] = PRESENT | if lattice { LATTICE } else { 0 } | if quad { QUAD } else { 0 };
     }
 
     /// Read a cell's moments back.
@@ -210,24 +290,79 @@ impl MomentGrid {
         })
     }
 
-    /// Whether none of the `W` slots `n0 + l·stride` holds data.
+    /// The flags of the `W` slots `n0 + l·stride`, lane `l`'s in byte
+    /// `l·stride` of one word — one load for the group
+    /// (`(W − 1)·stride < 8`).
     #[inline(always)]
-    fn group_absent<const W: usize>(&self, n0: usize, stride: usize) -> bool {
-        let mut absent = true;
-        for l in 0..W {
-            absent &= self.mask[n0 + l * stride] == 0.0;
-        }
-        absent
+    fn group_flags<const W: usize>(&self, n0: usize, stride: usize) -> GroupFlags {
+        debug_assert!((W - 1) * stride < 8);
+        let bytes = self.flags[n0..n0 + 8].try_into().expect("a slice of eight bytes");
+        let word = u64::from_le_bytes(bytes) & lane_bits::<W>(PRESENT | LATTICE | QUAD, stride);
+        GroupFlags { word, stride }
+    }
+}
+
+/// The slot flags of a lane group ([`MomentGrid::group_flags`]).
+#[derive(Clone, Copy)]
+struct GroupFlags {
+    word: u64,
+    stride: usize,
+}
+
+impl GroupFlags {
+    #[inline(always)]
+    fn lanes<const W: usize>(self, bits: u8) -> u64 {
+        self.word & lane_bits::<W>(bits, self.stride)
     }
 
-    /// Whether any of the `W` slots `n0 + l·stride` carries a quadrupole.
+    /// No slot holds data.
     #[inline(always)]
-    fn group_has_quad<const W: usize>(&self, n0: usize, stride: usize) -> bool {
-        let mut quad = false;
-        for l in 0..W {
-            quad |= self.quad[n0 + l * stride];
+    fn absent<const W: usize>(self) -> bool {
+        self.lanes::<W>(PRESENT) == 0
+    }
+
+    /// Some slot carries a quadrupole.
+    #[inline(always)]
+    fn quad<const W: usize>(self) -> bool {
+        self.lanes::<W>(QUAD) != 0
+    }
+
+    /// Every slot is absent or a lattice point mass.
+    #[inline(always)]
+    fn absent_or_lattice<const W: usize>(self) -> bool {
+        self.lanes::<W>(PRESENT) & !(self.word >> 1) == 0
+    }
+
+    /// The lanes where both `self`'s and `other`'s slot have all of
+    /// `bits`, and how many.
+    #[inline(always)]
+    fn both<const W: usize>(self, other: GroupFlags, bits: u8) -> ([bool; W], u64) {
+        let both = self.lanes::<W>(bits) & other.lanes::<W>(bits);
+        let lane = |l: usize| both >> (8 * l * self.stride) & bits as u64 == bits as u64;
+        (std::array::from_fn(lane), (0..W).filter(|&l| lane(l)).count() as u64)
+    }
+}
+
+#[cfg(test)]
+impl MomentGrid {
+    /// Require every column and flag of every slot to hold `other`'s
+    /// bits.
+    pub(crate) fn assert_same_bits(&self, other: &MomentGrid, what: &str) {
+        assert_eq!(self.width, other.width, "{what}: width");
+        fn columns(g: &MomentGrid) -> Vec<&Vec<f64>> {
+            [&g.m, &g.comx, &g.comy, &g.comz, &g.mask].into_iter().chain(&g.q).collect()
         }
-        quad
+        for (c, (a, b)) in columns(self).iter().zip(columns(other).iter()).enumerate() {
+            for n in 0..a.len() {
+                assert_eq!(a[n].to_bits(), b[n].to_bits(), "{what}: column {c}, slot {n}");
+            }
+        }
+        assert_eq!(self.flags, other.flags, "{what}: flags");
+    }
+
+    /// Whether slot `n` is a lattice point mass / carries a quadrupole.
+    fn is(&self, n: usize, bit: u8) -> bool {
+        self.flags[n] & bit != 0
     }
 }
 
@@ -239,9 +374,9 @@ struct Targets<const W: usize> {
     m: Lanes<W>,
     com: [Lanes<W>; 3],
     q: [Lanes<W>; 6],
-    /// Whether any of the targets carries a quadrupole: on a refined
-    /// node always, and then the source flags are never read.
-    quad: bool,
+    /// Their flags: on a refined node they carry quadrupoles, and then
+    /// the source flags are never read for `QUAD`.
+    flags: GroupFlags,
 }
 
 impl<const W: usize> Targets<W> {
@@ -254,7 +389,7 @@ impl<const W: usize> Targets<W> {
             m: at(&grid.m),
             com: [at(&grid.comx), at(&grid.comy), at(&grid.comz)],
             q: std::array::from_fn(|c| at(&grid.q[c])),
-            quad: grid.group_has_quad::<W>(t0, stride),
+            flags: grid.group_flags::<W>(t0, stride),
         }
     }
 }
@@ -278,9 +413,13 @@ pub struct PairCounts {
     /// Pairs whose arithmetic ran (four per lane group not skipped).
     pub evaluated: u64,
     /// Of `evaluated`, pairs at `QUAD = true` (the 455-flop body on a
-    /// refined target). The rest took `QUAD = false`, which on a leaf
-    /// target is the 12-flop monopole kernel.
+    /// refined target). The rest took `QUAD = false`.
     pub full_body: u64,
+    /// Of `evaluated`, pairs whose `B0` / `B1` came from the lattice
+    /// table, not from a divide and a square root: every pair of a
+    /// group in the lattice walk, and the lattice–lattice lanes of a
+    /// deferred one. On a leaf these are the 12-flop monopole kernel.
+    pub lattice: u64,
 }
 
 impl std::ops::AddAssign for PairCounts {
@@ -288,6 +427,7 @@ impl std::ops::AddAssign for PairCounts {
         self.counted += rhs.counted;
         self.evaluated += rhs.evaluated;
         self.full_body += rhs.full_body;
+        self.lattice += rhs.lattice;
     }
 }
 
@@ -329,13 +469,15 @@ fn interior_coords(c: usize) -> (isize, isize, isize) {
 /// accumulated term is linear in them) and `1 − w` softens `r²`, so the
 /// tensors stay finite on masked slots. `QUAD` and `HESS` are the
 /// body's; `QUAD = false` never reads a `q` column and is only for
-/// groups whose eight slots have none set. Adds the pairs to `sums` and
+/// groups whose eight slots have none set. Where `lattice` is given, its
+/// lanes take `B0` / `B1` from its row. Adds the pairs to `sums` and
 /// returns the weights.
 #[inline(always)]
 fn pairs<const W: usize, const QUAD: bool, const HESS: bool>(
     grid: &MomentGrid,
     tgt: &Targets<W>,
     s0: usize,
+    lattice: Option<([bool; W], &LatticeRow)>,
     sums: &mut GroupSums<W>,
 ) -> Lanes<W> {
     let src = |f: &[f64]| Lanes::gather(f, s0, tgt.stride);
@@ -351,91 +493,190 @@ fn pairs<const W: usize, const QUAD: bool, const HESS: bool>(
             qs[c] = src(&grid.q[c]) * w;
         }
     }
-    sums.add(&PairTerms::of::<QUAD, HESS>(
-        tgt.m,
-        src(&grid.m) * w,
-        &tgt.q,
-        &qs,
-        d,
-        Lanes::splat(1.0) - w,
-    ));
+    let mut t = KernelTensors::at_softened::<QUAD, HESS>(d, Lanes::splat(1.0) - w);
+    if let Some((lanes, row)) = lattice {
+        t = t.with_lattice(lanes, row);
+    }
+    sums.add(&PairTerms::of::<QUAD, HESS>(tgt.m, src(&grid.m) * w, &tgt.q, &qs, d, &t));
     w
 }
 
 /// Running totals of one slab loop; see [`PairCounts`].
 struct Tally {
-    /// Summed pair weights, lane by lane.
+    /// Summed pair weights, lane by lane, of the groups [`pairs`] ran.
     weights: Lanes<LANES>,
+    /// Pairs with both slots present in the lattice walk's groups.
+    present: u64,
     evaluated: u64,
     full_body: u64,
+    lattice: u64,
 }
 
 impl Tally {
     fn new() -> Tally {
-        Tally { weights: Lanes::splat(0.0), evaluated: 0, full_body: 0 }
+        Tally { weights: Lanes::splat(0.0), present: 0, evaluated: 0, full_body: 0, lattice: 0 }
     }
 
     fn counts(&self) -> PairCounts {
         PairCounts {
             // Every weight is 1.0 or 0.0, so the sum is the exact count.
-            counted: self.weights.0.iter().sum::<f64>() as u64,
+            counted: self.weights.0.iter().sum::<f64>() as u64 + self.present,
             evaluated: self.evaluated,
             full_body: self.full_body,
+            lattice: self.lattice,
         }
     }
 }
 
-/// One lane group against one offset — the one place a group's `QUAD`
-/// is picked (module docs).
+/// One lane group against one offset through the computed tensors — the
+/// one place a group's `QUAD` is picked (module docs). With a lattice
+/// `row`, its lattice–lattice lanes take `B0` / `B1` from it.
 #[inline(always)]
 fn accum_group<const HESS: bool>(
     grid: &MomentGrid,
     tgt: &Targets<LANES>,
     s0: usize,
+    row: Option<&LatticeRow>,
     sums: &mut GroupSums<LANES>,
     tally: &mut Tally,
 ) {
-    if grid.group_absent::<LANES>(s0, tgt.stride) {
+    let src = grid.group_flags::<LANES>(s0, tgt.stride);
+    if src.absent::<LANES>() {
         return;
     }
     tally.evaluated += LANES as u64;
-    tally.weights += if tgt.quad || grid.group_has_quad::<LANES>(s0, tgt.stride) {
+    let lattice = row.map(|row| {
+        let (lanes, n) = tgt.flags.both::<LANES>(src, LATTICE);
+        tally.lattice += n;
+        (lanes, row)
+    });
+    tally.weights += if tgt.flags.quad::<LANES>() || src.quad::<LANES>() {
         tally.full_body += LANES as u64;
-        pairs::<LANES, true, HESS>(grid, tgt, s0, sums)
+        pairs::<LANES, true, HESS>(grid, tgt, s0, lattice, sums)
     } else {
-        pairs::<LANES, false, HESS>(grid, tgt, s0, sums)
+        pairs::<LANES, false, HESS>(grid, tgt, s0, lattice, sums)
     };
 }
 
 /// One target lane group — slots `t0 + l·stride`, cells `out[l·stride]`
 /// — against its whole offset list, target-major: the target side is
-/// gathered once, the sums run in [`GroupSums`] from `+0.0` in list
-/// order, and each cell is stored once.
+/// gathered once, the sums run in [`GroupSums`] from `+0.0`, and each
+/// cell is stored once.
+///
+/// Without `rows` the sums take the list in order through
+/// [`accum_group`]. With the lattice rows of a leaf launch
+/// (`HESS = false`, on the leaf's own cells: lattice point masses),
+/// aligned with `offsets`, the list is walked twice: first in the
+/// lattice loop ([`lattice_walk`]), then the offsets it deferred, in
+/// list order, through [`accum_group`]. Kept apart — the lattice loop a
+/// function of its own — it holds its seven sums in registers; the
+/// general body beside it would spill them. The deferred offsets go to
+/// a buffer per thread, grown to the longest list it has run, so a
+/// steady-state launch allocates nothing.
 #[inline(always)]
 fn target_group<const HESS: bool>(
     grid: &MomentGrid,
     t0: usize,
     stride: usize,
     offsets: &[(i32, i32, i32)],
+    rows: Option<&[LatticeRow]>,
     out: &mut [LocalExpansion],
     tally: &mut Tally,
 ) {
-    let tgt = Targets::gather(grid, t0, stride);
-    let mut sums = GroupSums::load([LocalExpansion::default(); LANES]);
-    for &offset in offsets {
-        accum_group::<HESS>(grid, &tgt, grid.shifted(t0, offset), &mut sums, tally);
+    thread_local! {
+        static DEFERRED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     }
+    let tgt = Targets::gather(grid, t0, stride);
+    let sums = match rows {
+        Some(rows) => DEFERRED.with_borrow_mut(|deferred| {
+            debug_assert!(!HESS && tgt.flags.absent_or_lattice::<LANES>(), "not a leaf's targets");
+            if deferred.len() < offsets.len() {
+                deferred.resize(offsets.len(), 0);
+            }
+            let (mut sums, n) = match stride {
+                1 => lattice_walk::<1>(grid, &tgt, t0, offsets, rows, deferred, tally),
+                _ => lattice_walk::<2>(grid, &tgt, t0, offsets, rows, deferred, tally),
+            };
+            for &n in &deferred[..n] {
+                let s0 = grid.shifted(t0, offsets[n]);
+                accum_group::<false>(grid, &tgt, s0, Some(&rows[n]), &mut sums, tally);
+            }
+            sums
+        }),
+        None => {
+            let mut sums = GroupSums::load([LocalExpansion::default(); LANES]);
+            for &offset in offsets {
+                accum_group::<HESS>(grid, &tgt, grid.shifted(t0, offset), None, &mut sums, tally);
+            }
+            sums
+        }
+    };
     for l in 0..LANES {
         out[l * stride] = sums.lane(l);
     }
 }
 
+/// The first walk of [`target_group`], for lane groups `STRIDE` slots
+/// apart: the group's sums from `+0.0` over its list in order, one test
+/// of the four source slots' flags per offset — all absent: skipped; all
+/// lattice point masses or absent: the 12-flop body on the offset's
+/// lattice row; else its index goes to `deferred`. Returns the sums and
+/// how many were deferred.
+#[inline(never)]
+fn lattice_walk<const STRIDE: usize>(
+    grid: &MomentGrid,
+    tgt: &Targets<LANES>,
+    t0: usize,
+    offsets: &[(i32, i32, i32)],
+    rows: &[LatticeRow],
+    deferred: &mut [usize],
+    tally: &mut Tally,
+) -> (GroupSums<LANES>, usize) {
+    debug_assert!(tgt.stride == STRIDE && rows.len() == offsets.len());
+    let mut sums = GroupSums::load([LocalExpansion::default(); LANES]);
+    let targets_present = tgt.flags.lanes::<LANES>(PRESENT);
+    let zero = Lanes::splat(0.0);
+    let (mut groups, mut present, mut n_deferred) = (0, 0, 0);
+    for (n, (&offset, row)) in offsets.iter().zip(rows).enumerate() {
+        let s0 = grid.shifted(t0, offset);
+        let src = grid.group_flags::<LANES>(s0, STRIDE);
+        if src.absent::<LANES>() {
+            continue;
+        }
+        if src.absent_or_lattice::<LANES>() {
+            groups += 1;
+            // One bit a lane, one lane a byte: the byte sum is the count.
+            present += (src.word & targets_present).wrapping_mul(0x0101_0101_0101_0101) >> 56;
+            // The body, `PairTerms::of::<false, false>` on the row's
+            // `B0` / `B1`, reads only `m` of the sources, weighted by the
+            // targets' mask alone: an absent source has `m = +0.0`, which
+            // the pair weight could only multiply into `+0.0` again, so
+            // these are the bits `pairs` would feed it.
+            let ms = Lanes::gather(&grid.m, s0, STRIDE) * tgt.mask;
+            let (b0, b1) = (Lanes::splat(row.b0), row.b1.map(Lanes::splat));
+            let t = KernelTensors { b0, b1, b2: [zero; 6], b3: [zero; 10] };
+            sums.add(&PairTerms::of::<false, false>(tgt.m, ms, &tgt.q, &[zero; 6], [zero; 3], &t));
+        } else {
+            deferred[n_deferred] = n;
+            n_deferred += 1;
+        }
+    }
+    tally.present += present;
+    tally.evaluated += groups * LANES as u64;
+    tally.lattice += groups * LANES as u64;
+    (sums, n_deferred)
+}
+
 /// Apply `offsets` to every cell of the row-aligned slab `[start, end)`:
 /// lane groups are four k-adjacent targets, contiguous in both the
-/// extended grid (k fastest) and the output slab.
-fn offset_range_into<const HESS: bool>(
+/// extended grid (k fastest) and the output slab. A leaf launch
+/// (`HESS = false`) with the lattice `rows` of `offsets` at the grid's
+/// level takes the lattice walk ([`target_group`]) — the solver's; the
+/// public kernels pass none, and every pair computes its tensors.
+pub(crate) fn offset_range_into<const HESS: bool>(
     grid: &MomentGrid,
     offsets: &[(i32, i32, i32)],
+    rows: Option<&[LatticeRow]>,
     start: usize,
     end: usize,
     out: &mut Vec<LocalExpansion>,
@@ -444,20 +685,23 @@ fn offset_range_into<const HESS: bool>(
     let mut tally = Tally::new();
     for c in (start..end).step_by(LANES) {
         let (i, j, k) = interior_coords(c);
-        target_group::<HESS>(grid, grid.idx(i, j, k), 1, offsets, &mut out[c - start..], &mut tally);
+        let out = &mut out[c - start..];
+        target_group::<HESS>(grid, grid.idx(i, j, k), 1, offsets, rows, out, &mut tally);
     }
     tally.counts()
 }
 
 /// Parity-exact same-level pass over the row-aligned slab
-/// `[start, end)`: each cell uses the offset list of its parity, so
+/// `[start, end)`: each cell uses the offset list of its parity (and,
+/// with `rows`, that list's lattice rows; see [`offset_range_into`]), so
 /// every pair is owned by exactly one level of the tree walk. k parity
 /// alternates along a row, so a row is two lane groups of four
 /// same-parity stride-2 cells sharing an offset list — the even-k cells,
 /// then the odd-k cells.
-fn parity_range_into<const HESS: bool>(
+pub(crate) fn parity_range_into<const HESS: bool>(
     grid: &MomentGrid,
     stencil: &Stencil,
+    rows: Option<&[Vec<LatticeRow>; 8]>,
     start: usize,
     end: usize,
     out: &mut Vec<LocalExpansion>,
@@ -467,9 +711,11 @@ fn parity_range_into<const HESS: bool>(
     for row in (start..end).step_by(N_SUB) {
         let (i, j, _) = interior_coords(row);
         for k0 in 0..2isize {
-            let offsets = stencil.for_parity(parity_of(i, j, k0));
+            let parity = parity_of(i, j, k0);
+            let offsets = stencil.for_parity(parity);
+            let rows = rows.map(|rows| rows[parity as usize].as_slice());
             let out = &mut out[row - start + k0 as usize..];
-            target_group::<HESS>(grid, grid.idx(i, j, k0), 2, offsets, out, &mut tally);
+            target_group::<HESS>(grid, grid.idx(i, j, k0), 2, offsets, rows, out, &mut tally);
         }
     }
     tally.counts()
@@ -486,7 +732,8 @@ fn parity_of(i: isize, j: isize, k: isize) -> u8 {
 /// target-cell slab `[start, end)` of the interior linear index, which
 /// must be whole 8-cell rows. `out` gets `end − start` expansions, slab
 /// cell `c` at `out[c − start]`, their `d2phi` all `+0.0`. Returns the
-/// slab's [`PairCounts`].
+/// slab's [`PairCounts`]. Every pair computes its tensors: the lattice
+/// walk is the solver's.
 pub fn monopole_kernel_range_into(
     grid: &MomentGrid,
     offsets: &[(i32, i32, i32)],
@@ -494,7 +741,7 @@ pub fn monopole_kernel_range_into(
     end: usize,
     out: &mut Vec<LocalExpansion>,
 ) -> PairCounts {
-    offset_range_into::<false>(grid, offsets, start, end, out)
+    offset_range_into::<false>(grid, offsets, None, start, end, out)
 }
 
 /// The kernel for a refined node's cells (`HESS = true`) — the combined
@@ -508,7 +755,7 @@ pub fn multipole_kernel_range_into(
     end: usize,
     out: &mut Vec<LocalExpansion>,
 ) -> PairCounts {
-    offset_range_into::<true>(grid, offsets, start, end, out)
+    offset_range_into::<true>(grid, offsets, None, start, end, out)
 }
 
 /// Parity-exact same-level kernel for a leaf's cells over the slab
@@ -521,7 +768,7 @@ pub fn monopole_kernel_stencil_range_into(
     end: usize,
     out: &mut Vec<LocalExpansion>,
 ) -> PairCounts {
-    parity_range_into::<false>(grid, stencil, start, end, out)
+    parity_range_into::<false>(grid, stencil, None, start, end, out)
 }
 
 /// Parity-exact same-level kernel for a refined node's cells over the
@@ -534,7 +781,7 @@ pub fn multipole_kernel_stencil_range_into(
     end: usize,
     out: &mut Vec<LocalExpansion>,
 ) -> PairCounts {
-    parity_range_into::<true>(grid, stencil, start, end, out)
+    parity_range_into::<true>(grid, stencil, None, start, end, out)
 }
 
 /// A whole-sub-grid launch into a fresh buffer.
@@ -795,14 +1042,27 @@ mod tests {
         /// domain wall (absent), a leaf neighbour (monopole) or a refined
         /// neighbour (quadrupole) makes. Edge 8 is whole nodes.
         Boxes(isize),
+        /// What the solver's gather places around a leaf: whole nodes,
+        /// the leaf itself and its leaf or coarse-split neighbours as
+        /// lattice point masses at cell centres `(x + ½)·H − ½` with
+        /// their rounding, refined neighbours as quadrupoles off the
+        /// lattice — a fifth of their cells monopoles off the lattice
+        /// (a refined cell whose mass sits in one child, a quarter cell
+        /// from its centre) — and domain walls absent.
+        Placed,
     }
 
-    /// A random moment grid: jittered centres, irregular masses, and
-    /// three slot classes — absent (mask = 0), monopole, quadrupole —
-    /// in the given layout.
+    /// The cell width of [`Layout::Placed`] grids: no power of two, so a
+    /// difference of two rounded centres is not `offset · H`.
+    const H: f64 = 0.1;
+
+    /// A random moment grid: irregular masses and, but for
+    /// [`Layout::Placed`], jittered centres and three slot classes —
+    /// absent (mask = 0), monopole, quadrupole — in the given layout.
     fn random_grid(width: i32, seed: u64, layout: Layout) -> MomentGrid {
         let mut state = seed;
         let mut grid = MomentGrid::new(width);
+        grid.reset_to(width);
         let w = width as isize;
         let n = N_SUB as isize;
         for i in -w..n + w {
@@ -816,16 +1076,35 @@ mod tests {
                     );
                     let q = std::array::from_fn(|_| 0.05 * splitmix(&mut state));
                     let own = splitmix(&mut state);
+                    let cube = |edge: isize| {
+                        let b = |x: isize| x.div_euclid(edge).rem_euclid(8) as u64;
+                        splitmix(&mut (seed ^ ((b(i) << 6 | b(j) << 3 | b(k)) + 1) << 32))
+                    };
                     let class = match layout {
                         Layout::Scattered => own,
-                        Layout::Boxes(edge) => {
-                            let b = |x: isize| x.div_euclid(edge).rem_euclid(8) as u64;
-                            let mut cube = seed ^ ((b(i) << 6 | b(j) << 3 | b(k)) + 1) << 32;
-                            splitmix(&mut cube)
-                        }
+                        Layout::Boxes(edge) => cube(edge),
+                        // The targets: the leaf's own cells.
+                        Layout::Placed if [i, j, k].iter().all(|x| (0..n).contains(x)) => -0.25,
+                        Layout::Placed => cube(n),
                     };
                     // A quarter absent, three eighths each of the rest.
                     if class < -0.5 {
+                        continue;
+                    }
+                    if let Layout::Placed = layout {
+                        let cell = Vec3::new(i as f64, j as f64, k as f64);
+                        let centre = Vec3::from_array(cell.to_array().map(|x| (x + 0.5) * H - 0.5));
+                        let (mp, lattice) = if class < 0.25 {
+                            (Multipole::monopole(m, centre), true)
+                        } else if own < -0.6 {
+                            let side = [q[0], q[1], q[2]].map(f64::signum);
+                            let child = Vec3::from_array(side) * (0.25 * H);
+                            (Multipole::monopole(m, centre + child), false)
+                        } else {
+                            (Multipole { m, com: centre + (com - cell) * H, q }, false)
+                        };
+                        let n = grid.idx(i, j, k);
+                        grid.put(n, &mp, lattice);
                         continue;
                     }
                     let q = if class < 0.25 { [0.0; 6] } else { q };
@@ -847,16 +1126,29 @@ mod tests {
     }
 
     /// The unselective oracle of all four kernel families: every (cell,
-    /// offset) pair of the sub-grid, one at a time at `W = 1` in the
-    /// cell's offset-list order, **nothing skipped and always the full
-    /// body** — `PairTerms::of::<true, true>` through the public pairwise
-    /// API, fed what the SoA body feeds its lanes (weighted source
-    /// moments, softened r²). Beside the expansions it returns the
-    /// [`PairCounts`] the selective kernels must report, worked out per
-    /// lane group from the columns (not from the `quad` flags), and the
-    /// number of pairs it evaluated itself.
-    fn oracle(grid: &MomentGrid, which: Offsets) -> (Vec<LocalExpansion>, PairCounts, u64) {
-        let pair = |t: usize, s_idx: usize, e: &mut LocalExpansion| {
+    /// offset) pair of the sub-grid, one at a time at `W = 1`, **nothing
+    /// skipped and always the full body** — `PairTerms::of::<true, true>`
+    /// on `KernelTensors::at_softened`, fed what the SoA body feeds its
+    /// lanes (weighted source moments, softened r²).
+    ///
+    /// With a lattice cell width `h` (the leaf launches of a solver, whose
+    /// targets are lattice point masses) it applies the lattice rule too:
+    /// a pair of two lattice point masses takes `B0` / `B1` from
+    /// `LatticeRow::rows(list, h)`, and a lane group takes first, in list
+    /// order, the offsets at which its four sources are all absent or
+    /// lattice (not all absent), then the rest in list order. Without it
+    /// every cell takes its offsets in list order.
+    ///
+    /// Beside the expansions it returns the [`PairCounts`] the selective
+    /// kernels must report, worked out per lane group from the columns
+    /// (not from the `quad` flags), the number of pairs it evaluated
+    /// itself, and how many pairs were in lattice-walk groups.
+    fn oracle(
+        grid: &MomentGrid,
+        which: Offsets,
+        h: Option<f64>,
+    ) -> (Vec<LocalExpansion>, PairCounts, u64, u64) {
+        let pair = |t: usize, s_idx: usize, row: Option<&LatticeRow>, e: &mut LocalExpansion| {
             let w = grid.mask[t] * grid.mask[s_idx];
             let at = |n: usize, scale: f64| Multipole {
                 m: grid.m[n] * scale,
@@ -864,12 +1156,24 @@ mod tests {
                 q: std::array::from_fn(|c| grid.q[c][n] * scale),
             };
             let (tgt, src) = (at(t, 1.0), at(s_idx, w));
-            e.accumulate_softened(&tgt, &src, tgt.com - src.com, 1.0 - w);
+            let one = |x: f64| Lanes([x]);
+            let d = (tgt.com - src.com).to_array().map(one);
+            let mut tensors = KernelTensors::at_softened::<true, true>(d, one(1.0 - w));
+            if let Some(row) = row.filter(|_| grid.is(t, LATTICE) && grid.is(s_idx, LATTICE)) {
+                tensors = tensors.with_lattice([true], row);
+            }
+            let (mt, ms) = (one(tgt.m), one(src.m));
+            let terms =
+                PairTerms::of::<true, true>(mt, ms, &tgt.q.map(one), &src.q.map(one), d, &tensors);
+            let mut sums = GroupSums::load([*e]);
+            sums.add(&terms);
+            *e = sums.lane(0);
         };
         let has_quad = |n: usize| (0..6).any(|c| grid.q[c][n] != 0.0);
+        let plain = |n: usize| grid.mask[n] == 0.0 || grid.is(n, LATTICE);
         let mut out = vec![LocalExpansion::default(); N_CELLS];
         let mut counts = PairCounts::default();
-        let mut all_pairs = 0;
+        let (mut all_pairs, mut lean_pairs) = (0, 0);
         let by_parity = matches!(which, Offsets::Parity(_));
         let (stride, group_step) = if by_parity { (2, 1) } else { (1, LANES as isize) };
         for row in (0..N_CELLS).step_by(N_SUB) {
@@ -880,18 +1184,31 @@ mod tests {
                     Offsets::List(_, list) => list,
                     Offsets::Parity(s) => s.for_parity(parity_of(i, j, k0)),
                 };
-                for &(dx, dy, dz) in offsets {
-                    let lanes: [(usize, usize, usize); LANES] = std::array::from_fn(|l| {
+                let rows = h.map(|h| LatticeRow::rows(offsets, h));
+                let lanes = |(dx, dy, dz): (i32, i32, i32)| -> [(usize, usize, usize); LANES] {
+                    std::array::from_fn(|l| {
                         let k = k0 + l as isize * stride;
                         (
                             interior_index(i, j, k),
                             grid.idx(i, j, k),
                             grid.idx(i + dx as isize, j + dy as isize, k + dz as isize),
                         )
-                    });
+                    })
+                };
+                let lean = |n: usize| {
+                    let lanes = lanes(offsets[n]);
+                    rows.is_some()
+                        && lanes.iter().all(|&(_, _, s)| plain(s))
+                        && lanes.iter().any(|&(_, _, s)| grid.mask[s] != 0.0)
+                };
+                let all = 0..offsets.len();
+                let order = all.clone().filter(|&n| lean(n)).chain(all.filter(|&n| !lean(n)));
+                for n in order {
+                    let lanes = lanes(offsets[n]);
+                    let row = rows.as_ref().map(|rows| &rows[n]);
                     all_pairs += LANES as u64;
                     for &(c, t, s_idx) in &lanes {
-                        pair(t, s_idx, &mut out[c]);
+                        pair(t, s_idx, row, &mut out[c]);
                         counts.counted += (grid.mask[t] * grid.mask[s_idx]) as u64;
                     }
                     if lanes.iter().any(|&(_, _, s_idx)| grid.mask[s_idx] != 0.0) {
@@ -899,20 +1216,32 @@ mod tests {
                         if lanes.iter().any(|&(_, t, s)| has_quad(t) || has_quad(s)) {
                             counts.full_body += LANES as u64;
                         }
+                        if lean(n) {
+                            lean_pairs += LANES as u64;
+                            counts.lattice += LANES as u64;
+                        } else if row.is_some() {
+                            let both = |&&(_, t, s): &&(usize, usize, usize)| {
+                                grid.is(t, LATTICE) && grid.is(s, LATTICE)
+                            };
+                            counts.lattice += lanes.iter().filter(both).count() as u64;
+                        }
                     }
                 }
             }
         }
-        (out, counts, all_pairs)
+        (out, counts, all_pairs, lean_pairs)
     }
 
     /// The share of an oracle's pairs that the selective kernel skipped
     /// (absent lane groups), ran at `QUAD = false`, and ran at
-    /// `QUAD = true`.
+    /// `QUAD = true`; and of those, how many took `B0` / `B1` from the
+    /// lattice table in the lattice walk and in the deferred one.
     struct Coverage {
         skipped: u64,
         reduced: u64,
         full: u64,
+        lean: u64,
+        deferred_lattice: u64,
     }
 
     impl Coverage {
@@ -923,6 +1252,13 @@ mod tests {
             assert!(self.reduced > 0, "{what}: no lane group took the reduced form");
             assert!(self.full > 0, "{what}: no lane group took the full body");
         }
+
+        /// Both walks took lattice pairs: some groups ran in the lattice
+        /// walk, some deferred groups selected table values for a lane.
+        fn assert_both_walks(&self, what: &str) {
+            assert!(self.lean > 0, "{what}: no group took the lattice walk");
+            assert!(self.deferred_lattice > 0, "{what}: no deferred lane took a table value");
+        }
     }
 
     /// Run the `W = 4` kernel families over `grid` — both `HESS` forms of
@@ -931,9 +1267,11 @@ mod tests {
     /// on the root list — and require each to match the [`oracle`] bit
     /// for bit: counters, and every field the family writes (all of them
     /// for the refined-target kernels, all but a `d2phi` left at exactly
-    /// `[0.0; 6]` for the leaf-target ones). Returns each family's
-    /// [`Coverage`].
-    fn assert_kernels_match_oracle(grid: &MomentGrid, what: &str) -> Vec<Coverage> {
+    /// `[0.0; 6]` for the leaf-target ones). With a lattice cell width
+    /// `h` the leaf-target families are the solver's, with the lattice
+    /// rows of each list at `h`, against the oracle's lattice rule.
+    /// Returns each family's [`Coverage`].
+    fn assert_kernels_match_oracle(grid: &MomentGrid, what: &str, h: Option<f64>) -> Vec<Coverage> {
         let s = Stencil::octotiger();
         let (near, root) = (Stencil::near_field(0.5), Stencil::root_offsets(0.5));
         let mut families = vec![
@@ -947,20 +1285,29 @@ mod tests {
         let mut buf = Vec::new();
         let mut coverage = Vec::new();
         for which in families {
-            let (one, expect, all_pairs) = oracle(grid, which);
             for leaf in [true, false] {
+                let h = h.filter(|_| leaf);
+                let (one, expect, all_pairs, lean) = oracle(grid, which, h);
                 let (all, buf) = (N_CELLS, &mut buf);
-                let (counts, list) = match (leaf, which) {
-                    (true, Offsets::List(name, list)) => {
+                let (counts, list) = match (leaf, which, h) {
+                    (true, Offsets::List(name, list), None) => {
                         (monopole_kernel_range_into(grid, list, 0, all, buf), name)
                     }
-                    (false, Offsets::List(name, list)) => {
+                    (true, Offsets::List(name, list), Some(h)) => {
+                        let rows = LatticeRow::rows(list, h);
+                        (offset_range_into::<false>(grid, list, Some(&rows), 0, all, buf), name)
+                    }
+                    (false, Offsets::List(name, list), _) => {
                         (multipole_kernel_range_into(grid, list, 0, all, buf), name)
                     }
-                    (true, Offsets::Parity(s)) => {
+                    (true, Offsets::Parity(s), None) => {
                         (monopole_kernel_stencil_range_into(grid, s, 0, all, buf), "stencil")
                     }
-                    (false, Offsets::Parity(s)) => {
+                    (true, Offsets::Parity(s), Some(h)) => {
+                        let rows = std::array::from_fn(|p| LatticeRow::rows(s.for_parity(p as u8), h));
+                        (parity_range_into::<false>(grid, s, Some(&rows), 0, all, buf), "stencil")
+                    }
+                    (false, Offsets::Parity(s), _) => {
                         (multipole_kernel_stencil_range_into(grid, s, 0, all, buf), "stencil")
                     }
                 };
@@ -979,6 +1326,8 @@ mod tests {
                     skipped: all_pairs - counts.evaluated,
                     reduced: counts.evaluated - counts.full_body,
                     full: counts.full_body,
+                    lean,
+                    deferred_lattice: counts.lattice - lean,
                 });
             }
         }
@@ -987,12 +1336,15 @@ mod tests {
 
     /// The per-width, per-instantiation contract: every kernel family at
     /// `W = 4` — skipping absent lane groups, taking `QUAD = false`
-    /// where a group has no quadrupole, `HESS = false` on leaf targets —
+    /// where a group has no quadrupole, `HESS = false` on leaf targets,
+    /// and on a leaf's placed grid the lattice table and the two walks —
     /// must match the full body at `W = 1` driven one (cell, offset) pair
     /// at a time with nothing skipped, bit-for-bit, on grids of absent /
-    /// monopole / quadrupole slots laid out scattered and in boxes, at
-    /// stride 1 (offset kernels) and stride 2 (parity stencils). The
-    /// grids of the root's width (`N_SUB − 1`) add its 3 282-entry list.
+    /// monopole / quadrupole slots laid out scattered and in boxes, and
+    /// on placed grids of lattice point masses, refined cells and
+    /// off-lattice monopoles, at stride 1 (offset kernels) and stride 2
+    /// (parity stencils). The grids of the root's width (`N_SUB − 1`) add
+    /// its 3 282-entry list.
     #[test]
     fn four_lane_kernels_match_one_lane_bit_for_bit() {
         let width = Stencil::octotiger().width();
@@ -1008,14 +1360,21 @@ mod tests {
             (root_width, 0x5eed_0004, Layout::Boxes(4), false),
             (width, 0x5eed_0008, Layout::Boxes(8), false),
             (width, 0x5eed_0005, Layout::Boxes(8), true),
+            (width, 0x5eed_0009, Layout::Placed, false),
+            (root_width, 0x5eed_000a, Layout::Placed, false),
         ] {
             let grid = random_grid(width, seed, layout);
             let what = format!("seed {seed:#x} {layout:?}");
-            for c in assert_kernels_match_oracle(&grid, &what) {
+            let h = matches!(layout, Layout::Placed).then_some(H);
+            for (n, c) in assert_kernels_match_oracle(&grid, &what, h).iter().enumerate() {
                 if refined_targets {
                     assert!(c.skipped > 0 && c.full > 0 && c.reduced == 0, "{what}");
                 } else {
                     c.assert_all_three(&what);
+                }
+                // Families alternate leaf, refined targets.
+                if h.is_some() && n % 2 == 0 {
+                    c.assert_both_walks(&what);
                 }
             }
         }
@@ -1028,7 +1387,7 @@ mod tests {
         s: usize,
     ) -> LocalExpansion {
         let mut sums = GroupSums::load([LocalExpansion::default()]);
-        pairs::<1, QUAD, HESS>(g, &Targets::gather(g, t, 1), s, &mut sums);
+        pairs::<1, QUAD, HESS>(g, &Targets::gather(g, t, 1), s, None, &mut sums);
         sums.lane(0)
     }
 
@@ -1057,7 +1416,7 @@ mod tests {
         assert_eq!(grid.m[s_idx], 0.0);
         let e = one_pair::<false, false>(&grid, t, s_idx);
         assert_eq!(e.phi.to_bits(), 0.0f64.to_bits(), "+0.0 + −0.0 is +0.0");
-        for c in assert_kernels_match_oracle(&grid, "zero-mass sources") {
+        for c in assert_kernels_match_oracle(&grid, "zero-mass sources", None) {
             c.assert_all_three("zero-mass sources");
         }
     }
@@ -1068,7 +1427,7 @@ mod tests {
     #[test]
     fn a_first_contribution_of_negative_zero_stays_positive_zero() {
         let grid = closed_lattice(|_, _, _, c| Multipole::monopole(0.0, c));
-        assert_kernels_match_oracle(&grid, "all-zero masses");
+        assert_kernels_match_oracle(&grid, "all-zero masses", None);
         let s = Stencil::octotiger();
         for res in [monopole_kernel_stencil(&grid, &s), multipole_kernel_stencil(&grid, &s)] {
             assert!(res.interactions > 0);
@@ -1089,8 +1448,8 @@ mod tests {
             q: if j >= 6 { [0.03, 0.02, 0.01, -0.004, 0.0, 0.002] } else { [-0.0; 6] },
         });
         let (n_zero, n_quad) = (grid.idx(0, 0, 0), grid.idx(0, 6, 0));
-        assert!(grid.q[0][n_zero].is_sign_negative() && !grid.quad[n_zero] && grid.quad[n_quad]);
-        for c in assert_kernels_match_oracle(&grid, "−0.0 quadrupoles") {
+        assert!(grid.q[0][n_zero].is_sign_negative() && !grid.is(n_zero, QUAD) && grid.is(n_quad, QUAD));
+        for c in assert_kernels_match_oracle(&grid, "−0.0 quadrupoles", None) {
             c.assert_all_three("−0.0 quadrupoles");
         }
     }
@@ -1108,7 +1467,7 @@ mod tests {
             q: if i == 0 { [0.01; 6] } else { [0.0; 6] },
         });
         assert_eq!(grid.get(0, 0, 0).unwrap().com, Vec3::ZERO);
-        for c in assert_kernels_match_oracle(&grid, "coincident masked slot") {
+        for c in assert_kernels_match_oracle(&grid, "coincident masked slot", None) {
             c.assert_all_three("coincident masked slot");
         }
     }
@@ -1130,7 +1489,7 @@ mod tests {
         let mut checked = 0;
         for t in 0..grid.m.len() - 1 {
             let s_idx = t + 1;
-            if grid.mask[t] * grid.mask[s_idx] == 0.0 || grid.quad[t] || grid.quad[s_idx] {
+            if grid.mask[t] * grid.mask[s_idx] == 0.0 || grid.is(t, QUAD) || grid.is(s_idx, QUAD) {
                 continue;
             }
             let leaf = force::<false, false>(&grid, t, s_idx);
@@ -1172,7 +1531,7 @@ mod tests {
         let mut across = 0;
         for c in 0..N_CELLS {
             let (i, j, k) = interior_coords(c);
-            if k + 2 >= n || grid.quad[grid.idx(i, j, k)] || grid.quad[grid.idx(i, j, k + 2)] {
+            if k + 2 >= n || grid.is(grid.idx(i, j, k), QUAD) || grid.is(grid.idx(i, j, k + 2), QUAD) {
                 continue;
             }
             let (a, b) = (there[c].force, back[c + 2].force);
@@ -1183,6 +1542,74 @@ mod tests {
             across += (j % 2 == 0 && k < 2) as u32;
         }
         assert_eq!(across, 2 * 4 * 8);
+
+        // A lattice pair, once in the lattice walk and once deferred: a
+        // leaf's cells as lattice point masses at rounded centres, with a
+        // refined neighbour's quadrupole, off the lattice, in the halo at
+        // k = 8 of even-j rows, through the leaf kernels with lattice
+        // rows both ways. On an even-j row, 4 → 6 and 5 → 7 run in the
+        // deferred group (4..8 → 6..10, which reaches the quadrupole) and
+        // take the table by lane; their mirrors (4..8 → 2..6) run in the
+        // lattice walk.
+        let mut grid = MomentGrid::new(Stencil::octotiger().width());
+        grid.reset_to(1);
+        for c in 0..N_CELLS {
+            let (i, j, k) = interior_coords(c);
+            let centre = |k| Vec3::from_array([i, j, k].map(|x| (x as f64 + 0.5) * H - 0.5));
+            let m = 1.0 + 0.125 * ((i + 3 * j + 5 * k) % 7) as f64;
+            grid.put(grid.idx(i, j, k), &Multipole::monopole(m, centre(k)), true);
+            if k == 0 && j % 2 == 0 {
+                let com = centre(8) + Vec3::new(0.01, -0.005, 0.002);
+                let q = [0.03, 0.02, 0.01, -0.004, 0.0, 0.002];
+                grid.put(grid.idx(i, j, 8), &Multipole { m, com, q }, false);
+            }
+        }
+        let (fwd, rev) = ([(0, 0, 2)], [(0, 0, -2)]);
+        let (rows_fwd, rows_rev) = (LatticeRow::rows(&fwd, H), LatticeRow::rows(&rev, H));
+        let n_there = offset_range_into::<false>(&grid, &fwd, Some(&rows_fwd), 0, N_CELLS, &mut there);
+        let n_back = offset_range_into::<false>(&grid, &rev, Some(&rows_rev), 0, N_CELLS, &mut back);
+        // Forward adds 6 → 8 on the 32 even-j rows, which has no mirror.
+        assert_eq!(n_there.counted, n_back.counted + 32);
+        // 32 even-j rows, 32 odd ones. Forward, an even-j row's second
+        // group takes the full body (lattice lanes 4 → 6 and 5 → 7) and
+        // every other group is a lattice group; backward, every group is.
+        assert_eq!((n_there.full_body, n_back.full_body), (32 * 4, 0));
+        assert_eq!((n_there.lattice, n_back.lattice), (32 * (4 + 2) + 32 * 8, 64 * 8));
+        let mut across = 0;
+        for c in 0..N_CELLS {
+            let (i, j, k) = interior_coords(c);
+            if k + 2 >= n {
+                continue;
+            }
+            // Along z: the x and y parts are zeros, of either sign.
+            let (a, b) = (there[c].force.z, back[c + 2].force.z);
+            assert_ne!(a, 0.0);
+            assert_eq!(a.to_bits(), (-b).to_bits(), "lattice cell ({i}, {j}, {k})");
+            across += (j % 2 == 0 && k >= 4) as u32;
+        }
+        assert_eq!(across, 2 * 4 * 8);
+
+        // The table is `at_softened` at the exact lattice separation
+        // `−o·h` (to 2 ulp), and mirror-exact.
+        let ulps = |a: f64, b: f64| (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs();
+        let s = Stencil::octotiger();
+        for h in [H, 1.0, 6.1e11] {
+            let rows = LatticeRow::rows(s.offsets(), h);
+            let mirrored: Vec<_> = s.offsets().iter().map(|&(x, y, z)| (-x, -y, -z)).collect();
+            let mirror = LatticeRow::rows(&mirrored, h);
+            for ((&(x, y, z), row), back) in s.offsets().iter().zip(&rows).zip(&mirror) {
+                let d = [x, y, z].map(|o| -(o as f64) * h);
+                let t = KernelTensors::at(Vec3::from_array(d));
+                assert!(ulps(row.b0, t.b0.lane(0)) <= 2, "B0 at ({x}, {y}, {z}), h = {h}");
+                assert_eq!(row.b0.to_bits(), back.b0.to_bits());
+                for a in 0..3 {
+                    assert!(ulps(row.b1[a], t.b1[a].lane(0)) <= 2, "B1 at ({x}, {y}, {z}), h = {h}");
+                    if row.b1[a] != 0.0 {
+                        assert_eq!(row.b1[a].to_bits(), (-back.b1[a]).to_bits());
+                    }
+                }
+            }
+        }
     }
 
     /// Concatenating row-aligned slab ranges reproduces the full kernel

@@ -17,25 +17,33 @@
 //! keeps interactions complete; the reaction on the coarse side is
 //! carried at the coarse level, so conservation across AMR interfaces
 //! is approximate (round-off level on uniform grids, truncation level
-//! at refinement jumps — measured in EXPERIMENTS.md).
+//! at refinement jumps — measured in EXPERIMENTS.md). The gather works
+//! by blocks — the node and the neighbours its reach touches resolved
+//! once, each block's box copied or split as a whole (`FmmSolver::gather_into`) —
+//! and it records which slots are **lattice point masses**: a leaf's
+//! cells and the coarse splits are, a refined node's M2M cells are not.
 //!
 //! **Which instantiation a pair gets.** There is one pair arithmetic
 //! (`PairTerms::of`) and the solver decides one thing about it per
 //! node: a leaf launches the `HESS = false` kernels — `assemble_leaf`
-//! never reads a Hessian, so none is computed — and a refined node,
-//! whose `downward_node` translates its expansions, the `HESS = true`
-//! ones. Everything finer is the kernels' business and is decided per
-//! lane group from the grid's own flags (`kernels` module docs): groups
-//! of absent sources are skipped, and only groups that hold a
-//! quadrupole take `QUAD = true` — on a leaf next to a refined node
+//! never reads a Hessian, so none is computed — with its level's
+//! lattice table (`tensors::LatticeRow`, built at the start of each
+//! solve for every level a leaf is on), and a refined node, whose `downward_node` translates its
+//! expansions, the `HESS = true` ones without a table. Everything finer
+//! is the kernels' business and is decided per lane group from the
+//! grid's own flags (`kernels` module docs): groups of absent sources
+//! are skipped, a leaf's groups of lattice point masses take `B0` /
+//! `B1` from the table in a loop of their own, and only groups that hold
+//! a quadrupole take `QUAD = true` — on a leaf next to a refined node
 //! that is the lane groups that reach into it, not all
-//! 512 × (651 + 92) pairs. None of these choices moves a bit, so a pair
-//! is rounded the same whichever node evaluates it. What they came to
-//! is on the field: [`GravityField::interactions`] (pairs counted),
-//! [`GravityField::pairs_evaluated`] and
-//! [`GravityField::pairs_full_body`], published as `fmm/pairs/*` beside
-//! `fmm/interactions/*`, identical between the serial and the chunked
-//! walk.
+//! 512 × (651 + 92) pairs. A lattice pair takes the table's values in
+//! whichever group it falls, and nothing else moves a bit, so a pair is
+//! rounded the same whichever node evaluates it. What they came to is on
+//! the field: [`GravityField::interactions`] (pairs counted),
+//! [`GravityField::pairs_evaluated`], [`GravityField::pairs_full_body`]
+//! and [`GravityField::pairs_lattice`], published as `fmm/pairs/*`
+//! beside `fmm/interactions/*`, identical between the serial and the
+//! chunked walk.
 //!
 //! **Futurization** (§4.1): [`FmmSolver::solve_parallel`] runs the same
 //! walk as a task graph on the [`amt`] runtime — one task per node for
@@ -70,13 +78,13 @@
 use crate::expansion::LocalExpansion;
 use crate::gpu::{AggregationConfig, GpuContext, KernelKind, LaunchSite, SlabDesc, HIST_LABELS};
 use crate::kernels::{
-    gather_moments_into, interior_index, monopole_kernel_range_into,
-    monopole_kernel_stencil_range_into, multipole_kernel_range_into,
-    multipole_kernel_stencil_range_into, MomentGrid, PairCounts, N_CELLS,
+    interior_index, multipole_kernel_range_into, multipole_kernel_stencil_range_into,
+    offset_range_into, parity_range_into, MomentGrid, PairCounts, N_CELLS,
 };
 use crate::multipole::Multipole;
 use crate::scratch::ScratchPool;
 use crate::stencil::Stencil;
+use crate::tensors::LatticeRow;
 use amt::trace::{self, TraceCategory};
 use amt::{when_all, Future, Promise, Runtime, Scheduler};
 use octree::subgrid::{Field, N_SUB};
@@ -129,6 +137,9 @@ pub struct GravityField {
     /// (`QUAD = true`): the 455-flop body on refined nodes, the same
     /// less the Hessian on leaves.
     pub pairs_full_body: u64,
+    /// Of `pairs_evaluated`, pairs whose `B0` / `B1` came from a level's
+    /// lattice table instead of a divide and a square root (leaves only).
+    pub pairs_lattice: u64,
     /// Number of kernel launches (one per chunk per pass on the chunked
     /// path, one per node per pass on the serial walk).
     pub kernel_launches: u64,
@@ -287,6 +298,23 @@ fn assemble_leaf(
     out
 }
 
+/// `put` `cell(i, j, k)` — a lattice point mass or not — into every slot
+/// `(i, j, k)` of the box `si × sj × sk` of `grid`.
+fn fill_box(
+    grid: &mut MomentGrid,
+    [si, sj, sk]: [std::ops::Range<isize>; 3],
+    lattice: bool,
+    cell: impl Fn(isize, isize, isize) -> Multipole,
+) {
+    for i in si {
+        for j in sj.clone() {
+            for k in sk.clone() {
+                grid.put(grid.idx(i, j, k), &cell(i, j, k), lattice);
+            }
+        }
+    }
+}
+
 /// P2M, futurized: the per-cell moments of every leaf in `leaves`, one
 /// task per leaf on `rt`. This is the per-leaf unit of work a locality
 /// computes for the leaves it owns (and ships to its peers); each task
@@ -393,6 +421,7 @@ impl PassTotals {
             interactions_near_field: self.near.counted,
             pairs_evaluated: self.same.evaluated + self.near.evaluated,
             pairs_full_body: self.same.full_body + self.near.full_body,
+            pairs_lattice: self.same.lattice + self.near.lattice,
             kernel_launches: self.gpu_launches + self.cpu_launches,
             kernel_launches_cpu: self.cpu_launches,
             kernel_launches_gpu: self.gpu_launches,
@@ -407,6 +436,7 @@ struct ChunkedPass {
     solver: Arc<FmmSolver>,
     tree: Arc<Octree>,
     moments: Arc<MomentMap>,
+    tables: LeafTables,
     rt: Arc<Runtime>,
     sched: Arc<Scheduler>,
     queue: Mutex<VecDeque<(MortonKey, Promise<NodeOutcome>)>>,
@@ -428,19 +458,18 @@ impl ChunkedPass {
             let _span = trace::span_labeled(TraceCategory::FmmGather, || format!("{key:?}"));
             let mut grid = p.solver.scratch.take_grid(p.solver.gather_width());
             p.solver.gather_into(&p.tree, &p.moments, key, &mut grid);
-            Arc::new(grid)
+            (Arc::new(grid), p.tables.of(&p.tree, key).cloned())
         });
         let p = Arc::clone(pass);
         // Dropping the continuation futures is fine: completion is
         // observed through the node promise, not through them.
-        let _fan = gather.then(&pass.sched, move |grid| {
-            let is_leaf = p.tree.is_leaf(key);
+        let _fan = gather.then(&pass.sched, move |(grid, table)| {
             let chunk_cells = p.solver.chunk_cells;
             let worker = p.sched.current_worker();
             // Every node runs the same-level kernel; a leaf also the
             // near-field one.
             let kinds: &[KernelKind] =
-                if is_leaf { &KernelKind::ALL } else { &[KernelKind::SameLevel] };
+                if table.is_some() { &KernelKind::ALL } else { &[KernelKind::SameLevel] };
             let n_slabs = (N_CELLS + chunk_cells - 1) / chunk_cells;
             let mut item_futs: Vec<Future<ChunkItem>> = Vec::with_capacity(kinds.len() * n_slabs);
             let mut chunks = 0u64;
@@ -449,7 +478,7 @@ impl ChunkedPass {
                 let end = (start + chunk_cells).min(N_CELLS);
                 for &kind in kinds {
                     item_futs.push(ChunkedPass::submit_item(
-                        &p, worker, &grid, key, is_leaf, kind, start, end,
+                        &p, worker, &grid, &table, key, kind, start, end,
                     ));
                 }
                 chunks += 1;
@@ -527,16 +556,17 @@ impl ChunkedPass {
         pass: &Arc<ChunkedPass>,
         worker: Option<usize>,
         grid: &Arc<MomentGrid>,
+        table: &Option<Arc<LevelTable>>,
         key: MortonKey,
-        is_leaf: bool,
         kind: KernelKind,
         start: usize,
         end: usize,
     ) -> Future<ChunkItem> {
         let solver = Arc::clone(&pass.solver);
-        let grid = Arc::clone(grid);
+        let (grid, table) = (Arc::clone(grid), table.clone());
         let buf = pass.solver.scratch.take_expansions();
-        let compute = move || solver.chunk_kernel(&grid, key, is_leaf, kind, start, end, buf);
+        let compute =
+            move || solver.chunk_kernel(&grid, key, table.as_deref(), kind, start, end, buf);
         match pass.solver.gpu.as_ref() {
             Some(ctx) => ctx.submit(worker, kind, SlabDesc { node: key, start, end }, compute),
             None => pass.rt.async_call(move || (compute(), LaunchSite::Cpu)),
@@ -559,6 +589,27 @@ pub struct FmmSolver {
     /// Target cells per same-level chunk task (normalized to whole
     /// rows). 512 restores the one-task-per-node behaviour.
     chunk_cells: usize,
+}
+
+/// The lattice rows (`tensors::LatticeRow`) of one level's leaf lists,
+/// aligned with them: the root's list at level 0, each parity's stencil
+/// list elsewhere, and the near field.
+struct LevelTable {
+    root: Vec<LatticeRow>,
+    parity: [Vec<LatticeRow>; 8],
+    near: Vec<LatticeRow>,
+}
+
+/// One solve's lattice tables, indexed by level: a [`LevelTable`] for
+/// each level on which the solve has a leaf to launch.
+struct LeafTables(Vec<Option<Arc<LevelTable>>>);
+
+impl LeafTables {
+    /// Node `key`'s table: its level's if it is a leaf, `None` if it is
+    /// refined (a refined node never takes one).
+    fn of(&self, tree: &Octree, key: MortonKey) -> Option<&Arc<LevelTable>> {
+        self.0[key.level as usize].as_ref().filter(|_| tree.is_leaf(key))
+    }
 }
 
 impl FmmSolver {
@@ -618,6 +669,35 @@ impl FmmSolver {
         }
     }
 
+    /// The lattice tables of a solve over the nodes `keys` of `tree`,
+    /// built once at its start: one per level that has a leaf among
+    /// `keys`, at that level's cell width, with the lists a leaf there
+    /// launches (the root's list on level 0 only, the parity stencils
+    /// elsewhere).
+    fn leaf_tables<'a>(
+        &self,
+        tree: &Octree,
+        keys: impl IntoIterator<Item = &'a MortonKey>,
+    ) -> LeafTables {
+        let mut tables = vec![None; tree.max_level() as usize + 1];
+        for &key in keys.into_iter().filter(|&&key| tree.is_leaf(key)) {
+            let level = key.level;
+            tables[level as usize].get_or_insert_with(|| {
+                let rows = |offsets: &[(i32, i32, i32)]| {
+                    LatticeRow::rows(offsets, tree.domain().cell_dx(level))
+                };
+                Arc::new(LevelTable {
+                    root: if level == 0 { rows(&self.root_offsets) } else { Vec::new() },
+                    parity: std::array::from_fn(|p| {
+                        if level == 0 { Vec::new() } else { rows(self.stencil.for_parity(p as u8)) }
+                    }),
+                    near: rows(&self.near_field),
+                })
+            });
+        }
+        LeafTables(tables)
+    }
+
     /// The same-level stencil in use.
     pub fn stencil(&self) -> &Stencil {
         &self.stencil
@@ -674,7 +754,22 @@ impl FmmSolver {
     }
 
     /// Gather the extended moment grid of node `key` into `grid`, out to
-    /// what the node's offsets reach; slots beyond stay absent.
+    /// what the node's offsets reach (the root list ±(`N_SUB` − 1), the
+    /// parity stencils and the near field the stencil's width), by
+    /// blocks: the node and the neighbours the reach touches (≤ 26 while
+    /// it is ≤ `N_SUB` cells; θ < 0.354 makes it 9 or more and adds the
+    /// next shell) are resolved once, and each block, clipped to the
+    /// reach, is
+    /// * a **same-level node**: its box of cells, copied — lattice point
+    ///   masses if the node is a leaf (P2M), not if it is refined (M2M);
+    /// * a **coarser region** (no same-level node; by 2:1 balance usually
+    ///   one level up): the first existing ancestor's cells, each split
+    ///   into `8^depth` equal monopoles at the fine cell centres — lattice
+    ///   point masses;
+    /// * **outside the domain**: absent.
+    ///
+    /// Only the box the grid's last user filled is cleared first
+    /// ([`MomentGrid::reset_to`]).
     fn gather_into(
         &self,
         tree: &Octree,
@@ -684,90 +779,77 @@ impl FmmSolver {
     ) {
         debug_assert_eq!(grid.width(), self.gather_width());
         let level = key.level;
-        let domain = tree.domain();
-        let n = N_SUB as i64;
-        let max_global = n << level;
-        let (kx, ky, kz) = key.coords();
-        let base = (kx as i64 * n, ky as i64 * n, kz as i64 * n);
-        // The root list reaches ±(N_SUB − 1); parity stencils and the
-        // near field stay inside the stencil's width.
         let reach = if level == 0 { self.gather_width() } else { self.stencil.width() };
-        gather_moments_into(grid, reach, |i, j, k| {
-            let g = (base.0 + i as i64, base.1 + j as i64, base.2 + k as i64);
-            if g.0 < 0 || g.1 < 0 || g.2 < 0 || g.0 >= max_global || g.1 >= max_global || g.2 >= max_global {
-                return None;
+        grid.reset_to(reach);
+        let (n, r, n64) = (N_SUB as isize, reach as isize, N_SUB as i64);
+        let (kx, ky, kz) = key.coords();
+        let key_xyz = [kx, ky, kz].map(i64::from);
+        let base = key_xyz.map(|x| x * n64);
+        // Block offset `b` of an axis covers the extended coordinates
+        // `b·N_SUB .. (b + 1)·N_SUB`, clipped to the reach, and `nb`
+        // blocks each way cover the reach: one while it is ≤ `N_SUB`.
+        let nb = (r + n - 1) / n;
+        let span = |b: isize| (b * n).max(-r)..((b + 1) * n).min(n + r);
+        // The node and its neighbours, as a block offset per axis.
+        let d = 2 * nb + 1;
+        for b in (0..d * d * d).map(|b| [b / (d * d) - nb, b / d % d - nb, b % d - nb]) {
+            let node: [i64; 3] = std::array::from_fn(|a| key_xyz[a] + b[a] as i64);
+            if node.iter().any(|&x| x < 0 || x >= 1 << level) {
+                continue;
             }
-            let node_key = MortonKey::new(
-                level,
-                (g.0 / n) as u32,
-                (g.1 / n) as u32,
-                (g.2 / n) as u32,
-            );
-            if let Some(cells) = moments.get(&node_key) {
-                let (nx, ny, nz) = node_key.coords();
-                let local = (
-                    (g.0 - nx as i64 * n) as isize,
-                    (g.1 - ny as i64 * n) as isize,
-                    (g.2 - nz as i64 * n) as isize,
-                );
-                return Some(cells[interior_index(local.0, local.1, local.2)]);
+            let nk = MortonKey::new(level, node[0] as u32, node[1] as u32, node[2] as u32);
+            let block = b.map(span);
+            if let Some(cells) = moments.get(&nk) {
+                fill_box(grid, block, tree.is_leaf(nk), |i, j, k| {
+                    cells[interior_index(i - b[0] * n, j - b[1] * n, k - b[2] * n)]
+                });
+            } else if let Some((anc, cells)) = std::iter::successors(nk.parent(), |a| a.parent())
+                .find_map(|a| moments.get(&a).map(|cells| (a, cells)))
+            {
+                // Each fine slot is its cell's 8^depth-th share of the
+                // ancestor cell containing it, at the fine cell centre.
+                let depth = level - anc.level;
+                let frac = 1.0 / 8f64.powi(depth as i32);
+                let domain = tree.domain();
+                let (dx, half) = (domain.cell_dx(level), domain.edge / 2.0);
+                let (ax, ay, az) = anc.coords();
+                let anc_base = [ax, ay, az].map(|x| x as i64 * n64);
+                fill_box(grid, block, true, |i, j, k| {
+                    let g: [i64; 3] = std::array::from_fn(|a| base[a] + [i, j, k][a] as i64);
+                    let c = [0, 1, 2].map(|a| ((g[a] >> depth) - anc_base[a]) as isize);
+                    let centre = g.map(|g| (g as f64 + 0.5) * dx - half);
+                    let coarse = &cells[interior_index(c[0], c[1], c[2])];
+                    Multipole::monopole(coarse.m * frac, Vec3::from_array(centre))
+                });
             }
-            // Region coarser than `level`: synthesize from the first
-            // existing ancestor (2:1 balance ⇒ usually one level up).
-            let mut lvl = level;
-            let mut cg = g;
-            let mut nk = node_key;
-            while lvl > 0 && !moments.contains_key(&nk) {
-                lvl -= 1;
-                cg = (cg.0 / 2, cg.1 / 2, cg.2 / 2);
-                nk = MortonKey::new(lvl, (cg.0 / n) as u32, (cg.1 / n) as u32, (cg.2 / n) as u32);
-            }
-            let cells = moments.get(&nk)?;
-            let (nx, ny, nz) = nk.coords();
-            let local = (
-                (cg.0 - nx as i64 * n) as isize,
-                (cg.1 - ny as i64 * n) as isize,
-                (cg.2 - nz as i64 * n) as isize,
-            );
-            let coarse = cells[interior_index(local.0, local.1, local.2)];
-            // Split the coarse cell's mass evenly onto the fine sub-cell
-            // centre we need: 8^(level difference) sub-cells.
-            let depth = (level - lvl) as u32;
-            let frac = 1.0 / 8f64.powi(depth as i32);
-            let center = {
-                // Fine cell centre at `level` from global coords.
-                let dx = domain.cell_dx(level);
-                let half = domain.edge / 2.0;
-                Vec3::new(
-                    (g.0 as f64 + 0.5) * dx - half,
-                    (g.1 as f64 + 0.5) * dx - half,
-                    (g.2 as f64 + 0.5) * dx - half,
-                )
-            };
-            Some(Multipole::monopole(coarse.m * frac, center))
-        });
+        }
     }
 
     /// Same-level kernel of one node over the target-cell slab
     /// `[start, end)` — the per-chunk kernel launch. The root has no
     /// parent level: run all separated pairs there; other levels use the
-    /// parity-exact stencils. Only a refined node's Hessian is read.
+    /// parity-exact stencils. A leaf (`table` is its level's lattice
+    /// table) launches the `HESS = false` kernels, a refined node the
+    /// `HESS = true` ones: only a refined node's Hessian is read.
     fn same_level_kernel_range_into(
         &self,
         grid: &MomentGrid,
         level: u8,
-        is_leaf: bool,
+        table: Option<&LevelTable>,
         start: usize,
         end: usize,
         out: &mut Vec<LocalExpansion>,
     ) -> PairCounts {
-        match (level == 0, is_leaf) {
-            (true, true) => monopole_kernel_range_into(grid, &self.root_offsets, start, end, out),
-            (true, false) => multipole_kernel_range_into(grid, &self.root_offsets, start, end, out),
-            (false, true) => {
-                monopole_kernel_stencil_range_into(grid, &self.stencil, start, end, out)
+        let root = &self.root_offsets;
+        match (level == 0, table) {
+            (true, Some(t)) => {
+                offset_range_into::<false>(grid, root, Some(&t.root), start, end, out)
             }
-            (false, false) => {
+            (true, None) => multipole_kernel_range_into(grid, root, start, end, out),
+            (false, Some(t)) => {
+                parity_range_into::<false>(grid, &self.stencil, Some(&t.parity), start, end, out)
+            }
+            (false, None) => {
                 multipole_kernel_stencil_range_into(grid, &self.stencil, start, end, out)
             }
         }
@@ -783,7 +865,7 @@ impl FmmSolver {
         &self,
         grid: &MomentGrid,
         key: MortonKey,
-        is_leaf: bool,
+        table: Option<&LevelTable>,
         kind: KernelKind,
         start: usize,
         end: usize,
@@ -794,14 +876,15 @@ impl FmmSolver {
                 let _span = trace::span_labeled(TraceCategory::FmmSameLevel, || {
                     format!("{key:?} [{start}..{end})")
                 });
-                self.same_level_kernel_range_into(grid, key.level, is_leaf, start, end, &mut buf)
+                self.same_level_kernel_range_into(grid, key.level, table, start, end, &mut buf)
             }
             // Leaves only: pairs inside the opening criterion.
             KernelKind::NearField => {
                 let _span = trace::span_labeled(TraceCategory::FmmNearField, || {
                     format!("{key:?} [{start}..{end})")
                 });
-                monopole_kernel_range_into(grid, &self.near_field, start, end, &mut buf)
+                let rows = &table.expect("only a leaf runs the near field").near;
+                offset_range_into::<false>(grid, &self.near_field, Some(rows), start, end, &mut buf)
             }
         };
         (kind, start, buf, n)
@@ -836,6 +919,7 @@ impl FmmSolver {
             n_nodes + 2 * window * chunks_per_node,
         );
 
+        let tables = self.leaf_tables(tree, &keys);
         let mut node_futs: Vec<Future<NodeOutcome>> = Vec::with_capacity(n_nodes);
         let mut queue = VecDeque::with_capacity(n_nodes);
         for key in keys {
@@ -847,6 +931,7 @@ impl FmmSolver {
             solver: Arc::clone(self),
             tree: Arc::clone(tree),
             moments: Arc::clone(moments),
+            tables,
             rt: Arc::clone(rt),
             sched: Arc::clone(&sched),
             queue: Mutex::new(queue),
@@ -875,18 +960,19 @@ impl FmmSolver {
         let mut totals = PassTotals::default();
         // Same-level pass for every node, keyed per node.
         let mut same: HashMap<MortonKey, Vec<LocalExpansion>> = HashMap::new();
+        let tables = self.leaf_tables(tree, moments.keys());
         for (&key, _) in moments {
             let mut grid = self.scratch.take_grid(self.gather_width());
             self.gather_into(tree, moments, key, &mut grid);
-            let is_leaf = tree.is_leaf(key);
+            let table = tables.of(tree, key).map(|t| &**t);
             let mut out = self.scratch.take_expansions();
             totals.same +=
-                self.same_level_kernel_range_into(&grid, key.level, is_leaf, 0, N_CELLS, &mut out);
+                self.same_level_kernel_range_into(&grid, key.level, table, 0, N_CELLS, &mut out);
             totals.cpu_launches += 1;
-            if is_leaf {
+            if let Some(table) = table {
                 let mut near = self.scratch.take_expansions();
-                totals.near +=
-                    monopole_kernel_range_into(&grid, &self.near_field, 0, N_CELLS, &mut near);
+                let (list, rows) = (&self.near_field, Some(table.near.as_slice()));
+                totals.near += offset_range_into::<false>(&grid, list, rows, 0, N_CELLS, &mut near);
                 totals.cpu_launches += 1;
                 for (e, ne) in out.iter_mut().zip(near.iter()) {
                     e.add(ne);
@@ -958,6 +1044,9 @@ impl FmmSolver {
         metrics
             .counter("fmm/pairs/full_body")
             .add(totals.same.full_body + totals.near.full_body);
+        metrics
+            .counter("fmm/pairs/lattice")
+            .add(totals.same.lattice + totals.near.lattice);
         // Aggregation observability (cumulative over the context's
         // lifetime, hence `store` not `add`): how many kernels went up
         // fused, the batch-size histogram per kind, the flush-trigger
@@ -1095,6 +1184,7 @@ mod tests {
     use crate::direct::{direct_sum, PointMass};
     use octree::geometry::Domain;
     use octree::subgrid::Field;
+    use proptest::prelude::*;
 
     /// Build a uniformly refined tree (all leaves at `level`) with a
     /// density field.
@@ -1433,6 +1523,120 @@ mod tests {
                     assert_eq!(x.g.z.to_bits(), y.g.z.to_bits());
                     assert_eq!(x.force_density.x.to_bits(), y.force_density.x.to_bits());
                     assert_eq!(x.torque_density.x.to_bits(), y.torque_density.x.to_bits());
+                }
+            }
+        }
+    }
+
+    /// The per-slot gather the box gather replaced, kept as its oracle:
+    /// one `MortonKey` and one hash-map lookup a slot, the ancestor walk
+    /// per slot on a coarser region. Each slot's lattice flag is the kind
+    /// of what it found: a leaf's cell or a coarse split.
+    fn closure_gather(
+        tree: &Octree,
+        moments: &MomentMap,
+        key: MortonKey,
+        reach: i32,
+        grid: &mut MomentGrid,
+    ) {
+        let level = key.level;
+        let domain = tree.domain();
+        let n = N_SUB as i64;
+        let max_global = n << level;
+        let (kx, ky, kz) = key.coords();
+        let base = (kx as i64 * n, ky as i64 * n, kz as i64 * n);
+        let lookup = |i: isize, j: isize, k: isize| -> Option<(Multipole, bool)> {
+            let g = (base.0 + i as i64, base.1 + j as i64, base.2 + k as i64);
+            if g.0 < 0 || g.1 < 0 || g.2 < 0 || g.0 >= max_global || g.1 >= max_global || g.2 >= max_global {
+                return None;
+            }
+            let node_key =
+                MortonKey::new(level, (g.0 / n) as u32, (g.1 / n) as u32, (g.2 / n) as u32);
+            if let Some(cells) = moments.get(&node_key) {
+                let (nx, ny, nz) = node_key.coords();
+                let local = (g.0 - nx as i64 * n, g.1 - ny as i64 * n, g.2 - nz as i64 * n);
+                let cell = cells[interior_index(local.0 as isize, local.1 as isize, local.2 as isize)];
+                return Some((cell, tree.is_leaf(node_key)));
+            }
+            let (mut lvl, mut cg, mut nk) = (level, g, node_key);
+            while lvl > 0 && !moments.contains_key(&nk) {
+                lvl -= 1;
+                cg = (cg.0 / 2, cg.1 / 2, cg.2 / 2);
+                nk = MortonKey::new(lvl, (cg.0 / n) as u32, (cg.1 / n) as u32, (cg.2 / n) as u32);
+            }
+            let cells = moments.get(&nk)?;
+            let (nx, ny, nz) = nk.coords();
+            let local = (cg.0 - nx as i64 * n, cg.1 - ny as i64 * n, cg.2 - nz as i64 * n);
+            let coarse = cells[interior_index(local.0 as isize, local.1 as isize, local.2 as isize)];
+            let frac = 1.0 / 8f64.powi((level - lvl) as i32);
+            let (dx, half) = (domain.cell_dx(level), domain.edge / 2.0);
+            let centre = Vec3::new(
+                (g.0 as f64 + 0.5) * dx - half,
+                (g.1 as f64 + 0.5) * dx - half,
+                (g.2 as f64 + 0.5) * dx - half,
+            );
+            Some((Multipole::monopole(coarse.m * frac, centre), true))
+        };
+        grid.reset_to(reach);
+        let (w, n) = (reach as isize, N_SUB as isize);
+        for i in -w..n + w {
+            for j in -w..n + w {
+                for k in -w..n + w {
+                    if let Some((mp, lattice)) = lookup(i, j, k) {
+                        grid.put(grid.idx(i, j, k), &mp, lattice);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        // Debug-build budget: the oracle does a hash-map lookup per slot,
+        // 5 832 a node (10 648 at the root), over ~80–140 nodes a case.
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The box gather against the per-slot one, bit for bit on every
+        /// column and both flags, on random 2:1-balanced trees with leaves
+        /// on levels 2–5 (domain walls on every outer node), for every
+        /// node and for keys one and two levels below a leaf — whose
+        /// neighbourhood is split from coarse cells across one and two
+        /// levels. One pooled grid serves every gather of a case, so each
+        /// also checks that `reset_to` clears what the last user filled.
+        /// Both at θ = 0.5 (reach 5) and at θ = 0.35, whose reach of 9
+        /// cells passes the neighbour blocks, so blocks two nodes away are
+        /// gathered too.
+        #[test]
+        fn box_gather_matches_the_closure_gather_on_random_trees(
+            picks in proptest::collection::vec(any::<u64>(), 0..6),
+            below in proptest::collection::vec(any::<u64>(), 1..4),
+            phase in 0.0f64..6.0,
+        ) {
+            let mut tree = uniform_tree(2, |c| (0.4 * c.x + phase).sin() + 0.05 * c.y * c.z + 2.0);
+            for pick in picks {
+                let leaves = tree.leaves();
+                let leaf = leaves[(pick % leaves.len() as u64) as usize];
+                if leaf.level < 5 {
+                    tree.refine(leaf); // keeps 2:1 balance
+                }
+            }
+            tree.check_invariants();
+            let mut keys: Vec<MortonKey> =
+                (0..=tree.max_level()).flat_map(|l| tree.level_keys(l)).collect();
+            let leaves = tree.leaves();
+            for pick in below {
+                let leaf = leaves[(pick % leaves.len() as u64) as usize];
+                let child = leaf.child((pick >> 32) as u8 & 7);
+                keys.extend([child, child.child((pick >> 40) as u8 & 7)]);
+            }
+            for theta in [0.5, 0.35] {
+                let solver = FmmSolver::new(theta);
+                let moments = solver.compute_moments(&tree);
+                let width = solver.gather_width();
+                let (mut boxed, mut oracle) = (MomentGrid::new(width), MomentGrid::new(width));
+                for &key in &keys {
+                    solver.gather_into(&tree, &moments, key, &mut boxed);
+                    let reach = if key.level == 0 { width } else { solver.stencil.width() };
+                    closure_gather(&tree, &moments, key, reach, &mut oracle);
+                    boxed.assert_same_bits(&oracle, &format!("θ = {theta}, {key:?}"));
                 }
             }
         }

@@ -21,6 +21,19 @@
 //! that leaves out the tensors it has no use for, never a second
 //! formula — so `u` and `u³` are the same bits for a pair whoever
 //! evaluates it.
+//!
+//! Its second output is the **lattice table** (`LatticeRow::rows`):
+//! two leaf cells are point masses at cell centres, so a pair of them at
+//! stencil offset `o` on a level of cell width `h` sits at `d = −o·h`,
+//! and its `B0 = −1/(|o|h)` and `B1 = −o/(|o|³h²)` are constants of the
+//! offset — Octo-Tiger's per-offset stencil constants, which is how §4.3
+//! arrives at a 12-flop monopole kernel with no divide and no square
+//! root. The table is `at_softened` evaluated once per offset at that
+//! separation, so it is the same formula, and the kernels take every
+//! lattice–lattice pair's `B0` / `B1` from it, whichever walk evaluates
+//! the pair. `|o|` is even in `o` and `(−o)·h = −(o·h)` exactly, so
+//! `B1(−o) = −B1(o)` bit for bit: a lattice pair's forces stay exactly
+//! opposite.
 
 use util::simd::Lanes;
 use util::vec3::Vec3;
@@ -215,6 +228,42 @@ impl<const W: usize> KernelTensors<W> {
     #[inline(always)]
     pub fn b3_at(&self, a: usize, b: usize, c: usize) -> Lanes<W> {
         self.b3[SYM3_INDEX[a][b][c]]
+    }
+
+    /// These tensors with `B0` and `B1` taken from `row` in the lanes
+    /// where `lattice` is set: the pair there is two lattice point
+    /// masses, whose `B0` / `B1` the table holds.
+    #[inline(always)]
+    pub(crate) fn with_lattice(mut self, lattice: [bool; W], row: &LatticeRow) -> Self {
+        self.b0 = Lanes::select(lattice, Lanes::splat(row.b0), self.b0);
+        for a in 0..3 {
+            self.b1[a] = Lanes::select(lattice, Lanes::splat(row.b1[a]), self.b1[a]);
+        }
+        self
+    }
+}
+
+/// `B0` and `B1` of a pair of lattice point masses at one stencil offset
+/// on one level (module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LatticeRow {
+    pub(crate) b0: f64,
+    pub(crate) b1: [f64; 3],
+}
+
+impl LatticeRow {
+    /// One row per offset, aligned with `offsets`, for cell width `h`:
+    /// [`KernelTensors::at_softened`] at the exact lattice separation
+    /// `d = −o·h` (target minus source: the source sits at `+o`).
+    pub(crate) fn rows(offsets: &[(i32, i32, i32)], h: f64) -> Vec<LatticeRow> {
+        offsets
+            .iter()
+            .map(|&(x, y, z)| {
+                let d = [x, y, z].map(|o| Lanes([-(o as f64) * h]));
+                let t = KernelTensors::<1>::at_softened::<false, false>(d, Lanes([0.0]));
+                LatticeRow { b0: t.b0.lane(0), b1: t.b1.map(|c| c.lane(0)) }
+            })
+            .collect()
     }
 }
 

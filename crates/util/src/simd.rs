@@ -39,14 +39,19 @@ impl<const W: usize> Lanes<W> {
     /// Load the values at `slice[base + l·stride]` for lane `l`.
     ///
     /// `stride == 1` is the contiguous case; the parity-stencil kernels
-    /// use `stride == 2` to pick the same-parity cells of a row.
+    /// use `stride == 2` to pick the same-parity cells of a row. The
+    /// span `base ..= base + (W − 1)·stride` is bounds-checked once, not
+    /// lane by lane: the lanes' indices into it are then provably in
+    /// range where `stride` is a constant (the FMM kernels'), and on the
+    /// contiguous branch where it is not (the hydro sweep's, whose
+    /// lanes are contiguous on two axes of three).
     #[inline(always)]
     pub fn gather(slice: &[f64], base: usize, stride: usize) -> Self {
-        let mut out = [0.0; W];
-        for l in 0..W {
-            out[l] = slice[base + l * stride];
+        let span = &slice[base..=base + (W - 1) * stride];
+        if stride == 1 {
+            return Lanes(std::array::from_fn(|l| span[l]));
         }
-        Lanes(out)
+        Lanes(std::array::from_fn(|l| span[l * stride]))
     }
 
     /// Per-lane square root.
@@ -279,6 +284,11 @@ mod tests {
         assert_eq!(Lanes::<4>::gather(&data, 3, 1).0, [3.0, 4.0, 5.0, 6.0]);
         assert_eq!(Lanes::<4>::gather(&data, 1, 2).0, [1.0, 3.0, 5.0, 7.0]);
         assert_eq!(Lanes::<1>::gather(&data, 11, 2).0, [11.0]);
+        // The last lane's slot is the one the span check must cover.
+        for (base, stride) in [(9, 1), (6, 2), (12, 1)] {
+            let out = std::panic::catch_unwind(|| Lanes::<4>::gather(&data, base, stride));
+            assert!(out.is_err(), "base {base} stride {stride} read past the end");
+        }
     }
 
     #[test]

@@ -66,9 +66,12 @@ echo "== tier-1: arithmetic budget =="
 # One FMM pair arithmetic: `PairTerms::of` over
 # `KernelTensors::at_softened`, whose `u2.sqrt()` in tensors.rs is the
 # only square root a pair takes (direct.rs is the O(N^2) reference,
-# stencil.rs geometry). A `sqrt` in the kernels, the expansion or the
-# solver is a second hand-written pair body coming back — it would round
-# the same pair differently depending on who evaluates it.
+# stencil.rs geometry). tensors.rs also builds the lattice table — the
+# per-offset B0 / B1 a leaf's lattice pairs take instead of a divide and
+# a square root — from that same `at_softened`, so the table is no
+# exception. A `sqrt` in the kernels, the expansion or the solver is a
+# second hand-written pair body coming back — it would round the same
+# pair differently depending on who evaluates it.
 stray=$(grep -n 'sqrt' crates/gravity/src/kernels.rs crates/gravity/src/expansion.rs \
     crates/gravity/src/solver.rs || true)
 if [ -n "$stray" ]; then

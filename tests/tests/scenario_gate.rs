@@ -106,6 +106,27 @@ fn first_solve_pair_counts_are_pinned() {
     }
 }
 
+/// How many of the first solve's evaluated pairs took `B0` / `B1` from
+/// a level's lattice table (`gravity::kernels::PairCounts::lattice`),
+/// pinned exactly beside the triples above. On `mini_binary` every leaf
+/// group is a lattice group, so it is `evaluated − full body`; on
+/// `v1309` it is that (89 392 128: every reduced-form leaf group there
+/// is a lattice group too) plus the 2 766 848 lattice–lattice lanes of
+/// flagged leaves' full-body groups, which take the table by lane. A
+/// change that sends lattice groups back through the divide and the
+/// square root fails here.
+#[cfg(not(debug_assertions))]
+#[test]
+fn first_solve_lattice_pair_counts_are_pinned() {
+    for (name, pinned) in [("mini_binary", 21_352_448), ("v1309", 92_158_976)] {
+        let s = spec(name).expect("registered");
+        let field = octotiger::Simulation::new((s.build)())
+            .solve_gravity()
+            .expect("self-gravity is on");
+        assert_eq!(field.pairs_lattice, pinned, "{name}: lattice pairs of the first solve");
+    }
+}
+
 /// Distributed bit-identity: every registered locality count × both
 /// transports reproduces the single-locality golden digest, and the
 /// per-step dt sequence is bitwise identical across every cluster
