@@ -61,7 +61,7 @@ pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// A network-progress hook run by idle workers (returns `true` if it made
 /// progress, i.e. completed at least one event).
-pub type Poller = Box<dyn Fn() -> bool + Send + Sync + 'static>;
+pub type Poller = Arc<dyn Fn() -> bool + Send + Sync + 'static>;
 
 struct Shared {
     injector: Injector<Task>,
@@ -70,9 +70,15 @@ struct Shared {
     wakeup: Condvar,
     shutdown: AtomicBool,
     in_flight: AtomicUsize,
-    pollers: Mutex<Vec<Arc<Poller>>>,
-    poller_snapshot: AtomicU64,
-    counters: Arc<CounterRegistry>,
+    /// Replaced whole on registration, so an idle worker polls a shared
+    /// snapshot without copying the list.
+    pollers: Mutex<Arc<Vec<Poller>>>,
+    /// The registry's `tasks/{spawned, executed, stolen}` and
+    /// `workers/parks` handles, looked up once.
+    spawned: Arc<AtomicU64>,
+    executed: Arc<AtomicU64>,
+    stolen: Arc<AtomicU64>,
+    parks: Arc<AtomicU64>,
     sched_id: u64,
     worker_trace_ids: Mutex<Vec<u32>>,
 }
@@ -101,14 +107,11 @@ impl Scheduler {
     pub fn new(n_threads: usize, counters: Arc<CounterRegistry>) -> Arc<Scheduler> {
         let n_threads = n_threads.max(1);
         let sched_id = NEXT_SCHED_ID.fetch_add(1, Ordering::Relaxed);
-        // Pre-register the scheduler's counters so they appear (as 0)
-        // in snapshots taken before any task runs — consumers mounting
-        // this registry under a namespace rely on the names existing.
-        for name in ["tasks/spawned", "tasks/executed", "tasks/stolen", "workers/parks"] {
-            counters.handle(name);
-        }
         let deques: Vec<WorkerDeque<Task>> = (0..n_threads).map(|_| WorkerDeque::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
+        // Taking the handles registers the names, so they appear (as 0)
+        // in snapshots taken before any task runs — consumers mounting
+        // this registry under a namespace rely on the names existing.
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             stealers,
@@ -116,9 +119,11 @@ impl Scheduler {
             wakeup: Condvar::new(),
             shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            pollers: Mutex::new(Vec::new()),
-            poller_snapshot: AtomicU64::new(0),
-            counters,
+            pollers: Mutex::new(Arc::new(Vec::new())),
+            spawned: counters.handle("tasks/spawned"),
+            executed: counters.handle("tasks/executed"),
+            stolen: counters.handle("tasks/stolen"),
+            parks: counters.handle("workers/parks"),
             sched_id,
             worker_trace_ids: Mutex::new(Vec::new()),
         });
@@ -175,7 +180,7 @@ impl Scheduler {
             self.shared.injector.push(task);
         }
         trace::instant(TraceCategory::TaskSpawn);
-        self.shared.counters.increment("tasks/spawned");
+        self.shared.spawned.fetch_add(1, Ordering::Relaxed);
         // Wake one parked worker; cheap if none are parked.
         self.shared.wakeup.notify_one();
     }
@@ -184,8 +189,9 @@ impl Scheduler {
     /// progress, GPU completion queues, ...). Returns its registration id.
     pub fn register_poller(&self, p: impl Fn() -> bool + Send + Sync + 'static) -> usize {
         let mut ps = self.shared.pollers.lock();
-        ps.push(Arc::new(Box::new(p)));
-        self.shared.poller_snapshot.fetch_add(1, Ordering::SeqCst);
+        let mut next: Vec<Poller> = ps.iter().cloned().collect();
+        next.push(Arc::new(p));
+        *ps = Arc::new(next);
         ps.len() - 1
     }
 
@@ -287,7 +293,7 @@ fn run_task_impl(shared: &Shared, task: Task) {
     struct InFlightGuard<'a>(&'a Shared);
     impl Drop for InFlightGuard<'_> {
         fn drop(&mut self) {
-            self.0.counters.increment("tasks/executed");
+            self.0.executed.fetch_add(1, Ordering::Relaxed);
             self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
             // A quiescence waiter may be sleeping on the condvar.
             self.0.wakeup.notify_all();
@@ -299,10 +305,10 @@ fn run_task_impl(shared: &Shared, task: Task) {
 }
 
 fn poll_background_impl(shared: &Shared) -> bool {
-    // Snapshot the poller list without holding the lock during calls.
-    let pollers: Vec<Arc<Poller>> = shared.pollers.lock().clone();
+    // Share the current list without holding the lock during calls.
+    let pollers = Arc::clone(&shared.pollers.lock());
     let mut progressed = false;
-    for p in &pollers {
+    for p in pollers.iter() {
         if p() {
             progressed = true;
         }
@@ -335,7 +341,7 @@ fn find_task_impl(shared: &Shared, local: Option<&WorkerDeque<Task>>) -> Option<
             match stealer.steal() {
                 crossbeam_deque::Steal::Success(t) => {
                     trace::instant(TraceCategory::TaskSteal);
-                    shared.counters.increment("tasks/stolen");
+                    shared.stolen.fetch_add(1, Ordering::Relaxed);
                     return Some(t);
                 }
                 crossbeam_deque::Steal::Empty => break,
@@ -391,7 +397,7 @@ fn worker_main(shared: Arc<Shared>, index: usize, deque: WorkerDeque<Task>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                shared.counters.increment("workers/parks");
+                shared.parks.fetch_add(1, Ordering::Relaxed);
                 let mut guard = shared.sleep_lock.lock();
                 // Re-check for work before sleeping to avoid a lost wakeup.
                 if !shared.injector.is_empty() || shared.shutdown.load(Ordering::SeqCst) {

@@ -109,7 +109,7 @@ pub enum TraceCategory {
     HydroApply,
     /// One full driver time step.
     Step,
-    /// Intra-locality halo fill (driver ghost-cell exchange).
+    /// One leaf's ghost gather, inside its RHS task.
     HaloFill,
     /// Inter-locality halo interior exchange (parcels).
     HaloExchange,

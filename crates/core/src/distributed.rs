@@ -10,9 +10,10 @@
 //! the configured transport (MPI-sim or libfabric-sim):
 //!
 //! * [`HALO_ACTION`] — a `GridMsg` carrying one leaf's interior cells
-//!   (the halo *push*: sources ship interiors, receivers re-run the
-//!   ghost fill locally); [`MIGRATE_ACTION`] carries the same message
-//!   when a rebalance re-homes a leaf,
+//!   (the halo *push*: sources ship interiors into the receivers'
+//!   mirrors, where each owned leaf's RHS task gathers its ghosts from
+//!   them — the tree itself holds no ghosts); [`MIGRATE_ACTION`]
+//!   carries the same message when a rebalance re-homes a leaf,
 //! * [`MOMENT_ACTION`] — a `MomentMsg` carrying one leaf's P2M
 //!   multipole moments (the FMM boundary exchange: every locality
 //!   rebuilds the full moment tree from the broadcast leaf moments and
@@ -69,7 +70,6 @@ use gravity::solver::{m2m_parallel, p2m_parallel, FmmSolver, GravityField};
 use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::HydroStepper;
-use octree::halo::{fill_halos_for_leaves, BoundaryCondition};
 use octree::shard::ShardMap;
 use octree::subgrid::{SubGrid, FIELD_COUNT, N_SUB};
 use crate::checkpoint::{self, CheckpointBody, CHECKPOINT_VERSION};
@@ -157,6 +157,7 @@ struct Channel<T> {
 /// set changes only how many slots a locality holds (`stage_rhs`
 /// re-counts them). They are made on a run's first step, not at
 /// construction: a freshly built driver has touched none of that memory.
+#[derive(Default)]
 struct StageBuffers {
     rhs: Vec<StateVec>,
     /// `SubGrid::extract_interior` layout; filled by the first stage 1.
@@ -514,8 +515,8 @@ impl DistributedDriver {
 
     /// Ship the interior of every `(src, dest, leaf)` of `plan` over
     /// `channel` (the halo or the migrate one) and write what arrives
-    /// into the receiving mirrors — ghosts untouched; the next halo fill
-    /// rebuilds them, exactly as after a restore.
+    /// into the receiving mirrors' interiors, where the RHS tasks gather
+    /// ghosts from.
     fn push_interiors(
         &mut self,
         channel: fn(&Self) -> &Channel<GridMsg>,
@@ -725,21 +726,6 @@ impl DistributedDriver {
         DistributedDriver::restore(scenario, cluster, &blob)
     }
 
-    /// Ghost fill of every shard's owned leaves on its own mirror (the
-    /// cross-shard interiors those fills sample were pushed by the last
-    /// interior exchange; at t = 0 the mirrors are exact copies).
-    fn fill_owned_halos(&mut self, bc: BoundaryCondition) {
-        let _span = trace::span(TraceCategory::HaloFill);
-        for loc in 0..self.cluster.len() {
-            fill_halos_for_leaves(
-                &mut self.mirrors[loc],
-                self.shard.owned(loc as u32),
-                bc,
-                self.cluster.locality(loc).runtime(),
-            );
-        }
-    }
-
     /// Futurized per-shard CFL minimum: one task per owned leaf on the
     /// shard's runtime, ordered fold over the SFC-ordered results.
     fn local_min_dt(&self, loc: usize) -> f64 {
@@ -770,8 +756,8 @@ impl DistributedDriver {
     }
 
     /// The gravitational field of the current state, one per locality
-    /// over the leaves it owns (`None` when gravity is off; halos need
-    /// not be filled). Every locality P2Ms its owned leaves, broadcasts
+    /// over the leaves it owns (`None` when gravity is off). Every
+    /// locality P2Ms its owned leaves, broadcasts
     /// them as [`MOMENT_ACTION`] parcels, completes the moment tree from
     /// what it receives (merge by key, then M2M), and runs the
     /// restricted FMM walk over its own targets only.
@@ -821,37 +807,33 @@ impl DistributedDriver {
         Ok(fields)
     }
 
-    /// The full RHS of every shard's owned leaves for the current state
-    /// (ghosts filled), into their standing buffers: gravity solve, then
-    /// one futurized RHS task per leaf — launched on *all* localities
-    /// first, then collected, so shards overlap. A task takes its
-    /// leaf's buffer by move and hands it back through its future.
+    /// The full RHS of every shard's owned leaves for the current state,
+    /// into their standing buffers: gravity solve, then one futurized
+    /// RHS task per leaf, which gathers the leaf's ghosts from its own
+    /// mirror's interiors first — launched on *all* localities first,
+    /// then collected, so shards overlap. A task takes its leaf's buffer
+    /// by move and hands it back through its future.
     fn stage_rhs(&mut self) -> Result<()> {
         let grav = self.solve_gravity()?;
-        let n = self.cluster.len();
+        let (n, bc, stepper, frame) = (self.cluster.len(), self.config.bc, self.stepper, self.frame);
         // One slot per owned leaf: a no-op except on a run's first step
         // and after a regrid or rebalance changed the owned sets.
         self.stage.resize_with(n, Vec::new);
         let mut pending = Vec::with_capacity(n);
-        for loc in 0..n {
-            let rt = self.cluster.locality(loc).runtime();
-            let owned = self.shard.owned(loc as u32);
-            self.stage[loc].resize_with(owned.len(), StageBuffers::new);
-            let mut futs = Vec::with_capacity(owned.len());
-            for (&key, slot) in owned.iter().zip(&mut self.stage[loc]) {
+        for (loc, slots) in self.stage.iter_mut().enumerate() {
+            let (rt, owned) = (self.cluster.locality(loc).runtime(), self.shard.owned(loc as u32));
+            slots.resize_with(owned.len(), StageBuffers::new);
+            let futs = owned.iter().zip(slots).map(|(&key, slot)| {
+                let (tree, g) = (Arc::clone(&self.mirrors[loc]), grav[loc].clone());
                 let mut rhs = std::mem::take(&mut slot.rhs);
-                let tree = Arc::clone(&self.mirrors[loc]);
-                let g = grav[loc].clone();
-                let stepper = self.stepper;
-                let frame = self.frame;
-                futs.push(rt.async_call(move || {
+                rt.async_call(move || {
                     let _span =
                         trace::span_labeled(TraceCategory::HydroRhs, || format!("{key:?}"));
-                    leaf_rhs(&tree, key, g.as_deref(), stepper, frame, &mut rhs);
+                    leaf_rhs(&tree, key, bc, g.as_deref(), stepper, frame, &mut rhs);
                     rhs
-                }));
-            }
-            pending.push(futs);
+                })
+            });
+            pending.push(futs.collect());
         }
         for (loc, futs) in pending.into_iter().enumerate() {
             let rt = self.cluster.locality(loc).runtime();
@@ -885,48 +867,68 @@ impl DistributedDriver {
         self.push_interiors(|d| &d.halo, "halo messages", plan)
     }
 
-    /// One stage update: run `update(grid, stage, origin, dx)` on every
-    /// owned leaf of every mirror with its stage slot (`origin`/`dx`
-    /// locate the leaf for the floors' spin-ledger deposit).
+    /// One stage update: `update(grid, stage, origin, dx)` as one task
+    /// per owned leaf — launched on *all* localities first, then
+    /// collected, like [`DistributedDriver::stage_rhs`]. A task owns its
+    /// leaf's grid, taken out of the mirror, and its stage slot, and
+    /// hands both back through its future (`origin`/`dx` locate the leaf
+    /// for the floors' spin-ledger deposit).
     fn update_owned_grids(
         &mut self,
-        mut update: impl FnMut(&mut SubGrid, &mut StageBuffers, Vec3, f64),
+        update: impl Fn(&mut SubGrid, &mut StageBuffers, Vec3, f64) + Copy + Send + 'static,
     ) {
-        let _span = trace::span(TraceCategory::HydroApply);
-        for loc in 0..self.cluster.len() {
+        let mut pending = Vec::with_capacity(self.cluster.len());
+        for (loc, slots) in self.stage.iter_mut().enumerate() {
+            let rt = self.cluster.locality(loc).runtime();
             let tree = exclusive(&mut self.mirrors[loc]);
             let domain = tree.domain();
-            for (&key, stage) in self.shard.owned(loc as u32).iter().zip(&mut self.stage[loc]) {
-                let grid = tree.node_mut(key).expect("leaf").grid.as_mut().expect("grid");
-                update(grid, stage, domain.node_origin(key), domain.cell_dx(key.level));
+            let futs = self.shard.owned(loc as u32).iter().zip(slots).map(|(&key, slot)| {
+                let mut grid = tree.node_mut(key).and_then(|n| n.grid.take()).expect("leaf grid");
+                let mut stage = std::mem::take(slot);
+                let (origin, dx) = (domain.node_origin(key), domain.cell_dx(key.level));
+                rt.async_call(move || {
+                    let _span =
+                        trace::span_labeled(TraceCategory::HydroApply, || format!("{key:?}"));
+                    update(&mut grid, &mut stage, origin, dx);
+                    (grid, stage)
+                })
+            });
+            pending.push(futs.collect());
+        }
+        for (loc, futs) in pending.into_iter().enumerate() {
+            let sched = Arc::clone(self.cluster.locality(loc).runtime().scheduler());
+            let tree = exclusive(&mut self.mirrors[loc]);
+            let done = when_all(&sched, futs).get_help(&sched);
+            for ((&key, slot), (grid, stage)) in
+                self.shard.owned(loc as u32).iter().zip(&mut self.stage[loc]).zip(done)
+            {
+                tree.node_mut(key).expect("leaf").grid = Some(grid);
+                *slot = stage;
             }
         }
     }
 
     /// Advance one TVD-RK2 step; returns the dt taken.
     ///
-    /// Phases: cadence-driven regrid collective → owned ghost fill →
-    /// distributed CFL min-reduce → moment exchange + restricted FMM →
-    /// stage-1 RHS/apply → interior exchange → owned ghost fill →
-    /// moment exchange + FMM → stage-2 RHS/apply → interior exchange →
-    /// quiescence barrier. [`DistributedDriver::rebalance`] is never
-    /// called from here: every partition a run installs itself is the
-    /// balanced one.
+    /// Phases: cadence-driven regrid collective → distributed CFL
+    /// min-reduce → moment exchange + restricted FMM → stage-1 RHS (each
+    /// leaf's task gathers its own ghosts) → stage-1 apply (a task per
+    /// leaf) → interior exchange → moment exchange + FMM → stage-2
+    /// RHS/apply → interior exchange → quiescence barrier. No phase
+    /// fills or reads the mirrors' ghost cells.
+    /// [`DistributedDriver::rebalance`] is never called from here: every
+    /// partition a run installs itself is the balanced one.
     pub fn step(&mut self) -> Result<f64> {
         let _step_span =
             trace::span_labeled(TraceCategory::Step, || format!("step {}", self.steps));
-        // Regrid *before* the halo fill, on the configured cadence.
+        // Regrid first, on the configured cadence.
         if let Some(policy) = self.config.regrid {
             let cadence = self.config.regrid_cadence as u64;
             if cadence > 0 && self.steps > 0 && self.steps % cadence == 0 {
                 self.regrid_phase(&policy)?;
             }
         }
-        let bc = self.config.bc;
-        let floors = self.config.floors;
-        let stepper = self.stepper;
-
-        self.fill_owned_halos(bc);
+        let (floors, stepper) = (self.config.floors, self.stepper);
         let dt = self.compute_dt()?;
         if !(dt.is_finite() && dt > 0.0) {
             return Err(Error::Driver(format!("CFL produced dt = {dt}")));
@@ -935,15 +937,14 @@ impl DistributedDriver {
         // Stage 1 (forward Euler); keeps the pre-update interiors the
         // RK2 final stage needs.
         self.stage_rhs()?;
-        self.update_owned_grids(|grid, stage, origin, dx| {
+        self.update_owned_grids(move |grid, stage, origin, dx| {
             apply_stage1(stepper, grid, &mut stage.prev, &stage.rhs, dt, floors, origin, dx);
         });
         self.exchange_interiors()?;
 
         // Stage 2 (TVD-RK2 average).
-        self.fill_owned_halos(bc);
         self.stage_rhs()?;
-        self.update_owned_grids(|grid, stage, origin, dx| {
+        self.update_owned_grids(move |grid, stage, origin, dx| {
             apply_stage2(stepper, grid, &stage.prev, &stage.rhs, dt, floors, origin, dx);
         });
         self.exchange_interiors()?;
@@ -975,7 +976,7 @@ impl DistributedDriver {
     }
 
     /// Gather the owned leaves of every shard into one global tree
-    /// (grids cloned whole, ghosts included) and restrict upward —
+    /// (grids cloned whole) and restrict upward —
     /// bitwise comparable to the reference `Simulation`'s tree.
     pub fn assemble(&self) -> Octree {
         let mut out = (*self.mirrors[0]).clone();
@@ -1073,8 +1074,8 @@ impl DistributedDriver {
         }
         // Every mirror gets the full global state: owned leaves become
         // authoritative, the rest hold exactly what the interior
-        // exchange would have pushed (ghosts are refilled from these
-        // interiors at the top of the next step).
+        // exchange would have pushed — all a step reads, since each RHS
+        // task gathers its leaf's ghosts from these interiors.
         for (loc, mirror) in driver.mirrors.iter_mut().enumerate() {
             let tree = exclusive(mirror);
             for (key, values) in body.keys.iter().zip(&body.interiors) {
@@ -1344,6 +1345,51 @@ mod tests {
         let mut restored = DistributedDriver::restore(make(), alone, &blob).unwrap();
         step_both(&mut restored, "after restore");
         assert_eq!(slots(&restored), [fine.iter().sum::<usize>()]);
+    }
+
+    /// Every leaf ghost cell of every mirror, for `f`.
+    fn each_ghost(d: &mut DistributedDriver, mut f: impl FnMut(&mut f64)) {
+        for loc in 0..d.cluster.len() {
+            let tree = d.mirror_mut(loc);
+            for key in tree.leaves() {
+                let grid = tree.node_mut(key).unwrap().grid.as_mut().unwrap();
+                let indexer = grid.indexer();
+                for field in ALL_FIELDS {
+                    let cells = grid.field_mut(field);
+                    for (i, j, k) in indexer.all().filter(|&(i, j, k)| !indexer.is_interior(i, j, k)) {
+                        f(&mut cells[indexer.idx(i, j, k)]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// No phase reads the tree's ghost cells, and none writes them: with
+    /// every one of them NaN, two `mini_binary` steps land on the digest
+    /// of the clean run, on one locality and on two, and leave the NaNs
+    /// where they were.
+    #[test]
+    fn results_do_not_depend_on_tree_ghosts() {
+        for localities in [1, 2] {
+            let run = |poisoned: bool| {
+                let cluster =
+                    Arc::new(Cluster::builder().localities(localities).threads_per(2).build());
+                let mut dist =
+                    DistributedDriver::builder(Scenario::mini_binary(2), cluster).build().unwrap();
+                if poisoned {
+                    each_ghost(&mut dist, |v| *v = f64::NAN);
+                }
+                let dts: Vec<u64> = (0..2).map(|_| dist.step().unwrap().to_bits()).collect();
+                (dts, crate::scenarios::state_digest(&dist.assemble()), dist)
+            };
+            let (dts, digest, _) = run(false);
+            let (poisoned_dts, poisoned_digest, mut dist) = run(true);
+            assert_eq!(poisoned_dts, dts, "{localities} localities: dt");
+            assert_eq!(poisoned_digest, digest, "{localities} localities: digest");
+            let mut written = 0;
+            each_ghost(&mut dist, |v| written += usize::from(!v.is_nan()));
+            assert_eq!(written, 0, "{localities} localities: the step wrote ghost cells");
+        }
     }
 
     /// A NaN in the state used to trip `f64::clamp`'s `min <= max`

@@ -1,10 +1,10 @@
 //! The per-leaf kernels of a timestep, and the single-process entry
 //! point.
 //!
-//! One step mirrors Octo-Tiger's structure (§4.2/§4.3): fill halos →
-//! solve gravity with the FMM → hydro RHS with gravity and
-//! rotating-frame sources → TVD-RK2 update, with the per-sub-grid work
-//! futurized. That sequence is spelled out once, in
+//! One step mirrors Octo-Tiger's structure (§4.2/§4.3): solve gravity
+//! with the FMM → per leaf, gather the halo and take the hydro RHS with
+//! gravity and rotating-frame sources → TVD-RK2 update, with the
+//! per-sub-grid work futurized. That sequence is spelled out once, in
 //! [`crate::distributed`]; this module holds the per-leaf kernels it
 //! runs and [`Simulation`], the same driver on a private one-locality
 //! loopback cluster — HPX's uniform local/remote semantics, where the
@@ -13,14 +13,17 @@
 
 use crate::distributed::DistributedDriver;
 use crate::scenario::Scenario;
+use amt::trace::{self, TraceCategory};
 use amt::Runtime;
 use gravity::solver::GravityField;
 use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::{cfl_dt, HydroStepper};
+use octree::halo::{gather_ghosts, BoundaryCondition};
 use octree::subgrid::{Field, SubGrid, N_SUB};
 use octree::tree::Octree;
 use parcelport::cluster::Cluster;
+use std::cell::RefCell;
 use std::sync::Arc;
 use util::morton::MortonKey;
 use util::vec3::Vec3;
@@ -43,20 +46,36 @@ pub(crate) fn leaf_signal_dt(
 }
 
 /// Full RHS (hydro + gravity + rotating-frame sources) of one leaf,
-/// written over `rhs` (one entry per interior cell). Ghosts must be
-/// filled; `grav`, when present, must cover `key`.
+/// written over `rhs` (one entry per interior cell). The flux sweep
+/// runs on the leaf's grid with its ghosts gathered under `bc` from the
+/// interiors of its halo sources, which must be current, into a scratch
+/// grid of the calling thread; the tree's own ghost cells are never
+/// read. `grav`, when present, must cover `key`.
 pub(crate) fn leaf_rhs(
     tree: &Octree,
     key: MortonKey,
+    bc: BoundaryCondition,
     grav: Option<&GravityField>,
     stepper: HydroStepper,
     frame: RotatingFrame,
     rhs: &mut [StateVec],
 ) {
+    // One per thread, never one per leaf: `gather_ghosts` overwrites
+    // every cell, so the grid carries nothing from one leaf to the next.
+    thread_local! {
+        static GHOSTED: RefCell<SubGrid> = RefCell::new(SubGrid::new());
+    }
     let domain = tree.domain();
-    let grid = tree.node(key).expect("leaf").grid.as_ref().expect("grid");
     let dx = domain.cell_dx(key.level);
-    stepper.dudt_into(grid, dx, rhs);
+    GHOSTED.with_borrow_mut(|ghosted| {
+        {
+            let _span = trace::span(TraceCategory::HaloFill);
+            gather_ghosts(tree, key, bc, ghosted);
+        }
+        stepper.dudt_into(ghosted, dx, rhs);
+    });
+    // The sources read the interior only: the tree's grid serves.
+    let grid = tree.node(key).expect("leaf").grid.as_ref().expect("grid");
     // Gravity sources: conservation-grade force density, energy power,
     // and the spin torque ledger. The ledger deposit is the *exact*
     // per-cell counter-torque `−r × f` of the force actually applied
@@ -193,8 +212,7 @@ impl Simulation {
         self.driver.cluster().locality(0).runtime()
     }
 
-    /// Solve gravity for the current state (halos need not be filled);
-    /// `None` when gravity is off.
+    /// Solve gravity for the current state; `None` when gravity is off.
     pub fn solve_gravity(&self) -> Option<Arc<GravityField>> {
         infallible(self.driver.solve_gravity()).pop().flatten()
     }

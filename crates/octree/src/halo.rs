@@ -26,17 +26,17 @@
 //! source set of the same resolution, so the push plan cannot drift
 //! from what a fill reads.
 //!
-//! Every driver fills ghosts through [`fill_halos_for_leaves`]: one pure
-//! `amt` gather task per leaf builds the leaf's grid, ghosts filled, in
-//! a spare sub-grid — its own interior plus the 26 boxes — then the
-//! spares are swapped into the tree in leaf order and the grids they
-//! displace become the next spares. Reads touch only interiors and the
-//! swap changes only ghosts, so the leaves go through in windows of
-//! `WINDOW` and a fill allocates `WINDOW` sub-grids, not one buffer per
-//! leaf. The distributed driver still ships whole interiors
-//! (`SubGrid::extract_interior`) into each peer's mirror tree before it
-//! fills; slab payloads on the wire belong to ROADMAP's "Stop mirroring
-//! the world" item.
+//! Ghosts do not live in the tree. [`gather_ghosts`] builds one leaf's
+//! grid, ghosts filled — its own interior plus the 26 boxes — in a
+//! caller's buffer; it is pure and reads interiors only. The driver's
+//! per-leaf RHS task runs it into a scratch grid of its worker thread
+//! right before the flux sweep, so no step phase fills, stores or waits
+//! for ghosts, and the tree's ghost cells are never read. The
+//! distributed driver still ships whole interiors
+//! (`SubGrid::extract_interior`) into each peer's mirror tree; slab
+//! payloads on the wire belong to ROADMAP's "Stop mirroring the world"
+//! item. [`fill_all_halos_parallel`] writes every leaf's ghosts into
+//! the tree, for callers that want them there.
 
 use crate::subgrid::{ghost_span, BoxMap, SubGrid, N_SUB};
 use crate::tree::{Octree, DIRECTIONS};
@@ -140,8 +140,10 @@ fn leaf_grid(tree: &Octree, key: MortonKey) -> Option<&SubGrid> {
 
 /// Build leaf `key`'s sub-grid with every ghost cell filled in `out`:
 /// the interior copied, each ghost box moved from its source. Pure —
-/// reads interiors only.
-fn gather_ghosts(tree: &Octree, key: MortonKey, bc: BoundaryCondition, out: &mut SubGrid) {
+/// reads interiors only — and every cell of `out` is overwritten, so
+/// one buffer serves any number of leaves in turn. The sources are
+/// [`ShardMap::halo_sources`](crate::ShardMap::halo_sources).
+pub fn gather_ghosts(tree: &Octree, key: MortonKey, bc: BoundaryCondition, out: &mut SubGrid) {
     let Some(own) = leaf_grid(tree, key) else {
         debug_assert!(false, "{key:?} is not a leaf with a grid");
         return;
@@ -158,36 +160,26 @@ fn gather_ghosts(tree: &Octree, key: MortonKey, bc: BoundaryCondition, out: &mut
     }
 }
 
-/// Fill the ghost layers of every leaf of the tree; see
-/// [`fill_halos_for_leaves`].
-pub fn fill_all_halos_parallel(
-    tree: &mut Arc<Octree>,
-    bc: BoundaryCondition,
-    rt: &Arc<amt::Runtime>,
-) {
-    let leaves = tree.leaves();
-    fill_halos_for_leaves(tree, &leaves, bc, rt);
-}
-
-/// Fill the ghost layers of a *subset* of leaves — the distributed
-/// driver's per-shard ghost fill. Reads touch the interiors of the
-/// subset's halo sources (which must be up to date); writes touch only
-/// the ghost cells of `leaves`, in slice order. The reads are futurized
-/// — one pure `amt` task per leaf, `when_all` in input order — and the
-/// writes serial and ordered, so the result does not depend on the
-/// thread count.
+/// Fill the ghost layers of every leaf of the tree. The reads are
+/// futurized — one [`gather_ghosts`] task per leaf into a spare
+/// sub-grid, `when_all` in leaf order — and the writes serial and
+/// ordered: each filled spare is swapped into the tree and the grid it
+/// displaces becomes the next spare. Reads touch only interiors and the
+/// swap changes only ghosts, so the leaves go through in windows of
+/// `WINDOW` and a fill allocates `WINDOW` sub-grids, whatever the leaf
+/// count; the result does not depend on the thread count.
 ///
 /// `tree` should be the only strong reference: the function waits for
 /// runtime quiescence after each read barrier, so task-held clones are
 /// gone when it writes, and any other holder makes the write copy the
 /// tree.
-pub fn fill_halos_for_leaves(
+pub fn fill_all_halos_parallel(
     tree: &mut Arc<Octree>,
-    leaves: &[MortonKey],
     bc: BoundaryCondition,
     rt: &Arc<amt::Runtime>,
 ) {
     assert!(tree.has_grids(), "halo filling needs grid data");
+    let leaves = tree.leaves();
     let sched = Arc::clone(rt.scheduler());
     let mut spares: Vec<SubGrid> =
         std::iter::repeat_with(SubGrid::new).take(WINDOW.min(leaves.len())).collect();
@@ -452,12 +444,35 @@ mod tests {
         }
     }
 
-    /// The slab fill of `t` equals the oracle's under both boundary
-    /// conditions, on 1 and 4 workers.
+    /// Every leaf's grid as [`gather_ghosts`] builds it, through one
+    /// scratch grid that starts as NaN and serves the leaves in turn, as
+    /// a worker's scratch does.
+    fn gathered(t: &Octree, bc: BoundaryCondition) -> Octree {
+        let mut scratch = SubGrid::new();
+        for f in ALL_FIELDS {
+            scratch.field_mut(f).fill(f64::NAN);
+        }
+        let mut out = t.clone();
+        for key in t.leaves() {
+            gather_ghosts(t, key, bc, &mut scratch);
+            out.node_mut(key).unwrap().grid = Some(scratch.clone());
+        }
+        out
+    }
+
+    /// The oracle's fill of `t` under `bc`.
+    fn oracle(t: &Octree, bc: BoundaryCondition) -> Octree {
+        let mut want = t.clone();
+        fill_all_halos(&mut want, bc);
+        want
+    }
+
+    /// The per-leaf gather and the whole-tree fill (on 1 and 4 workers)
+    /// of `t` equal the oracle's under both boundary conditions.
     fn assert_matches_oracle(t: &Octree) {
         for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
-            let mut want = t.clone();
-            fill_all_halos(&mut want, bc);
+            let want = oracle(t, bc);
+            assert_bit_identical(&want, &gathered(t, bc), &format!("{bc:?}, gathered"));
             for threads in [1, 4] {
                 let got = filled(t.clone(), bc, threads);
                 assert_bit_identical(&want, &got, &format!("{bc:?}, {threads} threads"));
@@ -668,7 +683,9 @@ mod tests {
             }
             t.check_invariants();
             paint(&mut t, |x, y, z| (0.4 * x + phase).sin() + 0.05 * y * z + 2.0);
-            assert_matches_oracle(&t);
+            for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
+                assert_bit_identical(&oracle(&t, bc), &gathered(&t, bc), &format!("{bc:?}"));
+            }
         }
     }
 }

@@ -2,7 +2,8 @@
 # Tier-1 gate: the checks every PR must keep green.
 #
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
-#      zero second-pair-arithmetic and zero fused/fast-math budgets
+#      zero second-pair-arithmetic, zero fused/fast-math and zero
+#      driver-ghost-fill budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -90,6 +91,20 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "arithmetic budget OK (0 square roots outside tensors.rs, 0 mul_add / fast-math)"
+
+echo
+echo "== tier-1: ghost budget =="
+# Ghosts do not live in the tree: each leaf's RHS task gathers its halo
+# into a per-worker scratch grid (`octree::halo::gather_ghosts`). A
+# whole-tree or per-shard fill called from the driver is a fill phase —
+# its barriers, its spare grids, its serial install — coming back.
+stray=$(grep -rn --include='*.rs' 'fill_halos_for_leaves\|fill_all_halos_parallel' crates/core/src || true)
+if [ -n "$stray" ]; then
+    echo "!! ghost fill called from crates/core/src (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "ghost budget OK (0 tree fills on the driver's path)"
 
 echo
 echo "== tier-1: cargo build --workspace --release =="

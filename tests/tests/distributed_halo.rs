@@ -2,13 +2,13 @@
 //! driver does it: a leaf's interior travels as a parcel over either
 //! parcelport, the receiver rebuilds the neighbor grid and moves the
 //! ghost box with the fill's own all-fields box copy — bit-exact in all
-//! 26 directions. And the leaves a fill reads are exactly the shard
-//! map's halo sources.
+//! 26 directions. And the leaves a leaf's ghost gather reads are exactly
+//! the shard map's halo sources.
 
 use amt::GlobalId;
 use integration_tests::star_amr;
 use octree::geometry::Domain;
-use octree::halo::{fill_halos_for_leaves, BoundaryCondition};
+use octree::halo::{gather_ghosts, BoundaryCondition};
 use octree::subgrid::{BoxMap, SubGrid, ALL_FIELDS};
 use octree::{MortonKey, Octree, ShardMap};
 use parcelport::cluster::Cluster;
@@ -171,11 +171,11 @@ fn all_26_directions_roundtrip_over_the_wire() {
     }
 }
 
-/// The leaves whose interiors a fill of `leaf` reads, observed from
-/// outside: every leaf's interior is painted with its own index in all
-/// fields (copies, injections and 8-cell averages of one leaf's cells
-/// all reproduce a small integer exactly), then the distinct values in
-/// `leaf`'s ghosts name the leaves that were read.
+/// The leaves whose interiors `gather_ghosts` of `leaf` reads, observed
+/// from outside: every leaf's interior is painted with its own index in
+/// all fields (copies, injections and 8-cell averages of one leaf's
+/// cells all reproduce a small integer exactly), then the distinct
+/// values in the gathered ghosts name the leaves that were read.
 fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, bc: BoundaryCondition) -> Vec<MortonKey> {
     let leaves = tree.leaves();
     let mut tagged = tree.clone();
@@ -185,9 +185,8 @@ fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, bc: BoundaryCondition) ->
             grid.field_mut(f).fill(n as f64);
         }
     }
-    let mut tagged = Arc::new(tagged);
-    fill_halos_for_leaves(&mut tagged, &[leaf], bc, &amt::Runtime::new(1));
-    let grid = tagged.node(leaf).unwrap().grid.as_ref().unwrap();
+    let mut grid = SubGrid::new();
+    gather_ghosts(&tagged, leaf, bc, &mut grid);
     let indexer = grid.indexer();
     let mut read = std::collections::BTreeSet::new();
     for f in ALL_FIELDS {
