@@ -4,25 +4,33 @@
 //! manages asynchronous execution and dataflow" (paper §4.1). The key
 //! semantics reproduced here:
 //!
-//! * [`Promise::set_value`] makes the future ready and *schedules* any
-//!   attached continuation as a task — dependencies trigger dependents,
-//!   nobody blocks.
+//! * [`Promise::set_value`] makes the future ready and hands the value to
+//!   whatever is attached, on the producer's thread — dependencies
+//!   trigger dependents, nobody blocks.
 //! * [`Future::then`] attaches a continuation and returns a future for
-//!   its result, enabling arbitrarily deep dataflow trees.
-//! * [`when_all`] joins a set of futures.
+//!   its result, enabling arbitrarily deep dataflow trees. A continuation
+//!   is a task: the producer spawns it.
+//! * [`when_all`] joins a set of futures. A join is not a task: each
+//!   producer stores its value in the join's slot, and the last to arrive
+//!   fulfils the join, as HPX's `when_all` adds no task of its own.
 //! * [`Future::get_help`] blocks, but *helps* execute other tasks while
 //!   waiting, which is how HPX suspends a task without idling the worker.
 //!
 //! Futures are single-ownership (like `hpx::future`); dropping a promise
-//! without setting a value is reported to waiters as a broken promise.
+//! without setting a value is reported to waiters as a broken promise,
+//! and breaks every continuation and join fed from it.
 
 use crate::scheduler::Scheduler;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
+/// What a consumer attaches to a pending future: it takes the value on
+/// the producer's thread, or is dropped unrun if the promise breaks.
+type Callback<T> = Box<dyn FnOnce(T) + Send>;
+
 enum State<T> {
-    /// Not ready; optional continuation to schedule on completion.
-    Pending(Option<(Arc<Scheduler>, Box<dyn FnOnce(T) + Send>)>),
+    /// Not ready; optional callback to run on completion.
+    Pending(Option<Callback<T>>),
     /// Value available, not yet consumed.
     Ready(Option<T>),
     /// The promise was dropped without producing a value.
@@ -56,8 +64,9 @@ impl<T: Send + 'static> Promise<T> {
         (Promise { inner: Arc::clone(&inner), fulfilled: false }, Future { inner })
     }
 
-    /// Make the future ready. If a continuation is attached it is spawned
-    /// as a task on the scheduler it was registered with.
+    /// Make the future ready. An attached callback runs here, on this
+    /// thread, once the state lock is released: a [`Future::then`]
+    /// spawns its continuation, a [`when_all`] stores the value.
     ///
     /// # Panics
     /// If the value was already set.
@@ -70,12 +79,12 @@ impl<T: Send + 'static> Promise<T> {
                 drop(state);
                 self.inner.cond.notify_all();
             }
-            State::Pending(Some((sched, cont))) => {
-                // The value belongs to the continuation; the state stays
-                // Broken, which is unobservable because `then` consumed
-                // the only Future handle.
+            State::Pending(Some(callback)) => {
+                // The value belongs to the callback; the state stays
+                // Broken, which is unobservable because attaching
+                // consumed the only Future handle.
                 drop(state);
-                sched.spawn(move || cont(value));
+                callback(value);
             }
             old @ State::Ready(_) => {
                 *state = old;
@@ -89,12 +98,11 @@ impl<T: Send + 'static> Promise<T> {
 impl<T> Drop for Promise<T> {
     fn drop(&mut self) {
         if !self.fulfilled {
-            let mut state = self.inner.state.lock();
-            if matches!(*state, State::Pending(_)) {
-                *state = State::Broken;
-                drop(state);
-                self.inner.cond.notify_all();
-            }
+            // Unset, so still pending: an attached callback is dropped
+            // unrun, outside the lock, and breaks what it feeds.
+            let pending = std::mem::replace(&mut *self.inner.state.lock(), State::Broken);
+            self.inner.cond.notify_all();
+            drop(pending);
         }
     }
 }
@@ -105,32 +113,36 @@ impl<T: Send + 'static> Future<T> {
         matches!(*self.inner.state.lock(), State::Ready(_))
     }
 
+    /// Consume the future without blocking: `callback` takes the value
+    /// on the producer's thread (on this one if it is ready already), or
+    /// is dropped unrun if the promise is broken.
+    fn attach(self, callback: Callback<T>) {
+        let mut state = self.inner.state.lock();
+        let value = match &mut *state {
+            State::Pending(slot) => {
+                *slot = Some(callback);
+                return;
+            }
+            State::Ready(opt) => opt.take().expect("future value already consumed"),
+            State::Broken => return,
+        };
+        *state = State::Broken;
+        drop(state);
+        callback(value);
+    }
+
     /// Attach a continuation; returns a future for the continuation's
     /// result. The continuation runs as a scheduler task as soon as the
-    /// value arrives (immediately if it is already ready).
+    /// value arrives (immediately if it is already ready), so a chain of
+    /// any length never recurses. A broken input breaks the result.
     pub fn then<U: Send + 'static>(
         self,
         sched: &Arc<Scheduler>,
         f: impl FnOnce(T) -> U + Send + 'static,
     ) -> Future<U> {
         let (promise, fut) = Promise::new();
-        let mut state = self.inner.state.lock();
-        match &mut *state {
-            State::Pending(slot) => {
-                assert!(slot.is_none(), "future already has a continuation");
-                *slot = Some((
-                    Arc::clone(sched),
-                    Box::new(move |v| promise.set_value(f(v))),
-                ));
-            }
-            State::Ready(opt) => {
-                let v = opt.take().expect("future value already consumed");
-                *state = State::Broken;
-                drop(state);
-                sched.spawn(move || promise.set_value(f(v)));
-            }
-            State::Broken => panic!("continuation attached to a broken future"),
-        }
+        let sched = Arc::clone(sched);
+        self.attach(Box::new(move |v| sched.spawn(move || promise.set_value(f(v)))));
         fut
     }
 
@@ -178,40 +190,42 @@ pub fn make_ready_future<T: Send + 'static>(value: T) -> Future<T> {
     Future { inner }
 }
 
+/// A join in flight: one preallocated slot per child, and the join's
+/// promise. Every child's callback holds one reference, so the `Arc`'s
+/// count is the countdown — one atomic decrement per child — and the
+/// last child to arrive drops the last reference, which fulfils the join
+/// from the slots (or breaks it, if a child's promise broke).
+struct Join<T: Send + 'static> {
+    slots: Vec<Mutex<Option<T>>>,
+    promise: Option<Promise<Vec<T>>>,
+}
+
+impl<T: Send + 'static> Drop for Join<T> {
+    fn drop(&mut self) {
+        let values = self.slots.iter_mut().map(|slot| slot.get_mut().take()).collect();
+        if let (Some(values), Some(promise)) = (values, self.promise.take()) {
+            promise.set_value(values);
+        }
+    }
+}
+
 /// Join a set of futures into a future of all their values, in order —
-/// HPX `when_all`. An empty input yields an immediately ready empty vec.
+/// HPX `when_all`. No task is spawned: each child's producer stores its
+/// value in the child's slot, and the last one to arrive fulfils the
+/// join on its own thread. A broken child breaks the join. An empty
+/// input yields an immediately ready empty vec. `_sched` is unused.
 pub fn when_all<T: Send + 'static>(
-    sched: &Arc<Scheduler>,
+    _sched: &Arc<Scheduler>,
     futures: Vec<Future<T>>,
 ) -> Future<Vec<T>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let n = futures.len();
-    if n == 0 {
-        return make_ready_future(Vec::new());
-    }
     let (promise, fut) = Promise::new();
-    let slots: Arc<Mutex<Vec<Option<T>>>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let remaining = Arc::new(AtomicUsize::new(n));
-    let promise = Arc::new(Mutex::new(Some(promise)));
+    let join = Arc::new(Join {
+        slots: futures.iter().map(|_| Mutex::new(None)).collect(),
+        promise: Some(promise),
+    });
     for (i, f) in futures.into_iter().enumerate() {
-        let slots = Arc::clone(&slots);
-        let remaining = Arc::clone(&remaining);
-        let promise = Arc::clone(&promise);
-        // The continuation result is (), discarded; we keep the returned
-        // future alive inside the closure chain implicitly.
-        let _ = f.then(sched, move |v| {
-            slots.lock()[i] = Some(v);
-            if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                let vals: Vec<T> = slots
-                    .lock()
-                    .iter_mut()
-                    .map(|s| s.take().expect("slot must be filled"))
-                    .collect();
-                if let Some(p) = promise.lock().take() {
-                    p.set_value(vals);
-                }
-            }
-        });
+        let join = Arc::clone(&join);
+        f.attach(Box::new(move |v| *join.slots[i].lock() = Some(v)));
     }
     fut
 }
@@ -220,6 +234,7 @@ pub fn when_all<T: Send + 'static>(
 mod tests {
     use super::*;
     use crate::counters::CounterRegistry;
+    use crate::Runtime;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -287,14 +302,19 @@ mod tests {
         let s = sched(4);
         let mut promises = Vec::new();
         let mut futures = Vec::new();
-        for _ in 0..16 {
+        for i in 0..16 {
+            // Every third child is ready before the join exists.
+            if i % 3 == 0 {
+                futures.push(make_ready_future(i));
+                continue;
+            }
             let (p, f) = Promise::new();
-            promises.push(p);
+            promises.push((i, p));
             futures.push(f);
         }
         let joined = when_all(&s, futures);
         // Resolve in reverse order to check ordering is by index.
-        for (i, p) in promises.into_iter().enumerate().rev() {
+        for (i, p) in promises.into_iter().rev() {
             p.set_value(i);
         }
         let vals = joined.get_help(&s);
@@ -307,6 +327,39 @@ mod tests {
         let joined: Future<Vec<u8>> = when_all(&s, Vec::new());
         assert!(joined.is_ready());
         assert_eq!(joined.get(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn a_join_runs_no_task_of_its_own() {
+        const N: u64 = 32;
+        let rt = Runtime::new(2);
+        let sched = Arc::clone(rt.scheduler());
+        let executed = || rt.metrics().get("tasks/executed");
+        let spawn_all = || (0..N).map(|i| rt.async_call(move || i)).collect::<Vec<_>>();
+
+        let before = executed();
+        let vals = when_all(&sched, spawn_all()).get_help(&sched);
+        rt.wait_quiescent();
+        assert_eq!(vals, (0..N).collect::<Vec<_>>());
+        assert_eq!(executed() - before, N, "one task per child, none for the join");
+
+        let before = executed();
+        let sum = when_all(&sched, spawn_all()).then(&sched, |v| v.iter().sum::<u64>());
+        assert_eq!(sum.get_help(&sched), N * (N - 1) / 2);
+        rt.wait_quiescent();
+        assert_eq!(executed() - before, N + 1, "plus one for the continuation");
+    }
+
+    #[test]
+    #[should_panic(expected = "broken promise")]
+    fn a_broken_child_breaks_the_join() {
+        let s = sched(2);
+        let (p0, f0) = Promise::new();
+        let (p1, f1) = Promise::<u32>::new();
+        let joined = when_all(&s, vec![f0, make_ready_future(5), f1]);
+        drop(p1);
+        p0.set_value(1);
+        let _ = joined.get_help(&s);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!
 //! * [`future`] — explicit-continuation futures ([`Future`], [`Promise`],
 //!   [`when_all`]) whose continuations are scheduled as tasks when their
-//!   dependencies are satisfied, exactly HPX's dataflow model. A blocked
-//!   `get` *helps* run other tasks instead of idling, mirroring HPX task
-//!   suspension.
+//!   dependencies are satisfied, exactly HPX's dataflow model. Joins are
+//!   not tasks: each producer stores its value in the join's slot and the
+//!   last one fulfils it. A blocked `get` *helps* run other tasks instead
+//!   of idling, mirroring HPX task suspension.
 //! * [`scheduler`] — a work-stealing pool over `crossbeam_deque` with
 //!   per-worker LIFO deques, a global injector, and parking.
 //! * [`agas`] — a global id → component registry with migration support.
@@ -58,7 +59,6 @@ use std::sync::Arc;
 pub struct Runtime {
     sched: Arc<Scheduler>,
     agas: Agas,
-    counters: Arc<CounterRegistry>,
     metrics: Metrics,
     locality: u32,
 }
@@ -75,8 +75,7 @@ impl Runtime {
         Arc::new(Runtime {
             sched: Scheduler::new(n_threads, Arc::clone(&counters)),
             agas: Agas::new(locality),
-            metrics: Metrics::over(Arc::clone(&counters)),
-            counters,
+            metrics: Metrics::over(counters),
             locality,
         })
     }
@@ -96,14 +95,9 @@ impl Runtime {
         &self.agas
     }
 
-    /// The performance counter registry.
-    pub fn counters(&self) -> &Arc<CounterRegistry> {
-        &self.counters
-    }
-
-    /// The namespaced metrics facade over this locality's counters.
-    /// `metrics().counter("fmm/x")` and `counters().get("fmm/x")`
-    /// observe the same atomic; the facade adds mounts and snapshots.
+    /// The namespaced metrics facade over this locality's counters: the
+    /// scheduler's `tasks/*` and whatever the solvers record (`fmm/*`).
+    /// Its [`Metrics::registry`] is the registry itself.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }

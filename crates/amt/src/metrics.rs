@@ -87,8 +87,7 @@ impl Metrics {
     }
 
     /// A facade whose un-prefixed names resolve into `registry`. Used by
-    /// [`crate::Runtime`] so `metrics().counter("fmm/x")` and the legacy
-    /// `counters().get("fmm/x")` observe the same atomic.
+    /// [`crate::Runtime`], whose scheduler writes the same registry.
     pub fn over(registry: Arc<CounterRegistry>) -> Metrics {
         Metrics { own: registry, mounts: RwLock::new(Vec::new()) }
     }

@@ -318,38 +318,23 @@ fn poll_background_impl(shared: &Shared) -> bool {
 
 fn find_task_impl(shared: &Shared, local: Option<&WorkerDeque<Task>>) -> Option<Task> {
     // 1. Local deque (only for workers).
-    if let Some(deque) = local {
-        if let Some(t) = deque.pop() {
-            return Some(t);
-        }
+    if let Some(t) = local.and_then(WorkerDeque::pop) {
+        return Some(t);
     }
     // 2. Global injector (batch into the local deque when we have one).
-    loop {
-        let steal = match local {
-            Some(deque) => shared.injector.steal_batch_and_pop(deque),
-            None => shared.injector.steal(),
-        };
-        match steal {
-            crossbeam_deque::Steal::Success(t) => return Some(t),
-            crossbeam_deque::Steal::Empty => break,
-            crossbeam_deque::Steal::Retry => continue,
-        }
+    // The mutex-backed deques never answer `Retry`: one attempt decides.
+    let injected = match local {
+        Some(deque) => shared.injector.steal_batch_and_pop(deque),
+        None => shared.injector.steal(),
+    };
+    if let Some(t) = injected.success() {
+        return Some(t);
     }
     // 3. Steal from sibling workers.
-    for stealer in &shared.stealers {
-        loop {
-            match stealer.steal() {
-                crossbeam_deque::Steal::Success(t) => {
-                    trace::instant(TraceCategory::TaskSteal);
-                    shared.stolen.fetch_add(1, Ordering::Relaxed);
-                    return Some(t);
-                }
-                crossbeam_deque::Steal::Empty => break,
-                crossbeam_deque::Steal::Retry => continue,
-            }
-        }
-    }
-    None
+    let t = shared.stealers.iter().find_map(|stealer| stealer.steal().success())?;
+    trace::instant(TraceCategory::TaskSteal);
+    shared.stolen.fetch_add(1, Ordering::Relaxed);
+    Some(t)
 }
 
 /// Longest single `sched/idle` span recorded before it is closed and a

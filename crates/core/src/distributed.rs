@@ -726,31 +726,30 @@ impl DistributedDriver {
         DistributedDriver::restore(scenario, cluster, &blob)
     }
 
-    /// Futurized per-shard CFL minimum: one task per owned leaf on the
-    /// shard's runtime, ordered fold over the SFC-ordered results.
-    fn local_min_dt(&self, loc: usize) -> f64 {
-        let rt = self.cluster.locality(loc).runtime();
-        let mut futs = Vec::new();
-        for &key in self.shard.owned(loc as u32) {
-            let tree = Arc::clone(&self.mirrors[loc]);
-            let stepper = self.stepper;
-            let cfl = self.config.cfl;
-            futs.push(rt.async_call(move || leaf_signal_dt(&tree, key, stepper, cfl)));
-        }
-        let sched = Arc::clone(rt.scheduler());
-        let dts = when_all(&sched, futs).get_help(&sched);
-        rt.wait_quiescent();
-        dts.into_iter().fold(f64::INFINITY, f64::min)
-    }
-
-    /// The global CFL time step of the current state: per-shard ordered
-    /// minima (contiguous SFC chunks) min-reduced over the wire —
-    /// bit-equal to the global ordered fold because `f64::min` is
-    /// associative on the positive finite dts.
+    /// The global CFL time step of the current state: one task per owned
+    /// leaf, launched on *all* localities first, then collected, as the
+    /// stage RHS and apply are. Each shard folds its dts in SFC
+    /// order and the minima are min-reduced over the wire — bit-equal to
+    /// the global ordered fold because `f64::min` is associative on the
+    /// positive finite dts.
     pub fn compute_dt(&self) -> Result<f64> {
         let _span = trace::span(TraceCategory::DtReduce);
-        let local_dts: Vec<f64> =
-            (0..self.cluster.len()).map(|loc| self.local_min_dt(loc)).collect();
+        let (stepper, cfl) = (self.stepper, self.config.cfl);
+        let pending: Vec<(_, Vec<_>)> = (0..self.cluster.len())
+            .map(|loc| {
+                let (rt, tree) = (self.cluster.locality(loc).runtime(), &self.mirrors[loc]);
+                let futs = self.shard.owned(loc as u32).iter().map(|&key| {
+                    let tree = Arc::clone(tree);
+                    rt.async_call(move || leaf_signal_dt(&tree, key, stepper, cfl))
+                });
+                (rt.scheduler(), futs.collect())
+            })
+            .collect();
+        let local_dts: Vec<f64> = pending
+            .into_iter()
+            .map(|(sched, futs)| when_all(sched, futs).get_help(sched))
+            .map(|dts| dts.into_iter().fold(f64::INFINITY, f64::min))
+            .collect();
         let seq = self.next_seq();
         collectives::allreduce_wire(&self.cluster, &self.coll, seq, &local_dts, f64::min)
     }

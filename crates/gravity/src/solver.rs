@@ -1657,6 +1657,6 @@ mod tests {
             "steady-state solves must not allocate scratch buffers"
         );
         assert!(solver.scratch().hits() > 0);
-        assert_eq!(rt.counters().get("fmm/scratch_misses"), misses_after_first);
+        assert_eq!(rt.metrics().get("fmm/scratch_misses"), misses_after_first);
     }
 }

@@ -452,7 +452,7 @@ impl ClusterBuilder {
         for loc in &localities {
             metrics.mount(
                 &format!("locality/{}", loc.index),
-                Arc::clone(loc.rt.counters()),
+                Arc::clone(loc.rt.metrics().registry()),
             );
         }
         Ok(Cluster {

@@ -169,11 +169,6 @@ impl ReliableTransport {
         &self.counters
     }
 
-    /// Peers this layer has declared dead (retry budget exhausted).
-    pub fn declared_dead(&self) -> Vec<u32> {
-        self.state.lock().dead.iter().copied().collect()
-    }
-
     /// Purge all unacked frames addressed to `peer` (it is dead; they
     /// can never be acked) and remember it as dead.
     fn bury(state: &mut ReliableState, unacked_total: &AtomicUsize, counters: &CounterRegistry, peer: u32) {

@@ -51,7 +51,7 @@ fn main() {
     println!("  sub-grids processed:    {}", sim.subgrids_processed);
     println!(
         "  scheduler tasks:        {}",
-        sim.runtime().counters().get("tasks/executed")
+        sim.runtime().metrics().get("tasks/executed")
     );
     println!("\nThe star retains its structure; conservation holds to");
     println!("round-off (the paper's §4.2 test 3).");

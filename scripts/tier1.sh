@@ -2,8 +2,8 @@
 # Tier-1 gate: the checks every PR must keep green.
 #
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
-#      zero second-pair-arithmetic, zero fused/fast-math and zero
-#      driver-ghost-fill budgets
+#      zero second-pair-arithmetic, zero fused/fast-math, zero
+#      driver-ghost-fill and zero uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -105,6 +105,26 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "ghost budget OK (0 tree fills on the driver's path)"
+
+echo
+echo "== tier-1: caller budget =="
+# Every `pub fn` / `pub(crate) fn` under crates/ is named somewhere
+# besides its own definition — a call, a test, the benchmark, a doc
+# link. A word-grep, so a name shared by two items counts for both: the
+# budget finds surfaces nobody reaches, not every one. Uncalled surface
+# is deleted, not kept "in case".
+defs=$(grep -rhoE --include='*.rs' 'pub(\(crate\))? fn [A-Za-z_][A-Za-z0-9_]*' crates \
+    | awk '{print $NF}' | sort | uniq -c)
+words=$(grep -rhoE --include='*.rs' '\b[A-Za-z_][A-Za-z0-9_]*' crates tests examples benchmark/src \
+    | sort | uniq -c)
+stray=$(awk 'NR == FNR { seen[$2] = $1; next } seen[$2] <= $1 { print $2 }' \
+    <(echo "$words") <(echo "$defs"))
+if [ -n "$stray" ]; then
+    echo "!! pub fns named nowhere but their definition (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "caller budget OK ($(echo "$defs" | wc -l) pub fn names, each named elsewhere)"
 
 echo
 echo "== tier-1: cargo build --workspace --release =="

@@ -201,8 +201,8 @@ fn fmm_parallel_through_gpu_streams_matches_serial() {
     let stats = solver.gpu().unwrap().stats();
     assert_eq!(stats.gpu_launches(), par.kernel_launches_gpu);
     assert_eq!(stats.cpu_launches(), par.kernel_launches_cpu);
-    assert_eq!(rt.counters().get("fmm/kernels/gpu"), par.kernel_launches_gpu);
-    assert_eq!(rt.counters().get("fmm/kernels/cpu"), par.kernel_launches_cpu);
+    assert_eq!(rt.metrics().get("fmm/kernels/gpu"), par.kernel_launches_gpu);
+    assert_eq!(rt.metrics().get("fmm/kernels/cpu"), par.kernel_launches_cpu);
 }
 
 #[test]
@@ -221,8 +221,8 @@ fn steady_state_solves_allocate_no_scratch() {
         "steady-state solves must serve all scratch from the pool"
     );
     assert!(solver.scratch().hits() > 0);
-    assert_eq!(rt.counters().get("fmm/scratch_misses"), misses);
-    assert_eq!(rt.counters().get("fmm/scratch_hits"), solver.scratch().hits());
+    assert_eq!(rt.metrics().get("fmm/scratch_misses"), misses);
+    assert_eq!(rt.metrics().get("fmm/scratch_hits"), solver.scratch().hits());
 }
 
 #[test]
@@ -237,7 +237,7 @@ fn centered_star_conserves_with_parallel_gravity() {
     let mut sim = Simulation::new(Scenario::single_star(1));
     let start = totals(sim.tree(), None);
     sim.step(); // warm-up: the solver's scratch pool fills here
-    let misses_after_warmup = sim.runtime().counters().get("fmm/scratch_misses");
+    let misses_after_warmup = sim.runtime().metrics().get("fmm/scratch_misses");
     for _ in 0..2 {
         sim.step();
     }
@@ -250,9 +250,9 @@ fn centered_star_conserves_with_parallel_gravity() {
     // Steady-state steps perform zero scratch heap allocations: the
     // miss counter must not move after the warm-up step.
     assert_eq!(
-        sim.runtime().counters().get("fmm/scratch_misses"),
+        sim.runtime().metrics().get("fmm/scratch_misses"),
         misses_after_warmup,
         "steady-state step() allocated FMM scratch buffers"
     );
-    assert!(sim.runtime().counters().get("fmm/scratch_hits") > 0);
+    assert!(sim.runtime().metrics().get("fmm/scratch_hits") > 0);
 }

@@ -118,7 +118,7 @@ fn deeper_amr_keeps_the_binary_resolved() {
 fn scheduler_counters_reflect_futurized_work() {
     let mut sim = Simulation::new(Scenario::sod(1));
     sim.step();
-    let executed = sim.runtime().counters().get("tasks/executed");
+    let executed = sim.runtime().metrics().get("tasks/executed");
     // At least one task per leaf per RK stage.
     assert!(
         executed >= 2 * sim.tree().leaf_count() as u64,

@@ -234,7 +234,7 @@ fn aggregation_counters_surface_through_metrics() {
     let rt = amt::Runtime::new(2);
     let par = solver.solve_parallel(tree, &rt);
     let agg = solver.gpu().unwrap().agg_stats();
-    let c = rt.counters();
+    let c = rt.metrics();
     assert_eq!(c.get("fmm/kernels/batched"), agg.items_gpu());
     assert_eq!(c.get("fmm/agg/batches"), agg.batches());
     assert_eq!(
