@@ -60,15 +60,6 @@ impl CounterRegistry {
             .unwrap_or(0)
     }
 
-    /// Reset `name` to zero, returning the previous value.
-    pub fn reset(&self, name: &str) -> u64 {
-        self.counters
-            .read()
-            .get(name)
-            .map(|c| c.swap(0, Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
     /// Snapshot of all counters, sorted by name.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
         let mut v: Vec<(String, u64)> = self
@@ -79,14 +70,6 @@ impl CounterRegistry {
             .collect();
         v.sort();
         v
-    }
-
-    /// Snapshot of counters whose name starts with `prefix`.
-    pub fn snapshot_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        self.snapshot()
-            .into_iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .collect()
     }
 }
 
@@ -114,16 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_returns_previous() {
-        let reg = CounterRegistry::new();
-        reg.add("r", 10);
-        assert_eq!(reg.reset("r"), 10);
-        assert_eq!(reg.get("r"), 0);
-        assert_eq!(reg.reset("never"), 0);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_filtered() {
+    fn snapshot_is_sorted() {
         let reg = CounterRegistry::new();
         reg.add("tasks/executed", 2);
         reg.add("parcels/sent", 7);
@@ -131,8 +105,6 @@ mod tests {
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names, vec!["parcels/sent", "tasks/executed", "tasks/stolen"]);
-        let tasks = reg.snapshot_prefix("tasks/");
-        assert_eq!(tasks.len(), 2);
     }
 
     #[test]

@@ -187,11 +187,9 @@ pub struct DistributedDriver {
     shard: ShardMap,
     /// `push_plan[src][dst]` = leaves `src` ships to `dst` per exchange.
     push_plan: Vec<BTreeMap<u32, Vec<MortonKey>>>,
-    /// Per-locality full-tree mirrors; only a mirror's *owned* leaves
-    /// are authoritative, the rest hold the interiors last pushed to it.
-    /// Refined-node grids are derived data no step phase reads or
-    /// maintains; whoever needs them (`assemble`, the regrid phase)
-    /// restricts first.
+    /// Per-locality full-tree mirrors, with a grid on every leaf and on
+    /// no refined node; only a mirror's *owned* leaves are
+    /// authoritative, the rest hold the interiors last pushed to it.
     mirrors: Vec<Arc<Octree>>,
     /// `stage[loc][i]` is the step memory of `shard.owned(loc)[i]`: a
     /// steady-state step allocates no RHS and no stage grid.
@@ -319,7 +317,11 @@ impl DistributedDriver {
         let DistributedDriverBuilder { scenario, cluster, skew_first_shard_permille } = b;
         let config = scenario.config;
         config.validate()?;
-        let tree = scenario.tree;
+        // Nothing reads a refined node's grid; a tree handed in
+        // restricted (a test fixture, a seeded benchmark input) keeps
+        // one copy of the state, on its leaves.
+        let mut tree = scenario.tree;
+        tree.clear_refined_grids();
         let n = cluster.len();
         let shard = match skew_first_shard_permille {
             Some(permille) => ShardMap::partition_skewed(&tree, n, permille)?,
@@ -572,11 +574,11 @@ impl DistributedDriver {
     ///    full-tree mirror answers identically) the phase ends — no
     ///    broadcast, no epoch bump;
     /// 4. otherwise every owner ships every owned leaf's interior to
-    ///    every other mirror ([`HALO_ACTION`]), each mirror restricts
-    ///    upward (refine prolongs from *parent* grids, which are
-    ///    derived data the per-step phases never maintain) and runs the
-    ///    very same serial [`regrid::regrid`] — identical inputs,
-    ///    identical trees, whatever the partition;
+    ///    every other mirror ([`HALO_ACTION`]) and each mirror runs the
+    ///    very same serial [`regrid::regrid`], which reads leaves only
+    ///    (refine prolongs the leaf's own grid, coarsen restricts its
+    ///    children's) — identical inputs, identical trees, whatever the
+    ///    partition;
     /// 5. the new tree is repartitioned ([`ShardMap::repartition`],
     ///    successor epoch) and installed — no migration parcels needed,
     ///    the broadcast already put every leaf everywhere.
@@ -632,12 +634,7 @@ impl DistributedDriver {
             .collect();
         self.push_interiors(|d| &d.halo, "regrid interiors", owned)?;
         for loc in 0..n {
-            // Refinement prolongs from parent grids — derived data the
-            // step phases never touch. Rebuild them, then run the
-            // serial reference sweep.
-            let tree = self.mirror_mut(loc);
-            tree.restrict_all();
-            regrid::regrid(tree, policy);
+            regrid::regrid(self.mirror_mut(loc), policy);
         }
 
         // 5. Repartition the regridded tree and re-home ownership.
@@ -975,8 +972,8 @@ impl DistributedDriver {
     }
 
     /// Gather the owned leaves of every shard into one global tree
-    /// (grids cloned whole) and restrict upward —
-    /// bitwise comparable to the reference `Simulation`'s tree.
+    /// (grids cloned whole, none on a refined node) — bitwise
+    /// comparable to the reference `Simulation`'s tree.
     pub fn assemble(&self) -> Octree {
         let mut out = (*self.mirrors[0]).clone();
         for shard in 0..self.shard.n_shards() {
@@ -990,7 +987,6 @@ impl DistributedDriver {
                 out.node_mut(key).expect("leaf").grid = Some(grid);
             }
         }
-        out.restrict_all();
         out
     }
 
@@ -1295,10 +1291,19 @@ mod tests {
         }
     }
 
+    fn assert_grids_on_leaves_only(tree: &Octree, what: &str) {
+        for level in 0..=tree.max_level() {
+            for key in tree.level_keys(level) {
+                let has_grid = tree.node(key).unwrap().grid.is_some();
+                assert_eq!(has_grid, tree.is_leaf(key), "{what}: {key:?} grid presence");
+            }
+        }
+    }
+
     /// The step straight after the owned set changed — a rebalance, a
     /// regrid that grows the tree, a restore onto another cluster shape
     /// — re-counts the slots and lands on the single-locality reference
-    /// bit for bit.
+    /// bit for bit, and every mirror keeps grids on its leaves only.
     #[test]
     fn stage_slots_follow_the_owned_set() {
         let make = || {
@@ -1311,6 +1316,8 @@ mod tests {
                 coarsen_fraction: 0.5,
             });
             s.config.regrid_cadence = 2;
+            // Handed a refined-node grid, as a restricted fixture is.
+            s.tree.node_mut(MortonKey::root()).unwrap().grid = Some(SubGrid::new());
             s
         };
         let mut reference = Simulation::new(make());
@@ -1325,6 +1332,10 @@ mod tests {
             let dt_ref = reference.step();
             assert_eq!(dist.step().unwrap().to_bits(), dt_ref.to_bits(), "{what}: dt");
             assert_trees_bit_identical(&dist.assemble(), reference.tree());
+            assert_grids_on_leaves_only(reference.tree(), what);
+            for mirror in &dist.mirrors {
+                assert_grids_on_leaves_only(mirror, what);
+            }
         };
 
         step_both(&mut dist, "skewed start");

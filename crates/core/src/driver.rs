@@ -200,9 +200,8 @@ impl Simulation {
         Simulation { driver: infallible(driver) }
     }
 
-    /// The current tree. Every refined node's grid is the restriction
-    /// of its children as of the last completed [`Simulation::step`] /
-    /// [`Simulation::run`].
+    /// The current tree, with a grid on every leaf and on no refined
+    /// node: the state is stored once, on the leaves.
     pub fn tree(&self) -> &Octree {
         self.driver.mirror(0)
     }
@@ -224,23 +223,13 @@ impl Simulation {
 
     /// Advance one TVD-RK2 step; returns the dt taken.
     pub fn step(&mut self) -> f64 {
-        let dt = infallible(self.driver.step());
-        self.restrict();
-        dt
+        infallible(self.driver.step())
     }
 
     /// Run `n` steps (or until `t_end`, whichever comes first); returns
     /// the simulated time advanced.
     pub fn run(&mut self, n: usize, t_end: f64) -> f64 {
-        let advanced = infallible(self.driver.run(n, t_end));
-        self.restrict();
-        advanced
-    }
-
-    /// The pipeline leaves refined-node grids alone; `tree()` promises
-    /// them current.
-    fn restrict(&mut self) {
-        self.driver.mirror_mut(0).restrict_all();
+        infallible(self.driver.run(n, t_end))
     }
 }
 

@@ -236,7 +236,6 @@ mod tests {
                 grid.set(Field::Rho, i, j, k, amplitude * (-c.norm2()).exp() + 1e-6);
             }
         }
-        tree.restrict_all();
     }
 
     #[test]

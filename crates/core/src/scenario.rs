@@ -47,7 +47,6 @@ fn to_corotating(tree: &mut Octree) {
             grid.set(Field::Sz, i, j, k, 0.0);
         }
     }
-    tree.restrict_all();
 }
 
 /// Fill a tree from pointwise (ρ, u, ρε) functions.
@@ -71,7 +70,6 @@ fn fill(
             grid.set(Field::Tau, i, j, k, eos.tau_from_e(e_int));
         }
     }
-    tree.restrict_all();
 }
 
 impl Scenario {

@@ -10,10 +10,12 @@
 //!   halo exchange only ever deals with one level of difference, as in
 //!   Octo-Tiger.
 //!
-//! Interior (refined) nodes keep a sub-grid too: the FMM operates on
-//! every level of the tree (§4.3), with interior grids filled by
-//! conservative restriction from their children
-//! ([`Octree::restrict_all`]).
+//! Only leaves hold a sub-grid: refining a leaf moves its grid into its
+//! children, coarsening restricts theirs back into it. The FMM needs
+//! every level (§4.3), but it builds a refined node's multipoles from
+//! its children's moments, not from a grid. [`Octree::restrict_all`]
+//! fills refined-node grids for a caller that wants them; nothing on a
+//! run's path does.
 
 use crate::geometry::Domain;
 use crate::prolong::{prolong_octant, restrict_into_octant};
@@ -27,8 +29,9 @@ pub struct TreeNode {
     pub key: MortonKey,
     /// Whether this node has eight children.
     pub refined: bool,
-    /// Evolved variables; `None` in structure-only trees (used for
-    /// large-scale counting experiments like Table 4).
+    /// Evolved variables of a leaf. `None` on a refined node (unless
+    /// [`Octree::restrict_all`] filled it) and in structure-only trees
+    /// (used for large-scale counting experiments like Table 4).
     pub grid: Option<SubGrid>,
 }
 
@@ -177,8 +180,8 @@ impl Octree {
     }
 
     /// Refine a leaf into eight children (conservatively prolonging its
-    /// sub-grid), recursively refining coarser neighbors first to keep
-    /// the 2:1 balance.
+    /// sub-grid, which the now-refined node gives up), recursively
+    /// refining coarser neighbors first to keep the 2:1 balance.
     ///
     /// # Panics
     /// If `key` is not a leaf of this tree.
@@ -201,17 +204,12 @@ impl Octree {
                 }
             }
         }
-        let parent_grid = {
-            let node = self.nodes.get_mut(&key).expect("leaf exists");
-            node.refined = true;
-            node.grid.clone()
-        };
+        let node = self.nodes.get_mut(&key).expect("leaf exists");
+        node.refined = true;
+        let parent_grid = node.grid.take();
         for octant in 0..8u8 {
             let child_key = key.child(octant);
-            let grid = match (&parent_grid, self.with_grids) {
-                (Some(pg), true) => Some(prolong_octant(pg, octant)),
-                _ => None,
-            };
+            let grid = parent_grid.as_ref().map(|pg| prolong_octant(pg, octant));
             self.nodes
                 .insert(child_key, TreeNode { key: child_key, refined: false, grid });
         }
@@ -249,7 +247,7 @@ impl Octree {
                 }
             }
         }
-        let mut parent_grid = if self.with_grids { Some(SubGrid::new()) } else { None };
+        let mut parent_grid = self.with_grids.then(SubGrid::new);
         for octant in 0..8u8 {
             let child = self.nodes.remove(&key.child(octant)).expect("child exists");
             if let (Some(pg), Some(cg)) = (parent_grid.as_mut(), child.grid.as_ref()) {
@@ -258,9 +256,7 @@ impl Octree {
         }
         let node = self.nodes.get_mut(&key).expect("node must exist");
         node.refined = false;
-        if self.with_grids {
-            node.grid = parent_grid;
-        }
+        node.grid = parent_grid;
     }
 
     /// The leaf whose region contains the region of `key` (which need
@@ -340,7 +336,10 @@ impl Octree {
 
     /// Fill every refined node's grid by conservative restriction from
     /// its children, deepest levels first (so data propagates to the
-    /// root). Leaves are untouched.
+    /// root). Leaves are untouched. An on-demand view for whoever wants
+    /// coarse averages: no step, regrid or solve reads a refined node's
+    /// grid, so nothing keeps them current, and
+    /// [`Octree::clear_refined_grids`] drops them again.
     pub fn restrict_all(&mut self) {
         assert!(self.with_grids, "restrict_all needs grid data");
         let mut levels: Vec<u8> = self.nodes.keys().map(|k| k.level).collect();
@@ -365,6 +364,13 @@ impl Octree {
                 }
                 self.nodes.get_mut(&key).expect("node exists").grid = Some(acc);
             }
+        }
+    }
+
+    /// Drop every refined node's grid, leaving grids on leaves only.
+    pub fn clear_refined_grids(&mut self) {
+        for node in self.nodes.values_mut().filter(|n| n.refined) {
+            node.grid = None;
         }
     }
 
@@ -449,7 +455,7 @@ impl Octree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subgrid::Field;
+    use crate::subgrid::{Field, ALL_FIELDS};
 
     fn small_domain() -> Domain {
         Domain::new(16.0)
@@ -464,13 +470,30 @@ mod tests {
         t.check_invariants();
     }
 
+    /// The refined node gives its grid up: it holds none, and each child
+    /// is bit for bit `prolong_octant` of the former leaf grid.
     #[test]
     fn refine_creates_eight_children() {
         let mut t = Octree::new(small_domain());
+        let g = t.node_mut(MortonKey::root()).unwrap().grid.as_mut().unwrap();
+        for (idx, (i, j, k)) in g.indexer().interior().enumerate() {
+            g.set(Field::Rho, i, j, k, 1.0 + (idx % 7) as f64 * 0.3);
+            g.set(Field::Egas, i, j, k, 2.0 + (idx % 11) as f64 * 0.1);
+        }
+        let leaf_grid = g.clone();
         t.refine(MortonKey::root());
         assert_eq!(t.len(), 9);
         assert_eq!(t.leaf_count(), 8);
         assert!(!t.is_leaf(MortonKey::root()));
+        assert!(t.node(MortonKey::root()).unwrap().grid.is_none(), "refined node kept a grid");
+        for octant in 0..8u8 {
+            let want = prolong_octant(&leaf_grid, octant);
+            let got = t.node(MortonKey::root().child(octant)).unwrap().grid.as_ref().unwrap();
+            for f in ALL_FIELDS {
+                let bits = |g: &SubGrid| g.field(f).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&want), "octant {octant} {f:?}");
+            }
+        }
         t.check_invariants();
     }
 
@@ -647,6 +670,12 @@ mod tests {
         let root = t.node(MortonKey::root()).unwrap().grid.as_ref().unwrap();
         for (i, j, k) in root.indexer().interior() {
             assert!((root.at(Field::Rho, i, j, k) - 2.0).abs() < 1e-14);
+        }
+        t.clear_refined_grids();
+        for level in 0..=t.max_level() {
+            for key in t.level_keys(level) {
+                assert_eq!(t.node(key).unwrap().grid.is_some(), t.is_leaf(key), "{key:?}");
+            }
         }
     }
 

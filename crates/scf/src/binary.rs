@@ -217,7 +217,6 @@ impl BinaryModel {
                 grid.set(Field::Atmosphere, i, j, k, rho * fr[4]);
             }
         }
-        tree.restrict_all();
     }
 }
 

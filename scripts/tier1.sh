@@ -3,7 +3,8 @@
 #
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
 #      zero second-pair-arithmetic, zero fused/fast-math, zero
-#      driver-ghost-fill and zero uncalled-pub-fn budgets
+#      driver-ghost-fill, zero derived-grid and zero uncalled-pub-fn
+#      budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -105,6 +106,21 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "ghost budget OK (0 tree fills on the driver's path)"
+
+echo
+echo "== tier-1: derived-grid budget =="
+# The tree stores the state once, on its leaves: refine moves a leaf's
+# grid into its children and the FMM builds refined-node moments by M2M.
+# `Octree::restrict_all` is an on-demand view for tests, bins and the
+# benchmark; a call from the run path's crates is a second, derived copy
+# of the state coming back, rebuilt every time and read by nothing.
+stray=$(grep -rn --include='*.rs' 'restrict_all' crates/core/src crates/scf/src || true)
+if [ -n "$stray" ]; then
+    echo "!! restrict_all called from crates/core/src or crates/scf/src (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "derived-grid budget OK (0 refined-node grids built on the run path)"
 
 echo
 echo "== tier-1: caller budget =="

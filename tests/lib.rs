@@ -8,8 +8,8 @@ use octree::tree::Octree;
 use scf::lane_emden::Polytrope;
 use util::vec3::Vec3;
 
-/// Paint every leaf interior from a pointwise (ρ, v, ρε) profile and
-/// restrict, mirroring scenario setup.
+/// Paint every leaf interior from a pointwise (ρ, v, ρε) profile,
+/// mirroring scenario setup.
 fn paint(tree: &mut Octree, eos: &IdealGas, profile: impl Fn(Vec3) -> (f64, Vec3, f64)) {
     let domain = tree.domain();
     for key in tree.leaves() {
@@ -26,7 +26,6 @@ fn paint(tree: &mut Octree, eos: &IdealGas, profile: impl Fn(Vec3) -> (f64, Vec3
             grid.set(Field::Tau, i, j, k, eos.tau_from_e(e));
         }
     }
-    tree.restrict_all();
 }
 
 /// Build a uniformly refined tree filled from a (ρ, v, ρε) profile.
@@ -105,8 +104,8 @@ pub fn star_amr() -> Scenario {
     }
 }
 
-/// Every node that carries a grid (leaves *and* restricted ancestors)
-/// must match bit-for-bit across every field's interior.
+/// Every node that carries a grid must match bit-for-bit across every
+/// field's interior, and grid presence must agree node by node.
 pub fn assert_trees_bit_identical(a: &Octree, b: &Octree, tag: &str) {
     assert_eq!(a.leaves(), b.leaves(), "{tag}: leaf sets differ");
     for level in 0..=a.max_level() {
