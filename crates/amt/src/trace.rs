@@ -87,10 +87,10 @@ pub enum TraceCategory {
     /// FMM same-level pass: halo gather building one node's extended
     /// SoA moment grid.
     FmmGather,
-    /// FMM same-level pass: multipole-to-local for one target-cell
-    /// chunk of a node.
+    /// FMM same-level pass: multipole-to-local over all cells of one
+    /// node.
     FmmSameLevel,
-    /// FMM near-field pass: leaf-only P2P for one target-cell chunk
+    /// FMM near-field pass: leaf-only P2P over all cells of one leaf
     /// (split out of `fmm/same-level` so the breakdown attributes P2P
     /// work correctly).
     FmmNearField,

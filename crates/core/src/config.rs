@@ -5,9 +5,8 @@
 //! driver builder overrides no field, so what a run computes is a
 //! function of its scenario alone. [`Config::validate`] checks it once,
 //! when the driver is built; values with a valid range wider than what a
-//! consumer can use (`fmm_chunk_cells`, the `fmm_agg_*` pair) are
-//! normalised where they are consumed — `gravity::solver` and
-//! `gpusim::AggregationConfig::new`.
+//! consumer can use (the `fmm_agg_*` pair) are normalised where they are
+//! consumed, in `gpusim::AggregationConfig::new`.
 
 use hydro::eos::IdealGas;
 use octree::halo::BoundaryCondition;
@@ -26,10 +25,9 @@ pub struct Config {
     pub gravity: bool,
     /// FMM opening parameter θ.
     pub theta: f64,
-    /// Target cells per FMM same-level chunk task (rounded to whole
-    /// 8-cell rows and clamped to `[8, 512]` by
-    /// [`gravity::solver::normalize_chunk_cells`]; 512 = one task per
-    /// node).
+    /// Ignored: the FMM's same-level pass runs one work item per
+    /// sub-grid. It stays, with `FmmSolver::with_chunk_cells`, until the
+    /// benchmark stops setting it.
     pub fmm_chunk_cells: usize,
     /// Same-kind kernel work items per fused GPU batch (1 = no
     /// batching). Inert until a run can attach a device: the driver's
@@ -61,7 +59,7 @@ impl Default for Config {
             omega: 0.0,
             gravity: false,
             theta: 0.5,
-            fmm_chunk_cells: gravity::solver::DEFAULT_CHUNK_CELLS,
+            fmm_chunk_cells: gravity::kernels::N_CELLS,
             fmm_agg_slots: gravity::gpu::DEFAULT_AGG_SLOTS,
             fmm_agg_window: gravity::gpu::DEFAULT_AGG_WINDOW,
             bc: BoundaryCondition::Outflow,
@@ -97,7 +95,6 @@ impl Config {
             |ok: bool, why: &str| if ok { Ok(()) } else { Err(Error::Driver(why.into())) };
         ensure(self.cfl > 0.0 && self.cfl < 1.0, "CFL out of range")?;
         ensure(self.theta > 0.0 && self.theta <= 1.0, "theta out of range")?;
-        ensure(self.fmm_chunk_cells >= 1, "need a positive chunk size")?;
         ensure(self.fmm_agg_slots >= 1, "need at least one batch slot")?;
         ensure(self.fmm_agg_window >= 1, "need a positive flush window")?;
         ensure(self.threads >= 1, "need at least one thread")?;

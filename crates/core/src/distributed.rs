@@ -397,7 +397,6 @@ impl DistributedDriver {
             solver: config.gravity.then(|| {
                 Arc::new(
                     FmmSolver::new(config.theta)
-                        .with_chunk_cells(config.fmm_chunk_cells)
                         .with_aggregation(config.fmm_agg_slots, config.fmm_agg_window),
                 )
             }),
@@ -413,13 +412,6 @@ impl DistributedDriver {
     /// The cluster this driver runs over.
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
-    }
-
-    /// The effective FMM same-level chunk size of every locality's
-    /// solver (`None` when gravity is off): `Config::fmm_chunk_cells`
-    /// as the solver normalized it.
-    pub fn fmm_chunk_cells(&self) -> Option<usize> {
-        self.solver.as_ref().map(|s| s.chunk_cells())
     }
 
     /// The leaf → locality assignment.

@@ -169,7 +169,7 @@ pub(crate) fn apply_stage2(
 /// run without peers can offer.
 ///
 /// Dereferences to the driver for everything read-only — `config`,
-/// `time`, `steps`, `subgrids_processed`, `fmm_chunk_cells()`, … .
+/// `time`, `steps`, `subgrids_processed`, … .
 pub struct Simulation {
     driver: DistributedDriver,
 }

@@ -10,18 +10,17 @@
 //!
 //! [`GpuContext`] owns the per-worker [`StreamPool`]s of one device,
 //! plus one [`AggregationRegion`] per pool. Kernels are *typed work
-//! items* — a [`KernelKind`] plus the input-slab descriptor
-//! ([`SlabDesc`]) and the compute closure — submitted through
-//! [`GpuContext::submit`], which buffers them in the caller's region.
-//! When a slot window fills (or [`GpuContext::flush`] declares the
-//! producer idle) the batch goes out as *one* launch on an idle stream
-//! of the caller's pool; when every stream is busy, the §5.1 fallback
-//! runs each item per-item on the CPU, exactly as an unaggregated
-//! launch would have. The kernel closure is identical on both paths,
-//! so where — and how batched — a launch lands never changes the
-//! numbers, only the `fmm/kernels/gpu` vs `fmm/kernels/cpu` split (the
-//! §6.1.2 observable, still counted per item) and the batching
-//! counters.
+//! items* — a [`KernelKind`], the node whose sub-grid the item computes,
+//! and the compute closure — submitted through [`GpuContext::submit`],
+//! which buffers them in the caller's region. When a slot window fills
+//! (or [`GpuContext::flush`] declares the producer idle) the batch goes
+//! out as *one* launch on an idle stream of the caller's pool; when
+//! every stream is busy, the §5.1 fallback runs each item per-item on
+//! the CPU, exactly as an unaggregated launch would have. The kernel
+//! closure is identical on both paths, so where — and how batched — a
+//! launch lands never changes the numbers, only the `fmm/kernels/gpu`
+//! vs `fmm/kernels/cpu` split (the §6.1.2 observable, still counted per
+//! item) and the batching counters.
 //!
 //! Non-worker threads (the main thread helping the scheduler, like in
 //! HPX) submit through a dedicated *overflow* pool + region instead of
@@ -48,47 +47,39 @@ pub enum LaunchSite {
     Cpu,
 }
 
-/// The kernel kinds the FMM solver submits; items of one kind aggregate
-/// together (a fused launch runs one kernel body over many slabs).
+/// The kernel kinds the FMM solver submits — §4.3's two kernels, one
+/// work item per sub-grid, the kind chosen by the node. Items of one
+/// kind aggregate together (a fused launch runs one kernel body over
+/// many sub-grids).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Same-level multipole-to-local over a target-cell slab.
-    SameLevel,
-    /// Leaf-only near-field P2P over a target-cell slab.
-    NearField,
+    /// A leaf's item: the monopole (`HESS = false`) same-level kernel,
+    /// then the near field.
+    Monopole,
+    /// A refined node's item: the multipole (`HESS = true`) same-level
+    /// kernel.
+    Multipole,
 }
 
 impl KernelKind {
     /// Every kind, in lane order.
-    pub const ALL: [KernelKind; 2] = [KernelKind::SameLevel, KernelKind::NearField];
+    pub const ALL: [KernelKind; 2] = [KernelKind::Monopole, KernelKind::Multipole];
 
     /// The aggregation-lane index of this kind.
     pub fn index(self) -> usize {
         match self {
-            KernelKind::SameLevel => 0,
-            KernelKind::NearField => 1,
+            KernelKind::Monopole => 0,
+            KernelKind::Multipole => 1,
         }
     }
 
     /// Stable name for counters and labels.
     pub fn as_str(self) -> &'static str {
         match self {
-            KernelKind::SameLevel => "same-level",
-            KernelKind::NearField => "near-field",
+            KernelKind::Monopole => "monopole",
+            KernelKind::Multipole => "multipole",
         }
     }
-}
-
-/// The input-slab descriptor of one typed work item: which node's
-/// gathered grid, and which target-cell range of it, the kernel reads.
-#[derive(Debug, Clone, Copy)]
-pub struct SlabDesc {
-    /// The node whose gathered moment grid the kernel consumes.
-    pub node: MortonKey,
-    /// First target cell (inclusive).
-    pub start: usize,
-    /// Last target cell (exclusive).
-    pub end: usize,
 }
 
 /// Per-worker stream pools + aggregation regions plus the shared launch
@@ -185,19 +176,19 @@ impl GpuContext {
         }
     }
 
-    /// Submit one typed work item: buffer `f` on the calling worker's
-    /// aggregation region, to be executed inside a fused launch on an
-    /// idle stream of that worker's pool — or per-item on the CPU when
-    /// no stream frees up (§5.1). The returned future fires with `f`'s
-    /// result and where it ran; a submit may execute batches inline
-    /// (CPU degradation) before returning. Call [`GpuContext::flush`]
-    /// after the last submit of a burst, or buffered items wait for
-    /// another producer to trip a threshold.
+    /// Submit one typed work item, the `kind` kernel on `node`'s
+    /// sub-grid: buffer `f` on the calling worker's aggregation region,
+    /// to be executed inside a fused launch on an idle stream of that
+    /// worker's pool — or per-item on the CPU when no stream frees up
+    /// (§5.1). The returned future fires with `f`'s result and where it
+    /// ran; a submit may execute batches inline (CPU degradation) before
+    /// returning. Flush after the last submit of a burst, or buffered
+    /// items wait for another producer to trip a threshold.
     pub fn submit<T: Send + 'static>(
         &self,
         worker: Option<usize>,
         kind: KernelKind,
-        desc: SlabDesc,
+        node: MortonKey,
         f: impl FnOnce() -> T + Send + 'static,
     ) -> Future<(T, LaunchSite)> {
         let lane = self.lane(worker);
@@ -208,7 +199,7 @@ impl GpuContext {
         let item: AggItem = Box::new(move |on_gpu| {
             let value = if on_gpu {
                 let _span = trace::span_labeled(TraceCategory::GpuLaunch, || {
-                    format!("{}:{:?} [{}..{})", kind.as_str(), desc.node, desc.start, desc.end)
+                    format!("{}:{node:?}", kind.as_str())
                 });
                 f()
             } else {
@@ -229,7 +220,8 @@ impl GpuContext {
         self.regions[lane].flush(&self.pools[lane]);
     }
 
-    /// Flush every region (teardown / tests).
+    /// Flush every region: the solver's same-level pass calls it once
+    /// every node has submitted its item.
     pub fn flush_all(&self) {
         for (region, pool) in self.regions.iter().zip(&self.pools) {
             region.flush(pool);
@@ -250,15 +242,11 @@ mod tests {
     use super::*;
     use gpusim::device::DeviceSpec;
 
-    fn desc() -> SlabDesc {
-        SlabDesc { node: MortonKey::root(), start: 0, end: 8 }
-    }
-
     #[test]
     fn submit_flush_executes_on_gpu_when_idle() {
         let dev = Device::new(DeviceSpec::p100(), 6);
         let ctx = GpuContext::new(&dev, 2, QueuePolicy::CpuFallback);
-        let fut = ctx.submit(Some(0), KernelKind::SameLevel, desc(), || 41 + 1);
+        let fut = ctx.submit(Some(0), KernelKind::Monopole, MortonKey::root(), || 41 + 1);
         ctx.flush(Some(0));
         let (value, site) = fut.get();
         assert_eq!(value, 42);
@@ -277,7 +265,7 @@ mod tests {
             AggregationConfig::new(4, 64),
         );
         let futs: Vec<_> = (0..4)
-            .map(|i| ctx.submit(Some(0), KernelKind::SameLevel, desc(), move || i))
+            .map(|i| ctx.submit(Some(0), KernelKind::Monopole, MortonKey::root(), move || i))
             .collect();
         // The 4th submit tripped the slot threshold — no flush needed.
         for (i, f) in futs.into_iter().enumerate() {
@@ -296,7 +284,7 @@ mod tests {
         // → every batch from it degrades to per-item CPU execution.
         let dev = Device::new(DeviceSpec::p100(), 1);
         let ctx = GpuContext::new(&dev, 2, QueuePolicy::CpuFallback);
-        let fut = ctx.submit(Some(1), KernelKind::NearField, desc(), || 7);
+        let fut = ctx.submit(Some(1), KernelKind::Multipole, MortonKey::root(), || 7);
         ctx.flush(Some(1));
         let (value, site) = fut.get();
         assert_eq!(value, 7);
@@ -313,7 +301,7 @@ mod tests {
         let dev = Device::new(DeviceSpec::p100(), 6);
         let ctx = GpuContext::new(&dev, 2, QueuePolicy::CpuFallback);
         assert_eq!(ctx.overflow_pool_len(), 2);
-        let fut = ctx.submit(None, KernelKind::SameLevel, desc(), || 1);
+        let fut = ctx.submit(None, KernelKind::Monopole, MortonKey::root(), || 1);
         ctx.flush(None);
         let (_, site) = fut.get();
         assert_eq!(site, LaunchSite::Gpu);
@@ -331,8 +319,8 @@ mod tests {
             QueuePolicy::CpuFallback,
             AggregationConfig::new(2, 64),
         );
-        let a = ctx.submit(Some(0), KernelKind::SameLevel, desc(), || 0);
-        let b = ctx.submit(Some(0), KernelKind::NearField, desc(), || 0);
+        let a = ctx.submit(Some(0), KernelKind::Monopole, MortonKey::root(), || 0);
+        let b = ctx.submit(Some(0), KernelKind::Multipole, MortonKey::root(), || 0);
         // Neither lane is full; an idle flush drains both as separate
         // (same-kind) batches.
         ctx.flush(Some(0));

@@ -86,7 +86,7 @@
 //! four same-parity stride-2 cells of a row for the parity-stencil
 //! kernels.
 //!
-//! **Target-major sums.** Both slab loops walk target lane groups
+//! **Target-major sums.** Both kernel loops walk target lane groups
 //! outermost (`target_group`): the group's side of every pair — mask,
 //! mass, centre, second moments, quadrupole flag — is gathered once, its
 //! φ, ∇φ, Hessian, force, `f_corr` and torque run as lane-wide sums
@@ -96,24 +96,21 @@
 //! stencil streams past. A cell's sums start at `+0.0` and take its
 //! pairs through the one accumulation sequence (`GroupSums::add`),
 //! lane-wise, so they are the bits of the one-pair-at-a-time order (see
-//! DESIGN.md "Chunking & SIMD"). The order is the offset list's, except
-//! on a leaf launch with a lattice table whose target group is lattice
-//! point masses (every leaf's): there the list is walked twice — the
+//! DESIGN.md "One work item per sub-grid & SIMD"). The order is the
+//! offset list's, except on a leaf launch with a lattice table whose
+//! target group is lattice point masses (every leaf's): there the list is walked twice — the
 //! lattice groups first, in list order, in a loop of its own that keeps
 //! only the seven sums they touch (`lattice_walk`), then the offsets it
 //! deferred, in list order, through `accum_group`. A cell's order is its
 //! lattice pairs, then the rest; the `W = 1` oracle adds them in that
 //! order too.
 //!
-//! **Cache-blocked ranges.** Every kernel has a `*_range_into` form
-//! restricted to a slab `[start, end)` of the interior linear index
-//! (`(i·8 + j)·8 + k`, k fastest). Slabs are whole 8-cell rows — a
-//! checked precondition, so every cell of a slab sits in a full lane
-//! group and there is no scalar path to fall back to. The chunked
-//! solver (`FmmSolver`) launches one task per slab and concatenates
-//! the slabs in index order, which reproduces the monolithic kernel's
-//! output exactly — each cell is owned by exactly one slab and its
-//! per-offset accumulation never crosses slab boundaries.
+//! **Whole sub-grids.** A launch covers all 512 cells of a sub-grid, as
+//! the paper's do (one launch per sub-grid, §4.3), in the interior
+//! linear order (`(i·8 + j)·8 + k`, k fastest); a row is two full lane
+//! groups, so there is no scalar tail. The two loops, `offset_into` and
+//! `parity_into`, write into a caller's buffer — the solver's pooled
+//! ones — and the public kernels below are those loops into a fresh one.
 
 use crate::expansion::{GroupSums, LocalExpansion, PairTerms};
 use crate::multipole::Multipole;
@@ -229,11 +226,15 @@ impl MomentGrid {
     }
 
     /// Flattened index of extended coordinates in
-    /// `[-width, N_SUB + width)`.
+    /// `[-width, N_SUB + width)` — all three of them: a `j` or `k` past
+    /// the edge would land on a slot of a neighbouring row.
     #[inline]
     pub fn idx(&self, i: isize, j: isize, k: isize) -> usize {
         let w = self.width as isize;
-        debug_assert!(i >= -w && (i as i64) < (N_SUB as i64 + w as i64));
+        debug_assert!(
+            [i, j, k].iter().all(|x| (-w..N_SUB as isize + w).contains(x)),
+            "({i}, {j}, {k}) outside the width-{w} grid"
+        );
         (((i + w) as usize * self.dim) + (j + w) as usize) * self.dim + (k + w) as usize
     }
 
@@ -401,7 +402,8 @@ pub struct KernelResult {
     pub interactions: u64,
 }
 
-/// What a range kernel did with the (target, source) pairs of its slab.
+/// What a kernel launch did with the (target, source) pairs of its
+/// sub-grid.
 /// `counted ≤ evaluated`, the gap being pairs weighted out by their lane
 /// inside a group that had to run; whole groups of absent sources are in
 /// neither. A timing divided by `counted` hides both that gap and which
@@ -432,7 +434,7 @@ impl std::ops::AddAssign for PairCounts {
 }
 
 /// Flattened interior-cell linear index `(i·8 + j)·8 + k` (k fastest) —
-/// the index the cache-blocked slabs of the chunked solver range over.
+/// the order of every kernel's output.
 #[inline]
 pub fn interior_index(i: isize, j: isize, k: isize) -> usize {
     ((i * N_SUB as isize + j) * N_SUB as isize + k) as usize
@@ -442,19 +444,6 @@ pub fn interior_index(i: isize, j: isize, k: isize) -> usize {
 /// groups both as k-adjacent halves and as same-parity stride-2 cells.
 const LANES: usize = 4;
 const _: () = assert!(N_SUB == 2 * LANES);
-
-/// Check the slab `[start, end)` (whole rows inside the sub-grid) and
-/// size `out` to one expansion per slab cell without shrinking its
-/// capacity (zero-allocation on reuse). What a reused buffer held stays:
-/// the slab loops overwrite every cell whole.
-fn reset_slab(out: &mut Vec<LocalExpansion>, start: usize, end: usize) {
-    assert!(start <= end && end <= N_CELLS);
-    assert!(
-        start.is_multiple_of(N_SUB) && end.is_multiple_of(N_SUB),
-        "slab [{start}, {end}) is not whole {N_SUB}-cell rows"
-    );
-    out.resize(end - start, LocalExpansion::default());
-}
 
 /// Decompose an interior linear index `(i·8 + j)·8 + k` into `(i, j, k)`.
 #[inline]
@@ -501,7 +490,7 @@ fn pairs<const W: usize, const QUAD: bool, const HESS: bool>(
     w
 }
 
-/// Running totals of one slab loop; see [`PairCounts`].
+/// Running totals of one kernel loop; see [`PairCounts`].
 struct Tally {
     /// Summed pair weights, lane by lane, of the groups [`pairs`] ran.
     weights: Lanes<LANES>,
@@ -667,54 +656,51 @@ fn lattice_walk<const STRIDE: usize>(
     (sums, n_deferred)
 }
 
-/// Apply `offsets` to every cell of the row-aligned slab `[start, end)`:
-/// lane groups are four k-adjacent targets, contiguous in both the
-/// extended grid (k fastest) and the output slab. A leaf launch
-/// (`HESS = false`) with the lattice `rows` of `offsets` at the grid's
-/// level takes the lattice walk ([`target_group`]) — the solver's; the
-/// public kernels pass none, and every pair computes its tensors.
-pub(crate) fn offset_range_into<const HESS: bool>(
+/// Apply `offsets` to every cell of the sub-grid: lane groups are four
+/// k-adjacent targets, contiguous in both the extended grid (k fastest)
+/// and `out`. A leaf launch (`HESS = false`) with the lattice `rows` of
+/// `offsets` at the grid's level takes the lattice walk
+/// ([`target_group`]) — the solver's; the public kernels pass none, and
+/// every pair computes its tensors.
+pub(crate) fn offset_into<const HESS: bool>(
     grid: &MomentGrid,
     offsets: &[(i32, i32, i32)],
     rows: Option<&[LatticeRow]>,
-    start: usize,
-    end: usize,
     out: &mut Vec<LocalExpansion>,
 ) -> PairCounts {
-    reset_slab(out, start, end);
+    // One expansion per cell, keeping a reused buffer's capacity: every
+    // cell is overwritten whole.
+    out.resize(N_CELLS, LocalExpansion::default());
     let mut tally = Tally::new();
-    for c in (start..end).step_by(LANES) {
+    for c in (0..N_CELLS).step_by(LANES) {
         let (i, j, k) = interior_coords(c);
-        let out = &mut out[c - start..];
+        let out = &mut out[c..];
         target_group::<HESS>(grid, grid.idx(i, j, k), 1, offsets, rows, out, &mut tally);
     }
     tally.counts()
 }
 
-/// Parity-exact same-level pass over the row-aligned slab
-/// `[start, end)`: each cell uses the offset list of its parity (and,
-/// with `rows`, that list's lattice rows; see [`offset_range_into`]), so
-/// every pair is owned by exactly one level of the tree walk. k parity
-/// alternates along a row, so a row is two lane groups of four
-/// same-parity stride-2 cells sharing an offset list — the even-k cells,
-/// then the odd-k cells.
-pub(crate) fn parity_range_into<const HESS: bool>(
+/// Parity-exact same-level pass over the sub-grid: each cell uses the
+/// offset list of its parity (and, with `rows`, that list's lattice rows;
+/// see [`offset_into`]), so every pair is owned by exactly one level of
+/// the tree walk. k parity alternates along a row, so a row is two lane
+/// groups of four same-parity stride-2 cells sharing an offset list — the
+/// even-k cells, then the odd-k cells.
+pub(crate) fn parity_into<const HESS: bool>(
     grid: &MomentGrid,
     stencil: &Stencil,
     rows: Option<&[Vec<LatticeRow>; 8]>,
-    start: usize,
-    end: usize,
     out: &mut Vec<LocalExpansion>,
 ) -> PairCounts {
-    reset_slab(out, start, end);
+    out.resize(N_CELLS, LocalExpansion::default());
     let mut tally = Tally::new();
-    for row in (start..end).step_by(N_SUB) {
+    for row in (0..N_CELLS).step_by(N_SUB) {
         let (i, j, _) = interior_coords(row);
         for k0 in 0..2isize {
             let parity = parity_of(i, j, k0);
             let offsets = stencil.for_parity(parity);
             let rows = rows.map(|rows| rows[parity as usize].as_slice());
-            let out = &mut out[row - start + k0 as usize..];
+            let out = &mut out[row + k0 as usize..];
             target_group::<HESS>(grid, grid.idx(i, j, k0), 2, offsets, rows, out, &mut tally);
         }
     }
@@ -727,88 +713,39 @@ fn parity_of(i: isize, j: isize, k: isize) -> u8 {
     ((i & 1) | ((j & 1) << 1) | ((k & 1) << 2)) as u8
 }
 
+/// A whole-sub-grid launch into a fresh buffer.
+fn full_launch(into: impl FnOnce(&mut Vec<LocalExpansion>) -> PairCounts) -> KernelResult {
+    let mut expansions = Vec::new();
+    let interactions = into(&mut expansions).counted;
+    KernelResult { expansions, interactions }
+}
+
 /// The kernel for a leaf's cells (`HESS = false`; on leaf/leaf node
-/// pairs the monopole–monopole kernel) applying `offsets` to the
-/// target-cell slab `[start, end)` of the interior linear index, which
-/// must be whole 8-cell rows. `out` gets `end − start` expansions, slab
-/// cell `c` at `out[c − start]`, their `d2phi` all `+0.0`. Returns the
-/// slab's [`PairCounts`]. Every pair computes its tensors: the lattice
-/// walk is the solver's.
-pub fn monopole_kernel_range_into(
-    grid: &MomentGrid,
-    offsets: &[(i32, i32, i32)],
-    start: usize,
-    end: usize,
-    out: &mut Vec<LocalExpansion>,
-) -> PairCounts {
-    offset_range_into::<false>(grid, offsets, None, start, end, out)
+/// pairs the monopole–monopole kernel) applying `offsets` to every
+/// interior cell: `expansions[c]` is cell `c`'s, in the interior linear
+/// order, its `d2phi` `+0.0`. Every pair computes its tensors: the
+/// lattice walk is the solver's.
+pub fn monopole_kernel(grid: &MomentGrid, offsets: &[(i32, i32, i32)]) -> KernelResult {
+    full_launch(|out| offset_into::<false>(grid, offsets, None, out))
 }
 
 /// The kernel for a refined node's cells (`HESS = true`) — the combined
 /// multipole kernel, full M2L with quadrupoles and conservation
-/// corrections — over the slab `[start, end)`; layout as
-/// [`monopole_kernel_range_into`].
-pub fn multipole_kernel_range_into(
-    grid: &MomentGrid,
-    offsets: &[(i32, i32, i32)],
-    start: usize,
-    end: usize,
-    out: &mut Vec<LocalExpansion>,
-) -> PairCounts {
-    offset_range_into::<true>(grid, offsets, None, start, end, out)
-}
-
-/// Parity-exact same-level kernel for a leaf's cells over the slab
-/// `[start, end)` (whole rows): each cell uses the offset list of its
-/// parity. Output layout as [`monopole_kernel_range_into`].
-pub fn monopole_kernel_stencil_range_into(
-    grid: &MomentGrid,
-    stencil: &Stencil,
-    start: usize,
-    end: usize,
-    out: &mut Vec<LocalExpansion>,
-) -> PairCounts {
-    parity_range_into::<false>(grid, stencil, None, start, end, out)
-}
-
-/// Parity-exact same-level kernel for a refined node's cells over the
-/// slab `[start, end)` (whole rows); see
-/// [`monopole_kernel_stencil_range_into`].
-pub fn multipole_kernel_stencil_range_into(
-    grid: &MomentGrid,
-    stencil: &Stencil,
-    start: usize,
-    end: usize,
-    out: &mut Vec<LocalExpansion>,
-) -> PairCounts {
-    parity_range_into::<true>(grid, stencil, None, start, end, out)
-}
-
-/// A whole-sub-grid launch into a fresh buffer.
-fn full_launch(range_into: impl FnOnce(&mut Vec<LocalExpansion>) -> PairCounts) -> KernelResult {
-    let mut expansions = Vec::new();
-    let interactions = range_into(&mut expansions).counted;
-    KernelResult { expansions, interactions }
-}
-
-/// [`monopole_kernel_range_into`] over every interior cell.
-pub fn monopole_kernel(grid: &MomentGrid, offsets: &[(i32, i32, i32)]) -> KernelResult {
-    full_launch(|out| monopole_kernel_range_into(grid, offsets, 0, N_CELLS, out))
-}
-
-/// [`multipole_kernel_range_into`] over every interior cell.
+/// corrections; layout as [`monopole_kernel`].
 pub fn multipole_kernel(grid: &MomentGrid, offsets: &[(i32, i32, i32)]) -> KernelResult {
-    full_launch(|out| multipole_kernel_range_into(grid, offsets, 0, N_CELLS, out))
+    full_launch(|out| offset_into::<true>(grid, offsets, None, out))
 }
 
-/// [`monopole_kernel_stencil_range_into`] over every interior cell.
+/// Parity-exact same-level kernel for a leaf's cells: each cell uses the
+/// offset list of its parity. Layout as [`monopole_kernel`].
 pub fn monopole_kernel_stencil(grid: &MomentGrid, stencil: &Stencil) -> KernelResult {
-    full_launch(|out| monopole_kernel_stencil_range_into(grid, stencil, 0, N_CELLS, out))
+    full_launch(|out| parity_into::<false>(grid, stencil, None, out))
 }
 
-/// [`multipole_kernel_stencil_range_into`] over every interior cell.
+/// Parity-exact same-level kernel for a refined node's cells; see
+/// [`monopole_kernel_stencil`].
 pub fn multipole_kernel_stencil(grid: &MomentGrid, stencil: &Stencil) -> KernelResult {
-    full_launch(|out| multipole_kernel_stencil_range_into(grid, stencil, 0, N_CELLS, out))
+    full_launch(|out| parity_into::<true>(grid, stencil, None, out))
 }
 
 /// Build the extended moment grid for one node from its own cell
@@ -1288,27 +1225,27 @@ mod tests {
             for leaf in [true, false] {
                 let h = h.filter(|_| leaf);
                 let (one, expect, all_pairs, lean) = oracle(grid, which, h);
-                let (all, buf) = (N_CELLS, &mut buf);
+                let buf = &mut buf;
                 let (counts, list) = match (leaf, which, h) {
                     (true, Offsets::List(name, list), None) => {
-                        (monopole_kernel_range_into(grid, list, 0, all, buf), name)
+                        (offset_into::<false>(grid, list, None, buf), name)
                     }
                     (true, Offsets::List(name, list), Some(h)) => {
                         let rows = LatticeRow::rows(list, h);
-                        (offset_range_into::<false>(grid, list, Some(&rows), 0, all, buf), name)
+                        (offset_into::<false>(grid, list, Some(&rows), buf), name)
                     }
                     (false, Offsets::List(name, list), _) => {
-                        (multipole_kernel_range_into(grid, list, 0, all, buf), name)
+                        (offset_into::<true>(grid, list, None, buf), name)
                     }
                     (true, Offsets::Parity(s), None) => {
-                        (monopole_kernel_stencil_range_into(grid, s, 0, all, buf), "stencil")
+                        (parity_into::<false>(grid, s, None, buf), "stencil")
                     }
                     (true, Offsets::Parity(s), Some(h)) => {
                         let rows = std::array::from_fn(|p| LatticeRow::rows(s.for_parity(p as u8), h));
-                        (parity_range_into::<false>(grid, s, Some(&rows), 0, all, buf), "stencil")
+                        (parity_into::<false>(grid, s, Some(&rows), buf), "stencil")
                     }
                     (false, Offsets::Parity(s), _) => {
-                        (multipole_kernel_stencil_range_into(grid, s, 0, all, buf), "stencil")
+                        (parity_into::<true>(grid, s, None, buf), "stencil")
                     }
                 };
                 let what =
@@ -1521,8 +1458,8 @@ mod tests {
             q: if k == 5 && j % 2 == 0 { [0.03, 0.02, 0.01, -0.004, 0.0, 0.002] } else { [0.0; 6] },
         });
         let (mut there, mut back) = (Vec::new(), Vec::new());
-        let n_there = monopole_kernel_range_into(&grid, &[(0, 0, 2)], 0, N_CELLS, &mut there);
-        let n_back = multipole_kernel_range_into(&grid, &[(0, 0, -2)], 0, N_CELLS, &mut back);
+        let n_there = offset_into::<false>(&grid, &[(0, 0, 2)], None, &mut there);
+        let n_back = offset_into::<true>(&grid, &[(0, 0, -2)], None, &mut back);
         assert_eq!(n_there.counted, n_back.counted);
         // Even-j rows: both groups flagged one way, one of two back.
         assert_eq!(n_there.full_body * 2, n_there.evaluated);
@@ -1566,8 +1503,8 @@ mod tests {
         }
         let (fwd, rev) = ([(0, 0, 2)], [(0, 0, -2)]);
         let (rows_fwd, rows_rev) = (LatticeRow::rows(&fwd, H), LatticeRow::rows(&rev, H));
-        let n_there = offset_range_into::<false>(&grid, &fwd, Some(&rows_fwd), 0, N_CELLS, &mut there);
-        let n_back = offset_range_into::<false>(&grid, &rev, Some(&rows_rev), 0, N_CELLS, &mut back);
+        let n_there = offset_into::<false>(&grid, &fwd, Some(&rows_fwd), &mut there);
+        let n_back = offset_into::<false>(&grid, &rev, Some(&rows_rev), &mut back);
         // Forward adds 6 → 8 on the 32 even-j rows, which has no mirror.
         assert_eq!(n_there.counted, n_back.counted + 32);
         // 32 even-j rows, 32 odd ones. Forward, an even-j row's second
@@ -1612,56 +1549,17 @@ mod tests {
         }
     }
 
-    /// Concatenating row-aligned slab ranges reproduces the full kernel
-    /// exactly, and the per-slab pair counts sum to the full counts.
+    /// A `j` or `k` off the grid is caught, not read from a slot of a
+    /// neighbouring row (debug builds: `idx` is on the kernels' path).
+    #[cfg(debug_assertions)]
     #[test]
-    fn range_kernels_concatenate_to_full() {
-        let s = Stencil::octotiger();
-        let grid = random_grid(s.width(), 0xc0ffee, Layout::Boxes(4));
-        let mut full = [Vec::new(), Vec::new(), Vec::new()];
-        let [f_off, f_sten, f_mono] = &mut full;
-        let n_off = multipole_kernel_range_into(&grid, s.offsets(), 0, N_CELLS, f_off);
-        let n_sten = multipole_kernel_stencil_range_into(&grid, &s, 0, N_CELLS, f_sten);
-        let n_mono = monopole_kernel_range_into(&grid, s.offsets(), 0, N_CELLS, f_mono);
-        assert!(n_off.full_body > 0 && n_off.full_body < n_off.evaluated);
-        // Uniform chunks, and the uneven split `[0, 64) ∪ [64, 512)`.
-        let uniform = |chunk: usize| (0..N_CELLS).step_by(chunk).chain([N_CELLS]).collect();
-        let splits: [Vec<usize>; 5] =
-            [uniform(8), uniform(24), uniform(64), uniform(N_CELLS), vec![0, 64, N_CELLS]];
-        for cuts in &splits {
-            let mut cat = [Vec::new(), Vec::new(), Vec::new()];
-            let mut counts = [PairCounts::default(); 3];
-            for (&start, &end) in cuts.iter().zip(&cuts[1..]) {
-                let mut buf = Vec::new();
-                counts[0] += multipole_kernel_range_into(&grid, s.offsets(), start, end, &mut buf);
-                cat[0].extend_from_slice(&buf);
-                counts[1] += multipole_kernel_stencil_range_into(&grid, &s, start, end, &mut buf);
-                cat[1].extend_from_slice(&buf);
-                counts[2] += monopole_kernel_range_into(&grid, s.offsets(), start, end, &mut buf);
-                cat[2].extend_from_slice(&buf);
-            }
-            assert_eq!(counts, [n_off, n_sten, n_mono], "cuts {cuts:?}");
-            for (cat, full, what) in
-                [(&cat[0], &full[0], "offsets"), (&cat[1], &full[1], "stencil"), (&cat[2], &full[2], "monopole")]
-            {
-                assert_eq!(cat.len(), full.len());
-                for (a, b) in cat.iter().zip(full.iter()) {
-                    a.assert_same_bits(b, &format!("{what} cuts {cuts:?}"));
-                }
-            }
-        }
+    #[should_panic(expected = "outside the width-2 grid")]
+    fn moment_grid_idx_checks_every_coordinate() {
+        MomentGrid::new(2).idx(0, 0, N_SUB as isize + 2);
     }
 
-    /// There is no scalar tail: a slab that is not whole rows is a
-    /// caller bug, not a slow path.
-    #[test]
-    #[should_panic(expected = "not whole 8-cell rows")]
-    fn unaligned_slab_is_rejected() {
-        let s = Stencil::octotiger();
-        let grid = lattice(s.width());
-        monopole_kernel_stencil_range_into(&grid, &s, 8, 21, &mut Vec::new());
-    }
-
+    /// The solver's loops reuse a dirty pooled buffer without
+    /// reallocating, and write what a fresh launch does.
     #[test]
     fn range_kernels_reuse_buffers_and_match() {
         let s = Stencil::octotiger();
@@ -1679,7 +1577,7 @@ mod tests {
             buf.reserve(600);
             buf.capacity()
         };
-        let counts = monopole_kernel_stencil_range_into(&grid, &s, 0, N_CELLS, &mut buf);
+        let counts = parity_into::<false>(&grid, &s, None, &mut buf);
         assert_eq!(counts.counted, fresh.interactions);
         assert_eq!(buf.capacity(), cap_marker, "no reallocation on reuse");
         for (a, b) in buf.iter().zip(fresh.expansions.iter()) {

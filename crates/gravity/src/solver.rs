@@ -43,7 +43,7 @@
 //! [`GravityField::pairs_evaluated`], [`GravityField::pairs_full_body`]
 //! and [`GravityField::pairs_lattice`], published as `fmm/pairs/*`
 //! beside `fmm/interactions/*`, identical between the serial and the
-//! chunked walk.
+//! futurized walk.
 //!
 //! **Futurization** (§4.1): [`FmmSolver::solve_parallel`] runs the same
 //! walk as a task graph on the [`amt`] runtime — one task per node for
@@ -60,37 +60,33 @@
 //! and kernel launches are routed through the optional [`GpuContext`]
 //! (§5.1 stream-idle decision).
 //!
-//! **Chunking** (DESIGN.md "Chunking & SIMD"): the same-level pass is
-//! *cache-blocked* rather than one monolithic task per node. Each node
-//! pipelines through three stages — a halo-gather task, one kernel task
-//! per target-cell slab of [`FmmSolver::chunk_cells`] cells (same-level
-//! M2L plus, on leaves, the near-field P2P), and a merge continuation
-//! that concatenates the slabs in index order. A cell's accumulation
-//! order over its offset list never changes and slabs are disjoint, so
-//! the chunked field is bit-identical to the serial walk at any chunk
-//! size and worker count. A bounded window of nodes is in flight at a
-//! time (grids are ~0.8 MB each), refilled from each merge, and all
-//! buffers lease from the [`ScratchPool`] so steady-state solves
-//! allocate nothing. The chunk size is [`DEFAULT_CHUNK_CELLS`] unless
-//! [`FmmSolver::with_chunk_cells`] sets it (the drivers pass
-//! `Config::fmm_chunk_cells`).
+//! **One work item per sub-grid** (DESIGN.md "One work item per
+//! sub-grid & SIMD"): the same-level pass launches per node what the
+//! paper launches per sub-grid (§4.3, §5.1). The item
+//! (`FmmSolver::node_item`, the body the serial walk runs too) leases a
+//! moment grid from the [`ScratchPool`] and gathers the node's halo into
+//! it, runs the node's same-level kernel over all 512 cells and, on a
+//! leaf, the near-field kernel, adds the near-field result cell by cell,
+//! and returns the grid. A grid is leased inside the item, so only
+//! running items hold one, and steady-state solves allocate nothing. On a
+//! CPU-only solver the item is one task; with a [`GpuContext`] the node's
+//! task submits it to its worker's aggregation region as the node's
+//! kernel kind ([`KernelKind`]), and the pass flushes every region once
+//! all nodes are in, so items of different nodes fuse. Results merge by
+//! node key, so the field is the serial walk's at any worker count.
 
 use crate::expansion::LocalExpansion;
-use crate::gpu::{AggregationConfig, GpuContext, KernelKind, LaunchSite, SlabDesc, HIST_LABELS};
-use crate::kernels::{
-    interior_index, multipole_kernel_range_into, multipole_kernel_stencil_range_into,
-    offset_range_into, parity_range_into, MomentGrid, PairCounts, N_CELLS,
-};
+use crate::gpu::{AggregationConfig, GpuContext, KernelKind, LaunchSite, HIST_LABELS};
+use crate::kernels::{interior_index, offset_into, parity_into, MomentGrid, PairCounts};
 use crate::multipole::Multipole;
 use crate::scratch::ScratchPool;
 use crate::stencil::Stencil;
 use crate::tensors::LatticeRow;
 use amt::trace::{self, TraceCategory};
-use amt::{when_all, Future, Promise, Runtime, Scheduler};
+use amt::{when_all, Future, Runtime};
 use octree::subgrid::{Field, N_SUB};
 use octree::tree::Octree;
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use util::morton::MortonKey;
 use util::vec3::Vec3;
@@ -140,8 +136,8 @@ pub struct GravityField {
     /// Of `pairs_evaluated`, pairs whose `B0` / `B1` came from a level's
     /// lattice table instead of a divide and a square root (leaves only).
     pub pairs_lattice: u64,
-    /// Number of kernel launches (one per chunk per pass on the chunked
-    /// path, one per node per pass on the serial walk).
+    /// Number of kernel launches: one work item per node — its
+    /// same-level kernel and, on a leaf, the near-field one.
     pub kernel_launches: u64,
     /// Launches executed inline on a CPU worker.
     pub kernel_launches_cpu: u64,
@@ -369,49 +365,34 @@ pub fn m2m_parallel(tree: &Arc<Octree>, mut moments: MomentMap, rt: &Arc<Runtime
     moments
 }
 
-/// Default same-level chunk size in target cells (a cache-blocking
-/// sweep over {8..512} picked this; see EXPERIMENTS.md §E13).
-pub const DEFAULT_CHUNK_CELLS: usize = 32;
-
-/// Normalize a chunk size: round up to whole 8-cell rows (the range
-/// kernels take nothing else — their lane groups are half rows) and
-/// clamp to `[8, 512]`. `1` therefore means "one row slab".
-pub fn normalize_chunk_cells(n: usize) -> usize {
-    ((n.max(1) + N_SUB - 1) / N_SUB * N_SUB).min(N_CELLS)
-}
-
-/// What one typed kernel work item computes: `(kernel kind, slab
-/// start, slab expansions, pair counts)`.
-type ItemResult = (KernelKind, usize, Vec<LocalExpansion>, PairCounts);
-
-/// What the fan's per-item futures resolve to: the item result plus
-/// where the launch landed (§5.1 decision, per item even inside a
-/// fused batch).
-type ChunkItem = (ItemResult, LaunchSite);
-
-/// Everything the merge continuation of one node hands back through
-/// its promise.
-struct NodeOutcome {
-    key: MortonKey,
+/// What one node's work item hands back: the node's same-level
+/// expansions (the near field added on a leaf) and each pass's pairs.
+struct NodeItem {
     out: Vec<LocalExpansion>,
     same: PairCounts,
     near: PairCounts,
-    gpu_launches: u64,
-    cpu_launches: u64,
-    chunks: u64,
 }
 
-/// Summed counters of one same-level pass (serial or chunked).
+/// Summed counters of one same-level pass (serial or futurized).
 #[derive(Default, Clone, Copy)]
 struct PassTotals {
     same: PairCounts,
     near: PairCounts,
     gpu_launches: u64,
     cpu_launches: u64,
-    chunks: u64,
 }
 
 impl PassTotals {
+    /// Count one node's item, launched at `site`.
+    fn add(&mut self, item: &NodeItem, site: LaunchSite) {
+        self.same += item.same;
+        self.near += item.near;
+        match site {
+            LaunchSite::Gpu => self.gpu_launches += 1,
+            LaunchSite::Cpu => self.cpu_launches += 1,
+        }
+    }
+
     /// The solved field over `cells`, carrying these counters.
     fn field(&self, cells: HashMap<MortonKey, Vec<CellGravity>>) -> GravityField {
         GravityField {
@@ -429,151 +410,6 @@ impl PassTotals {
     }
 }
 
-/// Shared state of one chunked same-level pass: the node queue plus
-/// everything a gather/fan/merge closure needs to capture. Lives behind
-/// an `Arc` threaded through every continuation.
-struct ChunkedPass {
-    solver: Arc<FmmSolver>,
-    tree: Arc<Octree>,
-    moments: Arc<MomentMap>,
-    tables: LeafTables,
-    rt: Arc<Runtime>,
-    sched: Arc<Scheduler>,
-    queue: Mutex<VecDeque<(MortonKey, Promise<NodeOutcome>)>>,
-}
-
-impl ChunkedPass {
-    /// Launch the pipeline of the next queued node (no-op on an empty
-    /// queue): a gather task, then a continuation fanning out one
-    /// kernel task per target-cell slab, then a merge continuation that
-    /// concatenates the slabs *by slab index* (never arrival order),
-    /// recycles the buffers, refills the window, and fulfils the
-    /// node's promise.
-    fn launch_next(pass: &Arc<ChunkedPass>) {
-        let Some((key, promise)) = pass.queue.lock().pop_front() else {
-            return;
-        };
-        let p = Arc::clone(pass);
-        let gather = pass.rt.async_call(move || {
-            let _span = trace::span_labeled(TraceCategory::FmmGather, || format!("{key:?}"));
-            let mut grid = p.solver.scratch.take_grid(p.solver.gather_width());
-            p.solver.gather_into(&p.tree, &p.moments, key, &mut grid);
-            (Arc::new(grid), p.tables.of(&p.tree, key).cloned())
-        });
-        let p = Arc::clone(pass);
-        // Dropping the continuation futures is fine: completion is
-        // observed through the node promise, not through them.
-        let _fan = gather.then(&pass.sched, move |(grid, table)| {
-            let chunk_cells = p.solver.chunk_cells;
-            let worker = p.sched.current_worker();
-            // Every node runs the same-level kernel; a leaf also the
-            // near-field one.
-            let kinds: &[KernelKind] =
-                if table.is_some() { &KernelKind::ALL } else { &[KernelKind::SameLevel] };
-            let n_slabs = (N_CELLS + chunk_cells - 1) / chunk_cells;
-            let mut item_futs: Vec<Future<ChunkItem>> = Vec::with_capacity(kinds.len() * n_slabs);
-            let mut chunks = 0u64;
-            let mut start = 0;
-            while start < N_CELLS {
-                let end = (start + chunk_cells).min(N_CELLS);
-                for &kind in kinds {
-                    item_futs.push(ChunkedPass::submit_item(
-                        &p, worker, &grid, &table, key, kind, start, end,
-                    ));
-                }
-                chunks += 1;
-                start = end;
-            }
-            // This producer is now idle: whatever the slot/window
-            // thresholds left buffered goes out as fused batches (or
-            // degrades per item on the CPU) before the fan returns.
-            if let Some(ctx) = p.solver.gpu.as_ref() {
-                ctx.flush(worker);
-            }
-            let p2 = Arc::clone(&p);
-            let _merge = when_all(&p.sched, item_futs).then(&p.sched, move |results| {
-                let mut out = p2.solver.scratch.take_expansions();
-                out.clear();
-                out.resize(N_CELLS, LocalExpansion::default());
-                let mut o = NodeOutcome {
-                    key,
-                    out,
-                    same: PairCounts::default(),
-                    near: PairCounts::default(),
-                    gpu_launches: 0,
-                    cpu_launches: 0,
-                    chunks,
-                };
-                // Place the same-level slabs first and stash the
-                // near-field ones, then fold near-field in per cell —
-                // the same single `add` per cell the pre-aggregation
-                // chunk task performed, so the accumulation order (and
-                // every bit) is unchanged.
-                let mut near_slabs = Vec::new();
-                for ((kind, start, buf, n), site) in results {
-                    o.gpu_launches += (site == LaunchSite::Gpu) as u64;
-                    o.cpu_launches += (site == LaunchSite::Cpu) as u64;
-                    match kind {
-                        KernelKind::SameLevel => {
-                            o.out[start..start + buf.len()].copy_from_slice(&buf);
-                            o.same += n;
-                            p2.solver.scratch.put_expansions(buf);
-                        }
-                        KernelKind::NearField => {
-                            o.near += n;
-                            near_slabs.push((start, buf));
-                        }
-                    }
-                }
-                for (start, buf) in near_slabs {
-                    for (i, ne) in buf.iter().enumerate() {
-                        o.out[start + i].add(ne);
-                    }
-                    p2.solver.scratch.put_expansions(buf);
-                }
-                // Every work item drops its grid clone before setting
-                // its promise, so by now we deterministically hold the
-                // last reference.
-                if let Ok(grid) = Arc::try_unwrap(grid) {
-                    p2.solver.scratch.put_grid(grid);
-                }
-                // Refill the window only after the grid went back, so
-                // the next gather reuses it instead of allocating.
-                ChunkedPass::launch_next(&p2);
-                promise.set_value(o);
-            });
-        });
-    }
-
-    /// Submit one typed kernel work item for the slab `[start, end)` of
-    /// `key`: through the GPU context's aggregating
-    /// [`GpuContext::submit`] when one is attached, as a plain
-    /// scheduler task otherwise. Either way the body is
-    /// [`FmmSolver::chunk_kernel`] on a leased scratch buffer, so the
-    /// result is bit-identical across paths.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_item(
-        pass: &Arc<ChunkedPass>,
-        worker: Option<usize>,
-        grid: &Arc<MomentGrid>,
-        table: &Option<Arc<LevelTable>>,
-        key: MortonKey,
-        kind: KernelKind,
-        start: usize,
-        end: usize,
-    ) -> Future<ChunkItem> {
-        let solver = Arc::clone(&pass.solver);
-        let (grid, table) = (Arc::clone(grid), table.clone());
-        let buf = pass.solver.scratch.take_expansions();
-        let compute =
-            move || solver.chunk_kernel(&grid, key, table.as_deref(), kind, start, end, buf);
-        match pass.solver.gpu.as_ref() {
-            Some(ctx) => ctx.submit(worker, kind, SlabDesc { node: key, start, end }, compute),
-            None => pass.rt.async_call(move || (compute(), LaunchSite::Cpu)),
-        }
-    }
-}
-
 /// The FMM gravity solver.
 pub struct FmmSolver {
     stencil: Stencil,
@@ -586,9 +422,6 @@ pub struct FmmSolver {
     /// When present, kernel launches go through the §5.1 stream-idle
     /// decision; when absent every launch is a CPU launch.
     gpu: Option<GpuContext>,
-    /// Target cells per same-level chunk task (normalized to whole
-    /// rows). 512 restores the one-task-per-node behaviour.
-    chunk_cells: usize,
 }
 
 /// The lattice rows (`tensors::LatticeRow`) of one level's leaf lists,
@@ -624,17 +457,12 @@ impl FmmSolver {
         Self::build(theta, Some(ctx))
     }
 
-    /// Override the same-level chunk size (builder style). The value is
-    /// normalized through [`normalize_chunk_cells`]; the default is
-    /// [`DEFAULT_CHUNK_CELLS`].
-    pub fn with_chunk_cells(mut self, n: usize) -> FmmSolver {
-        self.chunk_cells = normalize_chunk_cells(n);
+    /// Accepts and ignores a same-level chunk size: the pass runs one
+    /// work item per sub-grid (module docs), whatever `_cells` says. It
+    /// stays, with `Config::fmm_chunk_cells`, until the benchmark stops
+    /// setting them.
+    pub fn with_chunk_cells(self, _cells: usize) -> FmmSolver {
         self
-    }
-
-    /// The effective same-level chunk size in target cells.
-    pub fn chunk_cells(&self) -> usize {
-        self.chunk_cells
     }
 
     /// Override the work-aggregation thresholds (builder style):
@@ -665,7 +493,6 @@ impl FmmSolver {
             root_offsets: Stencil::root_offsets(theta),
             scratch: ScratchPool::new(),
             gpu,
-            chunk_cells: DEFAULT_CHUNK_CELLS,
         }
     }
 
@@ -825,130 +652,128 @@ impl FmmSolver {
         }
     }
 
-    /// Same-level kernel of one node over the target-cell slab
-    /// `[start, end)` — the per-chunk kernel launch. The root has no
+    /// Same-level kernel of one node over all its cells. The root has no
     /// parent level: run all separated pairs there; other levels use the
     /// parity-exact stencils. A leaf (`table` is its level's lattice
     /// table) launches the `HESS = false` kernels, a refined node the
     /// `HESS = true` ones: only a refined node's Hessian is read.
-    fn same_level_kernel_range_into(
+    fn same_level_kernel_into(
         &self,
         grid: &MomentGrid,
         level: u8,
         table: Option<&LevelTable>,
-        start: usize,
-        end: usize,
         out: &mut Vec<LocalExpansion>,
     ) -> PairCounts {
         let root = &self.root_offsets;
         match (level == 0, table) {
-            (true, Some(t)) => {
-                offset_range_into::<false>(grid, root, Some(&t.root), start, end, out)
-            }
-            (true, None) => multipole_kernel_range_into(grid, root, start, end, out),
-            (false, Some(t)) => {
-                parity_range_into::<false>(grid, &self.stencil, Some(&t.parity), start, end, out)
-            }
-            (false, None) => {
-                multipole_kernel_stencil_range_into(grid, &self.stencil, start, end, out)
-            }
+            (true, Some(t)) => offset_into::<false>(grid, root, Some(&t.root), out),
+            (true, None) => offset_into::<true>(grid, root, None, out),
+            (false, Some(t)) => parity_into::<false>(grid, &self.stencil, Some(&t.parity), out),
+            (false, None) => parity_into::<true>(grid, &self.stencil, None, out),
         }
     }
 
-    /// One typed kernel work item: run `kind`'s range kernel over the
-    /// target-cell slab `[start, end)` into the leased `buf`. This body
-    /// is what executes — identically — inside a fused GPU batch and
-    /// on the per-item CPU fallback, which is why batching can never
-    /// change a bit of the output.
-    #[allow(clippy::too_many_arguments)]
-    fn chunk_kernel(
+    /// One node's same-level work item — what the paper launches per
+    /// sub-grid. It leases a grid and gathers the node's halo into it,
+    /// runs the node's same-level kernel over all 512 cells and, on a leaf
+    /// (`table` is its level's lattice table), the near-field kernel,
+    /// whose result it adds cell by cell; then it returns the grid. The
+    /// serial walk and both paths of the futurized one run this body,
+    /// inside a fused GPU batch or not, so none of them can move a bit.
+    /// Its three stages are `fmm/*` spans of their own, nested in no
+    /// other compute span.
+    fn node_item(
         &self,
-        grid: &MomentGrid,
+        tree: &Octree,
+        moments: &MomentMap,
         key: MortonKey,
         table: Option<&LevelTable>,
-        kind: KernelKind,
-        start: usize,
-        end: usize,
-        mut buf: Vec<LocalExpansion>,
-    ) -> ItemResult {
-        let n = match kind {
-            KernelKind::SameLevel => {
-                let _span = trace::span_labeled(TraceCategory::FmmSameLevel, || {
-                    format!("{key:?} [{start}..{end})")
-                });
-                self.same_level_kernel_range_into(grid, key.level, table, start, end, &mut buf)
-            }
-            // Leaves only: pairs inside the opening criterion.
-            KernelKind::NearField => {
-                let _span = trace::span_labeled(TraceCategory::FmmNearField, || {
-                    format!("{key:?} [{start}..{end})")
-                });
-                let rows = &table.expect("only a leaf runs the near field").near;
-                offset_range_into::<false>(grid, &self.near_field, Some(rows), start, end, &mut buf)
-            }
+    ) -> NodeItem {
+        let label = || format!("{key:?}");
+        let mut grid = self.scratch.take_grid(self.gather_width());
+        {
+            let _span = trace::span_labeled(TraceCategory::FmmGather, label);
+            self.gather_into(tree, moments, key, &mut grid);
+        }
+        let mut out = self.scratch.take_expansions();
+        let same = {
+            let _span = trace::span_labeled(TraceCategory::FmmSameLevel, label);
+            self.same_level_kernel_into(&grid, key.level, table, &mut out)
         };
-        (kind, start, buf, n)
+        let mut near = PairCounts::default();
+        if let Some(table) = table {
+            let _span = trace::span_labeled(TraceCategory::FmmNearField, label);
+            let mut buf = self.scratch.take_expansions();
+            near = offset_into::<false>(&grid, &self.near_field, Some(&table.near), &mut buf);
+            for (e, ne) in out.iter_mut().zip(&buf) {
+                e.add(ne);
+            }
+            self.scratch.put_expansions(buf);
+        }
+        self.scratch.put_grid(grid);
+        NodeItem { out, same, near }
     }
 
-    /// The chunked same-level pass over `keys` (see the module docs):
-    /// a pipelined window of nodes, each gathered once, fanned out into
-    /// per-slab kernel tasks, and merged by slab index. Returns the
-    /// per-node expansion map plus the pass totals.
-    fn same_level_pass_chunked(
+    /// The same-level pass over `keys`, one work item per node (module
+    /// docs): a task per node on a CPU-only solver; with a GPU context
+    /// each node's task submits its item to its worker's aggregation
+    /// region, and every region is flushed once all nodes are in.
+    /// Returns the per-node expansions plus the pass totals.
+    fn same_level_pass(
         self: &Arc<Self>,
         tree: &Arc<Octree>,
         moments: &Arc<MomentMap>,
         rt: &Arc<Runtime>,
         keys: Vec<MortonKey>,
     ) -> (HashMap<MortonKey, Vec<LocalExpansion>>, PassTotals) {
-        let sched = Arc::clone(rt.scheduler());
-        let n_nodes = keys.len();
-        let concurrency = sched.n_threads() + 1;
-        let window = concurrency.min(n_nodes.max(1));
-        let chunks_per_node = (N_CELLS + self.chunk_cells - 1) / self.chunk_cells;
-        // Pre-warm the pool so steady-state solves never allocate.
-        // Grids: at most `window` nodes are gathered-but-unmerged (the
-        // next gather is only launched from a merge). Expansions: one
-        // long-lived buffer per node (held until the downward pass is
-        // done) + every work-item buffer of the in-flight window (up
-        // to two per slab — same-level and near-field — leased at
-        // submit time and returned by the merge).
-        self.scratch.ensure(
-            window,
-            self.gather_width(),
-            n_nodes + 2 * window * chunks_per_node,
-        );
-
-        let tables = self.leaf_tables(tree, &keys);
-        let mut node_futs: Vec<Future<NodeOutcome>> = Vec::with_capacity(n_nodes);
-        let mut queue = VecDeque::with_capacity(n_nodes);
-        for key in keys {
-            let (promise, fut) = Promise::new();
-            node_futs.push(fut);
-            queue.push_back((key, promise));
-        }
-        let pass = Arc::new(ChunkedPass {
-            solver: Arc::clone(self),
-            tree: Arc::clone(tree),
-            moments: Arc::clone(moments),
-            tables,
-            rt: Arc::clone(rt),
-            sched: Arc::clone(&sched),
-            queue: Mutex::new(queue),
-        });
-        for _ in 0..window {
-            ChunkedPass::launch_next(&pass);
-        }
-
-        let mut same: HashMap<MortonKey, Vec<LocalExpansion>> = HashMap::with_capacity(n_nodes);
+        let sched = rt.scheduler();
+        // Pre-warm the pool so steady-state solves never allocate: a grid
+        // and a near-field buffer for each item that can run at once
+        // (every worker and the helping caller), and an output buffer per
+        // node, held until the downward pass is done.
+        let running = (sched.n_threads() + 1).min(keys.len());
+        self.scratch.ensure(running, self.gather_width(), keys.len() + running);
+        let tables = Arc::new(self.leaf_tables(tree, &keys));
+        let item = |key: MortonKey| {
+            let (solver, tree, moments, tables) =
+                (Arc::clone(self), Arc::clone(tree), Arc::clone(moments), Arc::clone(&tables));
+            move || solver.node_item(&tree, &moments, key, tables.of(&tree, key).map(|t| &**t))
+        };
+        let items: Vec<Future<(NodeItem, LaunchSite)>> = match &self.gpu {
+            None => keys
+                .iter()
+                .map(|&key| {
+                    let item = item(key);
+                    rt.async_call(move || (item(), LaunchSite::Cpu))
+                })
+                .collect(),
+            Some(ctx) => {
+                let submits: Vec<_> = keys
+                    .iter()
+                    .map(|&key| {
+                        let kind = match tree.is_leaf(key) {
+                            true => KernelKind::Monopole,
+                            false => KernelKind::Multipole,
+                        };
+                        let (item, solver, sched) = (item(key), Arc::clone(self), Arc::clone(sched));
+                        rt.async_call(move || {
+                            let ctx = solver.gpu.as_ref().expect("a solver with a GPU context");
+                            ctx.submit(sched.current_worker(), kind, key, item)
+                        })
+                    })
+                    .collect();
+                let items = when_all(sched, submits).get_help(sched);
+                // Every node is in: what the thresholds left buffered goes
+                // out now, fused across nodes and workers.
+                ctx.flush_all();
+                items
+            }
+        };
+        let mut same = HashMap::with_capacity(keys.len());
         let mut totals = PassTotals::default();
-        for o in when_all(&sched, node_futs).get_help(&sched) {
-            same.insert(o.key, o.out);
-            totals.same += o.same;
-            totals.near += o.near;
-            totals.gpu_launches += o.gpu_launches;
-            totals.cpu_launches += o.cpu_launches;
-            totals.chunks += o.chunks;
+        for (key, (item, site)) in keys.into_iter().zip(when_all(sched, items).get_help(sched)) {
+            totals.add(&item, site);
+            same.insert(key, item.out);
         }
         (same, totals)
     }
@@ -961,26 +786,10 @@ impl FmmSolver {
         // Same-level pass for every node, keyed per node.
         let mut same: HashMap<MortonKey, Vec<LocalExpansion>> = HashMap::new();
         let tables = self.leaf_tables(tree, moments.keys());
-        for (&key, _) in moments {
-            let mut grid = self.scratch.take_grid(self.gather_width());
-            self.gather_into(tree, moments, key, &mut grid);
-            let table = tables.of(tree, key).map(|t| &**t);
-            let mut out = self.scratch.take_expansions();
-            totals.same +=
-                self.same_level_kernel_range_into(&grid, key.level, table, 0, N_CELLS, &mut out);
-            totals.cpu_launches += 1;
-            if let Some(table) = table {
-                let mut near = self.scratch.take_expansions();
-                let (list, rows) = (&self.near_field, Some(table.near.as_slice()));
-                totals.near += offset_range_into::<false>(&grid, list, rows, 0, N_CELLS, &mut near);
-                totals.cpu_launches += 1;
-                for (e, ne) in out.iter_mut().zip(near.iter()) {
-                    e.add(ne);
-                }
-                self.scratch.put_expansions(near);
-            }
-            self.scratch.put_grid(grid);
-            same.insert(key, out);
+        for &key in moments.keys() {
+            let item = self.node_item(tree, moments, key, tables.of(tree, key).map(|t| &**t));
+            totals.add(&item, LaunchSite::Cpu);
+            same.insert(key, item.out);
         }
         // Top-down: inherited (field, f_corr share, torque share).
         let mut inherited: HashMap<MortonKey, Vec<Inherited>> = HashMap::new();
@@ -1023,15 +832,15 @@ impl FmmSolver {
     }
 
     /// Publish the solve's counters as `fmm/*` through the runtime's
-    /// [`amt::Metrics`] facade — the registry `Runtime::counters()`
-    /// reads too.
+    /// [`amt::Metrics`] facade.
     fn publish_counters(&self, rt: &Arc<Runtime>, totals: &PassTotals) {
         let metrics = rt.metrics();
         metrics.counter("fmm/scratch_hits").store(self.scratch.hits());
         metrics.counter("fmm/scratch_misses").store(self.scratch.misses());
         metrics.counter("fmm/kernels/gpu").add(totals.gpu_launches);
         metrics.counter("fmm/kernels/cpu").add(totals.cpu_launches);
-        metrics.counter("fmm/chunks").add(totals.chunks);
+        // One work item per node (the benchmark's `gravity.chunks_per_solve`).
+        metrics.counter("fmm/chunks").add(totals.gpu_launches + totals.cpu_launches);
         metrics
             .counter("fmm/interactions/same_level")
             .add(totals.same.counted);
@@ -1078,7 +887,7 @@ impl FmmSolver {
     }
 
     /// Futurized steps 2–3 + assembly *restricted to a shard*: run the
-    /// chunked same-level pass only for `targets` (leaves owned by one
+    /// same-level pass only for `targets` (leaves owned by one
     /// locality) and their refined ancestors, the downward pass — one
     /// task per refined node, `when_all` barriers between levels — only
     /// through those ancestors, and assembly only for `targets`. Results
@@ -1112,10 +921,10 @@ impl FmmSolver {
             }
         }
 
-        // Same-level pass (chunked node pipelines) over the needed
+        // Same-level pass, one work item per node, over the needed
         // closure only.
         let keys: Vec<MortonKey> = needed.iter().copied().collect();
-        let (same, totals) = self.same_level_pass_chunked(tree, moments, rt, keys);
+        let (same, totals) = self.same_level_pass(tree, moments, rt, keys);
 
         // Downward pass through the refined needed nodes (= ancestors),
         // level by level. A needed node's parent is always needed, so
@@ -1182,6 +991,7 @@ impl FmmSolver {
 mod tests {
     use super::*;
     use crate::direct::{direct_sum, PointMass};
+    use crate::kernels::N_CELLS;
     use octree::geometry::Domain;
     use octree::subgrid::Field;
     use proptest::prelude::*;
@@ -1391,12 +1201,13 @@ mod tests {
 
     #[test]
     fn chunk_size_never_changes_bits() {
-        // Bit-identity must hold at every chunk size (1 → one row slab,
-        // 512 → one task per node) and worker count.
+        // `with_chunk_cells` is accepted and ignored: at any value (1 was
+        // one row slab, 512 one node) and worker count the bits, the pair
+        // counts and the task count are the same.
         let tree = Arc::new(uniform_tree(1, blob_density));
-        let solver = Arc::new(FmmSolver::new(0.5));
-        let serial = solver.solve(&tree);
-        for chunk in [1usize, 32, 64, 512] {
+        let serial = FmmSolver::new(0.5).solve(&tree);
+        let mut tasks = None;
+        for chunk in [1usize, 32, 512] {
             let solver = Arc::new(FmmSolver::new(0.5).with_chunk_cells(chunk));
             for threads in [1usize, 2] {
                 let rt = Runtime::new(threads);
@@ -1404,10 +1215,10 @@ mod tests {
                 assert_eq!(par.interactions, serial.interactions);
                 assert_eq!(par.interactions_same_level, serial.interactions_same_level);
                 assert_eq!(par.interactions_near_field, serial.interactions_near_field);
-                // Lane groups never straddle a slab, so which groups
-                // ran, and through which body, is chunking-independent.
                 assert_eq!(par.pairs_evaluated, serial.pairs_evaluated, "chunk {chunk}");
                 assert_eq!(par.pairs_full_body, serial.pairs_full_body, "chunk {chunk}");
+                let executed = rt.metrics().get("tasks/executed");
+                assert_eq!(*tasks.get_or_insert(executed), executed, "chunk {chunk} threads {threads}");
                 for key in tree.leaves() {
                     let a = serial.leaf(key).unwrap();
                     let b = par.leaf(key).unwrap();
@@ -1423,18 +1234,22 @@ mod tests {
     }
 
     #[test]
-    fn chunk_counters_and_launches_add_up() {
+    fn one_item_per_node_counters_and_tasks_add_up() {
         let tree = Arc::new(uniform_tree(1, blob_density));
-        let n_nodes = 9u64; // root + 8 level-1 leaves
-        let solver = Arc::new(FmmSolver::new(0.5).with_chunk_cells(64));
+        let (leaves, refined) = (8u64, 1u64); // 8 level-1 leaves under the root
+        let nodes = leaves + refined;
+        let solver = Arc::new(FmmSolver::new(0.5));
         let rt = Runtime::new(2);
+        let executed = || rt.metrics().get("tasks/executed");
+        let before = executed();
         let field = solver.solve_parallel(&tree, &rt);
-        let chunks_per_node = (N_CELLS as u64) / 64;
-        let chunks = rt.metrics().counter("fmm/chunks").get();
-        assert_eq!(chunks, n_nodes * chunks_per_node);
-        // One launch per chunk, plus one near-field launch per leaf
-        // chunk (the root is the only non-leaf here).
-        assert_eq!(field.kernel_launches, chunks + 8 * chunks_per_node);
+        // One work item per node, one launch each (its same-level kernel
+        // and, on a leaf, the near-field one) ...
+        assert_eq!(rt.metrics().counter("fmm/chunks").get(), nodes);
+        assert_eq!(field.kernel_launches, nodes);
+        // ... and one task each: P2M and assembly per leaf, M2M and L2L
+        // per refined node, the item per node. A join runs no task.
+        assert_eq!(executed() - before, 2 * leaves + 2 * refined + nodes);
         assert_eq!(
             rt.metrics().counter("fmm/interactions/same_level").get(),
             field.interactions_same_level
@@ -1460,17 +1275,6 @@ mod tests {
         let parity_pairs: usize = (0..8).map(|p| solver.stencil.for_parity(p).len()).sum();
         let leaf_pairs = (N_CELLS / 8 * parity_pairs + N_CELLS * solver.near_field.len()) as u64;
         assert!(field.pairs_evaluated < root_pairs + 8 * leaf_pairs);
-    }
-
-    #[test]
-    fn chunk_cells_normalizes() {
-        assert_eq!(normalize_chunk_cells(1), 8);
-        assert_eq!(normalize_chunk_cells(8), 8);
-        assert_eq!(normalize_chunk_cells(9), 16);
-        assert_eq!(normalize_chunk_cells(64), 64);
-        assert_eq!(normalize_chunk_cells(100_000), N_CELLS);
-        assert_eq!(FmmSolver::new(0.5).with_chunk_cells(3).chunk_cells(), 8);
-        assert_eq!(FmmSolver::new(0.5).chunk_cells(), DEFAULT_CHUNK_CELLS);
     }
 
     #[test]

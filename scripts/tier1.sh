@@ -3,8 +3,8 @@
 #
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
 #      zero second-pair-arithmetic, zero fused/fast-math, zero
-#      driver-ghost-fill, zero derived-grid and zero uncalled-pub-fn
-#      budgets
+#      driver-ghost-fill, zero derived-grid, zero slab-pipeline and zero
+#      uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -83,8 +83,8 @@ if [ -n "$stray" ]; then
 fi
 # Digests are ISA-independent because every `Lanes` op is one IEEE op
 # per lane: a fused multiply-add or a fast-math intrinsic rounds
-# differently on a host that has the instruction (DESIGN.md "Chunking &
-# SIMD"). None exists; none may come.
+# differently on a host that has the instruction (DESIGN.md "One work
+# item per sub-grid & SIMD"). None exists; none may come.
 stray=$(grep -rn --include='*.rs' 'mul_add\|fadd_fast\|fmul_fast' crates || true)
 if [ -n "$stray" ]; then
     echo "!! fused or fast-math arithmetic under crates/ (the budget is zero):" >&2
@@ -121,6 +121,19 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "derived-grid budget OK (0 refined-node grids built on the run path)"
+
+echo
+echo "== tier-1: slab budget =="
+# The FMM same-level pass is one work item per sub-grid, as the paper
+# launches its kernels. A chunk size, a row-slab kernel or a node window
+# refilled from a merge is the slab pipeline coming back.
+stray=$(grep -rnE 'normalize_chunk_cells|DEFAULT_CHUNK_CELLS|_range_into|launch_next' crates || true)
+if [ -n "$stray" ]; then
+    echo "!! slab pipeline under crates/ (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "slab budget OK (one FMM work item per sub-grid)"
 
 echo
 echo "== tier-1: caller budget =="

@@ -133,30 +133,6 @@ fn moment_traffic_flows_when_gravity_is_on() {
     assert!(m.get("parcelport/libfabric/bytes_tx") >= m.get("driver/moments/bytes_tx"));
 }
 
-/// `Scenario.config` is the one channel that configures a run: its
-/// `fmm_chunk_cells` reaches the solver of the single-node and of the
-/// distributed driver, normalized to whole 8-cell rows by the solver.
-#[test]
-fn config_reaches_every_solver() {
-    // Scenario config → single-node driver (20 normalizes up to 24).
-    let mut scenario = star_amr();
-    scenario.config.fmm_chunk_cells = 20;
-    let sim = Simulation::new(scenario);
-    assert_eq!(sim.fmm_chunk_cells(), Some(24));
-
-    // Scenario config → every locality's solver.
-    let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
-    let mut scenario = star_amr();
-    scenario.config.fmm_chunk_cells = 20;
-    let driver = DistributedDriver::builder(scenario, cluster).build().expect("driver");
-    assert_eq!(driver.fmm_chunk_cells(), Some(24));
-
-    // No gravity → no solver → no chunk size to report.
-    let mut scenario = star_amr();
-    scenario.config.gravity = false;
-    assert_eq!(Simulation::new(scenario).fmm_chunk_cells(), None);
-}
-
 /// A `Config` out of range is an `Err` from `build()`, not an unwind
 /// out of a function that returns `Result`.
 #[test]

@@ -14,7 +14,6 @@ use octotiger::Simulation;
 use octree::geometry::Domain;
 use octree::subgrid::Field;
 use octree::tree::Octree;
-use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use util::morton::MortonKey;
 use util::vec3::Vec3;
@@ -90,8 +89,8 @@ fn hydro_blob_tree() -> Arc<Octree> {
     Arc::new(t)
 }
 
-/// Serial references computed once and shared by the matrix tests and
-/// the proptest below (the serial walk dominates their runtime).
+/// Serial references computed once and shared by the matrix tests (the
+/// serial walk dominates their runtime).
 fn serial_reference(star_amr: bool) -> &'static (Arc<Octree>, GravityField) {
     static BLOB: OnceLock<(Arc<Octree>, GravityField)> = OnceLock::new();
     static AMR: OnceLock<(Arc<Octree>, GravityField)> = OnceLock::new();
@@ -103,17 +102,14 @@ fn serial_reference(star_amr: bool) -> &'static (Arc<Octree>, GravityField) {
     })
 }
 
-/// One chunked parallel solve compared bit-for-bit against the cached
-/// serial reference.
-fn check_chunked(star_amr: bool, chunk: usize, workers: usize) {
+/// One parallel solve on `workers` workers compared bit-for-bit against
+/// the cached serial reference.
+fn check_parallel(star_amr: bool, workers: usize) {
     let (tree, serial) = serial_reference(star_amr);
-    let solver = Arc::new(FmmSolver::new(0.5).with_chunk_cells(chunk));
+    let solver = Arc::new(FmmSolver::new(0.5));
     let rt = amt::Runtime::new(workers);
     let par = solver.solve_parallel(tree, &rt);
-    let what = format!(
-        "star_amr={star_amr} chunk={chunk} ({} effective) workers={workers}",
-        solver.chunk_cells()
-    );
+    let what = format!("star_amr={star_amr} workers={workers}");
     assert_eq!(
         par.interactions_same_level, serial.interactions_same_level,
         "{what}: same-level interaction count"
@@ -125,41 +121,20 @@ fn check_chunked(star_amr: bool, chunk: usize, workers: usize) {
     assert_bit_identical(tree, serial, &par, &what);
 }
 
-/// ISSUE 6 satellite: the chunk-size × worker matrix on the hydro-only
-/// scenario. Chunk inputs 1 (one row slab), 4 (normalized up to one
-/// slab), 64, and 512 (whole node) must all reproduce the serial bits.
+/// The worker matrix on the hydro-only scenario.
 #[test]
-fn chunk_matrix_is_bit_identical_on_hydro_blob() {
-    for chunk in [1usize, 4, 64, 512] {
-        for workers in [1usize, 2, 4] {
-            check_chunked(false, chunk, workers);
-        }
+fn worker_matrix_is_bit_identical_on_hydro_blob() {
+    for workers in [1usize, 2, 4] {
+        check_parallel(false, workers);
     }
 }
 
 /// The same matrix on the two-level AMR star analog, which exercises
 /// cross-level gathering, the root's offset kernel, and L2L.
 #[test]
-fn chunk_matrix_is_bit_identical_on_star_amr() {
-    for chunk in [1usize, 4, 64, 512] {
-        for workers in [1usize, 2, 4] {
-            check_chunked(true, chunk, workers);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Seeded sweep: arbitrary chunk sizes (normalization included) and
-    /// worker counts never change a bit on either scenario.
-    #[test]
-    fn random_chunk_sizes_never_change_bits(
-        chunk in 1usize..513,
-        workers in 1usize..5,
-        scenario in 0usize..2,
-    ) {
-        check_chunked(scenario == 1, chunk, workers);
+fn worker_matrix_is_bit_identical_on_star_amr() {
+    for workers in [1usize, 2, 4] {
+        check_parallel(true, workers);
     }
 }
 

@@ -251,7 +251,7 @@ fn aggregation_counters_surface_through_metrics() {
     );
     // The per-kind histograms sum to the batch total.
     let mut hist_total = 0;
-    for kind in ["same-level", "near-field"] {
+    for kind in ["monopole", "multipole"] {
         for label in ["1", "2", "le4", "le8", "le16", "gt16"] {
             hist_total += c.get(&format!("fmm/agg/hist/{kind}/{label}"));
         }
