@@ -4,11 +4,12 @@
 //! components into an opaque blob the application stores wherever it
 //! likes and later hands back to resurrect the components. This module
 //! is the same contract for [`crate::distributed::DistributedDriver`]:
-//! the *global* simulation state — every shard's owned leaf interiors,
-//! plus the step/time/seq bookkeeping and the per-step dt history — is
-//! encoded with the wire codec (which round-trips `f64` bit patterns
-//! exactly, so a restore is bit-identical by construction), then sealed
-//! with a version word and an FNV-1a-64 digest of the encoded body.
+//! the *global* simulation state — every shard's owned leaf grids
+//! (interiors alone), plus the step/time/seq bookkeeping and the
+//! per-step dt history — is encoded with the wire codec (which
+//! round-trips `f64` bit patterns exactly, so a restore is
+//! bit-identical by construction), then sealed with a version word and
+//! an FNV-1a-64 digest of the encoded body.
 //!
 //! The blob is deliberately *cluster-shape agnostic*: it stores leaves,
 //! not shards. Restoring onto a cluster with a different locality count
@@ -17,6 +18,7 @@
 //! because the distributed step is bit-identical at any locality count.
 
 use bytes::Bytes;
+use octree::subgrid::SubGrid;
 use parcelport::serialize::{from_bytes, to_bytes};
 use util::morton::MortonKey;
 use util::{fnv1a64, Error, Result};
@@ -47,8 +49,10 @@ pub struct CheckpointBody {
     pub dt_history: Vec<f64>,
     /// Leaf keys, parallel to `interiors`.
     pub keys: Vec<MortonKey>,
-    /// Per-leaf interior cells in `SubGrid::extract_interior` layout.
-    pub interiors: Vec<Vec<f64>>,
+    /// Per-leaf grids, in the tree's layout: the interior alone. The
+    /// codec rejects one of the wrong length, so a sealed blob with a
+    /// short interior fails [`decode`] instead of reaching a mirror.
+    pub interiors: Vec<SubGrid>,
 }
 
 serde::impl_codec_struct!(CheckpointBody {
@@ -64,11 +68,15 @@ serde::impl_codec_struct!(CheckpointBody {
 
 /// Encode `body` and seal it with its digest.
 pub fn encode(body: &CheckpointBody) -> Result<Bytes> {
-    let encoded = to_bytes(body)?;
+    Ok(seal(&to_bytes(body)?))
+}
+
+/// An encoded body followed by its digest.
+fn seal(encoded: &[u8]) -> Bytes {
     let mut out = Vec::with_capacity(encoded.len() + DIGEST_BYTES);
-    out.extend_from_slice(&encoded);
-    out.extend_from_slice(&fnv1a64(&encoded).to_le_bytes());
-    Ok(Bytes::from(out))
+    out.extend_from_slice(encoded);
+    out.extend_from_slice(&fnv1a64(encoded).to_le_bytes());
+    Bytes::from(out)
 }
 
 /// Verify the digest and version of `bytes` and decode the body.
@@ -111,8 +119,18 @@ pub fn decode(bytes: &Bytes) -> Result<CheckpointBody> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DistributedDriver, Scenario};
+    use octree::subgrid::{Field, ALL_FIELDS};
+    use parcelport::cluster::Cluster;
+    use std::sync::Arc;
 
     fn sample() -> CheckpointBody {
+        let mut a = SubGrid::new();
+        a.set(Field::Rho, 0, 0, 0, 1.0);
+        a.set(Field::Sx, 7, 0, 3, -0.0);
+        a.set(Field::Atmosphere, 7, 7, 7, f64::MIN_POSITIVE);
+        let mut b = SubGrid::new();
+        b.field_mut(Field::Egas).fill(2.0);
         CheckpointBody {
             version: CHECKPOINT_VERSION,
             steps: 3,
@@ -121,7 +139,7 @@ mod tests {
             subgrids_processed: 24,
             dt_history: vec![0.5, 0.25, 0.125],
             keys: vec![MortonKey::root().child(0), MortonKey::root().child(1)],
-            interiors: vec![vec![1.0, -0.0, f64::MIN_POSITIVE], vec![2.0; 4]],
+            interiors: vec![a, b],
         }
     }
 
@@ -139,11 +157,59 @@ mod tests {
         for (a, b) in back.dt_history.iter().zip(&body.dt_history) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+        assert_eq!(back.interiors.len(), body.interiors.len());
         for (a, b) in back.interiors.iter().zip(&body.interiors) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
+            for f in ALL_FIELDS {
+                for (x, y) in a.field(f).iter().zip(b.field(f)) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
             }
+        }
+    }
+
+    /// [`CheckpointBody`]'s wire shape with each interior a plain
+    /// vector, so a test can seal one of any length.
+    struct LooseBody {
+        version: u32,
+        steps: u64,
+        time: f64,
+        seq: u64,
+        subgrids_processed: u64,
+        dt_history: Vec<f64>,
+        keys: Vec<MortonKey>,
+        interiors: Vec<Vec<f64>>,
+    }
+
+    serde::impl_codec_struct!(LooseBody {
+        version,
+        steps,
+        time,
+        seq,
+        subgrids_processed,
+        dt_history,
+        keys,
+        interiors
+    });
+
+    /// A sealed checkpoint of a real run with one interior a cell short
+    /// fails `restore` with a checkpoint error instead of panicking: the
+    /// body's codec checks every interior's length.
+    #[test]
+    fn restore_rejects_an_interior_of_the_wrong_length() {
+        let cluster = || Arc::new(Cluster::builder().threads_per(1).build());
+        let mut dist = DistributedDriver::builder(Scenario::sod(1), cluster()).build().unwrap();
+        dist.step().unwrap();
+        let blob = dist.checkpoint().unwrap();
+        let mut body: LooseBody = from_bytes(&blob.slice(..blob.len() - DIGEST_BYTES)).unwrap();
+        // A leaf grid's bytes are its interior values: the loose shape
+        // re-seals to the very same blob.
+        assert_eq!(seal(&to_bytes(&body).unwrap()), blob);
+        body.interiors[3].pop();
+        let short = seal(&to_bytes(&body).unwrap());
+        match DistributedDriver::restore(Scenario::sod(1), cluster(), &short) {
+            Err(Error::Checkpoint(msg)) => assert!(msg.contains("sub-grid payload"), "{msg}"),
+            Err(e) => panic!("expected a checkpoint error, got {e}"),
+            Ok(_) => panic!("restored a checkpoint with a short interior"),
         }
     }
 

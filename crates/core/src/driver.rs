@@ -48,9 +48,9 @@ pub(crate) fn leaf_signal_dt(
 /// Full RHS (hydro + gravity + rotating-frame sources) of one leaf,
 /// written over `rhs` (one entry per interior cell). The flux sweep
 /// runs on the leaf's grid with its ghosts gathered under `bc` from the
-/// interiors of its halo sources, which must be current, into a scratch
-/// grid of the calling thread; the tree's own ghost cells are never
-/// read. `grav`, when present, must cover `key`.
+/// interiors of its halo sources, which must be current, into a
+/// ghosted scratch grid of the calling thread — the only ghosted grid
+/// a run makes. `grav`, when present, must cover `key`.
 pub(crate) fn leaf_rhs(
     tree: &Octree,
     key: MortonKey,
@@ -63,7 +63,7 @@ pub(crate) fn leaf_rhs(
     // One per thread, never one per leaf: `gather_ghosts` overwrites
     // every cell, so the grid carries nothing from one leaf to the next.
     thread_local! {
-        static GHOSTED: RefCell<SubGrid> = RefCell::new(SubGrid::new());
+        static GHOSTED: RefCell<SubGrid> = RefCell::new(SubGrid::ghosted());
     }
     let domain = tree.domain();
     let dx = domain.cell_dx(key.level);
@@ -125,39 +125,39 @@ pub(crate) fn leaf_rhs(
 }
 
 /// Stage-1 (forward Euler) update of one leaf; first copies the
-/// pre-update interior the RK2 final stage needs over `prev`.
+/// pre-update grid the RK2 final stage needs over `prev`.
 /// `origin`/`dx` locate the leaf so the floors can deposit removed
 /// `r × s` into the spin ledger.
 pub(crate) fn apply_stage1(
     stepper: HydroStepper,
     grid: &mut SubGrid,
-    prev: &mut Vec<f64>,
+    prev: &mut SubGrid,
     rhs: &[StateVec],
     dt: f64,
     floors: bool,
     origin: Vec3,
     dx: f64,
 ) {
-    grid.extract_interior_into(prev);
+    prev.clone_from(grid);
     stepper.apply(grid, rhs, dt);
     if floors {
         stepper.enforce_floors(grid, origin, dx);
     }
 }
 
-/// Stage-2 (TVD-RK2 average) update of one leaf with the interior
+/// Stage-2 (TVD-RK2 average) update of one leaf with the grid
 /// [`apply_stage1`] kept.
 pub(crate) fn apply_stage2(
     stepper: HydroStepper,
     grid: &mut SubGrid,
-    prev: &[f64],
+    prev: &SubGrid,
     rhs: &[StateVec],
     dt: f64,
     floors: bool,
     origin: Vec3,
     dx: f64,
 ) {
-    stepper.apply_rk2_final_from_interior(grid, prev, rhs, dt);
+    stepper.apply_rk2_final(grid, prev, rhs, dt);
     if floors {
         stepper.enforce_floors(grid, origin, dx);
     }

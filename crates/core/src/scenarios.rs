@@ -36,6 +36,7 @@ use crate::driver::Simulation;
 use crate::scenario::Scenario;
 use crate::verification;
 use amt::Metrics;
+use octree::subgrid::ALL_FIELDS;
 use octree::tree::Octree;
 use parcelport::cluster::Cluster;
 use parcelport::netmodel::TransportKind;
@@ -114,10 +115,10 @@ pub struct ScenarioSpec {
 
 /// The FNV-1a-64 digest of the full leaf-level state: for every leaf in
 /// SFC order, the key (level byte + code) followed by the bit patterns
-/// of all 14 fields over the interior. Ghost cells and restricted
-/// ancestor grids are derived data and excluded, so the digest of a
-/// [`crate::DistributedDriver::assemble`]d tree is comparable to the
-/// single-locality one.
+/// of all 14 fields over the interior — a leaf grid's cells, in order.
+/// Restricted ancestor grids are derived data and excluded, so the
+/// digest of a [`crate::DistributedDriver::assemble`]d tree is
+/// comparable to the single-locality one.
 pub fn state_digest(tree: &Octree) -> u64 {
     let mut h = Fnv1a::new();
     let mut leaves = tree.leaves();
@@ -126,7 +127,7 @@ pub fn state_digest(tree: &Octree) -> u64 {
         h.update(&[key.level]);
         h.update_u64(key.code);
         let grid = tree.node(key).expect("leaf").grid.as_ref().expect("grid");
-        for v in grid.extract_interior() {
+        for v in ALL_FIELDS.into_iter().flat_map(|f| grid.field(f)) {
             h.update_u64(v.to_bits());
         }
     }

@@ -117,7 +117,8 @@ impl HydroStepper {
     }
 
     /// Semi-discrete RHS for every interior cell, in the row-major
-    /// interior order of `GridIndexer::interior`. Ghosts must be filled.
+    /// interior order of `GridIndexer::interior`. `grid` must be a
+    /// [`SubGrid::ghosted`] grid with its ghosts filled.
     /// Allocates the result; a caller with a standing buffer uses
     /// [`HydroStepper::dudt_into`], which this wraps.
     pub fn dudt(&self, grid: &SubGrid, dx: f64) -> Vec<StateVec> {
@@ -137,6 +138,7 @@ impl HydroStepper {
     fn sweep<const W: usize>(&self, grid: &SubGrid, dx: f64, out: &mut [StateVec]) {
         const { assert!(N_SUB.is_multiple_of(W), "lane width must divide a row") };
         assert_eq!(out.len(), N_CELLS, "RHS length mismatch");
+        assert_eq!(grid.indexer().ghost, N_GHOST, "the flux sweep reads a ghosted grid");
         out.fill([0.0; FIELD_COUNT]);
         let indexer = grid.indexer();
         let first = indexer.idx(0, 0, 0);
@@ -211,22 +213,22 @@ impl HydroStepper {
     }
 
     /// `U = (U_old + U_stage + dt * dudt(U_stage)) / 2` — the second TVD
-    /// RK2 stage. `grid` holds `U_stage`; `old` holds `U_old`.
+    /// RK2 stage. `grid` holds `U_stage`; `old` holds `U_old`. Each grid
+    /// is read by its own layout, so a leaf grid and a ghosted one mix.
     pub fn apply_rk2_final(&self, grid: &mut SubGrid, old: &SubGrid, dudt: &[StateVec], dt: f64) {
-        rk2_final(grid, dudt, dt, |f, _, at| &old.field(f)[at..at + N_SUB]);
-    }
-
-    /// [`HydroStepper::apply_rk2_final`] with `U_old` given as its
-    /// interior alone, in the layout of `SubGrid::extract_interior`.
-    pub fn apply_rk2_final_from_interior(
-        &self,
-        grid: &mut SubGrid,
-        old: &[f64],
-        dudt: &[StateVec],
-        dt: f64,
-    ) {
-        assert_eq!(old.len(), FIELD_COUNT * N_CELLS, "interior length mismatch");
-        rk2_final(grid, dudt, dt, |f, row, _| &old[f.idx() * N_CELLS + row * N_SUB..][..N_SUB]);
+        assert_eq!(dudt.len(), N_CELLS, "RHS length mismatch");
+        let (to, from) = (grid.indexer(), old.indexer());
+        for f in ALL_FIELDS {
+            let (data, old) = (grid.field_mut(f), old.field(f));
+            for (row, rhs) in dudt.chunks_exact(N_SUB).enumerate() {
+                let (i, j) = ((row / N_SUB) as isize, (row % N_SUB) as isize);
+                let (at, was) = (to.idx(i, j, 0), from.idx(i, j, 0));
+                let stage = data[at..at + N_SUB].iter_mut().zip(&old[was..was + N_SUB]);
+                for ((u, u_old), du) in stage.zip(rhs) {
+                    *u = 0.5 * (u_old + *u + dt * du[f.idx()]);
+                }
+            }
+        }
     }
 
     /// Physical floors: density and internal energy must stay positive
@@ -302,29 +304,6 @@ impl HydroStepper {
                         grid.set(Field::Tau, i, j, k, self.eos.tau_from_e(e_thermal));
                     }
                 }
-            }
-        }
-    }
-}
-
-/// The RK2 average over every interior `k` row; `old_row(f, row, at)` is
-/// `U_old`'s row of field `f`, `row` counting interior rows and `at`
-/// being its first cell's index in a padded field slice.
-fn rk2_final<'a>(
-    grid: &mut SubGrid,
-    dudt: &[StateVec],
-    dt: f64,
-    old_row: impl Fn(Field, usize, usize) -> &'a [f64],
-) {
-    assert_eq!(dudt.len(), N_CELLS, "RHS length mismatch");
-    let indexer = grid.indexer();
-    for f in ALL_FIELDS {
-        let data = grid.field_mut(f);
-        for (row, rhs) in dudt.chunks_exact(N_SUB).enumerate() {
-            let at = indexer.idx((row / N_SUB) as isize, (row % N_SUB) as isize, 0);
-            let stage = data[at..at + N_SUB].iter_mut().zip(old_row(f, row, at));
-            for ((u, u_old), du) in stage.zip(rhs) {
-                *u = 0.5 * (u_old + *u + dt * du[f.idx()]);
             }
         }
     }
@@ -509,7 +488,7 @@ mod tests {
     fn random_grid(seed: u64, axis: usize, noisy: bool) -> SubGrid {
         let eos = IdealGas::monatomic();
         let mut rng = Rng(seed);
-        let mut g = SubGrid::new();
+        let mut g = SubGrid::ghosted();
         let wave: [f64; 3] = std::array::from_fn(|a| {
             if axis == a || axis == 3 {
                 0.3 + 0.2 * rng.unit()
@@ -549,6 +528,13 @@ mod tests {
             g.set(Field::DonorEnv, i, j, k, if tiny { -1e-300 } else { rho * jitter });
         }
         g
+    }
+
+    /// The interior of `g`, as a leaf of the tree stores it.
+    fn leaf(g: &SubGrid) -> SubGrid {
+        let mut out = SubGrid::new();
+        out.copy_box(&octree::subgrid::BoxMap::same_level((0, 0, 0)), g);
+        out
     }
 
     fn assert_rhs_bits_equal(got: &[StateVec], want: &[StateVec], what: &str) {
@@ -599,11 +585,12 @@ mod tests {
             stepper.apply(&mut a, &want, dt);
             oracle::apply(&mut b, &want, dt);
             prop_assert!(a == b, "apply");
-            let mut c = a.clone();
+            // The driver's stage 2 runs on leaf grids, interior-only.
+            let (mut c, old) = (leaf(&a), leaf(&grid));
             stepper.apply_rk2_final(&mut a, &grid, &want, dt);
-            stepper.apply_rk2_final_from_interior(&mut c, &grid.extract_interior(), &want, dt);
+            stepper.apply_rk2_final(&mut c, &old, &want, dt);
             oracle::apply_rk2_final(&mut b, &grid, &want, dt);
-            prop_assert!(a == b && c == b, "apply_rk2_final");
+            prop_assert!(a == b && c == leaf(&b), "apply_rk2_final");
         }
     }
 
@@ -632,7 +619,7 @@ mod tests {
 
     fn uniform_grid(rho: f64, vel: Vec3, e_int: f64) -> SubGrid {
         let eos = IdealGas::monatomic();
-        let mut g = SubGrid::new();
+        let mut g = SubGrid::ghosted();
         let prim = crate::prim::Primitive { rho, vel, p: eos.pressure(e_int), e_int };
         let (r, s, e, tau) = prim.to_conserved(&eos);
         // Fill interior AND ghosts (as a periodic/infinite uniform medium).

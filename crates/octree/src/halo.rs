@@ -26,19 +26,19 @@
 //! source set of the same resolution, so the push plan cannot drift
 //! from what a fill reads.
 //!
-//! Ghosts do not live in the tree. [`gather_ghosts`] builds one leaf's
-//! grid, ghosts filled — its own interior plus the 26 boxes — in a
-//! caller's buffer; it is pure and reads interiors only. The driver's
+//! Ghosts do not live in the tree: a leaf's grid is its interior alone
+//! ([`SubGrid::new`]). [`gather_ghosts`] builds one leaf's
+//! [`SubGrid::ghosted`] grid — its own interior plus the 26 boxes — in
+//! a caller's buffer; it is pure and reads interiors only. The driver's
 //! per-leaf RHS task runs it into a scratch grid of its worker thread
 //! right before the flux sweep, so no step phase fills, stores or waits
-//! for ghosts, and the tree's ghost cells are never read. The
-//! distributed driver still ships whole interiors
-//! (`SubGrid::extract_interior`) into each peer's mirror tree; slab
-//! payloads on the wire belong to ROADMAP's "Stop mirroring the world"
-//! item. [`fill_all_halos_parallel`] writes every leaf's ghosts into
-//! the tree, for callers that want them there.
+//! for ghosts. The distributed driver still ships whole leaf grids into
+//! each peer's mirror tree; slab payloads on the wire belong to
+//! ROADMAP's "Stop mirroring the world" item.
+//! [`fill_all_halos_parallel`] gives every leaf of a tree a ghosted
+//! grid, for callers that want ghosts there.
 
-use crate::subgrid::{ghost_span, BoxMap, SubGrid, N_SUB};
+use crate::subgrid::{ghost_span, BoxMap, SubGrid, N_GHOST, N_SUB};
 use crate::tree::{Octree, DIRECTIONS};
 use std::sync::Arc;
 use util::morton::MortonKey;
@@ -53,10 +53,6 @@ pub enum BoundaryCondition {
     /// verification tests).
     Reflect,
 }
-
-/// Leaves whose gather tasks are in flight together: a fill holds
-/// `WINDOW` spare sub-grids (307 KB each), whatever the leaf count.
-const WINDOW: usize = 8;
 
 /// One box of a leaf's ghost layer and the leaf interior it reads.
 pub(crate) struct HaloSlab {
@@ -138,12 +134,14 @@ fn leaf_grid(tree: &Octree, key: MortonKey) -> Option<&SubGrid> {
     tree.node(key).filter(|node| !node.refined)?.grid.as_ref()
 }
 
-/// Build leaf `key`'s sub-grid with every ghost cell filled in `out`:
-/// the interior copied, each ghost box moved from its source. Pure —
-/// reads interiors only — and every cell of `out` is overwritten, so
-/// one buffer serves any number of leaves in turn. The sources are
+/// Build leaf `key`'s grid with every ghost cell filled in `out`, a
+/// [`SubGrid::ghosted`] grid: the interior copied, each ghost box moved
+/// from its source. Pure — reads interiors only, of grids in either
+/// layout — and every cell of `out` is overwritten, so one buffer
+/// serves any number of leaves in turn. The sources are
 /// [`ShardMap::halo_sources`](crate::ShardMap::halo_sources).
 pub fn gather_ghosts(tree: &Octree, key: MortonKey, bc: BoundaryCondition, out: &mut SubGrid) {
+    debug_assert_eq!(out.indexer().ghost, N_GHOST, "ghosts gather into a ghosted grid");
     let Some(own) = leaf_grid(tree, key) else {
         debug_assert!(false, "{key:?} is not a leaf with a grid");
         return;
@@ -160,17 +158,15 @@ pub fn gather_ghosts(tree: &Octree, key: MortonKey, bc: BoundaryCondition, out: 
     }
 }
 
-/// Fill the ghost layers of every leaf of the tree. The reads are
-/// futurized — one [`gather_ghosts`] task per leaf into a spare
-/// sub-grid, `when_all` in leaf order — and the writes serial and
-/// ordered: each filled spare is swapped into the tree and the grid it
-/// displaces becomes the next spare. Reads touch only interiors and the
-/// swap changes only ghosts, so the leaves go through in windows of
-/// `WINDOW` and a fill allocates `WINDOW` sub-grids, whatever the leaf
-/// count; the result does not depend on the thread count.
+/// Give every leaf of the tree a [`SubGrid::ghosted`] grid, its ghost
+/// layers filled. The reads are futurized — one [`gather_ghosts`] task
+/// per leaf into a fresh ghosted grid, `when_all` in leaf order — and
+/// the writes serial: each filled grid replaces its leaf's. Every read
+/// happens before the first write, so the result does not depend on
+/// the thread count. The tree grows by the ghost rings, 250 KB a leaf.
 ///
 /// `tree` should be the only strong reference: the function waits for
-/// runtime quiescence after each read barrier, so task-held clones are
+/// runtime quiescence after the read barrier, so task-held clones are
 /// gone when it writes, and any other holder makes the write copy the
 /// tree.
 pub fn fill_all_halos_parallel(
@@ -181,32 +177,25 @@ pub fn fill_all_halos_parallel(
     assert!(tree.has_grids(), "halo filling needs grid data");
     let leaves = tree.leaves();
     let sched = Arc::clone(rt.scheduler());
-    let mut spares: Vec<SubGrid> =
-        std::iter::repeat_with(SubGrid::new).take(WINDOW.min(leaves.len())).collect();
-    for window in leaves.chunks(WINDOW) {
-        let futs = window
-            .iter()
-            .zip(spares.drain(..))
-            .map(|(&key, mut filled)| {
-                let tree = Arc::clone(tree);
-                rt.async_call(move || {
-                    gather_ghosts(&tree, key, bc, &mut filled);
-                    filled
-                })
+    let futs = leaves
+        .iter()
+        .map(|&key| {
+            let tree = Arc::clone(tree);
+            rt.async_call(move || {
+                let mut filled = SubGrid::ghosted();
+                gather_ghosts(&tree, key, bc, &mut filled);
+                filled
             })
-            .collect();
-        // `when_all` yields results in input order = leaf order.
-        spares = amt::when_all(&sched, futs).get_help(&sched);
-        rt.wait_quiescent();
-        debug_assert_eq!(Arc::strong_count(tree), 1, "tree is shared during a halo write");
-        let tree = Arc::make_mut(tree);
-        // The interior of `filled` is the leaf's own, so installing it
-        // writes only ghosts; the old grid is the next window's spare.
-        for (&key, filled) in window.iter().zip(&mut spares) {
-            let leaf = tree.node_mut(key).filter(|node| !node.refined);
-            if let Some(grid) = leaf.and_then(|node| node.grid.as_mut()) {
-                std::mem::swap(grid, filled);
-            }
+        })
+        .collect();
+    // `when_all` yields results in input order = leaf order.
+    let filled = amt::when_all(&sched, futs).get_help(&sched);
+    rt.wait_quiescent();
+    debug_assert_eq!(Arc::strong_count(tree), 1, "tree is shared during a halo write");
+    let tree = Arc::make_mut(tree);
+    for (key, grid) in leaves.into_iter().zip(filled) {
+        if let Some(leaf) = tree.node_mut(key).filter(|node| !node.refined) {
+            leaf.grid = Some(grid);
         }
     }
 }
@@ -302,8 +291,7 @@ mod tests {
 
     /// Compute every ghost value of leaf `key`.
     fn ghost_values(tree: &Octree, key: MortonKey, bc: BoundaryCondition) -> Vec<f64> {
-        let grid = tree.node(key).expect("leaf exists").grid.as_ref().expect("grid");
-        let indexer = grid.indexer();
+        let indexer = SubGrid::ghosted().indexer();
         let n_cells = indexer.len();
         let max_global = (N_SUB as i64) << key.level;
         let mut out = Vec::with_capacity(ALL_FIELDS.len() * (n_cells - indexer.interior_len()));
@@ -343,10 +331,13 @@ mod tests {
         out
     }
 
-    /// Write `values` — one leaf's [`ghost_values`] — into the ghost cells
-    /// of `grid`, in the order they were computed: field-major, then
-    /// `indexer.all()` skipping the interior.
+    /// Widen `grid` to a ghosted grid and write `values` — one leaf's
+    /// [`ghost_values`] — into its ghost cells, in the order they were
+    /// computed: field-major, then `indexer.all()` skipping the interior.
     fn write_ghost_values(grid: &mut SubGrid, values: Vec<f64>) {
+        let mut ghosted = SubGrid::ghosted();
+        ghosted.copy_box(&BoxMap::same_level((0, 0, 0)), grid);
+        *grid = ghosted;
         let indexer = grid.indexer();
         let mut src = values.into_iter();
         for f in ALL_FIELDS {
@@ -448,7 +439,7 @@ mod tests {
     /// scratch grid that starts as NaN and serves the leaves in turn, as
     /// a worker's scratch does.
     fn gathered(t: &Octree, bc: BoundaryCondition) -> Octree {
-        let mut scratch = SubGrid::new();
+        let mut scratch = SubGrid::ghosted();
         for f in ALL_FIELDS {
             scratch.field_mut(f).fill(f64::NAN);
         }

@@ -38,8 +38,8 @@ fn slope(get: impl Fn(isize) -> f64, idx: isize) -> f64 {
     minmod(get(idx + 1) - get(idx), get(idx) - get(idx - 1)) * 0.5
 }
 
-/// Produce the sub-grid of child `octant` of a parent grid by
-/// conservative prolongation. Child interior cells only; ghosts zero.
+/// Produce the leaf grid of child `octant` of a parent grid by
+/// conservative prolongation.
 pub fn prolong_octant(parent: &SubGrid, octant: u8) -> SubGrid {
     assert!(octant < 8, "octant must be in 0..8");
     let mut child = SubGrid::new();

@@ -17,9 +17,11 @@ use util::indexing::GridIndexer;
 /// paper").
 pub const N_SUB: usize = 8;
 
-/// Ghost cells per side. The flux sweep needs reconstructed states in
-/// the first ghost cell, whose PPM stencil reaches two cells further —
-/// three ghosts total, as in Octo-Tiger (`H_BW = 3`).
+/// Ghost cells per side of the grid the flux sweep reads
+/// ([`SubGrid::ghosted`]). The sweep needs reconstructed states in the
+/// first ghost cell, whose PPM stencil reaches two cells further —
+/// three ghosts total, as in Octo-Tiger (`H_BW = 3`). A leaf's grid in
+/// the tree has none.
 pub const N_GHOST: usize = 3;
 
 /// The evolved variables of §4.2.
@@ -110,16 +112,33 @@ impl Field {
 }
 
 /// One octree node's worth of evolved variables: `FIELD_COUNT` scalar
-/// fields on an `N_SUB³` interior with `N_GHOST` ghost layers,
-/// struct-of-arrays.
-#[derive(Debug, Clone, PartialEq)]
+/// fields on an `N_SUB³` interior, struct-of-arrays, field-major and
+/// row-major within a field.
+///
+/// A leaf's grid ([`SubGrid::new`]) is its interior alone: the tree,
+/// the wire and the checkpoint all hold that one layout. The flux sweep
+/// reads a [`SubGrid::ghosted`] grid instead, the interior inside
+/// `N_GHOST` layers of neighbor data, which `octree::halo` builds per
+/// leaf from the interiors around it. Every accessor takes
+/// interior-relative coordinates, so code that touches the interior
+/// alone works on either.
+#[derive(Debug, PartialEq)]
 pub struct SubGrid {
     data: Vec<f64>,
     indexer: GridIndexer,
 }
 
-fn default_indexer() -> GridIndexer {
-    GridIndexer::new(N_SUB, N_GHOST)
+impl Clone for SubGrid {
+    fn clone(&self) -> Self {
+        SubGrid { data: self.data.clone(), indexer: self.indexer }
+    }
+
+    /// Keeps `self`'s allocation when the layouts match: the driver's
+    /// standing RK2 stage memory is copied over, never re-made.
+    fn clone_from(&mut self, src: &Self) {
+        self.data.clone_from(&src.data);
+        self.indexer = src.indexer;
+    }
 }
 
 serde::impl_codec_enum_unit!(Field {
@@ -127,10 +146,12 @@ serde::impl_codec_enum_unit!(Field {
     AccretorCore, AccretorEnv, DonorCore, DonorEnv, Atmosphere,
 });
 
-// Only the cell data travels; the indexer is geometry every locality
-// can rebuild (the old derive marked it `#[serde(skip)]`).
+// Only the cell data of a leaf grid travels, so a grid's bytes are its
+// interior values and nothing else; the indexer is geometry every
+// locality can rebuild.
 impl serde::Serialize for SubGrid {
     fn serialize(&self, w: &mut serde::Writer) {
+        debug_assert_eq!(self.indexer.ghost, 0, "only a leaf's interior travels");
         serde::Serialize::serialize(&self.data, w);
     }
 }
@@ -138,7 +159,7 @@ impl serde::Serialize for SubGrid {
 impl<'de> serde::Deserialize<'de> for SubGrid {
     fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::CodecError> {
         let data = <Vec<f64> as serde::Deserialize>::deserialize(r)?;
-        let indexer = default_indexer();
+        let indexer = GridIndexer::new(N_SUB, 0);
         if data.len() != FIELD_COUNT * indexer.len() {
             return Err(serde::CodecError::Invalid(format!(
                 "sub-grid payload has {} cells, expected {}",
@@ -157,9 +178,18 @@ impl Default for SubGrid {
 }
 
 impl SubGrid {
-    /// A zero-filled sub-grid.
+    /// A zero-filled leaf grid: the interior alone.
     pub fn new() -> SubGrid {
-        let indexer = default_indexer();
+        Self::zeroed(GridIndexer::new(N_SUB, 0))
+    }
+
+    /// A zero-filled grid with `N_GHOST` ghost layers around the
+    /// interior — what the flux sweep reads.
+    pub fn ghosted() -> SubGrid {
+        Self::zeroed(GridIndexer::new(N_SUB, N_GHOST))
+    }
+
+    fn zeroed(indexer: GridIndexer) -> SubGrid {
         SubGrid { data: vec![0.0; FIELD_COUNT * indexer.len()], indexer }
     }
 
@@ -169,14 +199,14 @@ impl SubGrid {
         self.indexer
     }
 
-    /// Immutable view of one field including ghosts.
+    /// Immutable view of one field, ghosts included on a ghosted grid.
     #[inline]
     pub fn field(&self, f: Field) -> &[f64] {
         let n = self.indexer.len();
         &self.data[f.idx() * n..(f.idx() + 1) * n]
     }
 
-    /// Mutable view of one field including ghosts.
+    /// Mutable view of one field, ghosts included on a ghosted grid.
     #[inline]
     pub fn field_mut(&mut self, f: Field) -> &mut [f64] {
         let n = self.indexer.len();
@@ -199,7 +229,8 @@ impl SubGrid {
         }
     }
 
-    /// Value at interior-relative coordinates (ghosts addressable).
+    /// Value at interior-relative coordinates (ghosts addressable on a
+    /// ghosted grid).
     #[inline]
     pub fn at(&self, f: Field, i: isize, j: isize, k: isize) -> f64 {
         self.field(f)[self.indexer.idx(i, j, k)]
@@ -230,7 +261,9 @@ impl SubGrid {
     }
 
     /// Overwrite the cells of `map`'s box — all fields — with the cells
-    /// of `src` it maps them to.
+    /// of `src` it maps them to. Each grid is addressed by its own
+    /// layout, so `src` may be a leaf's interior-only grid or a ghosted
+    /// one.
     pub fn copy_box(&mut self, map: &BoxMap, src: &SubGrid) {
         self.move_box(map, src, |plane, at, _| plane[at]);
     }
@@ -252,69 +285,27 @@ impl SubGrid {
     }
 
     /// The row loop behind both: `cell(plane, at, dim)` turns the mapped
-    /// source cell, at flat index `at` of its field plane, into a value.
+    /// source cell, at flat index `at` of its field plane of row length
+    /// `dim`, into a value.
     fn move_box(
         &mut self,
         map: &BoxMap,
         src: &SubGrid,
         cell: impl Fn(&[f64], usize, usize) -> f64,
     ) {
-        let d = self.indexer.dim();
+        let (to, from) = (self.indexer, src.indexer);
         let [is, js, ks] = [0, 1, 2].map(|a| &map.src[a][..map.len[a]]);
-        let planes = self.data.chunks_exact_mut(self.indexer.len());
-        for (dst, src) in planes.zip(src.data.chunks_exact(src.indexer.len())) {
+        let [i0, j0, k0] = map.dst;
+        let planes = self.data.chunks_exact_mut(to.len());
+        for (dst, src) in planes.zip(src.data.chunks_exact(from.len())) {
             for (a, &i) in is.iter().enumerate() {
                 for (b, &j) in js.iter().enumerate() {
-                    let to = ((map.dst[0] + a) * d + map.dst[1] + b) * d + map.dst[2];
-                    let from = (i * d + j) * d;
-                    for (out, &k) in dst[to..to + ks.len()].iter_mut().zip(ks) {
-                        *out = cell(src, from + k, d);
+                    let at = to.idx(i0 + a as isize, j0 + b as isize, k0);
+                    let row = from.idx(i as isize, j as isize, 0);
+                    for (out, &k) in dst[at..at + ks.len()].iter_mut().zip(ks) {
+                        *out = cell(src, row + k, from.dim());
                     }
                 }
-            }
-        }
-    }
-
-    /// All interior cells of every field, field-major then row-major —
-    /// the payload of a distributed grid-sync message. The fixed
-    /// iteration order makes the round trip through
-    /// [`SubGrid::apply_interior`] bit-exact and deterministic.
-    pub fn extract_interior(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extract_interior_into(&mut out);
-        out
-    }
-
-    /// [`SubGrid::extract_interior`] over `out`'s previous contents,
-    /// reusing its allocation.
-    pub fn extract_interior_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(FIELD_COUNT * self.indexer.interior_len());
-        let n = N_SUB as isize;
-        for plane in self.data.chunks_exact(self.indexer.len()) {
-            for i in 0..n {
-                for j in 0..n {
-                    let at = self.indexer.idx(i, j, 0);
-                    out.extend_from_slice(&plane[at..at + N_SUB]);
-                }
-            }
-        }
-    }
-
-    /// Overwrite every interior cell from a payload produced by
-    /// [`SubGrid::extract_interior`]. Ghost cells are untouched.
-    pub fn apply_interior(&mut self, values: &[f64]) {
-        assert_eq!(
-            values.len(),
-            FIELD_COUNT * self.indexer.interior_len(),
-            "interior payload size mismatch"
-        );
-        let indexer = self.indexer;
-        let mut src = values.iter();
-        for f in ALL_FIELDS {
-            let field = self.field_mut(f);
-            for (i, j, k) in indexer.interior() {
-                field[indexer.idx(i, j, k)] = *src.next().expect("checked length");
             }
         }
     }
@@ -337,15 +328,15 @@ pub(crate) const fn ghost_span(d: i32) -> (isize, usize) {
 /// source cells inject a coarser neighbor or clamp at an outflow wall,
 /// descending ones mirror at a reflecting wall, stride-2 ones address a
 /// finer neighbor for [`SubGrid::average_box`]; the same-level copy is
-/// the plain shift of [`BoxMap::same_level`].
+/// the plain shift of [`BoxMap::same_level`]. Cells are
+/// interior-relative coordinates; each grid turns them into storage
+/// indices by its own layout when the box moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoxMap {
-    /// Per axis: storage index (ghost offset included) of the first
-    /// cell of the run, and its length.
-    dst: [usize; 3],
+    /// Per axis: first cell of the run, and its length.
+    dst: [isize; 3],
     len: [usize; 3],
-    /// Per axis: storage index of the source cell of each cell of the
-    /// run.
+    /// Per axis: the interior source cell of each cell of the run.
     src: [[usize; N_SUB]; 3],
 }
 
@@ -354,22 +345,21 @@ impl BoxMap {
     /// axis; at most `N_SUB` a run) to the interior source cells
     /// `src(axis, cell)`.
     pub(crate) fn new(span: [(isize, usize); 3], src: impl Fn(usize, isize) -> isize) -> BoxMap {
-        let storage = |cell: isize| (cell + N_GHOST as isize) as usize;
         let mut map = BoxMap {
-            dst: span.map(|(first, _)| storage(first)),
+            dst: span.map(|(first, _)| first),
             len: span.map(|(_, count)| count),
             src: [[0; N_SUB]; 3],
         };
         for (a, &(first, count)) in span.iter().enumerate() {
             debug_assert!(
-                first >= -(N_GHOST as isize) && storage(first) + count <= N_SUB + 2 * N_GHOST,
-                "axis {a} run {:?} leaves the grid",
+                first >= -(N_GHOST as isize) && first + count as isize <= (N_SUB + N_GHOST) as isize,
+                "axis {a} run {:?} leaves the ghosted grid",
                 (first, count)
             );
             for (n, cell) in (first..first + count as isize).enumerate() {
                 let from = src(a, cell);
                 debug_assert!((0..N_SUB as isize).contains(&from), "source cell {from} is a ghost");
-                map.src[a][n] = storage(from);
+                map.src[a][n] = from as usize;
             }
         }
         map
@@ -390,7 +380,8 @@ mod tests {
 
     #[test]
     fn field_views_are_disjoint_and_sized() {
-        let mut g = SubGrid::new();
+        assert_eq!(SubGrid::new().field(Field::Rho).len(), 8 * 8 * 8);
+        let mut g = SubGrid::ghosted();
         let n = g.indexer().len();
         assert_eq!(n, 14 * 14 * 14);
         g.field_mut(Field::Rho).fill(1.0);
@@ -424,7 +415,7 @@ mod tests {
 
     #[test]
     fn at_set_roundtrip_including_ghosts() {
-        let mut g = SubGrid::new();
+        let mut g = SubGrid::ghosted();
         g.set(Field::Rho, -2, 0, 9, 3.5);
         assert_eq!(g.at(Field::Rho, -2, 0, 9), 3.5);
         g.add(Field::Rho, -2, 0, 9, 0.5);
@@ -433,12 +424,12 @@ mod tests {
 
     #[test]
     fn interior_sum_ignores_ghosts() {
-        let mut g = SubGrid::new();
+        let mut g = SubGrid::ghosted();
         g.field_mut(Field::Rho).fill(1.0); // ghosts included
         assert_eq!(g.interior_sum(Field::Rho), 512.0);
     }
 
-    /// A grid whose interior cell `(i, j, k)` of field `n` holds
+    /// A leaf grid whose cell `(i, j, k)` of field `n` holds
     /// `1000 n + 100 i + 10 j + k`.
     fn numbered() -> SubGrid {
         let mut g = SubGrid::new();
@@ -450,10 +441,10 @@ mod tests {
         g
     }
 
-    /// A fresh grid whose `dir` ghost box was copied from `a`, a
+    /// A fresh ghosted grid whose `dir` ghost box was copied from `a`, a
     /// same-level neighbor in that direction.
     fn exchanged(a: &SubGrid, dir: (i32, i32, i32)) -> SubGrid {
-        let mut b = SubGrid::new();
+        let mut b = SubGrid::ghosted();
         b.copy_box(&BoxMap::same_level(dir), a);
         b
     }
@@ -492,9 +483,15 @@ mod tests {
         let b = exchanged(&a, (-1, -1, -1));
         assert_eq!(b.at(Field::Egas, -1, -1, -1), a.at(Field::Egas, 7, 7, 7));
         assert_eq!(b.at(Field::Tau, -2, -2, -2), a.at(Field::Tau, 6, 6, 6));
-        // The null direction is the interior onto itself.
+        // The null direction is the interior onto itself, out of and
+        // back into a leaf's layout.
         let b = exchanged(&a, (0, 0, 0));
-        assert_eq!(b.extract_interior(), a.extract_interior());
+        for (i, j, k) in a.indexer().interior() {
+            assert_eq!(b.at(Field::Tau, i, j, k), a.at(Field::Tau, i, j, k));
+        }
+        let mut back = SubGrid::new();
+        back.copy_box(&BoxMap::same_level((0, 0, 0)), &b);
+        assert_eq!(back, a);
     }
 
     #[test]
@@ -507,13 +504,13 @@ mod tests {
             1 => 7 - cell,
             _ => cell / 2,
         });
-        let mut b = SubGrid::new();
+        let mut b = SubGrid::ghosted();
         b.copy_box(&map, &a);
         assert_eq!(b.at(Field::Sx, -3, 2, 5), a.at(Field::Sx, 0, 5, 2));
         assert_eq!(b.at(Field::Lz, -1, 7, 7), a.at(Field::Lz, 0, 0, 3));
         // A sub-box writes only its own cells: the x = -1 layer, upper
         // y half, averaged from 2×2×2 blocks.
-        let mut b = SubGrid::new();
+        let mut b = SubGrid::ghosted();
         let map = BoxMap::new([(-1, 1), (4, 4), (0, 8)], |axis, cell| match axis {
             0 => 6,
             1 => 2 * (cell - 4),
@@ -534,7 +531,7 @@ mod tests {
         for (n, f) in ALL_FIELDS.into_iter().enumerate() {
             g.set(f, n as isize % 8, 0, 7, 9.25 + n as f64);
         }
-        g.set(Field::Rho, -1, 0, 0, -0.0);
+        g.set(Field::Rho, 0, 0, 1, -0.0);
         g.set(Field::Tau, 0, 0, 0, f64::MIN_POSITIVE);
         let mut w = Writer::new();
         g.serialize(&mut w);
@@ -554,7 +551,7 @@ mod tests {
         // One field's worth of cells where FIELD_COUNT are due: input
         // from the wire, so an error, not a mis-sized grid.
         let mut w = Writer::new();
-        vec![1.0f64; default_indexer().len()].serialize(&mut w);
+        vec![1.0f64; N_SUB * N_SUB * N_SUB].serialize(&mut w);
         let bytes = w.into_vec();
         let err = SubGrid::deserialize(&mut Reader::new(&bytes)).unwrap_err();
         assert!(matches!(err, serde::CodecError::Invalid(_)), "{err}");

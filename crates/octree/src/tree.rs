@@ -10,16 +10,19 @@
 //!   halo exchange only ever deals with one level of difference, as in
 //!   Octo-Tiger.
 //!
-//! Only leaves hold a sub-grid: refining a leaf moves its grid into its
-//! children, coarsening restricts theirs back into it. The FMM needs
-//! every level (§4.3), but it builds a refined node's multipoles from
-//! its children's moments, not from a grid. [`Octree::restrict_all`]
-//! fills refined-node grids for a caller that wants them; nothing on a
-//! run's path does.
+//! Only leaves hold a sub-grid, and only its interior: refining a leaf
+//! moves its grid into its children, coarsening restricts theirs back
+//! into it, and the flux sweep gathers ghosts into a scratch grid of
+//! its own (`crate::halo`). The FMM needs every level (§4.3), but it
+//! builds a refined node's multipoles from its children's moments, not
+//! from a grid. [`Octree::restrict_all`] fills refined-node grids and
+//! `halo::fill_all_halos_parallel` widens leaf grids for a caller that
+//! wants them; nothing on a run's path does, and
+//! [`Octree::check_leaf_grids`] says so.
 
 use crate::geometry::Domain;
 use crate::prolong::{prolong_octant, restrict_into_octant};
-use crate::subgrid::SubGrid;
+use crate::subgrid::{BoxMap, SubGrid};
 use std::collections::HashMap;
 use util::morton::MortonKey;
 
@@ -29,7 +32,8 @@ pub struct TreeNode {
     pub key: MortonKey,
     /// Whether this node has eight children.
     pub refined: bool,
-    /// Evolved variables of a leaf. `None` on a refined node (unless
+    /// Evolved variables of a leaf, its interior alone ([`SubGrid::new`])
+    /// unless a halo fill widened it. `None` on a refined node (unless
     /// [`Octree::restrict_all`] filled it) and in structure-only trees
     /// (used for large-scale counting experiments like Table 4).
     pub grid: Option<SubGrid>,
@@ -339,7 +343,7 @@ impl Octree {
     /// root). Leaves are untouched. An on-demand view for whoever wants
     /// coarse averages: no step, regrid or solve reads a refined node's
     /// grid, so nothing keeps them current, and
-    /// [`Octree::clear_refined_grids`] drops them again.
+    /// [`Octree::keep_leaf_interiors`] drops them again.
     pub fn restrict_all(&mut self) {
         assert!(self.with_grids, "restrict_all needs grid data");
         let mut levels: Vec<u8> = self.nodes.keys().map(|k| k.level).collect();
@@ -367,10 +371,41 @@ impl Octree {
         }
     }
 
-    /// Drop every refined node's grid, leaving grids on leaves only.
-    pub fn clear_refined_grids(&mut self) {
-        for node in self.nodes.values_mut().filter(|n| n.refined) {
-            node.grid = None;
+    /// Drop every refined node's grid and every leaf's ghost ring,
+    /// leaving the state stored once: an interior-only grid on each
+    /// leaf, as [`Octree::check_leaf_grids`] asserts.
+    pub fn keep_leaf_interiors(&mut self) {
+        for node in self.nodes.values_mut() {
+            match node.grid.as_mut() {
+                Some(_) if node.refined => node.grid = None,
+                Some(grid) if grid.indexer().ghost > 0 => {
+                    let mut interior = SubGrid::new();
+                    interior.copy_box(&BoxMap::same_level((0, 0, 0)), grid);
+                    *grid = interior;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Verify that the state is stored once: every leaf has a grid, no
+    /// refined node has one, and every grid is interior-only — the
+    /// layout the wire and the checkpoint carry.
+    ///
+    /// # Panics
+    /// With the first node that breaks it.
+    pub fn check_leaf_grids(&self) {
+        for node in self.nodes.values() {
+            match &node.grid {
+                Some(_) if node.refined => panic!("refined node {:?} holds a grid", node.key),
+                Some(grid) => assert_eq!(
+                    grid.indexer().ghost,
+                    0,
+                    "leaf {:?} holds a ghost ring",
+                    node.key
+                ),
+                None => assert!(node.refined, "leaf {:?} has no grid", node.key),
+            }
         }
     }
 
@@ -671,12 +706,39 @@ mod tests {
         for (i, j, k) in root.indexer().interior() {
             assert!((root.at(Field::Rho, i, j, k) - 2.0).abs() < 1e-14);
         }
-        t.clear_refined_grids();
-        for level in 0..=t.max_level() {
-            for key in t.level_keys(level) {
-                assert_eq!(t.node(key).unwrap().grid.is_some(), t.is_leaf(key), "{key:?}");
-            }
+        t.keep_leaf_interiors();
+        t.check_leaf_grids();
+    }
+
+    /// The checker names each way a tree can hold state twice or not at
+    /// all, and `keep_leaf_interiors` undoes the first two bit for bit.
+    #[test]
+    fn leaf_grid_checker_catches_ghost_rings_and_refined_grids() {
+        let breaks = |t: &Octree| std::panic::catch_unwind(|| t.check_leaf_grids()).is_err();
+        let mut t = Octree::new(small_domain());
+        t.refine(MortonKey::root());
+        let leaf = MortonKey::root().child(3);
+        let g = t.node_mut(leaf).unwrap().grid.as_mut().unwrap();
+        for (n, (i, j, k)) in g.indexer().interior().enumerate() {
+            g.set(Field::Tau, i, j, k, n as f64 - 0.5);
         }
+        let stored = g.clone();
+        assert!(!breaks(&t));
+
+        let mut widened = SubGrid::ghosted();
+        widened.copy_box(&BoxMap::same_level((0, 0, 0)), &stored);
+        t.node_mut(leaf).unwrap().grid = Some(widened);
+        assert!(breaks(&t), "a ghost ring on a leaf");
+        t.keep_leaf_interiors();
+        assert_eq!(t.node(leaf).unwrap().grid.as_ref(), Some(&stored));
+
+        t.node_mut(MortonKey::root()).unwrap().grid = Some(SubGrid::new());
+        assert!(breaks(&t), "a grid on a refined node");
+        t.keep_leaf_interiors();
+        assert!(!breaks(&t));
+
+        t.node_mut(leaf).unwrap().grid = None;
+        assert!(breaks(&t), "a leaf without a grid");
     }
 
     #[test]

@@ -105,7 +105,24 @@ if [ -n "$stray" ]; then
     echo "$stray" >&2
     exit 1
 fi
-echo "ghost budget OK (0 tree fills on the driver's path)"
+# A leaf's grid is its interior alone, in the layout the wire and the
+# checkpoint carry: a second layout for the same state (an "interior"
+# extract/apply pair, an RK2 stage fed from one) is the ghost ring in
+# the tree coming back.
+stray=$(grep -rnE 'extract_interior|apply_interior|_from_interior' crates tests examples || true)
+if [ -n "$stray" ]; then
+    echo "!! a second leaf-state layout under crates/, tests/ or examples/ (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+# The driver makes one ghosted grid: the RHS task's per-worker scratch.
+ghosted=$(grep -rn --include='*.rs' 'SubGrid::ghosted' crates/core/src | wc -l)
+if [ "$ghosted" -ne 1 ]; then
+    echo "!! SubGrid::ghosted appears $ghosted times under crates/core/src (the budget is 1, the RHS scratch):" >&2
+    grep -rn --include='*.rs' 'SubGrid::ghosted' crates/core/src >&2 || true
+    exit 1
+fi
+echo "ghost budget OK (0 tree fills on the driver's path, 1 leaf layout, 1 ghosted scratch)"
 
 echo
 echo "== tier-1: derived-grid budget =="

@@ -23,7 +23,7 @@ fn random_subgrid() -> impl Strategy<Value = SubGrid> {
     )
         .prop_map(|(rhos, vels, es)| {
             let eos = IdealGas::monatomic();
-            let mut g = SubGrid::new();
+            let mut g = SubGrid::ghosted();
             let indexer = g.indexer();
             for (i, j, k) in indexer.all() {
                 // Hash the coordinates into the sample tables so ghosts
@@ -274,7 +274,7 @@ fn spin_ledger_closes_hydro_angular_budget_on_random_shear() {
     // symmetry in y/z.
     let eos = IdealGas::monatomic();
     let stepper = HydroStepper::new(eos);
-    let mut g = SubGrid::new();
+    let mut g = SubGrid::ghosted();
     let indexer = g.indexer();
     for (i, j, k) in indexer.all() {
         // Variation only along x; uniform in y/z so all y/z boundary

@@ -1,8 +1,8 @@
 //! Distributed halo exchange across the simulated cluster, as the
-//! driver does it: a leaf's interior travels as a parcel over either
-//! parcelport, the receiver rebuilds the neighbor grid and moves the
-//! ghost box with the fill's own all-fields box copy — bit-exact in all
-//! 26 directions. And the leaves a leaf's ghost gather reads are exactly
+//! driver does it: a leaf's grid — its interior alone — travels as a
+//! parcel over either parcelport, and the receiver moves the ghost box
+//! out of it into a ghosted grid with the fill's own all-fields box
+//! copy — bit-exact in all 26 directions. And the leaves a leaf's ghost gather reads are exactly
 //! the shard map's halo sources.
 
 use amt::GlobalId;
@@ -33,30 +33,26 @@ mod parking_lot_stub {
 }
 
 /// What the driver's halo push carries: where the sender lies, seen
-/// from the receiver, and the sender's whole interior
-/// (`SubGrid::extract_interior`).
+/// from the receiver, and the sender's leaf grid.
 struct HaloMsg {
     dir: (i32, i32, i32),
-    values: Vec<f64>,
+    grid: SubGrid,
 }
 
-serde::impl_codec_struct!(HaloMsg { dir, values });
+serde::impl_codec_struct!(HaloMsg { dir, grid });
 
 impl HaloMsg {
     fn from_neighbor(dir: (i32, i32, i32), sender: &SubGrid) -> HaloMsg {
-        HaloMsg { dir, values: sender.extract_interior() }
+        HaloMsg { dir, grid: sender.clone() }
     }
 
-    /// The receiving side: rebuild the sender's grid and fill the ghost
-    /// box facing it.
+    /// The receiving side: fill the ghost box facing the sender.
     fn apply(&self, receiver: &mut SubGrid) {
-        let mut sender = SubGrid::new();
-        sender.apply_interior(&self.values);
-        receiver.copy_box(&BoxMap::same_level(self.dir), &sender);
+        receiver.copy_box(&BoxMap::same_level(self.dir), &self.grid);
     }
 }
 
-/// A grid with every field's interior painted from `f(field, i, j, k)`.
+/// A leaf grid with every field painted from `f(field, i, j, k)`.
 fn painted(f: impl Fn(usize, isize, isize, isize) -> f64) -> SubGrid {
     let mut g = SubGrid::new();
     for (n, field) in ALL_FIELDS.into_iter().enumerate() {
@@ -86,7 +82,7 @@ fn exchange_over(kind: TransportKind) {
     // B fills its -x ghost box from what arrived; it must equal A's
     // facing interior cells, in every field.
     let msg = received.lock().take().expect("halo must arrive");
-    let mut b = SubGrid::new();
+    let mut b = SubGrid::ghosted();
     msg.apply(&mut b);
     for f in ALL_FIELDS {
         for j in 0..8 {
@@ -140,7 +136,7 @@ fn all_26_directions_roundtrip_over_the_wire() {
     let got = got.lock();
     assert_eq!(got.len(), sent);
     for msg in got.iter() {
-        let mut b = SubGrid::new();
+        let mut b = SubGrid::ghosted();
         msg.apply(&mut b);
         // Per axis: the ghost cells on the `d` side and the sender's
         // cells they face.
@@ -185,7 +181,7 @@ fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, bc: BoundaryCondition) ->
             grid.field_mut(f).fill(n as f64);
         }
     }
-    let mut grid = SubGrid::new();
+    let mut grid = SubGrid::ghosted();
     gather_ghosts(&tagged, leaf, bc, &mut grid);
     let indexer = grid.indexer();
     let mut read = std::collections::BTreeSet::new();
