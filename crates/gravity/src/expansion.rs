@@ -58,55 +58,58 @@ pub(crate) struct PairTerms<const W: usize> {
     /// `None` in the `HESS = false` forms.
     d2phi: Option<[Lanes<W>; 6]>,
     f_mono: [Lanes<W>; 3],
-    /// The terms a quadrupole makes; `None` in the `QUAD = false` forms.
-    quad: Option<QuadTerms<W>>,
-}
-
-/// The quadrupole parts of a pair's force, and the torque they leave.
-struct QuadTerms<const W: usize> {
-    f_qs: [Lanes<W>; 3],
-    f_qt: [Lanes<W>; 3],
-    torque: [Lanes<W>; 3],
+    /// The source quadrupole's force part; `None` in the `QS = false`
+    /// forms.
+    f_qs: Option<[Lanes<W>; 3]>,
+    /// The target quadrupole's force part; `None` in the `QT = false`
+    /// forms.
+    f_qt: Option<[Lanes<W>; 3]>,
+    /// The torque the quadrupole parts leave; `None` where neither side
+    /// has one.
+    torque: Option<[Lanes<W>; 3]>,
 }
 
 impl<const W: usize> PairTerms<W> {
     /// The interaction of source moments (`ms`, `qs`) on targets with
     /// moments (`mt`, `qt`), separated by `d = tgt.com − src.com`, whose
     /// kernel tensors are `t`: [`KernelTensors::at_softened`] at the same
-    /// `QUAD` and `HESS`, with `B0` / `B1` from the lattice table in the
-    /// lanes that pair two lattice point masses (`tensors` module docs).
-    /// The canonical term forms are documented on
+    /// `HESS`, with `B0` / `B1` from the lattice table in the lanes that
+    /// pair two lattice point masses (`tensors` module docs). The
+    /// canonical term forms are documented on
     /// [`LocalExpansion::accumulate`].
     ///
-    /// The four kernel variants of §4.3 are the four instantiations of
-    /// this one source: `QUAD` — does either side carry second moments —
-    /// by `HESS` — is the target's Hessian read. `<true, true>` is the
-    /// 455-flop body; `<false, false>` on a lattice pair, which is left
-    /// with the table's `B0` / `B1` and their products, is the 12-flop
-    /// monopole kernel. A const only ever removes work whose result is
-    /// an exact zero or is never read, so **one pair has one rounding
-    /// whichever instantiation evaluates it**:
+    /// The kernel variants of §4.3 are instantiations of this one
+    /// source: `QS` — does the source carry second moments — by `QT` —
+    /// does the target — by `HESS` — is the target's Hessian read.
+    /// `<true, true, true>` is the full body; `<false, false, false>` on
+    /// a lattice pair, which is left with the table's `B0` / `B1` and
+    /// their products, is the 12-flop monopole kernel. A const only ever
+    /// removes work whose result is an exact zero or is never read, so
+    /// **one pair has one rounding whichever instantiation evaluates
+    /// it**:
     ///
-    /// * `QUAD = false` compiles out everything a quadrupole touches —
-    ///   `B3`, both `q:B3` contractions, `q_s:B2`, `f_qs`, `f_qt` and
-    ///   the torque; `qt` and `qs` are not read. For a pair whose `qt`
-    ///   and `qs` are all (signed) zeros it adds the same bits to a
-    ///   [`LocalExpansion`] as `QUAD = true`: each dropped term is then
-    ///   a sum of zero moments times finite tensors started from `+0.0`,
-    ///   i.e. `±0.0`; an accumulator that starts at `+0.0` never holds
-    ///   `−0.0` (round-to-nearest gives `−0.0` only for `−0.0 + −0.0`),
-    ///   and adding `±0.0` to anything else is the identity. The one
-    ///   visible difference, `x` against `x + 0.0` in `phi` and `dphi`,
-    ///   is the sign of a zero and vanishes the same way.
-    /// * `HESS = false` leaves `d2phi` out (and `B2` with it, unless
-    ///   `q_s:B2` needs it): the target's `d2phi` is then not touched at
-    ///   all. It feeds no other term, so every other field gets the
-    ///   bits it gets at `HESS = true` — an unread field cannot move a
-    ///   bit. Only a target whose `d2phi` nobody reads may take it: a
-    ///   leaf's (`d2phi` is read by [`LocalExpansion::translated`], the
-    ///   L2L of a refined node, alone).
+    /// * `QS = false` compiles out what the source's quadrupole touches —
+    ///   `q_s:B2`, `q_s:B3` and `f_qs` — and `qs` is not read; `QT = false`
+    ///   compiles out `q_t:B3`, `f_qt` and its `f_corr` add, and `qt` is
+    ///   not read; with both false the torque goes too. For a pair whose
+    ///   dropped side's moments are all (signed) zeros it adds the same
+    ///   bits to a [`LocalExpansion`] as the form that keeps them: each
+    ///   dropped term is then a sum of zero moments times finite tensors
+    ///   started from `+0.0`, i.e. `±0.0`; an accumulator that starts at
+    ///   `+0.0` never holds `−0.0` (round-to-nearest gives `−0.0` only
+    ///   for `−0.0 + −0.0`), and adding `±0.0` to anything else is the
+    ///   identity. The one visible difference, `x` against `x + 0.0` in
+    ///   `phi`, `dphi` and the torque's force, is the sign of a zero and
+    ///   vanishes the same way.
+    /// * `HESS = false` leaves `d2phi` out (and `B2` with it): the
+    ///   target's `d2phi` is then not touched at all. It feeds no other
+    ///   term, so every other field gets the bits it gets at
+    ///   `HESS = true` — an unread field cannot move a bit. Only a target
+    ///   whose `d2phi` nobody reads may take it: a leaf's (`d2phi` is
+    ///   read by [`LocalExpansion::translated`], the L2L of a refined
+    ///   node, alone).
     #[inline(always)]
-    pub(crate) fn of<const QUAD: bool, const HESS: bool>(
+    pub(crate) fn of<const QS: bool, const QT: bool, const HESS: bool>(
         mt: Lanes<W>,
         ms: Lanes<W>,
         qt: &[Lanes<W>; 6],
@@ -119,40 +122,46 @@ impl<const W: usize> PairTerms<W> {
         let mut dphi: [Lanes<W>; 3] = std::array::from_fn(|a| t.b1[a] * ms);
         // Pair force in canonical, mirror-exact term forms.
         let neg_mm = -(mt * ms);
-        let quad = if QUAD {
+        let f_qs = if QS {
             let cq3_s = t.contract_q_b3(qs);
             phi += t.contract_q_b2(qs) * 0.5;
             for a in 0..3 {
                 dphi[a] += cq3_s[a] * 0.5;
             }
             let s_qs = mt * -0.5;
-            let s_qt = ms * -0.5;
-            let cq3_t = t.contract_q_b3(qt);
-            let f_qs: [Lanes<W>; 3] = std::array::from_fn(|a| cq3_s[a] * s_qs);
-            let f_qt: [Lanes<W>; 3] = std::array::from_fn(|a| cq3_t[a] * s_qt);
-            // Torque residual −d × F, in exact halves: only the
-            // quadrupole force parts contribute (d × B1 ∥ d vanishes
-            // identically in floating point). Component-wise as
-            // `Vec3::cross` computes it.
-            let f_quad: [Lanes<W>; 3] = std::array::from_fn(|a| f_qs[a] + f_qt[a]);
-            Some(QuadTerms {
-                f_qs,
-                f_qt,
-                torque: [
-                    -(d[1] * f_quad[2] - d[2] * f_quad[1]) * 0.5,
-                    -(d[2] * f_quad[0] - d[0] * f_quad[2]) * 0.5,
-                    -(d[0] * f_quad[1] - d[1] * f_quad[0]) * 0.5,
-                ],
-            })
+            Some(std::array::from_fn(|a| cq3_s[a] * s_qs))
         } else {
             None
+        };
+        let f_qt = if QT {
+            let s_qt = ms * -0.5;
+            let cq3_t = t.contract_q_b3(qt);
+            Some(std::array::from_fn(|a| cq3_t[a] * s_qt))
+        } else {
+            None
+        };
+        let f_quad: Option<[Lanes<W>; 3]> = match (f_qs, f_qt) {
+            (Some(fs), Some(ft)) => Some(std::array::from_fn(|a| fs[a] + ft[a])),
+            (fs, ft) => fs.or(ft),
         };
         PairTerms {
             phi,
             dphi,
             d2phi: HESS.then(|| std::array::from_fn(|n| ms * t.b2[n])),
             f_mono: std::array::from_fn(|a| t.b1[a] * neg_mm),
-            quad,
+            f_qs,
+            f_qt,
+            // Torque residual −d × F, in exact halves: only the
+            // quadrupole force parts contribute (d × B1 ∥ d vanishes
+            // identically in floating point). Component-wise as
+            // `Vec3::cross` computes it.
+            torque: f_quad.map(|f| {
+                [
+                    -(d[1] * f[2] - d[2] * f[1]) * 0.5,
+                    -(d[2] * f[0] - d[0] * f[2]) * 0.5,
+                    -(d[0] * f[1] - d[1] * f[0]) * 0.5,
+                ]
+            }),
         }
     }
 }
@@ -188,7 +197,8 @@ impl<const W: usize> GroupSums<W> {
     }
 
     /// Add one pair per lane, field by field in the order φ, ∇φ,
-    /// Hessian, `f_mono`, `f_qs`, `f_qt`, `f_corr`, torque.
+    /// Hessian, `f_mono`, `f_qs`, `f_qt`, `f_corr`, torque — the parts
+    /// the pair's form has.
     #[inline(always)]
     pub(crate) fn add(&mut self, terms: &PairTerms<W>) {
         self.phi += terms.phi;
@@ -203,15 +213,23 @@ impl<const W: usize> GroupSums<W> {
         for a in 0..3 {
             self.force[a] += terms.f_mono[a];
         }
-        if let Some(quad) = &terms.quad {
+        if let Some(f_qs) = &terms.f_qs {
             for a in 0..3 {
-                self.force[a] += quad.f_qs[a];
-                self.force[a] += quad.f_qt[a];
+                self.force[a] += f_qs[a];
+            }
+        }
+        if let Some(f_qt) = &terms.f_qt {
+            for a in 0..3 {
+                self.force[a] += f_qt[a];
                 // The f_qt part is not captured by −∇φ·m; expose it
                 // separately so drivers using the φ-gradient path can
                 // add it.
-                self.f_corr[a] += quad.f_qt[a];
-                self.torque[a] += quad.torque[a];
+                self.f_corr[a] += f_qt[a];
+            }
+        }
+        if let Some(torque) = &terms.torque {
+            for a in 0..3 {
+                self.torque[a] += torque[a];
             }
         }
     }
@@ -260,7 +278,7 @@ impl LocalExpansion {
     pub fn accumulate_softened(&mut self, tgt: &Multipole, src: &Multipole, d: Vec3, soft: f64) {
         let one = |x: f64| Lanes([x]);
         let d = d.to_array().map(one);
-        let terms = PairTerms::of::<true, true>(
+        let terms = PairTerms::of::<true, true, true>(
             one(tgt.m),
             one(src.m),
             &tgt.q.map(one),
@@ -409,40 +427,100 @@ mod tests {
         }
     }
 
-    /// The three reduced instantiations against the full one on pairs
+    /// One pair of moments: target mass, source mass, target and source
+    /// second moments, separation.
+    type Pair = (f64, f64, [f64; 6], [f64; 6], Vec3);
+
+    /// `pairs` in ring order from `first`, accumulated from a fresh
+    /// expansion through the form `<QS, QT, HESS>`.
+    fn run<const QS: bool, const QT: bool, const HESS: bool>(
+        pairs: &[Pair],
+        first: usize,
+    ) -> LocalExpansion {
+        let one = |x: f64| Lanes([x]);
+        let mut sums = GroupSums::load([LocalExpansion::default()]);
+        for n in 0..pairs.len() {
+            let (mt, ms, qt, qs, d) = pairs[(first + n) % pairs.len()];
+            let d = d.to_array().map(one);
+            let t = KernelTensors::at_softened::<true, HESS>(d, one(0.0));
+            sums.add(&PairTerms::of::<QS, QT, HESS>(one(mt), one(ms), &qt.map(one), &qs.map(one), d, &t));
+        }
+        sums.lane(0)
+    }
+
+    /// The seven reduced instantiations against the full one on pairs
     /// without second moments — zero masses and `−0.0` components
     /// included — accumulated into one expansion each from a fresh
     /// start: every field a form writes ends on the same bits (the
     /// signed-zero and unread-field arguments on [`PairTerms::of`]).
     #[test]
     fn reduced_form_adds_the_same_bits_where_no_quadrupole_is() {
-        let one = |x: f64| Lanes([x]);
-        fn at<const Q: bool, const H: bool>(d: [Lanes<1>; 3]) -> KernelTensors<1> {
-            KernelTensors::at_softened::<Q, H>(d, Lanes([0.0]))
-        }
-        let pairs = [
-            (2.5, 1.5, 0.0, Vec3::new(-3.0, -1.4, 1.0)),
-            (2.5, 0.0, 0.0, Vec3::new(1.0, 2.0, -0.5)),
-            (0.0, 1.5, -0.0, Vec3::new(0.3, -0.7, 4.0)),
-            (1.25, 3.0, -0.0, Vec3::new(-2.0, 0.1, 0.2)),
+        let pairs: [Pair; 4] = [
+            (2.5, 1.5, [0.0; 6], [0.0; 6], Vec3::new(-3.0, -1.4, 1.0)),
+            (2.5, 0.0, [0.0; 6], [-0.0; 6], Vec3::new(1.0, 2.0, -0.5)),
+            (0.0, 1.5, [-0.0; 6], [0.0; 6], Vec3::new(0.3, -0.7, 4.0)),
+            (1.25, 3.0, [-0.0; 6], [-0.0; 6], Vec3::new(-2.0, 0.1, 0.2)),
         ];
         for first in 0..pairs.len() {
-            let [mut full, mut reduced, mut leaf_quad, mut leaf] =
-                [(); 4].map(|()| GroupSums::load([LocalExpansion::default()]));
-            for n in 0..pairs.len() {
-                let (mt, ms, q, d) = pairs[(first + n) % pairs.len()];
-                let (mt, ms, q, d) = (one(mt), one(ms), [one(q); 6], d.to_array().map(one));
-                full.add(&PairTerms::of::<true, true>(mt, ms, &q, &q, d, &at::<true, true>(d)));
-                reduced.add(&PairTerms::of::<false, true>(mt, ms, &q, &q, d, &at::<false, true>(d)));
-                leaf_quad.add(&PairTerms::of::<true, false>(mt, ms, &q, &q, d, &at::<true, false>(d)));
-                leaf.add(&PairTerms::of::<false, false>(mt, ms, &q, &q, d, &at::<false, false>(d)));
-            }
             let what = format!("starting at pair {first}");
-            let full = full.lane(0);
-            reduced.lane(0).assert_same_bits(&full, &what);
-            leaf_quad.lane(0).assert_same_bits_without_hessian(&full, &what);
-            leaf.lane(0).assert_same_bits_without_hessian(&full, &what);
+            let full = run::<true, true, true>(&pairs, first);
+            for form in [
+                run::<true, false, true>(&pairs, first),
+                run::<false, true, true>(&pairs, first),
+                run::<false, false, true>(&pairs, first),
+            ] {
+                form.assert_same_bits(&full, &what);
+            }
+            for form in [
+                run::<true, true, false>(&pairs, first),
+                run::<true, false, false>(&pairs, first),
+                run::<false, true, false>(&pairs, first),
+                run::<false, false, false>(&pairs, first),
+            ] {
+                form.assert_same_bits_without_hessian(&full, &what);
+            }
         }
+    }
+
+    /// A one-sided form against the two-sided one, on pairs whose other
+    /// side has no second moments (`±0.0`, zero masses included) while
+    /// its own side has: `<true, false, H>` where `q_t = ±0`,
+    /// `<false, true, H>` where `q_s = ±0`, each adding the bits of
+    /// `<true, true, H>` at either `HESS`.
+    #[test]
+    fn one_sided_forms_add_the_same_bits_where_the_other_side_has_none() {
+        let q = [0.4, -0.3, 0.2, 0.1, -0.05, 0.02];
+        let q2 = [-0.1, 0.25, 0.05, -0.02, 0.0, 0.03];
+        let (zero, neg) = ([0.0; 6], [-0.0, 0.0, -0.0, -0.0, 0.0, -0.0]);
+        let d = [
+            Vec3::new(-3.0, -1.4, 1.0),
+            Vec3::new(1.0, 2.0, -0.5),
+            Vec3::new(0.3, -0.7, 4.0),
+            Vec3::new(-2.0, 0.1, 0.2),
+        ];
+        let source_side: [Pair; 4] = [
+            (2.5, 1.5, zero, q, d[0]),
+            (2.5, 0.0, neg, q2, d[1]),
+            (0.0, 1.5, zero, q2, d[2]),
+            (1.25, 3.0, neg, q, d[3]),
+        ];
+        let target_side: [Pair; 4] = source_side.map(|(mt, ms, qt, qs, d)| (ms, mt, qs, qt, d));
+        for first in 0..4 {
+            let what = format!("source side, starting at pair {first}");
+            run::<true, false, true>(&source_side, first)
+                .assert_same_bits(&run::<true, true, true>(&source_side, first), &what);
+            run::<true, false, false>(&source_side, first)
+                .assert_same_bits(&run::<true, true, false>(&source_side, first), &what);
+            let what = format!("target side, starting at pair {first}");
+            run::<false, true, true>(&target_side, first)
+                .assert_same_bits(&run::<true, true, true>(&target_side, first), &what);
+            run::<false, true, false>(&target_side, first)
+                .assert_same_bits(&run::<true, true, false>(&target_side, first), &what);
+        }
+        // Both sides' quadrupoles reach the sums these compare.
+        let (s, t) = (run::<true, false, true>(&source_side, 0), run::<false, true, true>(&target_side, 0));
+        assert!(s.torque.norm() > 0.0 && s.f_corr == Vec3::ZERO);
+        assert!(t.torque.norm() > 0.0 && t.f_corr.norm() > 0.0);
     }
 
     #[test]

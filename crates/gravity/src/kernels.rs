@@ -456,13 +456,13 @@ fn interior_coords(c: usize) -> (isize, isize, isize) {
 /// `l` of `tgt` against source slot `s0 + l·stride` — branchless: the
 /// pair weight `w = mask[t]·mask[s]` scales the source moments (every
 /// accumulated term is linear in them) and `1 − w` softens `r²`, so the
-/// tensors stay finite on masked slots. `QUAD` and `HESS` are the
-/// body's; `QUAD = false` never reads a `q` column and is only for
-/// groups whose eight slots have none set. Where `lattice` is given, its
-/// lanes take `B0` / `B1` from its row. Adds the pairs to `sums` and
-/// returns the weights.
+/// tensors stay finite on masked slots. `QS`, `QT` and `HESS` are the
+/// body's; `QS = false` never reads a source `q` column and is only for
+/// groups whose four source slots have none set, `QT = false` likewise
+/// for the targets. Where `lattice` is given, its lanes take `B0` / `B1`
+/// from its row. Adds the pairs to `sums` and returns the weights.
 #[inline(always)]
-fn pairs<const W: usize, const QUAD: bool, const HESS: bool>(
+fn pairs<const W: usize, const QS: bool, const QT: bool, const HESS: bool>(
     grid: &MomentGrid,
     tgt: &Targets<W>,
     s0: usize,
@@ -477,16 +477,21 @@ fn pairs<const W: usize, const QUAD: bool, const HESS: bool>(
         tgt.com[2] - src(&grid.comz),
     ];
     let mut qs = [Lanes::splat(0.0); 6];
-    if QUAD {
+    if QS {
         for c in 0..6 {
             qs[c] = src(&grid.q[c]) * w;
         }
     }
-    let mut t = KernelTensors::at_softened::<QUAD, HESS>(d, Lanes::splat(1.0) - w);
+    let soft = Lanes::splat(1.0) - w;
+    let mut t = if QS || QT {
+        KernelTensors::at_softened::<true, HESS>(d, soft)
+    } else {
+        KernelTensors::at_softened::<false, HESS>(d, soft)
+    };
     if let Some((lanes, row)) = lattice {
         t = t.with_lattice(lanes, row);
     }
-    sums.add(&PairTerms::of::<QUAD, HESS>(tgt.m, src(&grid.m) * w, &tgt.q, &qs, d, &t));
+    sums.add(&PairTerms::of::<QS, QT, HESS>(tgt.m, src(&grid.m) * w, &tgt.q, &qs, d, &t));
     w
 }
 
@@ -539,11 +544,15 @@ fn accum_group<const HESS: bool>(
         tally.lattice += n;
         (lanes, row)
     });
-    tally.weights += if tgt.flags.quad::<LANES>() || src.quad::<LANES>() {
+    let (qs, qt) = (src.quad::<LANES>(), tgt.flags.quad::<LANES>());
+    if qs || qt {
         tally.full_body += LANES as u64;
-        pairs::<LANES, true, HESS>(grid, tgt, s0, lattice, sums)
-    } else {
-        pairs::<LANES, false, HESS>(grid, tgt, s0, lattice, sums)
+    }
+    tally.weights += match (qs, qt) {
+        (false, false) => pairs::<LANES, false, false, HESS>(grid, tgt, s0, lattice, sums),
+        (true, false) => pairs::<LANES, true, false, HESS>(grid, tgt, s0, lattice, sums),
+        (false, true) => pairs::<LANES, false, true, HESS>(grid, tgt, s0, lattice, sums),
+        (true, true) => pairs::<LANES, true, true, HESS>(grid, tgt, s0, lattice, sums),
     };
 }
 
@@ -644,7 +653,7 @@ fn lattice_walk<const STRIDE: usize>(
             let ms = Lanes::gather(&grid.m, s0, STRIDE) * tgt.mask;
             let (b0, b1) = (Lanes::splat(row.b0), row.b1.map(Lanes::splat));
             let t = KernelTensors { b0, b1, b2: [zero; 6], b3: [zero; 10] };
-            sums.add(&PairTerms::of::<false, false>(tgt.m, ms, &tgt.q, &[zero; 6], [zero; 3], &t));
+            sums.add(&PairTerms::of::<false, false, false>(tgt.m, ms, &tgt.q, &[zero; 6], [zero; 3], &t));
         } else {
             deferred[n_deferred] = n;
             n_deferred += 1;
@@ -1079,12 +1088,14 @@ mod tests {
     /// Beside the expansions it returns the [`PairCounts`] the selective
     /// kernels must report, worked out per lane group from the columns
     /// (not from the `quad` flags), the number of pairs it evaluated
-    /// itself, and how many pairs were in lattice-walk groups.
+    /// itself, how many pairs were in lattice-walk groups, and how many of
+    /// the `full_body` pairs were in groups with second moments on the
+    /// source side only, the target side only, and both sides.
     fn oracle(
         grid: &MomentGrid,
         which: Offsets,
         h: Option<f64>,
-    ) -> (Vec<LocalExpansion>, PairCounts, u64, u64) {
+    ) -> (Vec<LocalExpansion>, PairCounts, u64, u64, [u64; 3]) {
         let pair = |t: usize, s_idx: usize, row: Option<&LatticeRow>, e: &mut LocalExpansion| {
             let w = grid.mask[t] * grid.mask[s_idx];
             let at = |n: usize, scale: f64| Multipole {
@@ -1101,7 +1112,7 @@ mod tests {
             }
             let (mt, ms) = (one(tgt.m), one(src.m));
             let terms =
-                PairTerms::of::<true, true>(mt, ms, &tgt.q.map(one), &src.q.map(one), d, &tensors);
+                PairTerms::of::<true, true, true>(mt, ms, &tgt.q.map(one), &src.q.map(one), d, &tensors);
             let mut sums = GroupSums::load([*e]);
             sums.add(&terms);
             *e = sums.lane(0);
@@ -1110,7 +1121,7 @@ mod tests {
         let plain = |n: usize| grid.mask[n] == 0.0 || grid.is(n, LATTICE);
         let mut out = vec![LocalExpansion::default(); N_CELLS];
         let mut counts = PairCounts::default();
-        let (mut all_pairs, mut lean_pairs) = (0, 0);
+        let (mut all_pairs, mut lean_pairs, mut quad_kinds) = (0, 0, [0; 3]);
         let by_parity = matches!(which, Offsets::Parity(_));
         let (stride, group_step) = if by_parity { (2, 1) } else { (1, LANES as isize) };
         for row in (0..N_CELLS).step_by(N_SUB) {
@@ -1150,8 +1161,11 @@ mod tests {
                     }
                     if lanes.iter().any(|&(_, _, s_idx)| grid.mask[s_idx] != 0.0) {
                         counts.evaluated += LANES as u64;
-                        if lanes.iter().any(|&(_, t, s)| has_quad(t) || has_quad(s)) {
+                        let qs = lanes.iter().any(|&(_, _, s)| has_quad(s));
+                        let qt = lanes.iter().any(|&(_, t, _)| has_quad(t));
+                        if qs || qt {
                             counts.full_body += LANES as u64;
+                            quad_kinds[qs as usize + 2 * qt as usize - 1] += LANES as u64;
                         }
                         if lean(n) {
                             lean_pairs += LANES as u64;
@@ -1166,17 +1180,20 @@ mod tests {
                 }
             }
         }
-        (out, counts, all_pairs, lean_pairs)
+        (out, counts, all_pairs, lean_pairs, quad_kinds)
     }
 
     /// The share of an oracle's pairs that the selective kernel skipped
-    /// (absent lane groups), ran at `QUAD = false`, and ran at
-    /// `QUAD = true`; and of those, how many took `B0` / `B1` from the
-    /// lattice table in the lattice walk and in the deferred one.
+    /// (absent lane groups), ran in the monopole form
+    /// (`QS = QT = false`), and ran in a quadrupole form; of those, how many had second moments on the
+    /// source side only, the target side only and both; and how many
+    /// took `B0` / `B1` from the lattice table in the lattice walk and in
+    /// the deferred one.
     struct Coverage {
         skipped: u64,
         reduced: u64,
         full: u64,
+        quad_kinds: [u64; 3],
         lean: u64,
         deferred_lattice: u64,
     }
@@ -1224,7 +1241,7 @@ mod tests {
         for which in families {
             for leaf in [true, false] {
                 let h = h.filter(|_| leaf);
-                let (one, expect, all_pairs, lean) = oracle(grid, which, h);
+                let (one, expect, all_pairs, lean, quad_kinds) = oracle(grid, which, h);
                 let buf = &mut buf;
                 let (counts, list) = match (leaf, which, h) {
                     (true, Offsets::List(name, list), None) => {
@@ -1263,6 +1280,7 @@ mod tests {
                     skipped: all_pairs - counts.evaluated,
                     reduced: counts.evaluated - counts.full_body,
                     full: counts.full_body,
+                    quad_kinds,
                     lean,
                     deferred_lattice: counts.lattice - lean,
                 });
@@ -1272,8 +1290,9 @@ mod tests {
     }
 
     /// The per-width, per-instantiation contract: every kernel family at
-    /// `W = 4` — skipping absent lane groups, taking `QUAD = false`
-    /// where a group has no quadrupole, `HESS = false` on leaf targets,
+    /// `W = 4` — skipping absent lane groups, taking `QS = false` where
+    /// a group's sources have no quadrupole and `QT = false` where its
+    /// targets have none, `HESS = false` on leaf targets,
     /// and on a leaf's placed grid the lattice table and the two walks —
     /// must match the full body at `W = 1` driven one (cell, offset) pair
     /// at a time with nothing skipped, bit-for-bit, on grids of absent /
@@ -1281,7 +1300,8 @@ mod tests {
     /// on placed grids of lattice point masses, refined cells and
     /// off-lattice monopoles, at stride 1 (offset kernels) and stride 2
     /// (parity stencils). The grids of the root's width (`N_SUB − 1`) add
-    /// its 3 282-entry list.
+    /// its 3 282-entry list. Between them the grids reach all three
+    /// quadrupole forms: source side only, target side only, both.
     #[test]
     fn four_lane_kernels_match_one_lane_bit_for_bit() {
         let width = Stencil::octotiger().width();
@@ -1290,6 +1310,7 @@ mod tests {
         // targets are a leaf's (all three lane-group classes occur) or a
         // refined node's (every target group carries a quadrupole, so
         // none takes the reduced form).
+        let mut quad_kinds = [0; 3];
         for (width, seed, layout, refined_targets) in [
             (width, 0x5eed_0001u64, Layout::Scattered, false),
             (root_width, 0x5eed_0002, Layout::Scattered, false),
@@ -1313,18 +1334,24 @@ mod tests {
                 if h.is_some() && n % 2 == 0 {
                     c.assert_both_walks(&what);
                 }
+                for (sum, kind) in quad_kinds.iter_mut().zip(c.quad_kinds) {
+                    *sum += kind;
+                }
             }
+        }
+        for (kind, n) in ["source-only", "target-only", "two-sided"].iter().zip(quad_kinds) {
+            assert!(n > 0, "no lane group took the {kind} quadrupole form");
         }
     }
 
     /// One pair through the SoA body at `W = 1`, from a fresh expansion.
-    fn one_pair<const QUAD: bool, const HESS: bool>(
+    fn one_pair<const QS: bool, const QT: bool, const HESS: bool>(
         g: &MomentGrid,
         t: usize,
         s: usize,
     ) -> LocalExpansion {
         let mut sums = GroupSums::load([LocalExpansion::default()]);
-        pairs::<1, QUAD, HESS>(g, &Targets::gather(g, t, 1), s, None, &mut sums);
+        pairs::<1, QS, QT, HESS>(g, &Targets::gather(g, t, 1), s, None, &mut sums);
         sums.lane(0)
     }
 
@@ -1351,7 +1378,7 @@ mod tests {
         });
         let (t, s_idx) = (grid.idx(7, 7, 7), grid.idx(6, 6, 0));
         assert_eq!(grid.m[s_idx], 0.0);
-        let e = one_pair::<false, false>(&grid, t, s_idx);
+        let e = one_pair::<false, false, false>(&grid, t, s_idx);
         assert_eq!(e.phi.to_bits(), 0.0f64.to_bits(), "+0.0 + −0.0 is +0.0");
         for c in assert_kernels_match_oracle(&grid, "zero-mass sources", None) {
             c.assert_all_three("zero-mass sources");
@@ -1411,16 +1438,21 @@ mod tests {
 
     /// One pair, one rounding: a monopole–monopole pair's two forces are
     /// bit-for-bit opposite whichever instantiations evaluate its two
-    /// sides — `<false, false>` on an unflagged leaf against what a
-    /// flagged neighbour (`<true, false>`), a refined node's reduced
-    /// group (`<false, true>`) or its full body with zero quadrupoles
-    /// (`<true, true>`) runs. Until PR 23 the monopole kernel was a
-    /// second hand-written arithmetic and this test pinned a ≤ 4 ulp
-    /// residual, hence its name, which the test-floor list keeps.
+    /// sides — `<false, false, false>` on an unflagged leaf against what
+    /// a flagged neighbour's deferred group (`<true, false, false>`), a
+    /// refined node facing a leaf (`<false, true, true>`), its full body
+    /// with zero quadrupoles (`<true, true, true>`) or any other form
+    /// runs. Until PR 23 the monopole kernel was a second hand-written
+    /// arithmetic and this test pinned a ≤ 4 ulp residual, hence its
+    /// name, which the test-floor list keeps.
     #[test]
     fn cross_body_monopole_pair_cancels_to_ulps_not_bits() {
-        fn force<const QUAD: bool, const HESS: bool>(g: &MomentGrid, t: usize, s: usize) -> Vec3 {
-            one_pair::<QUAD, HESS>(g, t, s).force
+        fn force<const QS: bool, const QT: bool, const HESS: bool>(
+            g: &MomentGrid,
+            t: usize,
+            s: usize,
+        ) -> Vec3 {
+            one_pair::<QS, QT, HESS>(g, t, s).force
         }
         let grid = random_grid(1, 0xb0d1e5, Layout::Scattered);
         let mut checked = 0;
@@ -1429,12 +1461,16 @@ mod tests {
             if grid.mask[t] * grid.mask[s_idx] == 0.0 || grid.is(t, QUAD) || grid.is(s_idx, QUAD) {
                 continue;
             }
-            let leaf = force::<false, false>(&grid, t, s_idx);
+            let leaf = force::<false, false, false>(&grid, t, s_idx);
             for (back, what) in [
-                (force::<false, false>(&grid, s_idx, t), "<false, false>"),
-                (force::<true, false>(&grid, s_idx, t), "<true, false>"),
-                (force::<false, true>(&grid, s_idx, t), "<false, true>"),
-                (force::<true, true>(&grid, s_idx, t), "<true, true>"),
+                (force::<false, false, false>(&grid, s_idx, t), "<false, false, false>"),
+                (force::<true, false, false>(&grid, s_idx, t), "<true, false, false>"),
+                (force::<false, true, false>(&grid, s_idx, t), "<false, true, false>"),
+                (force::<true, true, false>(&grid, s_idx, t), "<true, true, false>"),
+                (force::<false, false, true>(&grid, s_idx, t), "<false, false, true>"),
+                (force::<true, false, true>(&grid, s_idx, t), "<true, false, true>"),
+                (force::<false, true, true>(&grid, s_idx, t), "<false, true, true>"),
+                (force::<true, true, true>(&grid, s_idx, t), "<true, true, true>"),
             ] {
                 for ax in 0..3 {
                     assert_ne!(leaf[ax], 0.0);
