@@ -659,7 +659,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             build: build_rotating_star,
             steps: 10,
             gate_steps: None,
-            golden_digest: Some(0x57663238a4b16d5a),
+            golden_digest: Some(0x878c9d3bf0a0bdce),
             gates: Gates {
                 // Calibration: mass 1.9e-14, momentum ~1e-16 (mirror
                 // symmetry), L_z 3.3e-20 over the window.
@@ -680,7 +680,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             build: build_mini_binary,
             steps: 10,
             gate_steps: None,
-            golden_digest: Some(0x683e62c44295eb42),
+            golden_digest: Some(0x05f384157d1902b9),
             gates: Gates {
                 // Floors inject mass at the stellar edges (calibration:
                 // 3.9e-4 over 10 steps, a one-time adjustment as the
@@ -711,7 +711,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             // the entire multi-level construction bit-for-bit.
             steps: 1,
             gate_steps: None,
-            golden_digest: Some(0x0b1d5783f16318b4),
+            golden_digest: Some(0xd8898df3358f8cc2),
             gates: Gates {
                 mass: Some(0.15),
                 momentum: None,

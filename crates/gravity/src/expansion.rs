@@ -284,7 +284,7 @@ impl LocalExpansion {
             &tgt.q.map(one),
             &src.q.map(one),
             d,
-            &KernelTensors::at_softened::<true, true>(d, one(soft)),
+            &KernelTensors::at_softened::<true>(d, one(soft)),
         );
         let mut sums = GroupSums::load([*self]);
         sums.add(&terms);
@@ -442,7 +442,7 @@ mod tests {
         for n in 0..pairs.len() {
             let (mt, ms, qt, qs, d) = pairs[(first + n) % pairs.len()];
             let d = d.to_array().map(one);
-            let t = KernelTensors::at_softened::<true, HESS>(d, one(0.0));
+            let t = KernelTensors::at_softened::<HESS>(d, one(0.0));
             sums.add(&PairTerms::of::<QS, QT, HESS>(one(mt), one(ms), &qt.map(one), &qs.map(one), d, &t));
         }
         sums.lane(0)

@@ -482,12 +482,7 @@ fn pairs<const W: usize, const QS: bool, const QT: bool, const HESS: bool>(
             qs[c] = src(&grid.q[c]) * w;
         }
     }
-    let soft = Lanes::splat(1.0) - w;
-    let mut t = if QS || QT {
-        KernelTensors::at_softened::<true, HESS>(d, soft)
-    } else {
-        KernelTensors::at_softened::<false, HESS>(d, soft)
-    };
+    let mut t = KernelTensors::at_softened::<HESS>(d, Lanes::splat(1.0) - w);
     if let Some((lanes, row)) = lattice {
         t = t.with_lattice(lanes, row);
     }
@@ -651,8 +646,7 @@ fn lattice_walk<const STRIDE: usize>(
             // the pair weight could only multiply into `+0.0` again, so
             // these are the bits `pairs` would feed it.
             let ms = Lanes::gather(&grid.m, s0, STRIDE) * tgt.mask;
-            let (b0, b1) = (Lanes::splat(row.b0), row.b1.map(Lanes::splat));
-            let t = KernelTensors { b0, b1, b2: [zero; 6], b3: [zero; 10] };
+            let t = row.tensors();
             sums.add(&PairTerms::of::<false, false, false>(tgt.m, ms, &tgt.q, &[zero; 6], [zero; 3], &t));
         } else {
             deferred[n_deferred] = n;
@@ -1106,7 +1100,7 @@ mod tests {
             let (tgt, src) = (at(t, 1.0), at(s_idx, w));
             let one = |x: f64| Lanes([x]);
             let d = (tgt.com - src.com).to_array().map(one);
-            let mut tensors = KernelTensors::at_softened::<true, true>(d, one(1.0 - w));
+            let mut tensors = KernelTensors::at_softened::<true>(d, one(1.0 - w));
             if let Some(row) = row.filter(|_| grid.is(t, LATTICE) && grid.is(s_idx, LATTICE)) {
                 tensors = tensors.with_lattice([true], row);
             }

@@ -11,9 +11,20 @@
 //! machine-precision momentum conservation rests on (negating `d`
 //! negates odd tensors *exactly* in IEEE arithmetic).
 //!
-//! Symmetric rank-2 tensors are stored as `[xx, yy, zz, xy, xz, yz]`;
-//! symmetric rank-3 tensors as the 10 independent components
-//! `[xxx, yyy, zzz, xxy, xxz, xyy, yyz, xzz, yzz, xyz]`.
+//! Symmetric rank-2 tensors are stored as `[xx, yy, zz, xy, xz, yz]`.
+//! `B3` is never built: it only ever meets a symmetric rank-2 `q`, and
+//! both contractions a pair takes follow from `d`, `u³`, `u⁵`, `u⁷` and
+//! three scalars of `q` and `d` — the vector `q·d`, `d·q·d` and `tr q`:
+//!
+//! * `q_bc B3_abc = −3u⁵ (2 (q·d)_a + tr(q) d_a) + 15u⁷ d_a (d·q·d)`
+//!   ([`KernelTensors::contract_q_b3`]);
+//! * `q_ab B2_ab = u³ tr(q) − 3u⁵ (d·q·d)` ([`KernelTensors::contract_q_b2`]),
+//!   so `B2` itself is built only where the Hessian is read.
+//!
+//! The first is odd in `d` bit for bit as `B3` is: under `d → −d` every
+//! product in `q·d` flips sign exactly, so `q·d` does, and `d·q·d` does
+//! not move. Both contractions together cost 45 flops where the ten
+//! `B3` components and the two sums over them cost about 200.
 //!
 //! [`KernelTensors::at_softened`] is the only place the crate's pair
 //! arithmetic takes `1/r²` and its square root: every FMM kernel
@@ -44,107 +55,31 @@ pub const SYM2: [(usize, usize); 6] = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (
 /// Multiplicity of each rank-2 component in a full contraction.
 pub const SYM2_MULT: [f64; 6] = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0];
 
-/// Index triples of the 10 rank-3 components.
-pub const SYM3: [(usize, usize, usize); 10] = [
-    (0, 0, 0),
-    (1, 1, 1),
-    (2, 2, 2),
-    (0, 0, 1),
-    (0, 0, 2),
-    (0, 1, 1),
-    (1, 1, 2),
-    (0, 2, 2),
-    (1, 2, 2),
-    (0, 1, 2),
-];
-
-/// Compile-time full-index → symmetric-storage lookup for rank-3
-/// tensors: `SYM3_INDEX[a][b][c]` is the position in [`SYM3`] of the
-/// sorted triple `(a, b, c)`. (The naive per-access linear search was
-/// the hottest instruction in the multipole kernel.)
-pub const SYM3_INDEX: [[[usize; 3]; 3]; 3] = build_sym3_index();
-
-const fn build_sym3_index() -> [[[usize; 3]; 3]; 3] {
-    let mut table = [[[usize::MAX; 3]; 3]; 3];
-    let mut a = 0;
-    while a < 3 {
-        let mut b = 0;
-        while b < 3 {
-            let mut c = 0;
-            while c < 3 {
-                // Sort the triple (network for 3 elements).
-                let (mut x, mut y, mut z) = (a, b, c);
-                if x > y {
-                    let t = x;
-                    x = y;
-                    y = t;
-                }
-                if y > z {
-                    let t = y;
-                    y = z;
-                    z = t;
-                }
-                if x > y {
-                    let t = x;
-                    x = y;
-                    y = t;
-                }
-                let mut n = 0;
-                while n < 10 {
-                    let (p, q, r) = SYM3[n];
-                    // SYM3 entries are not all pre-sorted; sort them too.
-                    let (mut u, mut v, mut w) = (p, q, r);
-                    if u > v {
-                        let t = u;
-                        u = v;
-                        v = t;
-                    }
-                    if v > w {
-                        let t = v;
-                        v = w;
-                        w = t;
-                    }
-                    if u > v {
-                        let t = u;
-                        u = v;
-                        v = t;
-                    }
-                    if u == x && v == y && w == z {
-                        table[a][b][c] = n;
-                        break;
-                    }
-                    n += 1;
-                }
-                c += 1;
-            }
-            b += 1;
-        }
-        a += 1;
-    }
-    table
-}
-
-/// All derivative tensors of −1/r at `W` separations, one per lane.
+/// The derivative tensors of −1/r at `W` separations, one per lane.
 ///
 /// This is the one evaluation of `u = 1/|d|` and its powers in the
 /// crate's pair arithmetic: the SoA kernels instantiate it at `W = 4`,
 /// the pairwise API ([`KernelTensors::at`],
 /// `LocalExpansion::accumulate`) at `W = 1`. Every operation is
-/// lane-wise, so a lane holds the same bits at either width. `b3` is
-/// evaluated only at `QUAD = true`, `b2` only at `QUAD || HESS` (see
-/// [`KernelTensors::at_softened`]); each is all zeros otherwise.
+/// lane-wise, so a lane holds the same bits at either width. `b2` is
+/// evaluated only at `HESS = true` (see [`KernelTensors::at_softened`])
+/// and is all zeros otherwise; `B3` is never built — its contractions
+/// come from `d` and the powers of `u` kept here (module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelTensors<const W: usize> {
     pub b0: Lanes<W>,
     pub b1: [Lanes<W>; 3],
     pub b2: [Lanes<W>; 6],
-    pub b3: [Lanes<W>; 10],
+    d: [Lanes<W>; 3],
+    u3: Lanes<W>,
+    u5: Lanes<W>,
+    u7: Lanes<W>,
 }
 
 impl KernelTensors<1> {
     /// Evaluate at the single separation `d` (must be nonzero).
     pub fn at(d: Vec3) -> KernelTensors<1> {
-        Self::at_softened::<true, true>(d.to_array().map(|x| Lanes([x])), Lanes([0.0]))
+        Self::at_softened::<true>(d.to_array().map(|x| Lanes([x])), Lanes([0.0]))
     }
 }
 
@@ -156,20 +91,16 @@ impl<const W: usize> KernelTensors<W> {
     /// coincident centres) still produce finite tensors that are then
     /// multiplied away by the zero weight.
     ///
-    /// `QUAD` is whether either side of the pair carries second
-    /// moments, `HESS` whether the target's Hessian is read (it is on a
+    /// `HESS` is whether the target's Hessian is read (it is on a
     /// refined node, whose expansion translates to its children; never
-    /// on a leaf). `B3` only ever meets a quadrupole (`q:B3`), `B2` a
-    /// quadrupole (`q:B2`) or the Hessian, so `B3` with `u⁷` is not
-    /// evaluated at `QUAD = false`, nor `B2` with `u⁵` at
-    /// `QUAD = HESS = false` — which leaves the paper's monopole kernel:
-    /// `B0` and `B1`. Whatever is evaluated is the same operations in
-    /// every instantiation.
+    /// on a leaf): `B2` is built only then, since a quadrupole's `q:B2`
+    /// does not need it. `u⁵` and `u⁷` are there for the quadrupole
+    /// contractions; a form without quadrupoles never reads them, and
+    /// once inlined they are not computed — which leaves the paper's
+    /// monopole kernel: `B0` and `B1`. Whatever is evaluated is the
+    /// same operations in every instantiation.
     #[inline(always)]
-    pub fn at_softened<const QUAD: bool, const HESS: bool>(
-        d: [Lanes<W>; 3],
-        soft: Lanes<W>,
-    ) -> KernelTensors<W> {
+    pub fn at_softened<const HESS: bool>(d: [Lanes<W>; 3], soft: Lanes<W>) -> KernelTensors<W> {
         let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + soft;
         for l in 0..W {
             assert!(r2.lane(l) > 0.0, "kernel tensors undefined at zero separation");
@@ -179,55 +110,45 @@ impl<const W: usize> KernelTensors<W> {
         let u3 = u * u2;
         let u5 = u3 * u2;
         let mut b2 = [Lanes::splat(0.0); 6];
-        if QUAD || HESS {
+        if HESS {
             for (n, (a, b)) in SYM2.iter().enumerate() {
                 let delta = if a == b { 1.0 } else { 0.0 };
                 b2[n] = u3 * delta - d[*a] * 3.0 * d[*b] * u5;
             }
         }
-        let mut b3 = [Lanes::splat(0.0); 10];
-        if QUAD {
-            let u7 = u5 * u2;
-            for (n, (a, b, c)) in SYM3.iter().enumerate() {
-                let dab = if a == b { 1.0 } else { 0.0 };
-                let dac = if a == c { 1.0 } else { 0.0 };
-                let dbc = if b == c { 1.0 } else { 0.0 };
-                b3[n] = (d[*c] * dab + d[*b] * dac + d[*a] * dbc) * -3.0 * u5
-                    + d[*a] * 15.0 * d[*b] * d[*c] * u7;
-            }
-        }
-        KernelTensors { b0: -u, b1: [d[0] * u3, d[1] * u3, d[2] * u3], b2, b3 }
+        let b1 = [d[0] * u3, d[1] * u3, d[2] * u3];
+        KernelTensors { b0: -u, b1, b2, d, u3, u5, u7: u5 * u2 }
     }
 
-    /// Contract a symmetric rank-2 tensor `q` with `B2`: `q_ab B2_ab`.
+    /// `q·d`, `d·q·d` and `tr q` for a symmetric rank-2 `q`.
+    #[inline(always)]
+    fn q_scalars(&self, q: &[Lanes<W>; 6]) -> ([Lanes<W>; 3], Lanes<W>, Lanes<W>) {
+        let d = &self.d;
+        let qd = [
+            q[0] * d[0] + q[3] * d[1] + q[4] * d[2],
+            q[3] * d[0] + q[1] * d[1] + q[5] * d[2],
+            q[4] * d[0] + q[5] * d[1] + q[2] * d[2],
+        ];
+        let dqd = d[0] * qd[0] + d[1] * qd[1] + d[2] * qd[2];
+        (qd, dqd, q[0] + q[1] + q[2])
+    }
+
+    /// Contract a symmetric rank-2 tensor `q` with `B2`: `q_ab B2_ab`,
+    /// as `u³ tr(q) − 3u⁵ (d·q·d)`.
     #[inline(always)]
     pub fn contract_q_b2(&self, q: &[Lanes<W>; 6]) -> Lanes<W> {
-        let mut s = Lanes::splat(0.0);
-        for n in 0..6 {
-            s += q[n] * SYM2_MULT[n] * self.b2[n];
-        }
-        s
+        let (_, dqd, tr) = self.q_scalars(q);
+        self.u3 * tr + dqd * (self.u5 * -3.0)
     }
 
     /// Contract a symmetric rank-2 tensor with `B3` over two indices:
-    /// the vector `v_a = q_bc B3_abc`.
+    /// the vector `v_a = q_bc B3_abc`, as
+    /// `−3u⁵ (2 (q·d)_a + tr(q) d_a) + 15u⁷ d_a (d·q·d)`.
     #[inline(always)]
     pub fn contract_q_b3(&self, q: &[Lanes<W>; 6]) -> [Lanes<W>; 3] {
-        let mut v = [Lanes::splat(0.0); 3];
-        // For each free index a, sum q_bc B3_abc with multiplicity of (b,c).
-        for (n2, (b, c)) in SYM2.iter().enumerate() {
-            let w = q[n2] * SYM2_MULT[n2];
-            for (a, va) in v.iter_mut().enumerate() {
-                *va += w * self.b3_at(a, *b, *c);
-            }
-        }
-        v
-    }
-
-    /// Full-index access to B3 (symmetrized storage lookup).
-    #[inline(always)]
-    pub fn b3_at(&self, a: usize, b: usize, c: usize) -> Lanes<W> {
-        self.b3[SYM3_INDEX[a][b][c]]
+        let (qd, dqd, tr) = self.q_scalars(q);
+        let (c5, c7) = (self.u5 * -3.0, self.u7 * 15.0 * dqd);
+        std::array::from_fn(|a| (qd[a] * 2.0 + tr * self.d[a]) * c5 + self.d[a] * c7)
     }
 
     /// These tensors with `B0` and `B1` taken from `row` in the lanes
@@ -260,10 +181,26 @@ impl LatticeRow {
             .iter()
             .map(|&(x, y, z)| {
                 let d = [x, y, z].map(|o| Lanes([-(o as f64) * h]));
-                let t = KernelTensors::<1>::at_softened::<false, false>(d, Lanes([0.0]));
+                let t = KernelTensors::<1>::at_softened::<false>(d, Lanes([0.0]));
                 LatticeRow { b0: t.b0.lane(0), b1: t.b1.map(|c| c.lane(0)) }
             })
             .collect()
+    }
+
+    /// The row as the tensors of `W` lattice pairs: `B0` and `B1`, all a
+    /// pair of two point masses reads; the rest zeros.
+    #[inline(always)]
+    pub(crate) fn tensors<const W: usize>(&self) -> KernelTensors<W> {
+        let zero = Lanes::splat(0.0);
+        KernelTensors {
+            b0: Lanes::splat(self.b0),
+            b1: self.b1.map(Lanes::splat),
+            b2: [zero; 6],
+            d: [zero; 3],
+            u3: zero,
+            u5: zero,
+            u7: zero,
+        }
     }
 }
 
@@ -325,29 +262,24 @@ mod tests {
         }
     }
 
+    /// `B3` is the gradient of `B2`, so `q_bc B3_abc` is the gradient of
+    /// `q_bc B2_bc`: the `B3` contraction against a central difference
+    /// of the `B2` one.
     #[test]
     fn b3_matches_finite_difference_of_b2() {
         let d = Vec3::new(-0.9, 1.6, 0.5);
+        let q = [0.3, -0.2, 0.5, 0.1, -0.4, 0.25].map(|x| Lanes([x]));
         let h = 1e-6;
-        let t = KernelTensors::at(d);
-        for (n, (a, b, c)) in SYM3.iter().enumerate() {
+        let v = KernelTensors::at(d).contract_q_b3(&q);
+        for a in 0..3 {
             let mut dp = d;
-            dp[*c] += h;
+            dp[a] += h;
             let mut dm = d;
-            dm[*c] -= h;
-            let tp = KernelTensors::at(dp);
-            let tm = KernelTensors::at(dm);
-            // B2 component index for (a, b):
-            let n2 = SYM2
-                .iter()
-                .position(|&(x, y)| (x, y) == (*a, *b) || (y, x) == (*a, *b))
-                .unwrap();
-            let fd = (tp.b2[n2].lane(0) - tm.b2[n2].lane(0)) / (2.0 * h);
-            assert!(
-                (t.b3[n].lane(0) - fd).abs() < 1e-4 * (1.0 + fd.abs()),
-                "component {n} ({a}{b}{c}): {} vs {fd}",
-                t.b3[n].lane(0)
-            );
+            dm[a] -= h;
+            let (p, m) = (KernelTensors::at(dp), KernelTensors::at(dm));
+            let fd = (p.contract_q_b2(&q).lane(0) - m.contract_q_b2(&q).lane(0)) / (2.0 * h);
+            let v = v[a].lane(0);
+            assert!((v - fd).abs() < 1e-4 * (1.0 + fd.abs()), "axis {a}: {v} vs {fd}");
         }
     }
 
@@ -365,9 +297,6 @@ mod tests {
         for n in 0..6 {
             assert_eq!(t.b2[n].lane(0).to_bits(), tn.b2[n].lane(0).to_bits());
         }
-        for n in 0..10 {
-            assert_eq!(t.b3[n].lane(0).to_bits(), (-tn.b3[n].lane(0)).to_bits());
-        }
     }
 
     #[test]
@@ -379,57 +308,19 @@ mod tests {
     }
 
     #[test]
-    fn sym3_index_table_is_complete_and_consistent() {
-        for a in 0..3 {
-            for b in 0..3 {
-                for c in 0..3 {
-                    let n = SYM3_INDEX[a][b][c];
-                    assert!(n < 10, "missing entry for ({a},{b},{c})");
-                    let mut lhs = [a, b, c];
-                    lhs.sort_unstable();
-                    let (p, q, r) = SYM3[n];
-                    let mut rhs = [p, q, r];
-                    rhs.sort_unstable();
-                    assert_eq!(lhs, rhs, "wrong entry for ({a},{b},{c})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn b3_full_index_lookup_is_symmetric() {
-        let d = Vec3::new(1.0, 2.0, 3.0);
-        let t = KernelTensors::at(d);
-        assert_eq!(t.b3_at(0, 1, 2), t.b3_at(2, 1, 0));
-        assert_eq!(t.b3_at(0, 0, 1), t.b3_at(1, 0, 0));
-        assert_eq!(t.b3_at(0, 1, 0), t.b3_at(0, 0, 1));
-    }
-
-    #[test]
-    fn reduced_order_leaves_b3_out_and_the_rest_bit_identical() {
+    fn reduced_order_leaves_b2_out_and_the_rest_bit_identical() {
         let d = [0.123456789, -4.56789, 2.5].map(|x| Lanes([x]));
+        let q = [0.4, -0.3, 0.2, 0.1, -0.05, 0.02].map(|x| Lanes([x]));
         let soft = Lanes([0.25]);
-        let full = KernelTensors::at_softened::<true, true>(d, soft);
-        let reduced = KernelTensors::at_softened::<false, true>(d, soft);
-        assert_eq!(full.b0.lane(0).to_bits(), reduced.b0.lane(0).to_bits());
-        for a in 0..3 {
-            assert_eq!(full.b1[a].lane(0).to_bits(), reduced.b1[a].lane(0).to_bits());
-        }
-        for n in 0..6 {
-            assert_eq!(full.b2[n].lane(0).to_bits(), reduced.b2[n].lane(0).to_bits());
-        }
-        assert!(full.b3.iter().all(|c| c.lane(0) != 0.0));
-        assert!(reduced.b3.iter().all(|c| c.lane(0).to_bits() == 0));
-        // Without the Hessian: `B2` stays for `q:B2` at `QUAD = true`
-        // and goes with `B3` otherwise; `B0` and `B1` never move.
-        let no_hess = KernelTensors::at_softened::<true, false>(d, soft);
-        assert_eq!(no_hess, full);
-        let monopole = KernelTensors::at_softened::<false, false>(d, soft);
-        assert_eq!(monopole.b0.lane(0).to_bits(), full.b0.lane(0).to_bits());
-        for a in 0..3 {
-            assert_eq!(monopole.b1[a].lane(0).to_bits(), full.b1[a].lane(0).to_bits());
-        }
-        assert!(monopole.b2.iter().chain(&monopole.b3).all(|c| c.lane(0).to_bits() == 0));
+        let full = KernelTensors::at_softened::<true>(d, soft);
+        let reduced = KernelTensors::at_softened::<false>(d, soft);
+        assert!(full.b2.iter().all(|c| c.lane(0) != 0.0));
+        assert!(reduced.b2.iter().all(|c| c.lane(0).to_bits() == 0));
+        // Without the Hessian only `B2` goes: `B0`, `B1` and both
+        // quadrupole contractions never move.
+        assert_eq!(KernelTensors { b2: full.b2, ..reduced }, full);
+        assert_eq!(reduced.contract_q_b2(&q), full.contract_q_b2(&q));
+        assert_eq!(reduced.contract_q_b3(&q), full.contract_q_b3(&q));
     }
 
     #[test]
@@ -438,36 +329,85 @@ mod tests {
         let _ = KernelTensors::at(Vec3::ZERO);
     }
 
+    /// The textbook `B3_abc` of the module docs, all 27 components, and
+    /// beside each its two terms' magnitudes summed: the scale its
+    /// rounding is relative to.
+    fn b3_full(d: [f64; 3]) -> [[[(f64, f64); 3]; 3]; 3] {
+        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+        let u = 1.0 / r2.sqrt();
+        let (u5, u7) = (u.powi(5), u.powi(7));
+        let delta = |a: usize, b: usize| if a == b { 1.0 } else { 0.0 };
+        std::array::from_fn(|a| {
+            std::array::from_fn(|b| {
+                std::array::from_fn(|c| {
+                    let first = (delta(a, b) * d[c] + delta(a, c) * d[b] + delta(b, c) * d[a]) * u5;
+                    let second = d[a] * d[b] * d[c] * u7;
+                    let scale = (delta(a, b) * d[c].abs() + delta(a, c) * d[b].abs()
+                        + delta(b, c) * d[a].abs()) * u5;
+                    (-3.0 * first + 15.0 * second, 3.0 * scale + 15.0 * second.abs())
+                })
+            })
+        })
+    }
+
+    /// `|x − y|` is at most `ulps` units in the last place of `scale`.
+    fn within_ulps(x: f64, y: f64, scale: f64, ulps: f64) -> bool {
+        (x - y).abs() <= ulps * f64::EPSILON * scale
+    }
+
     proptest! {
+        /// Both contractions against the full-index sums over the
+        /// textbook `B2` / `B3`, to a few ulps of the sums' magnitude, at
+        /// `W = 1` and in every lane at `W = 4`; and their parity under
+        /// `d → −d` bit for bit: `q:B3` negates, `q:B2` does not move.
         #[test]
-        fn contraction_matches_full_sum(dx in 0.5f64..3.0, dy in -3.0f64..3.0, dz in -3.0f64..3.0,
+        fn contraction_matches_full_sum(ds in proptest::array::uniform4(
+                                            proptest::array::uniform3(-3.0f64..3.0)),
                                         q in proptest::array::uniform6(-2.0f64..2.0)) {
-            let t = KernelTensors::at(Vec3::new(dx, dy, dz));
-            // Expand q into a full symmetric 3x3 and contract by hand.
+            // Keep every separation at least half a unit long.
+            let ds = ds.map(|d| if d.iter().map(|x| x * x).sum::<f64>() < 0.25 { [d[0] + d[0].signum(), d[1], d[2]] } else { d });
             let mut full = [[0.0; 3]; 3];
             for (n, (a, b)) in SYM2.iter().enumerate() {
                 full[*a][*b] = q[n];
                 full[*b][*a] = q[n];
             }
-            let mut s = 0.0;
-            for a in 0..3 {
-                for b in 0..3 {
-                    let n2 = SYM2.iter().position(|&(x, y)| (x, y) == (a.min(b), a.max(b))).unwrap();
-                    s += full[a][b] * t.b2[n2].lane(0);
+            let four = KernelTensors::<4>::at_softened::<true>(
+                std::array::from_fn(|a| Lanes(ds.map(|d| d[a]))),
+                Lanes::splat(0.0),
+            );
+            let q4 = q.map(Lanes::<4>::splat);
+            let (v4, s4) = (four.contract_q_b3(&q4), four.contract_q_b2(&q4));
+            for (l, d) in ds.iter().enumerate() {
+                let ql = q.map(|x| Lanes([x]));
+                let t = KernelTensors::at(Vec3::from_array(*d));
+                let tn = KernelTensors::at(-Vec3::from_array(*d));
+                let b3 = b3_full(*d);
+                let (v, s) = (t.contract_q_b3(&ql), t.contract_q_b2(&ql));
+                for a in 0..3 {
+                    let (expect, scale) = (0..9).fold((0.0, 0.0), |(e, s), n| {
+                        let (q, (b3, b3_scale)) = (full[n / 3][n % 3], b3[a][n / 3][n % 3]);
+                        (e + q * b3, s + q.abs() * b3_scale)
+                    });
+                    prop_assert!(within_ulps(v[a].lane(0), expect, scale, 8.0),
+                                 "q:B3 axis {a}: {} vs {expect}", v[a].lane(0));
+                    prop_assert_eq!(v4[a].lane(l).to_bits(), v[a].lane(0).to_bits());
+                    prop_assert_eq!(tn.contract_q_b3(&ql)[a].lane(0).to_bits(),
+                                    (-v[a].lane(0)).to_bits());
                 }
-            }
-            let ql = q.map(|x| Lanes([x]));
-            prop_assert!((t.contract_q_b2(&ql).lane(0) - s).abs() < 1e-10 * (1.0 + s.abs()));
-
-            let v = t.contract_q_b3(&ql).map(|x| x.lane(0));
-            for a in 0..3 {
-                let mut expect = 0.0;
-                for b in 0..3 {
-                    for c in 0..3 {
-                        expect += full[b][c] * t.b3_at(a, b, c).lane(0);
-                    }
-                }
-                prop_assert!((v[a] - expect).abs() < 1e-9 * (1.0 + expect.abs()));
+                // `B2_ab`'s two terms, `δ_ab u³` and `3 d_a d_b u⁵`, in
+                // magnitude: the scale of its rounding.
+                let u2 = 1.0 / (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
+                let (u3, u5) = (u2 * u2.sqrt(), u2 * u2 * u2.sqrt());
+                let (expect, scale) = (0..9).fold((0.0, 0.0), |(e, s), n| {
+                    let (a, b) = (n / 3, n % 3);
+                    let k = SYM2.iter().position(|&p| p == (a.min(b), a.max(b))).unwrap();
+                    let b2_scale = if a == b { u3 } else { 0.0 } + 3.0 * (d[a] * d[b]).abs() * u5;
+                    (e + full[a][b] * t.b2[k].lane(0), s + full[a][b].abs() * b2_scale)
+                });
+                prop_assert!(within_ulps(s.lane(0), expect, scale, 8.0),
+                             "q:B2: {} vs {expect}", s.lane(0));
+                prop_assert_eq!(s4.lane(l).to_bits(), s.lane(0).to_bits());
+                prop_assert_eq!(tn.contract_q_b2(&ql).lane(0).to_bits(), s.lane(0).to_bits());
             }
         }
     }
