@@ -121,6 +121,12 @@ pub enum TraceCategory {
     DtReduce,
     /// End-of-step quiescence barrier across localities.
     Barrier,
+    /// The distributed regrid collective: proposals, the interior
+    /// broadcast, the mirrored regrid and the repartition.
+    Regrid,
+    /// A rebalance: a repartition of the same tree and the migration of
+    /// the leaves that change hands.
+    Rebalance,
     /// A parcel handed to a transport for sending.
     ParcelSend,
     /// A parcel delivered by a transport to its destination locality.
@@ -155,6 +161,8 @@ serde::impl_codec_enum_unit!(TraceCategory {
     GravitySolve,
     DtReduce,
     Barrier,
+    Regrid,
+    Rebalance,
     ParcelSend,
     ParcelRecv,
     ParcelRetry,
@@ -186,6 +194,8 @@ impl TraceCategory {
         TraceCategory::GravitySolve,
         TraceCategory::DtReduce,
         TraceCategory::Barrier,
+        TraceCategory::Regrid,
+        TraceCategory::Rebalance,
         TraceCategory::ParcelSend,
         TraceCategory::ParcelRecv,
         TraceCategory::ParcelRetry,
@@ -218,6 +228,8 @@ impl TraceCategory {
             TraceCategory::GravitySolve => "driver/gravity",
             TraceCategory::DtReduce => "driver/dt-reduce",
             TraceCategory::Barrier => "driver/barrier",
+            TraceCategory::Regrid => "driver/regrid",
+            TraceCategory::Rebalance => "driver/rebalance",
             TraceCategory::ParcelSend => "parcel/send",
             TraceCategory::ParcelRecv => "parcel/recv",
             TraceCategory::ParcelRetry => "parcel/retry",

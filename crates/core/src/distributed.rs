@@ -414,10 +414,12 @@ impl DistributedDriver {
         Ok(driver)
     }
 
-    /// [`Octree::check_leaf_grids`] on every mirror, in debug builds.
+    /// [`Octree::check_leaf_grids`] on every mirror and
+    /// [`ShardMap::check_invariants`] on the partition, in debug builds.
     fn debug_check_mirrors(&self) {
         if cfg!(debug_assertions) {
             self.mirrors.iter().for_each(|mirror| mirror.check_leaf_grids());
+            self.shard.check_invariants(&self.mirrors[0]);
         }
     }
 
@@ -586,7 +588,7 @@ impl DistributedDriver {
     ///    successor epoch) and installed — no migration parcels needed,
     ///    the broadcast already put every leaf everywhere.
     fn regrid_phase(&mut self, policy: &RegridPolicy) -> Result<()> {
-        let _span = trace::span_labeled(TraceCategory::Custom, || "regrid".to_string());
+        let _span = trace::span(TraceCategory::Regrid);
         let n = self.cluster.len();
         let epoch = self.epoch();
 
@@ -661,7 +663,7 @@ impl DistributedDriver {
     ///
     /// Returns the number of leaves whose owner changed.
     pub fn rebalance(&mut self) -> Result<usize> {
-        let _span = trace::span_labeled(TraceCategory::Custom, || "rebalance".to_string());
+        let _span = trace::span(TraceCategory::Rebalance);
         let n = self.cluster.len();
         let next = self.shard.repartition(&self.mirrors[0], n)?;
         let moves = self.shard.migration_plan(&next);

@@ -124,7 +124,9 @@ impl ShardMap {
     /// not have the same leaf set this map was built from — this is the
     /// post-regrid / rebalance path.
     pub fn repartition(&self, tree: &Octree, n_shards: usize) -> Result<ShardMap> {
-        Self::partition_at_epoch(tree, n_shards, self.epoch + 1)
+        let next = Self::partition_at_epoch(tree, n_shards, self.epoch + 1)?;
+        debug_assert!(next.epoch > self.epoch, "a repartition must raise the epoch");
+        Ok(next)
     }
 
     /// The partition epoch this map belongs to.
@@ -186,6 +188,40 @@ impl ShardMap {
     /// The leaves owned by `shard`, in SFC order.
     pub fn owned(&self, shard: u32) -> &[MortonKey] {
         &self.owned[shard as usize]
+    }
+
+    /// Verify the map against `tree`: every leaf is owned exactly once,
+    /// `owner` and `owned` agree, each shard's list is in SFC order, and
+    /// the shards are contiguous along the curve — shard 0's leaves,
+    /// then shard 1's, and so on, are the tree's leaves in curve order.
+    ///
+    /// # Panics
+    /// With a description of the first violated invariant.
+    pub fn check_invariants(&self, tree: &Octree) {
+        for (shard, keys) in self.owned.iter().enumerate() {
+            for key in keys {
+                let owner = self.owner.get(key);
+                assert_eq!(owner, Some(&(shard as u32)), "shard {shard} lists {key:?}, owned by {owner:?}");
+            }
+        }
+        let along: Vec<MortonKey> = self.owned.concat();
+        assert_eq!(
+            along.len(),
+            self.owner.len(),
+            "the shards list {} leaves, the owner map holds {}",
+            along.len(),
+            self.owner.len()
+        );
+        let leaves = tree.leaves();
+        if let Some(n) = (0..along.len().max(leaves.len())).find(|&n| along.get(n) != leaves.get(n)) {
+            panic!(
+                "position {n} along the curve: the shards list {:?}, the tree's leaf is {:?} \
+                 (a leaf owned twice or not at all, a list out of SFC order, or shards not \
+                 contiguous along the curve)",
+                along.get(n),
+                leaves.get(n)
+            );
+        }
     }
 
     /// The leaves whose interiors the ghost fill of `key` reads
@@ -257,6 +293,42 @@ mod tests {
         }
         assert_eq!(seen.len(), t.leaves().len());
         assert_eq!(map.n_leaves(), t.leaves().len());
+    }
+
+    /// Every constructor's map passes the checker, and each way of
+    /// breaking one by hand fails it.
+    #[test]
+    fn check_invariants_rejects_a_broken_map() {
+        let t = amr_tree();
+        let map = ShardMap::partition(&t, 3).unwrap();
+        map.check_invariants(&t);
+        map.repartition(&t, 2).unwrap().check_invariants(&t);
+        ShardMap::partition_skewed(&t, 3, 700).unwrap().check_invariants(&t);
+        let broken = |what: &str, edit: &dyn Fn(&mut ShardMap)| {
+            let mut bad = map.clone();
+            edit(&mut bad);
+            let out = std::panic::catch_unwind(|| bad.check_invariants(&t));
+            assert!(out.is_err(), "{what} passed the checker");
+        };
+        let last = |m: &ShardMap| *m.owned[0].last().unwrap();
+        broken("an owner disagreeing with its list", &|m| {
+            let key = last(m);
+            m.owner.insert(key, 1);
+        });
+        broken("a leaf owned twice", &|m| {
+            let key = last(m);
+            m.owned[1].insert(0, key);
+        });
+        broken("a leaf owned by no shard", &|m| {
+            let key = m.owned[0].pop().unwrap();
+            m.owner.remove(&key);
+        });
+        broken("a list out of SFC order", &|m| m.owned[0].swap(0, 1));
+        broken("shards not contiguous along the curve", &|m| {
+            let key = m.owned[0].pop().unwrap();
+            m.owned[2].push(key);
+            m.owner.insert(key, 2);
+        });
     }
 
     #[test]

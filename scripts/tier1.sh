@@ -2,7 +2,8 @@
 # Tier-1 gate: the checks every PR must keep green.
 #
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
-#      zero second-pair-arithmetic, zero fused/fast-math, zero
+#      zero second-pair-arithmetic, zero fused/fast-math, zero rank-3
+#      tensor, zero
 #      driver-ghost-fill, zero derived-grid, zero slab-pipeline and zero
 #      uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
@@ -91,7 +92,20 @@ if [ -n "$stray" ]; then
     echo "$stray" >&2
     exit 1
 fi
-echo "arithmetic budget OK (0 square roots outside tensors.rs, 0 mul_add / fast-math)"
+# No rank-3 tensor: a pair meets `B3` only through `q:B3`, which
+# `KernelTensors::contract_q_b3` builds from `d`, `u⁵` and `u⁷` (tensors.rs
+# module docs). Ten stored components, a symmetric-index table or a
+# full-index accessor in gravity's non-test code is the 200-flop tensor
+# coming back.
+stray=$(awk 'FNR == 1 { test = 0 } /^mod tests/ { test = 1 }
+    !test && /SYM3|b3_at|\.b3([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/gravity/src/*.rs)
+if [ -n "$stray" ]; then
+    echo "!! a rank-3 tensor in gravity's non-test code (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "arithmetic budget OK (0 square roots outside tensors.rs, 0 mul_add / fast-math, 0 rank-3 tensors)"
 
 echo
 echo "== tier-1: ghost budget =="

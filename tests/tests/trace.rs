@@ -10,6 +10,8 @@
 
 use amt::trace::{TraceCategory, TraceEvent, TraceSession};
 use amt::Runtime;
+use integration_tests::sod_amr;
+use octotiger::regrid::RegridPolicy;
 use octotiger::{DistributedDriver, Scenario, Simulation};
 use octree::subgrid::ALL_FIELDS;
 use parcelport::cluster::Cluster;
@@ -231,5 +233,37 @@ fn tracing_does_not_perturb_distributed_results() {
             trace.events.iter().any(|e| e.cat == cat),
             "expected at least one {cat:?} event"
         );
+    }
+}
+
+/// The regrid collective and a rebalance are spans of their own
+/// categories, named `driver/regrid` and `driver/rebalance` in the
+/// Chrome export: a step that regrids emits a `Regrid` span (nested in
+/// its `Step` span, on the driver's thread), a rebalance a `Rebalance`
+/// one.
+#[test]
+fn a_regrid_step_emits_a_regrid_span() {
+    let mut scenario = sod_amr();
+    // Hot level-1 leaves refine to level 2: the first collective is
+    // non-trivial (the regrid suite's policy).
+    let policy =
+        RegridPolicy { rho_ref: 0.5, ratio: 4.0, base_level: 1, max_level: 2, coarsen_fraction: 0.5 };
+    scenario.config.regrid = Some(policy);
+    scenario.config.regrid_cadence = 1;
+    let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
+    let mut driver = DistributedDriver::builder(scenario, cluster).build().expect("driver");
+    let before = driver.shard_map().n_leaves();
+    let session = TraceSession::begin();
+    driver.step().expect("step 0");
+    driver.step().expect("step 1: the cadence fires first");
+    driver.rebalance().expect("rebalance");
+    let trace = session.end();
+    assert!(driver.shard_map().n_leaves() > before, "the regrid must refine");
+    let spans = |cat: TraceCategory| trace.events.iter().filter(|e| e.cat == cat).count();
+    assert_eq!(spans(TraceCategory::Regrid), 1, "one regrid collective, one span");
+    assert_eq!(spans(TraceCategory::Rebalance), 1);
+    let chrome = trace.export_chrome_json();
+    for name in ["\"driver/regrid\"", "\"driver/rebalance\""] {
+        assert!(chrome.contains(name), "no {name} event in the Chrome export");
     }
 }
