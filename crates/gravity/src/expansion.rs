@@ -12,9 +12,14 @@
 //!
 //! What one pair adds to an expansion is `PairTerms::of`, the one pair
 //! body of the crate. §4.3's kernel variants — from the 12-flop
-//! monopole–monopole kernel to the 455-flop multipole one — are its
-//! four `const` instantiations: with or without the quadrupole terms,
-//! with or without the Hessian.
+//! monopole–monopole kernel to the multipole one (455 flops in the
+//! paper's model, 219 in this body) — are its `const` instantiations
+//! `{QS} × {QT} × {HESS}`: with or without the source's quadrupole
+//! terms, with or without the target's, with or without the Hessian.
+//! A pair pays only for the moments it has: a leaf's deferred groups
+//! against a refined neighbour take `<true, false, false>` (122 flops),
+//! a refined node facing a leaf's point masses `<false, true, true>`
+//! (150; per-form counts in the `kernels` module docs).
 
 use crate::multipole::Multipole;
 use crate::tensors::{KernelTensors, SYM2};
@@ -443,7 +448,8 @@ mod tests {
             let (mt, ms, qt, qs, d) = pairs[(first + n) % pairs.len()];
             let d = d.to_array().map(one);
             let t = KernelTensors::at_softened::<HESS>(d, one(0.0));
-            sums.add(&PairTerms::of::<QS, QT, HESS>(one(mt), one(ms), &qt.map(one), &qs.map(one), d, &t));
+            let (qt, qs) = (qt.map(one), qs.map(one));
+            sums.add(&PairTerms::of::<QS, QT, HESS>(one(mt), one(ms), &qt, &qs, d, &t));
         }
         sums.lane(0)
     }
@@ -518,7 +524,8 @@ mod tests {
                 .assert_same_bits(&run::<true, true, false>(&target_side, first), &what);
         }
         // Both sides' quadrupoles reach the sums these compare.
-        let (s, t) = (run::<true, false, true>(&source_side, 0), run::<false, true, true>(&target_side, 0));
+        let s = run::<true, false, true>(&source_side, 0);
+        let t = run::<false, true, true>(&target_side, 0);
         assert!(s.torque.norm() > 0.0 && s.f_corr == Vec3::ZERO);
         assert!(t.torque.norm() > 0.0 && t.f_corr.norm() > 0.0);
     }

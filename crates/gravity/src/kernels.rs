@@ -10,18 +10,26 @@
 //!
 //! Two kernels, as in the paper, and one pair body: `PairTerms::of`
 //! is the only pair arithmetic here, and the paper's kernel variants are
-//! its four `const` instantiations `{QUAD} × {HESS}` (does the pair
-//! carry a quadrupole × is the target's Hessian read):
+//! its `const` instantiations `{QS} × {QT} × {HESS}` (does the source
+//! side carry second moments × does the target side × is the target's
+//! Hessian read):
 //! * [`monopole_kernel`] — **leaf targets**, `HESS = false`: a leaf's
 //!   expansion is never translated, so its Hessian is never read and
-//!   never computed. On leaf–leaf pairs (`QUAD = false`) this is the
-//!   monopole–monopole kernel, cells as point masses, 12
-//!   flops/interaction; where a source carries a quadrupole — a refined
-//!   neighbour's cells — the same launch takes `QUAD = true`.
+//!   never computed, and its cells are point masses (`QT = false`). On
+//!   leaf–leaf pairs (`QS = false`) this is the monopole–monopole
+//!   kernel, cells as point masses — §4.3's 12 flops; where a source
+//!   carries a quadrupole — a refined neighbour's cells — the same
+//!   launch takes `<true, false, false>`, 122 flops a pair.
 //! * [`multipole_kernel`] — **refined targets**, `HESS = true`: the
-//!   combined multipole–multipole / multipole–monopole kernel (455
-//!   flops/interaction at `QUAD = true`), full M2L with quadrupoles and
-//!   the conservation corrections.
+//!   combined multipole–multipole / multipole–monopole kernel, full M2L
+//!   with quadrupoles and the conservation corrections — 219 flops a
+//!   pair at `<true, true, true>`, 150 at `<false, true, true>` against
+//!   a leaf neighbour's point masses (§4.3 models its kernel at 455).
+//!
+//! Flops here are this body's, counted by hand per pair from the source
+//! on computed tensors: the weight, the separation, `at_softened` and
+//! `GroupSums::add` included (`<false, false, false>` is 35 on computed
+//! tensors, `<false, false, true>` 78, `<true, true, false>` 177).
 //!
 //! The pair body is **branchless**: instead of testing whether a
 //! slot holds data (which defeats vectorization, exactly the
@@ -48,15 +56,19 @@
 //!   `tensors` module docs), a group whose eight slots are all lattice
 //!   point masses or absent is a **lattice group**: `B0` and `B1` come
 //!   from the table row of the offset — no divide, no square root, no
-//!   centre read — and the body is `PairTerms::of::<false, false>` on
-//!   them, §4.3's 12 flops;
-//! * otherwise, in `accum_group`: a group with no quadrupole on any of
-//!   its eight slots takes `QUAD = false` — the same source with `B3`,
-//!   both `q:B3` contractions, `f_qs`, `f_qt`, the torque and the twelve
-//!   `q` gathers compiled out — and one with a quadrupole `QUAD = true`;
-//!   with a table, the group's lattice–lattice lanes take `B0` / `B1`
-//!   from it by `select`, so a lattice pair has the table's rounding
-//!   whichever group it falls in.
+//!   centre read — and the body is `PairTerms::of::<false, false, false>`
+//!   on them, §4.3's 12 flops;
+//! * otherwise, in `accum_group`: a group takes `QS = true` where one of
+//!   its four source slots has a quadrupole and `QT = true` where one of
+//!   its four target slots has — the same source with the absent side's
+//!   `q:B3` (and, for the source, `q:B2` and the six `q` gathers), its
+//!   force part and, with neither, the torque compiled out. A flagged
+//!   leaf's deferred groups, which reach into a refined neighbour, are
+//!   all `QS`-only (a leaf's targets are point masses); a refined node's
+//!   groups that face a leaf neighbour are `QT`-only. With a table, the
+//!   group's lattice–lattice lanes take `B0` / `B1` from it by `select`,
+//!   so a lattice pair has the table's rounding whichever group it falls
+//!   in.
 //!
 //! Every one of these choices but the table is **bit-neutral by
 //! construction**, and the table is applied to every lattice–lattice
@@ -64,14 +76,14 @@
 //! kernel or lane group evaluates it, and a monopole pair's two forces
 //! are bit-for-bit opposite across any leaf / refined or flagged /
 //! unflagged boundary (the table's rows are: `B1(−o) = −B1(o)`). For
-//! `QUAD` and the skip: every dropped term is an exact signed zero (zero
+//! `QS`, `QT` and the skip: every dropped term is an exact signed zero (zero
 //! moments times finite tensors, summed from `+0.0`); an accumulator that
 //! starts at `+0.0` can never hold `−0.0` (round-to-nearest yields `−0.0`
 //! only from `−0.0 + −0.0`), and adding `±0.0` to anything but `−0.0` is
 //! the identity — which is also why a lane with an absent side may take
 //! the table's tensors or the softened ones alike. For `HESS`: `d2phi`
 //! feeds no other field, and an unread field cannot move a bit. The
-//! unselective loop — always `<true, true>`, nothing skipped, the table
+//! unselective loop — always `<true, true, true>`, nothing skipped, the table
 //! applied pair by pair — survives as the `W = 1` oracle of this
 //! module's tests.
 //!
@@ -375,8 +387,7 @@ struct Targets<const W: usize> {
     m: Lanes<W>,
     com: [Lanes<W>; 3],
     q: [Lanes<W>; 6],
-    /// Their flags: on a refined node they carry quadrupoles, and then
-    /// the source flags are never read for `QUAD`.
+    /// Their flags: `QT` is whether one of them carries a quadrupole.
     flags: GroupFlags,
 }
 
@@ -414,8 +425,9 @@ pub struct PairCounts {
     pub counted: u64,
     /// Pairs whose arithmetic ran (four per lane group not skipped).
     pub evaluated: u64,
-    /// Of `evaluated`, pairs at `QUAD = true` (the 455-flop body on a
-    /// refined target). The rest took `QUAD = false`.
+    /// Of `evaluated`, pairs in a quadrupole form (`QS` or `QT`: the
+    /// source or the target group carries second moments). The rest
+    /// took `<false, false, HESS>`.
     pub full_body: u64,
     /// Of `evaluated`, pairs whose `B0` / `B1` came from the lattice
     /// table, not from a divide and a square root: every pair of a
@@ -518,7 +530,7 @@ impl Tally {
 }
 
 /// One lane group against one offset through the computed tensors — the
-/// one place a group's `QUAD` is picked (module docs). With a lattice
+/// one place a group's `QS` and `QT` are picked (module docs). With a lattice
 /// `row`, its lattice–lattice lanes take `B0` / `B1` from it.
 #[inline(always)]
 fn accum_group<const HESS: bool>(
@@ -640,14 +652,21 @@ fn lattice_walk<const STRIDE: usize>(
             groups += 1;
             // One bit a lane, one lane a byte: the byte sum is the count.
             present += (src.word & targets_present).wrapping_mul(0x0101_0101_0101_0101) >> 56;
-            // The body, `PairTerms::of::<false, false>` on the row's
+            // The body, `PairTerms::of::<false, false, false>` on the row's
             // `B0` / `B1`, reads only `m` of the sources, weighted by the
             // targets' mask alone: an absent source has `m = +0.0`, which
             // the pair weight could only multiply into `+0.0` again, so
             // these are the bits `pairs` would feed it.
             let ms = Lanes::gather(&grid.m, s0, STRIDE) * tgt.mask;
             let t = row.tensors();
-            sums.add(&PairTerms::of::<false, false, false>(tgt.m, ms, &tgt.q, &[zero; 6], [zero; 3], &t));
+            sums.add(&PairTerms::of::<false, false, false>(
+                tgt.m,
+                ms,
+                &tgt.q,
+                &[zero; 6],
+                [zero; 3],
+                &t,
+            ));
         } else {
             deferred[n_deferred] = n;
             n_deferred += 1;
@@ -1067,7 +1086,7 @@ mod tests {
 
     /// The unselective oracle of all four kernel families: every (cell,
     /// offset) pair of the sub-grid, one at a time at `W = 1`, **nothing
-    /// skipped and always the full body** — `PairTerms::of::<true, true>`
+    /// skipped and always the full body** — `PairTerms::of::<true, true, true>`
     /// on `KernelTensors::at_softened`, fed what the SoA body feeds its
     /// lanes (weighted source moments, softened r²).
     ///
@@ -1105,8 +1124,8 @@ mod tests {
                 tensors = tensors.with_lattice([true], row);
             }
             let (mt, ms) = (one(tgt.m), one(src.m));
-            let terms =
-                PairTerms::of::<true, true, true>(mt, ms, &tgt.q.map(one), &src.q.map(one), d, &tensors);
+            let (qt, qs) = (tgt.q.map(one), src.q.map(one));
+            let terms = PairTerms::of::<true, true, true>(mt, ms, &qt, &qs, d, &tensors);
             let mut sums = GroupSums::load([*e]);
             sums.add(&terms);
             *e = sums.lane(0);
@@ -1179,10 +1198,10 @@ mod tests {
 
     /// The share of an oracle's pairs that the selective kernel skipped
     /// (absent lane groups), ran in the monopole form
-    /// (`QS = QT = false`), and ran in a quadrupole form; of those, how many had second moments on the
-    /// source side only, the target side only and both; and how many
-    /// took `B0` / `B1` from the lattice table in the lattice walk and in
-    /// the deferred one.
+    /// (`QS = QT = false`), and ran in a quadrupole form; of those, how
+    /// many had second moments on the source side only, the target side
+    /// only and both; and how many took `B0` / `B1` from the lattice
+    /// table in the lattice walk and in the deferred one.
     struct Coverage {
         skipped: u64,
         reduced: u64,
@@ -1397,7 +1416,7 @@ mod tests {
 
     /// `is_monopole` is true for `−0.0` second moments, so such slots
     /// take the reduced form, while the oracle multiplies the `−0.0`s
-    /// through `B2` and `B3`: same bits.
+    /// through both contractions: same bits.
     #[test]
     fn negative_zero_quadrupoles_take_the_reduced_form() {
         let grid = closed_lattice(|i, j, k, c| Multipole {
@@ -1436,9 +1455,9 @@ mod tests {
     /// a flagged neighbour's deferred group (`<true, false, false>`), a
     /// refined node facing a leaf (`<false, true, true>`), its full body
     /// with zero quadrupoles (`<true, true, true>`) or any other form
-    /// runs. Until PR 23 the monopole kernel was a second hand-written
+    /// runs. The monopole kernel was once a second hand-written
     /// arithmetic and this test pinned a ≤ 4 ulp residual, hence its
-    /// name, which the test-floor list keeps.
+    /// name.
     #[test]
     fn cross_body_monopole_pair_cancels_to_ulps_not_bits() {
         fn force<const QS: bool, const QT: bool, const HESS: bool>(

@@ -15,10 +15,10 @@
 //! 2. **Same-level** ([`kernels`], [`stencil`]): each cell interacts
 //!    with its stencil of close neighbors. Two compute kernels, exactly
 //!    as in the paper — monopole–monopole (12 flops/interaction) and the
-//!    combined multipole kernel (455 flops/interaction) — and one pair
-//!    arithmetic: both are `const` instantiations of the one body in
-//!    [`expansion`], so a pair is rounded the same whichever kernel
-//!    evaluates it. The stencil is
+//!    combined multipole kernel (455 flops/interaction in the paper's
+//!    model, 219 in ours) — and one pair arithmetic: both are `const`
+//!    instantiations of the one body in [`expansion`], so a pair is
+//!    rounded the same whichever kernel evaluates it. The stencil is
 //!    generated from the two-level opening criterion; with θ = 0.5 it
 //!    has 982 elements (the paper's geometric details give 1074 — same
 //!    structure, slightly different counts; see DESIGN.md).
@@ -52,7 +52,9 @@ pub use scratch::ScratchPool;
 pub use solver::{FmmSolver, GravityField};
 pub use stencil::Stencil;
 
-/// Floating point ops per multipole interaction (paper §4.3).
+/// Floating point ops per multipole interaction in the paper's model
+/// (§4.3, Table 2) — not this crate's body, which the `kernels` module
+/// docs count.
 pub const MULTI_FLOPS: u64 = 455;
 /// Interactions per kernel launch: 512 cells × 1074 stencil elements
 /// (paper §4.3). Used by the node-level performance model.

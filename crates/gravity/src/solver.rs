@@ -34,9 +34,10 @@
 //! grid's own flags (`kernels` module docs): groups of absent sources
 //! are skipped, a leaf's groups of lattice point masses take `B0` /
 //! `B1` from the table in a loop of their own, and only groups that hold
-//! a quadrupole take `QUAD = true` — on a leaf next to a refined node
-//! that is the lane groups that reach into it, not all
-//! 512 × (651 + 92) pairs. A lattice pair takes the table's values in
+//! a quadrupole take a quadrupole form, and only for the side that has
+//! one (`QS` for the sources, `QT` for the targets) — on a leaf next to
+//! a refined node that is the lane groups that reach into it, at
+//! `QS = true` only, not all 512 × (651 + 92) pairs. A lattice pair takes the table's values in
 //! whichever group it falls, and nothing else moves a bit, so a pair is
 //! rounded the same whichever node evaluates it. What they came to is on
 //! the field: [`GravityField::interactions`] (pairs counted),
@@ -129,9 +130,10 @@ pub struct GravityField {
     /// pairs weighted out by their lane inside an evaluated lane group
     /// (see [`PairCounts`]).
     pub pairs_evaluated: u64,
-    /// Of `pairs_evaluated`, pairs evaluated with their quadrupole terms
-    /// (`QUAD = true`): the 455-flop body on refined nodes, the same
-    /// less the Hessian on leaves.
+    /// Of `pairs_evaluated`, pairs evaluated with quadrupole terms
+    /// (`QS` or `QT`, per lane group; see [`PairCounts`]): on refined
+    /// nodes every group, on leaves the groups that reach a refined
+    /// neighbour's cells.
     pub pairs_full_body: u64,
     /// Of `pairs_evaluated`, pairs whose `B0` / `B1` came from a level's
     /// lattice table instead of a divide and a square root (leaves only).

@@ -23,8 +23,9 @@
 //!
 //! The first is odd in `d` bit for bit as `B3` is: under `d → −d` every
 //! product in `q·d` flips sign exactly, so `q·d` does, and `d·q·d` does
-//! not move. Both contractions together cost 45 flops where the ten
-//! `B3` components and the two sums over them cost about 200.
+//! not move. Both contractions of one `q` take 46 flops; the ten stored
+//! `B3` components they replace took 120, and the two sums over stored
+//! tensors 60 more.
 //!
 //! [`KernelTensors::at_softened`] is the only place the crate's pair
 //! arithmetic takes `1/r²` and its square root: every FMM kernel
@@ -51,9 +52,6 @@ use util::vec3::Vec3;
 
 /// Index pairs of the 6 rank-2 components.
 pub const SYM2: [(usize, usize); 6] = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)];
-
-/// Multiplicity of each rank-2 component in a full contraction.
-pub const SYM2_MULT: [f64; 6] = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0];
 
 /// The derivative tensors of −1/r at `W` separations, one per lane.
 ///
@@ -365,7 +363,10 @@ mod tests {
                                             proptest::array::uniform3(-3.0f64..3.0)),
                                         q in proptest::array::uniform6(-2.0f64..2.0)) {
             // Keep every separation at least half a unit long.
-            let ds = ds.map(|d| if d.iter().map(|x| x * x).sum::<f64>() < 0.25 { [d[0] + d[0].signum(), d[1], d[2]] } else { d });
+            let ds = ds.map(|d| {
+                let short = d.iter().map(|x| x * x).sum::<f64>() < 0.25;
+                if short { [d[0] + d[0].signum(), d[1], d[2]] } else { d }
+            });
             let mut full = [[0.0; 3]; 3];
             for (n, (a, b)) in SYM2.iter().enumerate() {
                 full[*a][*b] = q[n];

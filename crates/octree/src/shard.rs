@@ -201,7 +201,8 @@ impl ShardMap {
         for (shard, keys) in self.owned.iter().enumerate() {
             for key in keys {
                 let owner = self.owner.get(key);
-                assert_eq!(owner, Some(&(shard as u32)), "shard {shard} lists {key:?}, owned by {owner:?}");
+                let listed = Some(&(shard as u32));
+                assert_eq!(owner, listed, "shard {shard} lists {key:?}, owned by {owner:?}");
             }
         }
         let along: Vec<MortonKey> = self.owned.concat();
@@ -213,7 +214,8 @@ impl ShardMap {
             self.owner.len()
         );
         let leaves = tree.leaves();
-        if let Some(n) = (0..along.len().max(leaves.len())).find(|&n| along.get(n) != leaves.get(n)) {
+        let len = along.len().max(leaves.len());
+        if let Some(n) = (0..len).find(|&n| along.get(n) != leaves.get(n)) {
             panic!(
                 "position {n} along the curve: the shards list {:?}, the tree's leaf is {:?} \
                  (a leaf owned twice or not at all, a list out of SFC order, or shards not \

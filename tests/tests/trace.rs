@@ -246,8 +246,13 @@ fn a_regrid_step_emits_a_regrid_span() {
     let mut scenario = sod_amr();
     // Hot level-1 leaves refine to level 2: the first collective is
     // non-trivial (the regrid suite's policy).
-    let policy =
-        RegridPolicy { rho_ref: 0.5, ratio: 4.0, base_level: 1, max_level: 2, coarsen_fraction: 0.5 };
+    let policy = RegridPolicy {
+        rho_ref: 0.5,
+        ratio: 4.0,
+        base_level: 1,
+        max_level: 2,
+        coarsen_fraction: 0.5,
+    };
     scenario.config.regrid = Some(policy);
     scenario.config.regrid_cadence = 1;
     let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
