@@ -117,10 +117,9 @@ pub enum TraceCategory {
     MomentExchange,
     /// The gravity solve phase of a driver step.
     GravitySolve,
-    /// The timestep min-reduction (local tree + cluster allreduce).
+    /// The timestep min-reduction (per-leaf tasks, then one exchange
+    /// round of per-locality minima).
     DtReduce,
-    /// End-of-step quiescence barrier across localities.
-    Barrier,
     /// The distributed regrid collective: proposals, the interior
     /// broadcast, the mirrored regrid and the repartition.
     Regrid,
@@ -160,7 +159,6 @@ serde::impl_codec_enum_unit!(TraceCategory {
     MomentExchange,
     GravitySolve,
     DtReduce,
-    Barrier,
     Regrid,
     Rebalance,
     ParcelSend,
@@ -193,7 +191,6 @@ impl TraceCategory {
         TraceCategory::MomentExchange,
         TraceCategory::GravitySolve,
         TraceCategory::DtReduce,
-        TraceCategory::Barrier,
         TraceCategory::Regrid,
         TraceCategory::Rebalance,
         TraceCategory::ParcelSend,
@@ -227,7 +224,6 @@ impl TraceCategory {
             TraceCategory::MomentExchange => "driver/moment-exchange",
             TraceCategory::GravitySolve => "driver/gravity",
             TraceCategory::DtReduce => "driver/dt-reduce",
-            TraceCategory::Barrier => "driver/barrier",
             TraceCategory::Regrid => "driver/regrid",
             TraceCategory::Rebalance => "driver/rebalance",
             TraceCategory::ParcelSend => "parcel/send",

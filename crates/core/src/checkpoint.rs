@@ -5,7 +5,7 @@
 //! likes and later hands back to resurrect the components. This module
 //! is the same contract for [`crate::distributed::DistributedDriver`]:
 //! the *global* simulation state — every shard's owned leaf grids
-//! (interiors alone), plus the step/time/seq bookkeeping and the
+//! (interiors alone), plus the step/time bookkeeping and the
 //! per-step dt history — is encoded with the wire codec (which
 //! round-trips `f64` bit patterns exactly, so a restore is
 //! bit-identical by construction), then sealed with a version word and
@@ -26,7 +26,7 @@ use util::{fnv1a64, Error, Result};
 /// Current checkpoint format version. Bump on any layout change; a
 /// mismatched version fails decode with [`Error::Checkpoint`] instead
 /// of misinterpreting bytes.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Bytes of the FNV-1a-64 digest trailing the encoded body.
 const DIGEST_BYTES: usize = 8;
@@ -40,9 +40,6 @@ pub struct CheckpointBody {
     pub steps: u64,
     /// Simulated time (code units).
     pub time: f64,
-    /// Collectives sequence counter (reduction/barrier ids continue
-    /// from here after a restore).
-    pub seq: u64,
     /// Sub-grids processed (the paper's throughput metric).
     pub subgrids_processed: u64,
     /// dt of every completed step, in order.
@@ -59,7 +56,6 @@ serde::impl_codec_struct!(CheckpointBody {
     version,
     steps,
     time,
-    seq,
     subgrids_processed,
     dt_history,
     keys,
@@ -98,14 +94,17 @@ pub fn decode(bytes: &Bytes) -> Result<CheckpointBody> {
             "digest mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )));
     }
-    let body: CheckpointBody = from_bytes(&body)
-        .map_err(|e| Error::Checkpoint(format!("body decode failed: {e}")))?;
-    if body.version != CHECKPOINT_VERSION {
+    // The version leads the body: read it first, so a blob of another
+    // layout is reported as such rather than misread field by field.
+    let version: u32 = from_bytes(&body)
+        .map_err(|e| Error::Checkpoint(format!("version decode failed: {e}")))?;
+    if version != CHECKPOINT_VERSION {
         return Err(Error::Checkpoint(format!(
-            "version {} unsupported (this build reads {})",
-            body.version, CHECKPOINT_VERSION
+            "version {version} unsupported (this build reads {CHECKPOINT_VERSION})"
         )));
     }
+    let body: CheckpointBody = from_bytes(&body)
+        .map_err(|e| Error::Checkpoint(format!("body decode failed: {e}")))?;
     if body.keys.len() != body.interiors.len() {
         return Err(Error::Checkpoint(format!(
             "{} keys but {} interiors",
@@ -135,7 +134,6 @@ mod tests {
             version: CHECKPOINT_VERSION,
             steps: 3,
             time: 0.125,
-            seq: 9,
             subgrids_processed: 24,
             dt_history: vec![0.5, 0.25, 0.125],
             keys: vec![MortonKey::root().child(0), MortonKey::root().child(1)],
@@ -150,7 +148,6 @@ mod tests {
         let back = decode(&blob).unwrap();
         assert_eq!(back.steps, body.steps);
         assert_eq!(back.time.to_bits(), body.time.to_bits());
-        assert_eq!(back.seq, body.seq);
         assert_eq!(back.subgrids_processed, body.subgrids_processed);
         assert_eq!(back.keys, body.keys);
         assert_eq!(back.dt_history.len(), body.dt_history.len());
@@ -173,7 +170,6 @@ mod tests {
         version: u32,
         steps: u64,
         time: f64,
-        seq: u64,
         subgrids_processed: u64,
         dt_history: Vec<f64>,
         keys: Vec<MortonKey>,
@@ -184,7 +180,6 @@ mod tests {
         version,
         steps,
         time,
-        seq,
         subgrids_processed,
         dt_history,
         keys,
@@ -238,10 +233,12 @@ mod tests {
 
     #[test]
     fn future_version_is_rejected() {
-        let mut body = sample();
-        body.version = CHECKPOINT_VERSION + 1;
-        let blob = encode(&body).unwrap();
-        let err = decode(&blob).unwrap_err();
-        assert!(err.to_string().contains("version"));
+        for version in [CHECKPOINT_VERSION + 1, 1] {
+            let mut body = sample();
+            body.version = version;
+            let blob = encode(&body).unwrap();
+            let err = decode(&blob).unwrap_err();
+            assert!(err.to_string().contains(&format!("version {version}")), "{err}");
+        }
     }
 }

@@ -19,8 +19,17 @@
 //!   multipole moments (the FMM boundary exchange: every locality
 //!   rebuilds the full moment tree from the broadcast leaf moments and
 //!   solves only its own targets),
-//! * the per-step dt min-reduce and the end-of-step quiescence barrier
-//!   ride the [`parcelport::collectives`] machinery.
+//! * [`REGRID_ACTION`] — one locality's regrid votes, sent to every
+//!   peer,
+//! * [`DT_ACTION`] — one locality's minimum CFL dt over its owned
+//!   leaves, sent to every peer; each folds what it holds with
+//!   `f64::min` (the global dt reduce).
+//!
+//! Every one of them travels in a `DistributedDriver::exchange`
+//! round: counted, epoch-checked, ended by a crash-aware quiescence
+//! wait and an exact per-locality count, its messages applied in key
+//! order. That is the only way localities talk; the step ends when its
+//! last round does, with no barrier after it.
 //!
 //! **One pipeline.** This is the only implementation of the step:
 //! [`crate::driver::Simulation`] is this driver on a private
@@ -48,17 +57,18 @@
 //! references (`FmmSolver::solve`, the per-cell halo oracle, `regrid::regrid`)
 //! are the independent anchors the tests compare against.
 //!
-//! **Fault tolerance.** Every phase is crash-aware: quiescence waits
-//! and collectives surface [`util::Error::LocalityCrashed`] when the
-//! cluster's fault layer reports a dead locality, so `step` returns an
-//! error instead of hanging. [`DistributedDriver::checkpoint`] cuts a
-//! digest-protected snapshot of the global state between steps and
+//! **Fault tolerance.** Every phase is crash-aware: each exchange
+//! round's quiescence wait surfaces [`util::Error::LocalityCrashed`]
+//! when the cluster's fault layer reports a dead locality, so `step`
+//! returns an error instead of hanging.
+//! [`DistributedDriver::checkpoint`] cuts a digest-protected snapshot
+//! of the global state between steps and
 //! [`DistributedDriver::restore`] resurrects it — on a cluster of any
 //! locality count — bit-identically (see [`crate::checkpoint`]).
 //!
 //! One driver owns its cluster's action space ([`HALO_ACTION`],
-//! [`MOMENT_ACTION`], and the collectives' reduce action): build a
-//! fresh cluster per driver.
+//! [`MOMENT_ACTION`], [`DT_ACTION`], [`REGRID_ACTION`],
+//! [`MIGRATE_ACTION`]): build a fresh cluster per driver.
 
 use crate::config::Config;
 use crate::driver::{apply_stage1, apply_stage2, leaf_rhs, leaf_signal_dt};
@@ -77,7 +87,6 @@ use crate::checkpoint::{self, CheckpointBody, CHECKPOINT_VERSION};
 use bytes::Bytes;
 use octree::tree::Octree;
 use parcelport::cluster::Cluster;
-use parcelport::collectives::{self, Collectives};
 use parcelport::parcel::{ActionHandle, ActionId, Parcel};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -91,6 +100,9 @@ use util::{Error, Result};
 pub const HALO_ACTION: ActionId = ActionId(0xD05);
 /// Action broadcasting one leaf's P2M moments to every other shard.
 pub const MOMENT_ACTION: ActionId = ActionId(0xD06);
+/// Action sending one locality's minimum CFL dt to every other
+/// locality (the global dt reduce).
+pub const DT_ACTION: ActionId = ActionId(0xD07);
 /// Action broadcasting one locality's regrid proposal (refine/coarsen
 /// votes over its owned leaves) to every other locality.
 pub const REGRID_ACTION: ActionId = ActionId(0xD08);
@@ -136,6 +148,16 @@ struct RegridMsg {
 }
 
 serde::impl_codec_struct!(RegridMsg { from, epoch, refine, cold });
+
+/// One locality's minimum dt over its owned leaves on the wire (the dt
+/// reduce). Epoch-stamped like [`GridMsg`].
+struct DtMsg {
+    from: u32,
+    epoch: u64,
+    dt: f64,
+}
+
+serde::impl_codec_struct!(DtMsg { from, epoch, dt });
 
 /// One typed exchange channel: the action peers send through, the
 /// per-locality inboxes its handler stashes accepted messages in, and
@@ -184,7 +206,6 @@ enum Dest {
 /// exchanged over the cluster's transport.
 pub struct DistributedDriver {
     cluster: Arc<Cluster>,
-    coll: Arc<Collectives>,
     shard: ShardMap,
     /// `push_plan[src][dst]` = leaves `src` ships to `dst` per exchange.
     push_plan: Vec<BTreeMap<u32, Vec<MortonKey>>>,
@@ -200,6 +221,7 @@ pub struct DistributedDriver {
     moment: Channel<MomentMsg>,
     regrid: Channel<RegridMsg>,
     migrate: Channel<GridMsg>,
+    dt: Channel<DtMsg>,
     /// Current partition epoch, shared with the action handlers so a
     /// stale-epoch parcel is dropped at the door.
     epoch: Arc<AtomicU64>,
@@ -220,8 +242,6 @@ pub struct DistributedDriver {
     /// dt of every completed step, in order (checkpointed, so a
     /// restored run's per-step dts line up with the uninterrupted one).
     pub dt_history: Vec<f64>,
-    /// Last id handed to a collective (reductions and barriers).
-    seq: AtomicU64,
     stale_epoch_drops: Counter,
     regrids: Counter,
     rebalances: Counter,
@@ -376,7 +396,15 @@ impl DistributedDriver {
             "driver/migrated_parcels",
             "driver/migrated_bytes",
         );
-        let coll = Collectives::register(&cluster);
+        let dt = Self::open_channel(
+            &cluster,
+            DT_ACTION,
+            |m: &DtMsg| m.epoch,
+            &epoch,
+            &stale_epoch_drops,
+            "driver/dt/parcels_tx",
+            "driver/dt/bytes_tx",
+        );
 
         let driver = DistributedDriver {
             stage: Vec::new(),
@@ -385,7 +413,6 @@ impl DistributedDriver {
             rebalances: m.counter("driver/rebalances"),
             migrated_leaves: m.counter("driver/migrated_leaves"),
             cluster,
-            coll,
             shard,
             push_plan,
             mirrors,
@@ -393,6 +420,7 @@ impl DistributedDriver {
             moment,
             regrid,
             migrate,
+            dt,
             epoch,
             shard_ids,
             config,
@@ -408,7 +436,6 @@ impl DistributedDriver {
             steps: 0,
             subgrids_processed: 0,
             dt_history: Vec::new(),
-            seq: AtomicU64::new(0),
         };
         driver.debug_check_mirrors();
         Ok(driver)
@@ -449,10 +476,6 @@ impl DistributedDriver {
     /// (also published as the `driver/stale_epoch_drops` metric).
     pub fn stale_epoch_drops(&self) -> u64 {
         self.stale_epoch_drops.get()
-    }
-
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Locality `loc`'s full-tree mirror (see the `mirrors` field).
@@ -732,10 +755,12 @@ impl DistributedDriver {
 
     /// The global CFL time step of the current state: one task per owned
     /// leaf, launched on *all* localities first, then collected, as the
-    /// stage RHS and apply are. Each shard folds its dts in SFC
-    /// order and the minima are min-reduced over the wire — bit-equal to
-    /// the global ordered fold because `f64::min` is associative on the
-    /// positive finite dts.
+    /// stage RHS and apply are. Each shard folds its dts in SFC order
+    /// and sends the minimum to every peer as a [`DT_ACTION`] parcel;
+    /// every locality folds its own and the received minima, ordered by
+    /// sender, with `f64::min` — bit-equal to the global ordered fold,
+    /// because `f64::min` gives one answer in any order on positive
+    /// dts and skips a NaN wherever it stands.
     pub fn compute_dt(&self) -> Result<f64> {
         let _span = trace::span(TraceCategory::DtReduce);
         let (stepper, cfl) = (self.stepper, self.config.cfl);
@@ -754,8 +779,29 @@ impl DistributedDriver {
             .map(|(sched, futs)| when_all(sched, futs).get_help(sched))
             .map(|dts| dts.into_iter().fold(f64::INFINITY, f64::min))
             .collect();
-        let seq = self.next_seq();
-        collectives::allreduce_wire(&self.cluster, &self.coll, seq, &local_dts, f64::min)
+        let epoch = self.epoch();
+        let sends = local_dts.iter().enumerate().map(|(src, &dt)| {
+            (src, Dest::Peers, DtMsg { from: src as u32, epoch, dt })
+        });
+        let inbound = self.exchange(&self.dt, "dt minima", sends, |m| m.from)?;
+        let minima: Vec<f64> = inbound
+            .into_iter()
+            .zip(&local_dts)
+            .enumerate()
+            .map(|(loc, (msgs, &own))| {
+                // In sender order: the received minima, its own in place.
+                let at = msgs.partition_point(|m| m.from < loc as u32);
+                let dts = msgs.iter().map(|m| m.dt);
+                let in_order = dts.clone().take(at).chain([own]).chain(dts.skip(at));
+                in_order.fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        let dt = minima[0];
+        debug_assert!(
+            minima.iter().all(|m| m.to_bits() == dt.to_bits()),
+            "dt reduce must be locality-independent"
+        );
+        Ok(dt)
     }
 
     /// The gravitational field of the current state, one per locality
@@ -913,12 +959,14 @@ impl DistributedDriver {
 
     /// Advance one TVD-RK2 step; returns the dt taken.
     ///
-    /// Phases: cadence-driven regrid collective → distributed CFL
-    /// min-reduce → moment exchange + restricted FMM → stage-1 RHS (each
+    /// Phases: cadence-driven regrid collective → dt exchange round →
+    /// moment exchange + restricted FMM → stage-1 RHS (each
     /// leaf's task gathers its own ghosts) → stage-1 apply (a task per
     /// leaf) → interior exchange → moment exchange + FMM → stage-2
-    /// RHS/apply → interior exchange → quiescence barrier. No phase
-    /// fills or reads the mirrors' ghost cells.
+    /// RHS/apply → interior exchange. No phase fills or reads the
+    /// mirrors' ghost cells, and none waits on a barrier: the last
+    /// exchange round already ends with the fabric drained and every
+    /// locality's count checked.
     /// [`DistributedDriver::rebalance`] is never called from here: every
     /// partition a run installs itself is the balanced one.
     pub fn step(&mut self) -> Result<f64> {
@@ -951,13 +999,6 @@ impl DistributedDriver {
             apply_stage2(stepper, grid, &stage.prev, &stage.rhs, dt, floors, origin, dx);
         });
         self.exchange_interiors()?;
-
-        // Per-step quiescence barrier: every locality checks in and the
-        // fabric drains before the step is declared done.
-        {
-            let _span = trace::span(TraceCategory::Barrier);
-            collectives::barrier(&self.cluster, &self.coll, self.next_seq())?;
-        }
 
         self.time += dt;
         self.steps += 1;
@@ -1025,7 +1066,6 @@ impl DistributedDriver {
             version: CHECKPOINT_VERSION,
             steps: self.steps,
             time: self.time,
-            seq: self.seq.load(Ordering::SeqCst),
             subgrids_processed: self.subgrids_processed,
             dt_history: self.dt_history.clone(),
             keys,
@@ -1091,7 +1131,6 @@ impl DistributedDriver {
         driver.debug_check_mirrors();
         driver.steps = body.steps;
         driver.time = body.time;
-        driver.seq = AtomicU64::new(body.seq);
         driver.subgrids_processed = body.subgrids_processed;
         driver.dt_history = body.dt_history;
         Ok(driver)
@@ -1143,7 +1182,9 @@ mod tests {
     use super::*;
     use crate::driver::Simulation;
     use octree::subgrid::{Field, ALL_FIELDS};
+    use parcelport::fault::FaultPlan;
     use parcelport::netmodel::TransportKind;
+    use parcelport::reliable::ReliablePolicy;
 
     fn assert_trees_bit_identical(a: &Octree, b: &Octree) {
         assert_eq!(a.leaves(), b.leaves());
@@ -1194,10 +1235,69 @@ mod tests {
         let mut dist = DistributedDriver::builder(Scenario::sod(1), cluster).build().unwrap();
         dist.step().unwrap();
         // One shard owns everything: the push plan is empty and no
-        // parcels cross the fabric beyond the collectives' loopbacks.
-        assert_eq!(dist.cluster().metrics().get("driver/halo/parcels_tx"), 0);
+        // parcels cross the fabric.
+        let m = dist.cluster().metrics();
+        for counter in
+            ["driver/halo/parcels_tx", "driver/dt/parcels_tx", "parcelport/mpi/parcels_tx"]
+        {
+            assert_eq!(m.get(counter), 0, "{counter}");
+        }
         let t = crate::diagnostics::totals(&dist.assemble(), None);
         assert!(t.mass > 0.0);
+    }
+
+    /// A one-locality step runs one task per leaf and phase — dt, two
+    /// RHS, two applies — and nothing else: no exchange round spawns a
+    /// task when there is no peer.
+    #[test]
+    fn a_one_locality_step_runs_only_per_leaf_tasks() {
+        let cluster = Arc::new(Cluster::builder().threads_per(2).build());
+        let mut dist = DistributedDriver::builder(Scenario::sod(1), cluster).build().unwrap();
+        assert!(!dist.config.gravity);
+        let executed =
+            |d: &DistributedDriver| d.cluster().metrics().get("locality/0/tasks/executed");
+        let before = executed(&dist);
+        dist.step().unwrap();
+        assert_eq!(executed(&dist) - before, 5 * dist.shard.n_leaves() as u64);
+    }
+
+    /// The dt round on a lossy, crashless fabric — parcels dropped and
+    /// duplicated, the reliable layer retransmitting and deduplicating
+    /// — returns the fault-free dt bit for bit, round after round.
+    #[test]
+    fn dt_round_survives_a_lossy_fabric() {
+        let build = |builder: parcelport::ClusterBuilder| {
+            let cluster = Arc::new(builder.localities(2).threads_per(2).build());
+            DistributedDriver::builder(Scenario::sod(1), cluster).build().unwrap()
+        };
+        let clean = build(Cluster::builder()).compute_dt().unwrap();
+        let plan = FaultPlan::seeded(11).drop(0.2).duplicate(0.2);
+        let lossy = build(Cluster::builder().fault_plan(plan));
+        for round in 0..10 {
+            assert_eq!(lossy.compute_dt().unwrap().to_bits(), clean.to_bits(), "round {round}");
+        }
+        let faults = lossy.cluster().fault_layer().unwrap().fault_counters();
+        assert!(faults.get("dropped") > 0 && faults.get("duplicated") > 0);
+        assert_eq!(lossy.cluster().metrics().get("driver/dt/parcels_tx"), 20);
+    }
+
+    /// A locality that dies in the dt round surfaces as
+    /// `LocalityCrashed`, not as a hang.
+    #[test]
+    fn dt_round_reports_a_crashed_locality() {
+        let cluster = Cluster::builder()
+            .localities(2)
+            .threads_per(2)
+            // Locality 1's first outbound parcel is its dt minimum.
+            .fault_plan(FaultPlan::seeded(5).crash(1, 1))
+            .reliable(ReliablePolicy {
+                initial_backoff_ticks: 16,
+                max_backoff_ticks: 64,
+                max_retries: 3,
+            })
+            .build();
+        let dist = DistributedDriver::builder(Scenario::sod(1), Arc::new(cluster)).build().unwrap();
+        assert_eq!(dist.compute_dt(), Err(Error::LocalityCrashed(1)));
     }
 
     #[test]

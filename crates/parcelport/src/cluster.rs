@@ -8,11 +8,13 @@
 //! is literally the paper's "polling for network progress/completions
 //! integrated into the HPX task scheduling loop".
 //!
-//! On top of raw parcels, the cluster provides the request/response
-//! pattern used everywhere in Octo-Tiger (a remote action whose result
-//! fulfils a future on the caller), and transparent forwarding when a
-//! component has migrated (§5.2: channels keep working "even when a grid
-//! cell is migrated from one node to another").
+//! On top of raw parcels, the cluster provides typed fire-and-forget
+//! actions ([`Cluster::register_action`] / [`Locality::send_action`])
+//! and transparent forwarding when a component has migrated (§5.2:
+//! channels keep working "even when a grid cell is migrated from one
+//! node to another"). That is the whole messaging surface: an answer is
+//! one more action sent back, and a round that needs every answer waits
+//! for quiescence, as the distributed driver's exchange rounds do.
 //!
 //! When a trace session is active (see [`amt::trace`]), every remote
 //! send and every network delivery records a `parcel/send` / `parcel/recv`
@@ -22,35 +24,36 @@
 //!
 //! ```
 //! use parcelport::{ActionId, Cluster, TransportKind};
+//! use std::sync::atomic::{AtomicU64, Ordering};
+//! use std::sync::Arc;
 //!
 //! let cluster = Cluster::builder()
 //!     .localities(2)
 //!     .threads_per(2)
 //!     .transport(TransportKind::Libfabric)
 //!     .build();
-//! let square = cluster.register_request_handler(ActionId(7), |_rt, _id, x: u64| x * x);
-//! let loc0 = cluster.locality(0);
-//! let fut = loc0.call_action(square, 1, amt::GlobalId(0), &9).unwrap();
-//! assert_eq!(fut.get_help(loc0.runtime().scheduler()).unwrap(), 81);
+//! let sum = Arc::new(AtomicU64::new(0));
+//! let s = Arc::clone(&sum);
+//! let add = cluster.register_action(ActionId(7), move |_rt, _id, x: u64| {
+//!     s.fetch_add(x, Ordering::SeqCst);
+//! });
+//! cluster.locality(0).send_action(add, 1, amt::GlobalId(0), &9).unwrap();
+//! cluster.wait_quiescent();
+//! assert_eq!(sum.load(Ordering::SeqCst), 9);
 //! ```
 
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::netmodel::{NetParams, TransportKind};
-use crate::parcel::{ActionHandle, ActionId, ActionRegistry, CallHandle, Parcel};
+use crate::parcel::{ActionHandle, ActionId, ActionRegistry, Parcel};
 use crate::reliable::{ReliablePolicy, ReliableTransport};
-use crate::serialize::{from_bytes, to_bytes};
+use crate::serialize::from_bytes;
 use amt::trace::{self, TraceCategory};
-use amt::{CounterRegistry, Future, GlobalId, Metrics, Promise, Runtime};
+use amt::{CounterRegistry, GlobalId, Metrics, Runtime};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use util::{Error, Result};
-
-/// Reserved action id carrying responses of remote calls.
-pub const RESPONSE_ACTION: ActionId = ActionId(0);
 
 /// A live transport connecting the localities of a cluster.
 pub trait Transport: Send + Sync {
@@ -79,33 +82,16 @@ pub trait Transport: Send + Sync {
 /// Callback invoked when a parcel arrives at a locality.
 pub type DeliveryFn = Arc<dyn Fn(Parcel) + Send + Sync>;
 
-struct CallEnvelope {
-    request_id: u64,
-    reply_to: u32,
-    body: Vec<u8>,
-}
-
-serde::impl_codec_struct!(CallEnvelope { request_id, reply_to, body });
-
-struct ResponseEnvelope {
-    request_id: u64,
-    body: Vec<u8>,
-}
-
-serde::impl_codec_struct!(ResponseEnvelope { request_id, body });
-
-/// One simulated compute node: an AMT runtime plus its action registry
-/// and pending remote calls.
+/// One simulated compute node: an AMT runtime plus its action
+/// registry.
 pub struct Locality {
     rt: Arc<Runtime>,
     actions: ActionRegistry,
     index: u32,
     n_localities: usize,
     transport: Arc<dyn Transport>,
-    pending_calls: Mutex<HashMap<u64, Promise<Bytes>>>,
-    next_request: AtomicU64,
-    /// Errors raised inside action handlers (decode failures, reply
-    /// sends that bounced). Handlers run detached on scheduler threads,
+    /// Errors raised inside action handlers (decode failures, forwards
+    /// that bounced). Handlers run detached on scheduler threads,
     /// so there is no caller to return them to; they are parked here
     /// and counted under the transport's `handler_errors` counter.
     failures: Mutex<Vec<Error>>,
@@ -186,60 +172,6 @@ impl Locality {
             action: action.id(),
             payload,
         })
-    }
-
-    /// Remote call: run `action` on `dest` with argument `req`; the
-    /// returned future is fulfilled with the handler's response (or a
-    /// [`Error::Codec`] if the reply fails to decode — a corrupt
-    /// response resolves the future with `Err` instead of panicking a
-    /// scheduler thread). The handler must have been registered with
-    /// [`Cluster::register_request_handler`]. Serialization failures and
-    /// bad destinations surface as `Err` before anything is enqueued.
-    pub fn try_call<Req: Serialize, Resp: for<'de> Deserialize<'de> + Send + 'static>(
-        &self,
-        dest_locality: u32,
-        dest_component: GlobalId,
-        action: ActionId,
-        req: &Req,
-    ) -> Result<Future<Result<Resp>>> {
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let envelope = CallEnvelope {
-            request_id,
-            reply_to: self.index,
-            body: to_bytes(req)?.to_vec(),
-        };
-        let payload = to_bytes(&envelope)?;
-        let (promise, raw) = Promise::new();
-        self.pending_calls.lock().insert(request_id, promise);
-        if let Err(e) = self.try_send(Parcel {
-            dest_locality,
-            dest_component,
-            action,
-            payload,
-        }) {
-            // Unwind the registration so the aborted call leaks nothing.
-            self.pending_calls.lock().remove(&request_id);
-            return Err(e);
-        }
-        Ok(raw.then(self.rt.scheduler(), |bytes: Bytes| {
-            from_bytes(&bytes).map_err(Error::from)
-        }))
-    }
-
-    /// Typed remote call through a [`CallHandle`]; response type
-    /// inference comes from the handle, so no turbofish needed.
-    pub fn call_action<Req, Resp>(
-        &self,
-        action: CallHandle<Req, Resp>,
-        dest_locality: u32,
-        dest_component: GlobalId,
-        req: &Req,
-    ) -> Result<Future<Result<Resp>>>
-    where
-        Req: Serialize,
-        Resp: for<'de> Deserialize<'de> + Send + 'static,
-    {
-        self.try_call(dest_locality, dest_component, action.id(), req)
     }
 
     /// Park a handler-side error (see the `failures` field docs).
@@ -392,25 +324,7 @@ impl ClusterBuilder {
                 index: i as u32,
                 n_localities: self.localities,
                 transport: Arc::clone(&transport),
-                pending_calls: Mutex::new(HashMap::new()),
-                next_request: AtomicU64::new(1),
                 failures: Mutex::new(Vec::new()),
-            });
-            // Built-in handler resolving remote-call responses.
-            let loc_for_resp = Arc::downgrade(&loc);
-            loc.actions.register(RESPONSE_ACTION, move |_rt, _id, payload| {
-                let Some(loc) = loc_for_resp.upgrade() else { return };
-                let env: ResponseEnvelope = match from_bytes(&payload) {
-                    Ok(env) => env,
-                    Err(e) => {
-                        loc.record_failure(e.into());
-                        return;
-                    }
-                };
-                let pending = loc.pending_calls.lock().remove(&env.request_id);
-                if let Some(p) = pending {
-                    p.set_value(Bytes::from(env.body));
-                }
             });
             localities.push(loc);
         }
@@ -581,49 +495,6 @@ impl Cluster {
         }
     }
 
-    /// Register a request/response handler on every locality. The
-    /// handler's return value is sent back and fulfils the caller's
-    /// future. The returned [`CallHandle`] types
-    /// [`Locality::call_action`] send sites. Envelope or argument
-    /// decode failures and bounced replies are parked via
-    /// [`Locality::record_failure`].
-    pub fn register_request_handler<Req, Resp>(
-        &self,
-        id: ActionId,
-        handler: impl Fn(&Arc<Runtime>, GlobalId, Req) -> Resp + Send + Sync + Clone + 'static,
-    ) -> CallHandle<Req, Resp>
-    where
-        Req: for<'de> Deserialize<'de>,
-        Resp: Serialize,
-    {
-        for loc in &self.localities {
-            let handler = handler.clone();
-            let loc_weak = Arc::downgrade(loc);
-            loc.actions.register(id, move |rt, component, payload| {
-                let Some(loc) = loc_weak.upgrade() else { return };
-                let result = (|| -> Result<()> {
-                    let env: CallEnvelope = from_bytes(&payload)?;
-                    let req: Req = from_bytes(&Bytes::from(env.body))?;
-                    let resp = handler(rt, component, req);
-                    let renv = ResponseEnvelope {
-                        request_id: env.request_id,
-                        body: to_bytes(&resp)?.to_vec(),
-                    };
-                    loc.try_send(Parcel {
-                        dest_locality: env.reply_to,
-                        dest_component: GlobalId(0),
-                        action: RESPONSE_ACTION,
-                        payload: to_bytes(&renv)?,
-                    })
-                })();
-                if let Err(e) = result {
-                    loc.record_failure(e);
-                }
-            });
-        }
-        CallHandle::new(id)
-    }
-
     /// Wait until every runtime is quiescent and the fabric is drained.
     pub fn wait_quiescent(&self) {
         let _ = self.quiesce(false);
@@ -668,7 +539,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn ping_cluster(kind: TransportKind) {
         let cluster = Cluster::builder().localities(3).threads_per(2).transport(kind).build();
@@ -703,17 +574,40 @@ mod tests {
         ping_cluster(TransportKind::Libfabric);
     }
 
-    fn call_cluster(kind: TransportKind) {
-        let cluster = Cluster::builder().localities(2).threads_per(2).transport(kind).build();
-        let square = cluster.register_request_handler(ActionId(5), |_rt, _id, x: u64| x * x);
-        let loc0 = cluster.locality(0);
-        let futs: Vec<Future<Result<u64>>> = (0..20)
-            .map(|i| loc0.call_action(square, 1, GlobalId(0), &(i as u64)).unwrap())
-            .collect();
-        for (i, f) in futs.into_iter().enumerate() {
-            let v = f.get_help(loc0.runtime().scheduler()).unwrap();
-            assert_eq!(v, (i * i) as u64);
+    /// A request and its answer as two fire-and-forget actions:
+    /// locality 0 sends each `x` to locality 1 as action `id`, whose
+    /// handler sends `x²` back as action `id | 0x100`, whose handler
+    /// records it. Returns the answers, sorted.
+    fn square_round_trip(cluster: &Arc<Cluster>, id: u32, xs: &[u64]) -> Vec<u64> {
+        let answers = Arc::new(Mutex::new(Vec::new()));
+        let a = Arc::clone(&answers);
+        let answer = cluster.register_action(ActionId(id | 0x100), move |_rt, _id, y: u64| {
+            a.lock().push(y);
+        });
+        let weak = Arc::downgrade(cluster);
+        let square = cluster.register_action(ActionId(id), move |rt, _id, (from, x): (u32, u64)| {
+            let cluster = weak.upgrade().expect("a handler runs inside its cluster");
+            let loc = cluster.locality(rt.locality() as usize);
+            if let Err(e) = loc.send_action(answer, from, GlobalId(0), &(x * x)) {
+                loc.record_failure(e);
+            }
+        });
+        for &x in xs {
+            cluster.locality(0).send_action(square, 1, GlobalId(0), &(0u32, x)).unwrap();
         }
+        cluster.wait_quiescent();
+        let mut got = std::mem::take(&mut *answers.lock());
+        got.sort_unstable();
+        got
+    }
+
+    fn call_cluster(kind: TransportKind) {
+        let cluster =
+            Arc::new(Cluster::builder().localities(2).threads_per(2).transport(kind).build());
+        let xs: Vec<u64> = (0..20).collect();
+        let squares: Vec<u64> = xs.iter().map(|x| x * x).collect();
+        assert_eq!(square_round_trip(&cluster, 5, &xs), squares);
+        assert!(cluster.locality(1).take_failures().is_empty());
     }
 
     #[test]
@@ -887,12 +781,6 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, Error::BadLocality { index: 7, count: 2 });
-        let err = cluster
-            .locality(0)
-            .try_call::<u64, u64>(9, GlobalId(0), ActionId(5), &1)
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(err, Error::BadLocality { index: 9, count: 2 });
     }
 
     #[test]
@@ -1114,16 +1002,14 @@ mod tests {
 
     #[test]
     fn reliable_layer_without_faults_is_transparent() {
-        let cluster = Cluster::builder()
-            .localities(2)
-            .threads_per(2)
-            .reliable(crate::reliable::ReliablePolicy::default())
-            .build();
-        let square = cluster.register_request_handler(ActionId(16), |_rt, _id, x: u64| x * x);
-        let loc0 = cluster.locality(0);
-        let f = loc0.call_action(square, 1, GlobalId(0), &12u64).unwrap();
-        assert_eq!(f.get_help(loc0.runtime().scheduler()).unwrap(), 144);
-        cluster.wait_quiescent();
+        let cluster = Arc::new(
+            Cluster::builder()
+                .localities(2)
+                .threads_per(2)
+                .reliable(crate::reliable::ReliablePolicy::default())
+                .build(),
+        );
+        assert_eq!(square_round_trip(&cluster, 16, &[12]), [144]);
         let m = cluster.metrics();
         assert_eq!(m.get("parcelport/retries"), 0);
         assert!(m.get("parcelport/acks") > 0);

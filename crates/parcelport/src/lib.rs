@@ -31,7 +31,6 @@
 //! parcel payloads.
 
 pub mod cluster;
-pub mod collectives;
 pub mod fault;
 pub mod libfabric_sim;
 pub mod mpi_sim;
@@ -43,6 +42,6 @@ pub mod serialize;
 pub use cluster::{Cluster, ClusterBuilder, Locality};
 pub use fault::{FaultEvent, FaultPlan, FaultyTransport};
 pub use netmodel::{NetParams, TransportKind};
-pub use parcel::{ActionHandle, ActionId, ActionRegistry, CallHandle, Parcel};
+pub use parcel::{ActionHandle, ActionId, ActionRegistry, Parcel};
 pub use reliable::{ReliablePolicy, ReliableTransport};
 pub use serialize::{from_bytes, to_bytes, CodecError};

@@ -94,39 +94,6 @@ impl<Req: Serialize> ActionHandle<Req> {
     }
 }
 
-/// A typed handle to a registered request/response handler, returned by
-/// `Cluster::register_request_handler`. Like [`ActionHandle`] but also
-/// pins the response type, so `Locality::call_action` needs no turbofish
-/// and cannot decode the reply as the wrong type.
-pub struct CallHandle<Req, Resp> {
-    id: ActionId,
-    _sig: PhantomData<fn(&Req) -> Resp>,
-}
-
-impl<Req, Resp> Clone for CallHandle<Req, Resp> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<Req, Resp> Copy for CallHandle<Req, Resp> {}
-
-impl<Req, Resp> std::fmt::Debug for CallHandle<Req, Resp> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CallHandle({:?})", self.id)
-    }
-}
-
-impl<Req, Resp> CallHandle<Req, Resp> {
-    pub(crate) fn new(id: ActionId) -> Self {
-        CallHandle { id, _sig: PhantomData }
-    }
-
-    /// The underlying action id.
-    pub fn id(&self) -> ActionId {
-        self.id
-    }
-}
-
 /// The handler type: receives the hosting runtime, the destination
 /// component id, and the payload.
 pub type ActionFn = Arc<dyn Fn(&Arc<Runtime>, GlobalId, Bytes) + Send + Sync>;

@@ -240,8 +240,9 @@ impl Calibration {
 
         // Amplification: measured parcels per step over the leaf-halo
         // plan's prediction for the same topology. `parcels/sent` covers
-        // halos, moments and collectives; the plan covers leaf halos
-        // only — the ratio is exactly the traffic the plan undercounts.
+        // halos, moments, regrid votes and dt minima; the plan covers
+        // leaf halos only — the ratio is exactly the traffic the plan
+        // undercounts.
         let sent = m
             .metrics
             .get("parcels/sent")

@@ -37,6 +37,13 @@
 //!    are done; the barrier release adds a `2⌈log₂N⌉·latency` allreduce
 //!    (the dt reduction).
 //!
+//! The barrier component is the model of that dt reduction as a tree
+//! allreduce, the form a real machine runs. The in-process
+//! `core::distributed` driver has no barrier: its dt reduce is one
+//! all-to-all exchange round of per-locality minima, n(n−1) parcels,
+//! which is fine at the ≤ 4 localities the tests run and is not what
+//! this model prices at 5400.
+//!
 //! Determinism: the event queue is totally ordered by (time bits,
 //! sequence number) and every component owns its own splitmix64 stream
 //! seeded from `(seed, component id)`, so a `(pattern, calibration,
@@ -310,7 +317,7 @@ pub struct SimSpec {
     pub agg_collapse: f64,
     /// Per-launch overhead, µs.
     pub launch_overhead_us: f64,
-    /// Tree-allreduce cost of the barrier/dt-reduction, µs.
+    /// Tree-allreduce cost of the dt reduction the barrier models, µs.
     pub allreduce_us: f64,
     /// Steps to simulate.
     pub steps: u32,

@@ -3,7 +3,7 @@
 //! The distributed driver threads failures from three layers through one
 //! enum: octree/shard lookups, parcelport transport and codec paths, and
 //! the driver's own phase logic. Fallible APIs (`Cluster::try_build`,
-//! `Locality::try_send`/`try_call`, `DistributedDriver::step`) return
+//! `Locality::try_send`, `DistributedDriver::step`) return
 //! [`Result`] with this type so later fault-tolerance work (retry,
 //! locality fail-over) has a seam instead of a `panic!`.
 

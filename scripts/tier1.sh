@@ -4,8 +4,8 @@
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
 #      zero second-pair-arithmetic, zero fused/fast-math, zero rank-3
 #      tensor, zero
-#      driver-ghost-fill, zero derived-grid, zero slab-pipeline and zero
-#      uncalled-pub-fn budgets
+#      driver-ghost-fill, zero derived-grid, zero slab-pipeline, zero
+#      remote-call and zero uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -165,6 +165,22 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "slab budget OK (one FMM work item per sub-grid)"
+
+echo
+echo "== tier-1: wire budget =="
+# Localities talk one way: every cross-locality message is a
+# fire-and-forget action, and the driver's go through
+# `DistributedDriver::exchange` rounds (counted, epoch-checked, ended by
+# a crash-aware quiescence wait). A request/response call layer or a
+# collectives module beside them is a second path coming back.
+stray=$(grep -rnE 'collectives|call_action|try_call|register_request_handler|CallHandle|RESPONSE_ACTION' \
+    crates tests examples || true)
+if [ -n "$stray" ]; then
+    echo "!! a remote-call or collectives path under crates/, tests/ or examples/ (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "wire budget OK (0 remote calls, 0 collectives beside the exchange rounds)"
 
 echo
 echo "== tier-1: caller budget =="

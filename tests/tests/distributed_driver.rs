@@ -40,7 +40,7 @@ fn assert_totals_bit_identical(a: &Octree, b: &Octree, tag: &str) {
 }
 
 /// A facade-built `Simulation` owns every leaf: whatever it has run —
-/// halo fills, moment passes, regrid collectives — no parcel may have
+/// halo fills, moment passes, regrid rounds, dt reduces — no parcel may have
 /// been built for a peer that does not exist.
 fn assert_sent_nothing(sim: &Simulation, tag: &str) {
     let m = sim.cluster().metrics();
@@ -48,6 +48,7 @@ fn assert_sent_nothing(sim: &Simulation, tag: &str) {
         "driver/halo/parcels_tx",
         "driver/moments/parcels_tx",
         "driver/regrid/parcels_tx",
+        "driver/dt/parcels_tx",
         "parcelport/mpi/parcels_tx",
     ] {
         assert_eq!(m.get(counter), 0, "{tag}: {counter}");
@@ -90,7 +91,8 @@ fn check_matrix(make: fn() -> Scenario, steps: usize, localities: &[usize]) {
             let assembled = dist.assemble();
             assert_trees_bit_identical(&assembled, reference.tree(), &tag);
             assert_totals_bit_identical(&assembled, reference.tree(), &tag);
-            // The fabric must be fully drained after the step barrier.
+            // The fabric must be fully drained after the step's last
+            // exchange round.
             assert_eq!(dist.cluster().transport().in_flight(), 0, "{tag}: in flight");
             if n > 1 {
                 let m = dist.cluster().metrics();
@@ -131,6 +133,47 @@ fn moment_traffic_flows_when_gravity_is_on() {
     // bytes moved: the driver's counters are payload accounting, the
     // parcelport's are wire accounting.
     assert!(m.get("parcelport/libfabric/bytes_tx") >= m.get("driver/moments/bytes_tx"));
+}
+
+/// Every parcel on the wire belongs to a named driver channel: over a
+/// two-locality run that proposes a regrid, solves gravity and
+/// rebalances, the transport's parcel and byte counts are the sums of
+/// the driver's per-channel ones, on both transports. The driver counts
+/// `HEADER_BYTES` + payload, which is `Parcel::wire_size`.
+#[test]
+fn every_wire_parcel_belongs_to_a_driver_channel() {
+    for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+        let mut scenario = Scenario::single_star(2);
+        // Proposals go round every step; none can refine past level 2.
+        scenario.config.regrid =
+            Some(RegridPolicy { base_level: 2, max_level: 2, ..test_policy() });
+        scenario.config.regrid_cadence = 1;
+        let cluster = Arc::new(
+            Cluster::builder().localities(2).threads_per(2).transport(kind).build(),
+        );
+        let mut dist = DistributedDriver::builder(scenario, cluster)
+            .skewed_partition(900)
+            .build()
+            .expect("driver");
+        dist.step().expect("step");
+        assert!(dist.rebalance().expect("rebalance") >= 1, "{kind}: the skew must move leaves");
+        dist.step().expect("step");
+        let m = dist.cluster().metrics();
+        let units = [("parcels_tx", "migrated_parcels"), ("bytes_tx", "migrated_bytes")];
+        for (unit, migrated) in units {
+            let channels: Vec<u64> = ["halo", "moments", "regrid", "dt"]
+                .iter()
+                .map(|ch| m.get(&format!("driver/{ch}/{unit}")))
+                .chain([m.get(&format!("driver/{migrated}"))])
+                .collect();
+            assert!(channels.iter().all(|&c| c > 0), "{kind}: a silent channel: {channels:?}");
+            assert_eq!(
+                m.get(&format!("parcelport/{}/{unit}", kind.as_str())),
+                channels.iter().sum::<u64>(),
+                "{kind}: {unit}"
+            );
+        }
+    }
 }
 
 /// A `Config` out of range is an `Err` from `build()`, not an unwind

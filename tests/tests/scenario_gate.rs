@@ -131,7 +131,7 @@ fn first_solve_lattice_pair_counts_are_pinned() {
 /// transports reproduces the single-locality golden digest, and the
 /// per-step dt sequence is bitwise identical across every cluster
 /// shape (dt is a global reduction — one bit of drift there means the
-/// collectives are broken).
+/// dt exchange round is broken).
 #[cfg(not(debug_assertions))]
 #[test]
 fn distributed_gate_runs_are_bit_identical_on_both_transports() {

@@ -222,7 +222,6 @@ fn tracing_does_not_perturb_distributed_results() {
     for cat in [
         TraceCategory::Step,
         TraceCategory::DtReduce,
-        TraceCategory::Barrier,
         TraceCategory::ParcelSend,
         TraceCategory::ParcelRecv,
         TraceCategory::FmmP2M,
