@@ -1261,6 +1261,23 @@ mod tests {
         assert_eq!(executed(&dist) - before, 5 * dist.shard.n_leaves() as u64);
     }
 
+    /// At four localities the dt round returns the global minimum — the
+    /// one-locality dt, bit for bit — on both transports, with each
+    /// locality sending its minimum to each of its three peers.
+    #[test]
+    fn dt_round_is_the_global_min_over_both_transports() {
+        let one = Arc::new(Cluster::builder().threads_per(2).build());
+        let reference = DistributedDriver::builder(Scenario::sod(1), one).build().unwrap();
+        let reference = reference.compute_dt().unwrap();
+        for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+            let cluster = Cluster::builder().localities(4).threads_per(2).transport(kind).build();
+            let dist = DistributedDriver::builder(Scenario::sod(1), Arc::new(cluster)).build();
+            let dist = dist.unwrap();
+            assert_eq!(dist.compute_dt().unwrap().to_bits(), reference.to_bits(), "{kind}");
+            assert_eq!(dist.cluster().metrics().get("driver/dt/parcels_tx"), 4 * 3, "{kind}");
+        }
+    }
+
     /// The dt round on a lossy, crashless fabric — parcels dropped and
     /// duplicated, the reliable layer retransmitting and deduplicating
     /// — returns the fault-free dt bit for bit, round after round.

@@ -829,6 +829,29 @@ mod tests {
         assert_eq!(sum.load(Ordering::SeqCst), 5 + 7 + 7);
     }
 
+    /// One typed action, encoded once and sent to every locality, runs
+    /// once on each of them with the payload intact, on both transports.
+    #[test]
+    fn one_encoded_action_reaches_every_locality() {
+        for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+            let cluster = Cluster::builder().localities(3).threads_per(2).transport(kind).build();
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let s = Arc::clone(&seen);
+            let h = cluster.register_action(ActionId(0xB0), move |rt, _id, v: Vec<f64>| {
+                assert_eq!(v, vec![1.5, 2.5]);
+                s.lock().push(rt.locality());
+            });
+            let payload = h.encode(&vec![1.5, 2.5]).unwrap();
+            for dest in 0..3u32 {
+                cluster.locality(0).send_encoded(h, dest, GlobalId(0), payload.clone()).unwrap();
+            }
+            cluster.wait_quiescent();
+            let mut seen = seen.lock().clone();
+            seen.sort_unstable();
+            assert_eq!(seen, vec![0, 1, 2], "{kind}");
+        }
+    }
+
     #[test]
     fn handler_decode_failure_is_recorded_not_panicked() {
         let cluster = Cluster::builder().localities(2).threads_per(2).build();
