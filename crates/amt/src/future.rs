@@ -108,11 +108,6 @@ impl<T> Drop for Promise<T> {
 }
 
 impl<T: Send + 'static> Future<T> {
-    /// Whether the value is available right now.
-    pub fn is_ready(&self) -> bool {
-        matches!(*self.inner.state.lock(), State::Ready(_))
-    }
-
     /// Consume the future without blocking: `callback` takes the value
     /// on the producer's thread (on this one if it is ready already), or
     /// is dropped unrun if the promise is broken.
@@ -168,15 +163,6 @@ impl<T: Send + 'static> Future<T> {
             State::Ready(opt) => opt.take().expect("future value already consumed"),
             State::Broken => panic!("broken promise: writer dropped without a value"),
             State::Pending(_) => unreachable!("help_until returned before readiness"),
-        }
-    }
-
-    /// Non-blocking attempt to take the value.
-    pub fn try_take(&self) -> Option<T> {
-        let mut state = self.inner.state.lock();
-        match &mut *state {
-            State::Ready(opt) => opt.take(),
-            _ => None,
         }
     }
 }
@@ -246,7 +232,6 @@ mod tests {
     fn set_then_get() {
         let (p, f) = Promise::new();
         p.set_value(7);
-        assert!(f.is_ready());
         assert_eq!(f.get(), 7);
     }
 
@@ -325,7 +310,6 @@ mod tests {
     fn when_all_empty_is_ready() {
         let s = sched(1);
         let joined: Future<Vec<u8>> = when_all(&s, Vec::new());
-        assert!(joined.is_ready());
         assert_eq!(joined.get(), Vec::<u8>::new());
     }
 
@@ -360,15 +344,6 @@ mod tests {
         drop(p1);
         p0.set_value(1);
         let _ = joined.get_help(&s);
-    }
-
-    #[test]
-    fn try_take_semantics() {
-        let (p, f) = Promise::new();
-        assert!(f.try_take().is_none());
-        p.set_value(3);
-        assert_eq!(f.try_take(), Some(3));
-        assert_eq!(f.try_take(), None);
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //! * channels layered over the send/receive abstraction, and
 //! * APEX-style performance counters.
 //!
-//! This crate implements each of those from scratch, except channels:
-//! the typed per-message-kind channels the driver exchanges through are
-//! built on `parcelport` actions next to their one user
-//! (`octotiger::distributed`).
+//! This crate implements futures, the scheduler and the counters from
+//! scratch. AGAS is not reproduced as a registry: a parcel names its
+//! destination locality and an opaque [`GlobalId`], and the distributed
+//! driver addresses leaves through its SFC shard map and
+//! epoch-stamped parcels (`octotiger::distributed`), which is the only
+//! record of where a leaf lives. The typed per-message-kind channels the
+//! driver exchanges through are built on `parcelport` actions next to
+//! that one user.
 //!
 //! * [`future`] — explicit-continuation futures ([`Future`], [`Promise`],
 //!   [`when_all`]) whose continuations are scheduled as tasks when their
@@ -24,7 +28,6 @@
 //!   of idling, mirroring HPX task suspension.
 //! * [`scheduler`] — a work-stealing pool over `crossbeam_deque` with
 //!   per-worker LIFO deques, a global injector, and parking.
-//! * [`agas`] — a global id → component registry with migration support.
 //! * [`counters`] — named atomic counters, queried like HPX performance
 //!   counters.
 //! * [`trace`] — APEX-style span tracing: per-worker timelines recorded
@@ -36,14 +39,12 @@
 
 #![warn(missing_docs)]
 
-pub mod agas;
 pub mod counters;
 pub mod future;
 pub mod metrics;
 pub mod scheduler;
 pub mod trace;
 
-pub use agas::{Agas, GlobalId};
 pub use counters::CounterRegistry;
 pub use future::{make_ready_future, when_all, Future, Promise};
 pub use metrics::{Counter, Metrics};
@@ -52,13 +53,19 @@ pub use trace::{DurationHistogram, Trace, TraceCategory, TraceGuard, TraceSessio
 
 use std::sync::Arc;
 
-/// The composed runtime: scheduler + AGAS + counters.
+/// The component a parcel addresses on its destination locality: an
+/// opaque 64-bit tag carried in the parcel header. Nothing resolves it;
+/// where a piece of state lives is its owner's business (the driver's
+/// shard map), not a runtime registry's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct GlobalId(pub u64);
+
+/// The composed runtime: scheduler + counters.
 ///
 /// One `Runtime` corresponds to one HPX *locality*. The `parcelport` crate
 /// wires several of these together into a simulated cluster.
 pub struct Runtime {
     sched: Arc<Scheduler>,
-    agas: Agas,
     metrics: Metrics,
     locality: u32,
 }
@@ -74,7 +81,6 @@ impl Runtime {
         let counters = Arc::new(CounterRegistry::new());
         Arc::new(Runtime {
             sched: Scheduler::new(n_threads, Arc::clone(&counters)),
-            agas: Agas::new(locality),
             metrics: Metrics::over(counters),
             locality,
         })
@@ -88,11 +94,6 @@ impl Runtime {
     /// The task scheduler.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.sched
-    }
-
-    /// The global address space of this locality.
-    pub fn agas(&self) -> &Agas {
-        &self.agas
     }
 
     /// The namespaced metrics facade over this locality's counters: the

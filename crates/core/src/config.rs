@@ -44,11 +44,9 @@ pub struct Config {
     /// stellar edges; trades exact mass conservation for robustness, so
     /// the machine-precision verification scenarios leave it off).
     pub floors: bool,
-    /// Density-threshold regrid policy; `None` = static tree.
+    /// Density-threshold regrid policy and its cadence; `None` = static
+    /// tree.
     pub regrid: Option<crate::regrid::RegridPolicy>,
-    /// Steps between regrid passes, 0 = off. Only meaningful with a
-    /// `regrid` policy.
-    pub regrid_cadence: usize,
 }
 
 impl Default for Config {
@@ -66,7 +64,6 @@ impl Default for Config {
             threads: 4,
             floors: false,
             regrid: None,
-            regrid_cadence: 0,
         }
     }
 }
@@ -108,6 +105,7 @@ impl Config {
                 "regrid coarsen_fraction out of (0, 1)",
             )?;
             ensure(p.base_level <= p.max_level, "regrid base_level above max_level")?;
+            ensure(p.cadence >= 1, "regrid cadence must be at least one step")?;
         }
         Ok(())
     }
@@ -170,14 +168,22 @@ mod tests {
 
     #[test]
     fn bad_regrid_policy_rejected() {
-        let p = crate::regrid::RegridPolicy {
+        let good = crate::regrid::RegridPolicy {
             rho_ref: 1.0,
             ratio: 4.0,
             base_level: 1,
             max_level: 3,
-            coarsen_fraction: 1.5,
+            coarsen_fraction: 0.5,
+            cadence: 1,
         };
-        let err = Config { regrid: Some(p), ..Config::default() }.validate().unwrap_err();
-        assert!(matches!(&err, Error::Driver(why) if why.contains("coarsen_fraction")), "{err}");
+        Config { regrid: Some(good), ..Config::default() }.validate().unwrap();
+        let bad = [
+            (crate::regrid::RegridPolicy { coarsen_fraction: 1.5, ..good }, "coarsen_fraction"),
+            (crate::regrid::RegridPolicy { cadence: 0, ..good }, "cadence"),
+        ];
+        for (p, what) in bad {
+            let err = Config { regrid: Some(p), ..Config::default() }.validate().unwrap_err();
+            assert!(matches!(&err, Error::Driver(why) if why.contains(what)), "{err}");
+        }
     }
 }

@@ -39,7 +39,8 @@
 //! **Bit-identity.** The solve is independent of the partition — any
 //! locality count, either transport, any shard map — by construction:
 //!
-//! 1. every mirror starts as an exact copy of the scenario tree;
+//! 1. every mirror starts with the scenario tree's topology and an
+//!    exact copy of the grids its locality reads;
 //! 2. every leaf is advanced by the same per-leaf kernels
 //!    (`driver::leaf_signal_dt` / `driver::leaf_rhs` /
 //!    `driver::apply_stage1` / `driver::apply_stage2`) on identical
@@ -209,10 +210,12 @@ pub struct DistributedDriver {
     shard: ShardMap,
     /// `push_plan[src][dst]` = leaves `src` ships to `dst` per exchange.
     push_plan: Vec<BTreeMap<u32, Vec<MortonKey>>>,
-    /// Per-locality full-tree mirrors, with an interior-only grid on
-    /// every leaf and none on a refined node
-    /// ([`Octree::check_leaf_grids`]); only a mirror's *owned* leaves
-    /// are authoritative, the rest hold the grids last pushed to it.
+    /// Per-locality mirrors: the full topology of the tree, with an
+    /// interior-only grid on exactly the leaves the locality reads — its
+    /// owned leaves, which are authoritative, and the halo sources
+    /// `push_plan` brings in, which hold the last push
+    /// ([`resident_sets`], [`Octree::check_grids_on`]). A read of any
+    /// other leaf's grid finds none.
     mirrors: Vec<Arc<Octree>>,
     /// `stage[loc][i]` is the step memory of `shard.owned(loc)[i]`: a
     /// steady-state step allocates no RHS and no stage grid.
@@ -225,9 +228,6 @@ pub struct DistributedDriver {
     /// Current partition epoch, shared with the action handlers so a
     /// stale-epoch parcel is dropped at the door.
     epoch: Arc<AtomicU64>,
-    /// AGAS ids of the per-shard owner components (resident on their
-    /// locality, recorded as remote everywhere else).
-    shard_ids: Vec<GlobalId>,
     pub config: Config,
     stepper: HydroStepper,
     solver: Option<Arc<FmmSolver>>,
@@ -302,7 +302,8 @@ impl DistributedDriver {
         let action = {
             let (inbox, epoch, stale) = (Arc::clone(&inbox), Arc::clone(epoch), stale.clone());
             cluster.register_action(id, move |rt, component, msg: T| {
-                debug_assert!(rt.agas().is_local(component), "{id:?} parcel landed off-shard");
+                let here = GlobalId(rt.locality() as u64);
+                debug_assert_eq!(component, here, "{id:?} parcel landed off its locality");
                 if epoch_of(&msg) != epoch.load(Ordering::SeqCst) {
                     stale.increment();
                     return;
@@ -312,27 +313,6 @@ impl DistributedDriver {
         };
         let m = cluster.metrics();
         Channel { action, inbox, parcels_tx: m.counter(parcels_tx), bytes_tx: m.counter(bytes_tx) }
-    }
-
-    /// Register each shard's owner component on its locality and record
-    /// it as remote on every other, so parcels address a resolvable
-    /// global id rather than a raw rank.
-    fn register_shards(cluster: &Arc<Cluster>, shard: &ShardMap) -> Vec<GlobalId> {
-        let n = cluster.len();
-        let mut shard_ids = Vec::with_capacity(n);
-        for loc in 0..n {
-            let owned: Vec<MortonKey> = shard.owned(loc as u32).to_vec();
-            let id = cluster.locality(loc).runtime().agas().register(Arc::new(owned));
-            shard_ids.push(id);
-        }
-        for loc in 0..n {
-            for (owner, &id) in shard_ids.iter().enumerate() {
-                if owner != loc {
-                    cluster.locality(loc).runtime().agas().record_remote(id, owner as u32);
-                }
-            }
-        }
-        shard_ids
     }
 
     fn from_builder(b: DistributedDriverBuilder) -> Result<DistributedDriver> {
@@ -351,11 +331,18 @@ impl DistributedDriver {
             None => ShardMap::partition(&tree, n)?,
         };
         let push_plan = shard.halo_push_plan(&tree);
-        // The scenario tree itself becomes the last mirror: n − 1
-        // copies, none on one locality.
-        let mut mirrors: Vec<Arc<Octree>> = (1..n).map(|_| Arc::new(tree.clone())).collect();
+        // Each mirror is a copy that keeps its locality's resident grids
+        // alone, trimmed before the next is made; the scenario tree
+        // itself becomes the last one.
+        let resident = resident_sets(&shard, &push_plan);
+        let mut mirrors: Vec<Arc<Octree>> = Vec::with_capacity(n);
+        for keep in &resident[..n - 1] {
+            let mut mirror = tree.clone();
+            keep_only(&mut mirror, keep);
+            mirrors.push(Arc::new(mirror));
+        }
+        keep_only(&mut tree, &resident[n - 1]);
         mirrors.push(Arc::new(tree));
-        let shard_ids = Self::register_shards(&cluster, &shard);
 
         let m = cluster.metrics();
         let epoch = Arc::new(AtomicU64::new(shard.epoch()));
@@ -422,7 +409,6 @@ impl DistributedDriver {
             migrate,
             dt,
             epoch,
-            shard_ids,
             config,
             stepper: HydroStepper::new(config.eos),
             solver: config.gravity.then(|| {
@@ -441,11 +427,15 @@ impl DistributedDriver {
         Ok(driver)
     }
 
-    /// [`Octree::check_leaf_grids`] on every mirror and
-    /// [`ShardMap::check_invariants`] on the partition, in debug builds.
+    /// In debug builds: every mirror holds a grid on exactly its
+    /// locality's resident leaves ([`Octree::check_grids_on`]) and the
+    /// partition passes [`ShardMap::check_invariants`].
     fn debug_check_mirrors(&self) {
         if cfg!(debug_assertions) {
-            self.mirrors.iter().for_each(|mirror| mirror.check_leaf_grids());
+            let resident = resident_sets(&self.shard, &self.push_plan);
+            for (mirror, keep) in self.mirrors.iter().zip(&resident) {
+                mirror.check_grids_on(|key| keep.contains(&key));
+            }
             self.shard.check_invariants(&self.mirrors[0]);
         }
     }
@@ -478,7 +468,7 @@ impl DistributedDriver {
         self.stale_epoch_drops.get()
     }
 
-    /// Locality `loc`'s full-tree mirror (see the `mirrors` field).
+    /// Locality `loc`'s mirror (see the `mirrors` field).
     pub(crate) fn mirror(&self, loc: usize) -> &Octree {
         &self.mirrors[loc]
     }
@@ -522,7 +512,7 @@ impl DistributedDriver {
                     self.cluster.locality(src).send_encoded(
                         ch.action,
                         dst,
-                        self.shard_ids[dst as usize],
+                        GlobalId(dst as u64),
                         payload.clone(),
                     )?;
                 }
@@ -572,22 +562,18 @@ impl DistributedDriver {
         Ok(())
     }
 
-    /// Swap in a successor partition: rebuild the halo plan,
-    /// re-register the per-shard AGAS owner components (unregister the
-    /// stale ids everywhere, register the new owned lists, record them
-    /// remote), and publish the new epoch so in-flight traffic stamped
-    /// with the old one is dropped.
+    /// Swap in a successor partition: rebuild the halo plan, publish
+    /// the new epoch so in-flight traffic stamped with the old one is
+    /// dropped, and drop every grid a mirror no longer reads. Each
+    /// caller has already put the new resident grids in place.
     fn install_shard(&mut self, next: ShardMap) {
-        let n = self.cluster.len();
-        for &id in &self.shard_ids {
-            for loc in 0..n {
-                let _ = self.cluster.locality(loc).runtime().agas().unregister(id);
-            }
-        }
-        self.shard_ids = Self::register_shards(&self.cluster, &next);
         self.push_plan = next.halo_push_plan(&self.mirrors[0]);
         self.epoch.store(next.epoch(), Ordering::SeqCst);
         self.shard = next;
+        let resident = resident_sets(&self.shard, &self.push_plan);
+        for (mirror, keep) in self.mirrors.iter_mut().zip(&resident) {
+            keep_only(exclusive(mirror), keep);
+        }
     }
 
     /// The distributed regrid collective, run on the configured cadence
@@ -599,8 +585,8 @@ impl DistributedDriver {
     ///    merged identically everywhere ([`RegridProposal::merge`]);
     /// 3. if the merged proposal is provably a no-op
     ///    ([`regrid::proposal_is_trivial`], a topology-only check every
-    ///    full-tree mirror answers identically) the phase ends — no
-    ///    broadcast, no epoch bump;
+    ///    mirror answers identically) the phase ends — no broadcast, no
+    ///    epoch bump;
     /// 4. otherwise every owner ships every owned leaf's interior to
     ///    every other mirror ([`HALO_ACTION`]) and each mirror runs the
     ///    very same serial [`regrid::regrid`], which reads leaves only
@@ -609,7 +595,8 @@ impl DistributedDriver {
     ///    partition;
     /// 5. the new tree is repartitioned ([`ShardMap::repartition`],
     ///    successor epoch) and installed — no migration parcels needed,
-    ///    the broadcast already put every leaf everywhere.
+    ///    the broadcast already put every leaf everywhere; the install
+    ///    then drops each mirror's grids outside its new resident set.
     fn regrid_phase(&mut self, policy: &RegridPolicy) -> Result<()> {
         let _span = trace::span(TraceCategory::Regrid);
         let n = self.cluster.len();
@@ -677,12 +664,13 @@ impl DistributedDriver {
     /// the current leaves into balanced SFC chunks (successor epoch)
     /// and migrate exactly the data each locality is newly responsible
     /// for, as [`MIGRATE_ACTION`] parcels carrying the checkpoint's
-    /// per-leaf payload. A locality needs fresh interiors for its
-    /// owned leaves and its inbound halo-plan sources; everything it
-    /// already holds fresh (previous owned set + what the last interior
-    /// exchange pushed) is not re-sent. Pure ownership movement — no
-    /// leaf value changes — so the numerics are untouched by
-    /// construction.
+    /// per-leaf payload. A locality needs the grids of its resident set
+    /// under the new partition (owned leaves and inbound halo-plan
+    /// sources); the ones it already holds — its resident set under the
+    /// old partition, all fresh between steps — are not re-sent, and
+    /// the install drops the ones it no longer reads. Pure ownership
+    /// movement — no leaf value changes — so the numerics are untouched
+    /// by construction.
     ///
     /// Returns the number of leaves whose owner changed.
     pub fn rebalance(&mut self) -> Result<usize> {
@@ -694,26 +682,10 @@ impl DistributedDriver {
             // Nothing would change hands; keep the current epoch.
             return Ok(0);
         }
-        let next_plan = next.halo_push_plan(&self.mirrors[0]);
-
-        // What each locality will need fresh under the new partition…
-        let mut need: Vec<BTreeSet<MortonKey>> = (0..n)
-            .map(|loc| next.owned(loc as u32).iter().copied().collect())
-            .collect();
-        for by_dst in &next_plan {
-            for (&dst, keys) in by_dst {
-                need[dst as usize].extend(keys.iter().copied());
-            }
-        }
-        // …minus what it already holds fresh under the old one.
-        let mut have: Vec<BTreeSet<MortonKey>> = (0..n)
-            .map(|loc| self.shard.owned(loc as u32).iter().copied().collect())
-            .collect();
-        for by_dst in &self.push_plan {
-            for (&dst, keys) in by_dst {
-                have[dst as usize].extend(keys.iter().copied());
-            }
-        }
+        // What each locality will read under the new partition, minus
+        // what it holds under the old one.
+        let need = resident_sets(&next, &next.halo_push_plan(&self.mirrors[0]));
+        let have = resident_sets(&self.shard, &self.push_plan);
 
         // Migrate: the *old* owner is authoritative, parcels carry the
         // new epoch (published first, so the handlers accept them and
@@ -972,10 +944,9 @@ impl DistributedDriver {
     pub fn step(&mut self) -> Result<f64> {
         let _step_span =
             trace::span_labeled(TraceCategory::Step, || format!("step {}", self.steps));
-        // Regrid first, on the configured cadence.
+        // Regrid first, on the policy's cadence.
         if let Some(policy) = self.config.regrid {
-            let cadence = self.config.regrid_cadence as u64;
-            if cadence > 0 && self.steps > 0 && self.steps % cadence == 0 {
+            if self.steps > 0 && self.steps.is_multiple_of(policy.cadence as u64) {
                 self.regrid_phase(&policy)?;
             }
         }
@@ -1105,8 +1076,7 @@ impl DistributedDriver {
                 scenario.tree = rebuild_topology(scenario.tree.domain(), &stored)?;
             }
         }
-        let mut driver = DistributedDriver::builder(scenario, cluster).build()?;
-        let have: BTreeSet<MortonKey> = driver.mirrors[0].leaves().into_iter().collect();
+        let have: BTreeSet<MortonKey> = scenario.tree.leaves().into_iter().collect();
         if have != stored {
             return Err(Error::Checkpoint(format!(
                 "leaf set mismatch: scenario has {} leaves, checkpoint stores {}",
@@ -1114,26 +1084,47 @@ impl DistributedDriver {
                 stored.len()
             )));
         }
-        // Every mirror gets the full global state: owned leaves become
-        // authoritative, the rest hold exactly what the interior
+        // The stored grids replace the scenario's, and the build hands
+        // each mirror the ones its locality reads: owned leaves become
+        // authoritative, halo sources hold exactly what the interior
         // exchange would have pushed — all a step reads, since each RHS
-        // task gathers its leaf's ghosts from these grids. The key sets
-        // match, so every key is a leaf of every mirror.
-        for (loc, mirror) in driver.mirrors.iter_mut().enumerate() {
-            let tree = exclusive(mirror);
-            for (key, grid) in body.keys.iter().zip(&body.interiors) {
-                let node = tree.node_mut(*key).ok_or_else(|| {
-                    Error::Checkpoint(format!("{key:?} missing from mirror {loc}"))
-                })?;
-                node.grid = Some(grid.clone());
-            }
+        // task gathers its leaf's ghosts from these grids.
+        for (key, grid) in body.keys.iter().zip(body.interiors) {
+            scenario.tree.node_mut(*key).expect("a stored key is a leaf").grid = Some(grid);
         }
-        driver.debug_check_mirrors();
+        let mut driver = DistributedDriver::builder(scenario, cluster).build()?;
         driver.steps = body.steps;
         driver.time = body.time;
         driver.subgrids_processed = body.subgrids_processed;
         driver.dt_history = body.dt_history;
         Ok(driver)
+    }
+}
+
+/// The leaves each locality reads, by locality: its owned leaves and
+/// every leaf `push_plan` brings in as a halo source — the grids its
+/// mirror holds.
+fn resident_sets(
+    shard: &ShardMap,
+    push_plan: &[BTreeMap<u32, Vec<MortonKey>>],
+) -> Vec<BTreeSet<MortonKey>> {
+    let mut resident: Vec<BTreeSet<MortonKey>> = (0..shard.n_shards())
+        .map(|loc| shard.owned(loc as u32).iter().copied().collect())
+        .collect();
+    for by_dst in push_plan {
+        for (&dst, keys) in by_dst {
+            resident[dst as usize].extend(keys.iter().copied());
+        }
+    }
+    resident
+}
+
+/// Drop every grid of `mirror` outside `resident`.
+fn keep_only(mirror: &mut Octree, resident: &BTreeSet<MortonKey>) {
+    for key in mirror.leaves() {
+        if !resident.contains(&key) {
+            mirror.node_mut(key).expect("leaf").grid = None;
+        }
     }
 }
 
@@ -1325,7 +1316,7 @@ mod tests {
         let send = |payload: Bytes| {
             dist.cluster
                 .locality(0)
-                .send_encoded(dist.halo.action, 1, dist.shard_ids[1], payload)
+                .send_encoded(dist.halo.action, 1, GlobalId(1), payload)
                 .unwrap();
             dist.cluster.try_wait_quiescent().unwrap();
         };
@@ -1372,8 +1363,12 @@ mod tests {
         assert!(dist.imbalance_permille() < 500);
         let m = dist.cluster().metrics();
         assert_eq!(m.get("driver/rebalances"), 1);
-        assert!(m.get("driver/migrated_leaves") >= moved as u64);
-        assert!(m.get("driver/migrated_bytes") > 0);
+        assert_eq!(m.get("driver/migrated_leaves"), moved as u64);
+        // The leaves each locality newly reads, and nothing it already
+        // held: 22 grids of 57 373 payload bytes and a 24-byte header.
+        assert_eq!(moved, 25);
+        assert_eq!(m.get("driver/migrated_parcels"), 22);
+        assert_eq!(m.get("driver/migrated_bytes"), 1_262_734);
         // Ownership movement must not perturb the numerics.
         for _ in 0..2 {
             let dt_ref = reference.step();
@@ -1431,11 +1426,78 @@ mod tests {
         tree.check_leaf_grids();
     }
 
+    /// Every mirror holds an interior-only grid on exactly its owned
+    /// leaves and their halo sources — derived here from
+    /// `ShardMap::halo_sources`, not from the push plan — and on no
+    /// refined node. Returns each mirror's grid count.
+    fn assert_grids_on_resident_leaves(d: &DistributedDriver, what: &str) -> Vec<usize> {
+        let mut counts = Vec::new();
+        for (loc, mirror) in d.mirrors.iter().enumerate() {
+            let owned = d.shard.owned(loc as u32);
+            let mut reads: BTreeSet<MortonKey> = owned.iter().copied().collect();
+            for &key in owned {
+                reads.extend(ShardMap::halo_sources(mirror, key));
+            }
+            let held: BTreeSet<MortonKey> = mirror
+                .leaves()
+                .into_iter()
+                .filter(|&key| mirror.node(key).unwrap().grid.is_some())
+                .collect();
+            assert_eq!(held, reads, "{what}: mirror {loc} grid presence");
+            mirror.check_grids_on(|key| reads.contains(&key));
+            counts.push(held.len());
+        }
+        counts
+    }
+
+    /// A mirror holds the grids its locality reads and no others —
+    /// after the build, a step, a rebalance and a restore onto another
+    /// locality count — and the state stays bit-identical to the
+    /// single-locality reference throughout. Two localities split the
+    /// 64 leaves of a 4 × 4 × 4 tree into two slabs, each reading the
+    /// other's 16-leaf face: 48 grids a mirror.
+    #[test]
+    fn mirrors_hold_grids_on_exactly_the_resident_leaves() {
+        let cluster = |n| Arc::new(Cluster::builder().localities(n).threads_per(2).build());
+        let mut reference = Simulation::new(Scenario::sod(2));
+        let mut step_both = |drivers: &mut [&mut DistributedDriver], what: &str| {
+            let dt_ref = reference.step();
+            for dist in drivers.iter_mut() {
+                assert_eq!(dist.step().unwrap().to_bits(), dt_ref.to_bits(), "{what}: dt");
+                assert_trees_bit_identical(&dist.assemble(), reference.tree());
+            }
+        };
+        let mut balanced =
+            DistributedDriver::builder(Scenario::sod(2), cluster(2)).build().unwrap();
+        assert_eq!(balanced.shard.n_leaves(), 64);
+        assert_eq!(assert_grids_on_resident_leaves(&balanced, "build"), [48, 48]);
+        let mut skewed = DistributedDriver::builder(Scenario::sod(2), cluster(2))
+            .skewed_partition(800)
+            .build()
+            .unwrap();
+        assert_grids_on_resident_leaves(&skewed, "skewed build");
+
+        step_both(&mut [&mut balanced, &mut skewed], "first step");
+        assert_eq!(assert_grids_on_resident_leaves(&balanced, "step"), [48, 48]);
+        assert_grids_on_resident_leaves(&skewed, "skewed step");
+
+        assert!(skewed.rebalance().unwrap() >= 1, "the skew must move leaves");
+        assert_eq!(assert_grids_on_resident_leaves(&skewed, "rebalance"), [48, 48]);
+        step_both(&mut [&mut balanced, &mut skewed], "after rebalance");
+
+        let blob = skewed.checkpoint().unwrap();
+        let mut restored = DistributedDriver::restore(Scenario::sod(2), cluster(3), &blob).unwrap();
+        let counts = assert_grids_on_resident_leaves(&restored, "restore");
+        assert!(counts.iter().all(|&c| c < 64), "restore onto 3: {counts:?}");
+        step_both(&mut [&mut restored], "after restore");
+        assert_grids_on_resident_leaves(&restored, "restored step");
+    }
+
     /// The step straight after the owned set changed — a rebalance, a
     /// regrid that grows the tree, a restore onto another cluster shape
     /// — re-counts the slots and lands on the single-locality reference
-    /// bit for bit, and every mirror keeps interior-only grids on its
-    /// leaves only.
+    /// bit for bit, and every mirror keeps interior-only grids on
+    /// exactly the leaves its locality reads.
     #[test]
     fn stage_slots_follow_the_owned_set() {
         let make = || {
@@ -1446,8 +1508,8 @@ mod tests {
                 base_level: 1,
                 max_level: 2,
                 coarsen_fraction: 0.5,
+                cadence: 2,
             });
-            s.config.regrid_cadence = 2;
             // Handed a refined-node grid, as a restricted fixture is.
             s.tree.node_mut(MortonKey::root()).unwrap().grid = Some(SubGrid::new());
             s
@@ -1465,9 +1527,7 @@ mod tests {
             assert_eq!(dist.step().unwrap().to_bits(), dt_ref.to_bits(), "{what}: dt");
             assert_trees_bit_identical(&dist.assemble(), reference.tree());
             assert_grids_on_leaves_only(reference.tree(), what);
-            for mirror in &dist.mirrors {
-                assert_grids_on_leaves_only(mirror, what);
-            }
+            assert_grids_on_resident_leaves(dist, what);
         };
 
         step_both(&mut dist, "skewed start");

@@ -27,6 +27,9 @@ pub struct RegridPolicy {
     /// Coarsen when the parent's peak density falls below this fraction
     /// of the refine threshold (hysteresis to avoid flip-flopping).
     pub coarsen_fraction: f64,
+    /// Steps between regrid passes (≥ 1): a pass runs at the top of
+    /// every step whose index is a positive multiple of it.
+    pub cadence: usize,
 }
 
 impl RegridPolicy {
@@ -143,7 +146,7 @@ fn coarsen_candidates(tree: &Octree) -> Vec<MortonKey> {
 /// this tree leave it untouched? True iff nothing refines and no
 /// coarsen candidate passes on the *unmutated* tree (when nothing
 /// collapses the sweep never mutates, so the unmutated probe is exact).
-/// Topology-only plus the proposal's own votes: every full mirror of
+/// Topology-only plus the proposal's own votes: every mirror of
 /// the tree computes the same answer without touching leaf data, which
 /// is what lets the distributed driver skip the regrid broadcast on
 /// quiet steps.
@@ -223,6 +226,7 @@ mod tests {
             base_level: 1,
             max_level: 3,
             coarsen_fraction: 0.5,
+            cadence: 1,
         }
     }
 

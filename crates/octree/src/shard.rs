@@ -97,22 +97,17 @@ impl ShardMap {
         }
         let total = leaves.len();
         let want = (total * first_share_permille.min(1000) as usize) / 1000;
-        // Leave at least one leaf for every other shard.
-        let first = want.clamp(1, total - (n_shards - 1));
+        // Leave at least one leaf for every other shard, and none over
+        // when there is no other.
+        let first = if n_shards == 1 { total } else { want.clamp(1, total - (n_shards - 1)) };
         let mut owner = HashMap::with_capacity(total);
         let mut owned = vec![Vec::new(); n_shards];
+        let rest = total - first;
         for (i, &leaf) in leaves.iter().enumerate() {
-            let part = if i < first {
-                0
-            } else if n_shards == 1 {
-                0
-            } else {
-                // Remaining leaves split evenly over shards 1..n.
-                let rest_idx = i - first;
-                let rest_total = total - first;
-                let per = rest_total.div_ceil(n_shards - 1);
-                (1 + rest_idx / per).min(n_shards - 1)
-            };
+            // The rest split evenly over shards 1..n, as `sfc::partition`
+            // splits a whole curve: at least one leaf each, since
+            // `rest >= n_shards - 1`.
+            let part = if i < first { 0 } else { 1 + (i - first) * (n_shards - 1) / rest };
             owner.insert(leaf, part as u32);
             owned[part].push(leaf);
         }
@@ -442,6 +437,26 @@ mod tests {
             cat.extend_from_slice(map.owned(shard));
         }
         assert_eq!(cat, t.leaves());
+    }
+
+    /// Every shard of a skewed map keeps a leaf, whatever the shard
+    /// count and share — 64 leaves over 40 shards at permille 0, say,
+    /// where chunks of `ceil(rest / (n − 1))` run out seven shards
+    /// early.
+    #[test]
+    fn skewed_partition_never_starves_a_shard() {
+        let mut t = Octree::new(Domain::new(16.0));
+        t.refine_where(2, |_, _| true);
+        assert_eq!(t.leaf_count(), 64);
+        for n in 1..=64 {
+            for permille in [0, 500, 900, 1000] {
+                let map = ShardMap::partition_skewed(&t, n, permille).unwrap();
+                map.check_invariants(&t);
+                for shard in 0..n as u32 {
+                    assert!(!map.owned(shard).is_empty(), "{n} shards at {permille}: {shard}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! from a grid. [`Octree::restrict_all`] fills refined-node grids and
 //! `halo::fill_all_halos_parallel` widens leaf grids for a caller that
 //! wants them; nothing on a run's path does, and
-//! [`Octree::check_leaf_grids`] says so.
+//! [`Octree::check_leaf_grids`] says so. A distributed driver's mirror
+//! keeps the whole topology but the grids of some leaves only, which
+//! [`Octree::check_grids_on`] checks.
 
 use crate::geometry::Domain;
 use crate::prolong::{prolong_octant, restrict_into_octant};
@@ -395,16 +397,27 @@ impl Octree {
     /// # Panics
     /// With the first node that breaks it.
     pub fn check_leaf_grids(&self) {
+        self.check_grids_on(|_| true);
+    }
+
+    /// [`Octree::check_leaf_grids`] for a tree that holds the state of
+    /// some leaves only (a distributed driver's mirror): a leaf has a
+    /// grid iff `resident` says so, no refined node has one, and every
+    /// grid is interior-only.
+    ///
+    /// # Panics
+    /// With the first node that breaks it.
+    pub fn check_grids_on(&self, resident: impl Fn(MortonKey) -> bool) {
         for node in self.nodes.values() {
             match &node.grid {
                 Some(_) if node.refined => panic!("refined node {:?} holds a grid", node.key),
-                Some(grid) => assert_eq!(
-                    grid.indexer().ghost,
-                    0,
-                    "leaf {:?} holds a ghost ring",
-                    node.key
-                ),
-                None => assert!(node.refined, "leaf {:?} has no grid", node.key),
+                Some(grid) => {
+                    assert!(resident(node.key), "non-resident leaf {:?} holds a grid", node.key);
+                    assert_eq!(grid.indexer().ghost, 0, "leaf {:?} holds a ghost ring", node.key);
+                }
+                None => {
+                    assert!(node.refined || !resident(node.key), "leaf {:?} has no grid", node.key)
+                }
             }
         }
     }
@@ -739,6 +752,28 @@ mod tests {
 
         t.node_mut(leaf).unwrap().grid = None;
         assert!(breaks(&t), "a leaf without a grid");
+    }
+
+    /// Against a resident set, a leaf must hold a grid exactly when it
+    /// is resident: a missing resident grid and a kept non-resident one
+    /// both break it.
+    #[test]
+    fn residency_checker_wants_grids_on_exactly_the_resident_leaves() {
+        let breaks = |t: &Octree, resident: &[MortonKey]| {
+            std::panic::catch_unwind(|| t.check_grids_on(|key| resident.contains(&key))).is_err()
+        };
+        let mut t = Octree::new(small_domain());
+        t.refine(MortonKey::root());
+        let (kept, dropped) = (MortonKey::root().child(2), MortonKey::root().child(5));
+        let all = t.leaves();
+        assert!(!breaks(&t, &all));
+        assert!(breaks(&t, &[kept]), "grids on non-resident leaves");
+        for key in all.iter().filter(|&&key| key != kept) {
+            t.node_mut(*key).unwrap().grid = None;
+        }
+        assert!(!breaks(&t, &[kept]));
+        assert!(breaks(&t, &[kept, dropped]), "a resident leaf without a grid");
+        assert!(breaks(&t, &all));
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //! integrated into the HPX task scheduling loop".
 //!
 //! On top of raw parcels, the cluster provides typed fire-and-forget
-//! actions ([`Cluster::register_action`] / [`Locality::send_action`])
-//! and transparent forwarding when a component has migrated (§5.2:
-//! channels keep working "even when a grid cell is migrated from one
-//! node to another"). That is the whole messaging surface: an answer is
-//! one more action sent back, and a round that needs every answer waits
-//! for quiescence, as the distributed driver's exchange rounds do.
+//! actions ([`Cluster::register_action`] / [`Locality::send_action`]).
+//! A parcel runs on the locality it names and nowhere else: there is no
+//! address registry and no forwarding. Keeping channels working "even
+//! when a grid cell is migrated from one node to another" (§5.2) is the
+//! sender's job — the distributed driver routes by its shard map and
+//! stamps every parcel with the partition epoch, so traffic routed by a
+//! superseded map is dropped, not re-sent. That is the whole messaging
+//! surface: an answer is one more action sent back, and a round that
+//! needs every answer waits for quiescence, as the distributed driver's
+//! exchange rounds do.
 //!
 //! When a trace session is active (see [`amt::trace`]), every remote
 //! send and every network delivery records a `parcel/send` / `parcel/recv`
@@ -90,8 +94,8 @@ pub struct Locality {
     index: u32,
     n_localities: usize,
     transport: Arc<dyn Transport>,
-    /// Errors raised inside action handlers (decode failures, forwards
-    /// that bounced). Handlers run detached on scheduler threads,
+    /// Errors raised inside action handlers (decode failures, sends
+    /// that failed). Handlers run detached on scheduler threads,
     /// so there is no caller to return them to; they are parked here
     /// and counted under the transport's `handler_errors` counter.
     failures: Mutex<Vec<Error>>,
@@ -125,7 +129,7 @@ impl Locality {
             });
         }
         if parcel.dest_locality == self.index {
-            self.deliver(parcel);
+            self.actions.dispatch(&self.rt, parcel);
         } else {
             let c = self.transport.counters();
             let wire = parcel.wire_size() as u64;
@@ -183,20 +187,6 @@ impl Locality {
     /// Drain the errors recorded by action handlers on this locality.
     pub fn take_failures(&self) -> Vec<Error> {
         std::mem::take(&mut *self.failures.lock())
-    }
-
-    /// Deliver an inbound (or loopback) parcel: forward if the target
-    /// component migrated away, otherwise dispatch the action as a task.
-    fn deliver(&self, mut parcel: Parcel) {
-        if let Some(target) = self.rt.agas().forwarding_target(parcel.dest_component) {
-            self.transport.counters().increment("parcels/forwarded");
-            parcel.dest_locality = target;
-            if let Err(e) = self.try_send(parcel) {
-                self.record_failure(e);
-            }
-            return;
-        }
-        self.actions.dispatch(&self.rt, parcel);
     }
 }
 
@@ -338,7 +328,7 @@ impl ClusterBuilder {
                     let _span = trace::span_labeled(TraceCategory::ParcelRecv, || {
                         format!("{}:{}B", kind.as_str(), parcel.wire_size())
                     });
-                    l.deliver(parcel)
+                    l.actions.dispatch(&l.rt, parcel)
                 }),
             );
             let t = Arc::clone(&transport);
@@ -641,50 +631,6 @@ mod tests {
         cluster.wait_quiescent();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(cluster.transport().counters().get("parcels/sent"), 0);
-    }
-
-    fn migration_forwarding(kind: TransportKind) {
-        let cluster = Cluster::builder().localities(3).threads_per(2).transport(kind).build();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        cluster.register_raw_action(ActionId(3), move |rt, id, _p| {
-            // The component must be resident wherever the parcel lands.
-            assert!(rt.agas().is_local(id), "parcel landed where object is not resident");
-            h.fetch_add(1, Ordering::SeqCst);
-        });
-        // Register a component on locality 1, then migrate it to 2.
-        let agas1 = cluster.locality(1).runtime().agas();
-        let id = agas1.register(Arc::new(1234u64));
-        let obj = agas1.begin_migration(id, 2).unwrap();
-        cluster
-            .locality(2)
-            .runtime()
-            .agas()
-            .adopt(id, obj.downcast::<u64>().unwrap());
-        // Locality 0 still believes the object is on 1; the parcel must
-        // be forwarded 1 -> 2.
-        cluster
-            .locality(0)
-            .try_send(Parcel {
-                dest_locality: 1,
-                dest_component: id,
-                action: ActionId(3),
-                payload: Bytes::new(),
-            })
-            .unwrap();
-        cluster.wait_quiescent();
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert_eq!(cluster.transport().counters().get("parcels/forwarded"), 1);
-    }
-
-    #[test]
-    fn migration_forwarding_over_mpi() {
-        migration_forwarding(TransportKind::Mpi);
-    }
-
-    #[test]
-    fn migration_forwarding_over_libfabric() {
-        migration_forwarding(TransportKind::Libfabric);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! "We refer to the triggering of remote functions with bound arguments
 //! as actions and the messages containing the serialized data and remote
-//! function as parcels" (§5.2). A [`Parcel`] carries the destination
-//! component's [`GlobalId`], the [`ActionId`] naming the function to run
-//! there, and the serialized argument payload. On arrival, the
-//! destination locality looks the action up in its [`ActionRegistry`] and
-//! spawns the handler as a task — the active-message model that lets HPX
+//! function as parcels" (§5.2). A [`Parcel`] carries its destination
+//! locality, a component tag ([`GlobalId`]) that the handler receives as
+//! is, the [`ActionId`] naming the function to run there, and the
+//! serialized argument payload. No registry resolves or re-routes the
+//! tag: a parcel runs where it is sent. On arrival, the destination
+//! locality looks the action up in its [`ActionRegistry`] and spawns
+//! the handler as a task — the active-message model that lets HPX
 //! "run functions close to the objects they operate on" and implicitly
 //! overlap computation and communication.
 
@@ -25,8 +27,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActionId(pub u32);
 
-/// An active message: run `action` on `dest_component` (which lives on
-/// `dest_locality`) with the serialized `payload` as its argument.
+/// An active message: run `action` on `dest_locality`, handing it the
+/// `dest_component` tag and the serialized `payload` as its argument.
 #[derive(Debug, Clone)]
 pub struct Parcel {
     pub dest_locality: u32,

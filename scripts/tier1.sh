@@ -5,7 +5,7 @@
 #      zero second-pair-arithmetic, zero fused/fast-math, zero rank-3
 #      tensor, zero
 #      driver-ghost-fill, zero derived-grid, zero slab-pipeline, zero
-#      remote-call and zero uncalled-pub-fn budgets
+#      remote-call, zero owner-registry and zero uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -181,6 +181,22 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "wire budget OK (0 remote calls, 0 collectives beside the exchange rounds)"
+
+echo
+echo "== tier-1: owner-registry budget =="
+# The shard map is the only record of where a leaf lives: a rebalance
+# moves leaves with epoch-stamped migrate parcels, and a parcel runs on
+# the locality it names. An address registry, its forwarding pointers or
+# its migration calls beside the `ShardMap` are a second owner record
+# coming back, one that nothing keeps in step with the first.
+stray=$(grep -rnE '\bAgas\b|\.agas\(\)|forwarding_target|begin_migration|record_remote' \
+    crates tests examples || true)
+if [ -n "$stray" ]; then
+    echo "!! an owner registry beside the shard map under crates/, tests/ or examples/ (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "owner-registry budget OK (0 records of a leaf's locality beside the shard map)"
 
 echo
 echo "== tier-1: caller budget =="

@@ -146,8 +146,7 @@ fn every_wire_parcel_belongs_to_a_driver_channel() {
         let mut scenario = Scenario::single_star(2);
         // Proposals go round every step; none can refine past level 2.
         scenario.config.regrid =
-            Some(RegridPolicy { base_level: 2, max_level: 2, ..test_policy() });
-        scenario.config.regrid_cadence = 1;
+            Some(RegridPolicy { base_level: 2, max_level: 2, cadence: 1, ..test_policy() });
         let cluster = Arc::new(
             Cluster::builder().localities(2).threads_per(2).transport(kind).build(),
         );
@@ -191,16 +190,23 @@ fn invalid_config_is_an_error_from_build() {
 /// The regrid policy the dynamic-AMR tests run: hot (ρ = 1) level-1
 /// leaves refine to level 2, nothing coarsens (the cold side's parents
 /// never have eight cold *leaf* children on this tree), so the leaf
-/// count grows once and then the proposal collective goes trivial.
+/// count grows once and then the proposal collective goes trivial. A
+/// pass every second step.
 fn test_policy() -> RegridPolicy {
-    RegridPolicy { rho_ref: 0.5, ratio: 4.0, base_level: 1, max_level: 2, coarsen_fraction: 0.5 }
+    RegridPolicy {
+        rho_ref: 0.5,
+        ratio: 4.0,
+        base_level: 1,
+        max_level: 2,
+        coarsen_fraction: 0.5,
+        cadence: 2,
+    }
 }
 
 /// `sod_amr` with dynamic regridding on the given cadence.
 fn sod_amr_regrid(cadence: usize) -> Scenario {
     let mut s = sod_amr();
-    s.config.regrid = Some(test_policy());
-    s.config.regrid_cadence = cadence;
+    s.config.regrid = Some(RegridPolicy { cadence, ..test_policy() });
     s
 }
 
@@ -281,12 +287,11 @@ proptest! {
             base_level: 1,
             max_level: 2,
             coarsen_fraction: 0.3 + ((seed >> 6) & 0x7) as f64 / 20.0,
+            cadence: 1 + ((seed >> 9) % 3) as usize,
         };
-        let cadence = 1 + ((seed >> 9) % 3) as usize;
         let make = || {
             let mut s = sod_amr();
             s.config.regrid = Some(policy);
-            s.config.regrid_cadence = cadence;
             s
         };
         let mut reference = Simulation::new(make());

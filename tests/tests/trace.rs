@@ -251,9 +251,9 @@ fn a_regrid_step_emits_a_regrid_span() {
         base_level: 1,
         max_level: 2,
         coarsen_fraction: 0.5,
+        cadence: 1,
     };
     scenario.config.regrid = Some(policy);
-    scenario.config.regrid_cadence = 1;
     let cluster = Arc::new(Cluster::builder().localities(2).threads_per(1).build());
     let mut driver = DistributedDriver::builder(scenario, cluster).build().expect("driver");
     let before = driver.shard_map().n_leaves();
