@@ -16,9 +16,10 @@
 //!   [`MIGRATE_ACTION`] carries the same message when a rebalance
 //!   re-homes a leaf,
 //! * [`MOMENT_ACTION`] — a `MomentMsg` carrying one leaf's P2M
-//!   multipole moments (the FMM boundary exchange: every locality
-//!   rebuilds the full moment tree from the broadcast leaf moments and
-//!   solves only its own targets),
+//!   moments as its 512 cell masses (the FMM boundary exchange: a leaf
+//!   cell's moment is a monopole at the cell's centre, so every locality
+//!   rebuilds the leaf's moments bit for bit, completes the moment tree
+//!   from the broadcast leaves and solves only its own targets),
 //! * [`REGRID_ACTION`] — one locality's regrid votes, sent to every
 //!   peer,
 //! * [`DT_ACTION`] — one locality's minimum CFL dt over its owned
@@ -82,6 +83,7 @@ use gravity::solver::{m2m_parallel, p2m_parallel, FmmSolver, GravityField};
 use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::HydroStepper;
+use octree::geometry::Domain;
 use octree::shard::ShardMap;
 use octree::subgrid::{SubGrid, FIELD_COUNT, N_SUB};
 use crate::checkpoint::{self, CheckpointBody, CHECKPOINT_VERSION};
@@ -129,16 +131,38 @@ struct GridMsg {
 
 serde::impl_codec_struct!(GridMsg { from, epoch, key, grid });
 
-/// One leaf's per-cell multipole moments on the wire (the FMM boundary
-/// exchange). Epoch-stamped like [`GridMsg`].
+/// One leaf's P2M moments on the wire (the FMM boundary exchange): each
+/// cell's mass alone, because a leaf cell's moment is a monopole at the
+/// cell's centre, which the receiver knows ([`leaf_moments`]).
+/// Epoch-stamped like [`GridMsg`].
 struct MomentMsg {
     from: u32,
     epoch: u64,
     key: MortonKey,
-    cells: Vec<Multipole>,
+    masses: Vec<f64>,
 }
 
-serde::impl_codec_struct!(MomentMsg { from, epoch, key, cells });
+serde::impl_codec_struct!(MomentMsg { from, epoch, key, masses });
+
+/// The moments of leaf `key` that a [`MomentMsg`]'s `masses` stand for:
+/// each cell's monopole at its centre in `domain`, the expression P2M
+/// evaluates, so bit for bit the sender's moments. A count other than
+/// one mass per cell is an error.
+fn leaf_moments(domain: &Domain, key: MortonKey, masses: &[f64]) -> Result<Vec<Multipole>> {
+    if masses.len() != N_SUB.pow(3) {
+        return Err(Error::Driver(format!(
+            "the moments of {key:?} carry {} masses, expected {}",
+            masses.len(),
+            N_SUB.pow(3)
+        )));
+    }
+    let n = N_SUB as isize;
+    let cells = (0..n).flat_map(|i| (0..n).flat_map(move |j| (0..n).map(move |k| (i, j, k))));
+    Ok(cells
+        .zip(masses)
+        .map(|((i, j, k), &m)| Multipole::monopole(m, domain.cell_center(key, i, j, k)))
+        .collect())
+}
 
 /// One locality's regrid votes on the wire (the proposal collective).
 struct RegridMsg {
@@ -798,8 +822,8 @@ impl DistributedDriver {
         let sends = (0..n).flat_map(|src| {
             let own = &own[src];
             self.shard.owned(src as u32).iter().map(move |&key| {
-                let cells = own[&key].as_ref().clone();
-                (src, Dest::Peers, MomentMsg { from: src as u32, epoch, key, cells })
+                let masses = own[&key].iter().map(|cell| cell.m).collect();
+                (src, Dest::Peers, MomentMsg { from: src as u32, epoch, key, masses })
             })
         });
         let inbound = self.exchange(&self.moment, "moment messages", sends, |m| m.key)?;
@@ -807,7 +831,10 @@ impl DistributedDriver {
         let _solve_span = trace::span(TraceCategory::GravitySolve);
         let mut fields = Vec::with_capacity(n);
         for (loc, (mut leaf_map, msgs)) in own.into_iter().zip(inbound).enumerate() {
-            leaf_map.extend(msgs.into_iter().map(|msg| (msg.key, Arc::new(msg.cells))));
+            let domain = self.mirrors[loc].domain();
+            for msg in msgs {
+                leaf_map.insert(msg.key, Arc::new(leaf_moments(&domain, msg.key, &msg.masses)?));
+            }
             if leaf_map.len() != self.shard.n_leaves() {
                 return Err(Error::Driver(format!(
                     "locality {loc} assembled {} leaf moments, expected {}",
@@ -1140,7 +1167,7 @@ fn exclusive(mirror: &mut Arc<Octree>) -> &mut Octree {
 /// reachable this way; an unreachable set fails with
 /// [`Error::Checkpoint`] instead of restoring garbage.
 fn rebuild_topology(
-    domain: octree::geometry::Domain,
+    domain: Domain,
     keys: &BTreeSet<MortonKey>,
 ) -> Result<Octree> {
     let mut tree = Octree::new(domain);
@@ -1191,6 +1218,28 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A moment parcel's masses rebuild the sender's P2M moments bit for
+    /// bit; a parcel with a cell missing is an error, not a short leaf.
+    #[test]
+    fn masses_rebuild_the_p2m_moments_bit_for_bit() {
+        let sim = Simulation::new(Scenario::single_star(1));
+        let tree = Arc::new(sim.tree().clone());
+        let p2m = p2m_parallel(&tree, &tree.leaves(), sim.runtime());
+        for (&key, cells) in &p2m {
+            let masses: Vec<f64> = cells.iter().map(|cell| cell.m).collect();
+            let rebuilt = leaf_moments(&tree.domain(), key, &masses).expect("512 masses");
+            for (a, b) in cells.iter().zip(&rebuilt) {
+                assert_eq!(a.m.to_bits(), b.m.to_bits());
+                for (u, v) in a.com.to_array().iter().zip(b.com.to_array()) {
+                    assert_eq!(u.to_bits(), v.to_bits(), "{key:?}: centre");
+                }
+                assert!(a.q.iter().zip(&b.q).all(|(u, v)| u.to_bits() == v.to_bits()));
+            }
+            let short = leaf_moments(&tree.domain(), key, &masses[1..]);
+            assert!(matches!(short, Err(Error::Driver(why)) if why.contains("511 masses")));
         }
     }
 

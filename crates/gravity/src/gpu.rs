@@ -220,8 +220,9 @@ impl GpuContext {
         self.regions[lane].flush(&self.pools[lane]);
     }
 
-    /// Flush every region: the solver's same-level pass calls it once
-    /// every node has submitted its item.
+    /// Flush every region: the solver calls it once every refined node
+    /// has submitted its item, and the last target leaf to submit calls
+    /// it again.
     pub fn flush_all(&self) {
         for (region, pool) in self.regions.iter().zip(&self.pools) {
             region.flush(pool);

@@ -1,8 +1,13 @@
 //! Scratch-buffer pooling for the FMM hot path.
 //!
-//! Every same-level pass needs one extended [`MomentGrid`] (≈ 9 arrays
+//! Every node's work item needs one extended [`MomentGrid`] (≈ 9 arrays
 //! of `(8 + 2·width)³` doubles) and one or two `Vec<LocalExpansion>`
-//! output buffers per node. Allocating those per node per solve
+//! buffers: its output and, on a leaf, its near field. A leaf's item
+//! gives both back when it ends; a refined node's output is held until
+//! its downward step has summed it into the node's totals. So a solve
+//! needs at most a grid per running item and an expansion buffer per
+//! refined node plus two per running item — what the solver
+//! [`ScratchPool::ensure`]s. Allocating those per node per solve
 //! dominated the allocator profile; the pool recycles them so that a
 //! steady-state solve performs **zero** heap allocations for scratch —
 //! the reuse discipline Octo-Tiger applies to its kernel staging
@@ -72,8 +77,10 @@ impl ScratchPool {
     }
 
     /// Pre-populate the free lists so a solve of known shape never
-    /// misses mid-flight (top-ups count as misses, exactly like lazy
-    /// allocation would).
+    /// misses mid-flight: `n_grids` grids of halo width `width` and
+    /// `n_expansions` expansion buffers, the most a solve holds at once
+    /// (module docs). Top-ups count as misses, exactly like lazy
+    /// allocation would; the lists never shrink.
     pub fn ensure(&self, n_grids: usize, width: i32, n_expansions: usize) {
         {
             let mut grids = self.grids.lock();
@@ -88,6 +95,11 @@ impl ScratchPool {
             self.misses.fetch_add(1, Ordering::Relaxed);
             exps.push(Vec::new());
         }
+    }
+
+    /// Expansion buffers in the pool now (between solves, all of them).
+    pub fn expansion_buffers(&self) -> usize {
+        self.expansions.lock().len()
     }
 
     /// Number of takes served from the pool.

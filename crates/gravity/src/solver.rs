@@ -6,9 +6,11 @@
 //! 2. **Same-level**: every node runs the stencil kernels over its own
 //!    cells plus the gathered neighbor halo; leaves additionally run the
 //!    near-field pass (offsets inside the opening criterion).
-//! 3. **Down**: each refined node's per-cell expansions translate (L2L)
-//!    to its children's cells and accumulate; conservation ledgers
-//!    (force corrections and torques) are distributed mass-weighted.
+//! 3. **Down**: each refined node sums, once, its per-cell *totals* —
+//!    its own same-level expansions plus what it inherited, and the
+//!    conservation ledgers (force corrections and torques) — and each
+//!    child translates (L2L) what it needs from its parent's totals and
+//!    takes its mass share of the ledgers.
 //!
 //! Neighbor gathering across refinement jumps: when a same-level
 //! neighbor node does not exist (the region is one level coarser, by
@@ -28,8 +30,9 @@
 //! node: a leaf launches the `HESS = false` kernels — `assemble_leaf`
 //! never reads a Hessian, so none is computed — with its level's
 //! lattice table (`tensors::LatticeRow`, built at the start of each
-//! solve for every level a leaf is on), and a refined node, whose `downward_node` translates its
-//! expansions, the `HESS = true` ones without a table. Everything finer
+//! solve for every level a leaf is on), and a refined node, whose
+//! children translate its expansions, the `HESS = true` ones without a
+//! table. Everything finer
 //! is the kernels' business and is decided per lane group from the
 //! grid's own flags (`kernels` module docs): groups of absent sources
 //! are skipped, a leaf's groups of lattice point masses take `B0` /
@@ -47,12 +50,12 @@
 //! futurized walk.
 //!
 //! **Futurization** (§4.1): [`FmmSolver::solve_parallel`] runs the same
-//! walk as a task graph on the [`amt`] runtime — one task per node for
-//! the moment (P2M over the leaves, then M2M per level, bottom-up),
-//! downward (per level, top-down) and leaf-assembly passes, joined by
-//! `when_all` barriers. There is one futurized walk: it takes the leaves
-//! to solve for ([`FmmSolver::solve_restricted_parallel`]), and the
-//! whole-tree entry points pass all of them.
+//! walk as a task graph on the [`amt`] runtime: the moment pass (P2M
+//! over the leaves, then M2M per level, bottom-up), then one dataflow
+//! graph per solve with no barrier inside it. There is one futurized
+//! walk: it takes the leaves to solve for
+//! ([`FmmSolver::solve_restricted_parallel`]), and the whole-tree entry
+//! points pass all of them.
 //! Every per-node computation is the *same function* the serial path
 //! calls, and per-node results are merged into maps by key (never by
 //! arrival order), so the parallel field is bit-identical to the serial
@@ -62,32 +65,51 @@
 //! (§5.1 stream-idle decision).
 //!
 //! **One work item per sub-grid** (DESIGN.md "One work item per
-//! sub-grid & SIMD"): the same-level pass launches per node what the
-//! paper launches per sub-grid (§4.3, §5.1). The item
-//! (`FmmSolver::node_item`, the body the serial walk runs too) leases a
-//! moment grid from the [`ScratchPool`] and gathers the node's halo into
-//! it, runs the node's same-level kernel over all 512 cells and, on a
-//! leaf, the near-field kernel, adds the near-field result cell by cell,
-//! and returns the grid. A grid is leased inside the item, so only
-//! running items hold one, and steady-state solves allocate nothing. On a
-//! CPU-only solver the item is one task; with a [`GpuContext`] the node's
-//! task submits it to its worker's aggregation region as the node's
-//! kernel kind ([`KernelKind`]), and the pass flushes every region once
-//! all nodes are in, so items of different nodes fuse. Results merge by
-//! node key, so the field is the serial walk's at any worker count.
+//! sub-grid & SIMD"): the solve launches per node what the paper
+//! launches per sub-grid (§4.3, §5.1). A node's item
+//! (`FmmSolver::node_item`) leases a moment grid from the
+//! [`ScratchPool`] and gathers the node's halo into it, runs the node's
+//! same-level kernel over all 512 cells and, on a leaf, the near-field
+//! kernel, adds the near-field result cell by cell, and returns the
+//! grid. The graph has three kinds of task:
+//!
+//! * a **refined node's item**, started when the solve starts;
+//! * a **refined node's downward step**, one `then` task once its item
+//!   and its parent's step are done: it sums the node's totals
+//!   (`downward_node`), shares them with its children and hands its
+//!   item's output buffer back to the pool;
+//! * a **target leaf's item**, one `then` task on its parent's step
+//!   (`FmmSolver::leaf_item`): the node item, then the leaf's cells
+//!   assembled from its expansions and what it translates from its
+//!   parent's totals (`assemble_leaf`). It returns the leaf's cells and
+//!   gives its buffers back; a leaf under a parent that finishes early
+//!   runs while other refined items still run.
+//!
+//! So only refined nodes hold an expansion buffer across tasks, and a
+//! parent's totals live until its last child has read them: at most one
+//! buffer per refined node plus two per running item are live, which
+//! is what the pool is warmed with and all steady-state solves take. On a
+//! CPU-only solver an item is its task; with a [`GpuContext`] the task
+//! submits the item to its worker's aggregation region as the node's
+//! kernel kind ([`KernelKind`]), every region is flushed once the refined
+//! items are in (the leaves wait on them) and again by the last leaf to
+//! submit, so items of different nodes fuse. Results merge by node key,
+//! so the field is the serial walk's at any worker count.
 
 use crate::expansion::LocalExpansion;
 use crate::gpu::{AggregationConfig, GpuContext, KernelKind, LaunchSite, HIST_LABELS};
-use crate::kernels::{interior_index, offset_into, parity_into, MomentGrid, PairCounts};
+use crate::kernels::{interior_index, offset_into, parity_into, MomentGrid, PairCounts, N_CELLS};
 use crate::multipole::Multipole;
 use crate::scratch::ScratchPool;
 use crate::stencil::Stencil;
 use crate::tensors::LatticeRow;
 use amt::trace::{self, TraceCategory};
-use amt::{when_all, Future, Runtime};
+use amt::{make_ready_future, when_all, Future, Promise, Runtime, Scheduler};
 use octree::subgrid::{Field, N_SUB};
 use octree::tree::Octree;
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use util::morton::MortonKey;
 use util::vec3::Vec3;
@@ -99,7 +121,13 @@ pub type MomentMap = HashMap<MortonKey, Arc<Vec<Multipole>>>;
 
 /// Inherited per-cell data handed from parent to child in the downward
 /// pass: (translated expansion, force-correction share, torque share).
+/// A refined node's per-cell totals have the same shape: (own plus
+/// inherited expansion, force-correction ledger, torque ledger).
 type Inherited = (LocalExpansion, Vec3, Vec3);
+
+/// A refined node's per-cell totals ([`downward_node`]), shared by the
+/// children that translate from them and dropped after the last one.
+type Totals = Arc<Vec<Inherited>>;
 
 /// Gravity data for one cell of a leaf sub-grid.
 #[derive(Debug, Clone, Copy, Default)]
@@ -204,96 +232,99 @@ fn compute_node_moments(tree: &Octree, moments: &MomentMap, key: MortonKey) -> V
     cells
 }
 
-/// Step-3 work of a single refined node: translate its total expansion
-/// to each child's cells (L2L) and split the conservation ledgers
-/// mass-weighted. Returns the 8 children's inherited vectors; each
-/// child has exactly one parent, so the caller can insert them by key
-/// without any cross-task accumulation.
-fn downward_node(
-    moments: &MomentMap,
-    same: &HashMap<MortonKey, Vec<LocalExpansion>>,
+/// What each cell `ci` of node `key` inherits from its parent's
+/// per-cell `totals`: the parent cell's total expansion translated (L2L)
+/// from the parent cell's centre of mass to the cell's, and the cell's
+/// mass share of the parent cell's ledgers. A cell has one parent cell,
+/// so this is all it inherits; it is added onto zeros, as an
+/// accumulation into a cleared cell would be.
+fn inheritance<'a>(
+    moments: &'a MomentMap,
     key: MortonKey,
-    own_inh: Option<&Vec<Inherited>>,
-) -> Vec<(MortonKey, Vec<Inherited>)> {
-    let own_same = &same[&key];
-    let own_moments = &moments[&key];
-    let h = N_SUB as isize / 2;
-    let mut children: Vec<(MortonKey, Vec<Inherited>)> = (0..8u8)
-        .map(|o| {
-            (
-                key.child(o),
-                vec![(LocalExpansion::default(), Vec3::ZERO, Vec3::ZERO); N_SUB * N_SUB * N_SUB],
-            )
-        })
-        .collect();
-    for i in 0..N_SUB as isize {
-        for j in 0..N_SUB as isize {
-            for k in 0..N_SUB as isize {
-                let ci = interior_index(i, j, k);
-                let mut total = own_same[ci];
-                let (inh_fc, inh_tq) = match own_inh {
-                    Some(v) => {
-                        total.add(&v[ci].0);
-                        (v[ci].1, v[ci].2)
-                    }
-                    None => (Vec3::ZERO, Vec3::ZERO),
-                };
-                let parent_mp = own_moments[ci];
-                // Ledger to distribute to children, mass weighted.
-                let ledger_f = total.f_corr + inh_fc;
-                let ledger_t = total.torque + inh_tq;
-                let octant = ((i / h) | ((j / h) << 1) | ((k / h) << 2)) as u8;
-                let (child_key, entry) = &mut children[octant as usize];
-                let child_moments = &moments[child_key];
-                for d in 0..8u8 {
-                    let (di, dj, dk) =
-                        ((d & 1) as isize, ((d >> 1) & 1) as isize, ((d >> 2) & 1) as isize);
-                    let cci = interior_index(2 * (i % h) + di, 2 * (j % h) + dj, 2 * (k % h) + dk);
-                    let cmp = child_moments[cci];
-                    let delta = cmp.com - parent_mp.com;
-                    let translated = total.translated(delta);
-                    entry[cci].0.add(&translated);
-                    let share = if parent_mp.m > 0.0 {
-                        cmp.m / parent_mp.m
-                    } else {
-                        0.125
-                    };
-                    entry[cci].1 += ledger_f * share;
-                    entry[cci].2 += ledger_t * share;
-                }
-            }
-        }
+    totals: &'a [Inherited],
+) -> impl Fn(usize) -> Inherited + 'a {
+    let parent = key.parent().expect("a node that inherits has a parent");
+    let (own, up) = (&moments[&key], &moments[&parent]);
+    let (n, o) = (N_SUB as isize, key.octant() as isize);
+    let base = [o & 1, (o >> 1) & 1, (o >> 2) & 1].map(|b| b * n / 2);
+    move |ci| {
+        let (i, j, k) = (ci as isize / (n * n), ci as isize / n % n, ci as isize % n);
+        let pci = interior_index(base[0] + i / 2, base[1] + j / 2, base[2] + k / 2);
+        let (total, ledger_f, ledger_t) = &totals[pci];
+        let (parent_mp, cmp) = (up[pci], own[ci]);
+        let mut inh = (LocalExpansion::default(), Vec3::ZERO, Vec3::ZERO);
+        inh.0.add(&total.translated(cmp.com - parent_mp.com));
+        let share = if parent_mp.m > 0.0 {
+            cmp.m / parent_mp.m
+        } else {
+            0.125
+        };
+        inh.1 += *ledger_f * share;
+        inh.2 += *ledger_t * share;
+        inh
     }
-    children
 }
 
-/// Final assembly of one leaf: combine same-level and inherited data
-/// into per-cell outputs.
+/// Step-3 work of a single refined node: its per-cell totals — its
+/// same-level expansions `own_same` plus what each cell inherits from
+/// the `parent` node's totals (`None` at the root), and the
+/// force-correction and torque ledgers its children split mass-weighted.
+/// Summed once per node; each child translates its share itself
+/// ([`inheritance`]).
+fn downward_node(
+    moments: &MomentMap,
+    key: MortonKey,
+    own_same: &[LocalExpansion],
+    parent: Option<&[Inherited]>,
+) -> Vec<Inherited> {
+    let inherit = parent.map(|totals| inheritance(moments, key, totals));
+    (0..N_CELLS)
+        .map(|ci| {
+            let mut total = own_same[ci];
+            let (inh_fc, inh_tq) = match &inherit {
+                Some(inherit) => {
+                    let (exp, fc, tq) = inherit(ci);
+                    total.add(&exp);
+                    (fc, tq)
+                }
+                None => (Vec3::ZERO, Vec3::ZERO),
+            };
+            (total, total.f_corr + inh_fc, total.torque + inh_tq)
+        })
+        .collect()
+}
+
+/// Final assembly of leaf `key`: combine its same-level expansions and
+/// what each cell inherits from the `parent` node's totals (nothing at a
+/// root leaf) into per-cell outputs.
 fn assemble_leaf(
+    moments: &MomentMap,
+    key: MortonKey,
     vol: f64,
     own_same: &[LocalExpansion],
-    own_inh: Option<&Vec<Inherited>>,
-    own_moments: &[Multipole],
+    parent: Option<&[Inherited]>,
 ) -> Vec<CellGravity> {
-    let mut out = vec![CellGravity::default(); N_SUB * N_SUB * N_SUB];
-    for ci in 0..out.len() {
-        let s = &own_same[ci];
-        let (inh_exp, inh_fc, inh_tq) = match own_inh {
-            Some(v) => (v[ci].0, v[ci].1, v[ci].2),
-            None => (LocalExpansion::default(), Vec3::ZERO, Vec3::ZERO),
-        };
-        let m = own_moments[ci].m;
-        let phi = s.phi + inh_exp.phi;
-        let g = -(s.dphi + inh_exp.dphi);
-        let inherited_force = -inh_exp.dphi * m + inh_fc;
-        out[ci] = CellGravity {
-            phi,
-            g,
-            force_density: (s.force + inherited_force) / vol,
-            torque_density: (s.torque + inh_tq) / vol,
-        };
-    }
-    out
+    let inherit = parent.map(|totals| inheritance(moments, key, totals));
+    let own_moments = &moments[&key];
+    (0..N_CELLS)
+        .map(|ci| {
+            let s = &own_same[ci];
+            let (inh_exp, inh_fc, inh_tq) = match &inherit {
+                Some(inherit) => inherit(ci),
+                None => (LocalExpansion::default(), Vec3::ZERO, Vec3::ZERO),
+            };
+            let m = own_moments[ci].m;
+            let phi = s.phi + inh_exp.phi;
+            let g = -(s.dphi + inh_exp.dphi);
+            let inherited_force = -inh_exp.dphi * m + inh_fc;
+            CellGravity {
+                phi,
+                g,
+                force_density: (s.force + inherited_force) / vol,
+                torque_density: (s.torque + inh_tq) / vol,
+            }
+        })
+        .collect()
 }
 
 /// `put` `cell(i, j, k)` — a lattice point mass or not — into every slot
@@ -375,7 +406,15 @@ struct NodeItem {
     near: PairCounts,
 }
 
-/// Summed counters of one same-level pass (serial or futurized).
+/// What one target leaf's work item hands back: its assembled cells and
+/// each pass's pairs.
+struct LeafItem {
+    cells: Vec<CellGravity>,
+    same: PairCounts,
+    near: PairCounts,
+}
+
+/// Summed counters of one solve (serial or futurized).
 #[derive(Default, Clone, Copy)]
 struct PassTotals {
     same: PairCounts,
@@ -385,10 +424,10 @@ struct PassTotals {
 }
 
 impl PassTotals {
-    /// Count one node's item, launched at `site`.
-    fn add(&mut self, item: &NodeItem, site: LaunchSite) {
-        self.same += item.same;
-        self.near += item.near;
+    /// Count one node's item and its pairs, launched at `site`.
+    fn add(&mut self, same: PairCounts, near: PairCounts, site: LaunchSite) {
+        self.same += same;
+        self.near += near;
         match site {
             LaunchSite::Gpu => self.gpu_launches += 1,
             LaunchSite::Cpu => self.cpu_launches += 1,
@@ -437,13 +476,12 @@ struct LevelTable {
 
 /// One solve's lattice tables, indexed by level: a [`LevelTable`] for
 /// each level on which the solve has a leaf to launch.
-struct LeafTables(Vec<Option<Arc<LevelTable>>>);
+struct LeafTables(Vec<Option<LevelTable>>);
 
 impl LeafTables {
-    /// Node `key`'s table: its level's if it is a leaf, `None` if it is
-    /// refined (a refined node never takes one).
-    fn of(&self, tree: &Octree, key: MortonKey) -> Option<&Arc<LevelTable>> {
-        self.0[key.level as usize].as_ref().filter(|_| tree.is_leaf(key))
+    /// The table of a leaf on `level` (one the solve was built for).
+    fn level(&self, level: u8) -> &LevelTable {
+        self.0[level as usize].as_ref().expect("a lattice table for every target leaf's level")
     }
 }
 
@@ -508,20 +546,20 @@ impl FmmSolver {
         tree: &Octree,
         keys: impl IntoIterator<Item = &'a MortonKey>,
     ) -> LeafTables {
-        let mut tables = vec![None; tree.max_level() as usize + 1];
+        let mut tables: Vec<_> = (0..=tree.max_level()).map(|_| None).collect();
         for &key in keys.into_iter().filter(|&&key| tree.is_leaf(key)) {
             let level = key.level;
             tables[level as usize].get_or_insert_with(|| {
                 let rows = |offsets: &[(i32, i32, i32)]| {
                     LatticeRow::rows(offsets, tree.domain().cell_dx(level))
                 };
-                Arc::new(LevelTable {
+                LevelTable {
                     root: if level == 0 { rows(&self.root_offsets) } else { Vec::new() },
                     parity: std::array::from_fn(|p| {
                         if level == 0 { Vec::new() } else { rows(self.stencil.for_parity(p as u8)) }
                     }),
                     near: rows(&self.near_field),
-                })
+                }
             });
         }
         LeafTables(tables)
@@ -716,110 +754,74 @@ impl FmmSolver {
         NodeItem { out, same, near }
     }
 
-    /// The same-level pass over `keys`, one work item per node (module
-    /// docs): a task per node on a CPU-only solver; with a GPU context
-    /// each node's task submits its item to its worker's aggregation
-    /// region, and every region is flushed once all nodes are in.
-    /// Returns the per-node expansions plus the pass totals.
-    fn same_level_pass(
-        self: &Arc<Self>,
-        tree: &Arc<Octree>,
-        moments: &Arc<MomentMap>,
-        rt: &Arc<Runtime>,
-        keys: Vec<MortonKey>,
-    ) -> (HashMap<MortonKey, Vec<LocalExpansion>>, PassTotals) {
-        let sched = rt.scheduler();
-        // Pre-warm the pool so steady-state solves never allocate: a grid
-        // and a near-field buffer for each item that can run at once
-        // (every worker and the helping caller), and an output buffer per
-        // node, held until the downward pass is done.
-        let running = (sched.n_threads() + 1).min(keys.len());
-        self.scratch.ensure(running, self.gather_width(), keys.len() + running);
-        let tables = Arc::new(self.leaf_tables(tree, &keys));
-        let item = |key: MortonKey| {
-            let (solver, tree, moments, tables) =
-                (Arc::clone(self), Arc::clone(tree), Arc::clone(moments), Arc::clone(&tables));
-            move || solver.node_item(&tree, &moments, key, tables.of(&tree, key).map(|t| &**t))
+    /// A refined node's downward step: its totals ([`downward_node`])
+    /// from its item's expansions `same` and its `parent`'s totals (`None`
+    /// at the root). `same` goes back to the pool.
+    fn downward(
+        &self,
+        moments: &MomentMap,
+        key: MortonKey,
+        same: Vec<LocalExpansion>,
+        parent: Option<&[Inherited]>,
+    ) -> Totals {
+        let totals = {
+            let _span = trace::span_labeled(TraceCategory::FmmL2L, || format!("{key:?}"));
+            downward_node(moments, key, &same, parent)
         };
-        let items: Vec<Future<(NodeItem, LaunchSite)>> = match &self.gpu {
-            None => keys
-                .iter()
-                .map(|&key| {
-                    let item = item(key);
-                    rt.async_call(move || (item(), LaunchSite::Cpu))
-                })
-                .collect(),
-            Some(ctx) => {
-                let submits: Vec<_> = keys
-                    .iter()
-                    .map(|&key| {
-                        let kind = match tree.is_leaf(key) {
-                            true => KernelKind::Monopole,
-                            false => KernelKind::Multipole,
-                        };
-                        let (item, solver, sched) = (item(key), Arc::clone(self), Arc::clone(sched));
-                        rt.async_call(move || {
-                            let ctx = solver.gpu.as_ref().expect("a solver with a GPU context");
-                            ctx.submit(sched.current_worker(), kind, key, item)
-                        })
-                    })
-                    .collect();
-                let items = when_all(sched, submits).get_help(sched);
-                // Every node is in: what the thresholds left buffered goes
-                // out now, fused across nodes and workers.
-                ctx.flush_all();
-                items
-            }
+        self.scratch.put_expansions(same);
+        Arc::new(totals)
+    }
+
+    /// One target leaf's work item: [`FmmSolver::node_item`] with its
+    /// level's lattice table, then its cells assembled from its
+    /// expansions and what each translates from its `parent`'s totals
+    /// (`None` at a root leaf), in a `fmm/leaf-assembly` span after the
+    /// item's three. Its expansion buffer goes back to the pool before it
+    /// returns, so a leaf holds one only while its item runs.
+    fn leaf_item(
+        &self,
+        tree: &Octree,
+        moments: &MomentMap,
+        key: MortonKey,
+        table: &LevelTable,
+        parent: Option<&[Inherited]>,
+    ) -> LeafItem {
+        let item = self.node_item(tree, moments, key, Some(table));
+        let cells = {
+            let _span = trace::span_labeled(TraceCategory::FmmLeafAssembly, || format!("{key:?}"));
+            let vol = tree.domain().cell_volume(key.level);
+            assemble_leaf(moments, key, vol, &item.out, parent)
         };
-        let mut same = HashMap::with_capacity(keys.len());
-        let mut totals = PassTotals::default();
-        for (key, (item, site)) in keys.into_iter().zip(when_all(sched, items).get_help(sched)) {
-            totals.add(&item, site);
-            same.insert(key, item.out);
-        }
-        (same, totals)
+        self.scratch.put_expansions(item.out);
+        LeafItem { cells, same: item.same, near: item.near }
     }
 
     /// Run the full solve given precomputed moments (serial reference
-    /// path — same per-node functions as the parallel path).
+    /// path — the same per-node functions, in the same order per node, as
+    /// the futurized graph): the refined nodes top-down, each one's item
+    /// and then its downward step, then every leaf's item.
     pub fn solve_with_moments(&self, tree: &Octree, moments: &MomentMap) -> GravityField {
-        let domain = tree.domain();
-        let mut totals = PassTotals::default();
-        // Same-level pass for every node, keyed per node.
-        let mut same: HashMap<MortonKey, Vec<LocalExpansion>> = HashMap::new();
-        let tables = self.leaf_tables(tree, moments.keys());
-        for &key in moments.keys() {
-            let item = self.node_item(tree, moments, key, tables.of(tree, key).map(|t| &**t));
-            totals.add(&item, LaunchSite::Cpu);
-            same.insert(key, item.out);
-        }
-        // Top-down: inherited (field, f_corr share, torque share).
-        let mut inherited: HashMap<MortonKey, Vec<Inherited>> = HashMap::new();
+        let leaves = tree.leaves();
+        let tables = self.leaf_tables(tree, &leaves);
+        let mut counts = PassTotals::default();
+        let mut totals: HashMap<MortonKey, Totals> = HashMap::new();
         for level in 0..=tree.max_level() {
-            for key in tree.level_keys(level) {
-                if !tree.node(key).expect("node exists").refined {
-                    continue;
-                }
-                let own_inh = inherited.remove(&key);
-                for (child_key, v) in downward_node(moments, &same, key, own_inh.as_ref()) {
-                    inherited.insert(child_key, v);
-                }
+            for key in tree.level_keys(level).into_iter().filter(|&key| !tree.is_leaf(key)) {
+                let item = self.node_item(tree, moments, key, None);
+                counts.add(item.same, item.near, LaunchSite::Cpu);
+                let parent = key.parent().map(|p| Arc::clone(&totals[&p]));
+                let parent = parent.as_deref().map(Vec::as_slice);
+                totals.insert(key, self.downward(moments, key, item.out, parent));
             }
         }
-        // Assemble leaf outputs.
-        let mut cells = HashMap::new();
-        for key in tree.leaves() {
-            let vol = domain.cell_volume(key.level);
-            cells.insert(
-                key,
-                assemble_leaf(vol, &same[&key], inherited.get(&key), &moments[&key]),
-            );
+        let mut cells = HashMap::with_capacity(leaves.len());
+        for key in leaves {
+            let parent = key.parent().map(|p| totals[&p].as_slice());
+            let item = self.leaf_item(tree, moments, key, tables.level(key.level), parent);
+            counts.add(item.same, item.near, LaunchSite::Cpu);
+            cells.insert(key, item.cells);
         }
-        // Recycle the expansion buffers.
-        for (_, buf) in same {
-            self.scratch.put_expansions(buf);
-        }
-        totals.field(cells)
+        counts.field(cells)
     }
 
     /// Futurized steps 2–3 + assembly over the whole tree:
@@ -888,17 +890,16 @@ impl FmmSolver {
         }
     }
 
-    /// Futurized steps 2–3 + assembly *restricted to a shard*: run the
-    /// same-level pass only for `targets` (leaves owned by one
-    /// locality) and their refined ancestors, the downward pass — one
-    /// task per refined node, `when_all` barriers between levels — only
-    /// through those ancestors, and assembly only for `targets`. Results
-    /// are merged by key, so scheduling order never affects the output.
-    /// `moments` must be the complete (globally replicated) moment map,
-    /// so gathered neighbor halos do not depend on `targets` — which
-    /// makes every per-target output bit-identical to the corresponding
-    /// entry of the serial [`FmmSolver::solve_with_moments`], however the
-    /// leaves are split into shards.
+    /// Futurized steps 2–3 + assembly *restricted to a shard*: one
+    /// dataflow graph (module docs) over `targets` (leaves owned by one
+    /// locality) and their refined ancestors — each ancestor's item and
+    /// downward step, each target's item — with no barrier inside it.
+    /// Results are merged by key, so scheduling order never affects the
+    /// output. `moments` must be the complete (globally replicated)
+    /// moment map, so gathered neighbor halos do not depend on `targets`
+    /// — which makes every per-target output bit-identical to the
+    /// corresponding entry of the serial [`FmmSolver::solve_with_moments`],
+    /// however the leaves are split into shards.
     pub fn solve_restricted_parallel(
         self: &Arc<Self>,
         tree: &Arc<Octree>,
@@ -906,86 +907,197 @@ impl FmmSolver {
         targets: &[MortonKey],
         rt: &Arc<Runtime>,
     ) -> GravityField {
-        use std::collections::BTreeSet;
         let sched = Arc::clone(rt.scheduler());
-        let domain = tree.domain();
         // Closure over ancestors: every target leaf needs the downward
-        // contributions of its whole refined ancestor chain.
+        // contributions of its whole refined ancestor chain. In key order,
+        // which is level by level, top-down.
         let mut needed: BTreeSet<MortonKey> = BTreeSet::new();
         for &key in targets {
-            needed.insert(key);
-            let mut cur = key;
-            while let Some(parent) = cur.parent() {
-                if !needed.insert(parent) {
-                    break;
-                }
-                cur = parent;
+            assert!(tree.is_leaf(key), "a target is a leaf: {key:?}");
+            let mut cur = Some(key);
+            while let Some(key) = cur.filter(|&key| needed.insert(key)) {
+                cur = key.parent();
             }
         }
-
-        // Same-level pass, one work item per node, over the needed
-        // closure only.
-        let keys: Vec<MortonKey> = needed.iter().copied().collect();
-        let (same, totals) = self.same_level_pass(tree, moments, rt, keys);
-
-        // Downward pass through the refined needed nodes (= ancestors),
-        // level by level. A needed node's parent is always needed, so
-        // inherited data flows down the full chain.
-        let same = Arc::new(same);
-        let mut inherited: HashMap<MortonKey, Vec<Inherited>> = HashMap::new();
-        for level in 0..=tree.max_level() {
-            let mut futs = Vec::new();
-            for &key in needed.iter().filter(|k| k.level == level) {
-                if !tree.node(key).expect("node exists").refined {
-                    continue;
+        let refined: Vec<MortonKey> =
+            needed.iter().copied().filter(|&key| !tree.is_leaf(key)).collect();
+        // Pre-warm the pool so steady-state solves never allocate: a grid
+        // for each item that can run at once (every worker and the
+        // helping caller), an expansion buffer per refined node, held from
+        // its item to its downward step, and two per running item (a
+        // leaf's output and near field).
+        let running = (sched.n_threads() + 1).min(needed.len());
+        self.scratch.ensure(running, self.gather_width(), refined.len() + 2 * running);
+        let walk = Arc::new(Walk {
+            solver: Arc::clone(self),
+            tree: Arc::clone(tree),
+            moments: Arc::clone(moments),
+            tables: self.leaf_tables(tree, targets),
+            sched: Arc::clone(&sched),
+            counts: Mutex::default(),
+            unsubmitted: AtomicUsize::new(targets.len()),
+        });
+        let items = walk.refined_items(rt, &refined);
+        // Each target's item waits on its parent's totals.
+        let mut leaves_of: HashMap<MortonKey, Vec<Promise<Option<Totals>>>> = HashMap::new();
+        let leaves: Vec<_> = targets
+            .iter()
+            .map(|&key| {
+                let (promise, parent) = Promise::new();
+                match key.parent() {
+                    Some(p) => leaves_of.entry(p).or_default().push(promise),
+                    None => promise.set_value(None),
                 }
-                let own_inh = inherited.remove(&key);
-                let moments = Arc::clone(moments);
-                let same = Arc::clone(&same);
-                futs.push(rt.async_call(move || {
-                    let _span =
-                        trace::span_labeled(TraceCategory::FmmL2L, || format!("{key:?}"));
-                    downward_node(&moments, &same, key, own_inh.as_ref())
-                }));
-            }
-            for children in when_all(&sched, futs).get_help(&sched) {
-                for (child_key, v) in children {
-                    inherited.insert(child_key, v);
-                }
-            }
+                let walk = Arc::clone(&walk);
+                parent.then(&sched, move |parent| walk.leaf(key, parent))
+            })
+            .collect();
+        // The refined nodes' steps, bottom-up so each node's children are
+        // built before it; the root's starts the graph.
+        let mut built: HashMap<MortonKey, Pending> = HashMap::new();
+        for (&key, item) in refined.iter().zip(items).rev() {
+            let node = Pending {
+                key,
+                item,
+                refined: (0..8).filter_map(|o| built.remove(&key.child(o))).collect(),
+                leaves: leaves_of.remove(&key).unwrap_or_default(),
+            };
+            built.insert(key, node);
         }
-
-        // Assemble only the owned leaves.
-        let mut futs = Vec::with_capacity(targets.len());
-        for &key in targets {
-            let own_inh = inherited.remove(&key);
-            let moments = Arc::clone(moments);
-            let same = Arc::clone(&same);
-            futs.push(rt.async_call(move || {
-                let _span =
-                    trace::span_labeled(TraceCategory::FmmLeafAssembly, || format!("{key:?}"));
-                let vol = domain.cell_volume(key.level);
-                (
-                    key,
-                    assemble_leaf(vol, &same[&key], own_inh.as_ref(), &moments[&key]),
-                )
-            }));
+        if let Some(root) = built.remove(&MortonKey::root()) {
+            walk.start(root, None);
         }
-        let mut cells = HashMap::with_capacity(targets.len());
-        for (key, out) in when_all(&sched, futs).get_help(&sched) {
-            cells.insert(key, out);
-        }
-
+        let submitted = when_all(&sched, leaves).get_help(&sched);
+        let done = when_all(&sched, submitted).get_help(&sched);
+        // Every refined step counted itself before releasing its leaves;
+        // its task retires after them, and with it its share of the
+        // totals.
         rt.wait_quiescent();
-        if let Ok(map) = Arc::try_unwrap(same) {
-            for (_, buf) in map {
-                self.scratch.put_expansions(buf);
+        let mut counts = *walk.counts.lock();
+        let mut cells = HashMap::with_capacity(targets.len());
+        for (&key, (leaf, site)) in targets.iter().zip(done) {
+            counts.add(leaf.same, leaf.near, site);
+            cells.insert(key, leaf.cells);
+        }
+        self.publish_counters(rt, &counts);
+        counts.field(cells)
+    }
+}
+
+/// A refined node's place in a futurized solve's graph: its item in
+/// flight and the needed children its downward step feeds — refined ones
+/// by starting their own steps, target leaves by fulfilling the promise
+/// their items wait on.
+struct Pending {
+    key: MortonKey,
+    item: Future<(NodeItem, LaunchSite)>,
+    refined: Vec<Pending>,
+    leaves: Vec<Promise<Option<Totals>>>,
+}
+
+/// What every task of one futurized solve shares.
+struct Walk {
+    solver: Arc<FmmSolver>,
+    tree: Arc<Octree>,
+    moments: Arc<MomentMap>,
+    tables: LeafTables,
+    sched: Arc<Scheduler>,
+    /// The refined nodes' counters (a leaf's come back with its cells).
+    counts: Mutex<PassTotals>,
+    /// Target leaves that have not submitted their item yet (GPU path):
+    /// the last one to submit flushes every region.
+    unsubmitted: AtomicUsize,
+}
+
+impl Walk {
+    /// Launch the items of the `refined` nodes (`HESS = true`) in key
+    /// order, so the root's runs first, and return their futures in that
+    /// order: a task each on a CPU-only solver; with a GPU context each
+    /// task submits its item to its worker's aggregation region, and every
+    /// region is flushed once all are in — the leaves, submitted later,
+    /// wait on these.
+    fn refined_items(
+        self: &Arc<Self>,
+        rt: &Arc<Runtime>,
+        refined: &[MortonKey],
+    ) -> Vec<Future<(NodeItem, LaunchSite)>> {
+        let item = |key: MortonKey| {
+            let walk = Arc::clone(self);
+            move || walk.solver.node_item(&walk.tree, &walk.moments, key, None)
+        };
+        match &self.solver.gpu {
+            None => refined
+                .iter()
+                .map(|&key| {
+                    let item = item(key);
+                    rt.async_call(move || (item(), LaunchSite::Cpu))
+                })
+                .collect(),
+            Some(ctx) => {
+                let submits = refined
+                    .iter()
+                    .map(|&key| {
+                        let (item, walk) = (item(key), Arc::clone(self));
+                        rt.async_call(move || {
+                            let ctx = walk.solver.gpu().expect("a solver with a GPU context");
+                            let worker = walk.sched.current_worker();
+                            ctx.submit(worker, KernelKind::Multipole, key, item)
+                        })
+                    })
+                    .collect();
+                let items = when_all(&self.sched, submits).get_help(&self.sched);
+                ctx.flush_all();
+                items
             }
         }
+    }
 
-        self.publish_counters(rt, &totals);
+    /// Attach `node`'s downward step to its item (`parent`, its parent's
+    /// totals, is in already): one task, which counts the item, sums the
+    /// node's totals, starts its refined children's steps and releases
+    /// its leaves' items.
+    fn start(self: &Arc<Self>, node: Pending, parent: Option<Totals>) {
+        let Pending { key, item, refined, leaves } = node;
+        let walk = Arc::clone(self);
+        // The step's outputs are its children's inputs: its own future
+        // carries nothing.
+        let _ = item.then(&self.sched, move |(item, site)| {
+            walk.counts.lock().add(item.same, item.near, site);
+            let parent = parent.as_deref().map(Vec::as_slice);
+            let totals = walk.solver.downward(&walk.moments, key, item.out, parent);
+            for child in refined {
+                walk.start(child, Some(Arc::clone(&totals)));
+            }
+            for leaf in leaves {
+                leaf.set_value(Some(Arc::clone(&totals)));
+            }
+        });
+    }
 
-        totals.field(cells)
+    /// Target leaf `key`'s item, once its `parent`'s totals are in
+    /// (`None` at a root leaf): run here on a CPU-only solver; with a GPU
+    /// context submitted to this worker's aggregation region as a
+    /// monopole item, the last leaf to submit flushing every region.
+    fn leaf(
+        self: &Arc<Self>,
+        key: MortonKey,
+        parent: Option<Totals>,
+    ) -> Future<(LeafItem, LaunchSite)> {
+        let walk = Arc::clone(self);
+        let run = move || {
+            let (table, parent) = (walk.tables.level(key.level), parent.as_deref().map(Vec::as_slice));
+            walk.solver.leaf_item(&walk.tree, &walk.moments, key, table, parent)
+        };
+        match &self.solver.gpu {
+            None => make_ready_future((run(), LaunchSite::Cpu)),
+            Some(ctx) => {
+                let item = ctx.submit(self.sched.current_worker(), KernelKind::Monopole, key, run);
+                if self.unsubmitted.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    ctx.flush_all();
+                }
+                item
+            }
+        }
     }
 }
 
@@ -993,7 +1105,6 @@ impl FmmSolver {
 mod tests {
     use super::*;
     use crate::direct::{direct_sum, PointMass};
-    use crate::kernels::N_CELLS;
     use octree::geometry::Domain;
     use octree::subgrid::Field;
     use proptest::prelude::*;
@@ -1201,6 +1312,24 @@ mod tests {
         }
     }
 
+    /// A tree that is its root alone: the one leaf's item inherits
+    /// nothing and starts at once, serial and futurized alike.
+    #[test]
+    fn a_root_leaf_solves_alone() {
+        let tree = Arc::new(uniform_tree(0, blob_density));
+        assert_eq!(tree.leaves(), [MortonKey::root()]);
+        let solver = Arc::new(FmmSolver::new(0.5));
+        let serial = solver.solve(&tree);
+        let par = solver.solve_parallel(&tree, &Runtime::new(2));
+        assert!(serial.interactions > 0);
+        assert_eq!(par.interactions, serial.interactions);
+        let (a, b) = (serial.leaf(MortonKey::root()).unwrap(), par.leaf(MortonKey::root()).unwrap());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.phi.to_bits(), y.phi.to_bits());
+            assert_eq!(x.force_density.z.to_bits(), y.force_density.z.to_bits());
+        }
+    }
+
     #[test]
     fn chunk_size_never_changes_bits() {
         // `with_chunk_cells` is accepted and ignored: at any value (1 was
@@ -1249,9 +1378,9 @@ mod tests {
         // and, on a leaf, the near-field one) ...
         assert_eq!(rt.metrics().counter("fmm/chunks").get(), nodes);
         assert_eq!(field.kernel_launches, nodes);
-        // ... and one task each: P2M and assembly per leaf, M2M and L2L
-        // per refined node, the item per node. A join runs no task.
-        assert_eq!(executed() - before, 2 * leaves + 2 * refined + nodes);
+        // ... and one task each: P2M and the item per leaf, M2M, the item
+        // and the downward step per refined node. A join runs no task.
+        assert_eq!(executed() - before, 2 * leaves + 3 * refined);
         assert_eq!(
             rt.metrics().counter("fmm/interactions/same_level").get(),
             field.interactions_same_level

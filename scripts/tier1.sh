@@ -15,7 +15,8 @@
 #   5. rustdoc with warnings denied (broken links, missing docs on amt)
 #   6. the repo benchmark (its own workspace, so nothing above compiles
 #      it) still builds, passes its tests and runs against these crates:
-#      one smoke that bypasses the FMM and one that lives in it
+#      one smoke that bypasses the FMM, one that lives in it and one
+#      that runs it on two localities over the moment wire
 #   7. the three cheap paper-artifact bins run and pass their own gates
 #      (fig23_scaleout and the scenario_gate bin are the expensive two;
 #      step 4 runs the registry the latter prints)
@@ -261,6 +262,11 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     run --quick --only hydro_blast
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     run --quick --only binary_uniform
+# The one workload that ships leaf moments between localities and runs
+# the restricted solve; --quick still checks its digest against the
+# one-locality run.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --quick --only binary_dist2
 
 echo
 echo "== tier-1: paper-artifact bins (each enforces its own gate) =="

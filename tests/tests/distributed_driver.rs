@@ -135,6 +135,24 @@ fn moment_traffic_flows_when_gravity_is_on() {
     assert!(m.get("parcelport/libfabric/bytes_tx") >= m.get("driver/moments/bytes_tx"));
 }
 
+/// A moment parcel carries one leaf's 512 cell masses: 4 149 B on the
+/// wire (`HEADER_BYTES`, the sender, the epoch, the key and 4 096 B of
+/// masses), one per leaf and peer, on both transports.
+#[test]
+fn a_moment_parcel_carries_one_leafs_masses() {
+    for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+        let cluster = Arc::new(
+            Cluster::builder().localities(2).threads_per(2).transport(kind).build(),
+        );
+        let dist = DistributedDriver::builder(star_amr(), cluster).build().expect("driver");
+        dist.solve_gravity().expect("solve");
+        let m = dist.cluster().metrics();
+        let parcels = m.get("driver/moments/parcels_tx");
+        assert_eq!(parcels, dist.assemble().leaves().len() as u64, "{kind}: one parcel a leaf");
+        assert_eq!(m.get("driver/moments/bytes_tx"), 4_149 * parcels, "{kind}: bytes");
+    }
+}
+
 /// Every parcel on the wire belongs to a named driver channel: over a
 /// two-locality run that proposes a regrid, solves gravity and
 /// rebalances, the transport's parcel and byte counts are the sums of

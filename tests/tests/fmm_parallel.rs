@@ -12,6 +12,7 @@ use octotiger::diagnostics::{drift, totals};
 use octotiger::scenario::Scenario;
 use octotiger::Simulation;
 use octree::geometry::Domain;
+use octree::shard::ShardMap;
 use octree::subgrid::Field;
 use octree::tree::Octree;
 use std::sync::{Arc, OnceLock};
@@ -53,7 +54,12 @@ fn assert_bit_identical(
     assert_eq!(a.interactions, b.interactions, "{what}: interaction count");
     assert_eq!(a.pairs_evaluated, b.pairs_evaluated, "{what}: pairs evaluated");
     assert_eq!(a.pairs_full_body, b.pairs_full_body, "{what}: pairs through the full body");
-    for key in tree.leaves() {
+    assert_cells_bit_identical(&tree.leaves(), a, b, what);
+}
+
+/// Every component of every cell of the leaves `keys`, bit for bit.
+fn assert_cells_bit_identical(keys: &[MortonKey], a: &GravityField, b: &GravityField, what: &str) {
+    for &key in keys {
         let ca = a.leaf(key).expect("leaf in serial field");
         let cb = b.leaf(key).expect("leaf in parallel field");
         assert_eq!(ca.len(), cb.len());
@@ -198,6 +204,57 @@ fn steady_state_solves_allocate_no_scratch() {
     assert!(solver.scratch().hits() > 0);
     assert_eq!(rt.metrics().get("fmm/scratch_misses"), misses);
     assert_eq!(rt.metrics().get("fmm/scratch_hits"), solver.scratch().hits());
+}
+
+/// The restricted walk on the AMR tree: split into 1–4 contiguous SFC
+/// shards — at three, a shard's leaves span both leaf levels — each
+/// shard's solve gives its leaves the serial whole-tree solve's cells,
+/// every component bit for bit.
+#[test]
+fn restricted_solves_of_amr_shards_match_the_serial_solve() {
+    let tree = amr_tree();
+    let solver = Arc::new(FmmSolver::new(0.5));
+    let rt = amt::Runtime::new(2);
+    let moments = Arc::new(solver.compute_moments_parallel(&tree, &rt));
+    let full = solver.solve_with_moments(&tree, &moments);
+    let mut spans_levels = false;
+    for n in 1..=4 {
+        let shards = ShardMap::partition(&tree, n).expect("partition");
+        for shard in 0..n as u32 {
+            let owned = shards.owned(shard);
+            spans_levels |= owned.iter().any(|key| key.level != owned[0].level);
+            let part = solver.solve_restricted_parallel(&tree, &moments, owned, &rt);
+            assert_eq!(part.leaves().count(), owned.len());
+            assert_cells_bit_identical(owned, &full, &part, &format!("{n} shards, shard {shard}"));
+        }
+    }
+    assert!(spans_levels, "no shard's leaves span levels");
+}
+
+/// The pool's bound: a cold solve on a fresh solver leaves at most one
+/// expansion buffer per refined node (held from its item to its
+/// downward step) and two per item that can run at once (every worker
+/// and the helping caller) in the pool, and the next solve takes every
+/// buffer from it.
+#[test]
+fn the_pool_holds_a_buffer_per_refined_node_and_two_per_running_item() {
+    let tree = amr_tree();
+    let refined = (0..=tree.max_level())
+        .flat_map(|level| tree.level_keys(level))
+        .filter(|&key| !tree.is_leaf(key))
+        .count();
+    assert_eq!((refined, tree.leaves().len()), (2, 15));
+    for workers in [1usize, 2, 4] {
+        let solver = Arc::new(FmmSolver::new(0.5));
+        let rt = amt::Runtime::new(workers);
+        solver.solve_parallel(&tree, &rt);
+        let pooled = solver.scratch().expansion_buffers();
+        let bound = refined + 2 * (workers + 1);
+        assert!(pooled <= bound, "{workers} workers: {pooled} buffers pooled, bound {bound}");
+        let misses = solver.scratch().misses();
+        solver.solve_parallel(&tree, &rt);
+        assert_eq!(solver.scratch().misses(), misses, "{workers} workers: a warm solve allocated");
+    }
 }
 
 #[test]
