@@ -6,8 +6,10 @@
 //! §5.2). [`DistributedDriver`] reproduces that structure over the
 //! simulated [`Cluster`]: each locality owns a contiguous SFC chunk of
 //! leaves ([`ShardMap`]), runs the futurized TVD-RK2 stage on its own
-//! shard, and talks to the other shards only through typed parcels over
-//! the configured transport (MPI-sim or libfabric-sim):
+//! shard — one task per leaf that gathers its ghosts, takes its RHS and
+//! writes its next state into a spare grid, which is then swapped with
+//! the leaf's grid — and talks to the other shards only through typed
+//! parcels over the configured transport (MPI-sim or libfabric-sim):
 //!
 //! * [`HALO_ACTION`] — a `GridMsg` carrying one leaf's grid, which is
 //!   its interior alone (the halo *push*: sources ship leaf grids into
@@ -17,9 +19,10 @@
 //!   re-homes a leaf,
 //! * [`MOMENT_ACTION`] — a `MomentMsg` carrying one leaf's P2M
 //!   moments as its 512 cell masses (the FMM boundary exchange: a leaf
-//!   cell's moment is a monopole at the cell's centre, so every locality
-//!   rebuilds the leaf's moments bit for bit, completes the moment tree
-//!   from the broadcast leaves and solves only its own targets),
+//!   cell's moment is a monopole at the cell's centre, so the masses
+//!   are the leaf's whole entry in the moment map; every locality
+//!   completes the moment tree from the broadcast leaves and solves only
+//!   its own targets),
 //! * [`REGRID_ACTION`] — one locality's regrid votes, sent to every
 //!   peer,
 //! * [`DT_ACTION`] — one locality's minimum CFL dt over its owned
@@ -43,9 +46,9 @@
 //! 1. every mirror starts with the scenario tree's topology and an
 //!    exact copy of the grids its locality reads;
 //! 2. every leaf is advanced by the same per-leaf kernels
-//!    (`driver::leaf_signal_dt` / `driver::leaf_rhs` /
-//!    `driver::apply_stage1` / `driver::apply_stage2`) on identical
-//!    inputs, whoever owns it;
+//!    (`driver::leaf_signal_dt` / `driver::leaf_stage`, which takes the
+//!    RHS, with `driver::apply_stage1` / `driver::apply_stage2`) on
+//!    identical inputs, whoever owns it;
 //! 3. the wire codec round-trips `f64` bit patterns exactly, received
 //!    messages are merged by key (never by arrival order), and every
 //!    fold is ordered along the SFC — the min-reduce is exact because
@@ -73,19 +76,18 @@
 //! [`MIGRATE_ACTION`]): build a fresh cluster per driver.
 
 use crate::config::Config;
-use crate::driver::{apply_stage1, apply_stage2, leaf_rhs, leaf_signal_dt};
+use crate::driver::{apply_stage1, apply_stage2, leaf_signal_dt, leaf_stage};
 use crate::regrid::{self, RegridPolicy, RegridProposal};
 use crate::scenario::Scenario;
 use amt::trace::{self, TraceCategory};
 use amt::{when_all, Counter, GlobalId};
-use gravity::multipole::Multipole;
 use gravity::solver::{m2m_parallel, p2m_parallel, FmmSolver, GravityField};
 use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::HydroStepper;
 use octree::geometry::Domain;
 use octree::shard::ShardMap;
-use octree::subgrid::{SubGrid, FIELD_COUNT, N_SUB};
+use octree::subgrid::{SubGrid, N_SUB};
 use crate::checkpoint::{self, CheckpointBody, CHECKPOINT_VERSION};
 use bytes::Bytes;
 use octree::tree::Octree;
@@ -132,9 +134,9 @@ struct GridMsg {
 serde::impl_codec_struct!(GridMsg { from, epoch, key, grid });
 
 /// One leaf's P2M moments on the wire (the FMM boundary exchange): each
-/// cell's mass alone, because a leaf cell's moment is a monopole at the
-/// cell's centre, which the receiver knows ([`leaf_moments`]).
-/// Epoch-stamped like [`GridMsg`].
+/// cell's mass, which is all a leaf's entry in the moment map holds (a
+/// leaf cell's moment is a monopole at the cell's centre, which the
+/// receiver knows). Epoch-stamped like [`GridMsg`].
 struct MomentMsg {
     from: u32,
     epoch: u64,
@@ -144,24 +146,19 @@ struct MomentMsg {
 
 serde::impl_codec_struct!(MomentMsg { from, epoch, key, masses });
 
-/// The moments of leaf `key` that a [`MomentMsg`]'s `masses` stand for:
-/// each cell's monopole at its centre in `domain`, the expression P2M
-/// evaluates, so bit for bit the sender's moments. A count other than
-/// one mass per cell is an error.
-fn leaf_moments(domain: &Domain, key: MortonKey, masses: &[f64]) -> Result<Vec<Multipole>> {
-    if masses.len() != N_SUB.pow(3) {
+/// The leaf and the masses a [`MomentMsg`] carries, which go into the
+/// receiver's moment map as they are; a count other than one mass per
+/// cell is an error.
+fn checked_masses(msg: MomentMsg) -> Result<(MortonKey, Vec<f64>)> {
+    if msg.masses.len() != N_SUB.pow(3) {
         return Err(Error::Driver(format!(
-            "the moments of {key:?} carry {} masses, expected {}",
-            masses.len(),
+            "the moments of {:?} carry {} masses, expected {}",
+            msg.key,
+            msg.masses.len(),
             N_SUB.pow(3)
         )));
     }
-    let n = N_SUB as isize;
-    let cells = (0..n).flat_map(|i| (0..n).flat_map(move |j| (0..n).map(move |k| (i, j, k))));
-    Ok(cells
-        .zip(masses)
-        .map(|((i, j, k), &m)| Multipole::monopole(m, domain.cell_center(key, i, j, k)))
-        .collect())
+    Ok((msg.key, msg.masses))
 }
 
 /// One locality's regrid votes on the wire (the proposal collective).
@@ -198,26 +195,6 @@ struct Channel<T> {
     bytes_tx: Counter,
 }
 
-/// The standing step memory of one owned leaf: the RHS its stage task
-/// writes and the pre-step grid the RK2 final stage averages with, a
-/// leaf grid that stage 1 copies over. Each is overwritten whole before
-/// it is read within a step, so a buffer belongs to no leaf in
-/// particular: slot `i` of a locality serves `shard.owned(loc)[i]` for
-/// the step at hand, and a new owned set changes only how many slots a
-/// locality holds (`stage_rhs` re-counts them). They are made on a
-/// run's first step, not at construction: a freshly built driver has
-/// touched none of that memory.
-struct StageBuffers {
-    rhs: Vec<StateVec>,
-    prev: SubGrid,
-}
-
-impl StageBuffers {
-    fn new() -> StageBuffers {
-        StageBuffers { rhs: vec![[0.0; FIELD_COUNT]; N_SUB.pow(3)], prev: SubGrid::new() }
-    }
-}
-
 /// Where one message of an exchange round goes.
 #[derive(Clone, Copy)]
 enum Dest {
@@ -241,9 +218,15 @@ pub struct DistributedDriver {
     /// ([`resident_sets`], [`Octree::check_grids_on`]). A read of any
     /// other leaf's grid finds none.
     mirrors: Vec<Arc<Octree>>,
-    /// `stage[loc][i]` is the step memory of `shard.owned(loc)[i]`: a
-    /// steady-state step allocates no RHS and no stage grid.
-    stage: Vec<Vec<StageBuffers>>,
+    /// `spares[loc][i]` is the spare grid of `shard.owned(loc)[i]`, which
+    /// its stage task writes the leaf's next state into and a swap then
+    /// trades for the leaf's tree grid. Each is overwritten whole before
+    /// it is read, so a spare belongs to no leaf in particular: a new
+    /// owned set changes only how many a locality holds
+    /// ([`DistributedDriver::stage`] re-counts them). They are made on a
+    /// run's first step, so a freshly built driver has touched none of
+    /// that memory, and a steady-state step allocates no grid.
+    spares: Vec<Vec<SubGrid>>,
     halo: Channel<GridMsg>,
     moment: Channel<MomentMsg>,
     regrid: Channel<RegridMsg>,
@@ -418,7 +401,7 @@ impl DistributedDriver {
         );
 
         let driver = DistributedDriver {
-            stage: Vec::new(),
+            spares: Vec::new(),
             stale_epoch_drops,
             regrids: m.counter("driver/regrids"),
             rebalances: m.counter("driver/rebalances"),
@@ -751,7 +734,7 @@ impl DistributedDriver {
 
     /// The global CFL time step of the current state: one task per owned
     /// leaf, launched on *all* localities first, then collected, as the
-    /// stage RHS and apply are. Each shard folds its dts in SFC order
+    /// stage tasks are. Each shard folds its dts in SFC order
     /// and sends the minimum to every peer as a [`DT_ACTION`] parcel;
     /// every locality folds its own and the received minima, ordered by
     /// sender, with `f64::min` — bit-equal to the global ordered fold,
@@ -802,10 +785,11 @@ impl DistributedDriver {
 
     /// The gravitational field of the current state, one per locality
     /// over the leaves it owns (`None` when gravity is off). Every
-    /// locality P2Ms its owned leaves, broadcasts
-    /// them as [`MOMENT_ACTION`] parcels, completes the moment tree from
-    /// what it receives (merge by key, then M2M), and runs the
-    /// restricted FMM walk over its own targets only.
+    /// locality P2Ms its owned leaves' cell masses, broadcasts them as
+    /// [`MOMENT_ACTION`] parcels, completes the moment tree from what it
+    /// receives (the masses go into its map by key, then M2M), and runs
+    /// the restricted FMM walk over its own targets only. A parcel with
+    /// other than one mass per cell is an error.
     pub fn solve_gravity(&self) -> Result<Vec<Option<Arc<GravityField>>>> {
         let n = self.cluster.len();
         let Some(solver) = &self.solver else {
@@ -822,7 +806,7 @@ impl DistributedDriver {
         let sends = (0..n).flat_map(|src| {
             let own = &own[src];
             self.shard.owned(src as u32).iter().map(move |&key| {
-                let masses = own[&key].iter().map(|cell| cell.m).collect();
+                let masses = own[&key].clone();
                 (src, Dest::Peers, MomentMsg { from: src as u32, epoch, key, masses })
             })
         });
@@ -831,9 +815,9 @@ impl DistributedDriver {
         let _solve_span = trace::span(TraceCategory::GravitySolve);
         let mut fields = Vec::with_capacity(n);
         for (loc, (mut leaf_map, msgs)) in own.into_iter().zip(inbound).enumerate() {
-            let domain = self.mirrors[loc].domain();
             for msg in msgs {
-                leaf_map.insert(msg.key, Arc::new(leaf_moments(&domain, msg.key, &msg.masses)?));
+                let (key, masses) = checked_masses(msg)?;
+                leaf_map.insert(key, masses);
             }
             if leaf_map.len() != self.shard.n_leaves() {
                 return Err(Error::Driver(format!(
@@ -855,30 +839,38 @@ impl DistributedDriver {
         Ok(fields)
     }
 
-    /// The full RHS of every shard's owned leaves for the current state,
-    /// into their standing buffers: gravity solve, then one futurized
-    /// RHS task per leaf, which gathers the leaf's ghosts from its own
-    /// mirror's interiors first — launched on *all* localities first,
-    /// then collected, so shards overlap. A task takes its leaf's buffer
-    /// by move and hands it back through its future.
-    fn stage_rhs(&mut self) -> Result<()> {
+    /// One TVD-RK2 stage of every shard's owned leaves: the gravity
+    /// solve, then one futurized task per leaf ([`leaf_stage`]) that
+    /// gathers the leaf's ghosts from its own mirror's interiors, takes
+    /// its RHS and writes its next state with `update(spare, grid, rhs,
+    /// origin, dx)` into its spare grid, taken by move and handed back
+    /// through its future (`origin`/`dx` locate the leaf for the floors'
+    /// spin-ledger deposit) — launched on *all* localities first, then
+    /// collected, so shards overlap. No task writes the tree, which its
+    /// neighbours' tasks read ghosts from; once a locality's tasks have
+    /// retired, each spare is swapped with its leaf's grid.
+    fn stage(
+        &mut self,
+        update: impl Fn(&mut SubGrid, &SubGrid, &[StateVec], Vec3, f64) + Copy + Send + 'static,
+    ) -> Result<()> {
         let grav = self.solve_gravity()?;
         let (n, bc, stepper, frame) = (self.cluster.len(), self.config.bc, self.stepper, self.frame);
-        // One slot per owned leaf: a no-op except on a run's first step
+        // One spare per owned leaf: a no-op except on a run's first step
         // and after a regrid or rebalance changed the owned sets.
-        self.stage.resize_with(n, Vec::new);
+        self.spares.resize_with(n, Vec::new);
         let mut pending = Vec::with_capacity(n);
-        for (loc, slots) in self.stage.iter_mut().enumerate() {
+        for (loc, spares) in self.spares.iter_mut().enumerate() {
             let (rt, owned) = (self.cluster.locality(loc).runtime(), self.shard.owned(loc as u32));
-            slots.resize_with(owned.len(), StageBuffers::new);
-            let futs = owned.iter().zip(slots).map(|(&key, slot)| {
+            let domain = self.mirrors[loc].domain();
+            spares.resize_with(owned.len(), SubGrid::new);
+            let futs = owned.iter().zip(std::mem::take(spares)).map(|(&key, mut spare)| {
                 let (tree, g) = (Arc::clone(&self.mirrors[loc]), grav[loc].clone());
-                let mut rhs = std::mem::take(&mut slot.rhs);
+                let (origin, dx) = (domain.node_origin(key), domain.cell_dx(key.level));
                 rt.async_call(move || {
-                    let _span =
-                        trace::span_labeled(TraceCategory::HydroRhs, || format!("{key:?}"));
-                    leaf_rhs(&tree, key, bc, g.as_deref(), stepper, frame, &mut rhs);
-                    rhs
+                    leaf_stage(&tree, key, bc, g.as_deref(), stepper, frame, |rhs, grid| {
+                        update(&mut spare, grid, rhs, origin, dx);
+                    });
+                    spare
                 })
             });
             pending.push(futs.collect());
@@ -887,13 +879,15 @@ impl DistributedDriver {
             let rt = self.cluster.locality(loc).runtime();
             let sched = Arc::clone(rt.scheduler());
             // `when_all` yields results in input order = slot order.
-            let filled = when_all(&sched, futs).get_help(&sched);
-            for (slot, rhs) in self.stage[loc].iter_mut().zip(filled) {
-                slot.rhs = rhs;
-            }
-            // Tasks still hold mirror Arcs until fully retired; drain
-            // them so the apply phase's Arc::get_mut cannot race.
+            let mut spares = when_all(&sched, futs).get_help(&sched);
+            // Tasks still hold mirror Arcs until fully retired.
             rt.wait_quiescent();
+            let tree = exclusive(&mut self.mirrors[loc]);
+            for (&key, spare) in self.shard.owned(loc as u32).iter().zip(&mut spares) {
+                let grid = tree.node_mut(key).and_then(|node| node.grid.as_mut());
+                std::mem::swap(grid.expect("leaf grid"), spare);
+            }
+            self.spares[loc] = spares;
         }
         Ok(())
     }
@@ -915,57 +909,18 @@ impl DistributedDriver {
         self.push_interiors(|d| &d.halo, "halo messages", plan)
     }
 
-    /// One stage update: `update(grid, stage, origin, dx)` as one task
-    /// per owned leaf — launched on *all* localities first, then
-    /// collected, like [`DistributedDriver::stage_rhs`]. A task owns its
-    /// leaf's grid, taken out of the mirror, and its stage slot, taken
-    /// out of the locality's slots, and hands both back through its
-    /// future (`origin`/`dx` locate the leaf for the floors' spin-ledger
-    /// deposit).
-    fn update_owned_grids(
-        &mut self,
-        update: impl Fn(&mut SubGrid, &mut StageBuffers, Vec3, f64) + Copy + Send + 'static,
-    ) {
-        let mut pending = Vec::with_capacity(self.cluster.len());
-        for (loc, slots) in self.stage.iter_mut().enumerate() {
-            let rt = self.cluster.locality(loc).runtime();
-            let tree = exclusive(&mut self.mirrors[loc]);
-            let domain = tree.domain();
-            let slots = std::mem::take(slots);
-            let futs = self.shard.owned(loc as u32).iter().zip(slots).map(|(&key, mut stage)| {
-                let mut grid = tree.node_mut(key).and_then(|n| n.grid.take()).expect("leaf grid");
-                let (origin, dx) = (domain.node_origin(key), domain.cell_dx(key.level));
-                rt.async_call(move || {
-                    let _span =
-                        trace::span_labeled(TraceCategory::HydroApply, || format!("{key:?}"));
-                    update(&mut grid, &mut stage, origin, dx);
-                    (grid, stage)
-                })
-            });
-            pending.push(futs.collect());
-        }
-        for (loc, futs) in pending.into_iter().enumerate() {
-            let sched = Arc::clone(self.cluster.locality(loc).runtime().scheduler());
-            let tree = exclusive(&mut self.mirrors[loc]);
-            let done = when_all(&sched, futs).get_help(&sched);
-            let slots = &mut self.stage[loc];
-            for (&key, (grid, stage)) in self.shard.owned(loc as u32).iter().zip(done) {
-                tree.node_mut(key).expect("leaf").grid = Some(grid);
-                slots.push(stage);
-            }
-        }
-    }
-
     /// Advance one TVD-RK2 step; returns the dt taken.
     ///
     /// Phases: cadence-driven regrid collective → dt exchange round →
-    /// moment exchange + restricted FMM → stage-1 RHS (each
-    /// leaf's task gathers its own ghosts) → stage-1 apply (a task per
-    /// leaf) → interior exchange → moment exchange + FMM → stage-2
-    /// RHS/apply → interior exchange. No phase fills or reads the
-    /// mirrors' ghost cells, and none waits on a barrier: the last
-    /// exchange round already ends with the fabric drained and every
-    /// locality's count checked.
+    /// moment exchange + restricted FMM → stage 1 (a task per leaf: it
+    /// gathers its own ghosts, takes its RHS and writes the forward
+    /// Euler state into the leaf's spare; then every spare is swapped
+    /// with its leaf's grid) → interior exchange → moment exchange + FMM
+    /// → stage 2 (the RK2 average, into the spare that now holds the
+    /// pre-step state; swapped the same way) → interior exchange. No
+    /// phase fills or reads the mirrors' ghost cells, and none waits on
+    /// a barrier: the last exchange round already ends with the fabric
+    /// drained and every locality's count checked.
     /// [`DistributedDriver::rebalance`] is never called from here: every
     /// partition a run installs itself is the balanced one.
     pub fn step(&mut self) -> Result<f64> {
@@ -983,19 +938,17 @@ impl DistributedDriver {
             return Err(Error::Driver(format!("CFL produced dt = {dt}")));
         }
 
-        // Stage 1 (forward Euler); keeps the pre-update interiors the
-        // RK2 final stage needs.
-        self.stage_rhs()?;
-        self.update_owned_grids(move |grid, stage, origin, dx| {
-            apply_stage1(stepper, grid, &mut stage.prev, &stage.rhs, dt, floors, origin, dx);
-        });
+        // Stage 1 (forward Euler); its swap leaves the pre-step grids in
+        // the spares, for the RK2 final stage.
+        self.stage(move |spare, grid, rhs, origin, dx| {
+            apply_stage1(stepper, spare, grid, rhs, dt, floors, origin, dx);
+        })?;
         self.exchange_interiors()?;
 
         // Stage 2 (TVD-RK2 average).
-        self.stage_rhs()?;
-        self.update_owned_grids(move |grid, stage, origin, dx| {
-            apply_stage2(stepper, grid, &stage.prev, &stage.rhs, dt, floors, origin, dx);
-        });
+        self.stage(move |spare, grid, rhs, origin, dx| {
+            apply_stage2(stepper, spare, grid, rhs, dt, floors, origin, dx);
+        })?;
         self.exchange_interiors()?;
 
         self.time += dt;
@@ -1199,7 +1152,9 @@ fn rebuild_topology(
 mod tests {
     use super::*;
     use crate::driver::Simulation;
+    use gravity::multipole::Multipole;
     use octree::subgrid::{Field, ALL_FIELDS};
+    use std::collections::HashMap;
     use parcelport::fault::FaultPlan;
     use parcelport::netmodel::TransportKind;
     use parcelport::reliable::ReliablePolicy;
@@ -1222,24 +1177,36 @@ mod tests {
     }
 
     /// A moment parcel's masses rebuild the sender's P2M moments bit for
-    /// bit; a parcel with a cell missing is an error, not a short leaf.
+    /// bit: off the wire and into the receiver's map, they complete the
+    /// moment tree the serial pass builds from the grids. A parcel with a
+    /// cell missing is an error, not a short leaf.
     #[test]
     fn masses_rebuild_the_p2m_moments_bit_for_bit() {
         let sim = Simulation::new(Scenario::single_star(1));
         let tree = Arc::new(sim.tree().clone());
         let p2m = p2m_parallel(&tree, &tree.leaves(), sim.runtime());
-        for (&key, cells) in &p2m {
-            let masses: Vec<f64> = cells.iter().map(|cell| cell.m).collect();
-            let rebuilt = leaf_moments(&tree.domain(), key, &masses).expect("512 masses");
-            for (a, b) in cells.iter().zip(&rebuilt) {
-                assert_eq!(a.m.to_bits(), b.m.to_bits());
-                for (u, v) in a.com.to_array().iter().zip(b.com.to_array()) {
-                    assert_eq!(u.to_bits(), v.to_bits(), "{key:?}: centre");
-                }
+        let mut received = HashMap::new();
+        for (&key, masses) in &p2m {
+            let msg = MomentMsg { from: 1, epoch: 0, key, masses: masses.clone() };
+            let wire = parcelport::to_bytes(&msg).unwrap();
+            let short = MomentMsg { from: 1, epoch: 0, key, masses: masses[1..].to_vec() };
+            let (key, masses) = checked_masses(parcelport::from_bytes(&wire).unwrap()).unwrap();
+            received.insert(key, masses);
+            let short = checked_masses(short);
+            assert!(matches!(short, Err(Error::Driver(why)) if why.contains("511 masses")));
+        }
+        let rebuilt = m2m_parallel(&tree, received, sim.runtime());
+        let reference = FmmSolver::new(0.5).compute_moments(&tree);
+        assert_eq!(rebuilt.len(), reference.len());
+        let domain = tree.domain();
+        for (key, want) in &reference {
+            let (want, got) = (want.cells(&domain, *key), rebuilt[key].cells(&domain, *key));
+            for (i, j, k) in SubGrid::new().indexer().interior() {
+                let (a, b) = (want(i, j, k), got(i, j, k));
+                let bits = |c: Multipole| [c.m, c.com.x, c.com.y, c.com.z].map(f64::to_bits);
+                assert_eq!(bits(a), bits(b), "{key:?} ({i},{j},{k})");
                 assert!(a.q.iter().zip(&b.q).all(|(u, v)| u.to_bits() == v.to_bits()));
             }
-            let short = leaf_moments(&tree.domain(), key, &masses[1..]);
-            assert!(matches!(short, Err(Error::Driver(why)) if why.contains("511 masses")));
         }
     }
 
@@ -1286,9 +1253,10 @@ mod tests {
         assert!(t.mass > 0.0);
     }
 
-    /// A one-locality step runs one task per leaf and phase — dt, two
-    /// RHS, two applies — and nothing else: no exchange round spawns a
-    /// task when there is no peer.
+    /// A one-locality step runs one task per leaf and phase — dt and the
+    /// two stages, each of which takes the RHS and writes the update —
+    /// and nothing else: no exchange round spawns a task when there is
+    /// no peer.
     #[test]
     fn a_one_locality_step_runs_only_per_leaf_tasks() {
         let cluster = Arc::new(Cluster::builder().threads_per(2).build());
@@ -1298,7 +1266,7 @@ mod tests {
             |d: &DistributedDriver| d.cluster().metrics().get("locality/0/tasks/executed");
         let before = executed(&dist);
         dist.step().unwrap();
-        assert_eq!(executed(&dist) - before, 5 * dist.shard.n_leaves() as u64);
+        assert_eq!(executed(&dist) - before, 3 * dist.shard.n_leaves() as u64);
     }
 
     /// At four localities the dt round returns the global minimum — the
@@ -1428,24 +1396,30 @@ mod tests {
         assert_eq!(dist.stale_epoch_drops(), 0);
     }
 
-    /// Where every stage slot's two buffers live.
-    fn stage_pointers(d: &DistributedDriver) -> Vec<(*const StateVec, *const f64)> {
-        d.stage
-            .iter()
-            .flatten()
-            .map(|slot| (slot.rhs.as_ptr(), slot.prev.field(Field::Rho).as_ptr()))
-            .collect()
+    /// Where every slot's spare and its leaf's tree grid live.
+    fn stage_pointers(d: &DistributedDriver) -> Vec<(*const f64, *const f64)> {
+        let rho = |grid: &SubGrid| grid.field(Field::Rho).as_ptr();
+        let mut pointers = Vec::new();
+        for (loc, spares) in d.spares.iter().enumerate() {
+            for (&key, spare) in d.shard.owned(loc as u32).iter().zip(spares) {
+                let grid = d.mirrors[loc].node(key).unwrap().grid.as_ref().unwrap();
+                pointers.push((rho(spare), rho(grid)));
+            }
+        }
+        pointers
     }
 
     fn assert_one_slot_per_owned_leaf(d: &DistributedDriver) {
-        for (loc, slots) in d.stage.iter().enumerate() {
-            assert_eq!(slots.len(), d.shard.owned(loc as u32).len(), "locality {loc}");
+        for (loc, spares) in d.spares.iter().enumerate() {
+            assert_eq!(spares.len(), d.shard.owned(loc as u32).len(), "locality {loc}");
         }
     }
 
-    /// A steady-state step allocates no RHS and no stage grid: the
-    /// buffers the tasks took by move come back to the same slots, on
-    /// the loopback driver and across two localities with gravity on.
+    /// A steady-state step allocates no grid: each slot holds one spare
+    /// and no RHS, and after every full step the spare and its leaf's
+    /// tree grid are the same two allocations as after step 1 — each
+    /// stage swaps them once, so a step's two swaps cancel — on the
+    /// loopback driver and across two localities with gravity on.
     #[test]
     fn stage_buffers_stand_across_steps() {
         for (scenario, localities) in [(Scenario::sod(1), 1), (Scenario::mini_binary(2), 2)] {
@@ -1453,14 +1427,15 @@ mod tests {
             let cluster =
                 Arc::new(Cluster::builder().localities(localities).threads_per(2).build());
             let mut dist = DistributedDriver::builder(scenario, cluster).build().unwrap();
-            assert!(dist.stage.is_empty(), "{name}: construction must not touch stage memory");
+            assert!(dist.spares.is_empty(), "{name}: construction must not touch stage memory");
             dist.step().unwrap();
             assert_one_slot_per_owned_leaf(&dist);
             let standing = stage_pointers(&dist);
             assert_eq!(standing.len(), dist.shard.n_leaves());
+            assert!(standing.iter().all(|(spare, grid)| spare != grid), "{name}: two grids a slot");
             for step in 2..=4 {
                 dist.step().unwrap();
-                assert_eq!(stage_pointers(&dist), standing, "{name}: step {step} moved a buffer");
+                assert_eq!(stage_pointers(&dist), standing, "{name}: step {step} moved a grid");
             }
         }
     }
@@ -1569,7 +1544,7 @@ mod tests {
             DistributedDriver::builder(make(), cluster).skewed_partition(800).build().unwrap();
         let slots = |d: &DistributedDriver| -> Vec<usize> {
             assert_one_slot_per_owned_leaf(d);
-            d.stage.iter().map(Vec::len).collect()
+            d.spares.iter().map(Vec::len).collect()
         };
         let mut step_both = |dist: &mut DistributedDriver, what: &str| {
             let dt_ref = reference.step();

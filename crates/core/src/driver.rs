@@ -20,7 +20,7 @@ use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::{cfl_dt, HydroStepper};
 use octree::halo::{gather_ghosts, BoundaryCondition};
-use octree::subgrid::{Field, SubGrid, N_SUB};
+use octree::subgrid::{Field, SubGrid, FIELD_COUNT, N_SUB};
 use octree::tree::Octree;
 use parcelport::cluster::Cluster;
 use std::cell::RefCell;
@@ -45,13 +45,45 @@ pub(crate) fn leaf_signal_dt(
     cfl_dt(tree.domain().cell_dx(key.level), a, cfl)
 }
 
+/// One TVD-RK2 stage of leaf `key`, out of place: the leaf's full RHS
+/// ([`leaf_rhs`]) into a scratch of the calling thread, in a `hydro/rhs`
+/// span, then `update(rhs, grid)` with the leaf's tree grid in a
+/// `hydro/apply` span after it (siblings, so the two kernels' times never
+/// count twice). `update` writes the leaf's next state somewhere else —
+/// the tree stays read-only while the stage's tasks run, because its
+/// neighbours' tasks gather their ghosts from it.
+pub(crate) fn leaf_stage(
+    tree: &Octree,
+    key: MortonKey,
+    bc: BoundaryCondition,
+    grav: Option<&GravityField>,
+    stepper: HydroStepper,
+    frame: RotatingFrame,
+    update: impl FnOnce(&[StateVec], &SubGrid),
+) {
+    // One per thread, never one per leaf: `leaf_rhs` overwrites every
+    // entry, so the buffer carries nothing from one leaf to the next.
+    thread_local! {
+        static RHS: RefCell<Vec<StateVec>> = RefCell::new(vec![[0.0; FIELD_COUNT]; N_SUB.pow(3)]);
+    }
+    let label = || format!("{key:?}");
+    RHS.with_borrow_mut(|rhs| {
+        {
+            let _span = trace::span_labeled(TraceCategory::HydroRhs, label);
+            leaf_rhs(tree, key, bc, grav, stepper, frame, rhs);
+        }
+        let _span = trace::span_labeled(TraceCategory::HydroApply, label);
+        update(rhs, tree.node(key).and_then(|node| node.grid.as_ref()).expect("leaf grid"));
+    });
+}
+
 /// Full RHS (hydro + gravity + rotating-frame sources) of one leaf,
 /// written over `rhs` (one entry per interior cell). The flux sweep
 /// runs on the leaf's grid with its ghosts gathered under `bc` from the
 /// interiors of its halo sources, which must be current, into a
 /// ghosted scratch grid of the calling thread — the only ghosted grid
 /// a run makes. `grav`, when present, must cover `key`.
-pub(crate) fn leaf_rhs(
+fn leaf_rhs(
     tree: &Octree,
     key: MortonKey,
     bc: BoundaryCondition,
@@ -124,44 +156,50 @@ pub(crate) fn leaf_rhs(
     frame.add_sources(grid, domain.node_origin(key), dx, rhs);
 }
 
-/// Stage-1 (forward Euler) update of one leaf; first copies the
-/// pre-update grid the RK2 final stage needs over `prev`.
-/// `origin`/`dx` locate the leaf so the floors can deposit removed
-/// `r × s` into the spin ledger.
+/// Stage-1 (forward Euler) update of one leaf, out of place: `next`
+/// becomes `grid` advanced by `rhs` over `dt`, floored. `next`'s old
+/// contents are overwritten whole; `grid` keeps the pre-update state the
+/// RK2 final stage averages with. `origin`/`dx` locate the leaf so the
+/// floors can deposit removed `r × s` into the spin ledger.
 pub(crate) fn apply_stage1(
     stepper: HydroStepper,
-    grid: &mut SubGrid,
-    prev: &mut SubGrid,
+    next: &mut SubGrid,
+    grid: &SubGrid,
     rhs: &[StateVec],
     dt: f64,
     floors: bool,
     origin: Vec3,
     dx: f64,
 ) {
-    prev.clone_from(grid);
-    stepper.apply(grid, rhs, dt);
+    next.clone_from(grid);
+    stepper.apply(next, rhs, dt);
     if floors {
-        stepper.enforce_floors(grid, origin, dx);
+        stepper.enforce_floors(next, origin, dx);
     }
 }
 
-/// Stage-2 (TVD-RK2 average) update of one leaf with the grid
-/// [`apply_stage1`] kept.
+/// Stage-2 (TVD-RK2 average) update of one leaf, out of place: `prev`
+/// holds the pre-step state [`apply_stage1`] left behind and becomes
+/// `0.5 * (U1 + U0 + dt · du)`, where `grid` holds the stage-1 state
+/// `U1`. That is [`HydroStepper::apply_rk2_final`] with the two grids'
+/// roles exchanged, and it rounds as the in-place `0.5 * (U0 + U1 +
+/// dt · du)` does: IEEE addition is commutative, so the first sum is the
+/// same double either way.
 pub(crate) fn apply_stage2(
     stepper: HydroStepper,
-    grid: &mut SubGrid,
-    prev: &SubGrid,
+    prev: &mut SubGrid,
+    grid: &SubGrid,
     rhs: &[StateVec],
     dt: f64,
     floors: bool,
     origin: Vec3,
     dx: f64,
 ) {
-    stepper.apply_rk2_final(grid, prev, rhs, dt);
+    stepper.apply_rk2_final(prev, grid, rhs, dt);
     if floors {
-        stepper.enforce_floors(grid, origin, dx);
+        stepper.enforce_floors(prev, origin, dx);
     }
-    stepper.resync_tau(grid);
+    stepper.resync_tau(prev);
 }
 
 /// A running single-process simulation: a [`DistributedDriver`] over a
@@ -366,6 +404,64 @@ mod tests {
                 assert_eq!(sim.step().to_bits(), want.to_bits(), "{name}: step {step}'s dt");
             }
             assert_eq!(sim.dt_history.len(), 2);
+        }
+    }
+
+    /// The out-of-place stages — stage 1 copied into a spare and updated
+    /// there, stage 2 averaged into the spare holding the pre-step state
+    /// with the grids' roles exchanged — round every field of every cell
+    /// as the in-place sequence they replaced does, on `mini_binary`
+    /// leaves where the floors fire (a step eight times the CFL dt
+    /// drives some cells' density below the floor).
+    #[test]
+    fn out_of_place_stages_round_as_the_in_place_ones() {
+        let sim = Simulation::new(Scenario::mini_binary(2));
+        let (tree, config) = (sim.tree(), sim.config);
+        let (stepper, frame) = (HydroStepper::new(config.eos), RotatingFrame::new(config.omega));
+        let grav = sim.solve_gravity();
+        let dt = 8.0 * sim.compute_dt();
+        let below_floor = |grid: &SubGrid| {
+            grid.field(Field::Rho).iter().filter(|&&rho| rho < hydro::prim::RHO_FLOOR).count()
+        };
+        let mut fired = 0;
+        for key in tree.leaves() {
+            let domain = tree.domain();
+            let (origin, dx) = (domain.node_origin(key), domain.cell_dx(key.level));
+            let mut rhs = Vec::new();
+            leaf_stage(tree, key, config.bc, grav.as_deref(), stepper, frame, |du, _| {
+                rhs = du.to_vec();
+            });
+            let u0 = tree.node(key).unwrap().grid.clone().unwrap();
+            // The in-place oracle: the grid updated itself, U0 copied aside.
+            let (mut grid, mut prev) = (u0.clone(), SubGrid::new());
+            prev.clone_from(&grid);
+            stepper.apply(&mut grid, &rhs, dt);
+            fired += below_floor(&grid);
+            stepper.enforce_floors(&mut grid, origin, dx);
+            let u1 = grid.clone();
+            stepper.apply_rk2_final(&mut grid, &prev, &rhs, dt);
+            fired += below_floor(&grid);
+            stepper.enforce_floors(&mut grid, origin, dx);
+            stepper.resync_tau(&mut grid);
+            // Out of place, into a spare that holds garbage.
+            let (mut tree_grid, mut spare) = (u0, SubGrid::new());
+            spare.field_mut(Field::Rho).fill(f64::NAN);
+            apply_stage1(stepper, &mut spare, &tree_grid, &rhs, dt, true, origin, dx);
+            std::mem::swap(&mut tree_grid, &mut spare);
+            assert_same_bits(&tree_grid, &u1, &format!("{key:?} stage 1"));
+            apply_stage2(stepper, &mut spare, &tree_grid, &rhs, dt, true, origin, dx);
+            std::mem::swap(&mut tree_grid, &mut spare);
+            assert_same_bits(&tree_grid, &grid, &format!("{key:?} stage 2"));
+        }
+        assert!(fired > 0, "the floors must fire on some leaf");
+    }
+
+    fn assert_same_bits(a: &SubGrid, b: &SubGrid, what: &str) {
+        for f in octree::subgrid::ALL_FIELDS {
+            for (i, j, k) in a.indexer().interior() {
+                let (x, y) = (a.at(f, i, j, k), b.at(f, i, j, k));
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: {f:?} ({i},{j},{k})");
+            }
         }
     }
 

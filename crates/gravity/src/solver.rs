@@ -2,7 +2,10 @@
 //!
 //! 1. **Up**: per-cell multipole moments at every level — leaf cells are
 //!    point masses (`m = ρ V` at the cell centre, locally homogeneous
-//!    density), refined nodes aggregate 2×2×2 child cells by M2M.
+//!    density), refined nodes aggregate 2×2×2 child cells by M2M. The
+//!    [`MomentMap`] keeps a leaf's cell masses alone, since the rest of
+//!    its cells' moments is a function of the key, and its readers
+//!    rebuild the monopoles as P2M evaluates them ([`NodeMoments`]).
 //! 2. **Same-level**: every node runs the stencil kernels over its own
 //!    cells plus the gathered neighbor halo; leaves additionally run the
 //!    near-field pass (offsets inside the opening criterion).
@@ -105,6 +108,7 @@ use crate::stencil::Stencil;
 use crate::tensors::LatticeRow;
 use amt::trace::{self, TraceCategory};
 use amt::{make_ready_future, when_all, Future, Promise, Runtime, Scheduler};
+use octree::geometry::Domain;
 use octree::subgrid::{Field, N_SUB};
 use octree::tree::Octree;
 use parking_lot::Mutex;
@@ -114,10 +118,56 @@ use std::sync::Arc;
 use util::morton::MortonKey;
 use util::vec3::Vec3;
 
-/// Per-cell multipole moments of every node, keyed by node. Values are
-/// `Arc`ed so per-level snapshots taken by the parallel moment pass are
-/// O(nodes) pointer bumps, not deep copies.
-pub type MomentMap = HashMap<MortonKey, Arc<Vec<Multipole>>>;
+/// Per-cell moments of every node, keyed by node. Values are `Arc`ed so
+/// per-level snapshots taken by the parallel moment pass are O(nodes)
+/// pointer bumps, not deep copies.
+pub type MomentMap = HashMap<MortonKey, Arc<NodeMoments>>;
+
+/// Each leaf's 512 cell masses, keyed by leaf: what P2M produces
+/// ([`p2m_parallel`]), what the distributed moment exchange carries and
+/// what [`m2m_parallel`] completes into a [`MomentMap`].
+pub type LeafMasses = HashMap<MortonKey, Vec<f64>>;
+
+/// The per-cell moments of one node, in interior order.
+#[derive(Debug, Clone)]
+pub enum NodeMoments {
+    /// A leaf: each cell's mass alone. A leaf cell's moment is a
+    /// monopole at the cell's centre (locally homogeneous density), a
+    /// function of the key but for the mass, so it is rebuilt where it
+    /// is read ([`NodeMoments::cells`]), as P2M evaluates it.
+    Leaf(Vec<f64>),
+    /// A refined node: its cells' multipoles, built by M2M.
+    Refined(Vec<Multipole>),
+}
+
+impl NodeMoments {
+    /// Cell `ci`'s mass.
+    fn mass(&self, ci: usize) -> f64 {
+        match self {
+            NodeMoments::Leaf(masses) => masses[ci],
+            NodeMoments::Refined(cells) => cells[ci].m,
+        }
+    }
+
+    /// The multipole of cell `(i, j, k)`, for these moments of node
+    /// `key` in `domain`: a refined node's stored one, a leaf cell's
+    /// `Multipole::monopole(m, domain.cell_center(key, i, j, k))` — the
+    /// expression P2M evaluates, so bit for bit what a stored leaf
+    /// multipole would be.
+    pub fn cells<'a>(
+        &'a self,
+        domain: &Domain,
+        key: MortonKey,
+    ) -> impl Fn(isize, isize, isize) -> Multipole + 'a {
+        let centre = domain.cell_centers(key);
+        move |i, j, k| match self {
+            NodeMoments::Leaf(masses) => {
+                Multipole::monopole(masses[interior_index(i, j, k)], centre(i, j, k))
+            }
+            NodeMoments::Refined(cells) => cells[interior_index(i, j, k)],
+        }
+    }
+}
 
 /// Inherited per-cell data handed from parent to child in the downward
 /// pass: (translated expansion, force-correction share, torque share).
@@ -192,39 +242,38 @@ impl GravityField {
     }
 }
 
-/// Step-1 work of a single node: per-cell multipole moments. Leaf cells
-/// are point masses; refined nodes aggregate their 8 children by M2M.
-/// Children (at `key.level + 1`) must already be present in `moments`.
-fn compute_node_moments(tree: &Octree, moments: &MomentMap, key: MortonKey) -> Vec<Multipole> {
+/// P2M of leaf `key`: each cell's mass `m = ρ V`, the whole of a leaf
+/// cell's moment (see [`NodeMoments::Leaf`]).
+fn leaf_masses(tree: &Octree, key: MortonKey) -> Vec<f64> {
+    let grid = tree.node(key).and_then(|node| node.grid.as_ref()).expect("leaf grid");
+    let vol = tree.domain().cell_volume(key.level);
+    let mut masses = vec![0.0; N_CELLS];
+    for (i, j, k) in grid.indexer().interior() {
+        masses[interior_index(i, j, k)] = grid.at(Field::Rho, i, j, k).max(0.0) * vol;
+    }
+    masses
+}
+
+/// M2M of refined node `key`: each cell combines the 8 child cells it
+/// covers. Its children (at `key.level + 1`) must already be present in
+/// `moments`.
+fn refined_moments(tree: &Octree, moments: &MomentMap, key: MortonKey) -> Vec<Multipole> {
     let domain = tree.domain();
-    let level = key.level;
-    let node = tree.node(key).expect("key exists in tree");
-    let mut cells = vec![Multipole::default(); N_SUB * N_SUB * N_SUB];
-    if !node.refined {
-        let grid = node.grid.as_ref().expect("leaf grid");
-        let vol = domain.cell_volume(level);
-        for (i, j, k) in grid.indexer().interior() {
-            let m = grid.at(Field::Rho, i, j, k).max(0.0) * vol;
-            let c = domain.cell_center(key, i, j, k);
-            cells[interior_index(i, j, k)] = Multipole::monopole(m, c);
-        }
-    } else {
-        // M2M from the 8 children, cell by cell.
-        for i in 0..N_SUB as isize {
-            for j in 0..N_SUB as isize {
-                for k in 0..N_SUB as isize {
-                    let h = N_SUB as isize / 2;
-                    let octant = ((i / h) | ((j / h) << 1) | ((k / h) << 2)) as u8;
-                    let child_key = key.child(octant);
-                    let child_cells = &moments[&child_key];
-                    let (bi, bj, bk) = (2 * (i % h), 2 * (j % h), 2 * (k % h));
-                    let mut parts = [Multipole::default(); 8];
-                    for d in 0..8u8 {
-                        let (di, dj, dk) =
-                            ((d & 1) as isize, ((d >> 1) & 1) as isize, ((d >> 2) & 1) as isize);
-                        parts[d as usize] = child_cells[interior_index(bi + di, bj + dj, bk + dk)];
-                    }
-                    cells[interior_index(i, j, k)] = Multipole::combine(&parts);
+    let h = N_SUB as isize / 2;
+    let mut cells = vec![Multipole::default(); N_CELLS];
+    for octant in 0..8u8 {
+        let child_key = key.child(octant);
+        let child = moments[&child_key].cells(&domain, child_key);
+        let o = [octant & 1, (octant >> 1) & 1, (octant >> 2) & 1].map(|b| b as isize * h);
+        for i in 0..h {
+            for j in 0..h {
+                for k in 0..h {
+                    let parts: [Multipole; 8] = std::array::from_fn(|d| {
+                        let [di, dj, dk] = [d & 1, (d >> 1) & 1, d >> 2].map(|b| b as isize);
+                        child(2 * i + di, 2 * j + dj, 2 * k + dk)
+                    });
+                    let ci = interior_index(o[0] + i, o[1] + j, o[2] + k);
+                    cells[ci] = Multipole::combine(&parts);
                 }
             }
         }
@@ -240,18 +289,20 @@ fn compute_node_moments(tree: &Octree, moments: &MomentMap, key: MortonKey) -> V
 /// accumulation into a cleared cell would be.
 fn inheritance<'a>(
     moments: &'a MomentMap,
+    domain: &Domain,
     key: MortonKey,
     totals: &'a [Inherited],
 ) -> impl Fn(usize) -> Inherited + 'a {
     let parent = key.parent().expect("a node that inherits has a parent");
-    let (own, up) = (&moments[&key], &moments[&parent]);
+    let own = moments[&key].cells(domain, key);
+    let up = moments[&parent].cells(domain, parent);
     let (n, o) = (N_SUB as isize, key.octant() as isize);
     let base = [o & 1, (o >> 1) & 1, (o >> 2) & 1].map(|b| b * n / 2);
     move |ci| {
         let (i, j, k) = (ci as isize / (n * n), ci as isize / n % n, ci as isize % n);
-        let pci = interior_index(base[0] + i / 2, base[1] + j / 2, base[2] + k / 2);
-        let (total, ledger_f, ledger_t) = &totals[pci];
-        let (parent_mp, cmp) = (up[pci], own[ci]);
+        let (pi, pj, pk) = (base[0] + i / 2, base[1] + j / 2, base[2] + k / 2);
+        let (total, ledger_f, ledger_t) = &totals[interior_index(pi, pj, pk)];
+        let (parent_mp, cmp) = (up(pi, pj, pk), own(i, j, k));
         let mut inh = (LocalExpansion::default(), Vec3::ZERO, Vec3::ZERO);
         inh.0.add(&total.translated(cmp.com - parent_mp.com));
         let share = if parent_mp.m > 0.0 {
@@ -273,11 +324,12 @@ fn inheritance<'a>(
 /// ([`inheritance`]).
 fn downward_node(
     moments: &MomentMap,
+    domain: &Domain,
     key: MortonKey,
     own_same: &[LocalExpansion],
     parent: Option<&[Inherited]>,
 ) -> Vec<Inherited> {
-    let inherit = parent.map(|totals| inheritance(moments, key, totals));
+    let inherit = parent.map(|totals| inheritance(moments, domain, key, totals));
     (0..N_CELLS)
         .map(|ci| {
             let mut total = own_same[ci];
@@ -299,13 +351,13 @@ fn downward_node(
 /// root leaf) into per-cell outputs.
 fn assemble_leaf(
     moments: &MomentMap,
+    domain: &Domain,
     key: MortonKey,
-    vol: f64,
     own_same: &[LocalExpansion],
     parent: Option<&[Inherited]>,
 ) -> Vec<CellGravity> {
-    let inherit = parent.map(|totals| inheritance(moments, key, totals));
-    let own_moments = &moments[&key];
+    let inherit = parent.map(|totals| inheritance(moments, domain, key, totals));
+    let (own_moments, vol) = (&moments[&key], domain.cell_volume(key.level));
     (0..N_CELLS)
         .map(|ci| {
             let s = &own_same[ci];
@@ -313,7 +365,7 @@ fn assemble_leaf(
                 Some(inherit) => inherit(ci),
                 None => (LocalExpansion::default(), Vec3::ZERO, Vec3::ZERO),
             };
-            let m = own_moments[ci].m;
+            let m = own_moments.mass(ci);
             let phi = s.phi + inh_exp.phi;
             let g = -(s.dphi + inh_exp.dphi);
             let inherited_force = -inh_exp.dphi * m + inh_fc;
@@ -344,40 +396,39 @@ fn fill_box(
     }
 }
 
-/// P2M, futurized: the per-cell moments of every leaf in `leaves`, one
-/// task per leaf on `rt`. This is the per-leaf unit of work a locality
+/// P2M, futurized: the cell masses of every leaf in `leaves`, one task
+/// per leaf on `rt`. This is the per-leaf unit of work a locality
 /// computes for the leaves it owns (and ships to its peers); each task
-/// runs the same `compute_node_moments` the serial
-/// [`FmmSolver::compute_moments`] does, so the values are bit-identical
-/// to that pass's leaf entries.
-pub fn p2m_parallel(tree: &Arc<Octree>, leaves: &[MortonKey], rt: &Arc<Runtime>) -> MomentMap {
+/// runs the same `leaf_masses` the serial [`FmmSolver::compute_moments`]
+/// does, so the values are bit-identical to that pass's leaf entries.
+pub fn p2m_parallel(tree: &Arc<Octree>, leaves: &[MortonKey], rt: &Arc<Runtime>) -> LeafMasses {
     assert!(tree.has_grids(), "FMM needs grid data");
     let sched = Arc::clone(rt.scheduler());
-    // The leaf branch of compute_node_moments never reads the map.
-    let none = Arc::new(MomentMap::new());
     let futs = leaves
         .iter()
         .map(|&key| {
             assert!(tree.is_leaf(key), "P2M of the refined node {key:?}");
-            let (tree, none) = (Arc::clone(tree), Arc::clone(&none));
+            let tree = Arc::clone(tree);
             rt.async_call(move || {
                 let _span = trace::span_labeled(TraceCategory::FmmP2M, || format!("{key:?}"));
-                (key, Arc::new(compute_node_moments(&tree, &none, key)))
+                (key, leaf_masses(&tree, key))
             })
         })
         .collect();
     when_all(&sched, futs).get_help(&sched).into_iter().collect()
 }
 
-/// M2M, futurized: complete `moments` — every leaf's P2M moments, own
-/// and received — with all refined ancestors, one task per refined node,
-/// level by level bottom-up (a level's tasks only read the finished
-/// levels below, snapshotted behind an `Arc`). Refined nodes read only
-/// their children's moments — never grids — so the result is
+/// M2M, futurized: complete `masses` — every leaf's, own and received —
+/// into the moment map, with all refined ancestors, one task per refined
+/// node, level by level bottom-up (a level's tasks only read the
+/// finished levels below, snapshotted behind an `Arc`). Refined nodes
+/// read only their children's moments — never grids — so the result is
 /// bit-identical to [`FmmSolver::compute_moments`] on the reference tree
-/// whenever the leaf moments are.
-pub fn m2m_parallel(tree: &Arc<Octree>, mut moments: MomentMap, rt: &Arc<Runtime>) -> MomentMap {
+/// whenever the leaf masses are.
+pub fn m2m_parallel(tree: &Arc<Octree>, masses: LeafMasses, rt: &Arc<Runtime>) -> MomentMap {
     let sched = Arc::clone(rt.scheduler());
+    let mut moments: MomentMap =
+        masses.into_iter().map(|(key, m)| (key, Arc::new(NodeMoments::Leaf(m)))).collect();
     for level in (0..tree.max_level()).rev() {
         // Cheap snapshot: clones Arcs, not moment vectors.
         let snapshot = Arc::new(moments.clone());
@@ -389,7 +440,7 @@ pub fn m2m_parallel(tree: &Arc<Octree>, mut moments: MomentMap, rt: &Arc<Runtime
                 let (tree, snap) = (Arc::clone(tree), Arc::clone(&snapshot));
                 rt.async_call(move || {
                     let _span = trace::span_labeled(TraceCategory::FmmM2M, || format!("{key:?}"));
-                    (key, Arc::new(compute_node_moments(&tree, &snap, key)))
+                    (key, Arc::new(NodeMoments::Refined(refined_moments(&tree, &snap, key))))
                 })
             })
             .collect();
@@ -606,7 +657,11 @@ impl FmmSolver {
         let mut moments: MomentMap = HashMap::new();
         for level in (0..=tree.max_level()).rev() {
             for key in tree.level_keys(level) {
-                let cells = compute_node_moments(tree, &moments, key);
+                let cells = if tree.is_leaf(key) {
+                    NodeMoments::Leaf(leaf_masses(tree, key))
+                } else {
+                    NodeMoments::Refined(refined_moments(tree, &moments, key))
+                };
                 moments.insert(key, Arc::new(cells));
             }
         }
@@ -649,6 +704,7 @@ impl FmmSolver {
         let reach = if level == 0 { self.gather_width() } else { self.stencil.width() };
         grid.reset_to(reach);
         let (n, r, n64) = (N_SUB as isize, reach as isize, N_SUB as i64);
+        let domain = tree.domain();
         let (kx, ky, kz) = key.coords();
         let key_xyz = [kx, ky, kz].map(i64::from);
         let base = key_xyz.map(|x| x * n64);
@@ -667,8 +723,9 @@ impl FmmSolver {
             let nk = MortonKey::new(level, node[0] as u32, node[1] as u32, node[2] as u32);
             let block = b.map(span);
             if let Some(cells) = moments.get(&nk) {
+                let cell = cells.cells(&domain, nk);
                 fill_box(grid, block, tree.is_leaf(nk), |i, j, k| {
-                    cells[interior_index(i - b[0] * n, j - b[1] * n, k - b[2] * n)]
+                    cell(i - b[0] * n, j - b[1] * n, k - b[2] * n)
                 });
             } else if let Some((anc, cells)) = std::iter::successors(nk.parent(), |a| a.parent())
                 .find_map(|a| moments.get(&a).map(|cells| (a, cells)))
@@ -677,7 +734,6 @@ impl FmmSolver {
                 // ancestor cell containing it, at the fine cell centre.
                 let depth = level - anc.level;
                 let frac = 1.0 / 8f64.powi(depth as i32);
-                let domain = tree.domain();
                 let (dx, half) = (domain.cell_dx(level), domain.edge / 2.0);
                 let (ax, ay, az) = anc.coords();
                 let anc_base = [ax, ay, az].map(|x| x as i64 * n64);
@@ -685,8 +741,8 @@ impl FmmSolver {
                     let g: [i64; 3] = std::array::from_fn(|a| base[a] + [i, j, k][a] as i64);
                     let c = [0, 1, 2].map(|a| ((g[a] >> depth) - anc_base[a]) as isize);
                     let centre = g.map(|g| (g as f64 + 0.5) * dx - half);
-                    let coarse = &cells[interior_index(c[0], c[1], c[2])];
-                    Multipole::monopole(coarse.m * frac, Vec3::from_array(centre))
+                    let coarse = cells.mass(interior_index(c[0], c[1], c[2]));
+                    Multipole::monopole(coarse * frac, Vec3::from_array(centre))
                 });
             }
         }
@@ -759,6 +815,7 @@ impl FmmSolver {
     /// at the root). `same` goes back to the pool.
     fn downward(
         &self,
+        tree: &Octree,
         moments: &MomentMap,
         key: MortonKey,
         same: Vec<LocalExpansion>,
@@ -766,7 +823,7 @@ impl FmmSolver {
     ) -> Totals {
         let totals = {
             let _span = trace::span_labeled(TraceCategory::FmmL2L, || format!("{key:?}"));
-            downward_node(moments, key, &same, parent)
+            downward_node(moments, &tree.domain(), key, &same, parent)
         };
         self.scratch.put_expansions(same);
         Arc::new(totals)
@@ -789,8 +846,7 @@ impl FmmSolver {
         let item = self.node_item(tree, moments, key, Some(table));
         let cells = {
             let _span = trace::span_labeled(TraceCategory::FmmLeafAssembly, || format!("{key:?}"));
-            let vol = tree.domain().cell_volume(key.level);
-            assemble_leaf(moments, key, vol, &item.out, parent)
+            assemble_leaf(moments, &tree.domain(), key, &item.out, parent)
         };
         self.scratch.put_expansions(item.out);
         LeafItem { cells, same: item.same, near: item.near }
@@ -811,7 +867,7 @@ impl FmmSolver {
                 counts.add(item.same, item.near, LaunchSite::Cpu);
                 let parent = key.parent().map(|p| Arc::clone(&totals[&p]));
                 let parent = parent.as_deref().map(Vec::as_slice);
-                totals.insert(key, self.downward(moments, key, item.out, parent));
+                totals.insert(key, self.downward(tree, moments, key, item.out, parent));
             }
         }
         let mut cells = HashMap::with_capacity(leaves.len());
@@ -1064,7 +1120,7 @@ impl Walk {
         let _ = item.then(&self.sched, move |(item, site)| {
             walk.counts.lock().add(item.same, item.near, site);
             let parent = parent.as_deref().map(Vec::as_slice);
-            let totals = walk.solver.downward(&walk.moments, key, item.out, parent);
+            let totals = walk.solver.downward(&walk.tree, &walk.moments, key, item.out, parent);
             for child in refined {
                 walk.start(child, Some(Arc::clone(&totals)));
             }
@@ -1213,12 +1269,13 @@ mod tests {
         let mut scale = 0.0;
         for key in tree.leaves() {
             let cg = field.leaf(key).unwrap();
-            let mom = &moments[&key];
-            for ci in 0..cg.len() {
+            let mom = moments[&key].cells(&domain, key);
+            for (i, j, k) in tree.node(key).unwrap().grid.as_ref().unwrap().indexer().interior() {
+                let ci = interior_index(i, j, k);
                 let f = cg[ci].force_density * vol;
-                orbital += mom[ci].com.cross(f);
+                orbital += mom(i, j, k).com.cross(f);
                 spin += cg[ci].torque_density * vol;
-                scale += mom[ci].com.cross(f).norm();
+                scale += mom(i, j, k).com.cross(f).norm();
             }
         }
         let residual = (orbital + spin).norm();
@@ -1408,6 +1465,19 @@ mod tests {
         assert!(field.pairs_evaluated < root_pairs + 8 * leaf_pairs);
     }
 
+    /// `a` and `b` are the same kind of node moments, bit for bit.
+    fn assert_same_moments(a: &NodeMoments, b: &NodeMoments, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let flat = |m: &NodeMoments| match m {
+            NodeMoments::Leaf(masses) => (true, bits(masses)),
+            NodeMoments::Refined(cells) => {
+                let values = |c: &Multipole| [c.m].into_iter().chain(c.com.to_array()).chain(c.q);
+                (false, bits(&cells.iter().flat_map(values).collect::<Vec<f64>>()))
+            }
+        };
+        assert!(flat(a) == flat(b), "{what}: moments differ");
+    }
+
     #[test]
     fn replicated_m2m_from_leaf_moments_is_bit_identical() {
         let tree = Arc::new(uniform_tree(2, blob_density));
@@ -1424,14 +1494,7 @@ mod tests {
         let rebuilt = m2m_parallel(&tree, leaf_map, &rt);
         assert_eq!(rebuilt.len(), reference.len());
         for (key, cells) in &reference {
-            let got = &rebuilt[key];
-            for (a, b) in cells.iter().zip(got.iter()) {
-                assert_eq!(a.m.to_bits(), b.m.to_bits());
-                assert_eq!(a.com.x.to_bits(), b.com.x.to_bits());
-                for (qa, qb) in a.q.iter().zip(b.q.iter()) {
-                    assert_eq!(qa.to_bits(), qb.to_bits());
-                }
-            }
+            assert_same_moments(cells, &rebuilt[key], &format!("{key:?}"));
         }
     }
 
@@ -1490,7 +1553,8 @@ mod tests {
             if let Some(cells) = moments.get(&node_key) {
                 let (nx, ny, nz) = node_key.coords();
                 let local = (g.0 - nx as i64 * n, g.1 - ny as i64 * n, g.2 - nz as i64 * n);
-                let cell = cells[interior_index(local.0 as isize, local.1 as isize, local.2 as isize)];
+                let (li, lj, lk) = (local.0 as isize, local.1 as isize, local.2 as isize);
+                let cell = cells.cells(&domain, node_key)(li, lj, lk);
                 return Some((cell, tree.is_leaf(node_key)));
             }
             let (mut lvl, mut cg, mut nk) = (level, g, node_key);
@@ -1502,7 +1566,8 @@ mod tests {
             let cells = moments.get(&nk)?;
             let (nx, ny, nz) = nk.coords();
             let local = (cg.0 - nx as i64 * n, cg.1 - ny as i64 * n, cg.2 - nz as i64 * n);
-            let coarse = cells[interior_index(local.0 as isize, local.1 as isize, local.2 as isize)];
+            let (li, lj, lk) = (local.0 as isize, local.1 as isize, local.2 as isize);
+            let coarse = cells.cells(&domain, nk)(li, lj, lk);
             let frac = 1.0 / 8f64.powi((level - lvl) as i32);
             let (dx, half) = (domain.cell_dx(level), domain.edge / 2.0);
             let centre = Vec3::new(

@@ -69,13 +69,22 @@ impl Domain {
     /// Centre of cell `(i, j, k)` (interior-relative; ghost coordinates
     /// work too) within node `key`.
     pub fn cell_center(&self, key: MortonKey, i: isize, j: isize, k: isize) -> Vec3 {
+        self.cell_centers(key)(i, j, k)
+    }
+
+    /// [`Domain::cell_center`] of node `key` as a function of the cell,
+    /// the node's origin and cell width computed once: for a reader that
+    /// visits many cells of one node.
+    pub fn cell_centers(&self, key: MortonKey) -> impl Fn(isize, isize, isize) -> Vec3 {
         let dx = self.cell_dx(key.level);
         let o = self.node_origin(key);
-        Vec3::new(
-            o.x + (i as f64 + 0.5) * dx,
-            o.y + (j as f64 + 0.5) * dx,
-            o.z + (k as f64 + 0.5) * dx,
-        )
+        move |i, j, k| {
+            Vec3::new(
+                o.x + (i as f64 + 0.5) * dx,
+                o.y + (j as f64 + 0.5) * dx,
+                o.z + (k as f64 + 0.5) * dx,
+            )
+        }
     }
 }
 

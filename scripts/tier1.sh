@@ -4,7 +4,8 @@
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
 #      zero second-pair-arithmetic, zero fused/fast-math, zero rank-3
 #      tensor, zero
-#      driver-ghost-fill, zero derived-grid, zero slab-pipeline, zero
+#      driver-ghost-fill, zero per-leaf stage buffer, zero derived-grid,
+#      zero slab-pipeline, zero
 #      remote-call, zero owner-registry and zero uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
@@ -138,6 +139,28 @@ if [ "$ghosted" -ne 1 ]; then
     exit 1
 fi
 echo "ghost budget OK (0 tree fills on the driver's path, 1 leaf layout, 1 ghosted scratch)"
+
+echo
+echo "== tier-1: stage-memory budget =="
+# A leaf's RK2 stage memory is one spare grid: its stage task takes the
+# RHS into a per-worker scratch and writes the update into the spare,
+# which is then swapped with the leaf's grid. A per-leaf RHS buffer or
+# pre-stage copy beside it is the old standing stage memory coming back
+# (two 57 344 B buffers a leaf).
+stray=$(grep -rn --include='*.rs' 'StageBuffers' crates/core/src || true)
+if [ -n "$stray" ]; then
+    echo "!! per-leaf stage buffers under crates/core/src (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+# The driver allocates one RHS: the stage task's per-worker scratch.
+rhs=$(grep -rn --include='*.rs' '\[0\.0; FIELD_COUNT\]\|\.dudt(' crates/core/src | wc -l)
+if [ "$rhs" -ne 1 ]; then
+    echo "!! $rhs RHS allocations under crates/core/src (the budget is 1, the per-worker scratch):" >&2
+    grep -rn --include='*.rs' '\[0\.0; FIELD_COUNT\]\|\.dudt(' crates/core/src >&2 || true
+    exit 1
+fi
+echo "stage-memory budget OK (1 spare grid a leaf, 1 per-worker RHS scratch)"
 
 echo
 echo "== tier-1: derived-grid budget =="

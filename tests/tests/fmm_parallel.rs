@@ -5,7 +5,8 @@
 //! self-gravity.
 
 use gravity::gpu::GpuContext;
-use gravity::solver::{FmmSolver, GravityField};
+use gravity::multipole::Multipole;
+use gravity::solver::{FmmSolver, GravityField, NodeMoments};
 use gpusim::device::{Device, DeviceSpec};
 use gpusim::launch_policy::QueuePolicy;
 use octotiger::diagnostics::{drift, totals};
@@ -15,6 +16,7 @@ use octree::geometry::Domain;
 use octree::shard::ShardMap;
 use octree::subgrid::Field;
 use octree::tree::Octree;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use util::morton::MortonKey;
 use util::vec3::Vec3;
@@ -287,4 +289,63 @@ fn centered_star_conserves_with_parallel_gravity() {
         "steady-state step() allocated FMM scratch buffers"
     );
     assert!(sim.runtime().metrics().get("fmm/scratch_hits") > 0);
+}
+
+/// The moment map keeps a leaf's 512 cell masses and nothing else, and
+/// what its readers rebuild from them is what the moment pass stored
+/// when it kept every multipole: on `v1309`'s tree (260 leaves on levels
+/// 2–6 under 37 refined nodes), every leaf cell's multipole is
+/// `Multipole::monopole(max(ρ, 0) V, cell centre)` and every refined
+/// cell the M2M of those, bit for bit.
+#[test]
+fn the_moment_map_keeps_leaf_masses_and_rebuilds_the_stored_multipoles() {
+    let tree = Scenario::v1309(6).tree;
+    let (domain, n) = (tree.domain(), octree::subgrid::N_SUB as isize);
+    let moments = FmmSolver::new(0.5).compute_moments(&tree);
+    // The map as the moment pass stored it, built bottom-up.
+    let mut stored: HashMap<MortonKey, Vec<Multipole>> = HashMap::new();
+    let cells =
+        || (0..n).flat_map(move |i| (0..n).flat_map(move |j| (0..n).map(move |k| (i, j, k))));
+    for level in (0..=tree.max_level()).rev() {
+        for key in tree.level_keys(level) {
+            let multipoles = if let Some(grid) = &tree.node(key).unwrap().grid {
+                let vol = domain.cell_volume(level);
+                let m = |i, j, k| grid.at(Field::Rho, i, j, k).max(0.0) * vol;
+                let p2m =
+                    |(i, j, k)| Multipole::monopole(m(i, j, k), domain.cell_center(key, i, j, k));
+                cells().map(p2m).collect()
+            } else {
+                let m2m = |(i, j, k): (isize, isize, isize)| {
+                    let h = n / 2;
+                    let octant = ((i / h) | ((j / h) << 1) | ((k / h) << 2)) as u8;
+                    let child = &stored[&key.child(octant)];
+                    let (bi, bj, bk) = (2 * (i % h), 2 * (j % h), 2 * (k % h));
+                    let parts: Vec<Multipole> = (0..8)
+                        .map(|d| (bi + (d & 1), bj + ((d >> 1) & 1), bk + ((d >> 2) & 1)))
+                        .map(|(ci, cj, ck)| child[((ci * n + cj) * n + ck) as usize])
+                        .collect();
+                    Multipole::combine(&parts)
+                };
+                cells().map(m2m).collect()
+            };
+            stored.insert(key, multipoles);
+        }
+    }
+    assert_eq!((tree.leaves().len(), moments.len()), (260, 297));
+    assert_eq!(moments.len(), stored.len());
+    for (key, node) in &moments {
+        if tree.is_leaf(*key) {
+            assert!(matches!(&**node, NodeMoments::Leaf(m) if m.len() == 512), "{key:?}: masses");
+        } else {
+            assert!(matches!(&**node, NodeMoments::Refined(_)), "{key:?}: multipoles");
+        }
+        let rebuilt = node.cells(&domain, *key);
+        let bits = |c: Multipole| {
+            let values = [c.m].into_iter().chain(c.com.to_array()).chain(c.q);
+            values.map(f64::to_bits).collect::<Vec<u64>>()
+        };
+        for ((i, j, k), want) in cells().zip(&stored[key]) {
+            assert_eq!(bits(rebuilt(i, j, k)), bits(*want), "{key:?} ({i},{j},{k})");
+        }
+    }
 }

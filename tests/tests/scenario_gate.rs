@@ -110,7 +110,9 @@ fn first_solve_pair_counts_are_pinned() {
 /// `mini_binary` step (a level-2 tree, 64 leaves under 9 refined nodes)
 /// each of the two solves runs a task per leaf for P2M and for its item,
 /// and per refined node for M2M, for its item and for its downward step;
-/// the five hydro phases run one per leaf. A join runs no task.
+/// the three hydro phases — the dt and the two stages, whose task takes
+/// the leaf's RHS and writes its update — run one per leaf. A join runs
+/// no task.
 #[cfg(not(debug_assertions))]
 #[test]
 fn a_gravity_step_runs_one_task_per_leaf_item_and_none_for_assembly() {
@@ -121,7 +123,7 @@ fn a_gravity_step_runs_one_task_per_leaf_item_and_none_for_assembly() {
     let executed = |sim: &octotiger::Simulation| sim.runtime().metrics().get("tasks/executed");
     let before = executed(&sim);
     sim.step();
-    assert_eq!(executed(&sim) - before, 2 * (64 + 9 + 9 + 9 + 64) + 5 * 64);
+    assert_eq!(executed(&sim) - before, 2 * (64 + 9 + 9 + 9 + 64) + 3 * 64);
 }
 
 /// How many of the first solve's evaluated pairs took `B0` / `B1` from

@@ -170,6 +170,33 @@ fn disabled_tracing_registers_no_counters() {
     assert!(snap.get("trace/events").copied().unwrap_or(0) > 0);
 }
 
+/// A leaf's stage task takes its RHS and then writes its update, and
+/// the two are sibling spans: every `hydro/apply` span starts after the
+/// task's `hydro/rhs` span has ended, so no update time is counted
+/// inside the RHS (`perfmodel::calibrate::COMPUTE_CATEGORIES` sums
+/// both). A traced step has one of each per leaf and stage.
+#[test]
+fn a_stage_tasks_update_is_no_part_of_its_rhs_span() {
+    let mut sim = Simulation::new(Scenario::single_star(1));
+    let leaves = sim.tree().leaves().len();
+    let session = TraceSession::begin();
+    sim.step();
+    let trace = session.end();
+    // `get_help` runs tasks on this thread too.
+    let mut tids = sim.runtime().scheduler().worker_trace_ids();
+    tids.push(amt::trace::current_tid());
+    let events = events_of(&trace.events, &tids);
+    let spans = |cat| events.iter().filter(|e| e.cat == cat).collect::<Vec<_>>();
+    let (rhs, apply) = (spans(TraceCategory::HydroRhs), spans(TraceCategory::HydroApply));
+    assert_eq!((rhs.len(), apply.len()), (2 * leaves, 2 * leaves), "one each a leaf and stage");
+    for a in &apply {
+        for r in rhs.iter().filter(|r| r.tid == a.tid) {
+            let disjoint = a.end_ns() <= r.t0_ns || r.end_ns() <= a.t0_ns;
+            assert!(disjoint, "an update inside an RHS span:\n  {a:?}\n  {r:?}");
+        }
+    }
+}
+
 /// Per-(node, field) interior digests of a tree, for order-insensitive
 /// bitwise comparison.
 fn field_digests(tree: &octree::tree::Octree) -> BTreeMap<String, u64> {
