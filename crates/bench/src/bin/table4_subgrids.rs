@@ -15,8 +15,11 @@
 //! multi-million-node structure tree. Pass a smaller max level to stop
 //! early.
 
-use octree::subgrid::{FIELD_COUNT, N_GHOST, N_SUB};
+use gravity::solver::CellGravity;
+use gravity::Multipole;
+use octree::subgrid::{FIELD_COUNT, N_SUB};
 use perfmodel::scaling::v1309_structure_tree;
+use std::mem::size_of;
 
 /// Paper values: (level, sub-grids, memory GB).
 const PAPER: &[(u8, f64, f64)] = &[
@@ -32,13 +35,16 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(16);
-    // Our per-sub-grid footprint: hydro fields on the ghosted grid plus
-    // the gravity workspace (multipoles 10 + expansions 10 doubles per
-    // interior cell), matching this implementation's actual structures.
-    let dim = N_SUB + 2 * N_GHOST;
-    let hydro_bytes = FIELD_COUNT * dim * dim * dim * 8;
-    let gravity_bytes = 20 * N_SUB * N_SUB * N_SUB * 8;
-    let per_subgrid = (hydro_bytes + gravity_bytes) as f64;
+    // What a step holds per node. A leaf: its interior grid, its one
+    // spare grid for the RK2 stages, its cell masses in the moment map
+    // and its cells of the solved field. A refined node: its cells'
+    // multipoles (it has no grid). Per-worker scratch and the solve's
+    // transient buffers do not grow with the tree and are left out.
+    let cells = N_SUB * N_SUB * N_SUB;
+    let grid_bytes = FIELD_COUNT * cells * size_of::<f64>();
+    let per_leaf =
+        (2 * grid_bytes + cells * size_of::<f64>() + cells * size_of::<CellGravity>()) as f64;
+    let per_refined = (cells * size_of::<Multipole>()) as f64;
 
     eprintln!("Table 4 — sub-grids and memory per level of refinement");
     eprintln!("{}", "=".repeat(86));
@@ -57,7 +63,7 @@ fn main() {
         let tree = v1309_structure_tree(level);
         let nodes = tree.len();
         let leaves = tree.leaf_count();
-        let mem_gb = nodes as f64 * per_subgrid / 1e9;
+        let mem_gb = (leaves as f64 * per_leaf + (nodes - leaves) as f64 * per_refined) / 1e9;
         eprintln!(
             "{level:>5} {nodes:>12} {leaves:>12} {:>12.2}   {:>12.0} {:>10.2} {:>10.1}",
             mem_gb,
@@ -78,11 +84,15 @@ fn main() {
     eprintln!("Counts come from the geometric refinement rule of §6 applied to");
     eprintln!("our Roche-lobe binary model; the growth pattern (x2 -> x4 -> x5+ -> x7,");
     eprintln!("approaching the volume-dominated factor 8) is the Table 4 shape.");
-    eprintln!("Memory uses this implementation's measured per-sub-grid footprint");
-    eprintln!("({:.2} MB: {} hydro fields on {}^3 ghosted grids + FMM workspace);", per_subgrid / 1e6, FIELD_COUNT, dim);
-    eprintln!("Octo-Tiger stores more per cell, hence its larger absolute GB.");
+    eprintln!("Memory prices each node at what a step holds for it: a leaf");
+    eprintln!(
+        "{:.3} MB ({FIELD_COUNT} fields on {N_SUB}^3 cells, twice: grid + spare; masses; field),",
+        per_leaf / 1e6
+    );
+    eprintln!("a refined node {:.3} MB (its multipoles). Octo-Tiger stores more", per_refined / 1e6);
+    eprintln!("per cell, hence its larger absolute GB.");
     println!(
-        "{{\n  \"per_subgrid_bytes\": {per_subgrid},\n  \"table4\": [\n{}\n  ]\n}}",
+        "{{\n  \"per_leaf_bytes\": {per_leaf},\n  \"per_refined_bytes\": {per_refined},\n  \"table4\": [\n{}\n  ]\n}}",
         rows.join(",\n")
     );
 }

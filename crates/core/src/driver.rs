@@ -109,15 +109,15 @@ fn leaf_rhs(
     // The sources read the interior only: the tree's grid serves.
     let grid = tree.node(key).expect("leaf").grid.as_ref().expect("grid");
     // Gravity sources: conservation-grade force density, energy power,
-    // and the spin torque ledger. The ledger deposit is the *exact*
-    // per-cell counter-torque `−r × f` of the force actually applied
-    // ([`hydro::angmom::body_force_spin`]), not the solver's multipole-
-    // distributed torque share: the share closes the global budget only
-    // to the expansion's accuracy, and the residual — hidden by mirror
-    // symmetry in inertial runs — leaks ~1e-8 of L_z per step once the
-    // Coriolis force breaks that symmetry. With the exact deposit the
-    // monitored `Σ (r × s + l) V` is invariant under gravity bitwise,
-    // cell by cell, matching the frame-source and floor conventions.
+    // and the spin deposit. The deposit is the *exact* per-cell
+    // counter-torque `−r × f` of the force actually applied
+    // ([`hydro::angmom::body_force_spin`]) — the only angular-momentum
+    // closure of gravity: the solver's forces are not exactly central,
+    // and their net torque (the expansion's truncation error, hidden by
+    // mirror symmetry in inertial runs) would otherwise leak L_z. With
+    // the deposit the monitored `Σ (r × s + l) V` is invariant under
+    // gravity to round-off, cell by cell, matching the frame-source and
+    // floor conventions.
     if let Some(g) = grav {
         if let Some(cells) = g.leaf(key) {
             let origin = domain.node_origin(key);
@@ -275,6 +275,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::diagnostics::{drift, totals};
+    use gravity::kernels::interior_index;
 
     #[test]
     fn uniform_medium_stays_uniform() {
@@ -463,6 +464,65 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{what}: {f:?} ({i},{j},{k})");
             }
         }
+    }
+
+    /// `v1309` with every leaf cell's density scaled by `1 + 1e-3·u`,
+    /// `u ∈ [-1, 1)` from splitmix64 keyed by the cell's position in the
+    /// leaf order: no mirror symmetry is left to cancel torques across.
+    fn perturbed_v1309() -> Scenario {
+        let mut scenario = Scenario::v1309(6);
+        let mut state = 0x5eed_u64;
+        for key in scenario.tree.leaves() {
+            let grid = scenario.tree.node_mut(key).unwrap().grid.as_mut().unwrap();
+            for rho in grid.field_mut(Field::Rho) {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                *rho *= 1.0 + 1e-3 * ((z >> 11) as f64 / (1u64 << 52) as f64 - 1.0);
+            }
+        }
+        scenario
+    }
+
+    /// The one angular-momentum closure of gravity is the driver's spin
+    /// deposit: what the solved field adds to a leaf's RHS ([`leaf_rhs`],
+    /// taken through the stage task's scratch) changes the monitored
+    /// `Σ (r × s + l) V` by round-off only, on an AMR state with no
+    /// symmetry, although the field's own torque `Σ r × f V` is the
+    /// solver's truncation error.
+    #[test]
+    fn gravity_sources_leave_the_angular_momentum_budget_closed() {
+        let sim = Simulation::new(perturbed_v1309());
+        let (tree, config) = (sim.tree(), sim.config);
+        let (stepper, frame) = (HydroStepper::new(config.eos), RotatingFrame::new(config.omega));
+        let grav = sim.solve_gravity().expect("gravity enabled");
+        let domain = tree.domain();
+        let (mut residual, mut scale) = (Vec3::ZERO, 0.0);
+        for key in tree.leaves() {
+            let (centre, vol) = (domain.cell_centers(key), domain.cell_volume(key.level));
+            let mut with = Vec::new();
+            leaf_stage(tree, key, config.bc, Some(&grav), stepper, frame, |du, _| {
+                with = du.to_vec();
+            });
+            leaf_stage(tree, key, config.bc, None, stepper, frame, |without, grid| {
+                for (i, j, k) in grid.indexer().interior() {
+                    let ci = interior_index(i, j, k);
+                    let delta = |f: Field| with[ci][f.idx()] - without[ci][f.idx()];
+                    let ds = Vec3::new(delta(Field::Sx), delta(Field::Sy), delta(Field::Sz));
+                    let dl = Vec3::new(delta(Field::Lx), delta(Field::Ly), delta(Field::Lz));
+                    let orbital = centre(i, j, k).cross(ds);
+                    residual += (orbital + dl) * vol;
+                    scale += orbital.norm() * vol;
+                }
+            });
+        }
+        assert!(scale > 0.0);
+        assert!(
+            residual.norm() <= 1e-14 * scale,
+            "gravity moved Σ (r × s + l) V by {residual:?} at scale {scale:e}"
+        );
     }
 
     #[test]

@@ -5,21 +5,21 @@
 //! the parent node is passed to the child nodes and accumulated" (§4.3).
 //!
 //! A [`LocalExpansion`] carries the potential, its gradient, and its
-//! Hessian about a cell's centre of mass, plus the conservation
-//! bookkeeping: the correction force density and torque density that
-//! make linear and angular momentum conservation exact (see crate
+//! Hessian about a cell's centre of mass, plus the mirror-exact pair
+//! force and its correction part that make linear momentum conservation
+//! exact. No torque: angular momentum is closed by the driver (crate
 //! docs).
 //!
 //! What one pair adds to an expansion is `PairTerms::of`, the one pair
 //! body of the crate. §4.3's kernel variants — from the 12-flop
 //! monopole–monopole kernel to the multipole one (455 flops in the
-//! paper's model, 219 in this body) — are its `const` instantiations
+//! paper's model, 198 in this body) — are its `const` instantiations
 //! `{QS} × {QT} × {HESS}`: with or without the source's quadrupole
 //! terms, with or without the target's, with or without the Hessian.
 //! A pair pays only for the moments it has: a leaf's deferred groups
-//! against a refined neighbour take `<true, false, false>` (122 flops),
+//! against a refined neighbour take `<true, false, false>` (104 flops),
 //! a refined node facing a leaf's point masses `<false, true, true>`
-//! (150; per-form counts in the `kernels` module docs).
+//! (132; per-form counts in the `kernels` module docs).
 
 use crate::multipole::Multipole;
 use crate::tensors::{KernelTensors, SYM2};
@@ -27,7 +27,7 @@ use util::simd::Lanes;
 use util::vec3::Vec3;
 
 /// Taylor expansion of the gravitational potential about a point, plus
-/// the pairwise conservation corrections accumulated at that point.
+/// the mirror-exact pair force accumulated at that point.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LocalExpansion {
     /// Potential φ.
@@ -45,9 +45,6 @@ pub struct LocalExpansion {
     /// The part of `force` not captured by `−∇φ · m` (the target's own
     /// quadrupole against source monopole fields).
     pub f_corr: Vec3,
-    /// Torque residual (half of each pair's), to be deposited into the
-    /// evolved spin fields for exact angular momentum conservation.
-    pub torque: Vec3,
 }
 
 /// What one pair interaction adds to its target's [`LocalExpansion`],
@@ -69,18 +66,15 @@ pub(crate) struct PairTerms<const W: usize> {
     /// The target quadrupole's force part; `None` in the `QT = false`
     /// forms.
     f_qt: Option<[Lanes<W>; 3]>,
-    /// The torque the quadrupole parts leave; `None` where neither side
-    /// has one.
-    torque: Option<[Lanes<W>; 3]>,
 }
 
 impl<const W: usize> PairTerms<W> {
     /// The interaction of source moments (`ms`, `qs`) on targets with
-    /// moments (`mt`, `qt`), separated by `d = tgt.com − src.com`, whose
-    /// kernel tensors are `t`: [`KernelTensors::at_softened`] at the same
-    /// `HESS`, with `B0` / `B1` from the lattice table in the lanes that
-    /// pair two lattice point masses (`tensors` module docs). The
-    /// canonical term forms are documented on
+    /// moments (`mt`, `qt`), whose kernel tensors at the separation
+    /// `d = tgt.com − src.com` are `t`: [`KernelTensors::at_softened`] at
+    /// the same `HESS`, with `B0` / `B1` from the lattice table in the
+    /// lanes that pair two lattice point masses (`tensors` module docs).
+    /// The canonical term forms are documented on
     /// [`LocalExpansion::accumulate`].
     ///
     /// The kernel variants of §4.3 are instantiations of this one
@@ -96,16 +90,16 @@ impl<const W: usize> PairTerms<W> {
     /// * `QS = false` compiles out what the source's quadrupole touches —
     ///   `q_s:B2`, `q_s:B3` and `f_qs` — and `qs` is not read; `QT = false`
     ///   compiles out `q_t:B3`, `f_qt` and its `f_corr` add, and `qt` is
-    ///   not read; with both false the torque goes too. For a pair whose
-    ///   dropped side's moments are all (signed) zeros it adds the same
+    ///   not read. For a pair whose dropped side's moments are all
+    ///   (signed) zeros it adds the same
     ///   bits to a [`LocalExpansion`] as the form that keeps them: each
     ///   dropped term is then a sum of zero moments times finite tensors
     ///   started from `+0.0`, i.e. `±0.0`; an accumulator that starts at
     ///   `+0.0` never holds `−0.0` (round-to-nearest gives `−0.0` only
     ///   for `−0.0 + −0.0`), and adding `±0.0` to anything else is the
     ///   identity. The one visible difference, `x` against `x + 0.0` in
-    ///   `phi`, `dphi` and the torque's force, is the sign of a zero and
-    ///   vanishes the same way.
+    ///   `phi` and `dphi`, is the sign of a zero and vanishes the same
+    ///   way.
     /// * `HESS = false` leaves `d2phi` out (and `B2` with it): the
     ///   target's `d2phi` is then not touched at all. It feeds no other
     ///   term, so every other field gets the bits it gets at
@@ -119,7 +113,6 @@ impl<const W: usize> PairTerms<W> {
         ms: Lanes<W>,
         qt: &[Lanes<W>; 6],
         qs: &[Lanes<W>; 6],
-        d: [Lanes<W>; 3],
         t: &KernelTensors<W>,
     ) -> PairTerms<W> {
         // Potential and derivatives from the source moments.
@@ -145,10 +138,6 @@ impl<const W: usize> PairTerms<W> {
         } else {
             None
         };
-        let f_quad: Option<[Lanes<W>; 3]> = match (f_qs, f_qt) {
-            (Some(fs), Some(ft)) => Some(std::array::from_fn(|a| fs[a] + ft[a])),
-            (fs, ft) => fs.or(ft),
-        };
         PairTerms {
             phi,
             dphi,
@@ -156,17 +145,6 @@ impl<const W: usize> PairTerms<W> {
             f_mono: std::array::from_fn(|a| t.b1[a] * neg_mm),
             f_qs,
             f_qt,
-            // Torque residual −d × F, in exact halves: only the
-            // quadrupole force parts contribute (d × B1 ∥ d vanishes
-            // identically in floating point). Component-wise as
-            // `Vec3::cross` computes it.
-            torque: f_quad.map(|f| {
-                [
-                    -(d[1] * f[2] - d[2] * f[1]) * 0.5,
-                    -(d[2] * f[0] - d[0] * f[2]) * 0.5,
-                    -(d[0] * f[1] - d[1] * f[0]) * 0.5,
-                ]
-            }),
         }
     }
 }
@@ -183,7 +161,6 @@ pub(crate) struct GroupSums<const W: usize> {
     d2phi: [Lanes<W>; 6],
     force: [Lanes<W>; 3],
     f_corr: [Lanes<W>; 3],
-    torque: [Lanes<W>; 3],
 }
 
 impl<const W: usize> GroupSums<W> {
@@ -197,13 +174,12 @@ impl<const W: usize> GroupSums<W> {
             d2phi: std::array::from_fn(|n| Lanes(cells.map(|e| e.d2phi[n]))),
             force: std::array::from_fn(|a| Lanes(cells.map(|e| e.force[a]))),
             f_corr: std::array::from_fn(|a| Lanes(cells.map(|e| e.f_corr[a]))),
-            torque: std::array::from_fn(|a| Lanes(cells.map(|e| e.torque[a]))),
         }
     }
 
     /// Add one pair per lane, field by field in the order φ, ∇φ,
-    /// Hessian, `f_mono`, `f_qs`, `f_qt`, `f_corr`, torque — the parts
-    /// the pair's form has.
+    /// Hessian, `f_mono`, `f_qs`, `f_qt`, `f_corr` — the parts the
+    /// pair's form has.
     #[inline(always)]
     pub(crate) fn add(&mut self, terms: &PairTerms<W>) {
         self.phi += terms.phi;
@@ -232,11 +208,6 @@ impl<const W: usize> GroupSums<W> {
                 self.f_corr[a] += f_qt[a];
             }
         }
-        if let Some(torque) = &terms.torque {
-            for a in 0..3 {
-                self.torque[a] += torque[a];
-            }
-        }
     }
 
     /// Lane `l`'s sums, every field.
@@ -249,7 +220,6 @@ impl<const W: usize> GroupSums<W> {
             d2phi: self.d2phi.map(|x| x.lane(l)),
             force: vec3(&self.force),
             f_corr: vec3(&self.f_corr),
-            torque: vec3(&self.torque),
         }
     }
 }
@@ -267,9 +237,7 @@ impl LocalExpansion {
     /// on the other cell (with d → −d, which negates the odd tensors
     /// bit-exactly), each term value cancels its counterpart exactly.
     /// Per-cell sums then leave only additive round-off, which is the
-    /// machine-precision momentum conservation of the paper. The torque
-    /// residual −d × F (identically zero for the B1 part) is split in
-    /// exact halves into `torque` for the spin fields.
+    /// machine-precision momentum conservation of the paper.
     pub fn accumulate(&mut self, tgt: &Multipole, src: &Multipole, d: Vec3) {
         self.accumulate_softened(tgt, src, d, 0.0);
     }
@@ -288,7 +256,6 @@ impl LocalExpansion {
             one(src.m),
             &tgt.q.map(one),
             &src.q.map(one),
-            d,
             &KernelTensors::at_softened::<true>(d, one(soft)),
         );
         let mut sums = GroupSums::load([*self]);
@@ -298,7 +265,7 @@ impl LocalExpansion {
 
     /// L2L: translate this expansion by `delta` (from the parent cell's
     /// centre of mass to the child cell's). Only the *field* parts
-    /// (φ, ∇φ, Hessian) translate; the per-cell force/torque ledgers are
+    /// (φ, ∇φ, Hessian) translate; the per-cell force sums are
     /// level-local and are zeroed in the result — the solver applies
     /// them at the level where the interaction happened.
     pub fn translated(&self, delta: Vec3) -> LocalExpansion {
@@ -320,7 +287,6 @@ impl LocalExpansion {
             d2phi: self.d2phi,
             force: Vec3::ZERO,
             f_corr: Vec3::ZERO,
-            torque: Vec3::ZERO,
         }
     }
 
@@ -333,7 +299,6 @@ impl LocalExpansion {
         }
         self.force += other.force;
         self.f_corr += other.f_corr;
-        self.torque += other.torque;
     }
 
     /// The acceleration this expansion exerts on the cell: −∇φ.
@@ -351,7 +316,6 @@ impl LocalExpansion {
             assert_eq!(self.dphi[ax].to_bits(), other.dphi[ax].to_bits(), "{what}: dphi");
             assert_eq!(self.force[ax].to_bits(), other.force[ax].to_bits(), "{what}: force");
             assert_eq!(self.f_corr[ax].to_bits(), other.f_corr[ax].to_bits(), "{what}: f_corr");
-            assert_eq!(self.torque[ax].to_bits(), other.torque[ax].to_bits(), "{what}: torque");
         }
         for n in 0..6 {
             assert_eq!(self.d2phi[n].to_bits(), other.d2phi[n].to_bits(), "{what}: d2phi");
@@ -385,7 +349,6 @@ mod tests {
         assert!(g.y.abs() < 1e-15 && g.z.abs() < 1e-15);
         // Monopole pairs have no corrections.
         assert_eq!(l.f_corr, Vec3::ZERO);
-        assert_eq!(l.torque, Vec3::ZERO);
     }
 
     #[test]
@@ -449,7 +412,7 @@ mod tests {
             let d = d.to_array().map(one);
             let t = KernelTensors::at_softened::<HESS>(d, one(0.0));
             let (qt, qs) = (qt.map(one), qs.map(one));
-            sums.add(&PairTerms::of::<QS, QT, HESS>(one(mt), one(ms), &qt, &qs, d, &t));
+            sums.add(&PairTerms::of::<QS, QT, HESS>(one(mt), one(ms), &qt, &qs, &t));
         }
         sums.lane(0)
     }
@@ -523,41 +486,12 @@ mod tests {
             run::<false, true, false>(&target_side, first)
                 .assert_same_bits(&run::<true, true, false>(&target_side, first), &what);
         }
-        // Both sides' quadrupoles reach the sums these compare.
+        // Both sides' quadrupoles reach the sums these compare: the
+        // source's moves φ, the target's makes `f_corr`.
         let s = run::<true, false, true>(&source_side, 0);
         let t = run::<false, true, true>(&target_side, 0);
-        assert!(s.torque.norm() > 0.0 && s.f_corr == Vec3::ZERO);
-        assert!(t.torque.norm() > 0.0 && t.f_corr.norm() > 0.0);
-    }
-
-    #[test]
-    fn pair_torque_halves_close_the_angular_momentum_budget() {
-        let a = Multipole {
-            m: 2.0,
-            com: Vec3::new(0.0, 0.0, 0.0),
-            q: [0.5, 0.2, 0.1, 0.05, 0.0, -0.02],
-        };
-        let b = Multipole {
-            m: 3.0,
-            com: Vec3::new(2.0, 1.0, 0.5),
-            q: [0.1, 0.4, 0.2, -0.03, 0.01, 0.0],
-        };
-        let d = a.com - b.com;
-        let mut la = LocalExpansion::default();
-        la.accumulate(&a, &b, d);
-        let mut lb = LocalExpansion::default();
-        lb.accumulate(&b, &a, -d);
-        // Total orbital torque + deposited spin torques must vanish to
-        // round-off.
-        let orbital = a.com.cross(la.force) + b.com.cross(lb.force);
-        let total = orbital + la.torque + lb.torque;
-        let scale = a.com.cross(la.force).norm().max(la.torque.norm()).max(1.0);
-        assert!(
-            total.norm() <= 64.0 * f64::EPSILON * scale,
-            "angular momentum residual {total:?} at scale {scale}"
-        );
-        // And the two deposited halves agree to round-off.
-        assert!((la.torque - lb.torque).norm() <= 8.0 * f64::EPSILON * la.torque.norm().max(1.0));
+        assert!(s.phi != run::<false, false, true>(&source_side, 0).phi && s.f_corr == Vec3::ZERO);
+        assert!(t.f_corr.norm() > 0.0);
     }
 
     #[test]
@@ -633,7 +567,6 @@ mod tests {
             d2phi: [1.0; 6],
             force: Vec3::new(2.0, 0.0, 0.0),
             f_corr: Vec3::new(0.5, 0.0, 0.0),
-            torque: Vec3::new(0.0, 0.25, 0.0),
         };
         let b = a;
         a.add(&b);
@@ -642,7 +575,6 @@ mod tests {
         assert_eq!(a.d2phi[3], 2.0);
         assert_eq!(a.force.x, 4.0);
         assert_eq!(a.f_corr.x, 1.0);
-        assert_eq!(a.torque.y, 0.5);
     }
 
     #[test]
@@ -663,6 +595,5 @@ mod tests {
         let t = a.translated(Vec3::new(0.1, 0.0, 0.0));
         assert_eq!(t.force, Vec3::ZERO);
         assert_eq!(t.f_corr, Vec3::ZERO);
-        assert_eq!(t.torque, Vec3::ZERO);
     }
 }

@@ -19,17 +19,22 @@
 //!   leaf–leaf pairs (`QS = false`) this is the monopole–monopole
 //!   kernel, cells as point masses — §4.3's 12 flops; where a source
 //!   carries a quadrupole — a refined neighbour's cells — the same
-//!   launch takes `<true, false, false>`, 122 flops a pair.
+//!   launch takes `<true, false, false>`, 104 flops a pair.
 //! * [`multipole_kernel`] — **refined targets**, `HESS = true`: the
 //!   combined multipole–multipole / multipole–monopole kernel, full M2L
-//!   with quadrupoles and the conservation corrections — 219 flops a
-//!   pair at `<true, true, true>`, 150 at `<false, true, true>` against
+//!   with quadrupoles and the mirror-exact force terms — 198 flops a
+//!   pair at `<true, true, true>`, 132 at `<false, true, true>` against
 //!   a leaf neighbour's point masses (§4.3 models its kernel at 455).
+//!   The paper's kernels also carry Marcello's angular-momentum
+//!   correction; here no pair computes a torque (the driver deposits
+//!   each cell's counter-torque `−r × f` into the spin fields, crate
+//!   docs).
 //!
 //! Flops here are this body's, counted by hand per pair from the source
 //! on computed tensors: the weight, the separation, `at_softened` and
-//! `GroupSums::add` included (`<false, false, false>` is 35 on computed
-//! tensors, `<false, false, true>` 78, `<true, true, false>` 177).
+//! `GroupSums::add` included, negations counted, the target side's
+//! gathers not (`<false, false, false>` is 35 on computed tensors,
+//! `<false, false, true>` 78, `<true, true, false>` 156).
 //!
 //! The pair body is **branchless**: instead of testing whether a
 //! slot holds data (which defeats vectorization, exactly the
@@ -61,11 +66,11 @@
 //! * otherwise, in `accum_group`: a group takes `QS = true` where one of
 //!   its four source slots has a quadrupole and `QT = true` where one of
 //!   its four target slots has — the same source with the absent side's
-//!   `q:B3` (and, for the source, `q:B2` and the six `q` gathers), its
-//!   force part and, with neither, the torque compiled out. A flagged
-//!   leaf's deferred groups, which reach into a refined neighbour, are
-//!   all `QS`-only (a leaf's targets are point masses); a refined node's
-//!   groups that face a leaf neighbour are `QT`-only. With a table, the
+//!   `q:B3` (and, for the source, `q:B2` and the six `q` gathers) and
+//!   its force part compiled out. A flagged leaf's deferred groups,
+//!   which reach into a refined neighbour, are all `QS`-only (a leaf's
+//!   targets are point masses); a refined node's groups that face a
+//!   leaf neighbour are `QT`-only. With a table, the
 //!   group's lattice–lattice lanes take `B0` / `B1` from it by `select`,
 //!   so a lattice pair has the table's rounding whichever group it falls
 //!   in.
@@ -101,7 +106,7 @@
 //! **Target-major sums.** Both kernel loops walk target lane groups
 //! outermost (`target_group`): the group's side of every pair — mask,
 //! mass, centre, second moments, quadrupole flag — is gathered once, its
-//! φ, ∇φ, Hessian, force, `f_corr` and torque run as lane-wide sums
+//! φ, ∇φ, Hessian, force and `f_corr` run as 16 lane-wide sums
 //! (`GroupSums`) across the group's whole offset list, and each cell is
 //! stored once. This is §4.3's reason for the stencil/SoA form — the
 //! target's Taylor coefficients stay in vector registers while the
@@ -498,7 +503,7 @@ fn pairs<const W: usize, const QS: bool, const QT: bool, const HESS: bool>(
     if let Some((lanes, row)) = lattice {
         t = t.with_lattice(lanes, row);
     }
-    sums.add(&PairTerms::of::<QS, QT, HESS>(tgt.m, src(&grid.m) * w, &tgt.q, &qs, d, &t));
+    sums.add(&PairTerms::of::<QS, QT, HESS>(tgt.m, src(&grid.m) * w, &tgt.q, &qs, &t));
     w
 }
 
@@ -659,14 +664,7 @@ fn lattice_walk<const STRIDE: usize>(
             // these are the bits `pairs` would feed it.
             let ms = Lanes::gather(&grid.m, s0, STRIDE) * tgt.mask;
             let t = row.tensors();
-            sums.add(&PairTerms::of::<false, false, false>(
-                tgt.m,
-                ms,
-                &tgt.q,
-                &[zero; 6],
-                [zero; 3],
-                &t,
-            ));
+            sums.add(&PairTerms::of::<false, false, false>(tgt.m, ms, &tgt.q, &[zero; 6], &t));
         } else {
             deferred[n_deferred] = n;
             n_deferred += 1;
@@ -886,7 +884,7 @@ mod tests {
     }
 
     #[test]
-    fn multipole_kernel_conserves_momentum_and_angular_momentum() {
+    fn multipole_kernel_conserves_momentum() {
         let s = Stencil::octotiger();
         let grid = gather_moments(s.width(), |i, j, k| {
             let n = N_SUB as isize;
@@ -916,26 +914,6 @@ mod tests {
         assert!(
             total_f.norm() <= 1e-13 * scale_f.max(1.0),
             "momentum residual {total_f:?}"
-        );
-        // Angular momentum: orbital torque + deposited spin torques.
-        let mut orbital = Vec3::ZERO;
-        let mut spin = Vec3::ZERO;
-        let mut scale_t = 0.0;
-        for i in 0..N_SUB as isize {
-            for j in 0..N_SUB as isize {
-                for k in 0..N_SUB as isize {
-                    let e = &res.expansions[interior_index(i, j, k)];
-                    let com = grid.get(i, j, k).unwrap().com;
-                    orbital += com.cross(e.force);
-                    spin += e.torque;
-                    scale_t += com.cross(e.force).norm() + e.torque.norm();
-                }
-            }
-        }
-        let residual = (orbital + spin).norm();
-        assert!(
-            residual <= 1e-13 * scale_t.max(1.0),
-            "angular momentum residual {residual} at scale {scale_t}"
         );
     }
 
@@ -1125,7 +1103,7 @@ mod tests {
             }
             let (mt, ms) = (one(tgt.m), one(src.m));
             let (qt, qs) = (tgt.q.map(one), src.q.map(one));
-            let terms = PairTerms::of::<true, true, true>(mt, ms, &qt, &qs, d, &tensors);
+            let terms = PairTerms::of::<true, true, true>(mt, ms, &qt, &qs, &tensors);
             let mut sums = GroupSums::load([*e]);
             sums.add(&terms);
             *e = sums.lane(0);

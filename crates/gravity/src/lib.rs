@@ -16,7 +16,7 @@
 //!    with its stencil of close neighbors. Two compute kernels, exactly
 //!    as in the paper — monopole–monopole (12 flops/interaction) and the
 //!    combined multipole kernel (455 flops/interaction in the paper's
-//!    model, 219 in ours) — and one pair arithmetic: both are `const`
+//!    model, 198 in ours) — and one pair arithmetic: both are `const`
 //!    instantiations of the one body in [`expansion`], so a pair is
 //!    rounded the same whichever kernel evaluates it. The stencil is
 //!    generated from the two-level opening criterion; with θ = 0.5 it
@@ -28,12 +28,16 @@
 //! **Conservation.** Linear momentum is conserved to machine precision
 //! because every pair interaction is evaluated with exactly mirrored
 //! arithmetic (odd derivative tensors negate exactly in IEEE floating
-//! point). Angular momentum is conserved to machine precision by the
-//! Marcello-style correction: the torque residual of each pair's
-//! multipole force (the part not parallel to the separation) is
-//! accumulated, split exactly in half, into the two cells' evolved spin
-//! fields — the same spin fields the hydro solver uses (§4.2). Property
-//! tests assert both.
+//! point); property tests assert it. Angular momentum is not this
+//! crate's: the solve returns φ, g and the force density alone, and the
+//! driver deposits the exact counter-torque `−r × f` of the force it
+//! applies to each cell into that cell's evolved spin fields
+//! (`hydro::angmom::body_force_spin`), as it does for the rotating-frame
+//! sources. That keeps `Σ (r × s + l) V` unchanged by any body force,
+//! whatever the solver's truncation error — where the paper's
+//! Marcello-corrected kernels close the budget pair by pair, this is
+//! one per-cell deposit for every force (DESIGN.md "Conservation
+//! scope").
 
 pub mod direct;
 pub mod expansion;

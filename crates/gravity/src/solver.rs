@@ -11,9 +11,12 @@
 //!    near-field pass (offsets inside the opening criterion).
 //! 3. **Down**: each refined node sums, once, its per-cell *totals* —
 //!    its own same-level expansions plus what it inherited, and the
-//!    conservation ledgers (force corrections and torques) — and each
-//!    child translates (L2L) what it needs from its parent's totals and
-//!    takes its mass share of the ledgers.
+//!    force-correction ledger — and each child translates (L2L) what it
+//!    needs from its parent's totals and takes its mass share of the
+//!    ledger. The field holds φ, g and the force density alone: the
+//!    angular-momentum closure is the driver's, which deposits the
+//!    counter-torque of the force it applies into the spin fields
+//!    (`hydro::angmom::body_force_spin`).
 //!
 //! Neighbor gathering across refinement jumps: when a same-level
 //! neighbor node does not exist (the region is one level coarser, by
@@ -170,10 +173,10 @@ impl NodeMoments {
 }
 
 /// Inherited per-cell data handed from parent to child in the downward
-/// pass: (translated expansion, force-correction share, torque share).
-/// A refined node's per-cell totals have the same shape: (own plus
-/// inherited expansion, force-correction ledger, torque ledger).
-type Inherited = (LocalExpansion, Vec3, Vec3);
+/// pass: (translated expansion, force-correction share). A refined
+/// node's per-cell totals have the same shape: (own plus inherited
+/// expansion, force-correction ledger).
+type Inherited = (LocalExpansion, Vec3);
 
 /// A refined node's per-cell totals ([`downward_node`]), shared by the
 /// children that translate from them and dropped after the last one.
@@ -190,9 +193,6 @@ pub struct CellGravity {
     /// Conservation-grade force density for the momentum update
     /// (same-level exact pair forces / V + inherited field force).
     pub force_density: Vec3,
-    /// Torque density to deposit into the spin fields (angular momentum
-    /// bookkeeping).
-    pub torque_density: Vec3,
 }
 
 /// The solved gravitational field on all leaves.
@@ -284,9 +284,9 @@ fn refined_moments(tree: &Octree, moments: &MomentMap, key: MortonKey) -> Vec<Mu
 /// What each cell `ci` of node `key` inherits from its parent's
 /// per-cell `totals`: the parent cell's total expansion translated (L2L)
 /// from the parent cell's centre of mass to the cell's, and the cell's
-/// mass share of the parent cell's ledgers. A cell has one parent cell,
-/// so this is all it inherits; it is added onto zeros, as an
-/// accumulation into a cleared cell would be.
+/// mass share of the parent cell's force-correction ledger. A cell has
+/// one parent cell, so this is all it inherits; it is added onto zeros,
+/// as an accumulation into a cleared cell would be.
 fn inheritance<'a>(
     moments: &'a MomentMap,
     domain: &Domain,
@@ -301,17 +301,16 @@ fn inheritance<'a>(
     move |ci| {
         let (i, j, k) = (ci as isize / (n * n), ci as isize / n % n, ci as isize % n);
         let (pi, pj, pk) = (base[0] + i / 2, base[1] + j / 2, base[2] + k / 2);
-        let (total, ledger_f, ledger_t) = &totals[interior_index(pi, pj, pk)];
+        let (total, ledger) = &totals[interior_index(pi, pj, pk)];
         let (parent_mp, cmp) = (up(pi, pj, pk), own(i, j, k));
-        let mut inh = (LocalExpansion::default(), Vec3::ZERO, Vec3::ZERO);
+        let mut inh = (LocalExpansion::default(), Vec3::ZERO);
         inh.0.add(&total.translated(cmp.com - parent_mp.com));
         let share = if parent_mp.m > 0.0 {
             cmp.m / parent_mp.m
         } else {
             0.125
         };
-        inh.1 += *ledger_f * share;
-        inh.2 += *ledger_t * share;
+        inh.1 += *ledger * share;
         inh
     }
 }
@@ -319,7 +318,7 @@ fn inheritance<'a>(
 /// Step-3 work of a single refined node: its per-cell totals — its
 /// same-level expansions `own_same` plus what each cell inherits from
 /// the `parent` node's totals (`None` at the root), and the
-/// force-correction and torque ledgers its children split mass-weighted.
+/// force-correction ledger its children split mass-weighted.
 /// Summed once per node; each child translates its share itself
 /// ([`inheritance`]).
 fn downward_node(
@@ -333,15 +332,15 @@ fn downward_node(
     (0..N_CELLS)
         .map(|ci| {
             let mut total = own_same[ci];
-            let (inh_fc, inh_tq) = match &inherit {
+            let inh_fc = match &inherit {
                 Some(inherit) => {
-                    let (exp, fc, tq) = inherit(ci);
+                    let (exp, fc) = inherit(ci);
                     total.add(&exp);
-                    (fc, tq)
+                    fc
                 }
-                None => (Vec3::ZERO, Vec3::ZERO),
+                None => Vec3::ZERO,
             };
-            (total, total.f_corr + inh_fc, total.torque + inh_tq)
+            (total, total.f_corr + inh_fc)
         })
         .collect()
 }
@@ -361,9 +360,9 @@ fn assemble_leaf(
     (0..N_CELLS)
         .map(|ci| {
             let s = &own_same[ci];
-            let (inh_exp, inh_fc, inh_tq) = match &inherit {
+            let (inh_exp, inh_fc) = match &inherit {
                 Some(inherit) => inherit(ci),
-                None => (LocalExpansion::default(), Vec3::ZERO, Vec3::ZERO),
+                None => (LocalExpansion::default(), Vec3::ZERO),
             };
             let m = own_moments.mass(ci);
             let phi = s.phi + inh_exp.phi;
@@ -373,7 +372,6 @@ fn assemble_leaf(
                 phi,
                 g,
                 force_density: (s.force + inherited_force) / vol,
-                torque_density: (s.torque + inh_tq) / vol,
             }
         })
         .collect()
@@ -1257,40 +1255,6 @@ mod tests {
     }
 
     #[test]
-    fn angular_momentum_closed_by_torque_ledger_on_uniform_tree() {
-        let tree = uniform_tree(1, blob_density);
-        let solver = FmmSolver::new(0.5);
-        let moments = solver.compute_moments(&tree);
-        let field = solver.solve_with_moments(&tree, &moments);
-        let domain = tree.domain();
-        let vol = domain.cell_volume(1);
-        let mut orbital = Vec3::ZERO;
-        let mut spin = Vec3::ZERO;
-        let mut scale = 0.0;
-        for key in tree.leaves() {
-            let cg = field.leaf(key).unwrap();
-            let mom = moments[&key].cells(&domain, key);
-            for (i, j, k) in tree.node(key).unwrap().grid.as_ref().unwrap().indexer().interior() {
-                let ci = interior_index(i, j, k);
-                let f = cg[ci].force_density * vol;
-                orbital += mom(i, j, k).com.cross(f);
-                spin += cg[ci].torque_density * vol;
-                scale += mom(i, j, k).com.cross(f).norm();
-            }
-        }
-        let residual = (orbital + spin).norm();
-        // Same-level passes close the budget to round-off (see the
-        // kernel tests); distributing coarse-level ledgers through L2L
-        // moves force application points, so the multi-level residual is
-        // truncation-order, not round-off. Bound it tightly relative to
-        // the total torque scale.
-        assert!(
-            residual <= 1e-3 * scale.max(1.0),
-            "angular momentum residual {residual} at scale {scale}"
-        );
-    }
-
-    #[test]
     fn deeper_uniform_tree_improves_direct_agreement() {
         // At level 2 the stencil is exercised across node boundaries and
         // the L2L path is active (level-1 nodes are refined).
@@ -1363,7 +1327,6 @@ mod tests {
                     assert_eq!(x.phi.to_bits(), y.phi.to_bits());
                     assert_eq!(x.g.x.to_bits(), y.g.x.to_bits());
                     assert_eq!(x.force_density.x.to_bits(), y.force_density.x.to_bits());
-                    assert_eq!(x.torque_density.x.to_bits(), y.torque_density.x.to_bits());
                 }
             }
         }
@@ -1414,7 +1377,6 @@ mod tests {
                         assert_eq!(x.phi.to_bits(), y.phi.to_bits(), "chunk {chunk} threads {threads}");
                         assert_eq!(x.g.x.to_bits(), y.g.x.to_bits());
                         assert_eq!(x.force_density.y.to_bits(), y.force_density.y.to_bits());
-                        assert_eq!(x.torque_density.z.to_bits(), y.torque_density.z.to_bits());
                     }
                 }
             }
@@ -1520,7 +1482,6 @@ mod tests {
                     assert_eq!(x.g.y.to_bits(), y.g.y.to_bits());
                     assert_eq!(x.g.z.to_bits(), y.g.z.to_bits());
                     assert_eq!(x.force_density.x.to_bits(), y.force_density.x.to_bits());
-                    assert_eq!(x.torque_density.x.to_bits(), y.torque_density.x.to_bits());
                 }
             }
         }

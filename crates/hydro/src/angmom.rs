@@ -65,9 +65,11 @@ pub(crate) fn spin_source_lanes<const W: usize>(
 /// way the flux sweep does: a force applied at the cell centre changes
 /// `d(r × s)/dt` by `r × f`, and the unresolved sub-cell lever arm goes
 /// to the spin ledger, so `d(r × s + l)/dt` from the source is exactly
-/// zero. The gravity solver follows this convention with its per-cell
-/// torque ledger (`GravityField::torque_density`); the rotating-frame
-/// sources use this helper. The result is the paper's headline
+/// zero. This is the one angular-momentum closure of every body force:
+/// the driver deposits it for the gravity force density the FMM returns
+/// (which keeps no torque ledger of its own, so the budget closes
+/// whatever the solver's truncation error), and the rotating-frame
+/// sources for the frame force. The result is the paper's headline
 /// property: `Σ (r × s + l) V` changes only through domain-boundary
 /// fluxes, i.e. angular momentum is conserved to machine precision.
 #[inline]

@@ -14,7 +14,7 @@
 //! discrete angular-momentum budget of [`crate::angmom`]: the force is
 //! applied at the cell centre, so its torque on `r × s` is compensated
 //! in the spin ledger with [`crate::angmom::body_force_spin`], exactly
-//! as the gravity solver's `torque_density` does. The monitored total
+//! as the driver does for the gravity force. The monitored total
 //! `Σ (r × s + l) V` — the *rotating-frame* angular momentum — then
 //! changes only through domain-boundary fluxes. (The z-component of
 //! the centrifugal torque is identically zero; the Coriolis torque

@@ -1,4 +1,5 @@
-//! Initial stellar models — the Self-Consistent Field (SCF) substrate.
+//! Initial stellar models — the stand-in for the paper's
+//! Self-Consistent Field (SCF) module.
 //!
 //! "Octo-Tiger uses its Self-Consistent Field module to produce an
 //! initial model for V1309 ... The stars are tidally synchronized, and
@@ -8,19 +9,15 @@
 //!
 //! * [`lane_emden`] — the Lane–Emden equation and polytropic stellar
 //!   structure (the paper's V1309 components have n = 3/2 cores).
-//! * [`hachisu`] — a Hachisu-style SCF iteration for a uniformly
-//!   rotating polytrope, using the spherically averaged (monopole)
-//!   potential. In the non-rotating limit it converges to the
-//!   Lane–Emden solution (asserted by tests); with rotation it shows
-//!   the expected oblateness. The production code couples the full FMM
-//!   here — see DESIGN.md for the documented substitution.
 //! * [`binary`] — the V1309 Scorpii initial model: two tidally
 //!   truncated, synchronously rotating polytropes with helium cores, a
 //!   common envelope, passive-scalar tagging, and the rotating-frame
-//!   velocity field, painted onto an AMR octree.
+//!   velocity field, painted onto an AMR octree. Each star is a
+//!   Lane–Emden polytrope; no self-consistent-field iteration runs (the
+//!   production code's SCF couples the full FMM — see DESIGN.md for the
+//!   documented substitution).
 
 pub mod binary;
-pub mod hachisu;
 pub mod lane_emden;
 
 pub use binary::BinaryModel;

@@ -3,7 +3,7 @@
 #
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
 #      zero second-pair-arithmetic, zero fused/fast-math, zero rank-3
-#      tensor, zero
+#      tensor, zero gravity torque ledger, zero
 #      driver-ghost-fill, zero per-leaf stage buffer, zero derived-grid,
 #      zero slab-pipeline, zero
 #      remote-call, zero owner-registry and zero uncalled-pub-fn budgets
@@ -108,6 +108,24 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "arithmetic budget OK (0 square roots outside tensors.rs, 0 mul_add / fast-math, 0 rank-3 tensors)"
+
+echo
+echo "== tier-1: ledger budget =="
+# One angular-momentum closure: the driver deposits the counter-torque
+# `−r × f` of every body force it applies into the spin fields
+# (`hydro::angmom::body_force_spin`). A torque in gravity's non-test code
+# — a pair-torque term, a running sum, a field — is a second closure
+# coming back, one no run reads, paid for in the pair body's registers.
+stray=$(awk 'FNR == 1 { test = 0 } /^mod tests/ { test = 1 }
+    { code = $0; sub(/\/\/.*/, "", code) }
+    !test && code ~ /torque/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/gravity/src/*.rs)
+if [ -n "$stray" ]; then
+    echo "!! a torque in gravity's non-test code (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "ledger budget OK (0 torques in gravity's non-test code; one closure, the driver's spin deposit)"
 
 echo
 echo "== tier-1: ghost budget =="

@@ -67,11 +67,7 @@ fn assert_cells_bit_identical(keys: &[MortonKey], a: &GravityField, b: &GravityF
         assert_eq!(ca.len(), cb.len());
         for (x, y) in ca.iter().zip(cb.iter()) {
             assert_eq!(x.phi.to_bits(), y.phi.to_bits(), "{what}: phi");
-            for (u, v) in [
-                (x.g, y.g),
-                (x.force_density, y.force_density),
-                (x.torque_density, y.torque_density),
-            ] {
+            for (u, v) in [(x.g, y.g), (x.force_density, y.force_density)] {
                 assert_eq!(u.x.to_bits(), v.x.to_bits(), "{what}: x-component");
                 assert_eq!(u.y.to_bits(), v.y.to_bits(), "{what}: y-component");
                 assert_eq!(u.z.to_bits(), v.z.to_bits(), "{what}: z-component");
@@ -265,7 +261,8 @@ fn centered_star_conserves_with_parallel_gravity() {
     // density profile (a polytrope in near-vacuum) evolved with
     // self-gravity on, where solve_gravity runs the futurized FMM.
     // Momentum and angular momentum must stay at machine precision (the
-    // FMM's conservation-grade force density and torque ledger); mass
+    // FMM's conservation-grade force density and the driver's spin
+    // deposit of its counter-torque); mass
     // drift is bounded by the floor-level ambient crossing the outflow
     // boundary.
     let mut sim = Simulation::new(Scenario::single_star(1));
