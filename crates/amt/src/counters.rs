@@ -6,7 +6,7 @@
 //! instrumental in scaling Octo-Tiger to the full machine" (paper §4.1).
 //!
 //! [`CounterRegistry`] is a concurrent map of hierarchical counter names
-//! (e.g. `"tasks/executed"`, `"parcels/sent"`, `"fmm/kernels/gpu"`) to
+//! (e.g. `"tasks/executed"`, `"parcels_tx"`, `"fmm/kernels/gpu"`) to
 //! atomic values. All runtime subsystems report into it and the benchmark
 //! harnesses read it to compute the quantities the paper reports (kernel
 //! launch fractions, sub-grids per second, ...).
@@ -100,11 +100,11 @@ mod tests {
     fn snapshot_is_sorted() {
         let reg = CounterRegistry::new();
         reg.add("tasks/executed", 2);
-        reg.add("parcels/sent", 7);
+        reg.add("fmm/kernels/gpu", 7);
         reg.add("tasks/stolen", 1);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, vec!["parcels/sent", "tasks/executed", "tasks/stolen"]);
+        assert_eq!(names, vec!["fmm/kernels/gpu", "tasks/executed", "tasks/stolen"]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! accessors. [`Metrics`] unifies them: it owns (or wraps) one registry
 //! for locally produced counters and *mounts* other registries under a
 //! path prefix, so a cluster-level snapshot shows
-//! `parcelport/libfabric/parcels/sent` and `locality/0/tasks/executed`
+//! `parcelport/libfabric/parcels_tx` and `locality/0/tasks/executed`
 //! side by side in one sorted map.
 //!
 //! Resolution is longest-prefix: `metrics.counter("parcelport/mpi/x")`

@@ -93,7 +93,6 @@ fn star_amr() -> Scenario {
             grid.set(Field::Tau, i, j, k, eos.tau_from_e(e));
         }
     }
-    tree.restrict_all();
     Scenario {
         name: "star_amr",
         tree,

@@ -1,14 +1,15 @@
-//! Regenerate the **§6.1.2 launch-fraction numbers**: the percentage of
-//! multipole FMM kernels launched on the GPU for the three measured
-//! configurations, from the launch-policy simulation — then *measure*
-//! the same quantity by running the real futurized solver with its
+//! *Measure* the **§6.1.2 launch split** — the fraction of FMM kernels
+//! launched on the GPU — by running the real futurized solver with its
 //! kernel launches routed through the simulated device (§5.1: idle
-//! stream → GPU, busy → CPU fallback).
+//! stream → GPU, busy → CPU fallback), and the launch collapse of work
+//! aggregation over the same solve. The node model's figures for the
+//! paper's three configurations are `table2_node_level`'s.
 //!
 //! The human-readable tables go to stderr; stdout carries one JSON
-//! object (`model`, `measured`, `aggregation`). Exits non-zero if the
-//! default 8-slot aggregation window stops fusing the solve's launches
-//! at least twofold.
+//! object (`measured`, `aggregation`). Exits non-zero if the §6.1.2 fix
+//! (queue on busy, a stream for every lane) leaves any kernel on the
+//! CPU, or if the default 8-slot aggregation window stops fusing the
+//! solve's launches at least twofold.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin gpu_launch_fraction > launch_fraction.json
@@ -22,13 +23,11 @@ use gpusim::launch_policy::QueuePolicy;
 use octree::geometry::Domain;
 use octree::subgrid::Field;
 use octree::tree::Octree;
-use perfmodel::machine::table2_platforms;
-use perfmodel::node_level::{simulate_node, Workload};
 use std::sync::Arc;
 use util::vec3::Vec3;
 
 /// A level-2 uniform tree with a two-blob density — the measured
-/// workload: 73 nodes, two kernel launches per leaf pass.
+/// workload: 73 nodes, one kernel work item each.
 fn measured_tree() -> Arc<Octree> {
     let mut t = Octree::new(Domain::new(16.0));
     t.refine_where(2, |_d, _k| true);
@@ -44,24 +43,28 @@ fn measured_tree() -> Arc<Octree> {
             grid.set(Field::Rho, i, j, k, rho);
         }
     }
-    t.restrict_all();
     Arc::new(t)
 }
 
-/// One real solve under `policy`; prints the row and returns it as JSON.
-fn measured_split(n_streams: usize, policy: QueuePolicy, label: &str) -> String {
+/// Worker threads of every measured solve.
+const WORKERS: usize = 4;
+
+/// One real solve under `policy`; prints the row and returns it with
+/// its GPU fraction.
+fn measured_split(n_streams: usize, policy: QueuePolicy, label: &str) -> (String, f64) {
     let tree = measured_tree();
     let dev = Device::new(DeviceSpec::p100(), n_streams);
-    let solver = Arc::new(FmmSolver::with_gpu(0.5, GpuContext::new(&dev, 4, policy)));
-    let rt = Runtime::new(4);
+    let solver = Arc::new(FmmSolver::with_gpu(0.5, GpuContext::new(&dev, WORKERS, policy)));
+    let rt = Runtime::new(WORKERS);
     let field = solver.solve_parallel(&tree, &rt);
-    let fraction = solver.gpu().unwrap().stats().gpu_fraction();
+    let fraction = solver.gpu().unwrap().agg_stats().gpu_fraction();
     let (gpu, cpu) = (field.kernel_launches_gpu, field.kernel_launches_cpu);
     eprintln!("{label:<40} {gpu:>6} GPU {cpu:>6} CPU {:>10.2}%", 100.0 * fraction);
-    format!(
+    let json = format!(
         "    {{ \"configuration\": \"{label}\", \"gpu_launches\": {gpu}, \
          \"cpu_launches\": {cpu}, \"gpu_fraction\": {fraction:.6} }}"
-    )
+    );
+    (json, fraction)
 }
 
 /// One batched solve over the measured tree with the given aggregation
@@ -71,10 +74,10 @@ fn aggregated_run(slots: usize, window: usize) -> (u64, u64) {
     let tree = measured_tree();
     let dev = Device::new(DeviceSpec::p100(), 8);
     let solver = Arc::new(
-        FmmSolver::with_gpu(0.5, GpuContext::new(&dev, 4, QueuePolicy::QueueOnBusy))
+        FmmSolver::with_gpu(0.5, GpuContext::new(&dev, WORKERS, QueuePolicy::QueueOnBusy))
             .with_aggregation(slots, window),
     );
-    let rt = Runtime::new(4);
+    let rt = Runtime::new(WORKERS);
     let _ = solver.solve_parallel(&tree, &rt);
     let agg = solver.gpu().unwrap().agg_stats();
     (agg.items_gpu(), agg.batches_gpu())
@@ -138,54 +141,21 @@ fn aggregation_collapse() -> String {
 }
 
 fn main() {
-    eprintln!("§6.1.2 — fraction of FMM kernels launched on the GPU");
-    eprintln!("{}", "=".repeat(72));
-    let rows: &[(&str, f64, f64)] = &[
-        ("20 cores + 1x V100", 987.0, 97.4995),
-        ("10 cores + 1x V100", 1722.0, 99.9997),
-        ("Piz Daint node + 1x P100", 1435.0, 99.5207),
-    ];
-    eprintln!(
-        "{:<32} {:>12} {:>12} {:>12}",
-        "configuration", "model %", "paper %", "CPU kernels"
-    );
-    eprintln!("{}", "-".repeat(72));
-    let platforms = table2_platforms();
-    let mut model = Vec::new();
-    for (pat, other_wall, paper_pct) in rows {
-        let cfg = platforms.iter().find(|c| c.name.contains(pat)).unwrap();
-        let w = Workload::v1309_level14(*other_wall);
-        let r = simulate_node(cfg, &w);
-        eprintln!(
-            "{:<32} {:>11.4}% {:>11.4}% {:>12}",
-            cfg.name,
-            100.0 * r.gpu_fraction,
-            paper_pct,
-            r.cpu_kernels
-        );
-        model.push(format!(
-            "    {{ \"configuration\": \"{}\", \"model_pct\": {:.4}, \"paper_pct\": {paper_pct} }}",
-            cfg.name,
-            100.0 * r.gpu_fraction
-        ));
-    }
-    eprintln!("{}", "-".repeat(72));
-    eprintln!("Also the §6.1.2 fix (QueueOnBusy): with kernels queued on busy");
-    eprintln!("streams instead of falling back, 100% launch on the GPU — see");
-    eprintln!("gpusim::launch_policy::QueuePolicy::QueueOnBusy and its tests.");
-    eprintln!();
-    eprintln!("Measured: real futurized FMM solve (level-2 tree, 4 workers),");
-    eprintln!("launches routed per §5.1 through the simulated P100:");
+    eprintln!("§6.1.2 — fraction of FMM kernels launched on the GPU, measured:");
+    eprintln!("real futurized FMM solve (level-2 tree, {WORKERS} workers), launches");
+    eprintln!("routed per §5.1 through the simulated P100 (the node model's");
+    eprintln!("figures for the paper's configurations: table2_node_level)");
     eprintln!("{}", "-".repeat(72));
     let measured = [
         measured_split(4, QueuePolicy::CpuFallback, "4 streams, CPU fallback"),
         measured_split(1, QueuePolicy::CpuFallback, "1 stream, CPU fallback (starved)"),
-        measured_split(4, QueuePolicy::QueueOnBusy, "4 streams, queue on busy (the fix)"),
+        // The fix gets a stream for every lane — each worker's and the
+        // helper lane the main thread submits through while it waits —
+        // so no submitter is left without a stream to queue on.
+        measured_split(WORKERS + 1, QueuePolicy::QueueOnBusy, "5 streams, queue on busy (the fix)"),
     ];
+    assert_eq!(measured[2].1, 1.0, "queue on busy with a stream per lane left kernels on the CPU");
+    let measured: Vec<String> = measured.into_iter().map(|(json, _)| json).collect();
     let aggregation = aggregation_collapse();
-    println!(
-        "{{\n  \"model\": [\n{}\n  ],\n  \"measured\": [\n{}\n  ],\n{aggregation}\n}}",
-        model.join(",\n"),
-        measured.join(",\n")
-    );
+    println!("{{\n  \"measured\": [\n{}\n  ],\n{aggregation}\n}}", measured.join(",\n"));
 }

@@ -30,11 +30,12 @@ pub struct Config {
     /// benchmark stops setting it.
     pub fmm_chunk_cells: usize,
     /// Same-kind kernel work items per fused GPU batch (1 = no
-    /// batching). Inert until a run can attach a device: the driver's
-    /// solver is CPU-only, so nothing reads it yet.
+    /// batching). Ignored by the driver: the simulated device is a
+    /// bench-only model and a run's solver is CPU-only. It stays, with
+    /// `fmm_agg_window`, until the benchmark stops reading it.
     pub fmm_agg_slots: usize,
     /// Total buffered kernel work items before a forced flush (raised to
-    /// `fmm_agg_slots` when smaller). Inert like `fmm_agg_slots`.
+    /// `fmm_agg_slots` when smaller). Ignored like `fmm_agg_slots`.
     pub fmm_agg_window: usize,
     /// Physical boundary condition.
     pub bc: BoundaryCondition,

@@ -418,12 +418,7 @@ impl DistributedDriver {
             epoch,
             config,
             stepper: HydroStepper::new(config.eos),
-            solver: config.gravity.then(|| {
-                Arc::new(
-                    FmmSolver::new(config.theta)
-                        .with_aggregation(config.fmm_agg_slots, config.fmm_agg_window),
-                )
-            }),
+            solver: config.gravity.then(|| Arc::new(FmmSolver::new(config.theta))),
             frame: RotatingFrame::new(config.omega),
             time: 0.0,
             steps: 0,

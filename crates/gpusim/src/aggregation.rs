@@ -20,16 +20,19 @@
 //!   of work to submit ([`FlushTrigger::Idle`] — the "no more tasks
 //!   arriving" path), so no item is ever stranded.
 //!
-//! A flush hands the batch to [`StreamPool::launch_fused`]: one idle
-//! stream runs every item of the batch in submission order (one device
-//! launch, *n* items), and when the §5.1 policy says the CPU must take
-//! the work instead, the region degrades to running each item inline,
-//! per item, exactly as an unaggregated launch would have. Items are
-//! opaque closures that receive only "did this run on the device", so
-//! where a batch lands — and how items were grouped into batches —
-//! can never change the numbers, only the counters.
+//! A flush hands the batch to [`StreamPool::launch`]: one idle stream
+//! runs every item of the batch in submission order (one device launch,
+//! *n* items), and when the §5.1 policy says the CPU must take the work
+//! instead, the region degrades to running each item inline, per item,
+//! exactly as an unaggregated launch would have. Items are opaque
+//! closures that receive only "did this run on the device", so where a
+//! batch lands — and how items were grouped into batches — can never
+//! change the numbers, only the counters. [`AggregationStats`] is the
+//! one launch ledger: it counts items per site, so its
+//! [`AggregationStats::gpu_fraction`] is the §6.1.2 per-kernel
+//! observable whatever the batching.
 
-use crate::launch_policy::{FusedOutcome, StreamPool};
+use crate::launch_policy::{LaunchOutcome, StreamPool};
 use amt::trace::{self, TraceCategory};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -117,9 +120,9 @@ fn bucket(n: usize) -> usize {
     }
 }
 
-/// Cumulative aggregation counters, shared by every region of one
-/// context: batch/item split per execution site, flush-trigger
-/// breakdown, and a per-kind batch-size histogram.
+/// Cumulative launch counters, shared by every region of one context:
+/// batch/item split per execution site, flush-trigger breakdown, and a
+/// per-kind batch-size histogram.
 pub struct AggregationStats {
     batches_gpu: AtomicU64,
     items_gpu: AtomicU64,
@@ -208,6 +211,17 @@ impl AggregationStats {
         self.items_gpu() + self.items_cpu()
     }
 
+    /// Fraction of items that ran inside a device launch — the §6.1.2
+    /// percentages, counted per kernel item whatever the batching; 0
+    /// before any flush.
+    pub fn gpu_fraction(&self) -> f64 {
+        let items = self.items();
+        if items == 0 {
+            return 0.0;
+        }
+        self.items_gpu() as f64 / items as f64
+    }
+
     /// One batch-size histogram bucket of one kind.
     pub fn hist(&self, kind: usize, bucket: usize) -> u64 {
         self.hist[kind][bucket].load(Ordering::Relaxed)
@@ -226,7 +240,7 @@ impl AggregationStats {
 
 /// A work-aggregation region: per-kind lanes buffering [`AggItem`]s
 /// until a flush trigger fires, then fusing each batch into one
-/// [`StreamPool::launch_fused`] call.
+/// [`StreamPool::launch`] call.
 ///
 /// Thread safety: lanes are mutex-guarded, so a region may be shared
 /// (the overflow region of a context is hit by arbitrary helper
@@ -321,13 +335,13 @@ impl AggregationRegion {
         let _span = trace::span_labeled(TraceCategory::AggFlush, || {
             format!("kind{kind} n={n} {}", trigger.as_str())
         });
-        match pool.launch_fused(items) {
-            FusedOutcome::Gpu(_event) => {
+        match pool.launch(items) {
+            LaunchOutcome::Gpu(_event) => {
                 // Completion is observed through the items' own
                 // promises, not the stream event.
                 self.stats.record(kind, n, trigger, true);
             }
-            FusedOutcome::CpuFallback(items) => {
+            LaunchOutcome::CpuFallback(items) => {
                 self.stats.record(kind, n, trigger, false);
                 for item in items {
                     item(false);
@@ -341,14 +355,14 @@ impl AggregationRegion {
 mod tests {
     use super::*;
     use crate::device::{Device, DeviceSpec};
-    use crate::launch_policy::{LaunchStats, QueuePolicy};
+    use crate::launch_policy::QueuePolicy;
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     // The device must outlive the pool: dropping the `Arc<Device>`
     // shuts the executor down, and ops enqueued after that never run.
     fn pool(n_streams: usize, policy: QueuePolicy) -> (Arc<Device>, StreamPool) {
         let dev = Device::new(DeviceSpec::p100(), n_streams);
-        let pool = StreamPool::partition(dev.streams(), 1, policy, Arc::new(LaunchStats::new()))
+        let pool = StreamPool::partition(dev.streams(), 1, policy)
             .into_iter()
             .next()
             .unwrap();
@@ -384,7 +398,7 @@ mod tests {
         assert_eq!(stats.items_gpu(), 4);
         assert_eq!(stats.flush_full(), 1);
         assert_eq!(region.buffered(), 0);
-        assert_eq!(pool.stats().gpu_launches(), 4, "per-item launch stats");
+        assert_eq!(stats.gpu_fraction(), 1.0, "items counted per kernel");
     }
 
     #[test]
@@ -439,7 +453,7 @@ mod tests {
                 std::hint::spin_loop();
             }
         });
-        let FusedOutcome::Gpu(ev) = pool.launch_fused(vec![block]) else {
+        let LaunchOutcome::Gpu(ev) = pool.launch(vec![block]) else {
             panic!("idle stream must take the blocker");
         };
         let stats = Arc::new(AggregationStats::new(1));
@@ -453,7 +467,7 @@ mod tests {
         assert_eq!(gpu_hits.load(Ordering::SeqCst), 0, "fallback items run on CPU");
         assert_eq!(stats.batches_cpu(), 1);
         assert_eq!(stats.items_cpu(), 2);
-        assert_eq!(pool.stats().cpu_launches(), 2, "per-item fallback stats");
+        assert_eq!(stats.gpu_fraction(), 0.0, "per-item fallback stats");
         gate.store(1, Ordering::SeqCst);
         ev.get();
     }
@@ -466,6 +480,16 @@ mod tests {
         let c = AggregationConfig::new(16, 4);
         assert_eq!(c.window, 16, "window clamps up to slots");
         assert_eq!(AggregationConfig::per_item(), AggregationConfig::new(1, 1));
+    }
+
+    #[test]
+    fn gpu_fraction_counts_items_not_batches() {
+        let s = AggregationStats::new(1);
+        assert_eq!(s.gpu_fraction(), 0.0, "no flush yet");
+        s.record(0, 3, FlushTrigger::Full, true);
+        s.record(0, 1, FlushTrigger::Idle, false);
+        assert_eq!(s.batches(), 2);
+        assert_eq!(s.gpu_fraction(), 0.75);
     }
 
     #[test]

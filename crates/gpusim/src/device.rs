@@ -21,9 +21,6 @@ pub struct DeviceSpec {
     pub dp_peak_gflops: f64,
     /// Kernel launch overhead, microseconds.
     pub launch_overhead_us: f64,
-    /// Number of concurrent streams the runtime drives (128 in the
-    /// paper's configuration for GPUs; CPUs do not use streams).
-    pub default_streams: usize,
 }
 
 impl DeviceSpec {
@@ -35,7 +32,6 @@ impl DeviceSpec {
             sm_count: 56,
             dp_peak_gflops: 4700.0,
             launch_overhead_us: 5.0,
-            default_streams: 128,
         }
     }
 
@@ -46,7 +42,6 @@ impl DeviceSpec {
             sm_count: 80,
             dp_peak_gflops: 7000.0,
             launch_overhead_us: 5.0,
-            default_streams: 128,
         }
     }
 
@@ -61,7 +56,6 @@ impl DeviceSpec {
             sm_count: cores,
             dp_peak_gflops: cores as f64 * 2.4 * 16.0,
             launch_overhead_us: 0.0,
-            default_streams: 0,
         }
     }
 
@@ -73,7 +67,6 @@ impl DeviceSpec {
             sm_count: 12,
             dp_peak_gflops: 12.0 * 2.6 * 16.0,
             launch_overhead_us: 0.0,
-            default_streams: 0,
         }
     }
 
@@ -86,7 +79,6 @@ impl DeviceSpec {
             sm_count: 64,
             dp_peak_gflops: 64.0 * 1.3 * 32.0,
             launch_overhead_us: 0.0,
-            default_streams: 0,
         }
     }
 

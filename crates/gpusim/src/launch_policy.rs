@@ -7,20 +7,23 @@
 //! on the CPU by the current CPU worker thread."
 //!
 //! [`StreamPool`] partitions a device's streams across CPU worker
-//! threads and implements exactly that decision; [`LaunchStats`] counts
-//! the split, which is the §6.1.2 observable (97.4995% / 99.9997% /
-//! 99.5207% of multipole kernels launched on the GPU for the three
-//! configurations). The paper also names the limitation — "there is no
-//! reason not to launch multiple FMM kernels in one stream if there is
-//! no empty stream available" — which is provided as the opt-in
-//! [`QueuePolicy::QueueOnBusy`] variant (the fix promised for the next
-//! Octo-Tiger version, reproduced here as an ablation).
+//! threads and makes exactly that decision, once per launch, in
+//! [`StreamPool::launch`]. A launch is a batch of work items run in
+//! submission order: the aggregation executors of arXiv:2210.06438 fuse
+//! same-kind items into one launch, and a per-item launch is the
+//! one-item batch. The split is counted per item by
+//! [`crate::AggregationStats`], whose `gpu_fraction` is the §6.1.2
+//! observable (97.4995% / 99.9997% / 99.5207% of multipole kernels on
+//! the GPU for the three configurations). The paper also names the
+//! limitation — "there is no reason not to launch multiple FMM kernels
+//! in one stream if there is no empty stream available" — which is
+//! provided as the opt-in [`QueuePolicy::QueueOnBusy`] variant (the fix
+//! promised for the next Octo-Tiger version, reproduced here as an
+//! ablation).
 
 use crate::aggregation::AggItem;
 use crate::stream::CudaStream;
 use amt::Future;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What to do when every stream owned by the calling worker is busy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,81 +34,20 @@ pub enum QueuePolicy {
     QueueOnBusy,
 }
 
-/// Where a kernel ended up.
+/// Where a launch ended up.
 pub enum LaunchOutcome {
-    /// Launched on the device; the future fires when it completes.
-    Gpu(Future<()>),
-    /// All owned streams were busy; the kernel is handed back and the
-    /// caller must run it on the CPU (already counted in the stats).
-    CpuFallback(Box<dyn FnOnce() + Send + 'static>),
-}
-
-/// Where a *fused batch* of work items ended up.
-pub enum FusedOutcome {
     /// The whole batch was enqueued as one device launch; the future
     /// fires when the batch completes.
     Gpu(Future<()>),
-    /// All owned streams were busy; the items are handed back and the
-    /// caller must run each on the CPU (already counted in the stats).
+    /// No stream takes the batch; the items are handed back and the
+    /// caller must run each on the CPU.
     CpuFallback(Vec<AggItem>),
-}
-
-/// Counters for the GPU/CPU launch split.
-#[derive(Default)]
-pub struct LaunchStats {
-    gpu: AtomicU64,
-    cpu: AtomicU64,
-}
-
-impl LaunchStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn count_gpu(&self) {
-        self.gpu.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn count_cpu(&self) {
-        self.cpu.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count `n` kernels launched on the GPU at once (a fused batch
-    /// still counts its items individually — the §6.1.2 fraction is a
-    /// per-kernel observable, independent of batching).
-    pub fn count_gpu_n(&self, n: u64) {
-        self.gpu.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` kernels that fell back to the CPU at once.
-    pub fn count_cpu_n(&self, n: u64) {
-        self.cpu.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn gpu_launches(&self) -> u64 {
-        self.gpu.load(Ordering::Relaxed)
-    }
-
-    pub fn cpu_launches(&self) -> u64 {
-        self.cpu.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of kernels that ran on the GPU (the §6.1.2 percentages).
-    pub fn gpu_fraction(&self) -> f64 {
-        let g = self.gpu_launches() as f64;
-        let c = self.cpu_launches() as f64;
-        if g + c == 0.0 {
-            return 0.0;
-        }
-        g / (g + c)
-    }
 }
 
 /// The streams owned by one CPU worker thread, plus the launch decision.
 pub struct StreamPool {
     streams: Vec<CudaStream>,
     policy: QueuePolicy,
-    stats: Arc<LaunchStats>,
 }
 
 impl StreamPool {
@@ -116,17 +58,13 @@ impl StreamPool {
         streams: Vec<CudaStream>,
         n_workers: usize,
         policy: QueuePolicy,
-        stats: Arc<LaunchStats>,
     ) -> Vec<StreamPool> {
         assert!(n_workers > 0, "need at least one worker");
         let mut pools: Vec<Vec<CudaStream>> = (0..n_workers).map(|_| Vec::new()).collect();
         for (i, s) in streams.into_iter().enumerate() {
             pools[i % n_workers].push(s);
         }
-        pools
-            .into_iter()
-            .map(|streams| StreamPool { streams, policy, stats: Arc::clone(&stats) })
-            .collect()
+        pools.into_iter().map(|streams| StreamPool { streams, policy }).collect()
     }
 
     /// Number of streams this pool owns.
@@ -139,62 +77,29 @@ impl StreamPool {
         self.streams.is_empty()
     }
 
-    /// Try to launch `kernel`. Follows §5.1: find an idle stream among
-    /// the ones this worker manages; if none, apply the queue policy.
-    pub fn launch(&self, kernel: impl FnOnce() + Send + 'static) -> LaunchOutcome {
-        if let Some(s) = self.streams.iter().find(|s| s.is_idle()) {
-            s.enqueue(kernel);
-            self.stats.count_gpu();
-            return LaunchOutcome::Gpu(s.record_event());
-        }
-        // A pool with no streams has nothing to queue on either: both
-        // policies degrade to the CPU.
-        match self.policy {
-            QueuePolicy::QueueOnBusy if !self.streams.is_empty() => {
-                let s = self.streams.iter().min_by_key(|s| s.backlog()).unwrap();
-                s.enqueue(kernel);
-                self.stats.count_gpu();
-                LaunchOutcome::Gpu(s.record_event())
+    /// Launch `items` as one device launch, following §5.1: an idle
+    /// stream among the ones this worker manages takes the batch, which
+    /// runs every item in submission order; with none idle, the queue
+    /// policy decides. On CPU fallback the items are handed back
+    /// untouched so the caller degrades per item. A pool with no
+    /// streams has nothing to queue on, so both policies fall back.
+    pub fn launch(&self, items: Vec<AggItem>) -> LaunchOutcome {
+        let idle = self.streams.iter().find(|s| s.is_idle());
+        let stream = match self.policy {
+            QueuePolicy::CpuFallback => idle,
+            QueuePolicy::QueueOnBusy => {
+                idle.or_else(|| self.streams.iter().min_by_key(|s| s.backlog()))
             }
-            _ => {
-                self.stats.count_cpu();
-                LaunchOutcome::CpuFallback(Box::new(kernel))
+        };
+        let Some(s) = stream else {
+            return LaunchOutcome::CpuFallback(items);
+        };
+        s.enqueue(move || {
+            for item in items {
+                item(true);
             }
-        }
-    }
-
-    /// Launch a *fused batch*: the same §5.1 decision as
-    /// [`StreamPool::launch`], but the whole batch is one device launch
-    /// running every item in submission order. On CPU fallback the
-    /// items are handed back untouched so the caller degrades per item.
-    /// [`LaunchStats`] counts items, not batches, either way.
-    pub fn launch_fused(&self, items: Vec<AggItem>) -> FusedOutcome {
-        let n = items.len() as u64;
-        if let Some(s) = self.streams.iter().find(|s| s.is_idle()) {
-            self.stats.count_gpu_n(n);
-            s.enqueue(move || {
-                for item in items {
-                    item(true);
-                }
-            });
-            return FusedOutcome::Gpu(s.record_event());
-        }
-        match self.policy {
-            QueuePolicy::QueueOnBusy if !self.streams.is_empty() => {
-                let s = self.streams.iter().min_by_key(|s| s.backlog()).unwrap();
-                self.stats.count_gpu_n(n);
-                s.enqueue(move || {
-                    for item in items {
-                        item(true);
-                    }
-                });
-                FusedOutcome::Gpu(s.record_event())
-            }
-            _ => {
-                self.stats.count_cpu_n(n);
-                FusedOutcome::CpuFallback(items)
-            }
-        }
+        });
+        LaunchOutcome::Gpu(s.record_event())
     }
 
     /// Block until every stream of this pool has drained.
@@ -203,28 +108,41 @@ impl StreamPool {
             s.synchronize();
         }
     }
-
-    /// Shared launch statistics.
-    pub fn stats(&self) -> &Arc<LaunchStats> {
-        &self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::{Device, DeviceSpec};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// A one-item batch that counts its runs and, separately, the runs
+    /// that happened on the device.
+    fn counted(hits: &Arc<AtomicUsize>, gpu_hits: &Arc<AtomicUsize>) -> Vec<AggItem> {
+        let (h, g) = (Arc::clone(hits), Arc::clone(gpu_hits));
+        vec![Box::new(move |on_gpu| {
+            h.fetch_add(1, Ordering::SeqCst);
+            if on_gpu {
+                g.fetch_add(1, Ordering::SeqCst);
+            }
+        })]
+    }
+
+    /// A one-item batch that spins until `gate` opens.
+    fn blocker(gate: &Arc<AtomicUsize>) -> Vec<AggItem> {
+        let g = Arc::clone(gate);
+        vec![Box::new(move |_| {
+            while g.load(Ordering::SeqCst) == 0 {
+                std::hint::spin_loop();
+            }
+        })]
+    }
 
     #[test]
     fn partition_splits_streams_evenly() {
         let dev = Device::new(DeviceSpec::p100(), 128);
-        let pools = StreamPool::partition(
-            dev.streams(),
-            12,
-            QueuePolicy::CpuFallback,
-            Arc::new(LaunchStats::new()),
-        );
+        let pools = StreamPool::partition(dev.streams(), 12, QueuePolicy::CpuFallback);
         assert_eq!(pools.len(), 12);
         let total: usize = pools.iter().map(|p| p.len()).sum();
         assert_eq!(total, 128);
@@ -235,93 +153,86 @@ mod tests {
     #[test]
     fn idle_stream_is_used() {
         let dev = Device::new(DeviceSpec::p100(), 4);
-        let stats = Arc::new(LaunchStats::new());
-        let pools =
-            StreamPool::partition(dev.streams(), 1, QueuePolicy::CpuFallback, Arc::clone(&stats));
-        let hit = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hit);
-        match pools[0].launch(move || {
-            h.fetch_add(1, Ordering::SeqCst);
-        }) {
+        let pools = StreamPool::partition(dev.streams(), 1, QueuePolicy::CpuFallback);
+        let hits = Arc::new(AtomicUsize::new(0));
+        let gpu_hits = Arc::new(AtomicUsize::new(0));
+        match pools[0].launch(counted(&hits, &gpu_hits)) {
             LaunchOutcome::Gpu(ev) => ev.get(),
             LaunchOutcome::CpuFallback(_) => panic!("idle stream must be used"),
         }
-        assert_eq!(hit.load(Ordering::SeqCst), 1);
-        assert_eq!(stats.gpu_launches(), 1);
-        assert_eq!(stats.cpu_launches(), 0);
-        assert_eq!(stats.gpu_fraction(), 1.0);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(gpu_hits.load(Ordering::SeqCst), 1, "the item ran on the device");
     }
 
     #[test]
     fn busy_streams_trigger_cpu_fallback() {
         let dev = Device::new(DeviceSpec::p100(), 2);
-        let stats = Arc::new(LaunchStats::new());
-        let pools =
-            StreamPool::partition(dev.streams(), 1, QueuePolicy::CpuFallback, Arc::clone(&stats));
+        let pools = StreamPool::partition(dev.streams(), 1, QueuePolicy::CpuFallback);
         let pool = &pools[0];
         // Block both streams.
         let gate = Arc::new(AtomicUsize::new(0));
         let mut events = Vec::new();
         for _ in 0..2 {
-            let g = Arc::clone(&gate);
-            match pool.launch(move || {
-                while g.load(Ordering::SeqCst) == 0 {
-                    std::hint::spin_loop();
-                }
-            }) {
+            match pool.launch(blocker(&gate)) {
                 LaunchOutcome::Gpu(ev) => events.push(ev),
                 LaunchOutcome::CpuFallback(_) => panic!("streams were idle"),
             }
         }
-        // Now every stream is busy: the kernel must fall back.
-        let ran_inline = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran_inline);
-        match pool.launch(move || {
-            r.fetch_add(1, Ordering::SeqCst);
-        }) {
+        // Now every stream is busy: the batch must fall back.
+        let hits = Arc::new(AtomicUsize::new(0));
+        let gpu_hits = Arc::new(AtomicUsize::new(0));
+        match pool.launch(counted(&hits, &gpu_hits)) {
             LaunchOutcome::Gpu(_) => panic!("no stream can be idle"),
-            LaunchOutcome::CpuFallback(kernel) => {
-                // Caller runs the kernel itself, as Octo-Tiger does
-                // (launch() already counted the fallback).
-                kernel();
+            LaunchOutcome::CpuFallback(items) => {
+                // Caller runs each item itself, as Octo-Tiger does.
+                assert_eq!(items.len(), 1, "the batch comes back whole");
+                for item in items {
+                    item(false);
+                }
             }
         }
         gate.store(1, Ordering::SeqCst);
         for ev in events {
             ev.get();
         }
-        assert_eq!(ran_inline.load(Ordering::SeqCst), 1);
-        assert_eq!(stats.cpu_launches(), 1);
-        assert!(stats.gpu_fraction() < 1.0);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(gpu_hits.load(Ordering::SeqCst), 0);
     }
 
     #[test]
     fn queue_on_busy_never_falls_back() {
         let dev = Device::new(DeviceSpec::p100(), 1);
-        let stats = Arc::new(LaunchStats::new());
-        let pools =
-            StreamPool::partition(dev.streams(), 1, QueuePolicy::QueueOnBusy, Arc::clone(&stats));
+        let pools = StreamPool::partition(dev.streams(), 1, QueuePolicy::QueueOnBusy);
         let pool = &pools[0];
-        let count = Arc::new(AtomicUsize::new(0));
+        let hits = Arc::new(AtomicUsize::new(0));
+        let gpu_hits = Arc::new(AtomicUsize::new(0));
         let mut last = None;
         for _ in 0..50 {
-            let c = Arc::clone(&count);
-            match pool.launch(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            }) {
+            match pool.launch(counted(&hits, &gpu_hits)) {
                 LaunchOutcome::Gpu(ev) => last = Some(ev),
                 LaunchOutcome::CpuFallback(_) => panic!("QueueOnBusy must queue"),
             }
         }
         last.unwrap().get();
-        // In-order stream: by the time the last event fires all 50 ran.
-        assert_eq!(count.load(Ordering::SeqCst), 50);
-        assert_eq!(stats.gpu_launches(), 50);
-        assert_eq!(stats.gpu_fraction(), 1.0);
+        // In-order stream: by the time the last event fires all 50 ran,
+        // every one on the device.
+        assert_eq!(hits.load(Ordering::SeqCst), 50);
+        assert_eq!(gpu_hits.load(Ordering::SeqCst), 50);
     }
 
     #[test]
-    fn empty_stats_fraction_is_zero() {
-        assert_eq!(LaunchStats::new().gpu_fraction(), 0.0);
+    fn a_pool_without_streams_falls_back_under_either_policy() {
+        for policy in [QueuePolicy::CpuFallback, QueuePolicy::QueueOnBusy] {
+            let dev = Device::new(DeviceSpec::p100(), 0);
+            let pools = StreamPool::partition(dev.streams(), 1, policy);
+            assert!(pools[0].is_empty());
+            let hits = Arc::new(AtomicUsize::new(0));
+            let gpu_hits = Arc::new(AtomicUsize::new(0));
+            let LaunchOutcome::CpuFallback(items) = pools[0].launch(counted(&hits, &gpu_hits))
+            else {
+                panic!("{policy:?}: nothing to queue on");
+            };
+            assert_eq!(items.len(), 1, "{policy:?}");
+        }
     }
 }

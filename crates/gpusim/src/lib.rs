@@ -1,5 +1,9 @@
 //! A simulated GPU co-processor with CUDA-style streams and HPX-style
-//! stream-event futures (paper §5.1).
+//! stream-event futures (paper §5.1). The device is a bench-only model:
+//! no run path builds one. The benchmark's `gpusim` rung, the
+//! `gpu_launch_fraction` bin and the tests route real FMM solves
+//! through it (`gravity::gpu::GpuContext`); the simulation driver does
+//! not.
 //!
 //! The paper's GPU integration has three ingredients, all reproduced
 //! here:
@@ -16,20 +20,24 @@
 //!    checks whether all of the CUDA streams it manages are busy. If
 //!    not, the kernel will be launched on the GPU using an idle stream.
 //!    Otherwise, the kernel will be executed on the CPU by the current
-//!    CPU worker thread" ([`launch_policy::StreamPool`]). The §6.1.2
-//!    launch-fraction numbers fall out of this policy.
+//!    CPU worker thread" ([`launch_policy::StreamPool::launch`], the one
+//!    place that decision is made).
 //!
-//! Because no physical GPU exists in this reproduction, the device
-//! *executes kernels for real* on a host thread (bit-identical results
-//! to CPU fallback), while [`device::DeviceSpec`] carries the modelled
-//! hardware characteristics (SM count, double-precision peak) that the
-//! `perfmodel` crate uses to regenerate Table 2's GFLOP/s numbers.
-
 //! A fourth ingredient comes from the follow-up paper on task-based
 //! GPU work aggregation (arXiv:2210.06438): [`aggregation`] collects
 //! same-kind kernel work items into slot windows and fuses each batch
 //! into one stream launch, collapsing the per-launch overhead while the
-//! §5.1 CPU fallback still degrades per item.
+//! §5.1 CPU fallback still degrades per item. A per-item launch is the
+//! one-item batch, and [`AggregationStats`] is the one ledger of where
+//! items ran.
+//!
+//! Because no physical GPU exists in this reproduction, one executor
+//! thread per [`Device`] runs the enqueued closures for real — the same
+//! closures a CPU fallback runs, so results are bit-identical — and
+//! nothing here keeps modelled time. [`device::DeviceSpec`] carries the
+//! hardware characteristics (SM count, double-precision peak, launch
+//! overhead) that `perfmodel::node_level` prices in virtual time to
+//! regenerate Table 2 and the §6.1.2 launch fractions.
 
 pub mod aggregation;
 pub mod device;
@@ -38,5 +46,5 @@ pub mod stream;
 
 pub use aggregation::{AggItem, AggregationConfig, AggregationRegion, AggregationStats};
 pub use device::{Device, DeviceSpec};
-pub use launch_policy::{FusedOutcome, LaunchOutcome, LaunchStats, StreamPool};
+pub use launch_policy::{LaunchOutcome, StreamPool};
 pub use stream::CudaStream;

@@ -1,6 +1,8 @@
 //! Routing FMM kernel launches through the simulated GPU (§5.1), with
 //! work aggregation (arXiv:2210.06438) batching them into fused
-//! launches.
+//! launches. Only the benchmark, the `gpu_launch_fraction` bin and the
+//! tests build a [`GpuContext`]; the simulation driver's solvers are
+//! CPU-only.
 //!
 //! "Each CPU thread manages a certain number of CUDA streams. When
 //! launching a kernel, a thread first checks whether all of the CUDA
@@ -13,14 +15,14 @@
 //! items* — a [`KernelKind`], the node whose sub-grid the item computes,
 //! and the compute closure — submitted through [`GpuContext::submit`],
 //! which buffers them in the caller's region. When a slot window fills
-//! (or [`GpuContext::flush`] declares the producer idle) the batch goes
-//! out as *one* launch on an idle stream of the caller's pool; when
+//! (or [`GpuContext::flush_all`] declares the producers idle) the batch
+//! goes out as *one* launch on an idle stream of the caller's pool; when
 //! every stream is busy, the §5.1 fallback runs each item per-item on
 //! the CPU, exactly as an unaggregated launch would have. The kernel
 //! closure is identical on both paths, so where — and how batched — a
 //! launch lands never changes the numbers, only the `fmm/kernels/gpu`
-//! vs `fmm/kernels/cpu` split (the §6.1.2 observable, still counted per
-//! item) and the batching counters.
+//! vs `fmm/kernels/cpu` split (the §6.1.2 observable, counted per item
+//! in [`GpuContext::agg_stats`]) and the batching counters.
 //!
 //! Non-worker threads (the main thread helping the scheduler, like in
 //! HPX) submit through a dedicated *overflow* pool + region instead of
@@ -31,7 +33,7 @@ use amt::trace::{self, TraceCategory};
 use amt::{Future, Promise};
 use gpusim::aggregation::{AggItem, AggregationRegion};
 use gpusim::device::Device;
-use gpusim::launch_policy::{LaunchStats, QueuePolicy, StreamPool};
+use gpusim::launch_policy::{QueuePolicy, StreamPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use util::morton::MortonKey;
@@ -83,14 +85,13 @@ impl KernelKind {
 }
 
 /// Per-worker stream pools + aggregation regions plus the shared launch
-/// statistics for one simulated device.
+/// ledger for one simulated device.
 pub struct GpuContext {
     /// `n_workers + 1` pools: index `w` belongs to worker `w`, the last
     /// one is the overflow pool for non-worker threads.
     pools: Vec<StreamPool>,
     /// One region per pool (same indexing).
     regions: Vec<AggregationRegion>,
-    stats: Arc<LaunchStats>,
     agg_stats: Arc<AggregationStats>,
     overflow_submits: AtomicU64,
     n_workers: usize,
@@ -103,21 +104,10 @@ impl GpuContext {
     /// [`AggregationConfig::default`]; `FmmSolver::with_aggregation`
     /// applies the configured ones.
     pub fn new(device: &Arc<Device>, n_workers: usize, policy: QueuePolicy) -> GpuContext {
-        Self::with_aggregation(device, n_workers, policy, AggregationConfig::default())
-    }
-
-    /// [`GpuContext::new`] with explicit aggregation thresholds.
-    pub fn with_aggregation(
-        device: &Arc<Device>,
-        n_workers: usize,
-        policy: QueuePolicy,
-        cfg: AggregationConfig,
-    ) -> GpuContext {
         assert!(n_workers > 0, "need at least one worker");
-        let stats = Arc::new(LaunchStats::new());
-        let pools =
-            StreamPool::partition(device.streams(), n_workers + 1, policy, Arc::clone(&stats));
+        let pools = StreamPool::partition(device.streams(), n_workers + 1, policy);
         let agg_stats = Arc::new(AggregationStats::new(KernelKind::ALL.len()));
+        let cfg = AggregationConfig::default();
         let regions = pools
             .iter()
             .map(|_| AggregationRegion::new(KernelKind::ALL.len(), cfg, Arc::clone(&agg_stats)))
@@ -125,21 +115,22 @@ impl GpuContext {
         GpuContext {
             pools,
             regions,
-            stats,
             agg_stats,
             overflow_submits: AtomicU64::new(0),
             n_workers,
         }
     }
 
-    /// The cumulative GPU/CPU launch split (per kernel item).
-    pub fn stats(&self) -> &Arc<LaunchStats> {
-        &self.stats
+    /// The launch ledger: the GPU/CPU split per kernel item (the §6.1.2
+    /// observable, [`AggregationStats::gpu_fraction`]), batches, the
+    /// batch-size histogram and the flush-trigger breakdown.
+    pub fn agg_stats(&self) -> &Arc<AggregationStats> {
+        &self.agg_stats
     }
 
-    /// The cumulative aggregation counters (batches, histogram,
-    /// flush-trigger breakdown).
-    pub fn agg_stats(&self) -> &Arc<AggregationStats> {
+    /// Alias of [`GpuContext::agg_stats`], kept for the benchmark's
+    /// `gpusim` rung, which reads `stats().gpu_fraction()`.
+    pub fn stats(&self) -> &Arc<AggregationStats> {
         &self.agg_stats
     }
 
@@ -212,17 +203,10 @@ impl GpuContext {
         fut
     }
 
-    /// Producer-idle flush of the calling worker's region: every
-    /// buffered batch goes out now (fused on an idle stream, or
-    /// per-item on the CPU).
-    pub fn flush(&self, worker: Option<usize>) {
-        let lane = self.lane(worker);
-        self.regions[lane].flush(&self.pools[lane]);
-    }
-
-    /// Flush every region: the solver calls it once every refined node
-    /// has submitted its item, and the last target leaf to submit calls
-    /// it again.
+    /// Producer-idle flush of every region: every buffered batch goes
+    /// out now (fused on an idle stream, or per-item on the CPU). The
+    /// solver calls it once every refined node has submitted its item,
+    /// and the last target leaf to submit calls it again.
     pub fn flush_all(&self) {
         for (region, pool) in self.regions.iter().zip(&self.pools) {
             region.flush(pool);
@@ -248,23 +232,19 @@ mod tests {
         let dev = Device::new(DeviceSpec::p100(), 6);
         let ctx = GpuContext::new(&dev, 2, QueuePolicy::CpuFallback);
         let fut = ctx.submit(Some(0), KernelKind::Monopole, MortonKey::root(), || 41 + 1);
-        ctx.flush(Some(0));
+        ctx.flush_all();
         let (value, site) = fut.get();
         assert_eq!(value, 42);
         assert_eq!(site, LaunchSite::Gpu);
-        assert_eq!(ctx.stats().gpu_launches(), 1);
+        assert_eq!(ctx.agg_stats().items_gpu(), 1);
         assert_eq!(ctx.agg_stats().batches_gpu(), 1);
     }
 
     #[test]
     fn full_slot_window_fuses_one_launch() {
         let dev = Device::new(DeviceSpec::p100(), 6);
-        let ctx = GpuContext::with_aggregation(
-            &dev,
-            2,
-            QueuePolicy::CpuFallback,
-            AggregationConfig::new(4, 64),
-        );
+        let ctx = GpuContext::new(&dev, 2, QueuePolicy::CpuFallback);
+        ctx.set_aggregation(AggregationConfig::new(4, 64));
         let futs: Vec<_> = (0..4)
             .map(|i| ctx.submit(Some(0), KernelKind::Monopole, MortonKey::root(), move || i))
             .collect();
@@ -275,8 +255,8 @@ mod tests {
             assert_eq!(site, LaunchSite::Gpu);
         }
         assert_eq!(ctx.agg_stats().batches_gpu(), 1, "one fused launch");
-        assert_eq!(ctx.agg_stats().items_gpu(), 4);
-        assert_eq!(ctx.stats().gpu_launches(), 4, "items counted per kernel");
+        assert_eq!(ctx.agg_stats().items_gpu(), 4, "items counted per kernel");
+        assert_eq!(ctx.stats().gpu_fraction(), 1.0, "the alias reads the same ledger");
     }
 
     #[test]
@@ -286,12 +266,12 @@ mod tests {
         let dev = Device::new(DeviceSpec::p100(), 1);
         let ctx = GpuContext::new(&dev, 2, QueuePolicy::CpuFallback);
         let fut = ctx.submit(Some(1), KernelKind::Multipole, MortonKey::root(), || 7);
-        ctx.flush(Some(1));
+        ctx.flush_all();
         let (value, site) = fut.get();
         assert_eq!(value, 7);
         assert_eq!(site, LaunchSite::Cpu);
-        assert_eq!(ctx.stats().cpu_launches(), 1);
         assert_eq!(ctx.agg_stats().items_cpu(), 1);
+        assert_eq!(ctx.agg_stats().items_gpu(), 0);
     }
 
     #[test]
@@ -303,28 +283,24 @@ mod tests {
         let ctx = GpuContext::new(&dev, 2, QueuePolicy::CpuFallback);
         assert_eq!(ctx.overflow_pool_len(), 2);
         let fut = ctx.submit(None, KernelKind::Monopole, MortonKey::root(), || 1);
-        ctx.flush(None);
+        ctx.flush_all();
         let (_, site) = fut.get();
         assert_eq!(site, LaunchSite::Gpu);
         assert_eq!(ctx.overflow_submits(), 1);
         // Worker pools were never involved.
-        assert_eq!(ctx.stats().gpu_launches(), 1);
+        assert_eq!(ctx.agg_stats().items_gpu(), 1);
     }
 
     #[test]
     fn kinds_aggregate_in_separate_lanes() {
         let dev = Device::new(DeviceSpec::p100(), 6);
-        let ctx = GpuContext::with_aggregation(
-            &dev,
-            1,
-            QueuePolicy::CpuFallback,
-            AggregationConfig::new(2, 64),
-        );
+        let ctx = GpuContext::new(&dev, 1, QueuePolicy::CpuFallback);
+        ctx.set_aggregation(AggregationConfig::new(2, 64));
         let a = ctx.submit(Some(0), KernelKind::Monopole, MortonKey::root(), || 0);
         let b = ctx.submit(Some(0), KernelKind::Multipole, MortonKey::root(), || 0);
         // Neither lane is full; an idle flush drains both as separate
         // (same-kind) batches.
-        ctx.flush(Some(0));
+        ctx.flush_all();
         a.get();
         b.get();
         assert_eq!(ctx.agg_stats().batches_gpu(), 2);

@@ -12,7 +12,7 @@
 //! | worker utilization            | `1 − trace/idle_rate` of the same trace               |
 //! | parcel payload sizes          | `parcel/send` span labels (`<kind>:<bytes>B`)         |
 //! | per-parcel send/recv CPU      | `parcel/send` / `parcel/recv` span durations          |
-//! | parcel amplification          | measured `parcels/sent` ÷ leaf-halo-plan parcels      |
+//! | parcel amplification          | `parcelport/<kind>/parcels_tx` ÷ halo-plan parcels    |
 //! | GPU launch collapse           | `gpusim` aggregation stats (items ÷ batched launches) |
 //! | checkpoint encode/restore     | a timed [`DistributedDriver`] checkpoint round-trip   |
 //!
@@ -125,8 +125,9 @@ impl Default for CheckpointCost {
 pub struct Measurements<'a> {
     /// A drained trace of a real (preferably distributed) run.
     pub trace: &'a Trace,
-    /// A metrics snapshot of the same run ([`amt::Metrics::snapshot`]);
-    /// used for `parcels/sent` and `trace/idle_rate` fallbacks.
+    /// A metrics snapshot of the same run, keyed as the cluster mounts
+    /// its counters (`Cluster::metrics().snapshot()`); the parcel count
+    /// is read from `parcelport/<transport>/parcels_tx`.
     pub metrics: &'a BTreeMap<String, u64>,
     /// Sub-grids resident in the measured run.
     pub subgrids: usize,
@@ -239,15 +240,13 @@ impl Calibration {
         let parcel_recv_cpu = m.trace.histogram(TraceCategory::ParcelRecv);
 
         // Amplification: measured parcels per step over the leaf-halo
-        // plan's prediction for the same topology. `parcels/sent` covers
-        // halos, moments, regrid votes and dt minima; the plan covers
-        // leaf halos only — the ratio is exactly the traffic the plan
-        // undercounts.
-        let sent = m
-            .metrics
-            .get("parcels/sent")
-            .copied()
-            .unwrap_or_else(|| parcel_bytes.count());
+        // plan's prediction for the same topology. The transport's
+        // `parcels_tx` counts every wire parcel — halos, moments, regrid
+        // votes and dt minima; the plan covers leaf halos only, so the
+        // ratio is exactly the traffic the plan undercounts. A run with
+        // no remote parcel never mounts the counter: it sent none.
+        let sent_key = format!("parcelport/{}/parcels_tx", m.transport.as_str());
+        let sent = m.metrics.get(&sent_key).copied().unwrap_or(0);
         let parcel_amplification = if m.plan_parcels_per_step == 0 {
             1.0
         } else {
@@ -440,9 +439,14 @@ mod tests {
 
     #[test]
     fn amplification_from_metrics() {
+        // The trace holds three `parcel/send` spans, as one that dropped
+        // events would undercount; the transport's counter, keyed as
+        // `Cluster::metrics().snapshot()` keys it, is what was sent.
         let trace = synthetic_trace();
+        assert_eq!(trace.histogram(TraceCategory::ParcelSend).count(), 3);
         let mut metrics = BTreeMap::new();
-        metrics.insert("parcels/sent".to_string(), 40u64);
+        metrics.insert("parcelport/libfabric/parcels_tx".to_string(), 40u64);
+        metrics.insert("parcelport/libfabric/bytes_tx".to_string(), 40_000u64);
         let calib = Calibration::from_measurements(&Measurements {
             trace: &trace,
             metrics: &metrics,

@@ -2,8 +2,9 @@
 //! hardware (repro band: no P100/V100 GPUs, no Cray Aries, no 5400-node
 //! Piz Daint available).
 //!
-//! * [`machine`] — the hardware tables: the Piz Daint node of Table 3,
-//!   the Table 2 evaluation platforms, and their efficiency factors.
+//! * [`machine`] — the hardware tables: the Table 2 evaluation
+//!   platforms (the last is Table 3's Piz Daint node) and their
+//!   efficiency factors.
 //! * [`node_level`] — an event-driven simulation of C worker threads
 //!   driving S CUDA streams with the §5.1 launch policy. It regenerates
 //!   **Table 2** (total/FMM runtime, GFLOP/s, fraction of peak per

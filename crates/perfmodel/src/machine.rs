@@ -1,14 +1,12 @@
-//! Hardware tables: Table 3's Piz Daint node and Table 2's platforms.
+//! Hardware tables: Table 2's platforms, whose last row is Table 3's
+//! Piz Daint node.
 //!
 //! These are *hardware spec sheets* (core counts, attached GPUs,
 //! per-kernel efficiency ceilings) transcribed from the paper's tables;
-//! they stay hand-entered by design. What is **deprecated and removed**
-//! from the modelling path is hand-entering *workload* constants
-//! (kernel durations, message counts): the scale-out co-simulation
-//! ([`crate::des`]) takes those exclusively from a measured
-//! [`crate::calibrate::Calibration`]. The old `PIZ_DAINT_NODE`
-//! function-pointer alias was removed in the same pass — call
-//! [`piz_daint_node`] directly.
+//! they stay hand-entered by design. *Workload* constants (kernel
+//! durations, message counts) are not hand-entered: the scale-out
+//! co-simulation ([`crate::des`]) takes those exclusively from a
+//! measured [`crate::calibrate::Calibration`].
 
 use gpusim::device::DeviceSpec;
 
@@ -23,8 +21,6 @@ pub struct NodeConfig {
     pub cores: usize,
     /// GPUs attached (empty for CPU-only rows).
     pub gpus: Vec<DeviceSpec>,
-    /// CUDA streams per GPU.
-    pub streams_per_gpu: usize,
     /// Fraction of per-core peak the FMM kernels reach on this CPU
     /// (≈0.30 on AVX2 Xeons, ≈0.17 on KNL — Table 2).
     pub cpu_fmm_efficiency: f64,
@@ -34,19 +30,8 @@ pub struct NodeConfig {
     pub gpu_fmm_efficiency: f64,
 }
 
-/// The Piz Daint node of Table 3: one 12-core Xeon E5-2690 v3 and one
-/// P100, 64 GB RAM, Aries interconnect.
-pub fn piz_daint_node() -> NodeConfig {
-    NodeConfig {
-        name: "Piz Daint node (E5-2690 v3 + P100)",
-        cpu: DeviceSpec::xeon_e5_2690v3(),
-        cores: 12,
-        gpus: vec![DeviceSpec::p100()],
-        streams_per_gpu: 128,
-        cpu_fmm_efficiency: 0.3145,
-        gpu_fmm_efficiency: 0.21,
-    }
-}
+/// CUDA streams per GPU: the paper runs 128 on every platform.
+pub const STREAMS_PER_GPU: usize = 128;
 
 /// All rows of Table 2, in the paper's order.
 pub fn table2_platforms() -> Vec<NodeConfig> {
@@ -58,7 +43,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: xeon10.clone(),
             cores: 10,
             gpus: vec![],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.3255,
             gpu_fmm_efficiency: 0.45,
         },
@@ -67,7 +51,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: xeon10.clone(),
             cores: 10,
             gpus: vec![DeviceSpec::v100()],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.3255,
             gpu_fmm_efficiency: 0.45,
         },
@@ -76,7 +59,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: xeon10,
             cores: 10,
             gpus: vec![DeviceSpec::v100(), DeviceSpec::v100()],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.3255,
             gpu_fmm_efficiency: 0.45,
         },
@@ -85,7 +67,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: xeon20.clone(),
             cores: 20,
             gpus: vec![],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.3255,
             gpu_fmm_efficiency: 0.45,
         },
@@ -94,7 +75,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: xeon20.clone(),
             cores: 20,
             gpus: vec![DeviceSpec::v100()],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.3255,
             gpu_fmm_efficiency: 0.45,
         },
@@ -103,7 +83,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: xeon20,
             cores: 20,
             gpus: vec![DeviceSpec::v100(), DeviceSpec::v100()],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.3255,
             gpu_fmm_efficiency: 0.45,
         },
@@ -112,7 +91,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: DeviceSpec::xeon_phi_7210(),
             cores: 64,
             gpus: vec![],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.1724,
             gpu_fmm_efficiency: 0.45,
         },
@@ -121,7 +99,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: DeviceSpec::xeon_e5_2690v3(),
             cores: 12,
             gpus: vec![],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.3145,
             gpu_fmm_efficiency: 0.21,
         },
@@ -130,7 +107,6 @@ pub fn table2_platforms() -> Vec<NodeConfig> {
             cpu: DeviceSpec::xeon_e5_2690v3(),
             cores: 12,
             gpus: vec![DeviceSpec::p100()],
-            streams_per_gpu: 128,
             cpu_fmm_efficiency: 0.3145,
             gpu_fmm_efficiency: 0.21,
         },
@@ -143,11 +119,14 @@ mod tests {
 
     #[test]
     fn piz_daint_matches_table3() {
-        let n = piz_daint_node();
+        // Table 3's node is Table 2's last row: one 12-core Xeon
+        // E5-2690 v3 and one P100.
+        let n = table2_platforms().pop().unwrap();
+        assert_eq!(n.name, "Piz Daint node + 1x P100");
         assert_eq!(n.cores, 12);
+        assert_eq!(n.cpu.name, "Intel Xeon E5-2690 v3");
         assert_eq!(n.gpus.len(), 1);
         assert_eq!(n.gpus[0].name, "NVIDIA Tesla P100");
-        assert_eq!(n.streams_per_gpu, 128);
     }
 
     #[test]

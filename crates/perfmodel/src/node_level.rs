@@ -18,7 +18,7 @@
 //! 10 cores + 1 V100 — the starvation effect), the FMM wall time, and
 //! GFLOP/s = total flops / FMM wall time.
 
-use crate::machine::NodeConfig;
+use crate::machine::{NodeConfig, STREAMS_PER_GPU};
 use gravity::{INTERACTIONS_PER_LAUNCH, MULTI_FLOPS};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -121,7 +121,7 @@ pub fn simulate_node(config: &NodeConfig, w: &Workload) -> NodeLevelResult {
     }
     let mut streams: Vec<Stream> = Vec::new();
     for (device, _gpu) in config.gpus.iter().enumerate() {
-        for _ in 0..config.streams_per_gpu {
+        for _ in 0..STREAMS_PER_GPU {
             streams.push(Stream { busy_until: 0.0, device });
         }
     }

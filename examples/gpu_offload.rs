@@ -1,7 +1,8 @@
 //! GPU co-processor offload demo (§5.1): FMM kernels launched onto
 //! simulated CUDA streams with futures for completion, CPU fallback
-//! when all streams are busy, and the launch-fraction statistics of
-//! §6.1.2.
+//! when all streams are busy, and the launch fraction of §6.1.2. Each
+//! kernel is a one-item launch; `gravity::gpu::GpuContext` batches
+//! them.
 //!
 //! ```sh
 //! cargo run --release -p examples --bin gpu_offload
@@ -9,7 +10,7 @@
 
 use amt::Runtime;
 use gpusim::device::{Device, DeviceSpec};
-use gpusim::launch_policy::{LaunchOutcome, LaunchStats, QueuePolicy, StreamPool};
+use gpusim::launch_policy::{LaunchOutcome, QueuePolicy, StreamPool};
 use gravity::kernels::{gather_moments, monopole_kernel, MomentGrid};
 use gravity::multipole::Multipole;
 use gravity::stencil::Stencil;
@@ -36,13 +37,7 @@ fn main() {
         16
     );
 
-    let stats = Arc::new(LaunchStats::new());
-    let pools = StreamPool::partition(
-        device.streams(),
-        4,
-        QueuePolicy::CpuFallback,
-        Arc::clone(&stats),
-    );
+    let pools = StreamPool::partition(device.streams(), 4, QueuePolicy::CpuFallback);
     let pools: Vec<Arc<StreamPool>> = pools.into_iter().map(Arc::new).collect();
     let stencil = Arc::new(Stencil::octotiger());
 
@@ -56,17 +51,19 @@ fn main() {
         events.push(rt.async_call(move || {
             let grid = sample_grid(stencil.width());
             let offsets: Vec<_> = stencil.offsets().to_vec();
-            match pool.launch(move || {
+            match pool.launch(vec![Box::new(move |_on_gpu| {
                 let result = monopole_kernel(&grid, &offsets);
                 assert!(result.interactions > 0);
-            }) {
+            })]) {
                 LaunchOutcome::Gpu(ev) => {
                     // The §5.1 future: wait via the runtime, not a spin.
                     ev.get();
                     "gpu"
                 }
-                LaunchOutcome::CpuFallback(kernel) => {
-                    kernel();
+                LaunchOutcome::CpuFallback(items) => {
+                    for item in items {
+                        item(false);
+                    }
                     "cpu"
                 }
             }
@@ -82,8 +79,8 @@ fn main() {
     }
     println!("\nkernels executed: {} on GPU, {} on CPU fallback", gpu, cpu);
     println!(
-        "launch statistics: {:.4}% GPU (paper §6.1.2: 97.4995%-99.9997%",
-        100.0 * stats.gpu_fraction()
+        "launch fraction: {:.4}% GPU (paper §6.1.2: 97.4995%-99.9997%",
+        100.0 * gpu as f64 / n_kernels as f64
     );
     println!("depending on the worker:stream ratio)");
     println!("device kernel count: {}", device.kernels_executed());

@@ -3,8 +3,8 @@
 #
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
 #      zero second-pair-arithmetic, zero fused/fast-math, zero rank-3
-#      tensor, zero gravity torque ledger, zero
-#      driver-ghost-fill, zero per-leaf stage buffer, zero derived-grid,
+#      tensor, zero gravity torque ledger, zero second device ledger,
+#      zero driver-ghost-fill, zero per-leaf stage buffer, zero derived-grid,
 #      zero slab-pipeline, zero
 #      remote-call, zero owner-registry and zero uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
@@ -126,6 +126,34 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "ledger budget OK (0 torques in gravity's non-test code; one closure, the driver's spin deposit)"
+
+echo
+echo "== tier-1: device-ledger budget =="
+# One device model: the §5.1 launch decision is made in one place
+# (`StreamPool::launch`; a per-item launch is the one-item batch) and
+# counted in one ledger (`AggregationStats::items_{gpu,cpu}`). A second
+# launch entry point, a second launch counter, or a second string-keyed
+# parcel count beside the transport's `parcels_tx` is a copy that the
+# first has to be kept in step with, coming back.
+stray=$(grep -rn --include='*.rs' 'LaunchStats' crates tests examples || true)
+if [ -n "$stray" ]; then
+    echo "!! a second launch ledger under crates/, tests/ or examples/ (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+launches=$(grep -c 'pub fn launch' crates/gpusim/src/launch_policy.rs || true)
+if [ "$launches" -ne 1 ]; then
+    echo "!! $launches launch entry points in launch_policy.rs (the budget is 1, StreamPool::launch):" >&2
+    grep -n 'pub fn launch' crates/gpusim/src/launch_policy.rs >&2 || true
+    exit 1
+fi
+stray=$(grep -rn --include='*.rs' '"parcels/sent"' crates || true)
+if [ -n "$stray" ]; then
+    echo "!! a second parcel count under crates/ (the budget is zero; read parcels_tx):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "device-ledger budget OK (0 LaunchStats, 1 launch decision, 0 parcels/sent counters)"
 
 echo
 echo "== tier-1: ghost budget =="

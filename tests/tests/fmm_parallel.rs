@@ -177,9 +177,9 @@ fn fmm_parallel_through_gpu_streams_matches_serial() {
         par.kernel_launches_cpu + par.kernel_launches_gpu
     );
     assert!(par.kernel_launches > 0);
-    let stats = solver.gpu().unwrap().stats();
-    assert_eq!(stats.gpu_launches(), par.kernel_launches_gpu);
-    assert_eq!(stats.cpu_launches(), par.kernel_launches_cpu);
+    let agg = solver.gpu().unwrap().agg_stats();
+    assert_eq!(agg.items_gpu(), par.kernel_launches_gpu);
+    assert_eq!(agg.items_cpu(), par.kernel_launches_cpu);
     assert_eq!(rt.metrics().get("fmm/kernels/gpu"), par.kernel_launches_gpu);
     assert_eq!(rt.metrics().get("fmm/kernels/cpu"), par.kernel_launches_cpu);
 }

@@ -6,10 +6,11 @@
 
 use amt::Runtime;
 use gpusim::device::{Device, DeviceSpec};
-use gpusim::launch_policy::{LaunchOutcome, LaunchStats, QueuePolicy, StreamPool};
+use gpusim::launch_policy::{LaunchOutcome, QueuePolicy, StreamPool};
 use gravity::kernels::{gather_moments, monopole_kernel, MomentGrid};
 use gravity::multipole::Multipole;
 use gravity::stencil::Stencil;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use util::vec3::Vec3;
 
@@ -52,36 +53,38 @@ fn launch_policy_drives_many_kernels_through_the_runtime() {
     // event futures synchronizing completion.
     let rt = Runtime::new(4);
     let device = Device::new(DeviceSpec::v100(), 8);
-    let stats = Arc::new(LaunchStats::new());
-    let pools: Vec<Arc<StreamPool>> = StreamPool::partition(
-        device.streams(),
-        4,
-        QueuePolicy::CpuFallback,
-        Arc::clone(&stats),
-    )
-    .into_iter()
-    .map(Arc::new)
-    .collect();
+    let pools: Vec<Arc<StreamPool>> =
+        StreamPool::partition(device.streams(), 4, QueuePolicy::CpuFallback)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
     let stencil = Arc::new(Stencil::octotiger());
+    // Each kernel counts where it really ran: (all runs, device runs).
+    let ran = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
 
     let n = 32;
     let futures: Vec<_> = (0..n)
         .map(|i| {
             let pool = Arc::clone(&pools[i % pools.len()]);
             let st = Arc::clone(&stencil);
+            let ran = Arc::clone(&ran);
             rt.async_call(move || {
                 let grid = test_grid(st.width());
                 let offsets: Vec<_> = st.offsets().to_vec();
-                match pool.launch(move || {
+                match pool.launch(vec![Box::new(move |on_gpu| {
                     let r = monopole_kernel(&grid, &offsets);
                     assert!(r.interactions > 0);
-                }) {
+                    ran.0.fetch_add(1, Ordering::SeqCst);
+                    ran.1.fetch_add(on_gpu as u64, Ordering::SeqCst);
+                })]) {
                     LaunchOutcome::Gpu(ev) => {
                         ev.get();
                         1u32
                     }
-                    LaunchOutcome::CpuFallback(kernel) => {
-                        kernel();
+                    LaunchOutcome::CpuFallback(items) => {
+                        for item in items {
+                            item(false);
+                        }
                         0u32
                     }
                 }
@@ -92,12 +95,8 @@ fn launch_policy_drives_many_kernels_through_the_runtime() {
     for f in futures {
         gpu_count += rt.get(f);
     }
-    assert_eq!(
-        stats.gpu_launches() + stats.cpu_launches(),
-        n as u64,
-        "every kernel must be counted"
-    );
-    assert_eq!(stats.gpu_launches(), gpu_count as u64);
+    assert_eq!(ran.0.load(Ordering::SeqCst), n as u64, "every kernel must run once");
+    assert_eq!(ran.1.load(Ordering::SeqCst), gpu_count as u64, "the device ran the GPU launches");
     assert!(gpu_count > 0, "at least some kernels must reach the GPU");
     device.shutdown();
 }
@@ -107,21 +106,23 @@ fn queue_on_busy_reaches_full_gpu_fraction() {
     // The §6.1.2 proposed fix as an ablation: queueing on busy streams
     // puts 100% of kernels on the GPU even under pressure.
     let device = Device::new(DeviceSpec::p100(), 2);
-    let stats = Arc::new(LaunchStats::new());
-    let pools = StreamPool::partition(
-        device.streams(),
-        1,
-        QueuePolicy::QueueOnBusy,
-        Arc::clone(&stats),
-    );
+    let pools = StreamPool::partition(device.streams(), 1, QueuePolicy::QueueOnBusy);
+    let on_gpu = Arc::new(AtomicU64::new(0));
     let mut last = None;
     for _ in 0..64 {
-        match pools[0].launch(|| std::thread::sleep(std::time::Duration::from_micros(50))) {
+        let g = Arc::clone(&on_gpu);
+        match pools[0].launch(vec![Box::new(move |gpu| {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            g.fetch_add(gpu as u64, Ordering::SeqCst);
+        })]) {
             LaunchOutcome::Gpu(ev) => last = Some(ev),
             LaunchOutcome::CpuFallback(_) => panic!("QueueOnBusy must never fall back"),
         }
     }
+    // The two streams run in order, so once every stream has drained
+    // all 64 kernels ran, every one on the device.
     last.unwrap().get();
-    assert_eq!(stats.gpu_fraction(), 1.0);
+    pools[0].synchronize();
+    assert_eq!(on_gpu.load(Ordering::SeqCst), 64);
     device.shutdown();
 }
