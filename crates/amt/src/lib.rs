@@ -34,8 +34,8 @@
 //!   into thread-local ring buffers, exported as chrome://tracing JSON
 //!   (see DESIGN.md §4 "Observability").
 //!
-//! The whole distributed layer (`parcelport` crate) and the GPU layer
-//! (`gpusim` crate) are built on these primitives, as in the paper.
+//! The whole distributed layer (`parcelport` crate) is built on these
+//! primitives, as in the paper.
 
 #![warn(missing_docs)]
 

@@ -98,11 +98,6 @@ pub enum TraceCategory {
     FmmL2L,
     /// FMM leaf assembly: folding local expansions into accelerations.
     FmmLeafAssembly,
-    /// A kernel launch routed to the simulated GPU (§5.1 policy).
-    GpuLaunch,
-    /// An aggregation-region flush: a batch of same-kind kernel work
-    /// items fused into one launch (or degraded per-item to the CPU).
-    AggFlush,
     /// Per-leaf hydro right-hand-side evaluation.
     HydroRhs,
     /// A TVD-RK2 stage state update on one leaf.
@@ -149,8 +144,6 @@ serde::impl_codec_enum_unit!(TraceCategory {
     FmmNearField,
     FmmL2L,
     FmmLeafAssembly,
-    GpuLaunch,
-    AggFlush,
     HydroRhs,
     HydroApply,
     Step,
@@ -181,8 +174,6 @@ impl TraceCategory {
         TraceCategory::FmmNearField,
         TraceCategory::FmmL2L,
         TraceCategory::FmmLeafAssembly,
-        TraceCategory::GpuLaunch,
-        TraceCategory::AggFlush,
         TraceCategory::HydroRhs,
         TraceCategory::HydroApply,
         TraceCategory::Step,
@@ -214,8 +205,6 @@ impl TraceCategory {
             TraceCategory::FmmNearField => "fmm/near-field",
             TraceCategory::FmmL2L => "fmm/l2l",
             TraceCategory::FmmLeafAssembly => "fmm/leaf-assembly",
-            TraceCategory::GpuLaunch => "fmm/gpu-launch",
-            TraceCategory::AggFlush => "fmm/agg-flush",
             TraceCategory::HydroRhs => "hydro/rhs",
             TraceCategory::HydroApply => "hydro/apply",
             TraceCategory::Step => "driver/step",

@@ -10,9 +10,9 @@
 //!    [`Calibration`]: per-category kernel-duration histograms, parcel
 //!    payload sizes from `parcel/send` span labels, the
 //!    parcels-per-step amplification over the leaf-halo push plan,
-//!    worker utilization, the GPU launch-aggregation collapse of a
-//!    batched FMM solve, and a timed checkpoint encode/restore
-//!    round-trip. No hand-entered kernel constants anywhere.
+//!    worker utilization, the GPU launch-aggregation collapse of an FMM
+//!    solve's items replayed in virtual time, and a timed checkpoint
+//!    encode/restore round-trip. No hand-entered kernel constants anywhere.
 //! 2. **Co-simulate** — run the [`perfmodel::des`] event loop over the
 //!    real level-14 V1309 octree decomposition at 1…5400 simulated
 //!    localities × {MPI, libfabric}, producing Fig-2 throughput /
@@ -101,8 +101,9 @@ fn star_amr() -> Scenario {
     }
 }
 
-/// One aggregated GPU solve over the measured tree → (items, fused
-/// launches), the launch-collapse input of the calibration.
+/// One solve over the measured tree, its items replayed with 8-slot
+/// aggregation → (items, fused launches), the launch-collapse input of
+/// the calibration (deterministic: a virtual-time replay).
 fn measure_aggregation() -> (u64, u64) {
     let scenario = star_amr();
     let tree = Arc::new(scenario.tree);

@@ -1,15 +1,17 @@
-//! *Measure* the **§6.1.2 launch split** — the fraction of FMM kernels
-//! launched on the GPU — by running the real futurized solver with its
-//! kernel launches routed through the simulated device (§5.1: idle
-//! stream → GPU, busy → CPU fallback), and the launch collapse of work
-//! aggregation over the same solve. The node model's figures for the
-//! paper's three configurations are `table2_node_level`'s.
+//! The **§6.1.2 launch split** — the fraction of FMM kernels launched
+//! on the GPU — of a real futurized solve: its work items, one per node,
+//! replayed through the §5.1 policy (idle stream → GPU, busy → CPU
+//! fallback) on the simulated device in virtual time, and the launch
+//! collapse of work aggregation over the same items. The node model's
+//! figures for the paper's three configurations are
+//! `table2_node_level`'s.
 //!
 //! The human-readable tables go to stderr; stdout carries one JSON
-//! object (`measured`, `aggregation`). Exits non-zero if the §6.1.2 fix
-//! (queue on busy, a stream for every lane) leaves any kernel on the
-//! CPU, or if the default 8-slot aggregation window stops fusing the
-//! solve's launches at least twofold.
+//! object (`replayed`, `aggregation`), the same on every run. Exits
+//! non-zero if the §6.1.2 fix (queue on busy) leaves any kernel on the
+//! CPU, if the starved one-stream row does not read below the
+//! four-stream row, or if the default 8-slot aggregation window stops
+//! fusing the solve's launches at least twofold.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin gpu_launch_fraction > launch_fraction.json
@@ -26,9 +28,9 @@ use octree::tree::Octree;
 use std::sync::Arc;
 use util::vec3::Vec3;
 
-/// A level-2 uniform tree with a two-blob density — the measured
+/// A level-2 uniform tree with a two-blob density — the replayed
 /// workload: 73 nodes, one kernel work item each.
-fn measured_tree() -> Arc<Octree> {
+fn replayed_tree() -> Arc<Octree> {
     let mut t = Octree::new(Domain::new(16.0));
     t.refine_where(2, |_d, _k| true);
     let domain = t.domain();
@@ -46,19 +48,21 @@ fn measured_tree() -> Arc<Octree> {
     Arc::new(t)
 }
 
-/// Worker threads of every measured solve.
+/// Worker threads of every solve, and virtual workers of its replay.
 const WORKERS: usize = 4;
 
-/// One real solve under `policy`; prints the row and returns it with
-/// its GPU fraction.
-fn measured_split(n_streams: usize, policy: QueuePolicy, label: &str) -> (String, f64) {
-    let tree = measured_tree();
+/// One real solve, its items replayed per item under `policy`; prints
+/// the row and returns it with its GPU fraction.
+fn replayed_split(n_streams: usize, policy: QueuePolicy, label: &str) -> (String, f64) {
+    let tree = replayed_tree();
     let dev = Device::new(DeviceSpec::p100(), n_streams);
-    let solver = Arc::new(FmmSolver::with_gpu(0.5, GpuContext::new(&dev, WORKERS, policy)));
+    let solver = Arc::new(
+        FmmSolver::with_gpu(0.5, GpuContext::new(&dev, WORKERS, policy)).with_aggregation(1, 1),
+    );
     let rt = Runtime::new(WORKERS);
-    let field = solver.solve_parallel(&tree, &rt);
-    let fraction = solver.gpu().unwrap().agg_stats().gpu_fraction();
-    let (gpu, cpu) = (field.kernel_launches_gpu, field.kernel_launches_cpu);
+    let _ = solver.solve_parallel(&tree, &rt);
+    let agg = solver.gpu().unwrap().agg_stats();
+    let (gpu, cpu, fraction) = (agg.items_gpu(), agg.items_cpu(), agg.gpu_fraction());
     eprintln!("{label:<40} {gpu:>6} GPU {cpu:>6} CPU {:>10.2}%", 100.0 * fraction);
     let json = format!(
         "    {{ \"configuration\": \"{label}\", \"gpu_launches\": {gpu}, \
@@ -67,11 +71,11 @@ fn measured_split(n_streams: usize, policy: QueuePolicy, label: &str) -> (String
     (json, fraction)
 }
 
-/// One batched solve over the measured tree with the given aggregation
-/// thresholds (QueueOnBusy so every item lands on a stream and the
-/// launch counts are deterministic). Returns `(items, fused launches)`.
+/// One solve over the replayed tree, its items batched with the given
+/// aggregation thresholds (QueueOnBusy, so every batch lands on a
+/// stream). Returns `(items, fused launches)`.
 fn aggregated_run(slots: usize, window: usize) -> (u64, u64) {
-    let tree = measured_tree();
+    let tree = replayed_tree();
     let dev = Device::new(DeviceSpec::p100(), 8);
     let solver = Arc::new(
         FmmSolver::with_gpu(0.5, GpuContext::new(&dev, WORKERS, QueuePolicy::QueueOnBusy))
@@ -141,21 +145,19 @@ fn aggregation_collapse() -> String {
 }
 
 fn main() {
-    eprintln!("§6.1.2 — fraction of FMM kernels launched on the GPU, measured:");
-    eprintln!("real futurized FMM solve (level-2 tree, {WORKERS} workers), launches");
-    eprintln!("routed per §5.1 through the simulated P100 (the node model's");
-    eprintln!("figures for the paper's configurations: table2_node_level)");
+    eprintln!("§6.1.2 — fraction of FMM kernels launched on the GPU: the items of");
+    eprintln!("a real futurized FMM solve (level-2 tree, {WORKERS} workers) replayed per");
+    eprintln!("§5.1 on the simulated P100 (the node model's figures for the paper's");
+    eprintln!("configurations: table2_node_level)");
     eprintln!("{}", "-".repeat(72));
-    let measured = [
-        measured_split(4, QueuePolicy::CpuFallback, "4 streams, CPU fallback"),
-        measured_split(1, QueuePolicy::CpuFallback, "1 stream, CPU fallback (starved)"),
-        // The fix gets a stream for every lane — each worker's and the
-        // helper lane the main thread submits through while it waits —
-        // so no submitter is left without a stream to queue on.
-        measured_split(WORKERS + 1, QueuePolicy::QueueOnBusy, "5 streams, queue on busy (the fix)"),
+    let replayed = [
+        replayed_split(4, QueuePolicy::CpuFallback, "4 streams, CPU fallback"),
+        replayed_split(1, QueuePolicy::CpuFallback, "1 stream, CPU fallback (starved)"),
+        replayed_split(4, QueuePolicy::QueueOnBusy, "4 streams, queue on busy (the fix)"),
     ];
-    assert_eq!(measured[2].1, 1.0, "queue on busy with a stream per lane left kernels on the CPU");
-    let measured: Vec<String> = measured.into_iter().map(|(json, _)| json).collect();
+    assert!(replayed[1].1 < replayed[0].1, "the starved row must launch less on the GPU");
+    assert_eq!(replayed[2].1, 1.0, "queue on busy left kernels on the CPU");
+    let replayed: Vec<String> = replayed.into_iter().map(|(json, _)| json).collect();
     let aggregation = aggregation_collapse();
-    println!("{{\n  \"measured\": [\n{}\n  ],\n{aggregation}\n}}", measured.join(",\n"));
+    println!("{{\n  \"replayed\": [\n{}\n  ],\n{aggregation}\n}}", replayed.join(",\n"));
 }

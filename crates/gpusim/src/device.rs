@@ -1,14 +1,19 @@
 //! Simulated devices and their hardware models.
 //!
 //! [`DeviceSpec`] carries the characteristics of the accelerators and
-//! CPUs evaluated in Table 2 of the paper; [`Device`] is a live simulated
-//! co-processor executing stream work on a dedicated host thread.
+//! CPUs evaluated in Table 2 of the paper; [`Device`] is a simulated
+//! co-processor in virtual time: a clock per stream and a heap of
+//! kernel slots, advanced by the launches
+//! [`crate::StreamPool::launch`] puts on it.
 
-use crate::stream::{CudaStream, StreamShared};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
+
+/// Blocks per kernel launch (§5.1: "launching kernels with 8 blocks"):
+/// a device runs `sm_count / BLOCKS_PER_KERNEL` launches at once.
+pub(crate) const BLOCKS_PER_KERNEL: u32 = 8;
 
 /// Hardware model of a compute device (GPU or CPU used as a kernel
 /// execution target). Peak numbers are double precision.
@@ -21,6 +26,11 @@ pub struct DeviceSpec {
     pub dp_peak_gflops: f64,
     /// Kernel launch overhead, microseconds.
     pub launch_overhead_us: f64,
+    /// Fraction of peak the FMM kernels sustain (Table 2): on a CPU per
+    /// core (≈0.30 on AVX2 Xeons, ≈0.17 on KNL), on a GPU the ceiling
+    /// of one resident kernel mix before concurrency effects (§6.1:
+    /// 21–37 % depending on configuration).
+    pub fmm_efficiency: f64,
 }
 
 impl DeviceSpec {
@@ -32,6 +42,7 @@ impl DeviceSpec {
             sm_count: 56,
             dp_peak_gflops: 4700.0,
             launch_overhead_us: 5.0,
+            fmm_efficiency: 0.21,
         }
     }
 
@@ -42,6 +53,7 @@ impl DeviceSpec {
             sm_count: 80,
             dp_peak_gflops: 7000.0,
             launch_overhead_us: 5.0,
+            fmm_efficiency: 0.45,
         }
     }
 
@@ -56,6 +68,7 @@ impl DeviceSpec {
             sm_count: cores,
             dp_peak_gflops: cores as f64 * 2.4 * 16.0,
             launch_overhead_us: 0.0,
+            fmm_efficiency: 0.3255,
         }
     }
 
@@ -67,6 +80,7 @@ impl DeviceSpec {
             sm_count: 12,
             dp_peak_gflops: 12.0 * 2.6 * 16.0,
             launch_overhead_us: 0.0,
+            fmm_efficiency: 0.3145,
         }
     }
 
@@ -79,6 +93,7 @@ impl DeviceSpec {
             sm_count: 64,
             dp_peak_gflops: 64.0 * 1.3 * 32.0,
             launch_overhead_us: 0.0,
+            fmm_efficiency: 0.1724,
         }
     }
 
@@ -93,53 +108,50 @@ impl DeviceSpec {
         let rate = per_sm * blocks as f64 * efficiency; // GFLOP/s
         self.launch_overhead_us + flops / (rate * 1e3)
     }
+
+    /// Time one core of this CPU takes to run a kernel of `flops`
+    /// floating point operations at [`DeviceSpec::fmm_efficiency`], in
+    /// microseconds: what a worker blocks for when the §5.1 policy
+    /// hands it the kernel.
+    pub fn host_kernel_time_us(&self, flops: f64) -> f64 {
+        let per_core_gflops = self.dp_peak_gflops / self.sm_count as f64;
+        flops / (per_core_gflops * self.fmm_efficiency * 1e3)
+    }
 }
 
-/// A live simulated device: a host thread draining work from attached
-/// streams in round-robin order, modelling the GPU as a co-processor.
-/// Results are bit-identical to CPU execution (the same closures run).
+/// A simulated device in virtual time: when each of its streams is
+/// next idle, and when each of its `sm_count / 8` kernel slots frees up.
+/// A launch on a stream starts once the stream has finished its earlier
+/// launches and a slot is free, then holds both until it ends.
 pub struct Device {
     spec: DeviceSpec,
-    shared: Arc<DeviceShared>,
-    executor: Mutex<Option<JoinHandle<()>>>,
+    clocks: Mutex<Clocks>,
 }
 
-pub(crate) struct DeviceShared {
-    pub(crate) streams: Mutex<Vec<Arc<StreamShared>>>,
-    pub(crate) work_signal: Condvar,
-    pub(crate) signal_lock: Mutex<()>,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) kernels_executed: AtomicU64,
+/// A device's virtual clocks, µs.
+struct Clocks {
+    /// Per stream: the end of its last launch.
+    busy_until_us: Vec<f64>,
+    /// Per kernel slot: when it frees up, in whole µs, earliest first.
+    slots: BinaryHeap<Reverse<u64>>,
+}
+
+impl Clocks {
+    /// Every stream and slot idle at virtual time 0.
+    fn idle(spec: &DeviceSpec, n_streams: usize) -> Clocks {
+        let slots = (spec.sm_count / BLOCKS_PER_KERNEL).max(1);
+        Clocks {
+            busy_until_us: vec![0.0; n_streams],
+            slots: (0..slots).map(|_| Reverse(0)).collect(),
+        }
+    }
 }
 
 impl Device {
-    /// Bring up a device with `n_streams` streams.
+    /// A device with `n_streams` streams, idle at virtual time 0.
     pub fn new(spec: DeviceSpec, n_streams: usize) -> Arc<Device> {
-        let shared = Arc::new(DeviceShared {
-            streams: Mutex::new(Vec::new()),
-            work_signal: Condvar::new(),
-            signal_lock: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
-            kernels_executed: AtomicU64::new(0),
-        });
-        let dev = Arc::new(Device {
-            spec,
-            shared: Arc::clone(&shared),
-            executor: Mutex::new(None),
-        });
-        {
-            let mut streams = shared.streams.lock();
-            for _ in 0..n_streams {
-                streams.push(Arc::new(StreamShared::new()));
-            }
-        }
-        let sh = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("gpusim-{}", dev.spec.name))
-            .spawn(move || device_main(sh))
-            .expect("failed to spawn device executor");
-        *dev.executor.lock() = Some(handle);
-        dev
+        let clocks = Mutex::new(Clocks::idle(&spec, n_streams));
+        Arc::new(Device { spec, clocks })
     }
 
     /// The hardware model.
@@ -147,70 +159,34 @@ impl Device {
         &self.spec
     }
 
-    /// Handles to all streams of this device.
-    pub fn streams(self: &Arc<Device>) -> Vec<CudaStream> {
-        self.shared
-            .streams
-            .lock()
-            .iter()
-            .map(|s| CudaStream::from_shared(Arc::clone(s), Arc::clone(&self.shared)))
-            .collect()
+    /// Number of streams.
+    pub(crate) fn n_streams(&self) -> usize {
+        self.clocks.lock().busy_until_us.len()
     }
 
-    /// Total kernels executed by the device so far.
-    pub fn kernels_executed(&self) -> u64 {
-        self.shared.kernels_executed.load(Ordering::Relaxed)
+    /// When `stream` has finished every launch put on it so far.
+    pub(crate) fn busy_until_us(&self, stream: usize) -> f64 {
+        self.clocks.lock().busy_until_us[stream]
     }
 
-    /// Stop the executor thread and join it. Remaining queued work is
-    /// drained before exit so no event future is left broken.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_signal.notify_all();
-        if let Some(h) = self.executor.lock().take() {
-            let _ = h.join();
-        }
+    /// Launch `flops` on `stream` at virtual time `now`: one launch of
+    /// [`BLOCKS_PER_KERNEL`] blocks at the spec's FMM efficiency, paying
+    /// the launch overhead once. Returns when it ends.
+    pub(crate) fn run(&self, stream: usize, flops: f64, now: f64) -> f64 {
+        let mut clocks = self.clocks.lock();
+        let Reverse(slot_free) = clocks.slots.pop().expect("a device has a kernel slot");
+        let start = now.max(clocks.busy_until_us[stream]).max(slot_free as f64);
+        let time = self.spec.kernel_time_us(flops, BLOCKS_PER_KERNEL, self.spec.fmm_efficiency);
+        let end = start + time;
+        clocks.slots.push(Reverse(end.ceil() as u64));
+        clocks.busy_until_us[stream] = end;
+        end
     }
-}
 
-impl Drop for Device {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn drain_streams(shared: &DeviceShared) -> bool {
-    let mut did_work = false;
-    let streams: Vec<Arc<StreamShared>> = shared.streams.lock().clone();
-    for s in &streams {
-        // In-order execution per stream: run everything queued.
-        while let Some((op, is_kernel)) = s.pop() {
-            op();
-            if is_kernel {
-                shared.kernels_executed.fetch_add(1, Ordering::Relaxed);
-            }
-            did_work = true;
-        }
-    }
-    did_work
-}
-
-fn device_main(shared: Arc<DeviceShared>) {
-    loop {
-        if drain_streams(&shared) {
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Final drain: anything enqueued during the last sweep.
-            if !drain_streams(&shared) {
-                break;
-            }
-            continue;
-        }
-        let mut guard = shared.signal_lock.lock();
-        shared
-            .work_signal
-            .wait_for(&mut guard, std::time::Duration::from_micros(100));
+    /// Every stream and slot idle at virtual time 0 again.
+    pub(crate) fn reset(&self) {
+        let mut clocks = self.clocks.lock();
+        *clocks = Clocks::idle(&self.spec, clocks.busy_until_us.len());
     }
 }
 
@@ -261,39 +237,31 @@ mod tests {
 
     #[test]
     fn device_executes_queued_work() {
+        // In order on a stream: ten launches queued at time 0 on each of
+        // four streams run back to back, and the four streams side by
+        // side (a P100 has seven slots; a slot frees up at the next
+        // whole µs).
         let dev = Device::new(DeviceSpec::p100(), 4);
-        let streams = dev.streams();
-        assert_eq!(streams.len(), 4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for s in &streams {
-            for _ in 0..10 {
-                let c = Arc::clone(&counter);
-                s.enqueue(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
+        let mut end = [0.0; 4];
+        for _ in 0..10 {
+            for (s, e) in end.iter_mut().enumerate() {
+                *e = dev.run(s, 1e9, 0.0);
             }
         }
-        // Wait for all work via events on each stream.
-        for s in &streams {
-            s.synchronize();
+        let t = dev.spec().kernel_time_us(1e9, BLOCKS_PER_KERNEL, dev.spec().fmm_efficiency);
+        let queued = (0..10).fold(0.0, |e, _| e + t);
+        for (s, &e) in end.iter().enumerate() {
+            assert!((e - queued).abs() <= 10.0, "stream {s} ends at {e}, not ~{queued}");
+            assert_eq!(dev.busy_until_us(s), e);
         }
-        assert_eq!(counter.load(Ordering::SeqCst), 40);
-        assert_eq!(dev.kernels_executed(), 40);
-        dev.shutdown();
-    }
-
-    #[test]
-    fn shutdown_drains_pending_work() {
-        let dev = Device::new(DeviceSpec::v100(), 2);
-        let streams = dev.streams();
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            streams[0].enqueue(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        dev.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
+        // The slots bound the width: eight one-launch streams on seven
+        // slots, and the eighth waits for the first slot to free up.
+        let dev = Device::new(DeviceSpec::p100(), 8);
+        let ends: Vec<f64> = (0..8).map(|s| dev.run(s, 1e9, 0.0)).collect();
+        assert!(ends[..7].iter().all(|&e| e == t));
+        assert_eq!(ends[7], t.ceil() + t);
+        dev.reset();
+        assert!((0..8).all(|s| dev.busy_until_us(s) == 0.0));
+        assert_eq!(dev.run(7, 1e9, 0.0), t, "reset frees every slot");
     }
 }

@@ -61,5 +61,6 @@ pub use stencil::Stencil;
 /// docs count.
 pub const MULTI_FLOPS: u64 = 455;
 /// Interactions per kernel launch: 512 cells × 1074 stencil elements
-/// (paper §4.3). Used by the node-level performance model.
+/// (paper §4.3). Used, with [`MULTI_FLOPS`], to price a kernel in the
+/// node-level performance model and in [`GpuContext::replay`].
 pub const INTERACTIONS_PER_LAUNCH: u64 = 549_888;

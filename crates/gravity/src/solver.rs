@@ -66,9 +66,7 @@
 //! calls, and per-node results are merged into maps by key (never by
 //! arrival order), so the parallel field is bit-identical to the serial
 //! one at any thread count — the invariant `fmm_parallel_matches_serial`
-//! pins down. Scratch buffers come from the solver's [`ScratchPool`]
-//! and kernel launches are routed through the optional [`GpuContext`]
-//! (§5.1 stream-idle decision).
+//! pins down. Scratch buffers come from the solver's [`ScratchPool`].
 //!
 //! **One work item per sub-grid** (DESIGN.md "One work item per
 //! sub-grid & SIMD"): the solve launches per node what the paper
@@ -94,29 +92,28 @@
 //! So only refined nodes hold an expansion buffer across tasks, and a
 //! parent's totals live until its last child has read them: at most one
 //! buffer per refined node plus two per running item are live, which
-//! is what the pool is warmed with and all steady-state solves take. On a
-//! CPU-only solver an item is its task; with a [`GpuContext`] the task
-//! submits the item to its worker's aggregation region as the node's
-//! kernel kind ([`KernelKind`]), every region is flushed once the refined
-//! items are in (the leaves wait on them) and again by the last leaf to
-//! submit, so items of different nodes fuse. Results merge by node key,
-//! so the field is the serial walk's at any worker count.
+//! is what the pool is warmed with and all steady-state solves take. An
+//! item is its task. Results merge by node key, so the field is the
+//! serial walk's at any worker count. A solver with a [`GpuContext`]
+//! runs this same graph, then hands the solve's items to the context for
+//! a virtual-time replay of the §5.1 launch policy
+//! ([`GpuContext::replay`]), which prices where each would have run and
+//! never touches the field.
 
 use crate::expansion::LocalExpansion;
-use crate::gpu::{AggregationConfig, GpuContext, KernelKind, LaunchSite, HIST_LABELS};
+use crate::gpu::{AggregationConfig, GpuContext, KernelKind, HIST_LABELS};
 use crate::kernels::{interior_index, offset_into, parity_into, MomentGrid, PairCounts, N_CELLS};
 use crate::multipole::Multipole;
 use crate::scratch::ScratchPool;
 use crate::stencil::Stencil;
 use crate::tensors::LatticeRow;
 use amt::trace::{self, TraceCategory};
-use amt::{make_ready_future, when_all, Future, Promise, Runtime, Scheduler};
+use amt::{when_all, Future, Promise, Runtime, Scheduler};
 use octree::geometry::Domain;
 use octree::subgrid::{Field, N_SUB};
 use octree::tree::Octree;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use util::morton::MortonKey;
 use util::vec3::Vec3;
@@ -219,10 +216,6 @@ pub struct GravityField {
     /// Number of kernel launches: one work item per node — its
     /// same-level kernel and, on a leaf, the near-field one.
     pub kernel_launches: u64,
-    /// Launches executed inline on a CPU worker.
-    pub kernel_launches_cpu: u64,
-    /// Launches executed on an idle stream of the simulated GPU.
-    pub kernel_launches_gpu: u64,
 }
 
 impl GravityField {
@@ -468,19 +461,15 @@ struct LeafItem {
 struct PassTotals {
     same: PairCounts,
     near: PairCounts,
-    gpu_launches: u64,
-    cpu_launches: u64,
+    launches: u64,
 }
 
 impl PassTotals {
-    /// Count one node's item and its pairs, launched at `site`.
-    fn add(&mut self, same: PairCounts, near: PairCounts, site: LaunchSite) {
+    /// Count one node's item and its pairs.
+    fn add(&mut self, same: PairCounts, near: PairCounts) {
         self.same += same;
         self.near += near;
-        match site {
-            LaunchSite::Gpu => self.gpu_launches += 1,
-            LaunchSite::Cpu => self.cpu_launches += 1,
-        }
+        self.launches += 1;
     }
 
     /// The solved field over `cells`, carrying these counters.
@@ -493,9 +482,7 @@ impl PassTotals {
             pairs_evaluated: self.same.evaluated + self.near.evaluated,
             pairs_full_body: self.same.full_body + self.near.full_body,
             pairs_lattice: self.same.lattice + self.near.lattice,
-            kernel_launches: self.gpu_launches + self.cpu_launches,
-            kernel_launches_cpu: self.cpu_launches,
-            kernel_launches_gpu: self.gpu_launches,
+            kernel_launches: self.launches,
         }
     }
 }
@@ -509,8 +496,8 @@ pub struct FmmSolver {
     root_offsets: Vec<(i32, i32, i32)>,
     /// Recycled kernel staging buffers (see [`ScratchPool`]).
     scratch: ScratchPool,
-    /// When present, kernel launches go through the §5.1 stream-idle
-    /// decision; when absent every launch is a CPU launch.
+    /// When present, each parallel solve's items are replayed through
+    /// the §5.1 launch policy on it.
     gpu: Option<GpuContext>,
 }
 
@@ -540,8 +527,9 @@ impl FmmSolver {
         Self::build(theta, None)
     }
 
-    /// Build a solver whose kernel launches are routed through the
-    /// simulated GPU `ctx` (idle stream → GPU, otherwise CPU).
+    /// Build a solver that, after each parallel solve, replays the
+    /// solve's work items on the simulated GPU `ctx` (idle stream → GPU,
+    /// otherwise CPU); the field is the CPU-only solver's.
     pub fn with_gpu(theta: f64, ctx: GpuContext) -> FmmSolver {
         Self::build(theta, Some(ctx))
     }
@@ -561,8 +549,8 @@ impl FmmSolver {
     /// through [`AggregationConfig::new`] and applied to the attached
     /// GPU context; a CPU-only solver has nothing to batch and ignores
     /// them.
-    pub fn with_aggregation(self, slots: usize, window: usize) -> FmmSolver {
-        if let Some(ctx) = &self.gpu {
+    pub fn with_aggregation(mut self, slots: usize, window: usize) -> FmmSolver {
+        if let Some(ctx) = &mut self.gpu {
             ctx.set_aggregation(AggregationConfig::new(slots, window));
         }
         self
@@ -624,7 +612,7 @@ impl FmmSolver {
         &self.scratch
     }
 
-    /// The GPU launch context, if kernel routing is enabled.
+    /// The GPU launch context, if the solver replays its items on one.
     pub fn gpu(&self) -> Option<&GpuContext> {
         self.gpu.as_ref()
     }
@@ -772,8 +760,8 @@ impl FmmSolver {
     /// runs the node's same-level kernel over all 512 cells and, on a leaf
     /// (`table` is its level's lattice table), the near-field kernel,
     /// whose result it adds cell by cell; then it returns the grid. The
-    /// serial walk and both paths of the futurized one run this body,
-    /// inside a fused GPU batch or not, so none of them can move a bit.
+    /// serial walk and the futurized one run this body, so neither can
+    /// move a bit.
     /// Its three stages are `fmm/*` spans of their own, nested in no
     /// other compute span.
     fn node_item(
@@ -862,7 +850,7 @@ impl FmmSolver {
         for level in 0..=tree.max_level() {
             for key in tree.level_keys(level).into_iter().filter(|&key| !tree.is_leaf(key)) {
                 let item = self.node_item(tree, moments, key, None);
-                counts.add(item.same, item.near, LaunchSite::Cpu);
+                counts.add(item.same, item.near);
                 let parent = key.parent().map(|p| Arc::clone(&totals[&p]));
                 let parent = parent.as_deref().map(Vec::as_slice);
                 totals.insert(key, self.downward(tree, moments, key, item.out, parent));
@@ -872,7 +860,7 @@ impl FmmSolver {
         for key in leaves {
             let parent = key.parent().map(|p| totals[&p].as_slice());
             let item = self.leaf_item(tree, moments, key, tables.level(key.level), parent);
-            counts.add(item.same, item.near, LaunchSite::Cpu);
+            counts.add(item.same, item.near);
             cells.insert(key, item.cells);
         }
         counts.field(cells)
@@ -895,10 +883,8 @@ impl FmmSolver {
         let metrics = rt.metrics();
         metrics.counter("fmm/scratch_hits").store(self.scratch.hits());
         metrics.counter("fmm/scratch_misses").store(self.scratch.misses());
-        metrics.counter("fmm/kernels/gpu").add(totals.gpu_launches);
-        metrics.counter("fmm/kernels/cpu").add(totals.cpu_launches);
         // One work item per node (the benchmark's `gravity.chunks_per_solve`).
-        metrics.counter("fmm/chunks").add(totals.gpu_launches + totals.cpu_launches);
+        metrics.counter("fmm/chunks").add(totals.launches);
         metrics
             .counter("fmm/interactions/same_level")
             .add(totals.same.counted);
@@ -914,7 +900,7 @@ impl FmmSolver {
         metrics
             .counter("fmm/pairs/lattice")
             .add(totals.same.lattice + totals.near.lattice);
-        // Aggregation observability (cumulative over the context's
+        // The replayed launch ledger (cumulative over the context's
         // lifetime, hence `store` not `add`): how many kernels went up
         // fused, the batch-size histogram per kind, the flush-trigger
         // breakdown, and the slot-window occupancy.
@@ -931,9 +917,6 @@ impl FmmSolver {
             metrics
                 .counter("fmm/agg/occupancy_permille")
                 .store(agg.occupancy_permille(ctx.agg_config().slots));
-            metrics
-                .counter("fmm/agg/overflow_submits")
-                .store(ctx.overflow_submits());
             for kind in KernelKind::ALL {
                 for (bucket, label) in HIST_LABELS.iter().enumerate() {
                     metrics
@@ -989,7 +972,6 @@ impl FmmSolver {
             tables: self.leaf_tables(tree, targets),
             sched: Arc::clone(&sched),
             counts: Mutex::default(),
-            unsubmitted: AtomicUsize::new(targets.len()),
         });
         let items = walk.refined_items(rt, &refined);
         // Each target's item waits on its parent's totals.
@@ -1021,17 +1003,19 @@ impl FmmSolver {
         if let Some(root) = built.remove(&MortonKey::root()) {
             walk.start(root, None);
         }
-        let submitted = when_all(&sched, leaves).get_help(&sched);
-        let done = when_all(&sched, submitted).get_help(&sched);
+        let done = when_all(&sched, leaves).get_help(&sched);
         // Every refined step counted itself before releasing its leaves;
         // its task retires after them, and with it its share of the
         // totals.
         rt.wait_quiescent();
         let mut counts = *walk.counts.lock();
         let mut cells = HashMap::with_capacity(targets.len());
-        for (&key, (leaf, site)) in targets.iter().zip(done) {
-            counts.add(leaf.same, leaf.near, site);
+        for (&key, leaf) in targets.iter().zip(done) {
+            counts.add(leaf.same, leaf.near);
             cells.insert(key, leaf.cells);
+        }
+        if let Some(ctx) = &self.gpu {
+            ctx.replay(refined.len(), targets.len());
         }
         self.publish_counters(rt, &counts);
         counts.field(cells)
@@ -1044,7 +1028,7 @@ impl FmmSolver {
 /// their items wait on.
 struct Pending {
     key: MortonKey,
-    item: Future<(NodeItem, LaunchSite)>,
+    item: Future<NodeItem>,
     refined: Vec<Pending>,
     leaves: Vec<Promise<Option<Totals>>>,
 }
@@ -1058,52 +1042,24 @@ struct Walk {
     sched: Arc<Scheduler>,
     /// The refined nodes' counters (a leaf's come back with its cells).
     counts: Mutex<PassTotals>,
-    /// Target leaves that have not submitted their item yet (GPU path):
-    /// the last one to submit flushes every region.
-    unsubmitted: AtomicUsize,
 }
 
 impl Walk {
-    /// Launch the items of the `refined` nodes (`HESS = true`) in key
-    /// order, so the root's runs first, and return their futures in that
-    /// order: a task each on a CPU-only solver; with a GPU context each
-    /// task submits its item to its worker's aggregation region, and every
-    /// region is flushed once all are in — the leaves, submitted later,
-    /// wait on these.
+    /// Start the items of the `refined` nodes (`HESS = true`) in key
+    /// order, a task each, so the root's runs first, and return their
+    /// futures in that order.
     fn refined_items(
         self: &Arc<Self>,
         rt: &Arc<Runtime>,
         refined: &[MortonKey],
-    ) -> Vec<Future<(NodeItem, LaunchSite)>> {
-        let item = |key: MortonKey| {
-            let walk = Arc::clone(self);
-            move || walk.solver.node_item(&walk.tree, &walk.moments, key, None)
-        };
-        match &self.solver.gpu {
-            None => refined
-                .iter()
-                .map(|&key| {
-                    let item = item(key);
-                    rt.async_call(move || (item(), LaunchSite::Cpu))
-                })
-                .collect(),
-            Some(ctx) => {
-                let submits = refined
-                    .iter()
-                    .map(|&key| {
-                        let (item, walk) = (item(key), Arc::clone(self));
-                        rt.async_call(move || {
-                            let ctx = walk.solver.gpu().expect("a solver with a GPU context");
-                            let worker = walk.sched.current_worker();
-                            ctx.submit(worker, KernelKind::Multipole, key, item)
-                        })
-                    })
-                    .collect();
-                let items = when_all(&self.sched, submits).get_help(&self.sched);
-                ctx.flush_all();
-                items
-            }
-        }
+    ) -> Vec<Future<NodeItem>> {
+        refined
+            .iter()
+            .map(|&key| {
+                let walk = Arc::clone(self);
+                rt.async_call(move || walk.solver.node_item(&walk.tree, &walk.moments, key, None))
+            })
+            .collect()
     }
 
     /// Attach `node`'s downward step to its item (`parent`, its parent's
@@ -1115,8 +1071,8 @@ impl Walk {
         let walk = Arc::clone(self);
         // The step's outputs are its children's inputs: its own future
         // carries nothing.
-        let _ = item.then(&self.sched, move |(item, site)| {
-            walk.counts.lock().add(item.same, item.near, site);
+        let _ = item.then(&self.sched, move |item| {
+            walk.counts.lock().add(item.same, item.near);
             let parent = parent.as_deref().map(Vec::as_slice);
             let totals = walk.solver.downward(&walk.tree, &walk.moments, key, item.out, parent);
             for child in refined {
@@ -1129,29 +1085,10 @@ impl Walk {
     }
 
     /// Target leaf `key`'s item, once its `parent`'s totals are in
-    /// (`None` at a root leaf): run here on a CPU-only solver; with a GPU
-    /// context submitted to this worker's aggregation region as a
-    /// monopole item, the last leaf to submit flushing every region.
-    fn leaf(
-        self: &Arc<Self>,
-        key: MortonKey,
-        parent: Option<Totals>,
-    ) -> Future<(LeafItem, LaunchSite)> {
-        let walk = Arc::clone(self);
-        let run = move || {
-            let (table, parent) = (walk.tables.level(key.level), parent.as_deref().map(Vec::as_slice));
-            walk.solver.leaf_item(&walk.tree, &walk.moments, key, table, parent)
-        };
-        match &self.solver.gpu {
-            None => make_ready_future((run(), LaunchSite::Cpu)),
-            Some(ctx) => {
-                let item = ctx.submit(self.sched.current_worker(), KernelKind::Monopole, key, run);
-                if self.unsubmitted.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    ctx.flush_all();
-                }
-                item
-            }
-        }
+    /// (`None` at a root leaf).
+    fn leaf(&self, key: MortonKey, parent: Option<Totals>) -> LeafItem {
+        let (table, parent) = (self.tables.level(key.level), parent.as_deref().map(Vec::as_slice));
+        self.solver.leaf_item(&self.tree, &self.moments, key, table, parent)
     }
 }
 
@@ -1299,8 +1236,6 @@ mod tests {
         let field = solver.solve(&t);
         assert!(field.interactions > 0);
         assert!(field.kernel_launches > 0);
-        assert_eq!(field.kernel_launches_cpu, field.kernel_launches);
-        assert_eq!(field.kernel_launches_gpu, 0);
         // Every leaf present, all values finite.
         for key in t.leaves() {
             let cg = field.leaf(key).expect("leaf output");

@@ -5,8 +5,8 @@
 //! * [`machine`] — the hardware tables: the Table 2 evaluation
 //!   platforms (the last is Table 3's Piz Daint node) and their
 //!   efficiency factors.
-//! * [`node_level`] — an event-driven simulation of C worker threads
-//!   driving S CUDA streams with the §5.1 launch policy. It regenerates
+//! * [`node_level`] — C worker threads driving S CUDA streams with the
+//!   §5.1 launch policy, on `gpusim`'s virtual-time engine. It regenerates
 //!   **Table 2** (total/FMM runtime, GFLOP/s, fraction of peak per
 //!   platform) and the **§6.1.2** GPU-launch fractions, including the
 //!   starvation effect (20 cores + 1 V100 slower than 10 cores +

@@ -1,11 +1,11 @@
-//! Event-driven node-level simulation — regenerates Table 2 and the
-//! §6.1.2 launch fractions.
+//! Node-level simulation — regenerates Table 2 and the §6.1.2 launch
+//! fractions.
 //!
-//! The model follows §5.1/§6.1.1 exactly:
+//! The model follows §5.1/§6.1.1:
 //!
 //! * During the gravity solve, every worker thread traverses the octree
-//!   and attempts one FMM kernel launch every `launch_gap_us` (the
-//!   traversal/bookkeeping time between launches).
+//!   and attempts one FMM kernel launch every
+//!   [`gpusim::engine::TRAVERSAL_GAP_US`].
 //! * The §5.1 policy: if one of the worker's streams is idle the kernel
 //!   goes to the GPU (asynchronously — the worker continues); otherwise
 //!   the worker executes it itself, blocking for the much longer CPU
@@ -13,15 +13,19 @@
 //! * The GPU executes up to `sm_count / blocks` kernels concurrently
 //!   (8 blocks per launch, §5.1); completions free their stream.
 //!
+//! That is `gpusim`'s engine with per-item launches: a GPU row is one
+//! [`gpusim::engine::run`] over the row's devices, 128 streams each.
 //! Everything the paper measures falls out: the fraction of kernels
 //! launched on the GPU (97.4995% for 20 cores + 1 V100 vs 99.9997% for
 //! 10 cores + 1 V100 — the starvation effect), the FMM wall time, and
 //! GFLOP/s = total flops / FMM wall time.
 
 use crate::machine::{NodeConfig, STREAMS_PER_GPU};
+use gpusim::aggregation::{AggregationConfig, AggregationStats, Item};
+use gpusim::device::Device;
+use gpusim::launch_policy::{QueuePolicy, StreamPool};
 use gravity::{INTERACTIONS_PER_LAUNCH, MULTI_FLOPS};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// The workload of a node-level run.
 #[derive(Debug, Clone, Copy)]
@@ -33,17 +37,12 @@ pub struct Workload {
     /// Non-FMM wall time on this platform, seconds (hydro &c., measured
     /// CPU-side work the GPUs do not accelerate).
     pub other_wall_s: f64,
-    /// Worker-side gap between launch attempts, µs (tree traversal).
-    pub launch_gap_us: f64,
 }
 
 impl Workload {
     /// The V1309 level-14 run of Table 2, anchored to the Xeon-10
     /// reference row: FMM flops = 125 GFLOP/s × 1228 s, kernels of
-    /// 455 flops × 549,888 interactions. The launch gap (1.1 ms of
-    /// traversal per launch per worker) is set by the launch-limited
-    /// regime of the 10-core + 1 V100 row: 614k kernels / 10 workers in
-    /// 68 s.
+    /// 455 flops × 549,888 interactions.
     pub fn v1309_level14(other_wall_s: f64) -> Workload {
         let flops_per_kernel = (MULTI_FLOPS * INTERACTIONS_PER_LAUNCH) as f64;
         let total_flops = 125.0e9 * 1228.0;
@@ -51,7 +50,6 @@ impl Workload {
             kernels: (total_flops / flops_per_kernel) as u64,
             flops_per_kernel,
             other_wall_s,
-            launch_gap_us: 1100.0,
         }
     }
 
@@ -61,7 +59,6 @@ impl Workload {
             kernels,
             flops_per_kernel: (MULTI_FLOPS * INTERACTIONS_PER_LAUNCH) as f64,
             other_wall_s: 10.0,
-            launch_gap_us: 1100.0,
         }
     }
 }
@@ -87,20 +84,13 @@ pub struct NodeLevelResult {
     pub cpu_kernels: u64,
 }
 
-/// Blocks per kernel launch (§5.1: "launching kernels with 8 blocks").
-pub const BLOCKS_PER_KERNEL: u32 = 8;
-
 /// Run the simulation for one platform.
 pub fn simulate_node(config: &NodeConfig, w: &Workload) -> NodeLevelResult {
     let cores = config.cores.max(1);
-    let per_core_gflops = config.cpu.dp_peak_gflops / config.cpu.sm_count as f64;
-    let t_cpu_kernel_us =
-        w.flops_per_kernel / (per_core_gflops * config.cpu_fmm_efficiency * 1e3);
-
     if config.gpus.is_empty() {
         // CPU-only: workers grind kernels independently.
         let per_worker = (w.kernels as f64 / cores as f64).ceil();
-        let fmm_wall_s = per_worker * t_cpu_kernel_us / 1e6;
+        let fmm_wall_s = per_worker * config.cpu.host_kernel_time_us(w.flops_per_kernel) / 1e6;
         let total_flops = w.kernels as f64 * w.flops_per_kernel;
         let gflops = total_flops / fmm_wall_s / 1e9;
         return NodeLevelResult {
@@ -114,89 +104,18 @@ pub fn simulate_node(config: &NodeConfig, w: &Workload) -> NodeLevelResult {
         };
     }
 
-    // GPU path: event-driven virtual-time simulation.
-    struct Stream {
-        busy_until: f64, // µs
-        device: usize,
-    }
-    let mut streams: Vec<Stream> = Vec::new();
-    for (device, _gpu) in config.gpus.iter().enumerate() {
-        for _ in 0..STREAMS_PER_GPU {
-            streams.push(Stream { busy_until: 0.0, device });
-        }
-    }
-    // Device slot heaps: each device runs sm/blocks kernels at once.
-    let mut device_slots: Vec<BinaryHeap<Reverse<u64>>> = config
-        .gpus
-        .iter()
-        .map(|g| {
-            let conc = (g.sm_count / BLOCKS_PER_KERNEL).max(1);
-            (0..conc).map(|_| Reverse(0u64)).collect()
-        })
-        .collect();
-    let t_gpu_kernel_us: Vec<f64> = config
-        .gpus
-        .iter()
-        .map(|g| g.kernel_time_us(w.flops_per_kernel, BLOCKS_PER_KERNEL, config.gpu_fmm_efficiency))
-        .collect();
-
-    // Streams assigned round-robin to workers.
-    let owner = |stream_idx: usize| stream_idx % cores;
-    let mut worker_clock = vec![0.0f64; cores];
-    let mut launched = vec![0u64; cores];
-    let per_worker = w.kernels / cores as u64;
-    let mut gpu_kernels = 0u64;
-    let mut cpu_kernels = 0u64;
-
-    // Simulate each worker in lockstep rounds to keep device slot
-    // contention causally ordered: process the globally earliest
-    // worker-ready event each iteration.
-    let total_kernels: u64 = per_worker * cores as u64;
-    let mut issued = 0u64;
-    while issued < total_kernels {
-        // Pick the worker with the earliest clock that still has work.
-        let mut c = usize::MAX;
-        let mut best = f64::INFINITY;
-        for (i, t) in worker_clock.iter().enumerate() {
-            if launched[i] < per_worker && *t < best {
-                best = *t;
-                c = i;
-            }
-        }
-        let t = worker_clock[c];
-        // Find an idle stream owned by this worker.
-        let mut found: Option<usize> = None;
-        for (si, s) in streams.iter().enumerate() {
-            if owner(si) == c && s.busy_until <= t {
-                found = Some(si);
-                break;
-            }
-        }
-        match found {
-            Some(si) => {
-                let device = streams[si].device;
-                // Acquire the earliest free device slot (in integer µs
-                // keys for the heap).
-                let Reverse(slot_free) = device_slots[device].pop().expect("slots exist");
-                let start = t.max(slot_free as f64);
-                let end = start + t_gpu_kernel_us[device];
-                device_slots[device].push(Reverse(end.ceil() as u64));
-                streams[si].busy_until = end;
-                gpu_kernels += 1;
-                worker_clock[c] = t + w.launch_gap_us;
-            }
-            None => {
-                // CPU fallback: the worker blocks on the kernel itself.
-                cpu_kernels += 1;
-                worker_clock[c] = t + t_cpu_kernel_us + w.launch_gap_us;
-            }
-        }
-        launched[c] += 1;
-        issued += 1;
-    }
-    let worker_end = worker_clock.iter().cloned().fold(0.0, f64::max);
-    let stream_end = streams.iter().map(|s| s.busy_until).fold(0.0, f64::max);
-    let fmm_wall_s = worker_end.max(stream_end) / 1e6;
+    // GPU rows: the engine, one worker per core, each owning every
+    // `cores`-th stream of the node's devices; an equal share of the
+    // kernels each.
+    let devices: Vec<Arc<Device>> =
+        config.gpus.iter().map(|g| Device::new(g.clone(), STREAMS_PER_GPU)).collect();
+    let pools = StreamPool::partition(&devices, cores, QueuePolicy::CpuFallback);
+    let total_kernels = w.kernels / cores as u64 * cores as u64;
+    let items = vec![Item { kind: 0, flops: w.flops_per_kernel }; total_kernels as usize];
+    let stats = Arc::new(AggregationStats::new(1));
+    let end_us =
+        gpusim::engine::run(&pools, &config.cpu, AggregationConfig::per_item(), &stats, &items);
+    let fmm_wall_s = end_us / 1e6;
     let total_flops = total_kernels as f64 * w.flops_per_kernel;
     let gflops = total_flops / fmm_wall_s / 1e9;
     let peak: f64 = config.gpus.iter().map(|g| g.dp_peak_gflops).sum();
@@ -205,9 +124,9 @@ pub fn simulate_node(config: &NodeConfig, w: &Workload) -> NodeLevelResult {
         total_wall_s: fmm_wall_s + w.other_wall_s,
         gflops,
         fraction_of_peak: gflops / peak,
-        gpu_fraction: gpu_kernels as f64 / total_kernels as f64,
-        gpu_kernels,
-        cpu_kernels,
+        gpu_fraction: stats.items_gpu() as f64 / total_kernels as f64,
+        gpu_kernels: stats.items_gpu(),
+        cpu_kernels: stats.items_cpu(),
     }
 }
 
@@ -295,5 +214,33 @@ mod tests {
         assert_eq!(r.gpu_kernels + r.cpu_kernels, 10_000 - (10_000 % cfg.cores as u64));
         assert!(r.fmm_wall_s > 0.0);
         assert!(r.fraction_of_peak > 0.0 && r.fraction_of_peak < 1.0);
+    }
+
+    #[test]
+    fn table2_launch_splits_are_pinned() {
+        // Every Table 2 row's (GPU, CPU) kernel split and FMM wall time,
+        // exactly: the model is deterministic, so any change to it shows
+        // here, and the §6.1.2 fractions are the three ratios below.
+        let rows: [(&str, u64, u64, u64); 9] = [
+            ("10 cores (CPU only)", 0, 613_511, 0x40933061cf8b3bb1),
+            ("10 cores + 1x V100", 613_510, 0, 0x4050df1c432ca57a),
+            ("10 cores + 2x V100", 613_510, 0, 0x4050df1c432ca57a),
+            ("20 cores (CPU only)", 0, 613_511, 0x40833061cf8b3bb1),
+            ("20 cores + 1x V100", 585_528, 27_972, 0x404edf9feef8f753),
+            ("20 cores + 2x V100", 613_500, 0, 0x4040e0274c4fea7f),
+            ("Phi", 0, 613_511, 0x4074e747efc49f4c),
+            ("Piz Daint node (CPU only)", 0, 613_511, 0x408e8dbdd5bf29d5),
+            ("Piz Daint node + 1x P100", 560_662, 52_838, 0x4061db2dfdd41dea),
+        ];
+        let w = Workload::v1309_level14(0.0);
+        for (name, gpu, cpu, wall_bits) in rows {
+            let r = simulate_node(&find(name), &w);
+            assert_eq!((r.gpu_kernels, r.cpu_kernels), (gpu, cpu), "{name}");
+            assert_eq!(r.fmm_wall_s.to_bits(), wall_bits, "{name}: {:#x}", r.fmm_wall_s.to_bits());
+        }
+        let fraction = |name| simulate_node(&find(name), &w).gpu_fraction;
+        assert_eq!(fraction("10 cores + 1x V100"), 1.0);
+        assert_eq!(fraction("20 cores + 1x V100"), 585_528.0 / 613_500.0);
+        assert_eq!(fraction("Piz Daint node + 1x P100"), 560_662.0 / 613_500.0);
     }
 }

@@ -3,7 +3,8 @@
 #
 #   1. zero #[deprecated], zero #[ignore], zero environment-read,
 #      zero second-pair-arithmetic, zero fused/fast-math, zero rank-3
-#      tensor, zero gravity torque ledger, zero second device ledger,
+#      tensor, zero gravity torque ledger, zero second device ledger or
+#      device thread,
 #      zero driver-ghost-fill, zero per-leaf stage buffer, zero derived-grid,
 #      zero slab-pipeline, zero
 #      remote-call, zero owner-registry and zero uncalled-pub-fn budgets
@@ -20,7 +21,8 @@
 #      that runs it on two localities over the moment wire
 #   7. the three cheap paper-artifact bins run and pass their own gates
 #      (fig23_scaleout and the scenario_gate bin are the expensive two;
-#      step 4 runs the registry the latter prints)
+#      step 4 runs the registry the latter prints), and gpu_launch_fraction
+#      prints the same JSON on two runs
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -130,21 +132,32 @@ echo "ledger budget OK (0 torques in gravity's non-test code; one closure, the d
 echo
 echo "== tier-1: device-ledger budget =="
 # One device model: the §5.1 launch decision is made in one place
-# (`StreamPool::launch`; a per-item launch is the one-item batch) and
-# counted in one ledger (`AggregationStats::items_{gpu,cpu}`). A second
-# launch entry point, a second launch counter, or a second string-keyed
-# parcel count beside the transport's `parcels_tx` is a copy that the
-# first has to be kept in step with, coming back.
-stray=$(grep -rn --include='*.rs' 'LaunchStats' crates tests examples || true)
+# (`StreamPool::launch`; a per-item launch is the one-item batch), in
+# virtual time, and counted in one ledger
+# (`AggregationStats::items_{gpu,cpu}`). A second launch entry point, a
+# second launch counter, or a second string-keyed parcel count beside
+# the transport's `parcels_tx` is a copy that the first has to be kept in
+# step with, coming back. The simulated device keeps clocks, not
+# threads: a thread, a spawned executor or a condition variable in
+# gpusim is the closure-running executor coming back, and with it a
+# second execution path through the FMM solver (a stream handle, a
+# launch site per item).
+stray=$(grep -rn --include='*.rs' 'LaunchStats\|CudaStream\|LaunchSite' crates tests examples || true)
 if [ -n "$stray" ]; then
-    echo "!! a second launch ledger under crates/, tests/ or examples/ (the budget is zero):" >&2
+    echo "!! a second launch ledger or a stream executor's handle under crates/, tests/ or examples/ (the budget is zero):" >&2
     echo "$stray" >&2
     exit 1
 fi
-launches=$(grep -c 'pub fn launch' crates/gpusim/src/launch_policy.rs || true)
+stray=$(grep -rn --include='*.rs' 'thread::\|spawn\|Condvar' crates/gpusim/src || true)
+if [ -n "$stray" ]; then
+    echo "!! a thread in crates/gpusim/src (the budget is zero; the device runs in virtual time):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+launches=$(grep -rn --include='*.rs' 'pub fn launch' crates/gpusim/src | wc -l)
 if [ "$launches" -ne 1 ]; then
-    echo "!! $launches launch entry points in launch_policy.rs (the budget is 1, StreamPool::launch):" >&2
-    grep -n 'pub fn launch' crates/gpusim/src/launch_policy.rs >&2 || true
+    echo "!! $launches launch entry points in crates/gpusim/src (the budget is 1, StreamPool::launch):" >&2
+    grep -rn --include='*.rs' 'pub fn launch' crates/gpusim/src >&2 || true
     exit 1
 fi
 stray=$(grep -rn --include='*.rs' '"parcels/sent"' crates || true)
@@ -153,7 +166,7 @@ if [ -n "$stray" ]; then
     echo "$stray" >&2
     exit 1
 fi
-echo "device-ledger budget OK (0 LaunchStats, 1 launch decision, 0 parcels/sent counters)"
+echo "device-ledger budget OK (0 LaunchStats / CudaStream / LaunchSite, 0 threads in gpusim, 1 launch decision, 0 parcels/sent counters)"
 
 echo
 echo "== tier-1: ghost budget =="
@@ -345,6 +358,15 @@ echo "== tier-1: paper-artifact bins (each enforces its own gate) =="
 for bin in table4_subgrids table2_node_level gpu_launch_fraction; do
     cargo run --release --quiet -p bench --bin "$bin" > /dev/null
 done
+# The launch split is a virtual-time replay, so it is the same on every
+# run: two runs of gpu_launch_fraction print the same JSON.
+cargo run --release --quiet -p bench --bin gpu_launch_fraction 2> /dev/null > target/launch_fraction_a.json
+cargo run --release --quiet -p bench --bin gpu_launch_fraction 2> /dev/null > target/launch_fraction_b.json
+if ! cmp target/launch_fraction_a.json target/launch_fraction_b.json; then
+    echo "!! gpu_launch_fraction printed different JSON on two runs (it must be deterministic)" >&2
+    exit 1
+fi
+echo "gpu_launch_fraction deterministic (two runs, identical JSON)"
 
 echo
 echo "tier-1 green"

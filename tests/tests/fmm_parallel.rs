@@ -4,11 +4,8 @@
 //! the driver's conservation properties intact when it powers
 //! self-gravity.
 
-use gravity::gpu::GpuContext;
 use gravity::multipole::Multipole;
 use gravity::solver::{FmmSolver, GravityField, NodeMoments};
-use gpusim::device::{Device, DeviceSpec};
-use gpusim::launch_policy::QueuePolicy;
 use octotiger::diagnostics::{drift, totals};
 use octotiger::scenario::Scenario;
 use octotiger::Simulation;
@@ -43,7 +40,6 @@ fn amr_tree() -> Arc<Octree> {
             grid.set(Field::Rho, i, j, k, blob(c));
         }
     }
-    t.restrict_all();
     Arc::new(t)
 }
 
@@ -151,37 +147,8 @@ fn fmm_parallel_matches_serial() {
         let rt = amt::Runtime::new(threads);
         let par = solver.solve_parallel(&tree, &rt);
         assert_bit_identical(&tree, &serial, &par, &format!("{threads} threads"));
-        assert_eq!(
-            par.kernel_launches,
-            par.kernel_launches_cpu + par.kernel_launches_gpu
-        );
+        assert_eq!(par.kernel_launches, serial.kernel_launches, "one item per node");
     }
-}
-
-#[test]
-fn fmm_parallel_through_gpu_streams_matches_serial() {
-    let tree = amr_tree();
-    let serial = FmmSolver::new(0.5).solve(&tree);
-    let dev = Device::new(DeviceSpec::p100(), 4);
-    let solver = Arc::new(FmmSolver::with_gpu(
-        0.5,
-        GpuContext::new(&dev, 4, QueuePolicy::CpuFallback),
-    ));
-    let rt = amt::Runtime::new(4);
-    let par = solver.solve_parallel(&tree, &rt);
-    assert_bit_identical(&tree, &serial, &par, "gpu-routed");
-    // The split is workload-dependent, but every launch lands somewhere
-    // and the device saw the GPU-side ones.
-    assert_eq!(
-        par.kernel_launches,
-        par.kernel_launches_cpu + par.kernel_launches_gpu
-    );
-    assert!(par.kernel_launches > 0);
-    let agg = solver.gpu().unwrap().agg_stats();
-    assert_eq!(agg.items_gpu(), par.kernel_launches_gpu);
-    assert_eq!(agg.items_cpu(), par.kernel_launches_cpu);
-    assert_eq!(rt.metrics().get("fmm/kernels/gpu"), par.kernel_launches_gpu);
-    assert_eq!(rt.metrics().get("fmm/kernels/cpu"), par.kernel_launches_cpu);
 }
 
 #[test]

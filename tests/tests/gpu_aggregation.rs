@@ -1,11 +1,11 @@
-//! The GPU work-aggregation invariant (ISSUE 7 tentpole): fusing FMM
-//! kernel work items into batched launches must be *bit-transparent* —
-//! any slot/window configuration, worker count, and stream budget
-//! produces exactly the serial walk's field — while collapsing the
-//! launch count, and degrading per item to the CPU when no stream
-//! frees up.
+//! GPU work aggregation over a real solve's items: a solver with a GPU
+//! context computes the serial walk's field whatever the slot/window
+//! configuration, worker count and stream budget, and its replay puts
+//! every node's item in the launch ledger once, collapses the launch
+//! count at least twofold at 8 slots, and degrades per item to the CPU
+//! when no stream frees up.
 
-use gravity::gpu::{AggregationConfig, GpuContext};
+use gravity::gpu::{AggregationConfig, GpuContext, HIST_LABELS};
 use gravity::solver::{FmmSolver, GravityField};
 use gpusim::device::{Device, DeviceSpec};
 use gpusim::launch_policy::QueuePolicy;
@@ -55,7 +55,6 @@ fn amr_tree() -> Arc<Octree> {
             grid.set(Field::Rho, i, j, k, blob(c));
         }
     }
-    t.restrict_all();
     Arc::new(t)
 }
 
@@ -78,8 +77,8 @@ fn assert_bit_identical(tree: &Octree, a: &GravityField, b: &GravityField, what:
     }
 }
 
-/// Serial references computed once and shared by the matrix tests and
-/// the proptest (the serial walk dominates their runtime).
+/// Serial references computed once and shared by the tests (the serial
+/// walk dominates their runtime).
 fn serial_reference(star_amr: bool) -> &'static (Arc<Octree>, GravityField) {
     static BLOB: OnceLock<(Arc<Octree>, GravityField)> = OnceLock::new();
     static AMR: OnceLock<(Arc<Octree>, GravityField)> = OnceLock::new();
@@ -91,69 +90,51 @@ fn serial_reference(star_amr: bool) -> &'static (Arc<Octree>, GravityField) {
     })
 }
 
-/// One batched parallel solve compared bit-for-bit against the cached
-/// serial reference, plus the aggregation/launch accounting invariants.
-fn check_aggregated(star_amr: bool, slots: usize, window: usize, workers: usize) {
+/// One parallel solve with its items replayed under `slots` / `window`
+/// on `workers` workers sharing `streams` streams, compared bit-for-bit
+/// against the cached serial reference, plus the ledger's invariants.
+fn check_aggregated(star_amr: bool, slots: usize, window: usize, workers: usize, streams: usize) {
     let (tree, serial) = serial_reference(star_amr);
-    let dev = Device::new(DeviceSpec::p100(), 2 * workers);
+    let dev = Device::new(DeviceSpec::p100(), streams);
     let solver = Arc::new(
         FmmSolver::with_gpu(0.5, GpuContext::new(&dev, workers, QueuePolicy::CpuFallback))
             .with_aggregation(slots, window),
     );
     let rt = amt::Runtime::new(workers);
     let par = solver.solve_parallel(tree, &rt);
-    let what = format!("star_amr={star_amr} slots={slots} window={window} workers={workers}");
+    let what = format!(
+        "star_amr={star_amr} slots={slots} window={window} workers={workers} streams={streams}"
+    );
     assert_bit_identical(tree, serial, &par, &what);
-    let ctx = solver.gpu().unwrap();
     // §6.1.2 stays a per-kernel observable: the launch ledger counts
-    // items, never batches, and agrees with the solve's own split.
-    let agg = ctx.agg_stats();
-    assert_eq!(agg.items_gpu(), par.kernel_launches_gpu, "{what}");
-    assert_eq!(agg.items_cpu(), par.kernel_launches_cpu, "{what}");
+    // items, never batches — one per node of the solve.
+    let agg = solver.gpu().unwrap().agg_stats();
+    assert_eq!(agg.items(), tree.len() as u64, "{what}");
     assert_eq!(agg.items(), par.kernel_launches, "{what}");
-    // Batching can only ever shrink the launch count.
+    // Batching can only ever shrink the launch count, and every batch
+    // has one trigger and one histogram bucket.
     assert!(agg.batches() <= agg.items(), "{what}");
-    // The main thread helps run fan tasks while it waits (`get_help`),
-    // and those non-worker submits are counted against the explicit
-    // overflow pool — never silently aliased onto worker 0's streams.
-    assert!(ctx.overflow_submits() <= agg.items(), "{what}");
-}
-
-/// ISSUE 7 satellite: the aggregation-window × worker matrix on the
-/// hydro-blob scenario. Window inputs of 1 (per-item launches), 4, and
-/// 16 slots must all reproduce the serial bits.
-#[test]
-fn agg_matrix_is_bit_identical_on_hydro_blob() {
-    for slots in [1usize, 4, 16] {
-        for workers in [1usize, 2, 4] {
-            check_aggregated(false, slots, 4 * slots, workers);
-        }
-    }
-}
-
-/// The same matrix on the two-level AMR star analog.
-#[test]
-fn agg_matrix_is_bit_identical_on_star_amr() {
-    for slots in [1usize, 4, 16] {
-        for workers in [1usize, 2, 4] {
-            check_aggregated(true, slots, 4 * slots, workers);
-        }
-    }
+    assert_eq!(agg.flush_full() + agg.flush_window() + agg.flush_idle(), agg.batches(), "{what}");
+    let buckets: u64 =
+        (0..2).map(|k| (0..HIST_LABELS.len()).map(|b| agg.hist(k, b)).sum::<u64>()).sum();
+    assert_eq!(buckets, agg.batches(), "{what}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Seeded sweep: any slot/window configuration (normalization
-    /// included) and worker count is bit-transparent on both scenarios.
+    /// included), worker count and stream budget leaves the field alone
+    /// and the ledger whole on both scenarios.
     #[test]
     fn random_agg_configs_never_change_bits(
         slots in 1usize..33,
         window in 1usize..65,
         workers in 1usize..5,
+        streams in 0usize..9,
         scenario in 0usize..2,
     ) {
-        check_aggregated(scenario == 1, slots, window, workers);
+        check_aggregated(scenario == 1, slots, window, workers, streams);
     }
 }
 
@@ -181,17 +162,6 @@ fn batching_collapses_launches_at_least_twofold() {
         agg.batches_gpu(),
         agg.items_gpu()
     );
-    // The device really executed one enqueue per batch, not per item.
-    // (The executed counter bumps just after the stream goes idle, so
-    // give it a bounded beat after synchronize.)
-    solver.gpu().unwrap().synchronize();
-    for _ in 0..10_000 {
-        if dev.kernels_executed() == agg.batches_gpu() {
-            break;
-        }
-        std::thread::yield_now();
-    }
-    assert_eq!(dev.kernels_executed(), agg.batches_gpu());
 }
 
 /// §5.1 degradation: a device with no streams sends every batch down
@@ -207,10 +177,9 @@ fn no_streams_degrades_every_item_to_cpu() {
     let rt = amt::Runtime::new(2);
     let par = solver.solve_parallel(tree, &rt);
     assert_bit_identical(tree, serial, &par, "no-streams degraded");
-    assert_eq!(par.kernel_launches_gpu, 0);
-    assert_eq!(par.kernel_launches_cpu, par.kernel_launches);
     let agg = solver.gpu().unwrap().agg_stats();
     assert_eq!(agg.items_gpu(), 0);
+    assert_eq!(agg.items_cpu(), par.kernel_launches);
     assert_eq!(agg.batches_cpu(), agg.batches());
 }
 
@@ -238,10 +207,6 @@ fn aggregation_counters_surface_through_metrics() {
         "every batch has exactly one flush trigger"
     );
     assert!(c.get("fmm/agg/occupancy_permille") > 0);
-    assert_eq!(
-        c.get("fmm/agg/overflow_submits"),
-        solver.gpu().unwrap().overflow_submits()
-    );
     // The per-kind histograms sum to the batch total.
     let mut hist_total = 0;
     for kind in ["monopole", "multipole"] {
