@@ -86,6 +86,7 @@ use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::HydroStepper;
 use octree::geometry::Domain;
+use octree::halo::InterfacePlan;
 use octree::shard::ShardMap;
 use octree::subgrid::{SubGrid, N_SUB};
 use crate::checkpoint::{self, CheckpointBody, CHECKPOINT_VERSION};
@@ -209,12 +210,19 @@ enum Dest {
 pub struct DistributedDriver {
     cluster: Arc<Cluster>,
     shard: ShardMap,
-    /// `push_plan[src][dst]` = leaves `src` ships to `dst` per exchange.
+    /// The halo geometry of the tree, one for every locality (each
+    /// mirror has the whole topology): what every RHS task gathers by,
+    /// what `push_plan` and the resident sets project. Built with the
+    /// driver and rebuilt only by a regrid, which alone changes the
+    /// topology.
+    plan: Arc<InterfacePlan>,
+    /// `push_plan[src][dst]` = leaves `src` ships to `dst` per exchange:
+    /// `plan` projected onto `shard`.
     push_plan: Vec<BTreeMap<u32, Vec<MortonKey>>>,
     /// Per-locality mirrors: the full topology of the tree, with an
     /// interior-only grid on exactly the leaves the locality reads — its
-    /// owned leaves, which are authoritative, and the halo sources
-    /// `push_plan` brings in, which hold the last push
+    /// owned leaves, which are authoritative, and their halo sources,
+    /// which `push_plan` brings in and which hold the last push
     /// ([`resident_sets`], [`Octree::check_grids_on`]). A read of any
     /// other leaf's grid finds none.
     mirrors: Vec<Arc<Octree>>,
@@ -337,11 +345,12 @@ impl DistributedDriver {
             Some(permille) => ShardMap::partition_skewed(&tree, n, permille)?,
             None => ShardMap::partition(&tree, n)?,
         };
-        let push_plan = shard.halo_push_plan(&tree);
+        let plan = Arc::new(InterfacePlan::new(&tree, config.bc));
+        let push_plan = plan.push_plan(&shard);
         // Each mirror is a copy that keeps its locality's resident grids
         // alone, trimmed before the next is made; the scenario tree
         // itself becomes the last one.
-        let resident = resident_sets(&shard, &push_plan);
+        let resident = resident_sets(&shard, &plan);
         let mut mirrors: Vec<Arc<Octree>> = Vec::with_capacity(n);
         for keep in &resident[..n - 1] {
             let mut mirror = tree.clone();
@@ -408,6 +417,7 @@ impl DistributedDriver {
             migrated_leaves: m.counter("driver/migrated_leaves"),
             cluster,
             shard,
+            plan,
             push_plan,
             mirrors,
             halo,
@@ -429,12 +439,17 @@ impl DistributedDriver {
         Ok(driver)
     }
 
-    /// In debug builds: every mirror holds a grid on exactly its
-    /// locality's resident leaves ([`Octree::check_grids_on`]) and the
-    /// partition passes [`ShardMap::check_invariants`].
+    /// In debug builds: the held interface plan is the one the tree
+    /// resolves to now and the push plan its projection, every mirror
+    /// holds a grid on exactly its locality's resident leaves
+    /// ([`Octree::check_grids_on`]) and the partition passes
+    /// [`ShardMap::check_invariants`].
     fn debug_check_mirrors(&self) {
         if cfg!(debug_assertions) {
-            let resident = resident_sets(&self.shard, &self.push_plan);
+            let fresh = InterfacePlan::new(&self.mirrors[0], self.config.bc);
+            assert!(*self.plan == fresh, "the held interface plan is not the tree's");
+            assert!(self.push_plan == self.plan.push_plan(&self.shard), "a stale push plan");
+            let resident = resident_sets(&self.shard, &self.plan);
             for (mirror, keep) in self.mirrors.iter().zip(&resident) {
                 mirror.check_grids_on(|key| keep.contains(&key));
             }
@@ -564,15 +579,16 @@ impl DistributedDriver {
         Ok(())
     }
 
-    /// Swap in a successor partition: rebuild the halo plan, publish
-    /// the new epoch so in-flight traffic stamped with the old one is
-    /// dropped, and drop every grid a mirror no longer reads. Each
-    /// caller has already put the new resident grids in place.
+    /// Swap in a successor partition of the tree `plan` resolves:
+    /// project the push plan, publish the new epoch so in-flight traffic
+    /// stamped with the old one is dropped, and drop every grid a mirror
+    /// no longer reads. Each caller has already put the new resident
+    /// grids in place.
     fn install_shard(&mut self, next: ShardMap) {
-        self.push_plan = next.halo_push_plan(&self.mirrors[0]);
+        self.push_plan = self.plan.push_plan(&next);
         self.epoch.store(next.epoch(), Ordering::SeqCst);
         self.shard = next;
-        let resident = resident_sets(&self.shard, &self.push_plan);
+        let resident = resident_sets(&self.shard, &self.plan);
         for (mirror, keep) in self.mirrors.iter_mut().zip(&resident) {
             keep_only(exclusive(mirror), keep);
         }
@@ -595,10 +611,11 @@ impl DistributedDriver {
     ///    (refine prolongs the leaf's own grid, coarsen restricts its
     ///    children's) — identical inputs, identical trees, whatever the
     ///    partition;
-    /// 5. the new tree is repartitioned ([`ShardMap::repartition`],
-    ///    successor epoch) and installed — no migration parcels needed,
-    ///    the broadcast already put every leaf everywhere; the install
-    ///    then drops each mirror's grids outside its new resident set.
+    /// 5. the new tree's interface plan is resolved, and the tree is
+    ///    repartitioned ([`ShardMap::repartition`], successor epoch) and
+    ///    installed — no migration parcels needed, the broadcast already
+    ///    put every leaf everywhere; the install then drops each
+    ///    mirror's grids outside its new resident set.
     fn regrid_phase(&mut self, policy: &RegridPolicy) -> Result<()> {
         let _span = trace::span(TraceCategory::Regrid);
         let n = self.cluster.len();
@@ -654,7 +671,9 @@ impl DistributedDriver {
             regrid::regrid(self.mirror_mut(loc), policy);
         }
 
-        // 5. Repartition the regridded tree and re-home ownership.
+        // 5. Resolve the new topology's halo once, repartition the
+        //    regridded tree and re-home ownership.
+        self.plan = Arc::new(InterfacePlan::new(&self.mirrors[0], self.config.bc));
         let next = self.shard.repartition(&self.mirrors[0], n)?;
         self.install_shard(next);
         self.regrids.increment();
@@ -685,9 +704,10 @@ impl DistributedDriver {
             return Ok(0);
         }
         // What each locality will read under the new partition, minus
-        // what it holds under the old one.
-        let need = resident_sets(&next, &next.halo_push_plan(&self.mirrors[0]));
-        let have = resident_sets(&self.shard, &self.push_plan);
+        // what it holds under the old one: the topology, and with it the
+        // plan, stays.
+        let need = resident_sets(&next, &self.plan);
+        let have = resident_sets(&self.shard, &self.plan);
 
         // Migrate: the *old* owner is authoritative, parcels carry the
         // new epoch (published first, so the handlers accept them and
@@ -849,7 +869,7 @@ impl DistributedDriver {
         update: impl Fn(&mut SubGrid, &SubGrid, &[StateVec], Vec3, f64) + Copy + Send + 'static,
     ) -> Result<()> {
         let grav = self.solve_gravity()?;
-        let (n, bc, stepper, frame) = (self.cluster.len(), self.config.bc, self.stepper, self.frame);
+        let (n, stepper, frame) = (self.cluster.len(), self.stepper, self.frame);
         // One spare per owned leaf: a no-op except on a run's first step
         // and after a regrid or rebalance changed the owned sets.
         self.spares.resize_with(n, Vec::new);
@@ -859,10 +879,11 @@ impl DistributedDriver {
             let domain = self.mirrors[loc].domain();
             spares.resize_with(owned.len(), SubGrid::new);
             let futs = owned.iter().zip(std::mem::take(spares)).map(|(&key, mut spare)| {
-                let (tree, g) = (Arc::clone(&self.mirrors[loc]), grav[loc].clone());
-                let (origin, dx) = (domain.node_origin(key), domain.cell_dx(key.level));
+                let (tree, plan) = (Arc::clone(&self.mirrors[loc]), Arc::clone(&self.plan));
+                let (g, origin, dx) =
+                    (grav[loc].clone(), domain.node_origin(key), domain.cell_dx(key.level));
                 rt.async_call(move || {
-                    leaf_stage(&tree, key, bc, g.as_deref(), stepper, frame, |rhs, grid| {
+                    leaf_stage(&tree, key, &plan, g.as_deref(), stepper, frame, |rhs, grid| {
                         update(&mut spare, grid, rhs, origin, dx);
                     });
                     spare
@@ -1077,21 +1098,14 @@ impl DistributedDriver {
 }
 
 /// The leaves each locality reads, by locality: its owned leaves and
-/// every leaf `push_plan` brings in as a halo source — the grids its
-/// mirror holds.
-fn resident_sets(
-    shard: &ShardMap,
-    push_plan: &[BTreeMap<u32, Vec<MortonKey>>],
-) -> Vec<BTreeSet<MortonKey>> {
-    let mut resident: Vec<BTreeSet<MortonKey>> = (0..shard.n_shards())
-        .map(|loc| shard.owned(loc as u32).iter().copied().collect())
-        .collect();
-    for by_dst in push_plan {
-        for (&dst, keys) in by_dst {
-            resident[dst as usize].extend(keys.iter().copied());
-        }
-    }
-    resident
+/// their halo sources under `plan` — the grids its mirror holds.
+fn resident_sets(shard: &ShardMap, plan: &InterfacePlan) -> Vec<BTreeSet<MortonKey>> {
+    (0..shard.n_shards() as u32)
+        .map(|loc| {
+            let owned = shard.owned(loc);
+            owned.iter().flat_map(|&key| plan.sources(key).into_iter().chain([key])).collect()
+        })
+        .collect()
 }
 
 /// Drop every grid of `mirror` outside `resident`.
@@ -1391,6 +1405,29 @@ mod tests {
         assert_eq!(dist.stale_epoch_drops(), 0);
     }
 
+    /// A rebalance keeps the tree's interface plan — the topology did not
+    /// move — and, in debug builds, a held plan that is not the one the
+    /// tree resolves to fails the mirror check.
+    #[test]
+    fn a_rebalance_keeps_the_interface_plan_and_a_stale_one_is_caught() {
+        let cluster = Arc::new(Cluster::builder().localities(2).threads_per(2).build());
+        let mut dist = DistributedDriver::builder(Scenario::sod(2), cluster)
+            .skewed_partition(900)
+            .build()
+            .unwrap();
+        let plan = Arc::clone(&dist.plan);
+        dist.step().unwrap();
+        assert!(dist.rebalance().unwrap() >= 1, "the skew must move leaves");
+        assert!(Arc::ptr_eq(&plan, &dist.plan), "a rebalance resolved the tree again");
+        if cfg!(debug_assertions) {
+            let mut finer = Scenario::sod(2).tree;
+            finer.refine(finer.leaves()[0]);
+            dist.plan = Arc::new(InterfacePlan::new(&finer, dist.config.bc));
+            let check = std::panic::AssertUnwindSafe(|| dist.debug_check_mirrors());
+            assert!(std::panic::catch_unwind(check).is_err(), "a stale plan passed the check");
+        }
+    }
+
     /// Where every slot's spare and its leaf's tree grid live.
     fn stage_pointers(d: &DistributedDriver) -> Vec<(*const f64, *const f64)> {
         let rho = |grid: &SubGrid| grid.field(Field::Rho).as_ptr();
@@ -1446,16 +1483,17 @@ mod tests {
     }
 
     /// Every mirror holds an interior-only grid on exactly its owned
-    /// leaves and their halo sources — derived here from
-    /// `ShardMap::halo_sources`, not from the push plan — and on no
-    /// refined node. Returns each mirror's grid count.
+    /// leaves and their halo sources — derived here from a plan resolved
+    /// afresh from that mirror, not from the driver's plan or its push
+    /// plan — and on no refined node. Returns each mirror's grid count.
     fn assert_grids_on_resident_leaves(d: &DistributedDriver, what: &str) -> Vec<usize> {
         let mut counts = Vec::new();
         for (loc, mirror) in d.mirrors.iter().enumerate() {
+            let plan = InterfacePlan::new(mirror, d.config.bc);
             let owned = d.shard.owned(loc as u32);
             let mut reads: BTreeSet<MortonKey> = owned.iter().copied().collect();
             for &key in owned {
-                reads.extend(ShardMap::halo_sources(mirror, key));
+                reads.extend(plan.sources(key));
             }
             let held: BTreeSet<MortonKey> = mirror
                 .leaves()

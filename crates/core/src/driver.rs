@@ -19,7 +19,7 @@ use gravity::solver::GravityField;
 use hydro::flux::StateVec;
 use hydro::rotating::RotatingFrame;
 use hydro::step::{cfl_dt, HydroStepper};
-use octree::halo::{gather_ghosts, BoundaryCondition};
+use octree::halo::InterfacePlan;
 use octree::subgrid::{Field, SubGrid, FIELD_COUNT, N_SUB};
 use octree::tree::Octree;
 use parcelport::cluster::Cluster;
@@ -55,7 +55,7 @@ pub(crate) fn leaf_signal_dt(
 pub(crate) fn leaf_stage(
     tree: &Octree,
     key: MortonKey,
-    bc: BoundaryCondition,
+    plan: &InterfacePlan,
     grav: Option<&GravityField>,
     stepper: HydroStepper,
     frame: RotatingFrame,
@@ -70,7 +70,7 @@ pub(crate) fn leaf_stage(
     RHS.with_borrow_mut(|rhs| {
         {
             let _span = trace::span_labeled(TraceCategory::HydroRhs, label);
-            leaf_rhs(tree, key, bc, grav, stepper, frame, rhs);
+            leaf_rhs(tree, key, plan, grav, stepper, frame, rhs);
         }
         let _span = trace::span_labeled(TraceCategory::HydroApply, label);
         update(rhs, tree.node(key).and_then(|node| node.grid.as_ref()).expect("leaf grid"));
@@ -79,21 +79,22 @@ pub(crate) fn leaf_stage(
 
 /// Full RHS (hydro + gravity + rotating-frame sources) of one leaf,
 /// written over `rhs` (one entry per interior cell). The flux sweep
-/// runs on the leaf's grid with its ghosts gathered under `bc` from the
-/// interiors of its halo sources, which must be current, into a
-/// ghosted scratch grid of the calling thread — the only ghosted grid
-/// a run makes. `grav`, when present, must cover `key`.
+/// runs on the leaf's grid with its ghosts gathered by `plan`, the
+/// tree's interface plan, from the interiors of its halo sources, which
+/// must be current, into a ghosted scratch grid of the calling thread —
+/// the only ghosted grid a run makes. `grav`, when present, must cover
+/// `key`.
 fn leaf_rhs(
     tree: &Octree,
     key: MortonKey,
-    bc: BoundaryCondition,
+    plan: &InterfacePlan,
     grav: Option<&GravityField>,
     stepper: HydroStepper,
     frame: RotatingFrame,
     rhs: &mut [StateVec],
 ) {
-    // One per thread, never one per leaf: `gather_ghosts` overwrites
-    // every cell, so the grid carries nothing from one leaf to the next.
+    // One per thread, never one per leaf: the gather overwrites every
+    // cell, so the grid carries nothing from one leaf to the next.
     thread_local! {
         static GHOSTED: RefCell<SubGrid> = RefCell::new(SubGrid::ghosted());
     }
@@ -102,7 +103,7 @@ fn leaf_rhs(
     GHOSTED.with_borrow_mut(|ghosted| {
         {
             let _span = trace::span(TraceCategory::HaloFill);
-            gather_ghosts(tree, key, bc, ghosted);
+            plan.gather(tree, key, ghosted);
         }
         stepper.dudt_into(ghosted, dx, rhs);
     });
@@ -420,6 +421,7 @@ mod tests {
         let (tree, config) = (sim.tree(), sim.config);
         let (stepper, frame) = (HydroStepper::new(config.eos), RotatingFrame::new(config.omega));
         let grav = sim.solve_gravity();
+        let plan = InterfacePlan::new(tree, config.bc);
         let dt = 8.0 * sim.compute_dt();
         let below_floor = |grid: &SubGrid| {
             grid.field(Field::Rho).iter().filter(|&&rho| rho < hydro::prim::RHO_FLOOR).count()
@@ -429,7 +431,7 @@ mod tests {
             let domain = tree.domain();
             let (origin, dx) = (domain.node_origin(key), domain.cell_dx(key.level));
             let mut rhs = Vec::new();
-            leaf_stage(tree, key, config.bc, grav.as_deref(), stepper, frame, |du, _| {
+            leaf_stage(tree, key, &plan, grav.as_deref(), stepper, frame, |du, _| {
                 rhs = du.to_vec();
             });
             let u0 = tree.node(key).unwrap().grid.clone().unwrap();
@@ -498,15 +500,16 @@ mod tests {
         let (tree, config) = (sim.tree(), sim.config);
         let (stepper, frame) = (HydroStepper::new(config.eos), RotatingFrame::new(config.omega));
         let grav = sim.solve_gravity().expect("gravity enabled");
+        let plan = InterfacePlan::new(tree, config.bc);
         let domain = tree.domain();
         let (mut residual, mut scale) = (Vec3::ZERO, 0.0);
         for key in tree.leaves() {
             let (centre, vol) = (domain.cell_centers(key), domain.cell_volume(key.level));
             let mut with = Vec::new();
-            leaf_stage(tree, key, config.bc, Some(&grav), stepper, frame, |du, _| {
+            leaf_stage(tree, key, &plan, Some(&grav), stepper, frame, |du, _| {
                 with = du.to_vec();
             });
-            leaf_stage(tree, key, config.bc, None, stepper, frame, |without, grid| {
+            leaf_stage(tree, key, &plan, None, stepper, frame, |without, grid| {
                 for (i, j, k) in grid.indexer().interior() {
                     let ci = interior_index(i, j, k);
                     let delta = |f: Field| with[ci][f.idx()] - without[ci][f.idx()];

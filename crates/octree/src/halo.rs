@@ -1,4 +1,5 @@
-//! Ghost-layer (halo) filling, by slab.
+//! Ghost-layer (halo) filling, by slab, from one interface plan per
+//! tree.
 //!
 //! Each octree node's solvers need a halo of neighbor data: "their input
 //! data are the current node's sub-grid as well as all sub-grids of all
@@ -22,24 +23,46 @@
 //! All four are one operation on a [`BoxMap`] — per axis, which source
 //! cell each ghost cell reads — moved for all 14 fields with `k`-row
 //! loops by [`SubGrid::copy_box`] / [`SubGrid::average_box`].
-//! [`ShardMap::halo_sources`](crate::ShardMap::halo_sources) is the
-//! source set of the same resolution, so the push plan cannot drift
-//! from what a fill reads.
+//!
+//! **One resolution per tree.** [`InterfacePlan::new`] is `resolve`'s
+//! only caller: it resolves every leaf's 26 boxes once per tree topology
+//! and keeps the slabs (source, `finer`, `BoxMap`; 48 bytes each) in
+//! `resolve`'s order. Everything that needs halo geometry is a
+//! projection of that one list: the gather
+//! ([`InterfacePlan::gather`]), a leaf's source set
+//! ([`InterfacePlan::sources`]), the distributed push plan
+//! ([`InterfacePlan::push_plan`]) and the grids a distributed mirror
+//! keeps. What a push ships is therefore what a gather reads — there is
+//! no second derivation to drift from the first — and the plan changes
+//! only when the topology does.
+//!
+//! **The sources are the 26-direction neighbor closure.** Every ghost
+//! cell of a leaf lies, per axis, either in the leaf's own span or in
+//! the adjacent span one cell-block over (after the boundary
+//! clamp/reflect it can only move back *towards* the leaf), so the cell
+//! it reads — directly, via coarse injection, or via the one-level fine
+//! average that 2:1 balance permits — belongs to the leaf itself or to
+//! one of the leaves touching it. Folding at a wall moves a ghost cell
+//! within the leaf's span, never to another source, so the source set is
+//! the same under either boundary condition.
 //!
 //! Ghosts do not live in the tree: a leaf's grid is its interior alone
-//! ([`SubGrid::new`]). [`gather_ghosts`] builds one leaf's
+//! ([`SubGrid::new`]). [`InterfacePlan::gather`] builds one leaf's
 //! [`SubGrid::ghosted`] grid — its own interior plus the 26 boxes — in
 //! a caller's buffer; it is pure and reads interiors only. The driver's
 //! per-leaf RHS task runs it into a scratch grid of its worker thread
 //! right before the flux sweep, so no step phase fills, stores or waits
 //! for ghosts. The distributed driver still ships whole leaf grids into
-//! each peer's mirror tree; slab payloads on the wire belong to
-//! ROADMAP's "Stop mirroring the world" item.
-//! [`fill_all_halos_parallel`] gives every leaf of a tree a ghosted
-//! grid, for callers that want ghosts there.
+//! each peer's mirror tree; the plan's boxes are what a slab payload
+//! would ship instead. [`fill_all_halos_parallel`] gives every leaf of a
+//! tree a ghosted grid, for callers that want ghosts there.
 
+use crate::sfc::curve_cmp;
+use crate::shard::ShardMap;
 use crate::subgrid::{ghost_span, BoxMap, SubGrid, N_GHOST, N_SUB};
 use crate::tree::{Octree, DIRECTIONS};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 use util::morton::MortonKey;
 
@@ -55,18 +78,19 @@ pub enum BoundaryCondition {
 }
 
 /// One box of a leaf's ghost layer and the leaf interior it reads.
-pub(crate) struct HaloSlab {
-    pub source: MortonKey,
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct HaloSlab {
+    source: MortonKey,
     /// `source` is one level finer: `map` addresses the 2×2×2 blocks to
     /// average, not cells to copy.
-    pub finer: bool,
-    pub map: BoxMap,
+    finer: bool,
+    map: BoxMap,
 }
 
 /// Resolve the ghost box of leaf `key` in direction `dir` into the slabs
 /// that fill it: one, or one per adjacent child when the neighbor is
 /// finer. Relies on 2:1 balance (`Octree::check_invariants`).
-pub(crate) fn resolve(
+fn resolve(
     tree: &Octree,
     key: MortonKey,
     dir: (i32, i32, i32),
@@ -134,36 +158,115 @@ fn leaf_grid(tree: &Octree, key: MortonKey) -> Option<&SubGrid> {
     tree.node(key).filter(|node| !node.refined)?.grid.as_ref()
 }
 
-/// Build leaf `key`'s grid with every ghost cell filled in `out`, a
-/// [`SubGrid::ghosted`] grid: the interior copied, each ghost box moved
-/// from its source. Pure — reads interiors only, of grids in either
-/// layout — and every cell of `out` is overwritten, so one buffer
-/// serves any number of leaves in turn. The sources are
-/// [`ShardMap::halo_sources`](crate::ShardMap::halo_sources).
-pub fn gather_ghosts(tree: &Octree, key: MortonKey, bc: BoundaryCondition, out: &mut SubGrid) {
-    debug_assert_eq!(out.indexer().ghost, N_GHOST, "ghosts gather into a ghosted grid");
-    let Some(own) = leaf_grid(tree, key) else {
-        debug_assert!(false, "{key:?} is not a leaf with a grid");
-        return;
-    };
-    out.copy_box(&BoxMap::same_level((0, 0, 0)), own);
-    for dir in DIRECTIONS {
-        resolve(tree, key, dir, bc, |HaloSlab { source, finer, map }| {
-            match leaf_grid(tree, source) {
-                Some(grid) if finer => out.average_box(&map, grid),
-                Some(grid) => out.copy_box(&map, grid),
-                None => debug_assert!(false, "2:1 balance: {source:?} next to {key:?} is no leaf"),
+/// The halo geometry of one tree topology under one boundary condition:
+/// every leaf's ghost slabs, resolved once. It reads keys only, so any
+/// copy of the topology — a distributed mirror with some grids missing,
+/// a tree without grids — builds the same plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InterfacePlan {
+    /// The tree's leaves in curve order, each with its run of `slabs`.
+    leaves: Vec<(MortonKey, Range<u32>)>,
+    /// Every leaf's slabs, leaf after leaf, each run in `resolve`'s
+    /// order.
+    slabs: Vec<HaloSlab>,
+}
+
+impl InterfacePlan {
+    /// Resolve every ghost box of every leaf of `tree` under `bc`.
+    /// Relies on 2:1 balance (`Octree::check_invariants`).
+    pub fn new(tree: &Octree, bc: BoundaryCondition) -> InterfacePlan {
+        let mut slabs = Vec::new();
+        let leaves = tree
+            .leaves()
+            .into_iter()
+            .map(|key| {
+                let start = slabs.len() as u32;
+                for dir in DIRECTIONS {
+                    resolve(tree, key, dir, bc, |slab| slabs.push(slab));
+                }
+                (key, start..slabs.len() as u32)
+            })
+            .collect();
+        slabs.shrink_to_fit();
+        InterfacePlan { leaves, slabs }
+    }
+
+    /// The slabs of leaf `key`; none when `key` is no leaf of the plan's
+    /// tree (a leaf always has at least 26).
+    fn slabs(&self, key: MortonKey) -> &[HaloSlab] {
+        match self.leaves.binary_search_by(|(leaf, _)| curve_cmp(*leaf, key)) {
+            Ok(at) => {
+                let run = &self.leaves[at].1;
+                &self.slabs[run.start as usize..run.end as usize]
             }
-        });
+            Err(_) => &[],
+        }
+    }
+
+    /// The leaves whose interiors [`InterfacePlan::gather`] of `key`
+    /// reads, `key` itself excluded, sorted by key.
+    pub fn sources(&self, key: MortonKey) -> Vec<MortonKey> {
+        let set: BTreeSet<MortonKey> =
+            self.slabs(key).iter().map(|slab| slab.source).filter(|&s| s != key).collect();
+        set.into_iter().collect()
+    }
+
+    /// Build leaf `key`'s grid with every ghost cell filled in `out`, a
+    /// [`SubGrid::ghosted`] grid: the interior copied, each ghost box
+    /// moved from its source. Pure — reads interiors only, of grids in
+    /// either layout — and every cell of `out` is overwritten, so one
+    /// buffer serves any number of leaves in turn. `tree` must have the
+    /// plan's topology; it needs grids on `key` and its
+    /// [`InterfacePlan::sources`] only.
+    pub fn gather(&self, tree: &Octree, key: MortonKey, out: &mut SubGrid) {
+        debug_assert_eq!(out.indexer().ghost, N_GHOST, "ghosts gather into a ghosted grid");
+        let Some(own) = leaf_grid(tree, key) else {
+            debug_assert!(false, "{key:?} is not a leaf with a grid");
+            return;
+        };
+        let slabs = self.slabs(key);
+        debug_assert!(!slabs.is_empty(), "{key:?} is not a leaf of the plan's tree");
+        out.copy_box(&BoxMap::same_level((0, 0, 0)), own);
+        for HaloSlab { source, finer, map } in slabs {
+            match leaf_grid(tree, *source) {
+                Some(grid) if *finer => out.average_box(map, grid),
+                Some(grid) => out.copy_box(map, grid),
+                None => debug_assert!(false, "{source:?}, a source of {key:?}, has no leaf grid"),
+            }
+        }
+    }
+
+    /// The static send schedule of `shard`: `plan[src][dst]` is the
+    /// sorted list of leaves owned by shard `src` whose interiors shard
+    /// `dst` reads to gather the ghosts of its own leaves. `shard` must
+    /// partition the plan's tree.
+    pub fn push_plan(&self, shard: &ShardMap) -> Vec<BTreeMap<u32, Vec<MortonKey>>> {
+        let mut plan: Vec<BTreeMap<u32, Vec<MortonKey>>> = vec![BTreeMap::new(); shard.n_shards()];
+        for dst in 0..shard.n_shards() as u32 {
+            for &target in shard.owned(dst) {
+                for source in self.sources(target) {
+                    let src = shard.owner(source).expect("a halo source is a leaf of the map");
+                    if src != dst {
+                        plan[src as usize].entry(dst).or_default().push(source);
+                    }
+                }
+            }
+        }
+        for keys in plan.iter_mut().flat_map(BTreeMap::values_mut) {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        plan
     }
 }
 
 /// Give every leaf of the tree a [`SubGrid::ghosted`] grid, its ghost
-/// layers filled. The reads are futurized — one [`gather_ghosts`] task
-/// per leaf into a fresh ghosted grid, `when_all` in leaf order — and
-/// the writes serial: each filled grid replaces its leaf's. Every read
-/// happens before the first write, so the result does not depend on
-/// the thread count. The tree grows by the ghost rings, 250 KB a leaf.
+/// layers filled. The tree's [`InterfacePlan`] is built once; the reads
+/// are futurized — one [`InterfacePlan::gather`] task per leaf into a
+/// fresh ghosted grid, `when_all` in leaf order — and the writes serial:
+/// each filled grid replaces its leaf's. Every read happens before the
+/// first write, so the result does not depend on the thread count. The
+/// tree grows by the ghost rings, 250 KB a leaf.
 ///
 /// `tree` should be the only strong reference: the function waits for
 /// runtime quiescence after the read barrier, so task-held clones are
@@ -176,14 +279,15 @@ pub fn fill_all_halos_parallel(
 ) {
     assert!(tree.has_grids(), "halo filling needs grid data");
     let leaves = tree.leaves();
+    let plan = Arc::new(InterfacePlan::new(tree, bc));
     let sched = Arc::clone(rt.scheduler());
     let futs = leaves
         .iter()
         .map(|&key| {
-            let tree = Arc::clone(tree);
+            let (tree, plan) = (Arc::clone(tree), Arc::clone(&plan));
             rt.async_call(move || {
                 let mut filled = SubGrid::ghosted();
-                gather_ghosts(&tree, key, bc, &mut filled);
+                plan.gather(&tree, key, &mut filled);
                 filled
             })
         })
@@ -435,17 +539,18 @@ mod tests {
         }
     }
 
-    /// Every leaf's grid as [`gather_ghosts`] builds it, through one
-    /// scratch grid that starts as NaN and serves the leaves in turn, as
-    /// a worker's scratch does.
+    /// Every leaf's grid as [`InterfacePlan::gather`] builds it from the
+    /// tree's plan, through one scratch grid that starts as NaN and
+    /// serves the leaves in turn, as a worker's scratch does.
     fn gathered(t: &Octree, bc: BoundaryCondition) -> Octree {
+        let plan = InterfacePlan::new(t, bc);
         let mut scratch = SubGrid::ghosted();
         for f in ALL_FIELDS {
             scratch.field_mut(f).fill(f64::NAN);
         }
         let mut out = t.clone();
         for key in t.leaves() {
-            gather_ghosts(t, key, bc, &mut scratch);
+            plan.gather(t, key, &mut scratch);
             out.node_mut(key).unwrap().grid = Some(scratch.clone());
         }
         out
@@ -651,6 +756,156 @@ mod tests {
             assert_eq!(coarse.at(f, 9, 4, 4).to_bits(), (-0.0f64).to_bits());
             // ... the 8-cell average starts from +0.0 and loses it.
             assert_eq!(coarse.at(f, -1, 4, 4).to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    /// Two leaves share a face, an edge or a corner (touching boxes,
+    /// compared at the finer level; a leaf does not touch itself).
+    fn touch(a: MortonKey, b: MortonKey) -> bool {
+        let level = a.level.max(b.level);
+        let span = |key: MortonKey| {
+            let (x, y, z) = key.coords();
+            let size = 1i64 << (level - key.level);
+            [x, y, z].map(|c| (c as i64 * size, (c as i64 + 1) * size))
+        };
+        let (sa, sb) = (span(a), span(b));
+        a != b && (0..3).all(|ax| sa[ax].0 <= sb[ax].1 && sb[ax].0 <= sa[ax].1)
+    }
+
+    fn half_refined() -> Octree {
+        let mut t = Octree::new(Domain::new(16.0));
+        t.refine_where(2, |d, k| d.node_origin(k).x < 0.0);
+        t.check_invariants();
+        t
+    }
+
+    /// A leaf's sources are exactly the leaves touching it — its
+    /// 26-direction neighbor closure — sorted, unique, never the leaf
+    /// itself, under either boundary condition.
+    #[test]
+    fn plan_sources_match_neighbor_closure() {
+        let t = half_refined();
+        let leaves = t.leaves();
+        for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
+            let plan = InterfacePlan::new(&t, bc);
+            for &leaf in &leaves {
+                let sources = plan.sources(leaf);
+                assert!(!sources.contains(&leaf));
+                // Sorted and unique.
+                for pair in sources.windows(2) {
+                    assert!(pair[0] < pair[1]);
+                }
+                // Every source is itself a leaf, and every leaf touching
+                // this one is a source.
+                for s in &sources {
+                    assert!(leaves.contains(s), "{s:?} is not a leaf");
+                }
+                let mut touching: Vec<MortonKey> =
+                    leaves.iter().copied().filter(|&other| touch(leaf, other)).collect();
+                touching.sort();
+                assert_eq!(sources, touching, "{leaf:?} {bc:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn push_plan_covers_every_cross_shard_source() {
+        let t = half_refined();
+        let map = ShardMap::partition(&t, 4).unwrap();
+        let plan = InterfacePlan::new(&t, BoundaryCondition::Outflow);
+        let push = plan.push_plan(&map);
+        assert_eq!(map.halo_push_plan(&t), push, "the map's projection is the plan's");
+        // For every leaf, every cross-shard halo source appears in the
+        // plan of the source's owner, addressed to the leaf's owner.
+        for leaf in t.leaves() {
+            let dst = map.owner(leaf).unwrap();
+            for source in plan.sources(leaf) {
+                let src = map.owner(source).unwrap();
+                if src != dst {
+                    let scheduled = push[src as usize]
+                        .get(&dst)
+                        .map(|keys| keys.contains(&source))
+                        .unwrap_or(false);
+                    assert!(scheduled, "{source:?} (shard {src}) missing for {leaf:?} (shard {dst})");
+                }
+            }
+        }
+        // And the plan never ships a leaf to its own shard.
+        for (src, by_dst) in push.iter().enumerate() {
+            for (&dst, keys) in by_dst {
+                assert_ne!(src as u32, dst);
+                for key in keys {
+                    assert_eq!(map.owner(*key).unwrap(), src as u32);
+                }
+            }
+        }
+    }
+
+    /// The plan is stored compactly: a slab is a key, a flag and a
+    /// byte-sized box map.
+    #[test]
+    fn a_slab_fits_in_48_bytes() {
+        assert!(std::mem::size_of::<HaloSlab>() <= 48, "{}", std::mem::size_of::<HaloSlab>());
+    }
+
+    /// A random 2:1 tree: `picks` choose leaves to refine, below level 4.
+    fn random_tree(picks: Vec<u64>) -> Octree {
+        let mut t = Octree::new(Domain::new(16.0));
+        for pick in picks {
+            let leaves = t.leaves();
+            let leaf = leaves[(pick % leaves.len() as u64) as usize];
+            if leaf.level < 4 {
+                t.refine(leaf); // keeps 2:1 balance
+            }
+        }
+        t.check_invariants();
+        t
+    }
+
+    /// Does leaf `of` have a slab reading `source` (at `finer`)?
+    fn reads(plan: &InterfacePlan, of: MortonKey, source: MortonKey, finer: bool) -> bool {
+        plan.slabs(of).iter().any(|slab| slab.source == source && slab.finer == finer)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Every interface is seen from both sides — a same-level slab
+        /// A←B has a B←A, a finer slab A←c a coarse one c←A and a coarse
+        /// slab c←A a finer one A←c — and each leaf's slab boxes tile
+        /// its 2 232 ghost cells exactly once, never an interior cell.
+        #[test]
+        fn plan_is_symmetric_and_tiles_every_ghost_cell_once(
+            picks in proptest::collection::vec(any::<u64>(), 0..12),
+        ) {
+            let t = random_tree(picks);
+            for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
+                let plan = InterfacePlan::new(&t, bc);
+                for leaf in t.leaves() {
+                    let indexer = SubGrid::ghosted().indexer();
+                    let mut hits = vec![0u8; indexer.len()];
+                    for slab in plan.slabs(leaf) {
+                        let other = slab.source;
+                        if slab.finer {
+                            prop_assert_eq!(other.level, leaf.level + 1);
+                            prop_assert!(reads(&plan, other, leaf, false), "{:?}←{:?}", other, leaf);
+                        } else if other.level < leaf.level {
+                            prop_assert_eq!(other.level + 1, leaf.level);
+                            prop_assert!(reads(&plan, other, leaf, true), "{:?}←{:?}", other, leaf);
+                        } else if other != leaf {
+                            prop_assert_eq!(other.level, leaf.level);
+                            prop_assert!(reads(&plan, other, leaf, false), "{:?}←{:?}", other, leaf);
+                        }
+                        for (i, j, k) in slab.map.cells() {
+                            prop_assert!(!indexer.is_interior(i, j, k), "{:?} writes its interior", leaf);
+                            hits[indexer.idx(i, j, k)] += 1;
+                        }
+                    }
+                    let ghosts = indexer.len() - indexer.interior_len();
+                    prop_assert_eq!(ghosts, 2232);
+                    prop_assert_eq!(hits.iter().filter(|&&n| n == 1).count(), ghosts, "{:?}", leaf);
+                    prop_assert!(hits.iter().all(|&n| n <= 1), "{:?} has a cell written twice", leaf);
+                }
+            }
         }
     }
 

@@ -19,7 +19,9 @@
 //!   resolution through conservative interpolation of the evolved
 //!   variables", §6.2).
 //! * [`halo`] — ghost-layer filling from same-level, finer, and coarser
-//!   neighbors, plus physical boundary conditions.
+//!   neighbors, plus physical boundary conditions, all read from one
+//!   interface plan per tree topology.
+//! * [`shard`] — the owner map of leaves over localities.
 //! * [`sfc`] — space-filling-curve ordering and partitioning of leaves
 //!   over localities.
 //! * [`refine`] — the refinement criteria, including the V1309 rule of

@@ -2,32 +2,24 @@
 //!
 //! Octo-Tiger assigns octree nodes to localities along the space filling
 //! curve (paper §4.2); [`ShardMap`] wraps [`crate::sfc::partition`] into
-//! the owner/owned view the distributed driver needs, plus the static
-//! communication plan for halo traffic:
+//! the owner/owned view the distributed driver needs, and records
+//! ownership only:
 //!
 //! * [`ShardMap::owner`] — which locality owns a leaf,
 //! * [`ShardMap::owned`] — a locality's leaves in SFC order (the order
 //!   every deterministic fold/write uses),
-//! * [`ShardMap::halo_sources`] — the leaves whose *interiors* a leaf's
-//!   ghost fill may read (its 26-direction neighbor closure), and
-//! * [`ShardMap::halo_push_plan`] — per source locality, which of its
-//!   leaves must be pushed to which destination before that
-//!   destination can fill ghosts.
+//! * [`ShardMap::migration_plan`] — which leaves change hands between
+//!   two maps.
 //!
-//! Why the 26-direction closure suffices: every ghost cell of a leaf
-//! lies, per axis, either in the leaf's own span or in the adjacent
-//! span one cell-block over (after the boundary clamp/reflect it can
-//! only move back *towards* the leaf), so the cell it reads — directly,
-//! via coarse injection, or via the one-level fine average that 2:1
-//! balance permits — always belongs to the leaf itself or one of its
-//! same-level/coarser/finer neighbors in the 26 directions. The list
-//! is not re-derived here: [`ShardMap::halo_sources`] collects the
-//! sources of `halo::resolve`, the resolution the fill itself runs.
+//! Which leaves a locality must receive to gather its ghosts is halo
+//! geometry, and lives with it: [`InterfacePlan::push_plan`]
+//! projects a tree's one resolution onto a map.
+//! [`ShardMap::halo_push_plan`] is that projection over a fresh plan.
 
-use crate::halo::{self, BoundaryCondition};
+use crate::halo::{BoundaryCondition, InterfacePlan};
 use crate::sfc;
-use crate::tree::{Octree, DIRECTIONS};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::tree::Octree;
+use std::collections::{BTreeMap, HashMap};
 use util::error::{Error, Result};
 use util::morton::MortonKey;
 
@@ -221,47 +213,10 @@ impl ShardMap {
         }
     }
 
-    /// The leaves whose interiors the ghost fill of `key` reads
-    /// (excluding `key` itself), sorted by key for determinism: the
-    /// sources of the fill's own slab resolution. Folding at a wall
-    /// moves a ghost cell within the leaf's span, never to another
-    /// source, so the set is the same under either boundary condition.
-    pub fn halo_sources(tree: &Octree, key: MortonKey) -> Vec<MortonKey> {
-        let mut set = BTreeSet::new();
-        for dir in DIRECTIONS {
-            halo::resolve(tree, key, dir, BoundaryCondition::default(), |slab| {
-                set.insert(slab.source);
-            });
-        }
-        set.remove(&key);
-        set.into_iter().collect()
-    }
-
-    /// The static send schedule: `plan[src][dst]` is the sorted list of
-    /// leaves owned by shard `src` whose interiors shard `dst` needs
-    /// before it can fill the ghosts of its own leaves.
+    /// [`InterfacePlan::push_plan`] of this map over a fresh plan of
+    /// `tree`, for callers that hold no plan.
     pub fn halo_push_plan(&self, tree: &Octree) -> Vec<BTreeMap<u32, Vec<MortonKey>>> {
-        let mut plan: Vec<BTreeMap<u32, BTreeSet<MortonKey>>> =
-            vec![BTreeMap::new(); self.n_shards()];
-        for (dst, targets) in self.owned.iter().enumerate() {
-            let dst = dst as u32;
-            for &target in targets {
-                for source in Self::halo_sources(tree, target) {
-                    let src = self.owner[&source];
-                    if src != dst {
-                        plan[src as usize].entry(dst).or_default().insert(source);
-                    }
-                }
-            }
-        }
-        plan.into_iter()
-            .map(|by_dst| {
-                by_dst
-                    .into_iter()
-                    .map(|(dst, keys)| (dst, keys.into_iter().collect()))
-                    .collect()
-            })
-            .collect()
+        InterfacePlan::new(tree, BoundaryCondition::default()).push_plan(self)
     }
 }
 
@@ -269,6 +224,7 @@ impl ShardMap {
 mod tests {
     use super::*;
     use crate::geometry::Domain;
+    use std::collections::BTreeSet;
 
     fn amr_tree() -> Octree {
         let mut t = Octree::new(Domain::new(16.0));
@@ -344,54 +300,6 @@ mod tests {
         let map = ShardMap::partition(&t, 2).unwrap();
         // The root is refined, hence not a leaf.
         assert!(map.owner(MortonKey::root()).is_err());
-    }
-
-    #[test]
-    fn halo_sources_match_neighbor_closure() {
-        let t = amr_tree();
-        for leaf in t.leaves() {
-            let sources = ShardMap::halo_sources(&t, leaf);
-            assert!(!sources.contains(&leaf));
-            // Sorted and unique.
-            for pair in sources.windows(2) {
-                assert!(pair[0] < pair[1]);
-            }
-            // Every source is itself a leaf.
-            for s in &sources {
-                assert!(t.leaves().contains(s), "{s:?} is not a leaf");
-            }
-        }
-    }
-
-    #[test]
-    fn push_plan_covers_every_cross_shard_source() {
-        let t = amr_tree();
-        let map = ShardMap::partition(&t, 4).unwrap();
-        let plan = map.halo_push_plan(&t);
-        // For every leaf, every cross-shard halo source appears in the
-        // plan of the source's owner, addressed to the leaf's owner.
-        for leaf in t.leaves() {
-            let dst = map.owner(leaf).unwrap();
-            for source in ShardMap::halo_sources(&t, leaf) {
-                let src = map.owner(source).unwrap();
-                if src != dst {
-                    let scheduled = plan[src as usize]
-                        .get(&dst)
-                        .map(|keys| keys.contains(&source))
-                        .unwrap_or(false);
-                    assert!(scheduled, "{source:?} (shard {src}) missing for {leaf:?} (shard {dst})");
-                }
-            }
-        }
-        // And the plan never ships a leaf to its own shard.
-        for (src, by_dst) in plan.iter().enumerate() {
-            for (&dst, keys) in by_dst {
-                assert_ne!(src as u32, dst);
-                for key in keys {
-                    assert_eq!(map.owner(*key).unwrap(), src as u32);
-                }
-            }
-        }
     }
 
     #[test]

@@ -294,8 +294,8 @@ impl SubGrid {
         cell: impl Fn(&[f64], usize, usize) -> f64,
     ) {
         let (to, from) = (self.indexer, src.indexer);
-        let [is, js, ks] = [0, 1, 2].map(|a| &map.src[a][..map.len[a]]);
-        let [i0, j0, k0] = map.dst;
+        let [is, js, ks] = [0, 1, 2].map(|a| &map.src[a][..map.len[a] as usize]);
+        let [i0, j0, k0] = map.dst.map(isize::from);
         let planes = self.data.chunks_exact_mut(to.len());
         for (dst, src) in planes.zip(src.data.chunks_exact(from.len())) {
             for (a, &i) in is.iter().enumerate() {
@@ -303,7 +303,7 @@ impl SubGrid {
                     let at = to.idx(i0 + a as isize, j0 + b as isize, k0);
                     let row = from.idx(i as isize, j as isize, 0);
                     for (out, &k) in dst[at..at + ks.len()].iter_mut().zip(ks) {
-                        *out = cell(src, row + k, from.dim());
+                        *out = cell(src, row + k as usize, from.dim());
                     }
                 }
             }
@@ -330,14 +330,17 @@ pub(crate) const fn ghost_span(d: i32) -> (isize, usize) {
 /// finer neighbor for [`SubGrid::average_box`]; the same-level copy is
 /// the plain shift of [`BoxMap::same_level`]. Cells are
 /// interior-relative coordinates; each grid turns them into storage
-/// indices by its own layout when the box moves.
+/// indices by its own layout when the box moves. Every field is a byte
+/// (a run starts in `-N_GHOST..N_SUB + N_GHOST`, is at most `N_SUB`
+/// long and reads interior cells), so a map is 30 bytes and a tree's
+/// whole halo plan stays small.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoxMap {
-    /// Per axis: first cell of the run, and its length.
-    dst: [isize; 3],
-    len: [usize; 3],
     /// Per axis: the interior source cell of each cell of the run.
-    src: [[usize; N_SUB]; 3],
+    src: [[u8; N_SUB]; 3],
+    /// Per axis: first cell of the run, and its length.
+    dst: [i8; 3],
+    len: [u8; 3],
 }
 
 impl BoxMap {
@@ -346,20 +349,22 @@ impl BoxMap {
     /// `src(axis, cell)`.
     pub(crate) fn new(span: [(isize, usize); 3], src: impl Fn(usize, isize) -> isize) -> BoxMap {
         let mut map = BoxMap {
-            dst: span.map(|(first, _)| first),
-            len: span.map(|(_, count)| count),
             src: [[0; N_SUB]; 3],
+            dst: span.map(|(first, _)| first as i8),
+            len: span.map(|(_, count)| count as u8),
         };
         for (a, &(first, count)) in span.iter().enumerate() {
             debug_assert!(
-                first >= -(N_GHOST as isize) && first + count as isize <= (N_SUB + N_GHOST) as isize,
+                first >= -(N_GHOST as isize)
+                    && count <= N_SUB
+                    && first + count as isize <= (N_SUB + N_GHOST) as isize,
                 "axis {a} run {:?} leaves the ghosted grid",
                 (first, count)
             );
             for (n, cell) in (first..first + count as isize).enumerate() {
                 let from = src(a, cell);
                 debug_assert!((0..N_SUB as isize).contains(&from), "source cell {from} is a ghost");
-                map.src[a][n] = from as usize;
+                map.src[a][n] = from as u8;
             }
         }
         map
@@ -371,6 +376,13 @@ impl BoxMap {
     pub fn same_level(dir: (i32, i32, i32)) -> BoxMap {
         let step = [dir.0, dir.1, dir.2].map(|d| d.signum() as isize * N_SUB as isize);
         BoxMap::new([dir.0, dir.1, dir.2].map(ghost_span), |a, cell| cell - step[a])
+    }
+
+    /// The cells the box writes, interior-relative.
+    #[cfg(test)]
+    pub(crate) fn cells(&self) -> util::CellIter {
+        let [i, j, k] = [0, 1, 2].map(|a| (self.dst[a] as isize, self.len[a] as isize));
+        util::CellIter::new(i.0, i.0 + i.1, j.0, j.0 + j.1, k.0, k.0 + k.1)
     }
 }
 

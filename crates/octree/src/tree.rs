@@ -13,14 +13,16 @@
 //! Only leaves hold a sub-grid, and only its interior: refining a leaf
 //! moves its grid into its children, coarsening restricts theirs back
 //! into it, and the flux sweep gathers ghosts into a scratch grid of
-//! its own (`crate::halo`). The FMM needs every level (§4.3), but it
-//! builds a refined node's multipoles from its children's moments, not
-//! from a grid. [`Octree::restrict_all`] fills refined-node grids and
+//! its own, by the tree's [`InterfacePlan`](crate::halo::InterfacePlan)
+//! — the halo geometry of the topology, resolved once from keys alone.
+//! The FMM needs every level (§4.3), but it builds a refined node's
+//! multipoles from its children's moments, not from a grid.
+//! [`Octree::restrict_all`] fills refined-node grids and
 //! `halo::fill_all_halos_parallel` widens leaf grids for a caller that
 //! wants them; nothing on a run's path does, and
 //! [`Octree::check_leaf_grids`] says so. A distributed driver's mirror
-//! keeps the whole topology but the grids of some leaves only, which
-//! [`Octree::check_grids_on`] checks.
+//! keeps the whole topology, so it resolves the same plan, but the
+//! grids of some leaves only, which [`Octree::check_grids_on`] checks.
 
 use crate::geometry::Domain;
 use crate::prolong::{prolong_octant, restrict_into_octant};
@@ -39,20 +41,6 @@ pub struct TreeNode {
     /// [`Octree::restrict_all`] filled it) and in structure-only trees
     /// (used for large-scale counting experiments like Table 4).
     pub grid: Option<SubGrid>,
-}
-
-/// What lies on the other side of a leaf's face/edge/corner.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Neighbor {
-    /// A leaf at the same level.
-    SameLevel(MortonKey),
-    /// A coarser leaf (one level up, by 2:1 balance).
-    Coarser(MortonKey),
-    /// A refined node; the listed children are the leaves adjacent to
-    /// the shared face (one level down, by 2:1 balance).
-    Finer(Vec<MortonKey>),
-    /// Outside the simulation domain.
-    Boundary,
 }
 
 /// The adaptive octree of sub-grids.
@@ -132,11 +120,6 @@ impl Octree {
     /// (cannot happen through the public API).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Whether `key` exists in the tree.
-    pub fn contains(&self, key: MortonKey) -> bool {
-        self.nodes.contains_key(&key)
     }
 
     /// Borrow a node.
@@ -286,38 +269,6 @@ impl Octree {
         }
     }
 
-    /// Classify what lies in direction `dir` of leaf `key`.
-    pub fn neighbor(&self, key: MortonKey, dir: (i32, i32, i32)) -> Neighbor {
-        let Some(nk) = key.neighbor(dir.0, dir.1, dir.2) else {
-            return Neighbor::Boundary;
-        };
-        if let Some(node) = self.nodes.get(&nk) {
-            if !node.refined {
-                return Neighbor::SameLevel(nk);
-            }
-            // Finer: collect the children of nk adjacent to `key`
-            // (those on the face/edge/corner towards -dir).
-            let mut adjacent = Vec::new();
-            for octant in 0..8u8 {
-                let ox = (octant & 1) as i32;
-                let oy = ((octant >> 1) & 1) as i32;
-                let oz = ((octant >> 2) & 1) as i32;
-                let near_x = dir.0 == 0 || (dir.0 == 1 && ox == 0) || (dir.0 == -1 && ox == 1);
-                let near_y = dir.1 == 0 || (dir.1 == 1 && oy == 0) || (dir.1 == -1 && oy == 1);
-                let near_z = dir.2 == 0 || (dir.2 == 1 && oz == 0) || (dir.2 == -1 && oz == 1);
-                if near_x && near_y && near_z {
-                    adjacent.push(nk.child(octant));
-                }
-            }
-            return Neighbor::Finer(adjacent);
-        }
-        match self.containing_leaf(nk) {
-            Some(c) if c.level < key.level => Neighbor::Coarser(c),
-            Some(c) => Neighbor::SameLevel(c),
-            None => Neighbor::Boundary,
-        }
-    }
-
     /// Refine every leaf for which `criterion` holds, up to `max_level`,
     /// sweeping until a fixed point (new children may satisfy the
     /// criterion too).
@@ -452,35 +403,23 @@ impl Octree {
                 assert!(node.grid.is_some(), "leaf {:?} missing grid", node.key);
             }
         }
-        // 2:1 balance over all 26 directions.
+        // 2:1 balance over all 26 directions, checked from the finer
+        // side of every pair of touching leaves: the block of a leaf's
+        // own level next to it lies in a leaf at most one level coarser.
+        // (Where that block is refined, the finer leaves there check the
+        // pair against this one.)
         for node in self.nodes.values() {
             if node.refined {
                 continue;
             }
             let key = node.key;
             for dir in DIRECTIONS {
-                if let Some(nk) = key.neighbor(dir.0, dir.1, dir.2) {
-                    if let Some(c) = self.containing_leaf(nk) {
-                        assert!(
-                            (c.level as i16 - key.level as i16).abs() <= 1,
-                            "2:1 balance violated between {key:?} and {c:?}"
-                        );
-                    }
-                    // containing_leaf = None means the neighbor region is
-                    // refined finer than nk — check its children are not
-                    // more than one level deeper via the Finer lookup.
-                    if let Neighbor::Finer(children) = self.neighbor(key, dir) {
-                        for ck in children {
-                            assert!(
-                                self.contains(ck),
-                                "finer neighbor {ck:?} of {key:?} missing"
-                            );
-                            assert!(
-                                self.is_leaf(ck),
-                                "2:1 balance violated: {ck:?} (neighbor of {key:?}) is refined"
-                            );
-                        }
-                    }
+                let neighbor = key.neighbor(dir.0, dir.1, dir.2);
+                if let Some(c) = neighbor.and_then(|nk| self.containing_leaf(nk)) {
+                    assert!(
+                        (c.level as i16 - key.level as i16).abs() <= 1,
+                        "2:1 balance violated between {key:?} and {c:?}"
+                    );
                 }
             }
         }
@@ -638,35 +577,57 @@ mod tests {
         assert!(t.len() > 40, "balance must refine neighbors, len = {}", t.len());
     }
 
+    /// What lies beyond a leaf's faces, as the tree's interface plan
+    /// resolves it: same-level siblings, nothing beyond the domain
+    /// boundary, the four adjacent children of a refined neighbor, and
+    /// a coarser leaf seen from one of those children.
     #[test]
     fn neighbor_classification() {
+        use crate::halo::{BoundaryCondition, InterfacePlan};
         let mut t = Octree::new(small_domain());
         t.refine(MortonKey::root());
         let k0 = MortonKey::new(1, 0, 0, 0);
-        // +x neighbor is the sibling at same level.
-        assert_eq!(
-            t.neighbor(k0, (1, 0, 0)),
-            Neighbor::SameLevel(MortonKey::new(1, 1, 0, 0))
-        );
-        // -x is the domain boundary.
-        assert_eq!(t.neighbor(k0, (-1, 0, 0)), Neighbor::Boundary);
-        // Refine the +x sibling: now it is finer, with 4 adjacent children.
+        // The seven siblings touch k0 (faces, edges and the corner); the
+        // boundary on its low sides adds no source.
+        let plan = InterfacePlan::new(&t, BoundaryCondition::Outflow);
+        let siblings: Vec<MortonKey> = (1..8).map(|o| MortonKey::root().child(o)).collect();
+        assert_eq!(plan.sources(k0), siblings);
+        // Refine the +x sibling: k0 now reads its four children on the
+        // shared face, which have x = 2 at level 2.
         t.refine(MortonKey::new(1, 1, 0, 0));
-        match t.neighbor(k0, (1, 0, 0)) {
-            Neighbor::Finer(children) => {
-                assert_eq!(children.len(), 4);
-                // All adjacent children have x-coordinate at the low face
-                // of the refined node (x = 2 at level 2).
-                for c in children {
-                    assert_eq!(c.coords().0, 2);
-                }
-            }
-            other => panic!("expected Finer, got {other:?}"),
+        let plan = InterfacePlan::new(&t, BoundaryCondition::Outflow);
+        let finer: Vec<MortonKey> = plan.sources(k0).into_iter().filter(|s| s.level == 2).collect();
+        assert_eq!(finer.len(), 4);
+        for c in finer {
+            assert_eq!(c.coords().0, 2);
         }
+        assert!(!plan.sources(k0).contains(&MortonKey::new(1, 1, 0, 0)), "a refined node is no source");
         // From a child of the refined node, looking back -x: coarser.
         let fine = MortonKey::new(2, 2, 0, 0);
-        assert_eq!(t.neighbor(fine, (-1, 0, 0)), Neighbor::Coarser(k0));
+        assert!(plan.sources(fine).contains(&k0));
         t.check_invariants();
+    }
+
+    /// A leaf two levels finer than a leaf it touches fails the
+    /// checker, whichever side of the pair it looks from first.
+    #[test]
+    fn check_invariants_catches_a_two_level_jump() {
+        let mut t = Octree::new(small_domain());
+        t.refine(MortonKey::root());
+        t.refine(MortonKey::root().child(0));
+        t.check_invariants();
+        // Split (2; 1,1,1), which touches the other level-1 leaves at
+        // the centre, without `refine`'s balancing.
+        let key = MortonKey::root().child(0).child(7);
+        t.nodes.get_mut(&key).unwrap().refined = true;
+        t.nodes.get_mut(&key).unwrap().grid = None;
+        for octant in 0..8u8 {
+            let child = key.child(octant);
+            t.nodes.insert(child, TreeNode { key: child, refined: false, grid: Some(SubGrid::new()) });
+        }
+        let out = std::panic::catch_unwind(|| t.check_invariants());
+        let why = *out.expect_err("a 1-to-3 level jump passed").downcast::<String>().unwrap();
+        assert!(why.contains("2:1 balance violated"), "{why}");
     }
 
     #[test]

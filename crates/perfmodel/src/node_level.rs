@@ -105,18 +105,18 @@ pub fn simulate_node(config: &NodeConfig, w: &Workload) -> NodeLevelResult {
     }
 
     // GPU rows: the engine, one worker per core, each owning every
-    // `cores`-th stream of the node's devices; an equal share of the
-    // kernels each.
+    // `cores`-th stream of the node's devices; the kernels dealt out
+    // as evenly as they go (the engine hands the remainder to the
+    // first workers), so every row runs the same workload.
     let devices: Vec<Arc<Device>> =
         config.gpus.iter().map(|g| Device::new(g.clone(), STREAMS_PER_GPU)).collect();
     let pools = StreamPool::partition(&devices, cores, QueuePolicy::CpuFallback);
-    let total_kernels = w.kernels / cores as u64 * cores as u64;
-    let items = vec![Item { kind: 0, flops: w.flops_per_kernel }; total_kernels as usize];
+    let items = vec![Item { kind: 0, flops: w.flops_per_kernel }; w.kernels as usize];
     let stats = Arc::new(AggregationStats::new(1));
     let end_us =
         gpusim::engine::run(&pools, &config.cpu, AggregationConfig::per_item(), &stats, &items);
     let fmm_wall_s = end_us / 1e6;
-    let total_flops = total_kernels as f64 * w.flops_per_kernel;
+    let total_flops = w.kernels as f64 * w.flops_per_kernel;
     let gflops = total_flops / fmm_wall_s / 1e9;
     let peak: f64 = config.gpus.iter().map(|g| g.dp_peak_gflops).sum();
     NodeLevelResult {
@@ -124,7 +124,7 @@ pub fn simulate_node(config: &NodeConfig, w: &Workload) -> NodeLevelResult {
         total_wall_s: fmm_wall_s + w.other_wall_s,
         gflops,
         fraction_of_peak: gflops / peak,
-        gpu_fraction: stats.items_gpu() as f64 / total_kernels as f64,
+        gpu_fraction: stats.items_gpu() as f64 / w.kernels as f64,
         gpu_kernels: stats.items_gpu(),
         cpu_kernels: stats.items_cpu(),
     }
@@ -211,7 +211,7 @@ mod tests {
         let cfg = find("Piz Daint node + 1x P100");
         let w = Workload::smoke(10_000);
         let r = simulate_node(&cfg, &w);
-        assert_eq!(r.gpu_kernels + r.cpu_kernels, 10_000 - (10_000 % cfg.cores as u64));
+        assert_eq!(r.gpu_kernels + r.cpu_kernels, 10_000);
         assert!(r.fmm_wall_s > 0.0);
         assert!(r.fraction_of_peak > 0.0 && r.fraction_of_peak < 1.0);
     }
@@ -223,14 +223,14 @@ mod tests {
         // here, and the §6.1.2 fractions are the three ratios below.
         let rows: [(&str, u64, u64, u64); 9] = [
             ("10 cores (CPU only)", 0, 613_511, 0x40933061cf8b3bb1),
-            ("10 cores + 1x V100", 613_510, 0, 0x4050df1c432ca57a),
-            ("10 cores + 2x V100", 613_510, 0, 0x4050df1c432ca57a),
+            ("10 cores + 1x V100", 613_511, 0, 0x4050df2e48e8a71e),
+            ("10 cores + 2x V100", 613_511, 0, 0x4050df2e48e8a71e),
             ("20 cores (CPU only)", 0, 613_511, 0x40833061cf8b3bb1),
-            ("20 cores + 1x V100", 585_528, 27_972, 0x404edf9feef8f753),
-            ("20 cores + 2x V100", 613_500, 0, 0x4040e0274c4fea7f),
+            ("20 cores + 1x V100", 585_531, 27_980, 0x404edfb39c9f1044),
+            ("20 cores + 2x V100", 613_511, 0, 0x4040e0418332d59b),
             ("Phi", 0, 613_511, 0x4074e747efc49f4c),
             ("Piz Daint node (CPU only)", 0, 613_511, 0x408e8dbdd5bf29d5),
-            ("Piz Daint node + 1x P100", 560_662, 52_838, 0x4061db2dfdd41dea),
+            ("Piz Daint node + 1x P100", 560_671, 52_840, 0x4061db3700b21ebb),
         ];
         let w = Workload::v1309_level14(0.0);
         for (name, gpu, cpu, wall_bits) in rows {
@@ -240,7 +240,7 @@ mod tests {
         }
         let fraction = |name| simulate_node(&find(name), &w).gpu_fraction;
         assert_eq!(fraction("10 cores + 1x V100"), 1.0);
-        assert_eq!(fraction("20 cores + 1x V100"), 585_528.0 / 613_500.0);
-        assert_eq!(fraction("Piz Daint node + 1x P100"), 560_662.0 / 613_500.0);
+        assert_eq!(fraction("20 cores + 1x V100"), 585_531.0 / 613_511.0);
+        assert_eq!(fraction("Piz Daint node + 1x P100"), 560_671.0 / 613_511.0);
     }
 }

@@ -5,7 +5,9 @@
 #      zero second-pair-arithmetic, zero fused/fast-math, zero rank-3
 #      tensor, zero gravity torque ledger, zero second device ledger or
 #      device thread,
-#      zero driver-ghost-fill, zero per-leaf stage buffer, zero derived-grid,
+#      zero driver-ghost-fill, one halo resolution (one non-test
+#      `resolve(` call under crates/octree/src, zero `halo_sources` /
+#      `gather_ghosts`), zero per-leaf stage buffer, zero derived-grid,
 #      zero slab-pipeline, zero
 #      remote-call, zero owner-registry and zero uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
@@ -171,7 +173,7 @@ echo "device-ledger budget OK (0 LaunchStats / CudaStream / LaunchSite, 0 thread
 echo
 echo "== tier-1: ghost budget =="
 # Ghosts do not live in the tree: each leaf's RHS task gathers its halo
-# into a per-worker scratch grid (`octree::halo::gather_ghosts`). A
+# into a per-worker scratch grid (`octree::halo::InterfacePlan::gather`). A
 # whole-tree or per-shard fill called from the driver is a fill phase —
 # its barriers, its spare grids, its serial install — coming back.
 stray=$(grep -rn --include='*.rs' 'fill_halos_for_leaves\|fill_all_halos_parallel' crates/core/src || true)
@@ -198,6 +200,31 @@ if [ "$ghosted" -ne 1 ]; then
     exit 1
 fi
 echo "ghost budget OK (0 tree fills on the driver's path, 1 leaf layout, 1 ghosted scratch)"
+
+echo
+echo "== tier-1: halo-geometry budget =="
+# One resolution per tree: `InterfacePlan::new` is the only caller of
+# `halo::resolve` outside tests, and the gather, a leaf's sources, the
+# push plan and the resident sets are projections of the plan it builds.
+# A second caller — a per-leaf resolve in the gather, a source walk in
+# the shard map — is a second derivation of the halo geometry coming
+# back, one that the first has to be kept in step with.
+calls=$(awk 'FNR == 1 { test = 0 } /^mod tests/ { test = 1 }
+    { code = $0; sub(/\/\/.*/, "", code) }
+    !test && code ~ /(^|[^A-Za-z0-9_])resolve\(/ && code !~ /fn resolve\(/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/octree/src/*.rs)
+if [ "$(echo "$calls" | grep -c .)" -ne 1 ]; then
+    echo "!! non-test resolve( calls under crates/octree/src (the budget is 1, InterfacePlan::new):" >&2
+    echo "$calls" >&2
+    exit 1
+fi
+stray=$(grep -rnw --include='*.rs' 'halo_sources\|gather_ghosts' crates tests examples || true)
+if [ -n "$stray" ]; then
+    echo "!! a halo-geometry reader beside the interface plan under crates/, tests/ or examples/ (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "halo-geometry budget OK (1 resolve call, in InterfacePlan::new; 0 halo_sources / gather_ghosts)"
 
 echo
 echo "== tier-1: stage-memory budget =="

@@ -2,15 +2,15 @@
 //! driver does it: a leaf's grid — its interior alone — travels as a
 //! parcel over either parcelport, and the receiver moves the ghost box
 //! out of it into a ghosted grid with the fill's own all-fields box
-//! copy — bit-exact in all 26 directions. And the leaves a leaf's ghost gather reads are exactly
-//! the shard map's halo sources.
+//! copy — bit-exact in all 26 directions. And the leaves a leaf's ghost
+//! gather reads are exactly the sources its interface plan lists.
 
 use amt::GlobalId;
 use integration_tests::star_amr;
 use octree::geometry::Domain;
-use octree::halo::{gather_ghosts, BoundaryCondition};
+use octree::halo::{BoundaryCondition, InterfacePlan};
 use octree::subgrid::{BoxMap, SubGrid, ALL_FIELDS};
-use octree::{MortonKey, Octree, ShardMap};
+use octree::{MortonKey, Octree};
 use parcelport::cluster::Cluster;
 use parcelport::netmodel::TransportKind;
 use parcelport::parcel::ActionId;
@@ -167,12 +167,12 @@ fn all_26_directions_roundtrip_over_the_wire() {
     }
 }
 
-/// The leaves whose interiors `gather_ghosts` of `leaf` reads, observed
-/// from outside: every leaf's interior is painted with its own index in
+/// The leaves whose interiors the gather of `leaf` through `plan` reads,
+/// observed from outside: every leaf's interior is painted with its own index in
 /// all fields (copies, injections and 8-cell averages of one leaf's
 /// cells all reproduce a small integer exactly), then the distinct
 /// values in the gathered ghosts name the leaves that were read.
-fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, bc: BoundaryCondition) -> Vec<MortonKey> {
+fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, plan: &InterfacePlan) -> Vec<MortonKey> {
     let leaves = tree.leaves();
     let mut tagged = tree.clone();
     for (n, &key) in leaves.iter().enumerate() {
@@ -182,7 +182,7 @@ fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, bc: BoundaryCondition) ->
         }
     }
     let mut grid = SubGrid::ghosted();
-    gather_ghosts(&tagged, leaf, bc, &mut grid);
+    plan.gather(&tagged, leaf, &mut grid);
     let indexer = grid.indexer();
     let mut read = std::collections::BTreeSet::new();
     for f in ALL_FIELDS {
@@ -198,17 +198,19 @@ fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, bc: BoundaryCondition) ->
 
 #[test]
 fn a_fill_reads_exactly_its_halo_sources() {
-    // The shard map's plan and the fill cannot drift: on the corner-
-    // refined `star_amr` tree and on a half-refined one (coarse faces
-    // tiled by four fine children), under both boundary conditions.
+    // What the plan lists as a leaf's sources — what the push plan and
+    // the resident sets project — is what its gather reads: on the
+    // corner-refined `star_amr` tree and on a half-refined one (coarse
+    // faces tiled by four fine children), under both boundary conditions.
     let mut half = Octree::new(Domain::new(16.0));
     half.refine_where(2, |d, k| d.node_origin(k).x < 0.0);
     for tree in [star_amr().tree, half] {
         tree.check_invariants();
-        for leaf in tree.leaves() {
-            let planned = ShardMap::halo_sources(&tree, leaf);
-            for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
-                assert_eq!(leaves_read_by_fill(&tree, leaf, bc), planned, "{leaf:?} {bc:?}");
+        for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
+            let plan = InterfacePlan::new(&tree, bc);
+            for leaf in tree.leaves() {
+                let planned = plan.sources(leaf);
+                assert_eq!(leaves_read_by_fill(&tree, leaf, &plan), planned, "{leaf:?} {bc:?}");
             }
         }
     }
