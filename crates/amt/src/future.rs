@@ -219,13 +219,12 @@ pub fn when_all<T: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::CounterRegistry;
-    use crate::Runtime;
+    use crate::{Metrics, Runtime};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn sched(n: usize) -> Arc<Scheduler> {
-        Scheduler::new(n, Arc::new(CounterRegistry::new()))
+        Scheduler::new(n, &Metrics::new())
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!   of idling, mirroring HPX task suspension.
 //! * [`scheduler`] — a work-stealing pool over `crossbeam_deque` with
 //!   per-worker LIFO deques, a global injector, and parking.
-//! * [`counters`] — named atomic counters, queried like HPX performance
-//!   counters.
+//! * [`metrics`] — one namespace of named atomic counters, queried like
+//!   HPX performance counters; a [`Metrics`] value is a view of it at a
+//!   path prefix (a locality's runtime counts under `locality/<i>`).
 //! * [`trace`] — APEX-style span tracing: per-worker timelines recorded
 //!   into thread-local ring buffers, exported as chrome://tracing JSON
 //!   (see DESIGN.md §4 "Observability").
@@ -39,13 +40,11 @@
 
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod future;
 pub mod metrics;
 pub mod scheduler;
 pub mod trace;
 
-pub use counters::CounterRegistry;
 pub use future::{make_ready_future, when_all, Future, Promise};
 pub use metrics::{Counter, Metrics};
 pub use scheduler::Scheduler;
@@ -71,19 +70,16 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Create a runtime with `n_threads` worker threads for locality 0.
+    /// Create a runtime with `n_threads` worker threads for locality 0,
+    /// counting into a fresh counter map.
     pub fn new(n_threads: usize) -> Arc<Runtime> {
-        Self::with_locality(n_threads, 0)
+        Self::with_locality(n_threads, 0, Metrics::new())
     }
 
-    /// Create a runtime for a given locality id (used by the cluster sim).
-    pub fn with_locality(n_threads: usize, locality: u32) -> Arc<Runtime> {
-        let counters = Arc::new(CounterRegistry::new());
-        Arc::new(Runtime {
-            sched: Scheduler::new(n_threads, Arc::clone(&counters)),
-            metrics: Metrics::over(counters),
-            locality,
-        })
+    /// Create a runtime for a given locality id that counts into
+    /// `metrics` (the cluster passes its `locality/<i>` view).
+    pub fn with_locality(n_threads: usize, locality: u32, metrics: Metrics) -> Arc<Runtime> {
+        Arc::new(Runtime { sched: Scheduler::new(n_threads, &metrics), metrics, locality })
     }
 
     /// The locality id of this runtime.
@@ -96,9 +92,9 @@ impl Runtime {
         &self.sched
     }
 
-    /// The namespaced metrics facade over this locality's counters: the
-    /// scheduler's `tasks/*` and whatever the solvers record (`fmm/*`).
-    /// Its [`Metrics::registry`] is the registry itself.
+    /// This locality's view of the counter namespace: the scheduler's
+    /// `tasks/*` and whatever the solvers record (`fmm/*`), under their
+    /// names without the `locality/<i>` prefix.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }

@@ -1,42 +1,44 @@
-//! The namespaced metrics facade over [`CounterRegistry`].
+//! One counter namespace, seen through prefixed views.
 //!
-//! HPX exposes every performance counter under one hierarchical
-//! namespace (`/threads{locality#0/total}/count/cumulative`, ...); our
-//! counters were historically scattered — the FMM solver wrote ad-hoc
-//! `fmm/*` strings into its runtime's registry, each transport kept a
-//! private registry, and bench bins reached into each through bespoke
-//! accessors. [`Metrics`] unifies them: it owns (or wraps) one registry
-//! for locally produced counters and *mounts* other registries under a
-//! path prefix, so a cluster-level snapshot shows
-//! `parcelport/libfabric/parcels_tx` and `locality/0/tasks/executed`
-//! side by side in one sorted map.
+//! "HPX provides a performance counter and adaptive tuning framework that
+//! allows users to access performance data, such as core utilization,
+//! task overheads, and network throughput" (paper §4.1). HPX exposes
+//! every counter under one hierarchical namespace, with the instance
+//! part of the path naming where it lives
+//! (`/threads{locality#0/total}/count/cumulative`, ...). Ours is one
+//! shared, concurrent map from full counter names to atomic values, and
+//! a [`Metrics`] value is a cheap, clonable view of that map at a path
+//! prefix: the locality's `locality/0/` plays HPX's `locality#0`.
 //!
-//! Resolution is longest-prefix: `metrics.counter("parcelport/mpi/x")`
-//! writes the `x` counter of whatever registry is mounted at
-//! `parcelport/mpi`, and plain names go to the facade's own registry.
+//! Each component takes the view it needs when it is built and takes
+//! [`Counter`] handles from it once; updates are then one atomic add. A
+//! cluster hands its transport the view `parcelport/<kind>` and each
+//! locality's runtime the view `locality/<i>`, so one snapshot of the
+//! root shows `parcelport/libfabric/parcels_tx` and
+//! `locality/0/tasks/executed` side by side in one sorted map, and a
+//! locality's own snapshot shows `tasks/executed`.
 //!
 //! # Example
 //!
 //! ```
-//! use amt::{CounterRegistry, Metrics};
-//! use std::sync::Arc;
+//! use amt::Metrics;
 //!
-//! let metrics = Metrics::new();
-//! let transport = Arc::new(CounterRegistry::new());
-//! metrics.mount("parcelport/mpi", Arc::clone(&transport));
+//! let root = Metrics::new();
+//! let transport = root.scoped("parcelport/mpi");
 //!
-//! metrics.counter("parcelport/mpi/bytes_tx").add(128); // → transport's "bytes_tx"
-//! metrics.increment("driver/steps");                   // → own registry
+//! let bytes = transport.counter("bytes_tx"); // taken once ...
+//! bytes.add(128);                            // ... updated lock-free
+//! root.counter("driver/steps").increment();
 //!
-//! assert_eq!(transport.get("bytes_tx"), 128);
-//! let snapshot = metrics.snapshot();
+//! assert_eq!(root.get("parcelport/mpi/bytes_tx"), 128);
+//! assert_eq!(transport.snapshot()["bytes_tx"], 128);
+//! let snapshot = root.snapshot();
 //! assert_eq!(snapshot["parcelport/mpi/bytes_tx"], 128);
 //! assert_eq!(snapshot["driver/steps"], 1);
 //! ```
 
-use crate::counters::CounterRegistry;
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,98 +69,53 @@ impl Counter {
     }
 }
 
-/// A namespaced view over one owned registry plus any number of mounted
-/// registries.
+/// A view of one shared counter map at a path prefix. Clones and
+/// [`Metrics::scoped`] views share the map.
+#[derive(Clone, Default)]
 pub struct Metrics {
-    own: Arc<CounterRegistry>,
-    mounts: RwLock<Vec<(String, Arc<CounterRegistry>)>>,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
+    map: Arc<RwLock<HashMap<String, Counter>>>,
+    /// Empty at the root, else a path ending in `/`.
+    prefix: String,
 }
 
 impl Metrics {
-    /// A facade with a fresh private registry and no mounts.
+    /// The root view of a fresh, empty map.
     pub fn new() -> Metrics {
-        Metrics::over(Arc::new(CounterRegistry::new()))
+        Metrics::default()
     }
 
-    /// A facade whose un-prefixed names resolve into `registry`. Used by
-    /// [`crate::Runtime`], whose scheduler writes the same registry.
-    pub fn over(registry: Arc<CounterRegistry>) -> Metrics {
-        Metrics { own: registry, mounts: RwLock::new(Vec::new()) }
-    }
-
-    /// The registry backing un-prefixed names.
-    pub fn registry(&self) -> &Arc<CounterRegistry> {
-        &self.own
-    }
-
-    /// Mount `registry` under `prefix`, so `"<prefix>/<name>"` resolves
-    /// to `registry`'s `<name>` counter and `snapshot` lists its entries
-    /// with the prefix attached. Longer prefixes win on overlap.
-    pub fn mount(&self, prefix: &str, registry: Arc<CounterRegistry>) {
-        let prefix = prefix.trim_end_matches('/').to_string();
-        assert!(!prefix.is_empty(), "mount prefix must be non-empty");
-        let mut mounts = self.mounts.write();
-        mounts.retain(|(p, _)| *p != prefix);
-        mounts.push((prefix, registry));
-        // Longest prefix first, so resolution can take the first match.
-        mounts.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
-    }
-
-    /// Map a namespaced name onto (registry, local name).
-    fn resolve(&self, name: &str) -> (Arc<CounterRegistry>, String) {
-        for (prefix, reg) in self.mounts.read().iter() {
-            if let Some(rest) = name.strip_prefix(prefix.as_str()) {
-                if let Some(local) = rest.strip_prefix('/') {
-                    if !local.is_empty() {
-                        return (Arc::clone(reg), local.to_string());
-                    }
-                }
-            }
+    /// The view of the same map at `path` under this view's prefix.
+    pub fn scoped(&self, path: &str) -> Metrics {
+        Metrics {
+            map: Arc::clone(&self.map),
+            prefix: format!("{}{}/", self.prefix, path.trim_matches('/')),
         }
-        (Arc::clone(&self.own), name.to_string())
     }
 
-    /// Get (or create) the counter handle for a namespaced name.
+    /// Get (or create) the counter handle for `name` under this view.
     pub fn counter(&self, name: &str) -> Counter {
-        let (reg, local) = self.resolve(name);
-        Counter(reg.handle(&local))
+        let name = format!("{}{name}", self.prefix);
+        if let Some(c) = self.map.read().get(&name) {
+            return c.clone();
+        }
+        let mut map = self.map.write();
+        map.entry(name).or_insert_with(|| Counter(Arc::default())).clone()
     }
 
-    /// Add 1 to `name`.
-    pub fn increment(&self, name: &str) {
-        self.counter(name).increment();
-    }
-
-    /// Add `amount` to `name`.
-    pub fn add(&self, name: &str, amount: u64) {
-        self.counter(name).add(amount);
-    }
-
-    /// Current value of `name` (0 if never touched).
+    /// Current value of `name` under this view (0 if never taken).
     pub fn get(&self, name: &str) -> u64 {
-        let (reg, local) = self.resolve(name);
-        reg.get(&local)
+        let name = format!("{}{name}", self.prefix);
+        self.map.read().get(&name).map_or(0, Counter::get)
     }
 
-    /// One sorted snapshot of every counter: the facade's own entries
-    /// under their plain names, each mount's entries under its prefix.
+    /// Every counter under this view, sorted, its name without the
+    /// view's prefix.
     pub fn snapshot(&self) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for (name, value) in self.own.snapshot() {
-            out.insert(name, value);
-        }
-        for (prefix, reg) in self.mounts.read().iter() {
-            for (name, value) in reg.snapshot() {
-                out.insert(format!("{prefix}/{name}"), value);
-            }
-        }
-        out
+        self.map
+            .read()
+            .iter()
+            .filter_map(|(name, c)| Some((name.strip_prefix(&self.prefix)?.to_string(), c.get())))
+            .collect()
     }
 }
 
@@ -170,67 +127,100 @@ mod tests {
     fn plain_names_hit_own_registry() {
         let m = Metrics::new();
         m.counter("fmm/kernels/gpu").add(3);
-        m.increment("fmm/kernels/gpu");
+        m.counter("fmm/kernels/gpu").increment();
         assert_eq!(m.get("fmm/kernels/gpu"), 4);
-        assert_eq!(m.registry().get("fmm/kernels/gpu"), 4);
+        assert_eq!(m.snapshot().get("fmm/kernels/gpu"), Some(&4));
     }
 
+    /// A clone is the same view of the same map, as a runtime's metrics
+    /// and its scheduler's handles are.
     #[test]
     fn over_shares_the_registry() {
-        let reg = Arc::new(CounterRegistry::new());
-        let m = Metrics::over(Arc::clone(&reg));
-        reg.add("tasks/executed", 7);
-        assert_eq!(m.get("tasks/executed"), 7);
-        m.add("tasks/executed", 1);
-        assert_eq!(reg.get("tasks/executed"), 8);
+        let m = Metrics::new();
+        let clone = m.clone();
+        m.counter("tasks/executed").add(7);
+        assert_eq!(clone.get("tasks/executed"), 7);
+        clone.counter("tasks/executed").increment();
+        assert_eq!(m.get("tasks/executed"), 8);
     }
 
+    /// A transport counting into its `parcelport/libfabric` view is seen
+    /// at the root under the prefix.
     #[test]
     fn mounted_registry_resolves_and_snapshots_with_prefix() {
         let m = Metrics::new();
-        let transport = Arc::new(CounterRegistry::new());
-        m.mount("parcelport/libfabric", Arc::clone(&transport));
+        let transport = m.scoped("parcelport/libfabric");
         m.counter("parcelport/libfabric/bytes_tx").add(128);
         assert_eq!(transport.get("bytes_tx"), 128);
         assert_eq!(m.get("parcelport/libfabric/bytes_tx"), 128);
-        m.add("driver/steps", 2);
+        m.counter("driver/steps").add(2);
         let snap = m.snapshot();
         assert_eq!(snap.get("parcelport/libfabric/bytes_tx"), Some(&128));
         assert_eq!(snap.get("driver/steps"), Some(&2));
     }
 
     #[test]
-    fn longest_prefix_wins() {
+    fn create_and_increment() {
         let m = Metrics::new();
-        let outer = Arc::new(CounterRegistry::new());
-        let inner = Arc::new(CounterRegistry::new());
-        m.mount("a", Arc::clone(&outer));
-        m.mount("a/b", Arc::clone(&inner));
-        m.increment("a/b/c");
-        m.increment("a/x");
-        assert_eq!(inner.get("c"), 1);
-        assert_eq!(outer.get("x"), 1);
-        assert_eq!(outer.get("b/c"), 0);
+        assert_eq!(m.get("a/b"), 0);
+        m.counter("a/b").increment();
+        m.counter("a/b").add(4);
+        assert_eq!(m.get("a/b"), 5);
     }
 
     #[test]
-    fn remounting_a_prefix_replaces_it() {
+    fn handles_are_shared() {
         let m = Metrics::new();
-        let first = Arc::new(CounterRegistry::new());
-        let second = Arc::new(CounterRegistry::new());
-        m.mount("t", Arc::clone(&first));
-        m.mount("t", Arc::clone(&second));
-        m.increment("t/n");
-        assert_eq!(first.get("n"), 0);
-        assert_eq!(second.get("n"), 1);
+        let (h1, h2) = (m.counter("x"), m.counter("x"));
+        h1.add(3);
+        assert_eq!(h2.get(), 3);
+        assert_eq!(m.get("x"), 3);
     }
 
     #[test]
-    fn name_equal_to_prefix_goes_to_own() {
+    fn snapshot_is_sorted() {
         let m = Metrics::new();
-        let sub = Arc::new(CounterRegistry::new());
-        m.mount("p", sub);
-        m.increment("p");
-        assert_eq!(m.registry().get("p"), 1);
+        m.counter("tasks/executed").add(2);
+        m.counter("fmm/kernels/gpu").add(7);
+        m.counter("tasks/stolen").add(1);
+        let names: Vec<String> = m.snapshot().into_keys().collect();
+        assert_eq!(names, ["fmm/kernels/gpu", "tasks/executed", "tasks/stolen"]);
+    }
+
+    #[test]
+    fn concurrent_updates_are_not_lost() {
+        let m = Metrics::new();
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                let m = m.clone();
+                std::thread::spawn(move || {
+                    let h = m.counter("hot");
+                    for _ in 0..10_000 {
+                        h.increment();
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(m.get("hot"), 80_000);
+    }
+
+    /// A handle taken from a view is the root's counter under the full
+    /// name; the view's snapshot lists its own subtree without the
+    /// prefix, and nested views compose their paths.
+    #[test]
+    fn a_view_and_its_root_see_the_same_counter() {
+        let root = Metrics::new();
+        let locality = root.scoped("locality/1");
+        locality.counter("tasks/spawned").add(3);
+        root.counter("locality/1/tasks/spawned").increment();
+        root.counter("locality/10/tasks/spawned").add(9);
+        assert_eq!(locality.get("tasks/spawned"), 4);
+        assert_eq!(root.get("locality/1/tasks/spawned"), 4);
+        let expect = BTreeMap::from([("tasks/spawned".to_string(), 4)]);
+        assert_eq!(locality.snapshot(), expect);
+        assert_eq!(root.scoped("locality").scoped("1/").snapshot(), expect);
     }
 }

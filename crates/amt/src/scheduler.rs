@@ -32,11 +32,12 @@
 //! # Example
 //!
 //! ```
-//! use amt::{CounterRegistry, Scheduler};
+//! use amt::{Metrics, Scheduler};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //! use std::sync::Arc;
 //!
-//! let sched = Scheduler::new(2, Arc::new(CounterRegistry::new()));
+//! let metrics = Metrics::new();
+//! let sched = Scheduler::new(2, &metrics);
 //! let hits = Arc::new(AtomicUsize::new(0));
 //! for _ in 0..8 {
 //!     let hits = Arc::clone(&hits);
@@ -44,9 +45,10 @@
 //! }
 //! sched.wait_quiescent();
 //! assert_eq!(hits.load(Ordering::Relaxed), 8);
+//! assert_eq!(metrics.get("tasks/executed"), 8);
 //! ```
 
-use crate::counters::CounterRegistry;
+use crate::metrics::{Counter, Metrics};
 use crate::trace::{self, TraceCategory};
 use crossbeam_deque::{Injector, Stealer, Worker as WorkerDeque};
 use parking_lot::{Condvar, Mutex};
@@ -73,12 +75,12 @@ struct Shared {
     /// Replaced whole on registration, so an idle worker polls a shared
     /// snapshot without copying the list.
     pollers: Mutex<Arc<Vec<Poller>>>,
-    /// The registry's `tasks/{spawned, executed, stolen}` and
-    /// `workers/parks` handles, looked up once.
-    spawned: Arc<AtomicU64>,
-    executed: Arc<AtomicU64>,
-    stolen: Arc<AtomicU64>,
-    parks: Arc<AtomicU64>,
+    /// The `tasks/{spawned, executed, stolen}` and `workers/parks`
+    /// handles, taken once.
+    spawned: Counter,
+    executed: Counter,
+    stolen: Counter,
+    parks: Counter,
     sched_id: u64,
     worker_trace_ids: Mutex<Vec<u32>>,
 }
@@ -103,15 +105,15 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Spawn `n_threads` worker threads (at least one).
-    pub fn new(n_threads: usize, counters: Arc<CounterRegistry>) -> Arc<Scheduler> {
+    /// Spawn `n_threads` worker threads (at least one), counting into
+    /// `metrics`.
+    pub fn new(n_threads: usize, metrics: &Metrics) -> Arc<Scheduler> {
         let n_threads = n_threads.max(1);
         let sched_id = NEXT_SCHED_ID.fetch_add(1, Ordering::Relaxed);
         let deques: Vec<WorkerDeque<Task>> = (0..n_threads).map(|_| WorkerDeque::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         // Taking the handles registers the names, so they appear (as 0)
-        // in snapshots taken before any task runs — consumers mounting
-        // this registry under a namespace rely on the names existing.
+        // in snapshots taken before any task runs.
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             stealers,
@@ -120,10 +122,10 @@ impl Scheduler {
             shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             pollers: Mutex::new(Arc::new(Vec::new())),
-            spawned: counters.handle("tasks/spawned"),
-            executed: counters.handle("tasks/executed"),
-            stolen: counters.handle("tasks/stolen"),
-            parks: counters.handle("workers/parks"),
+            spawned: metrics.counter("tasks/spawned"),
+            executed: metrics.counter("tasks/executed"),
+            stolen: metrics.counter("tasks/stolen"),
+            parks: metrics.counter("workers/parks"),
             sched_id,
             worker_trace_ids: Mutex::new(Vec::new()),
         });
@@ -180,7 +182,7 @@ impl Scheduler {
             self.shared.injector.push(task);
         }
         trace::instant(TraceCategory::TaskSpawn);
-        self.shared.spawned.fetch_add(1, Ordering::Relaxed);
+        self.shared.spawned.increment();
         // Wake one parked worker; cheap if none are parked.
         self.shared.wakeup.notify_one();
     }
@@ -293,7 +295,7 @@ fn run_task_impl(shared: &Shared, task: Task) {
     struct InFlightGuard<'a>(&'a Shared);
     impl Drop for InFlightGuard<'_> {
         fn drop(&mut self) {
-            self.0.executed.fetch_add(1, Ordering::Relaxed);
+            self.0.executed.increment();
             self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
             // A quiescence waiter may be sleeping on the condvar.
             self.0.wakeup.notify_all();
@@ -333,7 +335,7 @@ fn find_task_impl(shared: &Shared, local: Option<&WorkerDeque<Task>>) -> Option<
     // 3. Steal from sibling workers.
     let t = shared.stealers.iter().find_map(|stealer| stealer.steal().success())?;
     trace::instant(TraceCategory::TaskSteal);
-    shared.stolen.fetch_add(1, Ordering::Relaxed);
+    shared.stolen.increment();
     Some(t)
 }
 
@@ -382,7 +384,7 @@ fn worker_main(shared: Arc<Shared>, index: usize, deque: WorkerDeque<Task>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                shared.parks.fetch_add(1, Ordering::Relaxed);
+                shared.parks.increment();
                 let mut guard = shared.sleep_lock.lock();
                 // Re-check for work before sleeping to avoid a lost wakeup.
                 if !shared.injector.is_empty() || shared.shutdown.load(Ordering::SeqCst) {
@@ -403,7 +405,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn new_sched(n: usize) -> Arc<Scheduler> {
-        Scheduler::new(n, Arc::new(CounterRegistry::new()))
+        Scheduler::new(n, &Metrics::new())
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! [Perfetto](https://ui.perfetto.dev)): one "process" per scheduler
 //! (locality), one "thread" row per worker. [`Trace::publish`] derives
 //! scalar counters (`trace/idle_rate`, per-category duration
-//! histograms) into a [`crate::Metrics`] facade, mirroring how APEX
+//! histograms) into a [`crate::Metrics`] view, mirroring how APEX
 //! feeds HPX's counter namespace.
 
 use crate::metrics::Metrics;

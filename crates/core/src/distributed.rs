@@ -257,7 +257,6 @@ pub struct DistributedDriver {
     /// dt of every completed step, in order (checkpointed, so a
     /// restored run's per-step dts line up with the uninterrupted one).
     pub dt_history: Vec<f64>,
-    stale_epoch_drops: Counter,
     regrids: Counter,
     rebalances: Counter,
     migrated_leaves: Counter,
@@ -411,7 +410,6 @@ impl DistributedDriver {
 
         let driver = DistributedDriver {
             spares: Vec::new(),
-            stale_epoch_drops,
             regrids: m.counter("driver/regrids"),
             rebalances: m.counter("driver/rebalances"),
             migrated_leaves: m.counter("driver/migrated_leaves"),
@@ -477,12 +475,6 @@ impl DistributedDriver {
     /// perfectly balanced (0 = balanced).
     pub fn imbalance_permille(&self) -> u64 {
         self.shard.imbalance_permille()
-    }
-
-    /// Parcels dropped because they carried a stale partition epoch
-    /// (also published as the `driver/stale_epoch_drops` metric).
-    pub fn stale_epoch_drops(&self) -> u64 {
-        self.stale_epoch_drops.get()
     }
 
     /// Locality `loc`'s mirror (see the `mirrors` field).
@@ -1310,9 +1302,9 @@ mod tests {
         for round in 0..10 {
             assert_eq!(lossy.compute_dt().unwrap().to_bits(), clean.to_bits(), "round {round}");
         }
-        let faults = lossy.cluster().fault_layer().unwrap().fault_counters();
-        assert!(faults.get("dropped") > 0 && faults.get("duplicated") > 0);
-        assert_eq!(lossy.cluster().metrics().get("driver/dt/parcels_tx"), 20);
+        let m = lossy.cluster().metrics();
+        assert!(m.get("parcelport/faults/dropped") > 0 && m.get("parcelport/faults/duplicated") > 0);
+        assert_eq!(m.get("driver/dt/parcels_tx"), 20);
     }
 
     /// A locality that dies in the dt round surfaces as
@@ -1346,13 +1338,15 @@ mod tests {
                 .unwrap();
             dist.cluster.try_wait_quiescent().unwrap();
         };
-        let handler_errors = || dist.cluster.transport().counters().get("handler_errors");
+        let m = dist.cluster.metrics();
+        let handler_errors = || m.get("parcelport/mpi/handler_errors");
+        let stale_drops = || m.get("driver/stale_epoch_drops");
         // A halo parcel stamped with an epoch the receiver has never
         // seen must be counted and dropped, never applied.
         let grid = dist.mirrors[1].node(key).unwrap().grid.clone().unwrap();
         let stale = GridMsg { from: 0, epoch: 99, key, grid: grid.clone() };
         send(dist.halo.action.encode(&stale).unwrap());
-        assert_eq!(dist.stale_epoch_drops(), 1);
+        assert_eq!(stale_drops(), 1);
         assert!(dist.halo.inbox[1].lock().unwrap().is_empty());
         // A current-epoch parcel whose grid is two cells long fails the
         // codec in the handler: counted there, never stashed.
@@ -1361,12 +1355,12 @@ mod tests {
         vec![1.0f64, 2.0].serialize(&mut w);
         send(Bytes::from(w.into_vec()));
         assert_eq!(handler_errors(), 1, "a short grid must fail decode");
-        assert_eq!(dist.stale_epoch_drops(), 1);
+        assert_eq!(stale_drops(), 1);
         assert!(dist.halo.inbox[1].lock().unwrap().is_empty());
         // The same parcel at the current epoch is accepted.
         let fresh = GridMsg { from: 0, epoch: dist.epoch(), key, grid };
         send(dist.halo.action.encode(&fresh).unwrap());
-        assert_eq!(dist.stale_epoch_drops(), 1, "current-epoch parcel must pass");
+        assert_eq!(stale_drops(), 1, "current-epoch parcel must pass");
         assert_eq!(handler_errors(), 1);
         assert_eq!(dist.halo.inbox[1].lock().unwrap().drain(..).count(), 1);
     }
@@ -1402,7 +1396,7 @@ mod tests {
             assert_eq!(dt.to_bits(), dt_ref.to_bits());
         }
         assert_trees_bit_identical(&dist.assemble(), reference.tree());
-        assert_eq!(dist.stale_epoch_drops(), 0);
+        assert_eq!(dist.cluster().metrics().get("driver/stale_epoch_drops"), 0);
     }
 
     /// A rebalance keeps the tree's interface plan — the topology did not

@@ -877,8 +877,8 @@ impl FmmSolver {
         self.solve_restricted_parallel(tree, moments, &tree.leaves(), rt)
     }
 
-    /// Publish the solve's counters as `fmm/*` through the runtime's
-    /// [`amt::Metrics`] facade.
+    /// Publish the solve's counters as `fmm/*` into the runtime's
+    /// [`amt::Metrics`] view (`locality/<i>/fmm/*` on a cluster).
     fn publish_counters(&self, rt: &Arc<Runtime>, totals: &PassTotals) {
         let metrics = rt.metrics();
         metrics.counter("fmm/scratch_hits").store(self.scratch.hits());

@@ -213,22 +213,6 @@ impl SubGrid {
         &mut self.data[f.idx() * n..(f.idx() + 1) * n]
     }
 
-    /// Two distinct mutable field views (for flux updates that read one
-    /// field while writing another).
-    pub fn fields_mut2(&mut self, a: Field, b: Field) -> (&mut [f64], &mut [f64]) {
-        assert_ne!(a, b, "fields must differ");
-        let n = self.indexer.len();
-        let (lo, hi) = if a.idx() < b.idx() { (a, b) } else { (b, a) };
-        let (first, rest) = self.data.split_at_mut(hi.idx() * n);
-        let lo_slice = &mut first[lo.idx() * n..(lo.idx() + 1) * n];
-        let hi_slice = &mut rest[..n];
-        if a.idx() < b.idx() {
-            (lo_slice, hi_slice)
-        } else {
-            (hi_slice, lo_slice)
-        }
-    }
-
     /// Value at interior-relative coordinates (ghosts addressable on a
     /// ghosted grid).
     #[inline]
@@ -401,28 +385,6 @@ mod tests {
         assert!(g.field(Field::Rho).iter().all(|&v| v == 1.0));
         assert!(g.field(Field::Egas).iter().all(|&v| v == 2.0));
         assert!(g.field(Field::Sx).iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn fields_mut2_both_orders() {
-        let mut g = SubGrid::new();
-        {
-            let (rho, tau) = g.fields_mut2(Field::Rho, Field::Tau);
-            rho[0] = 5.0;
-            tau[0] = 7.0;
-        }
-        {
-            let (tau, rho) = g.fields_mut2(Field::Tau, Field::Rho);
-            assert_eq!(tau[0], 7.0);
-            assert_eq!(rho[0], 5.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fields must differ")]
-    fn fields_mut2_same_field_panics() {
-        let mut g = SubGrid::new();
-        let _ = g.fields_mut2(Field::Rho, Field::Rho);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::parcel::{ActionHandle, ActionId, ActionRegistry, Parcel};
 use crate::reliable::{ReliablePolicy, ReliableTransport};
 use crate::serialize::from_bytes;
 use amt::trace::{self, TraceCategory};
-use amt::{CounterRegistry, GlobalId, Metrics, Runtime};
+use amt::{Counter, GlobalId, Metrics, Runtime};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -73,8 +73,6 @@ pub trait Transport: Send + Sync {
     fn set_delivery(&self, locality: u32, delivery: DeliveryFn);
     /// Number of messages still in flight anywhere in the fabric.
     fn in_flight(&self) -> usize;
-    /// The network-wide counter registry (parcels, bytes, copies, ...).
-    fn counters(&self) -> &Arc<CounterRegistry>;
     /// Localities known to have failed (crashed, or declared dead by a
     /// reliability layer after its retry budget ran out). The raw
     /// simulated fabrics never fail anyone; decorators override this.
@@ -97,8 +95,14 @@ pub struct Locality {
     /// Errors raised inside action handlers (decode failures, sends
     /// that failed). Handlers run detached on scheduler threads,
     /// so there is no caller to return them to; they are parked here
-    /// and counted under the transport's `handler_errors` counter.
+    /// and counted in `handler_errors`.
     failures: Mutex<Vec<Error>>,
+    /// `parcelport/<kind>/{parcels_tx, bytes_tx, handler_errors}`: what
+    /// this locality put on the wire (local dispatches are not counted)
+    /// and its handlers' failures.
+    parcels_tx: Counter,
+    bytes_tx: Counter,
+    handler_errors: Counter,
 }
 
 impl Locality {
@@ -131,15 +135,12 @@ impl Locality {
         if parcel.dest_locality == self.index {
             self.actions.dispatch(&self.rt, parcel);
         } else {
-            let c = self.transport.counters();
             let wire = parcel.wire_size() as u64;
             let _span = trace::span_labeled(TraceCategory::ParcelSend, || {
                 format!("{}:{}B", self.transport.kind().as_str(), wire)
             });
-            // Mounted by the metrics facade as
-            // `parcelport/<kind>/parcels_tx` and `.../bytes_tx`.
-            c.increment("parcels_tx");
-            c.add("bytes_tx", wire);
+            self.parcels_tx.increment();
+            self.bytes_tx.add(wire);
             self.transport.send(self.index, parcel);
         }
         Ok(())
@@ -178,7 +179,7 @@ impl Locality {
 
     /// Park a handler-side error (see the `failures` field docs).
     pub fn record_failure(&self, e: Error) {
-        self.transport.counters().increment("handler_errors");
+        self.handler_errors.increment();
         self.failures.lock().push(e);
     }
 
@@ -194,7 +195,6 @@ pub struct Cluster {
     transport: Arc<dyn Transport>,
     metrics: Arc<Metrics>,
     fault: Option<Arc<FaultyTransport>>,
-    reliable: Option<Arc<ReliableTransport>>,
 }
 
 /// Fluent construction of a [`Cluster`]:
@@ -278,10 +278,18 @@ impl ClusterBuilder {
         if self.threads_per == 0 {
             return Err(Error::Driver("each locality needs at least one scheduler thread".into()));
         }
+        // One counter namespace for the whole cluster; each layer and
+        // locality counts into its view of it: the raw fabric under
+        // `parcelport/<kind>`, fault events under `parcelport/faults`,
+        // the reliable layer under `parcelport` (`parcelport/retries`,
+        // `parcelport/acks`, ...) and each runtime under `locality/<i>`.
+        let metrics = Arc::new(Metrics::new());
+        let fabric = metrics.scoped(&format!("parcelport/{}", self.kind.as_str()));
+        let n = self.localities;
         let raw: Arc<dyn Transport> = match self.kind {
-            TransportKind::Mpi => Arc::new(crate::mpi_sim::MpiTransport::new(self.localities)),
+            TransportKind::Mpi => Arc::new(crate::mpi_sim::MpiTransport::with_metrics(n, &fabric)),
             TransportKind::Libfabric => {
-                Arc::new(crate::libfabric_sim::LibfabricTransport::new(self.localities))
+                Arc::new(crate::libfabric_sim::LibfabricTransport::with_metrics(n, &fabric))
             }
         };
         // Decorator stack (bottom up): raw fabric, then fault
@@ -289,7 +297,8 @@ impl ClusterBuilder {
         // the raw fabric bare — zero added overhead.
         let mut transport = raw;
         let fault = self.fault_plan.map(|plan| {
-            let f = Arc::new(FaultyTransport::new(transport.clone(), plan, self.localities));
+            let faults = metrics.scoped("parcelport/faults");
+            let f = Arc::new(FaultyTransport::new(transport.clone(), plan, n, &faults));
             transport = f.clone() as Arc<dyn Transport>;
             f
         });
@@ -298,24 +307,26 @@ impl ClusterBuilder {
             (Some(f), None) if f.plan().is_active() => Some(ReliablePolicy::default()),
             _ => None,
         };
-        let reliable = reliable_policy.map(|policy| {
-            let r = Arc::new(ReliableTransport::new(transport.clone(), policy));
-            transport = r.clone() as Arc<dyn Transport>;
-            r
-        });
-        let mut localities = Vec::with_capacity(self.localities);
-        for i in 0..self.localities {
-            let rt = Runtime::with_locality(self.threads_per, i as u32);
-            let loc = Arc::new(Locality {
-                rt,
-                actions: ActionRegistry::new(),
-                index: i as u32,
-                n_localities: self.localities,
-                transport: Arc::clone(&transport),
-                failures: Mutex::new(Vec::new()),
-            });
-            localities.push(loc);
+        if let Some(policy) = reliable_policy {
+            let parcelport = metrics.scoped("parcelport");
+            transport = Arc::new(ReliableTransport::new(transport, policy, &parcelport));
         }
+        let localities: Vec<Arc<Locality>> = (0..n)
+            .map(|i| {
+                let view = metrics.scoped(&format!("locality/{i}"));
+                Arc::new(Locality {
+                    rt: Runtime::with_locality(self.threads_per, i as u32, view),
+                    actions: ActionRegistry::new(),
+                    index: i as u32,
+                    n_localities: n,
+                    transport: Arc::clone(&transport),
+                    failures: Mutex::new(Vec::new()),
+                    parcels_tx: fabric.counter("parcels_tx"),
+                    bytes_tx: fabric.counter("bytes_tx"),
+                    handler_errors: fabric.counter("handler_errors"),
+                })
+            })
+            .collect();
         // Wire delivery callbacks and progress pollers.
         for loc in &localities {
             let l = Arc::clone(loc);
@@ -333,37 +344,7 @@ impl ClusterBuilder {
             let idx = loc.index;
             loc.rt.scheduler().register_poller(move || t.progress(idx));
         }
-        // One namespaced metrics view over the whole cluster: the
-        // transport's counters under `parcelport/<kind>`, each
-        // locality's runtime counters under `locality/<i>`.
-        let metrics = Arc::new(Metrics::new());
-        metrics.mount(
-            &format!("parcelport/{}", transport.kind().as_str()),
-            Arc::clone(transport.counters()),
-        );
-        // Decorator counters: reliability at `parcelport` (so
-        // `parcelport/retries`, `parcelport/dup_dropped`,
-        // `parcelport/acks` resolve by longest-prefix), fault events at
-        // `parcelport/faults`.
-        if let Some(r) = &reliable {
-            metrics.mount("parcelport", Arc::clone(r.reliability_counters()));
-        }
-        if let Some(f) = &fault {
-            metrics.mount("parcelport/faults", Arc::clone(f.fault_counters()));
-        }
-        for loc in &localities {
-            metrics.mount(
-                &format!("locality/{}", loc.index),
-                Arc::clone(loc.rt.metrics().registry()),
-            );
-        }
-        Ok(Cluster {
-            localities,
-            transport,
-            metrics,
-            fault,
-            reliable,
-        })
+        Ok(Cluster { localities, transport, metrics, fault })
     }
 
     /// Infallible [`ClusterBuilder::try_build`]; panics on an invalid
@@ -379,7 +360,9 @@ impl Cluster {
         ClusterBuilder::default()
     }
 
-    /// The cluster-wide namespaced metrics view.
+    /// The root view of the cluster's counter namespace: every counter
+    /// under its full name (`parcelport/<kind>/parcels_tx`,
+    /// `locality/<i>/tasks/executed`, `driver/...`).
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
@@ -410,9 +393,8 @@ impl Cluster {
         &self.localities
     }
 
-    /// The transport (for counters and kind). This is the *outermost*
-    /// layer of the decorator stack; its `counters()` always resolve to
-    /// the raw fabric's registry.
+    /// The transport: the *outermost* layer of the decorator stack (its
+    /// kind, what is in flight, which localities failed).
     pub fn transport(&self) -> &Arc<dyn Transport> {
         &self.transport
     }
@@ -422,12 +404,6 @@ impl Cluster {
     /// counts and to trigger crashes at a chosen point.
     pub fn fault_layer(&self) -> Option<&Arc<FaultyTransport>> {
         self.fault.as_ref()
-    }
-
-    /// The reliable-delivery layer, if enabled (explicitly via
-    /// [`ClusterBuilder::reliable`] or implied by a fault plan).
-    pub fn reliable_layer(&self) -> Option<&Arc<ReliableTransport>> {
-        self.reliable.as_ref()
     }
 
     /// Localities known to have failed — crashed by fault injection or
@@ -628,8 +604,8 @@ mod tests {
             .unwrap();
         cluster.wait_quiescent();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert_eq!(cluster.transport().counters().get("parcels_tx"), 0);
-        assert_eq!(cluster.transport().counters().get("bytes_tx"), 0);
+        assert_eq!(cluster.metrics().get("parcelport/libfabric/parcels_tx"), 0);
+        assert_eq!(cluster.metrics().get("parcelport/libfabric/bytes_tx"), 0);
     }
 
     #[test]
@@ -681,7 +657,9 @@ mod tests {
                 })
                 .unwrap();
             cluster.wait_quiescent();
-            let copies = cluster.transport().counters().get("parcels/payload_copies");
+            let copies = cluster
+                .metrics()
+                .get(&format!("parcelport/{}/parcels/payload_copies", kind.as_str()));
             if expect_copies {
                 assert!(copies > 0, "MPI backend must copy");
             } else {
@@ -817,7 +795,7 @@ mod tests {
         let failures = cluster.locality(1).take_failures();
         assert_eq!(failures.len(), 1);
         assert!(matches!(failures[0], Error::Codec(_)));
-        assert_eq!(cluster.transport().counters().get("handler_errors"), 1);
+        assert_eq!(cluster.metrics().get("parcelport/mpi/handler_errors"), 1);
         // Drained: a second take sees nothing.
         assert!(cluster.locality(1).take_failures().is_empty());
     }
@@ -859,11 +837,10 @@ mod tests {
         // ran exactly once.
         assert_eq!(hits.load(Ordering::SeqCst), n, "{kind}");
         let m = cluster.metrics();
-        let faults = &cluster.fault_layer().unwrap();
-        let injected = faults.fault_counters().get("dropped")
-            + faults.fault_counters().get("duplicated");
+        let dropped = m.get("parcelport/faults/dropped");
+        let injected = dropped + m.get("parcelport/faults/duplicated");
         assert!(injected > 0, "plan must actually have perturbed something");
-        if faults.fault_counters().get("dropped") > 0 {
+        if dropped > 0 {
             assert!(m.get("parcelport/retries") > 0, "drops must cause retries");
         }
         assert!(m.get("parcelport/acks") > 0);
@@ -964,12 +941,12 @@ mod tests {
         }
         cluster.wait_quiescent();
         assert_eq!(hits.load(Ordering::SeqCst), 40);
-        assert!(cluster.fault_layer().unwrap().fault_counters().get("stalls") >= 1);
+        assert!(cluster.metrics().get("parcelport/faults/stalls") >= 1);
         assert!(cluster.failed_localities().is_empty());
     }
 
     #[test]
-    fn reliable_layer_without_faults_is_transparent() {
+    fn reliable_delivery_without_faults_is_transparent() {
         let cluster = Arc::new(
             Cluster::builder()
                 .localities(2)
@@ -980,8 +957,7 @@ mod tests {
         assert_eq!(square_round_trip(&cluster, 16, &[12]), [144]);
         let m = cluster.metrics();
         assert_eq!(m.get("parcelport/retries"), 0);
-        assert!(m.get("parcelport/acks") > 0);
-        assert!(cluster.reliable_layer().is_some());
+        assert!(m.get("parcelport/acks") > 0, "the reliable layer is on");
         assert!(cluster.fault_layer().is_none());
     }
 }

@@ -23,15 +23,15 @@
 //! dropped parcel would hang quiescence forever; the cluster builder
 //! enforces that pairing.
 //!
-//! Everything the layer does is counted under its own registry
-//! (mounted at `parcelport/faults` by the cluster): `dropped`,
-//! `duplicated`, `delayed`, `reordered`, `dead_dropped`,
-//! `dead_delivered`, `crashes`, `stalls`.
+//! Everything the layer does is counted in the metrics view it is built
+//! with (the cluster's `parcelport/faults`): `dropped`, `duplicated`,
+//! `delayed`, `reordered`, `dead_dropped`, `dead_delivered`, `crashes`,
+//! `stalls`.
 
 use crate::cluster::{DeliveryFn, Transport};
 use crate::netmodel::TransportKind;
 use crate::parcel::Parcel;
-use amt::CounterRegistry;
+use amt::{Counter, Metrics};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -193,7 +193,19 @@ pub struct FaultyTransport {
     /// Reorder holds: one parked parcel per destination, released
     /// (swapped) by the next send to that destination.
     swap_hold: Mutex<HashMap<u32, Held>>,
-    counters: Arc<CounterRegistry>,
+    counts: FaultCounts,
+}
+
+/// The fault events, one handle each (see the module docs).
+struct FaultCounts {
+    dropped: Counter,
+    duplicated: Counter,
+    delayed: Counter,
+    reordered: Counter,
+    dead_dropped: Counter,
+    dead_delivered: Counter,
+    crashes: Counter,
+    stalls: Counter,
 }
 
 /// Ticks after which a reorder hold is force-flushed even if no second
@@ -201,8 +213,13 @@ pub struct FaultyTransport {
 const SWAP_FLUSH_TICKS: u64 = 64;
 
 impl FaultyTransport {
-    /// Wrap `inner` with `plan`.
-    pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan, n_localities: usize) -> FaultyTransport {
+    /// Wrap `inner` with `plan`, counting fault events into `metrics`.
+    pub fn new(
+        inner: Arc<dyn Transport>,
+        plan: FaultPlan,
+        n_localities: usize,
+        metrics: &Metrics,
+    ) -> FaultyTransport {
         FaultyTransport {
             inner,
             plan,
@@ -213,14 +230,17 @@ impl FaultyTransport {
             stalled_until: (0..n_localities).map(|_| AtomicU64::new(0)).collect(),
             held: Mutex::new(Vec::new()),
             swap_hold: Mutex::new(HashMap::new()),
-            counters: Arc::new(CounterRegistry::new()),
+            counts: FaultCounts {
+                dropped: metrics.counter("dropped"),
+                duplicated: metrics.counter("duplicated"),
+                delayed: metrics.counter("delayed"),
+                reordered: metrics.counter("reordered"),
+                dead_dropped: metrics.counter("dead_dropped"),
+                dead_delivered: metrics.counter("dead_delivered"),
+                crashes: metrics.counter("crashes"),
+                stalls: metrics.counter("stalls"),
+            },
         }
-    }
-
-    /// The fault-event counters (`dropped`, `duplicated`, ...). The
-    /// cluster mounts these under `parcelport/faults`.
-    pub fn fault_counters(&self) -> &Arc<CounterRegistry> {
-        &self.counters
     }
 
     /// The plan this transport injects.
@@ -237,7 +257,7 @@ impl FaultyTransport {
     /// [`FaultEvent::Crash`] path routes through here too).
     pub fn crash_now(&self, locality: u32) {
         if !self.crashed[locality as usize].swap(true, Ordering::SeqCst) {
-            self.counters.increment("crashes");
+            self.counts.crashes.increment();
         }
     }
 
@@ -261,7 +281,7 @@ impl FaultyTransport {
                 FaultEvent::Stall { locality, after_sends, ticks } if locality == from && after_sends == n => {
                     self.stalled_until[locality as usize]
                         .store(self.now() + ticks, Ordering::SeqCst);
-                    self.counters.increment("stalls");
+                    self.counts.stalls.increment();
                 }
                 _ => {}
             }
@@ -307,7 +327,7 @@ impl FaultyTransport {
     /// Hand a parcel to the inner transport unless its endpoints died.
     fn forward(&self, from: u32, parcel: Parcel) {
         if self.is_crashed(parcel.dest_locality) || self.is_crashed(from) {
-            self.counters.increment("dead_dropped");
+            self.counts.dead_dropped.increment();
             return;
         }
         self.inner.send(from, parcel);
@@ -321,7 +341,7 @@ impl Transport for FaultyTransport {
 
     fn send(&self, from: u32, parcel: Parcel) {
         if self.is_crashed(from) || self.is_crashed(parcel.dest_locality) {
-            self.counters.increment("dead_dropped");
+            self.counts.dead_dropped.increment();
             return;
         }
         let n = self.sends_by_loc[from as usize].fetch_add(1, Ordering::SeqCst) + 1;
@@ -329,7 +349,7 @@ impl Transport for FaultyTransport {
         // The event may just have killed the sender: this send dies
         // with it (the node crashed while the parcel sat in its NIC).
         if self.is_crashed(from) {
-            self.counters.increment("dead_dropped");
+            self.counts.dead_dropped.increment();
             return;
         }
 
@@ -340,13 +360,13 @@ impl Transport for FaultyTransport {
         let r = mix(self.plan.seed, self.rolls.fetch_add(1, Ordering::SeqCst));
         let roll = unit(r);
         if roll < self.plan.drop_p {
-            self.counters.increment("dropped");
+            self.counts.dropped.increment();
         } else if roll < self.plan.drop_p + self.plan.dup_p {
-            self.counters.increment("duplicated");
+            self.counts.duplicated.increment();
             self.forward(from, parcel.clone());
             self.forward(from, parcel);
         } else if roll < self.plan.drop_p + self.plan.dup_p + self.plan.delay_p {
-            self.counters.increment("delayed");
+            self.counts.delayed.increment();
             let d = 1 + mix(self.plan.seed ^ 0xD31A, r) % self.plan.max_delay_ticks;
             self.held.lock().push(Held {
                 release_tick: self.now() + d,
@@ -356,7 +376,7 @@ impl Transport for FaultyTransport {
         } else if parked.is_none()
             && roll < self.plan.drop_p + self.plan.dup_p + self.plan.delay_p + self.plan.reorder_p
         {
-            self.counters.increment("reordered");
+            self.counts.reordered.increment();
             self.swap_hold.lock().insert(
                 parcel.dest_locality,
                 Held { release_tick: self.now(), from, parcel },
@@ -387,13 +407,13 @@ impl Transport for FaultyTransport {
     }
 
     fn set_delivery(&self, locality: u32, delivery: DeliveryFn) {
-        let counters = Arc::clone(&self.counters);
+        let dead_delivered = self.counts.dead_delivered.clone();
         let flag = Arc::clone(&self.crashed[locality as usize]);
         self.inner.set_delivery(
             locality,
             Arc::new(move |parcel| {
                 if flag.load(Ordering::SeqCst) {
-                    counters.increment("dead_delivered");
+                    dead_delivered.increment();
                     return;
                 }
                 delivery(parcel)
@@ -403,10 +423,6 @@ impl Transport for FaultyTransport {
 
     fn in_flight(&self) -> usize {
         self.inner.in_flight() + self.held.lock().len() + self.swap_hold.lock().len()
-    }
-
-    fn counters(&self) -> &Arc<CounterRegistry> {
-        self.inner.counters()
     }
 
     fn failed_localities(&self) -> Vec<u32> {

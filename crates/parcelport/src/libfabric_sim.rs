@@ -22,7 +22,7 @@
 use crate::cluster::{DeliveryFn, Transport};
 use crate::netmodel::TransportKind;
 use crate::parcel::Parcel;
-use amt::CounterRegistry;
+use amt::{Counter, Metrics};
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -70,11 +70,19 @@ pub struct LibfabricTransport {
     locs: Vec<PerLocality>,
     in_flight: AtomicUsize,
     registrations: Arc<AtomicUsize>,
-    counters: Arc<CounterRegistry>,
+    rma_puts: Counter,
+    received: Counter,
 }
 
 impl LibfabricTransport {
+    /// A fabric of `n_localities` endpoints counting into a fresh map.
     pub fn new(n_localities: usize) -> LibfabricTransport {
+        Self::with_metrics(n_localities, &Metrics::new())
+    }
+
+    /// A fabric counting `libfabric/rma_puts` and `parcels/received`
+    /// into `metrics`.
+    pub(crate) fn with_metrics(n_localities: usize, metrics: &Metrics) -> LibfabricTransport {
         LibfabricTransport {
             locs: (0..n_localities)
                 .map(|_| {
@@ -84,7 +92,8 @@ impl LibfabricTransport {
                 .collect(),
             in_flight: AtomicUsize::new(0),
             registrations: Arc::new(AtomicUsize::new(0)),
-            counters: Arc::new(CounterRegistry::new()),
+            rma_puts: metrics.counter("libfabric/rma_puts"),
+            received: metrics.counter("parcels/received"),
         }
     }
 
@@ -106,7 +115,7 @@ impl Transport for LibfabricTransport {
         // the RMA "get" by taking the refcounted handle.
         let region = RmaRegion::pin(parcel.payload.clone(), &self.registrations);
         let meta = Parcel { payload: Bytes::new(), ..parcel };
-        self.counters.increment("libfabric/rma_puts");
+        self.rma_puts.increment();
         self.locs[meta.dest_locality as usize]
             .cq_tx
             .send(Completion { parcel_meta: meta, region })
@@ -120,7 +129,7 @@ impl Transport for LibfabricTransport {
         for _ in 0..64 {
             let Ok(completion) = loc.cq_rx.try_recv() else { break };
             progressed = true;
-            self.counters.increment("parcels/received");
+            self.received.increment();
             // Zero-copy: hand the pinned bytes straight to the parcel.
             let payload = completion.region.bytes().clone();
             let mut parcel = completion.parcel_meta;
@@ -148,10 +157,6 @@ impl Transport for LibfabricTransport {
     fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst)
     }
-
-    fn counters(&self) -> &Arc<CounterRegistry> {
-        &self.counters
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +177,8 @@ mod tests {
 
     #[test]
     fn delivery_is_zero_copy() {
-        let t = LibfabricTransport::new(2);
+        let metrics = Metrics::new();
+        let t = LibfabricTransport::with_metrics(2, &metrics);
         let payload = Bytes::from(vec![1u8; 1 << 20]);
         let src_ptr = payload.as_ptr();
         let got: Arc<PMutex<Vec<Parcel>>> = Arc::new(PMutex::new(Vec::new()));
@@ -184,7 +190,8 @@ mod tests {
         assert_eq!(got.len(), 1);
         // Same backing allocation: the pointer must be identical.
         assert_eq!(got[0].payload.as_ptr(), src_ptr);
-        assert_eq!(t.counters().get("parcels/payload_copies"), 0);
+        assert_eq!(metrics.get("parcels/payload_copies"), 0);
+        assert_eq!(metrics.get("parcels/received"), 1);
     }
 
     #[test]

@@ -22,12 +22,11 @@
 use crate::cluster::{DeliveryFn, Transport};
 use crate::netmodel::TransportKind;
 use crate::parcel::{ActionId, Parcel};
-use amt::{CounterRegistry, GlobalId};
+use amt::{Counter, GlobalId, Metrics};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Eager/rendezvous threshold (bytes), matching Cray MPICH's default
 /// order of magnitude.
@@ -66,11 +65,21 @@ pub struct MpiTransport {
     held: Mutex<HashMap<u64, Parcel>>,
     next_msg_id: AtomicU64,
     in_flight: AtomicUsize,
-    counters: Arc<CounterRegistry>,
+    payload_copies: Counter,
+    received: Counter,
+    eager_sends: Counter,
+    rendezvous_sends: Counter,
 }
 
 impl MpiTransport {
+    /// A fabric of `n_localities` ranks counting into a fresh map.
     pub fn new(n_localities: usize) -> MpiTransport {
+        Self::with_metrics(n_localities, &Metrics::new())
+    }
+
+    /// A fabric counting `parcels/{payload_copies, received}` and
+    /// `mpi/{eager, rendezvous}_sends` into `metrics`.
+    pub(crate) fn with_metrics(n_localities: usize, metrics: &Metrics) -> MpiTransport {
         MpiTransport {
             locs: (0..n_localities)
                 .map(|_| PerLocality {
@@ -81,7 +90,10 @@ impl MpiTransport {
             held: Mutex::new(HashMap::new()),
             next_msg_id: AtomicU64::new(1),
             in_flight: AtomicUsize::new(0),
-            counters: Arc::new(CounterRegistry::new()),
+            payload_copies: metrics.counter("parcels/payload_copies"),
+            received: metrics.counter("parcels/received"),
+            eager_sends: metrics.counter("mpi/eager_sends"),
+            rendezvous_sends: metrics.counter("mpi/rendezvous_sends"),
         }
     }
 
@@ -110,7 +122,7 @@ impl Transport for MpiTransport {
         if parcel.payload.len() <= EAGER_THRESHOLD {
             // Copy #1: pack the payload into the eager envelope.
             let data = parcel.payload.to_vec();
-            self.counters.increment("parcels/payload_copies");
+            self.payload_copies.increment();
             self.push(
                 parcel.dest_locality,
                 WireMsg::Eager {
@@ -122,12 +134,12 @@ impl Transport for MpiTransport {
                     data,
                 },
             );
-            self.counters.increment("mpi/eager_sends");
+            self.eager_sends.increment();
         } else {
             let msg_id = self.next_msg_id.fetch_add(1, Ordering::Relaxed);
             self.held.lock().insert(msg_id, parcel.clone());
             self.push(parcel.dest_locality, WireMsg::Rts { msg_id, from });
-            self.counters.increment("mpi/rendezvous_sends");
+            self.rendezvous_sends.increment();
         }
     }
 
@@ -150,8 +162,8 @@ impl Transport for MpiTransport {
                 WireMsg::Eager { header, data } => {
                     // Copy #2: unpack into the receive buffer.
                     let payload = Bytes::from(data);
-                    self.counters.increment("parcels/payload_copies");
-                    self.counters.increment("parcels/received");
+                    self.payload_copies.increment();
+                    self.received.increment();
                     self.deliver(
                         locality,
                         Parcel {
@@ -173,7 +185,7 @@ impl Transport for MpiTransport {
                         .expect("CTS for unknown message");
                     // Copy the payload out of the user buffer for the wire.
                     let data = parcel.payload.to_vec();
-                    self.counters.increment("parcels/payload_copies");
+                    self.payload_copies.increment();
                     self.push(
                         parcel.dest_locality,
                         WireMsg::Data {
@@ -187,7 +199,7 @@ impl Transport for MpiTransport {
                     );
                 }
                 WireMsg::Data { header, data } => {
-                    self.counters.increment("parcels/received");
+                    self.received.increment();
                     self.deliver(
                         locality,
                         Parcel {
@@ -220,19 +232,19 @@ impl Transport for MpiTransport {
     fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst) + self.held.lock().len()
     }
-
-    fn counters(&self) -> &Arc<CounterRegistry> {
-        &self.counters
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use parking_lot::Mutex as PMutex;
+    use std::sync::Arc;
 
-    fn collecting_transport(n: usize) -> (Arc<MpiTransport>, Arc<PMutex<Vec<(u32, usize)>>>) {
-        let t = Arc::new(MpiTransport::new(n));
+    type Collected = Arc<PMutex<Vec<(u32, usize)>>>;
+
+    fn collecting_transport(n: usize) -> (Arc<MpiTransport>, Metrics, Collected) {
+        let metrics = Metrics::new();
+        let t = Arc::new(MpiTransport::with_metrics(n, &metrics));
         let got: Arc<PMutex<Vec<(u32, usize)>>> = Arc::new(PMutex::new(Vec::new()));
         for i in 0..n as u32 {
             let got = Arc::clone(&got);
@@ -243,7 +255,7 @@ mod tests {
                 }),
             );
         }
-        (t, got)
+        (t, metrics, got)
     }
 
     fn drain(t: &MpiTransport, n: usize) {
@@ -268,17 +280,17 @@ mod tests {
 
     #[test]
     fn eager_path_two_copies() {
-        let (t, got) = collecting_transport(2);
+        let (t, m, got) = collecting_transport(2);
         t.send(0, parcel(1, 100));
         drain(&t, 2);
         assert_eq!(got.lock().as_slice(), &[(1, 100)]);
-        assert_eq!(t.counters().get("parcels/payload_copies"), 2);
-        assert_eq!(t.counters().get("mpi/eager_sends"), 1);
+        assert_eq!(m.get("parcels/payload_copies"), 2);
+        assert_eq!(m.get("mpi/eager_sends"), 1);
     }
 
     #[test]
     fn rendezvous_path_requires_handshake() {
-        let (t, got) = collecting_transport(2);
+        let (t, m, got) = collecting_transport(2);
         t.send(0, parcel(1, EAGER_THRESHOLD + 1));
         // One receiver-side progress is not enough: RTS must bounce back.
         t.progress(1);
@@ -286,14 +298,14 @@ mod tests {
         t.progress(0); // sender answers CTS with the data
         t.progress(1); // receiver gets the payload
         assert_eq!(got.lock().as_slice(), &[(1, EAGER_THRESHOLD + 1)]);
-        assert_eq!(t.counters().get("mpi/rendezvous_sends"), 1);
-        assert_eq!(t.counters().get("parcels/payload_copies"), 1);
+        assert_eq!(m.get("mpi/rendezvous_sends"), 1);
+        assert_eq!(m.get("parcels/payload_copies"), 1);
         assert_eq!(t.in_flight(), 0);
     }
 
     #[test]
     fn interleaved_traffic_drains() {
-        let (t, got) = collecting_transport(4);
+        let (t, m, got) = collecting_transport(4);
         for i in 0..100 {
             let to = (i % 4) as u32;
             let from = ((i + 1) % 4) as u32;
@@ -302,13 +314,13 @@ mod tests {
         }
         drain(&t, 4);
         assert_eq!(got.lock().len(), 100);
-        assert_eq!(t.counters().get("parcels/received"), 100);
+        assert_eq!(m.get("parcels/received"), 100);
     }
 
     #[test]
     #[should_panic(expected = "bad destination")]
     fn out_of_range_destination_panics() {
-        let (t, _got) = collecting_transport(2);
+        let (t, _m, _got) = collecting_transport(2);
         t.send(0, parcel(5, 10));
     }
 }

@@ -25,8 +25,8 @@
 //! backing buffer), keeping the libfabric backend's zero-copy story
 //! intact.
 //!
-//! The layer counts its work in its own registry, which the cluster
-//! mounts at `parcelport`: `parcelport/retries`,
+//! The layer counts its work in the metrics view it is built with, the
+//! cluster's `parcelport`: `parcelport/retries`,
 //! `parcelport/dup_dropped`, `parcelport/acks`, plus `acked`,
 //! `dead_letter` and `peers_declared_dead`. Every retransmission also
 //! records a `parcel/retry` trace span when a trace session is active.
@@ -35,7 +35,7 @@ use crate::cluster::{DeliveryFn, Transport};
 use crate::netmodel::TransportKind;
 use crate::parcel::{ActionId, Parcel};
 use amt::trace::{self, TraceCategory};
-use amt::{CounterRegistry, GlobalId};
+use amt::{Counter, GlobalId, Metrics};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -130,7 +130,18 @@ pub struct ReliableTransport {
     /// Cheap mirror of the total unacked-frame count (feeds
     /// `in_flight` without taking the state lock).
     unacked_total: Arc<AtomicUsize>,
-    counters: Arc<CounterRegistry>,
+    counts: ReliableCounts,
+}
+
+/// The layer's counters, one handle each (see the module docs).
+#[derive(Clone)]
+struct ReliableCounts {
+    retries: Counter,
+    acks: Counter,
+    acked: Counter,
+    dup_dropped: Counter,
+    dead_letter: Counter,
+    peers_declared_dead: Counter,
 }
 
 fn read_u32(b: &[u8]) -> u32 {
@@ -151,37 +162,42 @@ fn frame(tag: u8, loc: u32, seq: u64, payload: &[u8]) -> Bytes {
 }
 
 impl ReliableTransport {
-    /// Wrap `inner` with `policy`.
-    pub fn new(inner: Arc<dyn Transport>, policy: ReliablePolicy) -> ReliableTransport {
+    /// Wrap `inner` with `policy`, counting into `metrics`.
+    pub fn new(
+        inner: Arc<dyn Transport>,
+        policy: ReliablePolicy,
+        metrics: &Metrics,
+    ) -> ReliableTransport {
         ReliableTransport {
             inner,
             policy,
             ticks: AtomicU64::new(1),
             state: Arc::new(Mutex::new(ReliableState::default())),
             unacked_total: Arc::new(AtomicUsize::new(0)),
-            counters: Arc::new(CounterRegistry::new()),
+            counts: ReliableCounts {
+                retries: metrics.counter("retries"),
+                acks: metrics.counter("acks"),
+                acked: metrics.counter("acked"),
+                dup_dropped: metrics.counter("dup_dropped"),
+                dead_letter: metrics.counter("dead_letter"),
+                peers_declared_dead: metrics.counter("peers_declared_dead"),
+            },
         }
-    }
-
-    /// The reliability counters (`retries`, `dup_dropped`, `acks`,
-    /// ...). The cluster mounts these at `parcelport`.
-    pub fn reliability_counters(&self) -> &Arc<CounterRegistry> {
-        &self.counters
     }
 
     /// Purge all unacked frames addressed to `peer` (it is dead; they
     /// can never be acked) and remember it as dead.
-    fn bury(state: &mut ReliableState, unacked_total: &AtomicUsize, counters: &CounterRegistry, peer: u32) {
+    fn bury(state: &mut ReliableState, unacked_total: &AtomicUsize, counts: &ReliableCounts, peer: u32) {
         if !state.dead.insert(peer) {
             return;
         }
-        counters.increment("peers_declared_dead");
+        counts.peers_declared_dead.increment();
         for ((_, dst), ps) in state.senders.iter_mut() {
             if *dst == peer {
                 let n = ps.unacked.len();
                 ps.unacked.clear();
                 unacked_total.fetch_sub(n, Ordering::SeqCst);
-                counters.add("dead_letter", n as u64);
+                counts.dead_letter.add(n as u64);
             }
         }
     }
@@ -196,7 +212,7 @@ impl Transport for ReliableTransport {
         let dest = parcel.dest_locality;
         let mut st = self.state.lock();
         if st.dead.contains(&dest) {
-            self.counters.increment("dead_letter");
+            self.counts.dead_letter.increment();
             return;
         }
         let peer = st.senders.entry((from, dest)).or_default();
@@ -231,7 +247,7 @@ impl Transport for ReliableTransport {
             // their frames can never be acked, bury them now instead of
             // burning through the whole retry budget.
             for peer in self.inner.failed_localities() {
-                Self::bury(&mut st, &self.unacked_total, &self.counters, peer);
+                Self::bury(&mut st, &self.unacked_total, &self.counts, peer);
             }
             let mut resend: Vec<(u32, Parcel)> = Vec::new();
             let mut exhausted: Vec<u32> = Vec::new();
@@ -251,14 +267,14 @@ impl Transport for ReliableTransport {
                 }
             }
             for peer in exhausted {
-                Self::bury(&mut st, &self.unacked_total, &self.counters, peer);
+                Self::bury(&mut st, &self.unacked_total, &self.counts, peer);
             }
             drop(st);
             for (from, parcel) in resend {
                 let _span = trace::span_labeled(TraceCategory::ParcelRetry, || {
                     format!("to{}:{}B", parcel.dest_locality, parcel.wire_size())
                 });
-                self.counters.increment("retries");
+                self.counts.retries.increment();
                 self.inner.send(from, parcel);
                 progressed = true;
             }
@@ -269,7 +285,7 @@ impl Transport for ReliableTransport {
     fn set_delivery(&self, locality: u32, delivery: DeliveryFn) {
         let state = Arc::clone(&self.state);
         let unacked_total = Arc::clone(&self.unacked_total);
-        let counters = Arc::clone(&self.counters);
+        let counts = self.counts.clone();
         let inner = Arc::clone(&self.inner);
         self.inner.set_delivery(
             locality,
@@ -291,14 +307,14 @@ impl Transport for ReliableTransport {
                         if let Some(ps) = st.senders.get_mut(&(locality, who)) {
                             if ps.unacked.remove(&seq).is_some() {
                                 unacked_total.fetch_sub(1, Ordering::SeqCst);
-                                counters.increment("acked");
+                                counts.acked.increment();
                             }
                         }
                     }
                     TAG_DATA => {
                         // Ack unconditionally — duplicates usually mean
                         // our previous ack was lost.
-                        counters.increment("acks");
+                        counts.acks.increment();
                         inner.send(
                             locality,
                             Parcel {
@@ -315,7 +331,7 @@ impl Transport for ReliableTransport {
                             .or_default()
                             .admit(seq);
                         if !fresh {
-                            counters.increment("dup_dropped");
+                            counts.dup_dropped.increment();
                             return;
                         }
                         let inner_payload = payload.slice(FRAME_BYTES..);
@@ -332,10 +348,6 @@ impl Transport for ReliableTransport {
 
     fn in_flight(&self) -> usize {
         self.inner.in_flight() + self.unacked_total.load(Ordering::SeqCst)
-    }
-
-    fn counters(&self) -> &Arc<CounterRegistry> {
-        self.inner.counters()
     }
 
     fn failed_localities(&self) -> Vec<u32> {

@@ -125,9 +125,9 @@ impl Default for CheckpointCost {
 pub struct Measurements<'a> {
     /// A drained trace of a real (preferably distributed) run.
     pub trace: &'a Trace,
-    /// A metrics snapshot of the same run, keyed as the cluster mounts
-    /// its counters (`Cluster::metrics().snapshot()`); the parcel count
-    /// is read from `parcelport/<transport>/parcels_tx`.
+    /// A metrics snapshot of the same run, keyed by full counter name
+    /// (`Cluster::metrics().snapshot()`); the parcel count is read from
+    /// `parcelport/<transport>/parcels_tx`.
     pub metrics: &'a BTreeMap<String, u64>,
     /// Sub-grids resident in the measured run.
     pub subgrids: usize,
@@ -440,8 +440,8 @@ mod tests {
     #[test]
     fn amplification_from_metrics() {
         // The trace holds three `parcel/send` spans, as one that dropped
-        // events would undercount; the transport's counter, keyed as
-        // `Cluster::metrics().snapshot()` keys it, is what was sent.
+        // events would undercount; the transport's counter, under its
+        // full name in `Cluster::metrics().snapshot()`, is what was sent.
         let trace = synthetic_trace();
         assert_eq!(trace.histogram(TraceCategory::ParcelSend).count(), 3);
         let mut metrics = BTreeMap::new();

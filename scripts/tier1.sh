@@ -9,7 +9,9 @@
 #      `resolve(` call under crates/octree/src, zero `halo_sources` /
 #      `gather_ghosts`), zero per-leaf stage buffer, zero derived-grid,
 #      zero slab-pipeline, zero
-#      remote-call, zero owner-registry and zero uncalled-pub-fn budgets
+#      remote-call, zero owner-registry, one counter namespace (zero
+#      per-layer registries or mounts, zero counter lookups by name in
+#      the parcelport's non-test code) and zero uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -307,6 +309,34 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "owner-registry budget OK (0 records of a leaf's locality beside the shard map)"
+
+echo
+echo "== tier-1: counter-namespace budget =="
+# One counter namespace: `amt::Metrics` is one shared map of full
+# counter names, and every component counts into a prefixed view of it
+# (`parcelport/<kind>`, `parcelport/faults`, `locality/<i>`, ...). A
+# registry of its own in a layer, a mount table joining registries or an
+# accessor handing one out is the second store coming back, one whose
+# names the cluster has to splice into the first.
+stray=$(grep -rnE 'CounterRegistry|\.mount\(|fn counters\(|fault_counters|reliability_counters|reliable_layer' \
+    crates tests examples || true)
+if [ -n "$stray" ]; then
+    echo "!! a second counter store under crates/, tests/ or examples/ (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+# Each parcelport layer takes its `Counter` handles once, when it is
+# built; a string-keyed update is a map lookup on every parcel.
+stray=$(awk 'FNR == 1 { test = 0 } /^mod tests/ { test = 1 }
+    { code = $0; sub(/\/\/.*/, "", code) }
+    !test && code ~ /\.(increment|add)\("/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/parcelport/src/*.rs)
+if [ -n "$stray" ]; then
+    echo "!! a counter updated by name in crates/parcelport/src's non-test code (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "counter-namespace budget OK (0 second counter stores, 0 parcelport counters updated by name)"
 
 echo
 echo "== tier-1: caller budget =="

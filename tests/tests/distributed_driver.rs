@@ -416,3 +416,90 @@ fn quiescence_under_interior_sized_halo_blast() {
         assert_eq!(cluster.transport().in_flight(), 0, "{kind}: in-flight not drained");
     }
 }
+
+/// The counter namespace of a distributed run, pinned: two steps of
+/// `star_amr` on two localities with the reliable layer on, on both
+/// transports. The non-zero keys of the cluster's snapshot and of each
+/// locality runtime's are checked, and so are the counts a run
+/// determines: the driver's channels, the wire totals and the tasks each
+/// locality spawned. Zero entries are ignored (a component may take its
+/// counter handles before it counts anything); retransmissions,
+/// duplicate drops, steals and parks depend on timing, so those keys
+/// are left out of the comparison.
+#[test]
+fn the_counter_namespace_keeps_its_names_and_counts() {
+    const TIMED: [&str; 4] =
+        ["parcelport/retries", "parcelport/dup_dropped", "tasks/stolen", "workers/parks"];
+    let nonzero = |snapshot: std::collections::BTreeMap<String, u64>| -> Vec<String> {
+        let timed = |k: &str| TIMED.iter().any(|t| k.ends_with(t));
+        snapshot.into_iter().filter(|(k, v)| *v > 0 && !timed(k)).map(|(k, _)| k).collect()
+    };
+    let runtime_keys: Vec<String> = [
+        "fmm/chunks",
+        "fmm/interactions/near_field",
+        "fmm/interactions/same_level",
+        "fmm/pairs/evaluated",
+        "fmm/pairs/full_body",
+        "fmm/pairs/lattice",
+        "fmm/scratch_hits",
+        "fmm/scratch_misses",
+        "tasks/executed",
+        "tasks/spawned",
+    ]
+    .map(String::from)
+    .to_vec();
+    for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+        let cluster = Arc::new(
+            Cluster::builder()
+                .localities(2)
+                .threads_per(2)
+                .transport(kind)
+                .reliable(parcelport::ReliablePolicy::default())
+                .build(),
+        );
+        let mut dist =
+            DistributedDriver::builder(star_amr(), Arc::clone(&cluster)).build().expect("driver");
+        for _ in 0..2 {
+            dist.step().expect("step");
+        }
+        let fabric = format!("parcelport/{}", kind.as_str());
+        let mut expected: Vec<String> = ["dt", "halo", "moments"]
+            .iter()
+            .flat_map(|ch| [format!("driver/{ch}/bytes_tx"), format!("driver/{ch}/parcels_tx")])
+            .collect();
+        for i in 0..2 {
+            expected.extend(runtime_keys.iter().map(|k| format!("locality/{i}/{k}")));
+        }
+        expected.extend(["parcelport/acked", "parcelport/acks"].map(String::from));
+        let wire: &[&str] = match kind {
+            TransportKind::Mpi => {
+                &["mpi/eager_sends", "mpi/rendezvous_sends", "parcels/payload_copies"]
+            }
+            TransportKind::Libfabric => &["libfabric/rma_puts"],
+        };
+        let own = ["bytes_tx", "parcels/received", "parcels_tx"];
+        expected.extend(wire.iter().chain(&own).map(|k| format!("{fabric}/{k}")));
+        expected.sort();
+        let m = cluster.metrics();
+        assert_eq!(nonzero(m.snapshot()), expected, "{kind}: cluster keys");
+        for i in 0..2 {
+            let local = cluster.locality(i).runtime().metrics().snapshot();
+            assert_eq!(nonzero(local), runtime_keys, "{kind}: locality {i} keys");
+        }
+        let counts = [
+            ("driver/dt/parcels_tx", 4),
+            ("driver/dt/bytes_tx", 176),
+            ("driver/halo/parcels_tx", 56),
+            ("driver/halo/bytes_tx", 3_214_232),
+            ("driver/moments/parcels_tx", 60),
+            ("driver/moments/bytes_tx", 248_940),
+            ("locality/0/tasks/spawned", 194),
+            ("locality/1/tasks/spawned", 176),
+        ];
+        for (name, count) in counts {
+            assert_eq!(m.get(name), count, "{kind}: {name}");
+        }
+        assert_eq!(m.get(&format!("{fabric}/parcels_tx")), 120, "{kind}: parcels_tx");
+        assert_eq!(m.get(&format!("{fabric}/bytes_tx")), 3_463_348, "{kind}: bytes_tx");
+    }
+}
