@@ -79,11 +79,11 @@ pub(crate) fn leaf_stage(
 
 /// Full RHS (hydro + gravity + rotating-frame sources) of one leaf,
 /// written over `rhs` (one entry per interior cell). The flux sweep
-/// runs on the leaf's grid with its ghosts gathered by `plan`, the
-/// tree's interface plan, from the interiors of its halo sources, which
-/// must be current, into a ghosted scratch grid of the calling thread —
-/// the only ghosted grid a run makes. `grav`, when present, must cover
-/// `key`.
+/// runs on the leaf's grid with its face ghosts — all it reads —
+/// gathered by `plan`, the tree's interface plan, from the interiors of
+/// the leaves sharing its faces, which must be current, into a ghosted
+/// scratch grid of the calling thread — the only ghosted grid a run
+/// makes. `grav`, when present, must cover `key`.
 fn leaf_rhs(
     tree: &Octree,
     key: MortonKey,
@@ -94,7 +94,9 @@ fn leaf_rhs(
     rhs: &mut [StateVec],
 ) {
     // One per thread, never one per leaf: the gather overwrites every
-    // cell, so the grid carries nothing from one leaf to the next.
+    // cell the sweep reads, and the edge and corner ghosts, which
+    // nothing reads or writes, stay zero, so the grid carries nothing
+    // from one leaf to the next.
     thread_local! {
         static GHOSTED: RefCell<SubGrid> = RefCell::new(SubGrid::ghosted());
     }

@@ -26,15 +26,25 @@
 //!
 //! **One resolution per tree.** [`InterfacePlan::new`] is `resolve`'s
 //! only caller: it resolves every leaf's 26 boxes once per tree topology
-//! and keeps the slabs (source, `finer`, `BoxMap`; 48 bytes each) in
-//! `resolve`'s order. Everything that needs halo geometry is a
-//! projection of that one list: the gather
+//! and keeps the slabs (source, `finer`, `BoxMap`; 48 bytes each), each
+//! leaf's run faces first — 6 faces, 12 edges, 8 corners. Everything
+//! that needs halo geometry is a projection of that one list: the gather
 //! ([`InterfacePlan::gather`]), a leaf's source set
 //! ([`InterfacePlan::sources`]), the distributed push plan
 //! ([`InterfacePlan::push_plan`]) and the grids a distributed mirror
-//! keeps. What a push ships is therefore what a gather reads — there is
-//! no second derivation to drift from the first — and the plan changes
-//! only when the topology does.
+//! keeps. The push ships the 26-neighbor closure and the gather reads
+//! its face subset — both from the same slabs, so there is no second
+//! derivation to drift from the first — and the plan changes only when
+//! the topology does.
+//!
+//! **The gather moves faces only.** The flux sweep is dimensionally
+//! split: PPM and the flux run along one axis at a time, over lines
+//! through the interior, so it reads the interior and the six face
+//! boxes and never an edge or corner ghost (1 080 of a leaf's 2 232
+//! ghost cells per field). The gather moves the face-prefix slabs of a
+//! leaf's run — finer children on a face (up to four), coarse injection
+//! and the wall fold alike — and leaves edge and corner cells of its
+//! output as they were.
 //!
 //! **The sources are the 26-direction neighbor closure.** Every ghost
 //! cell of a leaf lies, per axis, either in the leaf's own span or in
@@ -48,14 +58,15 @@
 //!
 //! Ghosts do not live in the tree: a leaf's grid is its interior alone
 //! ([`SubGrid::new`]). [`InterfacePlan::gather`] builds one leaf's
-//! [`SubGrid::ghosted`] grid — its own interior plus the 26 boxes — in
-//! a caller's buffer; it is pure and reads interiors only. The driver's
-//! per-leaf RHS task runs it into a scratch grid of its worker thread
-//! right before the flux sweep, so no step phase fills, stores or waits
-//! for ghosts. The distributed driver still ships whole leaf grids into
-//! each peer's mirror tree; the plan's boxes are what a slab payload
-//! would ship instead. [`fill_all_halos_parallel`] gives every leaf of a
-//! tree a ghosted grid, for callers that want ghosts there.
+//! [`SubGrid::ghosted`] grid — its own interior plus the six face
+//! boxes — in a caller's buffer; it is pure and reads interiors only.
+//! The driver's per-leaf RHS task runs it into a scratch grid of its
+//! worker thread right before the flux sweep, so no step phase fills,
+//! stores or waits for ghosts. The distributed driver still ships whole
+//! leaf grids into each peer's mirror tree; the plan's boxes are what a
+//! slab payload would ship instead. [`fill_all_halos_parallel`] gives
+//! every leaf of a tree a ghosted grid, its faces filled, for callers
+//! that want ghosts there.
 
 use crate::sfc::curve_cmp;
 use crate::shard::ShardMap;
@@ -164,10 +175,10 @@ fn leaf_grid(tree: &Octree, key: MortonKey) -> Option<&SubGrid> {
 /// a tree without grids — builds the same plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterfacePlan {
-    /// The tree's leaves in curve order, each with its run of `slabs`.
-    leaves: Vec<(MortonKey, Range<u32>)>,
-    /// Every leaf's slabs, leaf after leaf, each run in `resolve`'s
-    /// order.
+    /// The tree's leaves in curve order, each with its run of `slabs`
+    /// and where the run's face slabs end.
+    leaves: Vec<(MortonKey, Range<u32>, u32)>,
+    /// Every leaf's slabs, leaf after leaf, each run faces first.
     slabs: Vec<HaloSlab>,
 }
 
@@ -175,65 +186,67 @@ impl InterfacePlan {
     /// Resolve every ghost box of every leaf of `tree` under `bc`.
     /// Relies on 2:1 balance (`Octree::check_invariants`).
     pub fn new(tree: &Octree, bc: BoundaryCondition) -> InterfacePlan {
+        // The 6 faces, then the 12 edges, then the 8 corners: a leaf's
+        // face slabs, all the gather moves, lead its run.
+        let mut order = DIRECTIONS;
+        order.sort_by_key(|&(i, j, k)| [i, j, k].iter().filter(|&&d| d != 0).count());
         let mut slabs = Vec::new();
         let leaves = tree
             .leaves()
             .into_iter()
             .map(|key| {
                 let start = slabs.len() as u32;
-                for dir in DIRECTIONS {
+                let mut faces_end = start;
+                for (n, dir) in order.into_iter().enumerate() {
+                    if n == 6 {
+                        faces_end = slabs.len() as u32;
+                    }
                     resolve(tree, key, dir, bc, |slab| slabs.push(slab));
                 }
-                (key, start..slabs.len() as u32)
+                (key, start..slabs.len() as u32, faces_end)
             })
             .collect();
         slabs.shrink_to_fit();
         InterfacePlan { leaves, slabs }
     }
 
-    /// The slabs of leaf `key`; none when `key` is no leaf of the plan's
-    /// tree (a leaf always has at least 26).
-    fn slabs(&self, key: MortonKey) -> &[HaloSlab] {
-        match self.leaves.binary_search_by(|(leaf, _)| curve_cmp(*leaf, key)) {
+    /// The slabs of leaf `key`, and how many of them, leading, fill its
+    /// six face boxes; none when `key` is no leaf of the plan's tree (a
+    /// leaf always has at least 26 slabs, at least 6 of them faces).
+    fn slabs(&self, key: MortonKey) -> (&[HaloSlab], usize) {
+        match self.leaves.binary_search_by(|(leaf, ..)| curve_cmp(*leaf, key)) {
             Ok(at) => {
-                let run = &self.leaves[at].1;
-                &self.slabs[run.start as usize..run.end as usize]
+                let (_, run, faces_end) = &self.leaves[at];
+                let slabs = &self.slabs[run.start as usize..run.end as usize];
+                (slabs, (faces_end - run.start) as usize)
             }
-            Err(_) => &[],
+            Err(_) => (&[], 0),
         }
     }
 
-    /// The leaves whose interiors [`InterfacePlan::gather`] of `key`
-    /// reads, `key` itself excluded, sorted by key.
+    /// The leaves whose interiors `key`'s ghost boxes read — all 26 of
+    /// them, so a superset of what [`InterfacePlan::gather`] reads —
+    /// `key` itself excluded, sorted by key.
     pub fn sources(&self, key: MortonKey) -> Vec<MortonKey> {
         let set: BTreeSet<MortonKey> =
-            self.slabs(key).iter().map(|slab| slab.source).filter(|&s| s != key).collect();
+            self.slabs(key).0.iter().map(|slab| slab.source).filter(|&s| s != key).collect();
         set.into_iter().collect()
     }
 
-    /// Build leaf `key`'s grid with every ghost cell filled in `out`, a
-    /// [`SubGrid::ghosted`] grid: the interior copied, each ghost box
-    /// moved from its source. Pure — reads interiors only, of grids in
-    /// either layout — and every cell of `out` is overwritten, so one
-    /// buffer serves any number of leaves in turn. `tree` must have the
-    /// plan's topology; it needs grids on `key` and its
+    /// Build in `out`, a [`SubGrid::ghosted`] grid, leaf `key`'s grid as
+    /// the flux sweep reads it: the interior copied and each of the six
+    /// face boxes moved from its sources. The sweep is dimensionally
+    /// split — it reads lines along one axis through the interior — so
+    /// it never reads an edge or corner ghost, and those cells of `out`
+    /// are left as they were. Pure — reads interiors only, of grids in
+    /// either layout — and every cell the sweep reads is overwritten, so
+    /// one buffer serves any number of leaves in turn. `tree` must have
+    /// the plan's topology; it needs grids on `key` and its
     /// [`InterfacePlan::sources`] only.
     pub fn gather(&self, tree: &Octree, key: MortonKey, out: &mut SubGrid) {
-        debug_assert_eq!(out.indexer().ghost, N_GHOST, "ghosts gather into a ghosted grid");
-        let Some(own) = leaf_grid(tree, key) else {
-            debug_assert!(false, "{key:?} is not a leaf with a grid");
-            return;
-        };
-        let slabs = self.slabs(key);
+        let (slabs, faces) = self.slabs(key);
         debug_assert!(!slabs.is_empty(), "{key:?} is not a leaf of the plan's tree");
-        out.copy_box(&BoxMap::same_level((0, 0, 0)), own);
-        for HaloSlab { source, finer, map } in slabs {
-            match leaf_grid(tree, *source) {
-                Some(grid) if *finer => out.average_box(map, grid),
-                Some(grid) => out.copy_box(map, grid),
-                None => debug_assert!(false, "{source:?}, a source of {key:?}, has no leaf grid"),
-            }
-        }
+        move_slabs(tree, key, &slabs[..faces], out);
     }
 
     /// The static send schedule of `shard`: `plan[src][dst]` is the
@@ -260,8 +273,27 @@ impl InterfacePlan {
     }
 }
 
-/// Give every leaf of the tree a [`SubGrid::ghosted`] grid, its ghost
-/// layers filled. The tree's [`InterfacePlan`] is built once; the reads
+/// Copy leaf `key`'s interior into `out`, a [`SubGrid::ghosted`] grid,
+/// and move each of `slabs` — some of `key`'s — from its source.
+fn move_slabs(tree: &Octree, key: MortonKey, slabs: &[HaloSlab], out: &mut SubGrid) {
+    debug_assert_eq!(out.indexer().ghost, N_GHOST, "ghosts gather into a ghosted grid");
+    let Some(own) = leaf_grid(tree, key) else {
+        debug_assert!(false, "{key:?} is not a leaf with a grid");
+        return;
+    };
+    out.copy_box(&BoxMap::same_level((0, 0, 0)), own);
+    for HaloSlab { source, finer, map } in slabs {
+        match leaf_grid(tree, *source) {
+            Some(grid) if *finer => out.average_box(map, grid),
+            Some(grid) => out.copy_box(map, grid),
+            None => debug_assert!(false, "{source:?}, a source of {key:?}, has no leaf grid"),
+        }
+    }
+}
+
+/// Give every leaf of the tree a [`SubGrid::ghosted`] grid, its face
+/// ghosts filled — what the flux sweep reads; its edge and corner ghosts
+/// stay `0.0`. The tree's [`InterfacePlan`] is built once; the reads
 /// are futurized — one [`InterfacePlan::gather`] task per leaf into a
 /// fresh ghosted grid, `when_all` in leaf order — and the writes serial:
 /// each filled grid replaces its leaf's. Every read happens before the
@@ -520,13 +552,25 @@ mod tests {
         t.node(key).unwrap().grid.as_ref().unwrap()
     }
 
-    /// Every cell of every field of every leaf agrees to the bit.
-    fn assert_bit_identical(a: &Octree, b: &Octree, tag: &str) {
+    /// Whether the flux sweep reads cell `(i, j, k)` of a ghosted grid:
+    /// at most one axis outside the interior — the interior and the six
+    /// face boxes.
+    fn swept(i: isize, j: isize, k: isize) -> bool {
+        [i, j, k].iter().filter(|&&c| !(0..N_SUB as isize).contains(&c)).count() <= 1
+    }
+
+    fn everywhere(_: isize, _: isize, _: isize) -> bool {
+        true
+    }
+
+    /// Every cell `on` picks, of every field of every leaf, agrees to the
+    /// bit.
+    fn assert_bit_identical(a: &Octree, b: &Octree, tag: &str, on: fn(isize, isize, isize) -> bool) {
         assert_eq!(a.leaves(), b.leaves());
         for key in a.leaves() {
             let (ga, gb) = (grid(a, key), grid(b, key));
             for f in ALL_FIELDS {
-                for (i, j, k) in ga.indexer().all() {
+                for (i, j, k) in ga.indexer().all().filter(|&(i, j, k)| on(i, j, k)) {
                     assert_eq!(
                         ga.at(f, i, j, k).to_bits(),
                         gb.at(f, i, j, k).to_bits(),
@@ -539,10 +583,37 @@ mod tests {
         }
     }
 
-    /// Every leaf's grid as [`InterfacePlan::gather`] builds it from the
-    /// tree's plan, through one scratch grid that starts as NaN and
-    /// serves the leaves in turn, as a worker's scratch does.
-    fn gathered(t: &Octree, bc: BoundaryCondition) -> Octree {
+    /// Every cell the sweep does not read, of every field of every leaf,
+    /// holds `value`'s bits: a gather leaves those cells as they were.
+    fn assert_unswept_cells_hold(t: &Octree, value: f64, tag: &str) {
+        for key in t.leaves() {
+            let g = grid(t, key);
+            for f in ALL_FIELDS {
+                for (i, j, k) in g.indexer().all().filter(|&(i, j, k)| !swept(i, j, k)) {
+                    let got = g.at(f, i, j, k);
+                    let at = (i, j, k);
+                    assert_eq!(got.to_bits(), value.to_bits(), "{tag}: {key:?} {f:?} {at:?}: {got}");
+                }
+            }
+        }
+    }
+
+    /// Leaf `key`'s interior and every slab of its run — faces, edges
+    /// and corners — moved into `out`: the whole ghost geometry the plan
+    /// resolves, which defines [`InterfacePlan::sources`] and the push
+    /// plan, though the gather moves the faces only.
+    fn gather_every_slab(plan: &InterfacePlan, t: &Octree, key: MortonKey, out: &mut SubGrid) {
+        move_slabs(t, key, plan.slabs(key).0, out);
+    }
+
+    /// Every leaf's grid as `gather` builds it from the tree's plan,
+    /// through one scratch grid that starts as NaN and serves the leaves
+    /// in turn, as a worker's scratch does.
+    fn gathered(
+        t: &Octree,
+        bc: BoundaryCondition,
+        gather: fn(&InterfacePlan, &Octree, MortonKey, &mut SubGrid),
+    ) -> Octree {
         let plan = InterfacePlan::new(t, bc);
         let mut scratch = SubGrid::ghosted();
         for f in ALL_FIELDS {
@@ -550,7 +621,7 @@ mod tests {
         }
         let mut out = t.clone();
         for key in t.leaves() {
-            plan.gather(t, key, &mut scratch);
+            gather(&plan, t, key, &mut scratch);
             out.node_mut(key).unwrap().grid = Some(scratch.clone());
         }
         out
@@ -563,31 +634,56 @@ mod tests {
         want
     }
 
-    /// The per-leaf gather and the whole-tree fill (on 1 and 4 workers)
-    /// of `t` equal the oracle's under both boundary conditions.
+    /// Under `bc`: moving every slab of each leaf reproduces `want`, the
+    /// oracle's fill, on all 2 232 ghost cells; the gather reproduces it
+    /// on every cell the sweep reads and leaves the edge and corner
+    /// cells NaN, as its scratch had them.
+    fn assert_gathers_match(t: &Octree, bc: BoundaryCondition, want: &Octree) {
+        let every = gathered(t, bc, gather_every_slab);
+        assert_bit_identical(want, &every, &format!("{bc:?}, every slab"), everywhere);
+        let got = gathered(t, bc, InterfacePlan::gather);
+        assert_bit_identical(want, &got, &format!("{bc:?}, gathered"), swept);
+        assert_unswept_cells_hold(&got, f64::NAN, &format!("{bc:?}, gathered"));
+    }
+
+    /// [`assert_gathers_match`] the oracle under both boundary
+    /// conditions, and the whole-tree fill (on 1 and 4 workers) matches
+    /// it on every cell the sweep reads, its fresh grids' edge and corner
+    /// cells left `0.0`.
     fn assert_matches_oracle(t: &Octree) {
         for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
             let want = oracle(t, bc);
-            assert_bit_identical(&want, &gathered(t, bc), &format!("{bc:?}, gathered"));
+            assert_gathers_match(t, bc, &want);
             for threads in [1, 4] {
                 let got = filled(t.clone(), bc, threads);
-                assert_bit_identical(&want, &got, &format!("{bc:?}, {threads} threads"));
+                let tag = format!("{bc:?}, {threads} threads");
+                assert_bit_identical(&want, &got, &tag, swept);
+                assert_unswept_cells_hold(&got, 0.0, &tag);
+            }
+        }
+    }
+
+    /// Every cell `on` picks, in `Rho` of every leaf, is `value` to
+    /// within `tol`.
+    fn assert_constant(t: &Octree, value: f64, tol: f64, on: fn(isize, isize, isize) -> bool) {
+        for key in t.leaves() {
+            let grid = grid(t, key);
+            for (i, j, k) in grid.indexer().all().filter(|&(i, j, k)| on(i, j, k)) {
+                let got = grid.at(Field::Rho, i, j, k);
+                let at = (i, j, k);
+                assert!((got - value).abs() < tol, "ghost at {key:?} {at:?} broke constancy: {got}");
             }
         }
     }
 
     #[test]
     fn constant_field_fills_all_ghosts_constant() {
-        let t = filled(tree_with_profile(|_, _, _| 2.5, 3), BoundaryCondition::Outflow, 1);
-        for key in t.leaves() {
-            let grid = grid(&t, key);
-            for (i, j, k) in grid.indexer().all() {
-                assert!(
-                    (grid.at(Field::Rho, i, j, k) - 2.5).abs() < 1e-14,
-                    "ghost at {key:?} ({i},{j},{k}) broke constancy"
-                );
-            }
-        }
+        let t = tree_with_profile(|_, _, _| 2.5, 3);
+        let every = gathered(&t, BoundaryCondition::Outflow, gather_every_slab);
+        assert_constant(&every, 2.5, 1e-14, everywhere);
+        let t = filled(t, BoundaryCondition::Outflow, 1);
+        assert_constant(&t, 2.5, 1e-14, swept);
+        assert_unswept_cells_hold(&t, 0.0, "filled");
     }
 
     #[test]
@@ -640,16 +736,11 @@ mod tests {
         let t = tree_with_profile(|_, _, _| 7.0, 2);
         t.check_invariants();
         assert!(t.max_level() >= 2);
+        let every = gathered(&t, BoundaryCondition::Outflow, gather_every_slab);
+        assert_constant(&every, 7.0, 1e-13, everywhere);
         let t = filled(t, BoundaryCondition::Outflow, 1);
-        for key in t.leaves() {
-            let grid = grid(&t, key);
-            for (i, j, k) in grid.indexer().all() {
-                assert!(
-                    (grid.at(Field::Rho, i, j, k) - 7.0).abs() < 1e-13,
-                    "AMR interface ghost at {key:?} broke constancy"
-                );
-            }
-        }
+        assert_constant(&t, 7.0, 1e-13, swept);
+        assert_unswept_cells_hold(&t, 0.0, "filled");
     }
 
     #[test]
@@ -662,19 +753,9 @@ mod tests {
             let mut par = Arc::new(tree_with_profile(profile, 2));
             let rt = amt::Runtime::new(threads);
             fill_all_halos_parallel(&mut par, BoundaryCondition::Outflow, &rt);
-            for key in serial.leaves() {
-                let a = serial.node(key).unwrap().grid.as_ref().unwrap();
-                let b = par.node(key).unwrap().grid.as_ref().unwrap();
-                for f in ALL_FIELDS {
-                    for (i, j, k) in a.indexer().all() {
-                        assert_eq!(
-                            a.at(f, i, j, k).to_bits(),
-                            b.at(f, i, j, k).to_bits(),
-                            "halo mismatch at {key:?} ({i},{j},{k}) with {threads} threads"
-                        );
-                    }
-                }
-            }
+            let tag = format!("{threads} threads");
+            assert_bit_identical(&serial, &par, &tag, swept);
+            assert_unswept_cells_hold(&par, 0.0, &tag);
         }
     }
 
@@ -697,8 +778,8 @@ mod tests {
         let profile = |x: f64, y: f64, z: f64| (0.7 * x).cos() + 0.3 * y - 0.01 * z * z;
         let t = corner_tree(profile);
         assert_matches_oracle(&t);
-        let out = filled(t.clone(), BoundaryCondition::Outflow, 1);
-        let refl = filled(t, BoundaryCondition::Reflect, 1);
+        let out = gathered(&t, BoundaryCondition::Outflow, gather_every_slab);
+        let refl = gathered(&t, BoundaryCondition::Reflect, gather_every_slab);
         let a = MortonKey::new(1, 0, 1, 0); // level 1, on the -x and -z faces
         let b = MortonKey::new(2, 0, 1, 0); // level 2, same faces, child of (1; 0,0,0)
         for f in [Field::Rho, Field::Sy, Field::Atmosphere] {
@@ -864,7 +945,7 @@ mod tests {
 
     /// Does leaf `of` have a slab reading `source` (at `finer`)?
     fn reads(plan: &InterfacePlan, of: MortonKey, source: MortonKey, finer: bool) -> bool {
-        plan.slabs(of).iter().any(|slab| slab.source == source && slab.finer == finer)
+        plan.slabs(of).0.iter().any(|slab| slab.source == source && slab.finer == finer)
     }
 
     proptest! {
@@ -872,7 +953,8 @@ mod tests {
         /// Every interface is seen from both sides — a same-level slab
         /// A←B has a B←A, a finer slab A←c a coarse one c←A and a coarse
         /// slab c←A a finer one A←c — and each leaf's slab boxes tile
-        /// its 2 232 ghost cells exactly once, never an interior cell.
+        /// its 2 232 ghost cells exactly once, never an interior cell,
+        /// the face slabs leading the run and tiling the face cells.
         #[test]
         fn plan_is_symmetric_and_tiles_every_ghost_cell_once(
             picks in proptest::collection::vec(any::<u64>(), 0..12),
@@ -883,7 +965,8 @@ mod tests {
                 for leaf in t.leaves() {
                     let indexer = SubGrid::ghosted().indexer();
                     let mut hits = vec![0u8; indexer.len()];
-                    for slab in plan.slabs(leaf) {
+                    let (slabs, faces) = plan.slabs(leaf);
+                    for (n, slab) in slabs.iter().enumerate() {
                         let other = slab.source;
                         if slab.finer {
                             prop_assert_eq!(other.level, leaf.level + 1);
@@ -897,6 +980,8 @@ mod tests {
                         }
                         for (i, j, k) in slab.map.cells() {
                             prop_assert!(!indexer.is_interior(i, j, k), "{:?} writes its interior", leaf);
+                            let face = n < faces;
+                            prop_assert_eq!(swept(i, j, k), face, "{:?} slab {}", leaf, n);
                             hits[indexer.idx(i, j, k)] += 1;
                         }
                     }
@@ -930,7 +1015,7 @@ mod tests {
             t.check_invariants();
             paint(&mut t, |x, y, z| (0.4 * x + phase).sin() + 0.05 * y * z + 2.0);
             for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
-                assert_bit_identical(&oracle(&t, bc), &gathered(&t, bc), &format!("{bc:?}"));
+                assert_gathers_match(&t, bc, &oracle(&t, bc));
             }
         }
     }

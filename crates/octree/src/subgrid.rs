@@ -20,8 +20,10 @@ pub const N_SUB: usize = 8;
 /// Ghost cells per side of the grid the flux sweep reads
 /// ([`SubGrid::ghosted`]). The sweep needs reconstructed states in the
 /// first ghost cell, whose PPM stencil reaches two cells further —
-/// three ghosts total, as in Octo-Tiger (`H_BW = 3`). A leaf's grid in
-/// the tree has none.
+/// three ghosts total, as in Octo-Tiger (`H_BW = 3`). It sweeps one
+/// axis at a time through the interior, so it reads the six face boxes
+/// of that depth and no edge or corner ghost. A leaf's grid in the
+/// tree has none.
 pub const N_GHOST: usize = 3;
 
 /// The evolved variables of §4.2.
@@ -184,7 +186,9 @@ impl SubGrid {
     }
 
     /// A zero-filled grid with `N_GHOST` ghost layers around the
-    /// interior — what the flux sweep reads.
+    /// interior — the layout the flux sweep reads, which is the interior
+    /// and the six face boxes; the edge and corner boxes are there for
+    /// the layout's sake and nothing fills them in a run.
     pub fn ghosted() -> SubGrid {
         Self::zeroed(GridIndexer::new(N_SUB, N_GHOST))
     }

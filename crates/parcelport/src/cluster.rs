@@ -97,11 +97,9 @@ pub struct Locality {
     /// so there is no caller to return them to; they are parked here
     /// and counted in `handler_errors`.
     failures: Mutex<Vec<Error>>,
-    /// `parcelport/<kind>/{parcels_tx, bytes_tx, handler_errors}`: what
-    /// this locality put on the wire (local dispatches are not counted)
-    /// and its handlers' failures.
-    parcels_tx: Counter,
-    bytes_tx: Counter,
+    /// `parcelport/<kind>/handler_errors`: its handlers' failures. What
+    /// goes on the wire is counted by the raw fabric, under the same
+    /// prefix.
     handler_errors: Counter,
 }
 
@@ -139,8 +137,6 @@ impl Locality {
             let _span = trace::span_labeled(TraceCategory::ParcelSend, || {
                 format!("{}:{}B", self.transport.kind().as_str(), wire)
             });
-            self.parcels_tx.increment();
-            self.bytes_tx.add(wire);
             self.transport.send(self.index, parcel);
         }
         Ok(())
@@ -321,8 +317,6 @@ impl ClusterBuilder {
                     n_localities: n,
                     transport: Arc::clone(&transport),
                     failures: Mutex::new(Vec::new()),
-                    parcels_tx: fabric.counter("parcels_tx"),
-                    bytes_tx: fabric.counter("bytes_tx"),
                     handler_errors: fabric.counter("handler_errors"),
                 })
             })
@@ -704,6 +698,52 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, Error::BadLocality { index: 7, count: 2 });
+    }
+
+    /// The raw fabric counts what it carries, below the reliable layer:
+    /// with that layer on and no faults, every data frame, ack and
+    /// resent frame it is handed arrives, so `parcels_tx` equals the
+    /// fabric's own `parcels/received` — 20 parcels, 20 acks and a copy
+    /// and a re-ack per retransmission — and `bytes_tx` counts the
+    /// frames, exactly when nothing was resent.
+    #[test]
+    fn wire_counters_count_every_frame_the_fabric_carries() {
+        for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+            let cluster = Cluster::builder()
+                .localities(2)
+                .threads_per(2)
+                .transport(kind)
+                .reliable(ReliablePolicy::default())
+                .build();
+            cluster.register_raw_action(ActionId(3), |_rt, _id, _p| {});
+            let mut payload_bytes = 0;
+            for n in 0..20u32 {
+                let len = 64usize << (n % 8);
+                payload_bytes += len as u64;
+                let parcel = Parcel {
+                    dest_locality: 1 - n % 2,
+                    dest_component: GlobalId(n as u64),
+                    action: ActionId(3),
+                    payload: Bytes::from(vec![0u8; len]),
+                };
+                cluster.locality((n % 2) as usize).try_send(parcel).unwrap();
+            }
+            cluster.wait_quiescent();
+            let m = cluster.metrics();
+            let fabric = format!("parcelport/{}", kind.as_str());
+            let sent = m.get(&format!("{fabric}/parcels_tx"));
+            let retries = m.get("parcelport/retries");
+            assert_eq!(sent, m.get(&format!("{fabric}/parcels/received")), "{kind}");
+            assert_eq!(sent, 40 + 2 * retries, "{kind}");
+            let frame = (Parcel::HEADER_BYTES + crate::reliable::FRAME_BYTES) as u64;
+            let framed = payload_bytes + 40 * frame;
+            let bytes = m.get(&format!("{fabric}/bytes_tx"));
+            if retries == 0 {
+                assert_eq!(bytes, framed, "{kind}");
+            } else {
+                assert!(bytes >= framed + 2 * retries * frame, "{kind}: {bytes}, {retries} resent");
+            }
+        }
     }
 
     #[test]

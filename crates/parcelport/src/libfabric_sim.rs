@@ -72,6 +72,8 @@ pub struct LibfabricTransport {
     registrations: Arc<AtomicUsize>,
     rma_puts: Counter,
     received: Counter,
+    parcels_tx: Counter,
+    bytes_tx: Counter,
 }
 
 impl LibfabricTransport {
@@ -80,8 +82,8 @@ impl LibfabricTransport {
         Self::with_metrics(n_localities, &Metrics::new())
     }
 
-    /// A fabric counting `libfabric/rma_puts` and `parcels/received`
-    /// into `metrics`.
+    /// A fabric counting `libfabric/rma_puts`, `parcels/received` and
+    /// what it was handed to send, `{parcels, bytes}_tx`, into `metrics`.
     pub(crate) fn with_metrics(n_localities: usize, metrics: &Metrics) -> LibfabricTransport {
         LibfabricTransport {
             locs: (0..n_localities)
@@ -94,6 +96,8 @@ impl LibfabricTransport {
             registrations: Arc::new(AtomicUsize::new(0)),
             rma_puts: metrics.counter("libfabric/rma_puts"),
             received: metrics.counter("parcels/received"),
+            parcels_tx: metrics.counter("parcels_tx"),
+            bytes_tx: metrics.counter("bytes_tx"),
         }
     }
 
@@ -110,6 +114,8 @@ impl Transport for LibfabricTransport {
 
     fn send(&self, _from: u32, parcel: Parcel) {
         assert!((parcel.dest_locality as usize) < self.locs.len(), "bad destination");
+        self.parcels_tx.increment();
+        self.bytes_tx.add(parcel.wire_size() as u64);
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         // Pin the payload; ship only the descriptor. Delivery performs
         // the RMA "get" by taking the refcounted handle.

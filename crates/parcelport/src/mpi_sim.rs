@@ -69,6 +69,8 @@ pub struct MpiTransport {
     received: Counter,
     eager_sends: Counter,
     rendezvous_sends: Counter,
+    parcels_tx: Counter,
+    bytes_tx: Counter,
 }
 
 impl MpiTransport {
@@ -77,8 +79,9 @@ impl MpiTransport {
         Self::with_metrics(n_localities, &Metrics::new())
     }
 
-    /// A fabric counting `parcels/{payload_copies, received}` and
-    /// `mpi/{eager, rendezvous}_sends` into `metrics`.
+    /// A fabric counting `parcels/{payload_copies, received}`,
+    /// `mpi/{eager, rendezvous}_sends` and what it was handed to send,
+    /// `{parcels, bytes}_tx`, into `metrics`.
     pub(crate) fn with_metrics(n_localities: usize, metrics: &Metrics) -> MpiTransport {
         MpiTransport {
             locs: (0..n_localities)
@@ -94,6 +97,8 @@ impl MpiTransport {
             received: metrics.counter("parcels/received"),
             eager_sends: metrics.counter("mpi/eager_sends"),
             rendezvous_sends: metrics.counter("mpi/rendezvous_sends"),
+            parcels_tx: metrics.counter("parcels_tx"),
+            bytes_tx: metrics.counter("bytes_tx"),
         }
     }
 
@@ -119,6 +124,8 @@ impl Transport for MpiTransport {
 
     fn send(&self, from: u32, parcel: Parcel) {
         assert!((parcel.dest_locality as usize) < self.locs.len(), "bad destination");
+        self.parcels_tx.increment();
+        self.bytes_tx.add(parcel.wire_size() as u64);
         if parcel.payload.len() <= EAGER_THRESHOLD {
             // Copy #1: pack the payload into the eager envelope.
             let data = parcel.payload.to_vec();

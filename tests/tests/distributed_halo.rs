@@ -3,7 +3,8 @@
 //! parcel over either parcelport, and the receiver moves the ghost box
 //! out of it into a ghosted grid with the fill's own all-fields box
 //! copy — bit-exact in all 26 directions. And the leaves a leaf's ghost
-//! gather reads are exactly the sources its interface plan lists.
+//! gather reads are exactly the leaves sharing a face with it, all of
+//! them among the sources its interface plan lists.
 
 use amt::GlobalId;
 use integration_tests::star_amr;
@@ -168,10 +169,12 @@ fn all_26_directions_roundtrip_over_the_wire() {
 }
 
 /// The leaves whose interiors the gather of `leaf` through `plan` reads,
-/// observed from outside: every leaf's interior is painted with its own index in
-/// all fields (copies, injections and 8-cell averages of one leaf's
-/// cells all reproduce a small integer exactly), then the distinct
-/// values in the gathered ghosts name the leaves that were read.
+/// observed from outside: every leaf's interior is painted with its own
+/// index in all fields (copies, injections and 8-cell averages of one
+/// leaf's cells all reproduce a small integer exactly), then the
+/// distinct values in the gathered ghosts name the leaves that were
+/// read. The scratch starts as NaN, and the cells the gather leaves
+/// alone — exactly the edge and corner ghosts — stay NaN.
 fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, plan: &InterfacePlan) -> Vec<MortonKey> {
     let leaves = tree.leaves();
     let mut tagged = tree.clone();
@@ -182,12 +185,20 @@ fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, plan: &InterfacePlan) -> 
         }
     }
     let mut grid = SubGrid::ghosted();
+    for f in ALL_FIELDS {
+        grid.field_mut(f).fill(f64::NAN);
+    }
     plan.gather(&tagged, leaf, &mut grid);
     let indexer = grid.indexer();
     let mut read = std::collections::BTreeSet::new();
     for f in ALL_FIELDS {
         for (i, j, k) in indexer.all().filter(|&(i, j, k)| !indexer.is_interior(i, j, k)) {
             let tag = grid.at(f, i, j, k);
+            let outside = [i, j, k].iter().filter(|&&c| !(0..8).contains(&c)).count();
+            if outside > 1 {
+                assert!(tag.is_nan(), "{leaf:?} {f:?} ({i},{j},{k}): an edge or corner ghost written");
+                continue;
+            }
             assert_eq!(tag.fract(), 0.0, "{leaf:?} {f:?} ({i},{j},{k}) mixes leaves: {tag}");
             read.insert(leaves[tag as usize]);
         }
@@ -196,21 +207,46 @@ fn leaves_read_by_fill(tree: &Octree, leaf: MortonKey, plan: &InterfacePlan) -> 
     read.into_iter().collect()
 }
 
+/// Two leaves share a face: their boxes, compared at the finer level,
+/// touch along one axis and overlap with positive length along the
+/// other two.
+fn share_a_face(a: MortonKey, b: MortonKey) -> bool {
+    let level = a.level.max(b.level);
+    let span = |key: MortonKey| {
+        let (x, y, z) = key.coords();
+        let size = 1i64 << (level - key.level);
+        [x, y, z].map(|c| (c as i64 * size, (c as i64 + 1) * size))
+    };
+    let (sa, sb) = (span(a), span(b));
+    let touching = (0..3).filter(|&ax| sa[ax].1 == sb[ax].0 || sb[ax].1 == sa[ax].0).count();
+    let overlapping = (0..3).filter(|&ax| sa[ax].0 < sb[ax].1 && sb[ax].0 < sa[ax].1).count();
+    touching == 1 && overlapping == 2
+}
+
 #[test]
-fn a_fill_reads_exactly_its_halo_sources() {
-    // What the plan lists as a leaf's sources — what the push plan and
-    // the resident sets project — is what its gather reads: on the
-    // corner-refined `star_amr` tree and on a half-refined one (coarse
-    // faces tiled by four fine children), under both boundary conditions.
+fn a_fill_reads_exactly_its_face_sources() {
+    // The gather of a leaf reads exactly the leaves sharing a face with
+    // it — the flux sweep reads face ghosts only — and those are among
+    // the sources the plan lists, which the push plan and the resident
+    // sets project: on the corner-refined `star_amr` tree and on a
+    // half-refined one (coarse faces tiled by four fine children), under
+    // both boundary conditions.
     let mut half = Octree::new(Domain::new(16.0));
     half.refine_where(2, |d, k| d.node_origin(k).x < 0.0);
     for tree in [star_amr().tree, half] {
         tree.check_invariants();
+        let leaves = tree.leaves();
         for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {
             let plan = InterfacePlan::new(&tree, bc);
-            for leaf in tree.leaves() {
+            for &leaf in &leaves {
+                let mut faces: Vec<MortonKey> =
+                    leaves.iter().copied().filter(|&other| share_a_face(leaf, other)).collect();
+                faces.sort();
+                let read = leaves_read_by_fill(&tree, leaf, &plan);
+                assert_eq!(read, faces, "{leaf:?} {bc:?}");
                 let planned = plan.sources(leaf);
-                assert_eq!(leaves_read_by_fill(&tree, leaf, &plan), planned, "{leaf:?} {bc:?}");
+                let within = read.iter().all(|s| planned.contains(s));
+                assert!(within, "{leaf:?} {bc:?}: {read:?} ⊄ {planned:?}");
             }
         }
     }
