@@ -391,13 +391,6 @@ impl TraceGuard {
     fn disarmed(cat: TraceCategory) -> TraceGuard {
         TraceGuard { cat, label: None, t0_ns: 0, armed: false }
     }
-
-    /// Disarm the guard: nothing is recorded when it drops. For sites
-    /// that only learn after the fact whether the interval is worth a
-    /// span (e.g. a kernel launch that fell back to the CPU).
-    pub fn cancel(&mut self) {
-        self.armed = false;
-    }
 }
 
 impl Drop for TraceGuard {

@@ -13,7 +13,7 @@
 //!    worker utilization, the GPU launch-aggregation collapse of an FMM
 //!    solve's items replayed in virtual time, and a timed checkpoint
 //!    encode/restore round-trip. No hand-entered kernel constants anywhere.
-//! 2. **Co-simulate** — run the [`perfmodel::des`] event loop over the
+//! 2. **Co-simulate** — run the [`perfmodel::des`] step recurrence over the
 //!    real level-14 V1309 octree decomposition at 1…5400 simulated
 //!    localities × {MPI, libfabric}, producing Fig-2 throughput /
 //!    efficiency curves and the Fig-3 transport ratio.

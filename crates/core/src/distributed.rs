@@ -743,10 +743,11 @@ impl DistributedDriver {
     /// leaf, launched on *all* localities first, then collected, as the
     /// stage tasks are. Each shard folds its dts in SFC order
     /// and sends the minimum to every peer as a [`DT_ACTION`] parcel;
-    /// every locality folds its own and the received minima, ordered by
-    /// sender, with `f64::min` — bit-equal to the global ordered fold,
-    /// because `f64::min` gives one answer in any order on positive
-    /// dts and skips a NaN wherever it stands.
+    /// every locality folds the received minima onto its own with
+    /// `f64::min` — bit-equal to the global ordered fold, because
+    /// `f64::min` gives one answer in any order on positive dts and
+    /// skips a NaN wherever it stands (and a shard's own minimum,
+    /// folded from infinity, is never NaN).
     pub fn compute_dt(&self) -> Result<f64> {
         let _span = trace::span(TraceCategory::DtReduce);
         let (stepper, cfl) = (self.stepper, self.config.cfl);
@@ -773,14 +774,7 @@ impl DistributedDriver {
         let minima: Vec<f64> = inbound
             .into_iter()
             .zip(&local_dts)
-            .enumerate()
-            .map(|(loc, (msgs, &own))| {
-                // In sender order: the received minima, its own in place.
-                let at = msgs.partition_point(|m| m.from < loc as u32);
-                let dts = msgs.iter().map(|m| m.dt);
-                let in_order = dts.clone().take(at).chain([own]).chain(dts.skip(at));
-                in_order.fold(f64::INFINITY, f64::min)
-            })
+            .map(|(msgs, &own)| msgs.iter().map(|m| m.dt).fold(own, f64::min))
             .collect();
         let dt = minima[0];
         debug_assert!(

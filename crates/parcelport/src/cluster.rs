@@ -1000,4 +1000,51 @@ mod tests {
         assert!(m.get("parcelport/acks") > 0, "the reliable layer is on");
         assert!(cluster.fault_layer().is_none());
     }
+
+    /// On a fault-free fabric nothing is lost, so nothing is resent,
+    /// however long an ack waits: locality 0's only worker sends one
+    /// parcel and then spins for 100 ms, so the ack sits in its queue
+    /// while locality 1's idle worker keeps polling — many more polls
+    /// than the backoff.
+    #[test]
+    fn an_ack_waiting_behind_a_busy_locality_is_not_resent() {
+        for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+            let cluster = Arc::new(
+                Cluster::builder()
+                    .localities(2)
+                    .threads_per(1)
+                    .transport(kind)
+                    .reliable(crate::reliable::ReliablePolicy {
+                        initial_backoff_ticks: 8,
+                        ..Default::default()
+                    })
+                    .build(),
+            );
+            let hits = Arc::new(AtomicUsize::new(0));
+            let h = Arc::clone(&hits);
+            let bump = cluster.register_action(ActionId(16), move |_rt, _id, _x: u64| {
+                h.fetch_add(1, Ordering::SeqCst);
+            });
+            let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let (c, d) = (Arc::clone(&cluster), Arc::clone(&done));
+            cluster.locality(0).runtime().spawn(move || {
+                c.locality(0).send_action(bump, 1, GlobalId(0), &7u64).unwrap();
+                let t0 = std::time::Instant::now();
+                while t0.elapsed() < std::time::Duration::from_millis(100) {
+                    std::hint::spin_loop();
+                }
+                d.store(true, Ordering::SeqCst);
+            });
+            // Sleep rather than help: this thread must not poll locality
+            // 0 while its worker is busy.
+            while !done.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            cluster.wait_quiescent();
+            assert_eq!(hits.load(Ordering::SeqCst), 1, "{kind}");
+            let m = cluster.metrics();
+            assert_eq!(m.get("parcelport/acked"), 1, "{kind}");
+            assert_eq!(m.get("parcelport/retries"), 0, "{kind}: a frame was resent");
+        }
+    }
 }

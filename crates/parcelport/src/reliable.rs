@@ -11,7 +11,10 @@
 //!   drops);
 //! * unacked frames are **retransmitted** with exponential backoff,
 //!   measured in progress *ticks* (one tick per [`Transport::progress`]
-//!   call) so the protocol stays deterministic and wall-clock free;
+//!   call made while the fabric below carries nothing: a frame or ack
+//!   still in flight may yet arrive) so the protocol stays
+//!   deterministic and wall-clock free, and a fault-free fabric never
+//!   resends;
 //! * a per-`(sender, receiver)` **watermark + above-watermark set**
 //!   suppresses duplicates, so every action dispatches *effectively
 //!   once* even under duplication and retransmission;
@@ -124,7 +127,8 @@ struct ReliableState {
 pub struct ReliableTransport {
     inner: Arc<dyn Transport>,
     policy: ReliablePolicy,
-    /// Logical clock: one tick per `progress` call, fabric-wide.
+    /// Logical clock: one tick per `progress` call, fabric-wide, made
+    /// while the layer below has nothing in flight.
     ticks: AtomicU64,
     state: Arc<Mutex<ReliableState>>,
     /// Cheap mirror of the total unacked-frame count (feeds
@@ -238,7 +242,15 @@ impl Transport for ReliableTransport {
     }
 
     fn progress(&self, locality: u32) -> bool {
-        let now = self.ticks.fetch_add(1, Ordering::SeqCst);
+        // The retransmit clock runs only while nothing below is in
+        // flight: a frame or ack still queued may yet be delivered, so
+        // polls meanwhile (an idle peer's, say, while the ack waits
+        // behind a busy locality) must not age it into a resend.
+        let now = if self.inner.in_flight() == 0 {
+            self.ticks.fetch_add(1, Ordering::SeqCst)
+        } else {
+            self.ticks.load(Ordering::SeqCst)
+        };
         let mut progressed = self.inner.progress(locality);
         // Retransmit sweep. try_lock: under contention another poller
         // thread is already sweeping, skip rather than serialize.

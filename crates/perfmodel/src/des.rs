@@ -1,22 +1,23 @@
-//! Trace-calibrated discrete-event co-simulation of the full machine —
-//! the scale-out model behind the reproduced Figures 2 and 3 (see
-//! REPRODUCTION.md).
+//! Trace-calibrated co-simulation of the full machine — the scale-out
+//! model behind the reproduced Figures 2 and 3 (see REPRODUCTION.md).
 //!
-//! This module *runs* the machine: every simulated locality is a trio of
-//! [`Component`] objects (a worker-pool core, a NIC, a CUDA-stream set)
-//! cycling over a shared [`SimContext`] event queue. The workload is the
-//! real octree decomposition — [`CommPattern::from_tree`] partitions the
-//! actual V1309 structure tree with the SFC sharder and extracts the
-//! leaf-halo push plan — and every cost constant comes from a measured
+//! The model is barrier-synchronous, so it is one recurrence over steps:
+//! a step releases all localities together and ends at the last
+//! locality's arrival plus the dt allreduce, where the next step
+//! starts. A simulated locality is a worker-pool core, a NIC and a
+//! CUDA-stream set; their per-step times are local variables of
+//! [`simulate_scaleout`]'s loop. The workload is the real octree
+//! decomposition — [`CommPattern::from_tree`] partitions the actual
+//! V1309 structure tree with the SFC sharder and extracts the leaf-halo
+//! push plan — and every cost constant comes from a measured
 //! [`Calibration`] (kernel-duration histograms, parcel-size
 //! distributions, launch-aggregation collapse), not from hand-entered
 //! numbers. The only engineering estimate left is the Aries wire model
 //! ([`NetParams`]), which this repro-band host cannot measure.
 //!
-//! # Per-step event flow
+//! # One step
 //!
-//! 1. The barrier releases all localities at a common time `T`
-//!    ([`Payload::StepStart`] to every component).
+//! 1. All localities start at a common time `T`.
 //! 2. Each **core** samples its per-pass compute wall time from the
 //!    calibrated histograms: pass wall = max(pass work ÷ effective
 //!    threads, longest sampled span) — the critical-path floor that
@@ -24,30 +25,33 @@
 //! 3. Each **stream set** charges `ceil(items / collapse) ×
 //!    launch_overhead` for the aggregated GPU launches, overlapped with
 //!    compute.
-//! 4. Each **NIC** serializes its outbound channels: per-message send
-//!    CPU is drawn from the *measured* `parcel/send` span-duration
+//! 4. Each **NIC** serializes its outbound channels from `T`: per-message
+//!    send CPU is drawn from the *measured* `parcel/send` span-duration
 //!    histogram (same host clock as the kernel histograms, so compute
 //!    and communication stay in one unit system) and scaled by the
 //!    NetParams ratio between the simulated and the measured transport
 //!    — the wire model supplies only *relative* transport cost. The
-//!    channel's sampled bytes go on the wire; the destination NIC
-//!    serializes receive processing (measured `parcel/recv` durations,
-//!    same scaling) and reports halo completion.
-//! 5. A locality arrives at the barrier when compute ∧ streams ∧ halos
-//!    are done; the barrier release adds a `2⌈log₂N⌉·latency` allreduce
+//!    channel's sampled bytes go on the wire and arrive at
+//!    `send end + wire`.
+//! 5. Deliveries are processed in (arrival, send order). The receiving
+//!    NIC, free from the end of its own sends, serializes receive
+//!    processing (measured `parcel/recv` durations, same scaling):
+//!    `free = max(free, arrival) + recv_cpu`. Its halos are done at its
+//!    last delivery, or at `T` if nothing is sent to it.
+//! 6. A locality arrives when compute ∧ streams ∧ halos are done; the
+//!    step ends at the last arrival plus a `2⌈log₂N⌉·latency` allreduce
 //!    (the dt reduction).
 //!
-//! The barrier component is the model of that dt reduction as a tree
-//! allreduce, the form a real machine runs. The in-process
-//! `core::distributed` driver has no barrier: its dt reduce is one
-//! all-to-all exchange round of per-locality minima, n(n−1) parcels,
-//! which is fine at the ≤ 4 localities the tests run and is not what
-//! this model prices at 5400.
+//! The allreduce is the model of that dt reduction as a tree, the form a
+//! real machine runs. The in-process `core::distributed` driver has no
+//! barrier: its dt reduce is one all-to-all exchange round of
+//! per-locality minima, n(n−1) parcels, which is fine at the ≤ 4
+//! localities the tests run and is not what this model prices at 5400.
 //!
-//! Determinism: the event queue is totally ordered by (time bits,
-//! sequence number) and every component owns its own splitmix64 stream
-//! seeded from `(seed, component id)`, so a `(pattern, calibration,
-//! seed)` triple always yields bit-identical [`ScalingPoint`]s.
+//! Determinism: one splitmix64 stream per core and one per NIC, seeded
+//! from `(seed, locality)` and drawn in a fixed order; deliveries in
+//! (arrival, send order). So a `(pattern, calibration, seed)` triple
+//! always yields bit-identical [`ScalingPoint`]s.
 //!
 //! # Example
 //!
@@ -71,16 +75,13 @@
 
 use crate::calibrate::{Calibration, KernelCal};
 use crate::scaling::ScalingPoint;
-use amt::trace::DurationHistogram;
 use octree::shard::ShardMap;
 use octree::tree::Octree;
 use parcelport::netmodel::{NetParams, TransportKind};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use util::error::{Error, Result};
 
-/// A tiny deterministic splitmix64 stream; every component owns one so
-/// simulation results are independent of event-dispatch details.
+/// A tiny deterministic splitmix64 stream; every core and NIC owns one
+/// so each draws the same words whatever the others do.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(u64);
 
@@ -107,7 +108,7 @@ impl SplitMix64 {
 
 // ---------------------------------------------------------------------
 // Communication pattern: the real tree decomposition, reduced to what
-// the DES needs (per-locality sub-grid counts and the channel census).
+// the model needs (per-locality sub-grid counts and the channel census).
 // ---------------------------------------------------------------------
 
 /// One static src → dst halo channel and its leaf-halo messages per step.
@@ -134,13 +135,9 @@ pub struct CommPattern {
     pub subgrids: usize,
     /// Sub-grids owned by each locality.
     pub owned: Vec<u32>,
-    /// All src → dst halo channels.
+    /// All src → dst halo channels, by sending locality: a locality's
+    /// NIC sends its run of channels in this order.
     pub channels: Vec<ChannelSpec>,
-    /// Inbound channel count per locality.
-    pub inbound: Vec<u32>,
-    /// Outbound channel indices (into [`CommPattern::channels`]) per
-    /// locality.
-    pub outbound: Vec<Vec<u32>>,
 }
 
 impl CommPattern {
@@ -152,17 +149,10 @@ impl CommPattern {
         }
         let map = ShardMap::partition(tree, localities)?;
         let plan = map.halo_push_plan(tree);
-        let mut owned = Vec::with_capacity(localities);
-        for shard in 0..localities {
-            owned.push(map.owned(shard as u32).len() as u32);
-        }
+        let owned = (0..localities).map(|shard| map.owned(shard as u32).len() as u32).collect();
         let mut channels = Vec::new();
-        let mut inbound = vec![0u32; localities];
-        let mut outbound = vec![Vec::new(); localities];
         for (src, by_dst) in plan.iter().enumerate() {
             for (&dst, keys) in by_dst {
-                outbound[src].push(channels.len() as u32);
-                inbound[dst as usize] += 1;
                 channels.push(ChannelSpec { src: src as u32, dst, msgs: keys.len() as u64 });
             }
         }
@@ -172,66 +162,7 @@ impl CommPattern {
             subgrids: map.n_leaves(),
             owned,
             channels,
-            inbound,
-            outbound,
         })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Event queue and shared context.
-// ---------------------------------------------------------------------
-
-/// An event payload delivered to a [`Component`].
-#[derive(Debug, Clone, Copy)]
-pub enum Payload {
-    /// The barrier released a new step; every component resets.
-    StepStart,
-    /// A core finished its sampled compute for the step.
-    ComputeDone,
-    /// A stream set drained its aggregated launch queue (sent to the
-    /// owning core).
-    StreamsDone,
-    /// A NIC finished receiving and processing every inbound channel
-    /// (sent to the owning core).
-    HaloDone,
-    /// A channel's payload arrived at the destination NIC; processing
-    /// it costs `recv_cpu_us` of serialized NIC time.
-    Deliver {
-        /// Receive-side CPU microseconds for the whole channel.
-        recv_cpu_us: f64,
-    },
-    /// A locality completed compute ∧ streams ∧ halos (sent to the
-    /// barrier).
-    Arrive,
-}
-
-struct Event {
-    time_us: f64,
-    seq: u64,
-    target: usize,
-    payload: Payload,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Event) -> bool {
-        self.time_us.to_bits() == other.time_us.to_bits() && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Event) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    // BinaryHeap is a max-heap; reverse so the earliest (time, seq) pops
-    // first and ties resolve by insertion order — fully deterministic.
-    fn cmp(&self, other: &Event) -> Ordering {
-        other
-            .time_us
-            .total_cmp(&self.time_us)
-            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -239,7 +170,9 @@ impl Ord for Event {
 /// all localities and steps) — the breakdown REPRODUCTION.md reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DesStats {
-    /// Events dispatched.
+    /// Events of the step: per locality, a start for each of core, NIC
+    /// and stream set, the compute, launch and halo completions and the
+    /// arrival; plus one delivery per channel (`7n + channels` a step).
     pub events: u64,
     /// Worker-pool compute wall time.
     pub compute_us: f64,
@@ -253,254 +186,13 @@ pub struct DesStats {
     pub wire_us: f64,
 }
 
-/// The shared simulation context every [`Component`] cycles over: the
-/// clock, the totally-ordered event queue, and run statistics.
-pub struct SimContext {
-    now_us: f64,
-    seq: u64,
-    queue: BinaryHeap<Event>,
-    step_ends_us: Vec<f64>,
-    /// Aggregate cost accounting, updated by components as they run.
-    pub stats: DesStats,
-}
-
-impl SimContext {
-    fn new() -> SimContext {
-        SimContext {
-            now_us: 0.0,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            step_ends_us: Vec::new(),
-            stats: DesStats::default(),
-        }
-    }
-
-    /// The current simulated time, microseconds.
-    pub fn now_us(&self) -> f64 {
-        self.now_us
-    }
-
-    /// Schedule `payload` for component `target` at absolute time
-    /// `at_us` (clamped to now — events cannot fire in the past).
-    pub fn send(&mut self, target: usize, at_us: f64, payload: Payload) {
-        let time_us = if at_us < self.now_us { self.now_us } else { at_us };
-        self.queue.push(Event { time_us, seq: self.seq, target, payload });
-        self.seq += 1;
-    }
-}
-
-/// Static per-run parameters shared (immutably) by all components.
-pub struct SimSpec {
-    /// The wire/CPU cost model of the simulated transport.
-    pub net: NetParams,
-    /// Worker threads per locality.
-    pub threads: f64,
-    /// Measured worker utilization (divides effective thread count).
-    pub utilization: f64,
-    /// Calibrated kernel categories with at least one measured span.
-    pub kernels: Vec<KernelCal>,
-    /// Measured parcel payload size distribution, bytes.
-    pub parcel_bytes: DurationHistogram,
-    /// Measured per-parcel send CPU distribution, ns (host clock).
-    pub parcel_send_cpu: DurationHistogram,
-    /// Measured per-parcel receive CPU distribution, ns (host clock).
-    pub parcel_recv_cpu: DurationHistogram,
-    /// Simulated ÷ measured transport send-CPU ratio (NetParams): the
-    /// measured per-parcel cost is the baseline, the wire model only
-    /// supplies the *relative* cost of the other transport.
-    pub send_scale: f64,
-    /// Simulated ÷ measured transport receive-CPU ratio.
-    pub recv_scale: f64,
-    /// GPU work items per sub-grid per step.
-    pub launch_items_per_subgrid: f64,
-    /// Items per fused launch (measured aggregation collapse).
-    pub agg_collapse: f64,
-    /// Per-launch overhead, µs.
-    pub launch_overhead_us: f64,
-    /// Tree-allreduce cost of the dt reduction the barrier models, µs.
-    pub allreduce_us: f64,
-    /// Steps to simulate.
-    pub steps: u32,
-}
-
-/// A simulated hardware object — a locality's worker-pool core, its
-/// NIC, its CUDA-stream set, or the global barrier. The engine pops
-/// events off the shared queue and hands each to its target component.
-pub trait Component {
-    /// React to `payload` at `ctx.now_us()`: update internal state and
-    /// schedule follow-up events via [`SimContext::send`].
-    fn handle(&mut self, payload: Payload, spec: &SimSpec, ctx: &mut SimContext);
-}
-
-// ---------------------------------------------------------------------
-// The three per-locality components plus the barrier.
-// ---------------------------------------------------------------------
-
-const PARTS_PER_LOCALITY: u8 = 3; // compute + streams + halo
-
-struct CoreComp {
-    self_id: usize,
-    barrier: usize,
-    owned: u32,
-    rng: SplitMix64,
-    parts_pending: u8,
-}
-
-impl Component for CoreComp {
-    fn handle(&mut self, payload: Payload, spec: &SimSpec, ctx: &mut SimContext) {
-        match payload {
-            Payload::StepStart => {
-                self.parts_pending = PARTS_PER_LOCALITY;
-                // Sample this step's compute: each calibrated pass runs
-                // its drawn total work over the effective thread pool,
-                // floored by the longest sampled span (critical path).
-                let eff_threads = (spec.threads * spec.utilization).max(1e-9);
-                let mut wall_ns = 0.0;
-                for k in &spec.kernels {
-                    let n = (k.events_per_subgrid_step * self.owned as f64).ceil() as u64;
-                    if n == 0 {
-                        continue;
-                    }
-                    let work_ns = k.hist.sample_sum(n, || self.rng.next_u64());
-                    let mut span_max = 0.0f64;
-                    for _ in 0..n.min(4) {
-                        span_max = span_max.max(k.hist.sample(self.rng.next_u64()));
-                    }
-                    wall_ns += (work_ns / eff_threads).max(span_max);
-                }
-                let wall_us = wall_ns / 1e3 * (1.0 + spec.net.polling_tax);
-                ctx.stats.compute_us += wall_us;
-                ctx.send(self.self_id, ctx.now_us() + wall_us, Payload::ComputeDone);
-            }
-            Payload::ComputeDone | Payload::StreamsDone | Payload::HaloDone => {
-                self.parts_pending -= 1;
-                if self.parts_pending == 0 {
-                    ctx.send(self.barrier, ctx.now_us(), Payload::Arrive);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-struct StreamComp {
-    core: usize,
-    owned: u32,
-}
-
-impl Component for StreamComp {
-    fn handle(&mut self, payload: Payload, spec: &SimSpec, ctx: &mut SimContext) {
-        if let Payload::StepStart = payload {
-            let items = spec.launch_items_per_subgrid * self.owned as f64;
-            let batches = (items / spec.agg_collapse.max(1.0)).ceil();
-            let t = batches * spec.launch_overhead_us;
-            ctx.stats.launch_us += t;
-            ctx.send(self.core, ctx.now_us() + t, Payload::StreamsDone);
-        }
-    }
-}
-
-struct NicComp {
-    core: usize,
-    /// (destination NIC component id, amplified messages per step).
-    outbound: Vec<(usize, u64)>,
-    inbound_total: u32,
-    pending: u32,
-    busy_until_us: f64,
-    rng: SplitMix64,
-}
-
-impl Component for NicComp {
-    fn handle(&mut self, payload: Payload, spec: &SimSpec, ctx: &mut SimContext) {
-        match payload {
-            Payload::StepStart => {
-                self.pending = self.inbound_total;
-                // Serialize sends through the progress engine; each
-                // channel's payload bytes are drawn from the measured
-                // parcel-size distribution.
-                let mut t = ctx.now_us();
-                for i in 0..self.outbound.len() {
-                    let (dst, msgs) = self.outbound[i];
-                    let send_cpu = if spec.parcel_send_cpu.count() > 0 {
-                        spec.parcel_send_cpu.sample_sum(msgs, || self.rng.next_u64()) / 1e3
-                            * spec.send_scale
-                    } else {
-                        msgs as f64 * spec.net.send_cpu_us(spec.threads as usize)
-                    };
-                    t += send_cpu;
-                    let bytes = spec.parcel_bytes.sample_sum(msgs, || self.rng.next_u64());
-                    let mean = if msgs > 0 { bytes / msgs as f64 } else { 0.0 };
-                    let mut wire = spec.net.latency_us
-                        + bytes / (spec.net.bandwidth_gb_s * 1e3)
-                        + spec.net.payload_copies as f64 * bytes
-                            / (spec.net.copy_bandwidth_gb_s * 1e3);
-                    if mean > spec.net.rendezvous_threshold as f64 {
-                        wire += spec.net.rendezvous_trips as f64 * spec.net.latency_us;
-                    }
-                    ctx.stats.send_cpu_us += send_cpu;
-                    ctx.stats.wire_us += wire;
-                    let recv_cpu_us = if spec.parcel_recv_cpu.count() > 0 {
-                        spec.parcel_recv_cpu.sample_sum(msgs, || self.rng.next_u64()) / 1e3
-                            * spec.recv_scale
-                    } else {
-                        msgs as f64 * spec.net.recv_cpu_us(spec.threads as usize)
-                    };
-                    ctx.send(dst, t + wire, Payload::Deliver { recv_cpu_us });
-                }
-                self.busy_until_us = t;
-                if self.inbound_total == 0 {
-                    ctx.send(self.core, ctx.now_us(), Payload::HaloDone);
-                }
-            }
-            Payload::Deliver { recv_cpu_us } => {
-                self.busy_until_us = self.busy_until_us.max(ctx.now_us()) + recv_cpu_us;
-                ctx.stats.recv_cpu_us += recv_cpu_us;
-                self.pending -= 1;
-                if self.pending == 0 {
-                    ctx.send(self.core, self.busy_until_us, Payload::HaloDone);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-struct BarrierComp {
-    n: usize,
-    arrived: usize,
-    step: u32,
-}
-
-impl Component for BarrierComp {
-    fn handle(&mut self, payload: Payload, spec: &SimSpec, ctx: &mut SimContext) {
-        if let Payload::Arrive = payload {
-            self.arrived += 1;
-            if self.arrived == self.n {
-                self.arrived = 0;
-                self.step += 1;
-                let release = ctx.now_us() + spec.allreduce_us;
-                ctx.step_ends_us.push(release);
-                if self.step < spec.steps {
-                    for target in 0..3 * self.n {
-                        ctx.send(target, release, Payload::StepStart);
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine.
-// ---------------------------------------------------------------------
-
 /// Run options for [`simulate_scaleout`].
 #[derive(Debug, Clone, Copy)]
 pub struct DesOpts {
     /// Steps to simulate (all steps count; the run is deterministic, so
     /// no warm-up discard is needed).
     pub steps: u32,
-    /// Seed for every component's splitmix64 stream.
+    /// Seed for every core's and NIC's splitmix64 stream.
     pub seed: u64,
 }
 
@@ -522,8 +214,33 @@ pub struct ScaleoutResult {
     pub stats: DesStats,
 }
 
-/// Run the discrete-event co-simulation of `pattern` on transport
-/// `kind`, with every workload constant taken from `calib`.
+/// One core's compute wall for a step, µs: each calibrated pass runs its
+/// drawn total work over the effective thread pool, floored by the
+/// longest sampled span (critical path).
+fn compute_wall_us(
+    kernels: &[&KernelCal],
+    owned: u32,
+    eff_threads: f64,
+    rng: &mut SplitMix64,
+) -> f64 {
+    let mut wall_ns = 0.0;
+    for k in kernels {
+        let n = (k.events_per_subgrid_step * owned as f64).ceil() as u64;
+        if n == 0 {
+            continue;
+        }
+        let work_ns = k.hist.sample_sum(n, || rng.next_u64());
+        let mut span_max = 0.0f64;
+        for _ in 0..n.min(4) {
+            span_max = span_max.max(k.hist.sample(rng.next_u64()));
+        }
+        wall_ns += (work_ns / eff_threads).max(span_max);
+    }
+    wall_ns / 1e3
+}
+
+/// Run the co-simulation of `pattern` on transport `kind`, with every
+/// workload constant taken from `calib`.
 ///
 /// Returns [`Error::Model`] if the pattern is empty or the calibration
 /// has no measured kernels.
@@ -537,8 +254,7 @@ pub fn simulate_scaleout(
     if n == 0 || pattern.subgrids == 0 {
         return Err(Error::Model("empty communication pattern".into()));
     }
-    let kernels: Vec<KernelCal> =
-        calib.kernels.iter().filter(|k| k.hist.count() > 0).cloned().collect();
+    let kernels: Vec<&KernelCal> = calib.kernels.iter().filter(|k| k.hist.count() > 0).collect();
     if kernels.is_empty() {
         return Err(Error::Model("calibration has no measured kernels".into()));
     }
@@ -548,75 +264,96 @@ pub fn simulate_scaleout(
     let net = NetParams::for_kind(kind);
     let measured_net = NetParams::for_kind(calib.measured_transport);
     let threads = calib.threads;
+    // The measured per-parcel cost is the baseline; the wire model only
+    // supplies the *relative* cost of the simulated transport.
     let send_scale = net.send_cpu_us(threads) / measured_net.send_cpu_us(threads);
     let recv_scale = net.recv_cpu_us(threads) / measured_net.recv_cpu_us(threads);
     let allreduce_us = 2.0 * (n as f64).log2().ceil().max(0.0) * net.latency_us;
-    let spec = SimSpec {
-        net,
-        threads: calib.threads as f64,
-        utilization: calib.utilization,
-        kernels,
-        parcel_bytes: calib.parcel_bytes.clone(),
-        parcel_send_cpu: calib.parcel_send_cpu.clone(),
-        parcel_recv_cpu: calib.parcel_recv_cpu.clone(),
-        send_scale,
-        recv_scale,
-        launch_items_per_subgrid: calib.launch_items_per_subgrid_step,
-        agg_collapse: calib.agg_collapse,
-        launch_overhead_us: calib.launch_overhead_us,
-        allreduce_us,
-        steps: opts.steps,
+    let eff_threads = (threads as f64 * calib.utilization).max(1e-9);
+    let launch_us: Vec<f64> = pattern
+        .owned
+        .iter()
+        .map(|&owned| {
+            let items = calib.launch_items_per_subgrid_step * owned as f64;
+            (items / calib.agg_collapse.max(1.0)).ceil() * calib.launch_overhead_us
+        })
+        .collect();
+    let msgs: Vec<u64> = pattern
+        .channels
+        .iter()
+        .map(|ch| ((ch.msgs as f64 * calib.parcel_amplification).ceil() as u64).max(1))
+        .collect();
+    let mut has_inbound = vec![false; n];
+    for ch in &pattern.channels {
+        has_inbound[ch.dst as usize] = true;
+    }
+    let stream = |i: usize, k: u64| {
+        SplitMix64::new(opts.seed ^ (3 * i as u64 + k).wrapping_mul(0x9E37_79B9))
     };
+    let mut core_rng: Vec<SplitMix64> = (0..n).map(|i| stream(i, 0)).collect();
+    let mut nic_rng: Vec<SplitMix64> = (0..n).map(|i| stream(i, 1)).collect();
 
-    // Component ids: locality i → core 3i, NIC 3i+1, streams 3i+2;
-    // barrier is 3n.
-    let mut components: Vec<Box<dyn Component>> = Vec::with_capacity(3 * n + 1);
-    for i in 0..n {
-        components.push(Box::new(CoreComp {
-            self_id: 3 * i,
-            barrier: 3 * n,
-            owned: pattern.owned[i],
-            rng: SplitMix64::new(opts.seed ^ (3 * i as u64).wrapping_mul(0x9E37_79B9)),
-            parts_pending: 0,
-        }));
-        let outbound = pattern.outbound[i]
-            .iter()
-            .map(|&ci| {
-                let ch = pattern.channels[ci as usize];
-                let msgs =
-                    ((ch.msgs as f64 * calib.parcel_amplification).ceil() as u64).max(1);
-                (3 * ch.dst as usize + 1, msgs)
-            })
-            .collect();
-        components.push(Box::new(NicComp {
-            core: 3 * i,
-            outbound,
-            inbound_total: pattern.inbound[i],
-            pending: 0,
-            busy_until_us: 0.0,
-            rng: SplitMix64::new(opts.seed ^ (3 * i as u64 + 1).wrapping_mul(0x9E37_79B9)),
-        }));
-        components.push(Box::new(StreamComp { core: 3 * i, owned: pattern.owned[i] }));
+    let mut stats = DesStats::default();
+    let mut step_times_s = Vec::with_capacity(opts.steps as usize);
+    let mut nic_free = vec![0.0f64; n];
+    // (arrival, receiving locality, receive CPU) in send order.
+    let mut deliveries: Vec<(f64, usize, f64)> = Vec::with_capacity(pattern.channels.len());
+    let mut start = 0.0f64;
+    for _ in 0..opts.steps {
+        // Each NIC serializes its sends from the step start; each
+        // channel's payload bytes are drawn from the measured parcel-size
+        // distribution.
+        nic_free.fill(start);
+        deliveries.clear();
+        for (ch, &msgs) in pattern.channels.iter().zip(&msgs) {
+            let rng = &mut nic_rng[ch.src as usize];
+            let send_cpu = if calib.parcel_send_cpu.count() > 0 {
+                calib.parcel_send_cpu.sample_sum(msgs, || rng.next_u64()) / 1e3 * send_scale
+            } else {
+                msgs as f64 * net.send_cpu_us(threads)
+            };
+            let bytes = calib.parcel_bytes.sample_sum(msgs, || rng.next_u64());
+            let mut wire = net.latency_us
+                + bytes / (net.bandwidth_gb_s * 1e3)
+                + net.payload_copies as f64 * bytes / (net.copy_bandwidth_gb_s * 1e3);
+            if bytes / msgs as f64 > net.rendezvous_threshold as f64 {
+                wire += net.rendezvous_trips as f64 * net.latency_us;
+            }
+            let recv_cpu = if calib.parcel_recv_cpu.count() > 0 {
+                calib.parcel_recv_cpu.sample_sum(msgs, || rng.next_u64()) / 1e3 * recv_scale
+            } else {
+                msgs as f64 * net.recv_cpu_us(threads)
+            };
+            stats.send_cpu_us += send_cpu;
+            stats.wire_us += wire;
+            let free = &mut nic_free[ch.src as usize];
+            *free += send_cpu;
+            deliveries.push((*free + wire, ch.dst as usize, recv_cpu));
+        }
+        // A stable sort keeps send order among equal arrivals.
+        deliveries.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for &(arrival, dst, recv_cpu) in &deliveries {
+            nic_free[dst] = nic_free[dst].max(arrival) + recv_cpu;
+            stats.recv_cpu_us += recv_cpu;
+        }
+        let mut last_arrival = start;
+        for i in 0..n {
+            let compute =
+                compute_wall_us(&kernels, pattern.owned[i], eff_threads, &mut core_rng[i])
+                    * (1.0 + net.polling_tax);
+            stats.compute_us += compute;
+            stats.launch_us += launch_us[i];
+            let halo = if has_inbound[i] { nic_free[i] } else { start };
+            let arrival = (start + compute).max(start + launch_us[i]).max(halo);
+            last_arrival = last_arrival.max(arrival);
+        }
+        stats.events += (7 * n + pattern.channels.len()) as u64;
+        let end = last_arrival + allreduce_us;
+        step_times_s.push((end - start) / 1e6);
+        start = end;
     }
-    components.push(Box::new(BarrierComp { n, arrived: 0, step: 0 }));
 
-    let mut ctx = SimContext::new();
-    for target in 0..3 * n {
-        ctx.send(target, 0.0, Payload::StepStart);
-    }
-    while let Some(ev) = ctx.queue.pop() {
-        ctx.now_us = ev.time_us;
-        ctx.stats.events += 1;
-        components[ev.target].handle(ev.payload, &spec, &mut ctx);
-    }
-
-    let mut step_times_s = Vec::with_capacity(ctx.step_ends_us.len());
-    let mut prev = 0.0;
-    for &end in &ctx.step_ends_us {
-        step_times_s.push((end - prev) / 1e6);
-        prev = end;
-    }
-    let step_time_s = step_times_s.iter().sum::<f64>() / step_times_s.len().max(1) as f64;
+    let step_time_s = step_times_s.iter().sum::<f64>() / step_times_s.len() as f64;
     Ok(ScaleoutResult {
         point: ScalingPoint {
             level: pattern.level,
@@ -627,7 +364,7 @@ pub fn simulate_scaleout(
             subgrids_per_second: pattern.subgrids as f64 / step_time_s,
         },
         step_times_s,
-        stats: ctx.stats,
+        stats,
     })
 }
 
@@ -710,6 +447,7 @@ pub fn sweep_cadence(
 mod tests {
     use super::*;
     use crate::scaling::v1309_structure_tree;
+    use amt::trace::DurationHistogram;
 
     fn pattern(level: u8, n: usize) -> CommPattern {
         CommPattern::from_tree(&v1309_structure_tree(level), n).unwrap()
@@ -719,14 +457,68 @@ mod tests {
     fn pattern_census_is_consistent() {
         let p = pattern(10, 8);
         assert_eq!(p.localities, 8);
+        assert_eq!(p.owned.len(), 8);
         assert_eq!(p.owned.iter().map(|&o| o as usize).sum::<usize>(), p.subgrids);
-        let inbound_from_channels: u32 = p.inbound.iter().sum();
-        assert_eq!(inbound_from_channels as usize, p.channels.len());
-        for (src, outs) in p.outbound.iter().enumerate() {
-            for &ci in outs {
-                assert_eq!(p.channels[ci as usize].src as usize, src);
+        // Channels come by sending locality, each to another locality.
+        assert!(p.channels.windows(2).all(|w| w[0].src <= w[1].src));
+        assert!(p.channels.iter().all(|c| c.src != c.dst && (c.dst as usize) < p.localities));
+    }
+
+    /// Every bit of every `ScaleoutResult` and `DesStats` field over a
+    /// fixed grid — tree levels, locality counts (1 and a non-power of
+    /// two among them), both transports, seeds, one and several steps,
+    /// and calibrations that reach every cost branch: the synthetic one,
+    /// empty parcel-CPU histograms (the `NetParams` fallback), ~230 KB
+    /// parcels (the rendezvous term), and utilization < 1 with traffic
+    /// amplification > 1 — folded into one pinned FNV-1a-64 digest.
+    #[test]
+    fn scaleout_output_is_pinned_bit_for_bit() {
+        let spread = |v: u64| [v - v / 10, v, v + v / 10].into_iter();
+        let base = Calibration::synthetic(200_000, 3.0, 12);
+        let mut no_cpu = base.clone();
+        no_cpu.parcel_send_cpu = DurationHistogram::empty();
+        no_cpu.parcel_recv_cpu = DurationHistogram::empty();
+        let mut rendezvous = base.clone();
+        rendezvous.parcel_bytes = DurationHistogram::from_values(spread(230_000));
+        let mut loaded = Calibration::synthetic(90_000, 5.0, 8);
+        loaded.utilization = 0.55;
+        loaded.parcel_amplification = 3.5;
+        loaded.measured_transport = TransportKind::Mpi;
+        let calibs = [base, no_cpu, rendezvous, loaded];
+
+        let mut bytes = Vec::new();
+        let mut push = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
+        for level in [6u8, 8, 10] {
+            let tree = v1309_structure_tree(level);
+            for n in [1usize, 3, 8, 24] {
+                let p = CommPattern::from_tree(&tree, n).unwrap();
+                for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+                    for calib in &calibs {
+                        for (seed, steps) in [(7u64, 1u32), (7, 3), (0x5eed, 3)] {
+                            let r = simulate_scaleout(&p, kind, calib, &DesOpts { steps, seed })
+                                .unwrap();
+                            push(r.point.level as u64);
+                            push(r.point.nodes as u64);
+                            push(matches!(r.point.kind, TransportKind::Libfabric) as u64);
+                            push(r.point.subgrids as u64);
+                            push(r.point.step_time_s.to_bits());
+                            push(r.point.subgrids_per_second.to_bits());
+                            push(r.step_times_s.len() as u64);
+                            for t in &r.step_times_s {
+                                push(t.to_bits());
+                            }
+                            let s = r.stats;
+                            push(s.events);
+                            for x in [s.compute_us, s.launch_us, s.send_cpu_us, s.recv_cpu_us, s.wire_us]
+                            {
+                                push(x.to_bits());
+                            }
+                        }
+                    }
+                }
             }
         }
+        assert_eq!(util::fnv1a64(&bytes), 0x703d_3ddf_5d72_fb7a, "scale-out output moved");
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //!   model needs from *measured* data: [`amt::trace`] span histograms,
 //!   parcelport counters, GPU-aggregation statistics, and a timed
 //!   checkpoint round-trip.
-//! * [`des`] — the trace-calibrated discrete-event co-simulation behind
-//!   the reproduced **Figures 2 and 3** (REPRODUCTION.md): per-locality
-//!   core/NIC/stream [`des::Component`]s cycling over a shared event
-//!   queue, running the real octree decomposition at up to 5400
-//!   simulated localities on the two [`parcelport::NetParams`] transport
-//!   models, plus the checkpoint-cadence sweep.
+//! * [`des`] — the trace-calibrated co-simulation behind the reproduced
+//!   **Figures 2 and 3** (REPRODUCTION.md): one recurrence over
+//!   barrier-synchronous steps, each locality's core, NIC and stream
+//!   set timed from the calibration, running the real octree
+//!   decomposition at up to 5400 simulated localities on the two
+//!   [`parcelport::NetParams`] transport models, plus the
+//!   checkpoint-cadence sweep.
 //! * [`scaling`] — the Figure 2/3 output type ([`ScalingPoint`],
 //!   [`efficiency`]) and the V1309 structure-tree builder the scaling
 //!   experiments decompose.

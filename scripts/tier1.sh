@@ -11,7 +11,8 @@
 #      zero slab-pipeline, zero
 #      remote-call, zero owner-registry, one counter namespace (zero
 #      per-layer registries or mounts, zero counter lookups by name in
-#      the parcelport's non-test code) and zero uncalled-pub-fn budgets
+#      the parcelport's non-test code), one step model (zero event
+#      engine in crates/perfmodel/src) and zero uncalled-pub-fn budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -338,6 +339,20 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "counter-namespace budget OK (0 second counter stores, 0 parcelport counters updated by name)"
+
+echo
+echo "== tier-1: one step model budget =="
+# The scale-out model is barrier-synchronous, so `perfmodel::des` is one
+# loop over steps whose per-phase times are local variables. A component
+# trait, a shared simulation context or spec, or an event heap is the
+# general event engine coming back to compute the same recurrence.
+stray=$(grep -rnE 'trait Component|SimContext|SimSpec|BinaryHeap' crates/perfmodel/src || true)
+if [ -n "$stray" ]; then
+    echo "!! an event engine under crates/perfmodel/src (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "one step model budget OK (0 components, contexts, specs or event heaps)"
 
 echo
 echo "== tier-1: caller budget =="

@@ -11,7 +11,7 @@
 use amt::trace::TraceSession;
 use hydro::eos::IdealGas;
 use integration_tests::{filled_uniform_tree, two_blob_profile};
-use octotiger::{Config, DistributedDriver, Scenario, Simulation};
+use octotiger::{Config, DistributedDriver, Scenario};
 use octree::shard::ShardMap;
 use parcelport::cluster::Cluster;
 use parcelport::netmodel::TransportKind;

@@ -20,13 +20,16 @@
 //! arithmetic-identity witness.
 
 use octotiger::scenarios::{registry, run_gate, spec};
-use octotiger::DistributedDriver;
-use parcelport::cluster::Cluster;
-use parcelport::netmodel::TransportKind;
-use std::sync::Arc;
 
 #[cfg(not(debug_assertions))]
-use octotiger::scenarios::{run_gate_distributed, state_digest};
+use octotiger::{
+    scenarios::{run_gate_distributed, state_digest},
+    DistributedDriver,
+};
+#[cfg(not(debug_assertions))]
+use parcelport::{cluster::Cluster, netmodel::TransportKind};
+#[cfg(not(debug_assertions))]
+use std::sync::Arc;
 
 /// Every registry entry is fully armed: a pinned golden digest and the
 /// flagship z-angular-momentum gate. A new scenario can be calibrated
