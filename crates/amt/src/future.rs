@@ -15,13 +15,14 @@
 //!   fulfils the join, as HPX's `when_all` adds no task of its own.
 //! * [`Future::get_help`] blocks, but *helps* execute other tasks while
 //!   waiting, which is how HPX suspends a task without idling the worker.
+//!   It is the only wait: no thread parks on a future.
 //!
 //! Futures are single-ownership (like `hpx::future`); dropping a promise
 //! without setting a value is reported to waiters as a broken promise,
 //! and breaks every continuation and join fed from it.
 
 use crate::scheduler::Scheduler;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// What a consumer attaches to a pending future: it takes the value on
@@ -37,31 +38,23 @@ enum State<T> {
     Broken,
 }
 
-struct Inner<T> {
-    state: Mutex<State<T>>,
-    cond: Condvar,
-}
-
 /// The write end of an asynchronous value.
 pub struct Promise<T> {
-    inner: Arc<Inner<T>>,
+    state: Arc<Mutex<State<T>>>,
     /// Whether a value was delivered (to detect broken promises on drop).
     fulfilled: bool,
 }
 
 /// The read end of an asynchronous value.
 pub struct Future<T> {
-    inner: Arc<Inner<T>>,
+    state: Arc<Mutex<State<T>>>,
 }
 
 impl<T: Send + 'static> Promise<T> {
     /// Create a connected promise/future pair.
     pub fn new() -> (Promise<T>, Future<T>) {
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State::Pending(None)),
-            cond: Condvar::new(),
-        });
-        (Promise { inner: Arc::clone(&inner), fulfilled: false }, Future { inner })
+        let state = Arc::new(Mutex::new(State::Pending(None)));
+        (Promise { state: Arc::clone(&state), fulfilled: false }, Future { state })
     }
 
     /// Make the future ready. An attached callback runs here, on this
@@ -72,13 +65,9 @@ impl<T: Send + 'static> Promise<T> {
     /// If the value was already set.
     pub fn set_value(mut self, value: T) {
         self.fulfilled = true;
-        let mut state = self.inner.state.lock();
+        let mut state = self.state.lock();
         match std::mem::replace(&mut *state, State::Broken) {
-            State::Pending(None) => {
-                *state = State::Ready(Some(value));
-                drop(state);
-                self.inner.cond.notify_all();
-            }
+            State::Pending(None) => *state = State::Ready(Some(value)),
             State::Pending(Some(callback)) => {
                 // The value belongs to the callback; the state stays
                 // Broken, which is unobservable because attaching
@@ -100,8 +89,7 @@ impl<T> Drop for Promise<T> {
         if !self.fulfilled {
             // Unset, so still pending: an attached callback is dropped
             // unrun, outside the lock, and breaks what it feeds.
-            let pending = std::mem::replace(&mut *self.inner.state.lock(), State::Broken);
-            self.inner.cond.notify_all();
+            let pending = std::mem::replace(&mut *self.state.lock(), State::Broken);
             drop(pending);
         }
     }
@@ -112,7 +100,7 @@ impl<T: Send + 'static> Future<T> {
     /// on the producer's thread (on this one if it is ready already), or
     /// is dropped unrun if the promise is broken.
     fn attach(self, callback: Callback<T>) {
-        let mut state = self.inner.state.lock();
+        let mut state = self.state.lock();
         let value = match &mut *state {
             State::Pending(slot) => {
                 *slot = Some(callback);
@@ -141,24 +129,10 @@ impl<T: Send + 'static> Future<T> {
         fut
     }
 
-    /// Block until ready, parking the calling thread. Use
-    /// [`Future::get_help`] from worker threads.
-    pub fn get(self) -> T {
-        let mut state = self.inner.state.lock();
-        loop {
-            match &mut *state {
-                State::Ready(opt) => return opt.take().expect("future value already consumed"),
-                State::Broken => panic!("broken promise: writer dropped without a value"),
-                State::Pending(_) => self.inner.cond.wait(&mut state),
-            }
-        }
-    }
-
     /// Block until ready, executing other scheduler tasks while waiting.
     pub fn get_help(self, sched: &Arc<Scheduler>) -> T {
-        let inner = Arc::clone(&self.inner);
-        sched.help_until(|| !matches!(*inner.state.lock(), State::Pending(_)));
-        let mut state = self.inner.state.lock();
+        sched.help_until(|| !matches!(*self.state.lock(), State::Pending(_)));
+        let mut state = self.state.lock();
         match &mut *state {
             State::Ready(opt) => opt.take().expect("future value already consumed"),
             State::Broken => panic!("broken promise: writer dropped without a value"),
@@ -169,11 +143,7 @@ impl<T: Send + 'static> Future<T> {
 
 /// A future that is ready immediately — HPX `make_ready_future`.
 pub fn make_ready_future<T: Send + 'static>(value: T) -> Future<T> {
-    let inner = Arc::new(Inner {
-        state: Mutex::new(State::Ready(Some(value))),
-        cond: Condvar::new(),
-    });
-    Future { inner }
+    Future { state: Arc::new(Mutex::new(State::Ready(Some(value)))) }
 }
 
 /// A join in flight: one preallocated slot per child, and the join's
@@ -231,18 +201,7 @@ mod tests {
     fn set_then_get() {
         let (p, f) = Promise::new();
         p.set_value(7);
-        assert_eq!(f.get(), 7);
-    }
-
-    #[test]
-    fn get_blocks_until_set() {
-        let (p, f) = Promise::new();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            p.set_value("hello".to_string());
-        });
-        assert_eq!(f.get(), "hello");
-        h.join().unwrap();
+        assert_eq!(f.get_help(&sched(1)), 7);
     }
 
     #[test]
@@ -250,7 +209,7 @@ mod tests {
     fn broken_promise_panics_waiter() {
         let (p, f) = Promise::<u32>::new();
         drop(p);
-        let _ = f.get();
+        let _ = f.get_help(&sched(1));
     }
 
     #[test]
@@ -309,7 +268,7 @@ mod tests {
     fn when_all_empty_is_ready() {
         let s = sched(1);
         let joined: Future<Vec<u8>> = when_all(&s, Vec::new());
-        assert_eq!(joined.get(), Vec::<u8>::new());
+        assert_eq!(joined.get_help(&s), Vec::<u8>::new());
     }
 
     #[test]

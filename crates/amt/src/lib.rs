@@ -26,8 +26,9 @@
 //!   not tasks: each producer stores its value in the join's slot and the
 //!   last one fulfils it. A blocked `get` *helps* run other tasks instead
 //!   of idling, mirroring HPX task suspension.
-//! * [`scheduler`] — a work-stealing pool over `crossbeam_deque` with
-//!   per-worker LIFO deques, a global injector, and parking.
+//! * [`scheduler`] — a work-stealing pool over its own queues (one
+//!   `Mutex<VecDeque>` each): per-worker LIFO deques that siblings
+//!   steal from the front, a global FIFO injector, and parking.
 //! * [`metrics`] — one namespace of named atomic counters, queried like
 //!   HPX performance counters; a [`Metrics`] value is a view of it at a
 //!   path prefix (a locality's runtime counts under `locality/<i>`).

@@ -4,12 +4,14 @@
 //! deque and lets idle workers steal from busy ones, which "enables
 //! finer-grained parallelization and synchronization and automatic load
 //! balancing across all local compute resources". We reproduce that
-//! structure with `crossbeam_deque`:
+//! structure with one `Mutex<VecDeque>` per queue, owned here:
 //!
-//! * each worker owns a LIFO [`crossbeam_deque::Worker`] deque,
-//! * a global injector queue accepts tasks spawned from non-worker
-//!   threads (and overflow),
-//! * idle workers steal: local pop → injector → other workers,
+//! * each worker owns a deque it pushes to and pops from at the back
+//!   (LIFO); everyone else takes from the front,
+//! * a global FIFO injector accepts tasks spawned from non-worker
+//!   threads,
+//! * idle workers look locally → injector (moving a batch into their
+//!   own deque) → other workers' fronts,
 //! * fully idle workers park on a condvar and are woken by new work.
 //!
 //! Two HPX behaviours matter for the paper's results and are reproduced
@@ -50,9 +52,9 @@
 
 use crate::metrics::{Counter, Metrics};
 use crate::trace::{self, TraceCategory};
-use crossbeam_deque::{Injector, Stealer, Worker as WorkerDeque};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -65,9 +67,20 @@ pub type Task = Box<dyn FnOnce() + Send + 'static>;
 /// progress, i.e. completed at least one event).
 pub type Poller = Arc<dyn Fn() -> bool + Send + Sync + 'static>;
 
+/// A task queue on cache lines of its own. Inline, the injector would
+/// share a line with `in_flight` and the condvar, which every spawn and
+/// every finished task write, and a worker's deque with its siblings'
+/// (128 bytes: x86 fetches lines in pairs).
+#[repr(align(128))]
+#[derive(Default)]
+struct Queue(Mutex<VecDeque<Task>>);
+
 struct Shared {
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
+    /// Tasks spawned from outside the pool, taken oldest first.
+    injector: Queue,
+    /// One deque per worker: its owner pushes and pops at the back,
+    /// every other thread takes from the front.
+    deques: Vec<Queue>,
     sleep_lock: Mutex<()>,
     wakeup: Condvar,
     shutdown: AtomicBool,
@@ -92,7 +105,6 @@ thread_local! {
 struct LocalCtx {
     sched_id: u64,
     worker_index: usize,
-    deque: WorkerDeque<Task>,
 }
 
 static NEXT_SCHED_ID: AtomicU64 = AtomicU64::new(1);
@@ -110,13 +122,11 @@ impl Scheduler {
     pub fn new(n_threads: usize, metrics: &Metrics) -> Arc<Scheduler> {
         let n_threads = n_threads.max(1);
         let sched_id = NEXT_SCHED_ID.fetch_add(1, Ordering::Relaxed);
-        let deques: Vec<WorkerDeque<Task>> = (0..n_threads).map(|_| WorkerDeque::new_lifo()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
         // Taking the handles registers the names, so they appear (as 0)
         // in snapshots taken before any task runs.
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
+            injector: Queue::default(),
+            deques: (0..n_threads).map(|_| Queue::default()).collect(),
             sleep_lock: Mutex::new(()),
             wakeup: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -130,12 +140,12 @@ impl Scheduler {
             worker_trace_ids: Mutex::new(Vec::new()),
         });
         let mut handles = Vec::with_capacity(n_threads);
-        for (index, deque) in deques.into_iter().enumerate() {
+        for index in 0..n_threads {
             let sh = Arc::clone(&shared);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("amt-worker-{index}"))
-                    .spawn(move || worker_main(sh, index, deque))
+                    .spawn(move || worker_main(sh, index))
                     .expect("failed to spawn worker thread"),
             );
         }
@@ -168,19 +178,11 @@ impl Scheduler {
     /// Spawn an already boxed task.
     pub fn spawn_boxed(&self, task: Task) {
         self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let pushed_local = LOCAL.with(|l| {
-            let borrow = l.borrow();
-            if let Some(ctx) = borrow.as_ref() {
-                if ctx.sched_id == self.shared.sched_id {
-                    ctx.deque.push(task);
-                    return None;
-                }
-            }
-            Some(task)
-        });
-        if let Some(task) = pushed_local {
-            self.shared.injector.push(task);
-        }
+        let queue = match self.current_worker() {
+            Some(index) => &self.shared.deques[index],
+            None => &self.shared.injector,
+        };
+        queue.0.lock().push_back(task);
         trace::instant(TraceCategory::TaskSpawn);
         self.shared.spawned.increment();
         // Wake one parked worker; cheap if none are parked.
@@ -198,8 +200,8 @@ impl Scheduler {
     }
 
     /// Run one pending task if available. Returns `true` if a task ran.
-    /// Usable from any thread; non-workers pull from the injector and
-    /// stealers only.
+    /// Usable from any thread; it takes from the injector and the
+    /// workers' fronts only, as a non-worker does.
     pub fn try_run_one(&self) -> bool {
         if let Some(task) = self.find_task() {
             self.run_task(task);
@@ -318,22 +320,31 @@ fn poll_background_impl(shared: &Shared) -> bool {
     progressed
 }
 
-fn find_task_impl(shared: &Shared, local: Option<&WorkerDeque<Task>>) -> Option<Task> {
-    // 1. Local deque (only for workers).
-    if let Some(t) = local.and_then(WorkerDeque::pop) {
+/// Most tasks moved from the injector into a worker's deque at once,
+/// so one worker cannot drain a burst its siblings could share.
+const MAX_BATCH: usize = 32;
+
+fn find_task_impl(shared: &Shared, worker: Option<usize>) -> Option<Task> {
+    // 1. The worker's own deque, newest first.
+    if let Some(t) = worker.and_then(|i| shared.deques[i].0.lock().pop_back()) {
         return Some(t);
     }
-    // 2. Global injector (batch into the local deque when we have one).
-    // The mutex-backed deques never answer `Retry`: one attempt decides.
-    let injected = match local {
-        Some(deque) => shared.injector.steal_batch_and_pop(deque),
-        None => shared.injector.steal(),
-    };
-    if let Some(t) = injected.success() {
-        return Some(t);
+    // 2. The injector, oldest first. A worker also moves half of what
+    // remains (at most MAX_BATCH) into its own deque.
+    {
+        let mut injector = shared.injector.0.lock();
+        if let Some(t) = injector.pop_front() {
+            if let Some(i) = worker {
+                let batch = (injector.len() / 2).min(MAX_BATCH);
+                if batch > 0 {
+                    shared.deques[i].0.lock().extend(injector.drain(..batch));
+                }
+            }
+            return Some(t);
+        }
     }
-    // 3. Steal from sibling workers.
-    let t = shared.stealers.iter().find_map(|stealer| stealer.steal().success())?;
+    // 3. Steal the oldest task of the first worker that has one.
+    let t = shared.deques.iter().find_map(|deque| deque.0.lock().pop_front())?;
     trace::instant(TraceCategory::TaskSteal);
     shared.stolen.increment();
     Some(t)
@@ -344,9 +355,9 @@ fn find_task_impl(shared: &Shared, local: Option<&WorkerDeque<Task>>) -> Option<
 /// hide from a session that ends mid-idle.
 const IDLE_SPAN_FLUSH_NS: u64 = 25_000_000;
 
-fn worker_main(shared: Arc<Shared>, index: usize, deque: WorkerDeque<Task>) {
+fn worker_main(shared: Arc<Shared>, index: usize) {
     LOCAL.with(|l| {
-        *l.borrow_mut() = Some(LocalCtx { sched_id: shared.sched_id, worker_index: index, deque });
+        *l.borrow_mut() = Some(LocalCtx { sched_id: shared.sched_id, worker_index: index });
     });
     let trace_tid =
         trace::register_thread(shared.sched_id as u32, &format!("worker-{index}"));
@@ -356,12 +367,7 @@ fn worker_main(shared: Arc<Shared>, index: usize, deque: WorkerDeque<Task>) {
     // the next task arrives, so park/poll churn does not flood the ring.
     let mut idle_since: Option<u64> = None;
     loop {
-        let task = LOCAL.with(|l| {
-            let borrow = l.borrow();
-            let ctx = borrow.as_ref().expect("worker context missing");
-            find_task_impl(&shared, Some(&ctx.deque))
-        });
-        match task {
+        match find_task_impl(&shared, Some(index)) {
             Some(t) => {
                 if let Some(t0) = idle_since.take() {
                     trace::record_raw(TraceCategory::Idle, None, t0, trace::now_ns() - t0);
@@ -387,7 +393,7 @@ fn worker_main(shared: Arc<Shared>, index: usize, deque: WorkerDeque<Task>) {
                 shared.parks.increment();
                 let mut guard = shared.sleep_lock.lock();
                 // Re-check for work before sleeping to avoid a lost wakeup.
-                if !shared.injector.is_empty() || shared.shutdown.load(Ordering::SeqCst) {
+                if !shared.injector.0.lock().is_empty() || shared.shutdown.load(Ordering::SeqCst) {
                     continue;
                 }
                 shared.wakeup.wait_for(&mut guard, Duration::from_millis(1));
@@ -525,6 +531,98 @@ mod tests {
         let s = new_sched(2);
         s.shutdown();
         s.shutdown();
+    }
+
+    /// Wait for `s` to drain without running any task on this thread
+    /// (a helper would take tasks itself and change the order).
+    fn wait_without_helping(s: &Scheduler) {
+        while s.in_flight() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Spawn `labels` from outside a 1-worker scheduler while its worker
+    /// is held busy, then release it; returns the order they ran in.
+    fn run_order_of_injected(labels: &[char]) -> Vec<char> {
+        let s = new_sched(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        s.spawn(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        for &label in labels {
+            let order = Arc::clone(&order);
+            s.spawn(move || order.lock().push(label));
+        }
+        release_tx.send(()).unwrap();
+        wait_without_helping(&s);
+        let order = order.lock().clone();
+        order
+    }
+
+    #[test]
+    fn injected_tasks_run_fifo_with_a_batch_moved_to_the_local_deque() {
+        // A is taken, B (half the rest) moves to the worker's deque, and
+        // C stays in the injector.
+        assert_eq!(run_order_of_injected(&['A', 'B', 'C']), ['A', 'B', 'C']);
+        // With five, the batch is B and C, which the worker then pops
+        // LIFO before it returns to the injector for D and E.
+        assert_eq!(run_order_of_injected(&['A', 'B', 'C', 'D', 'E']), ['A', 'C', 'B', 'D', 'E']);
+    }
+
+    #[test]
+    fn tasks_a_worker_spawns_run_lifo() {
+        let s = new_sched(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (s2, o2) = (Arc::clone(&s), Arc::clone(&order));
+        s.spawn(move || {
+            for label in ['X', 'Y', 'Z'] {
+                let order = Arc::clone(&o2);
+                s2.spawn(move || order.lock().push(label));
+            }
+        });
+        wait_without_helping(&s);
+        assert_eq!(*order.lock(), ['Z', 'Y', 'X']);
+    }
+
+    #[test]
+    fn only_sibling_steals_count_as_stolen() {
+        let metrics = Metrics::new();
+        let s = Scheduler::new(1, &metrics);
+        // Injector takes, by the worker (with a batch) and by a helper
+        // thread, are not steals.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        s.spawn(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        for _ in 0..6 {
+            s.spawn(|| {});
+        }
+        assert!(s.try_run_one(), "the helper takes one injected task");
+        release_tx.send(()).unwrap();
+        wait_without_helping(&s);
+        assert_eq!(metrics.get("tasks/stolen"), 0);
+
+        // A helper popping from the worker's own deque is one steal.
+        let (pushed_tx, pushed_rx) = std::sync::mpsc::channel();
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel::<()>();
+        let s2 = Arc::clone(&s);
+        s.spawn(move || {
+            s2.spawn(move || ran_tx.send(()).unwrap());
+            pushed_tx.send(()).unwrap();
+            ran_rx.recv().unwrap();
+        });
+        pushed_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(s.try_run_one(), "the helper steals the worker's task");
+        wait_without_helping(&s);
+        assert_eq!(metrics.get("tasks/stolen"), 1);
+        assert_eq!(metrics.get("tasks/executed"), 9);
     }
 
     #[test]

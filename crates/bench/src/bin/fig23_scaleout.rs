@@ -2,8 +2,9 @@
 //! REPRODUCTION.md's Figures 2 and 3.
 //!
 //! The paper's Figures 2 and 3 are measured on up to 5400 Piz Daint
-//! nodes. This host has one CPU, so this bin reproduces the *shapes* of
-//! those figures by calibration + co-simulation:
+//! nodes. It runs on one host (the JSON records its `host_cpus`), so
+//! this bin reproduces the *shapes* of those figures by calibration +
+//! co-simulation:
 //!
 //! 1. **Measure** — run the real distributed TVD-RK2 driver (star_amr,
 //!    2 localities) under an [`amt::trace`] session and extract a
@@ -40,23 +41,17 @@ use gravity::gpu::GpuContext;
 use gravity::solver::FmmSolver;
 use gpusim::device::{Device, DeviceSpec};
 use gpusim::launch_policy::QueuePolicy;
-use hydro::eos::IdealGas;
-use octotiger::{Config, DistributedDriver, Scenario};
-use octree::geometry::Domain;
+use octotiger::{DistributedDriver, Scenario};
 use octree::shard::ShardMap;
-use octree::subgrid::Field;
-use octree::tree::Octree;
 use parcelport::cluster::Cluster;
 use parcelport::netmodel::TransportKind;
 use perfmodel::calibrate::{Calibration, CheckpointCost, Measurements};
 use perfmodel::des::{simulate_scaleout, sweep_cadence, CommPattern, DesOpts};
 use perfmodel::scaling::{efficiency, v1309_structure_tree};
 use perfmodel::ScaleoutResult;
-use scf::lane_emden::Polytrope;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use util::vec3::Vec3;
 
 /// Simulated locality counts — Piz Daint's full 5400 nodes at the top.
 const LOCALITIES: &[usize] = &[1, 2, 8, 64, 256, 1024, 2048, 4096, 5400];
@@ -67,45 +62,11 @@ const LEVEL: u8 = 14;
 /// cores (Table 3). A machine parameter, not a workload calibration.
 const SIM_THREADS: usize = 12;
 
-/// The determinism suite's level-2 self-gravitating AMR scenario, the
-/// measured workload (a copy of `integration_tests::star_amr`: `bench`
-/// does not depend on the test-support crate).
-fn star_amr() -> Scenario {
-    let eos = IdealGas::monatomic();
-    let star = Polytrope::new(1.0, 1.0, 1.5);
-    let mut tree = Octree::new(Domain::new(8.0));
-    tree.refine_where(2, |d, k| {
-        let o = d.node_origin(k);
-        k.level == 0 || (o.x < 0.0 && o.y < 0.0 && o.z < 0.0)
-    });
-    let domain = tree.domain();
-    let center = Vec3::new(-1.0, -1.0, -1.0);
-    for key in tree.leaves() {
-        let node = tree.node_mut(key).expect("leaf");
-        let grid = node.grid.as_mut().expect("grid");
-        for (i, j, k) in grid.indexer().interior() {
-            let c = domain.cell_center(key, i, j, k);
-            let r = (c - center).norm();
-            let rho = star.rho(r).max(1e-10);
-            let e = star.e_int(r).max(rho * 1e-4);
-            grid.set(Field::Rho, i, j, k, rho);
-            grid.set(Field::Egas, i, j, k, e);
-            grid.set(Field::Tau, i, j, k, eos.tau_from_e(e));
-        }
-    }
-    Scenario {
-        name: "star_amr",
-        tree,
-        config: Config { eos, ..Config::self_gravitating() },
-        binary: None,
-    }
-}
-
 /// One solve over the measured tree, its items replayed with 8-slot
 /// aggregation → (items, fused launches), the launch-collapse input of
 /// the calibration (deterministic: a virtual-time replay).
 fn measure_aggregation() -> (u64, u64) {
-    let scenario = star_amr();
+    let scenario = Scenario::star_amr();
     let tree = Arc::new(scenario.tree);
     let dev = Device::new(DeviceSpec::p100(), 8);
     let solver = Arc::new(
@@ -135,7 +96,7 @@ fn measure(steps: usize) -> Measured {
 
     // The leaf-halo push plan of the measured topology — the
     // amplification denominator.
-    let plan_tree = star_amr().tree;
+    let plan_tree = Scenario::star_amr().tree;
     let map = ShardMap::partition(&plan_tree, MEASURED_LOCALITIES).expect("shard map");
     let plan_parcels_per_step: u64 = map
         .halo_push_plan(&plan_tree)
@@ -151,7 +112,8 @@ fn measure(steps: usize) -> Measured {
             .transport(TransportKind::Libfabric)
             .build(),
     );
-    let mut driver = DistributedDriver::builder(star_amr(), cluster).build().expect("driver");
+    let mut driver =
+        DistributedDriver::builder(Scenario::star_amr(), cluster).build().expect("driver");
     let session = TraceSession::begin();
     for _ in 0..steps {
         driver.step().expect("distributed step");
@@ -171,7 +133,7 @@ fn measure(steps: usize) -> Measured {
             .build(),
     );
     let t0 = Instant::now();
-    let restored = DistributedDriver::restore(star_amr(), fresh, &blob).expect("restore");
+    let restored = DistributedDriver::restore(Scenario::star_amr(), fresh, &blob).expect("restore");
     let restore_s = t0.elapsed().as_secs_f64();
     assert_eq!(restored.steps, driver.steps, "restore must resume at the same step");
 

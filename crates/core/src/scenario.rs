@@ -28,6 +28,18 @@ fn uniform_tree(domain: Domain, level: u8) -> Octree {
     t
 }
 
+/// A level-2 AMR tree: the (−,−,−) corner octant refined one level
+/// deeper than the rest, 15 leaves — enough to split 4 ways along the
+/// SFC while staying debug-build-sized.
+fn corner_tree(domain: Domain) -> Octree {
+    let mut t = Octree::new(domain);
+    t.refine_where(2, |d, k| {
+        let o = d.node_origin(k);
+        k.level == 0 || (o.x < 0.0 && o.y < 0.0 && o.z < 0.0)
+    });
+    t
+}
+
 /// Convert painted inertial momenta to the co-rotating frame, where
 /// the tidally locked binary is static: zero the momenta and remove the
 /// kinetic energy (the internal energy is unchanged).
@@ -77,8 +89,18 @@ impl Scenario {
     /// split at x = 0 on a unit-ish domain, γ = 1.4. `level` sets the
     /// uniform resolution (16·2^(level−1) cells across).
     pub fn sod(level: u8) -> Scenario {
+        Self::sod_on(uniform_tree(Domain::new(1.0), level), "sod")
+    }
+
+    /// The same split on the level-2 corner-refined AMR tree: hydro
+    /// only, cheap enough to run several steps per cluster in a debug
+    /// build.
+    pub fn sod_amr() -> Scenario {
+        Self::sod_on(corner_tree(Domain::new(1.0)), "sod_amr")
+    }
+
+    fn sod_on(mut tree: Octree, name: &'static str) -> Scenario {
         let eos = IdealGas::new(1.4);
-        let mut tree = uniform_tree(Domain::new(1.0), level);
         fill(&mut tree, &eos, |c| {
             if c.x < 0.0 {
                 (1.0, Vec3::ZERO, eos.e_from_pressure(1.0))
@@ -87,7 +109,7 @@ impl Scenario {
             }
         });
         Scenario {
-            name: "sod",
+            name,
             tree,
             config: Config { eos, ..Config::hydro_only() },
             binary: None,
@@ -119,20 +141,28 @@ impl Scenario {
     /// "we have substituted a single star in equilibrium at rest for
     /// the third test".
     pub fn single_star(level: u8) -> Scenario {
-        Self::star_with_velocity(level, Vec3::ZERO, "single_star")
+        Self::star_on(uniform_tree(Domain::new(8.0), level), Vec3::ZERO, Vec3::ZERO, "single_star")
     }
 
     /// The same star advecting through the grid (§4.2 test 4).
     pub fn moving_star(level: u8, velocity: Vec3) -> Scenario {
-        Self::star_with_velocity(level, velocity, "moving_star")
+        Self::star_on(uniform_tree(Domain::new(8.0), level), Vec3::ZERO, velocity, "moving_star")
     }
 
-    fn star_with_velocity(level: u8, velocity: Vec3, name: &'static str) -> Scenario {
+    /// The same star at rest, centred at (−1, −1, −1) on the level-2
+    /// corner-refined AMR tree, so halo *and* FMM multipole traffic
+    /// carry real structure across the corner's refinement jump and
+    /// across shard boundaries every step.
+    pub fn star_amr() -> Scenario {
+        let center = Vec3::new(-1.0, -1.0, -1.0);
+        Self::star_on(corner_tree(Domain::new(8.0)), center, Vec3::ZERO, "star_amr")
+    }
+
+    fn star_on(mut tree: Octree, center: Vec3, velocity: Vec3, name: &'static str) -> Scenario {
         let eos = IdealGas::monatomic();
         let star = Polytrope::new(1.0, 1.0, 1.5);
-        let mut tree = uniform_tree(Domain::new(8.0), level);
         fill(&mut tree, &eos, |c| {
-            let r = c.norm();
+            let r = (c - center).norm();
             let rho = star.rho(r).max(1e-10);
             let e = star.e_int(r).max(rho * 1e-4);
             (rho, velocity, e)
@@ -273,6 +303,17 @@ mod tests {
         }
         assert_eq!(left, 1.0);
         assert_eq!(right, 0.125);
+    }
+
+    #[test]
+    fn amr_scenarios_share_the_fifteen_leaf_corner_tree() {
+        let (sod, star) = (Scenario::sod_amr(), Scenario::star_amr());
+        for tree in [&sod.tree, &star.tree] {
+            tree.check_invariants();
+            assert_eq!(tree.leaves().len(), 15);
+        }
+        assert_eq!(sod.tree.leaves(), star.tree.leaves());
+        assert!(star.config.gravity && !sod.config.gravity);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! * **Zero copy**: the payload [`bytes::Bytes`] handle itself is the
 //!   registered memory region; delivery shares the buffer by reference
 //!   count, never copying bytes.
-//! * **Lock-free completion queues**: a `crossbeam_channel` per locality;
-//!   any worker may poll concurrently without serializing behind a
-//!   progress lock.
+//! * **Completion queues any worker may poll**: one per locality, a
+//!   `Mutex<VecDeque>` held for one completion at a time, so concurrent
+//!   pollers interleave instead of serializing behind a progress lock.
+//!   The real fabric's queue is lock-free; that is what
+//!   [`crate::netmodel::NetParams`] prices, not what this simulation runs.
 //! * **No tag matching**: completions map one-to-one onto ready futures.
 //!
 //! Memory registration is modelled by [`RmaRegion`]: payloads are
@@ -24,8 +26,8 @@ use crate::netmodel::TransportKind;
 use crate::parcel::Parcel;
 use amt::{Counter, Metrics};
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -60,8 +62,7 @@ struct Completion {
 }
 
 struct PerLocality {
-    cq_tx: Sender<Completion>,
-    cq_rx: Receiver<Completion>,
+    cq: Mutex<VecDeque<Completion>>,
     delivery: Mutex<Option<DeliveryFn>>,
 }
 
@@ -87,9 +88,9 @@ impl LibfabricTransport {
     pub(crate) fn with_metrics(n_localities: usize, metrics: &Metrics) -> LibfabricTransport {
         LibfabricTransport {
             locs: (0..n_localities)
-                .map(|_| {
-                    let (cq_tx, cq_rx) = unbounded();
-                    PerLocality { cq_tx, cq_rx, delivery: Mutex::new(None) }
+                .map(|_| PerLocality {
+                    cq: Mutex::new(VecDeque::new()),
+                    delivery: Mutex::new(None),
                 })
                 .collect(),
             in_flight: AtomicUsize::new(0),
@@ -123,17 +124,18 @@ impl Transport for LibfabricTransport {
         let meta = Parcel { payload: Bytes::new(), ..parcel };
         self.rma_puts.increment();
         self.locs[meta.dest_locality as usize]
-            .cq_tx
-            .send(Completion { parcel_meta: meta, region })
-            .expect("completion queue closed");
+            .cq
+            .lock()
+            .push_back(Completion { parcel_meta: meta, region });
     }
 
     fn progress(&self, locality: u32) -> bool {
-        // Lock-free: any number of workers may poll concurrently.
+        // Any number of workers may poll concurrently: each holds the
+        // queue's lock for one pop, never across a delivery.
         let loc = &self.locs[locality as usize];
         let mut progressed = false;
         for _ in 0..64 {
-            let Ok(completion) = loc.cq_rx.try_recv() else { break };
+            let Some(completion) = loc.cq.lock().pop_front() else { break };
             progressed = true;
             self.received.increment();
             // Zero-copy: hand the pinned bytes straight to the parcel.

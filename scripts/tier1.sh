@@ -12,7 +12,10 @@
 #      remote-call, zero owner-registry, one counter namespace (zero
 #      per-layer registries or mounts, zero counter lookups by name in
 #      the parcelport's non-test code), one step model (zero event
-#      engine in crates/perfmodel/src) and zero uncalled-pub-fn budgets
+#      engine in crates/perfmodel/src), stand-in (zero `crossbeam` in
+#      crates/, tests/, examples/ and the root Cargo.toml, zero
+#      `Condvar` in crates/amt/src/future.rs) and zero uncalled-pub-fn
+#      budgets
 #   2. release build of the whole workspace (bins included)
 #   3. the full test suite in quiet mode
 #   4. the scenario verification registry under release (golden digests,
@@ -353,6 +356,27 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "one step model budget OK (0 components, contexts, specs or event heaps)"
+
+echo
+echo "== tier-1: stand-in budget =="
+# One queue idiom: the scheduler's deques and injector (amt) and the
+# libfabric completion queues (parcelport) are std `Mutex<VecDeque>`s
+# owned by the module that uses them, not a foreign deque or channel
+# API over the same mutex. And a future has one wait, `get_help`, which
+# runs tasks: nothing parks on a future, so it holds no condvar.
+stray=$(grep -rn 'crossbeam' crates tests examples Cargo.toml || true)
+if [ -n "$stray" ]; then
+    echo "!! a crossbeam stand-in under crates/, tests/, examples/ or in Cargo.toml (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+stray=$(grep -n 'Condvar' crates/amt/src/future.rs || true)
+if [ -n "$stray" ]; then
+    echo "!! a blocking wait in crates/amt/src/future.rs (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "stand-in budget OK (0 crossbeam stand-ins, 0 condvars in amt's futures)"
 
 echo
 echo "== tier-1: caller budget =="

@@ -1,11 +1,9 @@
 //! Shared helpers for the integration tests in `tests/tests/`.
 
 use hydro::eos::IdealGas;
-use octotiger::{Config, Scenario};
 use octree::geometry::Domain;
 use octree::subgrid::{Field, ALL_FIELDS};
 use octree::tree::Octree;
-use scf::lane_emden::Polytrope;
 use util::vec3::Vec3;
 
 /// Paint every leaf interior from a pointwise (ρ, v, ρε) profile,
@@ -47,61 +45,6 @@ pub fn two_blob_profile(c: Vec3) -> (f64, Vec3, f64) {
     let b2 = Vec3::new(2.0, 0.5, 0.0);
     let rho = 1.5 * (-(c - b1).norm2()).exp() + 0.8 * (-(c - b2).norm2() / 2.0).exp() + 1e-8;
     (rho, Vec3::ZERO, rho * 0.5)
-}
-
-/// A level-2 AMR tree: the (−,−,−) corner octant refined one level
-/// deeper than the rest. 15 leaves — enough to split 4 ways along the
-/// SFC while staying debug-build-sized.
-fn amr_tree(edge: f64) -> Octree {
-    let mut tree = Octree::new(Domain::new(edge));
-    tree.refine_where(2, |d, k| {
-        let o = d.node_origin(k);
-        k.level == 0 || (o.x < 0.0 && o.y < 0.0 && o.z < 0.0)
-    });
-    tree.check_invariants();
-    tree
-}
-
-/// Hydro-only: a Sod-like split on the AMR tree — cheap enough to run
-/// several steps per cluster in a debug build.
-pub fn sod_amr() -> Scenario {
-    let eos = IdealGas::new(1.4);
-    let mut tree = amr_tree(1.0);
-    paint(&mut tree, &eos, |c| {
-        if c.x < 0.0 {
-            (1.0, Vec3::ZERO, eos.e_from_pressure(1.0))
-        } else {
-            (0.125, Vec3::ZERO, eos.e_from_pressure(0.1))
-        }
-    });
-    Scenario {
-        name: "sod_amr",
-        tree,
-        config: Config { eos, ..Config::hydro_only() },
-        binary: None,
-    }
-}
-
-/// Self-gravitating: an off-centre polytrope on the AMR tree, so halo
-/// *and* FMM multipole traffic carry real structure across the corner's
-/// refinement jump and across shard boundaries every step.
-pub fn star_amr() -> Scenario {
-    let eos = IdealGas::monatomic();
-    let star = Polytrope::new(1.0, 1.0, 1.5);
-    let mut tree = amr_tree(8.0);
-    let center = Vec3::new(-1.0, -1.0, -1.0);
-    paint(&mut tree, &eos, |c| {
-        let r = (c - center).norm();
-        let rho = star.rho(r).max(1e-10);
-        let e = star.e_int(r).max(rho * 1e-4);
-        (rho, Vec3::ZERO, e)
-    });
-    Scenario {
-        name: "star_amr",
-        tree,
-        config: Config { eos, ..Config::self_gravitating() },
-        binary: None,
-    }
 }
 
 /// Every node that carries a grid must match bit-for-bit across every

@@ -9,9 +9,10 @@
 //! driver's real traffic shape: many ~57 KB interior-sized parcels in
 //! flight at once (the libfabric in-flight counter regression test).
 
-use integration_tests::{assert_trees_bit_identical, sod_amr, star_amr};
+use integration_tests::assert_trees_bit_identical;
 use octotiger::diagnostics::totals;
 use octotiger::regrid::RegridPolicy;
+use octotiger::scenarios::state_digest;
 use octotiger::{DistributedDriver, Scenario, Simulation};
 use proptest::prelude::*;
 use octree::tree::Octree;
@@ -104,7 +105,7 @@ fn check_matrix(make: fn() -> Scenario, steps: usize, localities: &[usize]) {
 
 #[test]
 fn hydro_amr_bit_identical_at_1_2_4_localities_both_transports() {
-    check_matrix(sod_amr, 3, &[1, 2, 4]);
+    check_matrix(Scenario::sod_amr, 3, &[1, 2, 4]);
 }
 
 #[test]
@@ -112,7 +113,7 @@ fn gravity_amr_bit_identical_at_1_2_4_localities_both_transports() {
     // One step (= two full FMM solves + two exchanges per driver): the
     // debug-mode FMM dominates the suite's runtime, and the multi-step
     // mirror-staleness invariant is covered by the hydro matrix above.
-    check_matrix(star_amr, 1, &[1, 2, 4]);
+    check_matrix(Scenario::star_amr, 1, &[1, 2, 4]);
 }
 
 #[test]
@@ -124,7 +125,8 @@ fn moment_traffic_flows_when_gravity_is_on() {
             .transport(TransportKind::Libfabric)
             .build(),
     );
-    let mut dist = DistributedDriver::builder(star_amr(), cluster).build().expect("driver");
+    let mut dist =
+        DistributedDriver::builder(Scenario::star_amr(), cluster).build().expect("driver");
     dist.step().expect("step");
     let m = dist.cluster().metrics();
     assert!(m.get("driver/moments/parcels_tx") > 0);
@@ -144,7 +146,8 @@ fn a_moment_parcel_carries_one_leafs_masses() {
         let cluster = Arc::new(
             Cluster::builder().localities(2).threads_per(2).transport(kind).build(),
         );
-        let dist = DistributedDriver::builder(star_amr(), cluster).build().expect("driver");
+        let dist =
+            DistributedDriver::builder(Scenario::star_amr(), cluster).build().expect("driver");
         dist.solve_gravity().expect("solve");
         let m = dist.cluster().metrics();
         let parcels = m.get("driver/moments/parcels_tx");
@@ -193,12 +196,20 @@ fn every_wire_parcel_belongs_to_a_driver_channel() {
     }
 }
 
+/// The two AMR trees every matrix above starts from, pinned bit for
+/// bit: a builder that moves may not move a bit.
+#[test]
+fn the_amr_scenarios_keep_their_initial_bits() {
+    assert_eq!(state_digest(&Scenario::sod_amr().tree), 0xae28_6e84_fff6_e8f6);
+    assert_eq!(state_digest(&Scenario::star_amr().tree), 0x048b_d6a9_4214_1826);
+}
+
 /// A `Config` out of range is an `Err` from `build()`, not an unwind
 /// out of a function that returns `Result`.
 #[test]
 fn invalid_config_is_an_error_from_build() {
     let cluster = Arc::new(Cluster::builder().localities(2).build());
-    let mut scenario = sod_amr();
+    let mut scenario = Scenario::sod_amr();
     scenario.config.cfl = 1.5;
     let built = DistributedDriver::builder(scenario, cluster).build();
     let err = built.err().expect("cfl = 1.5 must not build");
@@ -223,7 +234,7 @@ fn test_policy() -> RegridPolicy {
 
 /// `sod_amr` with dynamic regridding on the given cadence.
 fn sod_amr_regrid(cadence: usize) -> Scenario {
-    let mut s = sod_amr();
+    let mut s = Scenario::sod_amr();
     s.config.regrid = Some(RegridPolicy { cadence, ..test_policy() });
     s
 }
@@ -261,7 +272,7 @@ fn facade_regrid_lands_on_the_serial_regrid_and_sends_nothing() {
     let mut tree = sim.tree().clone();
     let stats = octotiger::regrid::regrid(&mut tree, &test_policy());
     assert!(stats.refined > 0, "the regrid ahead must be non-trivial");
-    let config = sod_amr().config;
+    let config = Scenario::sod_amr().config;
     let mut reference = Simulation::new(Scenario { name: "regridded", tree, config, binary: None });
 
     let dt = sim.step(); // steps = 2: the cadence fires first
@@ -308,7 +319,7 @@ proptest! {
             cadence: 1 + ((seed >> 9) % 3) as usize,
         };
         let make = || {
-            let mut s = sod_amr();
+            let mut s = Scenario::sod_amr();
             s.config.regrid = Some(policy);
             s
         };
@@ -340,7 +351,7 @@ proptest! {
 /// the reference) still hold — migration moves ownership, never values.
 #[test]
 fn forced_migration_keeps_conservation_and_bit_identity() {
-    let mut reference = Simulation::new(star_amr());
+    let mut reference = Simulation::new(Scenario::star_amr());
     let cluster = Arc::new(
         Cluster::builder()
             .localities(4)
@@ -348,7 +359,7 @@ fn forced_migration_keeps_conservation_and_bit_identity() {
             .transport(TransportKind::Libfabric)
             .build(),
     );
-    let mut dist = DistributedDriver::builder(star_amr(), cluster)
+    let mut dist = DistributedDriver::builder(Scenario::star_amr(), cluster)
         .skewed_partition(800)
         .build()
         .expect("driver");
@@ -457,8 +468,9 @@ fn the_counter_namespace_keeps_its_names_and_counts() {
                 .reliable(parcelport::ReliablePolicy::default())
                 .build(),
         );
-        let mut dist =
-            DistributedDriver::builder(star_amr(), Arc::clone(&cluster)).build().expect("driver");
+        let mut dist = DistributedDriver::builder(Scenario::star_amr(), Arc::clone(&cluster))
+            .build()
+            .expect("driver");
         for _ in 0..2 {
             dist.step().expect("step");
         }

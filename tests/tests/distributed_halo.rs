@@ -7,7 +7,7 @@
 //! them among the sources its interface plan lists.
 
 use amt::GlobalId;
-use integration_tests::star_amr;
+use octotiger::Scenario;
 use octree::geometry::Domain;
 use octree::halo::{BoundaryCondition, InterfacePlan};
 use octree::subgrid::{BoxMap, SubGrid, ALL_FIELDS};
@@ -15,23 +15,7 @@ use octree::{MortonKey, Octree};
 use parcelport::cluster::Cluster;
 use parcelport::netmodel::TransportKind;
 use parcelport::parcel::ActionId;
-use parking_lot_stub::Mutex;
-use std::sync::Arc;
-
-/// Tiny shim: std Mutex under the name used below (the integration
-/// package does not depend on parking_lot directly).
-mod parking_lot_stub {
-    pub use std::sync::Mutex as StdMutex;
-    pub struct Mutex<T>(StdMutex<T>);
-    impl<T> Mutex<T> {
-        pub fn new(v: T) -> Self {
-            Mutex(StdMutex::new(v))
-        }
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0.lock().expect("poisoned")
-        }
-    }
-}
+use std::sync::{Arc, Mutex};
 
 /// What the driver's halo push carries: where the sender lies, seen
 /// from the receiver, and the sender's leaf grid.
@@ -72,7 +56,7 @@ fn exchange_over(kind: TransportKind) {
     let received: Arc<Mutex<Option<HaloMsg>>> = Arc::new(Mutex::new(None));
     let sink = Arc::clone(&received);
     let halo = cluster.register_action(ActionId(7), move |_rt, _id, msg: HaloMsg| {
-        *sink.lock() = Some(msg);
+        *sink.lock().unwrap() = Some(msg);
     });
 
     // A sends its interior to B (direction from B towards A is -x).
@@ -82,7 +66,7 @@ fn exchange_over(kind: TransportKind) {
 
     // B fills its -x ghost box from what arrived; it must equal A's
     // facing interior cells, in every field.
-    let msg = received.lock().take().expect("halo must arrive");
+    let msg = received.lock().unwrap().take().expect("halo must arrive");
     let mut b = SubGrid::ghosted();
     msg.apply(&mut b);
     for f in ALL_FIELDS {
@@ -118,7 +102,7 @@ fn all_26_directions_roundtrip_over_the_wire() {
     let got: Arc<Mutex<Vec<HaloMsg>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&got);
     let halo = cluster.register_action(ActionId(8), move |_rt, _id, msg: HaloMsg| {
-        sink.lock().push(msg);
+        sink.lock().unwrap().push(msg);
     });
     let mut sent = 0;
     for dx in -1i32..=1 {
@@ -134,7 +118,7 @@ fn all_26_directions_roundtrip_over_the_wire() {
         }
     }
     cluster.wait_quiescent();
-    let got = got.lock();
+    let got = got.lock().unwrap();
     assert_eq!(got.len(), sent);
     for msg in got.iter() {
         let mut b = SubGrid::ghosted();
@@ -233,7 +217,7 @@ fn a_fill_reads_exactly_its_face_sources() {
     // both boundary conditions.
     let mut half = Octree::new(Domain::new(16.0));
     half.refine_where(2, |d, k| d.node_origin(k).x < 0.0);
-    for tree in [star_amr().tree, half] {
+    for tree in [Scenario::star_amr().tree, half] {
         tree.check_invariants();
         let leaves = tree.leaves();
         for bc in [BoundaryCondition::Outflow, BoundaryCondition::Reflect] {

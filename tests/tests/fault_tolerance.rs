@@ -15,7 +15,7 @@
 //!    *different* locality count (crashed shards re-adopted by the
 //!    survivors).
 
-use integration_tests::{assert_trees_bit_identical, sod_amr, star_amr};
+use integration_tests::assert_trees_bit_identical;
 use octotiger::{DistributedDriver, Scenario, Simulation};
 use octree::tree::Octree;
 use parcelport::cluster::Cluster;
@@ -42,7 +42,7 @@ fn killed_run_restored_from_checkpoint_matches_uninterrupted_run() {
     // Uninterrupted reference: the shared-memory driver, which the
     // distributed determinism suite already proves bit-identical to
     // the fault-free distributed run at any locality count.
-    let mut reference = Simulation::new(sod_amr());
+    let mut reference = Simulation::new(Scenario::sod_amr());
     let ref_dts: Vec<f64> = (0..STEPS).map(|_| reference.step()).collect();
 
     for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
@@ -60,8 +60,10 @@ fn killed_run_restored_from_checkpoint_matches_uninterrupted_run() {
                 .reliable(test_policy())
                 .build(),
         );
-        let mut probe = DistributedDriver::builder(sod_amr(), Arc::clone(&probe_cluster)).build()
-            .expect("probe driver");
+        let mut probe =
+            DistributedDriver::builder(Scenario::sod_amr(), Arc::clone(&probe_cluster))
+                .build()
+                .expect("probe driver");
         probe.step().expect("probe step 1");
         let s1 = probe_cluster.fault_layer().expect("fault layer").sends_from(1);
         probe.step().expect("probe step 2");
@@ -79,8 +81,9 @@ fn killed_run_restored_from_checkpoint_matches_uninterrupted_run() {
                 .reliable(test_policy())
                 .build(),
         );
-        let mut doomed =
-            DistributedDriver::builder(sod_amr(), Arc::clone(&cluster)).build().expect("driver");
+        let mut doomed = DistributedDriver::builder(Scenario::sod_amr(), Arc::clone(&cluster))
+            .build()
+            .expect("driver");
         let mut latest: Option<bytes::Bytes> = None;
         let mut survived = 0usize;
         for (s, &dt_ref) in ref_dts.iter().enumerate() {
@@ -107,7 +110,7 @@ fn killed_run_restored_from_checkpoint_matches_uninterrupted_run() {
             Cluster::builder().localities(2).threads_per(2).transport(kind).build(),
         );
         let mut restored =
-            DistributedDriver::restore(sod_amr(), fresh, &blob).expect("restore");
+            DistributedDriver::restore(Scenario::sod_amr(), fresh, &blob).expect("restore");
         assert_eq!(restored.steps as usize, survived, "{kind}: restored step index");
         assert_eq!(restored.dt_history.len(), survived, "{kind}: restored dt history");
         for (s, &dt_ref) in ref_dts.iter().enumerate().take(survived) {
@@ -136,11 +139,12 @@ fn killed_run_restored_from_checkpoint_matches_uninterrupted_run() {
 #[test]
 fn checkpoint_restores_onto_a_different_locality_count() {
     const STEPS: usize = 3;
-    let mut reference = Simulation::new(sod_amr());
+    let mut reference = Simulation::new(Scenario::sod_amr());
     let ref_dts: Vec<f64> = (0..STEPS).map(|_| reference.step()).collect();
 
     let writer_cluster = Arc::new(Cluster::builder().localities(2).threads_per(2).build());
-    let mut writer = DistributedDriver::builder(sod_amr(), writer_cluster).build().expect("driver");
+    let mut writer =
+        DistributedDriver::builder(Scenario::sod_amr(), writer_cluster).build().expect("driver");
     let dt = writer.step().expect("step 1");
     assert_eq!(dt.to_bits(), ref_dts[0].to_bits());
     let blob = writer.checkpoint().expect("checkpoint");
@@ -150,7 +154,7 @@ fn checkpoint_restores_onto_a_different_locality_count() {
     for n in [1usize, 3] {
         let cluster = Arc::new(Cluster::builder().localities(n).threads_per(2).build());
         let mut restored =
-            DistributedDriver::restore(sod_amr(), cluster, &blob).expect("restore");
+            DistributedDriver::restore(Scenario::sod_amr(), cluster, &blob).expect("restore");
         for (s, &dt_ref) in ref_dts.iter().enumerate().skip(1) {
             let dt = restored.step().expect("step");
             assert_eq!(dt.to_bits(), dt_ref.to_bits(), "x{n}: dt of step {s}");
@@ -168,7 +172,7 @@ fn checkpoint_restores_onto_a_different_locality_count() {
 #[test]
 fn restore_rejects_a_mismatched_scenario() {
     let cluster = Arc::new(Cluster::builder().localities(2).build());
-    let driver = DistributedDriver::builder(sod_amr(), cluster).build().expect("driver");
+    let driver = DistributedDriver::builder(Scenario::sod_amr(), cluster).build().expect("driver");
     let blob = driver.checkpoint().expect("checkpoint");
     let other = Arc::new(Cluster::builder().localities(2).build());
     match DistributedDriver::restore(Scenario::sod(1), other, &blob) {
@@ -184,7 +188,7 @@ fn star_reference() -> &'static (u64, Octree) {
     use std::sync::OnceLock;
     static REF: OnceLock<(u64, Octree)> = OnceLock::new();
     REF.get_or_init(|| {
-        let mut sim = Simulation::new(star_amr());
+        let mut sim = Simulation::new(Scenario::star_amr());
         let dt = sim.step();
         (dt.to_bits(), sim.tree().clone())
     })
@@ -223,8 +227,10 @@ proptest! {
                         .reliable(test_policy())
                         .build(),
                 );
-                let mut driver = DistributedDriver::builder(star_amr(), Arc::clone(&cluster)).build()
-                    .expect("driver");
+                let mut driver =
+                    DistributedDriver::builder(Scenario::star_amr(), Arc::clone(&cluster))
+                        .build()
+                        .expect("driver");
                 let dt = driver.step().expect("step under faults");
                 prop_assert_eq!(dt.to_bits(), *dt_ref, "seed {} x{} {}", seed, n, kind);
                 assert_trees_bit_identical(

@@ -10,7 +10,6 @@
 
 use amt::trace::{TraceCategory, TraceEvent, TraceSession};
 use amt::Runtime;
-use integration_tests::sod_amr;
 use octotiger::regrid::RegridPolicy;
 use octotiger::{DistributedDriver, Scenario, Simulation};
 use octree::subgrid::ALL_FIELDS;
@@ -269,7 +268,7 @@ fn tracing_does_not_perturb_distributed_results() {
 /// one.
 #[test]
 fn a_regrid_step_emits_a_regrid_span() {
-    let mut scenario = sod_amr();
+    let mut scenario = Scenario::sod_amr();
     // Hot level-1 leaves refine to level 2: the first collective is
     // non-trivial (the regrid suite's policy).
     let policy = RegridPolicy {
