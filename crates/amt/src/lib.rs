@@ -144,6 +144,27 @@ mod tests {
         assert_eq!(rt.get(f), 42);
     }
 
+    /// A task may hold the last handle of its own runtime: dropping it
+    /// there shuts the scheduler down without joining the worker that
+    /// runs the drop.
+    #[test]
+    fn a_task_may_drop_the_last_handle_of_its_runtime() {
+        let rt = Runtime::new(2);
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let last = Arc::clone(&rt);
+        rt.spawn(move || {
+            go_rx.recv().unwrap();
+            drop(last);
+            done_tx.send(()).unwrap();
+        });
+        drop(rt);
+        go_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the task dropping its runtime finished");
+    }
+
     #[test]
     fn spawn_many_and_quiesce() {
         let rt = Runtime::new(4);

@@ -200,8 +200,10 @@ impl Scheduler {
     }
 
     /// Run one pending task if available. Returns `true` if a task ran.
-    /// Usable from any thread; it takes from the injector and the
-    /// workers' fronts only, as a non-worker does.
+    /// Usable from any thread. A worker of this scheduler finds work as
+    /// its own loop does (its deque newest first, then the injector
+    /// with a batch, then its siblings); any other thread takes from
+    /// the injector and the workers' fronts only.
     pub fn try_run_one(&self) -> bool {
         if let Some(task) = self.find_task() {
             self.run_task(task);
@@ -262,18 +264,21 @@ impl Scheduler {
         self.shared.worker_trace_ids.lock().clone()
     }
 
-    /// Signal shutdown and join all worker threads. Idempotent.
+    /// Signal shutdown and join all worker threads but the calling one:
+    /// a task may drop the last handle of its own scheduler, and that
+    /// worker leaves its loop once its task returns. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wakeup.notify_all();
         let mut handles = self.handles.lock();
-        for h in handles.drain(..) {
+        let me = std::thread::current().id();
+        for h in handles.drain(..).filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
     }
 
     fn find_task(&self) -> Option<Task> {
-        find_task_impl(&self.shared, None)
+        find_task_impl(&self.shared, self.current_worker())
     }
 
     fn run_task(&self, task: Task) {
@@ -343,7 +348,8 @@ fn find_task_impl(shared: &Shared, worker: Option<usize>) -> Option<Task> {
             return Some(t);
         }
     }
-    // 3. Steal the oldest task of the first worker that has one.
+    // 3. Steal the oldest task of the first worker that has one. A
+    // worker's own deque is empty here: only that worker pushes to it.
     let t = shared.deques.iter().find_map(|deque| deque.0.lock().pop_front())?;
     trace::instant(TraceCategory::TaskSteal);
     shared.stolen.increment();
@@ -623,6 +629,33 @@ mod tests {
         wait_without_helping(&s);
         assert_eq!(metrics.get("tasks/stolen"), 1);
         assert_eq!(metrics.get("tasks/executed"), 9);
+    }
+
+    /// A worker blocked in `get_help` finds work as that worker: its own
+    /// deque newest first, so the task it waits on (the oldest) runs
+    /// last, and nothing it runs counts as stolen.
+    #[test]
+    fn a_worker_waiting_in_get_help_pops_its_own_deque() {
+        let metrics = Metrics::new();
+        let s = Scheduler::new(1, &metrics);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (s2, o2) = (Arc::clone(&s), Arc::clone(&order));
+        s.spawn(move || {
+            let mut waits = Vec::new();
+            for label in ['X', 'Y', 'Z'] {
+                let (promise, future) = crate::Promise::new();
+                let order = Arc::clone(&o2);
+                s2.spawn(move || {
+                    order.lock().push(label);
+                    promise.set_value(());
+                });
+                waits.push(future);
+            }
+            waits.swap_remove(0).get_help(&s2);
+        });
+        wait_without_helping(&s);
+        assert_eq!(*order.lock(), ['Z', 'Y', 'X']);
+        assert_eq!(metrics.get("tasks/stolen"), 0);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! * [`halo`] — ghost-layer filling from same-level, finer, and coarser
 //!   neighbors, plus physical boundary conditions, all read from one
 //!   interface plan per tree topology.
-//! * [`shard`] — the owner map of leaves over localities.
-//! * [`sfc`] — space-filling-curve ordering and partitioning of leaves
-//!   over localities.
+//! * [`shard`] — the shard map: the leaves in curve order, cut into one
+//!   contiguous run per locality.
+//! * [`sfc`] — space-filling-curve ordering of keys.
 //! * [`refine`] — the refinement criteria, including the V1309 rule of
 //!   §6 (stars to L−2, accretor core to L−1, donor core to L), used to
 //!   regenerate Table 4.

@@ -1,54 +1,29 @@
-//! Space-filling-curve ordering and partitioning.
+//! Space-filling-curve ordering.
 //!
 //! "These octree nodes are distributed onto the compute nodes using a
-//! space filling curve" (§4.2). Leaves sorted along the Morton curve
-//! ([`curve_cmp`]) are split into contiguous, count-balanced chunks, one
-//! per locality ([`partition`]). [`crate::shard::ShardMap`] wraps the
-//! assignment and derives from it the halo push plan — which (leaf,
-//! peer) pairs exchange data each step. That plan is what both the
-//! distributed driver and the scaling model (`perfmodel::des`) consume;
-//! message sizes come from the driver's own traffic (whole interiors
-//! today, see [`crate::halo`]), not from a per-direction slab census.
+//! space filling curve" (§4.2). [`curve_cmp`] orders keys of any level
+//! along the Morton curve; [`crate::shard::ShardMap`] cuts the leaves,
+//! so ordered, into contiguous count-balanced chunks, one per locality.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use util::morton::MortonKey;
 
-/// Compare two keys (of possibly different levels) along the space
-/// filling curve: codes are aligned to a common depth; ancestors sort
-/// before their descendants.
-pub fn curve_cmp(a: MortonKey, b: MortonKey) -> Ordering {
-    let depth = a.level.max(b.level);
-    let ca = (a.code as u128) << (3 * (depth - a.level) as u32);
-    let cb = (b.code as u128) << (3 * (depth - b.level) as u32);
-    ca.cmp(&cb).then(a.level.cmp(&b.level))
+/// Where `key`'s cell starts along the curve: its code aligned to the
+/// finest level, [`MortonKey::MAX_LEVEL`] (63 bits, so a `u64` holds it).
+pub(crate) fn curve_start(key: MortonKey) -> u64 {
+    key.code << (3 * (MortonKey::MAX_LEVEL - key.level) as u32)
 }
 
-/// Assign `leaves` (must be in curve order) to `n_parts` contiguous,
-/// count-balanced chunks. Returns the partition index per leaf.
-pub fn partition(leaves: &[MortonKey], n_parts: usize) -> HashMap<MortonKey, usize> {
-    assert!(n_parts > 0, "need at least one partition");
-    let n = leaves.len();
-    let mut out = HashMap::with_capacity(n);
-    for (i, &key) in leaves.iter().enumerate() {
-        // Balanced contiguous chunks: leaf i goes to floor(i*P/n).
-        let part = if n == 0 { 0 } else { i * n_parts / n };
-        out.insert(key, part.min(n_parts - 1));
-    }
-    out
+/// Compare two keys (of possibly different levels) along the space
+/// filling curve: codes aligned to the finest level, then ancestors
+/// before their descendants.
+pub fn curve_cmp(a: MortonKey, b: MortonKey) -> Ordering {
+    curve_start(a).cmp(&curve_start(b)).then(a.level.cmp(&b.level))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Domain;
-    use crate::tree::Octree;
-
-    fn refined_tree(levels: u8) -> Octree {
-        let mut t = Octree::structure_only(Domain::new(16.0));
-        t.refine_where(levels, |d, k| d.node_center(k).norm() < 6.0);
-        t
-    }
 
     #[test]
     fn curve_cmp_orders_siblings() {
@@ -76,27 +51,5 @@ mod tests {
             assert_eq!(curve_cmp(c3.child(o), c4), Ordering::Less);
             assert_eq!(curve_cmp(c4.child(o), c3), Ordering::Greater);
         }
-    }
-
-    #[test]
-    fn partition_is_contiguous_and_balanced() {
-        let t = refined_tree(3);
-        let leaves = t.leaves();
-        let n_parts = 7;
-        let asg = partition(&leaves, n_parts);
-        // Contiguity: partition indices are non-decreasing in curve order.
-        let mut last = 0;
-        for leaf in &leaves {
-            let p = asg[leaf];
-            assert!(p >= last, "partition must be monotone along the curve");
-            last = p;
-        }
-        // Balance: counts differ by at most 1.
-        let mut counts = vec![0usize; n_parts];
-        for p in asg.values() {
-            counts[*p] += 1;
-        }
-        let (mn, mx) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        assert!(mx - mn <= 1, "counts {counts:?} not balanced");
     }
 }

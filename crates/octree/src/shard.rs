@@ -1,9 +1,11 @@
-//! Shard-aware owner maps for distributing sub-grids over localities.
+//! Shard maps: the space filling curve cut into one chunk per locality.
 //!
 //! Octo-Tiger assigns octree nodes to localities along the space filling
-//! curve (paper §4.2); [`ShardMap`] wraps [`crate::sfc::partition`] into
-//! the owner/owned view the distributed driver needs, and records
-//! ownership only:
+//! curve (paper §4.2). A [`ShardMap`] stores exactly that: the tree's
+//! leaves in curve order ([`crate::sfc::curve_cmp`]) and one cut point
+//! per shard boundary, shard `s` owning the leaves between cuts `s` and
+//! `s + 1`. Every leaf has one owner and every shard is a contiguous run
+//! of the curve by construction. The map records ownership only:
 //!
 //! * [`ShardMap::owner`] — which locality owns a leaf,
 //! * [`ShardMap::owned`] — a locality's leaves in SFC order (the order
@@ -17,9 +19,9 @@
 //! [`ShardMap::halo_push_plan`] is that projection over a fresh plan.
 
 use crate::halo::{BoundaryCondition, InterfacePlan};
-use crate::sfc;
+use crate::sfc::curve_start;
 use crate::tree::Octree;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use util::error::{Error, Result};
 use util::morton::MortonKey;
 
@@ -32,8 +34,10 @@ use util::morton::MortonKey;
 /// driver's stale-parcel guard).
 #[derive(Debug, Clone)]
 pub struct ShardMap {
-    owner: HashMap<MortonKey, u32>,
-    owned: Vec<Vec<MortonKey>>,
+    leaves: Vec<MortonKey>,
+    /// `n_shards + 1` indices into `leaves`, in order from 0 to
+    /// `leaves.len()`: shard `s` owns `leaves[cuts[s]..cuts[s + 1]]`.
+    cuts: Vec<usize>,
     epoch: u64,
 }
 
@@ -41,28 +45,18 @@ impl ShardMap {
     /// Partition the tree's leaves into `n_shards` contiguous,
     /// balanced chunks along the space filling curve (epoch 0).
     pub fn partition(tree: &Octree, n_shards: usize) -> Result<ShardMap> {
-        Self::partition_at_epoch(tree, n_shards, 0)
+        Self::balanced(tree, n_shards, 0)
     }
 
-    fn partition_at_epoch(tree: &Octree, n_shards: usize, epoch: u64) -> Result<ShardMap> {
-        if n_shards == 0 {
-            return Err(Error::Octree("cannot partition over zero shards".into()));
-        }
+    /// Cut the curve at `ceil(s·n/P)`: leaf `i` goes to shard `floor(i·P/n)`.
+    fn balanced(tree: &Octree, n_shards: usize, epoch: u64) -> Result<ShardMap> {
         let leaves = tree.leaves();
-        if leaves.is_empty() {
-            return Err(Error::Octree("tree has no leaves to partition".into()));
+        if n_shards == 0 || leaves.is_empty() {
+            let why = format!("cannot cut {} leaves into {n_shards} shards", leaves.len());
+            return Err(Error::Octree(why));
         }
-        let assignment = sfc::partition(&leaves, n_shards);
-        let mut owner = HashMap::with_capacity(leaves.len());
-        let mut owned = vec![Vec::new(); n_shards];
-        // Iterating `leaves` (SFC-sorted) keeps each owned list in SFC
-        // order — the deterministic iteration order for all shard work.
-        for &leaf in &leaves {
-            let part = assignment[&leaf] as u32;
-            owner.insert(leaf, part);
-            owned[part as usize].push(leaf);
-        }
-        Ok(ShardMap { owner, owned, epoch })
+        let cuts = (0..=n_shards).map(|s| (s * leaves.len()).div_ceil(n_shards)).collect();
+        Ok(ShardMap { leaves, cuts, epoch })
     }
 
     /// A deliberately *skewed* partition: the first shard takes
@@ -77,33 +71,21 @@ impl ShardMap {
         n_shards: usize,
         first_share_permille: u32,
     ) -> Result<ShardMap> {
-        if n_shards == 0 {
-            return Err(Error::Octree("cannot partition over zero shards".into()));
-        }
         let leaves = tree.leaves();
-        if leaves.len() < n_shards {
-            return Err(Error::Octree(format!(
-                "{} leaves cannot feed {n_shards} skewed shards",
-                leaves.len()
-            )));
-        }
         let total = leaves.len();
+        if n_shards == 0 || total < n_shards {
+            return Err(Error::Octree(format!("{total} leaves cannot feed {n_shards} shards")));
+        }
         let want = (total * first_share_permille.min(1000) as usize) / 1000;
         // Leave at least one leaf for every other shard, and none over
         // when there is no other.
         let first = if n_shards == 1 { total } else { want.clamp(1, total - (n_shards - 1)) };
-        let mut owner = HashMap::with_capacity(total);
-        let mut owned = vec![Vec::new(); n_shards];
-        let rest = total - first;
-        for (i, &leaf) in leaves.iter().enumerate() {
-            // The rest split evenly over shards 1..n, as `sfc::partition`
-            // splits a whole curve: at least one leaf each, since
-            // `rest >= n_shards - 1`.
-            let part = if i < first { 0 } else { 1 + (i - first) * (n_shards - 1) / rest };
-            owner.insert(leaf, part as u32);
-            owned[part].push(leaf);
-        }
-        Ok(ShardMap { owner, owned, epoch: 0 })
+        // The rest cut evenly over shards 1..n, as `balanced` cuts a
+        // whole curve: at least one leaf each, since `rest >= n - 1`.
+        let (rest, others) = (total - first, (n_shards - 1).max(1));
+        let starts = (1..=n_shards).map(|s| first + ((s - 1) * rest).div_ceil(others));
+        let cuts = std::iter::once(0).chain(starts).collect();
+        Ok(ShardMap { leaves, cuts, epoch: 0 })
     }
 
     /// Re-partition the (possibly regridded) tree's current leaves into
@@ -111,9 +93,7 @@ impl ShardMap {
     /// not have the same leaf set this map was built from — this is the
     /// post-regrid / rebalance path.
     pub fn repartition(&self, tree: &Octree, n_shards: usize) -> Result<ShardMap> {
-        let next = Self::partition_at_epoch(tree, n_shards, self.epoch + 1)?;
-        debug_assert!(next.epoch > self.epoch, "a repartition must raise the epoch");
-        Ok(next)
+        Self::balanced(tree, n_shards, self.epoch + 1)
     }
 
     /// The partition epoch this map belongs to.
@@ -128,10 +108,11 @@ impl ShardMap {
     /// broadcast, not leaf migration.
     pub fn migration_plan(&self, next: &ShardMap) -> Vec<(MortonKey, u32, u32)> {
         let mut moves: Vec<(MortonKey, u32, u32)> = self
-            .owner
+            .leaves
             .iter()
-            .filter_map(|(&key, &old)| {
-                let new = *next.owner.get(&key)?;
+            .enumerate()
+            .filter_map(|(i, &key)| {
+                let (old, new) = (self.shard_at(i), next.owner(key).ok()?);
                 (new != old).then_some((key, old, new))
             })
             .collect();
@@ -146,71 +127,55 @@ impl ShardMap {
     /// rebalancing without making runs flaky; the bench layer separately
     /// validates it against measured per-locality idle rates.
     pub fn imbalance_permille(&self) -> u64 {
-        let total = self.n_leaves();
-        if total == 0 {
-            return 0;
-        }
-        let max = self.owned.iter().map(Vec::len).max().unwrap_or(0);
-        (max * self.n_shards() * 1000 / total).saturating_sub(1000) as u64
+        let max = self.cuts.windows(2).map(|c| c[1] - c[0]).max().unwrap_or(0);
+        (max * self.n_shards() * 1000 / self.n_leaves()).saturating_sub(1000) as u64
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.owned.len()
+        self.cuts.len() - 1
     }
 
     /// Total number of leaves across all shards.
     pub fn n_leaves(&self) -> usize {
-        self.owner.len()
+        self.leaves.len()
     }
 
-    /// The locality owning leaf `key`.
+    /// The locality owning leaf `key`. Distinct leaves start at distinct
+    /// points of the curve, so the search compares starts only.
     pub fn owner(&self, key: MortonKey) -> Result<u32> {
-        self.owner
-            .get(&key)
-            .copied()
-            .ok_or_else(|| Error::Octree(format!("{key:?} is not a leaf in the shard map")))
+        let start = curve_start(key);
+        let i = self.leaves.partition_point(|&leaf| curve_start(leaf) < start);
+        match self.leaves.get(i) {
+            Some(&leaf) if leaf == key => Ok(self.shard_at(i)),
+            _ => Err(Error::Octree(format!("{key:?} is not a leaf in the shard map"))),
+        }
+    }
+
+    /// The shard holding curve position `i`: the last to start at or before it.
+    fn shard_at(&self, i: usize) -> u32 {
+        let guess = i * self.n_shards() / self.n_leaves();
+        let hit = self.cuts[guess] <= i && i < self.cuts[guess + 1];
+        (if hit { guess } else { self.cuts.partition_point(|&cut| cut <= i) - 1 }) as u32
     }
 
     /// The leaves owned by `shard`, in SFC order.
     pub fn owned(&self, shard: u32) -> &[MortonKey] {
-        &self.owned[shard as usize]
+        &self.leaves[self.cuts[shard as usize]..self.cuts[shard as usize + 1]]
     }
 
-    /// Verify the map against `tree`: every leaf is owned exactly once,
-    /// `owner` and `owned` agree, each shard's list is in SFC order, and
-    /// the shards are contiguous along the curve — shard 0's leaves,
-    /// then shard 1's, and so on, are the tree's leaves in curve order.
+    /// Verify the map against `tree`: its leaves are the tree's leaves
+    /// in curve order, and its cuts run in order from 0 to their count.
+    /// One owner per leaf and contiguous shards hold by construction.
     ///
     /// # Panics
-    /// With a description of the first violated invariant.
+    /// With a description of the violated invariant.
     pub fn check_invariants(&self, tree: &Octree) {
-        for (shard, keys) in self.owned.iter().enumerate() {
-            for key in keys {
-                let owner = self.owner.get(key);
-                let listed = Some(&(shard as u32));
-                assert_eq!(owner, listed, "shard {shard} lists {key:?}, owned by {owner:?}");
-            }
-        }
-        let along: Vec<MortonKey> = self.owned.concat();
-        assert_eq!(
-            along.len(),
-            self.owner.len(),
-            "the shards list {} leaves, the owner map holds {}",
-            along.len(),
-            self.owner.len()
-        );
-        let leaves = tree.leaves();
-        let len = along.len().max(leaves.len());
-        if let Some(n) = (0..len).find(|&n| along.get(n) != leaves.get(n)) {
-            panic!(
-                "position {n} along the curve: the shards list {:?}, the tree's leaf is {:?} \
-                 (a leaf owned twice or not at all, a list out of SFC order, or shards not \
-                 contiguous along the curve)",
-                along.get(n),
-                leaves.get(n)
-            );
-        }
+        let n = self.leaves.len();
+        assert!(self.leaves == tree.leaves(), "the leaves are not the tree's, in curve order");
+        let ordered = self.cuts.windows(2).all(|c| c[0] <= c[1]);
+        let ends = (self.cuts.first(), self.cuts.last()) == (Some(&0), Some(&n));
+        assert!(ordered && ends, "the cuts {:?} do not run in order from 0 to {n}", self.cuts);
     }
 
     /// [`InterfacePlan::push_plan`] of this map over a fresh plan of
@@ -225,6 +190,7 @@ mod tests {
     use super::*;
     use crate::geometry::Domain;
     use std::collections::BTreeSet;
+    use util::Fnv1a;
 
     fn amr_tree() -> Octree {
         let mut t = Octree::new(Domain::new(16.0));
@@ -263,34 +229,27 @@ mod tests {
             let out = std::panic::catch_unwind(|| bad.check_invariants(&t));
             assert!(out.is_err(), "{what} passed the checker");
         };
-        let last = |m: &ShardMap| *m.owned[0].last().unwrap();
-        broken("an owner disagreeing with its list", &|m| {
-            let key = last(m);
-            m.owner.insert(key, 1);
+        broken("a leaf missing", &|m| {
+            m.leaves.pop();
+            *m.cuts.last_mut().unwrap() -= 1;
         });
-        broken("a leaf owned twice", &|m| {
-            let key = last(m);
-            m.owned[1].insert(0, key);
-        });
-        broken("a leaf owned by no shard", &|m| {
-            let key = m.owned[0].pop().unwrap();
-            m.owner.remove(&key);
-        });
-        broken("a list out of SFC order", &|m| m.owned[0].swap(0, 1));
-        broken("shards not contiguous along the curve", &|m| {
-            let key = m.owned[0].pop().unwrap();
-            m.owned[2].push(key);
-            m.owner.insert(key, 2);
-        });
+        broken("leaves out of curve order", &|m| m.leaves.swap(0, 1));
+        broken("cuts short of the curve", &|m| *m.cuts.last_mut().unwrap() -= 1);
+        broken("cuts out of order", &|m| m.cuts.swap(1, 2));
     }
 
+    /// Balanced maps' shard sizes differ by at most one, on the AMR tree
+    /// and on a sphere-refined level-3 tree cut seven ways.
     #[test]
     fn partition_is_balanced() {
-        let t = amr_tree();
-        let map = ShardMap::partition(&t, 3).unwrap();
-        let counts: Vec<usize> = (0..3).map(|s| map.owned(s).len()).collect();
-        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        assert!(max - min <= 1, "unbalanced: {counts:?}");
+        let mut sphere = Octree::structure_only(Domain::new(16.0));
+        sphere.refine_where(3, |d, k| d.node_center(k).norm() < 6.0);
+        for (t, n) in [(amr_tree(), 3), (sphere, 7)] {
+            let map = ShardMap::partition(&t, n).unwrap();
+            let counts: Vec<usize> = (0..n as u32).map(|s| map.owned(s).len()).collect();
+            let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+            assert!(max - min <= 1, "unbalanced: {counts:?}");
+        }
     }
 
     #[test]
@@ -374,6 +333,69 @@ mod tests {
         // SFC chunks differ by at most one leaf; with 36 leaves over 4
         // shards that is exactly balanced.
         assert!(map.imbalance_permille() <= 150, "{}", map.imbalance_permille());
+    }
+
+    /// Every shard's owned keys, the epoch, the imbalance and the owner
+    /// of each leaf of `map`, folded into `h`.
+    fn fold_map(h: &mut Fnv1a, map: &ShardMap, leaves: &[MortonKey]) {
+        let key = |h: &mut Fnv1a, k: MortonKey| {
+            h.update(&[k.level]);
+            h.update_u64(k.code);
+        };
+        h.update_u64(map.n_shards() as u64);
+        for shard in 0..map.n_shards() as u32 {
+            h.update_u64(map.owned(shard).len() as u64);
+            for &k in map.owned(shard) {
+                key(h, k);
+            }
+        }
+        h.update_u64(map.epoch());
+        h.update_u64(map.imbalance_permille());
+        for &leaf in leaves {
+            h.update_u64(map.owner(leaf).unwrap() as u64);
+        }
+    }
+
+    /// Every partition, repartition, migration plan, owner and imbalance
+    /// over uniform, half-refined and sphere-refined trees and 1 to 40
+    /// shards, pinned to one digest: the map's storage may change, what
+    /// it assigns may not.
+    #[test]
+    fn partitions_are_pinned_bit_for_bit() {
+        let mut trees = Vec::new();
+        for level in 1..=3 {
+            let mut uniform = Octree::structure_only(Domain::new(16.0));
+            uniform.refine_where(level, |_, _| true);
+            let mut half = Octree::structure_only(Domain::new(16.0));
+            half.refine_where(level, |d, k| d.node_origin(k).x < 0.0);
+            trees.extend([uniform, half]);
+        }
+        let mut sphere = Octree::structure_only(Domain::new(16.0));
+        sphere.refine_where(4, |d, k| d.node_center(k).norm() < 6.0);
+        trees.push(sphere);
+        let mut h = Fnv1a::new();
+        for t in &trees {
+            let leaves = t.leaves();
+            h.update_u64(leaves.len() as u64);
+            for n in 1..=40 {
+                let map = ShardMap::partition(t, n).unwrap();
+                let next = map.repartition(t, (n - 1).max(1)).unwrap();
+                fold_map(&mut h, &map, &leaves);
+                fold_map(&mut h, &next, &leaves);
+                for (k, old, new) in map.migration_plan(&next) {
+                    h.update(&[k.level]);
+                    h.update_u64(k.code);
+                    h.update_u64(((old as u64) << 32) | new as u64);
+                }
+                for permille in [0, 1, 333, 500, 700, 999, 1000] {
+                    match ShardMap::partition_skewed(t, n, permille) {
+                        Ok(skewed) => fold_map(&mut h, &skewed, &leaves),
+                        Err(_) => h.update(b"err"),
+                    }
+                }
+            }
+        }
+        assert_eq!(h.finish(), 0xf586_1903_5f9c_097f, "digest {:#x}", h.finish());
     }
 
     #[test]

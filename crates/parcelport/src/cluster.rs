@@ -321,13 +321,18 @@ impl ClusterBuilder {
                 })
             })
             .collect();
-        // Wire delivery callbacks and progress pollers.
+        // Wire delivery callbacks and progress pollers. A locality holds
+        // the transport, so the transport's callback holds the locality
+        // weakly: a strong handle would be a cycle that keeps every
+        // runtime, and its workers, alive after the cluster is dropped.
+        // A parcel for a locality already gone is dropped.
         for loc in &localities {
-            let l = Arc::clone(loc);
+            let l = Arc::downgrade(loc);
             let kind = transport.kind();
             transport.set_delivery(
                 loc.index,
                 Arc::new(move |parcel| {
+                    let Some(l) = l.upgrade() else { return };
                     let _span = trace::span_labeled(TraceCategory::ParcelRecv, || {
                         format!("{}:{}B", kind.as_str(), parcel.wire_size())
                     });
@@ -498,6 +503,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Weak;
 
     fn ping_cluster(kind: TransportKind) {
         let cluster = Cluster::builder().localities(3).threads_per(2).transport(kind).build();
@@ -530,6 +536,38 @@ mod tests {
     #[test]
     fn ping_over_libfabric() {
         ping_cluster(TransportKind::Libfabric);
+    }
+
+    /// Dropping a cluster frees every locality's runtime (which stops
+    /// its workers) and every layer of its transport: nothing the
+    /// cluster wires up holds what holds it. Both fabrics, bare, under a
+    /// fault layer alone, under faults plus the reliable layer they
+    /// imply, and under the reliable layer alone.
+    #[test]
+    fn a_dropped_cluster_frees_its_runtimes_and_its_transport() {
+        let stacks: [fn(ClusterBuilder) -> ClusterBuilder; 4] = [
+            |b| b,
+            |b| b.fault_plan(FaultPlan::seeded(7)),
+            |b| b.fault_plan(FaultPlan::seeded(7).drop(0.2)),
+            |b| b.reliable(ReliablePolicy::default()),
+        ];
+        for kind in [TransportKind::Mpi, TransportKind::Libfabric] {
+            for (stack, build) in stacks.iter().enumerate() {
+                let builder = build(Cluster::builder().localities(2).transport(kind));
+                let cluster = Arc::new(builder.build());
+                assert_eq!(square_round_trip(&cluster, 3, &[2, 5]), [4, 25]);
+                let runtimes: Vec<Weak<Runtime>> =
+                    cluster.localities().iter().map(|l| Arc::downgrade(l.runtime())).collect();
+                let mut layers = vec![Arc::downgrade(cluster.transport())];
+                if let Some(fault) = cluster.fault_layer() {
+                    layers.push(Arc::downgrade(fault) as Weak<dyn Transport>);
+                }
+                drop(cluster);
+                let what = format!("{} stack {stack}", kind.as_str());
+                assert!(runtimes.iter().all(|r| r.upgrade().is_none()), "{what}: a runtime lives on");
+                assert!(layers.iter().all(|t| t.upgrade().is_none()), "{what}: a layer lives on");
+            }
+        }
     }
 
     /// A request and its answer as two fire-and-forget actions:

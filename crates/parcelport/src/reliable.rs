@@ -298,7 +298,9 @@ impl Transport for ReliableTransport {
         let state = Arc::clone(&self.state);
         let unacked_total = Arc::clone(&self.unacked_total);
         let counts = self.counts.clone();
-        let inner = Arc::clone(&self.inner);
+        // The inner layer holds this callback, so it holds the inner
+        // layer weakly (a strong handle would be a cycle).
+        let inner = Arc::downgrade(&self.inner);
         self.inner.set_delivery(
             locality,
             Arc::new(move |parcel: Parcel| {
@@ -327,6 +329,8 @@ impl Transport for ReliableTransport {
                         // Ack unconditionally — duplicates usually mean
                         // our previous ack was lost.
                         counts.acks.increment();
+                        // Live: the inner layer is the one delivering.
+                        let Some(inner) = inner.upgrade() else { return };
                         inner.send(
                             locality,
                             Parcel {

@@ -9,7 +9,10 @@
 #      `resolve(` call under crates/octree/src, zero `halo_sources` /
 #      `gather_ghosts`), zero per-leaf stage buffer, zero derived-grid,
 #      zero slab-pipeline, zero
-#      remote-call, zero owner-registry, one counter namespace (zero
+#      remote-call, zero owner-registry, one ownership record (zero
+#      `HashMap` / `Vec<Vec<` in crates/octree/src/shard.rs's non-test
+#      code, no `fn partition` in crates/octree/src/sfc.rs), one
+#      counter namespace (zero
 #      per-layer registries or mounts, zero counter lookups by name in
 #      the parcelport's non-test code), one step model (zero event
 #      engine in crates/perfmodel/src), stand-in (zero `crossbeam` in
@@ -314,6 +317,23 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "owner-registry budget OK (0 records of a leaf's locality beside the shard map)"
+
+echo
+echo "== tier-1: one ownership record budget =="
+# Inside the shard map, ownership is stored once: the tree's leaves in
+# curve order plus one cut index per shard boundary, so every leaf has
+# one owner and every shard is a contiguous run of the curve by
+# construction. An owner hash map or per-shard leaf lists in shard.rs's
+# non-test code are a second copy that must be checked against the
+# first, and a partition routine in sfc.rs is a second copy of the cut.
+stray=$(awk '/^#\[cfg\(test\)\]/ { exit } /HashMap|Vec<Vec</ { print FILENAME ":" FNR ": " $0 }' \
+    crates/octree/src/shard.rs; grep -Hn 'fn partition\b' crates/octree/src/sfc.rs || true)
+if [ -n "$stray" ]; then
+    echo "!! a second ownership record in the shard map or sfc.rs (the budget is zero):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "one ownership record budget OK (0 owner maps or shard lists, 0 sfc partition routines)"
 
 echo
 echo "== tier-1: counter-namespace budget =="
