@@ -24,6 +24,9 @@ pub fn curve_cmp(a: MortonKey, b: MortonKey) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Domain;
+    use crate::shard::ShardMap;
+    use crate::tree::Octree;
 
     #[test]
     fn curve_cmp_orders_siblings() {
@@ -51,5 +54,27 @@ mod tests {
             assert_eq!(curve_cmp(c3.child(o), c4), Ordering::Less);
             assert_eq!(curve_cmp(c4.child(o), c3), Ordering::Greater);
         }
+    }
+
+    #[test]
+    fn partition_is_contiguous_and_balanced() {
+        let mut t = Octree::structure_only(Domain::new(16.0));
+        t.refine_where(3, |d, k| d.node_center(k).norm() < 6.0);
+        let mut leaves = t.leaves();
+        leaves.sort_by(|a, b| curve_cmp(*a, *b));
+        let n_parts = 7;
+        let map = ShardMap::partition(&t, n_parts).unwrap();
+        // Contiguity: shard indices are non-decreasing in curve order.
+        let mut last = 0;
+        for leaf in &leaves {
+            let p = map.owner(*leaf).unwrap();
+            assert!(p >= last, "partition must be monotone along the curve");
+            last = p;
+        }
+        // Balance: counts differ by at most 1.
+        let counts: Vec<usize> = (0..n_parts as u32).map(|s| map.owned(s).len()).collect();
+        assert_eq!(counts.iter().sum::<usize>(), leaves.len());
+        let (mn, mx) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+        assert!(mx - mn <= 1, "counts {counts:?} not balanced");
     }
 }
