@@ -256,17 +256,13 @@ impl InterfacePlan {
     pub fn push_plan(&self, shard: &ShardMap) -> Vec<BTreeMap<u32, Vec<MortonKey>>> {
         let mut plan: Vec<BTreeMap<u32, Vec<MortonKey>>> = vec![BTreeMap::new(); shard.n_shards()];
         for dst in 0..shard.n_shards() as u32 {
-            let own = shard.owned(dst);
-            for &target in own {
-                // A shard is a run of the curve: a source from its first
-                // leaf to its last is its own, known without a search.
-                let (first, last) = (own[0], own[own.len() - 1]);
+            for &target in shard.owned(dst) {
                 for &HaloSlab { source, .. } in self.slabs(target).0 {
-                    if curve_cmp(first, source).is_le() && curve_cmp(source, last).is_le() {
-                        continue;
+                    let src =
+                        shard.owner_near(source, dst).expect("a halo source is a leaf of the map");
+                    if src != dst {
+                        plan[src as usize].entry(dst).or_default().push(source);
                     }
-                    let src = shard.owner(source).expect("a halo source is a leaf of the map");
-                    plan[src as usize].entry(dst).or_default().push(source);
                 }
             }
         }

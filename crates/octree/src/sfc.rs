@@ -10,7 +10,7 @@ use util::morton::MortonKey;
 
 /// Where `key`'s cell starts along the curve: its code aligned to the
 /// finest level, [`MortonKey::MAX_LEVEL`] (63 bits, so a `u64` holds it).
-pub(crate) fn curve_start(key: MortonKey) -> u64 {
+fn curve_start(key: MortonKey) -> u64 {
     key.code << (3 * (MortonKey::MAX_LEVEL - key.level) as u32)
 }
 

@@ -19,7 +19,7 @@
 //! [`ShardMap::halo_push_plan`] is that projection over a fresh plan.
 
 use crate::halo::{BoundaryCondition, InterfacePlan};
-use crate::sfc::curve_start;
+use crate::sfc::curve_cmp;
 use crate::tree::Octree;
 use std::collections::BTreeMap;
 use util::error::{Error, Result};
@@ -141,18 +141,30 @@ impl ShardMap {
         self.leaves.len()
     }
 
-    /// The locality owning leaf `key`. Distinct leaves start at distinct
-    /// points of the curve, so the search compares starts only.
+    /// The locality owning leaf `key`.
     pub fn owner(&self, key: MortonKey) -> Result<u32> {
-        let start = curve_start(key);
-        let i = self.leaves.partition_point(|&leaf| curve_start(leaf) < start);
-        match self.leaves.get(i) {
-            Some(&leaf) if leaf == key => Ok(self.shard_at(i)),
-            _ => Err(Error::Octree(format!("{key:?} is not a leaf in the shard map"))),
+        match self.leaves.binary_search_by(|&leaf| curve_cmp(leaf, key)) {
+            Ok(i) => Ok(self.shard_at(i)),
+            Err(_) => Err(Error::Octree(format!("{key:?} is not a leaf in the shard map"))),
         }
     }
 
-    /// The shard holding curve position `i`: the last to start at or before it.
+    /// [`ShardMap::owner`] of `key`, a leaf of the map, trying shard
+    /// `near` first: a leaf between its first and last is its own, known
+    /// without a search (most halo sources of a shard's leaves are).
+    pub(crate) fn owner_near(&self, key: MortonKey, near: u32) -> Result<u32> {
+        let own = self.owned(near);
+        match (own.first(), own.last()) {
+            (Some(&a), Some(&b)) if curve_cmp(a, key).is_le() && curve_cmp(key, b).is_le() => {
+                Ok(near)
+            }
+            _ => self.owner(key),
+        }
+    }
+
+    /// The shard holding curve position `i`: the last to start at or
+    /// before it. A balanced map puts `i` in shard `floor(i·P/n)`, which
+    /// is tried before the search (EXPERIMENTS §E33 times both).
     fn shard_at(&self, i: usize) -> u32 {
         let guess = i * self.n_shards() / self.n_leaves();
         let hit = self.cuts[guess] <= i && i < self.cuts[guess + 1];
@@ -238,8 +250,9 @@ mod tests {
         broken("cuts out of order", &|m| m.cuts.swap(1, 2));
     }
 
-    /// Balanced maps' shard sizes differ by at most one, on the AMR tree
-    /// and on a sphere-refined level-3 tree cut seven ways.
+    /// A balanced map's shard sizes differ by at most one (the AMR tree,
+    /// 3 shards; `sfc::tests::partition_is_contiguous_and_balanced` cuts
+    /// a sphere-refined level-3 tree 7 ways).
     #[test]
     fn partition_is_balanced() {
         let t = amr_tree();
